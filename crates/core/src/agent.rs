@@ -94,14 +94,6 @@ impl SeenCache {
     pub fn is_empty(&self) -> bool {
         self.set.is_empty()
     }
-
-    /// Forgets every remembered ID, keeping both allocations. Cost is
-    /// proportional to the number of *live* entries, so a cache that
-    /// saw one message clears in O(1) regardless of capacity.
-    pub fn clear(&mut self) {
-        self.set.clear();
-        self.order.clear();
-    }
 }
 
 /// The stateful part of one AP's agent.
@@ -126,40 +118,12 @@ impl ApAgent {
     /// Creates an agent for an AP at `pos` inside `building` with the
     /// deployed-AP seen-cache capacity.
     pub fn new(pos: Point, building: u32, scope: RebroadcastScope) -> Self {
-        Self::with_seen_capacity(pos, building, scope, Self::DEPLOYED_SEEN_CAPACITY)
-    }
-
-    /// Creates an agent with an explicit duplicate-cache capacity.
-    ///
-    /// Capacity only changes *when old IDs are evicted*, never how a
-    /// given packet is handled, so a simulation that replays one
-    /// message per agent lifetime (e.g. the delivery kernel, which
-    /// resets agents between flows) can use a tiny capacity and remain
-    /// bit-identical to [`ApAgent::new`] while skipping the two large
-    /// hash/deque allocations behind `DEPLOYED_SEEN_CAPACITY`.
-    pub fn with_seen_capacity(
-        pos: Point,
-        building: u32,
-        scope: RebroadcastScope,
-        capacity: usize,
-    ) -> Self {
         ApAgent {
             pos,
             building,
-            seen: SeenCache::new(capacity),
+            seen: SeenCache::new(Self::DEPLOYED_SEEN_CAPACITY),
             scope,
         }
-    }
-
-    /// Repoints this agent at a (possibly different) AP and forgets
-    /// all duplicate-suppression state, keeping the seen-cache
-    /// allocations. After `reset_for`, the agent is observationally
-    /// identical to a freshly constructed one with the same capacity.
-    pub fn reset_for(&mut self, pos: Point, building: u32, scope: RebroadcastScope) {
-        self.pos = pos;
-        self.building = building;
-        self.scope = scope;
-        self.seen.clear();
     }
 
     /// Processes a received packet header against `map`, reconstructing
@@ -172,7 +136,7 @@ impl ApAgent {
 
     /// Processing core with caller-supplied conduits (identical for
     /// every AP handling the same message, so simulations reconstruct
-    /// once).
+    /// once): the duplicate check, then [`ApAgent::decide`].
     pub fn handle_with_conduits(
         &mut self,
         header: &CityMeshHeader,
@@ -182,16 +146,33 @@ impl ApAgent {
         if self.seen.check_and_insert(header.msg_id) {
             return Action::IGNORE; // duplicate
         }
-        let deliver = self.building == header.destination();
+        Self::decide(self.pos, self.building, self.scope, header, map, conduits)
+    }
+
+    /// The stateless verdict for a packet this AP has **not** seen
+    /// before: deliver when in the destination building, rebroadcast
+    /// when the TTL allows and the scope's probe point lies in a
+    /// conduit. Everything an agent does beyond duplicate suppression;
+    /// the delivery kernel, which tracks "seen" itself, calls this
+    /// directly.
+    pub fn decide(
+        pos: Point,
+        building: u32,
+        scope: RebroadcastScope,
+        header: &CityMeshHeader,
+        map: &CityMap,
+        conduits: &[OrientedRect],
+    ) -> Action {
+        let deliver = building == header.destination();
         if header.ttl == 0 {
             return Action {
                 deliver,
                 rebroadcast: false,
             };
         }
-        let probe = match self.scope {
-            RebroadcastScope::ApPosition => self.pos,
-            RebroadcastScope::Building => match map.building(self.building) {
+        let probe = match scope {
+            RebroadcastScope::ApPosition => pos,
+            RebroadcastScope::Building => match map.building(building) {
                 Some(b) => b.centroid,
                 // Map disagreement: this AP's building is unknown to
                 // its own cache — fail closed (no relay storm).
@@ -248,42 +229,6 @@ mod tests {
         assert!(!c.check_and_insert(3)); // evicts 1
         assert!(!c.check_and_insert(1), "evicted id is forgotten");
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn clear_forgets_everything_and_preserves_capacity_semantics() {
-        let mut c = SeenCache::new(2);
-        assert!(!c.check_and_insert(1));
-        assert!(!c.check_and_insert(2));
-        c.clear();
-        assert!(c.is_empty());
-        assert!(!c.check_and_insert(1), "cleared ids are forgotten");
-        assert!(!c.check_and_insert(2));
-        assert!(!c.check_and_insert(3), "eviction still caps at capacity");
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn reset_agent_matches_fresh_agent() {
-        let map = test_map();
-        let h = header_to(&map, 4);
-        let mut fresh = ApAgent::new(Point::new(65.0, 5.0), 2, RebroadcastScope::Building);
-        let mut reused = ApAgent::new(Point::new(1.0, 99.0), 0, RebroadcastScope::ApPosition);
-        reused.handle(&h, &map); // dirty the seen cache
-        reused.reset_for(Point::new(65.0, 5.0), 2, RebroadcastScope::Building);
-        assert_eq!(reused.handle(&h, &map), fresh.handle(&h, &map));
-        assert_eq!(reused.handle(&h, &map), Action::IGNORE, "dup still caught");
-    }
-
-    #[test]
-    fn small_capacity_agent_handles_identically() {
-        let map = test_map();
-        let h = header_to(&map, 4);
-        let mut big = ApAgent::new(Point::new(65.0, 5.0), 2, RebroadcastScope::Building);
-        let mut small =
-            ApAgent::with_seen_capacity(Point::new(65.0, 5.0), 2, RebroadcastScope::Building, 1);
-        assert_eq!(small.handle(&h, &map), big.handle(&h, &map));
-        assert_eq!(small.handle(&h, &map), big.handle(&h, &map));
     }
 
     #[test]

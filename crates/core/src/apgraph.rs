@@ -34,6 +34,11 @@ pub struct ApGraph {
     /// referenced by any AP; queries beyond that yield empty slices.
     bucket_starts: Vec<u32>,
     bucket_items: Vec<u32>,
+    /// CSR broadcast audiences: `audience_starts[a]..audience_starts[a+1]`
+    /// indexes into `audience_items`, which holds every *other* AP
+    /// within `range_m` of AP `a`, in grid-enumeration order.
+    audience_starts: Vec<u32>,
+    audience_items: Vec<u32>,
 }
 
 impl ApGraph {
@@ -46,13 +51,24 @@ impl ApGraph {
         let positions: Vec<Point> = aps.iter().map(|a| a.pos).collect();
         let index = GridIndex::build(&positions, range_m.max(1.0));
         let mut graph = Graph::new(aps.len());
+        // The same grid pass that adds the edges records each AP's
+        // broadcast audience (AP ids are indices, as the edges assume).
+        let mut audience_starts = Vec::with_capacity(aps.len() + 1);
+        let mut audience_items = Vec::new();
+        audience_starts.push(0);
         for ap in aps {
             index.for_each_in_circle(ap.pos, range_m, |other, _| {
                 if other > ap.id {
                     graph.add_edge(ap.id, other, 1.0);
                 }
+                if other != ap.id {
+                    audience_items.push(other);
+                }
             });
+            let end = u32::try_from(audience_items.len()).expect("audience index fits u32");
+            audience_starts.push(end);
         }
+        audience_items.shrink_to_fit();
         let graph = CsrGraph::from_graph(&graph);
         let (components, num_components) = connected_components(&graph);
         let building_of: Vec<u32> = aps.iter().map(|a| a.building).collect();
@@ -85,6 +101,8 @@ impl ApGraph {
             num_components,
             bucket_starts,
             bucket_items,
+            audience_starts,
+            audience_items,
         }
     }
 
@@ -113,6 +131,8 @@ impl ApGraph {
             + self.components.capacity() * size_of::<u32>()
             + self.bucket_starts.capacity() * size_of::<u32>()
             + self.bucket_items.capacity() * size_of::<u32>()
+            + self.audience_starts.capacity() * size_of::<u32>()
+            + self.audience_items.capacity() * size_of::<u32>()
     }
 
     /// The transmission range used to build the graph.
@@ -130,9 +150,22 @@ impl ApGraph {
         self.building_of[id as usize]
     }
 
-    /// All AP ids within `radius` of `p` (the broadcast audience).
+    /// Calls `f(id, pos)` for every AP within the transmission range
+    /// of an arbitrary point `p` (an AP standing at `p` is included).
     pub fn for_each_in_range(&self, p: Point, f: impl FnMut(u32, Point)) {
         self.index.for_each_in_circle(p, self.range_m, f);
+    }
+
+    /// The broadcast audience of AP `id`: every other AP within range,
+    /// precomputed at build time. Set and order are exactly what
+    /// [`for_each_in_range`](Self::for_each_in_range) at the AP's
+    /// position yields minus the AP itself, which keeps the delivery
+    /// kernel's RNG draw sequence independent of how the audience is
+    /// found.
+    pub fn audience(&self, id: u32) -> &[u32] {
+        let lo = self.audience_starts[id as usize] as usize;
+        let hi = self.audience_starts[id as usize + 1] as usize;
+        &self.audience_items[lo..hi]
     }
 
     /// Number of connected components.
@@ -398,6 +431,19 @@ mod tests {
         heard.sort_unstable();
         // Within 50 m of (40,0): APs 0, 1, 2. (Note: includes self.)
         assert_eq!(heard, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn audience_rows_exclude_self_and_are_accounted() {
+        let g = ApGraph::build(&two_cluster_aps(), 50.0);
+        assert_eq!(g.audience(1), &[0, 2]);
+        assert_eq!(g.audience(0), &[1]);
+        assert_eq!(g.audience(4), &[3]);
+        let mut stripped = g.clone();
+        stripped.audience_starts = Vec::new();
+        stripped.audience_items = Vec::new();
+        // 6 audience entries + 6 row starts, 4 bytes each.
+        assert!(g.memory_bytes() - stripped.memory_bytes() >= 12 * 4);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Event-driven delivery simulation (paper §4).
 //!
 //! Replays one CityMesh message through a concrete AP placement: the
-//! source AP broadcasts, every AP in radio range receives, each
-//! receiver runs the real [`ApAgent`] logic (duplicate suppression +
+//! source AP broadcasts, every AP in its precomputed audience
+//! ([`ApGraph::audience`]) receives, each first-time receiver runs the
+//! real agent verdict ([`ApAgent::decide`]: destination check, TTL,
 //! conduit membership), and relays fire after a small random MAC
-//! jitter. The run records everything the paper's metrics need:
+//! jitter. A flow carries one message id, so the report's role vector
+//! doubles as every AP's duplicate-suppression memory: an AP has seen
+//! the packet exactly when its role is no longer [`ApRole::Silent`].
+//! The run records everything the paper's metrics need:
 //! whether a destination-building AP ever received the packet
 //! (*deliverability*), how many broadcasts happened (the overhead
 //! numerator), and the per-AP roles for Figure-7-style renders.
@@ -184,14 +188,6 @@ impl DeliveryReport {
 #[derive(Debug)]
 struct Tx(u32);
 
-/// Duplicate-cache capacity for simulated agents. Every flow carries
-/// exactly one message id and agents are reset between flows, so
-/// eviction can never fire and behavior is identical to the deployed
-/// 4096-ID cache ([`ApAgent::with_seen_capacity`]) — without the two
-/// large hash/deque allocations per touched AP per flow that used to
-/// dominate fleet wall time.
-const SIM_SEEN_CAPACITY: usize = 4;
-
 /// Reusable working state for [`simulate_delivery_into`]: everything
 /// the delivery kernel used to allocate per call.
 ///
@@ -200,30 +196,19 @@ const SIM_SEEN_CAPACITY: usize = 4;
 /// seen and are then reused, so a warmed scratch runs the kernel with
 /// **zero heap allocations**:
 ///
-/// * the agent slab — indexed by AP id, with a per-slot generation
-///   stamp so "clearing" between flows is a single counter increment
-///   (stale slots are lazily reset on first touch, O(touched) total,
-///   never O(total APs));
 /// * the event-queue storage ([`Simulation::reset`] keeps the heap's
 ///   allocation);
-/// * the per-agent duplicate caches ([`crate::agent::SeenCache::clear`]
-///   keeps both allocations);
-/// * the pending-relay buffer and the [`DeliveryReport`] role vector.
+/// * the [`DeliveryReport`] role vector — one byte per AP, refilled
+///   with [`ApRole::Silent`] at the start of every flow, which is also
+///   what forgets the previous flow's duplicate-suppression state.
 ///
 /// Reuse is invisible in the results: a dirty scratch and a fresh one
 /// produce bit-identical [`DeliveryReport`]s (property-tested in
-/// `crates/core/tests/properties.rs`).
+/// `crates/core/tests/properties.rs`, and against a naive per-AP-agent
+/// reference in `crates/core/tests/kernel_oracle.rs`).
 #[derive(Debug)]
 pub struct DeliveryScratch {
     sim: Simulation<Tx>,
-    /// Lazily populated agent slab indexed by AP id.
-    agents: Vec<Option<ApAgent>>,
-    /// Generation stamp per slot; a slot is live iff its stamp equals
-    /// [`DeliveryScratch::gen`].
-    agent_gen: Vec<u64>,
-    /// Current flow generation; bumped by every `begin`.
-    gen: u64,
-    pending: Vec<(SimTime, u32)>,
     report: DeliveryReport,
     /// Reusable header for `CityExperiment::simulate_flow_with` (the
     /// per-flow message id varies, the waypoint buffer is recycled).
@@ -268,10 +253,6 @@ impl DeliveryScratch {
     pub fn with_tracing(cfg: TraceConfig) -> Self {
         DeliveryScratch {
             sim: Simulation::new(),
-            agents: Vec::new(),
-            agent_gen: Vec::new(),
-            gen: 0,
-            pending: Vec::new(),
             report: DeliveryReport {
                 delivered: false,
                 first_delivery: None,
@@ -328,18 +309,11 @@ impl DeliveryScratch {
         self.report
     }
 
-    /// Prepares the scratch for a fresh flow over `n_aps` APs: bumps
-    /// the generation, rewinds the simulation clock, and resets the
-    /// report in place.
+    /// Prepares the scratch for a fresh flow over `n_aps` APs: rewinds
+    /// the simulation clock and resets the report in place.
     fn begin(&mut self, n_aps: usize, horizon: SimTime) {
-        self.gen += 1;
-        if self.agents.len() < n_aps {
-            self.agents.resize_with(n_aps, || None);
-            self.agent_gen.resize(n_aps, 0);
-        }
         self.sim.reset();
         self.sim.set_horizon(Some(horizon));
-        self.pending.clear();
         let r = &mut self.report;
         r.delivered = false;
         r.first_delivery = None;
@@ -349,37 +323,6 @@ impl DeliveryScratch {
         r.roles.clear();
         r.roles.resize(n_aps, ApRole::Silent);
     }
-}
-
-/// Returns the live agent for `id`, lazily constructing it on first
-/// ever touch and resetting it on first touch of this generation.
-///
-/// A free function (not a `DeliveryScratch` method) so the event loop
-/// can hold disjoint `&mut` borrows of the scratch's fields.
-fn touch_agent<'a>(
-    agents: &'a mut [Option<ApAgent>],
-    agent_gen: &mut [u64],
-    gen: u64,
-    apg: &ApGraph,
-    scope: RebroadcastScope,
-    id: u32,
-) -> &'a mut ApAgent {
-    let i = id as usize;
-    if agent_gen[i] != gen {
-        agent_gen[i] = gen;
-        match &mut agents[i] {
-            Some(a) => a.reset_for(apg.position(id), apg.building_of(id), scope),
-            slot => {
-                *slot = Some(ApAgent::with_seen_capacity(
-                    apg.position(id),
-                    apg.building_of(id),
-                    scope,
-                    SIM_SEEN_CAPACITY,
-                ))
-            }
-        }
-    }
-    agents[i].as_mut().expect("slot populated above")
 }
 
 /// Simulates one message from `src_ap` with routing state `header`,
@@ -488,21 +431,13 @@ pub fn simulate_delivery_faulted<'a>(
     let dst_building = header.destination();
     let DeliveryScratch {
         sim,
-        agents,
-        agent_gen,
-        gen,
-        pending,
         report,
         tracer,
         ..
     } = scratch;
-    let gen = *gen;
 
-    // The source transmits unconditionally at t = 0 and will treat its
-    // own message as seen.
-    touch_agent(agents, agent_gen, gen, apg, params.scope, src_ap)
-        .seen
-        .check_and_insert(header.msg_id);
+    // The source transmits unconditionally at t = 0; its `Relayed` role
+    // makes it treat its own message as seen.
     report.roles[src_ap as usize] = ApRole::Relayed;
     sim.schedule_at(SimTime::ZERO, Tx(src_ap));
 
@@ -530,40 +465,39 @@ pub fn simulate_delivery_faulted<'a>(
             ap,
             at_ns: now.as_nanos(),
         });
-        pending.clear();
-        let tx_pos = apg.position(ap);
-        apg.for_each_in_range(tx_pos, |rx, _| {
-            if rx == ap {
-                return; // no self-reception
-            }
+        for &rx in apg.audience(ap) {
             // Failed radios are gone from the air, not merely lossy:
             // skip them before the loss draw so the healthy APs' RNG
             // stream is untouched by how many neighbors died.
             if faults.is_some_and(|f| f.is_failed(rx)) {
-                return;
+                continue;
             }
             let loss = match faults {
                 Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
                 None => params.reception_loss,
             };
             if loss > 0.0 && rng.chance(loss) {
-                return; // frame lost to collision/fading
+                continue; // frame lost to collision/fading
             }
             report.receptions += 1;
-            let agent = touch_agent(agents, agent_gen, gen, apg, params.scope, rx);
-            let action = agent.handle_with_conduits(header, map, conduits);
-            if action == crate::agent::Action::IGNORE && report.roles[rx as usize] != ApRole::Silent
-            {
+            // One message id per flow: a non-silent role is "seen".
+            if report.roles[rx as usize] != ApRole::Silent {
                 report.duplicates += 1;
                 tracer.record(TraceEvent::Duplicate {
                     ap: rx,
                     at_ns: now.as_nanos(),
                 });
-                return;
+                continue;
             }
-            if report.roles[rx as usize] == ApRole::Silent {
-                report.roles[rx as usize] = ApRole::HeardOnly;
-            }
+            report.roles[rx as usize] = ApRole::HeardOnly;
+            let action = ApAgent::decide(
+                apg.position(rx),
+                apg.building_of(rx),
+                params.scope,
+                header,
+                map,
+                conduits,
+            );
             if action.deliver && report.first_delivery.is_none() {
                 report.delivered = true;
                 report.first_delivery = Some(now);
@@ -576,11 +510,8 @@ pub fn simulate_delivery_faulted<'a>(
                 report.roles[rx as usize] = ApRole::Relayed;
                 let delay =
                     SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
-                pending.push((now + delay, rx));
+                sim.schedule_at(now + delay, Tx(rx));
             }
-        });
-        for (at, rx) in pending.drain(..) {
-            sim.schedule_at(at, Tx(rx));
         }
     });
 
@@ -716,7 +647,7 @@ mod tests {
     fn dirty_scratch_cannot_leak_seen_or_role_state() {
         let (map, apg, bg, aps) = street();
         // Flow A floods the whole street and marks most APs as relays,
-        // filling every agent's seen cache with msg_id 777.
+        // leaving msg_id 777 "seen" at every AP it reached.
         let header_a = route_header(&bg, 0, 9);
         let src_a = postbox_ap(&aps, &map, 0).unwrap();
         let mut scratch = DeliveryScratch::new();
@@ -779,7 +710,7 @@ mod tests {
     #[test]
     fn one_scratch_serves_different_worlds() {
         // A scratch warmed on the 10-building street keeps working on
-        // a larger city (slab regrows) and back again (slab oversized).
+        // a larger city (role vector regrows) and back again (it shrinks).
         let (map, apg, bg, aps) = street();
         let big_map = {
             let footprints = (0..30)

@@ -1,0 +1,257 @@
+//! Differential oracle for the delivery kernel.
+//!
+//! `simulate_delivery_faulted` finds each broadcast's receivers in a
+//! precomputed audience row and treats the report's role vector as
+//! every AP's duplicate-suppression memory. The reference below does
+//! neither: it owns one real deployed [`ApAgent`] (4096-id
+//! [`citymesh_core::agent::SeenCache`]) per AP, asks the spatial index
+//! who is in range on every broadcast, keeps its events in a plain
+//! `Vec`, and allocates everything freshly. The two must agree field
+//! for field and leave the RNG at the same stream position.
+
+use citymesh_core::agent::Action;
+use citymesh_core::faults::combined_loss;
+use citymesh_core::{
+    compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
+    simulate_delivery_faulted, Ap, ApAgent, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
+    DeliveryParams, DeliveryReport, DeliveryScratch, FaultScenario, FaultState, RebroadcastScope,
+};
+use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
+use citymesh_map::CityMap;
+use citymesh_net::CityMeshHeader;
+use citymesh_simcore::{SimRng, SimTime};
+use proptest::prelude::*;
+
+/// The naive reference kernel (see the module docs).
+#[allow(clippy::too_many_arguments)]
+fn reference_delivery(
+    map: &CityMap,
+    apg: &ApGraph,
+    header: &CityMeshHeader,
+    conduits: &[OrientedRect],
+    src_ap: u32,
+    params: DeliveryParams,
+    faults: Option<&FaultState>,
+    rng: &mut SimRng,
+) -> DeliveryReport {
+    let mut report = DeliveryReport {
+        delivered: false,
+        first_delivery: None,
+        broadcasts: 0,
+        receptions: 0,
+        duplicates: 0,
+        roles: vec![ApRole::Silent; apg.len()],
+    };
+    if faults.is_some_and(|f| f.is_failed(src_ap)) {
+        return report;
+    }
+    let mut agents: Vec<ApAgent> = (0..apg.len() as u32)
+        .map(|id| ApAgent::new(apg.position(id), apg.building_of(id), params.scope))
+        .collect();
+    agents[src_ap as usize].seen.check_and_insert(header.msg_id);
+    report.roles[src_ap as usize] = ApRole::Relayed;
+    if apg.building_of(src_ap) == header.destination() {
+        report.delivered = true;
+        report.first_delivery = Some(SimTime::ZERO);
+    }
+    let jitter_span = params
+        .max_jitter
+        .saturating_since(params.min_jitter)
+        .as_nanos()
+        .max(1);
+
+    // (time, push sequence, transmitter): earliest first, FIFO on ties.
+    let mut events = vec![(SimTime::ZERO, 0u64, src_ap)];
+    let mut pushed = 1u64;
+    while let Some(next) = (0..events.len()).min_by_key(|&i| (events[i].0, events[i].1)) {
+        let (now, _, ap) = events.swap_remove(next);
+        if now > params.horizon {
+            break;
+        }
+        report.broadcasts += 1;
+        let mut audience = Vec::new();
+        apg.for_each_in_range(apg.position(ap), |rx, _| audience.push(rx));
+        for rx in audience {
+            if rx == ap || faults.is_some_and(|f| f.is_failed(rx)) {
+                continue;
+            }
+            let loss = match faults {
+                Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
+                None => params.reception_loss,
+            };
+            if loss > 0.0 && rng.chance(loss) {
+                continue;
+            }
+            report.receptions += 1;
+            let agent = &mut agents[rx as usize];
+            let remembered = agent.seen.len();
+            let action = agent.handle_with_conduits(header, map, conduits);
+            if agent.seen.len() == remembered {
+                assert_eq!(action, Action::IGNORE);
+                report.duplicates += 1;
+                continue;
+            }
+            report.roles[rx as usize] = ApRole::HeardOnly;
+            if action.deliver && report.first_delivery.is_none() {
+                report.delivered = true;
+                report.first_delivery = Some(now);
+            }
+            if action.rebroadcast {
+                report.roles[rx as usize] = ApRole::Relayed;
+                let delay =
+                    SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
+                events.push((now + delay, pushed, rx));
+                pushed += 1;
+            }
+        }
+    }
+    report
+}
+
+fn square_at(x: f64, y: f64, side: f64) -> Polygon {
+    Polygon::rect(Rect::from_corners(
+        Point::new(x, y),
+        Point::new(x + side, y + side),
+    ))
+}
+
+/// A `cols × rows` lattice of 14 m buildings with some removed (at
+/// least two always remain).
+fn grid_map(cols: usize, rows: usize, pitch: f64, removal: f64, seed: u64) -> CityMap {
+    let mut rng = SimRng::new(seed);
+    let mut footprints = Vec::new();
+    for y in 0..rows {
+        for x in 0..cols {
+            if footprints.len() >= 2 && rng.chance(removal) {
+                continue;
+            }
+            footprints.push(square_at(x as f64 * pitch, y as f64 * pitch, 14.0));
+        }
+    }
+    CityMap::new("oracle-grid", footprints, vec![])
+}
+
+#[derive(Clone, Copy, Debug)]
+enum World {
+    Healthy,
+    IidFailed,
+    DegradedLossy,
+}
+
+fn world() -> impl Strategy<Value = World> {
+    prop_oneof![
+        Just(World::Healthy),
+        Just(World::IidFailed),
+        Just(World::DegradedLossy)
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Kernel ≡ naive reference on random small cities × {healthy,
+    /// iid-failed, degraded/lossy} × both scopes, several flows through
+    /// one dirty scratch (so a leaked role would show as a lost
+    /// reception).
+    #[test]
+    fn kernel_equals_naive_reference(
+        (cols, rows) in (3usize..9, 2usize..7),
+        pitch in 25.0..45.0f64,
+        removal in 0.0..0.3f64,
+        seed in any::<u64>(),
+        m2_per_ap in 60.0..250.0f64,
+        world in world(),
+        by_position in any::<bool>(),
+    ) {
+        let map = grid_map(cols, rows, pitch, removal, seed);
+        let mut rng = SimRng::new(seed ^ 0xA9);
+        let aps = place_aps(&map, m2_per_ap, &mut rng);
+        let apg = ApGraph::build(&aps, 50.0);
+        let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+        let scenario = match world {
+            World::Healthy => None,
+            World::IidFailed => Some(FaultScenario::iid(0.2)),
+            World::DegradedLossy => Some(FaultScenario {
+                degraded_p: 0.4,
+                degraded_loss: 0.5,
+                ..FaultScenario::default()
+            }),
+        };
+        let faults = scenario.map(|s| FaultState::materialize(&s, &aps, &map, seed));
+        let params = DeliveryParams {
+            scope: if by_position { RebroadcastScope::ApPosition } else { RebroadcastScope::Building },
+            reception_loss: if matches!(world, World::DegradedLossy) { 0.15 } else { 0.0 },
+            ..DeliveryParams::default()
+        };
+
+        let mut scratch = DeliveryScratch::new();
+        let n = map.len() as u64;
+        for flow in 0..4u64 {
+            let src = rng.below(n) as u32;
+            let dst = rng.below(n) as u32;
+            // A planned route when one exists, else a header straight
+            // across the gap (the flood must then die out cleanly).
+            let waypoints = match plan_route(&bg, src, dst) {
+                Ok(route) => compress_route(&bg, &route, 50.0).unwrap().waypoints,
+                Err(_) => vec![src, dst],
+            };
+            // One constant msg id: a scratch that leaked "seen" state
+            // between flows would suppress the next flow's receptions.
+            let mut header = CityMeshHeader::new(7, 50.0, waypoints);
+            if flow == 3 {
+                header.ttl = 0;
+            }
+            let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+            let src_ap = postbox_ap(&aps, &map, src).unwrap();
+
+            let mut rng_ref = SimRng::new(seed ^ flow);
+            let mut rng_kernel = rng_ref.clone();
+            let expected = reference_delivery(
+                &map, &apg, &header, &conduits, src_ap, params, faults.as_ref(), &mut rng_ref,
+            );
+            let got = simulate_delivery_faulted(
+                &map, &apg, &header, &conduits, src_ap, params, faults.as_ref(), &mut rng_kernel,
+                &mut scratch,
+            );
+            prop_assert_eq!(got, &expected, "flow {} ({}->{}) diverged", flow, src, dst);
+            prop_assert_eq!(
+                rng_kernel.below(u64::MAX), rng_ref.below(u64::MAX),
+                "RNG streams desynchronized on flow {}", flow
+            );
+        }
+    }
+
+    /// `ApGraph::audience(ap)` is exactly what the spatial index yields
+    /// at the AP's position minus the AP itself, in the same order —
+    /// including co-located APs, exact-range boundaries (coordinates
+    /// are multiples of 12.5 m, range 50 m) and an AP nobody hears.
+    #[test]
+    fn audience_rows_equal_the_grid_query(
+        cells in proptest::collection::vec((0u32..24, 0u32..24), 1..60),
+    ) {
+        let aps: Vec<Ap> = cells
+            .iter()
+            .map(|&(x, y)| Point::new(x as f64 * 12.5, y as f64 * 12.5))
+            // A twin on top of the first AP, and a hermit far away.
+            .chain([Point::new(cells[0].0 as f64 * 12.5, cells[0].1 as f64 * 12.5)])
+            .chain([Point::new(5_000.0, 5_000.0)])
+            .enumerate()
+            .map(|(id, pos)| Ap { id: id as u32, pos, building: id as u32 / 2 })
+            .collect();
+        let apg = ApGraph::build(&aps, 50.0);
+        for ap in &aps {
+            let mut expected = Vec::new();
+            apg.for_each_in_range(apg.position(ap.id), |rx, _| {
+                if rx != ap.id {
+                    expected.push(rx);
+                }
+            });
+            prop_assert_eq!(apg.audience(ap.id), &expected[..], "AP {}", ap.id);
+        }
+        let twin = aps.len() as u32 - 2;
+        let hermit = aps.len() as u32 - 1;
+        prop_assert!(apg.audience(0).contains(&twin) && apg.audience(twin).contains(&0));
+        prop_assert!(apg.audience(hermit).is_empty());
+
+    }
+}

@@ -70,8 +70,8 @@ impl Fe {
         let mut acc: u128 = 0;
         let mut acc_bits = 0u32;
         let mut idx = 0;
-        for (i, limb) in h.iter().enumerate() {
-            acc |= (*limb as u128) << acc_bits;
+        for limb in h {
+            acc |= (limb as u128) << acc_bits;
             acc_bits += 51;
             while acc_bits >= 8 && idx < 32 {
                 out[idx] = acc as u8;
@@ -79,7 +79,6 @@ impl Fe {
                 acc_bits -= 8;
                 idx += 1;
             }
-            let _ = i;
         }
         while idx < 32 {
             out[idx] = acc as u8;
@@ -152,8 +151,25 @@ impl Fe {
         Self::carry(t0, t1, t2, t3, t4)
     }
 
+    /// `self²` with the symmetric cross terms folded: 15 limb products
+    /// where `mul(self)` spends 25.
     fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0.map(|x| x as u128);
+        let (a0_2, a1_2) = (2 * a[0], 2 * a[1]);
+        let (a3_19, a4_19) = (19 * a[3], 19 * a[4]);
+
+        let t0 = a[0] * a[0] + 2 * (a[1] * a4_19 + a[2] * a3_19);
+        let t1 = a0_2 * a[1] + 2 * (a[2] * a4_19) + a[3] * a3_19;
+        let t2 = a0_2 * a[2] + a[1] * a[1] + 2 * (a[3] * a4_19);
+        let t3 = a0_2 * a[3] + a1_2 * a[2] + a[4] * a4_19;
+        let t4 = a0_2 * a[4] + a1_2 * a[3] + a[2] * a[2];
+
+        Self::carry(t0, t1, t2, t3, t4)
+    }
+
+    /// `self^(2^k)`: `k` successive squarings.
+    fn pow2k(self, k: u32) -> Fe {
+        (0..k).fold(self, |x, _| x.square())
     }
 
     /// Multiplication by the curve constant (A − 2) / 4 = 121665.
@@ -193,23 +209,23 @@ impl Fe {
         Fe(r)
     }
 
-    /// Inversion via Fermat: self^(p − 2), square-and-multiply over
-    /// the fixed public exponent.
+    /// Inversion via Fermat: self^(p − 2) = self^(2²⁵⁵ − 21), by the
+    /// standard fixed addition chain (254 squarings, 11 multiplies).
+    /// `z_a_b` below is self^(2^a − 2^b); the exponent is public, so
+    /// the chain has no secret-dependent branch or index.
     fn invert(self) -> Fe {
-        // p − 2 = 2^255 − 21, little-endian bytes.
-        let mut exp = [0xFFu8; 32];
-        exp[0] = 0xEB;
-        exp[31] = 0x7F;
-
-        let mut result = Fe::ONE;
-        // MSB-first over 255 meaningful bits.
-        for bit in (0..255).rev() {
-            result = result.square();
-            if (exp[bit / 8] >> (bit % 8)) & 1 == 1 {
-                result = result.mul(self);
-            }
-        }
-        result
+        let z2 = self.square();
+        let z9 = self.mul(z2.pow2k(2));
+        let z11 = z2.mul(z9);
+        let z_5_0 = z9.mul(z11.square());
+        let z_10_0 = z_5_0.pow2k(5).mul(z_5_0);
+        let z_20_0 = z_10_0.pow2k(10).mul(z_10_0);
+        let z_40_0 = z_20_0.pow2k(20).mul(z_20_0);
+        let z_50_0 = z_40_0.pow2k(10).mul(z_10_0);
+        let z_100_0 = z_50_0.pow2k(50).mul(z_50_0);
+        let z_200_0 = z_100_0.pow2k(100).mul(z_100_0);
+        let z_250_0 = z_200_0.pow2k(50).mul(z_50_0);
+        z_250_0.pow2k(5).mul(z11)
     }
 
     /// Constant-time conditional swap of `a` and `b` when `bit == 1`.
@@ -330,8 +346,20 @@ mod tests {
         assert_eq!(a.mul(Fe::ONE).to_bytes(), a.to_bytes());
         // a * a⁻¹ == 1
         assert_eq!(a.mul(a.invert()).to_bytes(), Fe::ONE.to_bytes());
-        // square == mul self
-        assert_eq!(a.square().to_bytes(), a.mul(a).to_bytes());
+        // square == mul self, also on unreduced-looking and edge inputs
+        for x in [
+            a,
+            b,
+            a.add(b),
+            a.sub(b),
+            Fe::ZERO,
+            Fe::ONE,
+            Fe::ZERO.sub(Fe::ONE),
+        ] {
+            assert_eq!(x.square().to_bytes(), x.mul(x).to_bytes());
+        }
+        assert_eq!(b.mul(b.invert()).to_bytes(), Fe::ONE.to_bytes());
+        assert_eq!(Fe::ZERO.invert().to_bytes(), [0u8; 32]);
         // distributivity: a(b + 1) = ab + a
         assert_eq!(a.mul(b.add(Fe::ONE)).to_bytes(), a.mul(b).add(a).to_bytes());
     }
@@ -360,6 +388,17 @@ mod tests {
         let u = BASEPOINT;
         let expected = unhex("422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
         assert_eq!(x25519(&k, &u), expected);
+    }
+
+    #[test]
+    fn rfc7748_iterated_1000() {
+        // §5.2: k, u := X25519(k, u), k — a thousand times.
+        let (mut k, mut u) = (BASEPOINT, BASEPOINT);
+        for _ in 0..1000 {
+            (k, u) = (x25519(&k, &u), k);
+        }
+        let expected = unhex("684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+        assert_eq!(k, expected);
     }
 
     #[test]

@@ -623,7 +623,7 @@ pub fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
 ///
 /// Each worker owns one [`DeliveryScratch`] reused across every flow
 /// it claims, so the steady-state per-flow path performs no heap
-/// allocations (the scratch's slabs warm up over the first few flows
+/// allocations (the scratch's buffers warm up over the first few flows
 /// and are retained after that). Because per-flow RNG sub-streams make
 /// outcomes independent of which worker simulates which flow, the
 /// scratch reuse is invisible in the fleet digest.

@@ -175,7 +175,7 @@ proptest! {
     }
 
     /// A reused traced scratch must capture exactly the trace a fresh
-    /// scratch captures: ring reuse, generation-stamped agent slabs,
+    /// scratch captures: ring reuse, the reused role vector,
     /// and leftover postmortem buffers may not bleed one flow's events
     /// into the next. This mirrors the engine's per-flow protocol
     /// (same sub-stream domains) with sample_every=1 so every flow is
