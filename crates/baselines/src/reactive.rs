@@ -87,25 +87,7 @@ pub fn deliver_with_local_repair(
     scratch: &mut DeliveryScratch,
 ) -> RepairOutcome {
     let mut result = RepairOutcome {
-        outcome: PairOutcome {
-            src: plan.src,
-            dst: plan.dst,
-            reachable: plan.reachable,
-            route_found: plan.route_found(),
-            route_len: plan.route_len,
-            waypoints: plan.waypoints.len(),
-            route_bits: plan.route_bits,
-            delivered: false,
-            broadcasts: 0,
-            latency: None,
-            ideal_hops: plan.ideal_hops,
-            overhead: None,
-            attempts: 0,
-            recovered_by: None,
-            sealed: false,
-            opened: false,
-            auth_failed: false,
-        },
+        outcome: PairOutcome::from_plan(plan),
         repairs: 0,
         full_replans: 0,
         replanned_buildings: 0,

@@ -4,7 +4,7 @@
 //! `figures -- fleet`).
 
 use citymesh_core::{CityExperiment, ExperimentConfig};
-use citymesh_fleet::{generate_flows, run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -72,15 +72,18 @@ fn bench_fleet_execution(c: &mut Criterion) {
     for workers in [1usize, 4] {
         group.bench_function(format!("{FLOWS}flows/{workers}w"), |b| {
             b.iter(|| {
-                std::hint::black_box(run_fleet(
-                    &exp,
-                    &flows,
-                    &FleetConfig {
-                        workers,
-                        seed: SEED,
-                        ..FleetConfig::default()
-                    },
-                ))
+                std::hint::black_box(
+                    try_run_fleet(
+                        &exp,
+                        &flows,
+                        &FleetConfig {
+                            workers,
+                            seed: SEED,
+                            ..FleetConfig::default()
+                        },
+                    )
+                    .unwrap(),
+                )
             })
         });
     }

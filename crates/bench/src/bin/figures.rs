@@ -58,6 +58,32 @@ use citymesh_simcore::SimRng;
 
 const SEED: u64 = 2024;
 
+/// Every artifact name `main` dispatches on (besides `all`). A
+/// positional argument outside this list is a typo, not a no-op.
+const TARGETS: &[&str] = &[
+    "table1",
+    "fig1a",
+    "fig1b",
+    "fig2",
+    "fig5",
+    "fig6",
+    "headers",
+    "fig7",
+    "mapsize",
+    "headers-large",
+    "scaling",
+    "ablations",
+    "fleet",
+    "planner",
+    "resilience",
+    "churn",
+    "telemetry",
+    "metro",
+    "streaming",
+    "crypto",
+    "placement",
+];
+
 struct Opts {
     fast: bool,
 }
@@ -98,6 +124,13 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| **t != "all" && !TARGETS.contains(t))
+    {
+        eprintln!("unknown target `{bad}`; targets: all {}", TARGETS.join(" "));
+        std::process::exit(2);
+    }
     let want =
         |name: &str| targets.is_empty() || targets.contains(&name) || targets.contains(&"all");
 

@@ -22,7 +22,7 @@
 
 use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};
 use citymesh_dynamics::{
-    run_churn, ChurnConfig, ChurnEngineConfig, InvalidationPolicy, Strategy, Timeline,
+    try_run_churn, ChurnConfig, ChurnEngineConfig, InvalidationPolicy, Strategy, Timeline,
 };
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_telemetry::TelemetryConfig;
@@ -227,7 +227,7 @@ fn run_point(
         let reports: Vec<_> = worker_counts
             .iter()
             .map(|&workers| {
-                run_churn(
+                try_run_churn(
                     exp,
                     workload,
                     &timeline,
@@ -235,6 +235,7 @@ fn run_point(
                     &cfg(workers, InvalidationPolicy::Incremental),
                     &TelemetryConfig::off(),
                 )
+                .expect("sweep config matches the world it prepared")
                 .0
             })
             .collect();
@@ -246,14 +247,15 @@ fn run_point(
         );
         let incremental = &reports[0];
 
-        let (flush, _) = run_churn(
+        let (flush, _) = try_run_churn(
             exp,
             workload,
             &timeline,
             strategy,
             &cfg(worker_counts[0], InvalidationPolicy::FullFlush),
             &TelemetryConfig::off(),
-        );
+        )
+        .expect("sweep config matches the world it prepared");
         assert_eq!(
             incremental.digest(),
             flush.digest(),

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use citymesh_core::{CityExperiment, ExperimentConfig};
-use citymesh_fleet::{generate_flows, run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 
 use crate::text::json::Value;
@@ -129,16 +129,18 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
     // built tables, and derive every active pair's session key so the
     // first warm run really is warm.
     let secure = exp.secure_state().expect("encryption enabled").clone();
-    run_fleet(
+    try_run_fleet(
         &exp,
         &flows,
         &cfg_for(CryptoMode::Plaintext, worker_counts[0]),
-    );
-    run_fleet(
+    )
+    .expect("sweep config matches the world it prepared");
+    try_run_fleet(
         &exp,
         &flows,
         &cfg_for(CryptoMode::EncryptedWarm, worker_counts[0]),
-    );
+    )
+    .expect("sweep config matches the world it prepared");
 
     let mut runs = Vec::new();
     let mut plaintext = None;
@@ -159,7 +161,8 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
             }
             let misses_before = secure.session_misses();
             let start = Instant::now();
-            let report = run_fleet(&exp, &flows, &cfg_for(mode, workers));
+            let report = try_run_fleet(&exp, &flows, &cfg_for(mode, workers))
+                .expect("sweep config matches the world it prepared");
             let elapsed = start.elapsed().as_secs_f64();
             let digest = report.digest();
             match mode {

@@ -8,7 +8,7 @@
 
 use citymesh_core::{CityExperiment, ExperimentConfig};
 use citymesh_fleet::{
-    generate_flows, run_fleet, FleetConfig, FleetReport, FlowModel, WorkloadConfig,
+    generate_flows, try_run_fleet, FleetConfig, FleetReport, FlowModel, WorkloadConfig,
 };
 use citymesh_map::CityArchetype;
 
@@ -92,7 +92,7 @@ pub fn run_fleet_figs(
                 seed,
             },
         );
-        run_fleet(
+        try_run_fleet(
             &exp,
             &warm,
             &FleetConfig {
@@ -100,7 +100,8 @@ pub fn run_fleet_figs(
                 seed,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .expect("sweep config matches the world it prepared");
     }
 
     let mut runs = Vec::new();
@@ -108,7 +109,7 @@ pub fn run_fleet_figs(
         let specs = generate_flows(buildings, &WorkloadConfig { flows, model, seed });
         let mut digests: Vec<u64> = Vec::new();
         for &workers in worker_counts {
-            let report = run_fleet(
+            let report = try_run_fleet(
                 &exp,
                 &specs,
                 &FleetConfig {
@@ -116,7 +117,8 @@ pub fn run_fleet_figs(
                     seed,
                     ..FleetConfig::default()
                 },
-            );
+            )
+            .expect("sweep config matches the world it prepared");
             digests.push(report.digest());
             runs.push(FleetRun {
                 flows,

@@ -16,7 +16,7 @@
 //! guarantee.
 
 use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario, RetryPolicy};
-use citymesh_fleet::{generate_flows, run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 
 use crate::text::json::Value;
@@ -163,7 +163,7 @@ fn run_point(
     let reports: Vec<_> = worker_counts
         .iter()
         .map(|&workers| {
-            run_fleet(
+            try_run_fleet(
                 &ladder,
                 &workload,
                 &FleetConfig {
@@ -172,6 +172,7 @@ fn run_point(
                     ..FleetConfig::default()
                 },
             )
+            .expect("sweep config matches the world it prepared")
         })
         .collect();
     let digests: Vec<u64> = reports.iter().map(|r| r.digest()).collect();
@@ -183,7 +184,7 @@ fn run_point(
     let report = &reports[0];
 
     let single = prepare(RetryPolicy::none());
-    let no_retry = run_fleet(
+    let no_retry = try_run_fleet(
         &single,
         &workload,
         &FleetConfig {
@@ -191,7 +192,8 @@ fn run_point(
             seed,
             ..FleetConfig::default()
         },
-    );
+    )
+    .expect("sweep config matches the world it prepared");
 
     let fault = ladder
         .fault_state()

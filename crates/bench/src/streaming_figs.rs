@@ -1,6 +1,6 @@
 //! Streaming latency-under-load figures (`figures -- streaming`).
 //!
-//! Drives the always-on engine ([`citymesh_stream::run_stream`])
+//! Drives the always-on engine ([`citymesh_stream::try_run_stream`])
 //! through an offered-load sweep: a Poisson arrival stream at a
 //! multiple of the modeled server fleet's estimated capacity, from
 //! deep underload to well past saturation. Two scenarios run the same
@@ -32,7 +32,7 @@ use citymesh_core::{CityExperiment, ExperimentConfig, HierParams};
 use citymesh_dynamics::{ChurnConfig, Timeline};
 use citymesh_map::{generate_metro, CityArchetype, MetroParams};
 use citymesh_stream::{
-    generate_stream_flows, run_stream, ArrivalProcess, StreamConfig, StreamWorkload,
+    generate_stream_flows, try_run_stream, ArrivalProcess, StreamConfig, StreamWorkload,
 };
 use citymesh_telemetry::TelemetryConfig;
 
@@ -194,7 +194,8 @@ fn probe_mean_service_ms(exp: &CityExperiment, timeline: &Timeline, cfg: &Stream
             seed: cfg.seed,
         },
     );
-    let (report, _) = run_stream(exp, &flows, timeline, &probe_cfg, &TelemetryConfig::off());
+    let (report, _) = try_run_stream(exp, &flows, timeline, &probe_cfg, &TelemetryConfig::off())
+        .expect("sweep config matches the world it prepared");
     report
         .service_ms
         .mean()
@@ -255,7 +256,8 @@ pub fn run_streaming_figs(
                     ..base_cfg
                 };
                 let started = Instant::now();
-                let (r, _) = run_stream(&exp, &flows, &timeline, &cfg, &TelemetryConfig::off());
+                let (r, _) = try_run_stream(&exp, &flows, &timeline, &cfg, &TelemetryConfig::off())
+                    .expect("sweep config matches the world it prepared");
                 let secs = started.elapsed().as_secs_f64().max(1e-9);
                 assert_eq!(
                     r.offered,

@@ -21,7 +21,7 @@
 
 use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario, RetryPolicy};
 use citymesh_fleet::{
-    generate_flows, run_fleet, run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
 };
 use citymesh_map::CityArchetype;
 use citymesh_telemetry::{
@@ -133,8 +133,10 @@ pub fn run_telemetry(
         seed,
         ..FleetConfig::default()
     };
-    let plain = run_fleet(&exp, &workload, &base_cfg);
-    let (traced, _) = run_fleet_traced(&exp, &workload, &base_cfg, &tel);
+    let plain = try_run_fleet(&exp, &workload, &base_cfg)
+        .expect("sweep config matches the world it prepared");
+    let (traced, _) = try_run_fleet_traced(&exp, &workload, &base_cfg, &tel)
+        .expect("sweep config matches the world it prepared");
     assert_eq!(
         plain.digest(),
         traced.digest(),
@@ -156,11 +158,12 @@ pub fn run_telemetry(
             ..ExperimentConfig::default()
         },
     );
-    let plain_faulted = run_fleet(&fexp, &workload, &base_cfg);
+    let plain_faulted = try_run_fleet(&fexp, &workload, &base_cfg)
+        .expect("sweep config matches the world it prepared");
     let mut runs: Vec<_> = worker_counts
         .iter()
         .map(|&workers| {
-            let (report, telem) = run_fleet_traced(
+            let (report, telem) = try_run_fleet_traced(
                 &fexp,
                 &workload,
                 &FleetConfig {
@@ -169,7 +172,8 @@ pub fn run_telemetry(
                     ..FleetConfig::default()
                 },
                 &tel,
-            );
+            )
+            .expect("sweep config matches the world it prepared");
             (workers, report, telem.expect("telemetry was requested"))
         })
         .collect();

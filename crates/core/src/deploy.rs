@@ -106,17 +106,13 @@ impl Deployment {
     /// FNV-1a over the budget and the sorted sites — the identity the
     /// placement score digest chains over.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(self.budget as u64);
-        mix(self.sites.len() as u64);
+        let mut h = citymesh_simcore::Fnv64::new();
+        h.mix(self.budget as u64);
+        h.mix(self.sites.len() as u64);
         for &s in &self.sites {
-            mix(u64::from(s));
+            h.mix(u64::from(s));
         }
-        h
+        h.value()
     }
 }
 

@@ -37,7 +37,7 @@ use std::collections::HashSet;
 
 use citymesh_geo::Point;
 use citymesh_map::CityMap;
-use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_simcore::{substream_seed, Fnv64, SimRng};
 
 use crate::pipeline::ConfigError;
 use crate::placement::Ap;
@@ -614,21 +614,17 @@ impl FaultState {
     /// golden value CI pins to detect any drift in fault
     /// materialization (RNG, ordering, or geometry changes).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u64| {
-            h ^= byte;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = Fnv64::new();
         for (i, st) in self.health.iter().enumerate() {
             let code = match st {
                 ApHealth::Up => 0u64,
                 ApHealth::Degraded => 1,
                 ApHealth::Failed => 2,
             };
-            mix(i as u64 ^ (code << 32));
+            h.mix(i as u64 ^ (code << 32));
         }
-        mix(self.blocked_buildings.len() as u64);
-        h
+        h.mix(self.blocked_buildings.len() as u64);
+        h.value()
     }
 }
 

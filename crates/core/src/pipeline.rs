@@ -442,6 +442,32 @@ pub struct PairOutcome {
     pub auth_failed: bool,
 }
 
+impl PairOutcome {
+    /// The outcome of a planned flow nothing has simulated yet: the
+    /// plan's fields copied over, zero attempts, not delivered.
+    pub fn from_plan(plan: &PlannedFlow) -> Self {
+        PairOutcome {
+            src: plan.src,
+            dst: plan.dst,
+            reachable: plan.reachable,
+            route_found: plan.route_found(),
+            route_len: plan.route_len,
+            waypoints: plan.waypoints.len(),
+            route_bits: plan.route_bits,
+            delivered: false,
+            broadcasts: 0,
+            latency: None,
+            ideal_hops: plan.ideal_hops,
+            overhead: None,
+            attempts: 0,
+            recovered_by: None,
+            sealed: false,
+            opened: false,
+            auth_failed: false,
+        }
+    }
+}
+
 /// Aggregated per-city results.
 #[derive(Clone, Debug)]
 pub struct CityResult {
@@ -991,39 +1017,7 @@ impl CityExperiment {
         scratch: &mut PlanScratch,
         plan: &mut PlannedFlow,
     ) {
-        plan.reset(src, dst);
-        // Mail for a dark destination is carried to its nearest
-        // designated site when a deployment is active; `target == dst`
-        // always when none is (the pre-placement fast path).
-        let target = self.delivery_target(dst);
-        plan.redirect = (target != dst).then_some(target);
-        plan.reachable = self.reachable(src, target);
-        let faults = self.faults.as_ref();
-        // Plan over the map the sender believes in: the cached
-        // pre-disaster graph when the map is stale (the paper's
-        // static-map assumption under stress), the surviving graph —
-        // dark buildings avoided — when it is fresh.
-        let routed = match faults {
-            Some(f) if !f.stale_map() => plan_route_avoiding_into(
-                &self.bg,
-                src,
-                target,
-                f.blocked_buildings(),
-                &mut scratch.search,
-                &mut scratch.route,
-            ),
-            _ => plan_route_into(
-                &self.bg,
-                src,
-                target,
-                &mut scratch.search,
-                &mut scratch.route,
-            ),
-        };
-        if routed.is_err() {
-            return;
-        }
-        self.finish_plan(src, target, scratch, plan);
+        self.plan_into(src, dst, None, scratch, plan);
     }
 
     /// Hierarchical counterpart of [`CityExperiment::plan_flow_into`]:
@@ -1049,47 +1043,52 @@ impl CityExperiment {
             .hier
             .as_ref()
             .expect("plan_flow_hier_into requires CityExperiment::enable_hier");
+        self.plan_into(src, dst, Some(planner), scratch, plan);
+    }
+
+    /// The body both planners share; only the router call differs
+    /// (`hier: None` is the flat ALT/A* search).
+    fn plan_into(
+        &self,
+        src: u32,
+        dst: u32,
+        hier: Option<&HierPlanner>,
+        scratch: &mut PlanScratch,
+        plan: &mut PlannedFlow,
+    ) {
         plan.reset(src, dst);
+        // Mail for a dark destination is carried to its nearest
+        // designated site when a deployment is active; `target == dst`
+        // always when none is (the pre-placement fast path).
         let target = self.delivery_target(dst);
         plan.redirect = (target != dst).then_some(target);
         plan.reachable = self.reachable(src, target);
         let faults = self.faults.as_ref();
-        let routed = match faults {
-            Some(f) if !f.stale_map() => planner.plan_route_avoiding_into(
-                &self.bg,
-                src,
-                target,
-                f.blocked_buildings(),
-                &mut scratch.hier,
-                &mut scratch.route,
-            ),
-            _ => planner.plan_route_into(
-                &self.bg,
-                src,
-                target,
-                &mut scratch.hier,
-                &mut scratch.route,
-            ),
+        // Plan over the map the sender believes in: the cached
+        // pre-disaster graph when the map is stale (the paper's
+        // static-map assumption under stress), the surviving graph —
+        // dark buildings avoided — when it is fresh.
+        let blocked = faults
+            .filter(|f| !f.stale_map())
+            .map(|f| f.blocked_buildings());
+        let (bg, route) = (&self.bg, &mut scratch.route);
+        let routed = match (hier, blocked) {
+            (None, None) => plan_route_into(bg, src, target, &mut scratch.search, route).is_ok(),
+            (None, Some(b)) => {
+                plan_route_avoiding_into(bg, src, target, b, &mut scratch.search, route).is_ok()
+            }
+            (Some(h), None) => h
+                .plan_route_into(bg, src, target, &mut scratch.hier, route)
+                .is_ok(),
+            (Some(h), Some(b)) => h
+                .plan_route_avoiding_into(bg, src, target, b, &mut scratch.hier, route)
+                .is_ok(),
         };
-        if routed.is_err() {
+        if !routed {
             return;
         }
-        self.finish_plan(src, target, scratch, plan);
-    }
-
-    /// The planner-independent tail of flow planning: compression,
-    /// header probing, source-AP lookup, ideal hops, conduit
-    /// reconstruction. `scratch.route` holds the routed buildings;
-    /// `target` is the delivery target (the redirect site when a
-    /// deployment rerouted a dark destination, `plan.dst` otherwise).
-    fn finish_plan(
-        &self,
-        src: u32,
-        target: u32,
-        scratch: &mut PlanScratch,
-        plan: &mut PlannedFlow,
-    ) {
-        let faults = self.faults.as_ref();
+        // The planner-independent tail: compression, header probing,
+        // source-AP lookup, ideal hops, conduit reconstruction.
         plan.route_len = scratch.route.len();
         compress_route_into(
             &self.bg,
@@ -1251,25 +1250,7 @@ impl CityExperiment {
             route_bits: plan.route_bits as u32,
             conduits: plan.conduits.len() as u32,
         });
-        let mut outcome = PairOutcome {
-            src: plan.src,
-            dst: plan.dst,
-            reachable: plan.reachable,
-            route_found: plan.route_found(),
-            route_len: plan.route_len,
-            waypoints: plan.waypoints.len(),
-            route_bits: plan.route_bits,
-            delivered: false,
-            broadcasts: 0,
-            latency: None,
-            ideal_hops: plan.ideal_hops,
-            overhead: None,
-            attempts: 0,
-            recovered_by: None,
-            sealed: false,
-            opened: false,
-            auth_failed: false,
-        };
+        let mut outcome = PairOutcome::from_plan(plan);
         if !plan.route_found() {
             finish_flow_trace(scratch, &outcome);
             return outcome;

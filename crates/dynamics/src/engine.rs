@@ -1,6 +1,6 @@
 //! The epoch-barrier churn engine.
 //!
-//! [`run_churn`] drives one workload through a mutating world. The
+//! [`try_run_churn`] drives one workload through a mutating world. The
 //! flow set is partitioned by arrival time against the timeline's
 //! event instants; each partition (an *epoch*) runs on the fleet
 //! engine's worker pool against a frozen fault state, then the next
@@ -40,17 +40,16 @@
 //! conduit AP health), and the bench verifies it still evicts strictly
 //! less than a flush.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Cow;
 
 use citymesh_baselines::deliver_with_local_repair;
-use citymesh_core::{CityExperiment, DeliveryScratch, PairOutcome, RetryPolicy};
+use citymesh_core::{CityExperiment, FaultState, RetryPolicy};
 use citymesh_fleet::{
-    record_flow_metrics, run_fleet_on_cache, FleetConfig, FleetReport, FleetTelemetry, FlowSpec,
-    RouteCache, DOMAIN_MSG, DOMAIN_SIM,
+    try_run_fleet_on_cache, try_run_flows_with, FleetConfig, FleetReport, FleetTelemetry, FlowSpec,
+    RouteCache,
 };
-use citymesh_simcore::{substream_seed, SimRng};
-use citymesh_telemetry::{metrics as tm, MetricSet, TelemetryConfig};
+use citymesh_simcore::Fnv64;
+use citymesh_telemetry::{metrics as tm, MetricSet, TelemetryConfig, TraceConfig};
 
 use crate::timeline::Timeline;
 
@@ -95,7 +94,9 @@ pub enum InvalidationPolicy {
 /// Churn-engine execution knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnEngineConfig {
-    /// Worker threads per epoch (the fleet pool size).
+    /// Worker threads per epoch (the fleet pool size). `0` means one
+    /// per available CPU, for every [`Strategy`] alike — all three go
+    /// through [`citymesh_fleet::resolve_workers`].
     pub workers: usize,
     /// Root seed for per-flow message-id and simulation sub-streams —
     /// use the same seed as the plain fleet runs you compare against.
@@ -147,7 +148,7 @@ pub struct EpochStat {
 /// invalidation policies; the cost fields (evictions, planner
 /// invocations, repair bills) describe *work* and are exactly what the
 /// policies trade off.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnReport {
     /// Flows simulated across all epochs.
     pub flows: u64,
@@ -200,63 +201,23 @@ impl ChurnReport {
     /// equal digests across invalidation policies is the correctness
     /// claim, differing work is the point.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(self.flows);
-        mix(self.delivered);
-        mix(self.retried);
-        mix(self.recovered);
-        mix(self.epochs);
-        mix(self.events_applied);
-        mix(self.aps_changed);
-        mix(self.timeline_fingerprint);
+        let mut h = Fnv64::new();
+        h.mix(self.flows);
+        h.mix(self.delivered);
+        h.mix(self.retried);
+        h.mix(self.recovered);
+        h.mix(self.epochs);
+        h.mix(self.events_applied);
+        h.mix(self.aps_changed);
+        h.mix(self.timeline_fingerprint);
         for e in &self.epoch_stats {
-            mix(e.epoch);
-            mix(e.flows);
-            mix(e.fleet_digest);
-            mix(e.fault_fingerprint);
+            h.mix(e.epoch);
+            h.mix(e.flows);
+            h.mix(e.fleet_digest);
+            h.mix(e.fault_fingerprint);
         }
-        h
+        h.value()
     }
-}
-
-/// Runs `flows` through the mutating world described by `timeline`.
-///
-/// `exp` must carry a fault state (prepare it with a scenario — the
-/// engine mutates a private clone, the caller's world is untouched)
-/// whose map is stale ([`FaultScenario::stale_map`]), because the
-/// incremental-invalidation equivalence argument relies on route
-/// geometry being a pure function of the pre-disaster map. `flows`
-/// must be sorted by ascending id with nondecreasing `arrival_ms`
-/// (every generated workload is).
-///
-/// An event at time `t` is applied before flows with `arrival_ms ≥ t`;
-/// ties go to the event (the flow sees the post-event world).
-///
-/// Returns the report plus merged telemetry when `tel` asks for any —
-/// per-epoch metric sets merge commutatively, then the engine adds its
-/// own churn counters (`churn_events_total`, `routes_evicted_total`,
-/// `epoch_transitions_total`). The report digest is identical traced
-/// or untraced, exactly like the fleet engine's.
-///
-/// [`FaultScenario::stale_map`]: citymesh_core::FaultScenario
-///
-/// # Panics
-/// Panics when `exp` has no fault state, when its map is not stale
-/// (use [`try_run_churn`] for a `Result` instead), or when a worker
-/// thread panics.
-pub fn run_churn(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    timeline: &Timeline,
-    strategy: Strategy,
-    cfg: &ChurnEngineConfig,
-    tel: &TelemetryConfig,
-) -> (ChurnReport, Option<FleetTelemetry>) {
-    try_run_churn(exp, flows, timeline, strategy, cfg, tel).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A churn run rejected before any epoch started: the experiment is
@@ -277,11 +238,11 @@ impl std::fmt::Display for ChurnError {
         match self {
             ChurnError::MissingFaultState => write!(
                 f,
-                "run_churn requires a fault state; prepare the experiment with a scenario"
+                "world events require a fault state; prepare the experiment with a scenario"
             ),
             ChurnError::FreshMap => write!(
                 f,
-                "run_churn requires stale-map planning (incremental invalidation \
+                "world events require stale-map planning (incremental invalidation \
                  relies on routes being a pure function of the pre-disaster map)"
             ),
         }
@@ -290,23 +251,59 @@ impl std::fmt::Display for ChurnError {
 
 impl std::error::Error for ChurnError {}
 
-/// [`run_churn`] with the missing-fault-state and fresh-map panics
-/// turned into typed [`ChurnError`]s.
-///
-/// # Panics
-/// Still panics when a worker thread panics mid-run.
-pub fn try_run_churn(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    timeline: &Timeline,
-    strategy: Strategy,
-    cfg: &ChurnEngineConfig,
-    tel: &TelemetryConfig,
-) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
+/// The prerequisite every engine that replays world events checks
+/// before its first epoch: a fault state to mutate, planned on the
+/// stale map.
+pub fn require_stale_fault_state(exp: &CityExperiment) -> Result<&FaultState, ChurnError> {
     let state = exp.fault_state().ok_or(ChurnError::MissingFaultState)?;
     if !state.stale_map() {
         return Err(ChurnError::FreshMap);
     }
+    Ok(state)
+}
+
+/// What one event barrier did to the world and the route cache.
+#[derive(Clone, Copy, Debug)]
+pub struct Barrier {
+    /// APs whose health the event actually flipped.
+    pub aps_changed: u64,
+    /// Fault-state fingerprint after the event.
+    pub fault_fingerprint: u64,
+    /// Cached routes the invalidation policy evicted.
+    pub evicted: u64,
+}
+
+impl Barrier {
+    /// Counts this barrier into an engine's metric set.
+    pub fn record(&self, m: &mut MetricSet) {
+        m.inc(tm::EVENTS_APPLIED);
+        m.inc(tm::EPOCH_TRANSITIONS);
+        m.add(tm::ROUTES_EVICTED, self.evicted);
+    }
+}
+
+/// The one epoch/barrier driver. Partitions `flows` at each `timeline`
+/// event by `arrival_ms < at_ms` (ties go to the event: the flow sees
+/// the post-event world), hands every slice to `epoch` together with
+/// the world frozen for it, then applies the event serially at the
+/// barrier — health flips, blocked set, postbox table, fault-state
+/// epoch counter — and invalidates `cache` per `invalidation`. Returns
+/// each epoch's result with the barrier that closed it (`None` for the
+/// final epoch).
+///
+/// `world` is cloned only when an event actually mutates it. `twin`,
+/// when given, mirrors every event (the stream engine's single-attempt
+/// world); `epoch` sees both. `flows` must be sorted by ascending id
+/// with nondecreasing `arrival_ms`.
+pub fn run_epochs<T>(
+    flows: &[FlowSpec],
+    timeline: &Timeline,
+    invalidation: InvalidationPolicy,
+    cache: &RouteCache,
+    mut world: Cow<'_, CityExperiment>,
+    mut twin: Option<CityExperiment>,
+    mut epoch: impl FnMut(&CityExperiment, Option<&CityExperiment>, &[FlowSpec]) -> T,
+) -> Vec<(T, Option<Barrier>)> {
     debug_assert!(
         flows.windows(2).all(|w| w[0].id < w[1].id),
         "flows must be sorted by ascending id"
@@ -315,15 +312,76 @@ pub fn try_run_churn(
         flows.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
         "flow arrivals must be nondecreasing"
     );
+    let mut out = Vec::with_capacity(timeline.len() + 1);
+    let mut rest = flows;
+    for k in 0..=timeline.len() {
+        let event = timeline.events().get(k);
+        let (slice, later) = match event {
+            Some(ev) => rest.split_at(rest.partition_point(|f| f.arrival_ms < ev.at_ms)),
+            None => (rest, &rest[rest.len()..]),
+        };
+        rest = later;
+        let result = epoch(&world, twin.as_ref(), slice);
+        let barrier = event.map(|ev| {
+            let transition = world.to_mut().apply_world_event(&ev.changes);
+            if let Some(t) = twin.as_mut() {
+                t.apply_world_event(&ev.changes);
+            }
+            let evicted = match invalidation {
+                InvalidationPolicy::FullFlush => cache.clear(),
+                InvalidationPolicy::Incremental => cache.evict_stale(
+                    world.ap_graph(),
+                    transition.touched_buildings.iter().copied(),
+                    ev.changes.iter().map(|&(ap, _)| ap),
+                ),
+            };
+            Barrier {
+                aps_changed: transition.aps_changed as u64,
+                fault_fingerprint: transition.fingerprint,
+                evicted,
+            }
+        });
+        out.push((result, barrier));
+    }
+    out
+}
 
+/// Runs `flows` through the mutating world described by `timeline`.
+///
+/// `exp` must carry a fault state (prepare it with a scenario — the
+/// engine mutates a private clone, the caller's world is untouched)
+/// whose map is stale ([`FaultScenario::stale_map`]), because the
+/// incremental-invalidation equivalence argument relies on route
+/// geometry being a pure function of the pre-disaster map; anything
+/// else is a typed [`ChurnError`]. Epoch boundaries are
+/// [`run_epochs`]'s.
+///
+/// Returns the report plus merged telemetry when `tel` asks for any —
+/// per-epoch metric sets merge commutatively, then the engine adds its
+/// own churn counters (`churn_events_total`, `routes_evicted_total`,
+/// `epoch_transitions_total`). The report digest is identical traced
+/// or untraced, exactly like the fleet engine's.
+///
+/// [`FaultScenario::stale_map`]: citymesh_core::FaultScenario
+///
+/// # Panics
+/// Panics when a worker thread panics mid-run.
+pub fn try_run_churn(
+    exp: &CityExperiment,
+    flows: &[FlowSpec],
+    timeline: &Timeline,
+    strategy: Strategy,
+    cfg: &ChurnEngineConfig,
+    tel: &TelemetryConfig,
+) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
     // The engine's private world; the sender population's reaction is
     // the fault state's retry policy (reactive does its own retrying).
-    let mut fs = state.clone();
+    let mut fs = require_stale_fault_state(exp)?.clone();
     fs.set_retry(match strategy {
         Strategy::StaticPlan | Strategy::ReactiveRepair => RetryPolicy::none(),
         Strategy::RetryLadder => RetryPolicy::ladder(),
     });
-    let mut world = exp.clone().with_fault_state(fs);
+    let world = exp.clone().with_fault_state(fs);
 
     let cache = RouteCache::new();
     let fleet_cfg = FleetConfig {
@@ -332,229 +390,125 @@ pub fn try_run_churn(
         ..FleetConfig::default()
     };
     let mut report = ChurnReport {
-        flows: 0,
-        delivered: 0,
-        retried: 0,
-        recovered: 0,
-        epochs: 0,
-        events_applied: 0,
-        aps_changed: 0,
-        routes_evicted: 0,
-        routes_planned: 0,
-        cache_hits: 0,
-        repairs: 0,
-        full_replans: 0,
-        repair_buildings: 0,
         timeline_fingerprint: timeline.fingerprint(),
         epoch_stats: Vec::with_capacity(timeline.len() + 1),
+        ..ChurnReport::default()
     };
-    let mut metrics = (!tel.is_off()).then(MetricSet::new);
-    let mut postmortems = Vec::new();
+    let mut telemetry = (!tel.is_off()).then(FleetTelemetry::default);
 
-    let mut next = 0usize;
-    for k in 0..=timeline.len() {
-        let end = match timeline.events().get(k) {
-            Some(ev) => next + flows[next..].partition_point(|f| f.arrival_ms < ev.at_ms),
-            None => flows.len(),
-        };
-        let slice = &flows[next..end];
-        next = end;
-
-        let epoch = world
-            .fault_state()
-            .expect("world was prepared with a fault state")
-            .epoch();
-        let (fleet, epoch_tel) = match strategy {
-            Strategy::StaticPlan | Strategy::RetryLadder => {
-                run_fleet_on_cache(&world, slice, &fleet_cfg, &cache, tel)
+    let epochs = run_epochs(
+        flows,
+        timeline,
+        cfg.invalidation,
+        &cache,
+        Cow::Owned(world),
+        None,
+        |world, _, slice| {
+            let state = world
+                .fault_state()
+                .expect("world was prepared with a fault state");
+            let (fleet, epoch_tel) = match strategy {
+                Strategy::StaticPlan | Strategy::RetryLadder => {
+                    try_run_fleet_on_cache(world, slice, &fleet_cfg, &cache, tel)
+                }
+                Strategy::ReactiveRepair => {
+                    run_reactive_epoch(world, slice, &fleet_cfg, cfg, &cache, tel, &mut report)
+                }
             }
-            Strategy::ReactiveRepair => {
-                run_reactive_epoch(&world, slice, cfg, &cache, tel, &mut report)
-            }
-        };
-        if let (Some(m), Some(t)) = (metrics.as_mut(), epoch_tel.as_ref()) {
-            m.merge(&t.metrics);
-        }
-        if let Some(t) = epoch_tel {
-            postmortems.extend(t.postmortems);
-        }
+            .expect("the flat plaintext fleet config has no prerequisites");
+            (state.epoch(), state.fingerprint(), fleet, epoch_tel)
+        },
+    );
+    let mut harvests = Vec::new();
+    for ((epoch, fault_fingerprint, fleet, epoch_tel), barrier) in epochs {
+        harvests.extend(epoch_tel.map(|e| (Some(e.metrics), e.postmortems)));
         report.flows += fleet.flows;
         report.delivered += fleet.delivered;
         report.retried += fleet.retried;
         report.recovered += fleet.recovered;
         report.epochs += 1;
-
+        // The final epoch, which no event closes, keeps its pre-event
+        // fingerprint and zero barrier costs.
         let mut stat = EpochStat {
             epoch,
             flows: fleet.flows,
             fleet_digest: fleet.digest(),
-            fault_fingerprint: world
-                .fault_state()
-                .expect("world was prepared with a fault state")
-                .fingerprint(),
+            fault_fingerprint,
             aps_changed: 0,
             evicted: 0,
         };
-
-        if let Some(ev) = timeline.events().get(k) {
-            let transition = world.apply_world_event(&ev.changes);
-            let evicted = match cfg.invalidation {
-                InvalidationPolicy::FullFlush => cache.clear(),
-                InvalidationPolicy::Incremental => {
-                    let touched: HashSet<u32> =
-                        transition.touched_buildings.iter().copied().collect();
-                    let changed_aps: HashSet<u32> = ev.changes.iter().map(|&(ap, _)| ap).collect();
-                    let apg = world.ap_graph();
-                    let mut candidates = Vec::new();
-                    cache.evict_where(|plan| {
-                        if touched.contains(&plan.src) || touched.contains(&plan.dst) {
-                            return true;
-                        }
-                        let mut hit = false;
-                        apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
-                            hit |= changed_aps.contains(&id);
-                        });
-                        hit
-                    })
-                }
-            };
+        if let Some(b) = barrier {
             report.events_applied += 1;
-            report.aps_changed += transition.aps_changed as u64;
-            report.routes_evicted += evicted;
-            stat.aps_changed = transition.aps_changed as u64;
-            stat.evicted = evicted;
-            stat.fault_fingerprint = transition.fingerprint;
-            if let Some(m) = metrics.as_mut() {
-                m.inc(tm::EVENTS_APPLIED);
-                m.inc(tm::EPOCH_TRANSITIONS);
-                m.add(tm::ROUTES_EVICTED, evicted);
+            report.aps_changed += b.aps_changed;
+            report.routes_evicted += b.evicted;
+            stat.aps_changed = b.aps_changed;
+            stat.evicted = b.evicted;
+            stat.fault_fingerprint = b.fault_fingerprint;
+            if let Some(t) = telemetry.as_mut() {
+                b.record(&mut t.metrics);
             }
         }
         report.epoch_stats.push(stat);
     }
 
+    if let Some(t) = telemetry.as_mut() {
+        t.absorb(harvests);
+    }
     report.routes_planned = cache.misses();
     report.cache_hits = cache.hits();
-    let telemetry = metrics.map(|metrics| FleetTelemetry {
-        metrics,
-        postmortems,
-    });
     Ok((report, telemetry))
 }
 
-/// Flow chunk claimed per cursor fetch in the reactive worker loop.
-const CLAIM_CHUNK: usize = 32;
-
-/// One epoch of [`Strategy::ReactiveRepair`]: the fleet engine's
-/// claim-chunk worker loop, but each flow is delivered through
-/// [`deliver_with_local_repair`] instead of the pipeline's ladder.
-/// Outcomes are merged and folded in ascending flow-id order, repair
-/// bills are summed (order-free `u64` adds), and per-flow RNG
-/// sub-streams come from the same `(seed, domain, flow id)` scheme the
-/// fleet uses — so the epoch digest is worker-count independent on the
-/// same grounds.
+/// One epoch of [`Strategy::ReactiveRepair`]: the fleet engine's pool
+/// and merge, but each flow is planned by the executor and then
+/// delivered through [`deliver_with_local_repair`] instead of the
+/// pipeline's ladder. Repair bills are per-worker tallies summed after
+/// the join (order-free `u64` adds). Reactive delivery does not feed
+/// the flow tracer, so its executors run with tracing off; failure
+/// forensics under churn come from the fleet strategies.
 fn run_reactive_epoch(
     world: &CityExperiment,
     slice: &[FlowSpec],
+    fleet_cfg: &FleetConfig,
     cfg: &ChurnEngineConfig,
     cache: &RouteCache,
     tel: &TelemetryConfig,
     report: &mut ChurnReport,
-) -> (FleetReport, Option<FleetTelemetry>) {
-    struct Yield {
-        records: Vec<(u64, PairOutcome)>,
-        metrics: Option<MetricSet>,
-        repairs: u64,
-        full_replans: u64,
-        repair_buildings: u64,
-    }
-    let run_range = |cursor: &AtomicUsize| -> Yield {
-        let mut y = Yield {
-            records: Vec::new(),
-            metrics: tel.metrics.then(MetricSet::new),
-            repairs: 0,
-            full_replans: 0,
-            repair_buildings: 0,
-        };
-        let mut scratch = DeliveryScratch::new();
-        loop {
-            let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-            if start >= slice.len() {
-                break;
-            }
-            for flow in &slice[start..(start + CLAIM_CHUNK).min(slice.len())] {
-                let plan =
-                    cache.get_or_plan(flow.src, flow.dst, || world.plan_flow(flow.src, flow.dst));
-                let msg_id = substream_seed(cfg.seed, DOMAIN_MSG, flow.id);
-                let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_SIM, flow.id));
+) -> Result<(FleetReport, Option<FleetTelemetry>), citymesh_fleet::FleetError> {
+    let untraced = TelemetryConfig {
+        metrics: tel.metrics,
+        trace: TraceConfig::off(),
+    };
+    let (fleet, telemetry, bills) = try_run_flows_with(
+        world,
+        slice,
+        fleet_cfg,
+        cache,
+        &untraced,
+        |exec, bill: &mut [u64; 3], flow| {
+            let plan = exec.plan(world, flow);
+            exec.deliver_with(flow, true, |msg_id, rng, scratch| {
                 let out = deliver_with_local_repair(
                     world,
                     &plan,
                     msg_id,
                     cfg.reactive_max_attempts,
-                    &mut rng,
-                    &mut scratch,
+                    rng,
+                    scratch,
                 );
-                if let Some(m) = y.metrics.as_mut() {
-                    record_flow_metrics(m, &out.outcome);
-                }
-                y.repairs += out.repairs;
-                y.full_replans += out.full_replans;
-                y.repair_buildings += out.replanned_buildings;
-                y.records.push((flow.id, out.outcome));
-            }
-        }
-        y
-    };
-
-    let workers = cfg.workers.max(1).min(slice.len().max(1));
-    let yields: Vec<Yield> = if workers == 1 {
-        vec![run_range(&AtomicUsize::new(0))]
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Yield>> = Vec::new();
-        slots.resize_with(workers, || None);
-        crossbeam::thread::scope(|s| {
-            for slot in slots.iter_mut() {
-                let cursor = &cursor;
-                s.spawn(move |_| {
-                    *slot = Some(run_range(cursor));
-                });
-            }
-        })
-        .expect("reactive churn worker panicked");
-        slots.into_iter().flatten().collect()
-    };
-
-    let metrics = tel.metrics.then(|| {
-        let mut m = MetricSet::new();
-        for y in &yields {
-            if let Some(ym) = &y.metrics {
-                m.merge(ym);
-            }
-        }
-        m
-    });
-    for y in &yields {
-        report.repairs += y.repairs;
-        report.full_replans += y.full_replans;
-        report.repair_buildings += y.repair_buildings;
+                bill[0] += out.repairs;
+                bill[1] += out.full_replans;
+                bill[2] += out.replanned_buildings;
+                out.outcome
+            })
+        },
+    )?;
+    for [repairs, full_replans, repair_buildings] in bills {
+        report.repairs += repairs;
+        report.full_replans += full_replans;
+        report.repair_buildings += repair_buildings;
     }
-    let mut merged: Vec<(u64, PairOutcome)> = yields.into_iter().flat_map(|y| y.records).collect();
-    merged.sort_unstable_by_key(|(id, _)| *id);
-    let mut fleet = FleetReport::empty();
-    for ((id, outcome), spec) in merged.iter().zip(slice) {
-        debug_assert_eq!(*id, spec.id, "flows must be sorted by ascending id");
-        fleet.absorb_outcome(spec, outcome);
-    }
-    fleet.workers = workers;
-    let telemetry = metrics.map(|metrics| FleetTelemetry {
-        metrics,
-        // Reactive delivery does not feed the flow tracer; failure
-        // forensics under churn come from the fleet strategies.
-        postmortems: Vec::new(),
-    });
-    (fleet, telemetry)
+    Ok((fleet, telemetry))
 }
 
 #[cfg(test)]
@@ -599,7 +553,7 @@ mod tests {
         workers: usize,
         invalidation: InvalidationPolicy,
     ) -> ChurnReport {
-        run_churn(
+        try_run_churn(
             exp,
             flows,
             tl,
@@ -612,6 +566,7 @@ mod tests {
             },
             &TelemetryConfig::off(),
         )
+        .unwrap()
         .0
     }
 
@@ -694,6 +649,17 @@ mod tests {
                 strategy.label()
             );
             assert_eq!(serial.routes_evicted, parallel.routes_evicted);
+            // `workers: 0` is "one per CPU" for every strategy (they all
+            // resolve through `citymesh_fleet::resolve_workers`).
+            let per_cpu = run(
+                &exp,
+                &flows,
+                &tl,
+                strategy,
+                0,
+                InvalidationPolicy::Incremental,
+            );
+            assert_eq!(serial.digest(), per_cpu.digest(), "{}", strategy.label());
         }
     }
 
@@ -821,16 +787,17 @@ mod tests {
         };
         for strategy in [Strategy::RetryLadder, Strategy::ReactiveRepair] {
             let (untraced, none) =
-                run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::off());
+                try_run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::off()).unwrap();
             assert!(none.is_none());
-            let (traced, telemetry) = run_churn(
+            let (traced, telemetry) = try_run_churn(
                 &exp,
                 &flows,
                 &tl,
                 strategy,
                 &cfg,
                 &TelemetryConfig::metrics_only(),
-            );
+            )
+            .unwrap();
             assert_eq!(
                 untraced.digest(),
                 traced.digest(),
@@ -900,7 +867,7 @@ mod tests {
     #[test]
     fn empty_timeline_ladder_matches_plain_fleet() {
         // With no events, the churn engine is the fleet engine: one
-        // epoch, same digest as run_fleet on the same world/workload.
+        // epoch, same digest as try_run_fleet on the same world/workload.
         let exp = world(38);
         let flows = workload(&exp, 200, 38);
         let tl = Timeline::materialize(
@@ -922,7 +889,7 @@ mod tests {
             InvalidationPolicy::Incremental,
         );
         assert_eq!(churn.epochs, 1);
-        let fleet = citymesh_fleet::run_fleet(
+        let fleet = citymesh_fleet::try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -930,7 +897,8 @@ mod tests {
                 seed: 33,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             churn.epoch_stats[0].fleet_digest,
             fleet.digest(),

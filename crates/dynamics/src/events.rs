@@ -12,6 +12,7 @@
 
 use citymesh_core::ApHealth;
 use citymesh_geo::Point;
+use citymesh_simcore::Fnv64;
 
 /// The mechanism behind one scheduled world event.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,17 +93,17 @@ impl WorldEvent {
     /// Folds this event into an FNV-1a accumulator: arrival time bits,
     /// kind code, and every `(ap, health)` flip. Used by the timeline
     /// fingerprint that CI pins.
-    pub(crate) fn mix_into(&self, mix: &mut impl FnMut(u64)) {
-        mix(self.at_ms.to_bits());
-        mix(u64::from(self.kind.code()));
-        mix(self.changes.len() as u64);
+    pub(crate) fn mix_into(&self, h: &mut Fnv64) {
+        h.mix(self.at_ms.to_bits());
+        h.mix(u64::from(self.kind.code()));
+        h.mix(self.changes.len() as u64);
         for &(ap, health) in &self.changes {
             let tag = match health {
                 ApHealth::Up => 0u64,
                 ApHealth::Degraded => 1,
                 ApHealth::Failed => 2,
             };
-            mix((u64::from(ap) << 2) | tag);
+            h.mix((u64::from(ap) << 2) | tag);
         }
     }
 }

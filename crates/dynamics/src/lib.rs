@@ -12,7 +12,7 @@
 //!   events inside the simulation horizon, materialized from seeded
 //!   sub-streams into exact per-AP health flips before any flow runs,
 //!   so any worker count replays the identical event sequence.
-//! * [`run_churn`] — the epoch-barrier engine: flows partitioned by
+//! * [`try_run_churn`] — the epoch-barrier engine: flows partitioned by
 //!   arrival time run in parallel against a frozen world, events apply
 //!   serially at the barriers, and the shared route cache survives
 //!   with [`InvalidationPolicy::Incremental`] eviction (only plans the
@@ -26,7 +26,7 @@
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};
 //! use citymesh_dynamics::{
-//!     run_churn, ChurnConfig, ChurnEngineConfig, Strategy, Timeline,
+//!     try_run_churn, ChurnConfig, ChurnEngineConfig, Strategy, Timeline,
 //! };
 //! use citymesh_fleet::{generate_flows, WorkloadConfig};
 //! use citymesh_map::CityArchetype;
@@ -48,17 +48,18 @@
 //!     &exp,
 //!     &ChurnConfig { seed: 7, ..ChurnConfig::default() },
 //! );
-//! let (serial, _) = run_churn(
+//! let (serial, _) = try_run_churn(
 //!     &exp, &flows, &timeline, Strategy::RetryLadder,
 //!     &ChurnEngineConfig { workers: 1, seed: 7, ..ChurnEngineConfig::default() },
 //!     &TelemetryConfig::off(),
-//! );
-//! let (parallel, _) = run_churn(
+//! )?;
+//! let (parallel, _) = try_run_churn(
 //!     &exp, &flows, &timeline, Strategy::RetryLadder,
 //!     &ChurnEngineConfig { workers: 4, seed: 7, ..ChurnEngineConfig::default() },
 //!     &TelemetryConfig::off(),
-//! );
+//! )?;
 //! assert_eq!(serial.digest(), parallel.digest());
+//! # Ok::<(), citymesh_dynamics::ChurnError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,8 +70,8 @@ pub mod events;
 pub mod timeline;
 
 pub use engine::{
-    run_churn, try_run_churn, ChurnEngineConfig, ChurnError, ChurnReport, EpochStat,
-    InvalidationPolicy, Strategy,
+    require_stale_fault_state, run_epochs, try_run_churn, Barrier, ChurnEngineConfig, ChurnError,
+    ChurnReport, EpochStat, InvalidationPolicy, Strategy,
 };
 pub use events::{WorldEvent, WorldEventKind};
 pub use timeline::{

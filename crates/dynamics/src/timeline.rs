@@ -21,7 +21,7 @@
 //! reduces to one [`Timeline::fingerprint`] that CI pins.
 
 use citymesh_core::{ApHealth, CityExperiment};
-use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_simcore::{substream_seed, Fnv64, SimRng};
 
 use crate::events::{WorldEvent, WorldEventKind};
 
@@ -238,16 +238,12 @@ impl Timeline {
     /// list — the single value CI pins to detect any drift in churn
     /// scheduling or materialization.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(self.events.len() as u64);
+        let mut h = Fnv64::new();
+        h.mix(self.events.len() as u64);
         for ev in &self.events {
-            ev.mix_into(&mut mix);
+            ev.mix_into(&mut h);
         }
-        h
+        h.value()
     }
 }
 

@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 
 use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};
 use citymesh_dynamics::{
-    run_churn, ChurnConfig, ChurnEngineConfig, InvalidationPolicy, Strategy as Churn, Timeline,
+    try_run_churn, ChurnConfig, ChurnEngineConfig, InvalidationPolicy, Strategy as Churn, Timeline,
 };
 use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig};
 use citymesh_map::CityArchetype;
@@ -110,16 +110,16 @@ proptest! {
         let tl = random_timeline(
             exp, &workload, seed, (aftershocks, battery_waves, crew_repairs), radius_m, drain_p,
         );
-        let (incremental, _) = run_churn(
+        let (incremental, _) = try_run_churn(
             exp, &workload, &tl, strategy,
             &engine_cfg(2, seed, InvalidationPolicy::Incremental),
             &TelemetryConfig::off(),
-        );
-        let (flush, _) = run_churn(
+        ).unwrap();
+        let (flush, _) = try_run_churn(
             exp, &workload, &tl, strategy,
             &engine_cfg(2, seed, InvalidationPolicy::FullFlush),
             &TelemetryConfig::off(),
-        );
+        ).unwrap();
         prop_assert_eq!(
             incremental.digest(), flush.digest(),
             "invalidation policy changed outcomes ({})", strategy.label()
@@ -160,11 +160,11 @@ proptest! {
         let runs: Vec<_> = [1usize, 4]
             .iter()
             .map(|&workers| {
-                run_churn(
+                try_run_churn(
                     exp, &workload, &tl, strategy,
                     &engine_cfg(workers, seed, InvalidationPolicy::Incremental),
                     &TelemetryConfig::off(),
-                ).0
+                ).unwrap().0
             })
             .collect();
         prop_assert_eq!(
@@ -194,9 +194,9 @@ proptest! {
         let tl = random_timeline(exp, &workload, seed, (aftershocks, 1, 1), 120.0, 0.1);
         let cfg = engine_cfg(2, seed, InvalidationPolicy::Incremental);
         let (untraced, _) =
-            run_churn(exp, &workload, &tl, strategy, &cfg, &TelemetryConfig::off());
+            try_run_churn(exp, &workload, &tl, strategy, &cfg, &TelemetryConfig::off()).unwrap();
         let (traced, telemetry) =
-            run_churn(exp, &workload, &tl, strategy, &cfg, &TelemetryConfig::metrics_only());
+            try_run_churn(exp, &workload, &tl, strategy, &cfg, &TelemetryConfig::metrics_only()).unwrap();
         prop_assert_eq!(
             untraced.digest(), traced.digest(),
             "telemetry perturbed churn outcomes ({})", strategy.label()

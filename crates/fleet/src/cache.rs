@@ -9,11 +9,11 @@
 //! write wins — the value is identical by purity, so the race is
 //! benign and determinism is unaffected).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use citymesh_core::PlannedFlow;
+use citymesh_core::{ApGraph, PlannedFlow};
 use parking_lot::RwLock;
 
 /// Number of independently locked shards. A small power of two:
@@ -122,9 +122,40 @@ impl RouteCache {
         evicted
     }
 
+    /// The incremental-invalidation predicate, applied after a world
+    /// change: evicts every plan the change could observably touch —
+    /// those whose source or destination is in `touched_buildings` (the
+    /// sender's postbox uplink and a redirected destination are baked
+    /// into the cached plan), plus those with one of `changed_aps`
+    /// inside a conduit rectangle (found through the AP graph's spatial
+    /// bucket index, not a city scan). Everything else stays warm, and
+    /// the outcome digests equal a full [`RouteCache::clear`]'s.
+    pub fn evict_stale(
+        &self,
+        apg: &ApGraph,
+        touched_buildings: impl IntoIterator<Item = u32>,
+        changed_aps: impl IntoIterator<Item = u32>,
+    ) -> u64 {
+        let touched_buildings: HashSet<u32> = touched_buildings.into_iter().collect();
+        let changed_aps: HashSet<u32> = changed_aps.into_iter().collect();
+        let mut candidates = Vec::new();
+        self.evict_where(|plan| {
+            if touched_buildings.contains(&plan.src) || touched_buildings.contains(&plan.dst) {
+                return true;
+            }
+            let mut hit = false;
+            if !changed_aps.is_empty() {
+                apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
+                    hit |= changed_aps.contains(&id);
+                });
+            }
+            hit
+        })
+    }
+
     /// Drops every cached plan and returns how many there were — the
     /// blunt full-flush invalidation baseline that
-    /// [`RouteCache::evict_where`] is measured against.
+    /// [`RouteCache::evict_stale`] is measured against.
     pub fn clear(&self) -> u64 {
         let mut evicted = 0u64;
         for shard in &self.shards {

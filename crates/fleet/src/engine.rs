@@ -1,6 +1,6 @@
 //! The parallel flow-execution engine.
 //!
-//! [`run_fleet`] drives a generated workload through a prepared
+//! [`try_run_fleet`] drives a generated workload through a prepared
 //! [`CityExperiment`] on a pool of worker threads and aggregates the
 //! outcomes into a [`FleetReport`]. The headline property is
 //! **schedule-independent determinism**: for a fixed world and root
@@ -17,26 +17,21 @@
 //! 3. workers only *record* `(flow id, outcome)`; aggregation happens
 //!    after the pool joins, folding outcomes in ascending flow-id
 //!    order so floating-point sums see one canonical operand order.
+//!
+//! The per-flow pipeline, the pool and the merge live in
+//! [`crate::exec`]; this module is "executor over a slice".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use citymesh_core::{CityExperiment, DeliveryScratch, PairOutcome, PlanScratch, PlannedFlow};
+use citymesh_core::{CityExperiment, PairOutcome};
 use citymesh_simcore::stats::Histogram;
-use citymesh_simcore::{substream_seed, Fnv64, SimRng};
-use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig};
+use citymesh_simcore::Fnv64;
+use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig};
 
 use crate::cache::RouteCache;
+use crate::exec::{merge_by_id, resolve_workers, run_pool, FlowExecutor};
 use crate::workload::{FlowKind, FlowSpec};
-
-/// Sub-stream domain for per-flow delivery simulation randomness.
-/// Public so engines layered on top (the churn engine's
-/// reactive-repair strategy, the zero-alloc guard tests) replay the
-/// exact per-flow streams this engine uses.
-pub const DOMAIN_SIM: u64 = 0x51D3;
-/// Sub-stream domain for per-flow message ids (public for the same
-/// reason as [`DOMAIN_SIM`]).
-pub const DOMAIN_MSG: u64 = 0x3564;
 
 /// How many flows a worker claims per counter increment. Large enough
 /// to amortize the atomic, small enough to balance tail stragglers.
@@ -45,7 +40,8 @@ const CLAIM_CHUNK: usize = 32;
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FleetConfig {
-    /// Worker threads. `0` means one per available CPU.
+    /// Worker threads. `0` means one per available CPU
+    /// ([`resolve_workers`]).
     pub workers: usize,
     /// Root seed for all simulation sub-streams (typically the same
     /// seed the workload was generated from).
@@ -72,19 +68,9 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// The effective worker count (resolves `0` to the CPU count).
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
     /// Checks this config against the experiment it is about to run
-    /// on. The `try_run_fleet*` entry points call this; the panicking
-    /// entry points panic with the same error's message.
+    /// on — the one hier/encryption prerequisite check every engine's
+    /// entry point goes through.
     pub fn validate(&self, exp: &CityExperiment) -> Result<(), FleetError> {
         if self.use_hier_planner && exp.hier_planner().is_none() {
             return Err(FleetError::HierPlannerNotEnabled);
@@ -217,16 +203,11 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// An all-zero report with empty histograms: the accumulator that
-    /// engines layered on top of this crate (the churn engine's
-    /// reactive-repair strategy) fold their own outcome streams into
-    /// via [`FleetReport::absorb_outcome`], producing digests on the
-    /// same footing as [`run_fleet`]'s.
+    /// An all-zero report with empty histograms: the accumulator every
+    /// engine folds its id-ordered outcome stream into via
+    /// [`FleetReport::absorb_outcome`], so all digests stand on the same
+    /// footing.
     pub fn empty() -> Self {
-        Self::new()
-    }
-
-    fn new() -> Self {
         FleetReport {
             flows: 0,
             reachable: 0,
@@ -253,14 +234,9 @@ impl FleetReport {
     }
 
     /// Folds one flow's outcome in. Must be called in ascending
-    /// flow-id order to keep floating-point accumulation canonical —
-    /// external engines sort their merged `(id, outcome)` records
-    /// exactly like [`run_fleet`] does before folding.
+    /// flow-id order to keep floating-point accumulation canonical
+    /// ([`merge_by_id`] produces that order).
     pub fn absorb_outcome(&mut self, spec: &FlowSpec, outcome: &PairOutcome) {
-        self.absorb(spec, outcome);
-    }
-
-    fn absorb(&mut self, spec: &FlowSpec, outcome: &PairOutcome) {
         self.flows += 1;
         if spec.kind == FlowKind::PostboxCheckin {
             self.checkins += 1;
@@ -373,7 +349,7 @@ impl FleetReport {
 /// counts. Postmortems are sorted by flow id, and each flow's capture
 /// decision depends only on the flow itself, so the postmortem vector
 /// is identical too.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FleetTelemetry {
     /// The merged metric registry snapshot.
     pub metrics: MetricSet,
@@ -381,41 +357,35 @@ pub struct FleetTelemetry {
     pub postmortems: Vec<Postmortem>,
 }
 
-/// What one worker brings home: outcome records, its metric set (when
-/// metrics are on), and the postmortems its tracer captured.
-#[derive(Default)]
-struct WorkerYield {
-    records: Vec<(u64, PairOutcome)>,
-    metrics: Option<MetricSet>,
-    postmortems: Vec<Postmortem>,
+impl FleetTelemetry {
+    /// Merges what executors (or whole epochs) brought home. Counter
+    /// and bucket adds commute and gauges take max, so the result does
+    /// not depend on which worker ran which flow; postmortems are
+    /// re-sorted by flow id (unique, so a total order).
+    pub fn absorb(
+        &mut self,
+        parts: impl IntoIterator<Item = (Option<MetricSet>, Vec<Postmortem>)>,
+    ) {
+        for (metrics, postmortems) in parts {
+            if let Some(m) = &metrics {
+                self.metrics.merge(m);
+            }
+            self.postmortems.extend(postmortems);
+        }
+        self.postmortems
+            .sort_by_key(|p| (p.key, p.summary.src, p.summary.dst));
+    }
 }
 
-/// Executes `flows` against `exp` on a worker pool and aggregates.
-///
-/// Workers claim chunks of the flow vector from an atomic cursor,
-/// plan through the shared route cache, simulate with per-flow RNG
-/// sub-streams, and stash `(id, outcome)` records locally. After the
-/// pool joins, records are merged and folded in flow-id order.
-///
-/// Telemetry is fully off on this path — byte-identical behavior and
-/// allocations to the pre-telemetry engine. Use [`run_fleet_traced`]
-/// to also collect metrics and flow traces.
+/// Executes `flows` against `exp` on a worker pool and aggregates,
+/// with telemetry fully off — byte-identical behavior and allocations
+/// to the pre-telemetry engine. Returns [`FleetError`] instead of
+/// starting the pool when `cfg` cannot run against this experiment.
 ///
 /// # Panics
-/// Panics on a rejected configuration ([`FleetConfig::validate`] — use
-/// [`try_run_fleet`] for a `Result` instead) or when a worker thread
-/// panics (the underlying simulation asserted), propagating the
-/// failure rather than reporting a truncated aggregate.
-pub fn run_fleet(exp: &CityExperiment, flows: &[FlowSpec], cfg: &FleetConfig) -> FleetReport {
-    try_run_fleet(exp, flows, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_fleet`] with the config misuse panic turned into a typed
-/// error: returns [`FleetError`] instead of starting the pool when the
-/// configuration cannot run against this experiment.
-///
-/// # Panics
-/// Still panics when a worker thread panics mid-run.
+/// Panics when a worker thread panics (the underlying simulation
+/// asserted), propagating the failure rather than reporting a
+/// truncated aggregate.
 pub fn try_run_fleet(
     exp: &CityExperiment,
     flows: &[FlowSpec],
@@ -424,8 +394,8 @@ pub fn try_run_fleet(
     Ok(try_run_fleet_traced(exp, flows, cfg, &TelemetryConfig::off())?.0)
 }
 
-/// [`run_fleet`] with observability: per-worker metric sets merged in
-/// worker-id order plus flow-trace postmortems, per `tel`.
+/// [`try_run_fleet`] with observability: per-worker metric sets merged
+/// in worker-id order plus flow-trace postmortems, per `tel`.
 ///
 /// The [`FleetReport`] (and its digest) is **bit-identical** to the
 /// untraced run — telemetry draws no randomness and feeds nothing
@@ -434,21 +404,7 @@ pub fn try_run_fleet(
 /// off.
 ///
 /// # Panics
-/// Panics on a rejected configuration or when a worker thread panics,
-/// as [`run_fleet`] does.
-pub fn run_fleet_traced(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    cfg: &FleetConfig,
-    tel: &TelemetryConfig,
-) -> (FleetReport, Option<FleetTelemetry>) {
-    try_run_fleet_traced(exp, flows, cfg, tel).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_fleet_traced`] with configuration misuse as a typed error.
-///
-/// # Panics
-/// Still panics when a worker thread panics mid-run.
+/// Panics when a worker thread panics mid-run.
 pub fn try_run_fleet_traced(
     exp: &CityExperiment,
     flows: &[FlowSpec],
@@ -458,11 +414,11 @@ pub fn try_run_fleet_traced(
     try_run_fleet_on_cache(exp, flows, cfg, &RouteCache::new(), tel)
 }
 
-/// [`run_fleet_traced`] against a caller-owned [`RouteCache`] instead
-/// of a run-private one — the churn engine's building block: the cache
-/// (and its warm plans) persists across epochs while the world mutates
-/// between them, with invalidation handled by the caller
-/// ([`RouteCache::evict_where`] / [`RouteCache::clear`]).
+/// [`try_run_fleet_traced`] against a caller-owned [`RouteCache`]
+/// instead of a run-private one — the churn engine's building block:
+/// the cache (and its warm plans) persists across epochs while the
+/// world mutates between them, with invalidation handled by the caller
+/// ([`RouteCache::evict_stale`] / [`RouteCache::clear`]).
 ///
 /// `flows` must be sorted by ascending flow id (every generated
 /// workload is, and any contiguous epoch slice of one stays so); the
@@ -470,24 +426,7 @@ pub fn try_run_fleet_traced(
 /// per-epoch deltas are the caller's bookkeeping.
 ///
 /// # Panics
-/// Panics on a rejected configuration or when a worker thread panics,
-/// as [`run_fleet`] does.
-pub fn run_fleet_on_cache(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    cfg: &FleetConfig,
-    cache: &RouteCache,
-    tel: &TelemetryConfig,
-) -> (FleetReport, Option<FleetTelemetry>) {
-    try_run_fleet_on_cache(exp, flows, cfg, cache, tel).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_fleet_on_cache`] with configuration misuse as a typed error:
-/// the config is checked against the experiment before any worker
-/// spawns, so a bad combination never panics mid-pool.
-///
-/// # Panics
-/// Still panics when a worker thread panics mid-run.
+/// Panics when a worker thread panics mid-run.
 pub fn try_run_fleet_on_cache(
     exp: &CityExperiment,
     flows: &[FlowSpec],
@@ -495,223 +434,75 @@ pub fn try_run_fleet_on_cache(
     cache: &RouteCache,
     tel: &TelemetryConfig,
 ) -> Result<(FleetReport, Option<FleetTelemetry>), FleetError> {
+    let (report, telemetry, _) =
+        try_run_flows_with(exp, flows, cfg, cache, tel, |exec, _: &mut (), flow| {
+            exec.run(exp, flow)
+        })?;
+    Ok((report, telemetry))
+}
+
+/// The engine proper, with the per-flow step left to the caller:
+/// workers claim chunks of `flows` from an atomic cursor, each runs
+/// `per_flow(executor, tally, flow)` on its own [`FlowExecutor`] and
+/// stashes `(id, outcome)` records; after the pool joins, records are
+/// merged and folded in flow-id order. `tally` is one `X::default()`
+/// per worker for whatever else `per_flow` counts (the churn engine's
+/// repair bills); the tallies come back in worker order.
+/// [`try_run_fleet_on_cache`] is this with `FlowExecutor::run`.
+///
+/// # Panics
+/// Panics when a worker thread panics mid-run.
+pub fn try_run_flows_with<X: Default + Send>(
+    exp: &CityExperiment,
+    flows: &[FlowSpec],
+    cfg: &FleetConfig,
+    cache: &RouteCache,
+    tel: &TelemetryConfig,
+    per_flow: impl Fn(&mut FlowExecutor<'_>, &mut X, &FlowSpec) -> PairOutcome + Sync,
+) -> Result<(FleetReport, Option<FleetTelemetry>, Vec<X>), FleetError> {
     cfg.validate(exp)?;
-    let workers = cfg.effective_workers().max(1);
+    let workers = resolve_workers(cfg.workers, flows.len().div_ceil(CLAIM_CHUNK));
     let started = Instant::now();
 
-    let yields: Vec<WorkerYield> = if workers == 1 {
-        // Serial reference path: no threads, same per-flow code.
-        vec![execute_range(
-            exp,
-            flows,
-            cfg,
-            cache,
-            &AtomicUsize::new(0),
-            tel,
-        )]
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<WorkerYield> = Vec::new();
-        slots.resize_with(workers, WorkerYield::default);
-        crossbeam::thread::scope(|s| {
-            for slot in slots.iter_mut() {
-                let cursor = &cursor;
-                s.spawn(move |_| {
-                    *slot = execute_range(exp, flows, cfg, cache, cursor, tel);
-                });
+    let cursor = AtomicUsize::new(0);
+    let yields = run_pool(0..workers, |_| {
+        let mut exec = FlowExecutor::new(cache, cfg, tel);
+        let mut tally = X::default();
+        let mut records = Vec::with_capacity(flows.len().min(CLAIM_CHUNK * 4));
+        loop {
+            let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
+            if start >= flows.len() {
+                break;
             }
-        })
-        .expect("fleet worker panicked");
-        slots
-    };
-
-    // Telemetry merge, in worker-id (slot) order. Counter/bucket adds
-    // commute and gauges take max, so the result does not depend on
-    // which worker claimed which chunk.
-    let telemetry = (!tel.is_off()).then(|| {
-        let mut metrics = MetricSet::new();
-        let mut postmortems = Vec::new();
-        for y in &yields {
-            if let Some(m) = &y.metrics {
-                metrics.merge(m);
+            let end = (start + CLAIM_CHUNK).min(flows.len());
+            records.reserve(end - start);
+            for flow in &flows[start..end] {
+                records.push((flow.id, per_flow(&mut exec, &mut tally, flow)));
             }
         }
-        for y in &yields {
-            postmortems.extend(y.postmortems.iter().cloned());
-        }
-        // Flow ids are unique, so this is a total order.
-        postmortems.sort_by_key(|p: &Postmortem| (p.key, p.summary.src, p.summary.dst));
-        FleetTelemetry {
-            metrics,
-            postmortems,
-        }
+        (records, exec.finish(), tally)
     });
 
-    // Deterministic merge: flatten, order by flow id, fold serially.
-    // Every flow yields exactly one record, so the sorted records zip
-    // 1:1 with the (ascending-id) flow slice — which keeps the fold
-    // correct for epoch sub-slices whose ids don't start at zero.
-    let mut merged: Vec<(u64, PairOutcome)> = yields.into_iter().flat_map(|y| y.records).collect();
-    merged.sort_unstable_by_key(|(id, _)| *id);
-
-    let mut report = FleetReport::new();
-    for ((id, outcome), spec) in merged.iter().zip(flows) {
-        debug_assert_eq!(*id, spec.id, "flows must be sorted by ascending id");
-        report.absorb(spec, outcome);
+    let (mut parts, mut harvests, mut tallies) = (Vec::new(), Vec::new(), Vec::new());
+    for (records, harvest, tally) in yields {
+        parts.push(records);
+        harvests.push(harvest);
+        tallies.push(tally);
+    }
+    let telemetry = (!tel.is_off()).then(|| {
+        let mut t = FleetTelemetry::default();
+        t.absorb(harvests);
+        t
+    });
+    let mut report = FleetReport::empty();
+    for ((_, outcome), spec) in merge_by_id(parts, flows).iter().zip(flows) {
+        report.absorb_outcome(spec, outcome);
     }
     report.elapsed_secs = started.elapsed().as_secs_f64();
     report.workers = workers;
     report.cache_hits = cache.hits();
     report.cache_misses = cache.misses();
-    Ok((report, telemetry))
-}
-
-/// Folds one flow's outcome into a worker's metric set. Pure per-flow
-/// arithmetic on integers, so per-worker sums merge deterministically.
-/// Public so custom per-flow engines (the churn engine's reactive
-/// strategy) feed the same registry the same way, keeping the
-/// traced-vs-untraced digest-equality invariant intact for them too.
-pub fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
-    m.inc(tm::FLOWS);
-    m.add(tm::BROADCASTS, o.broadcasts);
-    if o.attempts == 0 {
-        // Never reached the simulator: no route, or the source
-        // building went dark.
-        m.inc(tm::UNROUTABLE);
-    } else {
-        m.add(tm::ATTEMPTS, u64::from(o.attempts));
-        m.observe(tm::ATTEMPTS_PER_FLOW, u64::from(o.attempts));
-        m.gauge_max(tm::MAX_ATTEMPTS, u64::from(o.attempts));
-    }
-    if o.attempts > 1 {
-        m.inc(tm::RETRIED);
-        if o.delivered {
-            m.inc(tm::RECOVERED);
-        }
-    }
-    if o.delivered {
-        m.inc(tm::DELIVERED);
-        let rung = o.recovered_by.map(|s| s.rung()).unwrap_or(Rung::First);
-        m.inc(tm::rung_delivery_counter(rung));
-        if let Some(t) = o.latency {
-            m.observe(tm::rung_latency_histogram(rung), t.as_nanos() / 1_000);
-        }
-        if let Some(ov) = o.overhead {
-            m.observe(
-                tm::rung_overhead_histogram(rung),
-                (ov * 1000.0).round() as u64,
-            );
-        }
-    } else {
-        m.inc(tm::FAILED);
-        if o.attempts > 0 {
-            m.inc(tm::EXHAUSTED);
-        }
-    }
-    if o.sealed {
-        m.inc(tm::MSGS_SEALED);
-        if o.opened {
-            m.inc(tm::MSGS_OPENED);
-        }
-        if o.auth_failed {
-            m.inc(tm::AUTH_FAILURES);
-        }
-    }
-}
-
-/// One worker's loop: claim chunks until the cursor passes the end.
-///
-/// Each worker owns one [`DeliveryScratch`] reused across every flow
-/// it claims, so the steady-state per-flow path performs no heap
-/// allocations (the scratch's buffers warm up over the first few flows
-/// and are retained after that). Because per-flow RNG sub-streams make
-/// outcomes independent of which worker simulates which flow, the
-/// scratch reuse is invisible in the fleet digest.
-fn execute_range(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    cfg: &FleetConfig,
-    cache: &RouteCache,
-    cursor: &AtomicUsize,
-    tel: &TelemetryConfig,
-) -> WorkerYield {
-    let seed = cfg.seed;
-    let mut out = Vec::with_capacity(flows.len().min(CLAIM_CHUNK * 4));
-    let mut scratch = if tel.trace.enabled {
-        DeliveryScratch::with_tracing(tel.trace)
-    } else {
-        DeliveryScratch::new()
-    };
-    // Planner scratch for cache misses: the search buffers warm up on
-    // the first few unseen pairs and are reused for every miss after
-    // that (only the cached `PlannedFlow`'s own vectors still
-    // allocate — they outlive the worker inside the shared cache).
-    let mut plan_scratch = PlanScratch::new();
-    let mut metrics = tel.metrics.then(MetricSet::new);
-    loop {
-        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-        if start >= flows.len() {
-            break;
-        }
-        let end = (start + CLAIM_CHUNK).min(flows.len());
-        out.reserve(end - start);
-        for flow in &flows[start..end] {
-            let plan = cache.get_or_plan(flow.src, flow.dst, || {
-                let mut plan = PlannedFlow::empty(flow.src, flow.dst);
-                if cfg.use_hier_planner {
-                    exp.plan_flow_hier_into(flow.src, flow.dst, &mut plan_scratch, &mut plan);
-                } else {
-                    exp.plan_flow_into(flow.src, flow.dst, &mut plan_scratch, &mut plan);
-                }
-                plan
-            });
-            let msg_id = substream_seed(seed, DOMAIN_MSG, flow.id);
-            let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
-            // Key the trace by the flow's workload identity (not the
-            // derived msg_id) so sampling and captures are stable and
-            // schedule-independent.
-            scratch.tracer_mut().set_next_key(flow.id);
-            let outcome = if cfg.encrypted {
-                exp.simulate_flow_secure_with(&plan, msg_id, &mut rng, &mut scratch)
-            } else {
-                exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch)
-            };
-            if let Some(m) = metrics.as_mut() {
-                record_flow_metrics(m, &outcome);
-            }
-            out.push((flow.id, outcome));
-        }
-    }
-    // Fold tracer bookkeeping into this worker's metric set: the
-    // captured/dropped totals are sums of per-flow values and the
-    // high-water mark is a max over flows, so both stay schedule-
-    // independent after the worker-order merge.
-    let keys_derived = scratch.keys_derived();
-    let tracer = scratch.tracer_mut();
-    if let Some(m) = metrics.as_mut() {
-        m.add(tm::POSTMORTEMS, tracer.captured());
-        m.add(tm::TRACE_DROPPED, tracer.dropped_total());
-        m.gauge_max(tm::TRACE_HIGH_WATER, tracer.high_water() as u64);
-        // Hier planner work counters. Like the route cache's hit/miss
-        // totals these are schedule-dependent (racing workers may
-        // double-plan a pair), so they are informational only and
-        // excluded from digests. All zero when the flat planner runs.
-        let h = plan_scratch.hier_stats();
-        m.add(tm::HIER_QUERIES, h.queries);
-        m.add(tm::HIER_DIRECT_ROUTES, h.direct_routes);
-        m.add(tm::HIER_OVERLAY_SETTLED, h.overlay_settled);
-        m.add(tm::HIER_EXPANSIONS, h.expansions);
-        // Session-key derivations this worker performed on cache
-        // misses. Schedule-dependent for the same reason as the route
-        // cache's counters (racing workers may double-derive a pair),
-        // so informational only and excluded from digests.
-        m.add(tm::KEYS_DERIVED, keys_derived);
-    }
-    WorkerYield {
-        records: out,
-        metrics,
-        postmortems: tracer.take_postmortems(),
-    }
+    Ok((report, telemetry, tallies))
 }
 
 #[cfg(test)]
@@ -720,6 +511,7 @@ mod tests {
     use crate::workload::{generate_flows, FlowModel, WorkloadConfig};
     use citymesh_core::{ExperimentConfig, FaultScenario, RetryPolicy};
     use citymesh_map::CityArchetype;
+    use citymesh_telemetry::metrics as tm;
 
     fn world(seed: u64) -> CityExperiment {
         let map = CityArchetype::SurveyDowntown.generate(seed);
@@ -763,7 +555,7 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         let exp = world(1);
         let flows = workload(&exp, 120, 1);
-        let serial = run_fleet(
+        let serial = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -771,8 +563,9 @@ mod tests {
                 seed: 1,
                 ..FleetConfig::default()
             },
-        );
-        let parallel = run_fleet(
+        )
+        .unwrap();
+        let parallel = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -780,7 +573,8 @@ mod tests {
                 seed: 1,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(serial.digest(), parallel.digest());
         assert_eq!(serial.flows, 120);
         assert_eq!(serial.delivered, parallel.delivered);
@@ -794,7 +588,7 @@ mod tests {
     fn different_seed_changes_digest() {
         let exp = world(2);
         let flows = workload(&exp, 60, 2);
-        let a = run_fleet(
+        let a = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -802,8 +596,9 @@ mod tests {
                 seed: 2,
                 ..FleetConfig::default()
             },
-        );
-        let b = run_fleet(
+        )
+        .unwrap();
+        let b = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -811,7 +606,8 @@ mod tests {
                 seed: 3,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_ne!(
             a.digest(),
             b.digest(),
@@ -823,7 +619,7 @@ mod tests {
     fn report_counters_are_coherent() {
         let exp = world(3);
         let flows = workload(&exp, 100, 3);
-        let r = run_fleet(
+        let r = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -831,7 +627,8 @@ mod tests {
                 seed: 3,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(r.flows, 100);
         assert!(r.delivered <= r.route_found);
         assert!(r.route_found <= r.flows);
@@ -858,7 +655,7 @@ mod tests {
                 arrival_ms: id as f64,
             })
             .collect();
-        let r = run_fleet(
+        let r = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -866,7 +663,8 @@ mod tests {
                 seed: 4,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(r.cache_hits + r.cache_misses, 200);
         assert!(
             r.cache_misses <= 10 * 2,
@@ -885,7 +683,7 @@ mod tests {
         let digests: Vec<u64> = [1usize, 4, 8]
             .iter()
             .map(|&w| {
-                run_fleet(
+                try_run_fleet(
                     &exp,
                     &flows,
                     &FleetConfig {
@@ -894,6 +692,7 @@ mod tests {
                         ..FleetConfig::default()
                     },
                 )
+                .unwrap()
                 .digest()
             })
             .collect();
@@ -907,7 +706,7 @@ mod tests {
         scenario.retry = RetryPolicy::ladder();
         let exp = faulted_world(7, scenario);
         let flows = workload(&exp, 150, 7);
-        let r = run_fleet(
+        let r = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -915,7 +714,8 @@ mod tests {
                 seed: 7,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert!(
             r.retried > 0,
             "a quarter of APs dark must force some retries"
@@ -944,7 +744,7 @@ mod tests {
         // (e.g. the CI 500-flow pin) valid.
         let exp = world(8);
         let flows = workload(&exp, 80, 8);
-        let r = run_fleet(
+        let r = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -952,7 +752,8 @@ mod tests {
                 seed: 8,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(r.retried, 0);
         let mut tweaked = r.clone();
         tweaked.recovered = 99;
@@ -973,8 +774,9 @@ mod tests {
             seed: 1,
             ..FleetConfig::default()
         };
-        let plain = run_fleet(&exp, &flows, &cfg);
-        let (traced, telem) = run_fleet_traced(&exp, &flows, &cfg, &TelemetryConfig::full(5));
+        let plain = try_run_fleet(&exp, &flows, &cfg).unwrap();
+        let (traced, telem) =
+            try_run_fleet_traced(&exp, &flows, &cfg, &TelemetryConfig::full(5)).unwrap();
         assert_eq!(plain.digest(), traced.digest(), "healthy world");
         let telem = telem.expect("telemetry requested");
         assert_eq!(telem.metrics.counter(tm::FLOWS), 120);
@@ -990,8 +792,9 @@ mod tests {
             seed: 6,
             ..FleetConfig::default()
         };
-        let fplain = run_fleet(&fexp, &fflows, &fcfg);
-        let (ftraced, ftel) = run_fleet_traced(&fexp, &fflows, &fcfg, &TelemetryConfig::full(7));
+        let fplain = try_run_fleet(&fexp, &fflows, &fcfg).unwrap();
+        let (ftraced, ftel) =
+            try_run_fleet_traced(&fexp, &fflows, &fcfg, &TelemetryConfig::full(7)).unwrap();
         assert_eq!(fplain.digest(), ftraced.digest(), "faulted world");
         let ftel = ftel.expect("telemetry requested");
         assert_eq!(ftel.metrics.counter(tm::RETRIED), ftraced.retried);
@@ -1011,7 +814,7 @@ mod tests {
         let runs: Vec<FleetTelemetry> = [1usize, 4, 8]
             .iter()
             .map(|&w| {
-                run_fleet_traced(
+                try_run_fleet_traced(
                     &exp,
                     &flows,
                     &FleetConfig {
@@ -1021,6 +824,7 @@ mod tests {
                     },
                     &TelemetryConfig::full(5),
                 )
+                .unwrap()
                 .1
                 .expect("telemetry requested")
             })
@@ -1061,7 +865,7 @@ mod tests {
         scenario.retry = RetryPolicy::ladder();
         let exp = faulted_world(7, scenario);
         let flows = workload(&exp, 150, 7);
-        let (report, telem) = run_fleet_traced(
+        let (report, telem) = try_run_fleet_traced(
             &exp,
             &flows,
             &FleetConfig {
@@ -1070,7 +874,8 @@ mod tests {
                 ..FleetConfig::default()
             },
             &TelemetryConfig::full(0),
-        );
+        )
+        .unwrap();
         assert!(report.retried > 0, "scenario must force retries");
         let telem = telem.expect("telemetry requested");
         // Prefer a complete (no-eviction) recovered trace; every run of
@@ -1103,7 +908,7 @@ mod tests {
     fn metrics_only_config_skips_tracing() {
         let exp = world(3);
         let flows = workload(&exp, 60, 3);
-        let (_, telem) = run_fleet_traced(
+        let (_, telem) = try_run_fleet_traced(
             &exp,
             &flows,
             &FleetConfig {
@@ -1112,7 +917,8 @@ mod tests {
                 ..FleetConfig::default()
             },
             &TelemetryConfig::metrics_only(),
-        );
+        )
+        .unwrap();
         let telem = telem.expect("metrics requested");
         assert_eq!(telem.metrics.counter(tm::FLOWS), 60);
         assert!(telem.postmortems.is_empty());
@@ -1125,7 +931,7 @@ mod tests {
         let mut exp = world(9);
         exp.enable_hier(&HierParams::default());
         let flows = workload(&exp, 150, 9);
-        let flat = run_fleet_traced(
+        let flat = try_run_fleet_traced(
             &exp,
             &flows,
             &FleetConfig {
@@ -1134,8 +940,9 @@ mod tests {
                 ..FleetConfig::default()
             },
             &TelemetryConfig::metrics_only(),
-        );
-        let hier = run_fleet_traced(
+        )
+        .unwrap();
+        let hier = try_run_fleet_traced(
             &exp,
             &flows,
             &FleetConfig {
@@ -1145,7 +952,8 @@ mod tests {
                 ..FleetConfig::default()
             },
             &TelemetryConfig::metrics_only(),
-        );
+        )
+        .unwrap();
         // The hierarchical planner is exact, so swapping it in changes
         // no route and no outcome: the reports are bit-identical.
         assert_eq!(flat.0.digest(), hier.0.digest());
@@ -1155,7 +963,7 @@ mod tests {
         assert!(hm.counter(tm::HIER_QUERIES) > 0, "hier run must use hier");
         assert!(hm.counter(tm::HIER_EXPANSIONS) > 0);
         // Parallel hier runs still merge to the same digest.
-        let par = run_fleet(
+        let par = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -1164,25 +972,9 @@ mod tests {
                 use_hier_planner: true,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(par.digest(), hier.0.digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "enable_hier")]
-    fn hier_flag_without_enable_hier_panics() {
-        let exp = world(10);
-        let flows = workload(&exp, 4, 10);
-        run_fleet(
-            &exp,
-            &flows,
-            &FleetConfig {
-                workers: 1,
-                seed: 10,
-                use_hier_planner: true,
-                ..FleetConfig::default()
-            },
-        );
     }
 
     #[test]
@@ -1202,25 +994,18 @@ mod tests {
             err.to_string().contains("enable_hier"),
             "the error message must name the missing prerequisite"
         );
-        // The same config runs fine once the overlay exists, and the
-        // typed path returns the same report as the panicking one.
+        // The same config runs fine once the overlay exists.
         let mut hier_exp = world(10);
         hier_exp.enable_hier(&citymesh_core::HierParams::default());
         assert_eq!(cfg.validate(&hier_exp), Ok(()));
         let ok = try_run_fleet(&hier_exp, &flows, &cfg).expect("hier enabled");
-        assert_eq!(ok.digest(), run_fleet(&hier_exp, &flows, &cfg).digest());
-    }
-
-    #[test]
-    fn zero_workers_resolves_to_available_parallelism() {
-        let cfg = FleetConfig::default();
-        assert!(cfg.effective_workers() >= 1);
+        assert_eq!(ok.flows, flows.len() as u64);
     }
 
     #[test]
     fn empty_workload_yields_empty_report() {
         let exp = world(5);
-        let r = run_fleet(
+        let r = try_run_fleet(
             &exp,
             &[],
             &FleetConfig {
@@ -1228,7 +1013,8 @@ mod tests {
                 seed: 5,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(r.flows, 0);
         assert_eq!(r.delivery_rate(), 0.0);
         assert!(r.latency_ms.is_empty());

@@ -1,0 +1,308 @@
+//! The one flow executor, the one worker pool, the one merge.
+//!
+//! Every engine in the workspace runs flows the same way: cache
+//! hit-or-plan, derive the flow's private sub-streams, simulate, record
+//! `(flow id, outcome)`, and fold the records in ascending flow-id order
+//! after the pool joins. [`FlowExecutor`] is the per-worker half of that
+//! (it owns the scratch buffers and the worker's metric set),
+//! [`run_pool`] the threads, [`merge_by_id`] the canonical order. The
+//! fleet engine is "executor over a slice", the stream engine "executor
+//! behind admission", the churn engine "executor between barriers".
+
+use std::sync::Arc;
+
+use citymesh_core::{CityExperiment, DeliveryScratch, PairOutcome, PlanScratch, PlannedFlow};
+use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig};
+
+use crate::cache::RouteCache;
+use crate::engine::FleetConfig;
+use crate::workload::FlowSpec;
+
+/// Sub-stream domain for per-flow delivery simulation randomness.
+/// Public so guard tests and external replays derive the exact per-flow
+/// streams [`FlowExecutor::substreams`] uses.
+pub const DOMAIN_SIM: u64 = 0x51D3;
+/// Sub-stream domain for per-flow message ids (public for the same
+/// reason as [`DOMAIN_SIM`]).
+pub const DOMAIN_MSG: u64 = 0x3564;
+
+/// The worker count every engine runs with: `configured`, with `0`
+/// meaning one per available CPU, capped by the `work` units there are
+/// to hand out (claim chunks, modeled servers) and never below one.
+pub fn resolve_workers(configured: usize, work: usize) -> usize {
+    let wanted = match configured {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    wanted.min(work).max(1)
+}
+
+/// Runs `job` once per input, each on its own thread, and returns the
+/// results in input order. A single input runs on the caller's thread —
+/// the serial reference path, same per-flow code.
+///
+/// # Panics
+/// Propagates a worker's panic rather than returning a truncated result.
+pub fn run_pool<I: Send, T: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    job: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let inputs: Vec<I> = inputs.into_iter().collect();
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(job).collect();
+    }
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(inputs.len(), || None);
+    crossbeam::thread::scope(|s| {
+        for (input, slot) in inputs.into_iter().zip(slots.iter_mut()) {
+            let job = &job;
+            s.spawn(move |_| *slot = Some(job(input)));
+        }
+    })
+    .expect("flow worker panicked");
+    slots.into_iter().flatten().collect()
+}
+
+/// The deterministic merge: flattens the workers' `(flow id, record)`
+/// lists and orders them by flow id. Every flow yields exactly one
+/// record, so the result zips 1:1 with the ascending-id `flows` slice —
+/// which keeps a fold correct for epoch sub-slices whose ids don't
+/// start at zero, and gives floating-point sums one operand order.
+pub fn merge_by_id<R>(mut parts: Vec<Vec<(u64, R)>>, flows: &[FlowSpec]) -> Vec<(u64, R)> {
+    // One worker, one epoch: its records are already the answer.
+    let mut merged = if parts.len() == 1 {
+        parts.pop().unwrap_or_default()
+    } else {
+        let mut all = Vec::with_capacity(flows.len());
+        all.extend(parts.into_iter().flatten());
+        all
+    };
+    merged.sort_unstable_by_key(|(id, _)| *id);
+    debug_assert!(
+        merged.len() == flows.len() && merged.iter().zip(flows).all(|((id, _), f)| *id == f.id),
+        "flows must be sorted by ascending id, one record each"
+    );
+    merged
+}
+
+/// One worker's flow pipeline: the planner scratch, the delivery
+/// scratch (tracing per [`TelemetryConfig`]), the worker's metric set,
+/// and the choices every flow shares (cache, seed, planner, plane).
+///
+/// Per-flow RNG sub-streams make outcomes independent of which worker
+/// runs which flow, so the scratch reuse is invisible in every digest;
+/// a warm executor runs a cache-hit flow with zero heap allocations.
+pub struct FlowExecutor<'a> {
+    cache: &'a RouteCache,
+    cfg: FleetConfig,
+    plan_scratch: PlanScratch,
+    scratch: DeliveryScratch,
+    /// The untraced twin of a tracing `scratch`, built the first time a
+    /// flow asks not to be traced (the stream engine's degradation
+    /// rung 1): same simulation, no capture work.
+    untraced: Option<DeliveryScratch>,
+    tracing: bool,
+    metrics: Option<MetricSet>,
+}
+
+impl<'a> FlowExecutor<'a> {
+    /// A cold executor; its buffers warm up over the first few flows.
+    /// `cfg` must have passed [`FleetConfig::validate`] for the worlds
+    /// this executor will be handed.
+    pub fn new(cache: &'a RouteCache, cfg: &FleetConfig, tel: &TelemetryConfig) -> Self {
+        FlowExecutor {
+            cache,
+            cfg: *cfg,
+            plan_scratch: PlanScratch::new(),
+            scratch: if tel.trace.enabled {
+                DeliveryScratch::with_tracing(tel.trace)
+            } else {
+                DeliveryScratch::new()
+            },
+            untraced: None,
+            tracing: tel.trace.enabled,
+            metrics: tel.metrics.then(MetricSet::new),
+        }
+    }
+
+    /// Cache hit-or-plan. Planning is RNG-free and a pure function of
+    /// `(world, src, dst)`, so racing planners compute identical values.
+    pub fn plan(&mut self, world: &CityExperiment, flow: &FlowSpec) -> Arc<PlannedFlow> {
+        let (hier, scratch) = (self.cfg.use_hier_planner, &mut self.plan_scratch);
+        self.cache.get_or_plan(flow.src, flow.dst, || {
+            let mut plan = PlannedFlow::empty(flow.src, flow.dst);
+            if hier {
+                world.plan_flow_hier_into(flow.src, flow.dst, scratch, &mut plan);
+            } else {
+                world.plan_flow_into(flow.src, flow.dst, scratch, &mut plan);
+            }
+            plan
+        })
+    }
+
+    /// The flow's message id and its private simulation stream — the
+    /// one place [`DOMAIN_MSG`] and [`DOMAIN_SIM`] are applied.
+    pub fn substreams(&self, flow: &FlowSpec) -> (u64, SimRng) {
+        let seed = self.cfg.seed;
+        (
+            substream_seed(seed, DOMAIN_MSG, flow.id),
+            SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id)),
+        )
+    }
+
+    /// Delivers `flow` with `deliver(msg_id, rng, scratch)` and records
+    /// the outcome in the worker's metrics. `trace: false` hands
+    /// `deliver` the untraced scratch. Traces are keyed by the flow's
+    /// workload identity (not the derived message id) so sampling and
+    /// captures are stable and schedule-independent.
+    pub fn deliver_with(
+        &mut self,
+        flow: &FlowSpec,
+        trace: bool,
+        deliver: impl FnOnce(u64, &mut SimRng, &mut DeliveryScratch) -> PairOutcome,
+    ) -> PairOutcome {
+        let (msg_id, mut rng) = self.substreams(flow);
+        let scratch = if trace || !self.tracing {
+            self.scratch.tracer_mut().set_next_key(flow.id);
+            &mut self.scratch
+        } else {
+            self.untraced.get_or_insert_with(DeliveryScratch::new)
+        };
+        let outcome = deliver(msg_id, &mut rng, scratch);
+        if let Some(m) = self.metrics.as_mut() {
+            record_flow_metrics(m, &outcome);
+        }
+        outcome
+    }
+
+    /// Simulates `plan` on `sim_world` — plain or sealed per the config.
+    /// `sim_world` is separate from the planning world because the
+    /// stream engine simulates retry-capped flows on a single-attempt
+    /// twin of the world it plans on.
+    pub fn simulate(
+        &mut self,
+        sim_world: &CityExperiment,
+        plan: &PlannedFlow,
+        flow: &FlowSpec,
+        trace: bool,
+    ) -> PairOutcome {
+        let encrypted = self.cfg.encrypted;
+        self.deliver_with(flow, trace, |msg_id, rng, scratch| {
+            if encrypted {
+                sim_world.simulate_flow_secure_with(plan, msg_id, rng, scratch)
+            } else {
+                sim_world.simulate_flow_with(plan, msg_id, rng, scratch)
+            }
+        })
+    }
+
+    /// Plan + simulate, traced, on one world: the common case.
+    pub fn run(&mut self, world: &CityExperiment, flow: &FlowSpec) -> PairOutcome {
+        let plan = self.plan(world, flow);
+        self.simulate(world, &plan, flow, true)
+    }
+
+    /// The worker's metric set, for engines that count more than flow
+    /// outcomes (the stream engine's admission counters).
+    pub fn metrics_mut(&mut self) -> Option<&mut MetricSet> {
+        self.metrics.as_mut()
+    }
+
+    /// Folds the worker's bookkeeping into its metric set and hands back
+    /// the set plus the captured postmortems. Tracer totals are sums and
+    /// maxima over flows, so they stay schedule-independent after the
+    /// worker-order merge; the hier-planner and key-derivation counters
+    /// are schedule-dependent like the route cache's hit/miss totals
+    /// (racing workers may double-plan or double-derive a pair), so they
+    /// are informational only and in no digest.
+    pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
+        let keys_derived =
+            self.scratch.keys_derived() + self.untraced.as_ref().map_or(0, |s| s.keys_derived());
+        let tracer = self.scratch.tracer_mut();
+        if let Some(m) = self.metrics.as_mut() {
+            m.add(tm::POSTMORTEMS, tracer.captured());
+            m.add(tm::TRACE_DROPPED, tracer.dropped_total());
+            m.gauge_max(tm::TRACE_HIGH_WATER, tracer.high_water() as u64);
+            let h = self.plan_scratch.hier_stats();
+            m.add(tm::HIER_QUERIES, h.queries);
+            m.add(tm::HIER_DIRECT_ROUTES, h.direct_routes);
+            m.add(tm::HIER_OVERLAY_SETTLED, h.overlay_settled);
+            m.add(tm::HIER_EXPANSIONS, h.expansions);
+            m.add(tm::KEYS_DERIVED, keys_derived);
+        }
+        (self.metrics, tracer.take_postmortems())
+    }
+}
+
+/// Folds one flow's outcome into a worker's metric set. Pure per-flow
+/// arithmetic on integers, so per-worker sums merge deterministically.
+fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
+    m.inc(tm::FLOWS);
+    m.add(tm::BROADCASTS, o.broadcasts);
+    if o.attempts == 0 {
+        // Never reached the simulator: no route, or the source
+        // building went dark.
+        m.inc(tm::UNROUTABLE);
+    } else {
+        m.add(tm::ATTEMPTS, u64::from(o.attempts));
+        m.observe(tm::ATTEMPTS_PER_FLOW, u64::from(o.attempts));
+        m.gauge_max(tm::MAX_ATTEMPTS, u64::from(o.attempts));
+    }
+    if o.attempts > 1 {
+        m.inc(tm::RETRIED);
+        if o.delivered {
+            m.inc(tm::RECOVERED);
+        }
+    }
+    if o.delivered {
+        m.inc(tm::DELIVERED);
+        let rung = o.recovered_by.map(|s| s.rung()).unwrap_or(Rung::First);
+        m.inc(tm::rung_delivery_counter(rung));
+        if let Some(t) = o.latency {
+            m.observe(tm::rung_latency_histogram(rung), t.as_nanos() / 1_000);
+        }
+        if let Some(ov) = o.overhead {
+            m.observe(
+                tm::rung_overhead_histogram(rung),
+                (ov * 1000.0).round() as u64,
+            );
+        }
+    } else {
+        m.inc(tm::FAILED);
+        if o.attempts > 0 {
+            m.inc(tm::EXHAUSTED);
+        }
+    }
+    if o.sealed {
+        m.inc(tm::MSGS_SEALED);
+        if o.opened {
+            m.inc(tm::MSGS_OPENED);
+        }
+        if o.auth_failed {
+            m.inc(tm::AUTH_FAILURES);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_workers_maps_zero_to_cpus_and_caps_by_work() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_workers(0, usize::MAX), cpus);
+        assert_eq!(resolve_workers(3, usize::MAX), 3);
+        assert_eq!(resolve_workers(8, 5), 5, "never more workers than work");
+        assert_eq!(resolve_workers(0, 1), 1);
+        assert_eq!(resolve_workers(4, 0), 1, "an empty run still has a worker");
+    }
+
+    #[test]
+    fn run_pool_keeps_input_order_serial_and_threaded() {
+        assert_eq!(run_pool([7u32], |x| x * 2), vec![14]);
+        assert_eq!(run_pool(0..6u32, |x| x * x), vec![0, 1, 4, 9, 16, 25]);
+        assert!(run_pool(0..0u32, |x| x).is_empty());
+    }
+}

@@ -18,9 +18,14 @@
 //! cache) and aggregating in canonical flow-id order after the pool
 //! joins.
 //!
+//! [`exec`] holds the pieces every engine in the workspace shares — the
+//! per-worker [`FlowExecutor`], the one worker pool ([`run_pool`]) and
+//! the one id-ordered merge ([`merge_by_id`]); the stream and churn
+//! engines are thin callers of them.
+//!
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig};
-//! use citymesh_fleet::{run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+//! use citymesh_fleet::{try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 //! use citymesh_map::CityArchetype;
 //!
 //! let map = CityArchetype::SurveyDowntown.generate(1);
@@ -33,9 +38,10 @@
 //!         seed: 42,
 //!     },
 //! );
-//! let serial = run_fleet(&exp, &flows, &FleetConfig { workers: 1, seed: 42, ..FleetConfig::default() });
-//! let parallel = run_fleet(&exp, &flows, &FleetConfig { workers: 4, seed: 42, ..FleetConfig::default() });
+//! let serial = try_run_fleet(&exp, &flows, &FleetConfig { workers: 1, seed: 42, ..FleetConfig::default() })?;
+//! let parallel = try_run_fleet(&exp, &flows, &FleetConfig { workers: 4, seed: 42, ..FleetConfig::default() })?;
 //! assert_eq!(serial.digest(), parallel.digest());
+//! # Ok::<(), citymesh_fleet::FleetError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,14 +49,15 @@
 
 pub mod cache;
 pub mod engine;
+pub mod exec;
 pub mod workload;
 
 pub use cache::RouteCache;
 pub use engine::{
-    record_flow_metrics, run_fleet, run_fleet_on_cache, run_fleet_traced, try_run_fleet,
-    try_run_fleet_on_cache, try_run_fleet_traced, FleetConfig, FleetError, FleetReport,
-    FleetTelemetry, DOMAIN_MSG, DOMAIN_SIM,
+    try_run_fleet, try_run_fleet_on_cache, try_run_fleet_traced, try_run_flows_with, FleetConfig,
+    FleetError, FleetReport, FleetTelemetry,
 };
+pub use exec::{merge_by_id, resolve_workers, run_pool, FlowExecutor, DOMAIN_MSG, DOMAIN_SIM};
 pub use workload::{
     generate_flows, try_generate_flows, FlowKind, FlowModel, FlowSpec, WorkloadConfig,
     WorkloadError,

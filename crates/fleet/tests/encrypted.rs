@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use citymesh_core::{
     CityExperiment, DeliveryScratch, ExperimentConfig, PlanScratch, PlannedFlow, TamperMode,
 };
-use citymesh_fleet::{generate_flows, run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 use citymesh_simcore::{substream_seed, SimRng};
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ proptest! {
         let digests: Vec<u64> = [1usize, 4, 8]
             .iter()
             .map(|&workers| {
-                run_fleet(
+                try_run_fleet(
                     exp,
                     &wl,
                     &FleetConfig {
@@ -77,7 +77,7 @@ proptest! {
                         encrypted: true,
                         ..FleetConfig::default()
                     },
-                )
+                ).unwrap()
                 .digest()
             })
             .collect();
@@ -97,8 +97,8 @@ proptest! {
         let exp = secure_world();
         let wl = workload(exp, flows, seed);
         let cfg = FleetConfig { workers: 4, seed, ..FleetConfig::default() };
-        let plain = run_fleet(exp, &wl, &cfg);
-        let sealed = run_fleet(exp, &wl, &FleetConfig { encrypted: true, ..cfg });
+        let plain = try_run_fleet(exp, &wl, &cfg).unwrap();
+        let sealed = try_run_fleet(exp, &wl, &FleetConfig { encrypted: true, ..cfg }).unwrap();
         prop_assert_eq!(plain.delivered, sealed.delivered);
         prop_assert_eq!(plain.broadcasts.fingerprint(), sealed.broadcasts.fingerprint());
         prop_assert_eq!(sealed.sealed, wl.len() as u64);
@@ -244,8 +244,8 @@ fn encryption_off_is_field_identical_to_a_plain_world() {
         seed,
         ..FleetConfig::default()
     };
-    let plain = run_fleet(&plain_exp, &flows, &cfg);
-    let keyed = run_fleet(&keyed_exp, &flows, &cfg);
+    let plain = try_run_fleet(&plain_exp, &flows, &cfg).unwrap();
+    let keyed = try_run_fleet(&keyed_exp, &flows, &cfg).unwrap();
 
     assert_eq!(plain.digest(), keyed.digest());
     assert_eq!(plain.delivered, keyed.delivered);
@@ -265,7 +265,7 @@ fn encryption_off_is_field_identical_to_a_plain_world() {
 fn plaintext_digest_ignores_sealed_fields() {
     let exp = secure_world();
     let flows = workload(exp, 64, 7);
-    let r = run_fleet(
+    let r = try_run_fleet(
         exp,
         &flows,
         &FleetConfig {
@@ -273,7 +273,8 @@ fn plaintext_digest_ignores_sealed_fields() {
             seed: 7,
             ..FleetConfig::default()
         },
-    );
+    )
+    .unwrap();
     assert_eq!(r.sealed, 0);
     let mut tweaked = r.clone();
     tweaked.opened = 99;
@@ -308,12 +309,12 @@ fn rotation_re_derives_without_changing_outcomes() {
         ..FleetConfig::default()
     };
 
-    let before = run_fleet(&exp, &flows, &cfg);
+    let before = try_run_fleet(&exp, &flows, &cfg).unwrap();
     let victim = flows[0].src;
     let evicted = exp.rotate_keys(victim);
     assert!(evicted > 0, "the victim building must have had sessions");
 
-    let after = run_fleet(&exp, &flows, &cfg);
+    let after = try_run_fleet(&exp, &flows, &cfg).unwrap();
     assert_eq!(
         before.digest(),
         after.digest(),

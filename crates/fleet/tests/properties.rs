@@ -6,7 +6,7 @@ use citymesh_core::{
     CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, RetryPolicy,
 };
 use citymesh_fleet::{
-    generate_flows, run_fleet, run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
 };
 use citymesh_map::CityArchetype;
 use citymesh_simcore::{substream_seed, SimRng};
@@ -56,7 +56,7 @@ proptest! {
         let digests: Vec<u64> = [1usize, 4, 8]
             .iter()
             .map(|&workers| {
-                run_fleet(exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }).digest()
+                try_run_fleet(exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }).unwrap().digest()
             })
             .collect();
         prop_assert_eq!(digests[0], digests[1], "1 vs 4 workers diverged");
@@ -101,7 +101,7 @@ proptest! {
         );
         let reports: Vec<_> = [1usize, 4, 8]
             .iter()
-            .map(|&workers| run_fleet(&exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }))
+            .map(|&workers| try_run_fleet(&exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }).unwrap())
             .collect();
         prop_assert_eq!(reports[0].digest(), reports[1].digest(), "1 vs 4 workers diverged");
         prop_assert_eq!(reports[0].digest(), reports[2].digest(), "1 vs 8 workers diverged");
@@ -155,7 +155,7 @@ proptest! {
         let runs: Vec<_> = [1usize, 4, 8]
             .iter()
             .map(|&workers| {
-                run_fleet_traced(&exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }, &tel)
+                try_run_fleet_traced(&exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }, &tel).unwrap()
                     .1
                     .expect("telemetry requested")
             })

@@ -2,8 +2,6 @@
 //! and one shared route cache per scenario, re-scored per candidate
 //! deployment with churn-style incremental cache invalidation.
 
-use std::collections::HashSet;
-
 use citymesh_core::{
     CityExperiment, Deployment, DeploymentTransition, ExperimentConfig, FaultScenario,
 };
@@ -213,33 +211,18 @@ impl Evaluator {
     }
 }
 
-/// The churn-style incremental invalidation predicate, applied to one
-/// world's cache after a deployment transition: a plan is stale iff
-/// its endpoints were touched (AP health flipped at that building) or
-/// retargeted (its dark destination's nearest site changed), or its
-/// conduits contain an AP whose health the move rewrote.
+/// Churn-style incremental invalidation after a deployment transition:
+/// [`RouteCache::evict_stale`] with the endpoints that were touched (AP
+/// health flipped at that building) *or retargeted* (a dark
+/// destination's nearest site changed), and the APs the move rewrote.
 fn evict_stale(exp: &CityExperiment, cache: &RouteCache, t: &DeploymentTransition) -> u64 {
     if t.epoch.is_none() && t.retargeted_buildings.is_empty() {
         return 0;
     }
-    let mut touched: HashSet<u32> = t.retargeted_buildings.iter().copied().collect();
-    if let Some(e) = &t.epoch {
-        touched.extend(e.touched_buildings.iter().copied());
-    }
-    let changed_aps: HashSet<u32> = t.changed_aps.iter().copied().collect();
-    let apg = exp.ap_graph();
-    let mut candidates = Vec::new();
-    cache.evict_where(|plan| {
-        if touched.contains(&plan.src) || touched.contains(&plan.dst) {
-            return true;
-        }
-        if changed_aps.is_empty() {
-            return false;
-        }
-        let mut hit = false;
-        apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
-            hit |= changed_aps.contains(&id);
-        });
-        hit
-    })
+    let touched = t.epoch.iter().flat_map(|e| &e.touched_buildings);
+    cache.evict_stale(
+        exp.ap_graph(),
+        t.retargeted_buildings.iter().chain(touched).copied(),
+        t.changed_aps.iter().copied(),
+    )
 }

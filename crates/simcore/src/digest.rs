@@ -31,12 +31,14 @@ impl Fnv64 {
     }
 
     /// Folds one word in: XOR, then multiply by the FNV-1a prime.
+    #[inline]
     pub fn mix(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
     }
 
     /// The digest accumulated so far.
+    #[inline]
     pub fn value(&self) -> u64 {
         self.0
     }

@@ -128,21 +128,17 @@ impl Histogram {
     /// parallel run aggregated exactly the same distribution as a
     /// serial one.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        mix(self.min_value.to_bits());
-        mix(self.growth.to_bits());
-        mix(self.underflow);
-        mix(self.total);
-        mix(self.sum.to_bits());
-        mix(self.max_seen.to_bits());
+        let mut h = crate::Fnv64::new();
+        h.mix(self.min_value.to_bits());
+        h.mix(self.growth.to_bits());
+        h.mix(self.underflow);
+        h.mix(self.total);
+        h.mix(self.sum.to_bits());
+        h.mix(self.max_seen.to_bits());
         for &c in &self.counts {
-            mix(c);
+            h.mix(c);
         }
-        h
+        h.value()
     }
 
     /// Merges another histogram with identical parameters.

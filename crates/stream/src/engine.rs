@@ -1,6 +1,6 @@
 //! The always-on streaming engine.
 //!
-//! [`run_stream`] drives an open-loop arrival stream through a
+//! [`try_run_stream`] drives an open-loop arrival stream through a
 //! prepared [`CityExperiment`] as a *queueing system*, not a batch:
 //! flows arrive when the [arrival process](crate::arrivals) says they
 //! do, are admitted to one of a fixed set of bounded per-server
@@ -43,15 +43,16 @@
 //! ones, which is what produces the saturation knee the streaming
 //! bench sweeps for.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::time::Instant;
 
-use citymesh_core::{
-    CityExperiment, DeliveryScratch, PairOutcome, PlanScratch, PlannedFlow, RetryPolicy,
+use citymesh_core::{CityExperiment, PairOutcome, RetryPolicy};
+use citymesh_dynamics::{
+    require_stale_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
 };
-use citymesh_dynamics::{InvalidationPolicy, Timeline};
 use citymesh_fleet::{
-    record_flow_metrics, FleetReport, FleetTelemetry, FlowSpec, RouteCache, DOMAIN_MSG, DOMAIN_SIM,
+    merge_by_id, resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry,
+    FlowExecutor, FlowSpec, RouteCache,
 };
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
@@ -82,8 +83,8 @@ impl Default for ServiceModel {
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Worker threads. `0` means one per available CPU. Threads claim
-    /// whole servers, so the effective pool never exceeds `servers`.
-    /// **Not** digest-bearing.
+    /// whole servers, so the effective pool never exceeds `servers`
+    /// ([`resolve_workers`]). **Not** digest-bearing.
     pub workers: usize,
     /// Modeled queueing servers. Flows map to servers by
     /// `flow.id % servers`; each server is one bounded FIFO processed
@@ -151,15 +152,14 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// The effective worker count (resolves `0` to the CPU count; the
-    /// epoch loop additionally caps it at `servers`).
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
+    /// What the shared flow executor needs of this config.
+    fn fleet(&self) -> FleetConfig {
+        FleetConfig {
+            workers: self.workers,
+            seed: self.seed,
+            use_hier_planner: self.use_hier_planner,
+            encrypted: self.encrypted,
         }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
     }
 
     /// Checks this config against the experiment it is about to run
@@ -189,12 +189,7 @@ impl StreamConfig {
                 value: self.service.per_broadcast_ms,
             });
         }
-        if self.use_hier_planner && exp.hier_planner().is_none() {
-            return Err(StreamError::HierPlannerNotEnabled);
-        }
-        if self.encrypted && exp.secure_state().is_none() {
-            return Err(StreamError::EncryptionNotEnabled);
-        }
+        self.fleet().validate(exp)?;
         if !self.emergency_fraction.is_finite() || !(0.0..=1.0).contains(&self.emergency_fraction) {
             return Err(StreamError::InvalidEmergencyFraction {
                 value: self.emergency_fraction,
@@ -234,13 +229,10 @@ pub enum StreamError {
         /// The rejected value.
         value: f64,
     },
-    /// [`StreamConfig::use_hier_planner`] was set but
-    /// [`CityExperiment::enable_hier`] never ran on the experiment.
-    HierPlannerNotEnabled,
-    /// [`StreamConfig::encrypted`] was set but
-    /// [`CityExperiment::enable_encryption`] never ran on the
-    /// experiment, so there is no key registry to seal with.
-    EncryptionNotEnabled,
+    /// [`StreamConfig::use_hier_planner`] or [`StreamConfig::encrypted`]
+    /// was set without its prerequisite on the experiment
+    /// ([`FleetConfig::validate`]).
+    Fleet(FleetError),
     /// [`StreamConfig::emergency_fraction`] was non-finite or outside
     /// `[0, 1]`.
     InvalidEmergencyFraction {
@@ -257,13 +249,9 @@ pub enum StreamError {
         capacity: usize,
     },
     /// The timeline carries events but the experiment has no fault
-    /// state for them to mutate.
-    MissingFaultState,
-    /// The timeline carries events but the fault scenario plans on the
-    /// live map; mid-stream cache invalidation relies on routes being
-    /// a pure function of the pre-disaster (stale) map, exactly as the
-    /// churn engine does.
-    FreshMap,
+    /// state for them to mutate, or plans on the live map
+    /// ([`require_stale_fault_state`]).
+    Churn(ChurnError),
     /// An arrival-stream workload needs at least two buildings to draw
     /// distinct endpoints from.
     TooFewBuildings {
@@ -305,20 +293,8 @@ impl std::fmt::Display for StreamError {
             StreamError::InvalidServiceModel { field, value } => {
                 write!(f, "invalid service model: `{field}` = {value}")
             }
-            StreamError::HierPlannerNotEnabled => {
-                write!(
-                    f,
-                    "StreamConfig::use_hier_planner requires CityExperiment::enable_hier \
-                     to have run on the experiment"
-                )
-            }
-            StreamError::EncryptionNotEnabled => {
-                write!(
-                    f,
-                    "StreamConfig::encrypted requires CityExperiment::enable_encryption \
-                     to have run on the experiment"
-                )
-            }
+            StreamError::Fleet(e) => write!(f, "{e}"),
+            StreamError::Churn(e) => write!(f, "{e}"),
             StreamError::InvalidEmergencyFraction { value } => {
                 write!(
                     f,
@@ -331,21 +307,6 @@ impl std::fmt::Display for StreamError {
                     "StreamConfig::priority_reserve ({reserve}) must be strictly less \
                      than queue_capacity ({capacity}); bulk flows need at least one \
                      admissible slot"
-                )
-            }
-            StreamError::MissingFaultState => {
-                write!(
-                    f,
-                    "a timeline with events requires a fault state; prepare the \
-                     experiment with a scenario"
-                )
-            }
-            StreamError::FreshMap => {
-                write!(
-                    f,
-                    "a timeline with events requires stale-map planning (mid-stream \
-                     invalidation relies on routes being a pure function of the \
-                     pre-disaster map)"
                 )
             }
             StreamError::TooFewBuildings { buildings } => {
@@ -363,6 +324,18 @@ impl std::fmt::Display for StreamError {
 }
 
 impl std::error::Error for StreamError {}
+
+impl From<FleetError> for StreamError {
+    fn from(e: FleetError) -> Self {
+        StreamError::Fleet(e)
+    }
+}
+
+impl From<ChurnError> for StreamError {
+    fn from(e: ChurnError) -> Self {
+        StreamError::Churn(e)
+    }
+}
 
 /// Sub-stream domain for per-flow admission-class draws
 /// ([`StreamConfig::emergency_fraction`]).
@@ -632,7 +605,7 @@ pub struct StreamReport {
     pub sealed_bulk: u64,
     /// Delivery outcomes of the *admitted* flows, folded exactly as
     /// the fleet engine folds a batch — on an underloaded stream this
-    /// digest equals a plain `run_fleet` over the same flows and seed.
+    /// digest equals a plain `try_run_fleet` over the same flows and seed.
     pub fleet: FleetReport,
     /// Sojourn time (queue wait + service) of admitted flows, ms.
     pub sojourn_ms: Histogram,
@@ -778,32 +751,20 @@ impl StreamReport {
     }
 }
 
-/// What one worker brings home from an epoch.
-#[derive(Default)]
-struct EpochYield {
-    records: Vec<(u64, FlowRecord)>,
-    metrics: Option<MetricSet>,
-    postmortems: Vec<Postmortem>,
-}
-
-impl EpochYield {
-    fn empty(metrics: bool) -> Self {
-        EpochYield {
-            records: Vec::new(),
-            metrics: metrics.then(MetricSet::new),
-            postmortems: Vec::new(),
-        }
-    }
-}
+/// What one worker brings home from an epoch: its flow records and
+/// its executor's harvest (metric set, postmortems).
+type EpochYield = (Vec<(u64, FlowRecord)>, (Option<MetricSet>, Vec<Postmortem>));
 
 /// Runs an arrival stream through `exp`, shedding under overload.
+/// Configuration and prerequisite misuse is a typed [`StreamError`]
+/// caught before any worker spawns.
 ///
 /// `flows` must be sorted by ascending id with nondecreasing
 /// `arrival_ms` (streams from
 /// [`generate_stream_flows`](crate::generate_stream_flows) are). A
 /// timeline event at time `t` is applied before flows with
-/// `arrival_ms ≥ t`, exactly like the churn engine; pass an empty
-/// timeline (e.g. a zero-event
+/// `arrival_ms ≥ t`, exactly like the churn engine (both run on
+/// [`run_epochs`]); pass an empty timeline (e.g. a zero-event
 /// [`Timeline::materialize`]) for a static world. Server queues
 /// persist across event barriers — an event does not flush in-flight
 /// work, only routes.
@@ -813,24 +774,7 @@ impl EpochYield {
 /// worker counts.
 ///
 /// # Panics
-/// Panics on a rejected configuration or workload
-/// ([`StreamConfig::validate`] — use [`try_run_stream`] for a
-/// `Result`) or when a worker thread panics.
-pub fn run_stream(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    timeline: &Timeline,
-    cfg: &StreamConfig,
-    tel: &TelemetryConfig,
-) -> (StreamReport, Option<FleetTelemetry>) {
-    try_run_stream(exp, flows, timeline, cfg, tel).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_stream`] with configuration and prerequisite misuse as typed
-/// [`StreamError`]s.
-///
-/// # Panics
-/// Still panics when a worker thread panics mid-run.
+/// Panics when a worker thread panics mid-run.
 pub fn try_run_stream(
     exp: &CityExperiment,
     flows: &[FlowSpec],
@@ -839,32 +783,17 @@ pub fn try_run_stream(
     tel: &TelemetryConfig,
 ) -> Result<(StreamReport, Option<FleetTelemetry>), StreamError> {
     cfg.validate(exp)?;
-    let has_events = !timeline.is_empty();
-    if has_events {
-        let state = exp.fault_state().ok_or(StreamError::MissingFaultState)?;
-        if !state.stale_map() {
-            return Err(StreamError::FreshMap);
-        }
+    if !timeline.is_empty() {
+        require_stale_fault_state(exp)?;
     }
-    debug_assert!(
-        flows.windows(2).all(|w| w[0].id < w[1].id),
-        "flows must be sorted by ascending id"
-    );
-    debug_assert!(
-        flows.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-        "flow arrivals must be nondecreasing"
-    );
-
     let started = Instant::now();
 
-    // The live world. Only cloned when events will mutate it.
-    let mut owned_primary: Option<CityExperiment> = has_events.then(|| exp.clone());
     // Degradation rung 2's single-attempt twin: same map, same plans,
     // same fault geometry, retry ladder capped to one attempt. Retry
     // policy never reaches the planner, so the twin shares the route
     // cache; it is only consulted at simulation time. Built once —
     // not per flow — and only when a ladder exists to cap.
-    let mut degraded: Option<CityExperiment> = exp
+    let degraded: Option<CityExperiment> = exp
         .fault_state()
         .filter(|fs| fs.retry().max_attempts > 1)
         .map(|fs| {
@@ -874,86 +803,48 @@ pub fn try_run_stream(
         });
 
     let cache = RouteCache::new();
+    let fleet_cfg = cfg.fleet();
     let mut queues: Vec<ServerQueue> = (0..cfg.servers).map(|_| ServerQueue::new(cfg)).collect();
-    let mut records: Vec<(u64, FlowRecord)> = Vec::with_capacity(flows.len());
-    let mut metrics = (!tel.is_off()).then(MetricSet::new);
-    let mut postmortems: Vec<Postmortem> = Vec::new();
-    let mut epochs = 0u64;
-    let mut events_applied = 0u64;
-    let mut routes_evicted = 0u64;
+    // Threads claim whole servers, `chunk` of them each. The queues
+    // deliberately survive the barriers: an aftershock does not
+    // un-queue flows already admitted.
+    let workers = resolve_workers(cfg.workers, cfg.servers);
+    let chunk = cfg.servers.div_ceil(workers);
+    let epochs = run_epochs(
+        flows,
+        timeline,
+        cfg.invalidation,
+        &cache,
+        Cow::Borrowed(exp),
+        degraded,
+        |world, degraded, slice| -> Vec<EpochYield> {
+            run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
+                let exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
+                serve(exec, world, degraded, slice, cfg, i * chunk, qs)
+            })
+        },
+    );
 
-    let mut next = 0usize;
-    for k in 0..=timeline.len() {
-        let end = match timeline.events().get(k) {
-            Some(ev) => next + flows[next..].partition_point(|f| f.arrival_ms < ev.at_ms),
-            None => flows.len(),
-        };
-        let slice = &flows[next..end];
-        next = end;
-        epochs += 1;
-
-        let world: &CityExperiment = owned_primary.as_ref().unwrap_or(exp);
-        for y in run_epoch(
-            world,
-            degraded.as_ref(),
-            slice,
-            cfg,
-            &cache,
-            &mut queues,
-            tel,
-        ) {
-            records.extend(y.records);
-            if let (Some(m), Some(ym)) = (metrics.as_mut(), y.metrics.as_ref()) {
-                m.merge(ym);
-            }
-            postmortems.extend(y.postmortems);
+    let mut report = StreamReport::new(cfg.servers);
+    let mut telemetry = (!tel.is_off()).then(FleetTelemetry::default);
+    let (mut parts, mut harvests) = (Vec::new(), Vec::new());
+    for (yields, barrier) in epochs {
+        report.epochs += 1;
+        for (records, harvest) in yields {
+            parts.push(records);
+            harvests.push(harvest);
         }
-
-        if let Some(ev) = timeline.events().get(k) {
-            let primary = owned_primary
-                .as_mut()
-                .expect("events imply an owned primary world");
-            let transition = primary.apply_world_event(&ev.changes);
-            if let Some(d) = degraded.as_mut() {
-                d.apply_world_event(&ev.changes);
-            }
-            // Server queues deliberately survive the barrier: an
-            // aftershock does not un-queue flows already admitted.
-            let evicted = match cfg.invalidation {
-                InvalidationPolicy::FullFlush => cache.clear(),
-                InvalidationPolicy::Incremental => {
-                    let touched: HashSet<u32> =
-                        transition.touched_buildings.iter().copied().collect();
-                    let changed_aps: HashSet<u32> = ev.changes.iter().map(|&(ap, _)| ap).collect();
-                    let apg = primary.ap_graph();
-                    let mut candidates = Vec::new();
-                    cache.evict_where(|plan| {
-                        if touched.contains(&plan.src) || touched.contains(&plan.dst) {
-                            return true;
-                        }
-                        let mut hit = false;
-                        apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
-                            hit |= changed_aps.contains(&id);
-                        });
-                        hit
-                    })
-                }
-            };
-            events_applied += 1;
-            routes_evicted += evicted;
-            if let Some(m) = metrics.as_mut() {
-                m.inc(tm::EVENTS_APPLIED);
-                m.inc(tm::EPOCH_TRANSITIONS);
-                m.add(tm::ROUTES_EVICTED, evicted);
+        if let Some(b) = barrier {
+            report.events_applied += 1;
+            report.routes_evicted += b.evicted;
+            if let Some(t) = telemetry.as_mut() {
+                b.record(&mut t.metrics);
             }
         }
     }
 
     // Deterministic fold: order by flow id, absorb serially.
-    records.sort_unstable_by_key(|(id, _)| *id);
-    let mut report = StreamReport::new(cfg.servers);
-    for ((id, rec), spec) in records.iter().zip(flows) {
-        debug_assert_eq!(*id, spec.id, "flows must be sorted by ascending id");
+    for ((_, rec), spec) in merge_by_id(parts, flows).iter().zip(flows) {
         report.offered += 1;
         match rec {
             FlowRecord::Shed {
@@ -1019,212 +910,122 @@ pub fn try_run_stream(
         .map(|q| q.high_water() as u64)
         .max()
         .unwrap_or(0);
-    report.epochs = epochs;
-    report.events_applied = events_applied;
-    report.routes_evicted = routes_evicted;
-    report.fleet.workers = cfg.effective_workers().min(cfg.servers).max(1);
+    report.fleet.workers = workers;
     report.fleet.cache_hits = cache.hits();
     report.fleet.cache_misses = cache.misses();
-    report.workers = report.fleet.workers;
+    report.workers = workers;
     report.elapsed_secs = started.elapsed().as_secs_f64();
     report.fleet.elapsed_secs = report.elapsed_secs;
 
-    if let Some(m) = metrics.as_mut() {
-        m.gauge_max(tm::QUEUE_DEPTH_HIGH_WATER, report.max_depth);
+    if let Some(t) = telemetry.as_mut() {
+        t.absorb(harvests);
+        t.metrics
+            .gauge_max(tm::QUEUE_DEPTH_HIGH_WATER, report.max_depth);
     }
-    postmortems.sort_by_key(|p: &Postmortem| (p.key, p.summary.src, p.summary.dst));
-    let telemetry = metrics.map(|metrics| FleetTelemetry {
-        metrics,
-        postmortems,
-    });
     Ok((report, telemetry))
 }
 
-/// One epoch: the slice's flows dealt to servers by `id % servers`,
-/// each server processed serially, threads claiming whole servers.
-fn run_epoch(
+/// One worker's share of an epoch: the slice's flows dealt to servers
+/// by `id % servers`, each of `qs` processed serially in arrival order
+/// (`base` is the server index of `qs[0]`). Admission comes first;
+/// only admitted flows reach the executor.
+fn serve(
+    mut exec: FlowExecutor<'_>,
     world: &CityExperiment,
     degraded: Option<&CityExperiment>,
     slice: &[FlowSpec],
     cfg: &StreamConfig,
-    cache: &RouteCache,
-    queues: &mut [ServerQueue],
-    tel: &TelemetryConfig,
-) -> Vec<EpochYield> {
-    let servers = queues.len();
-    let workers = cfg.effective_workers().min(servers).max(1);
-
-    // `base` is the server index of `qs[0]`.
-    let process_servers = |base: usize, qs: &mut [ServerQueue]| -> EpochYield {
-        let mut y = EpochYield::empty(tel.metrics);
-        let mut plan_scratch = PlanScratch::new();
-        // Two delivery scratches per worker: the plain one, and (when
-        // tracing is on) a traced one. Degradation rung 1 routes a
-        // flow through the plain scratch instead of configuring the
-        // tracer per flow — same simulation, no capture work.
-        let mut scratch = DeliveryScratch::new();
-        let mut traced = tel
-            .trace
-            .enabled
-            .then(|| DeliveryScratch::with_tracing(tel.trace));
-        for (j, q) in qs.iter_mut().enumerate() {
-            let s = (base + j) as u64;
-            for flow in slice.iter().filter(|f| f.id % servers as u64 == s) {
-                // Class is a pure function of (seed, flow.id) — never
-                // of queue state — so it survives any worker layout.
-                let class = if cfg.emergency_fraction > 0.0 {
-                    let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_CLASS, flow.id));
-                    if rng.chance(cfg.emergency_fraction) {
-                        FlowClass::Emergency
-                    } else {
-                        FlowClass::Bulk
-                    }
+    base: usize,
+    qs: &mut [ServerQueue],
+) -> EpochYield {
+    let mut records = Vec::new();
+    for (j, q) in qs.iter_mut().enumerate() {
+        let s = (base + j) as u64;
+        for flow in slice.iter().filter(|f| f.id % cfg.servers as u64 == s) {
+            // Class is a pure function of (seed, flow.id) — never
+            // of queue state — so it survives any worker layout.
+            let class = if cfg.emergency_fraction > 0.0 {
+                let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_CLASS, flow.id));
+                if rng.chance(cfg.emergency_fraction) {
+                    FlowClass::Emergency
                 } else {
                     FlowClass::Bulk
-                };
-                match q.offer_class(flow.arrival_ms, class) {
-                    Admission::Shed { reason, depth } => {
-                        if let Some(m) = y.metrics.as_mut() {
-                            m.inc(match reason {
-                                ShedReason::Backpressure => tm::SHED_BACKPRESSURE,
-                                ShedReason::Deadline => tm::SHED_DEADLINE,
-                            });
-                            m.observe(tm::QUEUE_DEPTH, u64::from(depth));
-                        }
-                        y.records.push((
-                            flow.id,
-                            FlowRecord::Shed {
-                                reason,
-                                depth,
-                                class,
-                            },
-                        ));
-                    }
-                    Admission::Admit {
-                        start_ms,
-                        depth,
-                        shed_tracing,
-                        cap_retries,
-                    } => {
-                        // Plans always come from the primary world:
-                        // retry policy never reaches the planner, so
-                        // the shared cache stays coherent for both.
-                        let plan = cache.get_or_plan(flow.src, flow.dst, || {
-                            let mut plan = PlannedFlow::empty(flow.src, flow.dst);
-                            if cfg.use_hier_planner {
-                                world.plan_flow_hier_into(
-                                    flow.src,
-                                    flow.dst,
-                                    &mut plan_scratch,
-                                    &mut plan,
-                                );
-                            } else {
-                                world.plan_flow_into(
-                                    flow.src,
-                                    flow.dst,
-                                    &mut plan_scratch,
-                                    &mut plan,
-                                );
-                            }
-                            plan
+                }
+            } else {
+                FlowClass::Bulk
+            };
+            match q.offer_class(flow.arrival_ms, class) {
+                Admission::Shed { reason, depth } => {
+                    if let Some(m) = exec.metrics_mut() {
+                        m.inc(match reason {
+                            ShedReason::Backpressure => tm::SHED_BACKPRESSURE,
+                            ShedReason::Deadline => tm::SHED_DEADLINE,
                         });
-                        let sim_world = match (cap_retries, degraded) {
-                            (true, Some(d)) => d,
-                            _ => world,
-                        };
-                        let msg_id = substream_seed(cfg.seed, DOMAIN_MSG, flow.id);
-                        let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_SIM, flow.id));
-                        let outcome = match traced.as_mut() {
-                            Some(ts) if !shed_tracing => {
-                                ts.tracer_mut().set_next_key(flow.id);
-                                if cfg.encrypted {
-                                    sim_world.simulate_flow_secure_with(&plan, msg_id, &mut rng, ts)
-                                } else {
-                                    sim_world.simulate_flow_with(&plan, msg_id, &mut rng, ts)
-                                }
-                            }
-                            _ if cfg.encrypted => sim_world.simulate_flow_secure_with(
-                                &plan,
-                                msg_id,
-                                &mut rng,
-                                &mut scratch,
-                            ),
-                            _ => {
-                                sim_world.simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch)
-                            }
-                        };
-                        let service_ms = cfg.service.base_ms
-                            + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
-                        q.commit(start_ms, service_ms);
-                        let wait_ms = start_ms - flow.arrival_ms;
-                        if let Some(m) = y.metrics.as_mut() {
-                            record_flow_metrics(m, &outcome);
-                            m.inc(tm::ADMITTED);
-                            m.observe(tm::QUEUE_DEPTH, u64::from(depth));
-                            m.observe(tm::STREAM_WAIT, (wait_ms * 1000.0).round() as u64);
-                            m.observe(
-                                tm::STREAM_SOJOURN,
-                                ((wait_ms + service_ms) * 1000.0).round() as u64,
-                            );
-                            if shed_tracing {
-                                m.inc(tm::DEGRADED_TRACING);
-                            }
-                            if cap_retries {
-                                m.inc(tm::DEGRADED_RETRY);
-                            }
-                        }
-                        y.records.push((
-                            flow.id,
-                            FlowRecord::Served {
-                                outcome,
-                                wait_ms,
-                                service_ms,
-                                depth,
-                                shed_tracing,
-                                retry_capped: cap_retries,
-                                class,
-                            },
-                        ));
+                        m.observe(tm::QUEUE_DEPTH, u64::from(depth));
                     }
+                    records.push((
+                        flow.id,
+                        FlowRecord::Shed {
+                            reason,
+                            depth,
+                            class,
+                        },
+                    ));
+                }
+                Admission::Admit {
+                    start_ms,
+                    depth,
+                    shed_tracing,
+                    cap_retries,
+                } => {
+                    // Plans always come from the primary world: retry
+                    // policy never reaches the planner, so the shared
+                    // cache stays coherent for both. Rung 2 simulates
+                    // on the single-attempt twin, rung 1 on the
+                    // executor's untraced scratch — same simulation,
+                    // no capture work.
+                    let plan = exec.plan(world, flow);
+                    let sim_world = match (cap_retries, degraded) {
+                        (true, Some(d)) => d,
+                        _ => world,
+                    };
+                    let outcome = exec.simulate(sim_world, &plan, flow, !shed_tracing);
+                    let service_ms = cfg.service.base_ms
+                        + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
+                    q.commit(start_ms, service_ms);
+                    let wait_ms = start_ms - flow.arrival_ms;
+                    if let Some(m) = exec.metrics_mut() {
+                        m.inc(tm::ADMITTED);
+                        m.observe(tm::QUEUE_DEPTH, u64::from(depth));
+                        m.observe(tm::STREAM_WAIT, (wait_ms * 1000.0).round() as u64);
+                        m.observe(
+                            tm::STREAM_SOJOURN,
+                            ((wait_ms + service_ms) * 1000.0).round() as u64,
+                        );
+                        if shed_tracing {
+                            m.inc(tm::DEGRADED_TRACING);
+                        }
+                        if cap_retries {
+                            m.inc(tm::DEGRADED_RETRY);
+                        }
+                    }
+                    records.push((
+                        flow.id,
+                        FlowRecord::Served {
+                            outcome,
+                            wait_ms,
+                            service_ms,
+                            depth,
+                            shed_tracing,
+                            retry_capped: cap_retries,
+                            class,
+                        },
+                    ));
                 }
             }
         }
-        if let Some(ts) = traced.as_mut() {
-            let tracer = ts.tracer_mut();
-            if let Some(m) = y.metrics.as_mut() {
-                m.add(tm::POSTMORTEMS, tracer.captured());
-                m.add(tm::TRACE_DROPPED, tracer.dropped_total());
-                m.gauge_max(tm::TRACE_HIGH_WATER, tracer.high_water() as u64);
-            }
-            y.postmortems = tracer.take_postmortems();
-        }
-        if let Some(m) = y.metrics.as_mut() {
-            let h = plan_scratch.hier_stats();
-            m.add(tm::HIER_QUERIES, h.queries);
-            m.add(tm::HIER_DIRECT_ROUTES, h.direct_routes);
-            m.add(tm::HIER_OVERLAY_SETTLED, h.overlay_settled);
-            m.add(tm::HIER_EXPANSIONS, h.expansions);
-        }
-        y
-    };
-
-    if workers == 1 {
-        return vec![process_servers(0, queues)];
     }
-    let chunk = servers.div_ceil(workers);
-    let nchunks = servers.div_ceil(chunk);
-    let mut slots: Vec<Option<EpochYield>> = Vec::new();
-    slots.resize_with(nchunks, || None);
-    crossbeam::thread::scope(|sc| {
-        for (i, (qs, slot)) in queues.chunks_mut(chunk).zip(slots.iter_mut()).enumerate() {
-            let process_servers = &process_servers;
-            sc.spawn(move |_| {
-                *slot = Some(process_servers(i * chunk, qs));
-            });
-        }
-    })
-    .expect("stream worker panicked");
-    slots.into_iter().flatten().collect()
+    (records, exec.finish())
 }
 
 #[cfg(test)]
@@ -1233,7 +1034,7 @@ mod tests {
     use crate::arrivals::{generate_stream_flows, ArrivalProcess, StreamWorkload};
     use citymesh_core::{ExperimentConfig, FaultScenario, HierParams, RetryPolicy};
     use citymesh_dynamics::ChurnConfig;
-    use citymesh_fleet::{run_fleet, FleetConfig};
+    use citymesh_fleet::{try_run_fleet, FleetConfig};
     use citymesh_map::CityArchetype;
 
     fn world(seed: u64) -> CityExperiment {
@@ -1296,7 +1097,8 @@ mod tests {
                     deadline_ms: 60.0,
                     ..StreamConfig::default()
                 };
-                run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
+                try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
+                    .unwrap()
                     .0
                     .digest()
             })
@@ -1327,7 +1129,9 @@ mod tests {
                     encrypted: true,
                     ..StreamConfig::default()
                 };
-                run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).0
+                try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
+                    .unwrap()
+                    .0
             })
             .collect();
         assert_eq!(reports[0].digest(), reports[1].digest(), "1 vs 4 workers");
@@ -1340,6 +1144,46 @@ mod tests {
             "per-class sealed counts must partition the sealed total"
         );
         assert_eq!(r.fleet.auth_failures, 0);
+    }
+
+    #[test]
+    fn encrypted_stream_counts_every_key_derivation() {
+        // One worker on a cold session cache derives exactly one key per
+        // distinct unordered pair it admits — whichever scratch (the
+        // traced one or rung 1's untraced twin) the flow ran on.
+        let mut exp = world(33);
+        exp.enable_encryption();
+        let flows = poisson_flows(&exp, 300, 5000.0, 33);
+        let cfg = StreamConfig {
+            workers: 1,
+            servers: 1,
+            seed: 33,
+            queue_capacity: flows.len(),
+            deadline_ms: f64::INFINITY,
+            encrypted: true,
+            ..StreamConfig::default()
+        };
+        let (report, telem) = try_run_stream(
+            &exp,
+            &flows,
+            &empty_timeline(&exp),
+            &cfg,
+            &TelemetryConfig::full(1),
+        )
+        .unwrap();
+        assert_eq!(report.admitted, flows.len() as u64, "nothing may shed");
+        assert!(
+            report.degraded_tracing > 0 && report.degraded_tracing < report.admitted,
+            "both scratches must have run flows: {} of {} untraced",
+            report.degraded_tracing,
+            report.admitted
+        );
+        let pairs: std::collections::HashSet<(u32, u32)> = flows
+            .iter()
+            .map(|f| (f.src.min(f.dst), f.src.max(f.dst)))
+            .collect();
+        let metrics = telem.expect("metrics requested").metrics;
+        assert_eq!(metrics.counter(tm::KEYS_DERIVED), pairs.len() as u64);
     }
 
     #[test]
@@ -1356,20 +1200,22 @@ mod tests {
             seed: 34,
             ..StreamConfig::default()
         };
-        let (a, _) = run_stream(
+        let (a, _) = try_run_stream(
             &plain,
             &flows,
             &empty_timeline(&plain),
             &cfg,
             &TelemetryConfig::off(),
-        );
-        let (b, _) = run_stream(
+        )
+        .unwrap();
+        let (b, _) = try_run_stream(
             &keyed,
             &flows,
             &empty_timeline(&keyed),
             &cfg,
             &TelemetryConfig::off(),
-        );
+        )
+        .unwrap();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(b.sealed_emergency, 0);
         assert_eq!(b.sealed_bulk, 0);
@@ -1389,11 +1235,11 @@ mod tests {
             seed: 22,
             ..StreamConfig::default()
         };
-        let (r, _) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off());
+        let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
         assert_eq!(r.offered, 300);
         assert_eq!(r.admitted, 300);
         assert_eq!(r.shed(), 0);
-        let batch = run_fleet(
+        let batch = try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -1401,7 +1247,8 @@ mod tests {
                 seed: 22,
                 ..FleetConfig::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(
             r.fleet.digest(),
             batch.digest(),
@@ -1425,7 +1272,7 @@ mod tests {
             deadline_ms: 40.0,
             ..StreamConfig::default()
         };
-        let (r, _) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off());
+        let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
         assert_eq!(r.offered, 1500);
         assert_eq!(
             r.offered,
@@ -1466,7 +1313,7 @@ mod tests {
             deadline_ms: 200.0,
             ..StreamConfig::default()
         };
-        let (r, _) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off());
+        let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
         assert!(
             r.degraded_tracing > 0,
             "rung 1 (shed tracing) must fire under sustained overload"
@@ -1482,7 +1329,8 @@ mod tests {
         // Tracing is optional work: shedding it must not perturb
         // outcomes. Traced and untraced digests agree even while the
         // ladder is firing.
-        let (traced, telemetry) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::full(5));
+        let (traced, telemetry) =
+            try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::full(5)).unwrap();
         assert_eq!(
             r.digest(),
             traced.digest(),
@@ -1526,8 +1374,9 @@ mod tests {
             queue_capacity: 100_000,
             ..pressured
         };
-        let (p, _) = run_stream(&exp, &flows, &tl, &pressured, &TelemetryConfig::off());
-        let (rl, _) = run_stream(&exp, &flows, &tl, &relaxed, &TelemetryConfig::off());
+        let (p, _) =
+            try_run_stream(&exp, &flows, &tl, &pressured, &TelemetryConfig::off()).unwrap();
+        let (rl, _) = try_run_stream(&exp, &flows, &tl, &relaxed, &TelemetryConfig::off()).unwrap();
         assert!(p.degraded_retry > 0, "pressured run must cap retries");
         assert_eq!(rl.degraded_retry, 0, "relaxed run must not");
         assert_eq!(rl.admitted, rl.offered, "unbounded queue admits everything");
@@ -1564,22 +1413,23 @@ mod tests {
             deadline_ms: 100.0,
             ..StreamConfig::default()
         };
-        let (r, _) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off());
+        let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
         assert_eq!(r.epochs, tl.len() as u64 + 1);
         assert_eq!(r.events_applied, tl.len() as u64);
         assert_eq!(r.offered, 900);
         // Worker-count invariance holds across event barriers too.
-        let serial = run_stream(
+        let serial = try_run_stream(
             &exp,
             &flows,
             &tl,
             &StreamConfig { workers: 1, ..cfg },
             &TelemetryConfig::off(),
         )
+        .unwrap()
         .0;
         assert_eq!(r.digest(), serial.digest(), "1 vs 3 workers with churn");
         // And invalidation policy changes work, not outcomes.
-        let flushed = run_stream(
+        let flushed = try_run_stream(
             &exp,
             &flows,
             &tl,
@@ -1589,6 +1439,7 @@ mod tests {
             },
             &TelemetryConfig::off(),
         )
+        .unwrap()
         .0;
         assert_eq!(r.digest(), flushed.digest());
         assert!(r.routes_evicted <= flushed.routes_evicted);
@@ -1611,8 +1462,8 @@ mod tests {
             use_hier_planner: true,
             ..flat
         };
-        let (rf, _) = run_stream(&exp, &flows, &tl, &flat, &TelemetryConfig::off());
-        let (rh, _) = run_stream(&exp, &flows, &tl, &hier, &TelemetryConfig::off());
+        let (rf, _) = try_run_stream(&exp, &flows, &tl, &flat, &TelemetryConfig::off()).unwrap();
+        let (rh, _) = try_run_stream(&exp, &flows, &tl, &hier, &TelemetryConfig::off()).unwrap();
         // The hierarchical planner is exact, so identical routes feed
         // identical service times and identical queueing decisions.
         assert_eq!(rf.digest(), rh.digest());
@@ -1784,7 +1635,7 @@ mod tests {
             deadline_ms: f64::INFINITY,
             ..StreamConfig::default()
         };
-        let (r, _) = run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off());
+        let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
         assert_eq!(r.offered_emergency + r.offered_bulk, r.offered);
         assert_eq!(r.shed_emergency + r.shed_bulk, r.shed());
         assert!(r.offered_emergency > 100, "fraction 0.25 of 1500 flows");
@@ -1798,13 +1649,14 @@ mod tests {
         );
         // Class assignment is a pure function of (seed, flow.id), so
         // the invariance headline survives the two-class path.
-        let parallel = run_stream(
+        let parallel = try_run_stream(
             &exp,
             &flows,
             &tl,
             &StreamConfig { workers: 4, ..cfg },
             &TelemetryConfig::off(),
         )
+        .unwrap()
         .0;
         assert_eq!(r.digest(), parallel.digest(), "1 vs 4 workers with classes");
     }
@@ -1829,8 +1681,8 @@ mod tests {
             emergency_fraction: 0.3,
             ..plain
         };
-        let (p, _) = run_stream(&exp, &flows, &tl, &plain, &TelemetryConfig::off());
-        let (c, _) = run_stream(&exp, &flows, &tl, &classed, &TelemetryConfig::off());
+        let (p, _) = try_run_stream(&exp, &flows, &tl, &plain, &TelemetryConfig::off()).unwrap();
+        let (c, _) = try_run_stream(&exp, &flows, &tl, &classed, &TelemetryConfig::off()).unwrap();
         assert_eq!(p.offered_emergency, 0, "default config stays single-class");
         assert!(c.offered_emergency > 0);
         assert_eq!(p.admitted, c.admitted);
@@ -1903,7 +1755,7 @@ mod tests {
                     use_hier_planner: true,
                     ..ok
                 },
-                StreamError::HierPlannerNotEnabled,
+                StreamError::Fleet(FleetError::HierPlannerNotEnabled),
             ),
             (
                 StreamConfig {
@@ -1965,17 +1817,19 @@ mod tests {
         );
         assert!(!tl.is_empty());
         let err = try_run_stream(&exp, &flows, &tl, &ok, &TelemetryConfig::off()).unwrap_err();
-        assert_eq!(err, StreamError::MissingFaultState);
+        assert_eq!(err, StreamError::Churn(ChurnError::MissingFaultState));
         let mut fresh_scenario = FaultScenario::district_blackouts(1, 100.0);
         fresh_scenario.stale_map = false;
         let fresh = faulted_world(28, fresh_scenario);
         let err = try_run_stream(&fresh, &flows, &tl, &ok, &TelemetryConfig::off()).unwrap_err();
-        assert_eq!(err, StreamError::FreshMap);
+        assert_eq!(err, StreamError::Churn(ChurnError::FreshMap));
         // Error messages surface the prerequisite by name.
-        assert!(StreamError::HierPlannerNotEnabled
+        assert!(StreamError::Fleet(FleetError::HierPlannerNotEnabled)
             .to_string()
             .contains("enable_hier"));
-        assert!(StreamError::FreshMap.to_string().contains("stale"));
+        assert!(StreamError::Churn(ChurnError::FreshMap)
+            .to_string()
+            .contains("stale"));
     }
 
     #[test]
@@ -1992,14 +1846,17 @@ mod tests {
             deadline_ms: 30.0,
             ..StreamConfig::default()
         };
-        let two = run_stream(&exp, &flows, &tl, &base, &TelemetryConfig::off()).0;
-        let eight = run_stream(
+        let two = try_run_stream(&exp, &flows, &tl, &base, &TelemetryConfig::off())
+            .unwrap()
+            .0;
+        let eight = try_run_stream(
             &exp,
             &flows,
             &tl,
             &StreamConfig { servers: 8, ..base },
             &TelemetryConfig::off(),
         )
+        .unwrap()
         .0;
         assert_ne!(
             two.digest(),

@@ -11,7 +11,7 @@
 //!   Poisson, diurnal, flash-crowd) materialized by thinning from
 //!   per-candidate RNG sub-streams, so streams are reproducible and
 //!   prefix-stable at any length.
-//! * [`run_stream`] — the engine: flows are dealt to a fixed set of
+//! * [`try_run_stream`] — the engine: flows are dealt to a fixed set of
 //!   modeled servers, each a bounded virtual-time FIFO
 //!   ([`ServerQueue`]). Arrivals that would overflow the queue or
 //!   outwait their deadline are **shed with an explicit, counted
@@ -44,7 +44,7 @@
 //! use citymesh_dynamics::{ChurnConfig, Timeline};
 //! use citymesh_map::CityArchetype;
 //! use citymesh_stream::{
-//!     generate_stream_flows, run_stream, ArrivalProcess, StreamConfig, StreamWorkload,
+//!     generate_stream_flows, try_run_stream, ArrivalProcess, StreamConfig, StreamWorkload,
 //! };
 //! use citymesh_telemetry::TelemetryConfig;
 //!
@@ -65,13 +65,14 @@
 //!     &ChurnConfig { aftershocks: 0, battery_waves: 0, crew_repairs: 0, ..ChurnConfig::default() },
 //! );
 //! let cfg = StreamConfig { servers: 2, seed: 7, queue_capacity: 8, ..StreamConfig::default() };
-//! let serial = run_stream(&exp, &flows, &timeline, &cfg, &TelemetryConfig::off()).0;
-//! let parallel = run_stream(
+//! let serial = try_run_stream(&exp, &flows, &timeline, &cfg, &TelemetryConfig::off())?.0;
+//! let parallel = try_run_stream(
 //!     &exp, &flows, &timeline,
 //!     &StreamConfig { workers: 4, ..cfg }, &TelemetryConfig::off(),
-//! ).0;
+//! )?.0;
 //! assert_eq!(serial.digest(), parallel.digest());
 //! assert_eq!(serial.offered, serial.admitted + serial.shed());
+//! # Ok::<(), citymesh_stream::StreamError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,6 +85,6 @@ pub use arrivals::{
     generate_stream_flows, try_generate_stream_flows, ArrivalProcess, StreamWorkload,
 };
 pub use engine::{
-    run_stream, try_run_stream, Admission, FlowClass, ServerQueue, ServiceModel, ShedReason,
-    StreamConfig, StreamError, StreamReport, DOMAIN_CLASS,
+    try_run_stream, Admission, FlowClass, ServerQueue, ServiceModel, ShedReason, StreamConfig,
+    StreamError, StreamReport, DOMAIN_CLASS,
 };

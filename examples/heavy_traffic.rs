@@ -48,7 +48,7 @@ fn main() {
         flows.last().map(|f| f.arrival_ms / 1e3).unwrap_or(0.0)
     );
 
-    let parallel = run_fleet(
+    let parallel = try_run_fleet(
         &exp,
         &flows,
         &FleetConfig {
@@ -56,7 +56,8 @@ fn main() {
             seed: SEED,
             ..FleetConfig::default()
         },
-    );
+    )
+    .unwrap();
     println!(
         "\nparallel run ({} workers): {:.0} flows/s, {:.1} s wall",
         parallel.workers,
@@ -88,7 +89,7 @@ fn main() {
 
     // The determinism check: a serial run of the same workload must
     // aggregate to exactly the same distributions.
-    let serial = run_fleet(
+    let serial = try_run_fleet(
         &exp,
         &flows,
         &FleetConfig {
@@ -96,7 +97,8 @@ fn main() {
             seed: SEED,
             ..FleetConfig::default()
         },
-    );
+    )
+    .unwrap();
     println!(
         "\nserial run: {:.0} flows/s, digest {:016x}",
         serial.flows_per_sec(),

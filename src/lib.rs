@@ -96,11 +96,11 @@ pub mod prelude {
     };
     pub use citymesh_crypto::{Keypair, NodeId, PostboxAddress};
     pub use citymesh_dynamics::{
-        run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, InvalidationPolicy, Timeline,
+        try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, InvalidationPolicy, Timeline,
     };
     pub use citymesh_fleet::{
-        generate_flows, run_fleet, run_fleet_traced, FleetConfig, FleetReport, FleetTelemetry,
-        FlowModel, WorkloadConfig,
+        generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FleetReport,
+        FleetTelemetry, FlowModel, WorkloadConfig,
     };
     pub use citymesh_geo::{Point, Polygon};
     pub use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use citymesh_simcore::{SimRng, SimTime};
     pub use citymesh_stream::{
-        generate_stream_flows, run_stream, ArrivalProcess, FlowClass, ShedReason, StreamConfig,
+        generate_stream_flows, try_run_stream, ArrivalProcess, FlowClass, ShedReason, StreamConfig,
         StreamReport, StreamWorkload,
     };
     pub use citymesh_telemetry::{MetricSet, Postmortem, Rung, TelemetryConfig, TraceConfig};

@@ -2,7 +2,7 @@
 //! N workers produce byte-identical aggregate results to serial
 //! execution for the same root seed.
 
-use citymesh::fleet::{generate_flows, run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh::fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh::prelude::*;
 
 fn prepared_city(seed: u64) -> CityExperiment {
@@ -33,7 +33,7 @@ fn one_worker_equals_eight_workers() {
         },
     );
 
-    let serial = run_fleet(
+    let serial = try_run_fleet(
         &exp,
         &flows,
         &FleetConfig {
@@ -41,8 +41,9 @@ fn one_worker_equals_eight_workers() {
             seed,
             ..FleetConfig::default()
         },
-    );
-    let parallel = run_fleet(
+    )
+    .unwrap();
+    let parallel = try_run_fleet(
         &exp,
         &flows,
         &FleetConfig {
@@ -50,7 +51,8 @@ fn one_worker_equals_eight_workers() {
             seed,
             ..FleetConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     // The digest covers every deterministic field; equality means the
     // complete aggregate state (all four histograms bucket-for-bucket,
@@ -108,7 +110,7 @@ fn determinism_holds_across_worker_counts_and_models() {
         let digests: Vec<u64> = [1usize, 2, 5]
             .iter()
             .map(|&workers| {
-                run_fleet(
+                try_run_fleet(
                     &exp,
                     &flows,
                     &FleetConfig {
@@ -117,6 +119,7 @@ fn determinism_holds_across_worker_counts_and_models() {
                         ..FleetConfig::default()
                     },
                 )
+                .unwrap()
                 .digest()
             })
             .collect();
@@ -139,7 +142,7 @@ fn same_city_different_seeds_diverge() {
                 seed,
             },
         );
-        run_fleet(
+        try_run_fleet(
             &exp,
             &flows,
             &FleetConfig {
@@ -148,6 +151,7 @@ fn same_city_different_seeds_diverge() {
                 ..FleetConfig::default()
             },
         )
+        .unwrap()
         .digest()
     };
     assert_ne!(mk(1), mk(2), "seeds must reach workload and simulation");
