@@ -30,14 +30,12 @@
 
 pub mod bitio;
 pub mod crc;
-pub mod fragment;
 pub mod header;
 pub mod packet;
 pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
 pub use crc::crc32c;
-pub use fragment::{fragment, Fragment, Reassembler};
 pub use header::{CityMeshHeader, MessageKind, RouteEncoding, MAX_CONDUIT_WIDTH_M};
 pub use packet::{Packet, MAX_PAYLOAD_LEN};
 

@@ -21,7 +21,7 @@ fn main() {
 
     // 2. Deploy CityMesh over it: APs are placed inside footprints at
     //    the paper's density (1 AP / 200 m²), and both graphs are built.
-    let mut net = DfnNetwork::new(map, ExperimentConfig::default(), 42);
+    let mut net = DfnNetwork::new(map, ExperimentConfig::default(), 42).expect("valid config");
     let exp = net.experiment();
     println!(
         "mesh: {} APs, mean radio degree {:.1}, {} island(s)",
@@ -32,7 +32,9 @@ fn main() {
 
     // 3. Bob registers a postbox in building 10 and hands Alice his
     //    address out-of-band (it fits in a QR code).
-    let bob = net.register_user([0xB0; 32], 10);
+    let bob = net
+        .register_user([0xB0; 32], 10)
+        .expect("building 10 is on the map");
     let address = bob.address();
     println!(
         "bob: postbox in building {}, self-certifying id {}…",
@@ -46,8 +48,9 @@ fn main() {
     //    the event simulation carries it AP to AP.
     let receipt = net.send_text(200, &address, b"safe at the library, meet at 6");
     println!(
-        "send: delivered={} broadcasts={} waypoints={} header={} bits latency={:?}",
+        "send: delivered={} attempts={} broadcasts={} waypoints={} header={} bits latency={:?}",
         receipt.delivered,
+        receipt.attempts,
         receipt.broadcasts,
         receipt.waypoints,
         receipt.route_bits,

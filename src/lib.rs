@@ -27,18 +27,20 @@
 //!
 //! // A deterministic synthetic downtown (stand-in for an OSM extract).
 //! let map = CityArchetype::SurveyDowntown.generate(42);
-//! let mut net = DfnNetwork::new(map, ExperimentConfig::default(), 42);
+//! let mut net = DfnNetwork::new(map, ExperimentConfig::default(), 42)?;
 //!
 //! // Bob publishes his postbox address out-of-band (e.g. a QR code).
-//! let bob = net.register_user([7u8; 32], 10);
+//! let bob = net.register_user([7u8; 32], 10).expect("building 10 is on the map");
 //!
 //! // Alice, in building 200, sends him a message through the mesh.
 //! let receipt = net.send_text(200, &bob.address(), b"meet at the library");
 //! assert!(receipt.delivered);
+//! assert_eq!(receipt.attempts, 1); // a healthy city needs no retry
 //!
 //! // Bob's device checks in at his postbox and decrypts.
 //! let inbox = net.check_mailbox(&bob, 10);
 //! assert_eq!(inbox[0].1, b"meet at the library");
+//! # Ok::<(), ConfigError>(())
 //! ```
 //!
 //! ## Crate map
@@ -62,7 +64,13 @@
 //!
 //! The [`DfnNetwork`] type in this crate wires all of it into a
 //! whole-network, in-memory harness used by the examples and
-//! integration tests.
+//! integration tests. Each mesh traversal it makes is one
+//! [`core::CityExperiment::run_pair`] call — the pipeline the fleet,
+//! stream and churn engines drive — so an
+//! [`ExperimentConfig`](core::ExperimentConfig) carrying a
+//! [`FaultScenario`](core::FaultScenario) damages the facade's city
+//! too, and [`SendReceipt::attempts`] reports how far the scenario's
+//! retry ladder climbed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,9 +98,9 @@ pub use network::{DfnNetwork, SendReceipt, User};
 pub mod prelude {
     pub use crate::network::{DfnNetwork, SendReceipt, User};
     pub use citymesh_core::{
-        CityExperiment, Deployment, ExperimentConfig, FaultScenario, FaultState, HierParams,
-        HierPlanScratch, HierPlanner, HierStats, Postbox, RebroadcastScope, RecoveryStage,
-        RetryPolicy,
+        CityExperiment, ConfigError, Deployment, ExperimentConfig, FaultScenario, FaultState,
+        HierParams, HierPlanScratch, HierPlanner, HierStats, Postbox, RebroadcastScope,
+        RecoveryStage, RetryPolicy,
     };
     pub use citymesh_crypto::{Keypair, NodeId, PostboxAddress};
     pub use citymesh_dynamics::{

@@ -1,17 +1,25 @@
 //! Whole-network orchestration: the in-memory harness that ties the
 //! map, routing, event simulation, crypto, and postboxes into one
 //! Alice-to-Bob story (paper §3's four-step workflow).
+//!
+//! Every mesh traversal here is one call into
+//! [`CityExperiment::run_pair`] — the same plan → compress → simulate
+//! pipeline the fleet, stream and churn engines drive — so whatever the
+//! experiment's config turns on (a fault scenario and its retry
+//! ladder, reception loss) applies to the facade's sends too.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use citymesh_core::{
-    compress_route, plan_route, plan_route_avoiding, postbox_ap, simulate_delivery, CityExperiment,
-    DeliveryParams, ExperimentConfig, Postbox,
-};
+use citymesh_core::{CityExperiment, ConfigError, ExperimentConfig, Postbox};
 use citymesh_crypto::{Keypair, NodeId, PostboxAddress, SealedMessage};
 use citymesh_map::CityMap;
-use citymesh_net::CityMeshHeader;
 use citymesh_simcore::{split_seed, SimRng, SimTime};
+use rand::RngCore;
+
+/// Message-id domain of sealed deposits (sender → postbox).
+const DOMAIN_DEPOSIT: u64 = 0x4D59;
+/// Message-id domain of push notifications (postbox → device).
+const DOMAIN_PUSH: u64 = 0x9054;
 
 /// A registered CityMesh user: their keypair plus where their postbox
 /// lives.
@@ -53,6 +61,12 @@ pub struct SendReceipt {
     /// Whether the packet reached the destination building and was
     /// deposited in the postbox.
     pub delivered: bool,
+    /// Delivery attempts simulated: 1 in a fault-free network, up to
+    /// the scenario's [`citymesh_core::RetryPolicy::max_attempts`]
+    /// under a fault scenario (re-send → widen → replan), 0 when the
+    /// message never reached the simulator (no route, or the source
+    /// building has no live AP).
+    pub attempts: u32,
     /// Broadcast count in the event simulation.
     pub broadcasts: u64,
     /// Simulated delivery latency.
@@ -65,14 +79,14 @@ pub struct SendReceipt {
 
 /// An in-memory CityMesh deployment over one city.
 ///
-/// Owns the AP placement, both graphs, one [`Postbox`] per building
-/// that hosts one, and a simulation clock that advances with each
-/// message sent.
+/// Owns the prepared [`CityExperiment`] (AP placement, both graphs,
+/// the materialized fault state when `config.faults` is set), one
+/// [`Postbox`] per building that hosts one, and a simulation clock
+/// that advances with each message sent.
 #[derive(Clone, Debug)]
 pub struct DfnNetwork {
     exp: CityExperiment,
     postboxes: HashMap<u32, Postbox>,
-    users: HashMap<NodeId, u32>,
     rng: SimRng,
     clock: SimTime,
     next_msg_id: u64,
@@ -80,16 +94,18 @@ pub struct DfnNetwork {
 
 impl DfnNetwork {
     /// Builds the deployment: places APs and constructs both graphs.
-    pub fn new(map: CityMap, config: ExperimentConfig, seed: u64) -> Self {
+    ///
+    /// # Errors
+    /// An invalid `config` ([`ExperimentConfig::validate`]).
+    pub fn new(map: CityMap, config: ExperimentConfig, seed: u64) -> Result<Self, ConfigError> {
         let config = ExperimentConfig { seed, ..config };
-        DfnNetwork {
-            exp: CityExperiment::prepare(map, config),
+        Ok(DfnNetwork {
+            exp: CityExperiment::try_prepare(map, config)?,
             postboxes: HashMap::new(),
-            users: HashMap::new(),
             rng: SimRng::new(split_seed(seed, 0xD4A)),
             clock: SimTime::ZERO,
             next_msg_id: 1,
-        }
+        })
     }
 
     /// The prepared experiment (map, AP graph, building graph).
@@ -104,26 +120,19 @@ impl DfnNetwork {
 
     /// Registers a user with a postbox in `building`. `entropy` seeds
     /// the keypair; simulations pass deterministic bytes, deployments
-    /// pass OS randomness.
-    ///
-    /// # Panics
-    /// Panics when `building` does not exist in the map.
-    pub fn register_user(&mut self, entropy: [u8; 32], building: u32) -> User {
-        assert!(
-            self.exp.map().building(building).is_some(),
-            "building {building} not in map"
-        );
-        let keypair = Keypair::from_entropy(entropy);
+    /// pass OS randomness. `None` when `building` does not exist in
+    /// the map.
+    pub fn register_user(&mut self, entropy: [u8; 32], building: u32) -> Option<User> {
+        self.exp.map().building(building)?;
         let user = User {
-            keypair,
+            keypair: Keypair::from_entropy(entropy),
             postbox_building: building,
         };
         self.postboxes
             .entry(building)
             .or_insert_with(Postbox::with_defaults)
             .register(user.node_id());
-        self.users.insert(user.node_id(), building);
-        user
+        Some(user)
     }
 
     /// AAD binding a sealed message to its packet identity: message ID
@@ -136,181 +145,53 @@ impl DfnNetwork {
         aad
     }
 
+    /// One mesh traversal `from → to` (paper §3 steps 2–3): draws the
+    /// next message id in `domain` and runs the experiment's pipeline.
+    /// This is the facade's only road into the mesh.
+    fn traverse(&mut self, from: u32, to: u32, domain: u64) -> SendReceipt {
+        let msg_id = split_seed(self.exp.config().seed, domain ^ self.next_msg_id);
+        self.next_msg_id += 1;
+        let out = self.exp.run_pair(from, to, msg_id, &mut self.rng);
+        SendReceipt {
+            msg_id,
+            route_found: out.route_found,
+            delivered: out.delivered,
+            attempts: out.attempts,
+            broadcasts: out.broadcasts,
+            latency: out.latency,
+            route_bits: out.route_bits,
+            waypoints: out.waypoints,
+        }
+    }
+
     /// Sends `body` from a device in `from_building` to the postbox in
-    /// `to`. Runs the full pipeline: route → compress → seal →
-    /// event-simulate → deposit.
+    /// `to`. Runs the full pipeline: route → compress →
+    /// event-simulate → seal → deposit. An unknown building on either
+    /// end is a receipt with `route_found == false`.
     pub fn send_text(
         &mut self,
         from_building: u32,
         to: &PostboxAddress,
         body: &[u8],
     ) -> SendReceipt {
-        let msg_id = split_seed(self.exp.config().seed, 0x4D59 ^ self.next_msg_id);
-        self.next_msg_id += 1;
-        let mut receipt = SendReceipt {
-            msg_id,
-            route_found: false,
-            delivered: false,
-            broadcasts: 0,
-            latency: None,
-            route_bits: 0,
-            waypoints: 0,
-        };
-
-        // Step 2: plan and compress the building route.
-        let Ok(route) = plan_route(self.exp.building_graph(), from_building, to.building_id) else {
-            return receipt;
-        };
-        receipt.route_found = true;
-        let compressed = compress_route(
-            self.exp.building_graph(),
-            &route,
-            self.exp.config().conduit_width_m,
-        )
-        .expect("config width validated at network construction");
-        receipt.waypoints = compressed.len();
-        let header = CityMeshHeader::new(
-            msg_id,
-            self.exp.config().conduit_width_m,
-            compressed.waypoints,
-        );
-        receipt.route_bits = header.route_bits();
-
-        // Seal the payload to the recipient (the mesh sees ciphertext).
-        let mut entropy = [0u8; 32];
-        use rand::RngCore;
-        self.rng.fill_bytes(&mut entropy);
-        let Some(sealed) =
-            SealedMessage::seal(to, entropy, &Self::aad(msg_id, to.building_id), body)
-        else {
-            return receipt;
-        };
-
-        // Step 3: route through the mesh (event simulation).
-        let Some(src_ap) = postbox_ap(self.exp.aps(), self.exp.map(), from_building) else {
-            return receipt;
-        };
-        let report = simulate_delivery(
-            self.exp.map(),
-            self.exp.ap_graph(),
-            &header,
-            src_ap,
-            DeliveryParams {
-                scope: self.exp.config().scope,
-                ..DeliveryParams::default()
-            },
-            &mut self.rng,
-        );
-        receipt.broadcasts = report.broadcasts;
-        receipt.latency = report.first_delivery;
-
-        // Step 4: deposit at the destination postbox.
-        if report.delivered {
-            let arrived = self.clock + report.first_delivery.unwrap_or(SimTime::ZERO);
-            if let Some(pb) = self.postboxes.get_mut(&to.building_id) {
-                if pb.deposit(to.node_id(), msg_id, sealed, arrived).is_ok() {
-                    receipt.delivered = true;
-                }
-            }
+        let mut receipt = self.traverse(from_building, to.building_id, DOMAIN_DEPOSIT);
+        if receipt.delivered {
+            // Step 4: seal to the recipient's published key (the
+            // postbox stores ciphertext it cannot read) and deposit.
+            let mut entropy = [0u8; 32];
+            self.rng.fill_bytes(&mut entropy);
+            let aad = Self::aad(receipt.msg_id, to.building_id);
+            let arrived = self.clock + receipt.latency.unwrap_or(SimTime::ZERO);
+            receipt.delivered = SealedMessage::seal(to, entropy, &aad, body)
+                .zip(self.postboxes.get_mut(&to.building_id))
+                .is_some_and(|(sealed, pb)| {
+                    pb.deposit(to.node_id(), receipt.msg_id, sealed, arrived)
+                        .is_ok()
+                });
         }
         // Advance the network clock past this exchange.
         self.clock += SimTime::from_secs_f64(1.0);
         receipt
-    }
-
-    /// Sends with detour retries: when an attempt's simulated delivery
-    /// fails, the failed route's intermediate buildings are excluded
-    /// and the route is re-planned around them (paper §1's security
-    /// requirement — find a path that avoids bad regions when one
-    /// exists). Returns every attempt's receipt; the last one tells
-    /// whether the message ultimately arrived.
-    pub fn send_with_retry(
-        &mut self,
-        from_building: u32,
-        to: &PostboxAddress,
-        body: &[u8],
-        max_attempts: usize,
-    ) -> Vec<SendReceipt> {
-        assert!(max_attempts >= 1, "at least one attempt");
-        let mut blocked: HashSet<u32> = HashSet::new();
-        let mut receipts = Vec::new();
-        for _ in 0..max_attempts {
-            let msg_id = split_seed(self.exp.config().seed, 0x4D59 ^ self.next_msg_id);
-            self.next_msg_id += 1;
-            let mut receipt = SendReceipt {
-                msg_id,
-                route_found: false,
-                delivered: false,
-                broadcasts: 0,
-                latency: None,
-                route_bits: 0,
-                waypoints: 0,
-            };
-            let Ok(route) = plan_route_avoiding(
-                self.exp.building_graph(),
-                from_building,
-                to.building_id,
-                &blocked,
-            ) else {
-                receipts.push(receipt);
-                break; // no further detours exist
-            };
-            receipt.route_found = true;
-            let compressed = compress_route(
-                self.exp.building_graph(),
-                &route,
-                self.exp.config().conduit_width_m,
-            )
-            .expect("config width validated at network construction");
-            receipt.waypoints = compressed.len();
-            let header = CityMeshHeader::new(
-                msg_id,
-                self.exp.config().conduit_width_m,
-                compressed.waypoints,
-            );
-            receipt.route_bits = header.route_bits();
-            let Some(src_ap) = postbox_ap(self.exp.aps(), self.exp.map(), from_building) else {
-                receipts.push(receipt);
-                break;
-            };
-            let report = simulate_delivery(
-                self.exp.map(),
-                self.exp.ap_graph(),
-                &header,
-                src_ap,
-                DeliveryParams {
-                    scope: self.exp.config().scope,
-                    ..DeliveryParams::default()
-                },
-                &mut self.rng,
-            );
-            receipt.broadcasts = report.broadcasts;
-            receipt.latency = report.first_delivery;
-            if report.delivered {
-                let mut entropy = [0u8; 32];
-                use rand::RngCore;
-                self.rng.fill_bytes(&mut entropy);
-                if let Some(sealed) =
-                    SealedMessage::seal(to, entropy, &Self::aad(msg_id, to.building_id), body)
-                {
-                    let arrived = self.clock + report.first_delivery.unwrap_or(SimTime::ZERO);
-                    if let Some(pb) = self.postboxes.get_mut(&to.building_id) {
-                        if pb.deposit(to.node_id(), msg_id, sealed, arrived).is_ok() {
-                            receipt.delivered = true;
-                        }
-                    }
-                }
-                receipts.push(receipt);
-                break;
-            }
-            // Exclude this attempt's interior and try a detour.
-            for &b in &route[1..route.len().saturating_sub(1)] {
-                blocked.insert(b);
-            }
-            receipts.push(receipt);
-        }
-        self.clock += SimTime::from_secs_f64(1.0);
-        receipts
     }
 
     /// A user's device checks in at its postbox from `current_building`
@@ -371,55 +252,10 @@ impl DfnNetwork {
         }
 
         // The push travels postbox → device as its own CityMesh
-        // packet, kind PushNotify. Its payload is only the message ID
-        // (the device fetches the sealed body on its next check-in).
-        let msg_id = split_seed(self.exp.config().seed, 0x9054 ^ self.next_msg_id);
-        self.next_msg_id += 1;
-        let mut push = SendReceipt {
-            msg_id,
-            route_found: false,
-            delivered: false,
-            broadcasts: 0,
-            latency: None,
-            route_bits: 0,
-            waypoints: 0,
-        };
-        let Ok(route) = plan_route(self.exp.building_graph(), to.building_id, target_building)
-        else {
-            return (deposit, Some(push));
-        };
-        push.route_found = true;
-        let compressed = compress_route(
-            self.exp.building_graph(),
-            &route,
-            self.exp.config().conduit_width_m,
-        )
-        .expect("config width validated at network construction");
-        push.waypoints = compressed.len();
-        let mut header = CityMeshHeader::new(
-            msg_id,
-            self.exp.config().conduit_width_m,
-            compressed.waypoints,
-        );
-        header.kind = citymesh_net::MessageKind::PushNotify;
-        push.route_bits = header.route_bits();
-        let Some(src_ap) = postbox_ap(self.exp.aps(), self.exp.map(), to.building_id) else {
-            return (deposit, Some(push));
-        };
-        let report = simulate_delivery(
-            self.exp.map(),
-            self.exp.ap_graph(),
-            &header,
-            src_ap,
-            DeliveryParams {
-                scope: self.exp.config().scope,
-                ..DeliveryParams::default()
-            },
-            &mut self.rng,
-        );
-        push.delivered = report.delivered;
-        push.broadcasts = report.broadcasts;
-        push.latency = report.first_delivery;
+        // traversal on its own id domain. Its payload is only the
+        // message ID (the device fetches the sealed body on its next
+        // check-in).
+        let push = self.traverse(to.building_id, target_building, DOMAIN_PUSH);
         (deposit, Some(push))
     }
 
@@ -432,17 +268,29 @@ impl DfnNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use citymesh_core::{FaultScenario, RetryPolicy};
     use citymesh_map::CityArchetype;
 
-    fn downtown_net() -> DfnNetwork {
+    fn downtown_with(config: ExperimentConfig) -> DfnNetwork {
         let map = CityArchetype::SurveyDowntown.generate(42);
-        DfnNetwork::new(map, ExperimentConfig::default(), 42)
+        DfnNetwork::new(map, config, 42).expect("valid config")
+    }
+
+    fn downtown_net() -> DfnNetwork {
+        downtown_with(ExperimentConfig::default())
+    }
+
+    fn downtown_faulted(scenario: FaultScenario) -> DfnNetwork {
+        downtown_with(ExperimentConfig {
+            faults: Some(scenario),
+            ..ExperimentConfig::default()
+        })
     }
 
     #[test]
     fn alice_to_bob_round_trip() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         let receipt = net.send_text(200, &bob.address(), b"hello bob");
         assert!(receipt.route_found);
         assert!(receipt.delivered, "downtown delivery should succeed");
@@ -462,7 +310,7 @@ mod tests {
     #[test]
     fn eve_cannot_read_bobs_mail() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         let eve_keys = Keypair::from_entropy([0xEE; 32]);
         net.send_text(200, &bob.address(), b"secret");
         // Eve registered at the same postbox building cannot open it.
@@ -479,7 +327,7 @@ mod tests {
     #[test]
     fn push_target_follows_checkins() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         assert_eq!(net.push_target(&bob), None);
         net.check_mailbox(&bob, 55);
         assert_eq!(net.push_target(&bob), Some(55));
@@ -488,7 +336,7 @@ mod tests {
     #[test]
     fn multiple_messages_preserve_order_and_ids() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         let r1 = net.send_text(200, &bob.address(), b"first");
         let r2 = net.send_text(300, &bob.address(), b"second");
         assert_ne!(r1.msg_id, r2.msg_id);
@@ -501,7 +349,7 @@ mod tests {
     #[test]
     fn urgent_message_pushes_toward_last_known_building() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         // Bob last checked in across town with pushes enabled.
         net.check_mailbox(&bob, 400);
         let (deposit, push) = net.send_urgent(200, &bob.address(), b"URGENT: evacuate");
@@ -517,7 +365,7 @@ mod tests {
     #[test]
     fn urgent_without_checkin_skips_push() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         let (deposit, push) = net.send_urgent(200, &bob.address(), b"hello?");
         assert!(deposit.delivered);
         assert!(push.is_none(), "no known location, no push");
@@ -526,7 +374,7 @@ mod tests {
     #[test]
     fn urgent_to_device_at_postbox_skips_push() {
         let mut net = downtown_net();
-        let bob = net.register_user([0xB0; 32], 10);
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
         net.check_mailbox(&bob, 10); // checked in at the postbox itself
         let (deposit, push) = net.send_urgent(200, &bob.address(), b"here");
         assert!(deposit.delivered);
@@ -534,10 +382,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not in map")]
-    fn registering_in_missing_building_panics() {
+    fn registering_in_missing_building_is_none() {
         let mut net = downtown_net();
-        net.register_user([1; 32], u32::MAX);
+        assert!(net.register_user([1; 32], u32::MAX).is_none());
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        let map = CityArchetype::SurveyDowntown.generate(42);
+        let bad = ExperimentConfig {
+            reception_loss: 1.5,
+            ..ExperimentConfig::default()
+        };
+        assert!(DfnNetwork::new(map, bad, 42).is_err());
     }
 
     #[test]
@@ -550,6 +407,96 @@ mod tests {
         };
         let receipt = net.send_text(200, &ghost, b"anyone there?");
         assert!(!receipt.delivered);
+        assert_eq!(net.stored_messages(), 0);
+    }
+
+    #[test]
+    fn receipts_equal_the_experiments_own_pipeline() {
+        // The facade adds nothing to a traversal: replaying each send's
+        // msg_id on a clone of the facade's RNG through `run_pair`
+        // reproduces the receipt field for field, healthy or faulted.
+        for mut net in [downtown_net(), downtown_faulted(FaultScenario::iid(0.2))] {
+            let n = net.experiment().map().len() as u32;
+            let users: Vec<User> = (0..6u32)
+                .filter_map(|i| net.register_user([i as u8 + 1; 32], (i * 83) % n))
+                .collect();
+            let mut delivered = 0;
+            for i in 0..24u32 {
+                let to = users[i as usize % users.len()].address();
+                let from = (i * 131 + 7) % n;
+                let mut rng = net.rng.clone();
+                let r = net.send_text(from, &to, b"same pipeline");
+                let o = net
+                    .experiment()
+                    .run_pair(from, to.building_id, r.msg_id, &mut rng);
+                let sent = (r.route_found, r.delivered, r.attempts, r.broadcasts);
+                let replayed = (o.route_found, o.delivered, o.attempts, o.broadcasts);
+                assert_eq!(sent, replayed, "send {i}: {from} → {}", to.building_id);
+                let sent = (r.latency, r.route_bits, r.waypoints);
+                let replayed = (o.latency, o.route_bits, o.waypoints);
+                assert_eq!(sent, replayed, "send {i}: {from} → {}", to.building_id);
+                delivered += usize::from(r.delivered);
+            }
+            assert!(delivered > 0);
+            assert_eq!(net.stored_messages(), delivered);
+        }
+    }
+
+    #[test]
+    fn dead_radios_deliver_nothing() {
+        let mut net = downtown_faulted(FaultScenario::iid(1.0));
+        let state = net.experiment().fault_state().expect("faults configured");
+        assert_eq!(state.failed_count(), net.experiment().aps().len());
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
+        let receipt = net.send_text(200, &bob.address(), b"anyone?");
+        assert!(!receipt.delivered);
+        assert_eq!(receipt.broadcasts, 0);
+        assert_eq!(net.stored_messages(), 0);
+    }
+
+    #[test]
+    fn total_reception_loss_delivers_nothing() {
+        let mut net = downtown_with(ExperimentConfig {
+            reception_loss: 1.0,
+            ..ExperimentConfig::default()
+        });
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
+        let receipt = net.send_text(200, &bob.address(), b"static");
+        assert!(receipt.route_found);
+        assert!(!receipt.delivered);
+        assert_eq!(net.stored_messages(), 0);
+    }
+
+    #[test]
+    fn fault_scenario_climbs_the_retry_ladder() {
+        let mut net = downtown_faulted(FaultScenario::iid(0.3));
+        let n = net.experiment().map().len() as u32;
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
+        let receipts: Vec<SendReceipt> = (0..30u32)
+            .map(|i| net.send_text((i * 37 + 11) % n, &bob.address(), b"status?"))
+            .collect();
+        let max = RetryPolicy::ladder().max_attempts;
+        assert!(receipts.iter().all(|r| r.attempts <= max));
+        assert!(
+            receipts.iter().any(|r| r.attempts > 1),
+            "ladder never climbed"
+        );
+        assert!(receipts.iter().any(|r| r.delivered));
+    }
+
+    #[test]
+    fn unknown_buildings_find_no_route() {
+        let mut net = downtown_net();
+        let bob = net.register_user([0xB0; 32], 10).unwrap();
+        let from_nowhere = net.send_text(u32::MAX, &bob.address(), b"lost");
+        assert!(!from_nowhere.route_found && !from_nowhere.delivered);
+        let nowhere = PostboxAddress {
+            public_key: bob.address().public_key,
+            building_id: u32::MAX,
+        };
+        let to_nowhere = net.send_text(200, &nowhere, b"lost");
+        assert!(!to_nowhere.route_found && !to_nowhere.delivered);
+        assert_eq!(to_nowhere.attempts, 0);
         assert_eq!(net.stored_messages(), 0);
     }
 }

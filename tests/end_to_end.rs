@@ -13,13 +13,13 @@ use citymesh::prelude::*;
 
 fn downtown() -> DfnNetwork {
     let map = CityArchetype::SurveyDowntown.generate(99);
-    DfnNetwork::new(map, ExperimentConfig::default(), 99)
+    DfnNetwork::new(map, ExperimentConfig::default(), 99).expect("valid config")
 }
 
 #[test]
 fn message_crosses_the_city_and_decrypts() {
     let mut net = downtown();
-    let bob = net.register_user([0xB0; 32], 5);
+    let bob = net.register_user([0xB0; 32], 5).unwrap();
     let far_building = (net.experiment().map().len() - 5) as u32;
     let receipt = net.send_text(far_building, &bob.address(), b"corner to corner");
     assert!(receipt.delivered);
@@ -65,7 +65,7 @@ fn payload_survives_wire_framing_end_to_end() {
 fn full_pipeline_is_deterministic() {
     let run = || {
         let mut net = downtown();
-        let bob = net.register_user([0xB0; 32], 5);
+        let bob = net.register_user([0xB0; 32], 5).unwrap();
         let r = net.send_text(100, &bob.address(), b"det");
         (r.delivered, r.broadcasts, r.route_bits, r.latency)
     };
@@ -145,7 +145,7 @@ fn delivery_report_roles_are_consistent_with_counts() {
 fn many_users_share_the_network() {
     let mut net = downtown();
     let users: Vec<User> = (0..8u8)
-        .map(|i| net.register_user([i + 1; 32], (i as u32) * 20))
+        .map(|i| net.register_user([i + 1; 32], (i as u32) * 20).unwrap())
         .collect();
     // Everyone messages the next user around the ring.
     let mut delivered = 0;

@@ -348,13 +348,14 @@ fn detour_routing_recovers_from_a_destroyed_region() {
 }
 
 #[test]
-fn send_with_retry_in_healthy_network_succeeds_first_attempt() {
+fn healthy_network_send_succeeds_first_attempt() {
     let map = CityArchetype::SurveyDowntown.generate(41);
-    let mut net = citymesh::DfnNetwork::new(map, citymesh::core::ExperimentConfig::default(), 41);
-    let bob = net.register_user([0xB0; 32], 10);
-    let receipts = net.send_with_retry(300, &bob.address(), b"retry me", 3);
-    assert_eq!(receipts.len(), 1, "healthy network needs one attempt");
-    assert!(receipts[0].delivered);
+    let mut net = citymesh::DfnNetwork::new(map, citymesh::core::ExperimentConfig::default(), 41)
+        .expect("valid config");
+    let bob = net.register_user([0xB0; 32], 10).unwrap();
+    let receipt = net.send_text(300, &bob.address(), b"retry me");
+    assert_eq!(receipt.attempts, 1, "healthy network needs one attempt");
+    assert!(receipt.delivered);
     assert_eq!(net.check_mailbox(&bob, 10).len(), 1);
 }
 

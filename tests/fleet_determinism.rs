@@ -156,3 +156,36 @@ fn same_city_different_seeds_diverge() {
     };
     assert_ne!(mk(1), mk(2), "seeds must reach workload and simulation");
 }
+
+/// The fleet golden, where `cargo test` sees it. Same workload as
+/// `figures -- fleet --flows 500` (pinned in `ci.yml` and the verify
+/// skill as `a4e4c411eed2b648`): change the two together, and only in
+/// a PR that says up front why the digest moves.
+#[test]
+fn fleet_golden_500_flow_digest() {
+    let seed = 2024;
+    let exp = prepared_city(seed);
+    let flows = generate_flows(
+        exp.map().len(),
+        &WorkloadConfig {
+            flows: 500,
+            model: FlowModel::Hotspot {
+                hotspots: 8,
+                exponent: 1.1,
+                rate_hz: 500.0,
+            },
+            seed,
+        },
+    );
+    let report = try_run_fleet(
+        &exp,
+        &flows,
+        &FleetConfig {
+            workers: 1,
+            seed,
+            ..FleetConfig::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(report.digest(), 0xa4e4c411eed2b648);
+}

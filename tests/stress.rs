@@ -9,7 +9,7 @@ use citymesh::prelude::*;
 
 fn city_net(seed: u64) -> DfnNetwork {
     let map = CityArchetype::Cambridge.generate(seed);
-    DfnNetwork::new(map, ExperimentConfig::default(), seed)
+    DfnNetwork::new(map, ExperimentConfig::default(), seed).expect("valid config")
 }
 
 #[test]
@@ -21,7 +21,7 @@ fn soak_many_users_many_messages() {
     let users: Vec<User> = (0..20u32)
         .map(|i| {
             let building = (i * (n_buildings / 20)).min(n_buildings - 1);
-            net.register_user([i as u8 + 1; 32], building)
+            net.register_user([i as u8 + 1; 32], building).unwrap()
         })
         .collect();
     let home = |i: usize| (i as u32 * (n_buildings / 20)).min(n_buildings - 1);
@@ -73,8 +73,8 @@ fn soak_many_users_many_messages() {
 fn soak_is_deterministic() {
     let run = || {
         let mut net = city_net(2002);
-        let a = net.register_user([1; 32], 5);
-        let b = net.register_user([2; 32], 400);
+        let a = net.register_user([1; 32], 5).unwrap();
+        let b = net.register_user([2; 32], 400).unwrap();
         let mut log = Vec::new();
         for i in 0..10 {
             let (from, to) = if i % 2 == 0 { (5, &b) } else { (400, &a) };
@@ -88,10 +88,15 @@ fn soak_is_deterministic() {
 
 #[test]
 fn retry_budget_is_respected_under_impossible_routes() {
-    // A recipient on an unreachable island: retries must stop at the
-    // budget (or earlier when no detour exists), not spin.
+    // A recipient on an unreachable island, in a damaged city whose
+    // scenario carries the full ladder: retries must stop at the
+    // budget, not spin.
     let map = CityArchetype::Houston.generate(3003); // many islands
-    let mut net = DfnNetwork::new(map, ExperimentConfig::default(), 3003);
+    let config = ExperimentConfig {
+        faults: Some(FaultScenario::iid(0.1)),
+        ..ExperimentConfig::default()
+    };
+    let mut net = DfnNetwork::new(map, config, 3003).expect("valid config");
     // Find a cross-island pair.
     let exp = net.experiment();
     let src = 0u32;
@@ -100,9 +105,9 @@ fn retry_budget_is_respected_under_impossible_routes() {
     else {
         return; // this seed produced a connected Houston; nothing to do
     };
-    let bob = net.register_user([9; 32], dst);
-    let receipts = net.send_with_retry(src, &bob.address(), b"into the void", 4);
-    assert!(receipts.len() <= 4);
-    assert!(receipts.iter().all(|r| !r.delivered));
+    let bob = net.register_user([9; 32], dst).unwrap();
+    let receipt = net.send_text(src, &bob.address(), b"into the void");
+    assert!(receipt.attempts <= RetryPolicy::ladder().max_attempts);
+    assert!(!receipt.delivered);
     assert_eq!(net.stored_messages(), 0);
 }
