@@ -1,53 +1,50 @@
-//! Regenerates every table and figure of the paper.
+//! Regenerates every table and figure of the paper, runs the nine
+//! extension sweeps, and checks the golden pins.
 //!
 //! ```text
-//! cargo run --release --bin figures -- all          # everything
-//! cargo run --release --bin figures -- table1       # one artifact
-//! cargo run --release --bin figures -- fig6 --fast  # reduced pair counts
+//! cargo run --release -p citymesh-bench --bin figures -- all          # every artifact
+//! cargo run --release -p citymesh-bench --bin figures -- table1       # one artifact
+//! cargo run --release -p citymesh-bench --bin figures -- fig6 --fast  # reduced pair counts
+//! cargo run --release -p citymesh-bench --bin figures -- check        # every golden pin
 //! ```
 //!
-//! Artifacts: `table1 fig1a fig1b fig2 fig5 fig6 fig7 headers scaling
-//! ablations fleet planner resilience churn telemetry metro
-//! streaming placement crypto`. Text goes to stdout; SVGs are written to `figures/`;
-//! the fleet sweep writes `BENCH_fleet.json`, the planner sweep
-//! `BENCH_planner.json`, the resilience sweep `BENCH_resilience.json`,
-//! the churn sweep `BENCH_churn.json`, the telemetry sweep
-//! `BENCH_telemetry.json` plus one captured flow trace in
-//! `figures/postmortem_sample.json`, the metro sweep
-//! `BENCH_metro.json`, the streaming sweep `BENCH_streaming.json`,
-//! and the placement sweep `BENCH_placement.json`.
+//! [`ARTIFACTS`] is the dispatch, the target list, the usage string
+//! and the flag validation at once: a target outside it, a scale flag
+//! (`--fast`, `--smoke`) an artifact has no parameters for, an unknown
+//! flag, or a malformed `--flows N` / `--workers N` exits 2 before
+//! anything runs. Text goes to stdout; charts and exports are written
+//! to `figures/`.
 //!
-//! The `fleet` artifact takes value flags: `--flows N` runs one flow
-//! count instead of the default 1k/10k/100k sweep, `--workers N` one
-//! worker count instead of 1/4/8, and `--cold` skips the unmeasured
-//! warm-up pass so the recorded throughput includes scratch/cache
-//! warm-up costs (the default, warmed numbers measure steady state).
-//! The `metro` artifact takes `--smoke`: a CI-sized sweep that also
-//! *asserts* the hierarchical planner is at least as fast as the flat
-//! one at the largest smoke size. The `streaming` artifact takes
-//! `--smoke` too: a CI-sized load sweep that *asserts* the engine
-//! sheds explicitly (and keeps accounting balanced) past 2x the
-//! estimated capacity on both the flat and the hierarchical scenario.
-//! The `placement` artifact takes `--smoke` as well: a downtown-only
-//! deployment search that *asserts* the annealed placement does not
-//! trail the random baseline on blackout delivery rate and prints the
-//! annealed score digest CI pins. The `crypto` artifact writes
-//! `BENCH_crypto.json` and under `--smoke` *asserts* that warm
-//! encrypted throughput stays within 2x of plaintext at every worker
-//! count. Every sweep ends with a `[sweep …]`
-//! line reporting its wall time
-//! and the process peak RSS so regressions in either are visible from
-//! the log alone.
+//! `--flows N` runs one flow (or pair) count instead of the sweep's
+//! own, `--workers N` one worker count instead of 1/4/8, `--cold`
+//! skips the fleet sweep's unmeasured warm-up pass so the recorded
+//! throughput includes scratch/cache warm-up costs, and `--json` makes
+//! `fig6` write `figures/fig6.json`. Every sweep asserts its own
+//! invariants as it runs and ends with a `[sweep …]` line reporting
+//! its wall time and the process peak RSS.
+//!
+//! `check` runs each sweep at the scale its pins are taken at, prints
+//! one line per row of [`goldens::PINS`], and — timing being meaningful
+//! in a release build — holds the three within-run throughput ratios:
+//! planner warm ≥ 3× the live baseline, metro hier ≥ flat at 4×4,
+//! crypto warm ≥ 0.5× plaintext. Any mismatch exits 1.
 
 use std::fs;
-use std::path::Path;
+use std::time::Instant;
 
-use citymesh_bench::sweep::SweepTimer;
-use citymesh_bench::{
-    ablation, churn_figs, crypto_figs, eval_figs, fleet_figs, metro_figs, placement_figs,
-    planner_figs, render, resilience_figs, scaling, streaming_figs, survey_figs, telemetry_figs,
-    text,
-};
+use citymesh_bench::churn_figs::ChurnFigures;
+use citymesh_bench::crypto_figs::CryptoFigures;
+use citymesh_bench::fleet_figs::FleetFigures;
+use citymesh_bench::goldens::{self, Mismatch};
+use citymesh_bench::metro_figs::MetroFigures;
+use citymesh_bench::placement_figs::PlacementFigures;
+use citymesh_bench::planner_figs::PlannerFigures;
+use citymesh_bench::resilience_figs::ResilienceFigures;
+use citymesh_bench::streaming_figs::StreamingFigures;
+use citymesh_bench::sweep::{print_footer, write_figure, Scale, Sweep, SweepOpts, SEED};
+use citymesh_bench::telemetry_figs::TelemetryFigures;
+use citymesh_bench::text::json::Value;
+use citymesh_bench::{ablation, eval_figs, render, scaling, survey_figs, text};
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, simulate_delivery, ApGraph, BuildingGraph,
     BuildingGraphParams, DeliveryParams,
@@ -56,1253 +53,597 @@ use citymesh_map::CityArchetype;
 use citymesh_net::CityMeshHeader;
 use citymesh_simcore::SimRng;
 
-const SEED: u64 = 2024;
+/// One `figures` target.
+struct Artifact {
+    name: &'static str,
+    /// The scales it has parameters for; any other scale flag is an
+    /// error, not a no-op.
+    scales: &'static [Scale],
+    run: fn(&mut Ctx),
+}
 
-/// Every artifact name `main` dispatches on (besides `all`). A
-/// positional argument outside this list is a typo, not a no-op.
-const TARGETS: &[&str] = &[
-    "table1",
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "fig5",
-    "fig6",
-    "headers",
-    "fig7",
-    "mapsize",
-    "headers-large",
-    "scaling",
-    "ablations",
-    "fleet",
-    "planner",
-    "resilience",
-    "churn",
-    "telemetry",
-    "metro",
-    "streaming",
-    "crypto",
-    "placement",
+const fn artifact(name: &'static str, scales: &'static [Scale], run: fn(&mut Ctx)) -> Artifact {
+    Artifact { name, scales, run }
+}
+
+/// The paper's own artifacts: the §4 protocol, or reduced pair counts.
+const PAPER: &[Scale] = &[Scale::Full, Scale::Fast];
+
+const fn sweep_artifact<S: Sweep>() -> Artifact {
+    artifact(S::NAME, S::SCALES, sweep::<S>)
+}
+
+/// Every target, in run order. `all` (or no target) is all of them
+/// but `check`, which regenerates nothing.
+const ARTIFACTS: &[Artifact] = &[
+    artifact("table1", PAPER, table1),
+    artifact("fig1a", PAPER, fig1a),
+    artifact("fig1b", PAPER, fig1b),
+    artifact("fig2", PAPER, fig2),
+    artifact("fig5", PAPER, fig5),
+    artifact("fig6", PAPER, fig6),
+    artifact("headers", PAPER, headers),
+    artifact("fig7", PAPER, fig7),
+    artifact("mapsize", PAPER, mapsize),
+    artifact("headers-large", PAPER, headers_large),
+    artifact("scaling", PAPER, scaling_tables),
+    artifact("ablations", PAPER, ablations),
+    sweep_artifact::<FleetFigures>(),
+    sweep_artifact::<PlannerFigures>(),
+    sweep_artifact::<ResilienceFigures>(),
+    sweep_artifact::<ChurnFigures>(),
+    sweep_artifact::<TelemetryFigures>(),
+    sweep_artifact::<MetroFigures>(),
+    sweep_artifact::<StreamingFigures>(),
+    sweep_artifact::<CryptoFigures>(),
+    sweep_artifact::<PlacementFigures>(),
+    artifact("check", &[Scale::Full], check),
 ];
 
-struct Opts {
-    fast: bool,
+/// The parsed command line plus the two computations artifacts share.
+struct Ctx {
+    opts: SweepOpts,
+    json: bool,
+    survey: Option<survey_figs::SurveyFigures>,
+    fig6: Option<eval_figs::Fig6>,
 }
 
-impl Opts {
-    /// (survey scale, reachability pairs, delivery pairs)
-    fn scales(&self) -> (f64, usize, usize) {
-        if self.fast {
-            (0.1, 200, 10)
-        } else {
-            (1.0, 1000, 50) // the paper's §4 protocol
+impl Ctx {
+    fn fast(&self) -> bool {
+        self.opts.scale == Scale::Fast
+    }
+
+    /// The four-area survey behind table 1 and figures 1a, 1b and 2.
+    fn survey(&mut self) -> &survey_figs::SurveyFigures {
+        let scale = if self.fast() { 0.1 } else { 1.0 };
+        self.survey.get_or_insert_with(|| {
+            eprintln!("[running four-area survey…]");
+            survey_figs::run_surveys(SEED, scale)
+        })
+    }
+
+    /// The eight-city evaluation behind figure 6 and the §4 header
+    /// statistics: 1000 / 50 pairs per city is the paper's protocol.
+    fn fig6(&mut self) -> &eval_figs::Fig6 {
+        let (rpairs, dpairs) = if self.fast() { (200, 10) } else { (1000, 50) };
+        self.fig6.get_or_insert_with(|| {
+            eprintln!("[running the eight-city evaluation: {rpairs} reachability / {dpairs} delivery pairs per city…]");
+            eval_figs::run_fig6(SEED, rpairs, dpairs)
+        })
+    }
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+    format!(
+        "targets: all {}\nflags: --fast --smoke --json --cold --flows N --workers N",
+        names.join(" ")
+    )
+}
+
+/// Parses the command line into what to run and how, or says what it
+/// does not understand.
+fn parse(args: &[String]) -> Result<(Vec<&'static Artifact>, Ctx), String> {
+    let mut ctx = Ctx {
+        opts: SweepOpts::at(Scale::Full),
+        json: false,
+        survey: None,
+        fig6: None,
+    };
+    let mut targets: Vec<&'static Artifact> = Vec::new();
+    let everything = || ARTIFACTS.iter().filter(|a| a.name != "check");
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut count = || -> Result<Option<usize>, String> {
+            let value = args.next().ok_or(format!("`{arg}` needs a number"))?;
+            let parsed = value.parse();
+            parsed
+                .map(Some)
+                .map_err(|_| format!("`{arg}` needs a number, got `{value}`"))
+        };
+        match arg.as_str() {
+            "--fast" | "--smoke" if ctx.opts.scale != Scale::Full => {
+                return Err("`--fast` and `--smoke` are one choice, given twice".into());
+            }
+            "--fast" => ctx.opts.scale = Scale::Fast,
+            "--smoke" => ctx.opts.scale = Scale::Smoke,
+            "--json" => ctx.json = true,
+            "--cold" => ctx.opts.cold = true,
+            "--flows" => ctx.opts.flows = count()?,
+            "--workers" => ctx.opts.workers = count()?,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            "all" => targets.extend(everything()),
+            name => match ARTIFACTS.iter().find(|a| a.name == name) {
+                Some(artifact) => targets.push(artifact),
+                None => return Err(format!("unknown target `{name}`")),
+            },
         }
     }
-}
-
-/// Removes `name <value>` from `args` and returns the parsed value.
-fn take_value(args: &mut Vec<String>, name: &str) -> Option<usize> {
-    let i = args.iter().position(|a| a == name)?;
-    if i + 1 >= args.len() {
-        args.remove(i);
-        return None;
+    if targets.is_empty() {
+        targets.extend(everything());
     }
-    let v = args.remove(i + 1).parse().ok();
-    args.remove(i);
-    v
+    match targets.iter().find(|a| !a.scales.contains(&ctx.opts.scale)) {
+        Some(a) => Err(format!(
+            "`{}` has no {:?} scale (it has {:?})",
+            a.name, ctx.opts.scale, a.scales
+        )),
+        None => Ok((targets, ctx)),
+    }
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flows_override = take_value(&mut args, "--flows");
-    let workers_override = take_value(&mut args, "--workers");
-    let args = args;
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    let opts = Opts { fast };
-    let targets: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if let Some(bad) = targets
-        .iter()
-        .find(|t| **t != "all" && !TARGETS.contains(t))
-    {
-        eprintln!("unknown target `{bad}`; targets: all {}", TARGETS.join(" "));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (targets, mut ctx) = parse(&args).unwrap_or_else(|problem| {
+        eprintln!("{problem}; {}", usage());
         std::process::exit(2);
-    }
-    let want =
-        |name: &str| targets.is_empty() || targets.contains(&name) || targets.contains(&"all");
-
+    });
     fs::create_dir_all("figures").expect("cannot create figures/");
+    for (i, artifact) in targets.iter().enumerate() {
+        // `all fig6` runs fig6 once.
+        if !targets[..i].iter().any(|a| a.name == artifact.name) {
+            (artifact.run)(&mut ctx);
+        }
+    }
+}
 
-    let mut survey_cache: Option<survey_figs::SurveyFigures> = None;
-    let mut survey = |opts: &Opts| -> survey_figs::SurveyFigures {
-        survey_cache
-            .get_or_insert_with(|| {
-                eprintln!("[running four-area survey…]");
-                survey_figs::run_surveys(SEED, opts.scales().0)
-            })
-            .clone()
-    };
+/// One extension sweep: run, print, footer.
+fn sweep<S: Sweep>(ctx: &mut Ctx) {
+    eprintln!(
+        "[running the {} sweep at {:?} scale…]",
+        S::NAME,
+        ctx.opts.scale
+    );
+    let started = Instant::now();
+    S::run(&ctx.opts).print();
+    print_footer(S::NAME, started);
+}
 
-    if want("table1") {
-        let rows: Vec<Vec<String>> = survey(&opts)
-            .table1()
-            .into_iter()
-            .map(|r| vec![r.area, r.measurements.to_string(), r.unique_aps.to_string()])
-            .collect();
-        println!("== Table 1: summary of collected (synthetic) survey data ==");
+/// `goldens::verify::<S>` for one sweep `S`.
+type Verify = fn(bool) -> Vec<Mismatch>;
+
+/// Every sweep at its pinned scale against [`goldens::PINS`].
+fn check(_: &mut Ctx) {
+    let sweeps: [(&str, Verify); 9] = [
+        (FleetFigures::NAME, goldens::verify::<FleetFigures>),
+        (PlannerFigures::NAME, goldens::verify::<PlannerFigures>),
+        (
+            ResilienceFigures::NAME,
+            goldens::verify::<ResilienceFigures>,
+        ),
+        (ChurnFigures::NAME, goldens::verify::<ChurnFigures>),
+        (TelemetryFigures::NAME, goldens::verify::<TelemetryFigures>),
+        (MetroFigures::NAME, goldens::verify::<MetroFigures>),
+        (StreamingFigures::NAME, goldens::verify::<StreamingFigures>),
+        (PlacementFigures::NAME, goldens::verify::<PlacementFigures>),
+        (CryptoFigures::NAME, goldens::verify::<CryptoFigures>),
+    ];
+    let started = Instant::now();
+    let mut missed: Vec<Mismatch> = Vec::new();
+    for (_, verify) in sweeps {
+        missed.extend(verify(true));
+    }
+    println!("== check: golden pins (seed {SEED}) ==");
+    for pin in &goldens::PINS {
+        assert!(
+            sweeps.iter().any(|(name, _)| *name == pin.sweep),
+            "no sweep verifies pin `{}` of `{}`",
+            pin.name,
+            pin.sweep
+        );
+        match missed.iter().find(|m| m.pin == pin) {
+            None => println!("ok        {:016x}  {}: {}", pin.value, pin.sweep, pin.name),
+            Some(mismatch) => println!("MISMATCH  {mismatch}"),
+        }
+    }
+    println!(
+        "throughput gates held: planner warm >= 3x baseline, metro hier >= flat, \
+         crypto warm >= 0.5x plaintext"
+    );
+    print_footer("check", started);
+    if !missed.is_empty() {
+        eprintln!("{} of {} pins moved", missed.len(), goldens::PINS.len());
+        std::process::exit(1);
+    }
+}
+
+fn table1(ctx: &mut Ctx) {
+    let rows = ctx.survey().table1();
+    println!("== Table 1: summary of collected (synthetic) survey data ==");
+    println!(
+        "{}",
+        text::columns(
+            &rows,
+            &[
+                ("Dataset", &|r| r.area.clone()),
+                ("# Measurements", &|r| r.measurements.to_string()),
+                ("# Unique APs", &|r| r.unique_aps.to_string()),
+            ]
+        )
+    );
+}
+
+fn fig1a(ctx: &mut Ctx) {
+    println!("== Figure 1a: CDF of MAC addresses seen per measurement ==");
+    for (area, cdf) in ctx.survey().fig1a() {
         println!(
             "{}",
-            text::table(&["Dataset", "# Measurements", "# Unique APs"], &rows)
-        );
-    }
-
-    if want("fig1a") {
-        println!("== Figure 1a: CDF of MAC addresses seen per measurement ==");
-        for (area, cdf) in survey(&opts).fig1a() {
-            println!(
-                "{}",
-                text::ascii_cdf(
-                    &format!("{area} (median {:.0})", cdf.median().unwrap_or(0.0)),
-                    &cdf.plot_points(12),
-                    40
-                )
-            );
-        }
-    }
-
-    if want("fig1b") {
-        println!("== Figure 1b: CDF of per-BSSID location spread (m) ==");
-        for (area, cdf) in survey(&opts).fig1b() {
-            println!(
-                "{}",
-                text::ascii_cdf(
-                    &format!("{area} (median {:.0} m)", cdf.median().unwrap_or(0.0)),
-                    &cdf.plot_points(12),
-                    40
-                )
-            );
-        }
-    }
-
-    if want("fig2") {
-        println!("== Figure 2: common APs between measurement pairs vs distance ==");
-        for (area, bins) in survey(&opts).fig2(if opts.fast { 20_000 } else { 2_000_000 }) {
-            println!("-- {area} --\n{}", text::whisker_table(&bins));
-        }
-    }
-
-    if want("fig5") {
-        println!("== Figure 5: downtown section render ==");
-        let map = CityArchetype::SurveyDowntown.generate(SEED);
-        let mut rng = SimRng::new(SEED);
-        let aps = place_aps(&map, 200.0, &mut rng);
-        let apg = ApGraph::build(&aps, 50.0);
-        let svg = render::fig5_svg(&map, &aps, &apg);
-        write_svg("figures/fig5_downtown.svg", &svg);
-        println!(
-            "{} buildings, {} APs, mean degree {:.1} — figures/fig5_downtown.svg\n",
-            map.len(),
-            aps.len(),
-            apg.mean_degree()
-        );
-    }
-
-    if want("fig6") {
-        let (_, rpairs, dpairs) = opts.scales();
-        eprintln!("[running the eight-city evaluation: {rpairs} reachability / {dpairs} delivery pairs per city…]");
-        let fig6 = eval_figs::run_fig6(SEED, rpairs, dpairs);
-        println!("== Figure 6: reachability, deliverability, transmission overhead ==");
-        let rows: Vec<Vec<String>> = fig6
-            .cities
-            .iter()
-            .map(|c| {
-                vec![
-                    c.city.clone(),
-                    c.buildings.to_string(),
-                    c.aps.to_string(),
-                    c.components.to_string(),
-                    format!("{:.1}%", c.reachability * 100.0),
-                    format!("{:.1}%", c.deliverability * 100.0),
-                    c.median_overhead
-                        .map(|o| format!("{o:.1}x"))
-                        .unwrap_or_else(|| "-".into()),
-                    c.median_latency_ms
-                        .map(|l| format!("{l:.0} ms"))
-                        .unwrap_or_else(|| "-".into()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &[
-                    "city",
-                    "buildings",
-                    "APs",
-                    "islands",
-                    "reachable",
-                    "deliverable",
-                    "overhead",
-                    "latency"
-                ],
-                &rows
+            text::ascii_cdf(
+                &format!("{area} (median {:.0})", cdf.median().unwrap_or(0.0)),
+                &cdf.plot_points(12),
+                40
             )
         );
-        if let Some(pooled) = fig6.pooled_median_overhead() {
-            println!("pooled median transmission overhead: {pooled:.1}x  (paper: ~13x)\n");
-        }
-        if json {
-            let doc = citymesh_bench::text::json::Value::Arr(
-                fig6.cities
-                    .iter()
-                    .map(|c| {
-                        citymesh_bench::text::json::Value::Obj(vec![
-                            (
-                                "city".into(),
-                                citymesh_bench::text::json::Value::Str(c.city.clone()),
-                            ),
-                            (
-                                "buildings".into(),
-                                citymesh_bench::text::json::Value::Int(c.buildings as i64),
-                            ),
-                            (
-                                "aps".into(),
-                                citymesh_bench::text::json::Value::Int(c.aps as i64),
-                            ),
-                            (
-                                "islands".into(),
-                                citymesh_bench::text::json::Value::Int(c.components as i64),
-                            ),
-                            (
-                                "reachability".into(),
-                                citymesh_bench::text::json::Value::Num(c.reachability),
-                            ),
-                            (
-                                "deliverability".into(),
-                                citymesh_bench::text::json::Value::Num(c.deliverability),
-                            ),
-                            (
-                                "median_overhead".into(),
-                                c.median_overhead
-                                    .map(citymesh_bench::text::json::Value::Num)
-                                    .unwrap_or(citymesh_bench::text::json::Value::Null),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            );
-            fs::write("figures/fig6.json", doc.render()).expect("write fig6.json");
-            println!("wrote figures/fig6.json\n");
-        }
-        if want("headers") {
-            print_headers(&fig6);
-        }
-    } else if want("headers") {
-        let (_, rpairs, dpairs) = opts.scales();
-        let fig6 = eval_figs::run_fig6(SEED, rpairs, dpairs);
-        print_headers(&fig6);
     }
+}
 
-    if want("fig7") {
-        println!("== Figure 7: one simulated delivery ==");
-        let map = CityArchetype::SurveyDowntown.generate(SEED);
-        let mut rng = SimRng::new(SEED);
-        let aps = place_aps(&map, 200.0, &mut rng);
-        let apg = ApGraph::build(&aps, 50.0);
-        let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
-        // A corner-to-corner pair for a long, interesting route.
-        let src = map
-            .nearest_building(citymesh_geo::Point::new(50.0, 50.0))
-            .expect("non-empty map")
-            .id;
-        let dst = map
-            .nearest_building(citymesh_geo::Point::new(700.0, 700.0))
-            .expect("non-empty map")
-            .id;
-        let route = plan_route(&bg, src, dst).expect("downtown is connected");
-        let compressed = compress_route(&bg, &route, 50.0).expect("valid width and route");
-        let header = CityMeshHeader::new(7, 50.0, compressed.waypoints.clone());
-        let src_ap = postbox_ap(&aps, &map, src).expect("source building has APs");
-        let report = simulate_delivery(
-            &map,
-            &apg,
-            &header,
-            src_ap,
-            DeliveryParams::default(),
-            &mut rng,
-        );
-        let svg = render::fig7_svg(&map, &apg, &header, &report);
-        write_svg("figures/fig7_delivery.svg", &svg);
+fn fig1b(ctx: &mut Ctx) {
+    println!("== Figure 1b: CDF of per-BSSID location spread (m) ==");
+    for (area, cdf) in ctx.survey().fig1b() {
         println!(
-            "route {} buildings → {} waypoints; delivered={}, {} broadcasts, {} relays — figures/fig7_delivery.svg",
-            route.len(),
-            compressed.len(),
-            report.delivered,
-            report.broadcasts,
-            report.relay_count()
+            "{}",
+            text::ascii_cdf(
+                &format!("{area} (median {:.0} m)", cdf.median().unwrap_or(0.0)),
+                &cdf.plot_points(12),
+                40
+            )
         );
-        println!("{}\n", render::ascii_map(&map, &route, 72));
     }
+}
 
-    if want("mapsize") {
-        // The §2 premise quantified: how big is the on-device map
-        // cache a phone or AP must hold?
-        println!("== device map-cache size (10 mm quantization) ==");
-        let mut rows = Vec::new();
-        for arch in CityArchetype::cities() {
+fn fig2(ctx: &mut Ctx) {
+    println!("== Figure 2: common APs between measurement pairs vs distance ==");
+    let pairs = if ctx.fast() { 20_000 } else { 2_000_000 };
+    for (area, bins) in ctx.survey().fig2(pairs) {
+        println!("-- {area} --\n{}", text::whisker_table(&bins));
+    }
+}
+
+fn fig5(_: &mut Ctx) {
+    println!("== Figure 5: downtown section render ==");
+    let map = CityArchetype::SurveyDowntown.generate(SEED);
+    let mut rng = SimRng::new(SEED);
+    let aps = place_aps(&map, 200.0, &mut rng);
+    let apg = ApGraph::build(&aps, 50.0);
+    write_figure(
+        "figures/fig5_downtown.svg",
+        &render::fig5_svg(&map, &aps, &apg),
+    );
+    println!(
+        "{} buildings, {} APs, mean degree {:.1}\n",
+        map.len(),
+        aps.len(),
+        apg.mean_degree()
+    );
+}
+
+fn fig6(ctx: &mut Ctx) {
+    let json = ctx.json;
+    let fig6 = ctx.fig6();
+    println!("== Figure 6: reachability, deliverability, transmission overhead ==");
+    let percent = |v: f64| format!("{:.1}%", v * 100.0);
+    println!(
+        "{}",
+        text::columns(
+            &fig6.cities,
+            &[
+                ("city", &|c| c.city.clone()),
+                ("buildings", &|c| c.buildings.to_string()),
+                ("APs", &|c| c.aps.to_string()),
+                ("islands", &|c| c.components.to_string()),
+                ("reachable", &|c| percent(c.reachability)),
+                ("deliverable", &|c| percent(c.deliverability)),
+                ("overhead", &|c| c
+                    .median_overhead
+                    .map_or("-".into(), |o| format!("{o:.1}x"))),
+                ("latency", &|c| c
+                    .median_latency_ms
+                    .map_or("-".into(), |l| format!("{l:.0} ms"))),
+            ]
+        )
+    );
+    if let Some(pooled) = fig6.pooled_median_overhead() {
+        println!("pooled median transmission overhead: {pooled:.1}x  (paper: ~13x)\n");
+    }
+    if json {
+        let city = |c: &citymesh_core::CityResult| {
+            Value::Obj(vec![
+                ("city".into(), Value::Str(c.city.clone())),
+                ("buildings".into(), Value::Int(c.buildings as i64)),
+                ("aps".into(), Value::Int(c.aps as i64)),
+                ("islands".into(), Value::Int(c.components as i64)),
+                ("reachability".into(), Value::Num(c.reachability)),
+                ("deliverability".into(), Value::Num(c.deliverability)),
+                (
+                    "median_overhead".into(),
+                    c.median_overhead.map_or(Value::Null, Value::Num),
+                ),
+            ])
+        };
+        let doc = Value::Arr(fig6.cities.iter().map(city).collect());
+        write_figure("figures/fig6.json", &doc.render());
+        println!();
+    }
+}
+
+fn print_header_stats(title: &str, h: &eval_figs::HeaderStats) {
+    println!("== §4 header statistics{title} ==");
+    println!(
+        "{} routes: median {} bits, 90%ile {} bits, median {} waypoints  (paper: 175 / 225 bits)\n",
+        h.routes, h.median_bits, h.p90_bits, h.median_waypoints
+    );
+}
+
+fn headers(ctx: &mut Ctx) {
+    if let Some(h) = ctx.fig6().header_stats() {
+        print_header_stats(": compressed source-route size", &h);
+    }
+}
+
+fn fig7(_: &mut Ctx) {
+    println!("== Figure 7: one simulated delivery ==");
+    let map = CityArchetype::SurveyDowntown.generate(SEED);
+    let mut rng = SimRng::new(SEED);
+    let aps = place_aps(&map, 200.0, &mut rng);
+    let apg = ApGraph::build(&aps, 50.0);
+    let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+    // A corner-to-corner pair for a long, interesting route.
+    let corner = |x: f64, y: f64| {
+        let nearest = map.nearest_building(citymesh_geo::Point::new(x, y));
+        nearest.expect("non-empty map").id
+    };
+    let (src, dst) = (corner(50.0, 50.0), corner(700.0, 700.0));
+    let route = plan_route(&bg, src, dst).expect("downtown is connected");
+    let compressed = compress_route(&bg, &route, 50.0).expect("valid width and route");
+    let header = CityMeshHeader::new(7, 50.0, compressed.waypoints.clone());
+    let src_ap = postbox_ap(&aps, &map, src).expect("source building has APs");
+    let report = simulate_delivery(
+        &map,
+        &apg,
+        &header,
+        src_ap,
+        DeliveryParams::default(),
+        &mut rng,
+    );
+    write_figure(
+        "figures/fig7_delivery.svg",
+        &render::fig7_svg(&map, &apg, &header, &report),
+    );
+    println!(
+        "route {} buildings → {} waypoints; delivered={}, {} broadcasts, {} relays",
+        route.len(),
+        compressed.len(),
+        report.delivered,
+        report.broadcasts,
+        report.relay_count()
+    );
+    println!("{}\n", render::ascii_map(&map, &route, 72));
+}
+
+/// The §2 premise quantified: how big is the on-device map cache a
+/// phone or AP must hold?
+fn mapsize(_: &mut Ctx) {
+    println!("== device map-cache size (10 mm quantization) ==");
+    let rows: Vec<(&str, usize, usize)> = CityArchetype::cities()
+        .iter()
+        .map(|arch| {
             let map = arch.generate(SEED);
             let bytes = citymesh_map::encode_map(&map, citymesh_map::DEFAULT_QUANTUM_MM);
-            rows.push(vec![
-                arch.label().to_string(),
-                map.len().to_string(),
-                format!("{:.1} KiB", bytes.len() as f64 / 1024.0),
-                format!("{:.1}", bytes.len() as f64 / map.len() as f64),
-            ]);
-        }
-        println!(
-            "{}",
-            text::table(
-                &["city", "buildings", "cache size", "bytes/building"],
-                &rows
-            )
-        );
-        println!(
-            "At these rates a 500k-building metropolis caches in ~15 MB — \
-             \"today's devices can easily cache\" it, as §2 claims.\n"
-        );
-    }
-
-    if want("headers-large") {
-        let routes = if opts.fast { 30 } else { 150 };
-        eprintln!("[generating a 3.6 km metropolitan map and routing {routes} pairs…]");
-        let h = eval_figs::header_stats_at_scale(SEED, routes);
-        println!("== §4 header statistics at metropolitan scale (~17k buildings) ==");
-        println!(
-            "{} routes: median {} bits, 90%ile {} bits, median {} waypoints  (paper: 175 / 225 bits)\n",
-            h.routes, h.median_bits, h.p90_bits, h.median_waypoints
-        );
-    }
-
-    if want("scaling") {
-        println!("== §5 scaling: control transmissions per interval/discovery ==");
-        let rows: Vec<Vec<String>> = scaling::control_scaling()
-            .into_iter()
-            .map(|r| {
-                vec![
-                    r.nodes.to_string(),
-                    r.dsdv.to_string(),
-                    r.olsr.to_string(),
-                    r.aodv.to_string(),
-                    r.citymesh.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &["nodes", "DSDV", "OLSR", "AODV/discovery", "CityMesh"],
-                &rows
-            )
-        );
-
-        println!("== data plane: delivery rate and mean transmissions per scheme ==");
-        let pairs = if opts.fast { 12 } else { 40 };
-        let rows: Vec<Vec<String>> = scaling::data_plane_comparison(SEED, pairs)
-            .into_iter()
-            .map(|r| {
-                vec![
-                    r.scheme,
-                    format!("{:.0}%", r.delivery_rate * 100.0),
-                    format!("{:.1}", r.mean_tx),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(&["scheme", "delivered", "mean tx"], &rows)
-        );
-    }
-
-    if want("ablations") {
-        let pairs = if opts.fast { 8 } else { 25 };
-        println!("== ablations (Cambridge archetype) ==");
-        let sweep_table = |name: &str, points: &[ablation::SweepPoint]| {
-            let rows: Vec<Vec<String>> = points
-                .iter()
-                .map(|p| {
-                    vec![
-                        format!("{:.0}", p.knob),
-                        format!("{:.1}%", p.deliverability * 100.0),
-                        p.median_overhead
-                            .map(|o| format!("{o:.1}x"))
-                            .unwrap_or_else(|| "-".into()),
-                        p.median_route_bits
-                            .map(|b| b.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                    ]
-                })
-                .collect();
-            println!(
-                "-- {name} --\n{}",
-                text::table(&["value", "deliverable", "overhead", "route bits"], &rows)
-            );
-        };
-        sweep_table(
-            "weight exponent (paper: 3)",
-            &ablation::sweep_weight_exponent(SEED, pairs),
-        );
-        sweep_table(
-            "conduit width W, m (paper: 50)",
-            &ablation::sweep_conduit_width(SEED, pairs),
-        );
-        sweep_table(
-            "AP density, m²/AP (paper: 200)",
-            &ablation::sweep_ap_density(SEED, pairs),
-        );
-        sweep_table(
-            "transmission range, m (paper: 50)",
-            &ablation::sweep_range(SEED, pairs),
-        );
-        let loss_points = ablation::sweep_reception_loss(SEED, pairs);
-        let rows: Vec<Vec<String>> = loss_points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{:.0}%", p.knob * 100.0),
-                    format!("{:.1}%", p.deliverability * 100.0),
-                    p.median_overhead
-                        .map(|o| format!("{o:.1}x"))
-                        .unwrap_or_else(|| "-".into()),
-                ]
-            })
-            .collect();
-        println!(
-            "-- per-frame reception loss (redundancy robustness) --\n{}",
-            text::table(&["loss", "deliverable", "overhead"], &rows)
-        );
-
-        let rows: Vec<Vec<String>> = ablation::sweep_scope(SEED, pairs)
-            .into_iter()
-            .map(|r| {
-                vec![
-                    format!("{:?}", r.scope),
-                    format!("{:.1}%", r.deliverability * 100.0),
-                    r.total_broadcasts.to_string(),
-                ]
-            })
-            .collect();
-        println!(
-            "-- rebroadcast scope (same pairs, same placement) --\n{}",
-            text::table(&["scope", "deliverable", "total broadcasts"], &rows)
-        );
-
-        let enc = ablation::encoding_comparison(SEED, if opts.fast { 25 } else { 100 });
-        println!(
-            "-- route encoding (median bits over {} routes) --",
-            enc.routes
-        );
-        println!(
-            "{}",
-            text::table(
-                &["encoding", "median bits"],
-                &[
-                    vec![
-                        "absolute (paper)".into(),
-                        enc.absolute_median_bits.to_string()
-                    ],
-                    vec!["delta varbits".into(), enc.delta_median_bits.to_string()],
-                    vec![
-                        "uncompressed route".into(),
-                        enc.uncompressed_median_bits.to_string()
-                    ],
-                ]
-            )
-        );
-    }
-
-    if want("fleet") {
-        let sweep = SweepTimer::start();
-        let flow_counts: Vec<usize> = match flows_override {
-            Some(n) => vec![n],
-            None if opts.fast => vec![500, 2_000],
-            None => vec![1_000, 10_000, 100_000],
-        };
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        let cold = args.iter().any(|a| a == "--cold");
-        eprintln!(
-            "[running the fleet heavy-traffic sweep: flows {flow_counts:?} × workers {worker_counts:?}{}…]",
-            if cold { ", cold (no warm-up)" } else { "" }
-        );
-        let figs = fleet_figs::run_fleet_figs(SEED, &flow_counts, &worker_counts, !cold);
-        println!(
-            "== fleet: heavy-traffic throughput ({}, {} buildings, {} workload) ==",
-            figs.city, figs.buildings, figs.model
-        );
-        let rows: Vec<Vec<String>> = figs
-            .runs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.flows.to_string(),
-                    r.workers.to_string(),
-                    format!("{:.0}", r.report.flows_per_sec()),
-                    format!("{:.1}%", r.report.delivery_rate() * 100.0),
-                    format!(
-                        "{:.0}%",
-                        100.0 * r.report.cache_hits as f64
-                            / (r.report.cache_hits + r.report.cache_misses).max(1) as f64
-                    ),
-                    format!("{:016x}", r.report.digest()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &[
-                    "flows",
-                    "workers",
-                    "flows/s",
-                    "delivered",
-                    "cache hits",
-                    "digest"
-                ],
-                &rows
-            )
-        );
-        println!("all worker counts agree on every digest: parallel == serial, bit for bit\n");
-        fs::write("BENCH_fleet.json", fleet_figs::to_json(&figs).render())
-            .expect("write BENCH_fleet.json");
-        println!("wrote BENCH_fleet.json");
-        sweep.finish("fleet");
-    }
-
-    if want("planner") {
-        let sweep = SweepTimer::start();
-        let pairs = match flows_override {
-            Some(n) => n,
-            None if opts.fast => 1_500,
-            None => 4_000,
-        };
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the planner fast-path sweep: {pairs} pairs × workers {worker_counts:?} \
-             × baseline/cold/warm…]"
-        );
-        let figs = planner_figs::run_planner_figs(SEED, pairs, &worker_counts);
-        println!(
-            "== planner: fast-path throughput ({}, {} buildings, {} pairs) ==",
-            figs.city, figs.buildings, figs.pairs
-        );
-        let rows: Vec<Vec<String>> = figs
-            .runs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.label().to_string(),
-                    r.workers.to_string(),
-                    format!("{:.0}", r.plans_per_sec),
-                    format!("{:016x}", r.digest),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(&["mode", "workers", "plans/s", "digest"], &rows)
-        );
-        let rate = |mode: planner_figs::PlannerMode| {
-            figs.runs
-                .iter()
-                .find(|r| r.mode == mode && r.workers == worker_counts[0])
-                .map(|r| r.plans_per_sec)
-                .unwrap_or(0.0)
-        };
-        let base = rate(planner_figs::PlannerMode::Baseline);
-        let warm = rate(planner_figs::PlannerMode::Warm);
-        println!(
-            "all modes and worker counts agree on every digest: fast path == baseline, bit for bit"
-        );
-        println!(
-            "warm fast path: {:.1}x the pre-fast-path baseline at {} worker(s)\n",
-            if base > 0.0 { warm / base } else { 0.0 },
-            worker_counts[0]
-        );
-        fs::write("BENCH_planner.json", planner_figs::to_json(&figs).render())
-            .expect("write BENCH_planner.json");
-        println!("wrote BENCH_planner.json");
-        sweep.finish("planner");
-    }
-
-    if want("resilience") {
-        let sweep = SweepTimer::start();
-        // Failure probabilities swept per archetype; flows per point.
-        let failure_ps = [0.0, 0.1, 0.2, 0.3, 0.4];
-        let flows = flows_override.unwrap_or(if opts.fast { 150 } else { 500 });
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the resilience sweep: failure p {failure_ps:?} × 4 archetypes, \
-             {flows} flows/point, workers {worker_counts:?}…]"
-        );
-        let figs = resilience_figs::run_resilience(SEED, &failure_ps, flows, &worker_counts);
-        println!("== resilience: delivery under injected AP failures ==");
-        for curve in &figs.curves {
-            let rows: Vec<Vec<String>> = curve
-                .points
-                .iter()
-                .map(|p| {
-                    vec![
-                        format!("{:.0}%", p.failure_p * 100.0),
-                        format!("{:.1}%", p.failed_fraction * 100.0),
-                        format!("{:.1}%", p.delivery_rate * 100.0),
-                        format!("{:.1}%", p.delivery_rate_no_retry * 100.0),
-                        p.retried.to_string(),
-                        p.recovered.to_string(),
-                        format!("{:016x}", p.digest),
-                    ]
-                })
-                .collect();
-            println!(
-                "-- {} ({} buildings) --\n{}",
-                curve.archetype,
-                curve.buildings,
-                text::table(
-                    &[
-                        "fail p",
-                        "APs down",
-                        "ladder",
-                        "single",
-                        "retried",
-                        "recovered",
-                        "digest"
-                    ],
-                    &rows
-                )
-            );
-            let path = format!("figures/resilience_{}.svg", curve.archetype);
-            write_svg(&path, &resilience_figs::curve_svg(curve));
-            println!("wrote {path}");
-        }
-        println!("every curve degrades monotonically; all worker counts agree on every digest\n");
-        fs::write(
-            "BENCH_resilience.json",
-            resilience_figs::to_json(&figs).render(),
+            (arch.label(), map.len(), bytes.len())
+        })
+        .collect();
+    println!(
+        "{}",
+        text::columns(
+            &rows,
+            &[
+                ("city", &|r| r.0.to_string()),
+                ("buildings", &|r| r.1.to_string()),
+                ("cache size", &|r| format!("{:.1} KiB", r.2 as f64 / 1024.0)),
+                ("bytes/building", &|r| format!(
+                    "{:.1}",
+                    r.2 as f64 / r.1 as f64
+                )),
+            ]
         )
-        .expect("write BENCH_resilience.json");
-        println!("wrote BENCH_resilience.json");
-        sweep.finish("resilience");
-    }
+    );
+    println!(
+        "At these rates a 500k-building metropolis caches in ~15 MB — \
+         \"today's devices can easily cache\" it, as §2 claims.\n"
+    );
+}
 
-    if want("churn") {
-        let sweep = SweepTimer::start();
-        // Total scheduled events per point; mechanism mix is fixed
-        // inside the sweep (half aftershocks, a quarter battery waves,
-        // the rest crew repairs).
-        let event_levels = [0usize, 2, 4, 8];
-        let flows = flows_override.unwrap_or(if opts.fast { 150 } else { 400 });
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the churn sweep: events {event_levels:?} × 4 archetypes × 3 strategies, \
-             {flows} flows/point, workers {worker_counts:?}…]"
-        );
-        let figs = churn_figs::run_churn_figs(SEED, &event_levels, flows, &worker_counts);
-        println!("== churn: delivery and replan cost under a mutating world ==");
-        for curve in &figs.curves {
-            let rows: Vec<Vec<String>> = curve
-                .points
-                .iter()
-                .flat_map(|p| {
-                    p.strategies.iter().map(move |s| {
-                        vec![
-                            p.events.to_string(),
-                            format!("{:.1}", p.churn_rate_hz),
-                            s.strategy.to_string(),
-                            format!("{:.1}%", s.delivery_rate * 100.0),
-                            s.recovered.to_string(),
-                            format!("{}/{}", s.evicted_incremental, s.evicted_flush),
-                            format!("{}/{}", s.planned_incremental, s.planned_flush),
-                            format!("{:016x}", s.digest),
-                        ]
-                    })
-                })
-                .collect();
-            println!(
-                "-- {} ({} buildings) --\n{}",
-                curve.archetype,
-                curve.buildings,
-                text::table(
-                    &[
-                        "events",
-                        "rate/s",
-                        "strategy",
-                        "delivered",
-                        "recovered",
-                        "evict inc/flush",
-                        "plan inc/flush",
-                        "digest"
-                    ],
-                    &rows
-                )
-            );
-            let path = format!("figures/churn_{}.svg", curve.archetype);
-            write_svg(&path, &churn_figs::curve_svg(curve));
-            println!("wrote {path}");
-        }
-        println!(
-            "all worker counts and both invalidation policies agree on every digest; \
-             incremental eviction cost {} entries vs {} for full flushes\n",
-            figs.total_evicted_incremental, figs.total_evicted_flush
-        );
-        fs::write("BENCH_churn.json", churn_figs::to_json(&figs).render())
-            .expect("write BENCH_churn.json");
-        println!("wrote BENCH_churn.json");
-        sweep.finish("churn");
-    }
+fn headers_large(ctx: &mut Ctx) {
+    let routes = if ctx.fast() { 30 } else { 150 };
+    eprintln!("[generating a 3.6 km metropolitan map and routing {routes} pairs…]");
+    let h = eval_figs::header_stats_at_scale(SEED, routes);
+    print_header_stats(" at metropolitan scale (~17k buildings)", &h);
+}
 
-    if want("telemetry") {
-        let sweep = SweepTimer::start();
-        let flows = flows_override.unwrap_or(if opts.fast { 150 } else { 500 });
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the telemetry sweep: {flows} flows, traced at workers {worker_counts:?}…]"
-        );
-        let figs = telemetry_figs::run_telemetry(SEED, flows, 0.25, &worker_counts);
-        println!(
-            "== telemetry: zero-perturbation proof + per-rung breakdown ({}, {} buildings) ==",
-            figs.city, figs.buildings
-        );
-        println!(
-            "healthy digest {:016x} — identical with tracing off and on",
-            figs.healthy_digest
-        );
-        println!(
-            "faulted digest {:016x} (p={:.2}) — identical across workers {worker_counts:?}, \
-             traced and untraced; metric fingerprint {:016x}",
-            figs.faulted_digest, figs.failure_p, figs.metrics_fingerprint
-        );
-        let rows: Vec<Vec<String>> = figs
-            .rungs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rung.to_string(),
-                    r.deliveries.to_string(),
-                    r.latency_ms_p50
-                        .map(|l| format!("{l:.1} ms"))
-                        .unwrap_or_else(|| "-".into()),
-                    r.latency_ms_p90
-                        .map(|l| format!("{l:.1} ms"))
-                        .unwrap_or_else(|| "-".into()),
-                    r.mean_overhead
-                        .map(|o| format!("{o:.1}x"))
-                        .unwrap_or_else(|| "-".into()),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &["rung", "deliveries", "lat p50", "lat p90", "overhead"],
-                &rows
-            )
-        );
-        let rows: Vec<Vec<String>> = figs
-            .counters
-            .iter()
-            .map(|&(name, v)| vec![name.to_string(), v.to_string()])
-            .collect();
-        println!("{}", text::table(&["counter", "value"], &rows));
-        println!(
-            "{} postmortems captured ({} ring evictions, high water {})",
-            figs.postmortems, figs.trace_dropped, figs.ring_high_water
-        );
-        if let Some(sample) = &figs.sample_postmortem {
-            fs::write("figures/postmortem_sample.json", sample)
-                .expect("write figures/postmortem_sample.json");
-            println!("wrote figures/postmortem_sample.json");
-        }
-        fs::write(
-            "BENCH_telemetry.json",
-            telemetry_figs::to_json(&figs).render(),
+fn scaling_tables(ctx: &mut Ctx) {
+    println!("== §5 scaling: control transmissions per interval/discovery ==");
+    println!(
+        "{}",
+        text::columns(
+            &scaling::control_scaling(),
+            &[
+                ("nodes", &|r| r.nodes.to_string()),
+                ("DSDV", &|r| r.dsdv.to_string()),
+                ("OLSR", &|r| r.olsr.to_string()),
+                ("AODV/discovery", &|r| r.aodv.to_string()),
+                ("CityMesh", &|r| r.citymesh.to_string()),
+            ]
         )
-        .expect("write BENCH_telemetry.json");
-        println!("wrote BENCH_telemetry.json");
-        sweep.finish("telemetry");
-    }
+    );
 
-    if want("metro") {
-        let sweep = SweepTimer::start();
-        let smoke = args.iter().any(|a| a == "--smoke");
-        // (tiles_x, tiles_y, sampled pairs). Pair counts shrink as the
-        // flat planner's per-query cost grows with city size.
-        // The smoke's largest size is 4x4 (~22k buildings), safely past
-        // the flat/hier crossover (up to ~12k buildings the two
-        // planners trade within noise) so the hier >= flat gate below
-        // cannot flake: the full sweep measures hier at 5.4x there.
-        let specs: Vec<(usize, usize, usize)> = if smoke {
-            vec![(1, 1, 48), (4, 4, 24)]
-        } else if opts.fast {
-            vec![(2, 2, 128), (4, 4, 64)]
-        } else {
-            vec![(2, 2, 256), (4, 4, 128), (7, 7, 96), (10, 10, 64)]
-        };
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the metro hierarchical-routing sweep: tiles {:?} × flat/hier × workers {worker_counts:?}…]",
-            specs.iter().map(|s| format!("{}x{}", s.0, s.1)).collect::<Vec<_>>()
-        );
-        let figs = metro_figs::run_metro_figs(SEED, &specs, &worker_counts);
-        println!("== metro: flat vs district-overlay hierarchical routing ==");
-        let rows: Vec<Vec<String>> = figs
-            .sizes
-            .iter()
-            .flat_map(|s| {
-                s.runs.iter().map(move |r| {
-                    vec![
-                        format!("{}x{}", s.tiles.0, s.tiles.1),
-                        s.buildings.to_string(),
-                        s.districts.to_string(),
-                        r.mode.label().to_string(),
-                        r.workers.to_string(),
-                        format!("{:.0}", r.plans_per_sec),
-                        format!("{:016x}", r.digest),
-                    ]
-                })
-            })
-            .collect();
+    println!("== data plane: delivery rate and mean transmissions per scheme ==");
+    let pairs = if ctx.fast() { 12 } else { 40 };
+    println!(
+        "{}",
+        text::columns(
+            &scaling::data_plane_comparison(SEED, pairs),
+            &[
+                ("scheme", &|r| r.scheme.clone()),
+                ("delivered", &|r| format!("{:.0}%", r.delivery_rate * 100.0)),
+                ("mean tx", &|r| format!("{:.1}", r.mean_tx)),
+            ]
+        )
+    );
+}
+
+fn ablations(ctx: &mut Ctx) {
+    let pairs = if ctx.fast() { 8 } else { 25 };
+    println!("== ablations (Cambridge archetype) ==");
+    let overhead =
+        |p: &ablation::SweepPoint| p.median_overhead.map_or("-".into(), |o| format!("{o:.1}x"));
+    let deliverable = |p: &ablation::SweepPoint| format!("{:.1}%", p.deliverability * 100.0);
+    let sweep_table = |name: &str, points: &[ablation::SweepPoint]| {
         println!(
-            "{}",
-            text::table(
+            "-- {name} --\n{}",
+            text::columns(
+                points,
                 &[
-                    "tiles",
-                    "buildings",
-                    "districts",
-                    "mode",
-                    "workers",
-                    "plans/s",
-                    "digest"
-                ],
-                &rows
-            )
-        );
-        let rows: Vec<Vec<String>> = figs
-            .sizes
-            .iter()
-            .map(|s| {
-                vec![
-                    format!("{}x{}", s.tiles.0, s.tiles.1),
-                    s.buildings.to_string(),
-                    s.aps.to_string(),
-                    format!("{:.1}", s.flat_bytes_per_ap()),
-                    format!("{:.1}", s.hier_bytes_per_ap()),
-                    format!("{:.0}", s.gen_ms),
-                    format!("{:.0}", s.graph_ms),
-                    format!("{:.0}", s.hier_build_ms),
+                    ("value", &|p| format!("{:.0}", p.knob)),
+                    ("deliverable", &deliverable),
+                    ("overhead", &overhead),
+                    ("route bits", &|p| p
+                        .median_route_bits
+                        .map_or("-".into(), |b| b.to_string())),
                 ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &[
-                    "tiles",
-                    "buildings",
-                    "APs",
-                    "flat B/AP",
-                    "hier B/AP",
-                    "gen ms",
-                    "graph ms",
-                    "hier ms"
-                ],
-                &rows
             )
         );
-        if let Some(largest) = figs.sizes.last() {
-            let flat = largest.rate(metro_figs::MetroMode::Flat);
-            let hier = largest.rate(metro_figs::MetroMode::Hier);
-            println!(
-                "largest city ({} buildings): hier {:.1}x the flat planner at {} worker(s)",
-                largest.buildings,
-                if flat > 0.0 { hier / flat } else { 0.0 },
-                worker_counts[0]
-            );
-            if smoke {
-                assert!(
-                    hier >= flat,
-                    "smoke gate: hier ({hier:.0}/s) must not be slower than flat ({flat:.0}/s) \
-                     at the largest smoke size"
-                );
-                println!("smoke gate passed: hier >= flat at the largest smoke size");
-            }
-        }
-        println!("all worker counts agree on every digest; flat and hier agree on routability\n");
-        write_svg(
-            "figures/metro_throughput.svg",
-            &metro_figs::throughput_svg(&figs),
-        );
-        write_svg("figures/metro_memory.svg", &metro_figs::memory_svg(&figs));
-        println!("wrote figures/metro_throughput.svg and figures/metro_memory.svg");
-        fs::write("BENCH_metro.json", metro_figs::to_json(&figs).render())
-            .expect("write BENCH_metro.json");
-        println!("wrote BENCH_metro.json");
-        sweep.finish("metro");
+    };
+    sweep_table(
+        "weight exponent (paper: 3)",
+        &ablation::sweep_weight_exponent(SEED, pairs),
+    );
+    sweep_table(
+        "conduit width W, m (paper: 50)",
+        &ablation::sweep_conduit_width(SEED, pairs),
+    );
+    sweep_table(
+        "AP density, m²/AP (paper: 200)",
+        &ablation::sweep_ap_density(SEED, pairs),
+    );
+    sweep_table(
+        "transmission range, m (paper: 50)",
+        &ablation::sweep_range(SEED, pairs),
+    );
+    println!(
+        "-- per-frame reception loss (redundancy robustness) --\n{}",
+        text::columns(
+            &ablation::sweep_reception_loss(SEED, pairs),
+            &[
+                ("loss", &|p| format!("{:.0}%", p.knob * 100.0)),
+                ("deliverable", &deliverable),
+                ("overhead", &overhead),
+            ]
+        )
+    );
+    println!(
+        "-- rebroadcast scope (same pairs, same placement) --\n{}",
+        text::columns(
+            &ablation::sweep_scope(SEED, pairs),
+            &[
+                ("scope", &|r| format!("{:?}", r.scope)),
+                ("deliverable", &|r| format!(
+                    "{:.1}%",
+                    r.deliverability * 100.0
+                )),
+                ("total broadcasts", &|r| r.total_broadcasts.to_string()),
+            ]
+        )
+    );
+
+    let enc = ablation::encoding_comparison(SEED, if ctx.fast() { 25 } else { 100 });
+    println!(
+        "-- route encoding (median bits over {} routes) --",
+        enc.routes
+    );
+    let encodings = [
+        ("absolute (paper)", enc.absolute_median_bits),
+        ("delta varbits", enc.delta_median_bits),
+        ("uncompressed route", enc.uncompressed_median_bits),
+    ];
+    let cols: [text::Column<(&str, usize)>; 2] = [
+        ("encoding", &|e| e.0.to_string()),
+        ("median bits", &|e| e.1.to_string()),
+    ];
+    println!("{}", text::columns(&encodings, &cols));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn problem(args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args).err().expect("the command line is rejected")
     }
 
-    if want("streaming") {
-        let sweep = SweepTimer::start();
-        let smoke = args.iter().any(|a| a == "--smoke");
-        // Offered load as multiples of the per-scenario estimated
-        // capacity; flow counts keep overload points long enough to
-        // reach shedding steady state.
-        let (multipliers, flat_flows, metro_flows, tiles): (
-            Vec<f64>,
-            usize,
-            usize,
-            (usize, usize),
-        ) = if smoke {
-            (vec![0.4, 2.5], 400, 300, (1, 1))
-        } else if opts.fast {
-            (vec![0.25, 0.75, 1.5, 3.0], 1_500, 800, (2, 2))
-        } else {
-            (
-                vec![0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0],
-                4_000,
-                1_500,
-                (2, 2),
-            )
-        };
-        let flat_flows = flows_override.unwrap_or(flat_flows);
-        let metro_flows = flows_override.unwrap_or(metro_flows);
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        let scenarios = [
-            streaming_figs::StreamScenario {
-                label: "downtown-flat",
-                metro_tiles: None,
-                flows: flat_flows,
-            },
-            streaming_figs::StreamScenario {
-                label: "metro-hier",
-                metro_tiles: Some(tiles),
-                flows: metro_flows,
-            },
+    #[test]
+    fn usage_lists_exactly_the_table() {
+        let usage = usage();
+        let listed = usage.lines().next().expect("targets line");
+        let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        assert_eq!(listed, format!("targets: all {}", names.join(" ")));
+        for (i, a) in ARTIFACTS.iter().enumerate() {
+            assert!(!a.scales.is_empty(), "`{}` runs at no scale", a.name);
+            assert!(ARTIFACTS[..i].iter().all(|b| b.name != a.name));
+        }
+    }
+
+    #[test]
+    fn what_the_parser_does_not_understand_is_an_error() {
+        assert_eq!(problem(&["streeming"]), "unknown target `streeming`");
+        assert_eq!(problem(&["metro", "--smok"]), "unknown flag `--smok`");
+        assert_eq!(
+            problem(&["fleet", "--flows", "abc"]),
+            "`--flows` needs a number, got `abc`"
+        );
+        assert_eq!(problem(&["fleet", "--flows"]), "`--flows` needs a number");
+        assert!(problem(&["fleet", "--smoke"]).starts_with("`fleet` has no Smoke scale"));
+        assert!(problem(&["all", "--smoke"]).starts_with("`table1` has no Smoke scale"));
+        assert!(problem(&["check", "--fast"]).starts_with("`check` has no Fast scale"));
+        assert!(problem(&["metro", "--fast", "--smoke"]).contains("one choice"));
+    }
+
+    #[test]
+    fn all_is_every_artifact_but_check() {
+        for args in [&["all", "--fast"][..], &["--fast"]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let (targets, ctx) = parse(&args).expect("valid");
+            assert_eq!(targets.len(), ARTIFACTS.len() - 1);
+            assert!(targets.iter().all(|a| a.name != "check"));
+            assert!(ctx.fast());
+        }
+        let args = [
+            "crypto".to_string(),
+            "--smoke".into(),
+            "--workers".into(),
+            "2".into(),
         ];
-        eprintln!(
-            "[running the streaming latency-under-load sweep: load {multipliers:?} x capacity, \
-             downtown {flat_flows} / metro-{}x{} {metro_flows} flows per point, \
-             workers {worker_counts:?}…]",
-            tiles.0, tiles.1
-        );
-        let figs =
-            streaming_figs::run_streaming_figs(SEED, &scenarios, &multipliers, &worker_counts);
-        println!(
-            "== streaming: sojourn, shedding, and the saturation knee under open-loop load =="
-        );
-        for curve in &figs.curves {
-            let rows: Vec<Vec<String>> = curve
-                .points
-                .iter()
-                .map(|p| {
-                    vec![
-                        format!("{:.2}x", p.multiplier),
-                        format!("{:.0}", p.rate_hz),
-                        p.offered.to_string(),
-                        format!("{:.1}%", p.shed_rate() * 100.0),
-                        format!("{}/{}", p.shed_backpressure, p.shed_deadline),
-                        format!("{}/{}", p.degraded_tracing, p.degraded_retry),
-                        format!("{:.2}", p.p50_sojourn_ms),
-                        format!("{:.2}", p.p99_sojourn_ms),
-                        p.max_depth.to_string(),
-                        format!("{:016x}", p.digest),
-                    ]
-                })
-                .collect();
-            println!(
-                "-- {} ({} buildings, {} servers x {} queue, {:.0} ms deadline, \
-                 capacity ~{:.0}/s) --\n{}",
-                curve.label,
-                curve.buildings,
-                curve.servers,
-                curve.queue_capacity,
-                curve.deadline_ms,
-                curve.capacity_hz,
-                text::table(
-                    &[
-                        "load", "rate/s", "offered", "shed", "bp/ddl", "rung1/2", "p50 ms",
-                        "p99 ms", "depth", "digest"
-                    ],
-                    &rows
-                )
-            );
-            match curve.knee_multiplier {
-                Some(k) => println!("saturation knee at {k:.2}x estimated capacity"),
-                None => println!("no saturation knee inside the swept range"),
-            }
-            let path = format!("figures/streaming_{}.svg", curve.label);
-            write_svg(&path, &streaming_figs::curve_svg(curve));
-            println!("wrote {path}");
-            if smoke {
-                let over = curve.points.last().expect("sweep has points");
-                assert!(
-                    over.multiplier >= 2.0 && over.shed() > 0,
-                    "smoke gate: {} must shed explicitly at {:.1}x capacity",
-                    curve.label,
-                    over.multiplier
-                );
-                assert_eq!(
-                    over.offered,
-                    over.admitted + over.shed(),
-                    "smoke gate: {} accounting must balance under overload",
-                    curve.label
-                );
-                println!(
-                    "smoke gate passed: shed {} of {} offered at {:.1}x, accounting balanced",
-                    over.shed(),
-                    over.offered,
-                    over.multiplier
-                );
-            }
-        }
-        println!(
-            "all worker counts agree on every digest; every shed flow is counted, \
-             p99 stays inside the deadline+service bound\n"
-        );
-        fs::write(
-            "BENCH_streaming.json",
-            streaming_figs::to_json(&figs).render(),
-        )
-        .expect("write BENCH_streaming.json");
-        println!("wrote BENCH_streaming.json");
-        sweep.finish("streaming");
+        let (targets, ctx) = parse(&args).expect("valid");
+        assert_eq!(targets.len(), 1);
+        assert_eq!(ctx.opts.worker_counts(), [2]);
     }
-
-    if want("crypto") {
-        let sweep = SweepTimer::start();
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let flows = flows_override.unwrap_or(if smoke {
-            400
-        } else if opts.fast {
-            1_000
-        } else {
-            10_000
-        });
-        let worker_counts: Vec<usize> = match workers_override {
-            Some(w) => vec![w.max(1)],
-            None => vec![1, 4, 8],
-        };
-        eprintln!(
-            "[running the secure-message-plane sweep: {flows} flows × workers {worker_counts:?} \
-             × plaintext/encrypted-cold/encrypted-warm…]"
-        );
-        let figs = crypto_figs::run_crypto_figs(SEED, flows, &worker_counts);
-        println!(
-            "== crypto: secure message plane cost ({}, {} buildings, {} flows) ==",
-            figs.city, figs.buildings, figs.flows
-        );
-        let rows: Vec<Vec<String>> = figs
-            .runs
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.label().to_string(),
-                    r.workers.to_string(),
-                    format!("{:.0}", r.flows_per_sec),
-                    r.keys_derived.to_string(),
-                    format!("{:016x}", r.digest),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            text::table(
-                &["mode", "workers", "flows/s", "keys derived", "digest"],
-                &rows
-            )
-        );
-        let plain = figs.rate(crypto_figs::CryptoMode::Plaintext, worker_counts[0]);
-        let warm = figs.rate(crypto_figs::CryptoMode::EncryptedWarm, worker_counts[0]);
-        println!(
-            "all plaintext digests agree; all encrypted digests agree across cache \
-             temperature and workers; both modes deliver the same flow set"
-        );
-        println!(
-            "warm encrypted: {:.2}x plaintext throughput at {} worker(s) \
-             (encrypted-downtown digest {:016x})\n",
-            if plain > 0.0 { warm / plain } else { 0.0 },
-            worker_counts[0],
-            figs.encrypted_digest
-        );
-        if smoke {
-            for &w in &worker_counts {
-                let plain = figs.rate(crypto_figs::CryptoMode::Plaintext, w);
-                let warm = figs.rate(crypto_figs::CryptoMode::EncryptedWarm, w);
-                assert!(
-                    warm >= 0.5 * plain,
-                    "smoke gate: warm encrypted throughput ({warm:.0}/s) must stay within \
-                     2x of plaintext ({plain:.0}/s) at {w} worker(s)"
-                );
-            }
-            println!(
-                "smoke gate passed: warm encrypted within 2x of plaintext at every worker count"
-            );
-        }
-        fs::write("BENCH_crypto.json", crypto_figs::to_json(&figs).render())
-            .expect("write BENCH_crypto.json");
-        println!("wrote BENCH_crypto.json");
-        sweep.finish("crypto");
-    }
-
-    if want("placement") {
-        let sweep = SweepTimer::start();
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let cfg = if smoke {
-            placement_figs::PlacementSweepConfig::smoke()
-        } else if opts.fast {
-            placement_figs::PlacementSweepConfig {
-                flows: 200,
-                anneal_iters: 24,
-                ..placement_figs::PlacementSweepConfig::full()
-            }
-        } else {
-            placement_figs::PlacementSweepConfig::full()
-        };
-        eprintln!(
-            "[running the placement sweep: {} archetype(s), k={}, {} flows/eval, \
-             {} anneal iters, digest checks at {:?} workers…]",
-            cfg.archetypes.len(),
-            cfg.k,
-            cfg.flows,
-            cfg.anneal_iters,
-            cfg.worker_checks
-        );
-        let figs = placement_figs::run_placement_figs(SEED, &cfg);
-        println!("== placement: hardened-site deployment, random vs greedy vs annealed ==");
-        for row in &figs.rows {
-            let rows: Vec<Vec<String>> = row
-                .cells
-                .iter()
-                .map(|c| {
-                    vec![
-                        c.strategy.to_string(),
-                        c.sites
-                            .iter()
-                            .map(|s| s.to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                        format!("{:.3}", c.healthy_delivery),
-                        format!("{:.3}", c.blackout_delivery),
-                        format!("{:.1}", c.blackout_p99_ms),
-                        c.evaluations.to_string(),
-                        format!("{}/{}", c.accepted_moves, c.proposed_moves),
-                        format!("{:016x}", c.digest),
-                    ]
-                })
-                .collect();
-            println!(
-                "-- {} ({} buildings, {} candidates, k={}, {} evals, {} routes evicted) --\n{}",
-                row.label,
-                row.buildings,
-                row.candidates,
-                row.k,
-                row.evaluations,
-                row.routes_evicted,
-                text::table(
-                    &[
-                        "strategy",
-                        "sites",
-                        "healthy",
-                        "blackout",
-                        "bo p99 ms",
-                        "evals",
-                        "acc/prop",
-                        "digest"
-                    ],
-                    &rows
-                )
-            );
-            println!(
-                "blackout delivery gap, annealed - random: {:+.3}",
-                row.blackout_gap()
-            );
-        }
-        let wins = figs.archetypes_where_annealed_beats_random();
-        println!(
-            "annealed beats random on blackout delivery in {wins} of {} archetype(s); \
-             every annealed digest reproduced at {:?} workers\n",
-            figs.rows.len(),
-            figs.worker_checks
-        );
-        if !smoke && figs.rows.len() >= 4 {
-            assert!(
-                wins >= 3,
-                "placement gate: annealed must beat random on blackout delivery \
-                 in at least 3 of {} archetypes, got {wins}",
-                figs.rows.len()
-            );
-        }
-        if smoke {
-            let row = figs.rows.first().expect("smoke sweeps downtown");
-            let annealed = row.cell("annealed").expect("annealed ran");
-            let random = row.cell("random").expect("random ran");
-            assert!(
-                annealed.blackout_delivery >= random.blackout_delivery,
-                "smoke gate: annealed blackout delivery {:.3} must not trail random {:.3}",
-                annealed.blackout_delivery,
-                random.blackout_delivery
-            );
-            println!(
-                "smoke gate passed: annealed blackout delivery {:.3} >= random {:.3}; \
-                 annealed-downtown digest {:016x}",
-                annealed.blackout_delivery, random.blackout_delivery, annealed.digest
-            );
-        }
-        write_svg(
-            "figures/placement_blackout.svg",
-            &placement_figs::placement_svg(&figs),
-        );
-        println!("wrote figures/placement_blackout.svg");
-        fs::write(
-            "BENCH_placement.json",
-            placement_figs::to_json(&figs).render(),
-        )
-        .expect("write BENCH_placement.json");
-        println!("wrote BENCH_placement.json");
-        sweep.finish("placement");
-    }
-}
-
-fn print_headers(fig6: &eval_figs::Fig6) {
-    if let Some(h) = fig6.header_stats() {
-        println!("== §4 header statistics: compressed source-route size ==");
-        println!(
-            "{} routes: median {} bits, 90%ile {} bits, median {} waypoints  (paper: 175 / 225 bits)\n",
-            h.routes, h.median_bits, h.p90_bits, h.median_waypoints
-        );
-    }
-}
-
-fn write_svg(path: &str, svg: &str) {
-    fs::write(Path::new(path), svg).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -7,8 +7,8 @@
 //! churn levels and drives the epoch-barrier engine from
 //! `citymesh-dynamics` with all three sender populations: the paper's
 //! static plan, the retry ladder, and the Babel/QSPN-style reactive
-//! local repair. The data lands in `BENCH_churn.json` via [`to_json`]
-//! plus one delivery-vs-churn SVG per archetype via [`curve_svg`].
+//! local repair, and draws one delivery-vs-churn SVG per archetype
+//! via [`curve_svg`].
 //!
 //! Two claims are checked, not assumed, at every point:
 //!
@@ -18,17 +18,19 @@
 //! 2. **Incremental invalidation**: evicting only the plans an event
 //!    could observably touch is digest-equal to flushing the whole
 //!    route cache, while evicting strictly fewer entries in aggregate
-//!    (per-point counts are recorded in the JSON).
+//!    (per-point counts are in the printed table).
 
-use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};
+use citymesh_core::{CityExperiment, FaultScenario};
 use citymesh_dynamics::{
     try_run_churn, ChurnConfig, ChurnEngineConfig, InvalidationPolicy, Strategy, Timeline,
 };
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
+use citymesh_map::CityArchetype;
 use citymesh_telemetry::TelemetryConfig;
 
-use crate::resilience_figs::survey_archetypes;
-use crate::text::json::Value;
+use crate::render::{ticks, LineChart, Series};
+use crate::sweep::{assert_unanimous, prepare, write_figure, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// One strategy's outcome at one `(archetype, churn level)` point.
 pub struct StrategyResult {
@@ -36,13 +38,9 @@ pub struct StrategyResult {
     pub strategy: &'static str,
     /// Delivered fraction under churn.
     pub delivery_rate: f64,
-    /// Flows that needed more than one attempt (ladder) or at least
-    /// one repair splice (reactive).
-    pub retried: u64,
-    /// Retried flows that a later rung / repaired route delivered.
+    /// Flows a later ladder rung or a repaired route delivered after
+    /// the first attempt failed.
     pub recovered: u64,
-    /// Reactive only: local repair splices performed.
-    pub repairs: u64,
     /// Churn digest, identical across all checked worker counts and
     /// across both invalidation policies (asserted by
     /// [`run_churn_figs`]).
@@ -69,15 +67,12 @@ pub struct ChurnPoint {
     pub timeline_fingerprint: u64,
     /// Total AP health flips the timeline performs.
     pub aps_changed: u64,
-    /// One result per strategy, in [`strategies`](crate::churn_figs)
-    /// order: static, ladder, reactive.
+    /// One result per strategy: static, ladder, reactive.
     pub strategies: Vec<StrategyResult>,
 }
 
 /// The churn-degradation curve of one archetype.
 pub struct ChurnCurve {
-    /// Generated city name.
-    pub city: String,
     /// Archetype label (`downtown`, `campus`, …).
     pub archetype: &'static str,
     /// Building count.
@@ -88,10 +83,6 @@ pub struct ChurnCurve {
 
 /// All four archetype curves of one churn sweep.
 pub struct ChurnFigures {
-    /// Root seed of the sweep.
-    pub seed: u64,
-    /// Flows per point.
-    pub flows: usize,
     /// Total incremental evictions over every point with events.
     pub total_evicted_incremental: u64,
     /// Total full-flush evictions over the same points.
@@ -101,13 +92,11 @@ pub struct ChurnFigures {
 }
 
 /// The three sender populations the sweep compares, in report order.
-fn strategies() -> [Strategy; 3] {
-    [
-        Strategy::StaticPlan,
-        Strategy::RetryLadder,
-        Strategy::ReactiveRepair,
-    ]
-}
+const STRATEGIES: [Strategy; 3] = [
+    Strategy::StaticPlan,
+    Strategy::RetryLadder,
+    Strategy::ReactiveRepair,
+];
 
 /// Splits a total event budget into the three mechanisms: half
 /// aftershocks, a quarter battery waves, the rest crew repairs.
@@ -140,15 +129,9 @@ pub fn run_churn_figs(
     let mut curves = Vec::new();
     let mut total_incremental = 0u64;
     let mut total_flush = 0u64;
-    for arch in survey_archetypes() {
-        let exp = CityExperiment::prepare(
-            arch.generate(seed),
-            ExperimentConfig {
-                seed,
-                faults: Some(FaultScenario::district_blackouts(1, 100.0)),
-                ..ExperimentConfig::default()
-            },
-        );
+    for arch in CityArchetype::survey_areas() {
+        let blackout = FaultScenario::district_blackouts(1, 100.0);
+        let exp = prepare(arch.generate(seed), seed, Some(blackout));
         let workload = generate_flows(
             exp.map().len(),
             &WorkloadConfig {
@@ -170,7 +153,6 @@ pub fn run_churn_figs(
             points.push(point);
         }
         curves.push(ChurnCurve {
-            city: exp.map().name().to_string(),
             archetype: arch.label(),
             buildings: exp.map().len(),
             points,
@@ -182,8 +164,6 @@ pub fn run_churn_figs(
          ({total_incremental} vs {total_flush} evictions)"
     );
     ChurnFigures {
-        seed,
-        flows,
         total_evicted_incremental: total_incremental,
         total_evicted_flush: total_flush,
         curves,
@@ -217,45 +197,36 @@ fn run_point(
         .sum();
 
     let mut results = Vec::new();
-    for strategy in strategies() {
-        let cfg = |workers: usize, invalidation: InvalidationPolicy| ChurnEngineConfig {
-            workers,
-            seed,
-            invalidation,
-            ..ChurnEngineConfig::default()
+    for strategy in STRATEGIES {
+        let run = |workers: usize, invalidation: InvalidationPolicy| {
+            let cfg = ChurnEngineConfig {
+                workers,
+                seed,
+                invalidation,
+                ..ChurnEngineConfig::default()
+            };
+            try_run_churn(
+                exp,
+                workload,
+                &timeline,
+                strategy,
+                &cfg,
+                &TelemetryConfig::off(),
+            )
+            .expect("sweep config matches the world it prepared")
+            .0
         };
         let reports: Vec<_> = worker_counts
             .iter()
-            .map(|&workers| {
-                try_run_churn(
-                    exp,
-                    workload,
-                    &timeline,
-                    strategy,
-                    &cfg(workers, InvalidationPolicy::Incremental),
-                    &TelemetryConfig::off(),
-                )
-                .expect("sweep config matches the world it prepared")
-                .0
-            })
+            .map(|&workers| run(workers, InvalidationPolicy::Incremental))
             .collect();
         let digests: Vec<u64> = reports.iter().map(|r| r.digest()).collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "{} under churn: digests diverged across workers {worker_counts:?}: {digests:x?}",
-            strategy.label()
+        assert_unanimous(
+            format_args!("{} under churn across workers", strategy.label()),
+            &digests,
         );
         let incremental = &reports[0];
-
-        let (flush, _) = try_run_churn(
-            exp,
-            workload,
-            &timeline,
-            strategy,
-            &cfg(worker_counts[0], InvalidationPolicy::FullFlush),
-            &TelemetryConfig::off(),
-        )
-        .expect("sweep config matches the world it prepared");
+        let flush = run(worker_counts[0], InvalidationPolicy::FullFlush);
         assert_eq!(
             incremental.digest(),
             flush.digest(),
@@ -271,9 +242,7 @@ fn run_point(
         results.push(StrategyResult {
             strategy: strategy.label(),
             delivery_rate: incremental.delivery_rate(),
-            retried: incremental.retried,
             recovered: incremental.recovered,
-            repairs: incremental.repairs,
             digest: incremental.digest(),
             evicted_incremental: incremental.routes_evicted,
             evicted_flush: flush.routes_evicted,
@@ -295,158 +264,118 @@ fn run_point(
     }
 }
 
-/// Serializes the sweep for `BENCH_churn.json`.
-pub fn to_json(figs: &ChurnFigures) -> Value {
-    Value::Obj(vec![
-        ("seed".into(), Value::Int(figs.seed as i64)),
-        ("flows".into(), Value::Int(figs.flows as i64)),
-        (
-            "total_evicted_incremental".into(),
-            Value::Int(figs.total_evicted_incremental as i64),
-        ),
-        (
-            "total_evicted_flush".into(),
-            Value::Int(figs.total_evicted_flush as i64),
-        ),
-        (
-            "curves".into(),
-            Value::Arr(
-                figs.curves
-                    .iter()
-                    .map(|c| {
-                        Value::Obj(vec![
-                            ("city".into(), Value::Str(c.city.clone())),
-                            ("archetype".into(), Value::Str(c.archetype.into())),
-                            ("buildings".into(), Value::Int(c.buildings as i64)),
-                            (
-                                "points".into(),
-                                Value::Arr(c.points.iter().map(point_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn point_json(p: &ChurnPoint) -> Value {
-    Value::Obj(vec![
-        ("events".into(), Value::Int(p.events as i64)),
-        ("churn_rate_hz".into(), Value::Num(p.churn_rate_hz)),
-        (
-            "timeline_fingerprint".into(),
-            Value::Str(format!("{:016x}", p.timeline_fingerprint)),
-        ),
-        ("aps_changed".into(), Value::Int(p.aps_changed as i64)),
-        (
-            "strategies".into(),
-            Value::Arr(
-                p.strategies
-                    .iter()
-                    .map(|s| {
-                        Value::Obj(vec![
-                            ("strategy".into(), Value::Str(s.strategy.into())),
-                            ("delivery_rate".into(), Value::Num(s.delivery_rate)),
-                            ("retried".into(), Value::Int(s.retried as i64)),
-                            ("recovered".into(), Value::Int(s.recovered as i64)),
-                            ("repairs".into(), Value::Int(s.repairs as i64)),
-                            ("digest".into(), Value::Str(format!("{:016x}", s.digest))),
-                            (
-                                "evicted_incremental".into(),
-                                Value::Int(s.evicted_incremental as i64),
-                            ),
-                            ("evicted_flush".into(), Value::Int(s.evicted_flush as i64)),
-                            (
-                                "planned_incremental".into(),
-                                Value::Int(s.planned_incremental as i64),
-                            ),
-                            ("planned_flush".into(), Value::Int(s.planned_flush as i64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Renders one archetype's delivery-vs-churn curve as a small
-/// standalone SVG line chart, one line per strategy.
+/// Renders one archetype's delivery-vs-churn curve, one line per
+/// strategy.
 pub fn curve_svg(curve: &ChurnCurve) -> String {
-    const W: f64 = 420.0;
-    const H: f64 = 280.0;
-    const M: f64 = 40.0; // margin on every side
-    let max_events = curve
-        .points
-        .iter()
-        .map(|p| p.events as f64)
-        .fold(1.0, f64::max);
-    let x = |events: usize| M + events as f64 * (W - 2.0 * M) / max_events;
-    let y = |rate: f64| H - M - rate.clamp(0.0, 1.0) * (H - 2.0 * M);
-    let path = |idx: usize| {
-        curve
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{:.1},{:.1}",
-                    x(p.events),
-                    y(p.strategies[idx].delivery_rate)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let series = [
+    let xs: Vec<f64> = curve.points.iter().map(|p| p.events as f64).collect();
+    let x_ticks: Vec<String> = curve.points.iter().map(|p| p.events.to_string()).collect();
+    let series: Vec<Series> = [
         ("static plan", "#d62728", Some("5,4")),
         ("retry ladder", "#1f77b4", None),
         ("reactive repair", "#2ca02c", None),
-    ];
-    let mut s = String::new();
-    s.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{W}\" height=\"{H}\" \
-         viewBox=\"0 0 {W} {H}\" font-family=\"sans-serif\" font-size=\"11\">\n"
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"16\" text-anchor=\"middle\" font-size=\"13\">{}: delivery vs churn</text>\n",
-        W / 2.0,
-        curve.archetype
-    ));
-    s.push_str(&format!(
-        "<line x1=\"{M}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#444\"/>\n\
-         <line x1=\"{M}\" y1=\"{M}\" x2=\"{M}\" y2=\"{0}\" stroke=\"#444\"/>\n",
-        H - M,
-        W - M
-    ));
-    for tick in [0.0, 0.5, 1.0] {
-        s.push_str(&format!(
-            "<text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.1}</text>\n",
-            M - 4.0,
-            y(tick) + 4.0,
-            tick
-        ));
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (label, color, dash))| Series {
+        label,
+        color,
+        dash,
+        ys: curve
+            .points
+            .iter()
+            .map(|p| p.strategies[i].delivery_rate)
+            .collect(),
+    })
+    .collect();
+    LineChart {
+        title: &format!("{}: delivery vs churn", curve.archetype),
+        x_label: "scheduled world events",
+        y_label: None,
+        xs: &xs,
+        x_ticks: &x_ticks,
+        y_ticks: &ticks(&[0.0, 0.5, 1.0], 1),
+        series: &series,
+        marker: None,
     }
-    for (idx, (label, color, dash)) in series.iter().enumerate() {
-        let dash_attr = dash
-            .map(|d| format!(" stroke-dasharray=\"{d}\""))
-            .unwrap_or_default();
-        s.push_str(&format!(
-            "<polyline points=\"{}\" fill=\"none\" stroke=\"{color}\" stroke-width=\"2\"{dash_attr}/>\n",
-            path(idx)
-        ));
-        s.push_str(&format!(
-            "<text x=\"{}\" y=\"{}\" fill=\"{color}\">{label}</text>\n",
-            W - M - 120.0,
-            M + 14.0 * (idx as f64 + 1.0)
-        ));
+    .render()
+}
+
+impl Sweep for ChurnFigures {
+    const NAME: &'static str = "churn";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast];
+    const PINNED: Scale = Scale::Fast;
+
+    fn run(opts: &SweepOpts) -> Self {
+        // Total scheduled events per point; the mechanism mix is fixed
+        // by `event_mix`.
+        let event_levels = [0usize, 2, 4, 8];
+        let flows = opts.flows_or(400, 150, 150);
+        run_churn_figs(SEED, &event_levels, flows, &opts.worker_counts())
     }
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\">scheduled world events</text>\n",
-        W / 2.0,
-        H - 8.0
-    ));
-    s.push_str("</svg>\n");
-    s
+
+    fn print(&self) {
+        println!("== churn: delivery and replan cost under a mutating world ==");
+        for curve in &self.curves {
+            let rows: Vec<(&ChurnPoint, &StrategyResult)> = curve
+                .points
+                .iter()
+                .flat_map(|p| p.strategies.iter().map(move |s| (p, s)))
+                .collect();
+            println!(
+                "-- {} ({} buildings) --\n{}",
+                curve.archetype,
+                curve.buildings,
+                text::columns(
+                    &rows,
+                    &[
+                        ("events", &|(p, _)| p.events.to_string()),
+                        ("rate/s", &|(p, _)| format!("{:.1}", p.churn_rate_hz)),
+                        ("strategy", &|(_, s)| s.strategy.to_string()),
+                        ("delivered", &|(_, s)| format!(
+                            "{:.1}%",
+                            s.delivery_rate * 100.0
+                        )),
+                        ("recovered", &|(_, s)| s.recovered.to_string()),
+                        ("evict inc/flush", &|(_, s)| format!(
+                            "{}/{}",
+                            s.evicted_incremental, s.evicted_flush
+                        )),
+                        ("plan inc/flush", &|(_, s)| format!(
+                            "{}/{}",
+                            s.planned_incremental, s.planned_flush
+                        )),
+                        ("digest", &|(_, s)| format!("{:016x}", s.digest)),
+                    ]
+                )
+            );
+            write_figure(
+                &format!("figures/churn_{}.svg", curve.archetype),
+                &curve_svg(curve),
+            );
+        }
+        println!(
+            "all worker counts and both invalidation policies agree on every digest; \
+             incremental eviction cost {} entries vs {} for full flushes\n",
+            self.total_evicted_incremental, self.total_evicted_flush
+        );
+    }
+
+    /// The downtown 8-event point: the timeline fingerprint pins the
+    /// materialized event schedule (times, mechanisms, every per-AP
+    /// health flip); the ladder digest pins the epoch-barrier pipeline
+    /// over it — partitioning, serial event application, incremental
+    /// invalidation, aggregation.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        let downtown = self.curves.iter().find(|c| c.archetype == "downtown");
+        let point = downtown.and_then(|c| c.points.iter().find(|p| p.events == 8));
+        let ladder = point.and_then(|p| p.strategies.iter().find(|s| s.strategy == "ladder"));
+        point.zip(ladder).map_or(vec![], |(p, s)| {
+            vec![
+                ("downtown 8-event timeline", p.timeline_fingerprint),
+                ("downtown 8-event ladder digest", s.digest),
+            ]
+        })
+    }
 }
 
 #[cfg(test)]
@@ -462,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_checks_invariants_and_serializes() {
+    fn sweep_checks_invariants_and_draws() {
         let figs = run_churn_figs(9, &[0, 4], 80, &[1, 2]);
         assert_eq!(figs.curves.len(), 4);
         assert!(
@@ -481,9 +410,6 @@ mod tests {
                 assert!(s.planned_incremental <= s.planned_flush);
             }
         }
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"timeline_fingerprint\""));
-        assert!(rendered.contains("\"evicted_flush\""));
         let svg = curve_svg(&figs.curves[1]);
         assert!(svg.starts_with("<svg") && svg.contains("polyline"));
     }

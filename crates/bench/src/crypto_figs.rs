@@ -16,16 +16,15 @@
 //! must agree with each other, all encrypted digests (cold *and* warm)
 //! must agree with each other, and both modes must deliver identical
 //! flow sets — proving on every CI run that sealing, cache temperature,
-//! and worker count never perturb what the simulation decides. The data
-//! lands in `BENCH_crypto.json` via [`to_json`].
+//! and worker count never perturb what the simulation decides.
 
 use std::time::Instant;
 
-use citymesh_core::{CityExperiment, ExperimentConfig};
-use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_fleet::{generate_flows, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 
-use crate::text::json::Value;
+use crate::sweep::{fleet_config, prepare, run_fleet, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// How a run treats the message plane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,7 +38,7 @@ pub enum CryptoMode {
 }
 
 impl CryptoMode {
-    /// Stable label used in JSON and tables.
+    /// Stable label used in tables.
     pub fn label(self) -> &'static str {
         match self {
             CryptoMode::Plaintext => "plaintext",
@@ -57,8 +56,8 @@ pub struct CryptoRun {
     pub workers: usize,
     /// Flows simulated per wall-clock second.
     pub flows_per_sec: f64,
-    /// Session keys derived during this run (0 in plaintext and — bar
-    /// a rare miss race — in warm runs; one per active pair when cold).
+    /// Session keys derived during this run (0 in plaintext and warm
+    /// runs; at least one per active pair when cold).
     pub keys_derived: u64,
     /// Fleet report digest of the run.
     pub digest: u64,
@@ -95,20 +94,15 @@ impl CryptoFigures {
 /// count, over one shared deterministic flow set.
 ///
 /// # Panics
-/// Panics if any two same-mode runs disagree on the digest, or if the
-/// encrypted runs do not deliver exactly the plaintext flow set — a
+/// Panics if any two same-mode runs disagree on the digest, if the
+/// encrypted runs do not deliver exactly the plaintext flow set, if a
+/// cold run derives no key on-path, or if a warm run derives any — a
 /// benchmark must not report throughput for results that are wrong.
 pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> CryptoFigures {
     let map = CityArchetype::SurveyDowntown.generate(seed);
     let city = map.name().to_string();
     let buildings = map.len();
-    let mut exp = CityExperiment::prepare(
-        map,
-        ExperimentConfig {
-            seed,
-            ..ExperimentConfig::default()
-        },
-    );
+    let mut exp = prepare(map, seed, None);
     exp.enable_encryption();
     let flows = generate_flows(
         exp.map().len(),
@@ -119,28 +113,17 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
         },
     );
     let cfg_for = |mode: CryptoMode, workers: usize| FleetConfig {
-        workers,
-        seed,
         encrypted: mode != CryptoMode::Plaintext,
-        ..FleetConfig::default()
+        ..fleet_config(seed, workers)
     };
 
     // Unmeasured warm-up: settle the allocator, fault in the lazily
     // built tables, and derive every active pair's session key so the
     // first warm run really is warm.
     let secure = exp.secure_state().expect("encryption enabled").clone();
-    try_run_fleet(
-        &exp,
-        &flows,
-        &cfg_for(CryptoMode::Plaintext, worker_counts[0]),
-    )
-    .expect("sweep config matches the world it prepared");
-    try_run_fleet(
-        &exp,
-        &flows,
-        &cfg_for(CryptoMode::EncryptedWarm, worker_counts[0]),
-    )
-    .expect("sweep config matches the world it prepared");
+    for mode in [CryptoMode::Plaintext, CryptoMode::EncryptedWarm] {
+        run_fleet(&exp, &flows, &cfg_for(mode, worker_counts[0]));
+    }
 
     let mut runs = Vec::new();
     let mut plaintext = None;
@@ -161,10 +144,10 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
             }
             let misses_before = secure.session_misses();
             let start = Instant::now();
-            let report = try_run_fleet(&exp, &flows, &cfg_for(mode, workers))
-                .expect("sweep config matches the world it prepared");
+            let report = run_fleet(&exp, &flows, &cfg_for(mode, workers));
             let elapsed = start.elapsed().as_secs_f64();
             let digest = report.digest();
+            let keys_derived = secure.session_misses() - misses_before;
             match mode {
                 CryptoMode::Plaintext => {
                     let d = *plaintext.get_or_insert((digest, report.delivered));
@@ -173,6 +156,11 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
                 CryptoMode::EncryptedCold | CryptoMode::EncryptedWarm => {
                     assert_eq!(report.sealed, flows.len() as u64, "every flow must seal");
                     assert_eq!(report.auth_failures, 0, "honest runs never fail auth");
+                    assert_eq!(
+                        keys_derived > 0,
+                        mode == CryptoMode::EncryptedCold,
+                        "cold runs must derive keys on-path, warm runs be pure cache hits"
+                    );
                     let d = *encrypted.get_or_insert((digest, report.delivered));
                     assert_eq!(
                         d,
@@ -185,7 +173,7 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
                 mode,
                 workers,
                 flows_per_sec: flows.len() as f64 / elapsed.max(1e-9),
-                keys_derived: secure.session_misses() - misses_before,
+                keys_derived,
                 digest,
             });
         }
@@ -206,38 +194,71 @@ pub fn run_crypto_figs(seed: u64, n_flows: usize, worker_counts: &[usize]) -> Cr
     }
 }
 
-/// Serializes the sweep for `BENCH_crypto.json`.
-pub fn to_json(figs: &CryptoFigures) -> Value {
-    Value::Obj(vec![
-        ("city".into(), Value::Str(figs.city.clone())),
-        ("buildings".into(), Value::Int(figs.buildings as i64)),
-        ("flows".into(), Value::Int(figs.flows as i64)),
-        (
-            "plaintext_digest".into(),
-            Value::Str(format!("{:016x}", figs.plaintext_digest)),
-        ),
-        (
-            "encrypted_digest".into(),
-            Value::Str(format!("{:016x}", figs.encrypted_digest)),
-        ),
-        (
-            "runs".into(),
-            Value::Arr(
-                figs.runs
-                    .iter()
-                    .map(|r| {
-                        Value::Obj(vec![
-                            ("mode".into(), Value::Str(r.mode.label().into())),
-                            ("workers".into(), Value::Int(r.workers as i64)),
-                            ("flows_per_sec".into(), Value::Num(r.flows_per_sec)),
-                            ("keys_derived".into(), Value::Int(r.keys_derived as i64)),
-                            ("digest".into(), Value::Str(format!("{:016x}", r.digest))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl Sweep for CryptoFigures {
+    const NAME: &'static str = "crypto";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast, Scale::Smoke];
+    const PINNED: Scale = Scale::Smoke;
+
+    fn run(opts: &SweepOpts) -> Self {
+        let flows = opts.flows_or(10_000, 1_000, 400);
+        run_crypto_figs(SEED, flows, &opts.worker_counts())
+    }
+
+    fn print(&self) {
+        println!(
+            "== crypto: secure message plane cost ({}, {} buildings, {} flows) ==",
+            self.city, self.buildings, self.flows
+        );
+        println!(
+            "{}",
+            text::columns(
+                &self.runs,
+                &[
+                    ("mode", &|r| r.mode.label().to_string()),
+                    ("workers", &|r| r.workers.to_string()),
+                    ("flows/s", &|r| format!("{:.0}", r.flows_per_sec)),
+                    ("keys derived", &|r| r.keys_derived.to_string()),
+                    ("digest", &|r| format!("{:016x}", r.digest)),
+                ]
+            )
+        );
+        let workers = self.runs[0].workers;
+        let plain = self.rate(CryptoMode::Plaintext, workers);
+        let warm = self.rate(CryptoMode::EncryptedWarm, workers);
+        println!(
+            "all plaintext digests agree; all encrypted digests agree across cache \
+             temperature and workers; both modes deliver the same flow set"
+        );
+        println!(
+            "warm encrypted: {:.2}x plaintext throughput at {workers} worker(s) \
+             (encrypted-downtown digest {:016x})\n",
+            warm / plain.max(1e-9),
+            self.encrypted_digest
+        );
+    }
+
+    /// The encrypted pin covers every encrypted run — cold or warm
+    /// cache, any worker count — and differs from the plaintext pin
+    /// only through the sealed counters folded into the report.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("plaintext digest", self.plaintext_digest),
+            ("encrypted digest", self.encrypted_digest),
+        ]
+    }
+
+    fn throughput_gate(&self) {
+        for run in self.runs.iter().filter(|r| r.mode == CryptoMode::Plaintext) {
+            let warm = self.rate(CryptoMode::EncryptedWarm, run.workers);
+            assert!(
+                warm >= 0.5 * run.flows_per_sec,
+                "warm encrypted throughput ({warm:.0}/s) must stay within 2x of plaintext \
+                 ({:.0}/s) at {} worker(s)",
+                run.flows_per_sec,
+                run.workers
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -245,7 +266,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_agrees_and_serializes() {
+    fn sweep_agrees_across_modes() {
         let figs = run_crypto_figs(7, 96, &[1, 2]);
         assert_eq!(figs.runs.len(), 6, "3 modes × 2 worker counts");
         for r in &figs.runs {
@@ -257,9 +278,6 @@ mod tests {
         }
         let cold = figs.rate(CryptoMode::EncryptedCold, 1);
         assert!(cold > 0.0, "cold runs must be timed");
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"encrypted-warm\""));
-        assert!(rendered.contains("\"keys_derived\""));
-        assert!(rendered.contains("\"encrypted_digest\""));
+        assert_eq!(figs.pins().len(), 2);
     }
 }

@@ -3,16 +3,23 @@
 //! Runs the `citymesh-fleet` engine over a hotspot disaster workload
 //! at several flow counts and worker counts, verifying at every flow
 //! count that all worker counts aggregate to the same digest (the
-//! engine's determinism invariant) and reporting flows/sec. The data
-//! lands in `BENCH_fleet.json` via [`to_json`].
+//! engine's determinism invariant) and reporting flows/sec.
 
-use citymesh_core::{CityExperiment, ExperimentConfig};
-use citymesh_fleet::{
-    generate_flows, try_run_fleet, FleetConfig, FleetReport, FlowModel, WorkloadConfig,
-};
+use citymesh_fleet::{generate_flows, FleetReport, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 
-use crate::text::json::Value;
+use crate::sweep::{
+    assert_unanimous, fleet_config, prepare, run_fleet, Scale, Sweep, SweepOpts, SEED,
+};
+use crate::text;
+
+/// The sweep's hotspot disaster workload. The telemetry sweep traces
+/// this same recipe, so the two share one golden digest.
+pub const HOTSPOT_WORKLOAD: FlowModel = FlowModel::Hotspot {
+    hotspots: 8,
+    exponent: 1.1,
+    rate_hz: 500.0,
+};
 
 /// One engine run at a `(flow count, worker count)` point.
 pub struct FleetRun {
@@ -58,19 +65,9 @@ pub fn run_fleet_figs(
     let map = CityArchetype::SurveyDowntown.generate(seed);
     let city = map.name().to_string();
     let buildings = map.len();
-    let exp = CityExperiment::prepare(
-        map,
-        ExperimentConfig {
-            seed,
-            ..ExperimentConfig::default()
-        },
-    );
+    let exp = prepare(map, seed, None);
 
-    let model = FlowModel::Hotspot {
-        hotspots: 8,
-        exponent: 1.1,
-        rate_hz: 500.0,
-    };
+    let model = HOTSPOT_WORKLOAD;
 
     // Warm-up: run the largest workload once, unmeasured. Allocator
     // state (heap size, glibc's adaptive mmap threshold) only settles
@@ -84,24 +81,9 @@ pub fn run_fleet_figs(
         0
     };
     if warm_flows > 0 {
-        let warm = generate_flows(
-            buildings,
-            &WorkloadConfig {
-                flows: warm_flows,
-                model,
-                seed,
-            },
-        );
-        try_run_fleet(
-            &exp,
-            &warm,
-            &FleetConfig {
-                workers: 1,
-                seed,
-                ..FleetConfig::default()
-            },
-        )
-        .expect("sweep config matches the world it prepared");
+        let flows = warm_flows;
+        let warm = generate_flows(buildings, &WorkloadConfig { flows, model, seed });
+        run_fleet(&exp, &warm, &fleet_config(seed, 1));
     }
 
     let mut runs = Vec::new();
@@ -109,16 +91,7 @@ pub fn run_fleet_figs(
         let specs = generate_flows(buildings, &WorkloadConfig { flows, model, seed });
         let mut digests: Vec<u64> = Vec::new();
         for &workers in worker_counts {
-            let report = try_run_fleet(
-                &exp,
-                &specs,
-                &FleetConfig {
-                    workers,
-                    seed,
-                    ..FleetConfig::default()
-                },
-            )
-            .expect("sweep config matches the world it prepared");
+            let report = run_fleet(&exp, &specs, &fleet_config(seed, workers));
             digests.push(report.digest());
             runs.push(FleetRun {
                 flows,
@@ -126,10 +99,7 @@ pub fn run_fleet_figs(
                 report,
             });
         }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "determinism violated at {flows} flows: digests {digests:x?}"
-        );
+        assert_unanimous(format_args!("{flows} flows across workers"), &digests);
     }
     FleetFigures {
         city,
@@ -139,49 +109,55 @@ pub fn run_fleet_figs(
     }
 }
 
-/// Serializes the sweep for `BENCH_fleet.json`.
-pub fn to_json(figs: &FleetFigures) -> Value {
-    let quant = |h: &citymesh_simcore::stats::Histogram, q: f64| {
-        h.quantile(q).map(Value::Num).unwrap_or(Value::Null)
-    };
-    Value::Obj(vec![
-        ("city".into(), Value::Str(figs.city.clone())),
-        ("buildings".into(), Value::Int(figs.buildings as i64)),
-        ("model".into(), Value::Str(figs.model.into())),
-        (
-            "runs".into(),
-            Value::Arr(
-                figs.runs
-                    .iter()
-                    .map(|r| {
-                        Value::Obj(vec![
-                            ("flows".into(), Value::Int(r.flows as i64)),
-                            ("workers".into(), Value::Int(r.workers as i64)),
-                            ("flows_per_sec".into(), Value::Num(r.report.flows_per_sec())),
-                            ("elapsed_secs".into(), Value::Num(r.report.elapsed_secs)),
-                            ("delivered".into(), Value::Int(r.report.delivered as i64)),
-                            ("delivery_rate".into(), Value::Num(r.report.delivery_rate())),
-                            ("checkins".into(), Value::Int(r.report.checkins as i64)),
-                            ("cache_hits".into(), Value::Int(r.report.cache_hits as i64)),
-                            (
-                                "cache_misses".into(),
-                                Value::Int(r.report.cache_misses as i64),
-                            ),
-                            (
-                                "digest".into(),
-                                Value::Str(format!("{:016x}", r.report.digest())),
-                            ),
-                            ("latency_ms_p50".into(), quant(&r.report.latency_ms, 0.5)),
-                            ("latency_ms_p99".into(), quant(&r.report.latency_ms, 0.99)),
-                            ("broadcasts_p50".into(), quant(&r.report.broadcasts, 0.5)),
-                            ("header_bits_p50".into(), quant(&r.report.header_bits, 0.5)),
-                            ("header_bits_p90".into(), quant(&r.report.header_bits, 0.9)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl Sweep for FleetFigures {
+    const NAME: &'static str = "fleet";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast];
+    const PINNED: Scale = Scale::Fast;
+
+    fn run(opts: &SweepOpts) -> Self {
+        let flow_counts = match (opts.flows, opts.scale) {
+            (Some(n), _) => vec![n],
+            (None, Scale::Full) => vec![1_000, 10_000, 100_000],
+            (None, _) => vec![500, 2_000],
+        };
+        run_fleet_figs(SEED, &flow_counts, &opts.worker_counts(), !opts.cold)
+    }
+
+    fn print(&self) {
+        println!(
+            "== fleet: heavy-traffic throughput ({}, {} buildings, {} workload) ==",
+            self.city, self.buildings, self.model
+        );
+        let hits = |r: &FleetReport| {
+            100.0 * r.cache_hits as f64 / (r.cache_hits + r.cache_misses).max(1) as f64
+        };
+        println!(
+            "{}",
+            text::columns(
+                &self.runs,
+                &[
+                    ("flows", &|r| r.flows.to_string()),
+                    ("workers", &|r| r.workers.to_string()),
+                    ("flows/s", &|r| format!("{:.0}", r.report.flows_per_sec())),
+                    ("delivered", &|r| format!(
+                        "{:.1}%",
+                        r.report.delivery_rate() * 100.0
+                    )),
+                    ("cache hits", &|r| format!("{:.0}%", hits(&r.report))),
+                    ("digest", &|r| format!("{:016x}", r.report.digest())),
+                ]
+            )
+        );
+        println!("all worker counts agree on every digest: parallel == serial, bit for bit\n");
+    }
+
+    /// The 500-flow digest (every worker count agrees on it).
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        let run = self.runs.iter().find(|r| r.flows == 500);
+        run.map(|r| ("500-flow digest", r.report.digest()))
+            .into_iter()
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -189,7 +165,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_runs_and_serializes() {
+    fn sweep_runs_and_agrees() {
         let figs = run_fleet_figs(5, &[40], &[1, 2], true);
         assert_eq!(figs.runs.len(), 2);
         assert_eq!(
@@ -197,9 +173,6 @@ mod tests {
             figs.runs[1].report.digest(),
             "run_fleet_figs must have asserted this already"
         );
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"flows_per_sec\""));
-        assert!(rendered.contains("\"digest\""));
-        assert!(rendered.starts_with('{') && rendered.ends_with('}'));
+        assert!(figs.pins().is_empty(), "no 500-flow run, no pin observed");
     }
 }

@@ -7,16 +7,13 @@
 //! vs the hierarchical planner ([`HierPlanner::plan_route_into`]) —
 //! over the same deterministic pair sample at several worker counts.
 //!
-//! Two invariants are asserted, not just reported:
+//! One invariant is asserted, not just reported: per size, every
+//! `(mode, workers)` run folds to the same route digest and finds the
+//! same number of routable pairs — routing is pure, so scheduling must
+//! be invisible, and the hierarchy is exact, so the planner must be too
+//! (pathwise exactness on random cities is the `hier_props` proptests).
 //!
-//! * per `(size, mode)`, every worker count folds to the same route
-//!   digest — routing is pure, so scheduling must be invisible;
-//! * flat and hier agree on how many pairs are routable (the
-//!   hierarchy's exactness is proven pathwise by the `hier_props`
-//!   proptests; here we keep the cheap structural check).
-//!
-//! The data lands in `BENCH_metro.json` via [`to_json`]; the binary
-//! also renders plans/sec and bytes/AP vs city size as SVG charts via
+//! Plans/sec and bytes/AP vs city size are drawn as SVG charts via
 //! [`throughput_svg`] / [`memory_svg`].
 
 use std::time::Instant;
@@ -27,10 +24,11 @@ use citymesh_core::{
 };
 use citymesh_graph::PlannerScratch;
 use citymesh_map::{generate_metro, MetroParams};
-use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_simcore::{substream_seed, Fnv64, SimRng};
 
-use crate::sweep::SweepTimer;
-use crate::text::json::Value;
+use crate::render::{LineChart, Series};
+use crate::sweep::{assert_unanimous, timed_chunks, write_figure, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// Sub-stream domain for metro benchmark pair sampling.
 const DOMAIN_METRO_PAIRS: u64 = 0x4D50;
@@ -45,7 +43,7 @@ pub enum MetroMode {
 }
 
 impl MetroMode {
-    /// Stable lowercase label for tables and JSON.
+    /// Stable lowercase label for tables.
     pub fn label(self) -> &'static str {
         match self {
             MetroMode::Flat => "flat",
@@ -81,8 +79,6 @@ pub struct MetroSize {
     pub districts: usize,
     /// Border nodes in the overlay graph.
     pub border_nodes: usize,
-    /// Sampled src/dst pairs per run.
-    pub pairs: usize,
     /// Map synthesis time, ms.
     pub gen_ms: f64,
     /// Building-graph (CSR + landmarks) build time, ms.
@@ -96,11 +92,6 @@ pub struct MetroSize {
     pub hier_bytes: usize,
     /// Every `(mode, workers)` run, in sweep order.
     pub runs: Vec<MetroRun>,
-    /// Wall time of this whole size point, ms.
-    pub wall_ms: f64,
-    /// Process peak RSS after this size point, KiB (from
-    /// `/proc/self/status`; 0 where unavailable).
-    pub peak_rss_kb: u64,
 }
 
 impl MetroSize {
@@ -133,21 +124,13 @@ pub struct MetroFigures {
 /// FNV-1a over one pair's outcome, keyed by the pair index so the
 /// XOR fold cannot cancel identical routes from different pairs.
 fn pair_fingerprint(index: u64, route: &[u32]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(index);
-    eat(route.len() as u64);
+    let mut h = Fnv64::new();
+    h.mix_bytes(index);
+    h.mix_bytes(route.len() as u64);
     for &v in route {
-        eat(u64::from(v));
+        h.mix_bytes(u64::from(v));
     }
-    h
+    h.value()
 }
 
 /// Draws `pairs` deterministic src/dst samples over `n` buildings.
@@ -174,51 +157,29 @@ fn run_mode(
     pairs: &[(u32, u32)],
     workers: usize,
 ) -> (f64, usize, u64) {
-    let workers = workers.max(1).min(pairs.len().max(1));
-    let chunk = pairs.len().div_ceil(workers);
-    let started = Instant::now();
-    let mut found = 0usize;
-    let mut digest = 0u64;
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                s.spawn(move |_| {
-                    let base = (ci * chunk) as u64;
-                    let mut flat_scratch = PlannerScratch::new();
-                    let mut hier_scratch = HierPlanScratch::new();
-                    let mut route: Vec<u32> = Vec::new();
-                    let mut found = 0usize;
-                    let mut digest = 0u64;
-                    for (i, &(src, dst)) in slice.iter().enumerate() {
-                        let ok = match hier {
-                            Some(h) => h
-                                .plan_route_into(bg, src, dst, &mut hier_scratch, &mut route)
-                                .is_ok(),
-                            None => {
-                                plan_route_into(bg, src, dst, &mut flat_scratch, &mut route).is_ok()
-                            }
-                        };
-                        if ok {
-                            found += 1;
-                            digest ^= pair_fingerprint(base + i as u64, &route);
-                        } else {
-                            digest ^= pair_fingerprint(base + i as u64, &[]);
-                        }
-                    }
-                    (found, digest)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (f, d) = h.join().expect("metro routing worker panicked");
-            found += f;
-            digest ^= d;
+    let (parts, secs) = timed_chunks(pairs, workers, |base, slice| {
+        let mut flat_scratch = PlannerScratch::new();
+        let mut hier_scratch = HierPlanScratch::new();
+        let mut route: Vec<u32> = Vec::new();
+        let mut found = 0usize;
+        let mut digest = 0u64;
+        for (i, &(src, dst)) in slice.iter().enumerate() {
+            let ok = match hier {
+                Some(h) => h
+                    .plan_route_into(bg, src, dst, &mut hier_scratch, &mut route)
+                    .is_ok(),
+                None => plan_route_into(bg, src, dst, &mut flat_scratch, &mut route).is_ok(),
+            };
+            if !ok {
+                route.clear();
+            }
+            found += usize::from(ok);
+            digest ^= pair_fingerprint((base + i) as u64, &route);
         }
-    })
-    .expect("metro routing scope panicked");
-    let secs = started.elapsed().as_secs_f64().max(1e-9);
+        (found, digest)
+    });
+    let found = parts.iter().map(|p| p.0).sum();
+    let digest = parts.iter().fold(0, |acc, p| acc ^ p.1);
     (pairs.len() as f64 / secs, found, digest)
 }
 
@@ -227,9 +188,8 @@ fn run_mode(
 /// count.
 ///
 /// # Panics
-/// Panics when any two worker counts at the same `(size, mode)` point
-/// disagree on the digest, or when flat and hier disagree on how many
-/// of the sampled pairs are routable.
+/// Panics when any two `(mode, workers)` runs at the same size disagree
+/// on the route digest or on how many of the sampled pairs are routable.
 pub fn run_metro_figs(
     seed: u64,
     specs: &[(usize, usize, usize)],
@@ -237,7 +197,6 @@ pub fn run_metro_figs(
 ) -> MetroFigures {
     let mut sizes = Vec::new();
     for (ordinal, &(tx, ty, pairs)) in specs.iter().enumerate() {
-        let point = SweepTimer::start();
         let params = MetroParams::with_tiles(tx, ty);
         let t = Instant::now();
         let map = generate_metro(&params, seed);
@@ -273,12 +232,8 @@ pub fn run_metro_figs(
         let mut runs = Vec::new();
         for mode in [MetroMode::Flat, MetroMode::Hier] {
             let hier = (mode == MetroMode::Hier).then_some(&planner);
-            let mut digests = Vec::new();
-            let mut founds = Vec::new();
             for &w in worker_counts {
                 let (rate, found, digest) = run_mode(&bg, hier, &pair_sample, w);
-                digests.push(digest);
-                founds.push(found);
                 runs.push(MetroRun {
                     mode,
                     workers: w,
@@ -287,206 +242,80 @@ pub fn run_metro_figs(
                     digest,
                 });
             }
-            assert!(
-                digests.windows(2).all(|d| d[0] == d[1]),
-                "{}x{ty} {}: digests differ across workers: {digests:x?}",
-                tx,
-                mode.label()
-            );
-            assert!(
-                founds.windows(2).all(|f| f[0] == f[1]),
-                "{tx}x{ty} {}: routable counts differ across workers",
-                mode.label()
-            );
         }
-        let flat_found = runs
-            .iter()
-            .find(|r| r.mode == MetroMode::Flat)
-            .map(|r| r.routes_found);
-        let hier_found = runs
-            .iter()
-            .find(|r| r.mode == MetroMode::Hier)
-            .map(|r| r.routes_found);
-        assert_eq!(
-            flat_found, hier_found,
-            "{tx}x{ty}: flat and hier disagree on routability"
+        let digests: Vec<u64> = runs.iter().map(|r| r.digest).collect();
+        assert_unanimous(
+            format_args!("{tx}x{ty} across flat/hier and workers"),
+            &digests,
+        );
+        assert!(
+            runs.windows(2)
+                .all(|r| r[0].routes_found == r[1].routes_found),
+            "{tx}x{ty}: routable counts differ across flat/hier or workers"
         );
 
-        let (wall_ms, peak_rss_kb) = point.point_stats();
         sizes.push(MetroSize {
             tiles: (tx, ty),
             buildings,
             aps,
             districts: planner.hierarchy().partition().num_districts(),
             border_nodes: planner.hierarchy().num_border_nodes(),
-            pairs,
             gen_ms,
             graph_ms,
             hier_build_ms,
             graph_bytes: bg.memory_bytes(),
             hier_bytes: planner.memory_bytes(),
             runs,
-            wall_ms,
-            peak_rss_kb,
         });
     }
     MetroFigures { sizes }
 }
 
-/// Serializes the sweep for `BENCH_metro.json`.
-pub fn to_json(figs: &MetroFigures) -> Value {
-    Value::Obj(vec![(
-        "sizes".into(),
-        Value::Arr(
-            figs.sizes
-                .iter()
-                .map(|s| {
-                    Value::Obj(vec![
-                        (
-                            "tiles".into(),
-                            Value::Str(format!("{}x{}", s.tiles.0, s.tiles.1)),
-                        ),
-                        ("buildings".into(), Value::Int(s.buildings as i64)),
-                        ("aps".into(), Value::Int(s.aps as i64)),
-                        ("districts".into(), Value::Int(s.districts as i64)),
-                        ("border_nodes".into(), Value::Int(s.border_nodes as i64)),
-                        ("pairs".into(), Value::Int(s.pairs as i64)),
-                        ("gen_ms".into(), Value::Num(s.gen_ms)),
-                        ("graph_ms".into(), Value::Num(s.graph_ms)),
-                        ("hier_build_ms".into(), Value::Num(s.hier_build_ms)),
-                        ("graph_bytes".into(), Value::Int(s.graph_bytes as i64)),
-                        ("hier_bytes".into(), Value::Int(s.hier_bytes as i64)),
-                        (
-                            "flat_bytes_per_ap".into(),
-                            Value::Num(s.flat_bytes_per_ap()),
-                        ),
-                        (
-                            "hier_bytes_per_ap".into(),
-                            Value::Num(s.hier_bytes_per_ap()),
-                        ),
-                        ("wall_ms".into(), Value::Num(s.wall_ms)),
-                        ("peak_rss_kb".into(), Value::Int(s.peak_rss_kb as i64)),
-                        (
-                            "runs".into(),
-                            Value::Arr(
-                                s.runs
-                                    .iter()
-                                    .map(|r| {
-                                        Value::Obj(vec![
-                                            ("mode".into(), Value::Str(r.mode.label().into())),
-                                            ("workers".into(), Value::Int(r.workers as i64)),
-                                            ("plans_per_sec".into(), Value::Num(r.plans_per_sec)),
-                                            (
-                                                "routes_found".into(),
-                                                Value::Int(r.routes_found as i64),
-                                            ),
-                                            (
-                                                "digest".into(),
-                                                Value::Str(format!("{:016x}", r.digest)),
-                                            ),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
-/// Shared scaffold for the two log-x charts.
+/// One flat-vs-hier chart over city size (log x).
 fn chart_svg(
     title: &str,
     y_label: &str,
     figs: &MetroFigures,
-    flat_y: &dyn Fn(&MetroSize) -> f64,
-    hier_y: &dyn Fn(&MetroSize) -> f64,
+    flat_y: fn(&MetroSize) -> f64,
+    hier_y: fn(&MetroSize) -> f64,
 ) -> String {
-    const W: f64 = 420.0;
-    const H: f64 = 280.0;
-    const M: f64 = 48.0;
     let xs: Vec<f64> = figs
         .sizes
         .iter()
         .map(|s| (s.buildings.max(1) as f64).log10())
         .collect();
-    let ys: Vec<f64> = figs
+    let x_ticks: Vec<String> = figs
         .sizes
         .iter()
-        .flat_map(|s| [flat_y(s), hier_y(s)])
+        .map(|s| format!("{}k", s.buildings / 1000))
         .collect();
-    let (x0, x1) = (
-        xs.iter().copied().fold(f64::MAX, f64::min),
-        xs.iter().copied().fold(0.0, f64::max),
-    );
-    let y1 = ys.iter().copied().fold(0.0, f64::max).max(1.0);
-    let x = |b: f64| M + (b - x0) / (x1 - x0).max(1e-9) * (W - 2.0 * M);
-    let y = |v: f64| H - M - (v / y1).clamp(0.0, 1.0) * (H - 2.0 * M);
-    let path = |f: &dyn Fn(&MetroSize) -> f64| {
-        figs.sizes
-            .iter()
-            .zip(&xs)
-            .map(|(s, &lx)| format!("{:.1},{:.1}", x(lx), y(f(s))))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let mut s = String::new();
-    s.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{W}\" height=\"{H}\" \
-         viewBox=\"0 0 {W} {H}\" font-family=\"sans-serif\" font-size=\"11\">\n"
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"16\" text-anchor=\"middle\" font-size=\"13\">{title}</text>\n",
-        W / 2.0
-    ));
-    s.push_str(&format!(
-        "<line x1=\"{M}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#444\"/>\n\
-         <line x1=\"{M}\" y1=\"{M}\" x2=\"{M}\" y2=\"{0}\" stroke=\"#444\"/>\n",
-        H - M,
-        W - M
-    ));
-    for size in &figs.sizes {
-        let lx = (size.buildings.max(1) as f64).log10();
-        s.push_str(&format!(
-            "<text x=\"{:.1}\" y=\"{}\" text-anchor=\"middle\">{}k</text>\n",
-            x(lx),
-            H - M + 14.0,
-            size.buildings / 1000
-        ));
+    let flat: Vec<f64> = figs.sizes.iter().map(flat_y).collect();
+    let hier: Vec<f64> = figs.sizes.iter().map(hier_y).collect();
+    let y1 = flat.iter().chain(&hier).copied().fold(1.0, f64::max);
+    LineChart {
+        title,
+        x_label: "buildings (log scale)",
+        y_label: Some(y_label),
+        xs: &xs,
+        x_ticks: &x_ticks,
+        y_ticks: &[(y1, format!("{y1:.0}"))],
+        series: &[
+            Series {
+                label: "flat",
+                color: "#d62728",
+                dash: None,
+                ys: flat,
+            },
+            Series {
+                label: "hier",
+                color: "#1f77b4",
+                dash: None,
+                ys: hier,
+            },
+        ],
+        marker: None,
     }
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"{}\" text-anchor=\"end\">{y1:.0}</text>\n",
-        M - 4.0,
-        y(y1) + 4.0
-    ));
-    s.push_str(&format!(
-        "<polyline points=\"{}\" fill=\"none\" stroke=\"#d62728\" stroke-width=\"2\"/>\n",
-        path(flat_y)
-    ));
-    s.push_str(&format!(
-        "<polyline points=\"{}\" fill=\"none\" stroke=\"#1f77b4\" stroke-width=\"2\"/>\n",
-        path(hier_y)
-    ));
-    s.push_str(&format!(
-        "<text x=\"{0}\" y=\"{1}\" fill=\"#d62728\">flat</text>\n\
-         <text x=\"{0}\" y=\"{2}\" fill=\"#1f77b4\">hier</text>\n",
-        W - M - 50.0,
-        M + 14.0,
-        M + 28.0
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\">buildings (log scale)</text>\n",
-        W / 2.0,
-        H - 8.0
-    ));
-    s.push_str(&format!(
-        "<text x=\"14\" y=\"{}\" transform=\"rotate(-90 14 {0})\" text-anchor=\"middle\">{y_label}</text>\n",
-        H / 2.0
-    ));
-    s.push_str("</svg>\n");
-    s
+    .render()
 }
 
 /// Plans/sec vs city size, flat vs hier (single-worker rates).
@@ -495,8 +324,8 @@ pub fn throughput_svg(figs: &MetroFigures) -> String {
         "metro routing throughput",
         "plans / sec",
         figs,
-        &|s| s.rate(MetroMode::Flat),
-        &|s| s.rate(MetroMode::Hier),
+        |s| s.rate(MetroMode::Flat),
+        |s| s.rate(MetroMode::Hier),
     )
 }
 
@@ -506,9 +335,106 @@ pub fn memory_svg(figs: &MetroFigures) -> String {
         "routing state per AP",
         "bytes / AP",
         figs,
-        &|s| s.flat_bytes_per_ap(),
-        &|s| s.hier_bytes_per_ap(),
+        MetroSize::flat_bytes_per_ap,
+        MetroSize::hier_bytes_per_ap,
     )
+}
+
+impl MetroFigures {
+    /// Hier over flat plans/sec at the largest size, first worker count.
+    fn hier_speedup(&self) -> f64 {
+        let largest = self.sizes.last().expect("sweep has sizes");
+        largest.rate(MetroMode::Hier) / largest.rate(MetroMode::Flat).max(1e-9)
+    }
+}
+
+impl Sweep for MetroFigures {
+    const NAME: &'static str = "metro";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast, Scale::Smoke];
+    const PINNED: Scale = Scale::Smoke;
+
+    fn run(opts: &SweepOpts) -> Self {
+        // (tiles_x, tiles_y, sampled pairs). Pair counts shrink as the
+        // flat planner's per-query cost grows with city size. The
+        // smoke's largest size is 4x4 (~22k buildings), safely past the
+        // flat/hier crossover (up to ~12k buildings the two planners
+        // trade within noise) so the hier >= flat gate cannot flake:
+        // the full sweep measures hier at 5.4x there.
+        let specs: &[(usize, usize, usize)] = match opts.scale {
+            Scale::Full => &[(2, 2, 256), (4, 4, 128), (7, 7, 96), (10, 10, 64)],
+            Scale::Fast => &[(2, 2, 128), (4, 4, 64)],
+            Scale::Smoke => &[(1, 1, 48), (4, 4, 24)],
+        };
+        run_metro_figs(SEED, specs, &opts.worker_counts())
+    }
+
+    fn print(&self) {
+        println!("== metro: flat vs district-overlay hierarchical routing ==");
+        let tiles = |s: &MetroSize| format!("{}x{}", s.tiles.0, s.tiles.1);
+        let runs: Vec<(&MetroSize, &MetroRun)> = self
+            .sizes
+            .iter()
+            .flat_map(|s| s.runs.iter().map(move |r| (s, r)))
+            .collect();
+        println!(
+            "{}",
+            text::columns(
+                &runs,
+                &[
+                    ("tiles", &|(s, _)| tiles(s)),
+                    ("buildings", &|(s, _)| s.buildings.to_string()),
+                    ("districts", &|(s, _)| s.districts.to_string()),
+                    ("mode", &|(_, r)| r.mode.label().to_string()),
+                    ("workers", &|(_, r)| r.workers.to_string()),
+                    ("plans/s", &|(_, r)| format!("{:.0}", r.plans_per_sec)),
+                    ("digest", &|(_, r)| format!("{:016x}", r.digest)),
+                ]
+            )
+        );
+        println!(
+            "{}",
+            text::columns(
+                &self.sizes,
+                &[
+                    ("tiles", &tiles),
+                    ("buildings", &|s| s.buildings.to_string()),
+                    ("APs", &|s| s.aps.to_string()),
+                    ("flat B/AP", &|s| format!("{:.1}", s.flat_bytes_per_ap())),
+                    ("hier B/AP", &|s| format!("{:.1}", s.hier_bytes_per_ap())),
+                    ("gen ms", &|s| format!("{:.0}", s.gen_ms)),
+                    ("graph ms", &|s| format!("{:.0}", s.graph_ms)),
+                    ("hier ms", &|s| format!("{:.0}", s.hier_build_ms)),
+                ]
+            )
+        );
+        let largest = self.sizes.last().expect("sweep has sizes");
+        println!(
+            "largest city ({} buildings): hier {:.1}x the flat planner at {} worker(s)",
+            largest.buildings,
+            self.hier_speedup(),
+            largest.runs[0].workers
+        );
+        println!("all worker counts agree on every digest; flat and hier agree on every route\n");
+        write_figure("figures/metro_throughput.svg", &throughput_svg(self));
+        write_figure("figures/metro_memory.svg", &memory_svg(self));
+    }
+
+    /// The digest every `(mode, workers)` run at the largest size folds
+    /// to: district partitioning, overlay construction, both planners'
+    /// route selection (including the shared tie-break), and the pair
+    /// sample itself.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        let largest = self.sizes.last().expect("sweep has sizes");
+        vec![("largest-size route digest", largest.runs[0].digest)]
+    }
+
+    fn throughput_gate(&self) {
+        let speedup = self.hier_speedup();
+        assert!(
+            speedup >= 1.0,
+            "hier must not be slower than flat at the largest size, got {speedup:.2}x"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -516,7 +442,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_runs_and_serializes() {
+    fn smoke_sweep_runs_and_draws() {
         let figs = run_metro_figs(5, &[(1, 1, 24)], &[1, 2]);
         assert_eq!(figs.sizes.len(), 1);
         let s = &figs.sizes[0];
@@ -527,9 +453,6 @@ mod tests {
         let hier = s.runs.iter().find(|r| r.mode == MetroMode::Hier).unwrap();
         assert!(flat.routes_found > 0);
         assert_eq!(flat.routes_found, hier.routes_found);
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"plans_per_sec\""));
-        assert!(rendered.contains("\"hier_bytes_per_ap\""));
         let svg = throughput_svg(&figs);
         assert!(svg.starts_with("<svg") && svg.ends_with("</svg>\n"));
         assert!(memory_svg(&figs).contains("bytes / AP"));

@@ -14,10 +14,11 @@
 //! function of `(seed, k)`, and after the anneal the winning
 //! deployment is re-scored through *fresh* evaluators at several
 //! fleet worker counts — the sweep asserts all of them reproduce the
-//! anneal's score digest bit-for-bit.
+//! anneal's score digest bit-for-bit. And the optimizer must earn its
+//! budget: annealed may not trail random on blackout delivery (on a
+//! four-archetype sweep, it must beat it on at least three).
 //!
-//! The data lands in `BENCH_placement.json` via [`to_json`]; the
-//! binary renders the per-archetype strategy comparison via
+//! The per-archetype strategy comparison is drawn by
 //! [`placement_svg`].
 
 use citymesh_core::{ExperimentConfig, FaultScenario};
@@ -28,8 +29,9 @@ use citymesh_place::{
     ScenarioSpec, Score,
 };
 
-use crate::sweep::SweepTimer;
-use crate::text::json::Value;
+use crate::render::{chart_frame, chart_y, ticks, CHART_H};
+use crate::sweep::{write_figure, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// Knobs of one placement sweep.
 #[derive(Clone, Debug)]
@@ -51,31 +53,6 @@ pub struct PlacementSweepConfig {
     pub worker_checks: Vec<usize>,
 }
 
-impl PlacementSweepConfig {
-    /// The full four-archetype sweep.
-    pub fn full() -> Self {
-        PlacementSweepConfig {
-            archetypes: CityArchetype::survey_areas().to_vec(),
-            k: 4,
-            flows: 320,
-            anneal_iters: 40,
-            blackout_districts: 2,
-            blackout_radius_m: 150.0,
-            worker_checks: vec![1, 4, 8],
-        }
-    }
-
-    /// The CI smoke sweep: downtown only, a short anneal.
-    pub fn smoke() -> Self {
-        PlacementSweepConfig {
-            archetypes: vec![CityArchetype::SurveyDowntown],
-            flows: 160,
-            anneal_iters: 10,
-            ..PlacementSweepConfig::full()
-        }
-    }
-}
-
 /// One strategy's result on one archetype.
 #[derive(Clone, Debug)]
 pub struct PlacementCell {
@@ -83,8 +60,6 @@ pub struct PlacementCell {
     pub strategy: &'static str,
     /// The chosen site buildings, ascending.
     pub sites: Vec<u32>,
-    /// Scalar objective value (mean delivery rate; higher is better).
-    pub value: f64,
     /// Delivery rate in the healthy world.
     pub healthy_delivery: f64,
     /// Delivery rate in the blackout world.
@@ -119,11 +94,6 @@ pub struct PlacementRow {
     pub routes_evicted: u64,
     /// Total fleet evaluations across the whole archetype's search.
     pub evaluations: u64,
-    /// Wall time of this archetype, ms.
-    pub wall_ms: f64,
-    /// Process peak RSS after this archetype, KiB (0 where
-    /// unavailable).
-    pub peak_rss_kb: u64,
 }
 
 impl PlacementRow {
@@ -200,11 +170,12 @@ fn evaluator(
 ///
 /// # Panics
 /// Panics when the annealed winner's score digest fails to reproduce
-/// at any checked worker count — the subsystem's determinism headline.
+/// at any checked worker count — the subsystem's determinism headline
+/// — or when annealed trails random on blackout delivery (strictly
+/// beating it on fewer than 3 archetypes of a 4-archetype sweep).
 pub fn run_placement_figs(seed: u64, cfg: &PlacementSweepConfig) -> PlacementFigures {
     let mut rows = Vec::new();
     for &archetype in &cfg.archetypes {
-        let timer = SweepTimer::start();
         let mut ev = evaluator(
             archetype,
             seed,
@@ -224,7 +195,6 @@ pub fn run_placement_figs(seed: u64, cfg: &PlacementSweepConfig) -> PlacementFig
             cells.push(PlacementCell {
                 strategy: strategy.name(),
                 sites: r.deployment.sites().to_vec(),
-                value: r.score.value,
                 healthy_delivery: world_field(&r.score, "healthy", |w| w.delivery_rate),
                 blackout_delivery: world_field(&r.score, "blackout", |w| w.delivery_rate),
                 blackout_p99_ms: world_field(&r.score, "blackout", |w| w.p99_latency_ms),
@@ -249,7 +219,6 @@ pub fn run_placement_figs(seed: u64, cfg: &PlacementSweepConfig) -> PlacementFig
                 archetype.label()
             );
         }
-        let (wall_ms, peak_rss_kb) = timer.point_stats();
         rows.push(PlacementRow {
             label: archetype.label(),
             buildings: ev.map().len(),
@@ -258,101 +227,31 @@ pub fn run_placement_figs(seed: u64, cfg: &PlacementSweepConfig) -> PlacementFig
             cells,
             routes_evicted: ev.routes_evicted(),
             evaluations: ev.evaluations(),
-            wall_ms,
-            peak_rss_kb,
         });
     }
-    PlacementFigures {
+    let figs = PlacementFigures {
         rows,
         worker_checks: cfg.worker_checks.clone(),
+    };
+    if figs.rows.len() >= 4 {
+        let wins = figs.archetypes_where_annealed_beats_random();
+        assert!(
+            wins >= 3,
+            "annealed must beat random on blackout delivery in at least 3 of {} archetypes, \
+             got {wins}",
+            figs.rows.len()
+        );
+    } else {
+        for row in &figs.rows {
+            assert!(
+                row.blackout_gap() >= 0.0,
+                "{}: annealed blackout delivery must not trail random (gap {:+.3})",
+                row.label,
+                row.blackout_gap()
+            );
+        }
     }
-}
-
-/// Serializes the sweep for `BENCH_placement.json`.
-pub fn to_json(figs: &PlacementFigures) -> Value {
-    Value::Obj(vec![
-        (
-            "worker_checks".into(),
-            Value::Arr(
-                figs.worker_checks
-                    .iter()
-                    .map(|&w| Value::Int(w as i64))
-                    .collect(),
-            ),
-        ),
-        (
-            "rows".into(),
-            Value::Arr(
-                figs.rows
-                    .iter()
-                    .map(|r| {
-                        Value::Obj(vec![
-                            ("label".into(), Value::Str(r.label.into())),
-                            ("buildings".into(), Value::Int(r.buildings as i64)),
-                            ("candidates".into(), Value::Int(r.candidates as i64)),
-                            ("k".into(), Value::Int(r.k as i64)),
-                            ("blackout_gap".into(), Value::Num(r.blackout_gap())),
-                            ("routes_evicted".into(), Value::Int(r.routes_evicted as i64)),
-                            ("evaluations".into(), Value::Int(r.evaluations as i64)),
-                            ("wall_ms".into(), Value::Num(r.wall_ms)),
-                            ("peak_rss_kb".into(), Value::Int(r.peak_rss_kb as i64)),
-                            (
-                                "strategies".into(),
-                                Value::Arr(
-                                    r.cells
-                                        .iter()
-                                        .map(|c| {
-                                            Value::Obj(vec![
-                                                ("strategy".into(), Value::Str(c.strategy.into())),
-                                                (
-                                                    "sites".into(),
-                                                    Value::Arr(
-                                                        c.sites
-                                                            .iter()
-                                                            .map(|&s| Value::Int(s as i64))
-                                                            .collect(),
-                                                    ),
-                                                ),
-                                                ("value".into(), Value::Num(c.value)),
-                                                (
-                                                    "healthy_delivery".into(),
-                                                    Value::Num(c.healthy_delivery),
-                                                ),
-                                                (
-                                                    "blackout_delivery".into(),
-                                                    Value::Num(c.blackout_delivery),
-                                                ),
-                                                (
-                                                    "blackout_p99_ms".into(),
-                                                    Value::Num(c.blackout_p99_ms),
-                                                ),
-                                                (
-                                                    "evaluations".into(),
-                                                    Value::Int(c.evaluations as i64),
-                                                ),
-                                                (
-                                                    "proposed_moves".into(),
-                                                    Value::Int(c.proposed_moves as i64),
-                                                ),
-                                                (
-                                                    "accepted_moves".into(),
-                                                    Value::Int(c.accepted_moves as i64),
-                                                ),
-                                                (
-                                                    "digest".into(),
-                                                    Value::Str(format!("{:016x}", c.digest)),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    figs
 }
 
 /// Grouped bars of blackout delivery rate per archetype × strategy,
@@ -360,36 +259,19 @@ pub fn to_json(figs: &PlacementFigures) -> Value {
 /// reference line per group.
 pub fn placement_svg(figs: &PlacementFigures) -> String {
     const W: f64 = 460.0;
-    const H: f64 = 280.0;
     const M: f64 = 48.0;
     const COLORS: [&str; 3] = ["#bbbbbb", "#6699cc", "#cc3333"];
-    let groups = figs.rows.len().max(1) as f64;
-    let group_w = (W - 2.0 * M) / groups;
+    let base = CHART_H - M;
+    let group_w = (W - 2.0 * M) / figs.rows.len().max(1) as f64;
     let bar_w = group_w / 4.0;
-    let y = |v: f64| H - M - v.clamp(0.0, 1.0) * (H - 2.0 * M);
-    let mut s = String::new();
-    s.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{W}\" height=\"{H}\" \
-         viewBox=\"0 0 {W} {H}\" font-family=\"sans-serif\" font-size=\"11\">\n"
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"16\" text-anchor=\"middle\" font-size=\"13\">blackout delivery \
-         rate by placement strategy</text>\n",
-        W / 2.0
-    ));
-    s.push_str(&format!(
-        "<line x1=\"{M}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#444\"/>\n\
-         <line x1=\"{M}\" y1=\"{M}\" x2=\"{M}\" y2=\"{0}\" stroke=\"#444\"/>\n",
-        H - M,
-        W - M
-    ));
-    for tick in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        s.push_str(&format!(
-            "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\">{tick:.2}</text>\n",
-            M - 4.0,
-            y(tick) + 4.0
-        ));
-    }
+    let y_ticks = ticks(&[0.0, 0.25, 0.5, 0.75, 1.0], 2);
+    let y = |rate: f64| chart_y(M, &y_ticks, rate);
+    let mut s = chart_frame(
+        W,
+        M,
+        "blackout delivery rate by placement strategy",
+        &y_ticks,
+    );
     for (g, row) in figs.rows.iter().enumerate() {
         let gx = M + g as f64 * group_w;
         for (i, cell) in row.cells.iter().enumerate() {
@@ -399,7 +281,7 @@ pub fn placement_svg(figs: &PlacementFigures) -> String {
                 "<rect x=\"{x:.1}\" y=\"{top:.1}\" width=\"{:.1}\" height=\"{:.1}\" \
                  fill=\"{}\"><title>{} {}: blackout {:.3}</title></rect>\n",
                 bar_w * 0.9,
-                (H - M) - top,
+                base - top,
                 COLORS[i.min(COLORS.len() - 1)],
                 row.label,
                 cell.strategy,
@@ -418,7 +300,7 @@ pub fn placement_svg(figs: &PlacementFigures) -> String {
         s.push_str(&format!(
             "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"middle\">{}</text>\n",
             gx + group_w / 2.0,
-            H - M + 14.0,
+            base + 14.0,
             row.label
         ));
     }
@@ -427,12 +309,99 @@ pub fn placement_svg(figs: &PlacementFigures) -> String {
         s.push_str(&format!(
             "<rect x=\"{lx:.1}\" y=\"{:.1}\" width=\"10\" height=\"10\" fill=\"{}\"/>\n\
              <text x=\"{:.1}\" y=\"{:.1}\">{name}</text>\n",
-            H - 18.0,
+            CHART_H - 18.0,
             COLORS[i],
             lx + 14.0,
-            H - 9.0
+            CHART_H - 9.0
         ));
     }
     s.push_str("</svg>\n");
     s
+}
+
+impl Sweep for PlacementFigures {
+    const NAME: &'static str = "placement";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast, Scale::Smoke];
+    const PINNED: Scale = Scale::Smoke;
+
+    fn run(opts: &SweepOpts) -> Self {
+        // The smoke is downtown only, under a short anneal.
+        let survey = CityArchetype::survey_areas().to_vec();
+        let (archetypes, flows, anneal_iters) = match opts.scale {
+            Scale::Full => (survey, 320, 40),
+            Scale::Fast => (survey, 200, 24),
+            Scale::Smoke => (vec![CityArchetype::SurveyDowntown], 160, 10),
+        };
+        let cfg = PlacementSweepConfig {
+            archetypes,
+            k: 4,
+            flows,
+            anneal_iters,
+            blackout_districts: 2,
+            blackout_radius_m: 150.0,
+            worker_checks: vec![1, 4, 8],
+        };
+        run_placement_figs(SEED, &cfg)
+    }
+
+    fn print(&self) {
+        println!("== placement: hardened-site deployment, random vs greedy vs annealed ==");
+        for row in &self.rows {
+            let sites = |c: &PlacementCell| {
+                let ids: Vec<String> = c.sites.iter().map(|s| s.to_string()).collect();
+                ids.join(",")
+            };
+            println!(
+                "-- {} ({} buildings, {} candidates, k={}, {} evals, {} routes evicted) --\n{}",
+                row.label,
+                row.buildings,
+                row.candidates,
+                row.k,
+                row.evaluations,
+                row.routes_evicted,
+                text::columns(
+                    &row.cells,
+                    &[
+                        ("strategy", &|c| c.strategy.to_string()),
+                        ("sites", &sites),
+                        ("healthy", &|c| format!("{:.3}", c.healthy_delivery)),
+                        ("blackout", &|c| format!("{:.3}", c.blackout_delivery)),
+                        ("bo p99 ms", &|c| format!("{:.1}", c.blackout_p99_ms)),
+                        ("evals", &|c| c.evaluations.to_string()),
+                        ("acc/prop", &|c| format!(
+                            "{}/{}",
+                            c.accepted_moves, c.proposed_moves
+                        )),
+                        ("digest", &|c| format!("{:016x}", c.digest)),
+                    ]
+                )
+            );
+            println!(
+                "blackout delivery gap, annealed - random: {:+.3}",
+                row.blackout_gap()
+            );
+        }
+        println!(
+            "annealed beats random on blackout delivery in {} of {} archetype(s); \
+             every annealed digest reproduced at {:?} workers\n",
+            self.archetypes_where_annealed_beats_random(),
+            self.rows.len(),
+            self.worker_checks
+        );
+        write_figure("figures/placement_blackout.svg", &placement_svg(self));
+    }
+
+    /// The annealed downtown deployment's score digest chains the
+    /// chosen sites with every world's fleet digest: greedy
+    /// construction, the seeded move/accept sub-streams, incremental
+    /// route-cache reuse between candidates, hardened AP health,
+    /// postbox redirect and multi-world fleet scoring.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        let downtown = self.rows.iter().find(|r| r.label == "downtown");
+        let annealed = downtown.and_then(|r| r.cell("annealed"));
+        annealed
+            .map(|c| ("annealed-downtown score digest", c.digest))
+            .into_iter()
+            .collect()
+    }
 }

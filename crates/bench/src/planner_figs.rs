@@ -19,21 +19,19 @@
 //! Every `(mode, workers)` run folds each plan into an order-independent
 //! FNV-1a digest; all digests must agree, which proves on every CI run
 //! that the A* + spatial fast path returns plans bit-identical to the
-//! Dijkstra/linear-scan baseline. The data lands in
-//! `BENCH_planner.json` via [`to_json`].
+//! Dijkstra/linear-scan baseline.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use citymesh_core::{
-    compress_route, postbox_ap, reconstruct_conduits, CityExperiment, ExperimentConfig,
-    PlanScratch, PlannedFlow,
+    compress_route, postbox_ap, reconstruct_conduits, CityExperiment, PlanScratch, PlannedFlow,
 };
 use citymesh_map::CityArchetype;
 use citymesh_net::CityMeshHeader;
-use citymesh_simcore::SimRng;
+use citymesh_simcore::{Fnv64, SimRng};
 
-use crate::text::json::Value;
+use crate::sweep::{assert_unanimous, prepare, timed_chunks, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// How a run plans each pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,7 +45,7 @@ pub enum PlannerMode {
 }
 
 impl PlannerMode {
-    /// Stable label used in JSON and tables.
+    /// Stable label used in tables.
     pub fn label(self) -> &'static str {
         match self {
             PlannerMode::Baseline => "baseline",
@@ -81,34 +79,23 @@ pub struct PlannerFigures {
     pub runs: Vec<PlannerRun>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Hashes the observable planning outputs of one pair. XOR-folding
 /// these per-pair hashes is order-independent, so the sweep digest is
 /// invariant under worker count and work sharding.
 fn plan_digest(plan: &PlannedFlow) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a(h, plan.src as u64);
-    h = fnv1a(h, plan.dst as u64);
-    h = fnv1a(h, plan.reachable as u64);
-    h = fnv1a(h, plan.route_len as u64);
-    h = fnv1a(h, plan.route_bits as u64);
+    let mut h = Fnv64::new();
+    h.mix_bytes(plan.src as u64);
+    h.mix_bytes(plan.dst as u64);
+    h.mix_bytes(plan.reachable as u64);
+    h.mix_bytes(plan.route_len as u64);
+    h.mix_bytes(plan.route_bits as u64);
     for &w in &plan.waypoints {
-        h = fnv1a(h, w as u64);
+        h.mix_bytes(w as u64);
     }
-    h = fnv1a(h, plan.src_ap.map_or(u64::MAX, u64::from));
-    h = fnv1a(h, plan.ideal_hops.unwrap_or(u64::MAX));
-    h = fnv1a(h, plan.conduits.len() as u64);
-    h
+    h.mix_bytes(plan.src_ap.map_or(u64::MAX, u64::from));
+    h.mix_bytes(plan.ideal_hops.unwrap_or(u64::MAX));
+    h.mix_bytes(plan.conduits.len() as u64);
+    h.value()
 }
 
 /// The pre-fast-path planner: every step allocates and scans exactly
@@ -207,23 +194,12 @@ fn run_mode(
     mode: PlannerMode,
     workers: usize,
 ) -> PlannerRun {
-    let chunk = pairs.len().div_ceil(workers.max(1));
-    let start = Instant::now();
-    let digest = std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk.max(1))
-            .map(|c| s.spawn(move || plan_chunk(exp, c, mode)))
-            .collect();
-        handles
-            .into_iter()
-            .fold(0u64, |acc, h| acc ^ h.join().expect("planner worker"))
-    });
-    let elapsed = start.elapsed().as_secs_f64();
+    let (digests, secs) = timed_chunks(pairs, workers, |_, chunk| plan_chunk(exp, chunk, mode));
     PlannerRun {
         mode,
         workers,
-        plans_per_sec: pairs.len() as f64 / elapsed.max(1e-9),
-        digest,
+        plans_per_sec: pairs.len() as f64 / secs,
+        digest: digests.iter().fold(0, |acc, d| acc ^ d),
     }
 }
 
@@ -239,13 +215,7 @@ pub fn run_planner_figs(seed: u64, n_pairs: usize, worker_counts: &[usize]) -> P
     let map = CityArchetype::SurveyDowntown.generate(seed);
     let city = map.name().to_string();
     let buildings = map.len();
-    let exp = CityExperiment::prepare(
-        map,
-        ExperimentConfig {
-            seed,
-            ..ExperimentConfig::default()
-        },
-    );
+    let exp = prepare(map, seed, None);
     let mut rng = SimRng::new(seed ^ 0x504C_414E);
     let pairs: Vec<(u32, u32)> = (0..n_pairs)
         .map(|_| {
@@ -267,10 +237,7 @@ pub fn run_planner_figs(seed: u64, n_pairs: usize, worker_counts: &[usize]) -> P
         }
     }
     let digests: Vec<u64> = runs.iter().map(|r| r.digest).collect();
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "planner modes disagree: digests {digests:x?}"
-    );
+    assert_unanimous("planner modes and workers", &digests);
     PlannerFigures {
         city,
         buildings,
@@ -279,29 +246,70 @@ pub fn run_planner_figs(seed: u64, n_pairs: usize, worker_counts: &[usize]) -> P
     }
 }
 
-/// Serializes the sweep for `BENCH_planner.json`.
-pub fn to_json(figs: &PlannerFigures) -> Value {
-    Value::Obj(vec![
-        ("city".into(), Value::Str(figs.city.clone())),
-        ("buildings".into(), Value::Int(figs.buildings as i64)),
-        ("pairs".into(), Value::Int(figs.pairs as i64)),
-        (
-            "runs".into(),
-            Value::Arr(
-                figs.runs
-                    .iter()
-                    .map(|r| {
-                        Value::Obj(vec![
-                            ("mode".into(), Value::Str(r.mode.label().into())),
-                            ("workers".into(), Value::Int(r.workers as i64)),
-                            ("plans_per_sec".into(), Value::Num(r.plans_per_sec)),
-                            ("digest".into(), Value::Str(format!("{:016x}", r.digest))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl PlannerFigures {
+    /// plans/sec of `mode` at the first swept worker count.
+    fn rate(&self, mode: PlannerMode) -> f64 {
+        let run = self.runs.iter().find(|r| r.mode == mode);
+        run.map_or(0.0, |r| r.plans_per_sec)
+    }
+
+    /// Warm fast path over the live pre-fast-path baseline.
+    fn warm_speedup(&self) -> f64 {
+        self.rate(PlannerMode::Warm) / self.rate(PlannerMode::Baseline).max(1e-9)
+    }
+}
+
+impl Sweep for PlannerFigures {
+    const NAME: &'static str = "planner";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast];
+    const PINNED: Scale = Scale::Full;
+
+    fn run(opts: &SweepOpts) -> Self {
+        let pairs = opts.flows_or(4_000, 1_500, 1_500);
+        run_planner_figs(SEED, pairs, &opts.worker_counts())
+    }
+
+    fn print(&self) {
+        println!(
+            "== planner: fast-path throughput ({}, {} buildings, {} pairs) ==",
+            self.city, self.buildings, self.pairs
+        );
+        println!(
+            "{}",
+            text::columns(
+                &self.runs,
+                &[
+                    ("mode", &|r| r.mode.label().to_string()),
+                    ("workers", &|r| r.workers.to_string()),
+                    ("plans/s", &|r| format!("{:.0}", r.plans_per_sec)),
+                    ("digest", &|r| format!("{:016x}", r.digest)),
+                ]
+            )
+        );
+        println!(
+            "all modes and worker counts agree on every digest: fast path == baseline, bit for bit"
+        );
+        println!(
+            "warm fast path: {:.1}x the pre-fast-path baseline at {} worker(s)\n",
+            self.warm_speedup(),
+            self.runs[0].workers
+        );
+    }
+
+    /// The one digest every `(mode, workers)` run folds to: route
+    /// selection, compression, header sizing, postbox choice and ideal
+    /// hop counts over the pair set.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        vec![("plan digest", self.runs[0].digest)]
+    }
+
+    fn throughput_gate(&self) {
+        let speedup = self.warm_speedup();
+        assert!(
+            speedup >= 3.0,
+            "warm fast path must be >= 3x the live baseline, got {speedup:.2}x"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -309,7 +317,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_agrees_across_modes_and_serializes() {
+    fn sweep_agrees_across_modes() {
         let figs = run_planner_figs(7, 64, &[1, 2]);
         assert_eq!(figs.runs.len(), 6, "3 modes × 2 worker counts");
         let first = figs.runs[0].digest;
@@ -317,9 +325,10 @@ mod tests {
             figs.runs.iter().all(|r| r.digest == first),
             "run_planner_figs must have asserted digest agreement"
         );
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"plans_per_sec\""));
-        assert!(rendered.contains("\"baseline\""));
-        assert!(rendered.contains("\"warm\""));
+        assert_eq!(figs.pins(), [("plan digest", first)]);
+        assert!(
+            figs.warm_speedup() > 0.0,
+            "both ends of the ratio were timed"
+        );
     }
 }

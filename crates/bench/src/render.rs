@@ -1,5 +1,6 @@
 //! Map renders: Figure 5 (footprints + AP fabric) and Figure 7 (one
-//! delivery with its conduit membership), as SVG and terminal ASCII.
+//! delivery with its conduit membership), as SVG and terminal ASCII —
+//! and the one line-chart scaffold every sweep's curves go through.
 
 use citymesh_core::{reconstruct_conduits, Ap, ApGraph, ApRole, DeliveryReport};
 use citymesh_geo::{Point, Rect};
@@ -99,6 +100,172 @@ pub fn ascii_map(map: &CityMap, route: &[u32], width: usize) -> String {
         .join("\n")
 }
 
+/// Height of every sweep chart, px.
+pub const CHART_H: f64 = 280.0;
+
+/// The y pixel of `v` on a chart whose y axis runs from zero to the
+/// largest of `y_ticks`.
+pub fn chart_y(margin: f64, y_ticks: &[(f64, String)], v: f64) -> f64 {
+    let y_max = y_ticks
+        .iter()
+        .map(|t| t.0)
+        .fold(f64::MIN_POSITIVE, f64::max);
+    CHART_H - margin - (v / y_max).clamp(0.0, 1.0) * (CHART_H - 2.0 * margin)
+}
+
+/// `(value, label)` y ticks at `values`, labelled to `decimals` places.
+pub fn ticks(values: &[f64], decimals: usize) -> Vec<(f64, String)> {
+    values
+        .iter()
+        .map(|&v| (v, format!("{v:.decimals$}")))
+        .collect()
+}
+
+/// What every sweep chart opens with: the `<svg>` header, the title,
+/// the two axis lines, and right-aligned y tick labels. The y axis
+/// runs from zero to the largest tick.
+pub fn chart_frame(width: f64, margin: f64, title: &str, y_ticks: &[(f64, String)]) -> String {
+    let (w, h, m) = (width, CHART_H, margin);
+    let mut s = format!(
+        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
+         viewBox=\"0 0 {w} {h}\" font-family=\"sans-serif\" font-size=\"11\">\n\
+         <text x=\"{}\" y=\"16\" text-anchor=\"middle\" font-size=\"13\">{title}</text>\n\
+         <line x1=\"{m}\" y1=\"{1}\" x2=\"{2}\" y2=\"{1}\" stroke=\"#444\"/>\n\
+         <line x1=\"{m}\" y1=\"{m}\" x2=\"{m}\" y2=\"{1}\" stroke=\"#444\"/>\n",
+        w / 2.0,
+        h - m,
+        w - m
+    );
+    for (v, label) in y_ticks {
+        s.push_str(&format!(
+            "<text x=\"{}\" y=\"{:.1}\" text-anchor=\"end\">{label}</text>\n",
+            m - 4.0,
+            chart_y(m, y_ticks, *v) + 4.0
+        ));
+    }
+    s
+}
+
+/// One polyline of a [`LineChart`].
+pub struct Series<'a> {
+    /// Legend text.
+    pub label: &'a str,
+    /// Stroke and legend colour.
+    pub color: &'a str,
+    /// `stroke-dasharray`, solid when `None`.
+    pub dash: Option<&'a str>,
+    /// One y value per chart x position.
+    pub ys: Vec<f64>,
+}
+
+/// A small standalone SVG line chart: x positions spread over the plot
+/// width from their minimum to their maximum, y from zero to the
+/// largest y tick, a legend row under the title.
+pub struct LineChart<'a> {
+    /// Chart title.
+    pub title: &'a str,
+    /// Caption under the x axis.
+    pub x_label: &'a str,
+    /// Rotated caption beside the y axis; a chart that has one leaves
+    /// it a 48 px margin instead of 40.
+    pub y_label: Option<&'a str>,
+    /// X position of every point, in the axis's own space (callers
+    /// plotting on a log axis pass logarithms).
+    pub xs: &'a [f64],
+    /// A label under each x position.
+    pub x_ticks: &'a [String],
+    /// `(value, label)` y ticks.
+    pub y_ticks: &'a [(f64, String)],
+    /// The curves.
+    pub series: &'a [Series<'a>],
+    /// A dashed vertical marker at an x position, with its caption.
+    pub marker: Option<(f64, &'a str)>,
+}
+
+impl LineChart<'_> {
+    const W: f64 = 420.0;
+
+    fn margin(&self) -> f64 {
+        if self.y_label.is_some() {
+            48.0
+        } else {
+            40.0
+        }
+    }
+
+    fn x(&self, v: f64) -> f64 {
+        let lo = self.xs.iter().copied().fold(f64::MAX, f64::min);
+        let hi = self.xs.iter().copied().fold(f64::MIN, f64::max);
+        let m = self.margin();
+        m + (v - lo) / (hi - lo).max(1e-9) * (Self::W - 2.0 * m)
+    }
+
+    /// The `points="…"` attribute of one series.
+    fn points(&self, ys: &[f64]) -> String {
+        let y = |v: f64| chart_y(self.margin(), self.y_ticks, v);
+        let pts: Vec<String> = self
+            .xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &v)| format!("{:.1},{:.1}", self.x(x), y(v)))
+            .collect();
+        pts.join(" ")
+    }
+
+    /// Renders the chart.
+    pub fn render(&self) -> String {
+        let (w, h, m) = (Self::W, CHART_H, self.margin());
+        let mut s = chart_frame(w, m, self.title, self.y_ticks);
+        for (&x, label) in self.xs.iter().zip(self.x_ticks) {
+            s.push_str(&format!(
+                "<text x=\"{:.1}\" y=\"{}\" text-anchor=\"middle\">{label}</text>\n",
+                self.x(x),
+                h - m + 14.0
+            ));
+        }
+        if let Some((at, caption)) = self.marker {
+            s.push_str(&format!(
+                "<line x1=\"{0:.1}\" y1=\"{m}\" x2=\"{0:.1}\" y2=\"{1}\" stroke=\"#999\" \
+                 stroke-dasharray=\"4 3\"/>\n\
+                 <text x=\"{0:.1}\" y=\"{2}\" text-anchor=\"middle\" fill=\"#666\">{caption}</text>\n",
+                self.x(at),
+                h - m,
+                m - 6.0
+            ));
+        }
+        let slot = (w - 2.0 * m) / self.series.len().max(1) as f64;
+        for (i, series) in self.series.iter().enumerate() {
+            let dash = series
+                .dash
+                .map(|d| format!(" stroke-dasharray=\"{d}\""))
+                .unwrap_or_default();
+            s.push_str(&format!(
+                "<polyline points=\"{}\" fill=\"none\" stroke=\"{1}\" stroke-width=\"2\"{dash}/>\n\
+                 <text x=\"{2:.1}\" y=\"30\" fill=\"{1}\">{3}</text>\n",
+                self.points(&series.ys),
+                series.color,
+                m + i as f64 * slot,
+                series.label
+            ));
+        }
+        s.push_str(&format!(
+            "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\">{}</text>\n",
+            w / 2.0,
+            h - 8.0,
+            self.x_label
+        ));
+        if let Some(y_label) = self.y_label {
+            s.push_str(&format!(
+                "<text x=\"14\" y=\"{0}\" transform=\"rotate(-90 14 {0})\" \
+                 text-anchor=\"middle\">{y_label}</text>\n",
+                h / 2.0
+            ));
+        }
+        s.push_str("</svg>\n");
+        s
+    }
+}
+
 /// Minimal SVG document builder with a y-flip (map y grows north, SVG
 /// y grows down).
 struct SvgCanvas {
@@ -122,21 +289,8 @@ impl SvgCanvas {
         self.body.push_str(&format!("<!-- {text} -->\n"));
     }
 
-    fn polygon(&mut self, ring: &[Point], fill: &str, stroke: &str, stroke_w: f64) {
-        let pts: Vec<String> = ring
-            .iter()
-            .map(|p| {
-                let (x, y) = self.tx(*p);
-                format!("{x:.1},{y:.1}")
-            })
-            .collect();
-        self.body.push_str(&format!(
-            "<polygon points=\"{}\" fill=\"{fill}\" stroke=\"{stroke}\" stroke-width=\"{stroke_w}\"/>\n",
-            pts.join(" ")
-        ));
-    }
-
-    fn polyline(&mut self, pts: &[Point], stroke: &str, stroke_w: f64) {
+    /// A `points="…"` attribute value.
+    fn points(&self, pts: &[Point]) -> String {
         let pts: Vec<String> = pts
             .iter()
             .map(|p| {
@@ -144,9 +298,20 @@ impl SvgCanvas {
                 format!("{x:.1},{y:.1}")
             })
             .collect();
+        pts.join(" ")
+    }
+
+    fn polygon(&mut self, ring: &[Point], fill: &str, stroke: &str, stroke_w: f64) {
+        self.body.push_str(&format!(
+            "<polygon points=\"{}\" fill=\"{fill}\" stroke=\"{stroke}\" stroke-width=\"{stroke_w}\"/>\n",
+            self.points(ring)
+        ));
+    }
+
+    fn polyline(&mut self, pts: &[Point], stroke: &str, stroke_w: f64) {
         self.body.push_str(&format!(
             "<polyline points=\"{}\" fill=\"none\" stroke=\"{stroke}\" stroke-width=\"{stroke_w}\"/>\n",
-            pts.join(" ")
+            self.points(pts)
         ));
     }
 
@@ -226,6 +391,44 @@ mod tests {
         assert!(svg.contains("#58b8e8"), "relays rendered");
         assert!(svg.contains("<polyline"), "route spine rendered");
         assert_eq!(svg.matches("<circle").count(), apg.len());
+    }
+
+    /// The coordinate arithmetic of both margins, on a series whose
+    /// pixels can be worked out by hand: x spreads 0..4 over the plot
+    /// width (340 px from 40, 324 px from 48), y spreads 0..1 over its
+    /// height (200 px up from 240, 184 px up from 232).
+    #[test]
+    fn line_chart_points_are_pinned_per_margin() {
+        let chart = |y_label| {
+            LineChart {
+                title: "t",
+                x_label: "x",
+                y_label,
+                xs: &[0.0, 1.0, 4.0],
+                x_ticks: &["a".into(), "b".into(), "c".into()],
+                y_ticks: &ticks(&[0.0, 1.0], 1),
+                series: &[Series {
+                    label: "s",
+                    color: "#000",
+                    dash: Some("5,4"),
+                    ys: vec![0.0, 0.5, 1.5],
+                }],
+                marker: Some((1.0, "knee")),
+            }
+            .render()
+        };
+        let narrow = chart(None);
+        assert!(narrow.contains("points=\"40.0,240.0 125.0,140.0 380.0,40.0\""));
+        assert!(narrow.contains("<line x1=\"125.0\" y1=\"40\" x2=\"125.0\" y2=\"240\""));
+        assert!(!narrow.contains("rotate"));
+        let wide = chart(Some("y"));
+        assert!(wide.contains("points=\"48.0,232.0 129.0,140.0 372.0,48.0\""));
+        assert!(wide.contains("rotate(-90 14 140)"));
+        for svg in [narrow, wide] {
+            assert!(svg.starts_with("<svg") && svg.ends_with("</svg>\n"));
+            assert!(svg.contains(">a</text>") && svg.contains(">c</text>"));
+            assert!(svg.contains("stroke-dasharray=\"5,4\"") && svg.contains(">knee<"));
+        }
     }
 
     #[test]

@@ -6,20 +6,23 @@
 //! materializes i.i.d. AP-failure scenarios at increasing failure
 //! probability and runs the fleet engine twice per point: once with
 //! the sender's recovery ladder enabled and once with it disabled
-//! (single send attempt). The data lands in `BENCH_resilience.json`
-//! via [`to_json`] plus one delivery-rate-vs-failed-fraction SVG per
-//! archetype via [`curve_svg`].
+//! (single send attempt), and draws one delivery-rate-vs-failed-fraction
+//! SVG per archetype via [`curve_svg`].
 //!
 //! Determinism is checked, not assumed: every ladder run is repeated
 //! across the given worker counts and the digests must agree — fault
 //! injection must not cost the engine its "parallel == serial"
 //! guarantee.
 
-use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario, RetryPolicy};
-use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh_core::{FaultScenario, RetryPolicy};
+use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 
-use crate::text::json::Value;
+use crate::render::{ticks, LineChart, Series};
+use crate::sweep::{
+    assert_unanimous, fleet_config, prepare, run_fleet, write_figure, Scale, Sweep, SweepOpts, SEED,
+};
+use crate::text;
 
 /// One `(archetype, failure probability)` measurement.
 pub struct ResiliencePoint {
@@ -45,8 +48,6 @@ pub struct ResiliencePoint {
 
 /// The delivery-degradation curve of one archetype.
 pub struct ResilienceCurve {
-    /// Generated city name.
-    pub city: String,
     /// Archetype label (`downtown`, `campus`, …).
     pub archetype: &'static str,
     /// Building count.
@@ -57,22 +58,8 @@ pub struct ResilienceCurve {
 
 /// All four archetype curves of one sweep.
 pub struct ResilienceFigures {
-    /// Root seed of the sweep.
-    pub seed: u64,
-    /// Flows per point.
-    pub flows: usize,
     /// One curve per archetype.
     pub curves: Vec<ResilienceCurve>,
-}
-
-/// The four §2 survey archetypes, the cities the paper measures.
-pub fn survey_archetypes() -> [CityArchetype; 4] {
-    [
-        CityArchetype::SurveyDowntown,
-        CityArchetype::SurveyCampus,
-        CityArchetype::SurveyResidential,
-        CityArchetype::SurveyRiver,
-    ]
 }
 
 /// Runs the sweep: `failure_ps` must start at `0.0` (the fault-free
@@ -80,7 +67,8 @@ pub fn survey_archetypes() -> [CityArchetype; 4] {
 ///
 /// # Panics
 /// Panics if ladder runs disagree on the digest across `worker_counts`
-/// (fault injection broke engine determinism) or if a curve fails to
+/// (fault injection broke engine determinism), if the ladder delivers
+/// less than a single attempt at any point, or if a curve fails to
 /// degrade monotonically (delivery rate rising by more than a small
 /// stochastic slack as more APs die — that would mean the fault state
 /// is not actually nested across probabilities).
@@ -95,7 +83,7 @@ pub fn run_resilience(
         "sweep starts fault-free"
     );
     let mut curves = Vec::new();
-    for arch in survey_archetypes() {
+    for arch in CityArchetype::survey_areas() {
         let mut points = Vec::new();
         for &p in failure_ps {
             points.push(run_point(seed, arch, p, flows, worker_counts));
@@ -112,19 +100,13 @@ pub fn run_resilience(
                 w[1].delivery_rate
             );
         }
-        let map = arch.generate(seed);
         curves.push(ResilienceCurve {
-            city: map.name().to_string(),
             archetype: arch.label(),
-            buildings: map.len(),
+            buildings: arch.generate(seed).len(),
             points,
         });
     }
-    ResilienceFigures {
-        seed,
-        flows,
-        curves,
-    }
+    ResilienceFigures { curves }
 }
 
 fn run_point(
@@ -134,23 +116,13 @@ fn run_point(
     flows: usize,
     worker_counts: &[usize],
 ) -> ResiliencePoint {
-    let scenario = |retry: RetryPolicy| {
-        let mut s = FaultScenario::iid(failure_p);
-        s.retry = retry;
-        s
-    };
-    let prepare = |retry: RetryPolicy| {
-        CityExperiment::prepare(
-            arch.generate(seed),
-            ExperimentConfig {
-                seed,
-                faults: Some(scenario(retry)),
-                ..ExperimentConfig::default()
-            },
-        )
+    let world = |retry: RetryPolicy| {
+        let mut scenario = FaultScenario::iid(failure_p);
+        scenario.retry = retry;
+        prepare(arch.generate(seed), seed, Some(scenario))
     };
 
-    let ladder = prepare(RetryPolicy::ladder());
+    let ladder = world(RetryPolicy::ladder());
     let workload = generate_flows(
         ladder.map().len(),
         &WorkloadConfig {
@@ -162,38 +134,23 @@ fn run_point(
 
     let reports: Vec<_> = worker_counts
         .iter()
-        .map(|&workers| {
-            try_run_fleet(
-                &ladder,
-                &workload,
-                &FleetConfig {
-                    workers,
-                    seed,
-                    ..FleetConfig::default()
-                },
-            )
-            .expect("sweep config matches the world it prepared")
-        })
+        .map(|&workers| run_fleet(&ladder, &workload, &fleet_config(seed, workers)))
         .collect();
     let digests: Vec<u64> = reports.iter().map(|r| r.digest()).collect();
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "{} p={failure_p}: fault-injected digests diverged across workers {worker_counts:?}: {digests:x?}",
-        arch.label()
+    assert_unanimous(
+        format_args!("{} p={failure_p} across workers", arch.label()),
+        &digests,
     );
     let report = &reports[0];
 
-    let single = prepare(RetryPolicy::none());
-    let no_retry = try_run_fleet(
-        &single,
-        &workload,
-        &FleetConfig {
-            workers: worker_counts[0],
-            seed,
-            ..FleetConfig::default()
-        },
-    )
-    .expect("sweep config matches the world it prepared");
+    let single = world(RetryPolicy::none());
+    let no_retry = run_fleet(&single, &workload, &fleet_config(seed, worker_counts[0]));
+
+    assert!(
+        report.delivery_rate() >= no_retry.delivery_rate() - 1e-12,
+        "{} p={failure_p}: the retry ladder underperformed a single attempt",
+        arch.label()
+    );
 
     let fault = ladder
         .fault_state()
@@ -210,124 +167,97 @@ fn run_point(
     }
 }
 
-/// Serializes the sweep for `BENCH_resilience.json`.
-pub fn to_json(figs: &ResilienceFigures) -> Value {
-    Value::Obj(vec![
-        ("seed".into(), Value::Int(figs.seed as i64)),
-        ("flows".into(), Value::Int(figs.flows as i64)),
-        (
-            "curves".into(),
-            Value::Arr(
-                figs.curves
-                    .iter()
-                    .map(|c| {
-                        Value::Obj(vec![
-                            ("city".into(), Value::Str(c.city.clone())),
-                            ("archetype".into(), Value::Str(c.archetype.into())),
-                            ("buildings".into(), Value::Int(c.buildings as i64)),
-                            (
-                                "points".into(),
-                                Value::Arr(c.points.iter().map(point_json).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn point_json(p: &ResiliencePoint) -> Value {
-    Value::Obj(vec![
-        ("failure_p".into(), Value::Num(p.failure_p)),
-        ("failed_fraction".into(), Value::Num(p.failed_fraction)),
-        ("delivery_rate".into(), Value::Num(p.delivery_rate)),
-        (
-            "delivery_rate_no_retry".into(),
-            Value::Num(p.delivery_rate_no_retry),
-        ),
-        ("retried".into(), Value::Int(p.retried as i64)),
-        ("recovered".into(), Value::Int(p.recovered as i64)),
-        ("digest".into(), Value::Str(format!("{:016x}", p.digest))),
-        (
-            "fault_fingerprint".into(),
-            Value::Str(format!("{:016x}", p.fault_fingerprint)),
-        ),
-    ])
-}
-
-/// Renders one archetype's delivery-rate-vs-failed-fraction curve as a
-/// small standalone SVG line chart: ladder on (solid) vs off (dashed).
+/// Renders one archetype's delivery-rate-vs-failed-fraction curve:
+/// ladder on (solid) vs off (dashed).
 pub fn curve_svg(curve: &ResilienceCurve) -> String {
-    const W: f64 = 420.0;
-    const H: f64 = 280.0;
-    const M: f64 = 40.0; // margin on every side
-    let x = |frac: f64| M + frac.min(1.0) * (W - 2.0 * M) / 0.5_f64.max(max_frac(curve));
-    let y = |rate: f64| H - M - rate.clamp(0.0, 1.0) * (H - 2.0 * M);
-    let path = |rates: &dyn Fn(&ResiliencePoint) -> f64| {
-        curve
-            .points
-            .iter()
-            .map(|p| format!("{:.1},{:.1}", x(p.failed_fraction), y(rates(p))))
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    let mut s = String::new();
-    s.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{W}\" height=\"{H}\" \
-         viewBox=\"0 0 {W} {H}\" font-family=\"sans-serif\" font-size=\"11\">\n"
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"16\" text-anchor=\"middle\" font-size=\"13\">{}: delivery vs failed APs</text>\n",
-        W / 2.0,
-        curve.archetype
-    ));
-    // Axes.
-    s.push_str(&format!(
-        "<line x1=\"{M}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#444\"/>\n\
-         <line x1=\"{M}\" y1=\"{M}\" x2=\"{M}\" y2=\"{0}\" stroke=\"#444\"/>\n",
-        H - M,
-        W - M
-    ));
-    for tick in [0.0, 0.5, 1.0] {
-        s.push_str(&format!(
-            "<text x=\"{}\" y=\"{}\" text-anchor=\"end\">{:.1}</text>\n",
-            M - 4.0,
-            y(tick) + 4.0,
-            tick
-        ));
+    let xs: Vec<f64> = curve.points.iter().map(|p| p.failed_fraction).collect();
+    let x_ticks: Vec<String> = xs.iter().map(|f| format!("{:.0}%", f * 100.0)).collect();
+    let ys = |f: fn(&ResiliencePoint) -> f64| curve.points.iter().map(f).collect();
+    LineChart {
+        title: &format!("{}: delivery vs failed APs", curve.archetype),
+        x_label: "failed AP fraction",
+        y_label: None,
+        xs: &xs,
+        x_ticks: &x_ticks,
+        y_ticks: &ticks(&[0.0, 0.5, 1.0], 1),
+        series: &[
+            Series {
+                label: "retry ladder",
+                color: "#1f77b4",
+                dash: None,
+                ys: ys(|p| p.delivery_rate),
+            },
+            Series {
+                label: "single attempt",
+                color: "#d62728",
+                dash: Some("5,4"),
+                ys: ys(|p| p.delivery_rate_no_retry),
+            },
+        ],
+        marker: None,
     }
-    s.push_str(&format!(
-        "<polyline points=\"{}\" fill=\"none\" stroke=\"#1f77b4\" stroke-width=\"2\"/>\n",
-        path(&|p| p.delivery_rate)
-    ));
-    s.push_str(&format!(
-        "<polyline points=\"{}\" fill=\"none\" stroke=\"#d62728\" stroke-width=\"2\" \
-         stroke-dasharray=\"5,4\"/>\n",
-        path(&|p| p.delivery_rate_no_retry)
-    ));
-    s.push_str(&format!(
-        "<text x=\"{0}\" y=\"{1}\" fill=\"#1f77b4\">retry ladder</text>\n\
-         <text x=\"{0}\" y=\"{2}\" fill=\"#d62728\">single attempt</text>\n",
-        W - M - 110.0,
-        M + 14.0,
-        M + 28.0
-    ));
-    s.push_str(&format!(
-        "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\">failed AP fraction</text>\n",
-        W / 2.0,
-        H - 8.0
-    ));
-    s.push_str("</svg>\n");
-    s
+    .render()
 }
 
-fn max_frac(curve: &ResilienceCurve) -> f64 {
-    curve
-        .points
-        .iter()
-        .map(|p| p.failed_fraction)
-        .fold(0.0, f64::max)
+impl Sweep for ResilienceFigures {
+    const NAME: &'static str = "resilience";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast];
+    const PINNED: Scale = Scale::Fast;
+
+    fn run(opts: &SweepOpts) -> Self {
+        let failure_ps = [0.0, 0.1, 0.2, 0.3, 0.4];
+        let flows = opts.flows_or(500, 150, 150);
+        run_resilience(SEED, &failure_ps, flows, &opts.worker_counts())
+    }
+
+    fn print(&self) {
+        println!("== resilience: delivery under injected AP failures ==");
+        for curve in &self.curves {
+            println!(
+                "-- {} ({} buildings) --\n{}",
+                curve.archetype,
+                curve.buildings,
+                text::columns(
+                    &curve.points,
+                    &[
+                        ("fail p", &|p| format!("{:.0}%", p.failure_p * 100.0)),
+                        ("APs down", &|p| format!(
+                            "{:.1}%",
+                            p.failed_fraction * 100.0
+                        )),
+                        ("ladder", &|p| format!("{:.1}%", p.delivery_rate * 100.0)),
+                        ("single", &|p| format!(
+                            "{:.1}%",
+                            p.delivery_rate_no_retry * 100.0
+                        )),
+                        ("retried", &|p| p.retried.to_string()),
+                        ("recovered", &|p| p.recovered.to_string()),
+                        ("digest", &|p| format!("{:016x}", p.digest)),
+                    ]
+                )
+            );
+            write_figure(
+                &format!("figures/resilience_{}.svg", curve.archetype),
+                &curve_svg(curve),
+            );
+        }
+        println!("every curve degrades monotonically; all worker counts agree on every digest\n");
+    }
+
+    /// The downtown p = 0.2 point: the ladder digest pins the
+    /// fault-injected pipeline end to end (scenario materialization,
+    /// retry ladder, aggregation); the fingerprint pins the casualty
+    /// map alone.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        let downtown = self.curves.iter().find(|c| c.archetype == "downtown");
+        let point = downtown.and_then(|c| c.points.iter().find(|p| p.failure_p == 0.2));
+        point.map_or(vec![], |p| {
+            vec![
+                ("downtown p=0.2 digest", p.digest),
+                ("downtown p=0.2 fault fingerprint", p.fault_fingerprint),
+            ]
+        })
+    }
 }
 
 #[cfg(test)]
@@ -335,7 +265,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_degrades_and_serializes() {
+    fn sweep_degrades_and_draws() {
         let figs = run_resilience(9, &[0.0, 0.3], 60, &[1, 2]);
         assert_eq!(figs.curves.len(), 4);
         for c in &figs.curves {
@@ -356,9 +286,6 @@ mod tests {
                 hurt.delivery_rate_no_retry
             );
         }
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"failed_fraction\""));
-        assert!(rendered.contains("\"fault_fingerprint\""));
         let svg = curve_svg(&figs.curves[0]);
         assert!(svg.starts_with("<svg") && svg.contains("polyline"));
     }

@@ -4,32 +4,31 @@
 //! nothing", and this sweep is where that contract is demonstrated on
 //! real workloads rather than unit fixtures. Two phases:
 //!
-//! 1. **Healthy**: the exact fleet-smoke recipe (downtown hotspot
-//!    workload) runs once plain and once fully traced; the aggregate
-//!    digests must be bit-identical. At the CI smoke's `(seed, flows)`
-//!    this digest is the pinned golden 500-flow digest, so the check
-//!    proves tracing cannot move a pinned result.
+//! 1. **Healthy**: the fleet sweep's workload (downtown hotspot) runs
+//!    once plain and once fully traced; the aggregate digests must be
+//!    bit-identical. At the pinned `(seed, flows)` this digest is the
+//!    golden 500-flow fleet digest, so the check proves tracing cannot
+//!    move a pinned result.
 //! 2. **Faulted**: the same workload against a 25% i.i.d. AP-casualty
 //!    scenario with the retry ladder on, traced at every worker count.
 //!    Digests, metric fingerprints, and postmortem sets must agree
 //!    across worker counts and with the untraced faulted run.
 //!
 //! The per-rung latency/overhead breakdown — what each extra ladder
-//! rung buys and what it costs — lands in `BENCH_telemetry.json` via
-//! [`to_json`]; one captured flow trace is exported separately by the
-//! `figures` binary as `figures/postmortem_sample.json`.
+//! rung buys and what it costs — is printed as a table; one captured
+//! flow trace is exported as `figures/postmortem_sample.json`.
 
-use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario, RetryPolicy};
-use citymesh_fleet::{
-    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
-};
+use citymesh_core::{FaultScenario, RetryPolicy};
+use citymesh_fleet::{generate_flows, try_run_fleet_traced, WorkloadConfig};
 use citymesh_map::CityArchetype;
 use citymesh_telemetry::{
     metrics as tm, rung_delivery_counter, rung_latency_histogram, rung_overhead_histogram,
-    Postmortem, Rung, TelemetryConfig,
+    Postmortem, Rung, TelemetryConfig, TraceEvent,
 };
 
-use crate::text::json::Value;
+use crate::fleet_figs::HOTSPOT_WORKLOAD;
+use crate::sweep::{fleet_config, prepare, run_fleet, write_figure, Scale, Sweep, SweepOpts, SEED};
+use crate::text;
 
 /// Trace sampling period used by the sweep: every 16th flow plus every
 /// failure/retry. Dense enough that the healthy phase exercises the
@@ -53,26 +52,22 @@ pub struct RungStats {
 
 /// Everything one telemetry sweep measures.
 pub struct TelemetryFigures {
-    /// Root seed of the sweep.
-    pub seed: u64,
     /// Generated city name.
     pub city: String,
     /// Building count.
     pub buildings: usize,
     /// Flows in the workload.
     pub flows: usize,
-    /// Trace sampling period ([`SAMPLE_EVERY`]).
-    pub sample_every: u64,
+    /// Worker counts the faulted phase was traced at.
+    pub worker_counts: Vec<usize>,
     /// Healthy-phase digest, identical plain vs traced (the golden
-    /// 500-flow digest at the CI smoke's seed and flow count).
+    /// 500-flow fleet digest at the pinned seed and flow count).
     pub healthy_digest: u64,
     /// Configured i.i.d. AP-failure probability of the faulted phase.
     pub failure_p: f64,
     /// Faulted-phase digest, identical across worker counts and
     /// identical plain vs traced.
     pub faulted_digest: u64,
-    /// Fingerprint of the materialized casualty map.
-    pub fault_fingerprint: u64,
     /// Fingerprint of the merged metric registry (faulted run),
     /// identical across worker counts.
     pub metrics_fingerprint: u64,
@@ -88,7 +83,7 @@ pub struct TelemetryFigures {
     pub ring_high_water: u64,
     /// One exported postmortem, rendered JSON: an exhausted flow when
     /// the scenario produced one, else a ladder-recovered flow.
-    pub sample_postmortem: Option<String>,
+    pub sample_postmortem: String,
 }
 
 /// Runs the sweep at one `(seed, flows, failure_p)` point.
@@ -98,8 +93,10 @@ pub struct TelemetryFigures {
 /// healthy digest diverging from the plain one, traced faulted runs
 /// disagreeing with each other or with the untraced faulted run
 /// across `worker_counts`, or metric fingerprints / postmortem sets
-/// varying with worker count. A benchmark that measures a perturbed
-/// system must not report at all.
+/// varying with worker count; or if the registry's books do not
+/// balance (rung deliveries partition `delivered_total`) or the run
+/// captured no complete failure/recovery trace to export. A
+/// benchmark that measures a perturbed system must not report at all.
 pub fn run_telemetry(
     seed: u64,
     flows: usize,
@@ -110,31 +107,16 @@ pub fn run_telemetry(
     let map = CityArchetype::SurveyDowntown.generate(seed);
     let city = map.name().to_string();
     let buildings = map.len();
-    // The fleet smoke's exact workload recipe: at (seed 2024, 500
-    // flows) the healthy digest below is CI's pinned golden digest.
-    let model = FlowModel::Hotspot {
-        hotspots: 8,
-        exponent: 1.1,
-        rate_hz: 500.0,
-    };
+    // The fleet sweep's own workload: at (seed 2024, 500 flows) the
+    // healthy digest below is the goldens table's fleet row.
+    let model = HOTSPOT_WORKLOAD;
     let workload = generate_flows(buildings, &WorkloadConfig { flows, model, seed });
     let tel = TelemetryConfig::full(SAMPLE_EVERY);
 
     // Phase 1 — healthy: tracing on vs off, same digest.
-    let exp = CityExperiment::prepare(
-        map,
-        ExperimentConfig {
-            seed,
-            ..ExperimentConfig::default()
-        },
-    );
-    let base_cfg = FleetConfig {
-        workers: worker_counts[0],
-        seed,
-        ..FleetConfig::default()
-    };
-    let plain = try_run_fleet(&exp, &workload, &base_cfg)
-        .expect("sweep config matches the world it prepared");
+    let exp = prepare(map, seed, None);
+    let base_cfg = fleet_config(seed, worker_counts[0]);
+    let plain = run_fleet(&exp, &workload, &base_cfg);
     let (traced, _) = try_run_fleet_traced(&exp, &workload, &base_cfg, &tel)
         .expect("sweep config matches the world it prepared");
     assert_eq!(
@@ -150,30 +132,18 @@ pub fn run_telemetry(
     // every worker count.
     let mut scenario = FaultScenario::iid(failure_p);
     scenario.retry = RetryPolicy::ladder();
-    let fexp = CityExperiment::prepare(
+    let fexp = prepare(
         CityArchetype::SurveyDowntown.generate(seed),
-        ExperimentConfig {
-            seed,
-            faults: Some(scenario),
-            ..ExperimentConfig::default()
-        },
+        seed,
+        Some(scenario),
     );
-    let plain_faulted = try_run_fleet(&fexp, &workload, &base_cfg)
-        .expect("sweep config matches the world it prepared");
+    let plain_faulted = run_fleet(&fexp, &workload, &base_cfg);
     let mut runs: Vec<_> = worker_counts
         .iter()
         .map(|&workers| {
-            let (report, telem) = try_run_fleet_traced(
-                &fexp,
-                &workload,
-                &FleetConfig {
-                    workers,
-                    seed,
-                    ..FleetConfig::default()
-                },
-                &tel,
-            )
-            .expect("sweep config matches the world it prepared");
+            let cfg = fleet_config(seed, workers);
+            let (report, telem) = try_run_fleet_traced(&fexp, &workload, &cfg, &tel)
+                .expect("sweep config matches the world it prepared");
             (workers, report, telem.expect("telemetry was requested"))
         })
         .collect();
@@ -224,7 +194,7 @@ pub fn run_telemetry(
         ("postmortems_total", m.counter(tm::POSTMORTEMS)),
         ("trace_dropped_total", m.counter(tm::TRACE_DROPPED)),
     ];
-    let rungs = Rung::ALL
+    let rungs: Vec<RungStats> = Rung::ALL
         .iter()
         .map(|&rung| RungStats {
             rung: rung.label(),
@@ -240,6 +210,11 @@ pub fn run_telemetry(
                 .map(|milli| milli / 1_000.0),
         })
         .collect();
+    assert_eq!(
+        rungs.iter().map(|r| r.deliveries).sum::<u64>(),
+        m.counter(tm::DELIVERED),
+        "per-rung deliveries must partition delivered_total"
+    );
 
     // The exported sample: the most interesting complete trace — an
     // exhausted flow if the scenario produced one, else a recovery.
@@ -251,96 +226,104 @@ pub fn run_telemetry(
             .filter(|p| pred(p))
             .min_by_key(|p| (p.dropped_events, p.key))
     };
-    let sample_postmortem = pick(&|p| !p.summary.delivered && p.summary.attempts > 0)
+    let sample = pick(&|p| !p.summary.delivered && p.summary.attempts > 0)
         .or_else(|| pick(&|p| p.summary.recovered_by.is_some()))
-        .or_else(|| telem.postmortems.first())
-        .map(Postmortem::to_json);
+        .expect("a casualty run captures a failure or a recovery");
+    let outcome = sample.summary.outcome_label();
+    assert!(
+        outcome == "exhausted" || outcome.starts_with("recovered-"),
+        "sample must be a failure/recovery trace, got {outcome:?}"
+    );
+    assert_eq!(sample.dropped_events, 0, "sample trace must be complete");
+    assert!(
+        sample
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Attempt { .. })),
+        "postmortem must name its retry-ladder attempts"
+    );
 
-    let fault = fexp
-        .fault_state()
-        .expect("experiment was prepared with a fault scenario");
     TelemetryFigures {
-        seed,
         city,
         buildings,
         flows,
-        sample_every: SAMPLE_EVERY,
+        worker_counts: worker_counts.to_vec(),
         healthy_digest,
         failure_p,
         faulted_digest: report.digest(),
-        fault_fingerprint: fault.fingerprint(),
         metrics_fingerprint: m.fingerprint(),
         counters,
         rungs,
         postmortems: telem.postmortems.len(),
         trace_dropped: m.counter(tm::TRACE_DROPPED),
         ring_high_water: m.gauge(tm::TRACE_HIGH_WATER),
-        sample_postmortem,
+        sample_postmortem: sample.to_json(),
     }
 }
 
-/// Serializes the sweep for `BENCH_telemetry.json`.
-pub fn to_json(figs: &TelemetryFigures) -> Value {
-    let opt_num = |v: Option<f64>| v.map(Value::Num).unwrap_or(Value::Null);
-    Value::Obj(vec![
-        ("seed".into(), Value::Int(figs.seed as i64)),
-        ("city".into(), Value::Str(figs.city.clone())),
-        ("buildings".into(), Value::Int(figs.buildings as i64)),
-        ("flows".into(), Value::Int(figs.flows as i64)),
-        ("sample_every".into(), Value::Int(figs.sample_every as i64)),
-        (
-            "healthy_digest".into(),
-            Value::Str(format!("{:016x}", figs.healthy_digest)),
-        ),
-        ("failure_p".into(), Value::Num(figs.failure_p)),
-        (
-            "faulted_digest".into(),
-            Value::Str(format!("{:016x}", figs.faulted_digest)),
-        ),
-        (
-            "fault_fingerprint".into(),
-            Value::Str(format!("{:016x}", figs.fault_fingerprint)),
-        ),
-        (
-            "metrics_fingerprint".into(),
-            Value::Str(format!("{:016x}", figs.metrics_fingerprint)),
-        ),
-        (
-            "counters".into(),
-            Value::Obj(
-                figs.counters
-                    .iter()
-                    .map(|&(name, v)| (name.into(), Value::Int(v as i64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "rungs".into(),
-            Value::Arr(
-                figs.rungs
-                    .iter()
-                    .map(|r| {
-                        Value::Obj(vec![
-                            ("rung".into(), Value::Str(r.rung.into())),
-                            ("deliveries".into(), Value::Int(r.deliveries as i64)),
-                            ("latency_ms_p50".into(), opt_num(r.latency_ms_p50)),
-                            ("latency_ms_p90".into(), opt_num(r.latency_ms_p90)),
-                            ("mean_overhead".into(), opt_num(r.mean_overhead)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("postmortems".into(), Value::Int(figs.postmortems as i64)),
-        (
-            "trace_dropped".into(),
-            Value::Int(figs.trace_dropped as i64),
-        ),
-        (
-            "ring_high_water".into(),
-            Value::Int(figs.ring_high_water as i64),
-        ),
-    ])
+impl Sweep for TelemetryFigures {
+    const NAME: &'static str = "telemetry";
+    const SCALES: &'static [Scale] = &[Scale::Full, Scale::Fast];
+    const PINNED: Scale = Scale::Full;
+
+    fn run(opts: &SweepOpts) -> Self {
+        let flows = opts.flows_or(500, 150, 150);
+        run_telemetry(SEED, flows, 0.25, &opts.worker_counts())
+    }
+
+    fn print(&self) {
+        println!(
+            "== telemetry: zero-perturbation proof + per-rung breakdown ({}, {} buildings) ==",
+            self.city, self.buildings
+        );
+        println!(
+            "healthy digest {:016x} — identical with tracing off and on",
+            self.healthy_digest
+        );
+        println!(
+            "faulted digest {:016x} (p={:.2}) — identical across workers {:?}, \
+             traced and untraced; metric fingerprint {:016x}",
+            self.faulted_digest, self.failure_p, self.worker_counts, self.metrics_fingerprint
+        );
+        let opt = |v: Option<f64>, unit: &str| {
+            v.map(|x| format!("{x:.1}{unit}"))
+                .unwrap_or_else(|| "-".into())
+        };
+        println!(
+            "{}",
+            text::columns(
+                &self.rungs,
+                &[
+                    ("rung", &|r| r.rung.to_string()),
+                    ("deliveries", &|r| r.deliveries.to_string()),
+                    ("lat p50", &|r| opt(r.latency_ms_p50, " ms")),
+                    ("lat p90", &|r| opt(r.latency_ms_p90, " ms")),
+                    ("overhead", &|r| opt(r.mean_overhead, "x")),
+                ]
+            )
+        );
+        println!(
+            "{}",
+            text::columns(
+                &self.counters,
+                &[
+                    ("counter", &|c| c.0.to_string()),
+                    ("value", &|c| c.1.to_string()),
+                ]
+            )
+        );
+        println!(
+            "{} postmortems captured ({} ring evictions, high water {})",
+            self.postmortems, self.trace_dropped, self.ring_high_water
+        );
+        write_figure("figures/postmortem_sample.json", &self.sample_postmortem);
+    }
+
+    /// The healthy phase is the fleet sweep's 500-flow workload run
+    /// fully traced: observability may not move that pin by one bit.
+    fn pins(&self) -> Vec<(&'static str, u64)> {
+        vec![("traced 500-flow digest", self.healthy_digest)]
+    }
 }
 
 #[cfg(test)]
@@ -348,7 +331,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_invariant_and_serializes() {
+    fn sweep_is_invariant_and_exports_a_sample() {
         let figs = run_telemetry(7, 60, 0.3, &[1, 2]);
         assert_eq!(figs.flows, 60);
         assert_eq!(figs.rungs.len(), 4);
@@ -361,13 +344,8 @@ mod tests {
             .expect("delivered counter present");
         assert_eq!(total, delivered, "rung deliveries partition deliveries");
         assert!(figs.postmortems > 0, "a 30% casualty run captures traces");
-        let sample = figs.sample_postmortem.as_deref().expect("sample exported");
+        let sample = &figs.sample_postmortem;
         assert!(sample.contains("\"outcome\":\""));
         assert!(sample.contains("\"events\":["));
-        let rendered = to_json(&figs).render();
-        assert!(rendered.contains("\"healthy_digest\""));
-        assert!(rendered.contains("\"metrics_fingerprint\""));
-        assert!(rendered.contains("\"rungs\""));
-        assert!(rendered.starts_with('{') && rendered.ends_with('}'));
     }
 }

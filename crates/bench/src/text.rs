@@ -37,6 +37,20 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// One column of [`columns`]: its header and how a row fills its cell.
+pub type Column<'a, T> = (&'a str, &'a dyn Fn(&T) -> String);
+
+/// Renders a table of one `item` per row from its column definitions,
+/// so a header and its cells cannot drift apart.
+pub fn columns<T>(items: &[T], cols: &[Column<T>]) -> String {
+    let header: Vec<&str> = cols.iter().map(|c| c.0).collect();
+    let rows: Vec<Vec<String>> = items
+        .iter()
+        .map(|item| cols.iter().map(|c| (c.1)(item)).collect())
+        .collect();
+    table(&header, &rows)
+}
+
 /// Renders an ASCII CDF: one row per plotted point, bar length
 /// proportional to the cumulative fraction.
 pub fn ascii_cdf(label: &str, points: &[(f64, f64)], width: usize) -> String {
@@ -51,23 +65,19 @@ pub fn ascii_cdf(label: &str, points: &[(f64, f64)], width: usize) -> String {
 /// Renders whisker bins (Figure 2 style): per bin, a `p10 p25 p50 p75
 /// max` line.
 pub fn whisker_table(bins: &[citymesh_measure::DistanceBin]) -> String {
-    let rows: Vec<Vec<String>> = bins
-        .iter()
-        .map(|b| {
-            vec![
-                format!("{:.0}–{:.0} m", b.lo_m, b.hi_m),
-                b.count.to_string(),
-                format!("{:.0}", b.p10),
-                format!("{:.0}", b.p25),
-                format!("{:.0}", b.p50),
-                format!("{:.0}", b.p75),
-                format!("{:.0}", b.max),
-            ]
-        })
-        .collect();
-    table(
-        &["distance bin", "pairs", "p10", "p25", "p50", "p75", "max"],
-        &rows,
+    columns(
+        bins,
+        &[
+            ("distance bin", &|b| {
+                format!("{:.0}–{:.0} m", b.lo_m, b.hi_m)
+            }),
+            ("pairs", &|b| b.count.to_string()),
+            ("p10", &|b| format!("{:.0}", b.p10)),
+            ("p25", &|b| format!("{:.0}", b.p25)),
+            ("p50", &|b| format!("{:.0}", b.p50)),
+            ("p75", &|b| format!("{:.0}", b.p75)),
+            ("max", &|b| format!("{:.0}", b.max)),
+        ],
     )
 }
 
@@ -208,6 +218,19 @@ mod tests {
         assert!(lines[3].trim_end().ends_with('7'));
         // All rows the same width.
         assert_eq!(lines[2].trim_end().len(), lines[0].trim_end().len());
+    }
+
+    #[test]
+    fn columns_is_table_by_column() {
+        let by_column = columns(
+            &[(1, "x"), (22, "yy")],
+            &[("n", &|r| r.0.to_string()), ("name", &|r| r.1.to_string())],
+        );
+        let by_row = table(
+            &["n", "name"],
+            &[vec!["1".into(), "x".into()], vec!["22".into(), "yy".into()]],
+        );
+        assert_eq!(by_column, by_row);
     }
 
     #[test]

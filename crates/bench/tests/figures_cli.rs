@@ -1,40 +1,41 @@
-//! The `figures` binary must reject a target it does not know instead
-//! of printing nothing and exiting 0 (a typo in CI would otherwise let
-//! the next step assert on a stale or missing JSON).
+//! The `figures` binary must reject what it does not understand
+//! instead of silently running something else and exiting 0: a typo in
+//! CI would otherwise check a sweep at the wrong scale, or none. (That
+//! the printed target list *is* the dispatch table is the binary's own
+//! unit test, `usage_lists_exactly_the_table`.)
 
 use std::process::Command;
 
 #[test]
-fn unknown_target_exits_nonzero_and_lists_every_target() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["streeming", "--smoke"])
-        .output()
-        .expect("figures binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "nothing may run before the check");
-    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-    assert!(stderr.contains("unknown target `streeming`"), "{stderr}");
-
-    // The printed list is the dispatch table: every `want("…")` in the
-    // binary's source must appear in it, so a new artifact cannot be
-    // added without also becoming a known target.
-    let listed: Vec<&str> = stderr
-        .split("targets:")
-        .nth(1)
-        .expect("the error lists the targets")
-        .split_whitespace()
-        .collect();
-    let source = include_str!("../src/bin/figures.rs");
-    let dispatched: Vec<&str> = source
-        .split("want(\"")
-        .skip(1)
-        .map(|rest| rest.split('"').next().expect("closing quote"))
-        .collect();
-    assert!(dispatched.len() > 15, "found the dispatch sites");
-    for name in dispatched {
+fn every_class_of_bad_command_line_exits_2_before_running_anything() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["streeming", "--smoke"], "unknown target `streeming`;"),
+        (&["metro", "--smok"], "unknown flag `--smok`;"),
+        (
+            &["fleet", "--flows", "abc"],
+            "`--flows` needs a number, got `abc`;",
+        ),
+        (&["fleet", "--flows"], "`--flows` needs a number;"),
+        (&["fleet", "--smoke"], "`fleet` has no Smoke scale"),
+        (&["check", "--fast"], "`check` has no Fast scale"),
+    ];
+    for (args, problem) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(args)
+            .output()
+            .expect("figures binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run first");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.starts_with(problem), "{args:?}: {stderr}");
+        let listed = stderr
+            .split("targets: all ")
+            .nth(1)
+            .and_then(|rest| rest.lines().next())
+            .expect("every error lists the targets");
         assert!(
-            listed.contains(&name),
-            "`{name}` is dispatched but not listed"
+            listed.starts_with("table1 ") && listed.ends_with(" placement check"),
+            "{listed}"
         );
     }
 }

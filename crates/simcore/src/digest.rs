@@ -37,6 +37,16 @@ impl Fnv64 {
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
     }
 
+    /// Folds one word in a byte at a time, little-endian — textbook
+    /// FNV-1a over the word's eight bytes, for digests that predate
+    /// the word mixer and are pinned in that form.
+    #[inline]
+    pub fn mix_bytes(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.mix(u64::from(byte));
+        }
+    }
+
     /// The digest accumulated so far.
     #[inline]
     pub fn value(&self) -> u64 {
@@ -72,6 +82,23 @@ mod tests {
             f.mix(w);
         }
         assert_eq!(f.value(), h);
+    }
+
+    #[test]
+    fn mix_bytes_is_textbook_fnv1a() {
+        // Reference vectors: FNV-1a("a") = af63dc4c8601ec8c and
+        // FNV-1a("foobar") = 85944171f73967e8. The zero high bytes of
+        // the little-endian word XOR nothing in and multiply by the
+        // prime once each.
+        const PRIME: u64 = 0x0000_0100_0000_01B3;
+        for (word, prefix, zeros) in [
+            (u64::from(b'a'), 0xaf63_dc4c_8601_ec8c_u64, 7),
+            (u64::from_le_bytes(*b"foobar\0\0"), 0x8594_4171_f739_67e8, 2),
+        ] {
+            let mut f = Fnv64::new();
+            f.mix_bytes(word);
+            assert_eq!(f.value(), prefix.wrapping_mul(PRIME.wrapping_pow(zeros)));
+        }
     }
 
     #[test]

@@ -157,10 +157,10 @@ fn same_city_different_seeds_diverge() {
     assert_ne!(mk(1), mk(2), "seeds must reach workload and simulation");
 }
 
-/// The fleet golden, where `cargo test` sees it. Same workload as
-/// `figures -- fleet --flows 500` (pinned in `ci.yml` and the verify
-/// skill as `a4e4c411eed2b648`): change the two together, and only in
-/// a PR that says up front why the digest moves.
+/// The fleet golden through the facade's own engine call: the fleet
+/// sweep's 500-flow workload at one worker must land on the goldens
+/// table's fleet row (`tests/goldens.rs` checks the same row through
+/// the sweep, at 1/4/8 workers).
 #[test]
 fn fleet_golden_500_flow_digest() {
     let seed = 2024;
@@ -169,11 +169,7 @@ fn fleet_golden_500_flow_digest() {
         exp.map().len(),
         &WorkloadConfig {
             flows: 500,
-            model: FlowModel::Hotspot {
-                hotspots: 8,
-                exponent: 1.1,
-                rate_hz: 500.0,
-            },
+            model: citymesh_bench::fleet_figs::HOTSPOT_WORKLOAD,
             seed,
         },
     );
@@ -187,5 +183,8 @@ fn fleet_golden_500_flow_digest() {
         },
     )
     .unwrap();
-    assert_eq!(report.digest(), 0xa4e4c411eed2b648);
+    assert_eq!(
+        report.digest(),
+        citymesh_bench::goldens::pinned("fleet", "500-flow digest")
+    );
 }
