@@ -3,15 +3,15 @@
 //! "Connects these APs into a graph where the inter-AP distance is
 //! below a configurable transmission range." This graph is the
 //! *simulation's truth*: reachability is membership in the same
-//! connected component, and the BFS hop count between endpoints is the
-//! paper's ideal-unicast lower bound for transmission overhead.
+//! connected component, and the fewest-hops count between endpoints is
+//! the paper's ideal-unicast lower bound for transmission overhead.
 //!
 //! CityMesh itself never sees this graph — routing uses only the
 //! building map. Keeping the two rigidly separated is what makes the
 //! evaluation honest.
 
 use citymesh_geo::{GridIndex, OrientedRect, Point};
-use citymesh_graph::{bfs_distance_to, connected_components, CsrGraph, Graph, PlannerScratch};
+use citymesh_graph::{connected_components, CsrGraph, Graph, HopLandmarks, HopScratch};
 
 use crate::placement::Ap;
 
@@ -39,6 +39,10 @@ pub struct ApGraph {
     /// within `range_m` of AP `a`, in grid-enumeration order.
     audience_starts: Vec<u32>,
     audience_items: Vec<u32>,
+    /// Hop-count ALT landmarks over the audience rows: what answers
+    /// [`ideal_hops_to_building_with`](Self::ideal_hops_to_building_with)
+    /// without flooding the city.
+    hop_landmarks: HopLandmarks,
 }
 
 impl ApGraph {
@@ -92,6 +96,11 @@ impl ApGraph {
             bucket_items[cursor[b as usize] as usize] = id as u32;
             cursor[b as usize] += 1;
         }
+        let hop_landmarks = HopLandmarks::build(
+            |a| audience_row(&audience_starts, &audience_items, a),
+            &components,
+            num_components,
+        );
         ApGraph {
             graph,
             index,
@@ -103,6 +112,7 @@ impl ApGraph {
             bucket_items,
             audience_starts,
             audience_items,
+            hop_landmarks,
         }
     }
 
@@ -133,6 +143,7 @@ impl ApGraph {
             + self.bucket_items.capacity() * size_of::<u32>()
             + self.audience_starts.capacity() * size_of::<u32>()
             + self.audience_items.capacity() * size_of::<u32>()
+            + self.hop_landmarks.memory_bytes()
     }
 
     /// The transmission range used to build the graph.
@@ -163,9 +174,7 @@ impl ApGraph {
     /// kernel's RNG draw sequence independent of how the audience is
     /// found.
     pub fn audience(&self, id: u32) -> &[u32] {
-        let lo = self.audience_starts[id as usize] as usize;
-        let hi = self.audience_starts[id as usize + 1] as usize;
-        &self.audience_items[lo..hi]
+        audience_row(&self.audience_starts, &self.audience_items, id)
     }
 
     /// Number of connected components.
@@ -203,25 +212,28 @@ impl ApGraph {
     /// that allocates a one-shot scratch; planner loops hold one and
     /// call the `_with` form directly.
     pub fn ideal_hops_to_building(&self, src: u32, dst_building: u32) -> Option<u64> {
-        let mut scratch = PlannerScratch::new();
+        let mut scratch = HopScratch::new();
         self.ideal_hops_to_building_with(src, dst_building, &mut scratch)
     }
 
     /// [`ideal_hops_to_building`](Self::ideal_hops_to_building) against
-    /// caller-owned scratch buffers: an early-exit BFS that stops at
-    /// the first AP of `dst_building` it discovers (BFS discovers in
-    /// nondecreasing hop order, so that first hit is the minimum, equal
-    /// to the full-scan answer) and allocates nothing once warm.
+    /// caller-owned scratch buffers: a landmark-guided search over the
+    /// audience rows toward the building's APs as one target set
+    /// ([`HopLandmarks::hops_to_set`]). Exactly the count a BFS from
+    /// `src` reports on first touching the building, from a few hundred
+    /// settled APs instead of most of the city, and with no allocation
+    /// once warm.
     pub fn ideal_hops_to_building_with(
         &self,
         src: u32,
         dst_building: u32,
-        scratch: &mut PlannerScratch,
+        scratch: &mut HopScratch,
     ) -> Option<u64> {
-        bfs_distance_to(
-            &self.graph,
+        self.hop_landmarks.hops_to_set(
+            |a| self.audience(a),
+            &self.components,
             src,
-            |ap| self.building_of[ap as usize] == dst_building,
+            self.aps_of_building(dst_building),
             scratch,
         )
     }
@@ -283,6 +295,11 @@ impl ApGraph {
     pub fn mean_degree(&self) -> f64 {
         self.graph.mean_degree()
     }
+}
+
+/// Row `id` of a CSR audience table.
+fn audience_row<'a>(starts: &[u32], items: &'a [u32], id: u32) -> &'a [u32] {
+    &items[starts[id as usize] as usize..starts[id as usize + 1] as usize]
 }
 
 #[cfg(test)]
@@ -369,9 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_ideal_hops_matches_full_bfs() {
+    fn ideal_hops_match_full_bfs() {
         let g = ApGraph::build(&two_cluster_aps(), 50.0);
-        let mut scratch = citymesh_graph::PlannerScratch::new();
+        let mut scratch = HopScratch::new();
         for src in 0..5u32 {
             for b in 0..4u32 {
                 let full = {

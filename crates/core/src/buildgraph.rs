@@ -8,7 +8,7 @@
 //! most likely to have real AP coverage.
 
 use citymesh_geo::Point;
-use citymesh_graph::{connected_components, dijkstra, CsrGraph, Graph};
+use citymesh_graph::{connected_components, dijkstra, CsrGraph, FarthestPoint, Graph};
 use citymesh_map::CityMap;
 
 /// Number of ALT landmarks embedded in every building graph (fewer on
@@ -208,52 +208,22 @@ impl BuildingGraph {
     }
 }
 
-/// Selects up to [`NUM_LANDMARKS`] landmarks by farthest-point
-/// sampling over the weight metric and returns their full distance
-/// arrays flattened vertex-major, `(lm_dist, lm_count)`.
-///
-/// Selection is deterministic: vertex 0 seeds, then each round picks
-/// the vertex maximizing its distance to the nearest chosen landmark
-/// (first maximum wins, so ties break toward the smallest id).
-/// Vertices on islands no landmark has reached look infinitely far,
-/// so sampling naturally spreads landmarks across predicted islands
-/// before refining within them.
+/// Selects up to [`NUM_LANDMARKS`] landmarks by [`FarthestPoint`]
+/// sampling over the weight metric (vertex 0 seeds, first maximum wins,
+/// predicted islands are covered before any is refined) and returns
+/// their full distance arrays flattened vertex-major,
+/// `(lm_dist, lm_count)`.
 fn build_landmarks(graph: &CsrGraph) -> (Vec<f64>, usize) {
     let n = graph.num_vertices();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let want = NUM_LANDMARKS.min(n);
-    let mut per_landmark: Vec<Vec<f64>> = Vec::with_capacity(want);
-    let mut chosen: Vec<u32> = Vec::with_capacity(want);
-    let mut next = 0u32;
-    while per_landmark.len() < want {
-        chosen.push(next);
-        per_landmark.push(dijkstra(graph, next).dist);
-        let mut best: Option<(u32, f64)> = None;
-        for v in 0..n as u32 {
-            if chosen.contains(&v) {
-                continue;
-            }
-            let dmin = per_landmark
-                .iter()
-                .map(|d| d[v as usize])
-                .fold(f64::INFINITY, f64::min);
-            if best.is_none_or(|(_, bd)| dmin > bd) {
-                best = Some((v, dmin));
-            }
-        }
-        match best {
-            Some((v, _)) => next = v,
-            None => break,
-        }
-    }
-    let k = per_landmark.len();
+    let k = NUM_LANDMARKS.min(n);
     let mut flat = vec![0.0; n * k];
-    for (ki, d) in per_landmark.iter().enumerate() {
-        for v in 0..n {
-            flat[v * k + ki] = d[v];
+    let mut sampler = FarthestPoint::new(n);
+    for ki in 0..k {
+        let dist = dijkstra(graph, sampler.pick() as u32).dist;
+        for (v, d) in dist.iter().enumerate() {
+            flat[v * k + ki] = *d;
         }
+        sampler.observe(|v| dist[v]);
     }
     (flat, k)
 }

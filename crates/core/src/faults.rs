@@ -40,7 +40,7 @@ use citymesh_map::CityMap;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
 
 use crate::pipeline::ConfigError;
-use crate::placement::Ap;
+use crate::placement::{most_central, Ap};
 
 /// Sub-stream domain for i.i.d. per-AP failure draws.
 pub const DOMAIN_FAULT_IID: u64 = 0xFA11;
@@ -600,14 +600,11 @@ impl FaultState {
     /// building is dark.
     pub fn postbox_ap_live(&self, aps: &[Ap], map: &CityMap, building: u32) -> Option<u32> {
         let b = map.building(building)?;
-        aps.iter()
-            .filter(|ap| ap.building == building && !self.is_failed(ap.id))
-            .min_by(|x, y| {
-                let dx = x.pos.dist2(b.centroid);
-                let dy = y.pos.dist2(b.centroid);
-                dx.partial_cmp(&dy).expect("finite distances")
-            })
-            .map(|ap| ap.id)
+        most_central(
+            aps.iter()
+                .filter(|ap| ap.building == building && !self.is_failed(ap.id)),
+            b.centroid,
+        )
     }
 
     /// FNV-1a fingerprint of the materialized health vector — the

@@ -72,10 +72,11 @@ pub use conduit::{
 pub use deploy::{Deployment, DeploymentError};
 pub use faults::{ApHealth, FaultScenario, FaultState, RecoveryStage, RetryPolicy};
 pub use hier::{HierPlanScratch, HierPlanner};
-// Hier tuning/stats types live in `citymesh-graph`; re-exported here so
-// downstream crates (fleet, bench) can configure the hierarchical
-// planner without a direct graph dependency.
-pub use citymesh_graph::{HierParams, HierStats};
+// Hier tuning/stats types and the ideal-hops scratch live in
+// `citymesh-graph`; re-exported here so downstream crates (fleet,
+// bench) can configure the hierarchical planner and read planner
+// counters without a direct graph dependency.
+pub use citymesh_graph::{HierParams, HierStats, HopScratch, HopStats};
 pub use pipeline::{
     CityExperiment, CityResult, ConfigError, DeploymentTransition, EpochTransition,
     ExperimentConfig, PairOutcome, PlanScratch, PlannedFlow,

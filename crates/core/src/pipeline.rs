@@ -18,7 +18,7 @@
 use std::sync::{Arc, RwLock};
 
 use citymesh_geo::OrientedRect;
-use citymesh_graph::{HierParams, PlannerScratch};
+use citymesh_graph::{HierParams, HopScratch, PlannerScratch};
 use citymesh_map::CityMap;
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 use citymesh_simcore::{split_seed, SimRng, SimTime};
@@ -32,7 +32,7 @@ use crate::conduit::{
 use crate::deploy::Deployment;
 use crate::faults::{ApHealth, FaultScenario, FaultState, RecoveryStage, RetryPolicy};
 use crate::hier::{HierPlanScratch, HierPlanner};
-use crate::placement::{place_aps, postbox_ap, Ap};
+use crate::placement::{most_central, place_aps, Ap};
 use crate::route::{plan_route_avoiding, plan_route_avoiding_into, plan_route_into};
 use crate::secure::{SecureState, TamperMode};
 use crate::sim::{simulate_delivery_faulted, DeliveryParams, DeliveryScratch};
@@ -497,16 +497,16 @@ pub struct CityResult {
     pub outcomes: Vec<PairOutcome>,
 }
 
-/// Reusable buffers for [`CityExperiment::plan_flow_into`]: the graph
-/// search scratch (shared by route planning over the building graph
-/// and the ideal-hops BFS over the AP graph — it grows to the larger
-/// of the two), the uncompressed-route buffer, and a header used to
-/// probe route bits without allocating a waypoint vector per plan.
-/// One scratch per worker; a warm scratch plans with zero heap
-/// allocations.
+/// Reusable buffers for [`CityExperiment::plan_flow_into`]: the route
+/// search scratch over the building graph, the ideal-hops search
+/// scratch over the AP graph, the uncompressed-route buffer, and a
+/// header used to probe route bits without allocating a waypoint vector
+/// per plan. One scratch per worker; a warm scratch plans with zero
+/// heap allocations.
 #[derive(Clone, Debug)]
 pub struct PlanScratch {
     search: PlannerScratch,
+    hops: HopScratch,
     route: Vec<u32>,
     header: CityMeshHeader,
     /// Hierarchical-planner state, used only by
@@ -520,6 +520,7 @@ impl PlanScratch {
     pub fn new() -> Self {
         PlanScratch {
             search: PlannerScratch::new(),
+            hops: HopScratch::new(),
             route: Vec::new(),
             hier: HierPlanScratch::new(),
             // Placeholder header; every plan overwrites it via
@@ -540,6 +541,13 @@ impl PlanScratch {
     /// All-zero unless [`CityExperiment::plan_flow_hier_into`] ran.
     pub fn hier_stats(&self) -> citymesh_graph::HierStats {
         self.hier.stats()
+    }
+
+    /// Cumulative ideal-hops search counters accumulated by this
+    /// scratch: one query per plan that found a route and a live source
+    /// AP, and the APs those searches settled.
+    pub fn hop_stats(&self) -> citymesh_graph::HopStats {
+        self.hops.stats
     }
 }
 
@@ -605,8 +613,9 @@ pub struct CityExperiment {
     /// later share this experiment.
     faults: Option<FaultState>,
     /// Per-building postbox AP (closest AP to the centroid), healthy
-    /// world — `postbox_ap` precomputed for every building so each
-    /// plan does an O(1) lookup instead of an O(APs) scan.
+    /// world — [`crate::placement::postbox_ap`]'s answer precomputed
+    /// for every building so each plan does an O(1) lookup instead of
+    /// an O(APs) scan.
     postbox: Vec<Option<u32>>,
     /// Per-building *live* postbox AP under the fault state (closest
     /// surviving AP); empty when no scenario is active. Rebuilt
@@ -681,10 +690,11 @@ impl CityExperiment {
         let faults = config.faults.map(|sc| {
             FaultState::materialize(&sc, &aps, &map, split_seed(config.seed, DOMAIN_FAULTS))
         });
-        let postbox = (0..map.len())
-            .map(|b| postbox_ap(&aps, &map, b as u32))
-            .collect();
-        let postbox_live = live_postbox_table(&map, &aps, faults.as_ref());
+        let postbox = postbox_table(&map, &aps, &apg, None);
+        // Empty (no table) when no scenario is active.
+        let postbox_live = faults
+            .as_ref()
+            .map_or_else(Vec::new, |f| postbox_table(&map, &aps, &apg, Some(f)));
         CityExperiment {
             map,
             aps,
@@ -724,7 +734,7 @@ impl CityExperiment {
             self.aps.len()
         );
         self.faults = Some(state);
-        self.postbox_live = live_postbox_table(&self.map, &self.aps, self.faults.as_ref());
+        self.postbox_live = postbox_table(&self.map, &self.aps, &self.apg, self.faults.as_ref());
         // A caller-built fault state supersedes any hardening a prior
         // deployment applied; drop the deployment so the world holds
         // exactly the state the caller handed in.
@@ -739,7 +749,7 @@ impl CityExperiment {
     /// flips land first, then the derived per-building state — blocked
     /// set membership and live postbox AP — is refreshed for exactly
     /// the touched buildings (the incremental counterpart of the full
-    /// `live_postbox_table` scan done at preparation time).
+    /// `postbox_table` pass done at preparation time).
     ///
     /// Everything downstream keys off the epoch: plans cached across
     /// the boundary recompute their lazy ladder geometry on first
@@ -762,7 +772,8 @@ impl CityExperiment {
         let aps_changed = faults.apply_health(changes, &self.aps, &mut touched);
         for &b in &touched {
             faults.refresh_building(b, self.apg.aps_of_building(b));
-            self.postbox_live[b as usize] = faults.postbox_ap_live(&self.aps, &self.map, b);
+            self.postbox_live[b as usize] =
+                bucket_postbox(&self.map, &self.aps, &self.apg, Some(faults), b);
         }
         let epoch = faults.advance_epoch();
         EpochTransition {
@@ -1114,7 +1125,7 @@ impl CityExperiment {
         if let Some(src_ap) = plan.src_ap {
             plan.ideal_hops =
                 self.apg
-                    .ideal_hops_to_building_with(src_ap, target, &mut scratch.search);
+                    .ideal_hops_to_building_with(src_ap, target, &mut scratch.hops);
         }
         // Conduits are what every relaying AP reconstructs from the
         // header; using the header's round-tripped width keeps them
@@ -1569,16 +1580,41 @@ impl CityExperiment {
     }
 }
 
-/// Precomputes [`FaultState::postbox_ap_live`] for every building —
-/// one O(buildings × APs) pass at preparation time replaces an O(APs)
-/// scan per planned flow. Empty (no table) when no scenario is active.
-fn live_postbox_table(map: &CityMap, aps: &[Ap], faults: Option<&FaultState>) -> Vec<Option<u32>> {
-    match faults {
-        Some(f) => (0..map.len())
-            .map(|b| f.postbox_ap_live(aps, map, b as u32))
-            .collect(),
-        None => Vec::new(),
-    }
+/// The postbox AP of `building`: its AP closest to the centroid,
+/// among those `faults` leaves alive when a fault state is given.
+/// Equal to [`crate::placement::postbox_ap`] /
+/// [`FaultState::postbox_ap_live`], but read from the AP graph's
+/// building→AP bucket — O(APs of the building), not O(APs of the city);
+/// buckets hold ids ascending, so an exact tie elects the same AP the
+/// whole-placement scans do.
+fn bucket_postbox(
+    map: &CityMap,
+    aps: &[Ap],
+    apg: &ApGraph,
+    faults: Option<&FaultState>,
+    building: u32,
+) -> Option<u32> {
+    let centroid = map.building(building)?.centroid;
+    let bucket = apg.aps_of_building(building).iter();
+    most_central(
+        bucket
+            .map(|&id| &aps[id as usize])
+            .filter(|ap| !faults.is_some_and(|f| f.is_failed(ap.id))),
+        centroid,
+    )
+}
+
+/// [`bucket_postbox`] for every building: one O(APs) pass at
+/// preparation time replaces a scan per planned flow.
+fn postbox_table(
+    map: &CityMap,
+    aps: &[Ap],
+    apg: &ApGraph,
+    faults: Option<&FaultState>,
+) -> Vec<Option<u32>> {
+    (0..map.len() as u32)
+        .map(|b| bucket_postbox(map, aps, apg, faults, b))
+        .collect()
 }
 
 /// Precomputes each building's nearest designated site by centroid
@@ -1883,6 +1919,50 @@ mod tests {
         assert_eq!(plan.redirect(), Some(site));
         assert_eq!(plan.delivery_dst(), site);
         assert_eq!(plan.dst, other, "cache key keeps the requested destination");
+    }
+
+    #[test]
+    fn postbox_tables_equal_the_whole_placement_scans() {
+        use crate::placement::postbox_ap;
+        let map = CityArchetype::SurveyDowntown.generate(8);
+        let cfg = ExperimentConfig {
+            faults: Some(FaultScenario::district_blackouts(1, 140.0)),
+            ..small_config(8)
+        };
+        let mut exp = CityExperiment::prepare(map, cfg);
+        let assert_tables = |exp: &CityExperiment| {
+            let st = exp.fault_state().unwrap();
+            for b in 0..exp.map().len() as u32 {
+                let (aps, map) = (exp.aps(), exp.map());
+                assert_eq!(exp.postbox[b as usize], postbox_ap(aps, map, b));
+                assert_eq!(
+                    exp.postbox_live[b as usize],
+                    st.postbox_ap_live(aps, map, b)
+                );
+            }
+        };
+        assert_tables(&exp);
+        // The per-touched-building refresh: fail the live postbox of
+        // every fifth building, then bring a dark building's APs up.
+        let mut changes: Vec<(u32, ApHealth)> = (0..exp.map().len())
+            .step_by(5)
+            .filter_map(|b| exp.postbox_live[b])
+            .map(|ap| (ap, ApHealth::Failed))
+            .collect();
+        let dark = (0..exp.map().len() as u32)
+            .find(|&b| exp.postbox[b as usize].is_some() && exp.postbox_live[b as usize].is_none())
+            .expect("the blackout darkens a building");
+        for &ap in exp.ap_graph().aps_of_building(dark) {
+            changes.push((ap, ApHealth::Up));
+        }
+        exp.apply_world_event(&changes);
+        assert!(exp.postbox_live[dark as usize].is_some());
+        assert_tables(&exp);
+        // A caller-built fault state rebuilds the live table whole.
+        let failed: Vec<u32> = exp.postbox.iter().step_by(3).flatten().copied().collect();
+        let state = FaultState::with_failed(exp.aps(), exp.map(), &failed, RetryPolicy::default());
+        let exp = exp.with_fault_state(state);
+        assert_tables(&exp);
     }
 
     #[test]

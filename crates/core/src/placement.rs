@@ -69,13 +69,25 @@ pub fn place_aps(map: &CityMap, m2_per_ap: f64, rng: &mut SimRng) -> Vec<Ap> {
 /// Selects one AP per building to act as the postbox AP: the one
 /// closest to the footprint centroid, matching the intuition that a
 /// postbox should be the building's most "central" AP.
+///
+/// This is the whole-placement scan, O(APs) per call; a prepared
+/// [`crate::CityExperiment`] reads the same answer for every building
+/// out of the AP graph's building→AP buckets instead.
 pub fn postbox_ap(aps: &[Ap], map: &CityMap, building: u32) -> Option<u32> {
     let b = map.building(building)?;
-    aps.iter()
-        .filter(|ap| ap.building == building)
+    most_central(aps.iter().filter(|ap| ap.building == building), b.centroid)
+}
+
+/// The candidate closest to `centroid` — the first such on an exact
+/// tie, so candidates in ascending id order elect the lowest id.
+pub(crate) fn most_central<'a>(
+    candidates: impl Iterator<Item = &'a Ap>,
+    centroid: Point,
+) -> Option<u32> {
+    candidates
         .min_by(|x, y| {
-            let dx = x.pos.dist2(b.centroid);
-            let dy = y.pos.dist2(b.centroid);
+            let dx = x.pos.dist2(centroid);
+            let dy = y.pos.dist2(centroid);
             dx.partial_cmp(&dy).expect("finite distances")
         })
         .map(|ap| ap.id)

@@ -962,6 +962,13 @@ mod tests {
         assert_eq!(fm.counter(tm::HIER_QUERIES), 0, "flat run plans flat");
         assert!(hm.counter(tm::HIER_QUERIES) > 0, "hier run must use hier");
         assert!(hm.counter(tm::HIER_EXPANSIONS) > 0);
+        // Either planner asks the AP graph for ideal hops once per
+        // planned flow that has a live source AP (one worker, so no
+        // pair is planned twice).
+        let queries = fm.counter(tm::IDEAL_HOPS_QUERIES);
+        assert!(queries > 0 && queries <= 150);
+        assert_eq!(hm.counter(tm::IDEAL_HOPS_QUERIES), queries);
+        assert!(fm.counter(tm::IDEAL_HOPS_SETTLED) > queries);
         // Parallel hier runs still merge to the same digest.
         let par = try_run_fleet(
             &exp,

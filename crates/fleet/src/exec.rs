@@ -212,10 +212,11 @@ impl<'a> FlowExecutor<'a> {
     /// Folds the worker's bookkeeping into its metric set and hands back
     /// the set plus the captured postmortems. Tracer totals are sums and
     /// maxima over flows, so they stay schedule-independent after the
-    /// worker-order merge; the hier-planner and key-derivation counters
-    /// are schedule-dependent like the route cache's hit/miss totals
-    /// (racing workers may double-plan or double-derive a pair), so they
-    /// are informational only and in no digest.
+    /// worker-order merge; the hier-planner, ideal-hops and
+    /// key-derivation counters are schedule-dependent like the route
+    /// cache's hit/miss totals (racing workers may double-plan or
+    /// double-derive a pair), so they are informational only and in no
+    /// digest ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
         let keys_derived =
             self.scratch.keys_derived() + self.untraced.as_ref().map_or(0, |s| s.keys_derived());
@@ -229,6 +230,9 @@ impl<'a> FlowExecutor<'a> {
             m.add(tm::HIER_DIRECT_ROUTES, h.direct_routes);
             m.add(tm::HIER_OVERLAY_SETTLED, h.overlay_settled);
             m.add(tm::HIER_EXPANSIONS, h.expansions);
+            let hops = self.plan_scratch.hop_stats();
+            m.add(tm::IDEAL_HOPS_QUERIES, hops.queries);
+            m.add(tm::IDEAL_HOPS_SETTLED, hops.settled);
             m.add(tm::KEYS_DERIVED, keys_derived);
         }
         (self.metrics, tracer.take_postmortems())

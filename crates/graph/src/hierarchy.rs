@@ -75,6 +75,7 @@
 //! filtered restricted Dijkstra. Clean districts — the vast majority —
 //! keep their precomputed arcs.
 
+use crate::landmarks::FarthestPoint;
 use crate::scratch::PlannerScratch;
 use crate::search::HeapItem;
 use crate::{Adjacency, INFINITY};
@@ -524,26 +525,14 @@ impl Hierarchy {
         // the flat planner's global landmarks.
         let lm_count = params.overlay_landmarks.min(nodes);
         let mut lm_dist = vec![INFINITY; nodes * lm_count];
-        if lm_count > 0 {
-            let mut min_seen = vec![INFINITY; nodes];
-            let mut next = 0u32;
-            for ki in 0..lm_count {
-                overlay_sssp(&arc_start, &arc_to, &arc_weight, nodes, next, &mut scratch);
-                for nb in 0..nodes {
-                    let (dist, _) = scratch.entry(nb as u32);
-                    lm_dist[nb * lm_count + ki] = dist;
-                    if dist < min_seen[nb] {
-                        min_seen[nb] = dist;
-                    }
-                }
-                let mut best = -INFINITY;
-                for (nb, &m) in min_seen.iter().enumerate() {
-                    if m > best {
-                        best = m;
-                        next = nb as u32;
-                    }
-                }
+        let mut sampler = FarthestPoint::new(nodes);
+        for ki in 0..lm_count {
+            let lm = sampler.pick() as u32;
+            overlay_sssp(&arc_start, &arc_to, &arc_weight, nodes, lm, &mut scratch);
+            for nb in 0..nodes {
+                lm_dist[nb * lm_count + ki] = scratch.entry(nb as u32).0;
             }
+            sampler.observe(|nb| scratch.entry(nb as u32).0);
         }
 
         // Per-district landmarks among each district's borders.
@@ -556,7 +545,6 @@ impl Hierarchy {
             dlm_start[d + 1] = dlm_start[d] + block as u32;
         }
         let mut dlm_dist = vec![INFINITY; dlm_start[nd] as usize];
-        let mut score = Vec::new();
         for d in 0..nd as u32 {
             let k_d = dlm_k[d as usize] as usize;
             if k_d == 0 {
@@ -565,15 +553,13 @@ impl Hierarchy {
             let bs = borders(d);
             let ms = part.members(d);
             let base = dlm_start[d as usize] as usize;
-            score.clear();
-            score.resize(bs.len(), INFINITY);
-            let mut chosen = node_vertex[bs[0] as usize];
+            let mut sampler = FarthestPoint::new(bs.len());
             for j in 0..k_d {
                 district_dijkstra(
                     g,
                     &part.district_of,
                     d,
-                    chosen,
+                    node_vertex[bs[sampler.pick()] as usize],
                     u32::MAX,
                     u32::MAX,
                     &|_| true,
@@ -584,20 +570,7 @@ impl Hierarchy {
                     let (dist, _) = scratch.entry(m);
                     dlm_dist[row + li] = dist;
                 }
-                let mut best = -INFINITY;
-                let mut next = chosen;
-                for (bi, &b) in bs.iter().enumerate() {
-                    let v = node_vertex[b as usize];
-                    let (dist, _) = scratch.entry(v);
-                    if dist < score[bi] {
-                        score[bi] = dist;
-                    }
-                    if score[bi] > best {
-                        best = score[bi];
-                        next = v;
-                    }
-                }
-                chosen = next;
+                sampler.observe(|bi| scratch.entry(node_vertex[bs[bi] as usize]).0);
             }
         }
 

@@ -1,0 +1,455 @@
+//! Hop-count ALT: exact "fewest hops from a vertex to a vertex *set*"
+//! on an unweighted graph without flooding it.
+//!
+//! [`bfs_distance_to`](crate::bfs_distance_to) answers the same query
+//! by expanding rings around the source until one touches the set —
+//! work linear in the component for a far target. [`HopLandmarks`]
+//! stores, per vertex, its hop distance from a constant number of
+//! landmarks and runs A* under the set-target landmark bound
+//!
+//! ```text
+//! h(v) = max_k max(lo_k − L_k(v), L_k(v) − hi_k, 0)
+//! ```
+//!
+//! where `L_k(v)` is the hop distance from landmark `k` to `v` and
+//! `lo_k` / `hi_k` are the minimum / maximum of `L_k` over the target
+//! set. Every `L_k` is 1-Lipschitz along an edge, so for each target
+//! `t` both terms are at most `|L_k(v) − L_k(t)| ≤ d(v, t)`: the bound
+//! is admissible, it is zero on the targets, and it changes by at most
+//! one per hop (consistent). The first target settled is therefore at
+//! its true distance, and the answer — a hop *count* — cannot depend on
+//! the order equal keys are served in.
+//!
+//! Unit edges plus a consistent bound mean a relaxation from a vertex
+//! with key `f` produces key `f`, `f + 1` or `f + 2`, so the priority
+//! queue is three reusable vertex stacks indexed by `key mod 3`.
+
+use crate::landmarks::FarthestPoint;
+use crate::INFINITY;
+
+/// Landmark columns per vertex row. A measured constant, not a knob:
+/// sixteen `u16`s are one 32-byte row the bound reads branch-free, and
+/// on the 2×2 metro's 12.6k-AP graph they settle ~300 vertices per
+/// query where eight settle ~440.
+pub const HOP_LANDMARKS: usize = 16;
+
+/// Row entry of a vertex the landmark cannot reach.
+const UNREACHED: u16 = u16::MAX;
+/// Largest stored hop distance; longer ones clamp here, which keeps
+/// rows 1-Lipschitz and so keeps the bound valid.
+const MAX_HOPS: u16 = u16::MAX - 1;
+
+type Row = [u16; HOP_LANDMARKS];
+
+/// Per-vertex hop distances from up to [`HOP_LANDMARKS`] landmarks,
+/// and the exact set-target search they guide.
+///
+/// The graph itself is not stored: [`build`](Self::build) and
+/// [`hops_to_set`](Self::hops_to_set) read it through a
+/// `neighbors(v) -> &[u32]` callback, so an owner that already holds
+/// compact adjacency rows shares them.
+///
+/// ```
+/// use citymesh_graph::{HopLandmarks, HopScratch};
+///
+/// // A path 0 — 1 — 2 — 3 and an isolated vertex 4.
+/// let adj: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![1, 3], vec![2], vec![]];
+/// let neighbors = |v: u32| adj[v as usize].as_slice();
+/// let components = [0, 0, 0, 0, 1];
+/// let index = HopLandmarks::build(neighbors, &components, 2);
+/// let mut scratch = HopScratch::new();
+/// assert_eq!(index.hops_to_set(neighbors, &components, 0, &[2, 3], &mut scratch), Some(2));
+/// assert_eq!(index.hops_to_set(neighbors, &components, 0, &[4], &mut scratch), None);
+/// ```
+#[derive(Clone, Debug)]
+pub struct HopLandmarks {
+    /// `rows[v][k]`: hops from landmark `k` to `v`, clamped at
+    /// [`MAX_HOPS`], or [`UNREACHED`]. Columns past the embedded
+    /// landmark count are all zero and contribute nothing to the bound.
+    rows: Vec<Row>,
+}
+
+impl HopLandmarks {
+    /// Embeds landmarks for the graph `neighbors` describes, given its
+    /// component labelling (one label per vertex, `num_components`
+    /// distinct).
+    ///
+    /// Landmarks are drawn by [`FarthestPoint`] sampling over hop
+    /// distance, but only among vertices of components holding at
+    /// least a `1 / HOP_LANDMARKS` share of the graph — one landmark's
+    /// fair share. Smaller islands get none: their rows read
+    /// "unreached" everywhere, the bound is zero, and the search
+    /// degenerates to a plain BFS that can cost at most that share of
+    /// the graph. (Unrestricted island-first sampling would spend most
+    /// of the budget on a few dozen stray vertices.)
+    pub fn build<'g>(
+        neighbors: impl Fn(u32) -> &'g [u32],
+        components: &[u32],
+        num_components: usize,
+    ) -> Self {
+        let n = components.len();
+        let mut size = vec![0usize; num_components];
+        for &c in components {
+            size[c as usize] += 1;
+        }
+        let candidates: Vec<u32> = (0..n as u32)
+            .filter(|&v| size[components[v as usize] as usize] * HOP_LANDMARKS >= n)
+            .collect();
+        let mut rows = vec![[0u16; HOP_LANDMARKS]; n];
+        let mut sampler = FarthestPoint::new(candidates.len());
+        let mut hops = vec![UNREACHED; n];
+        let mut queue = Vec::with_capacity(n);
+        for k in 0..HOP_LANDMARKS.min(candidates.len()) {
+            bfs_hops(
+                &neighbors,
+                candidates[sampler.pick()],
+                &mut hops,
+                &mut queue,
+            );
+            for (row, &h) in rows.iter_mut().zip(&hops) {
+                row[k] = h;
+            }
+            sampler.observe(|c| match hops[candidates[c] as usize] {
+                UNREACHED => INFINITY,
+                h => f64::from(h),
+            });
+        }
+        HopLandmarks { rows }
+    }
+
+    /// Heap bytes held by the landmark rows.
+    pub fn memory_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<Row>()
+    }
+
+    /// Fewest hops from `source` to any vertex of `targets`, or `None`
+    /// when none shares `source`'s component — decided up front from
+    /// the labels, as a BFS decides it by exhausting the component.
+    /// Equal to [`bfs_distance_to`](crate::bfs_distance_to) with the
+    /// predicate "is in `targets`"; allocates nothing once `scratch`
+    /// is warm.
+    ///
+    /// `neighbors` and `components` must describe the graph the index
+    /// was built for.
+    ///
+    /// # Panics
+    /// Panics when `source` or a target is out of range.
+    pub fn hops_to_set<'g>(
+        &self,
+        neighbors: impl Fn(u32) -> &'g [u32],
+        components: &[u32],
+        source: u32,
+        targets: &[u32],
+        scratch: &mut HopScratch,
+    ) -> Option<u64> {
+        scratch.stats.queries += 1;
+        let home = components[source as usize];
+        if !targets.iter().any(|&t| components[t as usize] == home) {
+            return None;
+        }
+        // Targets on other islands only loosen `lo` / `hi` (their
+        // entries read "unreached" or sit under a landmark the source's
+        // island cannot see, and both terms saturate to zero), so the
+        // bound stays admissible without filtering them out.
+        let (mut lo, mut hi) = ([u16::MAX; HOP_LANDMARKS], [0u16; HOP_LANDMARKS]);
+        scratch.begin(self.rows.len());
+        for &t in targets {
+            let row = &self.rows[t as usize];
+            for k in 0..HOP_LANDMARKS {
+                lo[k] = lo[k].min(row[k]);
+                hi[k] = hi[k].max(row[k]);
+            }
+            scratch.slots[t as usize] = Slot {
+                gen: scratch.gen,
+                state: UNSEEN | TARGET,
+            };
+        }
+        let bound = |v: u32| {
+            let row = &self.rows[v as usize];
+            let mut h = 0u16;
+            for k in 0..HOP_LANDMARKS {
+                h = h
+                    .max(lo[k].saturating_sub(row[k]))
+                    .max(row[k].saturating_sub(hi[k]));
+            }
+            u32::from(h)
+        };
+
+        let mut key = bound(source);
+        scratch.slot(source).state &= !HOPS; // g(source) = 0
+        scratch.buckets[key as usize % 3].push(source);
+        loop {
+            while let Some(u) = scratch.buckets[key as usize % 3].pop() {
+                let slot = &mut scratch.slots[u as usize];
+                if slot.state & SETTLED != 0 {
+                    continue; // superseded by a shorter discovery
+                }
+                slot.state |= SETTLED;
+                scratch.stats.settled += 1;
+                let g = slot.state & HOPS;
+                if slot.state & TARGET != 0 {
+                    return Some(u64::from(g));
+                }
+                for &v in neighbors(u) {
+                    let slot = scratch.slot(v);
+                    // Settled vertices are final; `HOPS` sits in the
+                    // low bits, so the flag bits never make a seen
+                    // vertex look closer than it is.
+                    if slot.state & SETTLED != 0 || slot.state & HOPS <= g + 1 {
+                        continue;
+                    }
+                    slot.state = (slot.state & !HOPS) | (g + 1);
+                    // Consistency puts f in {key, key + 1, key + 2}:
+                    // three buckets never alias a live key.
+                    let f = g + 1 + bound(v);
+                    debug_assert!((key..=key + 2).contains(&f), "inconsistent bound");
+                    scratch.buckets[f as usize % 3].push(v);
+                }
+            }
+            key += 1;
+            if scratch.buckets.iter().all(Vec::is_empty) {
+                // Unreachable in practice: a target shares the
+                // component. Kept so a caller passing mismatched
+                // `components` gets `None`, not a spin.
+                return None;
+            }
+        }
+    }
+}
+
+/// Level-order BFS from `source`, writing clamped hop counts into
+/// `hops` ([`UNREACHED`] elsewhere). `queue` is scratch.
+fn bfs_hops<'g>(
+    neighbors: &impl Fn(u32) -> &'g [u32],
+    source: u32,
+    hops: &mut [u16],
+    queue: &mut Vec<u32>,
+) {
+    hops.fill(UNREACHED);
+    queue.clear();
+    hops[source as usize] = 0;
+    queue.push(source);
+    let (mut head, mut level) = (0, 0u16);
+    while head < queue.len() {
+        let end = queue.len();
+        level = level.saturating_add(1).min(MAX_HOPS);
+        for i in head..end {
+            for &v in neighbors(queue[i]) {
+                if hops[v as usize] == UNREACHED {
+                    hops[v as usize] = level;
+                    queue.push(v);
+                }
+            }
+        }
+        head = end;
+    }
+}
+
+/// `Slot::state` layout: hop count so far in the low 30 bits, two flags
+/// above it.
+const HOPS: u32 = (1 << 30) - 1;
+const UNSEEN: u32 = HOPS;
+const TARGET: u32 = 1 << 30;
+const SETTLED: u32 = 1 << 31;
+
+/// One vertex's search state; valid for the current query iff
+/// `gen` matches the scratch's.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    gen: u32,
+    state: u32,
+}
+
+/// Cumulative counters a [`HopScratch`] keeps across queries.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HopStats {
+    /// Queries answered, including those decided by the component
+    /// labels alone.
+    pub queries: u64,
+    /// Vertices settled across all queries — the search work a BFS
+    /// would have spent stamping most of the component.
+    pub settled: u64,
+}
+
+/// Reusable buffers for [`HopLandmarks::hops_to_set`]: generation-
+/// stamped per-vertex slots and the three key buckets. Warm queries
+/// allocate nothing.
+#[derive(Clone, Debug, Default)]
+pub struct HopScratch {
+    slots: Vec<Slot>,
+    gen: u32,
+    buckets: [Vec<u32>; 3],
+    /// Cumulative query counters (never reset by the kernel).
+    pub stats: HopStats,
+}
+
+impl HopScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sizes the slots for `n` vertices, invalidates them all by
+    /// bumping the generation (a full re-stamp only when the `u32`
+    /// wraps) and empties the buckets, keeping their capacity.
+    fn begin(&mut self, n: usize) {
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots.fill(Slot::default());
+            self.gen = 1;
+        }
+        for b in &mut self.buckets {
+            b.clear();
+        }
+    }
+
+    /// `v`'s slot, freshly initialized if this query has not touched it.
+    fn slot(&mut self, v: u32) -> &mut Slot {
+        let slot = &mut self.slots[v as usize];
+        if slot.gen != self.gen {
+            *slot = Slot {
+                gen: self.gen,
+                state: UNSEEN,
+            };
+        }
+        slot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{bfs_distance_to, connected_components, Graph, PlannerScratch};
+
+    /// Rows of `g` in the callback form the index reads.
+    fn rows(g: &Graph) -> Vec<Vec<u32>> {
+        (0..g.num_vertices() as u32)
+            .map(|v| g.neighbors(v).iter().map(|e| e.to).collect())
+            .collect()
+    }
+
+    /// Every (source, target set) on `g` against the reference BFS,
+    /// through one warm scratch.
+    fn assert_matches_bfs(g: &Graph, sets: &[&[u32]]) {
+        let adj = rows(g);
+        let neighbors = |v: u32| adj[v as usize].as_slice();
+        let (components, count) = connected_components(g);
+        let index = HopLandmarks::build(neighbors, &components, count);
+        let mut scratch = HopScratch::new();
+        let mut reference = PlannerScratch::new();
+        for src in 0..adj.len() as u32 {
+            for set in sets {
+                assert_eq!(
+                    index.hops_to_set(neighbors, &components, src, set, &mut scratch),
+                    bfs_distance_to(g, src, |v| set.contains(&v), &mut reference),
+                    "src {src} set {set:?}"
+                );
+            }
+        }
+    }
+
+    /// An `nx × ny` unit lattice followed by `extra` isolated vertices.
+    fn lattice(nx: u32, ny: u32, extra: usize) -> Graph {
+        let mut g = Graph::new((nx * ny) as usize + extra);
+        for y in 0..ny {
+            for x in 0..nx {
+                let v = y * nx + x;
+                if x + 1 < nx {
+                    g.add_edge(v, v + 1, 1.0);
+                }
+                if y + 1 < ny {
+                    g.add_edge(v, v + nx, 1.0);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn lattice_matches_bfs_for_single_and_multi_vertex_targets() {
+        // 40 × 12 = 480 vertices: more than HOP_LANDMARKS, long enough
+        // for the bound to steer, and full of equal-length paths.
+        assert_matches_bfs(
+            &lattice(40, 12, 0),
+            &[&[479], &[0], &[200, 201, 37], &[39, 440]],
+        );
+    }
+
+    #[test]
+    fn fewer_vertices_than_landmarks() {
+        let mut g = Graph::new(5);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, 1.0);
+        g.add_edge(3, 4, 1.0);
+        assert_matches_bfs(&g, &[&[2], &[4], &[0, 3], &[]]);
+        assert_matches_bfs(&Graph::new(1), &[&[0], &[]]);
+    }
+
+    #[test]
+    fn small_islands_get_no_landmark_and_still_answer_exactly() {
+        // A 300-vertex lattice plus a 6-vertex path: 6 × 16 < 306, so
+        // the path is searched with a zero bound.
+        let mut g = lattice(30, 10, 6);
+        let base = 300;
+        for i in 0..5 {
+            g.add_edge(base + i, base + i + 1, 1.0);
+        }
+        let adj = rows(&g);
+        let (components, count) = connected_components(&g);
+        let index = HopLandmarks::build(|v| adj[v as usize].as_slice(), &components, count);
+        for v in base..base + 6 {
+            assert_eq!(index.rows[v as usize], [UNREACHED; HOP_LANDMARKS]);
+        }
+        assert_matches_bfs(&g, &[&[base + 5], &[base, 299], &[150]]);
+    }
+
+    #[test]
+    fn the_bound_prunes_and_the_counters_say_so() {
+        let g = lattice(60, 60, 0);
+        let adj = rows(&g);
+        let neighbors = |v: u32| adj[v as usize].as_slice();
+        let (components, count) = connected_components(&g);
+        let index = HopLandmarks::build(neighbors, &components, count);
+        let mut scratch = HopScratch::new();
+        let far = 60 * 60 - 1;
+        assert_eq!(
+            index.hops_to_set(neighbors, &components, 0, &[far], &mut scratch),
+            Some(118)
+        );
+        assert_eq!(scratch.stats.queries, 1);
+        // A BFS stamps all 3,600 vertices to reach the far corner.
+        assert!(
+            scratch.stats.settled < 3_600 / 4,
+            "settled {}",
+            scratch.stats.settled
+        );
+    }
+
+    #[test]
+    fn hop_counts_clamp_without_breaking_exactness() {
+        // A path longer than a row entry can count: rows clamp, the
+        // answer does not.
+        let n = usize::from(MAX_HOPS) + 40;
+        let mut g = Graph::new(n);
+        for v in 0..n as u32 - 1 {
+            g.add_edge(v, v + 1, 1.0);
+        }
+        let adj = rows(&g);
+        let neighbors = |v: u32| adj[v as usize].as_slice();
+        let components = vec![0u32; n];
+        let index = HopLandmarks::build(neighbors, &components, 1);
+        let mut scratch = HopScratch::new();
+        let last = n as u32 - 1;
+        assert_eq!(
+            index.hops_to_set(neighbors, &components, 0, &[last], &mut scratch),
+            Some(u64::from(last))
+        );
+        assert_eq!(
+            index.hops_to_set(neighbors, &components, last, &[3, 9], &mut scratch),
+            Some(u64::from(last) - 9)
+        );
+    }
+}

@@ -9,7 +9,7 @@
 //!   within transmission range; reachability is answered with
 //!   [`connected_components`] / [`bfs`], and the *ideal unicast*
 //!   denominator of the paper's transmission-overhead metric is the
-//!   BFS hop count.
+//!   BFS hop count, answered without a flood by [`HopLandmarks`].
 //!
 //! The [`Graph`] type is a compact adjacency-list structure with `u32`
 //! vertex ids, sized for the millions-of-nodes scale the paper targets.
@@ -19,6 +19,8 @@
 
 mod adjacency;
 mod hierarchy;
+mod hops;
+mod landmarks;
 mod scratch;
 mod search;
 mod union_find;
@@ -28,6 +30,8 @@ pub use hierarchy::{
     HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_DISTRICT_LANDMARKS,
     MAX_OVERLAY_LANDMARKS,
 };
+pub use hops::{HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
+pub use landmarks::FarthestPoint;
 pub use scratch::{
     astar_path_filtered_into, astar_path_into, bfs_distance_to, dijkstra_path_filtered_into,
     dijkstra_path_into, PlannerScratch,

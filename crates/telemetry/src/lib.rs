@@ -17,7 +17,9 @@
 //! 3. **Schedule independence.** All metric values are integers merged
 //!    in worker-id order, and trace capture/sampling is keyed by flow
 //!    identity — aggregate metrics, fingerprints, and postmortem sets
-//!    are identical across 1, 4, or 8 workers.
+//!    are identical across 1, 4, or 8 workers. (The few counters of
+//!    work racing workers may repeat — [`metrics::SCHEDULE_DEPENDENT`]
+//!    — are informational and outside the fingerprint.)
 //!
 //! The crate sits at the bottom of the workspace dependency graph (no
 //! dependencies), so simcore, core, fleet, and bench can all use it.

@@ -143,6 +143,28 @@ pub const KEYS_DERIVED: CounterId = CounterId(29);
 /// Receiver-side authentication failures (tampered header or
 /// ciphertext). Zero outside tamper-injection runs.
 pub const AUTH_FAILURES: CounterId = CounterId(30);
+/// Ideal-hops searches over the AP graph (one per planned flow with a
+/// route and a live source AP — the §4 overhead denominator).
+/// Schedule-dependent like the hier counters: racing workers may
+/// double-plan a pair. Excluded from digests.
+pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(31);
+/// APs settled by those searches. Schedule-dependent; excluded from
+/// digests.
+pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(32);
+
+/// The counters whose totals depend on which worker planned or derived
+/// what (racing workers may both miss a cache and repeat the work).
+/// Informational only: [`MetricSet::fingerprint`] skips them, so the
+/// fingerprint stays worker-count invariant.
+pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
+    HIER_QUERIES,
+    HIER_DIRECT_ROUTES,
+    HIER_OVERLAY_SETTLED,
+    HIER_EXPANSIONS,
+    KEYS_DERIVED,
+    IDEAL_HOPS_QUERIES,
+    IDEAL_HOPS_SETTLED,
+];
 
 /// The counter registry; indexed by [`CounterId`].
 pub const COUNTERS: &[CounterDef] = &[
@@ -269,6 +291,14 @@ pub const COUNTERS: &[CounterDef] = &[
     CounterDef {
         name: "secure_auth_failures_total",
         help: "Receiver-side authentication failures",
+    },
+    CounterDef {
+        name: "ideal_hops_queries_total",
+        help: "Ideal-hops searches over the AP graph",
+    },
+    CounterDef {
+        name: "ideal_hops_settled_total",
+        help: "APs settled by ideal-hops searches",
     },
 ];
 
@@ -615,8 +645,9 @@ impl MetricSet {
         }
     }
 
-    /// FNV-1a digest over every counter, gauge, and histogram bucket —
-    /// the telemetry analogue of the fleet report digest, pinned by
+    /// FNV-1a digest over every schedule-independent counter (all but
+    /// [`SCHEDULE_DEPENDENT`]), gauge, and histogram bucket — the
+    /// telemetry analogue of the fleet report digest, pinned by
     /// determinism tests across worker counts.
     pub fn fingerprint(&self) -> u64 {
         const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -628,8 +659,10 @@ impl MetricSet {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for &c in &self.counters {
-            mix(c);
+        for (i, &c) in self.counters.iter().enumerate() {
+            if !SCHEDULE_DEPENDENT.contains(&CounterId(i)) {
+                mix(c);
+            }
         }
         for &g in &self.gauges {
             mix(g);
@@ -664,8 +697,16 @@ mod tests {
 
     #[test]
     fn registry_ids_line_up() {
-        assert_eq!(COUNTERS.len(), 31);
+        assert_eq!(COUNTERS.len(), 33);
         assert_eq!(COUNTERS[HIER_QUERIES.0].name, "hier_queries_total");
+        assert_eq!(
+            COUNTERS[IDEAL_HOPS_QUERIES.0].name,
+            "ideal_hops_queries_total"
+        );
+        assert_eq!(
+            COUNTERS[IDEAL_HOPS_SETTLED.0].name,
+            "ideal_hops_settled_total"
+        );
         assert_eq!(COUNTERS[MSGS_SEALED.0].name, "secure_msgs_sealed_total");
         assert_eq!(COUNTERS[MSGS_OPENED.0].name, "secure_msgs_opened_total");
         assert_eq!(COUNTERS[KEYS_DERIVED.0].name, "secure_keys_derived_total");
@@ -759,6 +800,18 @@ mod tests {
         assert_eq!(ab.counter(FLOWS), 3);
         assert_eq!(ab.gauge(TRACE_HIGH_WATER), 7);
         assert_eq!(ab.histo_count(LATENCY_FIRST), 2);
+    }
+
+    #[test]
+    fn fingerprint_skips_schedule_dependent_counters() {
+        let mut m = MetricSet::new();
+        let before = m.fingerprint();
+        for &id in SCHEDULE_DEPENDENT {
+            assert!(COUNTERS[id.0].name.ends_with("_total"));
+            m.add(id, 7);
+        }
+        assert_eq!(m.fingerprint(), before);
+        assert_eq!(m.counter(IDEAL_HOPS_SETTLED), 7);
     }
 
     #[test]
