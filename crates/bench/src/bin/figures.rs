@@ -21,13 +21,16 @@
 //! throughput includes scratch/cache warm-up costs, and `--json` makes
 //! `fig6` write `figures/fig6.json`. Every sweep asserts its own
 //! invariants as it runs and ends with a `[sweep …]` line reporting
-//! its wall time and the process peak RSS.
+//! its wall time and the process peak RSS. A release build — the only
+//! kind whose timings mean anything — also holds each sweep to its
+//! within-run throughput ratio ([`Sweep::throughput_gate`]): planner
+//! warm ≥ 3× the live baseline, metro hier ≥ flat at every size of the
+//! `Full` and `Fast` ladders (the largest at `--smoke`), crypto warm
+//! ≥ 0.5× plaintext.
 //!
 //! `check` runs each sweep at the scale its pins are taken at, prints
-//! one line per row of [`goldens::PINS`], and — timing being meaningful
-//! in a release build — holds the three within-run throughput ratios:
-//! planner warm ≥ 3× the live baseline, metro hier ≥ flat at 4×4,
-//! crypto warm ≥ 0.5× plaintext. Any mismatch exits 1.
+//! one line per row of [`goldens::PINS`], and holds the same three
+//! ratios. Any mismatch exits 1.
 
 use std::fs;
 use std::time::Instant;
@@ -206,7 +209,9 @@ fn main() {
     }
 }
 
-/// One extension sweep: run, print, footer.
+/// One extension sweep: run, print, footer — and, in a release build
+/// (the only kind whose timings mean anything), the sweep's
+/// throughput gate at the scale it just ran at.
 fn sweep<S: Sweep>(ctx: &mut Ctx) {
     eprintln!(
         "[running the {} sweep at {:?} scale…]",
@@ -214,7 +219,11 @@ fn sweep<S: Sweep>(ctx: &mut Ctx) {
         ctx.opts.scale
     );
     let started = Instant::now();
-    S::run(&ctx.opts).print();
+    let figs = S::run(&ctx.opts);
+    figs.print();
+    if !cfg!(debug_assertions) {
+        figs.throughput_gate();
+    }
     print_footer(S::NAME, started);
 }
 

@@ -119,6 +119,10 @@ impl MetroSize {
 pub struct MetroFigures {
     /// Size points in sweep order (ascending building count).
     pub sizes: Vec<MetroSize>,
+    /// Whether [`Sweep::throughput_gate`] holds hier ≥ flat at every
+    /// size (the `Full` and `Fast` ladders) or at the largest only
+    /// (`Smoke`, whose 48 plans at one tile are too few to time).
+    pub gate_every_size: bool,
 }
 
 /// FNV-1a over one pair's outcome, keyed by the pair index so the
@@ -268,7 +272,10 @@ pub fn run_metro_figs(
             runs,
         });
     }
-    MetroFigures { sizes }
+    MetroFigures {
+        sizes,
+        gate_every_size: false,
+    }
 }
 
 /// One flat-vs-hier chart over city size (log x).
@@ -340,11 +347,10 @@ pub fn memory_svg(figs: &MetroFigures) -> String {
     )
 }
 
-impl MetroFigures {
-    /// Hier over flat plans/sec at the largest size, first worker count.
+impl MetroSize {
+    /// Hier over flat plans/sec at the first worker count.
     fn hier_speedup(&self) -> f64 {
-        let largest = self.sizes.last().expect("sweep has sizes");
-        largest.rate(MetroMode::Hier) / largest.rate(MetroMode::Flat).max(1e-9)
+        self.rate(MetroMode::Hier) / self.rate(MetroMode::Flat).max(1e-9)
     }
 }
 
@@ -355,17 +361,16 @@ impl Sweep for MetroFigures {
 
     fn run(opts: &SweepOpts) -> Self {
         // (tiles_x, tiles_y, sampled pairs). Pair counts shrink as the
-        // flat planner's per-query cost grows with city size. The
-        // smoke's largest size is 4x4 (~22k buildings), safely past the
-        // flat/hier crossover (up to ~12k buildings the two planners
-        // trade within noise) so the hier >= flat gate cannot flake:
-        // the full sweep measures hier at 5.4x there.
+        // flat planner's per-query cost grows with city size.
         let specs: &[(usize, usize, usize)] = match opts.scale {
             Scale::Full => &[(2, 2, 256), (4, 4, 128), (7, 7, 96), (10, 10, 64)],
             Scale::Fast => &[(2, 2, 128), (4, 4, 64)],
             Scale::Smoke => &[(1, 1, 48), (4, 4, 24)],
         };
-        run_metro_figs(SEED, specs, &opts.worker_counts())
+        MetroFigures {
+            gate_every_size: opts.scale != Scale::Smoke,
+            ..run_metro_figs(SEED, specs, &opts.worker_counts())
+        }
     }
 
     fn print(&self) {
@@ -411,7 +416,7 @@ impl Sweep for MetroFigures {
         println!(
             "largest city ({} buildings): hier {:.1}x the flat planner at {} worker(s)",
             largest.buildings,
-            self.hier_speedup(),
+            largest.hier_speedup(),
             largest.runs[0].workers
         );
         println!("all worker counts agree on every digest; flat and hier agree on every route\n");
@@ -428,12 +433,24 @@ impl Sweep for MetroFigures {
         vec![("largest-size route digest", largest.runs[0].digest)]
     }
 
+    /// The hierarchy is never worse than the flat planner: at every
+    /// size of the sweep, or at the largest when the small ones are too
+    /// short to time.
     fn throughput_gate(&self) {
-        let speedup = self.hier_speedup();
-        assert!(
-            speedup >= 1.0,
-            "hier must not be slower than flat at the largest size, got {speedup:.2}x"
-        );
+        let skip = if self.gate_every_size {
+            0
+        } else {
+            self.sizes.len() - 1
+        };
+        for s in &self.sizes[skip..] {
+            let speedup = s.hier_speedup();
+            assert!(
+                speedup >= 1.0,
+                "hier must not be slower than flat at {}x{}, got {speedup:.2}x",
+                s.tiles.0,
+                s.tiles.1
+            );
+        }
     }
 }
 

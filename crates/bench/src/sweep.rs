@@ -87,8 +87,8 @@ pub trait Sweep: Sized {
     fn pins(&self) -> Vec<(&'static str, u64)>;
 
     /// The within-run throughput ratio the sweep must keep. Timing is
-    /// meaningless in a debug build, so only `figures -- check` (which
-    /// runs in release) calls it.
+    /// meaningless in a debug build, so only a release `figures` calls
+    /// it: after each sweep it runs, and from `check`.
     fn throughput_gate(&self) {}
 }
 

@@ -8,13 +8,15 @@
 //! most likely to have real AP coverage.
 
 use citymesh_geo::Point;
-use citymesh_graph::{connected_components, dijkstra, CsrGraph, FarthestPoint, Graph};
+use citymesh_graph::{
+    connected_components, dijkstra, landmark_candidates, CsrGraph, FarthestPoint, Graph,
+};
 use citymesh_map::CityMap;
 
 /// Number of ALT landmarks embedded in every building graph (fewer on
-/// maps with fewer buildings). Eight is the classic sweet spot: the
-/// per-relaxation heuristic cost is eight loads and compares, while
-/// the corridor A* explores shrinks by an order of magnitude.
+/// maps with fewer eligible buildings). Eight is the classic sweet
+/// spot: the per-relaxation heuristic cost is eight loads and compares,
+/// while the corridor A* explores shrinks by an order of magnitude.
 const NUM_LANDMARKS: usize = 8;
 
 /// Parameters for building-graph construction.
@@ -209,21 +211,29 @@ impl BuildingGraph {
 }
 
 /// Selects up to [`NUM_LANDMARKS`] landmarks by [`FarthestPoint`]
-/// sampling over the weight metric (vertex 0 seeds, first maximum wins,
-/// predicted islands are covered before any is refined) and returns
-/// their full distance arrays flattened vertex-major,
-/// `(lm_dist, lm_count)`.
+/// sampling over the weight metric (the first candidate seeds, first
+/// maximum wins) and returns their full distance arrays flattened
+/// vertex-major, `(lm_dist, lm_count)`.
+///
+/// Candidates are the [`landmark_candidates`]: predicted islands
+/// holding at least a `1 / NUM_LANDMARKS` share of the buildings. A
+/// handful of stray buildings would otherwise draw most of the
+/// landmarks (seven of eight on the 4×4 metro). Their rows read
+/// infinite everywhere, which [`BuildingGraph::cost_lower_bound`]
+/// already treats as "this landmark says nothing".
 fn build_landmarks(graph: &CsrGraph) -> (Vec<f64>, usize) {
     let n = graph.num_vertices();
-    let k = NUM_LANDMARKS.min(n);
+    let (components, count) = connected_components(graph);
+    let candidates = landmark_candidates(&components, count, NUM_LANDMARKS);
+    let k = NUM_LANDMARKS.min(candidates.len());
     let mut flat = vec![0.0; n * k];
-    let mut sampler = FarthestPoint::new(n);
+    let mut sampler = FarthestPoint::new(candidates.len());
     for ki in 0..k {
-        let dist = dijkstra(graph, sampler.pick() as u32).dist;
+        let dist = dijkstra(graph, candidates[sampler.pick()]).dist;
         for (v, d) in dist.iter().enumerate() {
             flat[v * k + ki] = *d;
         }
-        sampler.observe(|v| dist[v]);
+        sampler.observe(|c| dist[candidates[c] as usize]);
     }
     (flat, k)
 }

@@ -1,26 +1,27 @@
 //! Hierarchical (district-overlay) route planning — the metro-scale
 //! fast path (DESIGN.md §12).
 //!
-//! The flat planner in [`crate::route`] is goal-directed A* whose ALT
-//! heuristic rests on eight *global* landmarks. That works at
-//! neighborhood scale, but a metro has 100k+ buildings: eight
-//! landmarks spread over hundreds of districts leave most corridors
-//! unguided, and even a perfectly guided search still touches every
-//! building along the route. [`HierPlanner`] instead routes over a
-//! district overlay — Netsukuku-style "route at the higher level
-//! first, then locally": an overlay Dijkstra between district border
-//! nodes (thousands, not hundreds of thousands), then per-district
-//! landmark-guided A* expansions only for the districts the winning
-//! route actually crosses.
+//! The flat planner in [`crate::route`] is goal-directed A* under an
+//! ALT bound from eight global landmarks. However well the bound
+//! guides it, the search still settles every building along the route
+//! and relaxes every edge beside it, so a plan's cost grows with the
+//! route's length — with the city. [`HierPlanner`] instead routes over
+//! a district overlay — Netsukuku-style "route at the higher level
+//! first, then locally": an ALT A* between district border nodes
+//! (thousands, not hundreds of thousands) whose seeds, terminals and
+//! in-district arcs are lookups in the per-district border × member
+//! distance tables the build keeps, then one table walk per district
+//! the winning route actually crosses.
 //!
 //! Exactness is inherited from [`citymesh_graph::Hierarchy`]: overlay
 //! arc weights are true shortest-path costs, so the hierarchical route
 //! cost equals the flat-optimal cost (proptested in
-//! `tests/hier_props.rs`). Fault handling mirrors
+//! `tests/hier_props.rs` and, against an independent Dijkstra, in
+//! `tests/route_oracle.rs`). Fault handling mirrors
 //! [`crate::route::plan_route_avoiding_into`]: blocked buildings are
 //! excluded (endpoints exempt), and districts containing blocked
-//! buildings are rescanned on the fly instead of trusting their
-//! precomputed arcs.
+//! buildings are searched on the fly instead of trusting their
+//! tables.
 
 use std::collections::HashSet;
 
@@ -48,6 +49,13 @@ impl HierPlanScratch {
     /// telemetry feed for overlay work and fault rescans.
     pub fn stats(&self) -> HierStats {
         self.search.stats
+    }
+
+    /// Whole-district searches run at query time, cumulative
+    /// ([`HierScratch::floods`]): zero until a plan avoids a blocked
+    /// building.
+    pub fn floods(&self) -> u64 {
+        self.search.floods
     }
 }
 
@@ -82,7 +90,7 @@ impl HierPlanner {
     }
 
     /// The underlying overlay structure (districts, border nodes,
-    /// precomputed arcs).
+    /// distance tables).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hierarchy
     }
@@ -132,8 +140,8 @@ impl HierPlanner {
     /// Hierarchical counterpart of
     /// [`crate::route::plan_route_avoiding_into`]: every building in
     /// `blocked` is treated as unusable (endpoints exempt), and every
-    /// district containing a blocked building is rescanned on the fly
-    /// instead of using its precomputed overlay arcs.
+    /// district containing a blocked building is searched on the fly
+    /// instead of read from its precomputed table.
     ///
     /// # Errors
     /// Same contract as [`crate::route::plan_route_avoiding_into`];

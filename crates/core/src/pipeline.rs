@@ -916,10 +916,10 @@ impl CityExperiment {
     /// Builds the district-overlay planner so
     /// [`CityExperiment::plan_flow_hier_into`] becomes available.
     /// This is the one-time prepare-phase cost of hierarchical
-    /// planning (partitioning, border discovery, overlay arcs,
-    /// landmarks); queries afterwards allocate nothing. Idempotent in
-    /// effect: rebuilding with the same params yields an identical
-    /// planner.
+    /// planning (partitioning, border discovery, the per-district
+    /// distance tables, overlay landmarks); queries afterwards
+    /// allocate nothing. Idempotent in effect: rebuilding with the
+    /// same params yields an identical planner.
     pub fn enable_hier(&mut self, params: &HierParams) {
         self.hier = Some(HierPlanner::build(&self.bg, params));
     }

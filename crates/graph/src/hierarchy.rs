@@ -13,12 +13,18 @@
 //! * [`Partition::grid`] deterministically assigns every vertex to a
 //!   grid cell ("district") of roughly `target_district_size` members.
 //! * [`Hierarchy::build`] finds the **border nodes** — vertices with at
-//!   least one edge into another district — and connects them with two
-//!   kinds of overlay arcs:
-//!   * **crossing arcs**: the original inter-district edges, verbatim;
-//!   * **intra arcs**: for every pair of borders of one district, the
-//!     shortest-path cost *restricted to that district*, precomputed by
-//!     one bounded Dijkstra per border.
+//!   least one edge into another district — and runs one Dijkstra
+//!   *restricted to the district* from each of them. What those
+//!   searches compute is kept whole, as each district's **border ×
+//!   member table**: row `b` holds the restricted distance from border
+//!   `b` to every member, borders first. Netsukuku's rule — a group's
+//!   border nodes hold the group's internal map — in array form.
+//! * The overlay's arcs are then
+//!   * **crossing arcs**: the original inter-district edges, verbatim,
+//!     stored per node;
+//!   * **intra arcs**: for every pair of borders of one district, their
+//!     restricted distance — the first `|borders|` entries of a row,
+//!     not stored a second time.
 //!
 //! # Exactness
 //!
@@ -39,26 +45,52 @@
 //! and hierarchical cost **equals** flat-optimal cost (the proptests in
 //! `citymesh-core` assert this, healthy and faulted).
 //!
-//! # Goal direction
+//! # A query is lookups, one small search, and walks
+//!
+//! The two endpoint terms above are table *columns*: the overlay
+//! search is seeded with `d(b, src)` for every border `b` of `D(src)`
+//! and closed with `d(b, dst)` for every border of `D(dst)`, both read,
+//! not searched for. Only a same-district pair runs a search of the
+//! graph itself — one early-exit restricted A* for the direct
+//! candidate.
 //!
 //! The overlay search is an ALT A*: overlay distances between border
 //! nodes equal *true graph distances* (by the argument above), so
 //! farthest-point landmarks over the overlay yield the classic
 //! triangle-inequality bound. The landmark-to-target values are
-//! assembled per query from the target-side restricted distances
+//! assembled per query from the target-side column
 //! (`L̂_k(t) = min over borders b of D(t) of L_k(b) + d(b, t)`), which
 //! is exact when healthy and a valid lower bound under faults (blocked
-//! vertices only lengthen true distances). Intra-district expansions
-//! use **per-district landmarks** the same way; because those landmarks
-//! are chosen among the district's borders and expansions always target
-//! a border, the heuristic is frequently exact and the expansion
-//! settles little more than the path itself.
+//! vertices only lengthen true distances); the caller's own lower bound
+//! is the other half of the heuristic.
+//!
+//! **Intra arcs are relaxed only out of a node the search entered by a
+//! crossing arc.** Restricted distances inside one district obey the
+//! triangle inequality, so a node reached by an intra arc from `y`
+//! offers its district-mates nothing `y` did not already offer them,
+//! and a seed — whose key already *is* a restricted distance from the
+//! source — offers nothing the other seeds lack. A node relaxes the
+//! whole border clique of its district only when its overlay parent
+//! lies in another district. There is no exemption for the
+//! destination's district: a route may pass *through* it.
+//!
+//! The winning node sequence is unpacked by **row descent**. Row `b`
+//! was written by `T[v] = T[u] + w(u, v)` along a Dijkstra tree rooted
+//! at `b`, so from any member `v` the step to the smallest-id
+//! in-district neighbour `u` with `T[u] + w(u, v) == T[v]` (bit for
+//! bit) retraces that tree, and the smallest such `u` is the parent
+//! the crate's canonical tie-break chose. The source leg, the
+//! destination leg and every intra arc are one such walk each — no
+//! search, no scratch. The walk needs `T[u] < T[v]` along every tree
+//! edge to terminate, which [`Hierarchy::build`] checks as it writes
+//! each row (a zero-weight edge, or a weight lost to rounding, fails
+//! it).
 //!
 //! # Canonical tie-breaks
 //!
-//! All sub-searches (restricted Dijkstras, the overlay A*, expansions)
-//! use the crate-wide canonical rule: pop by *(key, vertex id)*
-//! ascending, update on strict improvement or an exact tie with a
+//! All sub-searches (restricted Dijkstras, the overlay A*, dirty
+//! expansions) use the crate-wide canonical rule: pop by *(key, vertex
+//! id)* ascending, update on strict improvement or an exact tie with a
 //! smaller-id parent, never update settled vertices. Two further rules
 //! are specific to this module and documented on
 //! [`Hierarchy::plan_path_into`]: an exact cost tie between the direct
@@ -69,14 +101,19 @@
 //! # Faults
 //!
 //! Blocked vertices are handled exactly, not approximately: the caller
-//! names the **dirty districts** (those containing a blocked vertex);
-//! precomputed intra arcs of dirty districts are ignored and replaced,
-//! at the moment a border of that district is settled, by an on-the-fly
-//! filtered restricted Dijkstra. Clean districts — the vast majority —
-//! keep their precomputed arcs.
+//! names the **dirty districts** (those containing a blocked vertex),
+//! and the table of a dirty district is not trusted. Its seeds and
+//! terminals come from a filtered restricted Dijkstra from the
+//! endpoint, its intra arcs from one run at the moment a border of
+//! that district is settled off a crossing arc, and its legs are
+//! unpacked by a filtered A* whose heuristic is the healthy row
+//! (blocking vertices only lengthens restricted distances, so the row
+//! stays admissible and consistent). Clean districts — the vast
+//! majority — are answered from the table as above, in the same
+//! overlay loop.
 
 use crate::landmarks::FarthestPoint;
-use crate::scratch::PlannerScratch;
+use crate::scratch::{astar_path_filtered_into, PlannerScratch};
 use crate::search::HeapItem;
 use crate::{Adjacency, INFINITY};
 
@@ -84,43 +121,36 @@ use crate::{Adjacency, INFINITY};
 /// stack-array of landmark-to-target bounds is sized by it).
 pub const MAX_OVERLAY_LANDMARKS: usize = 16;
 
-/// Upper bound on [`HierParams::district_landmarks`].
-pub const MAX_DISTRICT_LANDMARKS: usize = 8;
-
 /// Tuning knobs for [`Partition::grid`] and [`Hierarchy::build`].
 #[derive(Clone, Copy, Debug)]
 pub struct HierParams {
-    /// Rough vertex count per district. Districts trade endpoint-search
-    /// cost (grows with size) against overlay size (shrinks with it).
+    /// Rough vertex count per district. A district of `m` members has
+    /// about `√m` borders: larger districts shrink the overlay and
+    /// widen each node's border clique, and the table grows as
+    /// `n · √m` entries.
     pub target_district_size: usize,
     /// Farthest-point ALT landmarks over the overlay graph
     /// (≤ [`MAX_OVERLAY_LANDMARKS`]).
     pub overlay_landmarks: usize,
-    /// Farthest-point landmarks per district, chosen among its borders,
-    /// guiding intra-district expansions (≤ [`MAX_DISTRICT_LANDMARKS`]).
-    pub district_landmarks: usize,
 }
 
 impl Default for HierParams {
     fn default() -> Self {
         HierParams {
-            target_district_size: 192,
+            target_district_size: 128,
             overlay_landmarks: 8,
-            district_landmarks: 4,
         }
     }
 }
 
 /// A deterministic assignment of vertices to districts, with CSR
-/// member lists and per-vertex local indices (the key into per-district
-/// landmark tables).
+/// member lists.
 #[derive(Clone, Debug, Default)]
 pub struct Partition {
     num_districts: u32,
     district_of: Vec<u32>,
     member_start: Vec<u32>,
     members: Vec<u32>,
-    local_index: Vec<u32>,
 }
 
 impl Partition {
@@ -175,11 +205,8 @@ impl Partition {
         }
         let mut cursor = member_start.clone();
         let mut members = vec![0u32; n];
-        let mut local_index = vec![0u32; n];
         for (v, &d) in district_of.iter().enumerate() {
-            let slot = cursor[d as usize];
-            members[slot as usize] = v as u32;
-            local_index[v] = slot - member_start[d as usize];
+            members[cursor[d as usize] as usize] = v as u32;
             cursor[d as usize] += 1;
         }
         Partition {
@@ -187,7 +214,6 @@ impl Partition {
             district_of,
             member_start,
             members,
-            local_index,
         }
     }
 
@@ -212,17 +238,14 @@ impl Partition {
 
     /// Heap bytes held by the partition tables.
     pub fn memory_bytes(&self) -> usize {
-        (self.district_of.capacity()
-            + self.member_start.capacity()
-            + self.members.capacity()
-            + self.local_index.capacity())
+        (self.district_of.capacity() + self.member_start.capacity() + self.members.capacity())
             * std::mem::size_of::<u32>()
     }
 }
 
 /// Cumulative counters a [`HierScratch`] keeps across queries — the
-/// telemetry feed for the hierarchical planner (overlay work, landmark
-/// expansions, fault rescans).
+/// telemetry feed for the hierarchical planner (overlay work, route
+/// unpacking, fault rescans).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HierStats {
     /// Queries answered (including trivial `src == dst`).
@@ -231,29 +254,41 @@ pub struct HierStats {
     pub direct_routes: u64,
     /// Overlay nodes settled across all queries.
     pub overlay_settled: u64,
-    /// Intra-district arc expansions performed (per-district-landmark
-    /// A* runs while reconstructing winning routes).
+    /// Intra-district arcs unpacked into vertex paths while
+    /// reconstructing winning routes.
     pub expansions: u64,
     /// On-the-fly filtered rescans of dirty (faulted) districts.
     pub dirty_rescans: u64,
 }
 
-/// Reusable buffers for [`Hierarchy::plan_path_into`]: four
-/// [`PlannerScratch`]es (endpoint searches, overlay search, expansion),
-/// a dirty-district stamp table, and path-assembly buffers. Warm
-/// queries allocate nothing.
+/// Reusable buffers for [`Hierarchy::plan_path_into`]: two
+/// [`PlannerScratch`]es (the overlay search, and every search inside
+/// one district), the per-query terminal distances, a dirty-district
+/// stamp table, and path-assembly buffers. Warm queries allocate
+/// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct HierScratch {
-    src_side: PlannerScratch,
-    dst_side: PlannerScratch,
     overlay: PlannerScratch,
-    expand: PlannerScratch,
+    /// One search inside one district at a time — a same-district
+    /// pair's direct candidate and, around dirty districts, endpoint
+    /// floods, rescans and leg expansions. Each is read out (into
+    /// `term`, the overlay's seeds and keys, or the route) before the
+    /// next begins.
+    district: PlannerScratch,
+    /// `d(b, dst)` for the borders `b` of the destination's district,
+    /// in `borders` order.
+    term: Vec<f64>,
     dirty_stamp: Vec<u32>,
     dirty_gen: u32,
     node_seq: Vec<u32>,
     leg: Vec<u32>,
     /// Cumulative query counters (never reset by the planner).
     pub stats: HierStats,
+    /// Whole-district Dijkstras run at query time, cumulative: the
+    /// endpoint floods of dirty districts plus
+    /// [`HierStats::dirty_rescans`]. Stays zero while no district is
+    /// dirty — a healthy query reads what the build computed.
+    pub floods: u64,
 }
 
 impl HierScratch {
@@ -287,37 +322,39 @@ impl HierScratch {
 }
 
 /// The hierarchical routing structure: a [`Partition`] plus the border
-/// overlay (nodes, arcs, overlay landmarks, per-district landmarks).
+/// overlay (nodes, crossing arcs, the border × member distance tables,
+/// overlay landmarks).
 ///
 /// Built once per graph by [`Hierarchy::build`]; queries run through
 /// [`Hierarchy::plan_path_into`] against a reusable [`HierScratch`].
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     part: Partition,
-    /// vertex → overlay node id, or `u32::MAX` for non-borders.
-    node_of: Vec<u32>,
     /// overlay node id → vertex id, ascending.
     node_vertex: Vec<u32>,
     /// overlay node id → district.
     node_district: Vec<u32>,
-    /// CSR arc ranges per node: `arc_start[n]..arc_mid[n]` are crossing
-    /// arcs, `arc_mid[n]..arc_start[n + 1]` are precomputed intra arcs.
+    /// CSR of crossing arcs per node.
     arc_start: Vec<u32>,
-    arc_mid: Vec<u32>,
     arc_to: Vec<u32>,
     arc_weight: Vec<f64>,
     /// CSR of border node ids per district, ascending.
     border_start: Vec<u32>,
     border_nodes: Vec<u32>,
+    /// vertex → its column in the rows of its district: borders first,
+    /// in `borders` order, then the other members ascending.
+    col: Vec<u32>,
+    /// overlay node id → offset of its row in `table`.
+    row_start: Vec<usize>,
+    /// Every district's border × member block, row-major:
+    /// `table[row_start[b] + col[v]]` is the distance from border `b`
+    /// to member `v` of its district over paths that stay inside it
+    /// (infinite when there is none). A row's first `|borders|` entries
+    /// are the weights of `b`'s intra arcs.
+    table: Vec<f64>,
     /// Overlay ALT landmarks: `lm_dist[node * lm_count + k]`.
     lm_count: usize,
     lm_dist: Vec<f64>,
-    /// Per-district landmarks: district `d` stores `dlm_k[d]` rows of
-    /// `|members(d)|` distances at
-    /// `dlm_dist[dlm_start[d] + row * |members| + local_index]`.
-    dlm_start: Vec<u32>,
-    dlm_k: Vec<u32>,
-    dlm_dist: Vec<f64>,
 }
 
 /// Single-source Dijkstra restricted to district `d` (all members, no
@@ -354,78 +391,42 @@ fn district_dijkstra<G: Adjacency + ?Sized>(
             if e.to != exempt_a && e.to != exempt_b && !allowed(e.to) {
                 continue;
             }
-            let nd = du + e.weight;
-            let (cur, cur_parent) = scratch.entry(e.to);
-            if nd < cur {
-                scratch.write(e.to, nd, u);
-                scratch.heap.push(HeapItem {
-                    dist: nd,
-                    vertex: e.to,
-                });
-            } else if nd == cur && u < cur_parent {
-                scratch.write(e.to, nd, u);
-            }
+            relax(scratch, u, e.to, du + e.weight, |_| 0.0);
         }
     }
 }
 
-/// Single-source Dijkstra over the overlay arc arrays (build-time
-/// helper for overlay landmark tables).
-fn overlay_sssp(
-    arc_start: &[u32],
-    arc_to: &[u32],
-    arc_weight: &[f64],
-    num_nodes: usize,
-    source: u32,
-    scratch: &mut PlannerScratch,
-) {
-    scratch.begin(num_nodes);
-    scratch.write(source, 0.0, u32::MAX);
-    scratch.heap.push(HeapItem {
-        dist: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
-        if scratch.is_settled(u) {
-            continue;
-        }
-        scratch.settle(u);
-        let (du, _) = scratch.entry(u);
-        let (s, e) = (
-            arc_start[u as usize] as usize,
-            arc_start[u as usize + 1] as usize,
-        );
-        for i in s..e {
-            let to = arc_to[i];
-            if scratch.is_settled(to) {
-                continue;
-            }
-            let nd = du + arc_weight[i];
-            let (cur, cur_parent) = scratch.entry(to);
-            if nd < cur {
-                scratch.write(to, nd, u);
-                scratch.heap.push(HeapItem {
-                    dist: nd,
-                    vertex: to,
-                });
-            } else if nd == cur && u < cur_parent {
-                scratch.write(to, nd, u);
-            }
-        }
+/// The canonical relaxation of overlay arc or edge `from → to` at
+/// tentative distance `nd`: strict improvement re-queues `to` under
+/// `nd + h(to)`; an exact tie keeps the smaller-id parent (the key is
+/// unchanged, so no new heap entry is needed).
+#[inline]
+fn relax(scratch: &mut PlannerScratch, from: u32, to: u32, nd: f64, h: impl Fn(u32) -> f64) {
+    let (cur, cur_parent) = scratch.entry(to);
+    if nd < cur {
+        scratch.write(to, nd, from);
+        scratch.heap.push(HeapItem {
+            dist: nd + h(to),
+            vertex: to,
+        });
+    } else if nd == cur && from < cur_parent {
+        scratch.write(to, nd, from);
     }
 }
 
 impl Hierarchy {
     /// Builds the overlay for `g` under `part`.
     ///
-    /// Costs one restricted Dijkstra per border node (intra arcs), one
-    /// overlay Dijkstra per overlay landmark, and one restricted
-    /// Dijkstra per district landmark. This is prepare-time work; the
-    /// query path allocates nothing once warm.
+    /// Costs one restricted Dijkstra per border node (its table row)
+    /// and one overlay Dijkstra per overlay landmark. This is
+    /// prepare-time work; the query path allocates nothing once warm.
     ///
     /// # Panics
-    /// Panics when `part` does not cover `g`'s vertices or `params`
-    /// exceed the landmark maxima.
+    /// Panics when `part` does not cover `g`'s vertices, `params`
+    /// exceed the landmark maximum, or some restricted distance does
+    /// not strictly grow along its shortest-path tree — an in-district
+    /// edge of weight zero (or so small that a sum absorbs it), which
+    /// row descent cannot walk.
     pub fn build<G: Adjacency + ?Sized>(g: &G, part: Partition, params: &HierParams) -> Hierarchy {
         let n = g.num_vertices();
         assert_eq!(part.district_of.len(), n, "partition does not cover graph");
@@ -433,25 +434,25 @@ impl Hierarchy {
             params.overlay_landmarks <= MAX_OVERLAY_LANDMARKS,
             "at most {MAX_OVERLAY_LANDMARKS} overlay landmarks"
         );
-        assert!(
-            params.district_landmarks <= MAX_DISTRICT_LANDMARKS,
-            "at most {MAX_DISTRICT_LANDMARKS} district landmarks"
-        );
         let nd = part.num_districts();
 
         // Border nodes, ascending by vertex id.
         let mut node_of = vec![u32::MAX; n];
         let mut node_vertex = Vec::new();
+        let mut crossings = 0;
         for v in 0..n as u32 {
             let d = part.district_of[v as usize];
-            if g.neighbors(v)
-                .iter()
-                .any(|e| part.district_of[e.to as usize] != d)
-            {
+            let edges = g.neighbors(v).iter();
+            let leaving = edges
+                .filter(|e| part.district_of[e.to as usize] != d)
+                .count();
+            if leaving > 0 {
                 node_of[v as usize] = node_vertex.len() as u32;
                 node_vertex.push(v);
+                crossings += leaving;
             }
         }
+        node_vertex.shrink_to_fit();
         let nodes = node_vertex.len();
         let node_district: Vec<u32> = node_vertex
             .iter()
@@ -473,30 +474,50 @@ impl Hierarchy {
             border_nodes[cursor[d as usize] as usize] = nb as u32;
             cursor[d as usize] += 1;
         }
-        let borders = |d: u32| {
-            &border_nodes[border_start[d as usize] as usize..border_start[d as usize + 1] as usize]
-        };
 
-        // Arcs: crossing edges verbatim, then precomputed intra arcs
-        // (one restricted Dijkstra per border, early-terminated by the
-        // district boundary itself).
+        // Table columns: a district's borders in `border_nodes` order
+        // (ascending vertex id, so the order `members` lists them in),
+        // then everyone else.
+        let mut col = vec![0u32; n];
+        let mut row_start = vec![0usize; nodes];
+        let mut table_len = 0;
+        for d in 0..nd {
+            let ms = part.members(d as u32);
+            let (b0, b1) = (border_start[d] as usize, border_start[d + 1] as usize);
+            let (mut next_border, mut next_inner) = (0, (b1 - b0) as u32);
+            for &m in ms {
+                let next = if node_of[m as usize] != u32::MAX {
+                    &mut next_border
+                } else {
+                    &mut next_inner
+                };
+                col[m as usize] = *next;
+                *next += 1;
+            }
+            for &nb in &border_nodes[b0..b1] {
+                row_start[nb as usize] = table_len;
+                table_len += ms.len();
+            }
+        }
+
+        // Crossing arcs verbatim, and one restricted Dijkstra per
+        // border — bounded by the district boundary itself — kept whole
+        // as that border's row.
         let mut arc_start = vec![0u32; nodes + 1];
-        let mut arc_mid = vec![0u32; nodes];
-        let mut arc_to = Vec::new();
-        let mut arc_weight = Vec::new();
+        let mut arc_to = Vec::with_capacity(crossings);
+        let mut arc_weight = Vec::with_capacity(crossings);
+        let mut table = vec![INFINITY; table_len];
         let mut scratch = PlannerScratch::new();
         for nb in 0..nodes {
             let v = node_vertex[nb];
             let d = node_district[nb];
-            arc_start[nb] = arc_to.len() as u32;
             for e in g.neighbors(v) {
                 if part.district_of[e.to as usize] != d {
-                    debug_assert_ne!(node_of[e.to as usize], u32::MAX);
                     arc_to.push(node_of[e.to as usize]);
                     arc_weight.push(e.weight);
                 }
             }
-            arc_mid[nb] = arc_to.len() as u32;
+            arc_start[nb + 1] = arc_to.len() as u32;
             district_dijkstra(
                 g,
                 &part.district_of,
@@ -507,90 +528,49 @@ impl Hierarchy {
                 &|_| true,
                 &mut scratch,
             );
-            for &b2 in borders(d) {
-                if b2 as usize == nb {
-                    continue;
-                }
-                let (dist, _) = scratch.entry(node_vertex[b2 as usize]);
-                if dist.is_finite() {
-                    arc_to.push(b2);
-                    arc_weight.push(dist);
-                }
-            }
-        }
-        arc_start[nodes] = arc_to.len() as u32;
-
-        // Overlay ALT landmarks: farthest-point over overlay nodes,
-        // seeded at node 0, first-maximum ties — the same discipline as
-        // the flat planner's global landmarks.
-        let lm_count = params.overlay_landmarks.min(nodes);
-        let mut lm_dist = vec![INFINITY; nodes * lm_count];
-        let mut sampler = FarthestPoint::new(nodes);
-        for ki in 0..lm_count {
-            let lm = sampler.pick() as u32;
-            overlay_sssp(&arc_start, &arc_to, &arc_weight, nodes, lm, &mut scratch);
-            for nb in 0..nodes {
-                lm_dist[nb * lm_count + ki] = scratch.entry(nb as u32).0;
-            }
-            sampler.observe(|nb| scratch.entry(nb as u32).0);
-        }
-
-        // Per-district landmarks among each district's borders.
-        let mut dlm_start = vec![0u32; nd + 1];
-        let mut dlm_k = vec![0u32; nd];
-        for d in 0..nd {
-            let k_d = params.district_landmarks.min(borders(d as u32).len());
-            dlm_k[d] = k_d as u32;
-            let block = k_d * part.members(d as u32).len();
-            dlm_start[d + 1] = dlm_start[d] + block as u32;
-        }
-        let mut dlm_dist = vec![INFINITY; dlm_start[nd] as usize];
-        for d in 0..nd as u32 {
-            let k_d = dlm_k[d as usize] as usize;
-            if k_d == 0 {
-                continue;
-            }
-            let bs = borders(d);
-            let ms = part.members(d);
-            let base = dlm_start[d as usize] as usize;
-            let mut sampler = FarthestPoint::new(bs.len());
-            for j in 0..k_d {
-                district_dijkstra(
-                    g,
-                    &part.district_of,
-                    d,
-                    node_vertex[bs[sampler.pick()] as usize],
-                    u32::MAX,
-                    u32::MAX,
-                    &|_| true,
-                    &mut scratch,
+            let row = &mut table[row_start[nb]..];
+            for &m in part.members(d) {
+                let (dist, parent) = scratch.entry(m);
+                assert!(
+                    parent == u32::MAX || scratch.entry(parent).0 < dist,
+                    "restricted distance from {v} does not grow along edge {parent} -> {m}: \
+                     in-district edge weights must be positive"
                 );
-                let row = base + j * ms.len();
-                for (li, &m) in ms.iter().enumerate() {
-                    let (dist, _) = scratch.entry(m);
-                    dlm_dist[row + li] = dist;
-                }
-                sampler.observe(|bi| scratch.entry(node_vertex[bs[bi] as usize]).0);
+                row[col[m as usize] as usize] = dist;
             }
         }
 
-        Hierarchy {
+        let mut hier = Hierarchy {
             part,
-            node_of,
             node_vertex,
             node_district,
             arc_start,
-            arc_mid,
             arc_to,
             arc_weight,
             border_start,
             border_nodes,
-            lm_count,
-            lm_dist,
-            dlm_start,
-            dlm_k,
-            dlm_dist,
+            col,
+            row_start,
+            table,
+            lm_count: params.overlay_landmarks.min(nodes),
+            lm_dist: Vec::new(),
+        };
+
+        // Overlay ALT landmarks: farthest-point over overlay nodes,
+        // seeded at node 0, first-maximum ties — the same discipline as
+        // the flat planner's global landmarks.
+        let k = hier.lm_count;
+        let mut lm_dist = vec![INFINITY; nodes * k];
+        let mut sampler = FarthestPoint::new(nodes);
+        for ki in 0..k {
+            hier.overlay_sssp(sampler.pick() as u32, &mut scratch);
+            for nb in 0..nodes {
+                lm_dist[nb * k + ki] = scratch.entry(nb as u32).0;
+            }
+            sampler.observe(|nb| scratch.entry(nb as u32).0);
         }
+        hier.lm_dist = lm_dist;
+        hier
     }
 
     /// The partition the overlay was built over.
@@ -605,27 +585,19 @@ impl Hierarchy {
         self.node_vertex.len()
     }
 
-    /// Total overlay arcs (crossing + precomputed intra).
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.arc_to.len()
-    }
-
     /// Heap bytes held by the overlay (partition included).
     pub fn memory_bytes(&self) -> usize {
-        let u32s = self.node_of.capacity()
-            + self.node_vertex.capacity()
+        let u32s = self.node_vertex.capacity()
             + self.node_district.capacity()
             + self.arc_start.capacity()
-            + self.arc_mid.capacity()
             + self.arc_to.capacity()
             + self.border_start.capacity()
             + self.border_nodes.capacity()
-            + self.dlm_start.capacity()
-            + self.dlm_k.capacity();
-        let f64s = self.arc_weight.capacity() + self.lm_dist.capacity() + self.dlm_dist.capacity();
+            + self.col.capacity();
+        let f64s = self.arc_weight.capacity() + self.lm_dist.capacity() + self.table.capacity();
         self.part.memory_bytes()
             + u32s * std::mem::size_of::<u32>()
+            + self.row_start.capacity() * std::mem::size_of::<usize>()
             + f64s * std::mem::size_of::<f64>()
     }
 
@@ -635,58 +607,101 @@ impl Hierarchy {
         &self.border_nodes[self.border_start[i] as usize..self.border_start[i + 1] as usize]
     }
 
-    /// Expands one intra arc `from → to` inside district `d` into the
-    /// actual vertex path, via per-district-landmark A* (filtered the
-    /// same way the arc weight was computed, so a path always exists
-    /// and costs exactly the arc weight).
+    /// Row of border node `nb`, from its first column to the end of the
+    /// table: `row(nb)[col[v]]` for any member `v` of its district.
+    #[inline]
+    fn row(&self, nb: u32) -> &[f64] {
+        &self.table[self.row_start[nb as usize]..]
+    }
+
+    /// `nb`'s crossing arcs, `(target node, weight)`.
+    #[inline]
+    fn crossing_arcs(&self, nb: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let arcs = self.arc_start[nb as usize] as usize..self.arc_start[nb as usize + 1] as usize;
+        let weights = &self.arc_weight[arcs.clone()];
+        self.arc_to[arcs]
+            .iter()
+            .copied()
+            .zip(weights.iter().copied())
+    }
+
+    /// Single-source Dijkstra over the whole overlay — crossing arcs
+    /// plus every district's border × border block — from node
+    /// `source` (build-time helper for the overlay landmark tables).
+    fn overlay_sssp(&self, source: u32, scratch: &mut PlannerScratch) {
+        scratch.begin(self.node_vertex.len());
+        scratch.write(source, 0.0, u32::MAX);
+        scratch.heap.push(HeapItem {
+            dist: 0.0,
+            vertex: source,
+        });
+        while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+            if scratch.is_settled(u) {
+                continue;
+            }
+            scratch.settle(u);
+            let (du, _) = scratch.entry(u);
+            for (to, w) in self.crossing_arcs(u) {
+                if !scratch.is_settled(to) {
+                    relax(scratch, u, to, du + w, |_| 0.0);
+                }
+            }
+            let borders = self.borders(self.node_district[u as usize]);
+            for (&to, &w) in borders.iter().zip(self.row(u)) {
+                if w.is_finite() && !scratch.is_settled(to) {
+                    relax(scratch, u, to, du + w, |_| 0.0);
+                }
+            }
+        }
+    }
+
+    /// Writes the restricted shortest path from member `v` of border
+    /// node `nb`'s district to that border, `v` first, into `out`.
+    ///
+    /// A clean district is walked by row descent (module docs): from
+    /// each vertex to its parent in the Dijkstra tree `nb`'s row was
+    /// written along. In a `dirty` one the row only guides a filtered
+    /// A* (`ok` admits a vertex); the caller knows the path exists
+    /// because a filtered search measured it.
     #[allow(clippy::too_many_arguments)]
-    fn expand_arc<G: Adjacency + ?Sized>(
+    fn path_to_border<G: Adjacency + ?Sized>(
         &self,
         g: &G,
-        d: u32,
-        from: u32,
-        to: u32,
-        exempt_a: u32,
-        exempt_b: u32,
-        allowed: &impl Fn(u32) -> bool,
-        lb: &impl Fn(u32, u32) -> f64,
+        nb: u32,
+        v: u32,
+        dirty: bool,
+        ok: &impl Fn(u32) -> bool,
         scratch: &mut PlannerScratch,
         out: &mut Vec<u32>,
     ) {
-        let ms_len = self.part.members(d).len();
-        let k_d = self.dlm_k[d as usize] as usize;
-        let base = self.dlm_start[d as usize] as usize;
-        let lt = self.part.local_index[to as usize] as usize;
-        let mut tvals = [INFINITY; MAX_DISTRICT_LANDMARKS];
-        for (j, tv) in tvals.iter_mut().take(k_d).enumerate() {
-            *tv = self.dlm_dist[base + j * ms_len + lt];
-        }
         let district_of = &self.part.district_of;
-        let local_index = &self.part.local_index;
-        let h = |v: u32| {
-            let mut best = lb(v, to).max(0.0);
-            let lv = local_index[v as usize] as usize;
-            for (j, tv) in tvals.iter().take(k_d).enumerate() {
-                let a = self.dlm_dist[base + j * ms_len + lv];
-                if a.is_finite() && tv.is_finite() {
-                    let diff = (a - tv).abs();
-                    if diff > best {
-                        best = diff;
+        let d = self.node_district[nb as usize];
+        let root = self.node_vertex[nb as usize];
+        let row = self.row(nb);
+        let t = |u: u32| row[self.col[u as usize] as usize];
+        if dirty {
+            let in_district = |u: u32| district_of[u as usize] == d && ok(u);
+            let found = astar_path_filtered_into(g, v, root, t, in_district, scratch, out);
+            assert!(found, "overlay leg without an expandable path");
+            return;
+        }
+        out.clear();
+        out.push(v);
+        let (mut cur, mut t_cur) = (v, t(v));
+        while cur != root {
+            let (mut parent, mut t_parent) = (u32::MAX, INFINITY);
+            for e in g.neighbors(cur) {
+                if e.to < parent && district_of[e.to as usize] == d {
+                    let tu = t(e.to);
+                    if tu < t_cur && tu + e.weight == t_cur {
+                        (parent, t_parent) = (e.to, tu);
                     }
                 }
             }
-            best
-        };
-        let ok = crate::scratch::astar_path_filtered_into(
-            g,
-            from,
-            to,
-            h,
-            |v| district_of[v as usize] == d && (v == exempt_a || v == exempt_b || allowed(v)),
-            scratch,
-            out,
-        );
-        assert!(ok, "overlay intra arc without an expandable path");
+            assert!(parent != u32::MAX, "row descent left the tree at {cur}");
+            (cur, t_cur) = (parent, t_parent);
+            out.push(cur);
+        }
     }
 
     /// Hierarchical point-to-point search: writes the path into `out`
@@ -696,15 +711,15 @@ impl Hierarchy {
     /// vertex sequence may differ from the flat planner's on cost
     /// ties).
     ///
-    /// * `lb(a, b)` must be an admissible lower bound on the true cost
-    ///   between any two vertices (`|_, _| 0.0` is always valid; the
-    ///   building graph passes its Euclidean bound).
+    /// * `lb(a, b)` must be an admissible, consistent lower bound on
+    ///   the true cost between any two vertices (`|_, _| 0.0` is always
+    ///   valid; the building graph passes its ALT + Euclidean bound).
     /// * `allowed` filters intermediate vertices; `src`/`dst` are
     ///   exempt, mirroring the flat filtered kernels.
     /// * `dirty_districts` must contain the district of **every**
     ///   vertex `allowed` rejects (duplicates and extra districts are
-    ///   harmless; omissions are not — precomputed arcs of unlisted
-    ///   districts are trusted).
+    ///   harmless; omissions are not — the tables of unlisted districts
+    ///   are trusted).
     ///
     /// Tie-breaks: an exact cost tie between the direct same-district
     /// route and any overlay route resolves to the direct route; ties
@@ -738,53 +753,38 @@ impl Hierarchy {
             scratch.stats.direct_routes += 1;
             return true;
         }
-        let ds = self.part.district_of[src as usize];
-        let dt = self.part.district_of[dst as usize];
+        let district_of = &self.part.district_of;
+        let ds = district_of[src as usize];
+        let dt = district_of[dst as usize];
         scratch.begin_dirty(self.part.num_districts());
         for &d in dirty_districts {
             scratch.mark_dirty(d);
         }
+        let ok = |v: u32| v == src || v == dst || allowed(v);
+        // The whole of a dirty district, filtered, from one vertex.
+        let flood = |d: u32, source: u32, into: &mut PlannerScratch| {
+            district_dijkstra(g, district_of, d, source, src, dst, &allowed, into);
+        };
 
-        // Endpoint searches: filtered Dijkstra over each endpoint's
-        // whole district.
-        district_dijkstra(
-            g,
-            &self.part.district_of,
-            ds,
-            src,
-            src,
-            dst,
-            &allowed,
-            &mut scratch.src_side,
-        );
-        district_dijkstra(
-            g,
-            &self.part.district_of,
-            dt,
-            dst,
-            src,
-            dst,
-            &allowed,
-            &mut scratch.dst_side,
-        );
-
-        let mut best = INFINITY;
-        let mut best_node = u32::MAX;
-        if ds == dt {
-            let (direct, _) = scratch.src_side.entry(dst);
-            best = direct; // may be INFINITY; overlay must beat it strictly
-        }
-
-        // Per-query landmark-to-target bounds:
+        // Terminals d(b, dst), and from them the per-query
+        // landmark-to-target bounds
         // L̂_k(dst) = min over target-side borders of L_k(b) + d(b, dst).
+        let dt_dirty = scratch.is_dirty(dt);
+        if dt_dirty {
+            scratch.floods += 1;
+            flood(dt, dst, &mut scratch.district);
+        }
         let k = self.lm_count;
         let mut lm_t = [INFINITY; MAX_OVERLAY_LANDMARKS];
+        let dst_col = self.col[dst as usize] as usize;
+        scratch.term.clear();
         for &bt in self.borders(dt) {
-            let v = self.node_vertex[bt as usize];
-            if v != src && v != dst && !allowed(v) {
-                continue;
-            }
-            let (dtv, _) = scratch.dst_side.entry(v);
+            let dtv = if dt_dirty {
+                scratch.district.entry(self.node_vertex[bt as usize]).0
+            } else {
+                self.row(bt)[dst_col]
+            };
+            scratch.term.push(dtv);
             if !dtv.is_finite() {
                 continue;
             }
@@ -811,14 +811,42 @@ impl Hierarchy {
             best_h
         };
 
+        // The direct candidate of a same-district pair: restricted to
+        // the district, so an overlay route must beat it strictly. A
+        // dirty source district is flooded for its seeds anyway.
+        let ds_dirty = scratch.is_dirty(ds);
+        let mut best = INFINITY;
+        if ds_dirty {
+            scratch.floods += 1;
+            flood(ds, src, &mut scratch.district);
+            if ds == dt && scratch.district.entry(dst).0.is_finite() {
+                scratch.district.trace_into(dst, out);
+            }
+        } else if ds == dt {
+            astar_path_filtered_into(
+                g,
+                src,
+                dst,
+                |v| lb(v, dst).max(0.0),
+                |v| district_of[v as usize] == ds,
+                &mut scratch.district,
+                out,
+            );
+        }
+        if !out.is_empty() {
+            best = scratch.district.entry(dst).0;
+        }
+        let mut best_node = u32::MAX;
+
         // Overlay A*, seeded with every reachable source-side border.
+        let src_col = self.col[src as usize] as usize;
         scratch.overlay.begin(self.node_vertex.len());
         for &b in self.borders(ds) {
-            let v = self.node_vertex[b as usize];
-            if v != src && v != dst && !allowed(v) {
-                continue;
-            }
-            let (d0, _) = scratch.src_side.entry(v);
+            let d0 = if ds_dirty {
+                scratch.district.entry(self.node_vertex[b as usize]).0
+            } else {
+                self.row(b)[src_col]
+            };
             if d0.is_finite() {
                 scratch.overlay.write(b, d0, u32::MAX);
                 scratch.overlay.heap.push(HeapItem {
@@ -843,82 +871,46 @@ impl Hierarchy {
             }
             scratch.overlay.settle(nb);
             scratch.stats.overlay_settled += 1;
-            let (dnb, _) = scratch.overlay.entry(nb);
+            let (dnb, parent) = scratch.overlay.entry(nb);
+            let v = self.node_vertex[nb as usize];
             let d_here = self.node_district[nb as usize];
             if d_here == dt {
-                let v = self.node_vertex[nb as usize];
-                let (dtv, _) = scratch.dst_side.entry(v);
-                if dtv.is_finite() && dnb + dtv < best {
-                    best = dnb + dtv;
+                let via = dnb + scratch.term[self.col[v as usize] as usize];
+                if via < best {
+                    best = via;
                     best_node = nb;
                 }
             }
+            for (to, w) in self.crossing_arcs(nb) {
+                if !scratch.overlay.is_settled(to) && ok(self.node_vertex[to as usize]) {
+                    relax(&mut scratch.overlay, nb, to, dnb + w, h);
+                }
+            }
+            // Intra arcs only out of a node entered by a crossing arc:
+            // by the triangle inequality a node entered from inside its
+            // district — or a seed — cannot improve on what its
+            // predecessor already offered the same borders.
+            if parent == u32::MAX || self.node_district[parent as usize] == d_here {
+                continue;
+            }
             let dirty = scratch.is_dirty(d_here);
-            let s = self.arc_start[nb as usize] as usize;
-            let e = if dirty {
-                self.arc_mid[nb as usize] as usize // skip stale intra arcs
-            } else {
-                self.arc_start[nb as usize + 1] as usize
-            };
-            for i in s..e {
-                let to = self.arc_to[i];
+            if dirty {
+                scratch.stats.dirty_rescans += 1;
+                scratch.floods += 1;
+                flood(d_here, v, &mut scratch.district);
+            }
+            let row = self.row(nb);
+            for (rank, &to) in self.borders(d_here).iter().enumerate() {
                 if scratch.overlay.is_settled(to) {
                     continue;
                 }
-                let v2 = self.node_vertex[to as usize];
-                if v2 != src && v2 != dst && !allowed(v2) {
-                    continue;
-                }
-                let nd2 = dnb + self.arc_weight[i];
-                let (cur, cur_parent) = scratch.overlay.entry(to);
-                if nd2 < cur {
-                    scratch.overlay.write(to, nd2, nb);
-                    scratch.overlay.heap.push(HeapItem {
-                        dist: nd2 + h(to),
-                        vertex: to,
-                    });
-                } else if nd2 == cur && nb < cur_parent {
-                    scratch.overlay.write(to, nd2, nb);
-                }
-            }
-            if dirty {
-                // Replace this district's precomputed arcs with a
-                // filtered restricted search from the settled border.
-                scratch.stats.dirty_rescans += 1;
-                let v = self.node_vertex[nb as usize];
-                district_dijkstra(
-                    g,
-                    &self.part.district_of,
-                    d_here,
-                    v,
-                    src,
-                    dst,
-                    &allowed,
-                    &mut scratch.expand,
-                );
-                for &b2 in self.borders(d_here) {
-                    if b2 == nb || scratch.overlay.is_settled(b2) {
-                        continue;
-                    }
-                    let v2 = self.node_vertex[b2 as usize];
-                    if v2 != src && v2 != dst && !allowed(v2) {
-                        continue;
-                    }
-                    let (dd, _) = scratch.expand.entry(v2);
-                    if !dd.is_finite() {
-                        continue;
-                    }
-                    let nd2 = dnb + dd;
-                    let (cur, cur_parent) = scratch.overlay.entry(b2);
-                    if nd2 < cur {
-                        scratch.overlay.write(b2, nd2, nb);
-                        scratch.overlay.heap.push(HeapItem {
-                            dist: nd2 + h(b2),
-                            vertex: b2,
-                        });
-                    } else if nd2 == cur && nb < cur_parent {
-                        scratch.overlay.write(b2, nd2, nb);
-                    }
+                let w = if dirty {
+                    scratch.district.entry(self.node_vertex[to as usize]).0
+                } else {
+                    row[rank]
+                };
+                if w.is_finite() {
+                    relax(&mut scratch.overlay, nb, to, dnb + w, h);
                 }
             }
         }
@@ -926,17 +918,12 @@ impl Hierarchy {
         if best_node == u32::MAX {
             // Overlay never beat the direct candidate (or found
             // nothing). Cost ties resolve here, to the direct route.
-            if best.is_finite() {
-                scratch.src_side.trace_into(dst, out);
-                scratch.stats.direct_routes += 1;
-                return true;
-            }
-            out.clear();
-            return false;
+            scratch.stats.direct_routes += u64::from(!out.is_empty());
+            return !out.is_empty();
         }
 
         // Reconstruct: source leg, overlay node sequence (crossing
-        // arcs verbatim, intra arcs expanded), target leg.
+        // arcs verbatim, intra arcs unpacked), target leg.
         scratch.node_seq.clear();
         let mut cur = best_node;
         loop {
@@ -948,38 +935,48 @@ impl Hierarchy {
             cur = p;
         }
         scratch.node_seq.reverse();
-        scratch
-            .src_side
-            .trace_into(self.node_vertex[scratch.node_seq[0] as usize], out);
+        self.path_to_border(
+            g,
+            scratch.node_seq[0],
+            src,
+            ds_dirty,
+            &ok,
+            &mut scratch.district,
+            out,
+        );
         for i in 1..scratch.node_seq.len() {
-            let a = scratch.node_seq[i - 1];
-            let b = scratch.node_seq[i];
-            let (va, vb) = (self.node_vertex[a as usize], self.node_vertex[b as usize]);
-            if self.node_district[a as usize] != self.node_district[b as usize] {
+            let (a, b) = (scratch.node_seq[i - 1], scratch.node_seq[i]);
+            let d = self.node_district[a as usize];
+            let vb = self.node_vertex[b as usize];
+            if d != self.node_district[b as usize] {
                 out.push(vb); // a crossing arc is one original edge
             } else {
+                // Row `a`, walked back from `b`: the tree the arc's
+                // weight was measured along.
                 scratch.stats.expansions += 1;
-                self.expand_arc(
+                let dirty = scratch.is_dirty(d);
+                self.path_to_border(
                     g,
-                    self.node_district[a as usize],
-                    va,
+                    a,
                     vb,
-                    src,
-                    dst,
-                    &allowed,
-                    &lb,
-                    &mut scratch.expand,
+                    dirty,
+                    &ok,
+                    &mut scratch.district,
                     &mut scratch.leg,
                 );
-                out.extend_from_slice(&scratch.leg[1..]);
+                out.extend(scratch.leg.iter().rev().skip(1));
             }
         }
-        scratch
-            .dst_side
-            .trace_into(self.node_vertex[best_node as usize], &mut scratch.leg);
-        for &v in scratch.leg.iter().rev().skip(1) {
-            out.push(v);
-        }
+        self.path_to_border(
+            g,
+            best_node,
+            dst,
+            dt_dirty,
+            &ok,
+            &mut scratch.district,
+            &mut scratch.leg,
+        );
+        out.extend(scratch.leg.iter().rev().skip(1));
         true
     }
 }
@@ -1044,11 +1041,11 @@ mod tests {
         let p2 = Partition::grid(&pos, 10);
         let mut seen = 0usize;
         for d in 0..p1.num_districts() as u32 {
-            for (i, &m) in p1.members(d).iter().enumerate() {
+            for &m in p1.members(d) {
                 assert_eq!(p1.district_of(m), d);
-                assert_eq!(p1.local_index[m as usize] as usize, i);
                 seen += 1;
             }
+            assert!(p1.members(d).windows(2).all(|w| w[0] < w[1]));
             assert_eq!(p1.members(d), p2.members(d));
         }
         assert_eq!(seen, pos.len());
@@ -1204,8 +1201,9 @@ mod tests {
         let hier = Hierarchy::build(&g, part, &HierParams::default());
         assert!(hier.num_border_nodes() > 0);
         assert!(hier.num_border_nodes() < g.num_vertices());
-        assert!(hier.num_arcs() > 0);
-        assert!(hier.memory_bytes() > 0);
+        assert!(!hier.arc_to.is_empty());
+        assert!(hier.memory_bytes() > hier.table.len() * 8);
+        assert_eq!(hier.arc_to.capacity(), hier.arc_to.len());
         // Every border node really has a cross-district edge.
         for nb in 0..hier.num_border_nodes() {
             let v = hier.node_vertex[nb];
@@ -1215,5 +1213,147 @@ mod tests {
                 .iter()
                 .any(|e| hier.partition().district_of(e.to) != d));
         }
+    }
+
+    /// A unit-weight lattice: every pair of vertices more than a step
+    /// apart is joined by several equal-cost paths.
+    fn tied_lattice(nx: u32, ny: u32) -> (Graph, Vec<(f64, f64)>) {
+        let mut g = Graph::new((nx * ny) as usize);
+        let mut pos = Vec::new();
+        for y in 0..ny {
+            for x in 0..nx {
+                let v = y * nx + x;
+                pos.push((x as f64, y as f64));
+                if x + 1 < nx {
+                    g.add_edge(v, v + 1, 1.0);
+                }
+                if y + 1 < ny {
+                    g.add_edge(v, v + nx, 1.0);
+                }
+            }
+        }
+        (g, pos)
+    }
+
+    #[test]
+    fn row_descent_is_the_dijkstra_parent_chain() {
+        for (g, pos) in [tied_lattice(14, 11), lattice(14, 11)] {
+            let hier = Hierarchy::build(&g, Partition::grid(&pos, 24), &HierParams::default());
+            let part = hier.partition();
+            let mut reference = PlannerScratch::new();
+            let mut unused = PlannerScratch::new();
+            let (mut chain, mut walk) = (Vec::new(), Vec::new());
+            let mut walked = 0;
+            for nb in 0..hier.num_border_nodes() as u32 {
+                let (root, d) = (
+                    hier.node_vertex[nb as usize],
+                    hier.node_district[nb as usize],
+                );
+                let everyone = |_| true;
+                district_dijkstra(
+                    &g,
+                    &part.district_of,
+                    d,
+                    root,
+                    u32::MAX,
+                    u32::MAX,
+                    &everyone,
+                    &mut reference,
+                );
+                for &m in part.members(d) {
+                    let (dist, _) = reference.entry(m);
+                    assert_eq!(hier.row(nb)[hier.col[m as usize] as usize], dist);
+                    if !dist.is_finite() {
+                        continue;
+                    }
+                    reference.trace_into(m, &mut chain);
+                    chain.reverse();
+                    hier.path_to_border(&g, nb, m, false, &everyone, &mut unused, &mut walk);
+                    assert_eq!(walk, chain, "row {root}, member {m}");
+                    walked += 1;
+                }
+            }
+            assert!(walked > 1_000, "only {walked} descents compared");
+            assert_eq!(unused.capacity(), 0, "a clean descent searches nothing");
+        }
+    }
+
+    #[test]
+    fn border_block_of_a_row_is_the_intra_arc_weights() {
+        let (g, pos) = lattice(12, 12);
+        let hier = Hierarchy::build(&g, Partition::grid(&pos, 16), &HierParams::default());
+        let mut reference = PlannerScratch::new();
+        for d in 0..hier.partition().num_districts() as u32 {
+            let borders = hier.borders(d);
+            for (rank, &nb) in borders.iter().enumerate() {
+                let v = hier.node_vertex[nb as usize];
+                assert_eq!(hier.col[v as usize] as usize, rank, "borders come first");
+                district_dijkstra(
+                    &g,
+                    &hier.partition().district_of,
+                    d,
+                    v,
+                    u32::MAX,
+                    u32::MAX,
+                    &|_| true,
+                    &mut reference,
+                );
+                // An intra arc weighs the restricted distance between
+                // its two borders.
+                let arcs: Vec<f64> = borders
+                    .iter()
+                    .map(|&b2| reference.entry(hier.node_vertex[b2 as usize]).0)
+                    .collect();
+                assert_eq!(&hier.row(nb)[..borders.len()], &arcs[..]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge weights must be positive")]
+    fn a_zero_weight_edge_inside_a_district_is_rejected() {
+        // Descent cannot tell parent from child across a free edge.
+        let (mut g, pos) = lattice(6, 6);
+        g.add_edge(14, 15, 0.0);
+        Hierarchy::build(&g, Partition::grid(&pos, 18), &HierParams::default());
+    }
+
+    #[test]
+    fn healthy_queries_flood_no_district() {
+        let (g, pos) = lattice(16, 12);
+        let hier = Hierarchy::build(&g, Partition::grid(&pos, 20), &HierParams::default());
+        let mut hs = HierScratch::new();
+        let mut out = Vec::new();
+        let n = g.num_vertices() as u32;
+        for src in (0..n).step_by(7) {
+            for dst in (0..n).step_by(11) {
+                assert!(hier.plan_path_into(
+                    &g,
+                    src,
+                    dst,
+                    |_, _| 0.0,
+                    |_| true,
+                    &[],
+                    &mut hs,
+                    &mut out
+                ));
+            }
+        }
+        assert!(hs.stats.expansions > 0 && hs.stats.direct_routes > 0);
+        assert_eq!((hs.floods, hs.stats.dirty_rescans), (0, 0));
+        // One blocked vertex: only its district is searched again.
+        let blocked = 100;
+        let dirty = [hier.partition().district_of(blocked)];
+        hier.plan_path_into(
+            &g,
+            0,
+            n - 1,
+            |_, _| 0.0,
+            |v| v != blocked,
+            &dirty,
+            &mut hs,
+            &mut out,
+        );
+        assert_eq!(hs.floods, hs.stats.dirty_rescans);
     }
 }

@@ -24,7 +24,7 @@
 //! with key `f` produces key `f`, `f + 1` or `f + 2`, so the priority
 //! queue is three reusable vertex stacks indexed by `key mod 3`.
 
-use crate::landmarks::FarthestPoint;
+use crate::landmarks::{landmark_candidates, FarthestPoint};
 use crate::INFINITY;
 
 /// Landmark columns per vertex row. A measured constant, not a knob:
@@ -75,26 +75,18 @@ impl HopLandmarks {
     /// distinct).
     ///
     /// Landmarks are drawn by [`FarthestPoint`] sampling over hop
-    /// distance, but only among vertices of components holding at
-    /// least a `1 / HOP_LANDMARKS` share of the graph — one landmark's
-    /// fair share. Smaller islands get none: their rows read
-    /// "unreached" everywhere, the bound is zero, and the search
-    /// degenerates to a plain BFS that can cost at most that share of
-    /// the graph. (Unrestricted island-first sampling would spend most
-    /// of the budget on a few dozen stray vertices.)
+    /// distance among the [`landmark_candidates`] — components holding
+    /// at least a `1 / HOP_LANDMARKS` share of the graph. Smaller
+    /// islands get none: their rows read "unreached" everywhere, the
+    /// bound is zero, and the search degenerates to a plain BFS that
+    /// can cost at most that share of the graph.
     pub fn build<'g>(
         neighbors: impl Fn(u32) -> &'g [u32],
         components: &[u32],
         num_components: usize,
     ) -> Self {
         let n = components.len();
-        let mut size = vec![0usize; num_components];
-        for &c in components {
-            size[c as usize] += 1;
-        }
-        let candidates: Vec<u32> = (0..n as u32)
-            .filter(|&v| size[components[v as usize] as usize] * HOP_LANDMARKS >= n)
-            .collect();
+        let candidates = landmark_candidates(components, num_components, HOP_LANDMARKS);
         let mut rows = vec![[0u16; HOP_LANDMARKS]; n];
         let mut sampler = FarthestPoint::new(candidates.len());
         let mut hops = vec![UNREACHED; n];

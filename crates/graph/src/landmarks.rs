@@ -1,7 +1,7 @@
-//! Farthest-point landmark selection — the one sampler loop every ALT
-//! table in the workspace is built with (the building graph's global
-//! landmarks, the hierarchy's overlay and per-district landmarks, and
-//! the AP graph's hop landmarks).
+//! Farthest-point landmark selection — the one sampler loop, and the
+//! one island rule, every ALT table in the workspace is built with (the
+//! building graph's global landmarks, the hierarchy's overlay landmarks,
+//! and the AP graph's hop landmarks).
 
 use crate::INFINITY;
 
@@ -69,6 +69,34 @@ impl FarthestPoint {
     }
 }
 
+/// The island rule: the vertices eligible to host one of `landmarks`
+/// landmarks, ascending — those whose component holds at least a
+/// `1 / landmarks` share of the graph, one landmark's fair share.
+///
+/// [`FarthestPoint`] sampling covers islands before it refines any, so
+/// over every vertex of a city with a few stray buildings it spends
+/// most of its budget on them and leaves the component nearly every
+/// query runs in almost unguided. Smaller islands get no landmark: no
+/// landmark reaches them, the ALT bound inside them is zero, and a
+/// search there can cost at most that share of the graph.
+///
+/// `components` labels every vertex with one of `num_components`
+/// component ids.
+pub fn landmark_candidates(
+    components: &[u32],
+    num_components: usize,
+    landmarks: usize,
+) -> Vec<u32> {
+    let n = components.len();
+    let mut size = vec![0usize; num_components];
+    for &c in components {
+        size[c as usize] += 1;
+    }
+    (0..n as u32)
+        .filter(|&v| size[components[v as usize] as usize] * landmarks >= n)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +121,24 @@ mod tests {
         // 0 seeds; 3 is the first infinitely-far candidate; then the
         // farthest finite candidates, smallest index on the tie.
         assert_eq!(picked, vec![0, 3, 2, 1]);
+    }
+
+    #[test]
+    fn stray_islands_host_no_landmark() {
+        // Components of 6, 2 and 1 vertices, interleaved.
+        let components = [0, 1, 0, 0, 2, 0, 1, 0, 0];
+        // A fair share of 4 landmarks is 9/4 vertices: only component 0.
+        assert_eq!(
+            landmark_candidates(&components, 3, 4),
+            vec![0, 2, 3, 5, 7, 8]
+        );
+        // At 8 landmarks the pair qualifies (2 * 8 >= 9), the single
+        // vertex still does not.
+        assert_eq!(
+            landmark_candidates(&components, 3, 8),
+            vec![0, 1, 2, 3, 5, 6, 7, 8]
+        );
+        assert!(landmark_candidates(&[], 0, 8).is_empty());
     }
 
     #[test]

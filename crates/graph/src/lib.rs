@@ -27,11 +27,10 @@ mod union_find;
 
 pub use adjacency::{Adjacency, CsrGraph, Edge, Graph};
 pub use hierarchy::{
-    HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_DISTRICT_LANDMARKS,
-    MAX_OVERLAY_LANDMARKS,
+    HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_OVERLAY_LANDMARKS,
 };
 pub use hops::{HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
-pub use landmarks::FarthestPoint;
+pub use landmarks::{landmark_candidates, FarthestPoint};
 pub use scratch::{
     astar_path_filtered_into, astar_path_into, bfs_distance_to, dijkstra_path_filtered_into,
     dijkstra_path_into, PlannerScratch,
