@@ -28,10 +28,11 @@
 //! consumes, used surgically instead of wholesale.
 
 use citymesh_core::{
-    compress_route, plan_route, plan_route_avoiding, reconstruct_conduits,
-    simulate_delivery_faulted, CityExperiment, DeliveryParams, DeliveryScratch, FaultState,
-    OverheadOutcome, PairOutcome, PlannedFlow, RecoveryStage,
+    compress_route, plan_route, plan_route_avoiding_into, reconstruct_conduits,
+    simulate_delivery_faulted, CityExperiment, DeliveryParams, DeliveryScratch, OverheadOutcome,
+    PairOutcome, PlannedFlow, RecoveryStage,
 };
+use citymesh_graph::PlannerScratch;
 use citymesh_net::CityMeshHeader;
 use citymesh_simcore::{SimRng, SimTime};
 
@@ -121,6 +122,7 @@ pub fn deliver_with_local_repair(
     let mut total_broadcasts = 0u64;
     let mut penalty = SimTime::ZERO;
     let mut repaired = false;
+    let mut search = PlannerScratch::new();
     loop {
         attempts += 1;
         let Ok(compressed) = compress_route(exp.building_graph(), &route, width) else {
@@ -161,11 +163,9 @@ pub fn deliver_with_local_repair(
         // The sender learns of failure at its timeout, exactly like
         // the ladder: one full horizon of latency per failed attempt.
         penalty += params.horizon;
-        if let Some(f) = faults {
-            if let Some(patched) = repair_locally(exp, &route, f, &mut result) {
-                route = patched;
-                repaired = true;
-            }
+        if let Some(patched) = repair_locally(exp, &route, &mut search, &mut result) {
+            route = patched;
+            repaired = true;
         }
     }
     result.outcome.attempts = attempts;
@@ -182,33 +182,34 @@ pub fn deliver_with_local_repair(
 /// full avoid-replan when no local splice exists; returns `None` when
 /// the route has no dark building (the failure was stochastic loss —
 /// a plain resend is the right response) or no repair is possible.
+/// Reads the world's own blocked mask and surviving-component labels
+/// ([`CityExperiment::survivors`]), so a splice no surviving route can
+/// make costs no search.
 fn repair_locally(
     exp: &CityExperiment,
     route: &[u32],
-    faults: &FaultState,
+    search: &mut PlannerScratch,
     stats: &mut RepairOutcome,
 ) -> Option<Vec<u32>> {
-    let blocked = faults.blocked_buildings();
-    if blocked.is_empty() {
-        return None;
-    }
-    let first_dark = route.iter().position(|b| blocked.contains(b))?;
+    let survivors = exp.survivors()?;
+    let bg = exp.building_graph();
+    let first_dark = route.iter().position(|&b| survivors.is_blocked(b))?;
     if first_dark == 0 {
         // The source building itself went dark mid-run; no local
         // anchor exists to repair from.
         return None;
     }
     let anchor = first_dark - 1;
-    let rejoin = (first_dark + 1..route.len()).find(|&k| !blocked.contains(&route[k]));
+    let rejoin = (first_dark + 1..route.len()).find(|&k| !survivors.is_blocked(route[k]));
+    let mut detour = Vec::new();
     if let Some(rejoin) = rejoin {
-        if let Ok(segment) =
-            plan_route_avoiding(exp.building_graph(), route[anchor], route[rejoin], blocked)
-        {
+        let (from, to) = (route[anchor], route[rejoin]);
+        if plan_route_avoiding_into(bg, from, to, survivors, search, &mut detour).is_ok() {
             stats.repairs += 1;
-            stats.replanned_buildings += segment.len() as u64;
-            let mut patched = Vec::with_capacity(anchor + segment.len() + route.len() - rejoin - 1);
+            stats.replanned_buildings += detour.len() as u64;
+            let mut patched = Vec::with_capacity(anchor + detour.len() + route.len() - rejoin - 1);
             patched.extend_from_slice(&route[..anchor]);
-            patched.extend_from_slice(&segment);
+            patched.extend_from_slice(&detour);
             patched.extend_from_slice(&route[rejoin + 1..]);
             return Some(patched);
         }
@@ -217,19 +218,14 @@ fn repair_locally(
     // detour endpoints are disconnected): fall back to re-discovery,
     // like a distance-vector node whose feasible-successor set is
     // empty.
-    let full = plan_route_avoiding(
-        exp.building_graph(),
-        route[0],
-        *route.last().expect("routes are non-empty"),
-        blocked,
-    )
-    .ok()?;
-    if full == route {
+    let (src, dst) = (route[0], *route.last().expect("routes are non-empty"));
+    plan_route_avoiding_into(bg, src, dst, survivors, search, &mut detour).ok()?;
+    if detour == route {
         return None;
     }
     stats.full_replans += 1;
-    stats.replanned_buildings += full.len() as u64;
-    Some(full)
+    stats.replanned_buildings += detour.len() as u64;
+    Some(detour)
 }
 
 #[cfg(test)]
@@ -354,7 +350,8 @@ mod tests {
         assert!(faults.building_blocked(victim));
 
         let mut stats = zero_stats();
-        let patched = repair_locally(&exp, &route, faults, &mut stats)
+        let mut search = PlannerScratch::new();
+        let patched = repair_locally(&exp, &route, &mut search, &mut stats)
             .expect("a mid-route casualty must be repairable");
         assert!(
             !patched.contains(&victim),
@@ -376,7 +373,7 @@ mod tests {
         // A route with no dark building on it is not repaired: the
         // right response to stochastic loss is a plain resend.
         let mut noop = zero_stats();
-        assert!(repair_locally(&exp, &patched, faults, &mut noop).is_none());
+        assert!(repair_locally(&exp, &patched, &mut search, &mut noop).is_none());
         assert_eq!(noop.repairs + noop.full_replans, 0);
     }
 

@@ -290,6 +290,25 @@ impl ApGraph {
         }
     }
 
+    /// Whether some AP that `pred` admits lies inside any of
+    /// `conduits` — [`for_each_ap_in_conduits`](Self::for_each_ap_in_conduits)
+    /// for a caller that wants one bit: `pred` runs before the
+    /// oriented-rectangle test, no conduit after the first hit is
+    /// looked at, and nothing is collected, sorted or deduplicated.
+    pub fn any_ap_in_conduits(
+        &self,
+        conduits: &[OrientedRect],
+        mut pred: impl FnMut(u32) -> bool,
+    ) -> bool {
+        conduits.iter().any(|c| {
+            let mut hit = false;
+            self.index.for_each_in_rect(c.bbox(), |id, pos| {
+                hit = hit || (pred(id) && c.contains(pos));
+            });
+            hit
+        })
+    }
+
     /// Mean node degree (a connectivity health indicator reported in
     /// experiment summaries).
     pub fn mean_degree(&self) -> f64 {
@@ -438,6 +457,13 @@ mod tests {
             got.push(id);
         });
         assert_eq!(got, linear, "spatial index must equal the full scan");
+        // The one-bit form agrees AP by AP, and asks `pred` first.
+        for a in &aps {
+            let inside = linear.contains(&a.id);
+            assert_eq!(g.any_ap_in_conduits(&conduits, |id| id == a.id), inside);
+        }
+        assert!(!g.any_ap_in_conduits(&conduits, |_| false));
+        assert!(!g.any_ap_in_conduits(&[], |_| true));
     }
 
     #[test]

@@ -481,7 +481,10 @@ impl FaultState {
         }
     }
 
-    /// Buildings whose every AP failed.
+    /// Buildings whose every AP failed. This set is the membership's
+    /// home; searches read the dense mask and surviving-component
+    /// labels the world derives from it
+    /// ([`crate::CityExperiment::survivors`]).
     pub fn blocked_buildings(&self) -> &HashSet<u32> {
         &self.blocked_buildings
     }

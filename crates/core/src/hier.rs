@@ -19,16 +19,14 @@
 //! `tests/hier_props.rs` and, against an independent Dijkstra, in
 //! `tests/route_oracle.rs`). Fault handling mirrors
 //! [`crate::route::plan_route_avoiding_into`]: blocked buildings are
-//! excluded (endpoints exempt), and districts containing blocked
-//! buildings are searched on the fly instead of trusting their
-//! tables.
-
-use std::collections::HashSet;
+//! excluded (endpoints exempt) by the same [`Survivors`] mask and
+//! labels, and districts containing blocked buildings are searched on
+//! the fly instead of trusting their tables.
 
 use citymesh_graph::{HierParams, HierScratch, HierStats, Hierarchy, Partition};
 
 use crate::buildgraph::BuildingGraph;
-use crate::route::RouteError;
+use crate::route::{check_endpoints, RouteError, Survivors};
 
 /// Reusable state for hierarchical planning: the overlay/endpoint
 /// search scratch plus the per-query dirty-district list. One per
@@ -133,15 +131,16 @@ impl HierPlanner {
         scratch: &mut HierPlanScratch,
         out: &mut Vec<u32>,
     ) -> Result<(), RouteError> {
-        // An unused `HashSet::new()` does not allocate.
-        self.plan_route_avoiding_into(bg, src, dst, &HashSet::new(), scratch, out)
+        self.plan(bg, src, dst, None, scratch, out)
     }
 
     /// Hierarchical counterpart of
-    /// [`crate::route::plan_route_avoiding_into`]: every building in
-    /// `blocked` is treated as unusable (endpoints exempt), and every
-    /// district containing a blocked building is searched on the fly
-    /// instead of read from its precomputed table.
+    /// [`crate::route::plan_route_avoiding_into`]: every blocked
+    /// building of `survivors` is treated as unusable (endpoints
+    /// exempt), a pair its labels say no surviving route connects is
+    /// refused before any search, and every district containing a
+    /// blocked building is searched on the fly instead of read from its
+    /// precomputed table.
     ///
     /// # Errors
     /// Same contract as [`crate::route::plan_route_avoiding_into`];
@@ -151,20 +150,31 @@ impl HierPlanner {
         bg: &BuildingGraph,
         src: u32,
         dst: u32,
-        blocked: &HashSet<u32>,
+        survivors: &Survivors,
+        scratch: &mut HierPlanScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<(), RouteError> {
+        let survivors = Some(survivors).filter(|s| !s.blocked().is_empty());
+        self.plan(bg, src, dst, survivors, scratch, out)
+    }
+
+    /// The query both entry points share; `survivors: None` is the
+    /// healthy world, where every district's table is trusted.
+    fn plan(
+        &self,
+        bg: &BuildingGraph,
+        src: u32,
+        dst: u32,
+        survivors: Option<&Survivors>,
         scratch: &mut HierPlanScratch,
         out: &mut Vec<u32>,
     ) -> Result<(), RouteError> {
         out.clear();
-        let n = bg.len() as u32;
-        for id in [src, dst] {
-            if id >= n {
-                return Err(RouteError::UnknownBuilding(id));
-            }
-        }
+        check_endpoints(bg, src, dst)?;
+        let no_path = Err(RouteError::NoPredictedPath { src, dst });
         let lb = |a: u32, b: u32| bg.cost_lower_bound(a, b);
-        let found = if blocked.is_empty() {
-            self.hierarchy.plan_path_into(
+        let found = match survivors {
+            None => self.hierarchy.plan_path_into(
                 bg.graph(),
                 src,
                 dst,
@@ -173,33 +183,31 @@ impl HierPlanner {
                 &[],
                 &mut scratch.search,
                 out,
-            )
-        } else {
-            // Dirty-district marking is order-independent, so the
-            // HashSet's nondeterministic iteration order cannot leak
-            // into the route.
-            let part = self.hierarchy.partition();
-            scratch.dirty.clear();
-            for &b in blocked {
-                if b < n {
-                    scratch.dirty.push(part.district_of(b));
+            ),
+            Some(s) => {
+                if !s.connects(bg, src, dst) {
+                    return no_path;
                 }
+                let part = self.hierarchy.partition();
+                let districts = s.blocked().iter().map(|&b| part.district_of(b));
+                scratch.dirty.clear();
+                scratch.dirty.extend(districts);
+                self.hierarchy.plan_path_into(
+                    bg.graph(),
+                    src,
+                    dst,
+                    lb,
+                    |v| !s.is_blocked(v),
+                    &scratch.dirty,
+                    &mut scratch.search,
+                    out,
+                )
             }
-            self.hierarchy.plan_path_into(
-                bg.graph(),
-                src,
-                dst,
-                lb,
-                |v| !blocked.contains(&v),
-                &scratch.dirty,
-                &mut scratch.search,
-                out,
-            )
         };
         if found {
             Ok(())
         } else {
-            Err(RouteError::NoPredictedPath { src, dst })
+            no_path
         }
     }
 }
@@ -277,9 +285,10 @@ mod tests {
         );
         let n = bg.len() as u32;
         let (src, dst) = (1, n - 2);
-        let blocked: HashSet<u32> = (0..n)
-            .filter(|v| v % 13 == 5 && *v != src && *v != dst)
-            .collect();
+        let blocked = Survivors::new(
+            &bg,
+            (0..n).filter(|v| v % 13 == 5 && *v != src && *v != dst),
+        );
         let mut hs = HierPlanScratch::new();
         let mut fs = PlannerScratch::new();
         let (mut hier_route, mut flat_route) = (Vec::new(), Vec::new());
@@ -289,7 +298,7 @@ mod tests {
         if h.is_ok() {
             assert!(hier_route[1..hier_route.len() - 1]
                 .iter()
-                .all(|v| !blocked.contains(v)));
+                .all(|&v| !blocked.is_blocked(v)));
             assert_cost_eq(route_cost(&bg, &hier_route), route_cost(&bg, &flat_route));
             assert!(hs.stats().dirty_rescans > 0, "faults must force rescans");
         }

@@ -85,11 +85,12 @@ pub use placement::{place_aps, postbox_ap, Ap};
 pub use postbox::{Postbox, PostboxError, StoredMessage};
 pub use route::{
     plan_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into, RouteError,
+    Survivors,
 };
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{
     simulate_delivery, simulate_delivery_faulted, simulate_delivery_into, ApRole, DeliveryParams,
-    DeliveryReport, DeliveryScratch, OverheadOutcome,
+    DeliveryReport, DeliveryScratch, DetourStats, OverheadOutcome,
 };
 
 /// The paper's default Wi-Fi transmission range, meters (§4).

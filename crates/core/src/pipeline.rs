@@ -26,16 +26,16 @@ use citymesh_simcore::{split_seed, SimRng, SimTime};
 use crate::agent::RebroadcastScope;
 use crate::apgraph::ApGraph;
 use crate::buildgraph::{BuildingGraph, BuildingGraphParams};
-use crate::conduit::{
-    compress_route, compress_route_into, reconstruct_conduits, reconstruct_conduits_into,
-};
+use crate::conduit::{compress_route_into, reconstruct_conduits_into};
 use crate::deploy::Deployment;
 use crate::faults::{ApHealth, FaultScenario, FaultState, RecoveryStage, RetryPolicy};
 use crate::hier::{HierPlanScratch, HierPlanner};
 use crate::placement::{most_central, place_aps, Ap};
-use crate::route::{plan_route_avoiding, plan_route_avoiding_into, plan_route_into};
+use crate::route::{plan_route_avoiding_into, plan_route_into, search_avoiding, Survivors};
 use crate::secure::{SecureState, TamperMode};
-use crate::sim::{simulate_delivery_faulted, DeliveryParams, DeliveryScratch};
+use crate::sim::{
+    placeholder_header, simulate_delivery_faulted, DeliveryParams, DeliveryScratch, DetourScratch,
+};
 use citymesh_telemetry::{FlowSummary, TraceEvent};
 
 /// Sub-stream domain for fault materialization (see [`crate::faults`]).
@@ -523,16 +523,7 @@ impl PlanScratch {
             hops: HopScratch::new(),
             route: Vec::new(),
             hier: HierPlanScratch::new(),
-            // Placeholder header; every plan overwrites it via
-            // `reuse_for`. Owns no heap memory until first use.
-            header: CityMeshHeader {
-                kind: citymesh_net::MessageKind::Data,
-                ttl: 64,
-                msg_id: 0,
-                conduit_width_dm: 0,
-                waypoints: Vec::new(),
-                encoding: citymesh_net::RouteEncoding::Absolute,
-            },
+            header: placeholder_header(),
         }
     }
 
@@ -621,6 +612,12 @@ pub struct CityExperiment {
     /// surviving AP); empty when no scenario is active. Rebuilt
     /// whenever the fault state changes.
     postbox_live: Vec<Option<u32>>,
+    /// The fault state's dark buildings as every detour search reads
+    /// them — dense blocked mask, surviving-component labels — `None`
+    /// when no scenario is active. Rebuilt with the fault state and
+    /// relabelled by a world event only when a building's blocked
+    /// membership flips.
+    survivors: Option<Survivors>,
     /// District-overlay planner, built on demand by
     /// [`CityExperiment::enable_hier`]. `None` means
     /// [`CityExperiment::plan_flow_hier_into`] is unavailable; the flat
@@ -695,6 +692,7 @@ impl CityExperiment {
         let postbox_live = faults
             .as_ref()
             .map_or_else(Vec::new, |f| postbox_table(&map, &aps, &apg, Some(f)));
+        let survivors = faults.as_ref().map(|f| survivors_of(&bg, f));
         CityExperiment {
             map,
             aps,
@@ -704,6 +702,7 @@ impl CityExperiment {
             faults,
             postbox,
             postbox_live,
+            survivors,
             hier: None,
             deployment: None,
             fallback_site: Vec::new(),
@@ -716,6 +715,14 @@ impl CityExperiment {
     /// scenario.
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.faults.as_ref()
+    }
+
+    /// The fault state's dark buildings in the form detour searches
+    /// consult — [`crate::route::plan_route_avoiding_into`]'s mask and
+    /// labels, current as of the last world event. `None` exactly when
+    /// [`CityExperiment::fault_state`] is.
+    pub fn survivors(&self) -> Option<&Survivors> {
+        self.survivors.as_ref()
     }
 
     /// Replaces the fault state with a caller-built one — the targeted
@@ -733,8 +740,9 @@ impl CityExperiment {
             state.len(),
             self.aps.len()
         );
+        self.postbox_live = postbox_table(&self.map, &self.aps, &self.apg, Some(&state));
+        self.survivors = Some(survivors_of(&self.bg, &state));
         self.faults = Some(state);
-        self.postbox_live = postbox_table(&self.map, &self.aps, &self.apg, self.faults.as_ref());
         // A caller-built fault state supersedes any hardening a prior
         // deployment applied; drop the deployment so the world holds
         // exactly the state the caller handed in.
@@ -749,7 +757,9 @@ impl CityExperiment {
     /// flips land first, then the derived per-building state — blocked
     /// set membership and live postbox AP — is refreshed for exactly
     /// the touched buildings (the incremental counterpart of the full
-    /// `postbox_table` pass done at preparation time).
+    /// `postbox_table` pass done at preparation time), and the
+    /// surviving-component labels are recomputed if one of them went
+    /// dark or came back.
     ///
     /// Everything downstream keys off the epoch: plans cached across
     /// the boundary recompute their lazy ladder geometry on first
@@ -775,6 +785,15 @@ impl CityExperiment {
             self.postbox_live[b as usize] =
                 bucket_postbox(&self.map, &self.aps, &self.apg, Some(faults), b);
         }
+        // Only an event that darkens or relights a whole building pays
+        // the O(V + E) label pass.
+        self.survivors
+            .as_mut()
+            .expect("built with the fault state")
+            .update(
+                &self.bg,
+                touched.iter().map(|&b| (b, faults.building_blocked(b))),
+            );
         let epoch = faults.advance_epoch();
         EpochTransition {
             epoch,
@@ -1079,20 +1098,19 @@ impl CityExperiment {
         // pre-disaster graph when the map is stale (the paper's
         // static-map assumption under stress), the surviving graph —
         // dark buildings avoided — when it is fresh.
-        let blocked = faults
-            .filter(|f| !f.stale_map())
-            .map(|f| f.blocked_buildings());
+        let fresh = faults.is_some_and(|f| !f.stale_map());
+        let survivors = self.survivors.as_ref().filter(|_| fresh);
         let (bg, route) = (&self.bg, &mut scratch.route);
-        let routed = match (hier, blocked) {
+        let routed = match (hier, survivors) {
             (None, None) => plan_route_into(bg, src, target, &mut scratch.search, route).is_ok(),
-            (None, Some(b)) => {
-                plan_route_avoiding_into(bg, src, target, b, &mut scratch.search, route).is_ok()
+            (None, Some(s)) => {
+                plan_route_avoiding_into(bg, src, target, s, &mut scratch.search, route).is_ok()
             }
             (Some(h), None) => h
                 .plan_route_into(bg, src, target, &mut scratch.hier, route)
                 .is_ok(),
-            (Some(h), Some(b)) => h
-                .plan_route_avoiding_into(bg, src, target, b, &mut scratch.hier, route)
+            (Some(h), Some(s)) => h
+                .plan_route_avoiding_into(bg, src, target, s, &mut scratch.hier, route)
                 .is_ok(),
         };
         if !routed {
@@ -1156,55 +1174,74 @@ impl CityExperiment {
     /// replan detour depends on the *current* blocked set — this is
     /// what makes incremental cache invalidation digest-equal to a
     /// full flush.
-    fn recovery_variants(&self, plan: &PlannedFlow, faults: &FaultState) -> Arc<RecoveryVariants> {
+    fn recovery_variants(
+        &self,
+        plan: &PlannedFlow,
+        faults: &FaultState,
+        detour: &mut DetourScratch,
+    ) -> Arc<RecoveryVariants> {
         let epoch = faults.epoch();
         if let Some(rec) = plan.recovery.get(epoch) {
             return rec;
         }
-        let rec = Arc::new(self.compute_recovery(plan, faults));
+        let rec = Arc::new(self.compute_recovery(plan, faults, detour));
         plan.recovery.set(epoch, rec)
     }
 
     /// The pure computation behind [`CityExperiment::recovery_variants`]:
     /// widen-rung conduits and the replan-rung detour for `plan` under
-    /// the current fault state.
-    fn compute_recovery(&self, plan: &PlannedFlow, faults: &FaultState) -> RecoveryVariants {
+    /// the current fault state. Everything transient lives in `d`; the
+    /// only allocations are the vectors the memo keeps, each made at
+    /// its final size.
+    fn compute_recovery(
+        &self,
+        plan: &PlannedFlow,
+        faults: &FaultState,
+        d: &mut DetourScratch,
+    ) -> RecoveryVariants {
+        d.stats.materialized += 1;
         let mut rec = RecoveryVariants::default();
         let policy = faults.retry();
+        let conduits_at = |waypoints: &[u32], width_m: f64| {
+            let mut out = Vec::with_capacity(waypoints.len().saturating_sub(1).max(1));
+            reconstruct_conduits_into(&self.map, waypoints, width_m, &mut out);
+            out
+        };
         // Widen rung: same waypoints, fatter conduits, clamped to
         // the header-encodable width.
         if policy.max_attempts >= 3 && policy.widen_factor > 1.0 {
             let w = (self.config.conduit_width_m * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
-            let wide_header = CityMeshHeader::new(0, w, plan.waypoints.clone());
-            rec.wide_width_m = wide_header.conduit_width_m();
-            rec.wide_conduits =
-                reconstruct_conduits(&self.map, &wide_header.waypoints, rec.wide_width_m);
+            d.header.reuse_for(0, w, &plan.waypoints);
+            rec.wide_width_m = d.header.conduit_width_m();
+            rec.wide_conduits = conduits_at(&plan.waypoints, rec.wide_width_m);
         }
         // Replan rung: detour around buildings with zero live APs.
         // Only meaningful when the primary plan was drawn on a
         // stale map and a genuinely different detour survives. The
         // comparison runs against the *uncompressed* primary route
         // the plan kept for exactly this purpose.
-        if policy.max_attempts >= 4 && faults.stale_map() && !faults.blocked_buildings().is_empty()
-        {
-            let Ok(detour) = plan_route_avoiding(
-                &self.bg,
-                plan.src,
-                plan.delivery_dst(),
-                faults.blocked_buildings(),
-            ) else {
-                return rec;
-            };
-            if detour == plan.replan_route {
+        let survivors = self.survivors.as_ref().expect("built with the fault state");
+        if policy.max_attempts >= 4 && faults.stale_map() && !survivors.blocked().is_empty() {
+            let (src, dst) = (plan.src, plan.delivery_dst());
+            // A destination walled in by dark buildings is the common
+            // failure here, and a search only learns it by exhausting
+            // the source's whole surviving island.
+            if !survivors.connects(&self.bg, src, dst) {
+                d.stats.rejected_by_labels += 1;
                 return rec;
             }
-            let Ok(c) = compress_route(&self.bg, &detour, self.config.conduit_width_m) else {
+            d.stats.searches += 1;
+            let found = search_avoiding(&self.bg, src, dst, survivors, &mut d.search, &mut d.route);
+            if found.is_err() || d.route == plan.replan_route {
                 return rec;
-            };
-            let h = CityMeshHeader::new(0, self.config.conduit_width_m, c.waypoints);
-            rec.fallback_conduits =
-                reconstruct_conduits(&self.map, &h.waypoints, h.conduit_width_m());
-            rec.fallback_waypoints = h.waypoints;
+            }
+            let width = self.config.conduit_width_m;
+            if compress_route_into(&self.bg, &d.route, width, &mut d.waypoints).is_err() {
+                return rec;
+            }
+            d.header.reuse_for(0, width, &d.waypoints);
+            rec.fallback_conduits = conduits_at(&d.waypoints, d.header.conduit_width_m());
+            rec.fallback_waypoints = d.waypoints.clone();
         }
         rec
     }
@@ -1280,17 +1317,7 @@ impl CityExperiment {
         // Borrow juggling: the kernel needs `&mut scratch` while
         // reading the header, so lift the header out (the placeholder
         // left behind owns no heap memory) and restore it after.
-        let mut header = std::mem::replace(
-            &mut scratch.header,
-            CityMeshHeader {
-                kind: citymesh_net::MessageKind::Data,
-                ttl: 64,
-                msg_id: 0,
-                conduit_width_dm: 0,
-                waypoints: Vec::new(),
-                encoding: citymesh_net::RouteEncoding::Absolute,
-            },
-        );
+        let mut header = std::mem::replace(&mut scratch.header, placeholder_header());
         let mut attempts = 0u32;
         let mut total_broadcasts = 0u64;
         let mut penalty = SimTime::ZERO;
@@ -1323,7 +1350,8 @@ impl CityExperiment {
                         self.config.conduit_width_m,
                     ),
                     (3, Some(f)) => {
-                        let rec = rec_holder.insert(self.recovery_variants(plan, f));
+                        let rec = self.recovery_variants(plan, f, &mut scratch.detour);
+                        let rec = rec_holder.insert(rec);
                         if rec.wide_conduits.is_empty() {
                             resend()
                         } else {
@@ -1336,7 +1364,8 @@ impl CityExperiment {
                         }
                     }
                     (n, Some(f)) if n >= 4 => {
-                        let rec = rec_holder.insert(self.recovery_variants(plan, f));
+                        let rec = self.recovery_variants(plan, f, &mut scratch.detour);
+                        let rec = rec_holder.insert(rec);
                         if rec.fallback_conduits.is_empty() {
                             resend()
                         } else {
@@ -1615,6 +1644,12 @@ fn postbox_table(
     (0..map.len() as u32)
         .map(|b| bucket_postbox(map, aps, apg, faults, b))
         .collect()
+}
+
+/// The detour searches' view of `faults`' dark buildings: one O(V + E)
+/// pass whenever a fault state is installed.
+fn survivors_of(bg: &BuildingGraph, faults: &FaultState) -> Survivors {
+    Survivors::new(bg, faults.blocked_buildings().iter().copied())
 }
 
 /// Precomputes each building's nearest designated site by centroid
@@ -1963,6 +1998,46 @@ mod tests {
         let state = FaultState::with_failed(exp.aps(), exp.map(), &failed, RetryPolicy::default());
         let exp = exp.with_fault_state(state);
         assert_tables(&exp);
+    }
+
+    #[test]
+    fn survivors_after_world_events_equal_a_rebuild() {
+        let map = CityArchetype::SurveyDowntown.generate(8);
+        let cfg = ExperimentConfig {
+            faults: Some(FaultScenario::district_blackouts(1, 140.0)),
+            ..small_config(8)
+        };
+        let mut exp = CityExperiment::prepare(map, cfg);
+        let assert_rebuilt = |exp: &CityExperiment| {
+            let rebuilt = survivors_of(&exp.bg, exp.fault_state().unwrap());
+            assert!(exp.survivors() == Some(&rebuilt), "stale mask or labels");
+        };
+        assert_rebuilt(&exp);
+        // Dark → repaired → dark, for one building of the blackout.
+        let dark = *exp
+            .survivors()
+            .unwrap()
+            .blocked()
+            .first()
+            .expect("a blackout");
+        let bucket = exp.ap_graph().aps_of_building(dark).to_vec();
+        let set = |h: ApHealth| bucket.iter().map(|&ap| (ap, h)).collect::<Vec<_>>();
+        for (health, blocked) in [(ApHealth::Up, false), (ApHealth::Failed, true)] {
+            let labels_before = exp.survivors().cloned();
+            exp.apply_world_event(&set(health));
+            assert_eq!(exp.survivors().unwrap().is_blocked(dark), blocked);
+            assert!(exp.survivors() != labels_before.as_ref());
+            assert_rebuilt(&exp);
+        }
+        // An event that darkens and relights nothing leaves them alone.
+        let before = exp.survivors().cloned();
+        let live = exp.postbox_live.iter().flatten().next().expect("a live AP");
+        exp.apply_world_event(&[(*live, ApHealth::Degraded)]);
+        assert!(exp.survivors() == before.as_ref());
+        // A caller-built fault state rebuilds them whole.
+        let failed: Vec<u32> = exp.postbox.iter().step_by(3).flatten().copied().collect();
+        let state = FaultState::with_failed(exp.aps(), exp.map(), &failed, RetryPolicy::default());
+        assert_rebuilt(&exp.with_fault_state(state));
     }
 
     #[test]

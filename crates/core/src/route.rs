@@ -46,13 +46,165 @@ impl std::fmt::Display for RouteError {
 
 impl std::error::Error for RouteError {}
 
+/// Label of a blocked building in [`Survivors`]: it belongs to no
+/// surviving component.
+const NO_LABEL: u32 = u32::MAX;
+
+/// What a detour search consults about the dark buildings: a dense
+/// blocked mask (one load per relaxation) and the connected-component
+/// labels of the building graph restricted to the buildings that are
+/// not blocked, so that "no surviving route" is decided before any
+/// search runs ([`Survivors::connects`]). Derived state: built from a
+/// blocked set in one O(V + E) pass and relabelled only when a
+/// building's membership flips.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Survivors {
+    blocked: Vec<bool>,
+    /// The blocked buildings, ascending.
+    dark: Vec<u32>,
+    /// Component of each unblocked building among the unblocked ones;
+    /// [`NO_LABEL`] for a blocked building.
+    label: Vec<u32>,
+}
+
+impl Survivors {
+    /// Masks and labels `bg` with every building of `blocked` dark.
+    /// Ids outside the graph are ignored.
+    pub fn new(bg: &BuildingGraph, blocked: impl IntoIterator<Item = u32>) -> Self {
+        let mut s = Survivors {
+            blocked: vec![false; bg.len()],
+            dark: Vec::new(),
+            label: Vec::new(),
+        };
+        for b in blocked {
+            if let Some(slot) = s.blocked.get_mut(b as usize) {
+                *slot = true;
+            }
+        }
+        s.dark = (0..bg.len() as u32).filter(|&b| s.is_blocked(b)).collect();
+        s.relabel(bg);
+        s
+    }
+
+    /// Whether building `b` is dark.
+    #[inline]
+    pub fn is_blocked(&self, b: u32) -> bool {
+        self.blocked[b as usize]
+    }
+
+    /// The dark buildings, ascending.
+    pub fn blocked(&self) -> &[u32] {
+        &self.dark
+    }
+
+    /// Sets the membership of each `(building, blocked)` pair and, when
+    /// any of them flipped, recomputes the labels. Returns whether one
+    /// did.
+    pub fn update(
+        &mut self,
+        bg: &BuildingGraph,
+        changes: impl IntoIterator<Item = (u32, bool)>,
+    ) -> bool {
+        let mut flipped = false;
+        for (b, now) in changes {
+            if std::mem::replace(&mut self.blocked[b as usize], now) == now {
+                continue;
+            }
+            flipped = true;
+            match (self.dark.binary_search(&b), now) {
+                (Err(at), true) => self.dark.insert(at, b),
+                (Ok(at), false) => {
+                    self.dark.remove(at);
+                }
+                _ => unreachable!("mask and list hold the same set"),
+            }
+        }
+        if flipped {
+            self.relabel(bg);
+        }
+        flipped
+    }
+
+    /// One pass over the graph: components of the unblocked buildings,
+    /// numbered in order of their smallest member.
+    fn relabel(&mut self, bg: &BuildingGraph) {
+        let g = bg.graph();
+        self.label.clear();
+        self.label.resize(self.blocked.len(), NO_LABEL);
+        let mut next = 0u32;
+        let mut stack = Vec::new();
+        for start in 0..self.blocked.len() {
+            if self.blocked[start] || self.label[start] != NO_LABEL {
+                continue;
+            }
+            self.label[start] = next;
+            stack.push(start as u32);
+            while let Some(u) = stack.pop() {
+                for e in g.neighbors(u) {
+                    let v = e.to as usize;
+                    if !self.blocked[v] && self.label[v] == NO_LABEL {
+                        self.label[v] = next;
+                        stack.push(e.to);
+                    }
+                }
+            }
+            next += 1;
+        }
+    }
+
+    /// Whether a route `src → dst` exists whose interior avoids every
+    /// blocked building (the endpoints are exempt, as in
+    /// [`plan_route_avoiding`]) — exactly the pairs on which a detour
+    /// search succeeds, in O(deg) instead of a search that exhausts the
+    /// source's surviving island before it can say no.
+    ///
+    /// Every interior building of such a route is unblocked, so they
+    /// share one label; an unblocked endpoint carries that label
+    /// itself, a blocked one borders it. The one route with no interior
+    /// is a direct edge, which the labels already cover unless both
+    /// endpoints are blocked.
+    pub fn connects(&self, bg: &BuildingGraph, src: u32, dst: u32) -> bool {
+        if src == dst {
+            return true;
+        }
+        let g = bg.graph();
+        // Blocked neighbours carry `NO_LABEL`, which is no component's.
+        let borders = |v: u32, l: u32| {
+            g.neighbors(v)
+                .iter()
+                .any(|e| self.label[e.to as usize] == l)
+        };
+        let (ls, ld) = (self.label[src as usize], self.label[dst as usize]);
+        match (ls != NO_LABEL, ld != NO_LABEL) {
+            (true, true) => ls == ld,
+            (true, false) => borders(dst, ls),
+            (false, true) => borders(src, ld),
+            (false, false) => g.neighbors(src).iter().any(|e| {
+                let l = self.label[e.to as usize];
+                e.to == dst || (l != NO_LABEL && borders(dst, l))
+            }),
+        }
+    }
+}
+
+/// `UnknownBuilding` for the first endpoint outside `bg`.
+pub(crate) fn check_endpoints(bg: &BuildingGraph, src: u32, dst: u32) -> Result<(), RouteError> {
+    let n = bg.len() as u32;
+    match [src, dst].into_iter().find(|&id| id >= n) {
+        Some(id) => Err(RouteError::UnknownBuilding(id)),
+        None => Ok(()),
+    }
+}
+
 /// Plans the building route from `src` to `dst` over the predicted
 /// connectivity graph: the cubed-distance-shortest path, as a sequence
 /// of building IDs including both endpoints.
 ///
 /// `src == dst` yields the single-building route `[src]`.
 pub fn plan_route(bg: &BuildingGraph, src: u32, dst: u32) -> Result<Vec<u32>, RouteError> {
-    plan_route_avoiding(bg, src, dst, &std::collections::HashSet::new())
+    let mut out = Vec::new();
+    plan_route_into(bg, src, dst, &mut PlannerScratch::new(), &mut out)?;
+    Ok(out)
 }
 
 /// Like [`plan_route`], but treating every building in `blocked` as
@@ -62,22 +214,39 @@ pub fn plan_route(bg: &BuildingGraph, src: u32, dst: u32) -> Result<Vec<u32>, Ro
 /// exists a path that does not traverse a compromised node") — a
 /// sender that learns a region is compromised or destroyed replans
 /// around it.
+///
+/// This is the **reference** detour: it allocates its search state per
+/// call, looks every relaxed building up in the set, and learns that no
+/// route survives only by exhausting the source's island. Nothing on a
+/// production path calls it; [`plan_route_avoiding_into`] must return
+/// the same route, and the same error, on every query
+/// (`tests/route_oracle.rs`).
 pub fn plan_route_avoiding(
     bg: &BuildingGraph,
     src: u32,
     dst: u32,
     blocked: &std::collections::HashSet<u32>,
 ) -> Result<Vec<u32>, RouteError> {
-    let mut scratch = PlannerScratch::new();
+    check_endpoints(bg, src, dst)?;
     let mut out = Vec::new();
-    plan_route_avoiding_into(bg, src, dst, blocked, &mut scratch, &mut out)?;
-    Ok(out)
+    let found = astar_path_filtered_into(
+        bg.graph(),
+        src,
+        dst,
+        |v| bg.cost_lower_bound(v, dst),
+        |v| !blocked.contains(&v),
+        &mut PlannerScratch::new(),
+        &mut out,
+    );
+    found
+        .then_some(out)
+        .ok_or(RouteError::NoPredictedPath { src, dst })
 }
 
 /// [`plan_route`] against caller-owned buffers: writes the route into
 /// `out` and reuses `scratch` for the search state, so a warm caller
 /// plans with zero heap allocations. Returns the same routes as
-/// [`plan_route`] — the allocating entry points are wrappers over this
+/// [`plan_route`] — the allocating entry point is a wrapper over this
 /// kernel.
 ///
 /// # Errors
@@ -89,18 +258,17 @@ pub fn plan_route_into(
     scratch: &mut PlannerScratch,
     out: &mut Vec<u32>,
 ) -> Result<(), RouteError> {
-    plan_route_avoiding_into(
-        bg,
-        src,
-        dst,
-        &std::collections::HashSet::new(),
-        scratch,
-        out,
-    )
+    out.clear();
+    check_endpoints(bg, src, dst)?;
+    search(bg, src, dst, |_| true, scratch, out)
 }
 
-/// [`plan_route_avoiding`] against caller-owned buffers; see
-/// [`plan_route_into`].
+/// The detour every production path plans: [`plan_route_avoiding`]'s
+/// route around the blocked buildings of `survivors`, against
+/// caller-owned buffers. A pair the labels say no surviving route
+/// connects is refused before any search; the rest run the same A*
+/// with the mask as its filter, so route and error equal the
+/// reference's.
 ///
 /// # Errors
 /// Same contract as [`plan_route_avoiding`]; `out` is left cleared on
@@ -109,39 +277,44 @@ pub fn plan_route_avoiding_into(
     bg: &BuildingGraph,
     src: u32,
     dst: u32,
-    blocked: &std::collections::HashSet<u32>,
+    survivors: &Survivors,
     scratch: &mut PlannerScratch,
     out: &mut Vec<u32>,
 ) -> Result<(), RouteError> {
     out.clear();
-    let n = bg.len() as u32;
-    for id in [src, dst] {
-        if id >= n {
-            return Err(RouteError::UnknownBuilding(id));
-        }
+    check_endpoints(bg, src, dst)?;
+    if !survivors.connects(bg, src, dst) {
+        return Err(RouteError::NoPredictedPath { src, dst });
     }
-    if src == dst {
-        out.push(src);
-        return Ok(());
-    }
-    // Goal-directed heuristic: the landmark/Euclidean cost lower
-    // bound (see the module docs). Blocked buildings only remove
-    // options, so the same bound stays admissible for detours.
-    let h = move |v: u32| bg.cost_lower_bound(v, dst);
-    let found = if blocked.is_empty() {
-        astar_path_filtered_into(bg.graph(), src, dst, h, |_| true, scratch, out)
-    } else {
-        astar_path_filtered_into(
-            bg.graph(),
-            src,
-            dst,
-            h,
-            |v| !blocked.contains(&v),
-            scratch,
-            out,
-        )
-    };
-    if found {
+    search_avoiding(bg, src, dst, survivors, scratch, out)
+}
+
+/// The search half of [`plan_route_avoiding_into`], for a caller that
+/// has already put the pair to [`Survivors::connects`].
+pub(crate) fn search_avoiding(
+    bg: &BuildingGraph,
+    src: u32,
+    dst: u32,
+    survivors: &Survivors,
+    scratch: &mut PlannerScratch,
+    out: &mut Vec<u32>,
+) -> Result<(), RouteError> {
+    search(bg, src, dst, |v| !survivors.is_blocked(v), scratch, out)
+}
+
+/// Goal-directed A* under the landmark/Euclidean cost lower bound (see
+/// the module docs). Blocked buildings only remove options, so the
+/// same bound stays admissible for detours.
+fn search(
+    bg: &BuildingGraph,
+    src: u32,
+    dst: u32,
+    allowed: impl Fn(u32) -> bool,
+    scratch: &mut PlannerScratch,
+    out: &mut Vec<u32>,
+) -> Result<(), RouteError> {
+    let h = |v: u32| bg.cost_lower_bound(v, dst);
+    if astar_path_filtered_into(bg.graph(), src, dst, h, allowed, scratch, out) {
         Ok(())
     } else {
         Err(RouteError::NoPredictedPath { src, dst })
@@ -285,13 +458,38 @@ mod tests {
             .filter(|b| (b.centroid.x - 35.0).abs() < 10.0)
             .map(|b| b.id)
             .collect();
+        let cut = Err(RouteError::NoPredictedPath {
+            src: west,
+            dst: east,
+        });
+        assert_eq!(plan_route_avoiding(&bg, west, east, &all_mid), cut);
+
+        // The production detour: same routes, and the labels refuse the
+        // severed pair before any search.
+        let (mut scratch, mut out) = (PlannerScratch::new(), Vec::new());
+        let one = Survivors::new(&bg, blocked.iter().copied());
+        assert!(one.connects(&bg, west, east));
+        plan_route_avoiding_into(&bg, west, east, &one, &mut scratch, &mut out).unwrap();
+        assert_eq!(out, detour);
+        let column = Survivors::new(&bg, all_mid.iter().copied());
+        assert!(!column.connects(&bg, west, east));
         assert_eq!(
-            plan_route_avoiding(&bg, west, east, &all_mid),
-            Err(RouteError::NoPredictedPath {
-                src: west,
-                dst: east
-            })
+            plan_route_avoiding_into(&bg, west, east, &column, &mut scratch, &mut out)
+                .map(|()| vec![]),
+            cut
         );
+        // Endpoints are exempt: a dark building reaches its live
+        // neighbour, and a dark neighbour by their direct edge alone.
+        let north = map.nearest_building(Point::new(35.0, 65.0)).unwrap().id;
+        assert!(column.connects(&bg, center, west) && column.connects(&bg, north, center));
+        // Flipping memberships one event at a time ends where a rebuild
+        // starts; an event that flips none reports so.
+        let mut grown = one.clone();
+        assert!(grown.update(&bg, all_mid.iter().map(|&b| (b, true))));
+        assert_eq!(grown, column);
+        assert!(!grown.update(&bg, [(center, true)]));
+        assert!(grown.update(&bg, column.blocked().iter().map(|&b| (b, b == center))));
+        assert_eq!(grown, one);
     }
 
     #[test]

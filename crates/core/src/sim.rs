@@ -23,6 +23,7 @@
 //!   millions of flows through it; both paths are bit-identical.
 
 use citymesh_geo::OrientedRect;
+use citymesh_graph::PlannerScratch;
 use citymesh_map::CityMap;
 use citymesh_net::{CityMeshHeader, MessageKind, RouteEncoding};
 use citymesh_simcore::{SimRng, SimTime, Simulation};
@@ -188,6 +189,49 @@ impl DeliveryReport {
 #[derive(Debug)]
 struct Tx(u32);
 
+/// What the replan rung's detours cost a worker, cumulative over the
+/// [`DeliveryScratch`] that counted them. Racing workers may both
+/// materialize one cached plan's ladder, so totals over a fleet are
+/// schedule-dependent — telemetry only, in no digest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DetourStats {
+    /// Retry-ladder geometries computed: once per plan per fault-state
+    /// epoch, the first time a flow over the plan reaches rung 3.
+    pub materialized: u64,
+    /// Detours refused by the surviving-component labels before any
+    /// search: every route to the destination crosses a dark building.
+    pub rejected_by_labels: u64,
+    /// Detour searches run. The labels admit exactly the pairs a search
+    /// connects, so each of these found a route.
+    pub searches: u64,
+}
+
+/// Buffers of the replan rung's detour — search state, the
+/// uncompressed route, its waypoints and a header to probe the
+/// round-tripped width with — so that materializing a plan's ladder
+/// geometry allocates only what the plan keeps.
+#[derive(Debug)]
+pub(crate) struct DetourScratch {
+    pub(crate) search: PlannerScratch,
+    pub(crate) route: Vec<u32>,
+    pub(crate) waypoints: Vec<u32>,
+    pub(crate) header: CityMeshHeader,
+    pub(crate) stats: DetourStats,
+}
+
+/// A header that owns no heap memory and is never observed:
+/// [`CityMeshHeader::reuse_for`] rewrites every field before use.
+pub(crate) fn placeholder_header() -> CityMeshHeader {
+    CityMeshHeader {
+        kind: MessageKind::Data,
+        ttl: 64,
+        msg_id: 0,
+        conduit_width_dm: 0,
+        waypoints: Vec::new(),
+        encoding: RouteEncoding::Absolute,
+    }
+}
+
 /// Reusable working state for [`simulate_delivery_into`]: everything
 /// the delivery kernel used to allocate per call.
 ///
@@ -231,6 +275,10 @@ pub struct DeliveryScratch {
     /// the amortized cost. Schedule-dependent (racing workers may
     /// double-derive), so telemetry-only.
     pub(crate) keys_derived: u64,
+    /// Replan-rung buffers and counters, used only when
+    /// `CityExperiment::simulate_flow_with` materializes a plan's
+    /// ladder geometry.
+    pub(crate) detour: DetourScratch,
 }
 
 impl Default for DeliveryScratch {
@@ -261,22 +309,26 @@ impl DeliveryScratch {
                 duplicates: 0,
                 roles: Vec::new(),
             },
-            // Placeholder (never observed): `reuse_for` rewrites every
-            // field before the header reaches the kernel.
-            header: CityMeshHeader {
-                kind: MessageKind::Data,
-                ttl: 64,
-                msg_id: 0,
-                conduit_width_dm: 0,
-                waypoints: Vec::new(),
-                encoding: RouteEncoding::Absolute,
-            },
+            header: placeholder_header(),
             tracer: FlowTracer::new(cfg),
             payload: Vec::new(),
             sealed_buf: Vec::new(),
             opened_buf: Vec::new(),
             keys_derived: 0,
+            detour: DetourScratch {
+                search: PlannerScratch::new(),
+                route: Vec::new(),
+                waypoints: Vec::new(),
+                header: placeholder_header(),
+                stats: DetourStats::default(),
+            },
         }
+    }
+
+    /// What the replan rung's detours cost through this scratch so far
+    /// (all zero in a healthy world).
+    pub fn detour_stats(&self) -> DetourStats {
+        self.detour.stats
     }
 
     /// Session-key derivations performed through this scratch by the

@@ -13,7 +13,7 @@ use std::collections::HashSet;
 use citymesh_core::{
     plan_route, plan_route_avoiding, BuildingGraph, BuildingGraphParams, CityExperiment,
     ExperimentConfig, FaultScenario, HierParams, HierPlanScratch, HierPlanner, PlanScratch,
-    PlannedFlow,
+    PlannedFlow, Survivors,
 };
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_map::CityMap;
@@ -162,8 +162,9 @@ proptest! {
         let flat = plan_route_avoiding(&bg, src, dst, &blocked);
         let mut scratch = HierPlanScratch::new();
         let mut hier_route = Vec::new();
+        let survivors = Survivors::new(&bg, blocked.iter().copied());
         let hier =
-            planner.plan_route_avoiding_into(&bg, src, dst, &blocked, &mut scratch, &mut hier_route);
+            planner.plan_route_avoiding_into(&bg, src, dst, &survivors, &mut scratch, &mut hier_route);
         match (flat, hier) {
             (Ok(f), Ok(())) => {
                 for &b in &hier_route {

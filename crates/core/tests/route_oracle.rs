@@ -11,19 +11,40 @@
 //! route exists and on its **cost** (to 1e-9 relative: they sum the
 //! same weights in different orders); which of several equal-cost
 //! routes a planner returns is its own business.
+//!
+//! Detours are held to more. What production plans around dark
+//! buildings ([`plan_route_avoiding_into`]: dense mask, reused scratch,
+//! refused up front when the surviving-component labels show no route)
+//! must equal the allocating reference [`plan_route_avoiding`] vertex
+//! for vertex and error for error, and [`Survivors::connects`] must say
+//! "no" on exactly the pairs the reference exhausts its search on. On
+//! the `churn-ladder` benchmark's own world the counters then show the
+//! labels refusing every pathless detour, with the run's digest equal
+//! to a ladder that plans its detours with the reference.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use citymesh_core::{
-    plan_route_avoiding_into, BuildingGraph, BuildingGraphParams, CityExperiment, ExperimentConfig,
-    HierParams, HierPlanScratch, HierPlanner, RouteError,
+    compress_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into,
+    reconstruct_conduits, simulate_delivery_faulted, BuildingGraph, BuildingGraphParams,
+    CityExperiment, DeliveryParams, DeliveryScratch, ExperimentConfig, FaultScenario, HierParams,
+    HierPlanScratch, HierPlanner, OverheadOutcome, PairOutcome, PlannedFlow, RecoveryStage,
+    RetryPolicy, RouteError, Survivors,
 };
-use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
+use citymesh_dynamics::{
+    try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, EpochStat, InvalidationPolicy,
+    Strategy as Churn, Timeline,
+};
+use citymesh_fleet::{
+    generate_flows, FleetReport, FlowModel, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
+};
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_graph::PlannerScratch;
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
-use citymesh_simcore::SimRng;
+use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
+use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_telemetry::{metrics as tm, TelemetryConfig};
 use proptest::prelude::*;
 
 /// The reference: cheapest `src → dst` cost avoiding `blocked`
@@ -117,19 +138,29 @@ impl Bench {
             .any(|d| d != self.district_of(b))
     }
 
-    /// Flat ≡ hier ≡ oracle for one query; returns the hierarchical
+    /// Flat ≡ hier ≡ oracle for one query, and the flat detour ≡ the
+    /// reference detour, labels included; returns the hierarchical
     /// route when there is one.
-    fn check(&mut self, src: u32, dst: u32, blocked: &HashSet<u32>) -> Option<&[u32]> {
+    fn check(&mut self, src: u32, dst: u32, dark: &Dark) -> Option<&[u32]> {
+        let Dark { blocked, survivors } = dark;
         let want = oracle_cost(&self.bg, src, dst, blocked);
         let what = format!("{src} -> {dst}, {} blocked", blocked.len());
         let bg = &self.bg;
-        let flat = plan_route_avoiding_into(bg, src, dst, blocked, &mut self.flat, &mut self.route);
+        let flat =
+            plan_route_avoiding_into(bg, src, dst, survivors, &mut self.flat, &mut self.route);
+        let reference = plan_route_avoiding(bg, src, dst, blocked);
+        assert_eq!(flat.map(|()| self.route.clone()), reference, "{what}");
+        assert_eq!(
+            survivors.connects(bg, src, dst),
+            reference.is_ok(),
+            "{what}: labels against the exhaustive search"
+        );
         let flat_cost = flat.map(|()| checked_cost(bg, &self.route, src, dst, blocked));
         let hier = self.planner.plan_route_avoiding_into(
             bg,
             src,
             dst,
-            blocked,
+            survivors,
             &mut self.hier,
             &mut self.route,
         );
@@ -148,6 +179,20 @@ impl Bench {
             assert_eq!(self.route, [src]);
         }
         want.map(|_| self.route.as_slice())
+    }
+}
+
+/// One blocked set in both forms: the set the references probe and the
+/// mask and labels production searches read.
+struct Dark {
+    blocked: HashSet<u32>,
+    survivors: Survivors,
+}
+
+impl Dark {
+    fn new(bg: &BuildingGraph, blocked: HashSet<u32>) -> Self {
+        let survivors = Survivors::new(bg, blocked.iter().copied());
+        Dark { blocked, survivors }
     }
 }
 
@@ -194,19 +239,42 @@ struct Seen {
     border_endpoint: usize,
     /// Same-district pairs whose route visits another district.
     left_and_returned: usize,
+    /// Pairs a healthy city routes and the blocked set cuts.
+    cut_by_the_dark: usize,
+    /// Pairs with a dark source.
+    dark_src: usize,
+    /// Pairs with a dark destination, by its live neighbours: none,
+    /// one, several.
+    dark_dst_live_neighbours: [usize; 3],
+    /// Adjacent pairs, both dark.
+    adjacent_dark_pair: usize,
 }
 
-/// Every ordered pair of `bench`'s city (the diagonal included),
-/// healthy.
-fn check_all_pairs(bench: &mut Bench, seen: &mut Seen) {
+/// Every ordered pair of `bench`'s city (the diagonal included) around
+/// `blocked`.
+fn check_all_pairs(bench: &mut Bench, blocked: HashSet<u32>, seen: &mut Seen) {
     let n = bench.bg.len() as u32;
-    let nothing = HashSet::new();
+    let dark = Dark::new(&bench.bg, blocked);
+    let healthy = Dark::new(&bench.bg, HashSet::new());
     let district: Vec<u32> = (0..n).map(|b| bench.district_of(b)).collect();
     let border: Vec<bool> = (0..n).map(|b| bench.is_border(b)).collect();
+    let live_neighbours: Vec<usize> = (0..n)
+        .map(|b| {
+            let edges = bench.bg.graph().neighbors(b).iter();
+            edges.filter(|e| !dark.blocked.contains(&e.to)).count()
+        })
+        .collect();
     for src in 0..n {
         for dst in 0..n {
             let (ds, dt) = (district[src as usize], district[dst as usize]);
-            match bench.check(src, dst, &nothing) {
+            let (src_dark, dst_dark) = (dark.blocked.contains(&src), dark.blocked.contains(&dst));
+            seen.dark_src += usize::from(src_dark);
+            if dst_dark {
+                seen.dark_dst_live_neighbours[live_neighbours[dst as usize].min(2)] += 1;
+            }
+            let adjacent = bench.bg.graph().has_edge(src, dst);
+            seen.adjacent_dark_pair += usize::from(src_dark && dst_dark && adjacent);
+            match bench.check(src, dst, &dark) {
                 Some(route) => {
                     seen.routed += 1;
                     seen.border_endpoint +=
@@ -214,10 +282,20 @@ fn check_all_pairs(bench: &mut Bench, seen: &mut Seen) {
                     let strayed = route.iter().any(|&b| district[b as usize] != ds);
                     seen.left_and_returned += usize::from(ds == dt && strayed);
                 }
-                None => seen.unroutable += 1,
+                None => {
+                    seen.unroutable += 1;
+                    if !dark.blocked.is_empty() && healthy.survivors.connects(&bench.bg, src, dst) {
+                        seen.cut_by_the_dark += 1;
+                    }
+                }
             }
         }
     }
+}
+
+/// Every building of `map` dark with probability `p`.
+fn random_dark(map: &CityMap, p: f64, rng: &mut SimRng) -> HashSet<u32> {
+    (0..map.len() as u32).filter(|_| rng.chance(p)).collect()
 }
 
 proptest! {
@@ -237,8 +315,29 @@ proptest! {
     ) {
         let map = grid_with_island(cols, rows, pitch, removal, stray, seed);
         let mut bench = Bench::new(&map, district_size);
-        check_all_pairs(&mut bench, &mut Seen::default());
+        check_all_pairs(&mut bench, HashSet::new(), &mut Seen::default());
         prop_assert_eq!(bench.hier.floods(), 0, "healthy queries flooded a district");
+    }
+
+    /// Detours: all pairs again, around a random dark set — dark
+    /// sources, dark destinations however many of their neighbours
+    /// live, adjacent dark pairs, blocked cut vertices — and around the
+    /// two extremes, nothing dark and everything dark.
+    #[test]
+    fn detours_equal_the_reference_on_every_pair(
+        (cols, rows) in (2usize..7, 2usize..6),
+        pitch in 25.0..50.0f64,
+        removal in 0.0..0.35f64,
+        stray in 0usize..3,
+        block_p in 0.05..0.6f64,
+        seed in any::<u64>(),
+    ) {
+        let map = grid_with_island(cols, rows, pitch, removal, stray, seed);
+        let mut bench = Bench::new(&map, 8);
+        let mut rng = SimRng::new(seed ^ 0xDA2C);
+        for p in [0.0, block_p, 1.0] {
+            check_all_pairs(&mut bench, random_dark(&map, p, &mut rng), &mut Seen::default());
+        }
     }
 
     /// Faulted: random blocked sets that may include the endpoints
@@ -264,7 +363,7 @@ proptest! {
             let blocked: HashSet<u32> = (0..n as u32)
                 .filter(|&b| rng.chance(block_p) || (whole_district && bench.district_of(b) == gone))
                 .collect();
-            bench.check(src, dst, &blocked);
+            bench.check(src, dst, &Dark::new(&bench.bg, blocked));
         }
     }
 }
@@ -276,11 +375,37 @@ fn the_sweep_reaches_detours_borders_and_islands() {
     let mut seen = Seen::default();
     for seed in 1..=6 {
         let map = grid_with_island(7, 6, 34.0, 0.3, 2, seed);
-        check_all_pairs(&mut Bench::new(&map, 6), &mut seen);
+        check_all_pairs(&mut Bench::new(&map, 6), HashSet::new(), &mut seen);
     }
     assert!(seen.routed > 3_000 && seen.unroutable > 300, "{seen:?}");
     assert!(seen.border_endpoint > 1_000, "{seen:?}");
     assert!(seen.left_and_returned > 0, "{seen:?}");
+}
+
+/// The same for detours: the dark sets of the sweep wall destinations
+/// in, leave them one door or several, darken sources and adjacent
+/// pairs, and cut pairs a healthy city connects.
+#[test]
+fn the_detour_sweep_reaches_walled_in_and_cut_pairs() {
+    let mut seen = Seen::default();
+    for seed in 1..=6 {
+        let map = grid_with_island(7, 6, 34.0, 0.3, 2, seed);
+        let mut rng = SimRng::new(seed ^ 0xDA2C);
+        for p in [0.2, 0.5] {
+            let dark = random_dark(&map, p, &mut rng);
+            check_all_pairs(&mut Bench::new(&map, 6), dark, &mut seen);
+        }
+    }
+    assert!(
+        seen.routed > 3_000 && seen.cut_by_the_dark > 300,
+        "{seen:?}"
+    );
+    assert!(seen.dark_src > 1_000, "{seen:?}");
+    assert!(
+        seen.dark_dst_live_neighbours.iter().all(|&n| n > 100),
+        "{seen:?}"
+    );
+    assert!(seen.adjacent_dark_pair > 50, "{seen:?}");
 }
 
 /// The river archetype: several predicted islands of real size, pairs
@@ -300,7 +425,7 @@ fn planners_equal_the_oracle_across_a_river() {
             let blocked: HashSet<u32> = (0..n as u32)
                 .filter(|_| i % 2 == 1 && rng.chance(0.1))
                 .collect();
-            match bench.check(src, dst, &blocked) {
+            match bench.check(src, dst, &Dark::new(&bench.bg, blocked)) {
                 Some(_) => routed += 1,
                 None => cut += 1,
             }
@@ -323,7 +448,7 @@ fn healthy_queries_search_no_district() {
     let mut bench = Bench::new(&map, HierParams::default().target_district_size);
     let mut rng = SimRng::new(7);
     let n = map.len() as u64;
-    let nothing = HashSet::new();
+    let nothing = Dark::new(&bench.bg, HashSet::new());
     let (mut routed, mut longest) = (0, Vec::new());
     for _ in 0..200 {
         let (src, dst) = (rng.below(n) as u32, rng.below(n) as u32);
@@ -339,7 +464,7 @@ fn healthy_queries_search_no_district() {
     assert!(routed > 150 && stats.expansions > 0 && stats.direct_routes < 150);
     assert_eq!((bench.hier.floods(), stats.dirty_rescans), (0, 0));
 
-    let blocked = HashSet::from([longest[longest.len() / 2]]);
+    let blocked = Dark::new(&bench.bg, HashSet::from([longest[longest.len() / 2]]));
     bench.check(longest[0], *longest.last().unwrap(), &blocked);
     assert!(bench.hier.floods() > 0, "a dirty district must be searched");
 }
@@ -370,10 +495,9 @@ fn metro_benchmark_routes_equal_the_flat_planner() {
     );
     let (mut flat_scratch, mut hier_scratch) = (PlannerScratch::new(), HierPlanScratch::new());
     let (mut flat, mut hier) = (Vec::new(), Vec::new());
-    let nothing = HashSet::new();
     let mut routed = 0;
     for f in &flows {
-        let a = plan_route_avoiding_into(bg, f.src, f.dst, &nothing, &mut flat_scratch, &mut flat);
+        let a = plan_route_into(bg, f.src, f.dst, &mut flat_scratch, &mut flat);
         let b = planner.plan_route_into(bg, f.src, f.dst, &mut hier_scratch, &mut hier);
         assert_eq!(a, b, "flow {}: {} -> {}", f.id, f.src, f.dst);
         assert_eq!(flat, hier, "flow {}: {} -> {}", f.id, f.src, f.dst);
@@ -381,4 +505,218 @@ fn metro_benchmark_routes_equal_the_flat_planner() {
     }
     assert!(routed > 2_900, "only {routed} flows found a route");
     assert_eq!(hier_scratch.floods(), 0);
+}
+
+/// `simulate_flow_with`'s retry ladder with nothing kept and nothing
+/// reused: every attempt builds its header and conduits afresh and runs
+/// on a fresh scratch, and the replan rung's detour is the reference
+/// [`plan_route_avoiding`] over the fault state's own blocked set.
+/// Returns the outcome and, when the flow climbed to the rung that
+/// materializes the ladder, whether a detour survives.
+fn reference_ladder(
+    world: &CityExperiment,
+    plan: &PlannedFlow,
+    msg_id: u64,
+    rng: &mut SimRng,
+) -> (PairOutcome, Option<bool>) {
+    let mut outcome = PairOutcome::from_plan(plan);
+    let (true, Some(src_ap)) = (plan.route_found(), plan.src_ap) else {
+        return (outcome, None);
+    };
+    let faults = world.fault_state().expect("the churn world is faulted");
+    let (policy, cfg) = (faults.retry(), world.config());
+    let params = DeliveryParams {
+        scope: cfg.scope,
+        reception_loss: cfg.reception_loss,
+        ..DeliveryParams::default()
+    };
+    let width = cfg.conduit_width_m;
+    // `Some(Err)` once a search has exhausted the source's island.
+    let mut detour: Option<Result<Vec<u32>, RouteError>> = None;
+    let mut penalty = SimTime::ZERO;
+    while outcome.attempts < policy.max_attempts {
+        outcome.attempts += 1;
+        if outcome.attempts >= 3 && detour.is_none() {
+            let (src, dst) = (plan.src, plan.delivery_dst());
+            let blocked = faults.blocked_buildings();
+            detour = Some(plan_route_avoiding(
+                world.building_graph(),
+                src,
+                dst,
+                blocked,
+            ));
+        }
+        let resend = (RecoveryStage::Resend, width, plan.waypoints.clone());
+        let (stage, width, waypoints) = match (outcome.attempts, &detour) {
+            (1, _) => (RecoveryStage::First, width, plan.waypoints.clone()),
+            (3, _) if policy.widen_factor > 1.0 => {
+                let wide = (width * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
+                (RecoveryStage::Widen, wide, plan.waypoints.clone())
+            }
+            (4.., Some(Ok(route))) if route != plan.primary_route() => {
+                let compressed = compress_route(world.building_graph(), route, width);
+                let compressed = compressed.expect("a found route is not empty");
+                (RecoveryStage::Replan, width, compressed.waypoints)
+            }
+            _ => resend,
+        };
+        let header = CityMeshHeader::new(msg_id, width, waypoints);
+        let conduits =
+            reconstruct_conduits(world.map(), &header.waypoints, header.conduit_width_m());
+        let mut scratch = DeliveryScratch::new();
+        let report = simulate_delivery_faulted(
+            world.map(),
+            world.ap_graph(),
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            Some(faults),
+            rng,
+            &mut scratch,
+        );
+        outcome.broadcasts += report.broadcasts;
+        if report.delivered {
+            outcome.delivered = true;
+            outcome.latency = report.first_delivery.map(|t| penalty + t);
+            outcome.recovered_by = (outcome.attempts > 1).then_some(stage);
+            break;
+        }
+        penalty += params.horizon;
+    }
+    let measured = OverheadOutcome::measure(outcome.delivered, outcome.broadcasts, plan.ideal_hops);
+    outcome.overhead = measured.value();
+    (outcome, detour.map(|d| d.is_ok()))
+}
+
+/// The work guard, on the `churn-ladder` benchmark's own world (the
+/// 60 m blackout downtown, its 8-event timeline, its 10,000 seed-1
+/// hotspot flows; `crates/perf/src/workload.rs`). Counts, so they hold
+/// on every machine: the engine's detour counters equal, key for key,
+/// what a never-caching run that plans every detour with the exhaustive
+/// reference search sees — every detour the reference finds no path for
+/// was refused by the labels, so no search ended without one — and the
+/// two runs' digests are equal. Release only (CI's `figures` job runs
+/// it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "10,000 ladder flows twice: run with --release"
+)]
+fn churn_benchmark_detours_search_only_where_a_route_survives() {
+    const WORLD_SEED: u64 = 2024;
+    const SEED: u64 = 1;
+    const HORIZON_MS: f64 = 2_000.0;
+    let map = CityArchetype::SurveyDowntown.generate(WORLD_SEED);
+    let config = ExperimentConfig {
+        seed: WORLD_SEED,
+        faults: Some(FaultScenario::district_blackouts(1, 60.0)),
+        ..ExperimentConfig::default()
+    };
+    let exp = CityExperiment::try_prepare(map, config).expect("the benchmark's config is valid");
+    let flows = generate_flows(
+        exp.map().len(),
+        &WorkloadConfig {
+            flows: 10_000,
+            model: FlowModel::Hotspot {
+                hotspots: 256,
+                exponent: 0.8,
+                rate_hz: 10_000.0 / (HORIZON_MS / 1e3),
+            },
+            seed: SEED,
+        },
+    );
+    let timeline = Timeline::materialize(
+        &exp,
+        &ChurnConfig {
+            aftershocks: 4,
+            battery_waves: 2,
+            crew_repairs: 2,
+            aftershock_radius_m: 80.0,
+            horizon_ms: HORIZON_MS,
+            seed: WORLD_SEED,
+            ..ChurnConfig::default()
+        },
+    );
+    assert_eq!(timeline.len(), 8);
+
+    let cfg = ChurnEngineConfig {
+        workers: 1,
+        seed: SEED,
+        invalidation: InvalidationPolicy::Incremental,
+        ..ChurnEngineConfig::default()
+    };
+    let tel = TelemetryConfig::metrics_only();
+    let (engine, telemetry) =
+        try_run_churn(&exp, &flows, &timeline, Churn::RetryLadder, &cfg, &tel)
+            .expect("a stale-map fault state");
+    let metrics = telemetry.expect("metrics were asked for").metrics;
+
+    // The reference run, shaped into the engine's report type. A ladder
+    // is materialized once per cached plan per epoch, and one worker
+    // plans a pair once per epoch, so the engine's counters are per
+    // distinct (epoch, src, dst) that climbed to rung 3.
+    let mut fs = exp.fault_state().expect("faulted").clone();
+    fs.set_retry(RetryPolicy::ladder());
+    let mut world = exp.clone().with_fault_state(fs);
+    let mut reference = ChurnReport {
+        timeline_fingerprint: timeline.fingerprint(),
+        ..ChurnReport::default()
+    };
+    let mut climbed: BTreeMap<(u64, u32, u32), bool> = BTreeMap::new();
+    let mut rest = flows.as_slice();
+    for k in 0..=timeline.len() {
+        let event = timeline.events().get(k);
+        let (slice, later) = match event {
+            Some(ev) => rest.split_at(rest.partition_point(|f| f.arrival_ms < ev.at_ms)),
+            None => (rest, &rest[rest.len()..]),
+        };
+        rest = later;
+        let state = world.fault_state().expect("faulted");
+        let mut fleet = FleetReport::empty();
+        for flow in slice {
+            let plan = world.plan_flow(flow.src, flow.dst);
+            let msg_id = substream_seed(SEED, DOMAIN_MSG, flow.id);
+            let mut rng = SimRng::new(substream_seed(SEED, DOMAIN_SIM, flow.id));
+            let (outcome, detour) = reference_ladder(&world, &plan, msg_id, &mut rng);
+            fleet.absorb_outcome(flow, &outcome);
+            if let Some(survives) = detour {
+                climbed.insert((state.epoch(), flow.src, flow.dst), survives);
+            }
+        }
+        let mut stat = EpochStat {
+            epoch: state.epoch(),
+            flows: fleet.flows,
+            fleet_digest: fleet.digest(),
+            fault_fingerprint: state.fingerprint(),
+            aps_changed: 0,
+            evicted: 0,
+        };
+        reference.flows += fleet.flows;
+        reference.delivered += fleet.delivered;
+        reference.retried += fleet.retried;
+        reference.recovered += fleet.recovered;
+        reference.epochs += 1;
+        if let Some(ev) = event {
+            let transition = world.apply_world_event(&ev.changes);
+            reference.events_applied += 1;
+            reference.aps_changed += transition.aps_changed as u64;
+            stat.aps_changed = transition.aps_changed as u64;
+            stat.fault_fingerprint = transition.fingerprint;
+        }
+        reference.epoch_stats.push(stat);
+    }
+
+    assert_eq!(engine.digest(), reference.digest());
+    let pathless = climbed.values().filter(|&&survives| !survives).count() as u64;
+    let materialized = metrics.counter(tm::LADDERS_MATERIALIZED);
+    let rejected = metrics.counter(tm::DETOURS_REJECTED_BY_LABELS);
+    let searches = metrics.counter(tm::DETOUR_SEARCHES);
+    assert_eq!(materialized, climbed.len() as u64);
+    assert_eq!(rejected, pathless, "every pathless detour is refused");
+    assert_eq!(searches, materialized - pathless, "every search finds one");
+    assert!(
+        rejected > 100 && searches > 2_000,
+        "{rejected} refused, {searches} searched: the world must exercise both"
+    );
 }

@@ -9,7 +9,7 @@
 //! write wins — the value is identical by purity, so the race is
 //! benign and determinism is unaffected).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -130,26 +130,25 @@ impl RouteCache {
     /// inside a conduit rectangle (found through the AP graph's spatial
     /// bucket index, not a city scan). Everything else stays warm, and
     /// the outcome digests equal a full [`RouteCache::clear`]'s.
+    ///
+    /// Both id sets become dense masks once per call, so a cached plan
+    /// costs two loads and, per AP its conduits' bounding boxes cover,
+    /// one more — the exact rectangle test runs only for changed APs
+    /// and stops at the plan's first hit.
     pub fn evict_stale(
         &self,
         apg: &ApGraph,
         touched_buildings: impl IntoIterator<Item = u32>,
         changed_aps: impl IntoIterator<Item = u32>,
     ) -> u64 {
-        let touched_buildings: HashSet<u32> = touched_buildings.into_iter().collect();
-        let changed_aps: HashSet<u32> = changed_aps.into_iter().collect();
-        let mut candidates = Vec::new();
+        let touched = dense_mask(touched_buildings);
+        let changed = dense_mask(changed_aps);
+        let is_set = |mask: &[bool], id: u32| mask.get(id as usize).copied().unwrap_or(false);
         self.evict_where(|plan| {
-            if touched_buildings.contains(&plan.src) || touched_buildings.contains(&plan.dst) {
-                return true;
-            }
-            let mut hit = false;
-            if !changed_aps.is_empty() {
-                apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
-                    hit |= changed_aps.contains(&id);
-                });
-            }
-            hit
+            is_set(&touched, plan.src)
+                || is_set(&touched, plan.dst)
+                || (!changed.is_empty()
+                    && apg.any_ap_in_conduits(&plan.conduits, |ap| is_set(&changed, ap)))
         })
     }
 
@@ -165,6 +164,19 @@ impl RouteCache {
         }
         evicted
     }
+}
+
+/// `mask[id]` for every id in `ids`, sized by the largest.
+fn dense_mask(ids: impl IntoIterator<Item = u32>) -> Vec<bool> {
+    let mut mask = Vec::new();
+    for id in ids {
+        let i = id as usize;
+        if mask.len() <= i {
+            mask.resize(i + 1, false);
+        }
+        mask[i] = true;
+    }
+    mask
 }
 
 #[cfg(test)]

@@ -781,6 +781,7 @@ mod tests {
         let telem = telem.expect("telemetry requested");
         assert_eq!(telem.metrics.counter(tm::FLOWS), 120);
         assert_eq!(telem.metrics.counter(tm::DELIVERED), traced.delivered);
+        assert_eq!(telem.metrics.counter(tm::LADDERS_MATERIALIZED), 0);
 
         // Faulted world: same invariant under the full retry ladder.
         let mut scenario = FaultScenario::iid(0.25);
@@ -799,6 +800,12 @@ mod tests {
         let ftel = ftel.expect("telemetry requested");
         assert_eq!(ftel.metrics.counter(tm::RETRIED), ftraced.retried);
         assert_eq!(ftel.metrics.counter(tm::RECOVERED), ftraced.recovered);
+        // Every flow that climbed to rung 3 materialized a ladder, and
+        // each ladder's detour was either refused or searched for.
+        let ladders = ftel.metrics.counter(tm::LADDERS_MATERIALIZED);
+        let searches = ftel.metrics.counter(tm::DETOUR_SEARCHES);
+        let refused = ftel.metrics.counter(tm::DETOURS_REJECTED_BY_LABELS);
+        assert!(searches > 0 && searches + refused == ladders);
         assert!(
             !ftel.postmortems.is_empty(),
             "a faulted run must capture failed/retried flows"

@@ -212,16 +212,22 @@ impl<'a> FlowExecutor<'a> {
     /// Folds the worker's bookkeeping into its metric set and hands back
     /// the set plus the captured postmortems. Tracer totals are sums and
     /// maxima over flows, so they stay schedule-independent after the
-    /// worker-order merge; the hier-planner, ideal-hops and
+    /// worker-order merge; the hier-planner, ideal-hops, detour and
     /// key-derivation counters are schedule-dependent like the route
-    /// cache's hit/miss totals (racing workers may double-plan or
-    /// double-derive a pair), so they are informational only and in no
-    /// digest ([`tm::SCHEDULE_DEPENDENT`]).
+    /// cache's hit/miss totals (racing workers may double-plan,
+    /// double-materialize or double-derive a pair), so they are
+    /// informational only and in no digest
+    /// ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
-        let keys_derived =
-            self.scratch.keys_derived() + self.untraced.as_ref().map_or(0, |s| s.keys_derived());
-        let tracer = self.scratch.tracer_mut();
         if let Some(m) = self.metrics.as_mut() {
+            for s in std::iter::once(&self.scratch).chain(&self.untraced) {
+                m.add(tm::KEYS_DERIVED, s.keys_derived());
+                let d = s.detour_stats();
+                m.add(tm::LADDERS_MATERIALIZED, d.materialized);
+                m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
+                m.add(tm::DETOUR_SEARCHES, d.searches);
+            }
+            let tracer = self.scratch.tracer();
             m.add(tm::POSTMORTEMS, tracer.captured());
             m.add(tm::TRACE_DROPPED, tracer.dropped_total());
             m.gauge_max(tm::TRACE_HIGH_WATER, tracer.high_water() as u64);
@@ -233,9 +239,9 @@ impl<'a> FlowExecutor<'a> {
             let hops = self.plan_scratch.hop_stats();
             m.add(tm::IDEAL_HOPS_QUERIES, hops.queries);
             m.add(tm::IDEAL_HOPS_SETTLED, hops.settled);
-            m.add(tm::KEYS_DERIVED, keys_derived);
         }
-        (self.metrics, tracer.take_postmortems())
+        let postmortems = self.scratch.tracer_mut().take_postmortems();
+        (self.metrics, postmortems)
     }
 }
 

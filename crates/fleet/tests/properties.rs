@@ -1,13 +1,16 @@
 //! Property tests for the fleet engine's determinism machinery.
 
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use citymesh_core::{
-    CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, RetryPolicy,
+    CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, PlannedFlow, RetryPolicy,
 };
 use citymesh_fleet::{
-    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, RouteCache,
+    WorkloadConfig,
 };
+use citymesh_geo::{OrientedRect, Point, Segment};
 use citymesh_map::CityArchetype;
 use citymesh_simcore::{substream_seed, SimRng};
 use citymesh_telemetry::{TelemetryConfig, TraceConfig};
@@ -320,6 +323,86 @@ proptest! {
             prop_assert!((f.src as usize) < buildings);
             prop_assert!((f.dst as usize) < buildings);
             prop_assert!(f.arrival_ms.is_finite() && f.arrival_ms >= 0.0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `RouteCache::evict_stale` evicts exactly the plans the predicate
+    /// it replaced evicts — an endpoint among the touched buildings, or
+    /// a changed AP among those `for_each_ap_in_conduits` enumerates —
+    /// plan for plan, over random conduits (thin, wide, overlapping,
+    /// off the map), touched sets and changed sets from none to all.
+    /// The benchmark's replay still evaluates the old predicate, and
+    /// holds the engine to its per-event counts.
+    #[test]
+    fn evict_stale_equals_the_enumerating_predicate(
+        seed in any::<u64>(),
+        plans in 1usize..120,
+        touched_p in 0.0..0.2f64,
+        changed in 0usize..4,
+    ) {
+        let exp = shared_world();
+        let (apg, bounds) = (exp.ap_graph(), exp.map().bounds());
+        let mut rng = SimRng::new(seed);
+        let n_buildings = exp.map().len() as u64;
+        let point = |rng: &mut SimRng| {
+            // A tenth of the spine ends lie outside the city.
+            let x = rng.uniform_range(bounds.min.x - 60.0, bounds.max.x + 60.0);
+            let y = rng.uniform_range(bounds.min.y - 60.0, bounds.max.y + 60.0);
+            Point::new(x, y)
+        };
+        let planned: Vec<PlannedFlow> = (0..plans)
+            .map(|i| {
+                // Distinct keys; endpoints spread over the buildings.
+                let mut plan = PlannedFlow::empty(i as u32, rng.below(n_buildings) as u32);
+                let from = point(&mut rng);
+                plan.conduits = (0..rng.below(4))
+                    .scan(from, |a, _| {
+                        let b = point(&mut rng);
+                        let spine = Segment::new(std::mem::replace(a, b), b);
+                        Some(OrientedRect::new(spine, rng.uniform_range(1.0, 90.0)))
+                    })
+                    .collect();
+                plan
+            })
+            .collect();
+        let touched: Vec<u32> = (0..n_buildings as u32).filter(|_| rng.chance(touched_p)).collect();
+        let changed_p = [0.0, 0.02, 0.3, 1.0][changed];
+        let changed: Vec<u32> = (0..apg.len() as u32).filter(|_| rng.chance(changed_p)).collect();
+
+        let (new, old) = (RouteCache::new(), RouteCache::new());
+        for plan in &planned {
+            new.get_or_plan(plan.src, plan.dst, || plan.clone());
+            old.get_or_plan(plan.src, plan.dst, || plan.clone());
+        }
+        let evicted = new.evict_stale(apg, touched.iter().copied(), changed.iter().copied());
+        let (touched_set, changed_set): (HashSet<u32>, HashSet<u32>) =
+            (touched.into_iter().collect(), changed.into_iter().collect());
+        let mut candidates = Vec::new();
+        let expected = old.evict_where(|plan| {
+            if touched_set.contains(&plan.src) || touched_set.contains(&plan.dst) {
+                return true;
+            }
+            let mut hit = false;
+            apg.for_each_ap_in_conduits(&plan.conduits, &mut candidates, |id, _| {
+                hit |= changed_set.contains(&id);
+            });
+            hit
+        });
+        prop_assert_eq!(evicted, expected);
+        for plan in &planned {
+            let kept = |cache: &RouteCache| {
+                let mut kept = true;
+                cache.get_or_plan(plan.src, plan.dst, || {
+                    kept = false;
+                    plan.clone()
+                });
+                kept
+            };
+            prop_assert_eq!(kept(&new), kept(&old), "plan {} -> {}", plan.src, plan.dst);
         }
     }
 }

@@ -154,7 +154,7 @@ fn steady_state_hier_flow_loop_allocates_nothing() {
     // planner's zero-allocation guarantee: building the hierarchy
     // (`enable_hier`) is prepare-time and may allocate freely, but a
     // warm plan+simulate loop through `plan_flow_hier_into` — overlay
-    // Dijkstra, per-district ALT searches, border stitching — must
+    // A*, border × member table descents, border stitching — must
     // stay inside the warmed `PlanScratch` buffers.
     let map = CityArchetype::SurveyDowntown.generate(19);
     let mut exp = CityExperiment::prepare(
@@ -370,6 +370,77 @@ fn steady_state_flow_loop_allocates_nothing_under_faults() {
         allocs, 0,
         "fault-injected steady-state path must perform zero heap \
          allocations (counted {allocs})"
+    );
+}
+
+#[test]
+fn first_escalation_allocates_only_its_memo() {
+    // The rung the cases around this one never measure: they hold
+    // plans across passes, so every escalation finds a warm memo. Here
+    // each flow is re-planned into one reused `PlannedFlow` — which
+    // resets the cell, as a route-cache miss starts from an empty one —
+    // so every flow that climbs to rung 3 materializes its ladder
+    // geometry inside the counted region. The detour search, its route,
+    // compression and the width probes run on the `DeliveryScratch`;
+    // what is left is what the plan keeps: the `Arc` and at most three
+    // vectors (wide conduits, detour waypoints, detour conduits).
+    let scenario = citymesh_core::FaultScenario::district_blackouts(1, 100.0);
+    assert_eq!(scenario.retry, citymesh_core::RetryPolicy::ladder());
+    let map = CityArchetype::SurveyDowntown.generate(31);
+    let exp = CityExperiment::prepare(
+        map,
+        ExperimentConfig {
+            seed: 31,
+            faults: Some(scenario),
+            ..ExperimentConfig::default()
+        },
+    );
+    let flows = generate_flows(
+        exp.map().len(),
+        &WorkloadConfig {
+            flows: 256,
+            model: FlowModel::UniformPairs { rate_hz: 200.0 },
+            seed: 31,
+        },
+    );
+
+    let mut plan_scratch = PlanScratch::new();
+    let mut plan = PlannedFlow::empty(0, 0);
+    let mut scratch = DeliveryScratch::new();
+    let mut pass = || {
+        let (mut attempts, mut replanned) = (0u64, 0u64);
+        for flow in &flows {
+            exp.plan_flow_into(flow.src, flow.dst, &mut plan_scratch, &mut plan);
+            let msg_id = substream_seed(31, DOMAIN_MSG, flow.id);
+            let mut rng = SimRng::new(substream_seed(31, DOMAIN_SIM, flow.id));
+            let outcome = exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch);
+            attempts += outcome.attempts as u64;
+            let by_detour = outcome.recovered_by == Some(citymesh_core::RecoveryStage::Replan);
+            replanned += by_detour as u64;
+        }
+        (attempts, replanned, scratch.detour_stats())
+    };
+
+    let warm = pass();
+    let (allocs, measured) = count_allocs(&mut pass);
+
+    assert_eq!(
+        (measured.0, measured.1),
+        (warm.0, warm.1),
+        "measured pass must replay the warm-up exactly"
+    );
+    let materialized = measured.2.materialized - warm.2.materialized;
+    let searched = measured.2.searches - warm.2.searches;
+    assert!(
+        materialized >= 20 && searched >= 20 && measured.1 > 0,
+        "the blackout must push flows up the whole ladder: {materialized} \
+         materialized, {searched} searched, {} delivered by detour",
+        measured.1
+    );
+    assert!(
+        allocs <= 4 * materialized,
+        "a first escalation may allocate its memo and nothing else \
+         (counted {allocs} over {materialized} materializations)"
     );
 }
 

@@ -151,6 +151,18 @@ pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(31);
 /// APs settled by those searches. Schedule-dependent; excluded from
 /// digests.
 pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(32);
+/// Retry-ladder geometries materialized (widened conduits plus the
+/// replan detour): once per plan per fault-state epoch, on the first
+/// flow that reaches rung 3. Schedule-dependent: racing workers may
+/// both materialize one cached plan. Excluded from digests.
+pub const LADDERS_MATERIALIZED: CounterId = CounterId(33);
+/// Replan detours refused before any search because the
+/// surviving-component labels show no route around the dark buildings.
+/// Schedule-dependent; excluded from digests.
+pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(34);
+/// Replan detour searches run (each finds a route: the labels refuse
+/// the rest). Schedule-dependent; excluded from digests.
+pub const DETOUR_SEARCHES: CounterId = CounterId(35);
 
 /// The counters whose totals depend on which worker planned or derived
 /// what (racing workers may both miss a cache and repeat the work).
@@ -164,6 +176,9 @@ pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
     KEYS_DERIVED,
     IDEAL_HOPS_QUERIES,
     IDEAL_HOPS_SETTLED,
+    LADDERS_MATERIALIZED,
+    DETOURS_REJECTED_BY_LABELS,
+    DETOUR_SEARCHES,
 ];
 
 /// The counter registry; indexed by [`CounterId`].
@@ -299,6 +314,18 @@ pub const COUNTERS: &[CounterDef] = &[
     CounterDef {
         name: "ideal_hops_settled_total",
         help: "APs settled by ideal-hops searches",
+    },
+    CounterDef {
+        name: "ladders_materialized_total",
+        help: "Retry-ladder geometries materialized on first escalation",
+    },
+    CounterDef {
+        name: "detours_rejected_by_labels_total",
+        help: "Replan detours refused by the surviving-component labels",
+    },
+    CounterDef {
+        name: "detour_searches_total",
+        help: "Replan detour searches run",
     },
 ];
 
@@ -697,7 +724,7 @@ mod tests {
 
     #[test]
     fn registry_ids_line_up() {
-        assert_eq!(COUNTERS.len(), 33);
+        assert_eq!(COUNTERS.len(), 36);
         assert_eq!(COUNTERS[HIER_QUERIES.0].name, "hier_queries_total");
         assert_eq!(
             COUNTERS[IDEAL_HOPS_QUERIES.0].name,
@@ -707,6 +734,15 @@ mod tests {
             COUNTERS[IDEAL_HOPS_SETTLED.0].name,
             "ideal_hops_settled_total"
         );
+        assert_eq!(
+            COUNTERS[LADDERS_MATERIALIZED.0].name,
+            "ladders_materialized_total"
+        );
+        assert_eq!(
+            COUNTERS[DETOURS_REJECTED_BY_LABELS.0].name,
+            "detours_rejected_by_labels_total"
+        );
+        assert_eq!(COUNTERS[DETOUR_SEARCHES.0].name, "detour_searches_total");
         assert_eq!(COUNTERS[MSGS_SEALED.0].name, "secure_msgs_sealed_total");
         assert_eq!(COUNTERS[MSGS_OPENED.0].name, "secure_msgs_opened_total");
         assert_eq!(COUNTERS[KEYS_DERIVED.0].name, "secure_keys_derived_total");
