@@ -50,14 +50,13 @@ pub fn flood(apg: &ApGraph, src_ap: u32, dst_building: u32, ttl: Option<u64>) ->
             }
         }
         broadcasts += 1;
-        for e in apg.graph().neighbors(ap) {
-            let rx = e.to as usize;
-            if hops[rx].is_none() {
-                hops[rx] = Some(h + 1);
-                if apg.building_of(e.to) == dst_building && delivery_hops.is_none() {
+        for &rx in apg.audience(ap) {
+            if hops[rx as usize].is_none() {
+                hops[rx as usize] = Some(h + 1);
+                if apg.building_of(rx) == dst_building && delivery_hops.is_none() {
                     delivery_hops = Some(h + 1);
                 }
-                queue.push_back(e.to);
+                queue.push_back(rx);
             }
         }
     }

@@ -51,7 +51,7 @@ pub fn greedy_route(
     // Destination target point: nearest AP in the destination building
     // (geographic routing needs a coordinate for the destination; the
     // paper's GLS-style location services would provide it).
-    let dst_aps = apg.aps_in_building(dst_building);
+    let dst_aps = apg.aps_of_building(dst_building);
     let Some(&target_ap) = dst_aps.first() else {
         return GreedyOutcome {
             delivered: false,
@@ -88,13 +88,13 @@ pub fn greedy_route(
         // only if it improves on the current distance (greedy rule).
         let current_d = apg.position(current).dist(target);
         let mut best: Option<(u32, f64)> = None;
-        for e in apg.graph().neighbors(current) {
-            if visited[e.to as usize] {
+        for &next in apg.audience(current) {
+            if visited[next as usize] {
                 continue;
             }
-            let d = apg.position(e.to).dist(target);
+            let d = apg.position(next).dist(target);
             if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((e.to, d));
+                best = Some((next, d));
             }
         }
         match best {

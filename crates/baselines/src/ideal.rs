@@ -6,8 +6,9 @@
 //! best case as it does not account for link-layer retransmissions",
 //! §4).
 
+use std::collections::VecDeque;
+
 use citymesh_core::ApGraph;
-use citymesh_graph::bfs;
 
 /// An ideal path and its cost.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,19 +23,30 @@ pub struct IdealPath {
 /// `dst_building`, or `None` when unreachable.
 pub fn ideal_path(apg: &ApGraph, src_ap: u32, dst_building: u32) -> Option<IdealPath> {
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
-    let result = bfs(apg.graph(), src_ap);
-    let best = apg
-        .aps_in_building(dst_building)
-        .into_iter()
-        .filter(|ap| result.dist[*ap as usize].is_finite())
-        .min_by(|a, b| {
-            result.dist[*a as usize]
-                .partial_cmp(&result.dist[*b as usize])
-                .expect("finite distances")
-        })?;
-    let path = result.path_to(best).expect("filtered to reachable");
-    let hops = (path.len() - 1) as u64;
-    Some(IdealPath { path, hops })
+    // Breadth-first over the audience rows, so the first destination
+    // AP dequeued is a nearest one.
+    let mut parent = vec![u32::MAX; apg.len()];
+    parent[src_ap as usize] = src_ap;
+    let mut queue = VecDeque::from([src_ap]);
+    while let Some(ap) = queue.pop_front() {
+        if apg.building_of(ap) == dst_building {
+            let (mut at, mut path) = (ap, vec![ap]);
+            while at != src_ap {
+                at = parent[at as usize];
+                path.push(at);
+            }
+            path.reverse();
+            let hops = (path.len() - 1) as u64;
+            return Some(IdealPath { path, hops });
+        }
+        for &next in apg.audience(ap) {
+            if parent[next as usize] == u32::MAX {
+                parent[next as usize] = ap;
+                queue.push_back(next);
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -108,8 +108,8 @@ fn baseline_plan(exp: &CityExperiment, src: u32, dst: u32) -> PlannedFlow {
     let apg = exp.ap_graph();
 
     // Reachability by materialized AP lists + pairwise probes.
-    let src_aps = apg.aps_in_building(src);
-    let dst_aps = apg.aps_in_building(dst);
+    let src_aps = apg.aps_of_building(src).to_vec();
+    let dst_aps = apg.aps_of_building(dst).to_vec();
     plan.reachable = src_aps
         .iter()
         .any(|&a| dst_aps.iter().any(|&b| apg.reachable(a, b)));
@@ -137,16 +137,15 @@ fn baseline_plan(exp: &CityExperiment, src: u32, dst: u32) -> PlannedFlow {
 
     // Full BFS over the AP graph for the ideal hop count.
     if let Some(src_ap) = plan.src_ap {
-        let g = apg.graph();
-        let mut dist: Vec<u64> = vec![u64::MAX; g.num_vertices()];
+        let mut dist: Vec<u64> = vec![u64::MAX; apg.len()];
         let mut queue = VecDeque::new();
         dist[src_ap as usize] = 0;
         queue.push_back(src_ap);
         while let Some(u) = queue.pop_front() {
-            for e in g.neighbors(u) {
-                if dist[e.to as usize] == u64::MAX {
-                    dist[e.to as usize] = dist[u as usize] + 1;
-                    queue.push_back(e.to);
+            for &v in apg.audience(u) {
+                if dist[v as usize] == u64::MAX {
+                    dist[v as usize] = dist[u as usize] + 1;
+                    queue.push_back(v);
                 }
             }
         }

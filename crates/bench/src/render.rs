@@ -18,9 +18,9 @@ pub fn fig5_svg(map: &CityMap, aps: &[Ap], apg: &ApGraph) -> String {
     }
     // Links first so dots draw on top.
     for ap in aps {
-        for e in apg.graph().neighbors(ap.id) {
-            if e.to > ap.id {
-                svg.line(ap.pos, apg.position(e.to), "#9a9a9a", 0.4);
+        for &other in apg.audience(ap.id) {
+            if other > ap.id {
+                svg.line(ap.pos, apg.position(other), "#9a9a9a", 0.4);
             }
         }
     }

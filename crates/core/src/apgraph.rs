@@ -11,18 +11,18 @@
 //! evaluation honest.
 
 use citymesh_geo::{GridIndex, OrientedRect, Point};
-use citymesh_graph::{connected_components, CsrGraph, Graph, HopLandmarks, HopScratch};
+use citymesh_graph::{label_components, HopLandmarks, HopScratch};
 
 use crate::placement::Ap;
 
 /// AP graph plus the indexes the simulator needs.
 ///
-/// Like [`crate::BuildingGraph`], the adjacency structure is frozen
-/// into CSR form at build time: at metro scale (~1M APs) a per-vertex
-/// `Vec` would cost one allocation and a 24-byte header per AP.
+/// The adjacency is stored once, as the CSR audience rows (4 bytes per
+/// directed edge; every edge is one hop, so there is no weight to
+/// keep): the delivery kernel, the ideal-hops search, the component
+/// labels and the baselines all read the same rows.
 #[derive(Clone, Debug)]
 pub struct ApGraph {
-    graph: CsrGraph,
     index: GridIndex,
     range_m: f64,
     building_of: Vec<u32>,
@@ -54,17 +54,13 @@ impl ApGraph {
         assert!(range_m > 0.0, "range must be positive");
         let positions: Vec<Point> = aps.iter().map(|a| a.pos).collect();
         let index = GridIndex::build(&positions, range_m.max(1.0));
-        let mut graph = Graph::new(aps.len());
-        // The same grid pass that adds the edges records each AP's
-        // broadcast audience (AP ids are indices, as the edges assume).
+        // One grid pass records each AP's broadcast audience (AP ids
+        // are indices into `aps`).
         let mut audience_starts = Vec::with_capacity(aps.len() + 1);
         let mut audience_items = Vec::new();
         audience_starts.push(0);
         for ap in aps {
             index.for_each_in_circle(ap.pos, range_m, |other, _| {
-                if other > ap.id {
-                    graph.add_edge(ap.id, other, 1.0);
-                }
                 if other != ap.id {
                     audience_items.push(other);
                 }
@@ -73,8 +69,17 @@ impl ApGraph {
             audience_starts.push(end);
         }
         audience_items.shrink_to_fit();
-        let graph = CsrGraph::from_graph(&graph);
-        let (components, num_components) = connected_components(&graph);
+        let mut components = Vec::new();
+        let num_components = label_components(
+            aps.len(),
+            |_| true,
+            |a| {
+                audience_row(&audience_starts, &audience_items, a)
+                    .iter()
+                    .copied()
+            },
+            &mut components,
+        );
         let building_of: Vec<u32> = aps.iter().map(|a| a.building).collect();
         // Counting sort into CSR buckets. Iterating APs in id order
         // keeps each bucket's AP ids ascending.
@@ -102,7 +107,6 @@ impl ApGraph {
             num_components,
         );
         ApGraph {
-            graph,
             index,
             range_m,
             building_of,
@@ -126,17 +130,11 @@ impl ApGraph {
         self.building_of.is_empty()
     }
 
-    /// The underlying unweighted graph, in frozen CSR form.
-    pub fn graph(&self) -> &CsrGraph {
-        &self.graph
-    }
-
     /// Heap bytes held by the graph and its simulator-facing indexes —
     /// the metro sweep's memory accounting.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.graph.memory_bytes()
-            + self.index.memory_bytes()
+        self.index.memory_bytes()
             + self.building_of.capacity() * size_of::<u32>()
             + self.components.capacity() * size_of::<u32>()
             + self.bucket_starts.capacity() * size_of::<u32>()
@@ -238,15 +236,6 @@ impl ApGraph {
         )
     }
 
-    /// All AP ids belonging to `building`, ascending.
-    ///
-    /// Allocating wrapper over
-    /// [`aps_of_building`](Self::aps_of_building), kept for callers
-    /// that want an owned list.
-    pub fn aps_in_building(&self, building: u32) -> Vec<u32> {
-        self.aps_of_building(building).to_vec()
-    }
-
     /// All AP ids belonging to `building` as a borrowed slice
     /// (ascending, possibly empty) — an O(1) lookup into the static
     /// CSR building→AP bucket index.
@@ -312,7 +301,10 @@ impl ApGraph {
     /// Mean node degree (a connectivity health indicator reported in
     /// experiment summaries).
     pub fn mean_degree(&self) -> f64 {
-        self.graph.mean_degree()
+        if self.is_empty() {
+            return 0.0;
+        }
+        self.audience_items.len() as f64 / self.len() as f64
     }
 }
 
@@ -348,11 +340,12 @@ mod tests {
     #[test]
     fn edges_respect_range_cutoff() {
         let g = ApGraph::build(&two_cluster_aps(), 50.0);
-        assert!(g.graph().has_edge(0, 1));
-        assert!(g.graph().has_edge(1, 2));
-        assert!(!g.graph().has_edge(0, 2)); // 80 m
-        assert!(g.graph().has_edge(3, 4));
-        assert!(!g.graph().has_edge(2, 3)); // 420 m
+        assert!(g.audience(0).contains(&1));
+        assert!(g.audience(1).contains(&2));
+        assert!(!g.audience(0).contains(&2)); // 80 m
+        assert!(g.audience(3).contains(&4));
+        assert!(!g.audience(2).contains(&3)); // 420 m
+        assert_eq!(g.mean_degree(), 6.0 / 5.0);
     }
 
     #[test]
@@ -380,9 +373,9 @@ mod tests {
     #[test]
     fn building_ap_lookup() {
         let g = ApGraph::build(&two_cluster_aps(), 50.0);
-        assert_eq!(g.aps_in_building(0), vec![0, 1]);
-        assert_eq!(g.aps_in_building(2), vec![3, 4]);
-        assert!(g.aps_in_building(9).is_empty());
+        assert_eq!(g.aps_of_building(0), [0, 1]);
+        assert_eq!(g.aps_of_building(2), [3, 4]);
+        assert!(g.aps_of_building(9).is_empty());
         assert_eq!(g.building_of(2), 1);
     }
 
@@ -407,11 +400,16 @@ mod tests {
     #[test]
     fn ideal_hops_match_full_bfs() {
         let g = ApGraph::build(&two_cluster_aps(), 50.0);
+        // The two clusters' links, written out by hand.
+        let mut links = citymesh_graph::Graph::new(5);
+        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
+            links.add_edge(u, v, 1.0);
+        }
         let mut scratch = HopScratch::new();
         for src in 0..5u32 {
             for b in 0..4u32 {
                 let full = {
-                    let result = citymesh_graph::bfs(g.graph(), src);
+                    let result = citymesh_graph::bfs(&links, src);
                     let mut best = f64::INFINITY;
                     for id in 0..g.len() {
                         if g.building_of(id as u32) == b {
@@ -493,7 +491,7 @@ mod tests {
     fn exact_range_boundary_is_connected() {
         let aps = vec![ap(0, 0.0, 0.0, 0), ap(1, 50.0, 0.0, 1)];
         let g = ApGraph::build(&aps, 50.0);
-        assert!(g.graph().has_edge(0, 1), "d == range must connect");
+        assert_eq!(g.audience(0), &[1], "d == range must connect");
     }
 
     #[test]
@@ -501,5 +499,6 @@ mod tests {
         let g = ApGraph::build(&[], 50.0);
         assert!(g.is_empty());
         assert_eq!(g.num_components(), 0);
+        assert_eq!(g.mean_degree(), 0.0);
     }
 }

@@ -179,8 +179,8 @@ pub fn extend_placement(aps: &[Ap], bridged_map: &CityMap, relay_positions: &[Po
 mod tests {
     use super::*;
     use crate::buildgraph::{BuildingGraph, BuildingGraphParams};
-    use crate::pipeline::{CityExperiment, ExperimentConfig};
     use crate::placement::place_aps;
+    use crate::{CityExperiment, ExperimentConfig};
     use citymesh_simcore::SimRng;
 
     fn ap(id: u32, x: f64, building: u32) -> Ap {

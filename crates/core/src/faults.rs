@@ -33,13 +33,11 @@
 //! buildings) executed by
 //! [`crate::CityExperiment::simulate_flow_with`].
 
-use std::collections::HashSet;
-
 use citymesh_geo::Point;
 use citymesh_map::CityMap;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
 
-use crate::pipeline::ConfigError;
+use crate::config::{require_probability, require_within, ConfigError};
 use crate::placement::{most_central, Ap};
 
 /// Sub-stream domain for i.i.d. per-AP failure draws.
@@ -95,29 +93,9 @@ impl RetryPolicy {
 
     /// Validates the policy's invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.max_attempts < 1 {
-            return Err(ConfigError::OutOfRange {
-                field: "retry.max_attempts",
-                value: self.max_attempts as f64,
-                min: 1.0,
-                max: f64::INFINITY,
-            });
-        }
-        if !self.widen_factor.is_finite() {
-            return Err(ConfigError::NotFinite {
-                field: "retry.widen_factor",
-                value: self.widen_factor,
-            });
-        }
-        if self.widen_factor < 1.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "retry.widen_factor",
-                value: self.widen_factor,
-                min: 1.0,
-                max: f64::INFINITY,
-            });
-        }
-        Ok(())
+        let attempts = f64::from(self.max_attempts);
+        require_within("retry.max_attempts", attempts, 1.0, f64::INFINITY)?;
+        require_within("retry.widen_factor", self.widen_factor, 1.0, f64::INFINITY)
     }
 }
 
@@ -227,37 +205,11 @@ impl FaultScenario {
 
     /// Validates probabilities, radii, and the retry policy.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        for (field, value) in [
-            ("faults.ap_failure_p", self.ap_failure_p),
-            ("faults.degraded_p", self.degraded_p),
-            ("faults.degraded_loss", self.degraded_loss),
-        ] {
-            if !value.is_finite() {
-                return Err(ConfigError::NotFinite { field, value });
-            }
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ConfigError::OutOfRange {
-                    field,
-                    value,
-                    min: 0.0,
-                    max: 1.0,
-                });
-            }
-        }
-        if !self.blackout_radius_m.is_finite() {
-            return Err(ConfigError::NotFinite {
-                field: "faults.blackout_radius_m",
-                value: self.blackout_radius_m,
-            });
-        }
-        if self.blackout_radius_m < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "faults.blackout_radius_m",
-                value: self.blackout_radius_m,
-                min: 0.0,
-                max: f64::INFINITY,
-            });
-        }
+        require_probability("faults.ap_failure_p", self.ap_failure_p)?;
+        require_probability("faults.degraded_p", self.degraded_p)?;
+        require_probability("faults.degraded_loss", self.degraded_loss)?;
+        let radius = self.blackout_radius_m;
+        require_within("faults.blackout_radius_m", radius, 0.0, f64::INFINITY)?;
         self.retry.validate()
     }
 }
@@ -273,18 +225,33 @@ pub enum ApHealth {
     Failed,
 }
 
+/// How many APs a building owns and how many of them have not failed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Census {
+    aps: u32,
+    live: u32,
+}
+
 /// A [`FaultScenario`] materialized against one AP placement: the
-/// per-AP health vector, the set of buildings gone dark (zero live
-/// APs), and the scenario's recovery knobs.
+/// per-AP health vector, each building's live-AP count (a building
+/// that owns APs and has none live is *dark*), and the scenario's
+/// recovery knobs.
+///
+/// The counts are the one home of "which buildings are dark": built by
+/// the one private constructor and moved by [`FaultState::apply_health`]
+/// together with the health flip that changes them, so no caller ever
+/// sees one without the other. What searches read — mask, labels, live
+/// postboxes — the world derives from here
+/// ([`crate::CityExperiment::survivors`]).
 ///
 /// Materialization is serial and driven by dedicated sub-streams of
 /// the experiment seed, so the state — and everything downstream of
 /// it — is bit-identical regardless of how many fleet workers later
 /// replay flows against it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FaultState {
     health: Vec<ApHealth>,
-    blocked_buildings: HashSet<u32>,
+    census: Vec<Census>,
     degraded_loss: f64,
     failed: usize,
     degraded: usize,
@@ -292,7 +259,7 @@ pub struct FaultState {
     stale_map: bool,
     blackout_centers: Vec<Point>,
     /// Monotone world-mutation counter: 0 at materialization, bumped
-    /// by [`FaultState::advance_epoch`] every time a churn event lands.
+    /// by [`FaultState::apply_health`] every time a churn event lands.
     /// Deliberately excluded from [`FaultState::fingerprint`] so the
     /// golden fingerprints of static (epoch-0) scenarios are unchanged;
     /// callers who want "fingerprint per epoch" simply call
@@ -304,6 +271,10 @@ impl FaultState {
     /// Draws the scenario against `aps` over `map`, using sub-streams
     /// of `root_seed` (one per fault mechanism, so adding blackout
     /// discs never perturbs the i.i.d. draws and vice versa).
+    ///
+    /// # Panics
+    /// Panics when `aps` is not a placement over `map`: an AP id that
+    /// is not its index, or a building outside the map.
     pub fn materialize(
         scenario: &FaultScenario,
         aps: &[Ap],
@@ -325,8 +296,6 @@ impl FaultState {
 
         let mut iid_rng = SimRng::new(substream_seed(root_seed, DOMAIN_FAULT_IID, 0));
         let mut degrade_rng = SimRng::new(substream_seed(root_seed, DOMAIN_FAULT_DEGRADE, 0));
-        let mut failed = 0usize;
-        let mut degraded = 0usize;
         for ap in aps {
             // Draw every stream for every AP so each mechanism's
             // stream position depends only on the AP index, never on
@@ -337,55 +306,12 @@ impl FaultState {
             let slot = &mut health[ap.id as usize];
             if iid_hit || dark {
                 *slot = ApHealth::Failed;
-                failed += 1;
             } else if degrade_hit && scenario.degraded_loss > 0.0 {
                 *slot = ApHealth::Degraded;
-                degraded += 1;
             }
         }
-
-        // A building is dark when it has APs and none survived; such
-        // buildings cannot host a postbox or relay, so the replan rung
-        // detours around them.
-        let mut has_ap = vec![false; map.len()];
-        let mut has_live = vec![false; map.len()];
-        for ap in aps {
-            let b = ap.building as usize;
-            has_ap[b] = true;
-            if health[ap.id as usize] != ApHealth::Failed {
-                has_live[b] = true;
-            }
-        }
-        let blocked_buildings = (0..map.len() as u32)
-            .filter(|&b| has_ap[b as usize] && !has_live[b as usize])
-            .collect();
-
-        FaultState {
-            health,
-            blocked_buildings,
-            degraded_loss: scenario.degraded_loss,
-            failed,
-            degraded,
-            retry: scenario.retry,
-            stale_map: scenario.stale_map,
-            blackout_centers: centers,
-            epoch: 0,
-        }
-    }
-
-    /// A state in which every AP is up (useful as a baseline).
-    pub fn healthy(n_aps: usize) -> Self {
-        FaultState {
-            health: vec![ApHealth::Up; n_aps],
-            blocked_buildings: HashSet::new(),
-            degraded_loss: 0.0,
-            failed: 0,
-            degraded: 0,
-            retry: RetryPolicy::none(),
-            stale_map: true,
-            blackout_centers: Vec::new(),
-            epoch: 0,
-        }
+        Self::from_health(health, aps, map, scenario, centers)
+            .unwrap_or_else(|e| panic!("placement does not fit the map: {e}"))
     }
 
     /// A state with an explicit casualty list — the targeted what-if
@@ -393,42 +319,61 @@ impl FaultState {
     /// APs in `failed_aps`, leave everything else up. Dark buildings
     /// are derived from the casualty list the same way materialization
     /// does; the sender plans on a stale map (it does not know who
-    /// died).
+    /// died). An empty list is the healthy baseline.
+    ///
+    /// # Errors
+    /// [`ConfigError::OutOfRange`] naming the first id in `failed_aps`
+    /// outside the placement, or the first AP whose building is outside
+    /// the map.
     ///
     /// [`materialize`]: FaultState::materialize
-    pub fn with_failed(aps: &[Ap], map: &CityMap, failed_aps: &[u32], retry: RetryPolicy) -> Self {
+    pub fn with_failed(
+        aps: &[Ap],
+        map: &CityMap,
+        failed_aps: &[u32],
+        retry: RetryPolicy,
+    ) -> Result<Self, ConfigError> {
         let mut health = vec![ApHealth::Up; aps.len()];
-        let mut failed = 0usize;
         for &id in failed_aps {
-            let slot = &mut health[id as usize];
-            if *slot != ApHealth::Failed {
-                *slot = ApHealth::Failed;
-                failed += 1;
-            }
+            require_id("failed_aps", id, aps.len())?;
+            health[id as usize] = ApHealth::Failed;
         }
-        let mut has_ap = vec![false; map.len()];
-        let mut has_live = vec![false; map.len()];
-        for ap in aps {
-            let b = ap.building as usize;
-            has_ap[b] = true;
-            if health[ap.id as usize] != ApHealth::Failed {
-                has_live[b] = true;
-            }
-        }
-        let blocked_buildings = (0..map.len() as u32)
-            .filter(|&b| has_ap[b as usize] && !has_live[b as usize])
-            .collect();
-        FaultState {
-            health,
-            blocked_buildings,
-            degraded_loss: 0.0,
-            failed,
-            degraded: 0,
+        let scenario = FaultScenario {
             retry,
-            stale_map: true,
-            blackout_centers: Vec::new(),
-            epoch: 0,
+            ..FaultScenario::default()
+        };
+        Self::from_health(health, aps, map, &scenario, Vec::new())
+    }
+
+    /// The one place a health vector becomes a state: tallies the
+    /// casualties and counts every building's APs and live APs.
+    fn from_health(
+        health: Vec<ApHealth>,
+        aps: &[Ap],
+        map: &CityMap,
+        scenario: &FaultScenario,
+        blackout_centers: Vec<Point>,
+    ) -> Result<Self, ConfigError> {
+        let mut census = vec![Census::default(); map.len()];
+        for ap in aps {
+            require_id("aps.building", ap.building, map.len())?;
+            require_id("aps.id", ap.id, aps.len())?;
+            let at = &mut census[ap.building as usize];
+            at.aps += 1;
+            at.live += u32::from(health[ap.id as usize] != ApHealth::Failed);
         }
+        let count = |h: ApHealth| health.iter().filter(|&&x| x == h).count();
+        Ok(FaultState {
+            failed: count(ApHealth::Failed),
+            degraded: count(ApHealth::Degraded),
+            health,
+            census,
+            degraded_loss: scenario.degraded_loss,
+            retry: scenario.retry,
+            stale_map: scenario.stale_map,
+            blackout_centers,
+            epoch: 0,
+        })
     }
 
     /// Number of APs covered by this state.
@@ -481,17 +426,17 @@ impl FaultState {
         }
     }
 
-    /// Buildings whose every AP failed. This set is the membership's
-    /// home; searches read the dense mask and surviving-component
-    /// labels the world derives from it
-    /// ([`crate::CityExperiment::survivors`]).
-    pub fn blocked_buildings(&self) -> &HashSet<u32> {
-        &self.blocked_buildings
+    /// Buildings that own APs and have none live, ascending.
+    pub fn blocked_buildings(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.census.len() as u32).filter(|&b| self.building_blocked(b))
     }
 
-    /// Whether `building` has APs but no live one.
+    /// Whether `building` has APs but no live one (`false` for an id
+    /// outside the map).
     pub fn building_blocked(&self, building: u32) -> bool {
-        self.blocked_buildings.contains(&building)
+        self.census
+            .get(building as usize)
+            .is_some_and(|c| c.aps > 0 && c.live == 0)
     }
 
     /// The scenario's recovery ladder.
@@ -511,29 +456,24 @@ impl FaultState {
         self.epoch
     }
 
-    /// Bumps the epoch counter and returns the new value. Called once
-    /// per applied world event, *after* the health changes land.
-    pub fn advance_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch
-    }
-
     /// Applies a batch of per-AP health transitions (one churn event's
     /// materialized change list), updating the failed/degraded tallies
-    /// and collecting the buildings whose AP population changed into
-    /// `touched` (sorted, deduplicated). Returns how many APs actually
-    /// changed state. No-op entries (an AP already in the target
-    /// state) are skipped and do not touch their building.
+    /// and each owning building's live-AP count with every flip — so a
+    /// building goes dark exactly when its last AP dies and comes back
+    /// with its first — collecting the buildings whose AP population
+    /// changed into `touched` (sorted, deduplicated), and advancing the
+    /// epoch: one call is one world event, and the state is whole again
+    /// when it returns. Returns how many APs actually changed state.
+    /// No-op entries (an AP already in the target state) are skipped
+    /// and do not touch their building.
     ///
-    /// The caller is responsible for refreshing derived per-building
-    /// state afterwards (blocked-set membership via
-    /// [`FaultState::refresh_building`], live postbox tables) and for
-    /// advancing the epoch — [`crate::CityExperiment::apply_world_event`]
-    /// packages the full sequence.
+    /// What the *world* derives from this state (live postboxes, the
+    /// searches' mask and labels) is
+    /// [`crate::CityExperiment::apply_world_event`]'s to move.
     ///
     /// # Panics
-    /// Panics when `aps.len()` differs from this state's AP count or a
-    /// change names an AP outside it.
+    /// Panics when `aps` is not the placement this state was built
+    /// over or a change names an AP outside it.
     pub fn apply_health(
         &mut self,
         changes: &[(u32, ApHealth)],
@@ -546,45 +486,36 @@ impl FaultState {
             "AP placement does not match this fault state"
         );
         touched.clear();
-        let mut applied = 0usize;
         for &(ap, next) in changes {
-            let slot = &mut self.health[ap as usize];
-            let prev = *slot;
+            let prev = std::mem::replace(&mut self.health[ap as usize], next);
             if prev == next {
                 continue;
             }
+            let building = aps[ap as usize].building;
+            let live = &mut self.census[building as usize].live;
             match prev {
-                ApHealth::Failed => self.failed -= 1,
+                ApHealth::Failed => {
+                    self.failed -= 1;
+                    *live += 1;
+                }
                 ApHealth::Degraded => self.degraded -= 1,
                 ApHealth::Up => {}
             }
             match next {
-                ApHealth::Failed => self.failed += 1,
+                ApHealth::Failed => {
+                    self.failed += 1;
+                    *live -= 1;
+                }
                 ApHealth::Degraded => self.degraded += 1,
                 ApHealth::Up => {}
             }
-            *slot = next;
-            applied += 1;
-            touched.push(aps[ap as usize].building);
+            touched.push(building);
         }
+        let applied = touched.len();
         touched.sort_unstable();
         touched.dedup();
+        self.epoch += 1;
         applied
-    }
-
-    /// Recomputes `building`'s membership in the blocked set from the
-    /// current health of `building_aps` (its AP bucket, e.g. from
-    /// [`crate::ApGraph::aps_of_building`]). Incremental counterpart
-    /// of the full scan done at materialization: after a churn event,
-    /// only the touched buildings need this.
-    pub fn refresh_building(&mut self, building: u32, building_aps: &[u32]) {
-        let has_ap = !building_aps.is_empty();
-        let has_live = building_aps.iter().any(|&ap| !self.is_failed(ap));
-        if has_ap && !has_live {
-            self.blocked_buildings.insert(building);
-        } else {
-            self.blocked_buildings.remove(&building);
-        }
     }
 
     /// Whether senders plan on the stale (pre-disaster) map.
@@ -623,9 +554,14 @@ impl FaultState {
             };
             h.mix(i as u64 ^ (code << 32));
         }
-        h.mix(self.blocked_buildings.len() as u64);
+        h.mix(self.blocked_buildings().count() as u64);
         h.value()
     }
+}
+
+/// `id` is one of the `len` ids `field` ranges over.
+fn require_id(field: &'static str, id: u32, len: usize) -> Result<(), ConfigError> {
+    require_within(field, f64::from(id), 0.0, len as f64 - 1.0)
 }
 
 /// Combines two independent per-frame loss probabilities.
@@ -661,13 +597,17 @@ mod tests {
         (map, aps)
     }
 
+    fn healthy(aps: &[Ap], map: &CityMap) -> FaultState {
+        FaultState::with_failed(aps, map, &[], RetryPolicy::none()).unwrap()
+    }
+
     #[test]
     fn null_scenario_fails_nothing() {
         let (map, aps) = world(1);
         let st = FaultState::materialize(&FaultScenario::default(), &aps, &map, 1);
         assert_eq!(st.failed_count(), 0);
         assert_eq!(st.degraded_count(), 0);
-        assert!(st.blocked_buildings().is_empty());
+        assert_eq!(st.blocked_buildings().count(), 0);
         assert_eq!(st.failed_fraction(), 0.0);
         assert!((0..aps.len() as u32).all(|a| st.health(a) == ApHealth::Up));
     }
@@ -681,7 +621,8 @@ mod tests {
         // Everything failed ⇒ every building with APs is blocked.
         let all = FaultState::materialize(&FaultScenario::iid(1.0), &aps, &map, 2);
         assert_eq!(all.failed_count(), aps.len());
-        assert!(!all.blocked_buildings().is_empty());
+        let owners: std::collections::BTreeSet<u32> = aps.iter().map(|a| a.building).collect();
+        assert!(all.blocked_buildings().eq(owners.iter().copied()));
     }
 
     #[test]
@@ -776,7 +717,7 @@ mod tests {
     #[test]
     fn postbox_ap_live_skips_casualties() {
         let (map, aps) = world(8);
-        let healthy = FaultState::healthy(aps.len());
+        let healthy = healthy(&aps, &map);
         let b = aps[0].building;
         let pb = crate::placement::postbox_ap(&aps, &map, b).unwrap();
         assert_eq!(healthy.postbox_ap_live(&aps, &map, b), Some(pb));
@@ -847,14 +788,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_health_keeps_tallies_and_blocked_set_consistent() {
+    fn apply_health_keeps_tallies_and_darkness_consistent() {
         let (map, aps) = world(12);
-        let mut st = FaultState::healthy(aps.len());
+        let mut st = healthy(&aps, &map);
         assert_eq!(st.epoch(), 0);
 
-        // Kill every AP of one building: the tallies must move, the
-        // building must join the blocked set, and reviving one AP must
-        // clear it again.
+        // Kill every AP of one building: the tallies must move and the
+        // building must go dark in the same call; reviving one AP must
+        // relight it.
         let b = aps[0].building;
         let bucket: Vec<u32> = aps
             .iter()
@@ -867,9 +808,8 @@ mod tests {
         assert_eq!(applied, bucket.len());
         assert_eq!(touched, vec![b]);
         assert_eq!(st.failed_count(), bucket.len());
-        st.refresh_building(b, &bucket);
         assert!(st.building_blocked(b));
-        assert_eq!(st.advance_epoch(), 1);
+        assert_eq!(st.epoch(), 1);
 
         // Re-applying the same changes is a no-op: nothing flips twice.
         assert_eq!(st.apply_health(&kill, &aps, &mut touched), 0);
@@ -878,23 +818,99 @@ mod tests {
         let revive = [(bucket[0], ApHealth::Up)];
         assert_eq!(st.apply_health(&revive, &aps, &mut touched), 1);
         assert_eq!(touched, vec![b]);
-        st.refresh_building(b, &bucket);
         assert!(!st.building_blocked(b));
         assert_eq!(st.failed_count(), bucket.len() - 1);
+    }
 
-        // A full-scan rebuild agrees with the incremental bookkeeping.
-        let failed: Vec<u32> = (0..aps.len() as u32).filter(|&a| st.is_failed(a)).collect();
-        let rebuilt = FaultState::with_failed(&aps, &map, &failed, RetryPolicy::none());
-        assert_eq!(rebuilt.failed_count(), st.failed_count());
-        assert_eq!(rebuilt.fingerprint(), st.fingerprint());
+    #[test]
+    fn any_change_list_leaves_the_state_a_recount_would_build() {
+        // Random lists — repeats of one AP, kill-then-revive inside one
+        // list, no-ops, degradations — and after each the state must
+        // equal the one built from scratch over its health vector, with
+        // the caller doing nothing in between.
+        let (map, aps) = world(13);
+        let mut st = healthy(&aps, &map);
+        let mut rng = SimRng::new(13);
+        let mut touched = Vec::new();
+        for round in 0..60 {
+            let changes: Vec<(u32, ApHealth)> = (0..rng.below(40))
+                .map(|_| {
+                    // A third of the placement, so buildings do go dark.
+                    let ap = rng.below(aps.len() as u64 / 3) as u32;
+                    let health = match rng.below(4) {
+                        0 => ApHealth::Up,
+                        1 => ApHealth::Degraded,
+                        _ => ApHealth::Failed,
+                    };
+                    (ap, health)
+                })
+                .collect();
+            st.apply_health(&changes, &aps, &mut touched);
+            let recount = FaultState::from_health(
+                st.health.clone(),
+                &aps,
+                &map,
+                &FaultScenario::default(),
+                Vec::new(),
+            )
+            .unwrap();
+            assert_eq!(st.epoch(), round + 1, "one call, one event");
+            let recount = FaultState {
+                epoch: st.epoch,
+                ..recount
+            };
+            assert_eq!(st, recount, "round {round}");
+            let scan: Vec<u32> = (0..map.len() as u32)
+                .filter(|&b| {
+                    let mut own = aps.iter().filter(|a| a.building == b).peekable();
+                    own.peek().is_some() && own.all(|a| st.is_failed(a.id))
+                })
+                .collect();
+            assert!(st.blocked_buildings().eq(scan.iter().copied()));
+            assert!(touched.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+        }
+        assert!(
+            st.blocked_buildings().count() > 0,
+            "some building went dark"
+        );
+    }
+
+    #[test]
+    fn with_failed_rejects_ids_outside_the_world() {
+        let (map, aps) = world(15);
+        let n = aps.len() as u32;
+        assert_eq!(
+            FaultState::with_failed(&aps, &map, &[0, n, n + 7], RetryPolicy::none()),
+            Err(ConfigError::OutOfRange {
+                field: "failed_aps",
+                value: f64::from(n),
+                min: 0.0,
+                max: f64::from(n - 1),
+            })
+        );
+        let mut stray = aps.clone();
+        stray[3].building = map.len() as u32 + 2;
+        assert_eq!(
+            FaultState::with_failed(&stray, &map, &[], RetryPolicy::none()),
+            Err(ConfigError::OutOfRange {
+                field: "aps.building",
+                value: f64::from(stray[3].building),
+                min: 0.0,
+                max: map.len() as f64 - 1.0,
+            })
+        );
+        // A repeated casualty is one casualty.
+        let st = FaultState::with_failed(&aps, &map, &[2, 2, 5], RetryPolicy::none()).unwrap();
+        assert_eq!(st.failed_count(), 2);
     }
 
     #[test]
     fn epoch_does_not_perturb_fingerprint() {
-        let (_map, aps) = world(14);
-        let mut st = FaultState::healthy(aps.len());
+        let (map, aps) = world(14);
+        let mut st = healthy(&aps, &map);
         let before = st.fingerprint();
-        st.advance_epoch();
+        st.apply_health(&[], &aps, &mut Vec::new());
+        assert_eq!(st.epoch(), 1);
         assert_eq!(
             st.fingerprint(),
             before,
@@ -909,9 +925,6 @@ mod tests {
         let a = FaultState::materialize(&FaultScenario::iid(0.1), &aps, &map, 3);
         let b = FaultState::materialize(&FaultScenario::iid(0.2), &aps, &map, 3);
         assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(
-            a.fingerprint(),
-            FaultState::healthy(aps.len()).fingerprint()
-        );
+        assert_ne!(a.fingerprint(), healthy(&aps, &map).fingerprint());
     }
 }

@@ -39,7 +39,19 @@
 //!   keypairs (`NodeId = SHA-256(pubkey)`), the amortized per-pair
 //!   session-key cache, and key rotation with churn-style session
 //!   invalidation.
-//! * [`pipeline`] — one-call experiment runs producing the numbers
+//!
+//! The experiment itself is four modules, split along the state each
+//! owns:
+//!
+//! * [`config`] — [`ExperimentConfig`] and its validation; a rejected
+//!   value is a [`ConfigError`] naming the field.
+//! * [`world`] — the prepared [`CityExperiment`]: map, placement, both
+//!   graphs, and the one owner of everything a world event mutates
+//!   (fault state, live postboxes, survivors; the deployment).
+//! * [`plan`] — the RNG-free half of a flow: [`PlannedFlow`],
+//!   [`PlanScratch`], the per-epoch retry-ladder memo.
+//! * [`flow`] — the stochastic half: the one flow body behind
+//!   [`FlowOpts`], `run_pair`, and `run`, which produces the numbers
 //!   behind every figure (reachability, deliverability, overhead,
 //!   header sizes).
 
@@ -51,15 +63,18 @@ pub mod apgraph;
 pub mod bridge;
 pub mod buildgraph;
 pub mod conduit;
+pub mod config;
 pub mod deploy;
 pub mod faults;
+pub mod flow;
 pub mod hier;
-pub mod pipeline;
 pub mod placement;
+pub mod plan;
 pub mod postbox;
 pub mod route;
 pub mod secure;
 pub mod sim;
+pub mod world;
 
 pub use agent::{ApAgent, RebroadcastScope};
 pub use apgraph::ApGraph;
@@ -77,11 +92,10 @@ pub use hier::{HierPlanScratch, HierPlanner};
 // bench) can configure the hierarchical planner and read planner
 // counters without a direct graph dependency.
 pub use citymesh_graph::{HierParams, HierStats, HopScratch, HopStats};
-pub use pipeline::{
-    CityExperiment, CityResult, ConfigError, DeploymentTransition, EpochTransition,
-    ExperimentConfig, PairOutcome, PlanScratch, PlannedFlow,
-};
+pub use config::{ConfigError, ExperimentConfig};
+pub use flow::{CityResult, FlowOpts, PairOutcome};
 pub use placement::{place_aps, postbox_ap, Ap};
+pub use plan::{PlanScratch, PlannedFlow};
 pub use postbox::{Postbox, PostboxError, StoredMessage};
 pub use route::{
     plan_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into, RouteError,
@@ -92,6 +106,7 @@ pub use sim::{
     simulate_delivery, simulate_delivery_faulted, simulate_delivery_into, ApRole, DeliveryParams,
     DeliveryReport, DeliveryScratch, DetourStats, OverheadOutcome,
 };
+pub use world::{CityExperiment, DeploymentTransition, EpochTransition};
 
 /// The paper's default Wi-Fi transmission range, meters (§4).
 pub const DEFAULT_RANGE_M: f64 = 50.0;

@@ -1,0 +1,484 @@
+//! Planning: the deterministic, RNG-free half of a flow.
+//!
+//! A [`PlannedFlow`] is a pure function of the prepared world
+//! ([`crate::world`]) and the endpoints — route, compressed waypoints,
+//! conduits, header size, source AP, ideal hops — so engines cache it by
+//! `(src, dst)`. The retry ladder's extra geometry (widened conduits,
+//! replanned detour) is memoized inside the plan per fault-state epoch,
+//! the first time a simulation ([`crate::flow`]) climbs that far.
+
+use std::sync::{Arc, RwLock};
+
+use citymesh_geo::OrientedRect;
+use citymesh_graph::{HopScratch, PlannerScratch};
+use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
+
+use crate::conduit::{compress_route_into, reconstruct_conduits_into};
+use crate::faults::FaultState;
+use crate::hier::{HierPlanScratch, HierPlanner};
+use crate::route::{plan_route_avoiding_into, plan_route_into, search_avoiding, Survivors};
+use crate::sim::{placeholder_header, DetourScratch};
+use crate::world::CityExperiment;
+
+/// The deterministic, RNG-free part of one src→dst flow: the planned
+/// route, its compressed waypoints, the header size, and the source
+/// AP. Planning is a pure function of the prepared world, so a
+/// `PlannedFlow` can be computed once and reused for every flow with
+/// the same endpoints — this is what the fleet engine's shared route
+/// cache stores.
+#[derive(Clone, Debug)]
+pub struct PlannedFlow {
+    /// Source building.
+    pub src: u32,
+    /// Destination building.
+    pub dst: u32,
+    /// Ground truth: are the buildings connected through the AP graph?
+    pub reachable: bool,
+    /// Number of buildings on the planned route (0 when none).
+    pub route_len: usize,
+    /// Compressed waypoint buildings (empty when no route).
+    pub waypoints: Vec<u32>,
+    /// The conduit rectangles reconstructed from `waypoints` at the
+    /// header's (decimeter-quantized) width — a pure function of
+    /// (waypoints, width), so computing them once here lets every
+    /// delivery simulation of this plan skip `reconstruct_conduits`,
+    /// and the fleet's route cache amortizes them across all flows
+    /// sharing the route. Empty when no route.
+    pub conduits: Vec<OrientedRect>,
+    /// Compressed source-route size in bits (0 when no route).
+    pub route_bits: usize,
+    /// The AP acting as the sender's uplink, when the source building
+    /// has one.
+    pub src_ap: Option<u32>,
+    /// Ideal-unicast hop count from `src_ap` (ground truth), when
+    /// reachable.
+    pub ideal_hops: Option<u64>,
+    /// The uncompressed primary route, kept only under a fault
+    /// scenario: the lazy replan rung must compare its detour against
+    /// the *route* (distinct routes can compress to identical
+    /// waypoints, and the Replan-vs-Resend rung label feeds the fleet
+    /// digest). Empty in the healthy world.
+    replan_route: Vec<u32>,
+    /// The designated site actually carrying the delivery when the
+    /// destination's own postbox is dark and a [`crate::Deployment`]
+    /// redirected the flow there (`None` otherwise — including always
+    /// when no deployment is active, so the field is digest-inert for
+    /// every pre-placement workload). `src`/`dst` keep the *requested*
+    /// endpoints: they are the route-cache key, and cache invalidation
+    /// reasons about them.
+    redirect: Option<u32>,
+    /// Retry-ladder geometry (widened conduits, replanned detour),
+    /// materialized lazily the first time a simulation climbs to rung
+    /// 3 — the healthy path, and every flow that delivers within two
+    /// attempts, never pays for the ladder. The cell is interior
+    /// mutability over a pure value *keyed by the fault-state epoch*:
+    /// the replan detour depends on the current blocked set, so under
+    /// world churn a plan kept across an epoch boundary transparently
+    /// recomputes its ladder geometry on first escalation in the new
+    /// epoch — making a cache-retained plan behaviorally identical to
+    /// a freshly planned one. Concurrent workers may race to install a
+    /// given epoch's variants, but every initializer computes the same
+    /// value, so whichever wins is indistinguishable.
+    recovery: RecoveryCell,
+}
+
+/// The epoch-keyed memo slot behind [`PlannedFlow::recovery`]: at most
+/// one `(epoch, variants)` pair, replaced whenever a simulation
+/// escalates under a newer fault-state epoch. Reads on the steady
+/// state path are a lock-free-enough `RwLock` read + `Arc` clone —
+/// both allocation-free, preserving the zero-alloc per-flow loop.
+#[derive(Debug, Default)]
+struct RecoveryCell(RwLock<Option<(u64, Arc<RecoveryVariants>)>>);
+
+impl RecoveryCell {
+    /// The memoized variants, if they were computed for `epoch`.
+    fn get(&self, epoch: u64) -> Option<Arc<RecoveryVariants>> {
+        match &*self.0.read().expect("recovery cell poisoned") {
+            Some((e, rec)) if *e == epoch => Some(Arc::clone(rec)),
+            _ => None,
+        }
+    }
+
+    /// Installs `rec` for `epoch` unless a racing worker already did;
+    /// returns whichever value ends up memoized (the values are equal
+    /// by construction — recovery geometry is a pure function of the
+    /// plan and the epoch's fault state).
+    fn set(&self, epoch: u64, rec: Arc<RecoveryVariants>) -> Arc<RecoveryVariants> {
+        let mut slot = self.0.write().expect("recovery cell poisoned");
+        match &*slot {
+            Some((e, cur)) if *e == epoch => Arc::clone(cur),
+            _ => {
+                *slot = Some((epoch, Arc::clone(&rec)));
+                rec
+            }
+        }
+    }
+
+    /// Drops the memo (plan reuse across `(src, dst)` reassignment).
+    fn clear(&self) {
+        *self.0.write().expect("recovery cell poisoned") = None;
+    }
+}
+
+impl Clone for RecoveryCell {
+    fn clone(&self) -> Self {
+        RecoveryCell(RwLock::new(
+            self.0.read().expect("recovery cell poisoned").clone(),
+        ))
+    }
+}
+
+/// The retry ladder's precomputable geometry; see
+/// [`PlannedFlow::recovery`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RecoveryVariants {
+    /// Width of the widened-conduit retry variant, meters (0 when the
+    /// scenario's ladder never widens).
+    pub(crate) wide_width_m: f64,
+    /// Conduits of the widened variant: same waypoints, fatter
+    /// rectangles, clamped to the header-encodable maximum.
+    pub(crate) wide_conduits: Vec<OrientedRect>,
+    /// Waypoints of the replanned detour around buildings with zero
+    /// live APs (empty when the ladder never replans, the map is
+    /// fresh, or no distinct detour exists).
+    pub(crate) fallback_waypoints: Vec<u32>,
+    /// Conduits of the replanned detour.
+    pub(crate) fallback_conduits: Vec<OrientedRect>,
+}
+
+impl PlannedFlow {
+    /// An empty, route-less plan for `src → dst` — the state
+    /// [`CityExperiment::plan_flow_into`] starts from, and a buffer
+    /// donor whose vectors it reuses.
+    pub fn empty(src: u32, dst: u32) -> Self {
+        PlannedFlow {
+            src,
+            dst,
+            reachable: false,
+            route_len: 0,
+            waypoints: Vec::new(),
+            conduits: Vec::new(),
+            route_bits: 0,
+            src_ap: None,
+            ideal_hops: None,
+            replan_route: Vec::new(),
+            redirect: None,
+            recovery: RecoveryCell::default(),
+        }
+    }
+
+    /// Clears every field back to [`PlannedFlow::empty`] semantics
+    /// while keeping the vector capacities for reuse.
+    fn reset(&mut self, src: u32, dst: u32) {
+        self.src = src;
+        self.dst = dst;
+        self.reachable = false;
+        self.route_len = 0;
+        self.waypoints.clear();
+        self.conduits.clear();
+        self.route_bits = 0;
+        self.src_ap = None;
+        self.ideal_hops = None;
+        self.replan_route.clear();
+        self.redirect = None;
+        self.recovery.clear();
+    }
+
+    /// Whether planning produced a usable route.
+    pub fn route_found(&self) -> bool {
+        !self.waypoints.is_empty()
+    }
+
+    /// The uncompressed primary building route, kept only under a
+    /// fault scenario (empty in the healthy world, where nothing needs
+    /// it). The reactive-repair baseline walks this to locate the
+    /// first blocked building after a failure notification.
+    pub fn primary_route(&self) -> &[u32] {
+        &self.replan_route
+    }
+
+    /// The building the route actually ends at: the designated
+    /// fallback site when an active [`crate::Deployment`] redirected a
+    /// dark destination's mail there, otherwise `dst` itself.
+    pub fn delivery_dst(&self) -> u32 {
+        self.redirect.unwrap_or(self.dst)
+    }
+
+    /// The designated site this flow was redirected to, when the
+    /// destination's own postbox was dark under an active
+    /// [`crate::Deployment`].
+    pub fn redirect(&self) -> Option<u32> {
+        self.redirect
+    }
+}
+
+/// Reusable buffers for [`CityExperiment::plan_flow_into`]: the route
+/// search scratch over the building graph, the ideal-hops search
+/// scratch over the AP graph, the uncompressed-route buffer, and a
+/// header used to probe route bits without allocating a waypoint vector
+/// per plan. One scratch per worker; a warm scratch plans with zero
+/// heap allocations.
+#[derive(Clone, Debug)]
+pub struct PlanScratch {
+    search: PlannerScratch,
+    hops: HopScratch,
+    route: Vec<u32>,
+    header: CityMeshHeader,
+    /// Hierarchical-planner state, used only by
+    /// [`CityExperiment::plan_flow_hier_into`]. Defaults empty, so
+    /// flat-planning callers pay nothing for it.
+    hier: HierPlanScratch,
+}
+
+impl PlanScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        PlanScratch {
+            search: PlannerScratch::new(),
+            hops: HopScratch::new(),
+            route: Vec::new(),
+            hier: HierPlanScratch::new(),
+            header: placeholder_header(),
+        }
+    }
+
+    /// Cumulative hierarchical-planner counters accumulated by this
+    /// scratch — what the fleet engine folds into worker metrics.
+    /// All-zero unless [`CityExperiment::plan_flow_hier_into`] ran.
+    pub fn hier_stats(&self) -> citymesh_graph::HierStats {
+        self.hier.stats()
+    }
+
+    /// Cumulative ideal-hops search counters accumulated by this
+    /// scratch: one query per plan that found a route and a live source
+    /// AP, and the APs those searches settled.
+    pub fn hop_stats(&self) -> citymesh_graph::HopStats {
+        self.hops.stats
+    }
+}
+
+impl Default for PlanScratch {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl CityExperiment {
+    /// The RNG-free planning half of a flow: route, compression,
+    /// header size, source AP, and ideal-hops ground truth.
+    ///
+    /// Pure in the prepared world, so results are safely shareable
+    /// across threads and cacheable by `(src, dst)`.
+    /// Convenience wrapper over
+    /// [`CityExperiment::plan_flow_into`] that allocates one-shot
+    /// buffers; planner loops (and the fleet's cache-miss path) hold a
+    /// [`PlanScratch`] and call `plan_flow_into` directly.
+    pub fn plan_flow(&self, src: u32, dst: u32) -> PlannedFlow {
+        let mut scratch = PlanScratch::new();
+        let mut plan = PlannedFlow::empty(src, dst);
+        self.plan_flow_into(src, dst, &mut scratch, &mut plan);
+        plan
+    }
+
+    /// The RNG-free planning half of a flow against caller-owned
+    /// buffers: resets `plan` and fills it in place, reusing both its
+    /// vectors and `scratch`'s search state, so a warm caller plans
+    /// with **zero heap allocations** (asserted by the counting
+    /// allocator in `crates/fleet/tests/zero_alloc.rs`). Produces
+    /// exactly the plan [`CityExperiment::plan_flow`] returns — the
+    /// allocating entry point is a wrapper over this kernel.
+    pub fn plan_flow_into(
+        &self,
+        src: u32,
+        dst: u32,
+        scratch: &mut PlanScratch,
+        plan: &mut PlannedFlow,
+    ) {
+        self.plan_into(src, dst, None, scratch, plan);
+    }
+
+    /// Hierarchical counterpart of [`CityExperiment::plan_flow_into`]:
+    /// identical plan semantics, but the route comes from the district
+    /// overlay (sublinear in city size) instead of the flat ALT/A*
+    /// search. Because hierarchical routes are cost-optimal with the
+    /// same canonical tie-break, downstream state — compression,
+    /// conduits, header bits — is computed by exactly the same code.
+    ///
+    /// Route-cache keys are unaffected: plans remain keyed by
+    /// `(src, dst)` and the planner choice is engine configuration.
+    ///
+    /// # Panics
+    /// Panics when [`CityExperiment::enable_hier`] has not run.
+    pub fn plan_flow_hier_into(
+        &self,
+        src: u32,
+        dst: u32,
+        scratch: &mut PlanScratch,
+        plan: &mut PlannedFlow,
+    ) {
+        let planner = self
+            .hier_planner()
+            .expect("plan_flow_hier_into requires CityExperiment::enable_hier");
+        self.plan_into(src, dst, Some(planner), scratch, plan);
+    }
+
+    /// The body both planners share; only the router call differs
+    /// (`hier: None` is the flat ALT/A* search).
+    fn plan_into(
+        &self,
+        src: u32,
+        dst: u32,
+        hier: Option<&HierPlanner>,
+        scratch: &mut PlanScratch,
+        plan: &mut PlannedFlow,
+    ) {
+        plan.reset(src, dst);
+        // Mail for a dark destination is carried to its nearest
+        // designated site when a deployment is active; `target == dst`
+        // always when none is (the pre-placement fast path).
+        let target = self.delivery_target(dst);
+        plan.redirect = (target != dst).then_some(target);
+        plan.reachable = self.reachable(src, target);
+        let faults = self.fault_state();
+        // Plan over the map the sender believes in: the cached
+        // pre-disaster graph when the map is stale (the paper's
+        // static-map assumption under stress), the surviving graph —
+        // dark buildings avoided — when it is fresh.
+        let fresh = faults.is_some_and(|f| !f.stale_map());
+        let survivors = self.survivors().filter(|_| fresh);
+        let (bg, route) = (self.building_graph(), &mut scratch.route);
+        let routed = match (hier, survivors) {
+            (None, None) => plan_route_into(bg, src, target, &mut scratch.search, route).is_ok(),
+            (None, Some(s)) => {
+                plan_route_avoiding_into(bg, src, target, s, &mut scratch.search, route).is_ok()
+            }
+            (Some(h), None) => h
+                .plan_route_into(bg, src, target, &mut scratch.hier, route)
+                .is_ok(),
+            (Some(h), Some(s)) => h
+                .plan_route_avoiding_into(bg, src, target, s, &mut scratch.hier, route)
+                .is_ok(),
+        };
+        if !routed {
+            return;
+        }
+        // The planner-independent tail: compression, header probing,
+        // source-AP lookup, ideal hops, conduit reconstruction.
+        plan.route_len = scratch.route.len();
+        let width = self.config().conduit_width_m;
+        compress_route_into(bg, &scratch.route, width, &mut plan.waypoints)
+            .expect("config width validated at prepare time; route is non-empty");
+        // Header size depends only on the waypoints and width; probe it
+        // with a placeholder message id (route bits exclude the id).
+        scratch.header.reuse_for(0, width, &plan.waypoints);
+        plan.route_bits = scratch.header.route_bits();
+        // The sender's uplink is the source's postbox AP in the world
+        // in effect; `None` when the source building is dark (the flow
+        // then fails cleanly, unsimulated).
+        plan.src_ap = self.postbox_for(src);
+        if let Some(src_ap) = plan.src_ap {
+            plan.ideal_hops =
+                self.ap_graph()
+                    .ideal_hops_to_building_with(src_ap, target, &mut scratch.hops);
+        }
+        // Conduits are what every relaying AP reconstructs from the
+        // header; using the header's round-tripped width keeps them
+        // bit-identical to a relay-side reconstruction.
+        reconstruct_conduits_into(
+            self.map(),
+            &plan.waypoints,
+            scratch.header.conduit_width_m(),
+            &mut plan.conduits,
+        );
+        // Keep the uncompressed route for the lazy replan rung's
+        // detour comparison; the ladder geometry itself is deferred
+        // until a simulation actually climbs that far.
+        if faults.is_some() {
+            plan.replan_route.extend_from_slice(&scratch.route);
+        }
+    }
+
+    /// Materializes the retry ladder's geometry for `plan`, computing
+    /// it at most once per plan *per fault-state epoch* (the result is
+    /// memoized in the plan's [`RecoveryCell`], keyed by
+    /// [`FaultState::epoch`]). Called lazily from the simulation loop
+    /// the first time a flow escalates to rung 3, so plans that
+    /// deliver within two attempts — and the entire healthy world —
+    /// never pay for widened conduits or a replanned detour. Under
+    /// churn, a plan kept in the route cache across an epoch boundary
+    /// recomputes here on its first post-event escalation, because the
+    /// replan detour depends on the *current* blocked set — this is
+    /// what makes incremental cache invalidation digest-equal to a
+    /// full flush.
+    pub(crate) fn recovery_variants(
+        &self,
+        plan: &PlannedFlow,
+        (faults, survivors): (&FaultState, &Survivors),
+        detour: &mut DetourScratch,
+    ) -> Arc<RecoveryVariants> {
+        let epoch = faults.epoch();
+        if let Some(rec) = plan.recovery.get(epoch) {
+            return rec;
+        }
+        let rec = Arc::new(self.compute_recovery(plan, faults, survivors, detour));
+        plan.recovery.set(epoch, rec)
+    }
+
+    /// The pure computation behind [`CityExperiment::recovery_variants`]:
+    /// widen-rung conduits and the replan-rung detour for `plan` under
+    /// the current fault state. Everything transient lives in `d`; the
+    /// only allocations are the vectors the memo keeps, each made at
+    /// its final size.
+    fn compute_recovery(
+        &self,
+        plan: &PlannedFlow,
+        faults: &FaultState,
+        survivors: &Survivors,
+        d: &mut DetourScratch,
+    ) -> RecoveryVariants {
+        d.stats.materialized += 1;
+        let mut rec = RecoveryVariants::default();
+        let policy = faults.retry();
+        let (bg, width) = (self.building_graph(), self.config().conduit_width_m);
+        let conduits_at = |waypoints: &[u32], width_m: f64| {
+            let mut out = Vec::with_capacity(waypoints.len().saturating_sub(1).max(1));
+            reconstruct_conduits_into(self.map(), waypoints, width_m, &mut out);
+            out
+        };
+        // Widen rung: same waypoints, fatter conduits, clamped to
+        // the header-encodable width.
+        if policy.max_attempts >= 3 && policy.widen_factor > 1.0 {
+            let w = (width * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
+            d.header.reuse_for(0, w, &plan.waypoints);
+            rec.wide_width_m = d.header.conduit_width_m();
+            rec.wide_conduits = conduits_at(&plan.waypoints, rec.wide_width_m);
+        }
+        // Replan rung: detour around buildings with zero live APs.
+        // Only meaningful when the primary plan was drawn on a
+        // stale map and a genuinely different detour survives. The
+        // comparison runs against the *uncompressed* primary route
+        // the plan kept for exactly this purpose.
+        if policy.max_attempts >= 4 && faults.stale_map() && !survivors.blocked().is_empty() {
+            let (src, dst) = (plan.src, plan.delivery_dst());
+            // A destination walled in by dark buildings is the common
+            // failure here, and a search only learns it by exhausting
+            // the source's whole surviving island.
+            if !survivors.connects(bg, src, dst) {
+                d.stats.rejected_by_labels += 1;
+                return rec;
+            }
+            d.stats.searches += 1;
+            let found = search_avoiding(bg, src, dst, survivors, &mut d.search, &mut d.route);
+            if found.is_err() || d.route == plan.replan_route {
+                return rec;
+            }
+            if compress_route_into(bg, &d.route, width, &mut d.waypoints).is_err() {
+                return rec;
+            }
+            d.header.reuse_for(0, width, &d.waypoints);
+            rec.fallback_conduits = conduits_at(&d.waypoints, d.header.conduit_width_m());
+            rec.fallback_waypoints = d.waypoints.clone();
+        }
+        rec
+    }
+}

@@ -14,7 +14,7 @@
 //! costs are untied, which is the generic case on surveyed
 //! coordinates) while expanding only the corridor toward the target.
 
-use citymesh_graph::{astar_path_filtered_into, PlannerScratch};
+use citymesh_graph::{astar_path_filtered_into, label_components, PlannerScratch};
 
 use crate::buildgraph::BuildingGraph;
 
@@ -47,19 +47,21 @@ impl std::fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Label of a blocked building in [`Survivors`]: it belongs to no
-/// surviving component.
+/// surviving component ([`label_components`]' mark for a vertex it was
+/// told to leave out).
 const NO_LABEL: u32 = u32::MAX;
 
-/// What a detour search consults about the dark buildings: a dense
-/// blocked mask (one load per relaxation) and the connected-component
-/// labels of the building graph restricted to the buildings that are
-/// not blocked, so that "no surviving route" is decided before any
-/// search runs ([`Survivors::connects`]). Derived state: built from a
-/// blocked set in one O(V + E) pass and relabelled only when a
-/// building's membership flips.
+/// What a detour search consults about the dark buildings: the
+/// connected-component labels of the building graph restricted to the
+/// buildings that are not blocked — `u32::MAX` marks a blocked one,
+/// so the labels double as the mask a search filters by (one load per
+/// relaxation) — and the blocked buildings as a list. "No surviving
+/// route" is decided from the labels before any search runs
+/// ([`Survivors::connects`]). Derived state: built from a blocked set
+/// in one O(V + E) pass and relabelled only when a building's
+/// membership flips.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Survivors {
-    blocked: Vec<bool>,
     /// The blocked buildings, ascending.
     dark: Vec<u32>,
     /// Component of each unblocked building among the unblocked ones;
@@ -68,20 +70,17 @@ pub struct Survivors {
 }
 
 impl Survivors {
-    /// Masks and labels `bg` with every building of `blocked` dark.
-    /// Ids outside the graph are ignored.
+    /// Labels `bg` with every building of `blocked` dark. Ids outside
+    /// the graph are ignored.
     pub fn new(bg: &BuildingGraph, blocked: impl IntoIterator<Item = u32>) -> Self {
+        let mut dark: Vec<u32> = blocked.into_iter().collect();
+        dark.retain(|&b| (b as usize) < bg.len());
+        dark.sort_unstable();
+        dark.dedup();
         let mut s = Survivors {
-            blocked: vec![false; bg.len()],
-            dark: Vec::new(),
+            dark,
             label: Vec::new(),
         };
-        for b in blocked {
-            if let Some(slot) = s.blocked.get_mut(b as usize) {
-                *slot = true;
-            }
-        }
-        s.dark = (0..bg.len() as u32).filter(|&b| s.is_blocked(b)).collect();
         s.relabel(bg);
         s
     }
@@ -89,7 +88,7 @@ impl Survivors {
     /// Whether building `b` is dark.
     #[inline]
     pub fn is_blocked(&self, b: u32) -> bool {
-        self.blocked[b as usize]
+        self.label[b as usize] == NO_LABEL
     }
 
     /// The dark buildings, ascending.
@@ -107,17 +106,14 @@ impl Survivors {
     ) -> bool {
         let mut flipped = false;
         for (b, now) in changes {
-            if std::mem::replace(&mut self.blocked[b as usize], now) == now {
-                continue;
-            }
-            flipped = true;
             match (self.dark.binary_search(&b), now) {
                 (Err(at), true) => self.dark.insert(at, b),
                 (Ok(at), false) => {
                     self.dark.remove(at);
                 }
-                _ => unreachable!("mask and list hold the same set"),
+                _ => continue,
             }
+            flipped = true;
         }
         if flipped {
             self.relabel(bg);
@@ -129,27 +125,14 @@ impl Survivors {
     /// numbered in order of their smallest member.
     fn relabel(&mut self, bg: &BuildingGraph) {
         let g = bg.graph();
-        self.label.clear();
-        self.label.resize(self.blocked.len(), NO_LABEL);
-        let mut next = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..self.blocked.len() {
-            if self.blocked[start] || self.label[start] != NO_LABEL {
-                continue;
-            }
-            self.label[start] = next;
-            stack.push(start as u32);
-            while let Some(u) = stack.pop() {
-                for e in g.neighbors(u) {
-                    let v = e.to as usize;
-                    if !self.blocked[v] && self.label[v] == NO_LABEL {
-                        self.label[v] = next;
-                        stack.push(e.to);
-                    }
-                }
-            }
-            next += 1;
-        }
+        let mut blocked = vec![false; bg.len()];
+        self.dark.iter().for_each(|&b| blocked[b as usize] = true);
+        label_components(
+            bg.len(),
+            |b| !blocked[b as usize],
+            |u| g.neighbors(u).iter().map(|e| e.to),
+            &mut self.label,
+        );
     }
 
     /// Whether a route `src → dst` exists whose interior avoids every

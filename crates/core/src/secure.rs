@@ -163,9 +163,9 @@ impl SessionCache {
 /// Everything the encrypted flow mode needs, installed once per
 /// experiment by
 /// [`CityExperiment::enable_encryption`](crate::CityExperiment::enable_encryption)
-/// and shared across clones behind an `Arc` — the stream engine's
-/// degraded-twin experiment seals with the same registry and warms the
-/// same cache as its primary.
+/// and shared across clones behind an `Arc` — an engine's private
+/// world (the churn engine mutates a clone) seals with the same
+/// registry and warms the same cache as the caller's.
 pub struct SecureState {
     seed: u64,
     /// Per-building keypair at its current rotation epoch, plus the

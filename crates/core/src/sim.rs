@@ -32,8 +32,8 @@ use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 use crate::agent::{ApAgent, RebroadcastScope};
 use crate::apgraph::ApGraph;
 use crate::conduit::reconstruct_conduits;
+use crate::config::{require_probability, ConfigError};
 use crate::faults::{combined_loss, FaultState};
-use crate::pipeline::{require_probability, ConfigError};
 
 /// Simulation knobs.
 #[derive(Clone, Copy, Debug)]

@@ -3,35 +3,61 @@
 //! `ApGraph::ideal_hops_to_building_with` answers "fewest hops from
 //! this AP to any AP of that building" with a landmark-guided search
 //! over the audience rows (`citymesh_graph::HopLandmarks`). The
-//! reference is the flood it replaced: [`bfs_distance_to`] over the
-//! AP graph's `CsrGraph`, which shares neither the adjacency rows, the
-//! landmark table nor the queue with the kernel. The two must agree on
-//! every query — the answer is the denominator of the paper's §4
-//! overhead metric and is mixed into every planner digest.
+//! reference is the flood it replaced: [`bfs_distance_to`] over a
+//! unit-disk [`Graph`] this file builds itself from the AP positions
+//! and the range ([`unit_disk`]), which shares neither the grid index,
+//! the adjacency rows, the landmark table nor the queue with the
+//! kernel. The two must agree on every query — the answer is the
+//! denominator of the paper's §4 overhead metric and is mixed into
+//! every planner digest.
 
 use citymesh_core::{place_aps, ApGraph, CityExperiment, ExperimentConfig, PlanScratch};
 use citymesh_core::{PlannedFlow, DEFAULT_RANGE_M};
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_graph::{
-    bfs_distance_to, connected_components, HopScratch, PlannerScratch, HOP_LANDMARKS,
+    bfs_distance_to, connected_components, Graph, HopScratch, PlannerScratch, HOP_LANDMARKS,
 };
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_simcore::SimRng;
 use proptest::prelude::*;
 
-/// The flood: hops from `src` to the first AP of `building` a BFS
-/// touches, and how many APs it stamped on the way (`found` is probed
-/// exactly once per stamped vertex).
+/// The AP graph's definition, taken literally: an edge between every
+/// two APs at most `range_m` apart, found by a sweep over the APs in
+/// `x` order.
+fn unit_disk(apg: &ApGraph) -> Graph {
+    let (n, r) = (apg.len() as u32, apg.range_m());
+    let mut by_x: Vec<u32> = (0..n).collect();
+    by_x.sort_by(|&a, &b| apg.position(a).x.total_cmp(&apg.position(b).x));
+    let mut links = Graph::new(n as usize);
+    for (i, &a) in by_x.iter().enumerate() {
+        let pa = apg.position(a);
+        for &b in &by_x[i + 1..] {
+            let pb = apg.position(b);
+            if pb.x - pa.x > r {
+                break;
+            }
+            if pa.dist2(pb) <= r * r {
+                links.add_edge(a, b, 1.0);
+            }
+        }
+    }
+    links
+}
+
+/// The flood: hops from `src` to the first AP of `building` a BFS over
+/// `links` touches, and how many APs it stamped on the way (`found` is
+/// probed exactly once per stamped vertex).
 fn reference(
     apg: &ApGraph,
+    links: &Graph,
     src: u32,
     building: u32,
     scratch: &mut PlannerScratch,
 ) -> (Option<u64>, u64) {
     let mut stamped = 0;
     let hops = bfs_distance_to(
-        apg.graph(),
+        links,
         src,
         |ap| {
             stamped += 1;
@@ -46,12 +72,13 @@ fn reference(
 /// `scratch` and through a fresh one.
 fn assert_agrees(
     apg: &ApGraph,
+    links: &Graph,
     src: u32,
     building: u32,
     scratch: &mut HopScratch,
     flood: &mut PlannerScratch,
 ) {
-    let (want, _) = reference(apg, src, building, flood);
+    let (want, _) = reference(apg, links, src, building, flood);
     assert_eq!(
         apg.ideal_hops_to_building_with(src, building, scratch),
         want,
@@ -68,6 +95,7 @@ fn assert_agrees(
 /// `samples` random building ids, the id one past the map among them
 /// (no APs: `None`).
 fn check_city(map: &CityMap, apg: &ApGraph, samples: usize, rng: &mut SimRng) {
+    let links = unit_disk(apg);
     let mut scratch = HopScratch::new();
     let mut flood = PlannerScratch::new();
     let buildings = map.len() as u64;
@@ -79,7 +107,7 @@ fn check_city(map: &CityMap, apg: &ApGraph, samples: usize, rng: &mut SimRng) {
         );
         for _ in 0..samples {
             let building = rng.below(buildings + 1) as u32;
-            assert_agrees(apg, src, building, &mut scratch, &mut flood);
+            assert_agrees(apg, &links, src, building, &mut scratch, &mut flood);
         }
     }
 }
@@ -153,7 +181,7 @@ fn kernel_equals_flood_across_a_river() {
         let mut rng = SimRng::new(seed ^ 0xA9);
         let aps = place_aps(&map, 200.0, &mut rng);
         let apg = ApGraph::build(&aps, DEFAULT_RANGE_M);
-        let (labels, islands) = connected_components(apg.graph());
+        let (labels, islands) = connected_components(&unit_disk(&apg));
         let mut sizes = vec![0; islands];
         labels.iter().for_each(|&l| sizes[l as usize] += 1);
         let earns = |&size: &usize| size * HOP_LANDMARKS >= apg.len();
@@ -188,13 +216,14 @@ fn kernel_settles_a_fraction_of_what_the_flood_stamps() {
     let mut rng = SimRng::new(7);
     let aps = place_aps(&map, 200.0, &mut rng);
     let apg = ApGraph::build(&aps, DEFAULT_RANGE_M);
+    let links = unit_disk(&apg);
     let mut scratch = HopScratch::new();
     let mut flood = PlannerScratch::new();
     let mut stamped = 0;
     for _ in 0..200 {
         let src = rng.below(apg.len() as u64) as u32;
         let building = rng.below(map.len() as u64) as u32;
-        let (want, n) = reference(&apg, src, building, &mut flood);
+        let (want, n) = reference(&apg, &links, src, building, &mut flood);
         stamped += n;
         assert_eq!(
             apg.ideal_hops_to_building_with(src, building, &mut scratch),
@@ -229,6 +258,7 @@ fn metro_benchmark_pairs_equal_the_flood() {
             seed: 1,
         },
     );
+    let links = unit_disk(exp.ap_graph());
     let mut scratch = PlanScratch::new();
     let mut flood = PlannerScratch::new();
     let mut plan = PlannedFlow::empty(0, 0);
@@ -236,7 +266,7 @@ fn metro_benchmark_pairs_equal_the_flood() {
     for f in &flows {
         exp.plan_flow_into(f.src, f.dst, &mut scratch, &mut plan);
         let Some(src_ap) = plan.src_ap else { continue };
-        let (want, _) = reference(exp.ap_graph(), src_ap, f.dst, &mut flood);
+        let (want, _) = reference(exp.ap_graph(), &links, src_ap, f.dst, &mut flood);
         assert_eq!(
             plan.ideal_hops, want,
             "flow {}: {} -> {}",

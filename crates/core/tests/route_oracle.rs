@@ -538,12 +538,12 @@ fn reference_ladder(
         outcome.attempts += 1;
         if outcome.attempts >= 3 && detour.is_none() {
             let (src, dst) = (plan.src, plan.delivery_dst());
-            let blocked = faults.blocked_buildings();
+            let blocked: HashSet<u32> = faults.blocked_buildings().collect();
             detour = Some(plan_route_avoiding(
                 world.building_graph(),
                 src,
                 dst,
-                blocked,
+                &blocked,
             ));
         }
         let resend = (RecoveryStage::Resend, width, plan.waypoints.clone());

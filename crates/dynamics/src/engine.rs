@@ -291,18 +291,15 @@ impl Barrier {
 /// each epoch's result with the barrier that closed it (`None` for the
 /// final epoch).
 ///
-/// `world` is cloned only when an event actually mutates it. `twin`,
-/// when given, mirrors every event (the stream engine's single-attempt
-/// world); `epoch` sees both. `flows` must be sorted by ascending id
-/// with nondecreasing `arrival_ms`.
+/// `world` is cloned only when an event actually mutates it. `flows`
+/// must be sorted by ascending id with nondecreasing `arrival_ms`.
 pub fn run_epochs<T>(
     flows: &[FlowSpec],
     timeline: &Timeline,
     invalidation: InvalidationPolicy,
     cache: &RouteCache,
     mut world: Cow<'_, CityExperiment>,
-    mut twin: Option<CityExperiment>,
-    mut epoch: impl FnMut(&CityExperiment, Option<&CityExperiment>, &[FlowSpec]) -> T,
+    mut epoch: impl FnMut(&CityExperiment, &[FlowSpec]) -> T,
 ) -> Vec<(T, Option<Barrier>)> {
     debug_assert!(
         flows.windows(2).all(|w| w[0].id < w[1].id),
@@ -321,12 +318,9 @@ pub fn run_epochs<T>(
             None => (rest, &rest[rest.len()..]),
         };
         rest = later;
-        let result = epoch(&world, twin.as_ref(), slice);
+        let result = epoch(&world, slice);
         let barrier = event.map(|ev| {
             let transition = world.to_mut().apply_world_event(&ev.changes);
-            if let Some(t) = twin.as_mut() {
-                t.apply_world_event(&ev.changes);
-            }
             let evicted = match invalidation {
                 InvalidationPolicy::FullFlush => cache.clear(),
                 InvalidationPolicy::Incremental => cache.evict_stale(
@@ -376,12 +370,12 @@ pub fn try_run_churn(
 ) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
     // The engine's private world; the sender population's reaction is
     // the fault state's retry policy (reactive does its own retrying).
-    let mut fs = require_stale_fault_state(exp)?.clone();
-    fs.set_retry(match strategy {
+    require_stale_fault_state(exp)?;
+    let mut world = exp.clone();
+    world.set_retry(match strategy {
         Strategy::StaticPlan | Strategy::ReactiveRepair => RetryPolicy::none(),
         Strategy::RetryLadder => RetryPolicy::ladder(),
     });
-    let world = exp.clone().with_fault_state(fs);
 
     let cache = RouteCache::new();
     let fleet_cfg = FleetConfig {
@@ -402,8 +396,7 @@ pub fn try_run_churn(
         cfg.invalidation,
         &cache,
         Cow::Owned(world),
-        None,
-        |world, _, slice| {
+        |world, slice| {
             let state = world
                 .fault_state()
                 .expect("world was prepared with a fault state");

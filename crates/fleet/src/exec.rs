@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use citymesh_core::{CityExperiment, DeliveryScratch, PairOutcome, PlanScratch, PlannedFlow};
+use citymesh_core::{
+    CityExperiment, DeliveryScratch, FlowOpts, PairOutcome, PlanScratch, PlannedFlow,
+};
 use citymesh_simcore::{substream_seed, SimRng};
 use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig};
 
@@ -176,31 +178,32 @@ impl<'a> FlowExecutor<'a> {
         outcome
     }
 
-    /// Simulates `plan` on `sim_world` — plain or sealed per the config.
-    /// `sim_world` is separate from the planning world because the
-    /// stream engine simulates retry-capped flows on a single-attempt
-    /// twin of the world it plans on.
+    /// Simulates `plan` on `world` — plain or sealed per the config —
+    /// with at most `max_attempts` sends (`None` leaves the fault
+    /// state's retry ladder uncapped; the stream engine's second
+    /// degradation rung passes `Some(1)`).
     pub fn simulate(
         &mut self,
-        sim_world: &CityExperiment,
+        world: &CityExperiment,
         plan: &PlannedFlow,
         flow: &FlowSpec,
         trace: bool,
+        max_attempts: Option<u32>,
     ) -> PairOutcome {
-        let encrypted = self.cfg.encrypted;
+        let opts = FlowOpts {
+            sealed: self.cfg.encrypted,
+            tamper: None,
+            max_attempts,
+        };
         self.deliver_with(flow, trace, |msg_id, rng, scratch| {
-            if encrypted {
-                sim_world.simulate_flow_secure_with(plan, msg_id, rng, scratch)
-            } else {
-                sim_world.simulate_flow_with(plan, msg_id, rng, scratch)
-            }
+            world.simulate_flow_opts(plan, msg_id, rng, scratch, opts)
         })
     }
 
-    /// Plan + simulate, traced, on one world: the common case.
+    /// Plan + simulate, traced, uncapped: the common case.
     pub fn run(&mut self, world: &CityExperiment, flow: &FlowSpec) -> PairOutcome {
         let plan = self.plan(world, flow);
-        self.simulate(world, &plan, flow, true)
+        self.simulate(world, &plan, flow, true, None)
     }
 
     /// The worker's metric set, for engines that count more than flow

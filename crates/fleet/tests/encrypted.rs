@@ -10,7 +10,8 @@
 use std::sync::OnceLock;
 
 use citymesh_core::{
-    CityExperiment, DeliveryScratch, ExperimentConfig, PlanScratch, PlannedFlow, TamperMode,
+    CityExperiment, DeliveryScratch, ExperimentConfig, FlowOpts, PlanScratch, PlannedFlow,
+    TamperMode,
 };
 use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
@@ -186,13 +187,12 @@ fn tampering_yields_auth_failure_never_delivery() {
 
         for mode in [TamperMode::Header, TamperMode::Ciphertext] {
             let mut rng = SimRng::new(substream_seed(37, DOMAIN_SIM, flow.id));
-            let bad = exp.simulate_flow_secure_tampered(
-                &plan,
-                msg_id,
-                &mut rng,
-                &mut scratch,
-                Some(mode),
-            );
+            let opts = FlowOpts {
+                sealed: true,
+                tamper: Some(mode),
+                ..FlowOpts::default()
+            };
+            let bad = exp.simulate_flow_opts(&plan, msg_id, &mut rng, &mut scratch, opts);
             assert!(bad.sealed);
             assert!(!bad.opened, "tampered messages must never open");
             if honest.delivered {

@@ -7,7 +7,7 @@ pub struct Edge {
     /// Target vertex.
     pub to: u32,
     /// Non-negative weight. For the building graph this is the *cubed*
-    /// centroid distance (paper §3 step 2); for the AP graph it is 1.
+    /// centroid distance (paper §3 step 2).
     pub weight: f64,
 }
 
@@ -96,15 +96,6 @@ impl Graph {
     #[inline]
     pub fn degree(&self, u: u32) -> usize {
         self.adj[u as usize].len()
-    }
-
-    /// Mean degree across all vertices (0 for an empty graph).
-    pub fn mean_degree(&self) -> f64 {
-        if self.adj.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.adj.iter().map(Vec::len).sum();
-        total as f64 / self.adj.len() as f64
     }
 
     /// Whether an edge/arc `u → v` exists.
@@ -209,15 +200,6 @@ impl CsrGraph {
         self.neighbors(u).len()
     }
 
-    /// Mean degree across all vertices (0 for an empty graph).
-    pub fn mean_degree(&self) -> f64 {
-        let n = self.num_vertices();
-        if n == 0 {
-            return 0.0;
-        }
-        self.edges.len() as f64 / n as f64
-    }
-
     /// Whether an edge/arc `u → v` exists.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.neighbors(u).iter().any(|e| e.to == v)
@@ -251,7 +233,6 @@ mod tests {
         let g = Graph::new(0);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.mean_degree(), 0.0);
     }
 
     #[test]
@@ -307,14 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_degree_counts_both_directions() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 3, 1.0);
-        assert_eq!(g.mean_degree(), 1.0);
-    }
-
-    #[test]
     fn csr_freeze_preserves_everything() {
         let mut g = Graph::new(5);
         g.add_edge(0, 1, 2.0);
@@ -324,7 +297,6 @@ mod tests {
         let c = CsrGraph::from_graph(&g);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());
-        assert_eq!(c.mean_degree(), g.mean_degree());
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(c.neighbors(v), g.neighbors(v), "vertex {v} order");
             assert_eq!(c.degree(v), g.degree(v));
@@ -339,7 +311,6 @@ mod tests {
         let c = CsrGraph::from_graph(&Graph::new(0));
         assert_eq!(c.num_vertices(), 0);
         assert_eq!(c.num_edges(), 0);
-        assert_eq!(c.mean_degree(), 0.0);
         let d = CsrGraph::default();
         assert_eq!(d.num_vertices(), 0);
     }

@@ -6,10 +6,11 @@
 //!   predicted inter-building AP connectivity, weighted by
 //!   *cubed* distance; routes are computed with [`dijkstra`];
 //! * the **AP graph** — vertices are access points, edges connect APs
-//!   within transmission range; reachability is answered with
-//!   [`connected_components`] / [`bfs`], and the *ideal unicast*
-//!   denominator of the paper's transmission-overhead metric is the
-//!   BFS hop count, answered without a flood by [`HopLandmarks`].
+//!   within transmission range, stored by its owner as plain neighbour
+//!   rows; reachability is answered with [`label_components`], and the
+//!   *ideal unicast* denominator of the paper's transmission-overhead
+//!   metric is the BFS hop count, answered without a flood by
+//!   [`HopLandmarks`] ([`bfs`] is the reference it is tested against).
 //!
 //! The [`Graph`] type is a compact adjacency-list structure with `u32`
 //! vertex ids, sized for the millions-of-nodes scale the paper targets.
@@ -37,6 +38,6 @@ pub use scratch::{
 };
 pub use search::{
     astar, bfs, bfs_path, connected_components, dijkstra, dijkstra_path, dijkstra_path_filtered,
-    largest_component, PathResult, INFINITY,
+    label_components, largest_component, PathResult, INFINITY,
 };
 pub use union_find::UnionFind;

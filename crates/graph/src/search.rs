@@ -273,27 +273,49 @@ pub fn astar<G: Adjacency + ?Sized>(
 /// The paper's *reachability* metric is "source and destination share
 /// a component of the AP graph" (§4).
 pub fn connected_components<G: Adjacency + ?Sized>(g: &G) -> (Vec<u32>, usize) {
-    let n = g.num_vertices();
-    let mut labels = vec![u32::MAX; n];
+    let mut labels = Vec::new();
+    let count = label_components(
+        g.num_vertices(),
+        |_| true,
+        |u| g.neighbors(u).iter().map(|e| e.to),
+        &mut labels,
+    );
+    (labels, count)
+}
+
+/// [`connected_components`] in neighbour-row form, for adjacency that
+/// is not an [`Adjacency`] (the AP graph's audience rows) or that must
+/// be read with some vertices removed (a city's dark buildings): labels
+/// the components of vertices `0..n` that `keep` admits, numbered by
+/// smallest member, into `labels` — `u32::MAX` for a vertex it rejects
+/// — and returns their count.
+pub fn label_components<I: IntoIterator<Item = u32>>(
+    n: usize,
+    keep: impl Fn(u32) -> bool,
+    neighbors: impl Fn(u32) -> I,
+    labels: &mut Vec<u32>,
+) -> usize {
+    labels.clear();
+    labels.resize(n, u32::MAX);
     let mut count = 0u32;
-    let mut queue = VecDeque::new();
+    let mut stack = Vec::new();
     for start in 0..n as u32 {
-        if labels[start as usize] != u32::MAX {
+        if labels[start as usize] != u32::MAX || !keep(start) {
             continue;
         }
         labels[start as usize] = count;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            for e in g.neighbors(u) {
-                if labels[e.to as usize] == u32::MAX {
-                    labels[e.to as usize] = count;
-                    queue.push_back(e.to);
+        stack.push(start);
+        while let Some(u) = stack.pop() {
+            for v in neighbors(u) {
+                if labels[v as usize] == u32::MAX && keep(v) {
+                    labels[v as usize] = count;
+                    stack.push(v);
                 }
             }
         }
         count += 1;
     }
-    (labels, count as usize)
+    count as usize
 }
 
 /// Returns `(component_label, size)` of the largest connected
@@ -433,6 +455,12 @@ mod tests {
         let (label, size) = largest_component(&g).unwrap();
         assert_eq!(size, 3);
         assert_eq!(label, labels[0]);
+        // Removing the middle vertex splits the chain; labels are
+        // numbered by smallest member and reuse the caller's vector.
+        let mut labels = vec![7; 2];
+        let rows = |u: u32| g.neighbors(u).iter().map(|e| e.to);
+        assert_eq!(label_components(6, |v| v != 1, rows, &mut labels), 4);
+        assert_eq!(labels, [0, u32::MAX, 1, 2, 2, 3]);
     }
 
     #[test]

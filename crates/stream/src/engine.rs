@@ -46,7 +46,7 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use citymesh_core::{CityExperiment, PairOutcome, RetryPolicy};
+use citymesh_core::{CityExperiment, PairOutcome};
 use citymesh_dynamics::{
     require_stale_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
 };
@@ -788,20 +788,6 @@ pub fn try_run_stream(
     }
     let started = Instant::now();
 
-    // Degradation rung 2's single-attempt twin: same map, same plans,
-    // same fault geometry, retry ladder capped to one attempt. Retry
-    // policy never reaches the planner, so the twin shares the route
-    // cache; it is only consulted at simulation time. Built once —
-    // not per flow — and only when a ladder exists to cap.
-    let degraded: Option<CityExperiment> = exp
-        .fault_state()
-        .filter(|fs| fs.retry().max_attempts > 1)
-        .map(|fs| {
-            let mut capped = fs.clone();
-            capped.set_retry(RetryPolicy::none());
-            exp.clone().with_fault_state(capped)
-        });
-
     let cache = RouteCache::new();
     let fleet_cfg = cfg.fleet();
     let mut queues: Vec<ServerQueue> = (0..cfg.servers).map(|_| ServerQueue::new(cfg)).collect();
@@ -816,11 +802,10 @@ pub fn try_run_stream(
         cfg.invalidation,
         &cache,
         Cow::Borrowed(exp),
-        degraded,
-        |world, degraded, slice| -> Vec<EpochYield> {
+        |world, slice| -> Vec<EpochYield> {
             run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
                 let exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
-                serve(exec, world, degraded, slice, cfg, i * chunk, qs)
+                serve(exec, world, slice, cfg, i * chunk, qs)
             })
         },
     );
@@ -932,7 +917,6 @@ pub fn try_run_stream(
 fn serve(
     mut exec: FlowExecutor<'_>,
     world: &CityExperiment,
-    degraded: Option<&CityExperiment>,
     slice: &[FlowSpec],
     cfg: &StreamConfig,
     base: usize,
@@ -978,18 +962,14 @@ fn serve(
                     shed_tracing,
                     cap_retries,
                 } => {
-                    // Plans always come from the primary world: retry
-                    // policy never reaches the planner, so the shared
-                    // cache stays coherent for both. Rung 2 simulates
-                    // on the single-attempt twin, rung 1 on the
-                    // executor's untraced scratch — same simulation,
-                    // no capture work.
+                    // Rung 2 stops the retry ladder after the first
+                    // send (the cap never reaches the planner, so the
+                    // shared cache serves capped and uncapped flows
+                    // alike); rung 1 runs on the executor's untraced
+                    // scratch — same simulation, no capture work.
                     let plan = exec.plan(world, flow);
-                    let sim_world = match (cap_retries, degraded) {
-                        (true, Some(d)) => d,
-                        _ => world,
-                    };
-                    let outcome = exec.simulate(sim_world, &plan, flow, !shed_tracing);
+                    let cap = cap_retries.then_some(1);
+                    let outcome = exec.simulate(world, &plan, flow, !shed_tracing, cap);
                     let service_ms = cfg.service.base_ms
                         + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
                     q.commit(start_ms, service_ms);

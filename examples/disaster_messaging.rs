@@ -46,7 +46,7 @@ fn main() {
         "the storm: {} APs down ({:.0}%), {} buildings fully dark\n",
         damage.failed_count(),
         100.0 * damage.failed_fraction(),
-        damage.blocked_buildings().len()
+        damage.blocked_buildings().count()
     );
 
     // A family spread across the city. Mom anchors the NW quarter;

@@ -31,7 +31,7 @@ fn targeted_experiment(
     );
     let failed = kill(&exp);
     let state = citymesh::core::FaultState::with_failed(exp.aps(), exp.map(), &failed, retry);
-    exp.with_fault_state(state)
+    exp.with_fault_state(state.expect("the casualties are this placement's own APs"))
 }
 
 fn aps_of_building(exp: &CityExperiment, building: u32) -> Vec<u32> {
