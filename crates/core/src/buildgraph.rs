@@ -7,7 +7,10 @@
 //! distance so route planning strongly prefers short hops, the ones
 //! most likely to have real AP coverage.
 
-use citymesh_geo::Point;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
+
+use citymesh_geo::{Point, Rect, EPS};
 use citymesh_graph::{
     connected_components, dijkstra, landmark_candidates, CsrGraph, FarthestPoint, Graph,
 };
@@ -18,6 +21,99 @@ use citymesh_map::CityMap;
 /// spot: the per-relaxation heuristic cost is eight loads and compares,
 /// while the corridor A* explores shrinks by an order of magnitude.
 const NUM_LANDMARKS: usize = 8;
+
+/// Requests a source answers by search before its shortest-path row is
+/// built: the row goes in on the 16th. Measured downtown (530
+/// buildings, two hosts): one A* is 10.1–10.6 µs, the full tree from
+/// one source 155–177 µs ≈ 15–17 searches, a row walk 0.08 µs. Renting
+/// until the rent paid equals the price is the ski-rental rule — never
+/// more than twice the best choice made with hindsight — so a 256-flow
+/// probe or a one-off pair buys no tree, and a source that serves 29
+/// flows a round (the stream benchmark) pays for its tree once and
+/// walks from then on.
+const ROW_AFTER_REQUESTS: u32 = 16;
+
+/// Ceiling on the parent table at full occupancy, bytes (2·n² for `u16`
+/// parents ⇒ n ≤ 2,048 buildings; downtown is 0.54 MiB). A map above it
+/// — the 2×2 metro's 5,574 buildings would need 59 MiB — gets no table
+/// and plans exactly as before; cities that size are what the
+/// hierarchical planner is for.
+const ROUTE_ROWS_MAX_BYTES: usize = 8 << 20;
+
+/// "No predecessor" in a parent row: the row's own source, or a
+/// building the source cannot reach.
+pub(crate) const NO_PARENT: u16 = u16::MAX;
+
+/// Lazily built per-source shortest-path rows over one building graph:
+/// `row(s)[v]` is the building before `v` on the canonical cheapest
+/// route `s → v`. The graph never changes after `build` — no world event
+/// touches predicted connectivity — so a row, once written, is right for
+/// as long as the graph lives, and every clone of the graph shares the
+/// one table. [`crate::route`] is the only reader: it decides what a
+/// row must be to go in here and what a query does with it.
+#[derive(Debug)]
+pub(crate) struct RouteRows {
+    /// Requests each source has answered by search, saturating just
+    /// past [`ROW_AFTER_REQUESTS`].
+    requests: Box<[AtomicU32]>,
+    rows: Box<[OnceLock<Box<[u16]>>]>,
+}
+
+impl RouteRows {
+    /// An empty table for `n` buildings, or `None` when full occupancy
+    /// would pass [`ROUTE_ROWS_MAX_BYTES`] (which also keeps every id
+    /// below [`NO_PARENT`]).
+    fn new(n: usize) -> Option<Arc<Self>> {
+        let full = n.checked_mul(n)?.checked_mul(std::mem::size_of::<u16>())?;
+        (full <= ROUTE_ROWS_MAX_BYTES).then(|| {
+            Arc::new(RouteRows {
+                requests: (0..n).map(|_| AtomicU32::new(0)).collect(),
+                rows: (0..n).map(|_| OnceLock::new()).collect(),
+            })
+        })
+    }
+
+    /// The row of `src`, when one has been installed.
+    #[inline]
+    pub(crate) fn row(&self, src: u32) -> Option<&[u16]> {
+        self.rows[src as usize].get().map(|row| &**row)
+    }
+
+    /// Counts one request `src` has no row for. `true` on exactly one
+    /// call per source — its [`ROW_AFTER_REQUESTS`]th — whichever
+    /// thread makes it: that caller builds the row.
+    pub(crate) fn due(&self, src: u32) -> bool {
+        // A statistic that publishes nothing (the row itself is
+        // published by its `OnceLock`), so `Relaxed`; read-modify-write
+        // on one location is still totally ordered, which is what makes
+        // the 16th unique.
+        let seen = &self.requests[src as usize];
+        seen.load(Relaxed) < ROW_AFTER_REQUESTS
+            && seen.fetch_add(1, Relaxed) + 1 == ROW_AFTER_REQUESTS
+    }
+
+    /// Installs the row of `src`.
+    ///
+    /// # Panics
+    /// Panics when `src` already has one: [`RouteRows::due`] picks one
+    /// builder per source.
+    pub(crate) fn install(&self, src: u32, row: Box<[u16]>) {
+        self.rows[src as usize]
+            .set(row)
+            .expect("one builder per source");
+    }
+
+    /// Rows installed so far.
+    fn built(&self) -> usize {
+        self.rows.iter().filter(|row| row.get().is_some()).count()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let n = self.rows.len();
+        n * (std::mem::size_of::<AtomicU32>() + std::mem::size_of::<OnceLock<Box<[u16]>>>())
+            + self.built() * n * std::mem::size_of::<u16>()
+    }
+}
 
 /// Parameters for building-graph construction.
 #[derive(Clone, Copy, Debug)]
@@ -67,15 +163,19 @@ pub struct BuildingGraph {
     lm_dist: Vec<f64>,
     /// Number of landmarks actually embedded (≤ [`NUM_LANDMARKS`]).
     lm_count: usize,
+    /// Per-source shortest-path rows, filled as sources earn them and
+    /// shared by every clone; `None` on a map too large to table.
+    route_rows: Option<Arc<RouteRows>>,
 }
 
 impl BuildingGraph {
     /// Builds the graph for `map`.
     ///
     /// Candidate pairs come from a spatial query (centroids within
-    /// `max_gap + 2 × max building radius`), then the exact footprint
-    /// gap decides. O(B · k) where k is the candidate count per
-    /// building.
+    /// `max_gap + 2 × max building radius`); a pair whose bounding boxes
+    /// are already further apart than `max_gap` is dropped, and the
+    /// exact footprint gap decides the rest. O(B · k) where k is the
+    /// candidate count per building.
     pub fn build(map: &CityMap, params: BuildingGraphParams) -> Self {
         assert!(params.max_gap_m >= 0.0, "max_gap_m must be non-negative");
         assert!(
@@ -88,13 +188,10 @@ impl BuildingGraph {
 
         // Conservative query radius: centroid distance can exceed the
         // footprint gap by both buildings' "radius" (bbox half-diagonal).
-        let max_radius = map
-            .buildings()
+        let bboxes: Vec<Rect> = map.buildings().iter().map(|b| b.footprint.bbox()).collect();
+        let max_radius = bboxes
             .iter()
-            .map(|b| {
-                let bb = b.footprint.bbox();
-                bb.width().hypot(bb.height()) / 2.0
-            })
+            .map(|bb| bb.width().hypot(bb.height()) / 2.0)
             .fold(0.0, f64::max);
         let query_r = params.max_gap_m + 2.0 * max_radius;
 
@@ -102,6 +199,16 @@ impl BuildingGraph {
             for other_id in map.buildings_within(b.centroid, query_r) {
                 // Each unordered pair once.
                 if other_id <= b.id {
+                    continue;
+                }
+                // The largest footprint in the map sets `query_r`, so
+                // most candidates of an ordinary building are far off.
+                // Two footprints are never closer than their boxes, so
+                // this drops no pair the exact test would link (`EPS`
+                // covers the two computations rounding differently).
+                if bbox_gap(&bboxes[b.id as usize], &bboxes[other_id as usize])
+                    > params.max_gap_m + EPS
+                {
                     continue;
                 }
                 let other = map.building(other_id).expect("index yields valid ids");
@@ -121,6 +228,7 @@ impl BuildingGraph {
             params,
             lm_dist,
             lm_count,
+            route_rows: RouteRows::new(n),
         }
     }
 
@@ -170,12 +278,27 @@ impl BuildingGraph {
         &self.graph
     }
 
-    /// Heap bytes held by the graph, centroids, and landmark tables —
-    /// the metro sweep's memory accounting.
+    /// The per-source shortest-path rows, on a map small enough to
+    /// have them. Read by [`crate::route`] and nothing else: one route
+    /// source per query.
+    pub(crate) fn route_rows(&self) -> Option<&RouteRows> {
+        self.route_rows.as_deref()
+    }
+
+    /// Shortest-path rows written so far (each `2 × len()` bytes), over
+    /// every clone of this graph.
+    pub fn route_rows_built(&self) -> usize {
+        self.route_rows.as_ref().map_or(0, |rows| rows.built())
+    }
+
+    /// Heap bytes held by the graph, centroids, landmark tables and the
+    /// shortest-path rows written so far — the metro sweep's memory
+    /// accounting.
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + self.centroids.capacity() * std::mem::size_of::<Point>()
             + self.lm_dist.capacity() * std::mem::size_of::<f64>()
+            + self.route_rows.as_ref().map_or(0, |r| r.memory_bytes())
     }
 
     /// Construction parameters.
@@ -208,6 +331,14 @@ impl BuildingGraph {
     pub fn components(&self) -> (Vec<u32>, usize) {
         connected_components(&self.graph)
     }
+}
+
+/// Distance between two axis-aligned boxes (zero when they overlap): a
+/// lower bound on the distance between anything inside them.
+fn bbox_gap(a: &Rect, b: &Rect) -> f64 {
+    let dx = (a.min.x - b.max.x).max(b.min.x - a.max.x).max(0.0);
+    let dy = (a.min.y - b.max.y).max(b.min.y - a.max.y).max(0.0);
+    dx.hypot(dy)
 }
 
 /// Selects up to [`NUM_LANDMARKS`] landmarks by [`FarthestPoint`]
@@ -364,6 +495,62 @@ mod tests {
             "downtown largest component covers {largest}/{}",
             map.len()
         );
+    }
+
+    #[test]
+    fn bounding_box_filter_drops_no_link_and_reorders_none() {
+        // The candidate loop without the filter: every candidate goes
+        // to the exact footprint test.
+        let map = citymesh_map::generate_metro(&citymesh_map::MetroParams::with_tiles(1, 1), 2024);
+        let params = BuildingGraphParams::default();
+        let bboxes: Vec<Rect> = map.buildings().iter().map(|b| b.footprint.bbox()).collect();
+        let radius = |bb: &Rect| bb.width().hypot(bb.height()) / 2.0;
+        let query_r = params.max_gap_m + 2.0 * bboxes.iter().map(radius).fold(0.0, f64::max);
+        let mut unfiltered = Graph::new(map.len());
+        let (mut exact_tests, mut kept) = (0, 0);
+        for b in map.buildings() {
+            for other_id in map.buildings_within(b.centroid, query_r) {
+                if other_id <= b.id {
+                    continue;
+                }
+                exact_tests += 1;
+                let box_gap = bbox_gap(&bboxes[b.id as usize], &bboxes[other_id as usize]);
+                kept += usize::from(box_gap <= params.max_gap_m + EPS);
+                let other = map.building(other_id).unwrap();
+                let gap = b.footprint.dist_to_polygon(&other.footprint);
+                assert!(box_gap <= gap + EPS, "a box gap bounds the footprint gap");
+                if gap <= params.max_gap_m {
+                    let d = b.centroid.dist(other.centroid).max(1.0);
+                    unfiltered.add_edge(b.id, other_id, d.powf(params.weight_exponent));
+                }
+            }
+        }
+        let bg = BuildingGraph::build(&map, params);
+        assert_eq!(bg.num_edges(), unfiltered.num_edges());
+        for v in 0..map.len() as u32 {
+            assert_eq!(bg.graph().neighbors(v), unfiltered.neighbors(v), "row {v}");
+        }
+        assert!(
+            kept < exact_tests * 3 / 4 && kept >= bg.num_edges(),
+            "{kept} of {exact_tests} candidates pass the boxes, {} link",
+            bg.num_edges()
+        );
+    }
+
+    #[test]
+    fn route_rows_exist_up_to_the_byte_ceiling_only() {
+        assert!(RouteRows::new(0).is_some() && RouteRows::new(2_048).is_some());
+        assert!(RouteRows::new(2_049).is_none() && RouteRows::new(usize::MAX).is_none());
+        // The sixteenth request is due, once; an installed row counts.
+        let rows = RouteRows::new(3).unwrap();
+        let due: Vec<bool> = (0..40).map(|_| rows.due(1)).collect();
+        assert_eq!(due.iter().position(|&d| d), Some(15));
+        assert_eq!(due.iter().filter(|&&d| d).count(), 1);
+        assert_eq!(rows.row(1), None);
+        let empty = rows.memory_bytes();
+        rows.install(1, vec![NO_PARENT, NO_PARENT, 1].into());
+        assert_eq!(rows.row(1), Some(&[NO_PARENT, NO_PARENT, 1][..]));
+        assert_eq!(rows.memory_bytes(), empty + 6);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub use plan::{PlanScratch, PlannedFlow};
 pub use postbox::{Postbox, PostboxError, StoredMessage};
 pub use route::{
     plan_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into, RouteError,
-    Survivors,
+    RouteStats, Survivors,
 };
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{

@@ -16,7 +16,9 @@ use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 use crate::conduit::{compress_route_into, reconstruct_conduits_into};
 use crate::faults::FaultState;
 use crate::hier::{HierPlanScratch, HierPlanner};
-use crate::route::{plan_route_avoiding_into, plan_route_into, search_avoiding, Survivors};
+use crate::route::{
+    plan_route_avoiding_into, plan_route_counted, search_avoiding, RouteStats, Survivors,
+};
 use crate::sim::{placeholder_header, DetourScratch};
 use crate::world::CityExperiment;
 
@@ -221,6 +223,7 @@ impl PlannedFlow {
 #[derive(Clone, Debug)]
 pub struct PlanScratch {
     search: PlannerScratch,
+    routes: RouteStats,
     hops: HopScratch,
     route: Vec<u32>,
     header: CityMeshHeader,
@@ -235,6 +238,7 @@ impl PlanScratch {
     pub fn new() -> Self {
         PlanScratch {
             search: PlannerScratch::new(),
+            routes: RouteStats::default(),
             hops: HopScratch::new(),
             route: Vec::new(),
             hier: HierPlanScratch::new(),
@@ -247,6 +251,15 @@ impl PlanScratch {
     /// All-zero unless [`CityExperiment::plan_flow_hier_into`] ran.
     pub fn hier_stats(&self) -> citymesh_graph::HierStats {
         self.hier.stats()
+    }
+
+    /// Cumulative flat-planner counters accumulated by this scratch:
+    /// healthy, stale-map plans answered from a source's shortest-path
+    /// row, answered by search, and the rows those plans built.
+    /// All-zero for a scratch that only planned hierarchically or on a
+    /// fresh map.
+    pub fn route_stats(&self) -> RouteStats {
+        self.routes
     }
 
     /// Cumulative ideal-hops search counters accumulated by this
@@ -348,7 +361,10 @@ impl CityExperiment {
         let survivors = self.survivors().filter(|_| fresh);
         let (bg, route) = (self.building_graph(), &mut scratch.route);
         let routed = match (hier, survivors) {
-            (None, None) => plan_route_into(bg, src, target, &mut scratch.search, route).is_ok(),
+            (None, None) => {
+                let (search, stats) = (&mut scratch.search, &mut scratch.routes);
+                plan_route_counted(bg, src, target, search, route, stats).is_ok()
+            }
             (None, Some(s)) => {
                 plan_route_avoiding_into(bg, src, target, s, &mut scratch.search, route).is_ok()
             }

@@ -13,10 +13,23 @@
 //! minimum-cost routes as plain Dijkstra (bit-identical whenever route
 //! costs are untied, which is the generic case on surveyed
 //! coordinates) while expanding only the corridor toward the target.
+//!
+//! On a map small enough to table (`BuildingGraph::route_rows`), a
+//! source that keeps being asked stops searching: on its sixteenth
+//! request [`plan_route_into`] runs the whole canonical Dijkstra tree
+//! from it once, keeps the parents as a row, and answers that source
+//! from then on by walking the row back from the destination. A row is
+//! kept only if its tree met no exact cost tie — then it holds the one
+//! cheapest route to every building, which is the route the search
+//! returns — so which of the two answered a query never shows in the
+//! answer (DESIGN.md §10, "Routes from rows"). This module is the only
+//! reader of the table: one route source per query.
 
-use citymesh_graph::{astar_path_filtered_into, label_components, PlannerScratch};
+use citymesh_graph::{
+    astar_path_filtered_into, dijkstra_tree_with, label_components, PlannerScratch,
+};
 
-use crate::buildgraph::BuildingGraph;
+use crate::buildgraph::{BuildingGraph, RouteRows, NO_PARENT};
 
 /// Route-planning failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,9 +241,10 @@ pub fn plan_route_avoiding(
 
 /// [`plan_route`] against caller-owned buffers: writes the route into
 /// `out` and reuses `scratch` for the search state, so a warm caller
-/// plans with zero heap allocations. Returns the same routes as
-/// [`plan_route`] — the allocating entry point is a wrapper over this
-/// kernel.
+/// plans with zero heap allocations — except on the one request per
+/// source that builds its row, which allocates the row (`2 × bg.len()`
+/// bytes, kept by the graph). Returns the same routes as [`plan_route`]
+/// — the allocating entry point is a wrapper over this kernel.
 ///
 /// # Errors
 /// Same contract as [`plan_route`]; `out` is left cleared on error.
@@ -241,9 +255,95 @@ pub fn plan_route_into(
     scratch: &mut PlannerScratch,
     out: &mut Vec<u32>,
 ) -> Result<(), RouteError> {
+    plan_route_counted(bg, src, dst, scratch, out, &mut RouteStats::default())
+}
+
+/// How the flat planner answered the queries one scratch made: by
+/// walking a source's row or by searching, and the rows those queries
+/// built on the way. Which of the two serves a query depends on how many
+/// requests the source had seen — on every worker — so the split is
+/// schedule-dependent; the routes are not.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteStats {
+    /// Rows this scratch's queries built and installed.
+    pub rows_built: u64,
+    /// Queries answered by a row walk.
+    pub from_rows: u64,
+    /// Queries answered by the A* search.
+    pub searches: u64,
+}
+
+/// [`plan_route_into`], counting into `stats` which way the query went.
+pub(crate) fn plan_route_counted(
+    bg: &BuildingGraph,
+    src: u32,
+    dst: u32,
+    scratch: &mut PlannerScratch,
+    out: &mut Vec<u32>,
+    stats: &mut RouteStats,
+) -> Result<(), RouteError> {
     out.clear();
     check_endpoints(bg, src, dst)?;
+    if let Some(rows) = bg.route_rows() {
+        let mut row = rows.row(src);
+        if row.is_none() && rows.due(src) {
+            row = build_row(bg, rows, src, scratch, stats);
+        }
+        if let Some(row) = row {
+            stats.from_rows += 1;
+            return walk_row(row, src, dst, out);
+        }
+    }
+    stats.searches += 1;
     search(bg, src, dst, |_| true, scratch, out)
+}
+
+/// Runs the full canonical tree from `src` on the caller's scratch,
+/// installs its parents as the source's row and returns it — unless the
+/// tree met an exact tie. Ties are the one case in which the A* under the ALT bound
+/// and Dijkstra may return different equal-cost routes (DESIGN.md §10);
+/// serving such a source from its row would make the answer depend on
+/// whether the query came before or after the sixteenth, so it stays
+/// search-only for good.
+fn build_row<'a>(
+    bg: &BuildingGraph,
+    rows: &'a RouteRows,
+    src: u32,
+    scratch: &mut PlannerScratch,
+    stats: &mut RouteStats,
+) -> Option<&'a [u16]> {
+    let mut row = vec![NO_PARENT; bg.len()].into_boxed_slice();
+    let tied = dijkstra_tree_with(bg.graph(), src, scratch, |v, parent| {
+        // The source's own `u32::MAX` is the only parent that does not
+        // fit: the table's ceiling keeps every id below `NO_PARENT`.
+        row[v as usize] = u16::try_from(parent).unwrap_or(NO_PARENT);
+    });
+    if tied {
+        return None;
+    }
+    stats.rows_built += 1;
+    rows.install(src, row);
+    rows.row(src)
+}
+
+/// Reads the route `src → dst` out of `src`'s row: parents from `dst`
+/// back to `src`, reversed. The forward tree sums each route's weights
+/// in the order the search does, so row and search agree on every `g`
+/// value bit for bit.
+fn walk_row(row: &[u16], src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), RouteError> {
+    let mut at = dst;
+    out.push(at);
+    while at != src {
+        let parent = row[at as usize];
+        if parent == NO_PARENT {
+            out.clear();
+            return Err(RouteError::NoPredictedPath { src, dst });
+        }
+        at = u32::from(parent);
+        out.push(at);
+    }
+    out.reverse();
+    Ok(())
 }
 
 /// The detour every production path plans: [`plan_route_avoiding`]'s
@@ -473,6 +573,78 @@ mod tests {
         assert!(!grown.update(&bg, [(center, true)]));
         assert!(grown.update(&bg, column.blocked().iter().map(|&b| (b, b == center))));
         assert_eq!(grown, one);
+    }
+
+    /// `plan_route_counted` on throwaway buffers: the route and what
+    /// the query added to the counters.
+    fn counted(
+        bg: &BuildingGraph,
+        src: u32,
+        dst: u32,
+    ) -> (Result<Vec<u32>, RouteError>, RouteStats) {
+        let (mut out, mut stats) = (Vec::new(), RouteStats::default());
+        let found = plan_route_counted(
+            bg,
+            src,
+            dst,
+            &mut PlannerScratch::new(),
+            &mut out,
+            &mut stats,
+        );
+        (found.map(|()| out), stats)
+    }
+
+    #[test]
+    fn a_source_rents_fifteen_searches_then_buys_its_row() {
+        // The river cuts the map into islands: some pairs have no route.
+        let map = citymesh_map::CityArchetype::SurveyRiver.generate(1);
+        let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+        let n = bg.len() as u32;
+        let searched = RouteStats {
+            searches: 1,
+            ..RouteStats::default()
+        };
+        let first_pass: Vec<_> = (0..n).map(|dst| counted(&bg, 7, dst)).collect();
+        assert!(first_pass.iter().take(15).all(|(_, s)| *s == searched));
+        assert!(
+            first_pass.iter().any(|(r, _)| r.is_err()),
+            "the river cuts pairs"
+        );
+        // Requests 1..=15 searched; the 16th built the row and walked
+        // it, and so does everything after — same answers, errors too.
+        let built = RouteStats {
+            rows_built: 1,
+            from_rows: 1,
+            searches: 0,
+        };
+        assert_eq!(first_pass[15].1, built);
+        assert_eq!(bg.route_rows_built(), 1);
+        let walked = RouteStats {
+            from_rows: 1,
+            ..RouteStats::default()
+        };
+        let clone = bg.clone();
+        for dst in 0..n {
+            let (route, stats) = counted(&clone, 7, dst);
+            assert_eq!(stats, walked, "a clone reads the same table");
+            let mut by_astar = Vec::new();
+            let found = search(
+                &bg,
+                7,
+                dst,
+                |_| true,
+                &mut PlannerScratch::new(),
+                &mut by_astar,
+            );
+            assert_eq!(route, found.map(|()| by_astar), "7 -> {dst}");
+            assert_eq!(route, first_pass[dst as usize].0);
+        }
+        // Other sources are where they were.
+        assert_eq!(counted(&bg, 8, 7).1, searched);
+        // Bad endpoints are refused before anything is counted.
+        let unknown = (Err(RouteError::UnknownBuilding(n)), RouteStats::default());
+        assert_eq!(counted(&bg, 7, n), unknown);
+        assert_eq!(counted(&bg, n, 7), unknown);
     }
 
     #[test]

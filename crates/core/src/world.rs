@@ -73,7 +73,9 @@ pub struct DeploymentTransition {
 
 /// The immutable half of a prepared city: fixed at preparation, read
 /// by everything, and what every fault-dependent table derives from.
-#[derive(Clone, Debug)]
+/// Nothing ever writes it, so a world holds it behind an `Arc` and a
+/// clone of the world shares it.
+#[derive(Debug)]
 struct Geometry {
     map: CityMap,
     aps: Vec<Ap>,
@@ -160,7 +162,10 @@ struct ActiveDeployment {
 /// A prepared city: placement + graphs, ready to run pairs.
 #[derive(Clone, Debug)]
 pub struct CityExperiment {
-    geo: Geometry,
+    /// Shared by every clone (an engine's private world): polygons,
+    /// both graphs, audience rows and the building graph's
+    /// shortest-path rows exist once however many worlds read them.
+    geo: Arc<Geometry>,
     config: ExperimentConfig,
     /// Per-building postbox AP (closest AP to the centroid), healthy
     /// world — [`crate::placement::postbox_ap`]'s answer precomputed
@@ -225,7 +230,7 @@ impl CityExperiment {
         );
         let apg = ApGraph::build(&aps, config.range_m);
         let bg = BuildingGraph::build(&map, config.graph);
-        let geo = Geometry { map, aps, apg, bg };
+        let geo = Arc::new(Geometry { map, aps, apg, bg });
         let postbox = postbox_table(&geo, None);
         let faults = config.faults.map(|sc| {
             let seed = split_seed(config.seed, DOMAIN_FAULTS);

@@ -21,6 +21,14 @@
 //! the `churn-ladder` benchmark's own world the counters then show the
 //! labels refusing every pathless detour, with the run's digest equal
 //! to a ladder that plans its detours with the reference.
+//!
+//! So is the flat planner's second route source. Once a source has been
+//! asked sixteen times [`plan_route_into`] answers it by walking a
+//! stored shortest-path row instead of searching; the walk must return
+//! the search's route vertex for vertex and its error for error, both
+//! must equal the reference tree's route wherever that tree is the only
+//! cheapest one, and a source with equal-cost routes to choose between
+//! must never get a row.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
@@ -40,7 +48,7 @@ use citymesh_fleet::{
     generate_flows, FleetReport, FlowModel, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
 };
 use citymesh_geo::{Point, Polygon, Rect};
-use citymesh_graph::PlannerScratch;
+use citymesh_graph::{astar_path_filtered_into, PlannerScratch};
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 use citymesh_simcore::{substream_seed, SimRng, SimTime};
@@ -76,6 +84,120 @@ fn oracle_cost(bg: &BuildingGraph, src: u32, dst: u32, blocked: &HashSet<u32>) -
         }
     }
     None
+}
+
+/// The reference tree: textbook Dijkstra from `src` over everything it
+/// reaches, strict improvements only. Returns each building's
+/// predecessor (`None` for `src` and the unreached) and whether the
+/// tree is one of several — some building has two predecessors that
+/// give it the same cost, summed as the planners sum it.
+fn oracle_tree(bg: &BuildingGraph, src: u32) -> (Vec<Option<u32>>, bool) {
+    let g = bg.graph();
+    let mut dist = vec![f64::INFINITY; bg.len()];
+    let mut parent = vec![None; bg.len()];
+    let mut done = vec![false; bg.len()];
+    let mut heap = BinaryHeap::new();
+    dist[src as usize] = 0.0;
+    heap.push(Reverse((0.0f64.to_bits(), src)));
+    while let Some(Reverse((_, u))) = heap.pop() {
+        if std::mem::replace(&mut done[u as usize], true) {
+            continue;
+        }
+        for e in g.neighbors(u) {
+            let nd = dist[u as usize] + e.weight;
+            if nd < dist[e.to as usize] {
+                dist[e.to as usize] = nd;
+                parent[e.to as usize] = Some(u);
+                heap.push(Reverse((nd.to_bits(), e.to)));
+            }
+        }
+    }
+    let optimal_predecessors = |v: u32| {
+        let into = g.neighbors(v).iter();
+        into.filter(|e| dist[e.to as usize] + e.weight == dist[v as usize])
+            .count()
+    };
+    let tied =
+        (0..bg.len() as u32).any(|v| dist[v as usize].is_finite() && optimal_predecessors(v) > 1);
+    (parent, tied)
+}
+
+/// What [`rows_equal_search_equal_reference`] saw of one city.
+#[derive(Debug, PartialEq, Eq)]
+struct RowSweep {
+    /// Ordered pairs with a route / without one.
+    routed: usize,
+    unroutable: usize,
+    /// Sources whose reference tree has an equal-cost alternative.
+    tied_sources: usize,
+}
+
+/// Every ordered pair of `bg`, three ways: the A* search called
+/// directly (the table bypassed — what `plan_route_into` was before it
+/// had rows), `plan_route_into` before and after every source has been
+/// asked the sixteen times that earn it a row, and the reference tree.
+/// The first two must agree on every pair, route for route and error for
+/// error; where the reference tree is the only cheapest one it must
+/// agree too, and where it is not, no row may exist for that source.
+fn rows_equal_search_equal_reference(bg: &BuildingGraph) -> RowSweep {
+    let n = bg.len() as u32;
+    let (mut scratch, mut route, mut searched) = (PlannerScratch::new(), Vec::new(), Vec::new());
+    let mut search = |src: u32, dst: u32, out: &mut Vec<u32>| {
+        let h = |v: u32| bg.cost_lower_bound(v, dst);
+        let found = astar_path_filtered_into(bg.graph(), src, dst, h, |_| true, &mut scratch, out);
+        found
+            .then_some(())
+            .ok_or(RouteError::NoPredictedPath { src, dst })
+    };
+    let mut planner = PlannerScratch::new();
+    // Cold: fifteen rented searches per source and the request that
+    // buys the row.
+    for src in 0..n {
+        for dst in (0..16).map(|i| (src + i) % n) {
+            let planned = plan_route_into(bg, src, dst, &mut planner, &mut route);
+            assert_eq!(
+                planned,
+                search(src, dst, &mut searched),
+                "cold {src} -> {dst}"
+            );
+            assert_eq!(route, searched, "cold {src} -> {dst}");
+        }
+    }
+    let mut seen = RowSweep {
+        routed: 0,
+        unroutable: 0,
+        tied_sources: 0,
+    };
+    for src in 0..n {
+        let (parent, tied) = oracle_tree(bg, src);
+        seen.tied_sources += usize::from(tied);
+        for dst in 0..n {
+            let planned = plan_route_into(bg, src, dst, &mut planner, &mut route);
+            assert_eq!(planned, search(src, dst, &mut searched), "{src} -> {dst}");
+            assert_eq!(route, searched, "{src} -> {dst}");
+            let reachable = dst == src || parent[dst as usize].is_some();
+            assert_eq!(planned.is_ok(), reachable, "{src} -> {dst}");
+            seen.routed += usize::from(reachable);
+            seen.unroutable += usize::from(!reachable);
+            if reachable && !tied {
+                let mut reference = vec![dst];
+                while let Some(before) = parent[*reference.last().unwrap() as usize] {
+                    reference.push(before);
+                }
+                reference.reverse();
+                assert_eq!(
+                    route, reference,
+                    "{src} -> {dst} against the reference tree"
+                );
+            }
+        }
+    }
+    assert!(
+        bg.route_rows_built() <= bg.len() - seen.tied_sources,
+        "a source with equal-cost routes got a row: {seen:?}, {} rows",
+        bg.route_rows_built()
+    );
+    seen
 }
 
 /// Cost of `route`, which must run `src → dst` over real edges and
@@ -366,6 +488,67 @@ proptest! {
             bench.check(src, dst, &Dark::new(&bench.bg, blocked));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rows: every pair of random small cities with islands, every
+    /// source past its sixteenth request.
+    #[test]
+    fn rows_equal_the_search_on_every_pair(
+        (cols, rows) in (2usize..8, 2usize..7),
+        pitch in 25.0..50.0f64,
+        removal in 0.0..0.35f64,
+        stray in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let map = grid_with_island(cols, rows, pitch, removal, stray, seed);
+        let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+        let seen = rows_equal_search_equal_reference(&bg);
+        // Random sides leave no two routes the same cost: every source
+        // earned its row, the ones that reach nothing included.
+        prop_assert_eq!((seen.tied_sources, bg.route_rows_built()), (0, bg.len()));
+    }
+}
+
+/// The exact-tie case: equal squares on an exact lattice give every
+/// source equal-cost routes to choose between. Every one of them is
+/// refused a row, so all 1,296 answers stay the search's — the ones
+/// this planner gave before it had a table.
+#[test]
+fn a_lattice_of_ties_gets_no_rows() {
+    let squares =
+        (0..36).map(|i| rect_at((i % 6) as f64 * 30.0, (i / 6) as f64 * 30.0, 10.0, 10.0));
+    let map = CityMap::new("route-oracle-lattice", squares.collect(), vec![]);
+    let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+    let seen = rows_equal_search_equal_reference(&bg);
+    assert_eq!(
+        seen,
+        RowSweep {
+            routed: 36 * 36,
+            unroutable: 0,
+            tied_sources: 36
+        }
+    );
+    assert_eq!(bg.route_rows_built(), 0);
+}
+
+/// The benchmark's own city: all 280,900 ordered pairs of the downtown
+/// every `citymesh-perf` workload but the metro runs on. Release only
+/// (CI's `figures` job runs it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "280,900 pairs three ways: run with --release"
+)]
+fn downtown_rows_equal_the_search_on_all_pairs() {
+    let map = CityArchetype::SurveyDowntown.generate(2024);
+    let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+    assert_eq!(bg.len(), 530);
+    let seen = rows_equal_search_equal_reference(&bg);
+    assert_eq!(seen.routed + seen.unroutable, 280_900);
+    assert_eq!((seen.tied_sources, bg.route_rows_built()), (0, 530));
 }
 
 /// Fixed cities whose all-pairs sweep is known to reach the corners a

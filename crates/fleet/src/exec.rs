@@ -215,10 +215,11 @@ impl<'a> FlowExecutor<'a> {
     /// Folds the worker's bookkeeping into its metric set and hands back
     /// the set plus the captured postmortems. Tracer totals are sums and
     /// maxima over flows, so they stay schedule-independent after the
-    /// worker-order merge; the hier-planner, ideal-hops, detour and
-    /// key-derivation counters are schedule-dependent like the route
-    /// cache's hit/miss totals (racing workers may double-plan,
-    /// double-materialize or double-derive a pair), so they are
+    /// worker-order merge; the hier-planner, ideal-hops, route-source,
+    /// detour and key-derivation counters are schedule-dependent like
+    /// the route cache's hit/miss totals (racing workers may
+    /// double-plan, double-materialize or double-derive a pair, and
+    /// whose request builds a source's row is a race), so they are
     /// informational only and in no digest
     /// ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
@@ -242,6 +243,10 @@ impl<'a> FlowExecutor<'a> {
             let hops = self.plan_scratch.hop_stats();
             m.add(tm::IDEAL_HOPS_QUERIES, hops.queries);
             m.add(tm::IDEAL_HOPS_SETTLED, hops.settled);
+            let routes = self.plan_scratch.route_stats();
+            m.add(tm::ROUTE_ROWS_BUILT, routes.rows_built);
+            m.add(tm::ROUTES_FROM_ROWS, routes.from_rows);
+            m.add(tm::ROUTE_SEARCHES, routes.searches);
         }
         let postmortems = self.scratch.tracer_mut().take_postmortems();
         (self.metrics, postmortems)

@@ -149,6 +149,82 @@ fn steady_state_flow_loop_allocates_nothing() {
 }
 
 #[test]
+fn a_source_crossing_the_row_threshold_allocates_its_row_and_nothing_after() {
+    // The cases around this one never ask one source sixteen times, so
+    // they never leave the search. Here five sources do. The request
+    // that buys a source's row runs the full tree on the caller's warm
+    // `PlanScratch` and allocates one thing — the row, `2 × buildings`
+    // bytes, which the building graph keeps for good; every flow after
+    // that is a row walk and allocates nothing.
+    let map = CityArchetype::SurveyDowntown.generate(37);
+    let exp = CityExperiment::prepare(
+        map,
+        ExperimentConfig {
+            seed: 37,
+            ..ExperimentConfig::default()
+        },
+    );
+    let n = exp.map().len() as u32;
+    let flow = |src: u32, i: u32| (src, (src + 1 + i * 31) % n);
+    let sources = [3u32, 140, 277, 401, 512];
+    let first_fifteen = || {
+        sources
+            .iter()
+            .flat_map(|&s| (0..15).map(move |i| flow(s, i)))
+    };
+    // A repeat of the source's first flow, so that everything
+    // downstream of the route is as warm as the route search is.
+    let sixteenth = || sources.iter().map(|&s| flow(s, 0));
+
+    let mut plan_scratch = PlanScratch::new();
+    let mut plan = PlannedFlow::empty(0, 0);
+    let mut scratch = DeliveryScratch::new();
+    let mut pass = |flows: &mut dyn Iterator<Item = (u32, u32)>| {
+        let mut broadcasts = 0u64;
+        for (src, dst) in flows {
+            exp.plan_flow_into(src, dst, &mut plan_scratch, &mut plan);
+            let id = u64::from(src) << 32 | u64::from(dst);
+            let msg_id = substream_seed(37, DOMAIN_MSG, id);
+            let mut rng = SimRng::new(substream_seed(37, DOMAIN_SIM, id));
+            broadcasts += exp
+                .simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch)
+                .broadcasts;
+        }
+        (broadcasts, plan_scratch.route_stats())
+    };
+
+    // Warm-up: fifteen searches a source, then the first source's
+    // sixteenth — its tree grows the search heap to whole-graph size,
+    // once per scratch like every other buffer.
+    let (warm_broadcasts, warm) = pass(&mut first_fifteen().chain(sixteenth().take(1)));
+    assert!(warm_broadcasts > 0, "the flows must reach the simulator");
+    assert_eq!((warm.rows_built, warm.from_rows, warm.searches), (1, 1, 75));
+
+    // The other four cross the line inside the counted region.
+    let (allocs, (_, crossed)) = count_allocs(|| pass(&mut sixteenth().skip(1)));
+    assert_eq!((crossed.rows_built, crossed.from_rows), (5, 5));
+    assert_eq!(
+        allocs, 4,
+        "building a row may allocate the row and nothing else \
+         (counted {allocs} over 4 rows)"
+    );
+
+    // After the line: the same flows again, every one a row walk.
+    let (allocs, (replayed, after)) =
+        count_allocs(|| pass(&mut first_fifteen().chain(sixteenth().take(1))));
+    assert_eq!(
+        replayed, warm_broadcasts,
+        "the replay must retrace the warm-up"
+    );
+    assert_eq!((after.from_rows, after.searches), (5 + 76, 75));
+    assert_eq!(
+        allocs, 0,
+        "flows served from a row must perform zero heap allocations \
+         (counted {allocs} over 76 flows)"
+    );
+}
+
+#[test]
 fn steady_state_hier_flow_loop_allocates_nothing() {
     // The hierarchical planner's steady state must match the flat
     // planner's zero-allocation guarantee: building the hierarchy

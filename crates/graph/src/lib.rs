@@ -34,7 +34,7 @@ pub use hops::{HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
 pub use landmarks::{landmark_candidates, FarthestPoint};
 pub use scratch::{
     astar_path_filtered_into, astar_path_into, bfs_distance_to, dijkstra_path_filtered_into,
-    dijkstra_path_into, PlannerScratch,
+    dijkstra_path_into, dijkstra_tree_with, PlannerScratch,
 };
 pub use search::{
     astar, bfs, bfs_path, connected_components, dijkstra, dijkstra_path, dijkstra_path_filtered,

@@ -267,6 +267,68 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
     false
 }
 
+/// The whole canonical shortest-path tree from `source`: Dijkstra under
+/// the [`PlannerScratch`] tie-breaking rule, run until the heap is
+/// empty. `settle(v, parent)` is called once per reachable vertex, in
+/// settle order, with the vertex's final parent (`u32::MAX` for
+/// `source`); a vertex never reported is unreachable. The parent of `v`
+/// is the vertex before `v` on the path
+/// `dijkstra_path_into(g, source, v, ..)` returns — an early-stopped
+/// search and the full tree agree on every vertex the search settled.
+///
+/// Returns whether any relaxation met an **exact tie** (`nd ==
+/// dist[v]` on an unsettled `v`, whichever parent then won). A tree
+/// that met none holds the only shortest path to every vertex, so every
+/// cost-optimal search from `source` — whatever its heuristic — returns
+/// that path; a tree that met one is canonical for Dijkstra only.
+///
+/// # Panics
+/// Panics when `source` is out of range.
+pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
+    g: &G,
+    source: u32,
+    scratch: &mut PlannerScratch,
+    mut settle: impl FnMut(u32, u32),
+) -> bool {
+    let n = g.num_vertices();
+    assert!((source as usize) < n, "vertex out of range");
+    scratch.begin(n);
+    scratch.write(source, 0.0, u32::MAX);
+    scratch.heap.push(HeapItem {
+        dist: 0.0,
+        vertex: source,
+    });
+    let mut tied = false;
+    while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+        if scratch.is_settled(u) {
+            continue; // stale lazy-deleted entry
+        }
+        scratch.settle(u);
+        let (d, parent) = scratch.entry(u);
+        settle(u, parent);
+        for e in g.neighbors(u) {
+            if scratch.is_settled(e.to) {
+                continue;
+            }
+            let nd = d + e.weight;
+            let (cur, cur_parent) = scratch.entry(e.to);
+            if nd < cur {
+                scratch.write(e.to, nd, u);
+                scratch.heap.push(HeapItem {
+                    dist: nd,
+                    vertex: e.to,
+                });
+            } else if nd == cur {
+                tied = true;
+                if u < cur_parent {
+                    scratch.write(e.to, nd, u);
+                }
+            }
+        }
+    }
+    tied
+}
+
 /// [`dijkstra_path`](crate::dijkstra_path) against reusable scratch
 /// buffers: writes the path into `out`, returns `false` when
 /// unreachable, allocates nothing once warm.
@@ -502,6 +564,65 @@ mod tests {
             ));
             assert_eq!(a_path, d_path, "pair ({src},{dst}) diverged");
         }
+    }
+
+    /// Parents of the full tree from `source`, `u32::MAX` where
+    /// unreached, and whether the run met a tie.
+    fn tree(g: &Graph, source: u32, s: &mut PlannerScratch) -> (Vec<u32>, bool) {
+        let mut parent = vec![u32::MAX; g.num_vertices()];
+        let mut order = Vec::new();
+        let tied = dijkstra_tree_with(g, source, s, |v, p| {
+            parent[v as usize] = p;
+            order.push(v);
+        });
+        assert_eq!(order[0], source, "the source settles first");
+        (parent, tied)
+    }
+
+    #[test]
+    fn tree_parents_are_the_point_to_point_paths_ties_included() {
+        // The 8×8 equal-weight lattice: every interior vertex has two
+        // equal-cost predecessors, so the parents below are right only
+        // if the tree breaks ties exactly as the early-stopped search.
+        let nx = 8u32;
+        let mut g = Graph::new((nx * nx) as usize);
+        for y in 0..nx {
+            for x in 0..nx {
+                let v = y * nx + x;
+                if x + 1 < nx {
+                    g.add_edge(v, v + 1, 8.0);
+                }
+                if y + 1 < nx {
+                    g.add_edge(v, v + nx, 8.0);
+                }
+            }
+        }
+        let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
+        for source in [0, 7, 27, 63] {
+            let (parent, tied) = tree(&g, source, &mut s);
+            assert!(tied, "a lattice ties");
+            for target in 0..nx * nx {
+                assert!(dijkstra_path_into(&g, source, target, &mut s, &mut path));
+                let before = path.len().checked_sub(2).map_or(u32::MAX, |i| path[i]);
+                assert_eq!(parent[target as usize], before, "{source} -> {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn tree_reports_ties_only_where_costs_tie() {
+        // 0–1–2 with a dear chord, 3 apart: one path each, no tie, and
+        // the unreachable vertex is never reported.
+        let (mut s, g) = (PlannerScratch::new(), diamond());
+        assert_eq!(tree(&g, 0, &mut s), (vec![u32::MAX, 0, 1, u32::MAX], false));
+        // Price the chord at the two-hop cost: a tie, won by the
+        // smaller predecessor whichever is relaxed first.
+        let mut tie = Graph::new(3);
+        tie.add_edge(0, 1, 1.0);
+        tie.add_edge(1, 2, 1.0);
+        tie.add_edge(0, 2, 2.0);
+        assert_eq!(tree(&tie, 0, &mut s), (vec![u32::MAX, 0, 0], true));
+        assert_eq!(tree(&tie, 2, &mut s), (vec![1, 2, u32::MAX], true));
     }
 
     #[test]

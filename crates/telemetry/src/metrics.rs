@@ -163,6 +163,19 @@ pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(34);
 /// Replan detour searches run (each finds a route: the labels refuse
 /// the rest). Schedule-dependent; excluded from digests.
 pub const DETOUR_SEARCHES: CounterId = CounterId(35);
+/// Per-source shortest-path rows the flat planner built (one full
+/// Dijkstra tree each, on a source's sixteenth request).
+/// Schedule-dependent: which worker's request is the sixteenth, and
+/// whether an earlier run already built the row, vary. Excluded from
+/// digests.
+pub const ROUTE_ROWS_BUILT: CounterId = CounterId(36);
+/// Flat plans whose route was walked out of the source's row.
+/// Schedule-dependent; excluded from digests.
+pub const ROUTES_FROM_ROWS: CounterId = CounterId(37);
+/// Flat plans whose route came from the A* search (no row yet, a
+/// tie-flagged source, or a map too large to table).
+/// Schedule-dependent; excluded from digests.
+pub const ROUTE_SEARCHES: CounterId = CounterId(38);
 
 /// The counters whose totals depend on which worker planned or derived
 /// what (racing workers may both miss a cache and repeat the work).
@@ -179,6 +192,9 @@ pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
     LADDERS_MATERIALIZED,
     DETOURS_REJECTED_BY_LABELS,
     DETOUR_SEARCHES,
+    ROUTE_ROWS_BUILT,
+    ROUTES_FROM_ROWS,
+    ROUTE_SEARCHES,
 ];
 
 /// The counter registry; indexed by [`CounterId`].
@@ -326,6 +342,18 @@ pub const COUNTERS: &[CounterDef] = &[
     CounterDef {
         name: "detour_searches_total",
         help: "Replan detour searches run",
+    },
+    CounterDef {
+        name: "route_rows_built_total",
+        help: "Per-source shortest-path rows built by the flat planner",
+    },
+    CounterDef {
+        name: "routes_from_rows_total",
+        help: "Flat plans routed by walking the source's row",
+    },
+    CounterDef {
+        name: "route_searches_total",
+        help: "Flat plans routed by the A* search",
     },
 ];
 
@@ -724,7 +752,10 @@ mod tests {
 
     #[test]
     fn registry_ids_line_up() {
-        assert_eq!(COUNTERS.len(), 36);
+        assert_eq!(COUNTERS.len(), 39);
+        assert_eq!(COUNTERS[ROUTE_ROWS_BUILT.0].name, "route_rows_built_total");
+        assert_eq!(COUNTERS[ROUTES_FROM_ROWS.0].name, "routes_from_rows_total");
+        assert_eq!(COUNTERS[ROUTE_SEARCHES.0].name, "route_searches_total");
         assert_eq!(COUNTERS[HIER_QUERIES.0].name, "hier_queries_total");
         assert_eq!(
             COUNTERS[IDEAL_HOPS_QUERIES.0].name,

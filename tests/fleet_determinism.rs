@@ -2,8 +2,11 @@
 //! N workers produce byte-identical aggregate results to serial
 //! execution for the same root seed.
 
-use citymesh::fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
+use citymesh::fleet::{
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
+};
 use citymesh::prelude::*;
+use citymesh::telemetry::metrics as tm;
 
 fn prepared_city(seed: u64) -> CityExperiment {
     let map = CityArchetype::SurveyDowntown.generate(seed);
@@ -155,6 +158,74 @@ fn same_city_different_seeds_diverge() {
         .digest()
     };
     assert_ne!(mk(1), mk(2), "seeds must reach workload and simulation");
+}
+
+/// The flat planner changes how it finds a source's routes mid-run — by
+/// search for the first fifteen requests, from the source's stored
+/// shortest-path row after — and the row outlives the run. Neither may
+/// show: a workload whose sources cross that line, on a fresh world at
+/// one worker, on another fresh world at four, and again on the first,
+/// now warm, world at one and at four, gives one digest and one metric
+/// fingerprint.
+#[test]
+fn crossing_the_row_threshold_shows_in_no_digest() {
+    const SOURCES: u32 = 12;
+    let seed = 2024;
+    let mut flows = generate_flows(
+        prepared_city(seed).map().len(),
+        &WorkloadConfig {
+            flows: 600,
+            model: FlowModel::UniformPairs { rate_hz: 100.0 },
+            seed,
+        },
+    );
+    // Fifty requests a source, nearly all for distinct destinations
+    // (a repeated pair is a route-cache hit and plans nothing).
+    for f in &mut flows {
+        f.src = f.id as u32 % SOURCES;
+        f.dst = f.dst.max(SOURCES);
+    }
+    let tel = TelemetryConfig::metrics_only();
+    let run = |exp: &CityExperiment, workers: usize| {
+        let cfg = FleetConfig {
+            workers,
+            seed,
+            ..FleetConfig::default()
+        };
+        let (report, telemetry) = try_run_fleet_traced(exp, &flows, &cfg, &tel).unwrap();
+        let metrics = telemetry.expect("metrics were asked for").metrics;
+        let routes = [
+            tm::ROUTE_ROWS_BUILT,
+            tm::ROUTES_FROM_ROWS,
+            tm::ROUTE_SEARCHES,
+        ];
+        let [built, walked, searched] = routes.map(|id| metrics.counter(id));
+        (
+            (report.digest(), metrics.fingerprint()),
+            (built, walked, searched),
+        )
+    };
+
+    let (serial_world, parallel_world) = (prepared_city(seed), prepared_city(seed));
+    let (cold_serial, (built, walked, searched)) = run(&serial_world, 1);
+    // One worker: exactly fifteen searches a source, then its row.
+    assert_eq!((built, searched), (12, 12 * 15));
+    assert!(walked > 300, "{walked} plans after the line");
+    let (cold_parallel, (built, walked, _)) = run(&parallel_world, 4);
+    assert_eq!(built, 12);
+    assert!(walked > 250, "{walked} plans after the line");
+    for world in [&serial_world, &parallel_world] {
+        assert_eq!(world.building_graph().route_rows_built(), 12);
+    }
+    // Warm: every plan is a row walk; engine clones share the table.
+    let (warm_serial, counts) = run(&serial_world, 1);
+    assert_eq!((counts.0, counts.2), (0, 0));
+    let (warm_parallel, counts) = run(&serial_world.clone(), 4);
+    assert_eq!((counts.0, counts.2), (0, 0));
+
+    assert_eq!(cold_serial, cold_parallel);
+    assert_eq!(cold_serial, warm_serial);
+    assert_eq!(cold_serial, warm_parallel);
 }
 
 /// The fleet golden through the facade's own engine call: the fleet
