@@ -10,10 +10,13 @@
 //! building map. Keeping the two rigidly separated is what makes the
 //! evaluation honest.
 
+use std::sync::Arc;
+
 use citymesh_geo::{GridIndex, OrientedRect, Point};
-use citymesh_graph::{label_components, HopLandmarks, HopScratch};
+use citymesh_graph::{hops_to_set_row, label_components, HopLandmarks, HopScratch};
 
 use crate::placement::Ap;
+use crate::rows::{LazyRows, NO_ENTRY};
 
 /// AP graph plus the indexes the simulator needs.
 ///
@@ -43,6 +46,14 @@ pub struct ApGraph {
     /// [`ideal_hops_to_building_with`](Self::ideal_hops_to_building_with)
     /// without flooding the city.
     hop_landmarks: HopLandmarks,
+    /// Per-destination-building hop rows — `row(d)[ap]` is the fewest
+    /// hops from `ap` to any AP of building `d` — filled as
+    /// destinations earn them and shared by every clone; `None` on a
+    /// city too large to table. Keyed by destination because a
+    /// building's AP set is fixed at build time, while a flow's source
+    /// AP is whichever postbox AP the fault epoch left alive: no world
+    /// event touches a row.
+    hop_rows: Option<Arc<LazyRows>>,
 }
 
 impl ApGraph {
@@ -117,6 +128,7 @@ impl ApGraph {
             audience_starts,
             audience_items,
             hop_landmarks,
+            hop_rows: LazyRows::new(n_buildings, aps.len()),
         }
     }
 
@@ -130,8 +142,9 @@ impl ApGraph {
         self.building_of.is_empty()
     }
 
-    /// Heap bytes held by the graph and its simulator-facing indexes —
-    /// the metro sweep's memory accounting.
+    /// Heap bytes held by the graph, its simulator-facing indexes and
+    /// the hop rows written so far — the metro sweep's memory
+    /// accounting.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.index.memory_bytes()
@@ -142,6 +155,13 @@ impl ApGraph {
             + self.audience_starts.capacity() * size_of::<u32>()
             + self.audience_items.capacity() * size_of::<u32>()
             + self.hop_landmarks.memory_bytes()
+            + self.hop_rows.as_ref().map_or(0, |r| r.memory_bytes())
+    }
+
+    /// Hop rows written so far (each `2 × len()` bytes), over every
+    /// clone of this graph.
+    pub fn hop_rows_built(&self) -> usize {
+        self.hop_rows.as_ref().map_or(0, |rows| rows.built())
     }
 
     /// The transmission range used to build the graph.
@@ -215,23 +235,47 @@ impl ApGraph {
     }
 
     /// [`ideal_hops_to_building`](Self::ideal_hops_to_building) against
-    /// caller-owned scratch buffers: a landmark-guided search over the
-    /// audience rows toward the building's APs as one target set
-    /// ([`HopLandmarks::hops_to_set`]). Exactly the count a BFS from
-    /// `src` reports on first touching the building, from a few hundred
-    /// settled APs instead of most of the city, and with no allocation
-    /// once warm.
+    /// caller-owned scratch buffers. A destination's first fifteen
+    /// queries — and every query on a city too large to table — are a
+    /// landmark-guided search over the audience rows toward the
+    /// building's APs as one target set ([`HopLandmarks::hops_to_set`]):
+    /// a few hundred settled APs instead of most of the city, no
+    /// allocation once warm. The sixteenth floods the city once from
+    /// those APs ([`hops_to_set_row`]) and keeps the result as the
+    /// destination's row — the one allocation — and every query after it
+    /// is one load. Search and row both give exactly the count a BFS
+    /// from `src` reports on first touching the building, so which of
+    /// them answered never shows in the answer; `scratch.stats` says
+    /// which did.
     pub fn ideal_hops_to_building_with(
         &self,
         src: u32,
         dst_building: u32,
         scratch: &mut HopScratch,
     ) -> Option<u64> {
+        let targets = self.aps_of_building(dst_building);
+        // A building without APs is `None` from the labels alone: it
+        // earns no row.
+        if let Some(rows) = self.hop_rows.as_deref().filter(|_| !targets.is_empty()) {
+            let mut row = rows.row(dst_building);
+            if row.is_none() && rows.due(dst_building) {
+                let mut built = rows.blank_row();
+                hops_to_set_row(|a| self.audience(a), targets, &mut built, scratch);
+                scratch.stats.rows_built += 1;
+                row = Some(rows.install(dst_building, built));
+            }
+            if let Some(row) = row {
+                scratch.stats.queries += 1;
+                scratch.stats.from_rows += 1;
+                let hops = row[src as usize];
+                return (hops != NO_ENTRY).then_some(u64::from(hops));
+            }
+        }
         self.hop_landmarks.hops_to_set(
             |a| self.audience(a),
             &self.components,
             src,
-            self.aps_of_building(dst_building),
+            targets,
             scratch,
         )
     }
@@ -368,6 +412,42 @@ mod tests {
         assert_eq!(g.ideal_hops_to_building(0, 0), Some(0));
         // Unreachable cluster.
         assert_eq!(g.ideal_hops_to_building(0, 2), None);
+    }
+
+    #[test]
+    fn a_destination_rents_fifteen_searches_then_buys_its_row() {
+        let g = ApGraph::build(&two_cluster_aps(), 50.0);
+        let empty = g.memory_bytes();
+        let mut scratch = HopScratch::new();
+        // To building 1 (AP 2) from each AP; the far cluster has no path.
+        let want = [Some(2), Some(1), Some(0), None, None];
+        let mut ask = |g: &ApGraph, i: usize| {
+            let before = scratch.stats;
+            let src = i % want.len();
+            assert_eq!(
+                g.ideal_hops_to_building_with(src as u32, 1, &mut scratch),
+                want[src]
+            );
+            assert_eq!(scratch.stats.queries, before.queries + 1);
+            (
+                scratch.stats.rows_built - before.rows_built,
+                scratch.stats.from_rows - before.from_rows,
+            )
+        };
+        assert!((0..15).all(|i| ask(&g, i) == (0, 0)));
+        assert_eq!((g.hop_rows_built(), g.memory_bytes()), (0, empty));
+        // The sixteenth floods and reads; everything after reads, a
+        // clone included.
+        assert_eq!(ask(&g, 15), (1, 1));
+        assert_eq!((g.hop_rows_built(), g.memory_bytes()), (1, empty + 5 * 2));
+        let twin = g.clone();
+        assert!((16..40).all(|i| ask(&twin, i) == (0, 1)));
+        assert_eq!(twin.hop_rows_built(), 1);
+        // A building without APs is `None` by search every time: no row.
+        for _ in 0..40 {
+            assert_eq!(g.ideal_hops_to_building(0, 9), None);
+        }
+        assert_eq!(g.hop_rows_built(), 1);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! distance so route planning strongly prefers short hops, the ones
 //! most likely to have real AP coverage.
 
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use citymesh_geo::{Point, Rect, EPS};
 use citymesh_graph::{
@@ -16,104 +15,13 @@ use citymesh_graph::{
 };
 use citymesh_map::CityMap;
 
+use crate::rows::LazyRows;
+
 /// Number of ALT landmarks embedded in every building graph (fewer on
 /// maps with fewer eligible buildings). Eight is the classic sweet
 /// spot: the per-relaxation heuristic cost is eight loads and compares,
 /// while the corridor A* explores shrinks by an order of magnitude.
 const NUM_LANDMARKS: usize = 8;
-
-/// Requests a source answers by search before its shortest-path row is
-/// built: the row goes in on the 16th. Measured downtown (530
-/// buildings, two hosts): one A* is 10.1–10.6 µs, the full tree from
-/// one source 155–177 µs ≈ 15–17 searches, a row walk 0.08 µs. Renting
-/// until the rent paid equals the price is the ski-rental rule — never
-/// more than twice the best choice made with hindsight — so a 256-flow
-/// probe or a one-off pair buys no tree, and a source that serves 29
-/// flows a round (the stream benchmark) pays for its tree once and
-/// walks from then on.
-const ROW_AFTER_REQUESTS: u32 = 16;
-
-/// Ceiling on the parent table at full occupancy, bytes (2·n² for `u16`
-/// parents ⇒ n ≤ 2,048 buildings; downtown is 0.54 MiB). A map above it
-/// — the 2×2 metro's 5,574 buildings would need 59 MiB — gets no table
-/// and plans exactly as before; cities that size are what the
-/// hierarchical planner is for.
-const ROUTE_ROWS_MAX_BYTES: usize = 8 << 20;
-
-/// "No predecessor" in a parent row: the row's own source, or a
-/// building the source cannot reach.
-pub(crate) const NO_PARENT: u16 = u16::MAX;
-
-/// Lazily built per-source shortest-path rows over one building graph:
-/// `row(s)[v]` is the building before `v` on the canonical cheapest
-/// route `s → v`. The graph never changes after `build` — no world event
-/// touches predicted connectivity — so a row, once written, is right for
-/// as long as the graph lives, and every clone of the graph shares the
-/// one table. [`crate::route`] is the only reader: it decides what a
-/// row must be to go in here and what a query does with it.
-#[derive(Debug)]
-pub(crate) struct RouteRows {
-    /// Requests each source has answered by search, saturating just
-    /// past [`ROW_AFTER_REQUESTS`].
-    requests: Box<[AtomicU32]>,
-    rows: Box<[OnceLock<Box<[u16]>>]>,
-}
-
-impl RouteRows {
-    /// An empty table for `n` buildings, or `None` when full occupancy
-    /// would pass [`ROUTE_ROWS_MAX_BYTES`] (which also keeps every id
-    /// below [`NO_PARENT`]).
-    fn new(n: usize) -> Option<Arc<Self>> {
-        let full = n.checked_mul(n)?.checked_mul(std::mem::size_of::<u16>())?;
-        (full <= ROUTE_ROWS_MAX_BYTES).then(|| {
-            Arc::new(RouteRows {
-                requests: (0..n).map(|_| AtomicU32::new(0)).collect(),
-                rows: (0..n).map(|_| OnceLock::new()).collect(),
-            })
-        })
-    }
-
-    /// The row of `src`, when one has been installed.
-    #[inline]
-    pub(crate) fn row(&self, src: u32) -> Option<&[u16]> {
-        self.rows[src as usize].get().map(|row| &**row)
-    }
-
-    /// Counts one request `src` has no row for. `true` on exactly one
-    /// call per source — its [`ROW_AFTER_REQUESTS`]th — whichever
-    /// thread makes it: that caller builds the row.
-    pub(crate) fn due(&self, src: u32) -> bool {
-        // A statistic that publishes nothing (the row itself is
-        // published by its `OnceLock`), so `Relaxed`; read-modify-write
-        // on one location is still totally ordered, which is what makes
-        // the 16th unique.
-        let seen = &self.requests[src as usize];
-        seen.load(Relaxed) < ROW_AFTER_REQUESTS
-            && seen.fetch_add(1, Relaxed) + 1 == ROW_AFTER_REQUESTS
-    }
-
-    /// Installs the row of `src`.
-    ///
-    /// # Panics
-    /// Panics when `src` already has one: [`RouteRows::due`] picks one
-    /// builder per source.
-    pub(crate) fn install(&self, src: u32, row: Box<[u16]>) {
-        self.rows[src as usize]
-            .set(row)
-            .expect("one builder per source");
-    }
-
-    /// Rows installed so far.
-    fn built(&self) -> usize {
-        self.rows.iter().filter(|row| row.get().is_some()).count()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let n = self.rows.len();
-        n * (std::mem::size_of::<AtomicU32>() + std::mem::size_of::<OnceLock<Box<[u16]>>>())
-            + self.built() * n * std::mem::size_of::<u16>()
-    }
-}
 
 /// Parameters for building-graph construction.
 #[derive(Clone, Copy, Debug)]
@@ -163,9 +71,15 @@ pub struct BuildingGraph {
     lm_dist: Vec<f64>,
     /// Number of landmarks actually embedded (≤ [`NUM_LANDMARKS`]).
     lm_count: usize,
-    /// Per-source shortest-path rows, filled as sources earn them and
-    /// shared by every clone; `None` on a map too large to table.
-    route_rows: Option<Arc<RouteRows>>,
+    /// Per-source shortest-path rows — `row(s)[v]` is the building
+    /// before `v` on the canonical cheapest route `s → v` — filled as
+    /// sources earn them and shared by every clone; `None` on a map too
+    /// large to table. The graph never changes after `build` (no world
+    /// event touches predicted connectivity), so a row, once written, is
+    /// right for as long as the graph lives. [`crate::route`] is the
+    /// only reader: it decides what a row must be to go in here and
+    /// what a query does with it.
+    route_rows: Option<Arc<LazyRows>>,
 }
 
 impl BuildingGraph {
@@ -228,7 +142,7 @@ impl BuildingGraph {
             params,
             lm_dist,
             lm_count,
-            route_rows: RouteRows::new(n),
+            route_rows: LazyRows::new(n, n),
         }
     }
 
@@ -281,7 +195,7 @@ impl BuildingGraph {
     /// The per-source shortest-path rows, on a map small enough to
     /// have them. Read by [`crate::route`] and nothing else: one route
     /// source per query.
-    pub(crate) fn route_rows(&self) -> Option<&RouteRows> {
+    pub(crate) fn route_rows(&self) -> Option<&LazyRows> {
         self.route_rows.as_deref()
     }
 
@@ -535,22 +449,6 @@ mod tests {
             "{kept} of {exact_tests} candidates pass the boxes, {} link",
             bg.num_edges()
         );
-    }
-
-    #[test]
-    fn route_rows_exist_up_to_the_byte_ceiling_only() {
-        assert!(RouteRows::new(0).is_some() && RouteRows::new(2_048).is_some());
-        assert!(RouteRows::new(2_049).is_none() && RouteRows::new(usize::MAX).is_none());
-        // The sixteenth request is due, once; an installed row counts.
-        let rows = RouteRows::new(3).unwrap();
-        let due: Vec<bool> = (0..40).map(|_| rows.due(1)).collect();
-        assert_eq!(due.iter().position(|&d| d), Some(15));
-        assert_eq!(due.iter().filter(|&&d| d).count(), 1);
-        assert_eq!(rows.row(1), None);
-        let empty = rows.memory_bytes();
-        rows.install(1, vec![NO_PARENT, NO_PARENT, 1].into());
-        assert_eq!(rows.row(1), Some(&[NO_PARENT, NO_PARENT, 1][..]));
-        assert_eq!(rows.memory_bytes(), empty + 6);
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod placement;
 pub mod plan;
 pub mod postbox;
 pub mod route;
+mod rows;
 pub mod secure;
 pub mod sim;
 pub mod world;

@@ -262,9 +262,11 @@ impl PlanScratch {
         self.routes
     }
 
-    /// Cumulative ideal-hops search counters accumulated by this
-    /// scratch: one query per plan that found a route and a live source
-    /// AP, and the APs those searches settled.
+    /// Cumulative ideal-hops counters accumulated by this scratch: one
+    /// query per plan that found a route and a live source AP, however
+    /// it was answered; how many of them a destination's stored hop row
+    /// answered and the rows they built on the way; and the APs the
+    /// rest — the searches — settled.
     pub fn hop_stats(&self) -> citymesh_graph::HopStats {
         self.hops.stats
     }

@@ -29,7 +29,8 @@ use citymesh_graph::{
     astar_path_filtered_into, dijkstra_tree_with, label_components, PlannerScratch,
 };
 
-use crate::buildgraph::{BuildingGraph, RouteRows, NO_PARENT};
+use crate::buildgraph::BuildingGraph;
+use crate::rows::{LazyRows, NO_ENTRY};
 
 /// Route-planning failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,23 +308,22 @@ pub(crate) fn plan_route_counted(
 /// search-only for good.
 fn build_row<'a>(
     bg: &BuildingGraph,
-    rows: &'a RouteRows,
+    rows: &'a LazyRows,
     src: u32,
     scratch: &mut PlannerScratch,
     stats: &mut RouteStats,
 ) -> Option<&'a [u16]> {
-    let mut row = vec![NO_PARENT; bg.len()].into_boxed_slice();
+    let mut row = rows.blank_row();
     let tied = dijkstra_tree_with(bg.graph(), src, scratch, |v, parent| {
         // The source's own `u32::MAX` is the only parent that does not
-        // fit: the table's ceiling keeps every id below `NO_PARENT`.
-        row[v as usize] = u16::try_from(parent).unwrap_or(NO_PARENT);
+        // fit: the table's ceiling keeps every id below `NO_ENTRY`.
+        row[v as usize] = u16::try_from(parent).unwrap_or(NO_ENTRY);
     });
     if tied {
         return None;
     }
     stats.rows_built += 1;
-    rows.install(src, row);
-    rows.row(src)
+    Some(rows.install(src, row))
 }
 
 /// Reads the route `src → dst` out of `src`'s row: parents from `dst`
@@ -335,7 +335,7 @@ fn walk_row(row: &[u16], src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), R
     out.push(at);
     while at != src {
         let parent = row[at as usize];
-        if parent == NO_PARENT {
+        if parent == NO_ENTRY {
             out.clear();
             return Err(RouteError::NoPredictedPath { src, dst });
         }

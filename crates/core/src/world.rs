@@ -179,8 +179,10 @@ pub struct CityExperiment {
     /// District-overlay planner, built on demand by
     /// [`CityExperiment::enable_hier`]. `None` means
     /// [`CityExperiment::plan_flow_hier_into`] is unavailable; the flat
-    /// path never consults it.
-    hier: Option<HierPlanner>,
+    /// path never consults it. Immutable once built, so behind an `Arc`
+    /// for the reason `geo` is: a clone shares the one hierarchy
+    /// (51 MiB at 10×10 tiles) instead of copying it.
+    hier: Option<Arc<HierPlanner>>,
     /// Active hardened-site deployment, installed by
     /// [`CityExperiment::set_deployment`]. `None` — the default —
     /// leaves every plan, RNG stream, and digest untouched.
@@ -468,13 +470,13 @@ impl CityExperiment {
     /// allocate nothing. Idempotent in effect: rebuilding with the
     /// same params yields an identical planner.
     pub fn enable_hier(&mut self, params: &HierParams) {
-        self.hier = Some(HierPlanner::build(&self.geo.bg, params));
+        self.hier = Some(Arc::new(HierPlanner::build(&self.geo.bg, params)));
     }
 
     /// The district-overlay planner, when
     /// [`CityExperiment::enable_hier`] has run.
     pub fn hier_planner(&self) -> Option<&HierPlanner> {
-        self.hier.as_ref()
+        self.hier.as_deref()
     }
 
     /// Installs the secure message plane: a deterministic per-building
@@ -602,6 +604,19 @@ mod tests {
         let a = CityExperiment::prepare(map.clone(), small_config(7));
         let b = CityExperiment::prepare(map, small_config(8));
         assert_ne!(a.aps()[0].pos, b.aps()[0].pos);
+    }
+
+    #[test]
+    fn a_clone_shares_the_geometry_and_the_hierarchy() {
+        let map = CityArchetype::SurveyDowntown.generate(4);
+        let mut exp = CityExperiment::prepare(map, small_config(4));
+        exp.enable_hier(&HierParams::default());
+        let twin = exp.clone();
+        assert!(Arc::ptr_eq(&exp.geo, &twin.geo));
+        assert!(Arc::ptr_eq(
+            exp.hier.as_ref().unwrap(),
+            twin.hier.as_ref().unwrap()
+        ));
     }
 
     #[test]

@@ -10,13 +10,22 @@
 //! kernel. The two must agree on every query — the answer is the
 //! denominator of the paper's §4 overhead metric and is mixed into
 //! every planner digest.
+//!
+//! On a city small enough to table, a destination building that keeps
+//! being asked stops searching: its sixteenth query floods the city once
+//! from the building's APs and every later one reads the stored row.
+//! [`sweep`] holds the three ways a query can be answered — rented
+//! (search), buying (the flood) and warm (the row) — to the same flood
+//! reference and to the search called directly, and checks from the
+//! counters that each query went the way its request count says.
 
 use citymesh_core::{place_aps, ApGraph, CityExperiment, ExperimentConfig, PlanScratch};
 use citymesh_core::{PlannedFlow, DEFAULT_RANGE_M};
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_graph::{
-    bfs_distance_to, connected_components, Graph, HopScratch, PlannerScratch, HOP_LANDMARKS,
+    bfs_distance_to, connected_components, Graph, HopLandmarks, HopScratch, PlannerScratch,
+    HOP_LANDMARKS,
 };
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_simcore::SimRng;
@@ -278,4 +287,218 @@ fn metro_benchmark_pairs_equal_the_flood() {
     assert!(answered > 2_900, "only {answered} flows found a route");
     assert!(unreachable > 0, "the metro's stray islands must be sampled");
     assert_eq!(scratch.hop_stats().queries, answered as u64);
+}
+
+/// How a [`sweep`]'s queries were answered.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Swept {
+    /// By search: a destination's first fifteen queries, and every
+    /// query for a building without APs.
+    rented: usize,
+    /// By the flood that wrote the destination's row: its sixteenth.
+    bought: usize,
+    /// From the stored row.
+    warm: usize,
+    /// `None` answers among the warm ones: `u16::MAX` row entries.
+    warm_unreachable: usize,
+}
+
+/// Puts `queries` — `(source AP, building)` — to a **fresh** `apg`, in
+/// order, and asserts each answer three ways equal: the graph's own
+/// (rented, buying or warm), a landmark search this function builds and
+/// calls directly (never a row), and the flood. The counters must show
+/// each query answered the way the building's request count says.
+fn sweep(apg: &ApGraph, queries: impl IntoIterator<Item = (u32, u32)>) -> Swept {
+    assert_eq!(
+        apg.hop_rows_built(),
+        0,
+        "the sweep counts requests from zero"
+    );
+    let links = unit_disk(apg);
+    let (labels, islands) = connected_components(&links);
+    let search = HopLandmarks::build(|a| apg.audience(a), &labels, islands);
+    let (mut scratch, mut direct) = (HopScratch::new(), HopScratch::new());
+    let mut flood = PlannerScratch::new();
+    let mut asked: Vec<u32> = Vec::new();
+    let mut seen = Swept::default();
+    for (src, building) in queries {
+        let (want, _) = reference(apg, &links, src, building, &mut flood);
+        let targets = apg.aps_of_building(building);
+        assert_eq!(
+            search.hops_to_set(|a| apg.audience(a), &labels, src, targets, &mut direct),
+            want,
+            "search: src AP {src} -> building {building}"
+        );
+        let before = scratch.stats;
+        assert_eq!(
+            apg.ideal_hops_to_building_with(src, building, &mut scratch),
+            want,
+            "graph: src AP {src} -> building {building}"
+        );
+        let after = scratch.stats;
+        assert_eq!(after.queries, before.queries + 1);
+        if asked.len() <= building as usize {
+            asked.resize(building as usize + 1, 0);
+        }
+        let nth = &mut asked[building as usize];
+        *nth += 1;
+        let way = (
+            after.rows_built - before.rows_built,
+            after.from_rows - before.from_rows,
+        );
+        match (targets.is_empty(), *nth) {
+            (true, _) | (false, ..=15) => {
+                assert_eq!(way, (0, 0), "request {nth} for {building} rents");
+                seen.rented += 1;
+            }
+            (false, 16) => {
+                assert_eq!(way, (1, 1), "request 16 for {building} buys");
+                assert_eq!(after.settled, before.settled, "a flood settles nothing");
+                seen.bought += 1;
+            }
+            (false, _) => {
+                assert_eq!(way, (0, 1), "request {nth} for {building} reads");
+                assert_eq!(after.settled, before.settled, "a read settles nothing");
+                seen.warm += 1;
+                seen.warm_unreachable += usize::from(want.is_none());
+            }
+        }
+    }
+    assert_eq!(apg.hop_rows_built(), seen.bought);
+    seen
+}
+
+/// Every AP against every building, `rounds` times over, the source
+/// order rotated by building so the fifteen rented and the one buying
+/// request fall on different APs from one building to the next.
+fn all_pairs(apg: &ApGraph, buildings: u32, rounds: usize) -> impl Iterator<Item = (u32, u32)> {
+    let n = apg.len() as u32;
+    (0..buildings)
+        .flat_map(move |b| (0..rounds as u32 * n).map(move |i| ((i + b.wrapping_mul(7)) % n, b)))
+}
+
+/// The benchmark's own city: all 962 × 531 (AP, building) pairs of the
+/// downtown every `citymesh-perf` workload but the metro runs on, the
+/// id one past the map included — about 510k reference floods. Release
+/// only (CI's `figures` job runs it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "510,822 pairs three ways: run with --release"
+)]
+fn rows_equal_search_equal_flood() {
+    let map = CityArchetype::SurveyDowntown.generate(2024);
+    let config = ExperimentConfig {
+        seed: 2024,
+        ..ExperimentConfig::default()
+    };
+    let exp = CityExperiment::try_prepare(map, config).expect("default config is valid");
+    let (apg, buildings) = (exp.ap_graph(), exp.map().len() as u32);
+    assert_eq!((apg.len(), buildings), (962, 530));
+    let with_ap = (0..buildings)
+        .filter(|&b| !apg.aps_of_building(b).is_empty())
+        .count();
+    let empty = apg.memory_bytes();
+    let seen = sweep(apg, all_pairs(apg, buildings + 1, 1));
+    assert_eq!(seen.rented + seen.bought + seen.warm, 962 * 531, "{seen:?}");
+    assert_eq!(
+        seen.rented,
+        15 * with_ap + 962 * (531 - with_ap),
+        "{seen:?}"
+    );
+    assert_eq!((seen.bought, apg.hop_rows_built()), (with_ap, with_ap));
+    // Downtown's AP graph is one component: the only `None`s are the
+    // id past the map. Rows with `u16::MAX` entries are the proptest's.
+    assert_eq!((apg.num_components(), seen.warm_unreachable), (1, 0));
+    // The rows written are accounted, and a clone reads the same table.
+    assert_eq!(apg.memory_bytes(), empty + with_ap * 962 * 2);
+    assert_eq!(apg.clone().hop_rows_built(), with_ap);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same three-way equality on random small cities, every pair
+    /// asked until each building with an AP has bought its row and read
+    /// it. The stray island is always there, so every row holds
+    /// `u16::MAX` entries and the warm answers include `None`.
+    #[test]
+    fn rows_equal_search_equal_flood_on_random_cities(
+        (cols, rows) in (1usize..10, 1usize..7),
+        pitch in 25.0..55.0f64,
+        removal in 0.0..0.35f64,
+        stray in 1usize..4,
+        m2_per_ap in 50.0..400.0f64,
+        seed in any::<u64>(),
+    ) {
+        let map = grid_with_island(cols, rows, pitch, removal, stray, seed);
+        let aps = place_aps(&map, m2_per_ap, &mut SimRng::new(seed ^ 0xA9));
+        let apg = ApGraph::build(&aps, DEFAULT_RANGE_M);
+        let rounds = 18usize.div_ceil(apg.len());
+        let seen = sweep(&apg, all_pairs(&apg, map.len() as u32 + 1, rounds));
+        prop_assert_eq!(seen.bought, map.len(), "every building hosts an AP");
+        prop_assert!(seen.warm_unreachable > 0, "{:?}", seen);
+    }
+}
+
+/// The one-tile metro's table (6.9 MB at full occupancy) is under the
+/// ceiling: sampled destinations, each asked from forty random APs,
+/// buy their rows and read them.
+#[test]
+fn metro_tile_rows_equal_the_search() {
+    let map = generate_metro(&MetroParams::with_tiles(1, 1), 2024);
+    let mut rng = SimRng::new(7);
+    let aps = place_aps(&map, 200.0, &mut rng);
+    let apg = ApGraph::build(&aps, DEFAULT_RANGE_M);
+    assert!(2 * apg.len() * map.len() <= 8 << 20);
+    let destinations: Vec<u32> = (0..12)
+        .map(|_| rng.below(map.len() as u64) as u32)
+        .collect();
+    let queries: Vec<(u32, u32)> = (0..40 * destinations.len())
+        .map(|i| {
+            let src = rng.below(apg.len() as u64) as u32;
+            (src, destinations[i % destinations.len()])
+        })
+        .collect();
+    let seen = sweep(&apg, queries);
+    assert!(
+        seen.bought >= 10 && seen.warm >= 24 * seen.bought,
+        "{seen:?}"
+    );
+}
+
+/// The 2×2 metro's table would be 140 MB: it gets none. The benchmark's
+/// pairs — and one destination asked 3,000 times from forty sources —
+/// build no row, read none, and leave the graph's memory where it was. Release only,
+/// beside the metro case above.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "metro-scale: run with --release")]
+fn a_metro_over_the_ceiling_gets_no_table() {
+    let map = generate_metro(&MetroParams::with_tiles(2, 2), 2024);
+    let config = ExperimentConfig {
+        seed: 2024,
+        ..ExperimentConfig::default()
+    };
+    let exp = CityExperiment::try_prepare(map, config).expect("default config is valid");
+    let apg = exp.ap_graph();
+    assert!(2 * apg.len() * exp.map().len() > 8 << 20);
+    let empty = apg.memory_bytes();
+    let flows = generate_flows(
+        exp.map().len(),
+        &WorkloadConfig {
+            flows: 3_000,
+            model: FlowModel::UniformPairs { rate_hz: 1_000.0 },
+            seed: 1,
+        },
+    );
+    let mut scratch = PlanScratch::new();
+    let mut plan = PlannedFlow::empty(0, 0);
+    for f in &flows {
+        exp.plan_flow_into(f.src, f.dst, &mut scratch, &mut plan);
+        exp.plan_flow_into(f.src % 40, flows[0].dst, &mut scratch, &mut plan);
+    }
+    let stats = scratch.hop_stats();
+    assert!(stats.queries > 5_800 && stats.settled > stats.queries);
+    assert_eq!((stats.rows_built, stats.from_rows), (0, 0));
+    assert_eq!((apg.hop_rows_built(), apg.memory_bytes()), (0, empty));
 }

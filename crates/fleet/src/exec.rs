@@ -219,7 +219,8 @@ impl<'a> FlowExecutor<'a> {
     /// detour and key-derivation counters are schedule-dependent like
     /// the route cache's hit/miss totals (racing workers may
     /// double-plan, double-materialize or double-derive a pair, and
-    /// whose request builds a source's row is a race), so they are
+    /// whose request builds a source's or a destination's row is a
+    /// race), so they are
     /// informational only and in no digest
     /// ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
@@ -243,6 +244,8 @@ impl<'a> FlowExecutor<'a> {
             let hops = self.plan_scratch.hop_stats();
             m.add(tm::IDEAL_HOPS_QUERIES, hops.queries);
             m.add(tm::IDEAL_HOPS_SETTLED, hops.settled);
+            m.add(tm::HOP_ROWS_BUILT, hops.rows_built);
+            m.add(tm::HOPS_FROM_ROWS, hops.from_rows);
             let routes = self.plan_scratch.route_stats();
             m.add(tm::ROUTE_ROWS_BUILT, routes.rows_built);
             m.add(tm::ROUTES_FROM_ROWS, routes.from_rows);

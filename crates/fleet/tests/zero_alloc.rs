@@ -225,6 +225,86 @@ fn a_source_crossing_the_row_threshold_allocates_its_row_and_nothing_after() {
 }
 
 #[test]
+fn a_destination_crossing_the_row_threshold_allocates_its_row_and_nothing_after() {
+    // The twin of the case above, for the plan's other table: the AP
+    // graph's per-destination hop rows. Five destinations are asked
+    // sixteen times, from sources that are each asked once or twice (so
+    // the route stays a search throughout). The query that buys a
+    // destination's row floods the AP graph on the caller's warm
+    // `PlanScratch` and allocates one thing — the row, `2 × APs` bytes,
+    // which the AP graph keeps for good; every flow after that reads
+    // its ideal hops from the row and allocates nothing.
+    let map = CityArchetype::SurveyDowntown.generate(37);
+    let exp = CityExperiment::prepare(
+        map,
+        ExperimentConfig {
+            seed: 37,
+            ..ExperimentConfig::default()
+        },
+    );
+    let n = exp.map().len() as u32;
+    let flow = |dst: u32, i: u32| ((dst + 1 + i * 31) % n, dst);
+    let destinations = [3u32, 140, 277, 401, 512];
+    let first_fifteen = || {
+        destinations
+            .iter()
+            .flat_map(|&d| (0..15).map(move |i| flow(d, i)))
+    };
+    let sixteenth = || destinations.iter().map(|&d| flow(d, 0));
+
+    let mut plan_scratch = PlanScratch::new();
+    let mut plan = PlannedFlow::empty(0, 0);
+    let mut scratch = DeliveryScratch::new();
+    let mut pass = |flows: &mut dyn Iterator<Item = (u32, u32)>| {
+        let mut broadcasts = 0u64;
+        for (src, dst) in flows {
+            exp.plan_flow_into(src, dst, &mut plan_scratch, &mut plan);
+            let id = u64::from(src) << 32 | u64::from(dst);
+            let msg_id = substream_seed(37, DOMAIN_MSG, id);
+            let mut rng = SimRng::new(substream_seed(37, DOMAIN_SIM, id));
+            broadcasts += exp
+                .simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch)
+                .broadcasts;
+        }
+        (broadcasts, plan_scratch.hop_stats())
+    };
+
+    // Warm-up: fifteen searches a destination, then the first
+    // destination's sixteenth — its flood grows the queue to whole-graph
+    // size, once per scratch like every other buffer.
+    let (warm_broadcasts, warm) = pass(&mut first_fifteen().chain(sixteenth().take(1)));
+    assert!(warm_broadcasts > 0, "the flows must reach the simulator");
+    assert_eq!((warm.rows_built, warm.from_rows, warm.queries), (1, 1, 76));
+    let searched = warm.settled;
+
+    // The other four cross the line inside the counted region.
+    let (allocs, (_, crossed)) = count_allocs(|| pass(&mut sixteenth().skip(1)));
+    assert_eq!((crossed.rows_built, crossed.from_rows), (5, 5));
+    assert_eq!(exp.ap_graph().hop_rows_built(), 5);
+    assert_eq!(
+        allocs, 4,
+        "building a hop row may allocate the row and nothing else \
+         (counted {allocs} over 4 rows)"
+    );
+
+    // After the line: the same flows again, every one a row read.
+    let (allocs, (replayed, after)) =
+        count_allocs(|| pass(&mut first_fifteen().chain(sixteenth().take(1))));
+    assert_eq!(
+        replayed, warm_broadcasts,
+        "the replay must retrace the warm-up"
+    );
+    assert_eq!((after.from_rows, after.queries), (5 + 76, 80 + 76));
+    assert_eq!(after.settled, searched, "no query searched after the line");
+    assert_eq!(plan_scratch.route_stats().rows_built, 0);
+    assert_eq!(
+        allocs, 0,
+        "flows whose ideal hops come from a row must perform zero heap \
+         allocations (counted {allocs} over 76 flows)"
+    );
+}
+
+#[test]
 fn steady_state_hier_flow_loop_allocates_nothing() {
     // The hierarchical planner's steady state must match the flat
     // planner's zero-allocation guarantee: building the hierarchy

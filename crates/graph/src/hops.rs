@@ -94,7 +94,7 @@ impl HopLandmarks {
         for k in 0..HOP_LANDMARKS.min(candidates.len()) {
             bfs_hops(
                 &neighbors,
-                candidates[sampler.pick()],
+                &[candidates[sampler.pick()]],
                 &mut hops,
                 &mut queue,
             );
@@ -209,18 +209,50 @@ impl HopLandmarks {
     }
 }
 
-/// Level-order BFS from `source`, writing clamped hop counts into
-/// `hops` ([`UNREACHED`] elsewhere). `queue` is scratch.
+/// Fewest hops from every vertex to the nearest vertex of `targets`,
+/// written into `row` (one entry per vertex; `u16::MAX` where no target
+/// shares the vertex's component): the answers
+/// [`HopLandmarks::hops_to_set`] gives one source at a time, for every
+/// source at once, by one level-order flood out of the whole set. On a
+/// graph of at most `u16::MAX` vertices every entry is exact; on a
+/// larger one longer distances clamp at `u16::MAX - 1`. The flood's
+/// queue is `scratch`'s, so a warm scratch allocates nothing.
+///
+/// ```
+/// use citymesh_graph::{hops_to_set_row, HopScratch};
+///
+/// // A path 0 — 1 — 2 — 3 and an isolated vertex 4.
+/// let adj: Vec<Vec<u32>> = vec![vec![1], vec![0, 2], vec![1, 3], vec![2], vec![]];
+/// let mut row = [0u16; 5];
+/// hops_to_set_row(|v| adj[v as usize].as_slice(), &[2, 3], &mut row, &mut HopScratch::new());
+/// assert_eq!(row, [2, 1, 0, 0, u16::MAX]);
+/// ```
+///
+/// # Panics
+/// Panics when a target or a neighbour is out of `row`'s range.
+pub fn hops_to_set_row<'g>(
+    neighbors: impl Fn(u32) -> &'g [u32],
+    targets: &[u32],
+    row: &mut [u16],
+    scratch: &mut HopScratch,
+) {
+    bfs_hops(&neighbors, targets, row, &mut scratch.buckets[0]);
+}
+
+/// Level-order BFS out of `sources` together, writing clamped hop
+/// counts into `hops` ([`UNREACHED`] elsewhere). `queue` is scratch.
 fn bfs_hops<'g>(
     neighbors: &impl Fn(u32) -> &'g [u32],
-    source: u32,
+    sources: &[u32],
     hops: &mut [u16],
     queue: &mut Vec<u32>,
 ) {
     hops.fill(UNREACHED);
     queue.clear();
-    hops[source as usize] = 0;
-    queue.push(source);
+    for &s in sources {
+        hops[s as usize] = 0;
+    }
+    queue.extend_from_slice(sources);
     let (mut head, mut level) = (0, 0u16);
     while head < queue.len() {
         let end = queue.len();
@@ -252,20 +284,30 @@ struct Slot {
     state: u32,
 }
 
-/// Cumulative counters a [`HopScratch`] keeps across queries.
+/// Cumulative counters a [`HopScratch`] keeps across queries. The
+/// kernel counts `queries` and `settled`; an owner that answers some
+/// queries from stored [`hops_to_set_row`] rows instead of searching
+/// counts those in all of `queries`, `from_rows` and `rows_built`
+/// itself.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HopStats {
-    /// Queries answered, including those decided by the component
-    /// labels alone.
+    /// Queries answered, however: by search, by the component labels
+    /// alone, or from a stored row.
     pub queries: u64,
-    /// Vertices settled across all queries — the search work a BFS
-    /// would have spent stamping most of the component.
+    /// Vertices settled by the queries that searched — the work a BFS
+    /// would have spent stamping most of the component. A row's flood
+    /// is not counted here.
     pub settled: u64,
+    /// Rows the owner built and stored on this scratch.
+    pub rows_built: u64,
+    /// Queries the owner answered from a stored row.
+    pub from_rows: u64,
 }
 
 /// Reusable buffers for [`HopLandmarks::hops_to_set`]: generation-
-/// stamped per-vertex slots and the three key buckets. Warm queries
-/// allocate nothing.
+/// stamped per-vertex slots and the three key buckets (the first of
+/// which doubles as [`hops_to_set_row`]'s queue). Warm queries allocate
+/// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct HopScratch {
     slots: Vec<Slot>,
@@ -324,7 +366,7 @@ mod tests {
     }
 
     /// Every (source, target set) on `g` against the reference BFS,
-    /// through one warm scratch.
+    /// through one warm scratch — by search, and from the set's row.
     fn assert_matches_bfs(g: &Graph, sets: &[&[u32]]) {
         let adj = rows(g);
         let neighbors = |v: u32| adj[v as usize].as_slice();
@@ -332,12 +374,21 @@ mod tests {
         let index = HopLandmarks::build(neighbors, &components, count);
         let mut scratch = HopScratch::new();
         let mut reference = PlannerScratch::new();
-        for src in 0..adj.len() as u32 {
-            for set in sets {
+        let mut row = vec![0u16; adj.len()];
+        for set in sets {
+            hops_to_set_row(neighbors, set, &mut row, &mut scratch);
+            for src in 0..adj.len() as u32 {
+                let want = bfs_distance_to(g, src, |v| set.contains(&v), &mut reference);
                 assert_eq!(
                     index.hops_to_set(neighbors, &components, src, set, &mut scratch),
-                    bfs_distance_to(g, src, |v| set.contains(&v), &mut reference),
+                    want,
                     "src {src} set {set:?}"
+                );
+                let from_row = row[src as usize];
+                assert_eq!(
+                    (from_row != UNREACHED).then_some(u64::from(from_row)),
+                    want,
+                    "row of {set:?} at {src}"
                 );
             }
         }

@@ -30,7 +30,7 @@ pub use adjacency::{Adjacency, CsrGraph, Edge, Graph};
 pub use hierarchy::{
     HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_OVERLAY_LANDMARKS,
 };
-pub use hops::{HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
+pub use hops::{hops_to_set_row, HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
 pub use landmarks::{landmark_candidates, FarthestPoint};
 pub use scratch::{
     astar_path_filtered_into, astar_path_into, bfs_distance_to, dijkstra_path_filtered_into,

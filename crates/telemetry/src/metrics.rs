@@ -143,13 +143,14 @@ pub const KEYS_DERIVED: CounterId = CounterId(29);
 /// Receiver-side authentication failures (tampered header or
 /// ciphertext). Zero outside tamper-injection runs.
 pub const AUTH_FAILURES: CounterId = CounterId(30);
-/// Ideal-hops searches over the AP graph (one per planned flow with a
-/// route and a live source AP — the §4 overhead denominator).
+/// Ideal-hops queries over the AP graph (one per planned flow with a
+/// route and a live source AP — the §4 overhead denominator), whether
+/// a search or a destination's hop row answered.
 /// Schedule-dependent like the hier counters: racing workers may
 /// double-plan a pair. Excluded from digests.
 pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(31);
-/// APs settled by those searches. Schedule-dependent; excluded from
-/// digests.
+/// APs settled by the queries that searched (a row read settles none).
+/// Schedule-dependent; excluded from digests.
 pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(32);
 /// Retry-ladder geometries materialized (widened conduits plus the
 /// replan detour): once per plan per fault-state epoch, on the first
@@ -176,6 +177,14 @@ pub const ROUTES_FROM_ROWS: CounterId = CounterId(37);
 /// tie-flagged source, or a map too large to table).
 /// Schedule-dependent; excluded from digests.
 pub const ROUTE_SEARCHES: CounterId = CounterId(38);
+/// Per-destination-building hop rows the AP graph built (one flood
+/// each, on a destination's sixteenth ideal-hops query).
+/// Schedule-dependent like [`ROUTE_ROWS_BUILT`]; excluded from digests.
+pub const HOP_ROWS_BUILT: CounterId = CounterId(39);
+/// Ideal-hops queries read out of the destination's hop row; the rest
+/// of [`IDEAL_HOPS_QUERIES`] searched. Schedule-dependent; excluded
+/// from digests.
+pub const HOPS_FROM_ROWS: CounterId = CounterId(40);
 
 /// The counters whose totals depend on which worker planned or derived
 /// what (racing workers may both miss a cache and repeat the work).
@@ -195,6 +204,8 @@ pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
     ROUTE_ROWS_BUILT,
     ROUTES_FROM_ROWS,
     ROUTE_SEARCHES,
+    HOP_ROWS_BUILT,
+    HOPS_FROM_ROWS,
 ];
 
 /// The counter registry; indexed by [`CounterId`].
@@ -325,11 +336,11 @@ pub const COUNTERS: &[CounterDef] = &[
     },
     CounterDef {
         name: "ideal_hops_queries_total",
-        help: "Ideal-hops searches over the AP graph",
+        help: "Ideal-hops queries over the AP graph, answered by search or from a hop row",
     },
     CounterDef {
         name: "ideal_hops_settled_total",
-        help: "APs settled by ideal-hops searches",
+        help: "APs settled by the ideal-hops queries that searched (row reads settle none)",
     },
     CounterDef {
         name: "ladders_materialized_total",
@@ -354,6 +365,14 @@ pub const COUNTERS: &[CounterDef] = &[
     CounterDef {
         name: "route_searches_total",
         help: "Flat plans routed by the A* search",
+    },
+    CounterDef {
+        name: "hop_rows_built_total",
+        help: "Per-destination-building hop rows built by the AP graph",
+    },
+    CounterDef {
+        name: "hops_from_rows_total",
+        help: "Ideal-hops queries read out of the destination's hop row",
     },
 ];
 
@@ -752,7 +771,9 @@ mod tests {
 
     #[test]
     fn registry_ids_line_up() {
-        assert_eq!(COUNTERS.len(), 39);
+        assert_eq!(COUNTERS.len(), 41);
+        assert_eq!(COUNTERS[HOP_ROWS_BUILT.0].name, "hop_rows_built_total");
+        assert_eq!(COUNTERS[HOPS_FROM_ROWS.0].name, "hops_from_rows_total");
         assert_eq!(COUNTERS[ROUTE_ROWS_BUILT.0].name, "route_rows_built_total");
         assert_eq!(COUNTERS[ROUTES_FROM_ROWS.0].name, "routes_from_rows_total");
         assert_eq!(COUNTERS[ROUTE_SEARCHES.0].name, "route_searches_total");

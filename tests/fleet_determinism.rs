@@ -228,6 +228,81 @@ fn crossing_the_row_threshold_shows_in_no_digest() {
     assert_eq!(cold_serial, warm_parallel);
 }
 
+/// The same for the plan's other table: the AP graph answers a
+/// destination's ideal hops by search for its first fifteen queries and
+/// from the destination's stored hop row after, and the row outlives the
+/// run. A workload whose destinations cross that line gives one digest
+/// and one metric fingerprint on a fresh world at one worker, on another
+/// fresh world at four, and on the first, now warm, world at one and —
+/// cloned — at four.
+#[test]
+fn crossing_the_hop_row_threshold_shows_in_no_digest() {
+    const DESTINATIONS: u32 = 12;
+    let seed = 2024;
+    let mut flows = generate_flows(
+        prepared_city(seed).map().len(),
+        &WorkloadConfig {
+            flows: 600,
+            model: FlowModel::UniformPairs { rate_hz: 100.0 },
+            seed,
+        },
+    );
+    // Fifty requests a destination, nearly all from distinct sources (a
+    // repeated pair is a route-cache hit and plans nothing; a source
+    // asked once or twice never leaves the route search).
+    for f in &mut flows {
+        f.dst = f.id as u32 % DESTINATIONS;
+        f.src += if f.src < DESTINATIONS {
+            DESTINATIONS
+        } else {
+            0
+        };
+    }
+    let tel = TelemetryConfig::metrics_only();
+    let run = |exp: &CityExperiment, workers: usize| {
+        let cfg = FleetConfig {
+            workers,
+            seed,
+            ..FleetConfig::default()
+        };
+        let (report, telemetry) = try_run_fleet_traced(exp, &flows, &cfg, &tel).unwrap();
+        let metrics = telemetry.expect("metrics were asked for").metrics;
+        let hops = [
+            tm::HOP_ROWS_BUILT,
+            tm::HOPS_FROM_ROWS,
+            tm::IDEAL_HOPS_QUERIES,
+            tm::ROUTE_ROWS_BUILT,
+        ];
+        let [built, read, queries, route_rows] = hops.map(|id| metrics.counter(id));
+        assert_eq!(route_rows, 0, "no source is asked sixteen times");
+        (
+            (report.digest(), metrics.fingerprint()),
+            (built, read, queries - read),
+        )
+    };
+
+    let (serial_world, parallel_world) = (prepared_city(seed), prepared_city(seed));
+    let (cold_serial, (built, read, searched)) = run(&serial_world, 1);
+    // One worker: exactly fifteen searches a destination, then its row.
+    assert_eq!((built, searched), (12, 12 * 15));
+    assert!(read > 300, "{read} queries after the line");
+    let (cold_parallel, (built, read, _)) = run(&parallel_world, 4);
+    assert_eq!(built, 12);
+    assert!(read > 250, "{read} queries after the line");
+    for world in [&serial_world, &parallel_world] {
+        assert_eq!(world.ap_graph().hop_rows_built(), 12);
+    }
+    // Warm: every query is a row read; engine clones share the table.
+    let (warm_serial, counts) = run(&serial_world, 1);
+    assert_eq!((counts.0, counts.2), (0, 0));
+    let (warm_parallel, counts) = run(&serial_world.clone(), 4);
+    assert_eq!((counts.0, counts.2), (0, 0));
+
+    assert_eq!(cold_serial, cold_parallel);
+    assert_eq!(cold_serial, warm_serial);
+    assert_eq!(cold_serial, warm_parallel);
+}
+
 /// The fleet golden through the facade's own engine call: the fleet
 /// sweep's 500-flow workload at one worker must land on the goldens
 /// table's fleet row (`tests/goldens.rs` checks the same row through
