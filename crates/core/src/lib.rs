@@ -105,7 +105,7 @@ pub use route::{
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{
     simulate_delivery, simulate_delivery_faulted, simulate_delivery_into, ApRole, DeliveryParams,
-    DeliveryReport, DeliveryScratch, DetourStats, OverheadOutcome,
+    DeliveryReport, DeliveryScratch, DetourStats, KernelStats, OverheadOutcome,
 };
 pub use world::{CityExperiment, DeploymentTransition, EpochTransition};
 

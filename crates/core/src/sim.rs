@@ -2,14 +2,16 @@
 //!
 //! Replays one CityMesh message through a concrete AP placement: the
 //! source AP broadcasts, every AP in its precomputed audience
-//! ([`ApGraph::audience`]) receives, each first-time receiver runs the
-//! real agent verdict ([`ApAgent::decide`]: destination check, TTL,
-//! conduit membership), and relays fire after a small random MAC
-//! jitter. A flow carries one message id, so the report's role vector
-//! doubles as every AP's duplicate-suppression memory: an AP has seen
-//! the packet exactly when its role is no longer [`ApRole::Silent`].
-//! The run records everything the paper's metrics need:
-//! whether a destination-building AP ever received the packet
+//! ([`ApGraph::audience`]) receives, each first-time receiver acts on
+//! the real agent verdict ([`ApAgent::decide`]: destination check, TTL,
+//! conduit membership — under building scope computed once per
+//! building per flow, since it reads nothing else of the receiver), and
+//! relays fire after a small random MAC jitter. A flow carries one
+//! message id, so the report's role vector doubles as every AP's
+//! duplicate-suppression memory: an AP has seen the packet exactly
+//! when its role is no longer [`ApRole::Silent`]. The run records
+//! everything the paper's metrics need: whether a destination-building
+//! AP ever received the packet
 //! (*deliverability*), how many broadcasts happened (the overhead
 //! numerator), and the per-AP roles for Figure-7-style renders.
 //!
@@ -29,7 +31,7 @@ use citymesh_net::{CityMeshHeader, MessageKind, RouteEncoding};
 use citymesh_simcore::{SimRng, SimTime, Simulation};
 use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
-use crate::agent::{ApAgent, RebroadcastScope};
+use crate::agent::{Action, ApAgent, RebroadcastScope};
 use crate::apgraph::ApGraph;
 use crate::conduit::reconstruct_conduits;
 use crate::config::{require_probability, ConfigError};
@@ -189,6 +191,38 @@ impl DeliveryReport {
 #[derive(Debug)]
 struct Tx(u32);
 
+/// What the delivery kernel did through one [`DeliveryScratch`],
+/// cumulative over every flow it ran. Telemetry for tests and
+/// profiling: in no digest and no registry metric.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelStats {
+    /// Agent verdicts computed ([`ApAgent::decide`] calls). Under
+    /// [`RebroadcastScope::Building`] at most one per building a flow
+    /// reaches; under [`RebroadcastScope::ApPosition`] one per
+    /// first-time reception.
+    pub verdicts: u64,
+    /// The most events ever pending in the scratch's queue at once.
+    pub queue_high_water: usize,
+}
+
+/// A building's memoized verdict for the current flow: `UNDECIDED`, or
+/// `DECIDED` with the [`Action`]'s two bits beside it.
+const UNDECIDED: u8 = 0;
+const DECIDED: u8 = 1;
+const DELIVER: u8 = 2;
+const REBROADCAST: u8 = 4;
+
+fn memo_of(action: Action) -> u8 {
+    DECIDED | (u8::from(action.deliver) * DELIVER) | (u8::from(action.rebroadcast) * REBROADCAST)
+}
+
+fn action_of(memo: u8) -> Action {
+    Action {
+        deliver: memo & DELIVER != 0,
+        rebroadcast: memo & REBROADCAST != 0,
+    }
+}
+
 /// What the replan rung's detours cost a worker, cumulative over the
 /// [`DeliveryScratch`] that counted them. Racing workers may both
 /// materialize one cached plan's ladder, so totals over a fleet are
@@ -240,11 +274,14 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
 /// seen and are then reused, so a warmed scratch runs the kernel with
 /// **zero heap allocations**:
 ///
-/// * the event-queue storage ([`Simulation::reset`] keeps the heap's
+/// * the event-queue storage ([`Simulation::reset`] keeps the queue's
 ///   allocation);
 /// * the [`DeliveryReport`] role vector — one byte per AP, refilled
 ///   with [`ApRole::Silent`] at the start of every flow, which is also
-///   what forgets the previous flow's duplicate-suppression state.
+///   what forgets the previous flow's duplicate-suppression state;
+/// * the verdict memo — one byte per building, refilled with
+///   "undecided" at the start of every [`RebroadcastScope::Building`]
+///   flow (the verdict depends on the header, so it never outlives one).
 ///
 /// Reuse is invisible in the results: a dirty scratch and a fresh one
 /// produce bit-identical [`DeliveryReport`]s (property-tested in
@@ -254,6 +291,10 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
 pub struct DeliveryScratch {
     sim: Simulation<Tx>,
     report: DeliveryReport,
+    /// Per-building verdict memo (see [`memo_of`]); empty under
+    /// [`RebroadcastScope::ApPosition`], whose verdict is per AP.
+    verdicts: Vec<u8>,
+    stats: KernelStats,
     /// Reusable header for `CityExperiment::simulate_flow_with` (the
     /// per-flow message id varies, the waypoint buffer is recycled).
     pub(crate) header: CityMeshHeader,
@@ -309,6 +350,8 @@ impl DeliveryScratch {
                 duplicates: 0,
                 roles: Vec::new(),
             },
+            verdicts: Vec::new(),
+            stats: KernelStats::default(),
             header: placeholder_header(),
             tracer: FlowTracer::new(cfg),
             payload: Vec::new(),
@@ -339,6 +382,12 @@ impl DeliveryScratch {
         self.keys_derived
     }
 
+    /// What the delivery kernel did through this scratch so far:
+    /// verdicts computed and the event queue's high-water mark.
+    pub fn kernel_stats(&self) -> KernelStats {
+        self.stats
+    }
+
     /// The report of the most recent [`simulate_delivery_into`] run.
     pub fn report(&self) -> &DeliveryReport {
         &self.report
@@ -361,11 +410,14 @@ impl DeliveryScratch {
         self.report
     }
 
-    /// Prepares the scratch for a fresh flow over `n_aps` APs: rewinds
-    /// the simulation clock and resets the report in place.
-    fn begin(&mut self, n_aps: usize, horizon: SimTime) {
+    /// Prepares the scratch for a fresh flow over `n_aps` APs with a
+    /// verdict memo of `memo_len` buildings: rewinds the simulation
+    /// clock and resets the report and the memo in place.
+    fn begin(&mut self, n_aps: usize, memo_len: usize, horizon: SimTime) {
         self.sim.reset();
         self.sim.set_horizon(Some(horizon));
+        self.verdicts.clear();
+        self.verdicts.resize(memo_len, UNDECIDED);
         let r = &mut self.report;
         r.delivered = false;
         r.first_delivery = None;
@@ -474,100 +526,183 @@ pub fn simulate_delivery_faulted<'a>(
     scratch: &'a mut DeliveryScratch,
 ) -> &'a DeliveryReport {
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
-    scratch.begin(apg.len(), params.horizon);
+    // Under building scope a verdict is a function of the receiver's
+    // building alone (its centroid, or fail-closed for a building the
+    // map lacks), so it is computed once per building per flow.
+    let memo_len = match params.scope {
+        RebroadcastScope::Building => map.len(),
+        RebroadcastScope::ApPosition => 0,
+    };
+    scratch.begin(apg.len(), memo_len, params.horizon);
     // A dead source cannot even make the first transmission: fail
     // cleanly with an empty schedule.
     if faults.is_some_and(|f| f.is_failed(src_ap)) {
         return &scratch.report;
     }
-    let dst_building = header.destination();
-    let DeliveryScratch {
-        sim,
-        report,
-        tracer,
-        ..
-    } = scratch;
 
     // The source transmits unconditionally at t = 0; its `Relayed` role
     // makes it treat its own message as seen.
-    report.roles[src_ap as usize] = ApRole::Relayed;
-    sim.schedule_at(SimTime::ZERO, Tx(src_ap));
+    scratch.report.roles[src_ap as usize] = ApRole::Relayed;
+    scratch.sim.schedule_at(SimTime::ZERO, Tx(src_ap));
 
     // If the source already sits in the destination building, the
     // local postbox is reached immediately.
-    if apg.building_of(src_ap) == dst_building {
-        report.delivered = true;
-        report.first_delivery = Some(SimTime::ZERO);
-        tracer.record(TraceEvent::Delivered {
+    if apg.building_of(src_ap) == header.destination() {
+        scratch.report.delivered = true;
+        scratch.report.first_delivery = Some(SimTime::ZERO);
+        scratch.tracer.record(TraceEvent::Delivered {
             ap: src_ap,
             at_ns: 0,
         });
     }
 
-    let jitter_span = params
-        .max_jitter
-        .saturating_since(params.min_jitter)
-        .as_nanos()
-        .max(1);
+    let flood = Flood {
+        map,
+        apg,
+        header,
+        conduits,
+        params,
+        faults,
+    };
+    // Chosen from what the call itself shows, never configured: with no
+    // fault state, a lossless medium and a tracer that cannot record,
+    // no reception is ever dropped and nothing is ever traced, so the
+    // loop that omits those branches is the same kernel.
+    if faults.is_none() && params.reception_loss == 0.0 && !scratch.tracer.is_enabled() {
+        flood.run::<true>(rng, scratch);
+    } else {
+        flood.run::<false>(rng, scratch);
+    }
+    &scratch.report
+}
 
-    sim.run(|sim, Tx(ap)| {
-        report.broadcasts += 1;
-        let now = sim.now();
-        tracer.record(TraceEvent::Broadcast {
-            ap,
-            at_ns: now.as_nanos(),
+/// What one flow's flood reads and never writes.
+struct Flood<'a> {
+    map: &'a CityMap,
+    apg: &'a ApGraph,
+    header: &'a CityMeshHeader,
+    conduits: &'a [OrientedRect],
+    params: DeliveryParams,
+    faults: Option<&'a FaultState>,
+}
+
+impl Flood<'_> {
+    /// The event loop, one body compiled twice. `HEALTHY` promises what
+    /// [`simulate_delivery_faulted`] checked before choosing it — no
+    /// fault state, zero reception loss, a disabled tracer — so that
+    /// instantiation drops the failed and loss branches (which would
+    /// never fire and never draw) and every tracer call (each a no-op);
+    /// the other keeps them all. Both are the same kernel bit for bit.
+    fn run<const HEALTHY: bool>(&self, rng: &mut SimRng, scratch: &mut DeliveryScratch) {
+        let Flood {
+            map,
+            apg,
+            header,
+            conduits,
+            params,
+            faults,
+        } = *self;
+        let DeliveryScratch {
+            sim,
+            report,
+            verdicts,
+            tracer,
+            stats,
+            ..
+        } = scratch;
+        let jitter_span = params
+            .max_jitter
+            .saturating_since(params.min_jitter)
+            .as_nanos()
+            .max(1);
+        let (mut broadcasts, mut receptions, mut duplicates) = (0u64, 0u64, 0u64);
+        let mut decided = 0u64;
+        let mut high_water = stats.queue_high_water.max(sim.pending());
+
+        sim.run(|sim, Tx(ap)| {
+            broadcasts += 1;
+            let now = sim.now();
+            if !HEALTHY {
+                tracer.record(TraceEvent::Broadcast {
+                    ap,
+                    at_ns: now.as_nanos(),
+                });
+            }
+            for &rx in apg.audience(ap) {
+                if !HEALTHY {
+                    // Failed radios are gone from the air, not merely
+                    // lossy: skip them before the loss draw so the
+                    // healthy APs' RNG stream is untouched by how many
+                    // neighbors died.
+                    if faults.is_some_and(|f| f.is_failed(rx)) {
+                        continue;
+                    }
+                    let loss = match faults {
+                        Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
+                        None => params.reception_loss,
+                    };
+                    if loss > 0.0 && rng.chance(loss) {
+                        continue; // frame lost to collision/fading
+                    }
+                }
+                receptions += 1;
+                // One message id per flow: a non-silent role is "seen".
+                if report.roles[rx as usize] != ApRole::Silent {
+                    duplicates += 1;
+                    if !HEALTHY {
+                        tracer.record(TraceEvent::Duplicate {
+                            ap: rx,
+                            at_ns: now.as_nanos(),
+                        });
+                    }
+                    continue;
+                }
+                report.roles[rx as usize] = ApRole::HeardOnly;
+                let building = apg.building_of(rx);
+                let action = match verdicts.get_mut(building as usize) {
+                    Some(memo) if *memo != UNDECIDED => action_of(*memo),
+                    memo => {
+                        decided += 1;
+                        let action = ApAgent::decide(
+                            apg.position(rx),
+                            building,
+                            params.scope,
+                            header,
+                            map,
+                            conduits,
+                        );
+                        if let Some(memo) = memo {
+                            *memo = memo_of(action);
+                        }
+                        action
+                    }
+                };
+                if action.deliver && report.first_delivery.is_none() {
+                    report.delivered = true;
+                    report.first_delivery = Some(now);
+                    if !HEALTHY {
+                        tracer.record(TraceEvent::Delivered {
+                            ap: rx,
+                            at_ns: now.as_nanos(),
+                        });
+                    }
+                }
+                if action.rebroadcast {
+                    report.roles[rx as usize] = ApRole::Relayed;
+                    let delay =
+                        SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
+                    sim.schedule_at(now + delay, Tx(rx));
+                    high_water = high_water.max(sim.pending());
+                }
+            }
         });
-        for &rx in apg.audience(ap) {
-            // Failed radios are gone from the air, not merely lossy:
-            // skip them before the loss draw so the healthy APs' RNG
-            // stream is untouched by how many neighbors died.
-            if faults.is_some_and(|f| f.is_failed(rx)) {
-                continue;
-            }
-            let loss = match faults {
-                Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
-                None => params.reception_loss,
-            };
-            if loss > 0.0 && rng.chance(loss) {
-                continue; // frame lost to collision/fading
-            }
-            report.receptions += 1;
-            // One message id per flow: a non-silent role is "seen".
-            if report.roles[rx as usize] != ApRole::Silent {
-                report.duplicates += 1;
-                tracer.record(TraceEvent::Duplicate {
-                    ap: rx,
-                    at_ns: now.as_nanos(),
-                });
-                continue;
-            }
-            report.roles[rx as usize] = ApRole::HeardOnly;
-            let action = ApAgent::decide(
-                apg.position(rx),
-                apg.building_of(rx),
-                params.scope,
-                header,
-                map,
-                conduits,
-            );
-            if action.deliver && report.first_delivery.is_none() {
-                report.delivered = true;
-                report.first_delivery = Some(now);
-                tracer.record(TraceEvent::Delivered {
-                    ap: rx,
-                    at_ns: now.as_nanos(),
-                });
-            }
-            if action.rebroadcast {
-                report.roles[rx as usize] = ApRole::Relayed;
-                let delay =
-                    SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
-                sim.schedule_at(now + delay, Tx(rx));
-            }
-        }
-    });
 
-    report
+        report.broadcasts = broadcasts;
+        report.receptions = receptions;
+        report.duplicates = duplicates;
+        stats.verdicts += decided;
+        stats.queue_high_water = high_water;
+    }
 }
 
 #[cfg(test)]

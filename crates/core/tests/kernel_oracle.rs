@@ -9,17 +9,22 @@
 //! `Vec`, and allocates everything freshly. The two must agree field
 //! for field and leave the RNG at the same stream position.
 
+use std::collections::HashSet;
+
 use citymesh_core::agent::Action;
 use citymesh_core::faults::combined_loss;
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, Ap, ApAgent, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
-    DeliveryParams, DeliveryReport, DeliveryScratch, FaultScenario, FaultState, RebroadcastScope,
+    CityExperiment, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
+    FaultScenario, FaultState, RebroadcastScope,
 };
+use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
 use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
-use citymesh_map::CityMap;
+use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
-use citymesh_simcore::{SimRng, SimTime};
+use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_telemetry::TraceConfig;
 use proptest::prelude::*;
 
 /// The naive reference kernel (see the module docs).
@@ -254,4 +259,284 @@ proptest! {
         prop_assert!(apg.audience(hermit).is_empty());
 
     }
+}
+
+/// The benchmark's downtown (`crates/perf/src/workload.rs`: the
+/// `SurveyDowntown` archetype at world seed 2024) under `faults`.
+fn benchmark_downtown(faults: Option<FaultScenario>) -> CityExperiment {
+    let config = ExperimentConfig {
+        seed: 2024,
+        faults,
+        ..ExperimentConfig::default()
+    };
+    let map = CityArchetype::SurveyDowntown.generate(2024);
+    CityExperiment::try_prepare(map, config).expect("the benchmark's config is valid")
+}
+
+/// The first `n` of the benchmark's seed-1 hotspot flows (`fleet-hot`
+/// and `churn-ladder` share the model: 256 hotspots, Zipf 0.8).
+fn hotspot_flows(exp: &CityExperiment, n: usize) -> Vec<FlowSpec> {
+    let model = FlowModel::Hotspot {
+        hotspots: 256,
+        exponent: 0.8,
+        rate_hz: 1_000.0,
+    };
+    let cfg = WorkloadConfig {
+        flows: n,
+        model,
+        seed: 1,
+    };
+    generate_flows(exp.map().len(), &cfg)
+}
+
+/// What a fleet worker hands the kernel for `flow` on `world`: the
+/// plan's header and conduits, the flow's message id and its jitter
+/// sub-stream (seed 1). `None` when nothing would be sent.
+fn kernel_input(
+    world: &CityExperiment,
+    flow: &FlowSpec,
+) -> Option<(CityMeshHeader, Vec<OrientedRect>, u32, SimRng)> {
+    let plan = world.plan_flow(flow.src, flow.dst);
+    let src_ap = plan.src_ap.filter(|_| plan.route_found())?;
+    let msg_id = substream_seed(1, DOMAIN_MSG, flow.id);
+    let header = CityMeshHeader::new(msg_id, world.config().conduit_width_m, plan.waypoints);
+    let rng = SimRng::new(substream_seed(1, DOMAIN_SIM, flow.id));
+    Some((header, plan.conduits, src_ap, rng))
+}
+
+/// What [`kernel_equals_reference_on`] ran.
+#[derive(Debug, Default)]
+struct Tally {
+    simulated: u64,
+    delivered: u64,
+    /// APs other than the source that heard a flow: the verdicts a
+    /// kernel without a memo computes.
+    first_receptions: u64,
+    /// Verdicts the kernel computed ([`DeliveryScratch::kernel_stats`]).
+    verdicts: u64,
+}
+
+/// Runs `flows` on `world` through `scratch` and through the reference;
+/// every report must be equal field for field and leave the RNG at the
+/// same position.
+fn kernel_equals_reference_on(
+    world: &CityExperiment,
+    flows: &[FlowSpec],
+    params: DeliveryParams,
+    scratch: &mut DeliveryScratch,
+) -> Tally {
+    let (map, apg, faults) = (world.map(), world.ap_graph(), world.fault_state());
+    let verdicts_before = scratch.kernel_stats().verdicts;
+    let mut tally = Tally::default();
+    for flow in flows {
+        let Some((header, conduits, src_ap, mut rng_ref)) = kernel_input(world, flow) else {
+            continue;
+        };
+        let mut rng_kernel = rng_ref.clone();
+        let expected = reference_delivery(
+            map,
+            apg,
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            faults,
+            &mut rng_ref,
+        );
+        let got = simulate_delivery_faulted(
+            map,
+            apg,
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            faults,
+            &mut rng_kernel,
+            scratch,
+        );
+        assert_eq!(
+            got, &expected,
+            "flow {} ({} -> {})",
+            flow.id, flow.src, flow.dst
+        );
+        assert_eq!(
+            rng_kernel.below(u64::MAX),
+            rng_ref.below(u64::MAX),
+            "RNG streams desynchronized on flow {}",
+            flow.id
+        );
+        tally.simulated += 1;
+        tally.delivered += u64::from(got.delivered);
+        let heard = got.roles.iter().enumerate();
+        let heard = heard.filter(|&(ap, r)| *r != ApRole::Silent && ap as u32 != src_ap);
+        tally.first_receptions += heard.count() as u64;
+    }
+    tally.verdicts = scratch.kernel_stats().verdicts - verdicts_before;
+    tally
+}
+
+/// Kernel ≡ naive reference at benchmark scale, through ONE dirty
+/// scratch carried across four worlds of the benchmark downtown: the
+/// `fleet-hot` flows (the healthy instantiation, building verdicts
+/// memoized), the `churn-ladder` blackout (failed APs, the general
+/// instantiation), a lossy medium over degraded APs, and AP-position
+/// scope (no memo). A verdict memo that leaked between flows, or that
+/// keyed anything but the receiver's building, diverges here: a leak or
+/// a wrong key changes a report, and a per-AP key decides once per
+/// reception, which the verdict counts rule out.
+/// Release only (CI's `figures` job runs it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "4,000 downtown flows against the reference: run with --release"
+)]
+fn kernel_equals_reference_at_benchmark_scale() {
+    let mut scratch = DeliveryScratch::new();
+    let healthy = benchmark_downtown(None);
+    let params = DeliveryParams::default();
+    assert_eq!(healthy.config().scope, RebroadcastScope::Building);
+    let flows = hotspot_flows(&healthy, 1_000);
+    let t = kernel_equals_reference_on(&healthy, &flows, params, &mut scratch);
+    assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
+    assert!(t.verdicts * 3 < t.first_receptions * 2, "{t:?}");
+
+    let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
+    let failed = blackout.fault_state().expect("faulted").failed_count();
+    assert!(failed > 10, "the blackout darkens {failed} APs");
+    let t = kernel_equals_reference_on(&blackout, &flows, params, &mut scratch);
+    assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
+    assert!(t.verdicts < t.first_receptions, "{t:?}");
+
+    let lossy = benchmark_downtown(Some(FaultScenario {
+        degraded_p: 0.4,
+        degraded_loss: 0.5,
+        ..FaultScenario::default()
+    }));
+    assert!(lossy.fault_state().expect("faulted").degraded_count() > 200);
+    let lossy_params = DeliveryParams {
+        reception_loss: 0.15,
+        ..params
+    };
+    let t = kernel_equals_reference_on(&lossy, &flows, lossy_params, &mut scratch);
+    assert!(t.delivered > 100 && t.simulated - t.delivered > 5, "{t:?}");
+    assert!(t.verdicts < t.first_receptions, "{t:?}");
+
+    let by_position = DeliveryParams {
+        scope: RebroadcastScope::ApPosition,
+        ..params
+    };
+    let t = kernel_equals_reference_on(&healthy, &flows, by_position, &mut scratch);
+    assert!(t.simulated > 950, "{t:?}");
+    assert_eq!(t.verdicts, t.first_receptions, "one verdict per AP");
+}
+
+/// The two instantiations of the kernel's loop are one kernel: the same
+/// healthy flows through a scratch whose tracer records (the general
+/// loop, every branch and tracer call kept) and through a plain one
+/// (the healthy loop) give identical reports and RNG positions — and
+/// identical verdict counts, since the memo is the same in both.
+#[test]
+fn healthy_and_general_instantiations_agree() {
+    let world = benchmark_downtown(None);
+    let (map, apg) = (world.map(), world.ap_graph());
+    let params = DeliveryParams::default();
+    let mut plain = DeliveryScratch::new();
+    let mut traced = DeliveryScratch::with_tracing(TraceConfig::sampled(1));
+    assert!(traced.tracer().is_enabled() && !plain.tracer().is_enabled());
+    let mut simulated = 0;
+    for flow in hotspot_flows(&world, 300) {
+        let Some((header, conduits, src_ap, mut rng_plain)) = kernel_input(&world, &flow) else {
+            continue;
+        };
+        let mut rng_traced = rng_plain.clone();
+        let expected = simulate_delivery_faulted(
+            map,
+            apg,
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            None,
+            &mut rng_plain,
+            &mut plain,
+        );
+        traced.tracer_mut().begin_flow(flow.id);
+        let got = simulate_delivery_faulted(
+            map,
+            apg,
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            None,
+            &mut rng_traced,
+            &mut traced,
+        );
+        assert_eq!(got, expected, "flow {}", flow.id);
+        assert_eq!(rng_traced.below(u64::MAX), rng_plain.below(u64::MAX));
+        simulated += 1;
+    }
+    assert!(simulated > 280);
+    assert!(traced.tracer().high_water() > 0, "the general loop traced");
+    assert_eq!(traced.kernel_stats(), plain.kernel_stats());
+}
+
+/// The count behind the kernel's per-building verdict, on the
+/// `fleet-hot` benchmark's 30,000 seed-1 flows: the kernel computes
+/// exactly one verdict per distinct building among a flow's first-time
+/// receivers (counted here from the roles, independently of the memo)
+/// — about 69 a flow where one per first reception would be about 120
+/// — and never holds more than 24 events pending. Counts, so they hold
+/// on every machine. Release only (CI's `figures` job runs it).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "30,000 downtown flows: run with --release")]
+fn one_verdict_per_heard_building_on_the_benchmark_flows() {
+    let world = benchmark_downtown(None);
+    let (map, apg) = (world.map(), world.ap_graph());
+    let mut scratch = DeliveryScratch::new();
+    let flows = hotspot_flows(&world, 30_000);
+    let (mut heard_buildings, mut first_receptions) = (0u64, 0u64);
+    let (mut broadcasts, mut receptions) = (0u64, 0u64);
+    let mut buildings = HashSet::new();
+    for flow in &flows {
+        let Some((header, conduits, src_ap, mut rng)) = kernel_input(&world, flow) else {
+            continue;
+        };
+        let params = DeliveryParams::default();
+        let report = simulate_delivery_faulted(
+            map,
+            apg,
+            &header,
+            &conduits,
+            src_ap,
+            params,
+            None,
+            &mut rng,
+            &mut scratch,
+        );
+        broadcasts += report.broadcasts;
+        receptions += report.receptions;
+        buildings.clear();
+        for (ap, role) in report.roles.iter().enumerate() {
+            if *role != ApRole::Silent && ap as u32 != src_ap {
+                first_receptions += 1;
+                buildings.insert(apg.building_of(ap as u32));
+            }
+        }
+        heard_buildings += buildings.len() as u64;
+    }
+    let stats = scratch.kernel_stats();
+    let per_flow = |n: u64| n as f64 / flows.len() as f64;
+    eprintln!(
+        "a flow: {:.1} broadcasts, {:.1} receptions, {:.1} first receptions, {:.1} verdicts; \
+         queue high water {}",
+        per_flow(broadcasts),
+        per_flow(receptions),
+        per_flow(first_receptions),
+        per_flow(stats.verdicts),
+        stats.queue_high_water
+    );
+    assert_eq!(stats.verdicts, heard_buildings);
+    assert!(stats.verdicts * 3 < first_receptions * 2, "{stats:?}");
+    assert!(stats.queue_high_water <= 24, "{stats:?}");
 }

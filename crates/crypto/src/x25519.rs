@@ -17,6 +17,12 @@ pub const BASEPOINT: [u8; KEY_LEN] = {
 
 const MASK51: u64 = (1 << 51) - 1;
 
+/// One limb product, `u64 × u64 → u128`.
+#[inline(always)]
+fn m(a: u64, b: u64) -> u128 {
+    u128::from(a) * u128::from(b)
+}
+
 /// A field element in GF(2²⁵⁵ − 19), five radix-2⁵¹ limbs.
 #[derive(Clone, Copy, Debug)]
 struct Fe([u64; 5]);
@@ -113,17 +119,32 @@ impl Fe {
         Fe(h)
     }
 
+    // Limb bounds, which the ladder's call pattern keeps (`add` and
+    // `sub` are only ever applied to `from_bytes` / `carry` outputs;
+    // `invert` only multiplies). Nothing here branches on them — they
+    // are why no limb overflows:
+    //
+    // * `from_bytes` and every `carry` output: limbs < 2^51 + 2^12;
+    // * `add` / `sub` (+2p) outputs, with no carry of their own:
+    //   limbs < 2^53;
+    // * so `mul` / `square` inputs are < 2^53, a limb times 19 is
+    //   < 2^58 (a `u64`), every product < 2^53 · 2^57.3 = 2^110.3, and
+    //   a column `c0` (one plain product plus four times-19 ones) is
+    //   < 2^113 — its carry `c0 >> 51` fits a `u64`.
+
+    /// `self + rhs`, limb by limb (< 2^53 under the bounds above).
     fn add(self, rhs: Fe) -> Fe {
         let mut h = self.0;
         for (limb, r) in h.iter_mut().zip(rhs.0) {
             *limb += r;
         }
-        Fe(h).weak_reduced()
+        Fe(h)
     }
 
+    /// `self − rhs + 2p`, limb by limb: `rhs` limbs (< 2^51 + 2^12)
+    /// stay below 2p's (≥ 2^52 − 38), so none underflows, and the
+    /// result is < 2^53.
     fn sub(self, rhs: Fe) -> Fe {
-        // Add 2p so every limb difference stays non-negative
-        // (operands are weakly reduced, limbs < 2^52).
         const TWO_P: [u64; 5] = [
             0xF_FFFF_FFFF_FFDA,
             0xF_FFFF_FFFF_FFFE,
@@ -135,18 +156,19 @@ impl Fe {
         for i in 0..5 {
             h[i] = self.0[i] + TWO_P[i] - rhs.0[i];
         }
-        Fe(h).weak_reduced()
+        Fe(h)
     }
 
     fn mul(self, rhs: Fe) -> Fe {
-        let a = self.0.map(|x| x as u128);
-        let b = rhs.0.map(|x| x as u128);
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = rhs.0;
+        let (b1_19, b2_19, b3_19, b4_19) = (b1 * 19, b2 * 19, b3 * 19, b4 * 19);
 
-        let t0 = a[0] * b[0] + 19 * (a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]);
-        let t1 = a[0] * b[1] + a[1] * b[0] + 19 * (a[2] * b[4] + a[3] * b[3] + a[4] * b[2]);
-        let t2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + 19 * (a[3] * b[4] + a[4] * b[3]);
-        let t3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + 19 * (a[4] * b[4]);
-        let t4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
+        let t0 = m(a0, b0) + m(a1, b4_19) + m(a2, b3_19) + m(a3, b2_19) + m(a4, b1_19);
+        let t1 = m(a0, b1) + m(a1, b0) + m(a2, b4_19) + m(a3, b3_19) + m(a4, b2_19);
+        let t2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + m(a3, b4_19) + m(a4, b3_19);
+        let t3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + m(a4, b4_19);
+        let t4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
 
         Self::carry(t0, t1, t2, t3, t4)
     }
@@ -154,15 +176,15 @@ impl Fe {
     /// `self²` with the symmetric cross terms folded: 15 limb products
     /// where `mul(self)` spends 25.
     fn square(self) -> Fe {
-        let a = self.0.map(|x| x as u128);
-        let (a0_2, a1_2) = (2 * a[0], 2 * a[1]);
-        let (a3_19, a4_19) = (19 * a[3], 19 * a[4]);
+        let [a0, a1, a2, a3, a4] = self.0;
+        let (a0_2, a1_2, a2_2, a3_2) = (a0 * 2, a1 * 2, a2 * 2, a3 * 2);
+        let (a3_19, a4_19) = (a3 * 19, a4 * 19);
 
-        let t0 = a[0] * a[0] + 2 * (a[1] * a4_19 + a[2] * a3_19);
-        let t1 = a0_2 * a[1] + 2 * (a[2] * a4_19) + a[3] * a3_19;
-        let t2 = a0_2 * a[2] + a[1] * a[1] + 2 * (a[3] * a4_19);
-        let t3 = a0_2 * a[3] + a1_2 * a[2] + a[4] * a4_19;
-        let t4 = a0_2 * a[4] + a1_2 * a[3] + a[2] * a[2];
+        let t0 = m(a0, a0) + m(a1_2, a4_19) + m(a2_2, a3_19);
+        let t1 = m(a0_2, a1) + m(a2_2, a4_19) + m(a3, a3_19);
+        let t2 = m(a0_2, a2) + m(a1, a1) + m(a3_2, a4_19);
+        let t3 = m(a0_2, a3) + m(a1_2, a2) + m(a4, a4_19);
+        let t4 = m(a0_2, a4) + m(a1_2, a3) + m(a2, a2);
 
         Self::carry(t0, t1, t2, t3, t4)
     }
@@ -185,28 +207,25 @@ impl Fe {
     }
 
     fn carry(t0: u128, t1: u128, t2: u128, t3: u128, t4: u128) -> Fe {
-        let m = MASK51 as u128;
-        let mut r = [0u64; 5];
-        let mut c;
-        c = t0 >> 51;
-        r[0] = (t0 & m) as u64;
-        let t1 = t1 + c;
-        c = t1 >> 51;
-        r[1] = (t1 & m) as u64;
-        let t2 = t2 + c;
-        c = t2 >> 51;
-        r[2] = (t2 & m) as u64;
-        let t3 = t3 + c;
-        c = t3 >> 51;
-        r[3] = (t3 & m) as u64;
-        let t4 = t4 + c;
-        c = t4 >> 51;
-        r[4] = (t4 & m) as u64;
-        r[0] += 19 * c as u64;
-        let c2 = r[0] >> 51;
-        r[0] &= MASK51;
-        r[1] += c2;
-        Fe(r)
+        // Columns are < 2^113 (see the bounds above), so every carry
+        // out of one fits a `u64`. `t4` has no times-19 products
+        // (< 2^109), so `19 · c4` < 2^62 and limb 1 ends < 2^51 + 2^12.
+        let c = (t0 >> 51) as u64;
+        let r0 = t0 as u64 & MASK51;
+        let t1 = t1 + u128::from(c);
+        let c = (t1 >> 51) as u64;
+        let r1 = t1 as u64 & MASK51;
+        let t2 = t2 + u128::from(c);
+        let c = (t2 >> 51) as u64;
+        let r2 = t2 as u64 & MASK51;
+        let t3 = t3 + u128::from(c);
+        let c = (t3 >> 51) as u64;
+        let r3 = t3 as u64 & MASK51;
+        let t4 = t4 + u128::from(c);
+        let c = (t4 >> 51) as u64;
+        let r4 = t4 as u64 & MASK51;
+        let r0 = r0 + 19 * c;
+        Fe([r0 & MASK51, r1 + (r0 >> 51), r2, r3, r4])
     }
 
     /// Inversion via Fermat: self^(p − 2) = self^(2²⁵⁵ − 21), by the
@@ -311,6 +330,7 @@ pub fn shared_secret(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn unhex(s: &str) -> [u8; 32] {
         let v: Vec<u8> = (0..s.len())
@@ -441,6 +461,155 @@ mod tests {
         assert_eq!(clamped[0] & 7, 0);
         assert_eq!(clamped[31] & 0x80, 0);
         assert_eq!(clamped[31] & 0x40, 0x40);
+    }
+
+    // The field arithmetic as it was before `add` / `sub` stopped
+    // reducing and `mul` / `square` pre-scaled by 19: every sum carried
+    // at once, products and the times-19 folds in `u128`. It is the
+    // reference the new operations are checked against.
+
+    fn ref_add(a: Fe, b: Fe) -> Fe {
+        let mut h = a.0;
+        for (limb, r) in h.iter_mut().zip(b.0) {
+            *limb += r;
+        }
+        Fe(h).weak_reduced()
+    }
+
+    fn ref_sub(a: Fe, b: Fe) -> Fe {
+        const TWO_P: [u64; 5] = [
+            0xF_FFFF_FFFF_FFDA,
+            0xF_FFFF_FFFF_FFFE,
+            0xF_FFFF_FFFF_FFFE,
+            0xF_FFFF_FFFF_FFFE,
+            0xF_FFFF_FFFF_FFFE,
+        ];
+        let mut h = [0u64; 5];
+        for i in 0..5 {
+            h[i] = a.0[i] + TWO_P[i] - b.0[i];
+        }
+        Fe(h).weak_reduced()
+    }
+
+    fn ref_mul(x: Fe, y: Fe) -> Fe {
+        let a = x.0.map(|x| x as u128);
+        let b = y.0.map(|x| x as u128);
+        let t0 = a[0] * b[0] + 19 * (a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]);
+        let t1 = a[0] * b[1] + a[1] * b[0] + 19 * (a[2] * b[4] + a[3] * b[3] + a[4] * b[2]);
+        let t2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0] + 19 * (a[3] * b[4] + a[4] * b[3]);
+        let t3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0] + 19 * (a[4] * b[4]);
+        let t4 = a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0];
+        ref_carry([t0, t1, t2, t3, t4])
+    }
+
+    fn ref_square(x: Fe) -> Fe {
+        let a = x.0.map(|x| x as u128);
+        let (a0_2, a1_2) = (2 * a[0], 2 * a[1]);
+        let (a3_19, a4_19) = (19 * a[3], 19 * a[4]);
+        let t0 = a[0] * a[0] + 2 * (a[1] * a4_19 + a[2] * a3_19);
+        let t1 = a0_2 * a[1] + 2 * (a[2] * a4_19) + a[3] * a3_19;
+        let t2 = a0_2 * a[2] + a[1] * a[1] + 2 * (a[3] * a4_19);
+        let t3 = a0_2 * a[3] + a1_2 * a[2] + a[4] * a4_19;
+        let t4 = a0_2 * a[4] + a1_2 * a[3] + a[2] * a[2];
+        ref_carry([t0, t1, t2, t3, t4])
+    }
+
+    fn ref_carry(t: [u128; 5]) -> Fe {
+        let m = MASK51 as u128;
+        let mut r = [0u64; 5];
+        let mut c = 0u128;
+        for i in 0..5 {
+            let ti = t[i] + c;
+            c = ti >> 51;
+            r[i] = (ti & m) as u64;
+        }
+        r[0] += 19 * c as u64;
+        let c2 = r[0] >> 51;
+        r[0] &= MASK51;
+        r[1] += c2;
+        Fe(r)
+    }
+
+    /// One ladder step (the loop body of [`x25519`]) over a given set
+    /// of field operations.
+    struct Ops {
+        add: fn(Fe, Fe) -> Fe,
+        sub: fn(Fe, Fe) -> Fe,
+        mul: fn(Fe, Fe) -> Fe,
+        square: fn(Fe) -> Fe,
+    }
+
+    fn ladder_step(o: &Ops, x1: Fe, [x2, z2, x3, z3]: [Fe; 4]) -> [Fe; 4] {
+        let a = (o.add)(x2, z2);
+        let aa = (o.square)(a);
+        let b = (o.sub)(x2, z2);
+        let bb = (o.square)(b);
+        let e = (o.sub)(aa, bb);
+        let c = (o.add)(x3, z3);
+        let d = (o.sub)(x3, z3);
+        let da = (o.mul)(d, a);
+        let cb = (o.mul)(c, b);
+        [
+            (o.mul)(aa, bb),
+            (o.mul)(e, (o.add)(aa, e.mul_small_121665())),
+            (o.square)((o.add)(da, cb)),
+            (o.mul)(x1, (o.square)((o.sub)(da, cb))),
+        ]
+    }
+
+    /// The largest limb a `carry` output (or `from_bytes`) can hold,
+    /// plus one: every input below is at most this, so the new
+    /// operations run at the top of the bounds their comments claim.
+    const REDUCED_END: u64 = (1 << 51) + (1 << 12);
+
+    /// A reduced field element, half the time with every limb within
+    /// 2^16 of the bound.
+    fn reduced() -> impl Strategy<Value = Fe> {
+        let limb = || {
+            prop_oneof![
+                0..REDUCED_END,
+                REDUCED_END - (1 << 16)..REDUCED_END,
+                REDUCED_END - 1..REDUCED_END,
+            ]
+        };
+        (limb(), limb(), limb(), limb(), limb()).prop_map(|(a, b, c, d, e)| Fe([a, b, c, d, e]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The carry-free `add` / `sub` and the pre-scaled `mul` /
+        /// `square` equal the weak-reducing reference as field elements
+        /// — alone, on each other's unreduced outputs, and over a whole
+        /// ladder step — and stay inside their documented limb bounds.
+        #[test]
+        fn field_ops_equal_the_weak_reducing_reference(
+            (x1, x2, z2) in (reduced(), reduced(), reduced()),
+            (x3, z3) in (reduced(), reduced()),
+        ) {
+            let below = |f: Fe, bound: u64| f.0.iter().all(|&l| l < bound);
+            let (sum, diff) = (x2.add(z2), x2.sub(z2));
+            prop_assert!(below(sum, 1 << 53) && below(diff, 1 << 53));
+            prop_assert_eq!(sum.to_bytes(), ref_add(x2, z2).to_bytes());
+            prop_assert_eq!(diff.to_bytes(), ref_sub(x2, z2).to_bytes());
+            for (p, q) in [(sum, diff), (diff, diff), (sum, x3), (x1, z3)] {
+                let product = p.mul(q);
+                prop_assert!(below(product, REDUCED_END));
+                prop_assert_eq!(product.to_bytes(), ref_mul(p, q).to_bytes());
+                let squared = p.square();
+                prop_assert!(below(squared, REDUCED_END));
+                prop_assert_eq!(squared.to_bytes(), ref_square(p).to_bytes());
+            }
+
+            let new = Ops { add: Fe::add, sub: Fe::sub, mul: Fe::mul, square: Fe::square };
+            let reference = Ops { add: ref_add, sub: ref_sub, mul: ref_mul, square: ref_square };
+            let got = ladder_step(&new, x1, [x2, z2, x3, z3]);
+            let expected = ladder_step(&reference, x1, [x2, z2, x3, z3]);
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert!(below(*g, REDUCED_END));
+                prop_assert_eq!(g.to_bytes(), e.to_bytes());
+            }
+        }
     }
 
     #[test]

@@ -1,88 +1,64 @@
 //! The event scheduler.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::SimTime;
 
 /// A priority queue of timestamped events with deterministic FIFO
 /// tie-breaking: events scheduled for the same instant pop in the
 /// order they were pushed.
+///
+/// The pending events are one `Vec` kept sorted by `(time, push
+/// order)` **descending**, so the next event is the last element: a
+/// pop is a `Vec::pop`, a push a binary search plus a shift of the
+/// later-popping tail. The push order is never stored — a new event is
+/// inserted *before* every pending event of equal time, which is where
+/// its larger sequence number would sort it. The delivery kernel keeps
+/// at most a few dozen events pending (its flood is confined to a
+/// conduit), where this beats a binary heap's sift-down on every pop;
+/// the shift makes a push O(n), so a queue holding many thousands of
+/// events would want the heap back.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
+    pending: Vec<(SimTime, E)>,
     popped: u64,
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            pending: Vec::new(),
             popped: 0,
         }
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        self.heap.push(Entry {
-            time: at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
+        // Everything strictly later stays in front; everything at or
+        // before `at` — equal times were pushed earlier — pops first.
+        let slot = self.pending.partition_point(|&(t, _)| t > at);
+        self.pending.insert(slot, (at, event));
     }
 
     /// Removes and returns the earliest event with its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
+        let next = self.pending.pop()?;
         self.popped += 1;
-        Some((e.time, e.event))
+        Some(next)
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.pending.last().map(|&(t, _)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 
     /// Total events processed so far (for run statistics).
@@ -90,12 +66,12 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Empties the queue and resets the sequence and processed
-    /// counters, **keeping the heap's allocation** so a reused queue
-    /// schedules without touching the allocator.
+    /// Empties the queue and resets the processed counter (and with it
+    /// the FIFO order, which is only ever relative to what is pending),
+    /// **keeping the storage's allocation** so a reused queue schedules
+    /// without touching the allocator.
     pub fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
+        self.pending.clear();
         self.popped = 0;
     }
 }
@@ -253,6 +229,7 @@ impl<E> Default for Simulation<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order() {
@@ -385,6 +362,64 @@ mod tests {
         let mut count = 0;
         sim.run(|_, _| count += 1);
         assert_eq!(count, 12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Pops interleaved with pushes, then a full drain, read exactly
+        /// what a stable sort of the pending events by `(time, push
+        /// sequence)` says comes next — with 64 distinct times for
+        /// 2,000+ events, so nearly every pop breaks a tie, and at
+        /// least 1,000 events pending by the end of the pushes.
+        #[test]
+        fn pop_order_is_a_stable_sort_by_time_then_push_order(
+            times in proptest::collection::vec(0u64..64, 2_000..2_500),
+            pop_every in 2usize..8,
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: Vec<(SimTime, usize)> = Vec::new();
+            let reference_pop = |reference: &mut Vec<(SimTime, usize)>| {
+                reference.sort_by_key(|&(t, seq)| (t, seq));
+                (!reference.is_empty()).then(|| reference.remove(0))
+            };
+            for (seq, &t) in times.iter().enumerate() {
+                q.push(SimTime::from_nanos(t), seq);
+                reference.push((SimTime::from_nanos(t), seq));
+                if seq % pop_every == 0 {
+                    prop_assert_eq!(q.pop(), reference_pop(&mut reference));
+                }
+            }
+            prop_assert!(q.len() >= 1_000);
+            prop_assert_eq!(q.len(), reference.len());
+            while !reference.is_empty() {
+                prop_assert_eq!(q.peek_time(), reference.iter().map(|e| e.0).min());
+                prop_assert_eq!(q.pop(), reference_pop(&mut reference));
+            }
+            prop_assert_eq!(q.pop(), None);
+            prop_assert_eq!(q.processed(), times.len() as u64);
+        }
+    }
+
+    #[test]
+    fn clear_keeps_the_storage_allocation() {
+        let mut q = EventQueue::new();
+        let fill = |q: &mut EventQueue<u64>| {
+            for i in 0..1_000u64 {
+                q.push(SimTime::from_nanos(i % 7), i);
+            }
+        };
+        fill(&mut q);
+        let (capacity, storage) = (q.pending.capacity(), q.pending.as_ptr());
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pending.capacity(), capacity);
+        // Refilling to the same depth reuses the same buffer.
+        fill(&mut q);
+        assert_eq!(
+            (q.pending.capacity(), q.pending.as_ptr()),
+            (capacity, storage)
+        );
     }
 
     #[test]

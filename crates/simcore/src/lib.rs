@@ -10,9 +10,10 @@
 //!    ([`SimRng`], [`split_seed`]). Every figure in EXPERIMENTS.md can
 //!    be regenerated bit-for-bit.
 //! 2. **Scale** — city simulations schedule millions of packet
-//!    broadcast events; the scheduler is a flat binary heap over
-//!    `(time, seq)` keys with no per-event allocation beyond the event
-//!    payload itself.
+//!    broadcast events; the scheduler is one `Vec` kept sorted by
+//!    `(time, seq)` (the few dozen events a conduit flood keeps pending
+//!    shift faster than a heap sifts) with no per-event allocation
+//!    beyond the event payload itself.
 //! 3. **Explicit radio modeling** — [`radio`] provides the unit-disk
 //!    cutoff the paper uses ("symmetric transmission range cutoff of
 //!    50 m") plus a log-distance/shadowing model used by the synthetic
