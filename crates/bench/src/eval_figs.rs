@@ -4,6 +4,7 @@ use citymesh_core::{
     compress_route, plan_route, BuildingGraph, BuildingGraphParams, CityExperiment, CityResult,
     ExperimentConfig,
 };
+use citymesh_fleet::run_pool;
 use citymesh_map::{synth, CityArchetype, CityParams};
 use citymesh_net::CityMeshHeader;
 use citymesh_simcore::{split_seed, SimRng};
@@ -43,29 +44,17 @@ pub fn paper_config(
     }
 }
 
-/// Runs Figure 6 across the eight city archetypes, one thread per
-/// city (each city run is independent and deterministic in the seed,
-/// so parallelism cannot change any number). With
+/// Runs Figure 6 across the eight city archetypes, one [`run_pool`]
+/// worker per city (each city run is independent and deterministic in
+/// the seed, so parallelism cannot change any number). With
 /// `reachability_pairs = 1000, delivery_pairs = 50` this is the
 /// paper's exact protocol; tests pass smaller numbers.
 pub fn run_fig6(seed: u64, reachability_pairs: usize, delivery_pairs: usize) -> Fig6 {
     let config = paper_config(seed, reachability_pairs, delivery_pairs);
-    let archetypes = CityArchetype::cities();
-    let mut cities: Vec<Option<CityResult>> = (0..archetypes.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (slot, arch) in cities.iter_mut().zip(archetypes) {
-            scope.spawn(move |_| {
-                *slot = Some(CityExperiment::prepare(arch.generate(seed), config).run());
-            });
-        }
-    })
-    .expect("city worker panicked");
-    Fig6 {
-        cities: cities
-            .into_iter()
-            .map(|c| c.expect("every slot filled"))
-            .collect(),
-    }
+    let cities = run_pool(CityArchetype::cities(), |arch| {
+        CityExperiment::prepare(arch.generate(seed), config).run()
+    });
+    Fig6 { cities }
 }
 
 impl Fig6 {

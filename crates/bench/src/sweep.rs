@@ -6,7 +6,7 @@
 use std::time::Instant;
 
 use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};
-use citymesh_fleet::{try_run_fleet, FleetConfig, FleetReport, FlowSpec};
+use citymesh_fleet::{run_pool, try_run_fleet, FleetConfig, FleetReport, FlowSpec};
 use citymesh_map::CityMap;
 
 /// Root seed of every `figures` artifact; every pin is taken at it.
@@ -118,7 +118,7 @@ pub fn run_fleet(exp: &CityExperiment, flows: &[FlowSpec], cfg: &FleetConfig) ->
     try_run_fleet(exp, flows, cfg).expect("sweep config matches the world it prepared")
 }
 
-/// Folds `items` on `workers` threads — one contiguous chunk each,
+/// Folds `items` in `workers` contiguous chunks on [`run_pool`] —
 /// `fold(offset of the chunk, chunk)` — and returns the per-chunk
 /// results in order with the wall-clock seconds the whole pass took.
 pub fn timed_chunks<T: Sync, R: Send>(
@@ -127,17 +127,8 @@ pub fn timed_chunks<T: Sync, R: Send>(
     fold: impl Fn(usize, &[T]) -> R + Sync,
 ) -> (Vec<R>, f64) {
     let chunk = items.len().div_ceil(workers.max(1)).max(1);
-    let fold = &fold;
     let started = Instant::now();
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| s.spawn(move || fold(i * chunk, c)))
-            .collect();
-        let joined = handles.into_iter().map(|h| h.join());
-        joined.map(|r| r.expect("sweep worker panicked")).collect()
-    });
+    let results = run_pool(items.chunks(chunk).enumerate(), |(i, c)| fold(i * chunk, c));
     (results, started.elapsed().as_secs_f64().max(1e-9))
 }
 

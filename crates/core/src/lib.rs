@@ -39,6 +39,8 @@
 //!   keypairs (`NodeId = SHA-256(pubkey)`), the amortized per-pair
 //!   session-key cache, and key rotation with churn-style session
 //!   invalidation.
+//! * [`pair_cache`] — the sharded building-pair memo under both the
+//!   session-key cache and the fleet's route cache.
 //!
 //! The experiment itself is four modules, split along the state each
 //! owns:
@@ -68,6 +70,7 @@ pub mod deploy;
 pub mod faults;
 pub mod flow;
 pub mod hier;
+pub mod pair_cache;
 pub mod placement;
 pub mod plan;
 pub mod postbox;
@@ -95,6 +98,7 @@ pub use hier::{HierPlanScratch, HierPlanner};
 pub use citymesh_graph::{HierParams, HierStats, HopScratch, HopStats};
 pub use config::{ConfigError, ExperimentConfig};
 pub use flow::{CityResult, FlowOpts, PairOutcome};
+pub use pair_cache::PairCache;
 pub use placement::{place_aps, postbox_ap, Ap};
 pub use plan::{PlanScratch, PlannedFlow};
 pub use postbox::{Postbox, PostboxError, StoredMessage};

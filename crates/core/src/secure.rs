@@ -21,26 +21,21 @@
 //!
 //! The cache is the amortization argument made concrete: an X25519
 //! exchange plus HKDF runs **once per src/dst pair**, after which every
-//! message between the pair does only symmetric work. Shards are
-//! `parking_lot`-free (`std::sync::RwLock`) and keyed by the unordered
-//! pair, mirroring the session derivation's canonical ordering.
+//! message between the pair does only symmetric work. It is a
+//! [`PairCache`] keyed by the unordered pair, mirroring the session
+//! derivation's canonical ordering.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use citymesh_crypto::{Keypair, NodeId, SessionKey};
 use citymesh_simcore::{split_seed, substream_seed};
 
+use crate::pair_cache::PairCache;
+
 /// Sub-stream domain for per-building key entropy. Disjoint from the
 /// simulation (`DOMAIN_SIM`-style) and message-id domains, so
 /// enabling encryption never perturbs a delivery RNG stream.
 pub const DOMAIN_KEYS: u64 = 0x5EC4;
-
-/// Session-cache shards. Matches the route cache's shard count: enough
-/// to keep 8–16 workers from serializing on one lock, few enough that
-/// a full eviction sweep stays cheap.
-const SHARDS: usize = 16;
 
 /// Where a tampering adversary strikes, for fault-injection tests and
 /// the auth-failure accounting path. The simulation itself never
@@ -71,95 +66,6 @@ fn keypair_for(seed: u64, building: u32, rotation: u32) -> Keypair {
     Keypair::from_entropy(entropy)
 }
 
-/// One cache shard: unordered pair → derived session key.
-type Shard = RwLock<HashMap<(u32, u32), Arc<SessionKey>>>;
-
-/// The sharded per-pair session-key cache.
-///
-/// Reused exactly like the route cache: a hit is a shard read-lock and
-/// an `Arc` clone (no allocation); a miss runs the expensive
-/// derivation outside any lock and inserts, with benign races (two
-/// workers deriving the same pair produce identical keys, so insertion
-/// order cannot matter).
-struct SessionCache {
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SessionCache {
-    fn new() -> Self {
-        SessionCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Canonical unordered key plus its shard index (SplitMix-style
-    /// scramble so adjacent building ids spread across shards).
-    fn slot(&self, a: u32, b: u32) -> ((u32, u32), usize) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        let mut x = (u64::from(key.0) << 32) | u64::from(key.1);
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        (key, (x as usize) % SHARDS)
-    }
-
-    /// Returns the pair's session key, deriving it with `derive` on
-    /// the first request. The boolean is `true` when this call did the
-    /// derivation (schedule-dependent: racing workers may both miss).
-    fn get_or_derive(
-        &self,
-        a: u32,
-        b: u32,
-        derive: impl FnOnce() -> Arc<SessionKey>,
-    ) -> (Arc<SessionKey>, bool) {
-        let (key, shard) = self.slot(a, b);
-        if let Some(k) = self.shards[shard]
-            .read()
-            .expect("session shard poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(k), false);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Derivation runs outside the lock; a racing duplicate derives
-        // the identical key, so last-write-wins is harmless.
-        let derived = derive();
-        let mut guard = self.shards[shard].write().expect("session shard poisoned");
-        let entry = guard.entry(key).or_insert_with(|| Arc::clone(&derived));
-        (Arc::clone(entry), true)
-    }
-
-    /// Evicts every cached session touching `building`.
-    fn evict_endpoint(&self, building: u32) -> usize {
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut guard = shard.write().expect("session shard poisoned");
-            let before = guard.len();
-            guard.retain(|&(a, b), _| a != building && b != building);
-            evicted += before - guard.len();
-        }
-        evicted
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("session shard poisoned").clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("session shard poisoned").len())
-            .sum()
-    }
-}
-
 /// Everything the encrypted flow mode needs, installed once per
 /// experiment by
 /// [`CityExperiment::enable_encryption`](crate::CityExperiment::enable_encryption)
@@ -172,7 +78,8 @@ pub struct SecureState {
     /// epoch itself. One lock for both: rotation swaps the keypair and
     /// bumps the counter atomically with respect to readers.
     registry: RwLock<Registry>,
-    cache: SessionCache,
+    /// Derived session keys, keyed by the unordered pair.
+    cache: PairCache<SessionKey>,
 }
 
 struct Registry {
@@ -204,7 +111,7 @@ impl SecureState {
                 keys,
                 rotations: vec![0; buildings],
             }),
-            cache: SessionCache::new(),
+            cache: PairCache::new(),
         }
     }
 
@@ -241,14 +148,13 @@ impl SecureState {
     /// schedule-dependent (racing workers may double-derive), so it
     /// feeds digest-excluded telemetry only.
     pub fn session(&self, a: u32, b: u32) -> (Arc<SessionKey>, bool) {
-        self.cache.get_or_derive(a, b, || {
+        let key = if a <= b { (a, b) } else { (b, a) };
+        self.cache.get_or_insert_with(key, || {
             let reg = self.registry.read().expect("registry poisoned");
             let ours = &reg.keys[a as usize];
             let theirs = reg.keys[b as usize].public;
-            Arc::new(
-                SessionKey::derive(ours, &theirs)
-                    .expect("registry keypairs are clamped; DH cannot hit a low-order point"),
-            )
+            SessionKey::derive(ours, &theirs)
+                .expect("registry keypairs are clamped; DH cannot hit a low-order point")
         })
     }
 
@@ -264,7 +170,8 @@ impl SecureState {
             reg.rotations[building as usize] = rot;
             reg.keys[building as usize] = keypair_for(self.seed, building, rot);
         }
-        self.cache.evict_endpoint(building)
+        self.cache
+            .retain(|&(a, b), _| a != building && b != building) as usize
     }
 
     /// Drops every cached session (the bench's cold-start reset).
@@ -280,13 +187,13 @@ impl SecureState {
 
     /// Cache hits so far. Schedule-dependent; never digest material.
     pub fn session_hits(&self) -> u64 {
-        self.cache.hits.load(Ordering::Relaxed)
+        self.cache.hits()
     }
 
     /// Cache misses (= derivations attempted) so far.
     /// Schedule-dependent; never digest material.
     pub fn session_misses(&self) -> u64 {
-        self.cache.misses.load(Ordering::Relaxed)
+        self.cache.misses()
     }
 }
 

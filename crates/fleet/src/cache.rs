@@ -1,104 +1,59 @@
-//! Sharded concurrent route cache.
+//! The fleet's route cache.
 //!
 //! Route planning (Dijkstra + conduit compression) dominates per-flow
 //! cost, yet is a pure function of the `(src, dst)` pair — hotspot
 //! workloads repeat pairs constantly. [`RouteCache`] memoizes
-//! [`PlannedFlow`]s behind `parking_lot::RwLock`-guarded shards so
-//! concurrent workers mostly take uncontended read locks, and two
-//! workers racing to plan the same missing pair both succeed (last
-//! write wins — the value is identical by purity, so the race is
-//! benign and determinism is unaffected).
+//! [`PlannedFlow`]s in a [`PairCache`], so concurrent workers mostly
+//! take uncontended shard read locks, and two workers racing to plan
+//! the same missing pair both succeed (the first insert wins — the
+//! value is identical by purity, so the race is benign and determinism
+//! is unaffected).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use citymesh_core::{ApGraph, PlannedFlow};
-use parking_lot::RwLock;
-
-/// Number of independently locked shards. A small power of two:
-/// enough to keep a handful of workers off each other's locks,
-/// cheap enough to be irrelevant at one.
-const SHARDS: usize = 16;
-
-/// One shard: a plain map behind its own lock.
-type Shard = RwLock<HashMap<(u32, u32), Arc<PlannedFlow>>>;
+use citymesh_core::{ApGraph, PairCache, PlannedFlow};
 
 /// A concurrent `(src, dst) → Arc<PlannedFlow>` map.
-pub struct RouteCache {
-    shards: Vec<Shard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for RouteCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Default)]
+pub struct RouteCache(PairCache<PlannedFlow>);
 
 impl RouteCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        RouteCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, key: (u32, u32)) -> &Shard {
-        // SplitMix-style scramble of the pair; low bits pick the shard.
-        let mut z = (((key.0 as u64) << 32) | key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z ^= z >> 29;
-        &self.shards[(z as usize) % SHARDS]
+        RouteCache(PairCache::new())
     }
 
     /// Returns the plan for `(src, dst)`, computing it with `plan` on
     /// a miss. The planner runs *outside* any lock, so a slow Dijkstra
     /// never blocks readers of the same shard.
+    #[inline]
     pub fn get_or_plan(
         &self,
         src: u32,
         dst: u32,
         plan: impl FnOnce() -> PlannedFlow,
     ) -> Arc<PlannedFlow> {
-        let shard = self.shard((src, dst));
-        if let Some(found) = shard.read().get(&(src, dst)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(found);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let planned = Arc::new(plan());
-        let mut guard = shard.write();
-        // A racing worker may have inserted meanwhile; keep whichever
-        // is present so all callers share one allocation.
-        Arc::clone(
-            guard
-                .entry((src, dst))
-                .or_insert_with(|| Arc::clone(&planned)),
-        )
+        self.0.get_or_insert_with((src, dst), plan).0
     }
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.hits()
     }
 
     /// Cache misses (= distinct pairs planned, absent races).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.0.misses()
     }
 
     /// Total cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.0.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Evicts every cached plan matching `pred` and returns how many
@@ -112,14 +67,7 @@ impl RouteCache {
     /// see a fully quiesced cache anyway, which is what makes the
     /// eviction count deterministic.
     pub fn evict_where(&self, mut pred: impl FnMut(&PlannedFlow) -> bool) -> u64 {
-        let mut evicted = 0u64;
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            let before = guard.len();
-            guard.retain(|_, plan| !pred(plan));
-            evicted += (before - guard.len()) as u64;
-        }
-        evicted
+        self.0.retain(|_, plan| !pred(plan))
     }
 
     /// The incremental-invalidation predicate, applied after a world
@@ -156,13 +104,7 @@ impl RouteCache {
     /// blunt full-flush invalidation baseline that
     /// [`RouteCache::evict_stale`] is measured against.
     pub fn clear(&self) -> u64 {
-        let mut evicted = 0u64;
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            evicted += guard.len() as u64;
-            guard.clear();
-        }
-        evicted
+        self.0.clear()
     }
 }
 
@@ -190,23 +132,6 @@ mod tests {
         plan.waypoints = vec![src, dst];
         plan.route_bits = 64;
         plan
-    }
-
-    #[test]
-    fn caches_and_counts() {
-        let cache = RouteCache::new();
-        let mut planned = 0;
-        for _ in 0..3 {
-            let p = cache.get_or_plan(1, 2, || {
-                planned += 1;
-                dummy_plan(1, 2)
-            });
-            assert_eq!((p.src, p.dst), (1, 2));
-        }
-        assert_eq!(planned, 1, "planner must run once per pair");
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

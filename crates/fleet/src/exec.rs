@@ -44,8 +44,12 @@ pub fn resolve_workers(configured: usize, work: usize) -> usize {
 /// results in input order. A single input runs on the caller's thread —
 /// the serial reference path, same per-flow code.
 ///
+/// This is the workspace's one fork-join: every engine and every bench
+/// sweep that runs work on several threads runs it here.
+///
 /// # Panics
-/// Propagates a worker's panic rather than returning a truncated result.
+/// Re-raises a worker's panic, with its own payload, once every worker
+/// has stopped, rather than returning a truncated result.
 pub fn run_pool<I: Send, T: Send>(
     inputs: impl IntoIterator<Item = I>,
     job: impl Fn(I) -> T + Sync,
@@ -54,16 +58,20 @@ pub fn run_pool<I: Send, T: Send>(
     if inputs.len() <= 1 {
         return inputs.into_iter().map(job).collect();
     }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    crossbeam::thread::scope(|s| {
-        for (input, slot) in inputs.into_iter().zip(slots.iter_mut()) {
-            let job = &job;
-            s.spawn(move |_| *slot = Some(job(input)));
-        }
+    let job = &job;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = inputs
+            .into_iter()
+            .map(|input| s.spawn(move || job(input)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     })
-    .expect("flow worker panicked");
-    slots.into_iter().flatten().collect()
 }
 
 /// The deterministic merge: flattens the workers' `(flow id, record)`
@@ -325,5 +333,21 @@ mod tests {
         assert_eq!(run_pool([7u32], |x| x * 2), vec![14]);
         assert_eq!(run_pool(0..6u32, |x| x * x), vec![0, 1, 4, 9, 16, 25]);
         assert!(run_pool(0..0u32, |x| x).is_empty());
+    }
+
+    #[test]
+    fn run_pool_re_raises_a_worker_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            run_pool(0..3u32, |x| {
+                assert_ne!(x, 1, "worker one fails");
+                x
+            })
+        });
+        let payload = caught.expect_err("the caller sees the panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("worker one fails"), "{message}");
     }
 }

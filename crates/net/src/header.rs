@@ -234,10 +234,10 @@ impl CityMeshHeader {
             let mut prev = first as i64;
             for _ in 1..count {
                 let d = unzigzag32(read_varbits(r)?);
-                let next = prev + d;
-                if !(0..=u32::MAX as i64).contains(&next) {
-                    return Err(NetError::FieldOverflow("waypoint id"));
-                }
+                let next = prev
+                    .checked_add(d)
+                    .filter(|next| (0..=u32::MAX as i64).contains(next))
+                    .ok_or(NetError::FieldOverflow("waypoint id"))?;
                 wps.push(next as u32);
                 prev = next;
             }
@@ -479,6 +479,26 @@ mod tests {
                 "decode of {cut}-byte prefix should fail"
             );
         }
+    }
+
+    #[test]
+    fn overflowing_delta_rejected() {
+        // A hostile delta of i64::MAX from waypoint 5: an error, not an
+        // arithmetic overflow.
+        let mut w = BitWriter::new();
+        w.write_bits(VERSION as u64, 4);
+        for width in [4, 8, 64, 10] {
+            w.write_bits(0, width); // kind, ttl, msg_id, conduit width
+        }
+        w.write_bit(true);
+        w.write_bits(2, 8);
+        write_varbits(&mut w, 5);
+        write_varbits(&mut w, u64::MAX - 1);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            CityMeshHeader::decode(&mut BitReader::new(&bytes)),
+            Err(NetError::FieldOverflow("waypoint id"))
+        );
     }
 
     #[test]

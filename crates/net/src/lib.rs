@@ -15,47 +15,37 @@
 //!    bit-pack waypoint IDs at `⌈log₂(max_id+1)⌉` bits each
 //!    ([`RouteEncoding::Absolute`]) and also provide a delta/zigzag
 //!    varint mode ([`RouteEncoding::Delta`]) evaluated as an ablation.
-//! 2. **Self-contained integrity.** A CRC-32C trailer detects
-//!    corruption on the lossy broadcast medium; end-to-end authenticity
-//!    is layered above by `citymesh-crypto` sealed messages.
+//! 2. **Integrity lives in the sealed plane.** The header carries no
+//!    checksum of its own: the sealed plane (`citymesh_core::secure`)
+//!    authenticates it with an HMAC and the payload with an AEAD, so a
+//!    flipped bit is a counted authentication failure at the receiver
+//!    (`citymesh_core::TamperMode`), and decoding hostile bytes is
+//!    always an `Err`, never a panic.
 //! 3. **Forward compatibility.** A 4-bit version plus reserved flag
 //!    bits; decoders reject unknown versions loudly.
 //!
-//! Submodules: [`bitio`] (bit-level codec), [`varint`] (LEB128),
-//! [`crc`] (CRC-32C), [`header`] (the CityMesh header), [`packet`]
-//! (framing + payload).
+//! Submodules: [`bitio`] (bit-level codec), [`header`] (the CityMesh
+//! header).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitio;
-pub mod crc;
 pub mod header;
-pub mod packet;
-pub mod varint;
 
 pub use bitio::{BitReader, BitWriter};
-pub use crc::crc32c;
 pub use header::{CityMeshHeader, MessageKind, RouteEncoding, MAX_CONDUIT_WIDTH_M};
-pub use packet::{Packet, MAX_PAYLOAD_LEN};
 
-/// Errors produced while decoding CityMesh frames.
+/// Errors produced while decoding a CityMesh header.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetError {
     /// Input ended before the structure was complete.
     Truncated,
     /// Version field is not one this decoder understands.
     UnsupportedVersion(u8),
-    /// The CRC-32C trailer did not match the frame contents.
-    BadChecksum {
-        /// CRC computed over the received bytes.
-        computed: u32,
-        /// CRC carried in the trailer.
-        stored: u32,
-    },
     /// A length or count field exceeds protocol limits.
     FieldOverflow(&'static str),
-    /// A varint ran past its maximum encoded length.
+    /// A variable-length waypoint field ran past 64 bits.
     VarintOverflow,
     /// Unknown message kind discriminant.
     UnknownKind(u8),
@@ -66,12 +56,6 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Truncated => write!(f, "frame truncated"),
             NetError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            NetError::BadChecksum { computed, stored } => {
-                write!(
-                    f,
-                    "checksum mismatch: computed {computed:#010x}, stored {stored:#010x}"
-                )
-            }
             NetError::FieldOverflow(what) => write!(f, "field overflow: {what}"),
             NetError::VarintOverflow => write!(f, "varint overflow"),
             NetError::UnknownKind(k) => write!(f, "unknown message kind {k}"),

@@ -1,9 +1,8 @@
 //! Property-based tests for the wire format.
 
-use bytes::Bytes;
 use citymesh_net::{
     bitio::{BitReader, BitWriter},
-    varint, CityMeshHeader, MessageKind, Packet, RouteEncoding,
+    CityMeshHeader, MessageKind, RouteEncoding,
 };
 use proptest::prelude::*;
 
@@ -57,24 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn varint_round_trips(v in any::<u64>()) {
-        let mut out = Vec::new();
-        let n = varint::encode_u64(v, &mut out);
-        prop_assert!(n <= varint::MAX_VARINT_LEN);
-        let (back, used) = varint::decode_u64(&out).unwrap();
-        prop_assert_eq!(back, v);
-        prop_assert_eq!(used, n);
-    }
-
-    #[test]
-    fn signed_varint_round_trips(v in any::<i64>()) {
-        let mut out = Vec::new();
-        varint::encode_i64(v, &mut out);
-        let (back, _) = varint::decode_i64(&out).unwrap();
-        prop_assert_eq!(back, v);
-    }
-
-    #[test]
     fn header_round_trips(h in header()) {
         let mut w = BitWriter::new();
         h.encode(&mut w).unwrap();
@@ -86,34 +67,21 @@ proptest! {
     }
 
     #[test]
-    fn packet_round_trips(h in header(), payload in proptest::collection::vec(any::<u8>(), 0..1400)) {
-        let p = Packet::new(h, Bytes::from(payload));
-        let wire = p.encode().unwrap();
-        prop_assert_eq!(wire.len(), p.wire_len());
-        let back = Packet::decode(&wire).unwrap();
-        prop_assert_eq!(back, p);
-    }
-
-    #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Any input must produce Ok or Err, never a panic.
-        let _ = Packet::decode(&bytes);
+        // The header is the one structure a relay decodes from the air:
+        // any input must produce Ok or Err, never a panic.
+        let _ = CityMeshHeader::decode(&mut BitReader::new(&bytes));
     }
 
     #[test]
-    fn single_bit_corruption_never_yields_same_packet(
-        h in header(),
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-        flip_hint in any::<usize>(),
-    ) {
-        let p = Packet::new(h, Bytes::from(payload));
-        let wire = p.encode().unwrap();
-        let mut bad = wire.to_vec();
-        let byte = flip_hint % bad.len();
-        bad[byte] ^= 1;
-        match Packet::decode(&bad) {
-            Err(_) => {}
-            Ok(other) => prop_assert_ne!(other, p, "corruption produced an identical packet"),
-        }
+    fn decode_never_panics_on_a_flipped_header(h in header(), flip in any::<usize>()) {
+        let mut w = BitWriter::new();
+        h.encode(&mut w).unwrap();
+        let mut bytes = w.into_bytes();
+        let bit = flip % (bytes.len() * 8);
+        bytes[bit / 8] ^= 0x80 >> (bit % 8);
+        // No checksum guards the header, so a flip may decode to another
+        // valid header; it must never panic.
+        let _ = CityMeshHeader::decode(&mut BitReader::new(&bytes));
     }
 }

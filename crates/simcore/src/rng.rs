@@ -6,8 +6,6 @@
 //! adding randomness consumers to one component never perturbs another
 //! (no accidental stream sharing).
 
-use rand::{RngCore, SeedableRng};
-
 /// Derives an independent child seed from `(seed, stream)`.
 ///
 /// Uses the SplitMix64 output function, whose avalanche behaviour makes
@@ -38,11 +36,9 @@ pub fn substream_seed(root: u64, domain: u64, index: u64) -> u64 {
 
 /// A fast, deterministic generator: **xoshiro256++**.
 ///
-/// Implemented in-tree (the `rand` crate's small generators sit behind
-/// optional features, and pinning the exact algorithm here guarantees
-/// that recorded experiment outputs stay reproducible across `rand`
-/// upgrades). Implements [`rand::RngCore`], so all of `rand`'s
-/// distribution machinery works on top.
+/// Implemented in-tree: pinning the exact algorithm here guarantees
+/// that recorded experiment outputs stay reproducible, and the
+/// workspace needs no random-number crate.
 #[derive(Clone, Debug)]
 pub struct SimRng {
     s: [u64; 4],
@@ -144,6 +140,16 @@ impl SimRng {
         }
     }
 
+    /// Fills `dest` with the stream's next words, little-endian, eight
+    /// bytes a word; a tail shorter than eight bytes takes the low bytes
+    /// of one more whole word.
+    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let bytes = self.next().to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+    }
+
     /// Samples `k` distinct indices from `0..n` (Floyd's algorithm),
     /// returned in ascending order. `k > n` yields all of `0..n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
@@ -159,36 +165,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::new(u64::from_le_bytes(seed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +174,7 @@ mod tests {
         let mut a = SimRng::new(7);
         let mut b = SimRng::new(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next(), b.next());
         }
     }
 
@@ -206,7 +182,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = SimRng::new(7);
         let mut b = SimRng::new(8);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next() == b.next()).count();
         assert_eq!(same, 0);
     }
 
@@ -290,11 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_partial_chunks() {
+    fn fill_bytes_is_the_little_endian_word_stream() {
+        let mut words = SimRng::new(11);
+        let mut expected = [0u8; 16];
+        expected[..8].copy_from_slice(&words.next().to_le_bytes());
+        expected[8..].copy_from_slice(&words.next().to_le_bytes());
         let mut rng = SimRng::new(11);
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
+        assert_eq!(buf, expected[..13]);
+        assert_eq!(
+            rng.next(),
+            words.next(),
+            "a partial tail spends a whole word"
+        );
     }
 
     #[test]
@@ -339,9 +324,9 @@ mod tests {
         // changes, recorded experiment results would silently change;
         // this test makes that loud instead.
         let mut rng = SimRng::new(0);
-        let got: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        let got: Vec<u64> = (0..4).map(|_| rng.next()).collect();
         let mut again = SimRng::new(0);
-        let got2: Vec<u64> = (0..4).map(|_| again.next_u64()).collect();
+        let got2: Vec<u64> = (0..4).map(|_| again.next()).collect();
         assert_eq!(got, got2);
         // And the child-stream derivation is stable too.
         assert_eq!(split_seed(0, 0), split_seed(0, 0));

@@ -51,7 +51,7 @@
 //! | [`map`] | city model, synthetic city generator, OSM loader |
 //! | [`graph`] | Dijkstra / BFS / components / union-find, district-overlay hierarchy |
 //! | [`simcore`] | deterministic discrete-event engine, radio models |
-//! | [`net`] | packet wire format (bit-packed conduit headers) |
+//! | [`net`] | wire format: the bit-packed routing header |
 //! | [`crypto`] | self-certifying IDs, X25519 + ChaCha20-Poly1305 |
 //! | [`core`] | building routing, conduits, agents, postboxes, sim |
 //! | [`fleet`] | parallel heavy-traffic engine, deterministic workloads |

@@ -14,7 +14,6 @@ use citymesh_core::{CityExperiment, ConfigError, ExperimentConfig, Postbox};
 use citymesh_crypto::{Keypair, NodeId, PostboxAddress, SealedMessage};
 use citymesh_map::CityMap;
 use citymesh_simcore::{split_seed, SimRng, SimTime};
-use rand::RngCore;
 
 /// Message-id domain of sealed deposits (sender → postbox).
 const DOMAIN_DEPOSIT: u64 = 0x4D59;

@@ -1,14 +1,13 @@
 //! End-to-end integration: the full Alice → Bob pipeline across every
-//! crate — map generation, routing, conduit compression, wire framing,
-//! the event simulation, sealed-message crypto, and postboxes.
+//! crate — map generation, routing, conduit compression, the wire
+//! header, the event simulation, sealed-message crypto, and postboxes.
 
-use bytes::Bytes;
 use citymesh::core::{
     compress_route, plan_route, postbox_ap, reconstruct_conduits, simulate_delivery,
     CityExperiment, DeliveryParams, ExperimentConfig,
 };
 use citymesh::crypto::Keypair;
-use citymesh::net::{CityMeshHeader, Packet};
+use citymesh::net::{BitReader, BitWriter, CityMeshHeader};
 use citymesh::prelude::*;
 
 fn downtown() -> DfnNetwork {
@@ -32,8 +31,8 @@ fn message_crosses_the_city_and_decrypts() {
 
 #[test]
 fn payload_survives_wire_framing_end_to_end() {
-    // Serialize the exact packet a sender would emit, decode it as a
-    // relay would, and verify the header drives identical conduits.
+    // Serialize the exact header a sender would emit, decode it as a
+    // relay would, and verify it drives identical conduits.
     let map = CityArchetype::SurveyDowntown.generate(7);
     let exp = CityExperiment::prepare(
         map,
@@ -46,14 +45,14 @@ fn payload_survives_wire_framing_end_to_end() {
         .expect("downtown is connected");
     let compressed = compress_route(exp.building_graph(), &route, 50.0).unwrap();
     let header = CityMeshHeader::new(424242, 50.0, compressed.waypoints.clone());
-    let packet = Packet::new(header.clone(), Bytes::from_static(b"sealed payload here"));
-
-    let wire = packet.encode().expect("encodes");
-    let decoded = Packet::decode(&wire).expect("decodes");
-    assert_eq!(decoded.header, header);
+    let mut w = BitWriter::new();
+    header.encode(&mut w).expect("encodes");
+    let wire = w.into_bytes();
+    let decoded = CityMeshHeader::decode(&mut BitReader::new(&wire)).expect("decodes");
+    assert_eq!(decoded, header);
 
     let sender_conduits = reconstruct_conduits(exp.map(), &header.waypoints, 50.0);
-    let relay_conduits = reconstruct_conduits(exp.map(), &decoded.header.waypoints, 50.0);
+    let relay_conduits = reconstruct_conduits(exp.map(), &decoded.waypoints, 50.0);
     assert_eq!(sender_conduits.len(), relay_conduits.len());
     for (a, b) in sender_conduits.iter().zip(&relay_conduits) {
         assert_eq!(a.spine, b.spine);
