@@ -8,6 +8,12 @@
 
 use crate::{Point, Rect};
 
+/// Cells an index may always have: 4 MiB of bucket offsets, a
+/// 100 km square at 100 m cells.
+const MIN_CELL_BUDGET: usize = 1 << 20;
+/// Cells an index may have per item beyond that floor.
+const CELLS_PER_ITEM: usize = 16;
+
 /// A spatial index mapping `u32` item ids to fixed positions.
 ///
 /// Build once with [`GridIndex::build`], then query circles/rects. The
@@ -40,6 +46,11 @@ impl GridIndex {
     /// the slice. `cell_size` should be close to the typical query
     /// radius (the Wi-Fi range, e.g. 50 m).
     ///
+    /// The grid holds at most `max(2^20, 16 × positions.len())` cells:
+    /// when the positions span more, the cell is doubled until they fit,
+    /// so a few far-flung points cannot size a huge grid. Queries stay
+    /// exact either way; only their cost and visit order change.
+    ///
     /// # Panics
     /// Panics if `cell_size` is not strictly positive or any position
     /// is non-finite.
@@ -53,8 +64,16 @@ impl GridIndex {
             min: Point::ORIGIN,
             max: Point::ORIGIN,
         });
-        let nx = ((bounds.width() / cell_size).ceil() as usize).max(1);
-        let ny = ((bounds.height() / cell_size).ceil() as usize).max(1);
+        // Cells along one side; NaN (an infinite span over an infinite
+        // cell) counts as one.
+        let side = |span: f64, cell: f64| (span / cell).ceil().max(1.0);
+        let budget = MIN_CELL_BUDGET.max(CELLS_PER_ITEM.saturating_mul(positions.len())) as f64;
+        let mut cell_size = cell_size;
+        while side(bounds.width(), cell_size) * side(bounds.height(), cell_size) > budget {
+            cell_size *= 2.0;
+        }
+        let nx = side(bounds.width(), cell_size) as usize;
+        let ny = side(bounds.height(), cell_size) as usize;
 
         // Counting sort into CSR buckets.
         let ncells = nx * ny;
@@ -323,6 +342,36 @@ mod tests {
         let idx = GridIndex::build(&[p, p, p], 10.0);
         let got = idx.query_circle(p, 0.0);
         assert_eq!(got.len(), 3);
+    }
+
+    #[test]
+    fn far_flung_points_widen_the_cell_not_the_grid() {
+        // 1,000 km apart at 1 m cells would be 10^12 cells.
+        let pts = [
+            Point::new(0.0, 0.0),
+            Point::new(3.0, 0.0),
+            Point::new(1.0e6, 1.0e6),
+        ];
+        let idx = GridIndex::build(&pts, 1.0);
+        assert!(idx.nx * idx.ny <= MIN_CELL_BUDGET);
+        assert_eq!(idx.cell, 1024.0);
+        let mut near = idx.query_circle(Point::ORIGIN, 3.0);
+        near.sort_unstable();
+        assert_eq!(near, vec![0, 1]);
+        assert_eq!(idx.nearest(Point::new(9.9e5, 1.0e6)), Some((2, 1.0e4)));
+
+        // Even a span no finite cell covers builds, and answers.
+        let extreme = [Point::new(-1.0e308, -1.0e308), Point::new(1.0e308, 1.0e308)];
+        let idx = GridIndex::build(&extreme, 100.0);
+        assert_eq!(idx.nx * idx.ny, 1);
+        assert_eq!(idx.query_circle(extreme[1], 0.0), vec![1]);
+    }
+
+    #[test]
+    fn dense_grids_keep_the_requested_cell() {
+        let (_, idx) = grid_of_points();
+        assert_eq!(idx.cell, 25.0);
+        assert_eq!((idx.nx, idx.ny), (4, 4));
     }
 
     #[test]
