@@ -49,8 +49,9 @@ use citymesh_bench::telemetry_figs::TelemetryFigures;
 use citymesh_bench::text::json::Value;
 use citymesh_bench::{ablation, eval_figs, render, scaling, survey_figs, text};
 use citymesh_core::{
-    compress_route, place_aps, plan_route, postbox_ap, simulate_delivery, ApGraph, BuildingGraph,
-    BuildingGraphParams, DeliveryParams,
+    compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
+    simulate_delivery_faulted, ApGraph, BuildingGraph, BuildingGraphParams, DeliveryParams,
+    DeliveryScratch,
 };
 use citymesh_map::CityArchetype;
 use citymesh_net::CityMeshHeader;
@@ -425,17 +426,22 @@ fn fig7(_: &mut Ctx) {
     let compressed = compress_route(&bg, &route, 50.0).expect("valid width and route");
     let header = CityMeshHeader::new(7, 50.0, compressed.waypoints.clone());
     let src_ap = postbox_ap(&aps, &map, src).expect("source building has APs");
-    let report = simulate_delivery(
+    let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+    let mut scratch = DeliveryScratch::new();
+    let report = simulate_delivery_faulted(
         &map,
         &apg,
         &header,
+        &conduits,
         src_ap,
         DeliveryParams::default(),
+        None,
         &mut rng,
+        &mut scratch,
     );
     write_figure(
         "figures/fig7_delivery.svg",
-        &render::fig7_svg(&map, &apg, &header, &report),
+        &render::fig7_svg(&map, &apg, &header, report),
     );
     println!(
         "route {} buildings → {} waypoints; delivered={}, {} broadcasts, {} relays",

@@ -119,7 +119,7 @@ fn baseline_plan(exp: &CityExperiment, src: u32, dst: u32) -> PlannedFlow {
     let route = if src == dst {
         Some(vec![src])
     } else {
-        citymesh_graph::dijkstra_path(bg.graph(), src, dst)
+        citymesh_reference::dijkstra_path(bg.graph(), src, dst)
     };
     let Some(route) = route else {
         return plan;

@@ -345,8 +345,9 @@ impl SvgCanvas {
 mod tests {
     use super::*;
     use citymesh_core::{
-        compress_route, place_aps, plan_route, postbox_ap, simulate_delivery, BuildingGraph,
-        BuildingGraphParams, DeliveryParams,
+        compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
+        simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, DeliveryParams,
+        DeliveryScratch,
     };
     use citymesh_map::CityArchetype;
     use citymesh_simcore::SimRng;
@@ -378,16 +379,20 @@ mod tests {
         let compressed = compress_route(&bg, &route, 50.0).expect("valid width and route");
         let header = CityMeshHeader::new(1, 50.0, compressed.waypoints);
         let src = postbox_ap(&aps, &map, 0).unwrap();
-        let mut rng = SimRng::new(3);
-        let report = simulate_delivery(
+        let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+        let mut scratch = DeliveryScratch::new();
+        let report = simulate_delivery_faulted(
             &map,
             &apg,
             &header,
+            &conduits,
             src,
             DeliveryParams::default(),
-            &mut rng,
+            None,
+            &mut SimRng::new(3),
+            &mut scratch,
         );
-        let svg = fig7_svg(&map, &apg, &header, &report);
+        let svg = fig7_svg(&map, &apg, &header, report);
         assert!(svg.contains("#58b8e8"), "relays rendered");
         assert!(svg.contains("<polyline"), "route spine rendered");
         assert_eq!(svg.matches("<circle").count(), apg.len());

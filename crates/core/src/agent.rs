@@ -1,18 +1,21 @@
-//! The per-AP software agent (paper §3 step 3).
+//! The per-AP software agent's verdict (paper §3 step 3).
 //!
 //! Each AP runs the same small program: on receiving a packet, decide
 //! — from the packet header and the AP's cached city map only —
 //! whether to deliver it to a local postbox and whether to rebroadcast
-//! it. The agent keeps *no* routing state; its only memory is a
-//! bounded duplicate-suppression cache of recently seen message IDs.
-
-use std::collections::{HashSet, VecDeque};
+//! it. The agent keeps *no* routing state; its only memory is which
+//! message IDs it has already seen. [`decide`] is everything it does
+//! for a message it has not seen. The delivery kernel tracks "seen"
+//! itself (an AP's role in the flow) and calls [`decide`] once per
+//! building a flow reaches; the stateful agent with its bounded
+//! seen-cache, one per AP, is the kernel oracle's reference and lives
+//! in the `citymesh-reference` crate.
 
 use citymesh_geo::{OrientedRect, Point};
 use citymesh_map::CityMap;
 use citymesh_net::CityMeshHeader;
 
-use crate::conduit::{reconstruct_conduits, within_conduits};
+use crate::conduit::within_conduits;
 
 /// Which geometry the rebroadcast predicate tests against the conduit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -48,155 +51,52 @@ impl Action {
     };
 }
 
-/// A bounded recently-seen-message cache (FIFO eviction).
-///
-/// Real APs cannot keep unbounded state; bounding it also caps how
-/// long a stale duplicate can be recognized, which the TTL backstops.
-#[derive(Clone, Debug)]
-pub struct SeenCache {
-    set: HashSet<u64>,
-    order: VecDeque<u64>,
-    capacity: usize,
-}
-
-impl SeenCache {
-    /// Creates a cache remembering up to `capacity` message IDs.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        SeenCache {
-            set: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Records `id`; returns `true` when it was already present.
-    pub fn check_and_insert(&mut self, id: u64) -> bool {
-        if self.set.contains(&id) {
-            return true;
-        }
-        if self.order.len() == self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.set.remove(&evicted);
-            }
-        }
-        self.order.push_back(id);
-        self.set.insert(id);
-        false
-    }
-
-    /// Number of remembered IDs.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-}
-
-/// The stateful part of one AP's agent.
-#[derive(Clone, Debug)]
-pub struct ApAgent {
-    /// This AP's location.
-    pub pos: Point,
-    /// The building containing this AP.
-    pub building: u32,
-    /// Duplicate-suppression memory.
-    pub seen: SeenCache,
-    /// Rebroadcast geometry policy.
-    pub scope: RebroadcastScope,
-}
-
-impl ApAgent {
-    /// The seen-cache capacity of a deployed AP: 4096 IDs ≈ a few
-    /// minutes of city-wide traffic; small enough for router RAM,
-    /// large enough that duplicates die out long before eviction.
-    pub const DEPLOYED_SEEN_CAPACITY: usize = 4096;
-
-    /// Creates an agent for an AP at `pos` inside `building` with the
-    /// deployed-AP seen-cache capacity.
-    pub fn new(pos: Point, building: u32, scope: RebroadcastScope) -> Self {
-        ApAgent {
-            pos,
-            building,
-            seen: SeenCache::new(Self::DEPLOYED_SEEN_CAPACITY),
-            scope,
-        }
-    }
-
-    /// Processes a received packet header against `map`, reconstructing
-    /// conduits itself. Prefer [`ApAgent::handle_with_conduits`] when a
-    /// caller already shares reconstructed conduits across APs.
-    pub fn handle(&mut self, header: &CityMeshHeader, map: &CityMap) -> Action {
-        let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
-        self.handle_with_conduits(header, map, &conduits)
-    }
-
-    /// Processing core with caller-supplied conduits (identical for
-    /// every AP handling the same message, so simulations reconstruct
-    /// once): the duplicate check, then [`ApAgent::decide`].
-    pub fn handle_with_conduits(
-        &mut self,
-        header: &CityMeshHeader,
-        map: &CityMap,
-        conduits: &[OrientedRect],
-    ) -> Action {
-        if self.seen.check_and_insert(header.msg_id) {
-            return Action::IGNORE; // duplicate
-        }
-        Self::decide(self.pos, self.building, self.scope, header, map, conduits)
-    }
-
-    /// The stateless verdict for a packet this AP has **not** seen
-    /// before: deliver when in the destination building, rebroadcast
-    /// when the TTL allows and the scope's probe point lies in a
-    /// conduit. Everything an agent does beyond duplicate suppression;
-    /// the delivery kernel, which tracks "seen" itself, calls this
-    /// directly.
-    pub fn decide(
-        pos: Point,
-        building: u32,
-        scope: RebroadcastScope,
-        header: &CityMeshHeader,
-        map: &CityMap,
-        conduits: &[OrientedRect],
-    ) -> Action {
-        let deliver = building == header.destination();
-        if header.ttl == 0 {
-            return Action {
-                deliver,
-                rebroadcast: false,
-            };
-        }
-        let probe = match scope {
-            RebroadcastScope::ApPosition => pos,
-            RebroadcastScope::Building => match map.building(building) {
-                Some(b) => b.centroid,
-                // Map disagreement: this AP's building is unknown to
-                // its own cache — fail closed (no relay storm).
-                None => {
-                    return Action {
-                        deliver,
-                        rebroadcast: false,
-                    }
-                }
-            },
-        };
-        let rebroadcast = within_conduits(conduits, probe);
-        Action {
+/// The stateless verdict for a packet an AP at `pos` in `building`
+/// has **not** seen before: deliver when in the destination building,
+/// rebroadcast when the TTL allows and the scope's probe point lies in
+/// one of `conduits` (the header's waypoints reconstructed at its
+/// width).
+pub fn decide(
+    pos: Point,
+    building: u32,
+    scope: RebroadcastScope,
+    header: &CityMeshHeader,
+    map: &CityMap,
+    conduits: &[OrientedRect],
+) -> Action {
+    let deliver = building == header.destination();
+    if header.ttl == 0 {
+        return Action {
             deliver,
-            rebroadcast,
-        }
+            rebroadcast: false,
+        };
+    }
+    let probe = match scope {
+        RebroadcastScope::ApPosition => pos,
+        RebroadcastScope::Building => match map.building(building) {
+            Some(b) => b.centroid,
+            // Map disagreement: this AP's building is unknown to its
+            // own cache — fail closed (no relay storm).
+            None => {
+                return Action {
+                    deliver,
+                    rebroadcast: false,
+                }
+            }
+        },
+    };
+    let rebroadcast = within_conduits(conduits, probe);
+    Action {
+        deliver,
+        rebroadcast,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conduit::reconstruct_conduits;
     use citymesh_geo::{Polygon, Rect};
-    use citymesh_net::CityMeshHeader;
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
         Polygon::rect(Rect::from_corners(
@@ -216,28 +116,30 @@ mod tests {
         )
     }
 
-    fn header_to(_map: &CityMap, dst: u32) -> CityMeshHeader {
-        CityMeshHeader::new(99, 50.0, vec![0, dst])
-    }
-
-    #[test]
-    fn seen_cache_dedup_and_eviction() {
-        let mut c = SeenCache::new(2);
-        assert!(!c.check_and_insert(1));
-        assert!(c.check_and_insert(1));
-        assert!(!c.check_and_insert(2));
-        assert!(!c.check_and_insert(3)); // evicts 1
-        assert!(!c.check_and_insert(1), "evicted id is forgotten");
-        assert_eq!(c.len(), 2);
+    /// [`decide`] against the header's own conduits.
+    fn verdict(
+        pos: Point,
+        building: u32,
+        scope: RebroadcastScope,
+        h: &CityMeshHeader,
+        map: &CityMap,
+    ) -> Action {
+        let conduits = reconstruct_conduits(map, &h.waypoints, h.conduit_width_m());
+        decide(pos, building, scope, h, map, &conduits)
     }
 
     #[test]
     fn on_route_ap_rebroadcasts() {
         let map = test_map();
-        let h = header_to(&map, 4);
+        let h = CityMeshHeader::new(99, 50.0, vec![0, 4]);
         // AP in building 2, squarely on the straight conduit.
-        let mut agent = ApAgent::new(Point::new(65.0, 5.0), 2, RebroadcastScope::Building);
-        let action = agent.handle(&h, &map);
+        let action = verdict(
+            Point::new(65.0, 5.0),
+            2,
+            RebroadcastScope::Building,
+            &h,
+            &map,
+        );
         assert!(action.rebroadcast);
         assert!(!action.deliver);
     }
@@ -253,16 +155,22 @@ mod tests {
         let route_src = map.nearest_building(Point::new(5.0, 5.0)).unwrap().id;
         let route_dst = map.nearest_building(Point::new(125.0, 5.0)).unwrap().id;
         let h = CityMeshHeader::new(1, 50.0, vec![route_src, route_dst]);
-        let mut agent = ApAgent::new(Point::new(65.0, 205.0), outlier, RebroadcastScope::Building);
-        assert_eq!(agent.handle(&h, &map), Action::IGNORE);
+        let pos = Point::new(65.0, 205.0);
+        let action = verdict(pos, outlier, RebroadcastScope::Building, &h, &map);
+        assert_eq!(action, Action::IGNORE);
     }
 
     #[test]
     fn destination_building_delivers() {
         let map = test_map();
         let h = CityMeshHeader::new(2, 50.0, vec![0, 4]);
-        let mut agent = ApAgent::new(Point::new(125.0, 5.0), 4, RebroadcastScope::Building);
-        let action = agent.handle(&h, &map);
+        let action = verdict(
+            Point::new(125.0, 5.0),
+            4,
+            RebroadcastScope::Building,
+            &h,
+            &map,
+        );
         assert!(action.deliver);
         assert!(
             action.rebroadcast,
@@ -271,21 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_ignored_entirely() {
-        let map = test_map();
-        let h = CityMeshHeader::new(3, 50.0, vec![0, 4]);
-        let mut agent = ApAgent::new(Point::new(65.0, 5.0), 2, RebroadcastScope::Building);
-        assert!(agent.handle(&h, &map).rebroadcast);
-        assert_eq!(agent.handle(&h, &map), Action::IGNORE);
-    }
-
-    #[test]
     fn ttl_zero_delivers_but_never_relays() {
         let map = test_map();
         let mut h = CityMeshHeader::new(4, 50.0, vec![0, 4]);
         h.ttl = 0;
-        let mut agent = ApAgent::new(Point::new(125.0, 5.0), 4, RebroadcastScope::Building);
-        let action = agent.handle(&h, &map);
+        let action = verdict(
+            Point::new(125.0, 5.0),
+            4,
+            RebroadcastScope::Building,
+            &h,
+            &map,
+        );
         assert!(action.deliver);
         assert!(!action.rebroadcast);
     }
@@ -299,17 +203,21 @@ mod tests {
         // scope relays (centroid on spine), position scope does not
         // (15 > W/2 = 10).
         let pos = Point::new(65.0, 20.0);
-        let mut by_building = ApAgent::new(pos, 2, RebroadcastScope::Building);
-        let mut by_pos = ApAgent::new(pos, 2, RebroadcastScope::ApPosition);
-        assert!(by_building.handle(&h, &map).rebroadcast);
-        assert!(!by_pos.handle(&h, &map).rebroadcast);
+        assert!(verdict(pos, 2, RebroadcastScope::Building, &h, &map).rebroadcast);
+        assert!(!verdict(pos, 2, RebroadcastScope::ApPosition, &h, &map).rebroadcast);
     }
 
     #[test]
     fn unknown_building_fails_closed() {
         let map = test_map();
         let h = CityMeshHeader::new(6, 50.0, vec![0, 4]);
-        let mut agent = ApAgent::new(Point::new(65.0, 5.0), 77, RebroadcastScope::Building);
-        assert_eq!(agent.handle(&h, &map), Action::IGNORE);
+        let action = verdict(
+            Point::new(65.0, 5.0),
+            77,
+            RebroadcastScope::Building,
+            &h,
+            &map,
+        );
+        assert_eq!(action, Action::IGNORE);
     }
 }

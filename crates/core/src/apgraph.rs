@@ -478,36 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_hops_match_full_bfs() {
-        let g = ApGraph::build(&two_cluster_aps(), 50.0);
-        // The two clusters' links, written out by hand.
-        let mut links = citymesh_graph::Graph::new(5);
-        for (u, v) in [(0, 1), (1, 2), (3, 4)] {
-            links.add_edge(u, v, 1.0);
-        }
-        let mut scratch = HopScratch::new();
-        for src in 0..5u32 {
-            for b in 0..4u32 {
-                let full = {
-                    let result = citymesh_graph::bfs(&links, src);
-                    let mut best = f64::INFINITY;
-                    for id in 0..g.len() {
-                        if g.building_of(id as u32) == b {
-                            best = best.min(result.dist[id]);
-                        }
-                    }
-                    best.is_finite().then_some(best as u64)
-                };
-                assert_eq!(
-                    g.ideal_hops_to_building_with(src, b, &mut scratch),
-                    full,
-                    "src={src} building={b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn conduit_membership_matches_linear_scan() {
         use citymesh_geo::Segment;
         let aps = two_cluster_aps();

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use citymesh_geo::{Point, Rect, EPS};
 use citymesh_graph::{
-    connected_components, dijkstra, landmark_candidates, CsrGraph, FarthestPoint, Graph,
+    connected_components, dijkstra_tree_with, landmark_candidates, CsrGraph, FarthestPoint, Graph,
+    PlannerScratch, INFINITY,
 };
 use citymesh_map::CityMap;
 
@@ -169,10 +170,8 @@ impl BuildingGraph {
         } else {
             0.0
         };
-        let k = self.lm_count;
-        if k > 0 {
-            let a = &self.lm_dist[v as usize * k..(v as usize + 1) * k];
-            let b = &self.lm_dist[dst as usize * k..(dst as usize + 1) * k];
+        if self.lm_count > 0 {
+            let (a, b) = (self.landmark_costs(v), self.landmark_costs(dst));
             for (dv, dt) in a.iter().zip(b) {
                 // `inf − inf` is NaN (landmark sees neither endpoint);
                 // `NaN > h` is false, so such landmarks contribute
@@ -185,6 +184,15 @@ impl BuildingGraph {
             }
         }
         h
+    }
+
+    /// The ALT landmark distances of building `v`: entry `k` is the
+    /// cheapest route cost from landmark `k` to `v`, infinite across
+    /// predicted islands. Empty on a map with no eligible landmark.
+    #[inline]
+    pub fn landmark_costs(&self, v: u32) -> &[f64] {
+        let k = self.lm_count;
+        &self.lm_dist[v as usize * k..(v as usize + 1) * k]
     }
 
     /// The underlying weighted graph, in frozen CSR form.
@@ -258,7 +266,9 @@ fn bbox_gap(a: &Rect, b: &Rect) -> f64 {
 /// Selects up to [`NUM_LANDMARKS`] landmarks by [`FarthestPoint`]
 /// sampling over the weight metric (the first candidate seeds, first
 /// maximum wins) and returns their full distance arrays flattened
-/// vertex-major, `(lm_dist, lm_count)`.
+/// vertex-major, `(lm_dist, lm_count)`. Each array is one
+/// [`dijkstra_tree_with`] run from the landmark, the planner's own
+/// tree kernel.
 ///
 /// Candidates are the [`landmark_candidates`]: predicted islands
 /// holding at least a `1 / NUM_LANDMARKS` share of the buildings. A
@@ -273,8 +283,11 @@ fn build_landmarks(graph: &CsrGraph) -> (Vec<f64>, usize) {
     let k = NUM_LANDMARKS.min(candidates.len());
     let mut flat = vec![0.0; n * k];
     let mut sampler = FarthestPoint::new(candidates.len());
+    let (mut scratch, mut dist) = (PlannerScratch::new(), vec![INFINITY; n]);
     for ki in 0..k {
-        let dist = dijkstra(graph, candidates[sampler.pick()]).dist;
+        dist.fill(INFINITY);
+        let source = candidates[sampler.pick()];
+        dijkstra_tree_with(graph, source, &mut scratch, |v, _, d| dist[v as usize] = d);
         for (v, d) in dist.iter().enumerate() {
             flat[v * k + ki] = *d;
         }

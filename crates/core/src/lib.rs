@@ -19,8 +19,8 @@
 //! 3. [`conduit`] — compress the route into waypoint buildings whose
 //!    connecting conduits (width `W`) cover every routed building
 //!    (Figure 4), and reconstruct conduits at relay time.
-//! 4. [`agent`] — the per-AP software agent: duplicate suppression,
-//!    TTL, and the conduit-membership rebroadcast predicate.
+//! 4. [`agent`] — the per-AP software agent's verdict: destination
+//!    check, TTL, and the conduit-membership rebroadcast predicate.
 //! 5. [`postbox`] — destination-side store-and-forward with sealed
 //!    (encrypted) messages, retrieval, and push notifications.
 //!
@@ -62,7 +62,6 @@
 
 pub mod agent;
 pub mod apgraph;
-pub mod bridge;
 pub mod buildgraph;
 pub mod conduit;
 pub mod config;
@@ -80,9 +79,8 @@ pub mod secure;
 pub mod sim;
 pub mod world;
 
-pub use agent::{ApAgent, RebroadcastScope};
+pub use agent::RebroadcastScope;
 pub use apgraph::ApGraph;
-pub use bridge::{apply_bridges, extend_placement, plan_bridges, Bridge, BridgePlan};
 pub use buildgraph::{BuildingGraph, BuildingGraphParams};
 pub use conduit::{
     compress_route, compress_route_into, reconstruct_conduits, reconstruct_conduits_into,
@@ -103,13 +101,12 @@ pub use placement::{place_aps, postbox_ap, Ap};
 pub use plan::{PlanScratch, PlannedFlow};
 pub use postbox::{Postbox, PostboxError, StoredMessage};
 pub use route::{
-    plan_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into, RouteError,
-    RouteStats, Survivors,
+    plan_route, plan_route_avoiding_into, plan_route_into, RouteError, RouteStats, Survivors,
 };
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{
-    simulate_delivery, simulate_delivery_faulted, simulate_delivery_into, ApRole, DeliveryParams,
-    DeliveryReport, DeliveryScratch, DetourStats, KernelStats, OverheadOutcome,
+    simulate_delivery_faulted, ApRole, DeliveryParams, DeliveryReport, DeliveryScratch,
+    DetourStats, KernelStats, OverheadOutcome,
 };
 pub use world::{CityExperiment, DeploymentTransition, EpochTransition};
 

@@ -151,8 +151,8 @@ impl Survivors {
 
     /// Whether a route `src → dst` exists whose interior avoids every
     /// blocked building (the endpoints are exempt, as in
-    /// [`plan_route_avoiding`]) — exactly the pairs on which a detour
-    /// search succeeds, in O(deg) instead of a search that exhausts the
+    /// [`plan_route_avoiding_into`]) — exactly the pairs on which a
+    /// detour search succeeds, in O(deg) instead of a search that exhausts the
     /// source's surviving island before it can say no.
     ///
     /// Every interior building of such a route is unblocked, so they
@@ -202,42 +202,6 @@ pub fn plan_route(bg: &BuildingGraph, src: u32, dst: u32) -> Result<Vec<u32>, Ro
     let mut out = Vec::new();
     plan_route_into(bg, src, dst, &mut PlannerScratch::new(), &mut out)?;
     Ok(out)
-}
-
-/// Like [`plan_route`], but treating every building in `blocked` as
-/// unusable (endpoints are exempt). This is the detour primitive the
-/// DFN security requirement calls for (paper §1: the protocol should
-/// "find a path between two nodes wishing to communicate if there
-/// exists a path that does not traverse a compromised node") — a
-/// sender that learns a region is compromised or destroyed replans
-/// around it.
-///
-/// This is the **reference** detour: it allocates its search state per
-/// call, looks every relaxed building up in the set, and learns that no
-/// route survives only by exhausting the source's island. Nothing on a
-/// production path calls it; [`plan_route_avoiding_into`] must return
-/// the same route, and the same error, on every query
-/// (`tests/route_oracle.rs`).
-pub fn plan_route_avoiding(
-    bg: &BuildingGraph,
-    src: u32,
-    dst: u32,
-    blocked: &std::collections::HashSet<u32>,
-) -> Result<Vec<u32>, RouteError> {
-    check_endpoints(bg, src, dst)?;
-    let mut out = Vec::new();
-    let found = astar_path_filtered_into(
-        bg.graph(),
-        src,
-        dst,
-        |v| bg.cost_lower_bound(v, dst),
-        |v| !blocked.contains(&v),
-        &mut PlannerScratch::new(),
-        &mut out,
-    );
-    found
-        .then_some(out)
-        .ok_or(RouteError::NoPredictedPath { src, dst })
 }
 
 /// [`plan_route`] against caller-owned buffers: writes the route into
@@ -314,7 +278,7 @@ fn build_row<'a>(
     stats: &mut RouteStats,
 ) -> Option<&'a [u16]> {
     let mut row = rows.blank_row();
-    let tied = dijkstra_tree_with(bg.graph(), src, scratch, |v, parent| {
+    let tied = dijkstra_tree_with(bg.graph(), src, scratch, |v, parent, _| {
         // The source's own `u32::MAX` is the only parent that does not
         // fit: the table's ceiling keeps every id below `NO_ENTRY`.
         row[v as usize] = u16::try_from(parent).unwrap_or(NO_ENTRY);
@@ -346,16 +310,24 @@ fn walk_row(row: &[u16], src: u32, dst: u32, out: &mut Vec<u32>) -> Result<(), R
     Ok(())
 }
 
-/// The detour every production path plans: [`plan_route_avoiding`]'s
-/// route around the blocked buildings of `survivors`, against
-/// caller-owned buffers. A pair the labels say no surviving route
-/// connects is refused before any search; the rest run the same A*
-/// with the mask as its filter, so route and error equal the
-/// reference's.
+/// Like [`plan_route_into`], but treating every building `survivors`
+/// marks blocked as unusable (endpoints are exempt). This is the detour
+/// primitive the DFN security requirement calls for (paper §1: the
+/// protocol should "find a path between two nodes wishing to
+/// communicate if there exists a path that does not traverse a
+/// compromised node") — a sender that learns a region is compromised
+/// or destroyed replans around it.
+///
+/// A pair the labels say no surviving route connects is refused before
+/// any search; the rest run the planner's A* with the mask as its
+/// filter. The allocating reference detour in `citymesh-reference`
+/// must return the same route, and the same error, on every query
+/// (`tests/route_oracle.rs`).
 ///
 /// # Errors
-/// Same contract as [`plan_route_avoiding`]; `out` is left cleared on
-/// error.
+/// [`RouteError::UnknownBuilding`] for an endpoint outside `bg`, and
+/// [`RouteError::NoPredictedPath`] when every route crosses a blocked
+/// building; `out` is left cleared on error.
 pub fn plan_route_avoiding_into(
     bg: &BuildingGraph,
     src: u32,
@@ -502,77 +474,6 @@ mod tests {
             plan_route(&bg, 0, 1),
             Err(RouteError::NoPredictedPath { src: 0, dst: 1 })
         );
-    }
-
-    #[test]
-    fn avoiding_blocked_buildings_detours() {
-        // A 3×3 grid of buildings; block the center column's middle
-        // and the route must arc around it.
-        let mut footprints = Vec::new();
-        for y in 0..3 {
-            for x in 0..3 {
-                footprints.push(square_at(x as f64 * 30.0, y as f64 * 30.0, 10.0));
-            }
-        }
-        let map = CityMap::new("grid3", footprints, vec![]);
-        let bg = BuildingGraph::build(
-            &map,
-            BuildingGraphParams {
-                max_gap_m: 25.0,
-                weight_exponent: 3.0,
-            },
-        );
-        // West-middle → east-middle; center building sits between.
-        let west = map.nearest_building(Point::new(5.0, 35.0)).unwrap().id;
-        let east = map.nearest_building(Point::new(65.0, 35.0)).unwrap().id;
-        let center = map.nearest_building(Point::new(35.0, 35.0)).unwrap().id;
-        let direct = plan_route(&bg, west, east).unwrap();
-        assert!(direct.contains(&center), "cheapest route passes the center");
-        let blocked: std::collections::HashSet<u32> = [center].into_iter().collect();
-        let detour = plan_route_avoiding(&bg, west, east, &blocked).unwrap();
-        assert!(!detour.contains(&center));
-        assert!(detour.len() > direct.len(), "the detour is longer");
-        // Blocking the whole middle row severs the grid horizontally…
-        // except the grid detours via top/bottom rows; block those
-        // center cells too and it truly fails.
-        let all_mid: std::collections::HashSet<u32> = map
-            .buildings()
-            .iter()
-            .filter(|b| (b.centroid.x - 35.0).abs() < 10.0)
-            .map(|b| b.id)
-            .collect();
-        let cut = Err(RouteError::NoPredictedPath {
-            src: west,
-            dst: east,
-        });
-        assert_eq!(plan_route_avoiding(&bg, west, east, &all_mid), cut);
-
-        // The production detour: same routes, and the labels refuse the
-        // severed pair before any search.
-        let (mut scratch, mut out) = (PlannerScratch::new(), Vec::new());
-        let one = Survivors::new(&bg, blocked.iter().copied());
-        assert!(one.connects(&bg, west, east));
-        plan_route_avoiding_into(&bg, west, east, &one, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, detour);
-        let column = Survivors::new(&bg, all_mid.iter().copied());
-        assert!(!column.connects(&bg, west, east));
-        assert_eq!(
-            plan_route_avoiding_into(&bg, west, east, &column, &mut scratch, &mut out)
-                .map(|()| vec![]),
-            cut
-        );
-        // Endpoints are exempt: a dark building reaches its live
-        // neighbour, and a dark neighbour by their direct edge alone.
-        let north = map.nearest_building(Point::new(35.0, 65.0)).unwrap().id;
-        assert!(column.connects(&bg, center, west) && column.connects(&bg, north, center));
-        // Flipping memberships one event at a time ends where a rebuild
-        // starts; an event that flips none reports so.
-        let mut grown = one.clone();
-        assert!(grown.update(&bg, all_mid.iter().map(|&b| (b, true))));
-        assert_eq!(grown, column);
-        assert!(!grown.update(&bg, [(center, true)]));
-        assert!(grown.update(&bg, column.blocked().iter().map(|&b| (b, b == center))));
-        assert_eq!(grown, one);
     }
 
     /// `plan_route_counted` on throwaway buffers: the route and what

@@ -3,7 +3,7 @@
 //! Replays one CityMesh message through a concrete AP placement: the
 //! source AP broadcasts, every AP in its precomputed audience
 //! ([`ApGraph::audience`]) receives, each first-time receiver acts on
-//! the real agent verdict ([`ApAgent::decide`]: destination check, TTL,
+//! the real agent verdict ([`agent::decide`]: destination check, TTL,
 //! conduit membership — under building scope computed once per
 //! building per flow, since it reads nothing else of the receiver), and
 //! relays fire after a small random MAC jitter. A flow carries one
@@ -15,14 +15,12 @@
 //! (*deliverability*), how many broadcasts happened (the overhead
 //! numerator), and the per-AP roles for Figure-7-style renders.
 //!
-//! Two entry points share one kernel:
-//!
-//! * [`simulate_delivery`] — allocates its working state per call;
-//!   convenient for one-off runs and exactly as before.
-//! * [`simulate_delivery_into`] — runs against a caller-owned
-//!   [`DeliveryScratch`], touching the heap **zero times** in steady
-//!   state. The fleet engine keeps one scratch per worker and replays
-//!   millions of flows through it; both paths are bit-identical.
+//! The kernel has one entry point, [`simulate_delivery_faulted`]. It
+//! runs against a caller-owned [`DeliveryScratch`] and an optional
+//! fault state (`None` is the healthy world), touching the heap **zero
+//! times** in steady state. The fleet engine keeps one scratch per
+//! worker and replays millions of flows through it. A one-off run hands
+//! it a fresh scratch and clones the report it returns.
 
 use citymesh_geo::OrientedRect;
 use citymesh_graph::PlannerScratch;
@@ -31,9 +29,8 @@ use citymesh_net::{CityMeshHeader, MessageKind, RouteEncoding};
 use citymesh_simcore::{SimRng, SimTime, Simulation};
 use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
-use crate::agent::{Action, ApAgent, RebroadcastScope};
+use crate::agent::{self, Action, RebroadcastScope};
 use crate::apgraph::ApGraph;
-use crate::conduit::reconstruct_conduits;
 use crate::config::{require_probability, ConfigError};
 use crate::faults::{combined_loss, FaultState};
 
@@ -196,7 +193,7 @@ struct Tx(u32);
 /// profiling: in no digest and no registry metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Agent verdicts computed ([`ApAgent::decide`] calls). Under
+    /// Agent verdicts computed ([`agent::decide`] calls). Under
     /// [`RebroadcastScope::Building`] at most one per building a flow
     /// reaches; under [`RebroadcastScope::ApPosition`] one per
     /// first-time reception.
@@ -266,8 +263,8 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
     }
 }
 
-/// Reusable working state for [`simulate_delivery_into`]: everything
-/// the delivery kernel used to allocate per call.
+/// Reusable working state for [`simulate_delivery_faulted`]:
+/// everything the delivery kernel would otherwise allocate per call.
 ///
 /// One scratch serves any number of sequential flows (even against
 /// different worlds). Buffers grow to the high-water mark of the flows
@@ -388,7 +385,7 @@ impl DeliveryScratch {
         self.stats
     }
 
-    /// The report of the most recent [`simulate_delivery_into`] run.
+    /// The report of the most recent [`simulate_delivery_faulted`] run.
     pub fn report(&self) -> &DeliveryReport {
         &self.report
     }
@@ -402,12 +399,6 @@ impl DeliveryScratch {
     /// set the next flow key or drain captured postmortems).
     pub fn tracer_mut(&mut self) -> &mut FlowTracer {
         &mut self.tracer
-    }
-
-    /// Consumes the scratch, yielding the last run's report without
-    /// copying its role vector.
-    pub fn into_report(self) -> DeliveryReport {
-        self.report
     }
 
     /// Prepares the scratch for a fresh flow over `n_aps` APs with a
@@ -429,71 +420,22 @@ impl DeliveryScratch {
     }
 }
 
-/// Simulates one message from `src_ap` with routing state `header`,
-/// allocating working state per call.
+/// The allocation-free delivery kernel: simulates one message from
+/// `src_ap` using caller-owned working state, under a materialized
+/// fault scenario or none.
 ///
-/// `rng` drives MAC jitter only; topology comes fixed from `apg`.
-///
-/// This is the convenience wrapper around [`simulate_delivery_into`]:
-/// it reconstructs the conduits from the header and spins up a
-/// one-shot [`DeliveryScratch`], so existing callers compile and
-/// behave exactly as before. Hot loops should hold a scratch and
-/// pre-reconstructed conduits instead.
-pub fn simulate_delivery(
-    map: &CityMap,
-    apg: &ApGraph,
-    header: &CityMeshHeader,
-    src_ap: u32,
-    params: DeliveryParams,
-    rng: &mut SimRng,
-) -> DeliveryReport {
-    let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
-    let mut scratch = DeliveryScratch::new();
-    simulate_delivery_into(
-        map,
-        apg,
-        header,
-        &conduits,
-        src_ap,
-        params,
-        rng,
-        &mut scratch,
-    );
-    scratch.into_report()
-}
-
-/// The allocation-free delivery kernel: simulates one message using
-/// caller-owned working state.
-///
-/// `conduits` must be the reconstruction of `header`'s waypoints at
-/// the header's (decimeter-quantized) width — precompute once per
-/// route with [`reconstruct_conduits`] and amortize across every flow
-/// sharing it (`PlannedFlow` caches exactly this). The returned
-/// reference points into `scratch` and is valid until the next run.
+/// `rng` drives MAC jitter and reception loss only; topology comes
+/// fixed from `apg`. `conduits` must be the reconstruction of
+/// `header`'s waypoints at the header's (decimeter-quantized) width —
+/// precompute once per route with
+/// [`reconstruct_conduits`](crate::reconstruct_conduits) and amortize
+/// across every flow sharing it (`PlannedFlow` caches exactly this).
+/// The returned reference points into `scratch` and is valid until the
+/// next run.
 ///
 /// Steady state (scratch warmed past the workload's high-water marks)
 /// performs **zero heap allocations**; `tests/zero_alloc.rs` in
 /// `citymesh-fleet` enforces this with a counting global allocator.
-///
-/// # Panics
-/// Panics when `src_ap` is outside `apg`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_delivery_into<'a>(
-    map: &CityMap,
-    apg: &ApGraph,
-    header: &CityMeshHeader,
-    conduits: &[OrientedRect],
-    src_ap: u32,
-    params: DeliveryParams,
-    rng: &mut SimRng,
-    scratch: &'a mut DeliveryScratch,
-) -> &'a DeliveryReport {
-    simulate_delivery_faulted(
-        map, apg, header, conduits, src_ap, params, None, rng, scratch,
-    )
-}
-
-/// [`simulate_delivery_into`] under a materialized fault scenario.
 ///
 /// Fault semantics, chosen so `faults == None` (or an all-`Up` state)
 /// replays the healthy kernel **bit for bit**, RNG draws included:
@@ -513,6 +455,9 @@ pub fn simulate_delivery_into<'a>(
 /// stays inside `scratch`, so the zero-allocation steady state is
 /// preserved (enforced with faults enabled in
 /// `crates/fleet/tests/zero_alloc.rs`).
+///
+/// # Panics
+/// Panics when `src_ap` is outside `apg`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_delivery_faulted<'a>(
     map: &CityMap,
@@ -663,7 +608,7 @@ impl Flood<'_> {
                     Some(memo) if *memo != UNDECIDED => action_of(*memo),
                     memo => {
                         decided += 1;
-                        let action = ApAgent::decide(
+                        let action = agent::decide(
                             apg.position(rx),
                             building,
                             params.scope,
@@ -709,8 +654,34 @@ impl Flood<'_> {
 mod tests {
     use super::*;
     use crate::placement::{place_aps, postbox_ap};
-    use crate::{BuildingGraph, BuildingGraphParams};
+    use crate::{reconstruct_conduits, BuildingGraph, BuildingGraphParams};
     use citymesh_geo::{Point, Polygon, Rect};
+
+    /// One healthy flow through a fresh scratch, the conduits
+    /// reconstructed from the header.
+    fn simulate(
+        map: &CityMap,
+        apg: &ApGraph,
+        header: &CityMeshHeader,
+        src_ap: u32,
+        params: DeliveryParams,
+        rng: &mut SimRng,
+    ) -> DeliveryReport {
+        let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
+        let mut scratch = DeliveryScratch::new();
+        simulate_delivery_faulted(
+            map,
+            apg,
+            header,
+            &conduits,
+            src_ap,
+            params,
+            None,
+            rng,
+            &mut scratch,
+        )
+        .clone()
+    }
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
         Polygon::rect(Rect::from_corners(
@@ -753,7 +724,7 @@ mod tests {
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let mut rng = SimRng::new(2);
-        let report = simulate_delivery(
+        let report = simulate(
             &map,
             &apg,
             &header,
@@ -776,7 +747,7 @@ mod tests {
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let run = |seed| {
             let mut rng = SimRng::new(seed);
-            simulate_delivery(
+            simulate(
                 &map,
                 &apg,
                 &header,
@@ -798,12 +769,12 @@ mod tests {
         let (map, apg, bg, aps) = street();
         let mut scratch = DeliveryScratch::new();
         // Several distinct flows through ONE scratch, each compared to
-        // the fresh-allocation wrapper with an identically seeded RNG.
+        // a run through a fresh scratch with an identically seeded RNG.
         for (src_b, dst_b, seed) in [(0u32, 9u32, 5u64), (9, 0, 6), (2, 7, 7), (0, 9, 5)] {
             let header = route_header(&bg, src_b, dst_b);
             let src = postbox_ap(&aps, &map, src_b).unwrap();
             let mut fresh_rng = SimRng::new(seed);
-            let fresh = simulate_delivery(
+            let fresh = simulate(
                 &map,
                 &apg,
                 &header,
@@ -813,13 +784,14 @@ mod tests {
             );
             let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
             let mut rng = SimRng::new(seed);
-            let reused = simulate_delivery_into(
+            let reused = simulate_delivery_faulted(
                 &map,
                 &apg,
                 &header,
                 &conduits,
                 src,
                 DeliveryParams::default(),
+                None,
                 &mut rng,
                 &mut scratch,
             );
@@ -841,13 +813,14 @@ mod tests {
         let conduits_a =
             reconstruct_conduits(&map, &header_a.waypoints, header_a.conduit_width_m());
         let mut rng = SimRng::new(1);
-        simulate_delivery_into(
+        simulate_delivery_faulted(
             &map,
             &apg,
             &header_a,
             &conduits_a,
             src_a,
             DeliveryParams::default(),
+            None,
             &mut rng,
             &mut scratch,
         );
@@ -863,7 +836,7 @@ mod tests {
         assert_eq!(header_a.msg_id, header_b.msg_id, "test needs a reused id");
         let src_b = postbox_ap(&aps, &map, 5).unwrap();
         let mut fresh_rng = SimRng::new(2);
-        let fresh = simulate_delivery(
+        let fresh = simulate(
             &map,
             &apg,
             &header_b,
@@ -874,13 +847,14 @@ mod tests {
         let conduits_b =
             reconstruct_conduits(&map, &header_b.waypoints, header_b.conduit_width_m());
         let mut rng = SimRng::new(2);
-        let reused = simulate_delivery_into(
+        let reused = simulate_delivery_faulted(
             &map,
             &apg,
             &header_b,
             &conduits_b,
             src_b,
             DeliveryParams::default(),
+            None,
             &mut rng,
             &mut scratch,
         );
@@ -927,7 +901,7 @@ mod tests {
             let src = postbox_ap(aps, map, 0).unwrap();
             let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
             let mut fresh_rng = SimRng::new(3);
-            let fresh = simulate_delivery(
+            let fresh = simulate(
                 map,
                 apg,
                 &header,
@@ -936,13 +910,14 @@ mod tests {
                 &mut fresh_rng,
             );
             let mut rng = SimRng::new(3);
-            let reused = simulate_delivery_into(
+            let reused = simulate_delivery_faulted(
                 map,
                 apg,
                 &header,
                 &conduits,
                 src,
                 DeliveryParams::default(),
+                None,
                 &mut rng,
                 &mut scratch,
             );
@@ -968,7 +943,7 @@ mod tests {
         // would not even try; this exercises network behaviour).
         let header = CityMeshHeader::new(1, 50.0, vec![src_building, dst_building]);
         let src = postbox_ap(&aps, &map, src_building).unwrap();
-        let report = simulate_delivery(
+        let report = simulate(
             &map,
             &apg,
             &header,
@@ -1008,7 +983,7 @@ mod tests {
         let dst = map.nearest_building(Point::new(216.0, 6.0)).unwrap().id;
         let header = route_header(&bg, src, dst);
         let src_ap = postbox_ap(&aps, &map, src).unwrap();
-        let report = simulate_delivery(
+        let report = simulate(
             &map,
             &apg,
             &header,
@@ -1041,7 +1016,7 @@ mod tests {
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let run = |scope| {
             let mut rng = SimRng::new(6);
-            simulate_delivery(
+            simulate(
                 &map,
                 &apg,
                 &header,
@@ -1065,7 +1040,7 @@ mod tests {
         let header = CityMeshHeader::new(9, 50.0, vec![3]);
         let src = postbox_ap(&aps, &map, 3).unwrap();
         let mut rng = SimRng::new(7);
-        let report = simulate_delivery(
+        let report = simulate(
             &map,
             &apg,
             &header,
@@ -1088,7 +1063,7 @@ mod tests {
             (0..10)
                 .filter(|seed| {
                     let mut rng = SimRng::new(100 + seed);
-                    simulate_delivery(
+                    simulate(
                         &map,
                         &apg,
                         &header,

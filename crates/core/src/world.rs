@@ -217,7 +217,7 @@ impl CityExperiment {
 
     /// Builds both graphs over a caller-supplied placement — used when
     /// the placement must be preserved across map edits (e.g. after
-    /// [`crate::apply_bridges`] + [`crate::bridge::extend_placement`]).
+    /// `citymesh_place::apply_bridges` + `extend_placement`).
     ///
     /// # Panics
     /// Panics when any AP references a building outside the map or the

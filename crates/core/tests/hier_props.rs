@@ -11,12 +11,12 @@
 use std::collections::HashSet;
 
 use citymesh_core::{
-    plan_route, plan_route_avoiding, BuildingGraph, BuildingGraphParams, CityExperiment,
-    ExperimentConfig, FaultScenario, HierParams, HierPlanScratch, HierPlanner, PlanScratch,
-    PlannedFlow, Survivors,
+    plan_route, BuildingGraph, BuildingGraphParams, CityExperiment, ExperimentConfig,
+    FaultScenario, HierParams, HierPlanScratch, HierPlanner, PlanScratch, PlannedFlow, Survivors,
 };
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_map::CityMap;
+use citymesh_reference::plan_route_avoiding;
 use citymesh_simcore::SimRng;
 use proptest::prelude::*;
 

@@ -23,11 +23,9 @@ use citymesh_core::{place_aps, ApGraph, CityExperiment, ExperimentConfig, PlanSc
 use citymesh_core::{PlannedFlow, DEFAULT_RANGE_M};
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_geo::{Point, Polygon, Rect};
-use citymesh_graph::{
-    bfs_distance_to, connected_components, Graph, HopLandmarks, HopScratch, PlannerScratch,
-    HOP_LANDMARKS,
-};
+use citymesh_graph::{connected_components, Graph, HopLandmarks, HopScratch, HOP_LANDMARKS};
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
+use citymesh_reference::{bfs_distance_to, FloodScratch as PlannerScratch};
 use citymesh_simcore::SimRng;
 use proptest::prelude::*;
 

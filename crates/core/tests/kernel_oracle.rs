@@ -4,7 +4,7 @@
 //! precomputed audience row and treats the report's role vector as
 //! every AP's duplicate-suppression memory. The reference below does
 //! neither: it owns one real deployed [`ApAgent`] (4096-id
-//! [`citymesh_core::agent::SeenCache`]) per AP, asks the spatial index
+//! [`citymesh_reference::SeenCache`]) per AP, asks the spatial index
 //! who is in range on every broadcast, keeps its events in a plain
 //! `Vec`, and allocates everything freshly. The two must agree field
 //! for field and leave the RNG at the same stream position.
@@ -15,7 +15,7 @@ use citymesh_core::agent::Action;
 use citymesh_core::faults::combined_loss;
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
-    simulate_delivery_faulted, Ap, ApAgent, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
+    simulate_delivery_faulted, Ap, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
     CityExperiment, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
     FaultScenario, FaultState, RebroadcastScope,
 };
@@ -23,6 +23,7 @@ use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig, DOMAIN
 use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
 use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
+use citymesh_reference::ApAgent;
 use citymesh_simcore::{substream_seed, SimRng, SimTime};
 use citymesh_telemetry::TraceConfig;
 use proptest::prelude::*;

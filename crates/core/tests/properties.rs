@@ -238,7 +238,7 @@ proptest! {
         let n = map.len() as u64;
         let src = rng.below(n) as u32;
         let dst = rng.below(n) as u32;
-        let truth = citymesh_graph::dijkstra(bg.graph(), src);
+        let truth = citymesh_reference::dijkstra(bg.graph(), src);
         match plan_route(&bg, src, dst) {
             Ok(route) => {
                 prop_assert_eq!(route[0], src);

@@ -34,11 +34,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use citymesh_core::{
-    compress_route, plan_route_avoiding, plan_route_avoiding_into, plan_route_into,
-    reconstruct_conduits, simulate_delivery_faulted, BuildingGraph, BuildingGraphParams,
-    CityExperiment, DeliveryParams, DeliveryScratch, ExperimentConfig, FaultScenario, HierParams,
-    HierPlanScratch, HierPlanner, OverheadOutcome, PairOutcome, PlannedFlow, RecoveryStage,
-    RetryPolicy, RouteError, Survivors,
+    compress_route, plan_route_avoiding_into, plan_route_into, reconstruct_conduits,
+    simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CityExperiment, DeliveryParams,
+    DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, HierPlanScratch, HierPlanner,
+    OverheadOutcome, PairOutcome, PlannedFlow, RecoveryStage, RetryPolicy, RouteError, Survivors,
 };
 use citymesh_dynamics::{
     try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, EpochStat, InvalidationPolicy,
@@ -51,6 +50,7 @@ use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_graph::{astar_path_filtered_into, PlannerScratch};
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
+use citymesh_reference::plan_route_avoiding;
 use citymesh_simcore::{substream_seed, SimRng, SimTime};
 use citymesh_telemetry::{metrics as tm, TelemetryConfig};
 use proptest::prelude::*;

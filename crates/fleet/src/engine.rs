@@ -315,19 +315,21 @@ impl FleetReport {
         // happened: fault-free runs (where the ladder never fires and
         // `retry_attempts` is degenerate) keep their historical digests,
         // so golden values pinned before fault injection stay valid.
-        if self.retried > 0 {
-            h.mix(self.retried);
-            h.mix(self.recovered);
-            h.mix(self.retry_attempts.fingerprint());
-        }
+        h.mix_when(
+            self.retried > 0,
+            &[
+                self.retried,
+                self.recovered,
+                self.retry_attempts.fingerprint(),
+            ],
+        );
         // Sealed-message statistics join only when encryption actually
         // ran, by the same rule: plaintext runs digest exactly as they
         // did before the secure message plane existed.
-        if self.sealed > 0 {
-            h.mix(self.sealed);
-            h.mix(self.opened);
-            h.mix(self.auth_failures);
-        }
+        h.mix_when(
+            self.sealed > 0,
+            &[self.sealed, self.opened, self.auth_failures],
+        );
         h.value()
     }
 

@@ -113,8 +113,8 @@
 //! overlay loop.
 
 use crate::landmarks::FarthestPoint;
+use crate::scratch::HeapItem;
 use crate::scratch::{astar_path_filtered_into, PlannerScratch};
-use crate::search::HeapItem;
 use crate::{Adjacency, INFINITY};
 
 /// Upper bound on [`HierParams::overlay_landmarks`] (a per-query
@@ -984,7 +984,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dijkstra_path_filtered_into, dijkstra_path_into, Graph};
+    use crate::{astar_path_filtered_into, Graph};
 
     /// Path cost under `g`'s weights.
     fn path_cost(g: &Graph, path: &[u32]) -> f64 {
@@ -1070,7 +1070,7 @@ mod tests {
         ] {
             let hok =
                 hier.plan_path_into(&g, src, dst, |_, _| 0.0, |_| true, &[], &mut hs, &mut hp);
-            let fok = dijkstra_path_into(&g, src, dst, &mut ps, &mut fp);
+            let fok = astar_path_filtered_into(&g, src, dst, |_| 0.0, |_| true, &mut ps, &mut fp);
             assert_eq!(hok, fok, "({src},{dst}) reachability");
             assert_eq!(hp.first(), Some(&src));
             assert_eq!(hp.last(), Some(&dst));
@@ -1105,7 +1105,8 @@ mod tests {
                 &mut hs,
                 &mut hp,
             );
-            let fok = dijkstra_path_filtered_into(&g, src, dst, |v| !blocked(v), &mut ps, &mut fp);
+            let fok =
+                astar_path_filtered_into(&g, src, dst, |_| 0.0, |v| !blocked(v), &mut ps, &mut fp);
             assert_eq!(hok, fok, "({src},{dst}) reachability under faults");
             if hok {
                 for &v in hp.iter().filter(|&&v| v != src && v != dst) {

@@ -1,9 +1,9 @@
 //! Hop-count ALT: exact "fewest hops from a vertex to a vertex *set*"
 //! on an unweighted graph without flooding it.
 //!
-//! [`bfs_distance_to`](crate::bfs_distance_to) answers the same query
-//! by expanding rings around the source until one touches the set —
-//! work linear in the component for a far target. [`HopLandmarks`]
+//! A breadth-first search answers the same query by expanding rings
+//! around the source until one touches the set — work linear in the
+//! component for a far target. [`HopLandmarks`]
 //! stores, per vertex, its hop distance from a constant number of
 //! landmarks and runs A* under the set-target landmark bound
 //!
@@ -117,9 +117,8 @@ impl HopLandmarks {
     /// Fewest hops from `source` to any vertex of `targets`, or `None`
     /// when none shares `source`'s component — decided up front from
     /// the labels, as a BFS decides it by exhausting the component.
-    /// Equal to [`bfs_distance_to`](crate::bfs_distance_to) with the
-    /// predicate "is in `targets`"; allocates nothing once `scratch`
-    /// is warm.
+    /// Equal to the hop count a BFS from `source` reports on first
+    /// touching `targets`; allocates nothing once `scratch` is warm.
     ///
     /// `neighbors` and `components` must describe the graph the index
     /// was built for.
@@ -356,42 +355,13 @@ impl HopScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs_distance_to, connected_components, Graph, PlannerScratch};
+    use crate::{connected_components, Graph};
 
     /// Rows of `g` in the callback form the index reads.
     fn rows(g: &Graph) -> Vec<Vec<u32>> {
         (0..g.num_vertices() as u32)
             .map(|v| g.neighbors(v).iter().map(|e| e.to).collect())
             .collect()
-    }
-
-    /// Every (source, target set) on `g` against the reference BFS,
-    /// through one warm scratch — by search, and from the set's row.
-    fn assert_matches_bfs(g: &Graph, sets: &[&[u32]]) {
-        let adj = rows(g);
-        let neighbors = |v: u32| adj[v as usize].as_slice();
-        let (components, count) = connected_components(g);
-        let index = HopLandmarks::build(neighbors, &components, count);
-        let mut scratch = HopScratch::new();
-        let mut reference = PlannerScratch::new();
-        let mut row = vec![0u16; adj.len()];
-        for set in sets {
-            hops_to_set_row(neighbors, set, &mut row, &mut scratch);
-            for src in 0..adj.len() as u32 {
-                let want = bfs_distance_to(g, src, |v| set.contains(&v), &mut reference);
-                assert_eq!(
-                    index.hops_to_set(neighbors, &components, src, set, &mut scratch),
-                    want,
-                    "src {src} set {set:?}"
-                );
-                let from_row = row[src as usize];
-                assert_eq!(
-                    (from_row != UNREACHED).then_some(u64::from(from_row)),
-                    want,
-                    "row of {set:?} at {src}"
-                );
-            }
-        }
     }
 
     /// An `nx × ny` unit lattice followed by `extra` isolated vertices.
@@ -412,29 +382,10 @@ mod tests {
     }
 
     #[test]
-    fn lattice_matches_bfs_for_single_and_multi_vertex_targets() {
-        // 40 × 12 = 480 vertices: more than HOP_LANDMARKS, long enough
-        // for the bound to steer, and full of equal-length paths.
-        assert_matches_bfs(
-            &lattice(40, 12, 0),
-            &[&[479], &[0], &[200, 201, 37], &[39, 440]],
-        );
-    }
-
-    #[test]
-    fn fewer_vertices_than_landmarks() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(3, 4, 1.0);
-        assert_matches_bfs(&g, &[&[2], &[4], &[0, 3], &[]]);
-        assert_matches_bfs(&Graph::new(1), &[&[0], &[]]);
-    }
-
-    #[test]
-    fn small_islands_get_no_landmark_and_still_answer_exactly() {
+    fn small_islands_get_no_landmark() {
         // A 300-vertex lattice plus a 6-vertex path: 6 × 16 < 306, so
-        // the path is searched with a zero bound.
+        // the path is searched with a zero bound (its answers are held
+        // to a BFS in `tests/against_reference.rs`).
         let mut g = lattice(30, 10, 6);
         let base = 300;
         for i in 0..5 {
@@ -446,7 +397,6 @@ mod tests {
         for v in base..base + 6 {
             assert_eq!(index.rows[v as usize], [UNREACHED; HOP_LANDMARKS]);
         }
-        assert_matches_bfs(&g, &[&[base + 5], &[base, 299], &[150]]);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //!
 //! * the **building graph** — vertices are buildings, edges are
 //!   predicted inter-building AP connectivity, weighted by
-//!   *cubed* distance; routes are computed with [`dijkstra`];
+//!   *cubed* distance; routes are computed with
+//!   [`astar_path_filtered_into`], and whole shortest-path trees (route
+//!   rows, ALT landmark distances) with [`dijkstra_tree_with`];
 //! * the **AP graph** — vertices are access points, edges connect APs
 //!   within transmission range, stored by its owner as plain neighbour
 //!   rows; reachability is answered with [`label_components`], and the
 //!   *ideal unicast* denominator of the paper's transmission-overhead
 //!   metric is the BFS hop count, answered without a flood by
-//!   [`HopLandmarks`] ([`bfs`] is the reference it is tested against).
+//!   [`HopLandmarks`] (the `citymesh-reference` crate holds the BFS it
+//!   is tested against).
 //!
 //! The [`Graph`] type is a compact adjacency-list structure with `u32`
 //! vertex ids, sized for the millions-of-nodes scale the paper targets.
@@ -19,25 +22,19 @@
 #![warn(missing_docs)]
 
 mod adjacency;
+mod components;
 mod hierarchy;
 mod hops;
 mod landmarks;
 mod scratch;
-mod search;
 mod union_find;
 
 pub use adjacency::{Adjacency, CsrGraph, Edge, Graph};
+pub use components::{connected_components, label_components, largest_component};
 pub use hierarchy::{
     HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_OVERLAY_LANDMARKS,
 };
 pub use hops::{hops_to_set_row, HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
 pub use landmarks::{landmark_candidates, FarthestPoint};
-pub use scratch::{
-    astar_path_filtered_into, astar_path_into, bfs_distance_to, dijkstra_path_filtered_into,
-    dijkstra_path_into, dijkstra_tree_with, PlannerScratch,
-};
-pub use search::{
-    astar, bfs, bfs_path, connected_components, dijkstra, dijkstra_path, dijkstra_path_filtered,
-    label_components, largest_component, PathResult, INFINITY,
-};
+pub use scratch::{astar_path_filtered_into, dijkstra_tree_with, PlannerScratch, INFINITY};
 pub use union_find::UnionFind;

@@ -1,18 +1,23 @@
-//! Reusable planner scratch: zero-allocation point-to-point search.
+//! Reusable planner scratch: the graph crate's two weighted searches.
 //!
-//! [`dijkstra_path`] allocates `dist`/`parent`/`settled` vectors sized
-//! `|V|` plus a fresh binary heap on every call. A route planner that
-//! serves millions of flows pays that cost per flow even though almost
-//! every call touches only a tiny corridor of the graph. This module
-//! provides the steady-state alternative: a [`PlannerScratch`] that
+//! An allocating search pays `dist`/`parent`/`settled` vectors sized
+//! `|V|` plus a fresh binary heap on every call, although almost every
+//! call touches only a tiny corridor of the graph. A [`PlannerScratch`]
 //! owns every buffer a search needs and clears them in O(touched) via
-//! generation stamps, plus `_into` kernels that write the path into a
-//! caller-owned buffer. After a warm-up call, planning performs **zero
-//! heap allocations**.
+//! generation stamps, so after a warm-up call a search performs **zero
+//! heap allocations**. Two kernels run on it:
+//!
+//! * [`astar_path_filtered_into`] — point to point, goal-directed,
+//!   blocked vertices filtered out, the path written into a
+//!   caller-owned buffer. With `h ≡ 0` and a filter that admits
+//!   everything it is plain Dijkstra;
+//! * [`dijkstra_tree_with`] — the whole shortest-path tree from one
+//!   source, reported vertex by vertex: route rows and the building
+//!   graph's landmark table.
 //!
 //! # Deterministic tie-breaking (the A* ≡ Dijkstra contract)
 //!
-//! The `_into` kernels share one canonical tie-breaking rule:
+//! Both kernels share one canonical tie-breaking rule:
 //!
 //! 1. the heap pops by *(key ascending, vertex id ascending)* — key is
 //!    `dist` for Dijkstra and `dist + h` for A*;
@@ -29,22 +34,50 @@
 //! `h ≡ 0` on graphs with positive weights) every optimal predecessor
 //! of a vertex has a strictly smaller heap key and therefore settles
 //! first in **both** algorithms. Both parent trees then agree on every
-//! vertex they share, so [`astar_path_into`] returns paths
-//! **bit-identical** to [`dijkstra_path_into`]. The building graph's
-//! cubed-distance weights satisfy strict consistency for the Euclidean
-//! heuristic because every weight is `max(d, 1)^e ≥ max(d, 1) > h`-drop
-//! for exponents `e ≥ 1` (see `citymesh-core`'s route planner).
-//!
-//! [`dijkstra_path`]: crate::dijkstra_path
+//! vertex they share, so [`astar_path_filtered_into`] under such a
+//! heuristic returns paths **bit-identical** to the same kernel with
+//! `h ≡ 0`. The building graph's cubed-distance weights satisfy strict
+//! consistency for the Euclidean heuristic because every weight is
+//! `max(d, 1)^e ≥ max(d, 1) > h`-drop for exponents `e ≥ 1` (see
+//! `citymesh-core`'s route planner).
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
-use crate::search::HeapItem;
-use crate::{Adjacency, INFINITY};
+use crate::Adjacency;
 
-/// Reusable buffers for point-to-point search over any [`Adjacency`]
-/// implementation ([`Graph`](crate::Graph) or [`CsrGraph`](crate::CsrGraph)).
+/// Distance value for unreachable vertices.
+pub const INFINITY: f64 = f64::INFINITY;
+
+/// A heap entry ordered by *smallest* distance first, then smallest id.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct HeapItem {
+    pub(crate) dist: f64,
+    pub(crate) vertex: u32,
+}
+
+impl Eq for HeapItem {}
+
+impl Ord for HeapItem {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse: BinaryHeap is a max-heap. Distances are finite,
+        // non-NaN by construction (weights validated by Graph).
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.vertex.cmp(&self.vertex))
+    }
+}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Reusable buffers for search over any [`Adjacency`] implementation
+/// ([`Graph`](crate::Graph) or [`CsrGraph`](crate::CsrGraph)).
 ///
 /// One scratch serves searches over graphs of *different* sizes (the
 /// route planner shares one between the building graph and the AP
@@ -53,7 +86,7 @@ use crate::{Adjacency, INFINITY};
 /// warm scratch performs no allocation and no O(|V|) clearing.
 ///
 /// ```
-/// use citymesh_graph::{dijkstra_path_into, Graph, PlannerScratch};
+/// use citymesh_graph::{astar_path_filtered_into, Graph, PlannerScratch};
 ///
 /// let mut g = Graph::new(3);
 /// g.add_edge(0, 1, 1.0);
@@ -61,27 +94,19 @@ use crate::{Adjacency, INFINITY};
 /// g.add_edge(0, 2, 10.0);
 /// let mut scratch = PlannerScratch::new();
 /// let mut path = Vec::new();
-/// assert!(dijkstra_path_into(&g, 0, 2, &mut scratch, &mut path));
+/// let dijkstra = |s, t, scratch: &mut _, path: &mut _| {
+///     astar_path_filtered_into(&g, s, t, |_| 0.0, |_| true, scratch, path)
+/// };
+/// assert!(dijkstra(0, 2, &mut scratch, &mut path));
 /// assert_eq!(path, vec![0, 1, 2]);
 /// // Reuse: the second call allocates nothing.
-/// assert!(dijkstra_path_into(&g, 2, 0, &mut scratch, &mut path));
+/// assert!(dijkstra(2, 0, &mut scratch, &mut path));
 /// assert_eq!(path, vec![2, 1, 0]);
 /// ```
 ///
-/// # Deterministic tie-breaking (the A* ≡ Dijkstra contract)
-///
-/// All kernels taking a `PlannerScratch` share one canonical rule:
-/// the heap pops by *(key ascending, vertex id ascending)*; a
-/// relaxation `u → v` updates `v` when it strictly improves `dist[v]`
-/// **or** exactly ties it with `u` smaller than the current parent;
-/// settled vertices are never updated. The final parent of every
-/// vertex is then the minimum-id optimal predecessor among those
-/// settled before it. With a *strictly consistent* heuristic
-/// (`h(u) − h(v) < w(u, v)` on every edge — which includes `h ≡ 0` on
-/// positive-weight graphs) every optimal predecessor settles first in
-/// both A* and Dijkstra, so [`astar_path_into`] returns paths
-/// bit-identical to [`dijkstra_path_into`]. DESIGN.md §10 carries the
-/// full argument.
+/// Both kernels taking a `PlannerScratch` break ties by the one
+/// canonical rule in the module docs; DESIGN.md §10 carries the full
+/// argument.
 #[derive(Clone, Debug, Default)]
 pub struct PlannerScratch {
     /// Slot `v` is valid for this run iff `stamp[v] == gen`.
@@ -91,7 +116,6 @@ pub struct PlannerScratch {
     parent: Vec<u32>,
     settled: Vec<bool>,
     pub(crate) heap: BinaryHeap<HeapItem>,
-    queue: VecDeque<u32>,
 }
 
 impl PlannerScratch {
@@ -109,7 +133,7 @@ impl PlannerScratch {
     /// is the largest graph seen, invalidates every slot by bumping
     /// the generation (O(1); a full re-stamp happens only when the
     /// `u32` generation wraps, once per ~4 billion searches), and
-    /// clears the retained heap/queue without releasing capacity.
+    /// clears the retained heap without releasing capacity.
     pub(crate) fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -123,7 +147,6 @@ impl PlannerScratch {
             self.gen = 1;
         }
         self.heap.clear();
-        self.queue.clear();
     }
 
     /// `(dist, parent)` of `v`, defaulting to (∞, MAX) when untouched
@@ -164,12 +187,6 @@ impl PlannerScratch {
         self.settled[v as usize] = true;
     }
 
-    /// Whether `v` was touched this run (BFS visited-set).
-    #[inline]
-    pub(crate) fn is_visited(&self, v: u32) -> bool {
-        self.stamp[v as usize] == self.gen
-    }
-
     /// Traces the parent chain from `target` into `out` (reversed into
     /// source→target order). The chain was written this generation.
     pub(crate) fn trace_into(&self, target: u32, out: &mut Vec<u32>) {
@@ -193,15 +210,13 @@ impl PlannerScratch {
 /// admits (endpoints are always allowed), writing the path into `out`.
 /// Returns `false` — with `out` cleared — when no path exists.
 ///
-/// This is the master kernel behind [`dijkstra_path_into`],
-/// [`dijkstra_path_filtered_into`], and [`astar_path_into`]; see the
-/// [`PlannerScratch`] docs for the canonical tie-breaking rule and the
-/// conditions under which all of them return bit-identical paths.
+/// `h ≡ 0` makes it Dijkstra and `allowed ≡ true` an unfiltered search;
+/// see the module docs for the canonical tie-breaking rule and the
+/// conditions under which every heuristic returns the same path.
 ///
 /// `h` must be admissible (`h(v) ≤` cheapest remaining cost) for the
 /// result to be a shortest path, and strictly consistent for the
-/// cross-kernel bit-identity guarantee. `h(target)` is ignored (taken
-/// as 0).
+/// bit-identity guarantee. `h(target)` is ignored (taken as 0).
 ///
 /// # Panics
 /// Panics when `source` or `target` is out of range.
@@ -269,12 +284,15 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
 
 /// The whole canonical shortest-path tree from `source`: Dijkstra under
 /// the [`PlannerScratch`] tie-breaking rule, run until the heap is
-/// empty. `settle(v, parent)` is called once per reachable vertex, in
-/// settle order, with the vertex's final parent (`u32::MAX` for
-/// `source`); a vertex never reported is unreachable. The parent of `v`
-/// is the vertex before `v` on the path
-/// `dijkstra_path_into(g, source, v, ..)` returns — an early-stopped
-/// search and the full tree agree on every vertex the search settled.
+/// empty. `settle(v, parent, dist)` is called once per reachable
+/// vertex, in settle order, with the vertex's final parent (`u32::MAX`
+/// for `source`) and its shortest distance from `source`; a vertex never
+/// reported is unreachable. The parent of `v` is the vertex before `v`
+/// on the path [`astar_path_filtered_into`] returns for `source → v`
+/// with `h ≡ 0` — an early-stopped search and the full tree agree on
+/// every vertex the search settled. Each distance is the minimum over
+/// the same relaxations, summed in the same order, as a textbook
+/// lazy-deletion Dijkstra's, so the two agree bit for bit.
 ///
 /// Returns whether any relaxation met an **exact tie** (`nd ==
 /// dist[v]` on an unsettled `v`, whichever parent then won). A tree
@@ -288,7 +306,7 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
     g: &G,
     source: u32,
     scratch: &mut PlannerScratch,
-    mut settle: impl FnMut(u32, u32),
+    mut settle: impl FnMut(u32, u32, f64),
 ) -> bool {
     let n = g.num_vertices();
     assert!((source as usize) < n, "vertex out of range");
@@ -305,7 +323,7 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
         }
         scratch.settle(u);
         let (d, parent) = scratch.entry(u);
-        settle(u, parent);
+        settle(u, parent, d);
         for e in g.neighbors(u) {
             if scratch.is_settled(e.to) {
                 continue;
@@ -329,93 +347,21 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
     tied
 }
 
-/// [`dijkstra_path`](crate::dijkstra_path) against reusable scratch
-/// buffers: writes the path into `out`, returns `false` when
-/// unreachable, allocates nothing once warm.
-pub fn dijkstra_path_into<G: Adjacency + ?Sized>(
-    g: &G,
-    source: u32,
-    target: u32,
-    scratch: &mut PlannerScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    astar_path_filtered_into(g, source, target, |_| 0.0, |_| true, scratch, out)
-}
-
-/// [`dijkstra_path_filtered`](crate::dijkstra_path_filtered) against
-/// reusable scratch buffers (endpoints exempt from the filter).
-pub fn dijkstra_path_filtered_into<G: Adjacency + ?Sized>(
-    g: &G,
-    source: u32,
-    target: u32,
-    allowed: impl Fn(u32) -> bool,
-    scratch: &mut PlannerScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    astar_path_filtered_into(g, source, target, |_| 0.0, allowed, scratch, out)
-}
-
-/// Goal-directed A* against reusable scratch buffers. With a strictly
-/// consistent heuristic the result is bit-identical to
-/// [`dijkstra_path_into`] (see [`PlannerScratch`]).
-pub fn astar_path_into<G: Adjacency + ?Sized>(
-    g: &G,
-    source: u32,
-    target: u32,
-    h: impl Fn(u32) -> f64,
-    scratch: &mut PlannerScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    astar_path_filtered_into(g, source, target, h, |_| true, scratch, out)
-}
-
-/// Breadth-first hop count from `source` to the nearest vertex for
-/// which `found` returns `true`, or `None` when no such vertex is
-/// reachable. `found` is probed in nondecreasing hop order, so the
-/// first hit is minimal — the search stops there instead of exploring
-/// the whole component, and a warm scratch allocates nothing.
-///
-/// This is the ideal-unicast query (paper §4's overhead denominator)
-/// in its early-exit form: "hops from this AP to any AP of the
-/// destination building".
-///
-/// # Panics
-/// Panics when `source` is out of range.
-pub fn bfs_distance_to<G: Adjacency + ?Sized>(
-    g: &G,
-    source: u32,
-    mut found: impl FnMut(u32) -> bool,
-    scratch: &mut PlannerScratch,
-) -> Option<u64> {
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    scratch.begin(n);
-    scratch.write(source, 0.0, u32::MAX);
-    if found(source) {
-        return Some(0);
-    }
-    scratch.queue.push_back(source);
-    while let Some(u) = scratch.queue.pop_front() {
-        let (d, _) = scratch.entry(u);
-        for e in g.neighbors(u) {
-            if !scratch.is_visited(e.to) {
-                scratch.write(e.to, d + 1.0, u);
-                // Vertices are discovered in nondecreasing hop order,
-                // so the first match is the minimum.
-                if found(e.to) {
-                    return Some(d as u64 + 1);
-                }
-                scratch.queue.push_back(e.to);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs, dijkstra_path, dijkstra_path_filtered, Graph};
+    use crate::Graph;
+
+    /// The kernel as plain Dijkstra: no heuristic, nothing filtered.
+    fn dijkstra_into(
+        g: &Graph,
+        source: u32,
+        target: u32,
+        s: &mut PlannerScratch,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        astar_path_filtered_into(g, source, target, |_| 0.0, |_| true, s, out)
+    }
 
     fn diamond() -> Graph {
         let mut g = Graph::new(4);
@@ -423,18 +369,6 @@ mod tests {
         g.add_edge(1, 2, 1.0);
         g.add_edge(0, 2, 10.0);
         g
-    }
-
-    #[test]
-    fn into_matches_allocating_dijkstra() {
-        let g = diamond();
-        let mut s = PlannerScratch::new();
-        let mut path = Vec::new();
-        assert!(dijkstra_path_into(&g, 0, 2, &mut s, &mut path));
-        assert_eq!(Some(path.clone()), dijkstra_path(&g, 0, 2));
-        assert!(!dijkstra_path_into(&g, 0, 3, &mut s, &mut path));
-        assert!(path.is_empty());
-        assert_eq!(dijkstra_path(&g, 0, 3), None);
     }
 
     #[test]
@@ -447,11 +381,13 @@ mod tests {
         let mut s = PlannerScratch::new();
         let mut path = Vec::new();
         for _ in 0..5 {
-            assert!(dijkstra_path_into(&big, 0, 99, &mut s, &mut path));
+            assert!(dijkstra_into(&big, 0, 99, &mut s, &mut path));
             assert_eq!(path.len(), 100);
-            assert!(dijkstra_path_into(&g, 0, 2, &mut s, &mut path));
+            assert!(dijkstra_into(&g, 0, 2, &mut s, &mut path));
             assert_eq!(path, vec![0, 1, 2]);
         }
+        assert!(!dijkstra_into(&g, 0, 3, &mut s, &mut path));
+        assert!(path.is_empty(), "no path leaves the buffer cleared");
         assert_eq!(s.capacity(), 100);
     }
 
@@ -460,48 +396,26 @@ mod tests {
         let g = diamond();
         let mut s = PlannerScratch::new();
         let mut path = vec![9, 9];
-        assert!(dijkstra_path_into(&g, 3, 3, &mut s, &mut path));
+        assert!(dijkstra_into(&g, 3, 3, &mut s, &mut path));
         assert_eq!(path, vec![3]);
     }
 
     #[test]
-    fn filtered_matches_allocating_filtered() {
+    fn filter_detours_and_exempts_the_endpoints() {
+        // 0 — 1 — 2 with an expensive bypass 0 — 3 — 2.
         let mut g = Graph::new(4);
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 1.0);
         g.add_edge(0, 3, 5.0);
         g.add_edge(3, 2, 5.0);
-        let mut s = PlannerScratch::new();
-        let mut path = Vec::new();
-        assert!(dijkstra_path_filtered_into(
-            &g,
-            0,
-            2,
-            |v| v != 1,
-            &mut s,
-            &mut path
-        ));
-        assert_eq!(
-            Some(path.clone()),
-            dijkstra_path_filtered(&g, 0, 2, |v| v != 1)
-        );
-        assert!(!dijkstra_path_filtered_into(
-            &g,
-            0,
-            2,
-            |v| v != 1 && v != 3,
-            &mut s,
-            &mut path
-        ));
-        // Endpoints exempt from the filter, like the allocating kernel.
-        assert!(dijkstra_path_filtered_into(
-            &g,
-            0,
-            2,
-            |v| v != 0 && v != 2 && v != 1,
-            &mut s,
-            &mut path
-        ));
+        let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
+        let mut filtered = |allowed: fn(u32) -> bool, path: &mut Vec<u32>| {
+            astar_path_filtered_into(&g, 0, 2, |_| 0.0, allowed, &mut s, path)
+        };
+        assert!(filtered(|v| v != 1, &mut path));
+        assert_eq!(path, vec![0, 3, 2]);
+        assert!(!filtered(|v| v != 1 && v != 3, &mut path));
+        assert!(filtered(|v| v != 0 && v != 2 && v != 1, &mut path));
         assert_eq!(path, vec![0, 3, 2]);
     }
 
@@ -517,11 +431,20 @@ mod tests {
         let mut s = PlannerScratch::new();
         let mut d_path = Vec::new();
         let mut a_path = Vec::new();
-        assert!(dijkstra_path_into(&g, 0, 3, &mut s, &mut d_path));
+        assert!(dijkstra_into(&g, 0, 3, &mut s, &mut d_path));
         assert_eq!(d_path, vec![0, 1, 3]);
-        // A* with an admissible, strictly consistent heuristic (h ≡ 0
-        // is strictly consistent here: all weights positive).
-        assert!(astar_path_into(&g, 0, 3, |_| 0.0, &mut s, &mut a_path));
+        // A* with an admissible, strictly consistent heuristic (every
+        // drop is at most 0.5 < the unit weights) settles the same way.
+        let h = |v: u32| if v == 3 { 0.0 } else { 0.5 };
+        assert!(astar_path_filtered_into(
+            &g,
+            0,
+            3,
+            h,
+            |_| true,
+            &mut s,
+            &mut a_path
+        ));
         assert_eq!(a_path, d_path);
     }
 
@@ -550,8 +473,8 @@ mod tests {
         let mut a_path = Vec::new();
         for (src, dst) in [(0, nx * nx - 1), (3, 60), (7, 56), (0, 63), (21, 42)] {
             let (tx, ty) = pos(dst);
-            assert!(dijkstra_path_into(&g, src, dst, &mut s, &mut d_path));
-            assert!(astar_path_into(
+            assert!(dijkstra_into(&g, src, dst, &mut s, &mut d_path));
+            assert!(astar_path_filtered_into(
                 &g,
                 src,
                 dst,
@@ -559,6 +482,7 @@ mod tests {
                     let (x, y) = pos(v);
                     ((x - tx).powi(2) + (y - ty).powi(2)).sqrt()
                 },
+                |_| true,
                 &mut s,
                 &mut a_path
             ));
@@ -571,7 +495,7 @@ mod tests {
     fn tree(g: &Graph, source: u32, s: &mut PlannerScratch) -> (Vec<u32>, bool) {
         let mut parent = vec![u32::MAX; g.num_vertices()];
         let mut order = Vec::new();
-        let tied = dijkstra_tree_with(g, source, s, |v, p| {
+        let tied = dijkstra_tree_with(g, source, s, |v, p, _| {
             parent[v as usize] = p;
             order.push(v);
         });
@@ -602,7 +526,7 @@ mod tests {
             let (parent, tied) = tree(&g, source, &mut s);
             assert!(tied, "a lattice ties");
             for target in 0..nx * nx {
-                assert!(dijkstra_path_into(&g, source, target, &mut s, &mut path));
+                assert!(dijkstra_into(&g, source, target, &mut s, &mut path));
                 let before = path.len().checked_sub(2).map_or(u32::MAX, |i| path[i]);
                 assert_eq!(parent[target as usize], before, "{source} -> {target}");
             }
@@ -626,24 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn bfs_distance_to_matches_full_bfs() {
-        let mut g = Graph::new(6);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(4, 5, 1.0); // disconnected pair
-        let mut s = PlannerScratch::new();
-        let full = bfs(&g, 0);
-        assert_eq!(
-            bfs_distance_to(&g, 0, |v| v == 3, &mut s),
-            Some(full.dist[3] as u64)
-        );
-        assert_eq!(bfs_distance_to(&g, 0, |v| v == 0, &mut s), Some(0));
-        assert_eq!(bfs_distance_to(&g, 0, |v| v >= 4, &mut s), None);
-        // Predicate over a set: nearest of {2, 3} is 2 hops away.
-        assert_eq!(
-            bfs_distance_to(&g, 0, |v| v == 2 || v == 3, &mut s),
-            Some(2)
-        );
+    fn tree_reports_each_settled_distance() {
+        let (mut s, g) = (PlannerScratch::new(), diamond());
+        let mut dist = vec![INFINITY; 4];
+        dijkstra_tree_with(&g, 0, &mut s, |v, _, d| dist[v as usize] = d);
+        assert_eq!(dist, [0.0, 1.0, 2.0, INFINITY]);
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests for the graph crate.
 
 use citymesh_graph::{
-    astar, astar_path_into, bfs, bfs_distance_to, connected_components, dijkstra,
-    dijkstra_path_into, Graph, PlannerScratch, UnionFind,
+    astar_path_filtered_into, connected_components, Graph, PlannerScratch, UnionFind,
 };
+use citymesh_reference::{astar, bfs, bfs_distance_to, dijkstra, FloodScratch};
 use proptest::prelude::*;
 
 /// A random undirected graph as (n, edge list).
@@ -138,7 +138,8 @@ proptest! {
         let mut a_path = Vec::new();
         for (s, t) in pairs {
             let (s, t) = ((s % n) as u32, (t % n) as u32);
-            let found = dijkstra_path_into(&g, s, t, &mut scratch, &mut d_path);
+            let found =
+                astar_path_filtered_into(&g, s, t, |_| 0.0, |_| true, &mut scratch, &mut d_path);
             // Euclidean straight-line distance: admissible and strictly
             // consistent for exponent ≥ 1 (weights are max(d,1)^e ≥ d).
             let (tx, ty) = pts[t as usize];
@@ -146,7 +147,7 @@ proptest! {
                 let (x, y) = pts[v as usize];
                 ((x - tx).powi(2) + (y - ty).powi(2)).sqrt()
             };
-            let a_found = astar_path_into(&g, s, t, h, &mut scratch, &mut a_path);
+            let a_found = astar_path_filtered_into(&g, s, t, h, |_| true, &mut scratch, &mut a_path);
             prop_assert_eq!(found, a_found, "reachability diverged for {}->{}", s, t);
             prop_assert_eq!(&d_path, &a_path, "path diverged for {}->{}", s, t);
         }
@@ -167,7 +168,7 @@ proptest! {
         let d = dijkstra(&g, 0);
         let mut scratch = PlannerScratch::new();
         let mut path = Vec::new();
-        let found = dijkstra_path_into(&g, 0, target, &mut scratch, &mut path);
+        let found = astar_path_filtered_into(&g, 0, target, |_| 0.0, |_| true, &mut scratch, &mut path);
         prop_assert_eq!(found, d.dist[target as usize].is_finite());
         if found {
             let mut cost = 0.0;
@@ -189,7 +190,7 @@ proptest! {
             .map(|v| b.dist[v as usize] as u64)
             .min();
         prop_assert_eq!(
-            bfs_distance_to(&g, 0, |v| v % accept_mod == 0, &mut scratch),
+            bfs_distance_to(&g, 0, |v| v % accept_mod == 0, &mut FloodScratch::new()),
             expected
         );
     }

@@ -160,7 +160,7 @@ impl CityMap {
     /// given order.
     ///
     /// This is how infrastructure additions (e.g. bridge relay huts,
-    /// see `citymesh-core::bridge`) are modeled: devices caching the
+    /// see `citymesh_place::apply_bridges`) are modeled: devices caching the
     /// old map still resolve every old ID; only the appended entries
     /// are new.
     pub fn extended_with(&self, extra: Vec<Polygon>, suffix: &str) -> CityMap {

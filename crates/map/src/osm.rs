@@ -39,6 +39,9 @@ pub enum OsmError {
     UnknownNodeRef(i64),
     /// No buildings were found in the input.
     NoBuildings,
+    /// An element opened with `<` is never closed with `>`: the input
+    /// is truncated.
+    UnclosedElement,
 }
 
 impl std::fmt::Display for OsmError {
@@ -52,6 +55,7 @@ impl std::fmt::Display for OsmError {
             }
             OsmError::UnknownNodeRef(id) => write!(f, "way references unknown node {id}"),
             OsmError::NoBuildings => write!(f, "no building ways in input"),
+            OsmError::UnclosedElement => write!(f, "element never closed (truncated input)"),
         }
     }
 }
@@ -74,7 +78,7 @@ pub fn parse_buildings(xml: &str) -> Result<(Vec<Polygon>, Projection), OsmError
     while let Some(open) = cursor.find('<') {
         cursor = &cursor[open + 1..];
         if cursor.starts_with("node") {
-            let (attrs, rest, _) = read_element(cursor);
+            let (attrs, rest, _) = read_element(cursor)?;
             cursor = rest;
             let id = parse_attr::<i64>(&attrs, "node", "id")?;
             let lat = parse_attr::<f64>(&attrs, "node", "lat")?;
@@ -85,7 +89,7 @@ pub fn parse_buildings(xml: &str) -> Result<(Vec<Polygon>, Projection), OsmError
             })?;
             nodes.insert(id, ll);
         } else if cursor.starts_with("way") {
-            let (_, rest, self_closing) = read_element(cursor);
+            let (_, rest, self_closing) = read_element(cursor)?;
             cursor = rest;
             if self_closing {
                 continue; // a way with no nds or tags
@@ -96,22 +100,21 @@ pub fn parse_buildings(xml: &str) -> Result<(Vec<Polygon>, Projection), OsmError
             while let Some(open) = cursor.find('<') {
                 cursor = &cursor[open + 1..];
                 if cursor.starts_with("/way") {
-                    if let Some(end) = cursor.find('>') {
-                        cursor = &cursor[end + 1..];
-                    }
+                    let (_, rest, _) = read_element(cursor)?;
+                    cursor = rest;
                     break;
                 } else if cursor.starts_with("nd") {
-                    let (attrs, rest, _) = read_element(cursor);
+                    let (attrs, rest, _) = read_element(cursor)?;
                     cursor = rest;
                     refs.push(parse_attr::<i64>(&attrs, "nd", "ref")?);
                 } else if cursor.starts_with("tag") {
-                    let (attrs, rest, _) = read_element(cursor);
+                    let (attrs, rest, _) = read_element(cursor)?;
                     cursor = rest;
                     if attrs.get("k").map(String::as_str) == Some("building") {
                         is_building = true;
                     }
                 } else {
-                    let (_, rest, _) = read_element(cursor);
+                    let (_, rest, _) = read_element(cursor)?;
                     cursor = rest;
                 }
             }
@@ -119,7 +122,7 @@ pub fn parse_buildings(xml: &str) -> Result<(Vec<Polygon>, Projection), OsmError
                 ways.push(refs);
             }
         } else {
-            let (_, rest, _) = read_element(cursor);
+            let (_, rest, _) = read_element(cursor)?;
             cursor = rest;
         }
     }
@@ -140,8 +143,14 @@ pub fn parse_buildings(xml: &str) -> Result<(Vec<Polygon>, Projection), OsmError
             count += 1;
         }
     }
-    let origin = LatLon::new(lat_sum / count as f64, lon_sum / count as f64)
-        .expect("mean of valid coordinates is valid");
+    // The mean of valid coordinates is valid up to summation rounding,
+    // which a forged extract hugging a pole or the antimeridian can
+    // push past the range.
+    let (lat, lon) = (lat_sum / count as f64, lon_sum / count as f64);
+    let origin = LatLon::new(lat, lon).ok_or(OsmError::BadValue {
+        attribute: "lat/lon",
+        text: format!("{lat},{lon}"),
+    })?;
     let proj = Projection::new(origin);
 
     let mut polygons = Vec::with_capacity(ways.len());
@@ -172,8 +181,11 @@ pub fn load_city(name: &str, xml: &str) -> Result<CityMap, OsmError> {
 
 /// Reads one element starting right after `<`: returns its attributes,
 /// the remaining input after `>`, and whether it was self-closing.
-fn read_element(input: &str) -> (HashMap<String, String>, &str, bool) {
-    let end = input.find('>').unwrap_or(input.len().saturating_sub(1));
+///
+/// # Errors
+/// [`OsmError::UnclosedElement`] when no `>` follows.
+fn read_element(input: &str) -> Result<(HashMap<String, String>, &str, bool), OsmError> {
+    let end = input.find('>').ok_or(OsmError::UnclosedElement)?;
     let inside = &input[..end];
     let self_closing = inside.ends_with('/');
     let mut attrs = HashMap::new();
@@ -192,12 +204,7 @@ fn read_element(input: &str) -> (HashMap<String, String>, &str, bool) {
             rest = &rest[q1 + 1..];
         }
     }
-    let remaining = if end < input.len() {
-        &input[end + 1..]
-    } else {
-        ""
-    };
-    (attrs, remaining, self_closing)
+    Ok((attrs, &input[end + 1..], self_closing))
 }
 
 fn parse_attr<T: std::str::FromStr>(
@@ -326,6 +333,24 @@ mod tests {
             OsmError::NoBuildings
         );
         assert_eq!(parse_buildings("").unwrap_err(), OsmError::NoBuildings);
+    }
+
+    #[test]
+    fn truncated_elements_are_errors_not_panics() {
+        // A multi-byte character where the closing `>` should be: the
+        // cut used to land inside it.
+        for xml in [
+            "<node é",
+            "<nodeé",
+            "<osm><way id=\"1\"><nd ref=\"1\"",
+            "<way></way",
+        ] {
+            assert_eq!(
+                parse_buildings(xml).unwrap_err(),
+                OsmError::UnclosedElement,
+                "{xml:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (see [`citymesh_core::Deployment`]) — scoring each candidate by
 //! running the real fleet engine over the real fault machinery.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * an [`Objective`]: which metric to optimize (delivery rate up, or
 //!   p99 latency down), over which seeded workload, across which
@@ -25,17 +25,25 @@
 //!   anneal is **bit-reproducible**: same seed, same result, across
 //!   any evaluation worker count (candidate scoring runs on the fleet
 //!   engine's id-order-merged worker pool, whose reports are
-//!   worker-count invariant by construction).
+//!   worker-count invariant by construction);
+//! * the island-bridging planner ([`plan_bridges`], the paper's §4
+//!   "small number of well-placed APs"): relay sites chained across the
+//!   gaps between AP islands, then added to the map
+//!   ([`apply_bridges`]) and the placement ([`extend_placement`]).
 //!
 //! [`CityExperiment`]: citymesh_core::CityExperiment
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bridge;
 mod eval;
 mod objective;
 mod optimize;
 
+pub use bridge::{
+    apply_bridges, extend_placement, plan_bridges, Bridge, BridgePlan, RELAY_HUT_SIDE_M,
+};
 pub use citymesh_core::{Deployment, DeploymentError};
 pub use eval::{Evaluator, ScenarioSpec};
 pub use objective::{Metric, Objective, Score, WorldScore};

@@ -47,6 +47,19 @@ impl Fnv64 {
         }
     }
 
+    /// Folds `words` in, in order, when `cond` holds, and nothing when
+    /// it does not — the rule by which a report's optional block joins
+    /// its digest only once the feature behind it ran, so a run without
+    /// the feature keeps the digest it had before the feature existed.
+    #[inline]
+    pub fn mix_when(&mut self, cond: bool, words: &[u64]) {
+        if cond {
+            for &w in words {
+                self.mix(w);
+            }
+        }
+    }
+
     /// The digest accumulated so far.
     #[inline]
     pub fn value(&self) -> u64 {
@@ -99,6 +112,21 @@ mod tests {
             f.mix_bytes(word);
             assert_eq!(f.value(), prefix.wrapping_mul(PRIME.wrapping_pow(zeros)));
         }
+    }
+
+    #[test]
+    fn mix_when_false_mixes_nothing() {
+        let mut skipped = Fnv64::new();
+        skipped.mix(7);
+        skipped.mix_when(false, &[1, 2, 3]);
+        let mut plain = Fnv64::new();
+        plain.mix(7);
+        assert_eq!(skipped.value(), plain.value());
+        // A true condition is the words mixed one by one, in order.
+        skipped.mix_when(true, &[1, 2]);
+        plain.mix(1);
+        plain.mix(2);
+        assert_eq!(skipped.value(), plain.value());
     }
 
     #[test]

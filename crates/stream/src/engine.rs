@@ -724,19 +724,22 @@ impl StreamReport {
         // Two-class admission is strictly opt-in: the class counters
         // join the digest only when emergency traffic exists, so
         // single-class runs keep their historical digests bit-for-bit.
-        if self.offered_emergency > 0 {
-            h.mix(self.offered_emergency);
-            h.mix(self.offered_bulk);
-            h.mix(self.shed_emergency);
-            h.mix(self.shed_bulk);
-        }
+        h.mix_when(
+            self.offered_emergency > 0,
+            &[
+                self.offered_emergency,
+                self.offered_bulk,
+                self.shed_emergency,
+                self.shed_bulk,
+            ],
+        );
         // Encryption is opt-in by the same rule: the per-class sealed
         // counters join only when the run actually sealed something
         // (the embedded fleet digest grows its own sealed block then).
-        if self.fleet.sealed > 0 {
-            h.mix(self.sealed_emergency);
-            h.mix(self.sealed_bulk);
-        }
+        h.mix_when(
+            self.fleet.sealed > 0,
+            &[self.sealed_emergency, self.sealed_bulk],
+        );
         h.mix(self.fleet.digest());
         h.mix(self.sojourn_ms.fingerprint());
         h.mix(self.wait_ms.fingerprint());

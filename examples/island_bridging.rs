@@ -12,9 +12,7 @@
 //! cargo run --release --example island_bridging
 //! ```
 
-use citymesh::core::{
-    apply_bridges, extend_placement, plan_bridges, CityExperiment, ExperimentConfig,
-};
+use citymesh::place::{apply_bridges, extend_placement, plan_bridges};
 use citymesh::prelude::*;
 
 fn main() {

@@ -3,8 +3,8 @@
 //! header, the event simulation, sealed-message crypto, and postboxes.
 
 use citymesh::core::{
-    compress_route, plan_route, postbox_ap, reconstruct_conduits, simulate_delivery,
-    CityExperiment, DeliveryParams, ExperimentConfig,
+    compress_route, plan_route, postbox_ap, reconstruct_conduits, simulate_delivery_faulted,
+    CityExperiment, DeliveryParams, DeliveryScratch, ExperimentConfig,
 };
 use citymesh::crypto::Keypair;
 use citymesh::net::{BitReader, BitWriter, CityMeshHeader};
@@ -122,14 +122,18 @@ fn delivery_report_roles_are_consistent_with_counts() {
     let compressed = compress_route(exp.building_graph(), &route, 50.0).unwrap();
     let header = CityMeshHeader::new(1, 50.0, compressed.waypoints);
     let src_ap = postbox_ap(exp.aps(), exp.map(), 0).unwrap();
-    let mut rng = SimRng::new(1);
-    let report = simulate_delivery(
+    let conduits = reconstruct_conduits(exp.map(), &header.waypoints, header.conduit_width_m());
+    let mut scratch = DeliveryScratch::new();
+    let report = simulate_delivery_faulted(
         exp.map(),
         exp.ap_graph(),
         &header,
+        &conduits,
         src_ap,
         DeliveryParams::default(),
-        &mut rng,
+        None,
+        &mut SimRng::new(1),
+        &mut scratch,
     );
     assert!(report.delivered);
     // Broadcast count equals the number of APs with the Relayed role:

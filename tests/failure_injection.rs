@@ -8,11 +8,38 @@
 //! monotone relationship between loss and deliverability.
 
 use citymesh::core::{
-    compress_route, plan_route, postbox_ap, simulate_delivery, Ap, ApGraph, BuildingGraph,
-    BuildingGraphParams, DeliveryParams,
+    compress_route, plan_route, plan_route_avoiding_into, postbox_ap, reconstruct_conduits,
+    simulate_delivery_faulted, Ap, ApGraph, BuildingGraph, BuildingGraphParams, DeliveryParams,
+    DeliveryReport, DeliveryScratch, Survivors,
 };
+use citymesh::graph::PlannerScratch;
 use citymesh::net::CityMeshHeader;
 use citymesh::prelude::*;
+
+/// One healthy delivery of `header` from `src_ap` through a fresh
+/// scratch.
+fn simulate(
+    map: &CityMap,
+    apg: &ApGraph,
+    header: &CityMeshHeader,
+    src_ap: u32,
+    rng: &mut SimRng,
+) -> DeliveryReport {
+    let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
+    let mut scratch = DeliveryScratch::new();
+    simulate_delivery_faulted(
+        map,
+        apg,
+        header,
+        &conduits,
+        src_ap,
+        DeliveryParams::default(),
+        None,
+        rng,
+        &mut scratch,
+    )
+    .clone()
+}
 
 /// A small faulted experiment with exactly the APs in `kill(aps)`
 /// failed, ladder policy active.
@@ -214,15 +241,7 @@ fn deliver(s: &Scenario, aps: &[Ap], seed: u64) -> (bool, u64) {
     let Some(src_ap) = postbox_ap(aps, &s.map, s.src) else {
         return (false, 0);
     };
-    let mut rng = SimRng::new(seed);
-    let report = simulate_delivery(
-        &s.map,
-        &apg,
-        &header,
-        src_ap,
-        DeliveryParams::default(),
-        &mut rng,
-    );
+    let report = simulate(&s.map, &apg, &header, src_ap, &mut SimRng::new(seed));
     (report.delivered, report.broadcasts)
 }
 
@@ -307,14 +326,8 @@ fn detour_routing_recovers_from_a_destroyed_region() {
     let direct = compress_route(&s.bg, &direct_route, 50.0).unwrap();
     let src_ap = postbox_ap(&survivors, &s.map, s.src).unwrap();
     let mut rng = SimRng::new(77);
-    let direct_report = simulate_delivery(
-        &s.map,
-        &apg,
-        &CityMeshHeader::new(1, 50.0, direct.waypoints),
-        src_ap,
-        DeliveryParams::default(),
-        &mut rng,
-    );
+    let direct_header = CityMeshHeader::new(1, 50.0, direct.waypoints);
+    let direct_report = simulate(&s.map, &apg, &direct_header, src_ap, &mut rng);
     assert!(!direct_report.delivered);
 
     // Retry: exclude every building in the destroyed disc (the sender
@@ -326,21 +339,24 @@ fn detour_routing_recovers_from_a_destroyed_region() {
         .filter(|b| b.centroid.dist(mid) <= radius + 30.0)
         .map(|b| b.id)
         .collect();
-    let detour_route = citymesh::core::plan_route_avoiding(&s.bg, s.src, s.dst, &blocked)
-        .expect("a detour exists around the disc");
+    let survivors = Survivors::new(&s.bg, blocked.iter().copied());
+    let mut detour_route = Vec::new();
+    plan_route_avoiding_into(
+        &s.bg,
+        s.src,
+        s.dst,
+        &survivors,
+        &mut PlannerScratch::new(),
+        &mut detour_route,
+    )
+    .expect("a detour exists around the disc");
     assert!(
         detour_route.iter().all(|b| !blocked.contains(b)),
         "detour must avoid the destroyed region"
     );
     let detour = compress_route(&s.bg, &detour_route, 50.0).unwrap();
-    let detour_report = simulate_delivery(
-        &s.map,
-        &apg,
-        &CityMeshHeader::new(2, 50.0, detour.waypoints),
-        src_ap,
-        DeliveryParams::default(),
-        &mut rng,
-    );
+    let detour_header = CityMeshHeader::new(2, 50.0, detour.waypoints);
+    let detour_report = simulate(&s.map, &apg, &detour_header, src_ap, &mut rng);
     assert!(
         detour_report.delivered,
         "the detour conduit must deliver over the surviving topology"
