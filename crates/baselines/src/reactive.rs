@@ -136,6 +136,7 @@ pub fn deliver_with_local_repair(
                 exp.ap_graph(),
                 &header,
                 &conduits,
+                None,
                 src_ap,
                 params,
                 faults,

@@ -433,6 +433,7 @@ fn fig7(_: &mut Ctx) {
         &apg,
         &header,
         &conduits,
+        None,
         src_ap,
         DeliveryParams::default(),
         None,

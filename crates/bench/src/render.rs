@@ -386,6 +386,7 @@ mod tests {
             &apg,
             &header,
             &conduits,
+            None,
             src,
             DeliveryParams::default(),
             None,

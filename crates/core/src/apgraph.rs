@@ -10,6 +10,7 @@
 //! building map. Keeping the two rigidly separated is what makes the
 //! evaluation honest.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use citymesh_geo::{GridIndex, OrientedRect, Point};
@@ -296,10 +297,11 @@ impl ApGraph {
     /// Calls `f(ap, pos)` for every AP inside any of `conduits`, in
     /// ascending AP id order, each AP at most once. Cost is
     /// O(items in grid cells touched by the conduit bounding boxes),
-    /// not O(city): each conduit queries the spatial bucket index by
-    /// its axis-aligned bounding box and filters by exact
-    /// oriented-rectangle containment. The conduit membership audit a
-    /// relay region analysis needs, without a full-placement scan.
+    /// not O(city): each conduit is one
+    /// [`GridIndex::for_each_in_conduit`] over the spatial bucket index
+    /// (the enumeration a plan's covered buildings come from too). The
+    /// conduit membership audit a relay region analysis needs, without
+    /// a full-placement scan.
     pub fn for_each_ap_in_conduits(
         &self,
         conduits: &[OrientedRect],
@@ -308,11 +310,8 @@ impl ApGraph {
     ) {
         candidates.clear();
         for c in conduits {
-            self.index.for_each_in_rect(c.bbox(), |id, pos| {
-                if c.contains(pos) {
-                    candidates.push(id);
-                }
-            });
+            self.index
+                .for_each_in_conduit(c, |_| true, |id| candidates.push(id));
         }
         // Overlapping conduits surface an AP once per containing
         // rectangle; sort + dedup restores the canonical order.
@@ -333,12 +332,11 @@ impl ApGraph {
         conduits: &[OrientedRect],
         mut pred: impl FnMut(u32) -> bool,
     ) -> bool {
+        let hit = Cell::new(false);
         conduits.iter().any(|c| {
-            let mut hit = false;
-            self.index.for_each_in_rect(c.bbox(), |id, pos| {
-                hit = hit || (pred(id) && c.contains(pos));
-            });
-            hit
+            let admit = |id| !hit.get() && pred(id);
+            self.index.for_each_in_conduit(c, admit, |_| hit.set(true));
+            hit.get()
         })
     }
 

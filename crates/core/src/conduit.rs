@@ -134,19 +134,31 @@ pub fn compress_route_into(
     while start + 1 < route.len() {
         let a = bg.centroid(route[start]);
         // Find the farthest j > start whose conduit covers all
-        // intermediate buildings.
-        let mut best = start + 1; // adjacent always trivially covers
-        for j in (start + 1)..route.len() {
+        // intermediate buildings. Coverage is not monotone in j (a
+        // farther endpoint can swing the spine back over a missed
+        // building), so j is asked from the far end down and the first
+        // that covers is the answer; the adjacent `start + 1`, with
+        // nothing between, always covers.
+        let mut best = start + 1;
+        // The route index of the building that last broke coverage. A
+        // spine that missed it usually still does, so while it lies
+        // between it is asked first; `all` does not care in which order
+        // the buildings between are asked, so the answer is the same.
+        let mut witness = None;
+        for j in (start + 2..route.len()).rev() {
             let spine = Segment::new(a, bg.centroid(route[j]));
             let conduit = OrientedRect::new(spine, width_m);
-            let all_covered = route[start + 1..j]
-                .iter()
-                .all(|&b| conduit.contains(bg.centroid(b)));
-            if all_covered {
-                best = j;
+            let covers = |k: usize| conduit.contains(bg.centroid(route[k]));
+            if witness.is_some_and(|k| k < j && !covers(k)) {
+                continue;
             }
-            // No early break: coverage is not monotone in j (a farther
-            // endpoint can swing the spine back over a missed building).
+            match (start + 1..j).find(|&k| !covers(k)) {
+                Some(k) => witness = Some(k),
+                None => {
+                    best = j;
+                    break;
+                }
+            }
         }
         waypoints.push(route[best]);
         start = best;
@@ -198,6 +210,105 @@ pub fn reconstruct_conduits_into(
 /// predicate's geometric core).
 pub fn within_conduits(conduits: &[OrientedRect], p: Point) -> bool {
     conduits.iter().any(|c| c.contains(p))
+}
+
+/// The buildings of a map whose centroid lies in one of a route's
+/// conduits: [`within_conduits`] at every building's centroid, found
+/// through the map's centroid index instead of a city scan. Under
+/// [`RebroadcastScope::Building`](crate::agent::RebroadcastScope) these
+/// are the buildings whose APs relay while the TTL lasts, so a planner
+/// computes the set once per route and the delivery kernel reads every
+/// building's verdict from it.
+///
+/// Stored as the ascending ids' LEB128 deltas (the first from 0) —
+/// about one byte a building, since nearby buildings have nearby ids.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CoveredSet {
+    deltas: Vec<u8>,
+}
+
+impl CoveredSet {
+    /// The buildings of `map` that `conduits` cover.
+    pub fn of(map: &CityMap, conduits: &[OrientedRect]) -> Self {
+        let mut set = CoveredSet::default();
+        set.compute(map, conduits, &mut Vec::new());
+        set
+    }
+
+    /// Recomputes the set in place for `conduits`. `marks` is a
+    /// caller-owned bitset, all zero between calls; the set's own
+    /// buffer grows at most once, to its exact final size, so a warm
+    /// caller allocates nothing and a fresh set allocates once.
+    pub(crate) fn compute(
+        &mut self,
+        map: &CityMap,
+        conduits: &[OrientedRect],
+        marks: &mut Vec<u64>,
+    ) {
+        let words = map.len().div_ceil(64);
+        if marks.len() < words {
+            marks.resize(words, 0);
+        }
+        let marks = &mut marks[..words];
+        for c in conduits {
+            map.centroid_index().for_each_in_conduit(
+                c,
+                |_| true,
+                |id| marks[id as usize / 64] |= 1 << (id % 64),
+            );
+        }
+        let mut len = 0;
+        for_each_delta(marks, |delta| len += leb128_len(delta));
+        self.deltas.clear();
+        self.deltas.reserve_exact(len);
+        for_each_delta(marks, |mut delta| {
+            while delta >= 0x80 {
+                self.deltas.push(delta as u8 | 0x80);
+                delta >>= 7;
+            }
+            self.deltas.push(delta as u8);
+        });
+        marks.fill(0);
+    }
+
+    /// The covered building ids, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut bytes = self.deltas.iter();
+        let mut id = 0u32;
+        std::iter::from_fn(move || {
+            let (mut delta, mut shift) = (0u32, 0);
+            loop {
+                let &byte = bytes.next()?;
+                delta |= u32::from(byte & 0x7F) << shift;
+                if byte & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
+            }
+            id += delta;
+            Some(id)
+        })
+    }
+}
+
+/// Calls `f` with the gap from each set bit of `marks` to the one
+/// before it (the first from bit 0), in ascending order.
+fn for_each_delta(marks: &[u64], mut f: impl FnMut(u32)) {
+    let mut prev = 0;
+    for (i, &word) in marks.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let id = i as u32 * 64 + bits.trailing_zeros();
+            f(id - prev);
+            prev = id;
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Bytes of `v`'s LEB128 encoding.
+fn leb128_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 #[cfg(test)]
@@ -328,6 +439,35 @@ mod tests {
             &conduits,
             bg.centroid(1) + citymesh_geo::Vec2::new(26.0, 0.0)
         ));
+    }
+
+    #[test]
+    fn covered_set_is_within_conduits_at_every_centroid() {
+        let (map, bg) = straight_city(300);
+        let route: Vec<u32> = (0..300).collect();
+        // One long conduit, two discs far apart (a 299-id gap: a
+        // two-byte delta), and nothing at all.
+        for (waypoints, width) in [(vec![0, 299], 50.0), (vec![0], 10.0), (vec![299], 10.0)] {
+            let conduits = reconstruct_conduits(&map, &waypoints, width);
+            let want: Vec<u32> = route
+                .iter()
+                .copied()
+                .filter(|&b| within_conduits(&conduits, bg.centroid(b)))
+                .collect();
+            assert_eq!(
+                CoveredSet::of(&map, &conduits).iter().collect::<Vec<_>>(),
+                want
+            );
+        }
+        let far_apart = [
+            reconstruct_conduits(&map, &[0], 10.0),
+            reconstruct_conduits(&map, &[299], 10.0),
+        ]
+        .concat();
+        let set = CoveredSet::of(&map, &far_apart);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 299]);
+        assert_eq!(set.deltas, [0, 0xAB, 0x02], "LEB128 of 0 and 299");
+        assert_eq!(CoveredSet::of(&map, &[]).iter().count(), 0);
     }
 
     #[test]

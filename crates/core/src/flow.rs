@@ -347,6 +347,13 @@ impl CityExperiment {
                         width,
                     ),
                 };
+            // The plan's own conduits come with the buildings they
+            // cover; the ladder's lazily built geometry does not, and
+            // its flows decide buildings as they reach them.
+            let covered = match stage {
+                RecoveryStage::First | RecoveryStage::Resend => plan.covered(),
+                RecoveryStage::Widen | RecoveryStage::Replan => None,
+            };
             header.reuse_for(msg_id, rung_width, waypoints);
             scratch.tracer.record(TraceEvent::Attempt {
                 attempt: attempts,
@@ -360,6 +367,7 @@ impl CityExperiment {
                     self.ap_graph(),
                     &header,
                     conduits,
+                    covered,
                     src_ap,
                     params,
                     faults,

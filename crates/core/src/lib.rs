@@ -84,7 +84,7 @@ pub use apgraph::ApGraph;
 pub use buildgraph::{BuildingGraph, BuildingGraphParams};
 pub use conduit::{
     compress_route, compress_route_into, reconstruct_conduits, reconstruct_conduits_into,
-    within_conduits, CompressedRoute, ConduitError,
+    within_conduits, CompressedRoute, ConduitError, CoveredSet,
 };
 pub use deploy::{Deployment, DeploymentError};
 pub use faults::{ApHealth, FaultScenario, FaultState, RecoveryStage, RetryPolicy};

@@ -2,10 +2,11 @@
 //!
 //! A [`PlannedFlow`] is a pure function of the prepared world
 //! ([`crate::world`]) and the endpoints — route, compressed waypoints,
-//! conduits, header size, source AP, ideal hops — so engines cache it by
-//! `(src, dst)`. The retry ladder's extra geometry (widened conduits,
-//! replanned detour) is memoized inside the plan per fault-state epoch,
-//! the first time a simulation ([`crate::flow`]) climbs that far.
+//! conduits and the buildings they cover, header size, source AP, ideal
+//! hops — so engines cache it by `(src, dst)`. The retry ladder's extra
+//! geometry (widened conduits, replanned detour) is memoized inside the
+//! plan per fault-state epoch, the first time a simulation
+//! ([`crate::flow`]) climbs that far.
 
 use std::sync::{Arc, RwLock};
 
@@ -13,7 +14,7 @@ use citymesh_geo::OrientedRect;
 use citymesh_graph::{HopScratch, PlannerScratch};
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 
-use crate::conduit::{compress_route_into, reconstruct_conduits_into};
+use crate::conduit::{compress_route_into, reconstruct_conduits_into, CoveredSet};
 use crate::faults::FaultState;
 use crate::hier::{HierPlanScratch, HierPlanner};
 use crate::route::{
@@ -47,6 +48,13 @@ pub struct PlannedFlow {
     /// and the fleet's route cache amortizes them across all flows
     /// sharing the route. Empty when no route.
     pub conduits: Vec<OrientedRect>,
+    /// The buildings `conduits` cover, computed with them by the
+    /// planner (see [`PlannedFlow::covered`]).
+    covered: CoveredSet,
+    /// Whether the planner computed `covered` for these conduits.
+    /// False for a plan assembled field by field: a set nobody computed
+    /// is not one that covers nothing.
+    covered_computed: bool,
     /// Compressed source-route size in bits (0 when no route).
     pub route_bits: usize,
     /// The AP acting as the sender's uplink, when the source building
@@ -160,6 +168,8 @@ impl PlannedFlow {
             route_len: 0,
             waypoints: Vec::new(),
             conduits: Vec::new(),
+            covered: CoveredSet::default(),
+            covered_computed: false,
             route_bits: 0,
             src_ap: None,
             ideal_hops: None,
@@ -178,6 +188,7 @@ impl PlannedFlow {
         self.route_len = 0;
         self.waypoints.clear();
         self.conduits.clear();
+        self.covered_computed = false;
         self.route_bits = 0;
         self.src_ap = None;
         self.ideal_hops = None;
@@ -189,6 +200,17 @@ impl PlannedFlow {
     /// Whether planning produced a usable route.
     pub fn route_found(&self) -> bool {
         !self.waypoints.is_empty()
+    }
+
+    /// The buildings whose centroid lies in one of
+    /// [`conduits`](Self::conduits) — under building scope every
+    /// building's relay verdict — computed once by the planner right
+    /// after the conduits, so that every flow over the plan reads them
+    /// instead of testing each building it reaches. `None` for a plan
+    /// that did not come from the planner (or found no route): the
+    /// delivery kernel then decides buildings as it reaches them.
+    pub fn covered(&self) -> Option<&CoveredSet> {
+        self.covered_computed.then_some(&self.covered)
     }
 
     /// The uncompressed primary building route, kept only under a
@@ -227,6 +249,9 @@ pub struct PlanScratch {
     hops: HopScratch,
     route: Vec<u32>,
     header: CityMeshHeader,
+    /// One bit per building, all zero between plans: where the covered
+    /// set is gathered before it is encoded into the plan.
+    covered_marks: Vec<u64>,
     /// Hierarchical-planner state, used only by
     /// [`CityExperiment::plan_flow_hier_into`]. Defaults empty, so
     /// flat-planning callers pay nothing for it.
@@ -243,6 +268,7 @@ impl PlanScratch {
             route: Vec::new(),
             hier: HierPlanScratch::new(),
             header: placeholder_header(),
+            covered_marks: Vec::new(),
         }
     }
 
@@ -381,7 +407,8 @@ impl CityExperiment {
             return;
         }
         // The planner-independent tail: compression, header probing,
-        // source-AP lookup, ideal hops, conduit reconstruction.
+        // source-AP lookup, ideal hops, conduit reconstruction and the
+        // buildings the conduits cover.
         plan.route_len = scratch.route.len();
         let width = self.config().conduit_width_m;
         compress_route_into(bg, &scratch.route, width, &mut plan.waypoints)
@@ -408,6 +435,11 @@ impl CityExperiment {
             scratch.header.conduit_width_m(),
             &mut plan.conduits,
         );
+        // Every building's relay verdict under building scope, while
+        // the conduits are at hand: a pure function of them and the map.
+        plan.covered
+            .compute(self.map(), &plan.conduits, &mut scratch.covered_marks);
+        plan.covered_computed = true;
         // Keep the uncompressed route for the lazy replan rung's
         // detour comparison; the ladder geometry itself is deferred
         // until a simulation actually climbs that far.

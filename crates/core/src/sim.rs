@@ -4,11 +4,12 @@
 //! source AP broadcasts, every AP in its precomputed audience
 //! ([`ApGraph::audience`]) receives, each first-time receiver acts on
 //! the real agent verdict ([`agent::decide`]: destination check, TTL,
-//! conduit membership — under building scope computed once per
-//! building per flow, since it reads nothing else of the receiver), and
-//! relays fire after a small random MAC jitter. A flow carries one
-//! message id, so the report's role vector doubles as every AP's
-//! duplicate-suppression memory: an AP has seen the packet exactly
+//! conduit membership — under building scope a function of the
+//! receiver's building alone, so read from the plan's [`CoveredSet`]
+//! when the caller has one and otherwise computed once per building per
+//! flow), and relays fire after a small random MAC jitter. A flow
+//! carries one message id, so the report's role vector doubles as every
+//! AP's duplicate-suppression memory: an AP has seen the packet exactly
 //! when its role is no longer [`ApRole::Silent`]. The run records
 //! everything the paper's metrics need: whether a destination-building
 //! AP ever received the packet
@@ -31,6 +32,7 @@ use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
 use crate::agent::{self, Action, RebroadcastScope};
 use crate::apgraph::ApGraph;
+use crate::conduit::CoveredSet;
 use crate::config::{require_probability, ConfigError};
 use crate::faults::{combined_loss, FaultState};
 
@@ -194,9 +196,10 @@ struct Tx(u32);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Agent verdicts computed ([`agent::decide`] calls). Under
-    /// [`RebroadcastScope::Building`] at most one per building a flow
-    /// reaches; under [`RebroadcastScope::ApPosition`] one per
-    /// first-time reception.
+    /// [`RebroadcastScope::Building`] none for a flow given its
+    /// [`CoveredSet`] (only a building the map lacks is decided), else
+    /// at most one per building the flow reaches; under
+    /// [`RebroadcastScope::ApPosition`] one per first-time reception.
     pub verdicts: u64,
     /// The most events ever pending in the scratch's queue at once.
     pub queue_high_water: usize,
@@ -276,9 +279,10 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
 /// * the [`DeliveryReport`] role vector — one byte per AP, refilled
 ///   with [`ApRole::Silent`] at the start of every flow, which is also
 ///   what forgets the previous flow's duplicate-suppression state;
-/// * the verdict memo — one byte per building, refilled with
-///   "undecided" at the start of every [`RebroadcastScope::Building`]
-///   flow (the verdict depends on the header, so it never outlives one).
+/// * the verdict memo — one byte per building, refilled at the start of
+///   every [`RebroadcastScope::Building`] flow from the flow's
+///   [`CoveredSet`], or with "undecided" without one (the verdict
+///   depends on the header, so it never outlives one).
 ///
 /// Reuse is invisible in the results: a dirty scratch and a fresh one
 /// produce bit-identical [`DeliveryReport`]s (property-tested in
@@ -403,12 +407,35 @@ impl DeliveryScratch {
 
     /// Prepares the scratch for a fresh flow over `n_aps` APs with a
     /// verdict memo of `memo_len` buildings: rewinds the simulation
-    /// clock and resets the report and the memo in place.
-    fn begin(&mut self, n_aps: usize, memo_len: usize, horizon: SimTime) {
+    /// clock and resets the report and the memo in place. With `seed`
+    /// — the buildings the header's conduits cover — every building is
+    /// decided up front, exactly as [`agent::decide`] would decide it:
+    /// deliver in the destination, rebroadcast when covered and the TTL
+    /// allows. Without it every building starts undecided.
+    fn begin(
+        &mut self,
+        n_aps: usize,
+        memo_len: usize,
+        horizon: SimTime,
+        seed: Option<(&CoveredSet, &CityMeshHeader)>,
+    ) {
         self.sim.reset();
         self.sim.set_horizon(Some(horizon));
         self.verdicts.clear();
-        self.verdicts.resize(memo_len, UNDECIDED);
+        match seed {
+            None => self.verdicts.resize(memo_len, UNDECIDED),
+            Some((covered, header)) => {
+                self.verdicts.resize(memo_len, DECIDED);
+                if header.ttl > 0 {
+                    for b in covered.iter() {
+                        self.verdicts[b as usize] |= REBROADCAST;
+                    }
+                }
+                if let Some(memo) = self.verdicts.get_mut(header.destination() as usize) {
+                    *memo |= DELIVER;
+                }
+            }
+        }
         let r = &mut self.report;
         r.delivered = false;
         r.first_delivery = None;
@@ -430,8 +457,14 @@ impl DeliveryScratch {
 /// precompute once per route with
 /// [`reconstruct_conduits`](crate::reconstruct_conduits) and amortize
 /// across every flow sharing it (`PlannedFlow` caches exactly this).
-/// The returned reference points into `scratch` and is valid until the
-/// next run.
+/// `covered`, when the caller has it, is the set of buildings those
+/// conduits cover ([`CoveredSet::of`]`(map, conduits)`; a plan carries
+/// it as [`PlannedFlow::covered`](crate::PlannedFlow::covered)): under
+/// [`RebroadcastScope::Building`] it decides every building of the map
+/// before the flood starts, so no reception runs the agent. `None`
+/// decides each building the first time the flood reaches it — same
+/// verdicts, same report. The returned reference points into `scratch`
+/// and is valid until the next run.
 ///
 /// Steady state (scratch warmed past the workload's high-water marks)
 /// performs **zero heap allocations**; `tests/zero_alloc.rs` in
@@ -464,6 +497,7 @@ pub fn simulate_delivery_faulted<'a>(
     apg: &ApGraph,
     header: &CityMeshHeader,
     conduits: &[OrientedRect],
+    covered: Option<&CoveredSet>,
     src_ap: u32,
     params: DeliveryParams,
     faults: Option<&FaultState>,
@@ -473,12 +507,13 @@ pub fn simulate_delivery_faulted<'a>(
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
     // Under building scope a verdict is a function of the receiver's
     // building alone (its centroid, or fail-closed for a building the
-    // map lacks), so it is computed once per building per flow.
-    let memo_len = match params.scope {
-        RebroadcastScope::Building => map.len(),
-        RebroadcastScope::ApPosition => 0,
+    // map lacks), so it is computed at most once per building per flow:
+    // read from the covered set up front, or else on first reception.
+    let (memo_len, seed) = match params.scope {
+        RebroadcastScope::Building => (map.len(), covered.map(|c| (c, header))),
+        RebroadcastScope::ApPosition => (0, None),
     };
-    scratch.begin(apg.len(), memo_len, params.horizon);
+    scratch.begin(apg.len(), memo_len, params.horizon, seed);
     // A dead source cannot even make the first transmission: fail
     // cleanly with an empty schedule.
     if faults.is_some_and(|f| f.is_failed(src_ap)) {
@@ -658,7 +693,10 @@ mod tests {
     use citymesh_geo::{Point, Polygon, Rect};
 
     /// One healthy flow through a fresh scratch, the conduits
-    /// reconstructed from the header.
+    /// reconstructed from the header and every verdict read from the
+    /// buildings they cover — so the tests below that replay a flow
+    /// through a kept scratch without that set also hold the covered
+    /// set to the verdicts it stands for.
     fn simulate(
         map: &CityMap,
         apg: &ApGraph,
@@ -668,19 +706,25 @@ mod tests {
         rng: &mut SimRng,
     ) -> DeliveryReport {
         let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
+        let covered = CoveredSet::of(map, &conduits);
         let mut scratch = DeliveryScratch::new();
-        simulate_delivery_faulted(
+        let report = simulate_delivery_faulted(
             map,
             apg,
             header,
             &conduits,
+            Some(&covered),
             src_ap,
             params,
             None,
             rng,
             &mut scratch,
         )
-        .clone()
+        .clone();
+        if params.scope == RebroadcastScope::Building {
+            assert_eq!(scratch.kernel_stats().verdicts, 0, "every verdict was read");
+        }
+        report
     }
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
@@ -789,6 +833,7 @@ mod tests {
                 &apg,
                 &header,
                 &conduits,
+                None,
                 src,
                 DeliveryParams::default(),
                 None,
@@ -818,6 +863,7 @@ mod tests {
             &apg,
             &header_a,
             &conduits_a,
+            None,
             src_a,
             DeliveryParams::default(),
             None,
@@ -852,6 +898,7 @@ mod tests {
             &apg,
             &header_b,
             &conduits_b,
+            None,
             src_b,
             DeliveryParams::default(),
             None,
@@ -915,6 +962,7 @@ mod tests {
                 apg,
                 &header,
                 &conduits,
+                None,
                 src,
                 DeliveryParams::default(),
                 None,
@@ -1032,6 +1080,53 @@ mod tests {
         let by_pos = run(RebroadcastScope::ApPosition);
         assert!(by_building.delivered);
         assert!(by_pos.broadcasts <= by_building.broadcasts);
+    }
+
+    #[test]
+    fn a_covered_set_decides_every_building_before_the_flood() {
+        let (map, apg, bg, aps) = street();
+        let src = postbox_ap(&aps, &map, 0).unwrap();
+        for (scope, ttl) in [
+            (RebroadcastScope::Building, 64),
+            (RebroadcastScope::Building, 0),
+            (RebroadcastScope::ApPosition, 64),
+        ] {
+            let mut header = route_header(&bg, 0, 9);
+            header.ttl = ttl;
+            let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+            let covered = CoveredSet::of(&map, &conduits);
+            let params = DeliveryParams {
+                scope,
+                ..DeliveryParams::default()
+            };
+            let run = |covered: Option<&CoveredSet>| {
+                let mut scratch = DeliveryScratch::new();
+                let report = simulate_delivery_faulted(
+                    &map,
+                    &apg,
+                    &header,
+                    &conduits,
+                    covered,
+                    src,
+                    params,
+                    None,
+                    &mut SimRng::new(8),
+                    &mut scratch,
+                )
+                .clone();
+                (report, scratch.kernel_stats().verdicts)
+            };
+            let (lazy, decided) = run(None);
+            let (seeded, read) = run(Some(&covered));
+            assert_eq!(seeded, lazy, "{scope:?}, ttl {ttl}");
+            assert!(decided > 0);
+            match scope {
+                RebroadcastScope::Building => assert_eq!(read, 0),
+                // Per-AP verdicts read nothing from the set.
+                RebroadcastScope::ApPosition => assert_eq!(read, decided),
+            }
+            assert_eq!(lazy.broadcasts > 1, ttl > 0, "TTL 0 only the source sends");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, Ap, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
     CityExperiment, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
-    FaultScenario, FaultState, RebroadcastScope,
+    FaultScenario, FaultState, PlanScratch, PlannedFlow, RebroadcastScope,
 };
 use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
 use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
@@ -216,7 +216,7 @@ proptest! {
                 &map, &apg, &header, &conduits, src_ap, params, faults.as_ref(), &mut rng_ref,
             );
             let got = simulate_delivery_faulted(
-                &map, &apg, &header, &conduits, src_ap, params, faults.as_ref(), &mut rng_kernel,
+                &map, &apg, &header, &conduits, None, src_ap, params, faults.as_ref(), &mut rng_kernel,
                 &mut scratch,
             );
             prop_assert_eq!(got, &expected, "flow {} ({}->{}) diverged", flow, src, dst);
@@ -291,18 +291,30 @@ fn hotspot_flows(exp: &CityExperiment, n: usize) -> Vec<FlowSpec> {
 }
 
 /// What a fleet worker hands the kernel for `flow` on `world`: the
-/// plan's header and conduits, the flow's message id and its jitter
-/// sub-stream (seed 1). `None` when nothing would be sent.
+/// flow planned into `plan` (its conduits and covered set), the plan's
+/// header, the flow's message id and its jitter sub-stream (seed 1).
+/// `None` when nothing would be sent.
 fn kernel_input(
     world: &CityExperiment,
     flow: &FlowSpec,
-) -> Option<(CityMeshHeader, Vec<OrientedRect>, u32, SimRng)> {
-    let plan = world.plan_flow(flow.src, flow.dst);
+    scratch: &mut PlanScratch,
+    plan: &mut PlannedFlow,
+) -> Option<(CityMeshHeader, u32, SimRng)> {
+    world.plan_flow_into(flow.src, flow.dst, scratch, plan);
     let src_ap = plan.src_ap.filter(|_| plan.route_found())?;
     let msg_id = substream_seed(1, DOMAIN_MSG, flow.id);
-    let header = CityMeshHeader::new(msg_id, world.config().conduit_width_m, plan.waypoints);
+    let width = world.config().conduit_width_m;
+    let header = CityMeshHeader::new(msg_id, width, plan.waypoints.clone());
     let rng = SimRng::new(substream_seed(1, DOMAIN_SIM, flow.id));
-    Some((header, plan.conduits, src_ap, rng))
+    Some((header, src_ap, rng))
+}
+
+/// Where the kernel's building verdicts come from: decided on first
+/// reception, or read from the plan's covered set before the flood.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdicts {
+    Lazy,
+    FromPlan,
 }
 
 /// What [`kernel_equals_reference_on`] ran.
@@ -324,13 +336,17 @@ fn kernel_equals_reference_on(
     world: &CityExperiment,
     flows: &[FlowSpec],
     params: DeliveryParams,
+    verdicts: Verdicts,
     scratch: &mut DeliveryScratch,
 ) -> Tally {
     let (map, apg, faults) = (world.map(), world.ap_graph(), world.fault_state());
     let verdicts_before = scratch.kernel_stats().verdicts;
     let mut tally = Tally::default();
+    let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     for flow in flows {
-        let Some((header, conduits, src_ap, mut rng_ref)) = kernel_input(world, flow) else {
+        let Some((header, src_ap, mut rng_ref)) =
+            kernel_input(world, flow, &mut plan_scratch, &mut plan)
+        else {
             continue;
         };
         let mut rng_kernel = rng_ref.clone();
@@ -338,17 +354,22 @@ fn kernel_equals_reference_on(
             map,
             apg,
             &header,
-            &conduits,
+            &plan.conduits,
             src_ap,
             params,
             faults,
             &mut rng_ref,
         );
+        let covered = match verdicts {
+            Verdicts::Lazy => None,
+            Verdicts::FromPlan => Some(plan.covered().expect("planned")),
+        };
         let got = simulate_delivery_faulted(
             map,
             apg,
             &header,
-            &conduits,
+            &plan.conduits,
+            covered,
             src_ap,
             params,
             faults,
@@ -397,14 +418,14 @@ fn kernel_equals_reference_at_benchmark_scale() {
     let params = DeliveryParams::default();
     assert_eq!(healthy.config().scope, RebroadcastScope::Building);
     let flows = hotspot_flows(&healthy, 1_000);
-    let t = kernel_equals_reference_on(&healthy, &flows, params, &mut scratch);
+    let t = kernel_equals_reference_on(&healthy, &flows, params, Verdicts::Lazy, &mut scratch);
     assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
     assert!(t.verdicts * 3 < t.first_receptions * 2, "{t:?}");
 
     let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
     let failed = blackout.fault_state().expect("faulted").failed_count();
     assert!(failed > 10, "the blackout darkens {failed} APs");
-    let t = kernel_equals_reference_on(&blackout, &flows, params, &mut scratch);
+    let t = kernel_equals_reference_on(&blackout, &flows, params, Verdicts::Lazy, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
     assert!(t.verdicts < t.first_receptions, "{t:?}");
 
@@ -418,7 +439,7 @@ fn kernel_equals_reference_at_benchmark_scale() {
         reception_loss: 0.15,
         ..params
     };
-    let t = kernel_equals_reference_on(&lossy, &flows, lossy_params, &mut scratch);
+    let t = kernel_equals_reference_on(&lossy, &flows, lossy_params, Verdicts::Lazy, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 5, "{t:?}");
     assert!(t.verdicts < t.first_receptions, "{t:?}");
 
@@ -426,9 +447,36 @@ fn kernel_equals_reference_at_benchmark_scale() {
         scope: RebroadcastScope::ApPosition,
         ..params
     };
-    let t = kernel_equals_reference_on(&healthy, &flows, by_position, &mut scratch);
+    let t = kernel_equals_reference_on(&healthy, &flows, by_position, Verdicts::Lazy, &mut scratch);
     assert!(t.simulated > 950, "{t:?}");
     assert_eq!(t.verdicts, t.first_receptions, "one verdict per AP");
+}
+
+/// The same reference at benchmark scale with every building verdict
+/// read from the plan's covered set, as the engines run it: the
+/// `fleet-hot` flows planned through one kept `PlanScratch` and
+/// `PlannedFlow` (the healthy instantiation), then the `churn-ladder`
+/// blackout (the general one), through one dirty scratch. Reports equal
+/// the reference field for field, and the kernel decides nothing.
+/// Release only (CI runs it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2,000 downtown flows against the reference: run with --release"
+)]
+fn seeded_kernel_equals_reference_at_benchmark_scale() {
+    let mut scratch = DeliveryScratch::new();
+    let healthy = benchmark_downtown(None);
+    let params = DeliveryParams::default();
+    let flows = hotspot_flows(&healthy, 1_000);
+    let t = kernel_equals_reference_on(&healthy, &flows, params, Verdicts::FromPlan, &mut scratch);
+    assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
+    assert_eq!(t.verdicts, 0, "{t:?}");
+
+    let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
+    let t = kernel_equals_reference_on(&blackout, &flows, params, Verdicts::FromPlan, &mut scratch);
+    assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
+    assert_eq!(t.verdicts, 0, "{t:?}");
 }
 
 /// The two instantiations of the kernel's loop are one kernel: the same
@@ -445,16 +493,21 @@ fn healthy_and_general_instantiations_agree() {
     let mut traced = DeliveryScratch::with_tracing(TraceConfig::sampled(1));
     assert!(traced.tracer().is_enabled() && !plain.tracer().is_enabled());
     let mut simulated = 0;
+    let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     for flow in hotspot_flows(&world, 300) {
-        let Some((header, conduits, src_ap, mut rng_plain)) = kernel_input(&world, &flow) else {
+        let Some((header, src_ap, mut rng_plain)) =
+            kernel_input(&world, &flow, &mut plan_scratch, &mut plan)
+        else {
             continue;
         };
+        let conduits = &plan.conduits;
         let mut rng_traced = rng_plain.clone();
         let expected = simulate_delivery_faulted(
             map,
             apg,
             &header,
-            &conduits,
+            conduits,
+            None,
             src_ap,
             params,
             None,
@@ -466,7 +519,8 @@ fn healthy_and_general_instantiations_agree() {
             map,
             apg,
             &header,
-            &conduits,
+            conduits,
+            None,
             src_ap,
             params,
             None,
@@ -483,32 +537,40 @@ fn healthy_and_general_instantiations_agree() {
 }
 
 /// The count behind the kernel's per-building verdict, on the
-/// `fleet-hot` benchmark's 30,000 seed-1 flows: the kernel computes
-/// exactly one verdict per distinct building among a flow's first-time
-/// receivers (counted here from the roles, independently of the memo)
-/// — about 69 a flow where one per first reception would be about 120
-/// — and never holds more than 24 events pending. Counts, so they hold
-/// on every machine. Release only (CI's `figures` job runs it).
+/// `fleet-hot` benchmark's 30,000 seed-1 flows: deciding on first
+/// reception, the kernel computes exactly one verdict per distinct
+/// building among a flow's first-time receivers (counted here from the
+/// roles, independently of the memo) — about 69 a flow where one per
+/// first reception would be about 120 — and never holds more than 24
+/// events pending. Reading the verdicts from each plan's covered set
+/// instead, as the engines do, it computes none and reports the same.
+/// Counts, so they hold on every machine. Release only (CI's `figures`
+/// job runs it).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "30,000 downtown flows: run with --release")]
 fn one_verdict_per_heard_building_on_the_benchmark_flows() {
     let world = benchmark_downtown(None);
     let (map, apg) = (world.map(), world.ap_graph());
-    let mut scratch = DeliveryScratch::new();
+    let (mut scratch, mut seeded) = (DeliveryScratch::new(), DeliveryScratch::new());
+    let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     let flows = hotspot_flows(&world, 30_000);
     let (mut heard_buildings, mut first_receptions) = (0u64, 0u64);
     let (mut broadcasts, mut receptions) = (0u64, 0u64);
     let mut buildings = HashSet::new();
     for flow in &flows {
-        let Some((header, conduits, src_ap, mut rng)) = kernel_input(&world, flow) else {
+        let Some((header, src_ap, mut rng)) =
+            kernel_input(&world, flow, &mut plan_scratch, &mut plan)
+        else {
             continue;
         };
+        let mut rng_seeded = rng.clone();
         let params = DeliveryParams::default();
         let report = simulate_delivery_faulted(
             map,
             apg,
             &header,
-            &conduits,
+            &plan.conduits,
+            None,
             src_ap,
             params,
             None,
@@ -525,19 +587,34 @@ fn one_verdict_per_heard_building_on_the_benchmark_flows() {
             }
         }
         heard_buildings += buildings.len() as u64;
+        let from_plan = simulate_delivery_faulted(
+            map,
+            apg,
+            &header,
+            &plan.conduits,
+            plan.covered(),
+            src_ap,
+            params,
+            None,
+            &mut rng_seeded,
+            &mut seeded,
+        );
+        assert_eq!(from_plan, scratch.report(), "flow {}", flow.id);
     }
     let stats = scratch.kernel_stats();
     let per_flow = |n: u64| n as f64 / flows.len() as f64;
     eprintln!(
-        "a flow: {:.1} broadcasts, {:.1} receptions, {:.1} first receptions, {:.1} verdicts; \
-         queue high water {}",
+        "a flow: {:.1} broadcasts, {:.1} receptions, {:.1} first receptions, {:.1} verdicts \
+         ({:.1} from the plan); queue high water {}",
         per_flow(broadcasts),
         per_flow(receptions),
         per_flow(first_receptions),
         per_flow(stats.verdicts),
+        per_flow(seeded.kernel_stats().verdicts),
         stats.queue_high_water
     );
     assert_eq!(stats.verdicts, heard_buildings);
     assert!(stats.verdicts * 3 < first_receptions * 2, "{stats:?}");
     assert!(stats.queue_high_water <= 24, "{stats:?}");
+    assert_eq!(seeded.kernel_stats().verdicts, 0);
 }

@@ -305,6 +305,7 @@ proptest! {
             prop_assert_eq!(fresh.route_len, reused.route_len);
             prop_assert_eq!(&fresh.waypoints, &reused.waypoints);
             prop_assert_eq!(&fresh.conduits, &reused.conduits);
+            prop_assert_eq!(fresh.covered(), reused.covered());
             prop_assert_eq!(fresh.route_bits, reused.route_bits);
             prop_assert_eq!(fresh.src_ap, reused.src_ap);
             prop_assert_eq!(fresh.ideal_hops, reused.ideal_hops);

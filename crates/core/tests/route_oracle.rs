@@ -752,6 +752,7 @@ fn reference_ladder(
             world.ap_graph(),
             &header,
             &conduits,
+            None,
             src_ap,
             params,
             Some(faults),

@@ -6,7 +6,7 @@
 //! in O(points in 3×3 cells) which is near-optimal for the roughly
 //! uniform densities produced by building-constrained placement.
 
-use crate::{Point, Rect};
+use crate::{OrientedRect, Point, Rect};
 
 /// Cells an index may always have: 4 MiB of bucket offsets, a
 /// 100 km square at 100 m cells.
@@ -173,6 +173,48 @@ impl GridIndex {
         });
     }
 
+    /// Calls `f(id)` for every item inside `conduit` — exactly the
+    /// items [`OrientedRect::contains`] accepts — that `admit` lets
+    /// through. Only the cells under the conduit's bounding box are
+    /// visited; `admit` is asked about items there (those outside the
+    /// box included) before any containment test, so a cheap filter
+    /// spares it. Visit order is the bucket layout's, as in
+    /// [`for_each_in_rect`](Self::for_each_in_rect). This is the one
+    /// conduit enumeration: conduit membership of APs and of building
+    /// centroids both run through it.
+    pub fn for_each_in_conduit(
+        &self,
+        conduit: &OrientedRect,
+        mut admit: impl FnMut(u32) -> bool,
+        mut f: impl FnMut(u32),
+    ) {
+        let bbox = conduit.bbox();
+        if self.positions.is_empty() || !bbox.intersects(&self.bounds) {
+            return;
+        }
+        // Which items pass the box and then the exact test is data, so
+        // each stage keeps its survivors in `kept` by a count, not by a
+        // branch: a mispredicted branch costs more than either test.
+        let mut kept = [0u32; 64];
+        let (cx0, cx1) = (self.col_of(bbox.min.x), self.col_of(bbox.max.x));
+        for cy in self.row_of(bbox.min.y)..=self.row_of(bbox.max.y) {
+            for run in self.row_items(cy, cx0, cx1).chunks(kept.len()) {
+                let mut boxed = 0;
+                for &id in run {
+                    kept[boxed] = id;
+                    boxed += usize::from(bbox.contains(self.positions[id as usize]) & admit(id));
+                }
+                let mut inside = 0;
+                for i in 0..boxed {
+                    let id = kept[i];
+                    kept[inside] = id;
+                    inside += usize::from(conduit.contains(self.positions[id as usize]));
+                }
+                kept[..inside].iter().for_each(|&id| f(id));
+            }
+        }
+    }
+
     /// Collects ids of every item inside `rect` (boundary inclusive).
     pub fn query_rect(&self, rect: Rect) -> Vec<u32> {
         let mut out = Vec::new();
@@ -216,25 +258,37 @@ impl GridIndex {
         if self.positions.is_empty() || !rect.intersects(&self.bounds) {
             return;
         }
-        let cx0 = (((rect.min.x - self.bounds.min.x) / self.cell).floor() as isize).max(0) as usize;
-        let cy0 = (((rect.min.y - self.bounds.min.y) / self.cell).floor() as isize).max(0) as usize;
-        let cx1 = ((((rect.max.x - self.bounds.min.x) / self.cell).floor() as isize).max(0)
-            as usize)
-            .min(self.nx - 1);
-        let cy1 = ((((rect.max.y - self.bounds.min.y) / self.cell).floor() as isize).max(0)
-            as usize)
-            .min(self.ny - 1);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy * self.nx + cx;
-                let lo = self.starts[c] as usize;
-                let hi = self.starts[c + 1] as usize;
-                for &id in &self.items[lo..hi] {
-                    f(id, self.positions[id as usize]);
-                }
+        let (cx0, cx1) = (self.col_of(rect.min.x), self.col_of(rect.max.x));
+        for cy in self.row_of(rect.min.y)..=self.row_of(rect.max.y) {
+            for &id in self.row_items(cy, cx0, cx1) {
+                f(id, self.positions[id as usize]);
             }
         }
     }
+
+    /// The grid column holding abscissa `x`, clamped to the grid.
+    fn col_of(&self, x: f64) -> usize {
+        cell_along(x - self.bounds.min.x, self.cell, self.nx)
+    }
+
+    /// The grid row holding ordinate `y`, clamped to the grid.
+    fn row_of(&self, y: f64) -> usize {
+        cell_along(y - self.bounds.min.y, self.cell, self.ny)
+    }
+
+    /// The items of columns `cx0..=cx1` of row `cy`, cell by cell: the
+    /// cells of a row are adjacent in the bucket layout.
+    fn row_items(&self, cy: usize, cx0: usize, cx1: usize) -> &[u32] {
+        let lo = self.starts[cy * self.nx + cx0] as usize;
+        let hi = self.starts[cy * self.nx + cx1 + 1] as usize;
+        &self.items[lo..hi]
+    }
+}
+
+/// The cell `offset` meters along an axis of `n` cells of size `cell`
+/// falls in, clamped to `0..n`.
+fn cell_along(offset: f64, cell: f64, n: usize) -> usize {
+    ((offset / cell).floor().max(0.0) as usize).min(n - 1)
 }
 
 #[cfg(test)]
@@ -303,6 +357,45 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, 9); // 3×3 lattice corner
+    }
+
+    #[test]
+    fn conduit_query_matches_brute_force() {
+        use crate::{Segment, EPS};
+        let (mut pts, _) = grid_of_points();
+        // Two points straddling the `contains` tolerance of the first
+        // conduit's long side.
+        pts.push(Point::new(50.0, 20.0 + 7.5 + EPS / 2.0));
+        pts.push(Point::new(50.0, 20.0 + 7.5 + 2.0 * EPS));
+        let idx = GridIndex::build(&pts, 25.0);
+        for conduit in [
+            OrientedRect::new(
+                Segment::new(Point::new(0.0, 20.0), Point::new(90.0, 20.0)),
+                15.0,
+            ),
+            OrientedRect::new(
+                Segment::new(Point::new(5.0, 5.0), Point::new(80.0, 60.0)),
+                22.0,
+            ),
+            OrientedRect::new(
+                Segment::new(Point::new(40.0, 40.0), Point::new(40.0, 40.0)),
+                30.0,
+            ),
+        ] {
+            let expect: Vec<u32> = (0..pts.len() as u32)
+                .filter(|&id| conduit.contains(pts[id as usize]))
+                .collect();
+            let mut got = Vec::new();
+            idx.for_each_in_conduit(&conduit, |_| true, |id| got.push(id));
+            got.sort_unstable();
+            assert_eq!(got, expect, "{conduit:?}");
+            // `admit` filters before the exact test.
+            let mut odd = Vec::new();
+            idx.for_each_in_conduit(&conduit, |id| id % 2 == 1, |id| odd.push(id));
+            odd.sort_unstable();
+            let want: Vec<u32> = expect.iter().copied().filter(|id| id % 2 == 1).collect();
+            assert_eq!(odd, want);
+        }
     }
 
     #[test]

@@ -157,13 +157,22 @@ impl OrientedRect {
     /// of radius `width / 2` — consistent with "cover everything within
     /// `W` of the route".
     pub fn contains(&self, p: Point) -> bool {
-        self.spine.dist_to_point(p) <= self.width / 2.0 + EPS
+        self.spine.dist_to_point(p) <= self.reach()
     }
 
-    /// Axis-aligned bounding box (for coarse spatial-index culling).
+    /// How far from the spine [`contains`](Self::contains) still
+    /// accepts a point: `W/2` plus the [`EPS`] tolerance.
+    #[inline]
+    fn reach(&self) -> f64 {
+        self.width / 2.0 + EPS
+    }
+
+    /// Axis-aligned bounding box (for coarse spatial-index culling):
+    /// holds every point [`contains`](Self::contains) accepts, so it
+    /// extends `W/2` plus the [`EPS`] tolerance past the spine like the
+    /// predicate does.
     pub fn bbox(&self) -> Rect {
-        let r = self.width / 2.0;
-        Rect::from_corners(self.spine.a, self.spine.b).inflated(r)
+        Rect::from_corners(self.spine.a, self.spine.b).inflated(self.reach())
     }
 
     /// The four corners, counterclockwise, for rendering. Degenerate
@@ -296,6 +305,18 @@ mod tests {
         let bb = c.bbox();
         for corner in c.corners() {
             assert!(bb.contains(corner), "bbox {bb:?} missing corner {corner:?}");
+        }
+    }
+
+    #[test]
+    fn conduit_bbox_holds_the_contains_tolerance() {
+        // Half a micrometer past W/2: inside by `contains`' EPS, so the
+        // box that culls for it must hold the point too.
+        let spine = Segment::new(Point::ORIGIN, Point::new(100.0, 0.0));
+        let c = OrientedRect::new(spine, 50.0);
+        for p in [Point::new(50.0, 25.0000005), Point::new(-25.0000005, 0.0)] {
+            assert!(c.contains(p));
+            assert!(c.bbox().contains(p), "bbox {:?} misses {p:?}", c.bbox());
         }
     }
 }

@@ -222,6 +222,12 @@ impl CityMap {
         &self.obstacles
     }
 
+    /// The spatial index over building centroids; item ids are
+    /// building ids.
+    pub fn centroid_index(&self) -> &GridIndex {
+        &self.index
+    }
+
     /// The building whose centroid is nearest `p`.
     pub fn nearest_building(&self, p: Point) -> Option<&Building> {
         self.index

@@ -129,6 +129,7 @@ fn delivery_report_roles_are_consistent_with_counts() {
         exp.ap_graph(),
         &header,
         &conduits,
+        None,
         src_ap,
         DeliveryParams::default(),
         None,

@@ -32,6 +32,7 @@ fn simulate(
         apg,
         header,
         &conduits,
+        None,
         src_ap,
         DeliveryParams::default(),
         None,
