@@ -29,8 +29,8 @@
 
 use citymesh_core::{
     compress_route, plan_route, plan_route_avoiding_into, reconstruct_conduits,
-    simulate_delivery_faulted, CityExperiment, DeliveryParams, DeliveryScratch, OverheadOutcome,
-    PairOutcome, PlannedFlow, RecoveryStage,
+    simulate_delivery_faulted, CityExperiment, CoveredSet, DeliveryParams, DeliveryScratch,
+    OverheadOutcome, PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage, Relays,
 };
 use citymesh_graph::PlannerScratch;
 use citymesh_net::CityMeshHeader;
@@ -40,11 +40,8 @@ use citymesh_simcore::{SimRng, SimTime};
 /// bill: how often the route was patched and how much of it was
 /// recomputed. The [`PairOutcome`] is aggregate-compatible with the
 /// fleet engine's, so churn reports fold reactive flows with
-/// [`citymesh_fleet::FleetReport::absorb_outcome`]-style machinery
-/// and compare digests across strategies.
-///
-/// [`citymesh_fleet::FleetReport::absorb_outcome`]:
-/// https://docs.rs/citymesh-fleet
+/// `citymesh_fleet::FleetReport::absorb_outcome`-style machinery and
+/// compare digests across strategies.
 #[derive(Clone, Debug)]
 pub struct RepairOutcome {
     /// The flow outcome, shaped exactly like the pipeline's.
@@ -72,8 +69,9 @@ pub struct RepairOutcome {
 /// reports [`RecoveryStage::Replan`], an unrepaired retry
 /// [`RecoveryStage::Resend`]) — so outcomes aggregate on the same
 /// footing as the static and ladder strategies. Unlike the pipeline's
-/// hot path this allocates per attempt (header, conduits); the churn
-/// engine's zero-alloc guarantee covers only the static/ladder loop.
+/// hot path this allocates per attempt (header, conduits, the buildings
+/// they cover); the churn engine's zero-alloc guarantee covers only the
+/// static/ladder loop.
 ///
 /// Determinism: the repair consults only the materialized fault
 /// state's blocked set (no RNG), and the delivery draws come from the
@@ -113,7 +111,6 @@ pub fn deliver_with_local_repair(
     let faults = exp.fault_state();
     let width = exp.config().conduit_width_m;
     let params = DeliveryParams {
-        scope: exp.config().scope,
         reception_loss: exp.config().reception_loss,
         ..DeliveryParams::default()
     };
@@ -130,13 +127,19 @@ pub fn deliver_with_local_repair(
         };
         let header = CityMeshHeader::new(msg_id, width, compressed.waypoints);
         let conduits = reconstruct_conduits(exp.map(), &header.waypoints, header.conduit_width_m());
+        let covered;
+        let relays = match exp.config().scope {
+            RebroadcastScope::Building => {
+                covered = CoveredSet::of(exp.map(), &conduits);
+                Relays::Covered(&covered)
+            }
+            RebroadcastScope::ApPosition => Relays::Conduits(&conduits),
+        };
         let (delivered, first_delivery, broadcasts) = {
             let report = simulate_delivery_faulted(
-                exp.map(),
                 exp.ap_graph(),
                 &header,
-                &conduits,
-                None,
+                relays,
                 src_ap,
                 params,
                 faults,

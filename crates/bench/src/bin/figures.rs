@@ -50,8 +50,8 @@ use citymesh_bench::text::json::Value;
 use citymesh_bench::{ablation, eval_figs, render, scaling, survey_figs, text};
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
-    simulate_delivery_faulted, ApGraph, BuildingGraph, BuildingGraphParams, DeliveryParams,
-    DeliveryScratch,
+    simulate_delivery_faulted, ApGraph, BuildingGraph, BuildingGraphParams, CoveredSet,
+    DeliveryParams, DeliveryScratch, Relays,
 };
 use citymesh_map::CityArchetype;
 use citymesh_net::CityMeshHeader;
@@ -429,11 +429,9 @@ fn fig7(_: &mut Ctx) {
     let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
     let mut scratch = DeliveryScratch::new();
     let report = simulate_delivery_faulted(
-        &map,
         &apg,
         &header,
-        &conduits,
-        None,
+        Relays::Covered(&CoveredSet::of(&map, &conduits)),
         src_ap,
         DeliveryParams::default(),
         None,

@@ -346,8 +346,8 @@ mod tests {
     use super::*;
     use citymesh_core::{
         compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
-        simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, DeliveryParams,
-        DeliveryScratch,
+        simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CoveredSet, DeliveryParams,
+        DeliveryScratch, Relays,
     };
     use citymesh_map::CityArchetype;
     use citymesh_simcore::SimRng;
@@ -382,11 +382,9 @@ mod tests {
         let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
         let mut scratch = DeliveryScratch::new();
         let report = simulate_delivery_faulted(
-            &map,
             &apg,
             &header,
-            &conduits,
-            None,
+            Relays::Covered(&CoveredSet::of(&map, &conduits)),
             src,
             DeliveryParams::default(),
             None,

@@ -143,6 +143,12 @@ impl ApGraph {
         self.building_of.is_empty()
     }
 
+    /// One past the largest building id any AP sits in: the size of a
+    /// table indexed by [`building_of`](Self::building_of).
+    pub fn buildings(&self) -> usize {
+        self.bucket_starts.len() - 1
+    }
+
     /// Heap bytes held by the graph, its simulator-facing indexes and
     /// the hop rows written so far — the metro sweep's memory
     /// accounting.

@@ -215,7 +215,7 @@ pub fn within_conduits(conduits: &[OrientedRect], p: Point) -> bool {
 /// The buildings of a map whose centroid lies in one of a route's
 /// conduits: [`within_conduits`] at every building's centroid, found
 /// through the map's centroid index instead of a city scan. Under
-/// [`RebroadcastScope::Building`](crate::agent::RebroadcastScope) these
+/// [`RebroadcastScope::Building`](crate::RebroadcastScope) these
 /// are the buildings whose APs relay while the TTL lasts, so a planner
 /// computes the set once per route and the delivery kernel reads every
 /// building's verdict from it.

@@ -7,9 +7,24 @@
 
 use citymesh_net::MAX_CONDUIT_WIDTH_M;
 
-use crate::agent::RebroadcastScope;
 use crate::buildgraph::BuildingGraphParams;
 use crate::faults::FaultScenario;
+
+/// Which geometry the rebroadcast predicate tests against the conduit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum RebroadcastScope {
+    /// The AP's **building centroid** must lie in a conduit: every AP
+    /// of a covered building relays. This matches the paper's
+    /// description ("APs in buildings that fall within the geographic
+    /// area of the conduits") and its ~13× overhead accounting, which
+    /// it attributes to "all the APs within a building rebroadcast".
+    #[default]
+    Building,
+    /// The AP's **own position** must lie in a conduit. Fewer relays
+    /// per building; evaluated as the paper's proposed
+    /// overhead-reduction direction.
+    ApPosition,
+}
 
 /// A rejected experiment or simulation parameter.
 ///

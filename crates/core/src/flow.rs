@@ -19,14 +19,17 @@
 
 use std::sync::Arc;
 
-use citymesh_geo::OrientedRect;
 use citymesh_simcore::{split_seed, SimRng, SimTime};
 use citymesh_telemetry::{FlowSummary, TraceEvent};
 
+use crate::conduit::{reconstruct_conduits_into, CoveredSet};
+use crate::config::RebroadcastScope;
 use crate::faults::{RecoveryStage, RetryPolicy};
 use crate::plan::{PlannedFlow, RecoveryVariants};
 use crate::secure::TamperMode;
-use crate::sim::{placeholder_header, simulate_delivery_faulted, DeliveryParams, DeliveryScratch};
+use crate::sim::{
+    placeholder_header, simulate_delivery_faulted, DeliveryParams, DeliveryScratch, Relays,
+};
 use crate::world::CityExperiment;
 
 /// One src→dst delivery attempt, fully annotated.
@@ -208,14 +211,15 @@ impl CityExperiment {
     /// The one flow body: drives the event simulation over `plan`
     /// against caller-owned scratch state and scores the outcome.
     /// Reuses the scratch's header (only the message id varies per
-    /// flow) and the plan's cached conduits, so a warmed scratch
+    /// flow) and the plan's cached relay set — its covered buildings,
+    /// or under AP-position scope its conduits — so a warmed scratch
     /// executes a flow with zero heap allocations.
     ///
     /// Under a fault scenario this is also where graceful degradation
     /// happens: a failed delivery escalates through the scenario's
     /// [`RetryPolicy`] ladder — re-send, widened conduit, replanned
-    /// detour — each rung riding geometry the plan precomputed, so
-    /// retries stay on the zero-allocation path. Each failed attempt
+    /// detour — each rung riding the covered set the plan memoized for
+    /// it, so retries stay on the zero-allocation path. Each failed attempt
     /// charges one full delivery horizon of latency (the sender only
     /// learns of failure at its timeout). [`FlowOpts::max_attempts`]
     /// stops the climb early.
@@ -296,16 +300,27 @@ impl CityExperiment {
         let max_attempts = policy
             .max_attempts
             .min(opts.max_attempts.unwrap_or(u32::MAX));
-        let width = self.config().conduit_width_m;
+        let (width, scope) = (self.config().conduit_width_m, self.config().scope);
         let params = DeliveryParams {
-            scope: self.config().scope,
             reception_loss: self.config().reception_loss,
             ..DeliveryParams::default()
         };
+        // A plan assembled field by field carries no covered set; it is
+        // computed here rather than read as "covers nothing".
+        let computed;
+        let plan_covered = match plan.covered() {
+            Some(set) => set,
+            None => {
+                computed = CoveredSet::of(self.map(), &plan.conduits);
+                &computed
+            }
+        };
         // Borrow juggling: the kernel needs `&mut scratch` while
-        // reading the header, so lift the header out (the placeholder
-        // left behind owns no heap memory) and restore it after.
+        // reading the header and a rung's rebuilt conduits, so lift both
+        // out (what is left behind owns no heap memory) and restore them
+        // after.
         let mut header = std::mem::replace(&mut scratch.header, placeholder_header());
+        let mut rung_conduits = std::mem::take(&mut scratch.rung_conduits);
         let mut attempts = 0u32;
         let mut total_broadcasts = 0u64;
         let mut penalty = SimTime::ZERO;
@@ -325,49 +340,48 @@ impl CityExperiment {
                 &**ladder
                     .get_or_insert_with(|| self.recovery_variants(plan, w, &mut scratch.detour))
             });
-            let (stage, waypoints, conduits, rung_width): (_, &[u32], &[OrientedRect], f64) =
+            let (stage, waypoints, rung_width, covered): (_, &[u32], f64, &CoveredSet) =
                 match (attempts, rec) {
-                    (1, _) => (RecoveryStage::First, &plan.waypoints, &plan.conduits, width),
-                    (3, Some(rec)) if !rec.wide_conduits.is_empty() => (
+                    (1, _) => (RecoveryStage::First, &plan.waypoints, width, plan_covered),
+                    (3, Some(rec)) if rec.wide_width_m > 0.0 => (
                         RecoveryStage::Widen,
                         &plan.waypoints,
-                        &rec.wide_conduits,
                         rec.wide_width_m,
+                        &rec.wide_covered,
                     ),
-                    (4.., Some(rec)) if !rec.fallback_conduits.is_empty() => (
+                    (4.., Some(rec)) if !rec.fallback_waypoints.is_empty() => (
                         RecoveryStage::Replan,
                         &rec.fallback_waypoints,
-                        &rec.fallback_conduits,
                         width,
+                        &rec.fallback_covered,
                     ),
-                    _ => (
-                        RecoveryStage::Resend,
-                        &plan.waypoints,
-                        &plan.conduits,
-                        width,
-                    ),
+                    _ => (RecoveryStage::Resend, &plan.waypoints, width, plan_covered),
                 };
-            // The plan's own conduits come with the buildings they
-            // cover; the ladder's lazily built geometry does not, and
-            // its flows decide buildings as they reach them.
-            let covered = match stage {
-                RecoveryStage::First | RecoveryStage::Resend => plan.covered(),
-                RecoveryStage::Widen | RecoveryStage::Replan => None,
-            };
             header.reuse_for(msg_id, rung_width, waypoints);
             scratch.tracer.record(TraceEvent::Attempt {
                 attempt: attempts,
                 rung: stage.rung(),
                 width_dm: u32::from(header.conduit_width_dm),
-                conduits: conduits.len() as u32,
+                conduits: waypoints.len().saturating_sub(1).max(1) as u32,
             });
+            let relays = match (scope, stage) {
+                (RebroadcastScope::Building, _) => Relays::Covered(covered),
+                (RebroadcastScope::ApPosition, RecoveryStage::First | RecoveryStage::Resend) => {
+                    Relays::Conduits(&plan.conduits)
+                }
+                // The ablation alone: a ladder rung keeps no conduits,
+                // so they are rebuilt from the header, as a relay would.
+                (RebroadcastScope::ApPosition, _) => {
+                    let w = header.conduit_width_m();
+                    reconstruct_conduits_into(self.map(), &header.waypoints, w, &mut rung_conduits);
+                    Relays::Conduits(&rung_conduits)
+                }
+            };
             let (delivered, first_delivery, broadcasts) = {
                 let report = simulate_delivery_faulted(
-                    self.map(),
                     self.ap_graph(),
                     &header,
-                    conduits,
-                    covered,
+                    relays,
                     src_ap,
                     params,
                     faults,
@@ -403,6 +417,7 @@ impl CityExperiment {
         )
         .value();
         scratch.header = header;
+        scratch.rung_conduits = rung_conduits;
         finish_flow_trace(scratch, &outcome);
 
         // Receiver side: verify the header tag, then open. Tamper

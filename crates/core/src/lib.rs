@@ -19,8 +19,9 @@
 //! 3. [`conduit`] — compress the route into waypoint buildings whose
 //!    connecting conduits (width `W`) cover every routed building
 //!    (Figure 4), and reconstruct conduits at relay time.
-//! 4. [`agent`] — the per-AP software agent's verdict: destination
-//!    check, TTL, and the conduit-membership rebroadcast predicate.
+//! 4. [`sim`] — the per-AP verdict, one per route: deliver in the
+//!    destination, rebroadcast while the TTL lasts in the buildings
+//!    ([`CoveredSet`]) or at the positions the conduits cover.
 //! 5. [`postbox`] — destination-side store-and-forward with sealed
 //!    (encrypted) messages, retrieval, and push notifications.
 //!
@@ -60,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
 pub mod apgraph;
 pub mod buildgraph;
 pub mod conduit;
@@ -79,7 +79,6 @@ pub mod secure;
 pub mod sim;
 pub mod world;
 
-pub use agent::RebroadcastScope;
 pub use apgraph::ApGraph;
 pub use buildgraph::{BuildingGraph, BuildingGraphParams};
 pub use conduit::{
@@ -94,7 +93,7 @@ pub use hier::{HierPlanScratch, HierPlanner};
 // bench) can configure the hierarchical planner and read planner
 // counters without a direct graph dependency.
 pub use citymesh_graph::{HierParams, HierStats, HopScratch, HopStats};
-pub use config::{ConfigError, ExperimentConfig};
+pub use config::{ConfigError, ExperimentConfig, RebroadcastScope};
 pub use flow::{CityResult, FlowOpts, PairOutcome};
 pub use pair_cache::PairCache;
 pub use placement::{place_aps, postbox_ap, Ap};
@@ -106,7 +105,7 @@ pub use route::{
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{
     simulate_delivery_faulted, ApRole, DeliveryParams, DeliveryReport, DeliveryScratch,
-    DetourStats, KernelStats, OverheadOutcome,
+    DetourStats, KernelStats, OverheadOutcome, Relays,
 };
 pub use world::{CityExperiment, DeploymentTransition, EpochTransition};
 

@@ -4,9 +4,9 @@
 //! ([`crate::world`]) and the endpoints — route, compressed waypoints,
 //! conduits and the buildings they cover, header size, source AP, ideal
 //! hops — so engines cache it by `(src, dst)`. The retry ladder's extra
-//! geometry (widened conduits, replanned detour) is memoized inside the
-//! plan per fault-state epoch, the first time a simulation
-//! ([`crate::flow`]) climbs that far.
+//! geometry (the buildings widened conduits and a replanned detour
+//! cover) is memoized inside the plan per fault-state epoch, the first
+//! time a simulation ([`crate::flow`]) climbs that far.
 
 use std::sync::{Arc, RwLock};
 
@@ -77,8 +77,8 @@ pub struct PlannedFlow {
     /// endpoints: they are the route-cache key, and cache invalidation
     /// reasons about them.
     redirect: Option<u32>,
-    /// Retry-ladder geometry (widened conduits, replanned detour),
-    /// materialized lazily the first time a simulation climbs to rung
+    /// Retry-ladder geometry (the widened rung's and the replanned
+    /// detour's covered buildings), materialized lazily the first time a simulation climbs to rung
     /// 3 — the healthy path, and every flow that delivers within two
     /// attempts, never pays for the ladder. The cell is interior
     /// mutability over a pure value *keyed by the fault-state epoch*:
@@ -139,21 +139,23 @@ impl Clone for RecoveryCell {
 }
 
 /// The retry ladder's precomputable geometry; see
-/// [`PlannedFlow::recovery`].
+/// [`PlannedFlow::recovery`]. Each rung keeps the buildings its
+/// conduits cover, the relay set its flows hand the kernel; its
+/// conduits are rebuilt from waypoints and width where they are needed.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RecoveryVariants {
     /// Width of the widened-conduit retry variant, meters (0 when the
     /// scenario's ladder never widens).
     pub(crate) wide_width_m: f64,
-    /// Conduits of the widened variant: same waypoints, fatter
+    /// The buildings the widened variant covers: same waypoints, fatter
     /// rectangles, clamped to the header-encodable maximum.
-    pub(crate) wide_conduits: Vec<OrientedRect>,
+    pub(crate) wide_covered: CoveredSet,
     /// Waypoints of the replanned detour around buildings with zero
     /// live APs (empty when the ladder never replans, the map is
     /// fresh, or no distinct detour exists).
     pub(crate) fallback_waypoints: Vec<u32>,
-    /// Conduits of the replanned detour.
-    pub(crate) fallback_conduits: Vec<OrientedRect>,
+    /// The buildings the replanned detour's conduits cover.
+    pub(crate) fallback_covered: CoveredSet,
 }
 
 impl PlannedFlow {
@@ -207,8 +209,8 @@ impl PlannedFlow {
     /// building's relay verdict — computed once by the planner right
     /// after the conduits, so that every flow over the plan reads them
     /// instead of testing each building it reaches. `None` for a plan
-    /// that did not come from the planner (or found no route): the
-    /// delivery kernel then decides buildings as it reaches them.
+    /// that did not come from the planner (or found no route): a flow
+    /// over it computes the set from `conduits` itself.
     pub fn covered(&self) -> Option<&CoveredSet> {
         self.covered_computed.then_some(&self.covered)
     }
@@ -475,10 +477,11 @@ impl CityExperiment {
     }
 
     /// The pure computation behind [`CityExperiment::recovery_variants`]:
-    /// widen-rung conduits and the replan-rung detour for `plan` under
-    /// the current fault state. Everything transient lives in `d`; the
-    /// only allocations are the vectors the memo keeps, each made at
-    /// its final size.
+    /// the widen rung's covered set and the replan rung's detour for
+    /// `plan` under the current fault state. Everything transient —
+    /// the rungs' conduits included — lives in `d`; the only
+    /// allocations are the buffers the memo keeps, each made at its
+    /// final size.
     fn compute_recovery(
         &self,
         plan: &PlannedFlow,
@@ -490,18 +493,15 @@ impl CityExperiment {
         let mut rec = RecoveryVariants::default();
         let policy = faults.retry();
         let (bg, width) = (self.building_graph(), self.config().conduit_width_m);
-        let conduits_at = |waypoints: &[u32], width_m: f64| {
-            let mut out = Vec::with_capacity(waypoints.len().saturating_sub(1).max(1));
-            reconstruct_conduits_into(self.map(), waypoints, width_m, &mut out);
-            out
-        };
+        let (map, marks) = (self.map(), &mut d.covered_marks);
         // Widen rung: same waypoints, fatter conduits, clamped to
         // the header-encodable width.
         if policy.max_attempts >= 3 && policy.widen_factor > 1.0 {
             let w = (width * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
             d.header.reuse_for(0, w, &plan.waypoints);
             rec.wide_width_m = d.header.conduit_width_m();
-            rec.wide_conduits = conduits_at(&plan.waypoints, rec.wide_width_m);
+            reconstruct_conduits_into(map, &plan.waypoints, rec.wide_width_m, &mut d.conduits);
+            rec.wide_covered.compute(map, &d.conduits, marks);
         }
         // Replan rung: detour around buildings with zero live APs.
         // Only meaningful when the primary plan was drawn on a
@@ -526,9 +526,103 @@ impl CityExperiment {
                 return rec;
             }
             d.header.reuse_for(0, width, &d.waypoints);
-            rec.fallback_conduits = conduits_at(&d.waypoints, d.header.conduit_width_m());
+            let w = d.header.conduit_width_m();
+            reconstruct_conduits_into(map, &d.waypoints, w, &mut d.conduits);
+            rec.fallback_covered.compute(map, &d.conduits, marks);
             rec.fallback_waypoints = d.waypoints.clone();
         }
         rec
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{within_conduits, DeliveryScratch, ExperimentConfig, FaultScenario, RecoveryStage};
+    use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
+    use citymesh_map::{CityArchetype, CityMap};
+    use citymesh_simcore::{substream_seed, Fnv64, SimRng};
+
+    /// The buildings whose centroid lies in `waypoints`' conduits at
+    /// `width_m`, tested one by one.
+    fn brute_covered(map: &CityMap, waypoints: &[u32], width_m: f64) -> Vec<u32> {
+        let conduits = crate::reconstruct_conduits(map, waypoints, width_m);
+        let ids = 0..map.len() as u32;
+        ids.filter(|&b| within_conduits(&conduits, map.building(b).expect("in map").centroid))
+            .collect()
+    }
+
+    /// The `churn-ladder` blackout (the benchmark downtown, world seed
+    /// 2024, one 60 m disc) under its first 2,000 seed-1 hotspot flows,
+    /// each planned into one reused plan so every escalation builds its
+    /// memo afresh. For every flow that climbs to rung 3, each rung's
+    /// memoized covered set equals `within_conduits` at every centroid
+    /// for that rung's rebuilt conduits, and the outcomes of those flows
+    /// hash to what the kernel produced when it decided those rungs'
+    /// verdicts on first reception.
+    #[test]
+    fn ladder_rungs_carry_the_buildings_their_conduits_cover() {
+        let config = ExperimentConfig {
+            seed: 2024,
+            faults: Some(FaultScenario::district_blackouts(1, 60.0)),
+            ..ExperimentConfig::default()
+        };
+        let map = CityArchetype::SurveyDowntown.generate(2024);
+        let exp = CityExperiment::try_prepare(map, config).expect("valid config");
+        let world = exp.fault_world().expect("faulted");
+        let model = FlowModel::Hotspot {
+            hotspots: 256,
+            exponent: 0.8,
+            rate_hz: 1_000.0,
+        };
+        let workload = WorkloadConfig {
+            flows: 2_000,
+            model,
+            seed: 1,
+        };
+        let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
+        let mut scratch = DeliveryScratch::new();
+        let (mut outcomes, mut climbed, mut detours) = (Fnv64::new(), 0, 0);
+        for f in generate_flows(exp.map().len(), &workload) {
+            exp.plan_flow_into(f.src, f.dst, &mut plan_scratch, &mut plan);
+            let msg_id = substream_seed(1, DOMAIN_MSG, f.id);
+            let mut rng = SimRng::new(substream_seed(1, DOMAIN_SIM, f.id));
+            let o = exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch);
+            if o.attempts < 3 {
+                continue;
+            }
+            climbed += 1;
+            let latency = o.latency.map_or(u64::MAX, |t| t.as_nanos());
+            let rung = o.recovered_by.map_or(9, |s| s as u64);
+            for v in [f.id, u64::from(o.delivered), u64::from(o.attempts)] {
+                outcomes.mix(v);
+            }
+            for v in [o.broadcasts, latency, rung] {
+                outcomes.mix(v);
+            }
+            let rec = exp.recovery_variants(&plan, world, &mut scratch.detour);
+            assert!(rec.wide_width_m > 0.0, "the ladder widens");
+            let wide = brute_covered(exp.map(), &plan.waypoints, rec.wide_width_m);
+            assert_eq!(
+                rec.wide_covered.iter().collect::<Vec<_>>(),
+                wide,
+                "flow {}",
+                f.id
+            );
+            if !rec.fallback_waypoints.is_empty() {
+                detours += 1;
+                let waypoints = rec.fallback_waypoints.clone();
+                let header = CityMeshHeader::new(msg_id, exp.config().conduit_width_m, waypoints);
+                let fallback =
+                    brute_covered(exp.map(), &header.waypoints, header.conduit_width_m());
+                let got: Vec<u32> = rec.fallback_covered.iter().collect();
+                assert_eq!(got, fallback, "flow {}", f.id);
+            }
+            if o.recovered_by == Some(RecoveryStage::Replan) {
+                assert!(!rec.fallback_waypoints.is_empty());
+            }
+        }
+        assert_eq!((climbed, outcomes.value()), (214, 0x8d41_18bc_6f47_e852));
+        assert!(detours > 100, "{detours} detours");
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! Replays one CityMesh message through a concrete AP placement: the
 //! source AP broadcasts, every AP in its precomputed audience
-//! ([`ApGraph::audience`]) receives, each first-time receiver acts on
-//! the real agent verdict ([`agent::decide`]: destination check, TTL,
-//! conduit membership — under building scope a function of the
-//! receiver's building alone, so read from the plan's [`CoveredSet`]
-//! when the caller has one and otherwise computed once per building per
-//! flow), and relays fire after a small random MAC jitter. A flow
-//! carries one message id, so the report's role vector doubles as every
-//! AP's duplicate-suppression memory: an AP has seen the packet exactly
-//! when its role is no longer [`ApRole::Silent`]. The run records
-//! everything the paper's metrics need: whether a destination-building
-//! AP ever received the packet
+//! ([`ApGraph::audience`]) receives, each first-time receiver delivers
+//! when it sits in the destination building and relays when the TTL
+//! allows and the flow's [`Relays`] name it — under building scope a
+//! plan's [`CoveredSet`], read into a per-building table before the
+//! flood, under AP-position scope the conduits tested at the receiver's
+//! own position — and relays fire after a small random MAC jitter. A
+//! flow carries one message id, so the report's role vector doubles as
+//! every AP's duplicate-suppression memory: an AP has seen the packet
+//! exactly when its role is no longer [`ApRole::Silent`]. The run
+//! records everything the paper's metrics need: whether a
+//! destination-building AP ever received the packet
 //! (*deliverability*), how many broadcasts happened (the overhead
 //! numerator), and the per-AP roles for Figure-7-style renders.
 //!
@@ -25,22 +25,18 @@
 
 use citymesh_geo::OrientedRect;
 use citymesh_graph::PlannerScratch;
-use citymesh_map::CityMap;
 use citymesh_net::{CityMeshHeader, MessageKind, RouteEncoding};
 use citymesh_simcore::{SimRng, SimTime, Simulation};
 use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
-use crate::agent::{self, Action, RebroadcastScope};
 use crate::apgraph::ApGraph;
-use crate::conduit::CoveredSet;
+use crate::conduit::{within_conduits, CoveredSet};
 use crate::config::{require_probability, ConfigError};
 use crate::faults::{combined_loss, FaultState};
 
 /// Simulation knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct DeliveryParams {
-    /// Rebroadcast geometry policy.
-    pub scope: RebroadcastScope,
     /// Maximum per-relay MAC jitter; each relay waits
     /// `U(min_jitter, max_jitter)` before transmitting.
     pub max_jitter: SimTime,
@@ -59,7 +55,6 @@ pub struct DeliveryParams {
 impl Default for DeliveryParams {
     fn default() -> Self {
         DeliveryParams {
-            scope: RebroadcastScope::Building,
             min_jitter: SimTime::from_micros(500),
             max_jitter: SimTime::from_millis(5),
             horizon: SimTime::from_secs_f64(60.0),
@@ -195,32 +190,26 @@ struct Tx(u32);
 /// profiling: in no digest and no registry metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Agent verdicts computed ([`agent::decide`] calls). Under
-    /// [`RebroadcastScope::Building`] none for a flow given its
-    /// [`CoveredSet`] (only a building the map lacks is decided), else
-    /// at most one per building the flow reaches; under
-    /// [`RebroadcastScope::ApPosition`] one per first-time reception.
-    pub verdicts: u64,
     /// The most events ever pending in the scratch's queue at once.
     pub queue_high_water: usize,
 }
 
-/// A building's memoized verdict for the current flow: `UNDECIDED`, or
-/// `DECIDED` with the [`Action`]'s two bits beside it.
-const UNDECIDED: u8 = 0;
-const DECIDED: u8 = 1;
-const DELIVER: u8 = 2;
-const REBROADCAST: u8 = 4;
+/// The two bits of a building's verdict for the current flow.
+const DELIVER: u8 = 1;
+const REBROADCAST: u8 = 2;
 
-fn memo_of(action: Action) -> u8 {
-    DECIDED | (u8::from(action.deliver) * DELIVER) | (u8::from(action.rebroadcast) * REBROADCAST)
-}
-
-fn action_of(memo: u8) -> Action {
-    Action {
-        deliver: memo & DELIVER != 0,
-        rebroadcast: memo & REBROADCAST != 0,
-    }
+/// Which APs relay a flow: the header's conduits in the form its
+/// [`RebroadcastScope`](crate::RebroadcastScope) reads them.
+#[derive(Clone, Copy, Debug)]
+pub enum Relays<'a> {
+    /// Building scope: every AP of a building in the set relays — the
+    /// buildings whose centroid the conduits cover
+    /// ([`CoveredSet::of`]; a plan carries them as
+    /// [`PlannedFlow::covered`](crate::PlannedFlow::covered)).
+    Covered(&'a CoveredSet),
+    /// AP-position scope: an AP relays when its own position lies in
+    /// one of the conduits.
+    Conduits(&'a [OrientedRect]),
 }
 
 /// What the replan rung's detours cost a worker, cumulative over the
@@ -240,16 +229,19 @@ pub struct DetourStats {
     pub searches: u64,
 }
 
-/// Buffers of the replan rung's detour — search state, the
-/// uncompressed route, its waypoints and a header to probe the
-/// round-tripped width with — so that materializing a plan's ladder
-/// geometry allocates only what the plan keeps.
+/// Buffers of the retry ladder's rungs — detour search state, the
+/// uncompressed route, its waypoints, a header to probe the
+/// round-tripped width with, and the conduits and building bitset a
+/// rung's covered set is gathered through — so that materializing a
+/// plan's ladder geometry allocates only what the plan keeps.
 #[derive(Debug)]
 pub(crate) struct DetourScratch {
     pub(crate) search: PlannerScratch,
     pub(crate) route: Vec<u32>,
     pub(crate) waypoints: Vec<u32>,
     pub(crate) header: CityMeshHeader,
+    pub(crate) conduits: Vec<OrientedRect>,
+    pub(crate) covered_marks: Vec<u64>,
     pub(crate) stats: DetourStats,
 }
 
@@ -279,10 +271,10 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
 /// * the [`DeliveryReport`] role vector — one byte per AP, refilled
 ///   with [`ApRole::Silent`] at the start of every flow, which is also
 ///   what forgets the previous flow's duplicate-suppression state;
-/// * the verdict memo — one byte per building, refilled at the start of
-///   every [`RebroadcastScope::Building`] flow from the flow's
-///   [`CoveredSet`], or with "undecided" without one (the verdict
-///   depends on the header, so it never outlives one).
+/// * the verdict table — one byte per building of the AP graph,
+///   refilled at the start of every flow from its destination and, under
+///   building scope, its [`CoveredSet`] (a verdict depends on the
+///   header, so it never outlives one).
 ///
 /// Reuse is invisible in the results: a dirty scratch and a fresh one
 /// produce bit-identical [`DeliveryReport`]s (property-tested in
@@ -292,13 +284,16 @@ pub(crate) fn placeholder_header() -> CityMeshHeader {
 pub struct DeliveryScratch {
     sim: Simulation<Tx>,
     report: DeliveryReport,
-    /// Per-building verdict memo (see [`memo_of`]); empty under
-    /// [`RebroadcastScope::ApPosition`], whose verdict is per AP.
+    /// Per-building verdicts of the current flow: [`DELIVER`], and
+    /// [`REBROADCAST`] when its [`Relays`] are a covered set.
     verdicts: Vec<u8>,
     stats: KernelStats,
     /// Reusable header for `CityExperiment::simulate_flow_with` (the
     /// per-flow message id varies, the waypoint buffer is recycled).
     pub(crate) header: CityMeshHeader,
+    /// Where `CityExperiment::simulate_flow_with` rebuilds a ladder
+    /// rung's conduits under AP-position scope, once per attempt.
+    pub(crate) rung_conduits: Vec<OrientedRect>,
     /// Flow tracer (disabled by default). When enabled, the kernel
     /// records per-event telemetry into its pre-allocated ring; when
     /// disabled every tracer call is a branch, preserving the
@@ -354,6 +349,7 @@ impl DeliveryScratch {
             verdicts: Vec::new(),
             stats: KernelStats::default(),
             header: placeholder_header(),
+            rung_conduits: Vec::new(),
             tracer: FlowTracer::new(cfg),
             payload: Vec::new(),
             sealed_buf: Vec::new(),
@@ -364,6 +360,8 @@ impl DeliveryScratch {
                 route: Vec::new(),
                 waypoints: Vec::new(),
                 header: placeholder_header(),
+                conduits: Vec::new(),
+                covered_marks: Vec::new(),
                 stats: DetourStats::default(),
             },
         }
@@ -383,8 +381,8 @@ impl DeliveryScratch {
         self.keys_derived
     }
 
-    /// What the delivery kernel did through this scratch so far:
-    /// verdicts computed and the event queue's high-water mark.
+    /// What the delivery kernel did through this scratch so far: the
+    /// event queue's high-water mark.
     pub fn kernel_stats(&self) -> KernelStats {
         self.stats
     }
@@ -405,36 +403,26 @@ impl DeliveryScratch {
         &mut self.tracer
     }
 
-    /// Prepares the scratch for a fresh flow over `n_aps` APs with a
-    /// verdict memo of `memo_len` buildings: rewinds the simulation
-    /// clock and resets the report and the memo in place. With `seed`
-    /// — the buildings the header's conduits cover — every building is
-    /// decided up front, exactly as [`agent::decide`] would decide it:
-    /// deliver in the destination, rebroadcast when covered and the TTL
-    /// allows. Without it every building starts undecided.
-    fn begin(
-        &mut self,
-        n_aps: usize,
-        memo_len: usize,
-        horizon: SimTime,
-        seed: Option<(&CoveredSet, &CityMeshHeader)>,
-    ) {
+    /// Prepares the scratch for a fresh flow of `header` over `apg`:
+    /// rewinds the simulation clock, resets the report in place and
+    /// writes every building's verdict — deliver in the destination,
+    /// and under building scope rebroadcast in a covered building while
+    /// the TTL allows. A building outside the set never relays; one
+    /// past `apg`'s range hosts no AP and is never read.
+    fn begin(&mut self, apg: &ApGraph, header: &CityMeshHeader, relays: Relays, horizon: SimTime) {
         self.sim.reset();
         self.sim.set_horizon(Some(horizon));
         self.verdicts.clear();
-        match seed {
-            None => self.verdicts.resize(memo_len, UNDECIDED),
-            Some((covered, header)) => {
-                self.verdicts.resize(memo_len, DECIDED);
-                if header.ttl > 0 {
-                    for b in covered.iter() {
-                        self.verdicts[b as usize] |= REBROADCAST;
-                    }
-                }
-                if let Some(memo) = self.verdicts.get_mut(header.destination() as usize) {
-                    *memo |= DELIVER;
+        self.verdicts.resize(apg.buildings(), 0);
+        if let (Relays::Covered(covered), true) = (relays, header.ttl > 0) {
+            for b in covered.iter() {
+                if let Some(v) = self.verdicts.get_mut(b as usize) {
+                    *v |= REBROADCAST;
                 }
             }
+        }
+        if let Some(v) = self.verdicts.get_mut(header.destination() as usize) {
+            *v |= DELIVER;
         }
         let r = &mut self.report;
         r.delivered = false;
@@ -443,7 +431,7 @@ impl DeliveryScratch {
         r.receptions = 0;
         r.duplicates = 0;
         r.roles.clear();
-        r.roles.resize(n_aps, ApRole::Silent);
+        r.roles.resize(apg.len(), ApRole::Silent);
     }
 }
 
@@ -452,19 +440,13 @@ impl DeliveryScratch {
 /// fault scenario or none.
 ///
 /// `rng` drives MAC jitter and reception loss only; topology comes
-/// fixed from `apg`. `conduits` must be the reconstruction of
-/// `header`'s waypoints at the header's (decimeter-quantized) width —
-/// precompute once per route with
-/// [`reconstruct_conduits`](crate::reconstruct_conduits) and amortize
-/// across every flow sharing it (`PlannedFlow` caches exactly this).
-/// `covered`, when the caller has it, is the set of buildings those
-/// conduits cover ([`CoveredSet::of`]`(map, conduits)`; a plan carries
-/// it as [`PlannedFlow::covered`](crate::PlannedFlow::covered)): under
-/// [`RebroadcastScope::Building`] it decides every building of the map
-/// before the flood starts, so no reception runs the agent. `None`
-/// decides each building the first time the flood reaches it — same
-/// verdicts, same report. The returned reference points into `scratch`
-/// and is valid until the next run.
+/// fixed from `apg`. `relays` are `header`'s conduits as the flow's
+/// scope reads them: the buildings they cover, which the kernel writes
+/// into its per-building table before the flood, or the conduits
+/// themselves, tested at each first-time receiver's position. Either is
+/// computed once per route and amortized across every flow sharing it
+/// (`PlannedFlow` caches both). The returned reference points into
+/// `scratch` and is valid until the next run.
 ///
 /// Steady state (scratch warmed past the workload's high-water marks)
 /// performs **zero heap allocations**; `tests/zero_alloc.rs` in
@@ -493,11 +475,9 @@ impl DeliveryScratch {
 /// Panics when `src_ap` is outside `apg`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_delivery_faulted<'a>(
-    map: &CityMap,
     apg: &ApGraph,
     header: &CityMeshHeader,
-    conduits: &[OrientedRect],
-    covered: Option<&CoveredSet>,
+    relays: Relays,
     src_ap: u32,
     params: DeliveryParams,
     faults: Option<&FaultState>,
@@ -505,15 +485,7 @@ pub fn simulate_delivery_faulted<'a>(
     scratch: &'a mut DeliveryScratch,
 ) -> &'a DeliveryReport {
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
-    // Under building scope a verdict is a function of the receiver's
-    // building alone (its centroid, or fail-closed for a building the
-    // map lacks), so it is computed at most once per building per flow:
-    // read from the covered set up front, or else on first reception.
-    let (memo_len, seed) = match params.scope {
-        RebroadcastScope::Building => (map.len(), covered.map(|c| (c, header))),
-        RebroadcastScope::ApPosition => (0, None),
-    };
-    scratch.begin(apg.len(), memo_len, params.horizon, seed);
+    scratch.begin(apg, header, relays, params.horizon);
     // A dead source cannot even make the first transmission: fail
     // cleanly with an empty schedule.
     if faults.is_some_and(|f| f.is_failed(src_ap)) {
@@ -537,18 +509,17 @@ pub fn simulate_delivery_faulted<'a>(
     }
 
     let flood = Flood {
-        map,
         apg,
         header,
-        conduits,
+        relays,
         params,
         faults,
     };
     // Chosen from what the call itself shows, never configured: with no
-    // fault state, a lossless medium and a tracer that cannot record,
-    // no reception is ever dropped and nothing is ever traced, so the
+    // fault state, a lossless medium and no flow being traced, no
+    // reception is ever dropped and nothing is ever recorded, so the
     // loop that omits those branches is the same kernel.
-    if faults.is_none() && params.reception_loss == 0.0 && !scratch.tracer.is_enabled() {
+    if faults.is_none() && params.reception_loss == 0.0 && !scratch.tracer.is_active() {
         flood.run::<true>(rng, scratch);
     } else {
         flood.run::<false>(rng, scratch);
@@ -558,10 +529,9 @@ pub fn simulate_delivery_faulted<'a>(
 
 /// What one flow's flood reads and never writes.
 struct Flood<'a> {
-    map: &'a CityMap,
     apg: &'a ApGraph,
     header: &'a CityMeshHeader,
-    conduits: &'a [OrientedRect],
+    relays: Relays<'a>,
     params: DeliveryParams,
     faults: Option<&'a FaultState>,
 }
@@ -569,16 +539,15 @@ struct Flood<'a> {
 impl Flood<'_> {
     /// The event loop, one body compiled twice. `HEALTHY` promises what
     /// [`simulate_delivery_faulted`] checked before choosing it — no
-    /// fault state, zero reception loss, a disabled tracer — so that
+    /// fault state, zero reception loss, no flow traced — so that
     /// instantiation drops the failed and loss branches (which would
     /// never fire and never draw) and every tracer call (each a no-op);
     /// the other keeps them all. Both are the same kernel bit for bit.
     fn run<const HEALTHY: bool>(&self, rng: &mut SimRng, scratch: &mut DeliveryScratch) {
         let Flood {
-            map,
             apg,
             header,
-            conduits,
+            relays,
             params,
             faults,
         } = *self;
@@ -596,7 +565,6 @@ impl Flood<'_> {
             .as_nanos()
             .max(1);
         let (mut broadcasts, mut receptions, mut duplicates) = (0u64, 0u64, 0u64);
-        let mut decided = 0u64;
         let mut high_water = stats.queue_high_water.max(sim.pending());
 
         sim.run(|sim, Tx(ap)| {
@@ -638,26 +606,8 @@ impl Flood<'_> {
                     continue;
                 }
                 report.roles[rx as usize] = ApRole::HeardOnly;
-                let building = apg.building_of(rx);
-                let action = match verdicts.get_mut(building as usize) {
-                    Some(memo) if *memo != UNDECIDED => action_of(*memo),
-                    memo => {
-                        decided += 1;
-                        let action = agent::decide(
-                            apg.position(rx),
-                            building,
-                            params.scope,
-                            header,
-                            map,
-                            conduits,
-                        );
-                        if let Some(memo) = memo {
-                            *memo = memo_of(action);
-                        }
-                        action
-                    }
-                };
-                if action.deliver && report.first_delivery.is_none() {
+                let verdict = verdicts[apg.building_of(rx) as usize];
+                if verdict & DELIVER != 0 && report.first_delivery.is_none() {
                     report.delivered = true;
                     report.first_delivery = Some(now);
                     if !HEALTHY {
@@ -667,7 +617,13 @@ impl Flood<'_> {
                         });
                     }
                 }
-                if action.rebroadcast {
+                let rebroadcast = match relays {
+                    Relays::Covered(_) => verdict & REBROADCAST != 0,
+                    Relays::Conduits(conduits) => {
+                        header.ttl > 0 && within_conduits(conduits, apg.position(rx))
+                    }
+                };
+                if rebroadcast {
                     report.roles[rx as usize] = ApRole::Relayed;
                     let delay =
                         SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
@@ -680,7 +636,6 @@ impl Flood<'_> {
         report.broadcasts = broadcasts;
         report.receptions = receptions;
         report.duplicates = duplicates;
-        stats.verdicts += decided;
         stats.queue_high_water = high_water;
     }
 }
@@ -689,14 +644,33 @@ impl Flood<'_> {
 mod tests {
     use super::*;
     use crate::placement::{place_aps, postbox_ap};
-    use crate::{reconstruct_conduits, BuildingGraph, BuildingGraphParams};
+    use crate::{reconstruct_conduits, BuildingGraph, BuildingGraphParams, RebroadcastScope};
     use citymesh_geo::{Point, Polygon, Rect};
+    use citymesh_map::CityMap;
 
-    /// One healthy flow through a fresh scratch, the conduits
-    /// reconstructed from the header and every verdict read from the
-    /// buildings they cover — so the tests below that replay a flow
-    /// through a kept scratch without that set also hold the covered
-    /// set to the verdicts it stands for.
+    /// One healthy flow through `scratch`, the conduits reconstructed
+    /// from the header and handed to the kernel as `scope` reads them.
+    #[allow(clippy::too_many_arguments)]
+    fn run<'a>(
+        map: &CityMap,
+        apg: &ApGraph,
+        header: &CityMeshHeader,
+        scope: RebroadcastScope,
+        src_ap: u32,
+        params: DeliveryParams,
+        rng: &mut SimRng,
+        scratch: &'a mut DeliveryScratch,
+    ) -> &'a DeliveryReport {
+        let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
+        let covered = CoveredSet::of(map, &conduits);
+        let relays = match scope {
+            RebroadcastScope::Building => Relays::Covered(&covered),
+            RebroadcastScope::ApPosition => Relays::Conduits(&conduits),
+        };
+        simulate_delivery_faulted(apg, header, relays, src_ap, params, None, rng, scratch)
+    }
+
+    /// [`run`] under building scope through a fresh scratch.
     fn simulate(
         map: &CityMap,
         apg: &ApGraph,
@@ -705,26 +679,9 @@ mod tests {
         params: DeliveryParams,
         rng: &mut SimRng,
     ) -> DeliveryReport {
-        let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
-        let covered = CoveredSet::of(map, &conduits);
         let mut scratch = DeliveryScratch::new();
-        let report = simulate_delivery_faulted(
-            map,
-            apg,
-            header,
-            &conduits,
-            Some(&covered),
-            src_ap,
-            params,
-            None,
-            rng,
-            &mut scratch,
-        )
-        .clone();
-        if params.scope == RebroadcastScope::Building {
-            assert_eq!(scratch.kernel_stats().verdicts, 0, "every verdict was read");
-        }
-        report
+        let scope = RebroadcastScope::Building;
+        run(map, apg, header, scope, src_ap, params, rng, &mut scratch).clone()
     }
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
@@ -826,17 +783,16 @@ mod tests {
                 DeliveryParams::default(),
                 &mut fresh_rng,
             );
-            let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
             let mut rng = SimRng::new(seed);
-            let reused = simulate_delivery_faulted(
+            let params = DeliveryParams::default();
+            let scope = RebroadcastScope::Building;
+            let reused = run(
                 &map,
                 &apg,
                 &header,
-                &conduits,
-                None,
+                scope,
                 src,
-                DeliveryParams::default(),
-                None,
+                params,
                 &mut rng,
                 &mut scratch,
             );
@@ -855,18 +811,15 @@ mod tests {
         let header_a = route_header(&bg, 0, 9);
         let src_a = postbox_ap(&aps, &map, 0).unwrap();
         let mut scratch = DeliveryScratch::new();
-        let conduits_a =
-            reconstruct_conduits(&map, &header_a.waypoints, header_a.conduit_width_m());
+        let (params, scope) = (DeliveryParams::default(), RebroadcastScope::Building);
         let mut rng = SimRng::new(1);
-        simulate_delivery_faulted(
+        run(
             &map,
             &apg,
             &header_a,
-            &conduits_a,
-            None,
+            scope,
             src_a,
-            DeliveryParams::default(),
-            None,
+            params,
             &mut rng,
             &mut scratch,
         );
@@ -890,18 +843,14 @@ mod tests {
             DeliveryParams::default(),
             &mut fresh_rng,
         );
-        let conduits_b =
-            reconstruct_conduits(&map, &header_b.waypoints, header_b.conduit_width_m());
         let mut rng = SimRng::new(2);
-        let reused = simulate_delivery_faulted(
+        let reused = run(
             &map,
             &apg,
             &header_b,
-            &conduits_b,
-            None,
+            scope,
             src_b,
-            DeliveryParams::default(),
-            None,
+            params,
             &mut rng,
             &mut scratch,
         );
@@ -946,7 +895,6 @@ mod tests {
             let dst = (map.len() - 1) as u32;
             let header = route_header(bg, 0, dst);
             let src = postbox_ap(aps, map, 0).unwrap();
-            let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
             let mut fresh_rng = SimRng::new(3);
             let fresh = simulate(
                 map,
@@ -957,15 +905,14 @@ mod tests {
                 &mut fresh_rng,
             );
             let mut rng = SimRng::new(3);
-            let reused = simulate_delivery_faulted(
+            let (params, scope) = (DeliveryParams::default(), RebroadcastScope::Building);
+            let reused = run(
                 map,
                 apg,
                 &header,
-                &conduits,
-                None,
+                scope,
                 src,
-                DeliveryParams::default(),
-                None,
+                params,
                 &mut rng,
                 &mut scratch,
             );
@@ -1062,71 +1009,25 @@ mod tests {
         let (map, apg, bg, aps) = street();
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
-        let run = |scope| {
-            let mut rng = SimRng::new(6);
-            simulate(
+        let by = |scope| {
+            let (mut rng, mut scratch) = (SimRng::new(6), DeliveryScratch::new());
+            let params = DeliveryParams::default();
+            run(
                 &map,
                 &apg,
                 &header,
+                scope,
                 src,
-                DeliveryParams {
-                    scope,
-                    ..DeliveryParams::default()
-                },
+                params,
                 &mut rng,
+                &mut scratch,
             )
+            .clone()
         };
-        let by_building = run(RebroadcastScope::Building);
-        let by_pos = run(RebroadcastScope::ApPosition);
+        let by_building = by(RebroadcastScope::Building);
+        let by_pos = by(RebroadcastScope::ApPosition);
         assert!(by_building.delivered);
         assert!(by_pos.broadcasts <= by_building.broadcasts);
-    }
-
-    #[test]
-    fn a_covered_set_decides_every_building_before_the_flood() {
-        let (map, apg, bg, aps) = street();
-        let src = postbox_ap(&aps, &map, 0).unwrap();
-        for (scope, ttl) in [
-            (RebroadcastScope::Building, 64),
-            (RebroadcastScope::Building, 0),
-            (RebroadcastScope::ApPosition, 64),
-        ] {
-            let mut header = route_header(&bg, 0, 9);
-            header.ttl = ttl;
-            let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
-            let covered = CoveredSet::of(&map, &conduits);
-            let params = DeliveryParams {
-                scope,
-                ..DeliveryParams::default()
-            };
-            let run = |covered: Option<&CoveredSet>| {
-                let mut scratch = DeliveryScratch::new();
-                let report = simulate_delivery_faulted(
-                    &map,
-                    &apg,
-                    &header,
-                    &conduits,
-                    covered,
-                    src,
-                    params,
-                    None,
-                    &mut SimRng::new(8),
-                    &mut scratch,
-                )
-                .clone();
-                (report, scratch.kernel_stats().verdicts)
-            };
-            let (lazy, decided) = run(None);
-            let (seeded, read) = run(Some(&covered));
-            assert_eq!(seeded, lazy, "{scope:?}, ttl {ttl}");
-            assert!(decided > 0);
-            match scope {
-                RebroadcastScope::Building => assert_eq!(read, 0),
-                // Per-AP verdicts read nothing from the set.
-                RebroadcastScope::ApPosition => assert_eq!(read, decided),
-            }
-            assert_eq!(lazy.broadcasts > 1, ttl > 0, "TTL 0 only the source sends");
-        }
     }
 
     #[test]

@@ -1,29 +1,28 @@
 //! Differential oracle for the delivery kernel.
 //!
 //! `simulate_delivery_faulted` finds each broadcast's receivers in a
-//! precomputed audience row and treats the report's role vector as
-//! every AP's duplicate-suppression memory. The reference below does
-//! neither: it owns one real deployed [`ApAgent`] (4096-id
-//! [`citymesh_reference::SeenCache`]) per AP, asks the spatial index
-//! who is in range on every broadcast, keeps its events in a plain
-//! `Vec`, and allocates everything freshly. The two must agree field
-//! for field and leave the RNG at the same stream position.
+//! precomputed audience row, treats the report's role vector as every
+//! AP's duplicate-suppression memory and reads each building's verdict
+//! from the route's covered set. The reference below does none of it:
+//! it owns one real deployed [`ApAgent`] (4096-id
+//! [`citymesh_reference::SeenCache`]) per AP, which tests the conduits
+//! itself on every new message, asks the spatial index who is in range
+//! on every broadcast, keeps its events in a plain `Vec`, and allocates
+//! everything freshly. The two must agree field for field and leave
+//! the RNG at the same stream position.
 
-use std::collections::HashSet;
-
-use citymesh_core::agent::Action;
 use citymesh_core::faults::combined_loss;
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, Ap, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
-    CityExperiment, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
-    FaultScenario, FaultState, PlanScratch, PlannedFlow, RebroadcastScope,
+    CityExperiment, CoveredSet, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
+    FaultScenario, FaultState, PlanScratch, PlannedFlow, RebroadcastScope, Relays,
 };
 use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
 use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
 use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
-use citymesh_reference::ApAgent;
+use citymesh_reference::{Action, ApAgent};
 use citymesh_simcore::{substream_seed, SimRng, SimTime};
 use citymesh_telemetry::TraceConfig;
 use proptest::prelude::*;
@@ -35,6 +34,7 @@ fn reference_delivery(
     apg: &ApGraph,
     header: &CityMeshHeader,
     conduits: &[OrientedRect],
+    scope: RebroadcastScope,
     src_ap: u32,
     params: DeliveryParams,
     faults: Option<&FaultState>,
@@ -52,7 +52,7 @@ fn reference_delivery(
         return report;
     }
     let mut agents: Vec<ApAgent> = (0..apg.len() as u32)
-        .map(|id| ApAgent::new(apg.position(id), apg.building_of(id), params.scope))
+        .map(|id| ApAgent::new(apg.position(id), apg.building_of(id), scope))
         .collect();
     agents[src_ap as usize].seen.check_and_insert(header.msg_id);
     report.roles[src_ap as usize] = ApRole::Relayed;
@@ -157,8 +157,8 @@ proptest! {
 
     /// Kernel ≡ naive reference on random small cities × {healthy,
     /// iid-failed, degraded/lossy} × both scopes, several flows through
-    /// one dirty scratch (so a leaked role would show as a lost
-    /// reception).
+    /// one dirty scratch (so a leaked role or verdict would show as a
+    /// lost reception or a stray relay), the last at TTL 0.
     #[test]
     fn kernel_equals_naive_reference(
         (cols, rows) in (3usize..9, 2usize..7),
@@ -184,8 +184,8 @@ proptest! {
             }),
         };
         let faults = scenario.map(|s| FaultState::materialize(&s, &aps, &map, seed));
+        let scope = if by_position { RebroadcastScope::ApPosition } else { RebroadcastScope::Building };
         let params = DeliveryParams {
-            scope: if by_position { RebroadcastScope::ApPosition } else { RebroadcastScope::Building },
             reception_loss: if matches!(world, World::DegradedLossy) { 0.15 } else { 0.0 },
             ..DeliveryParams::default()
         };
@@ -208,16 +208,17 @@ proptest! {
                 header.ttl = 0;
             }
             let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+            let covered = CoveredSet::of(&map, &conduits);
+            let relays = if by_position { Relays::Conduits(&conduits) } else { Relays::Covered(&covered) };
             let src_ap = postbox_ap(&aps, &map, src).unwrap();
 
             let mut rng_ref = SimRng::new(seed ^ flow);
             let mut rng_kernel = rng_ref.clone();
             let expected = reference_delivery(
-                &map, &apg, &header, &conduits, src_ap, params, faults.as_ref(), &mut rng_ref,
+                &map, &apg, &header, &conduits, scope, src_ap, params, faults.as_ref(), &mut rng_ref,
             );
             let got = simulate_delivery_faulted(
-                &map, &apg, &header, &conduits, None, src_ap, params, faults.as_ref(), &mut rng_kernel,
-                &mut scratch,
+                &apg, &header, relays, src_ap, params, faults.as_ref(), &mut rng_kernel, &mut scratch,
             );
             prop_assert_eq!(got, &expected, "flow {} ({}->{}) diverged", flow, src, dst);
             prop_assert_eq!(
@@ -309,38 +310,26 @@ fn kernel_input(
     Some((header, src_ap, rng))
 }
 
-/// Where the kernel's building verdicts come from: decided on first
-/// reception, or read from the plan's covered set before the flood.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Verdicts {
-    Lazy,
-    FromPlan,
-}
-
 /// What [`kernel_equals_reference_on`] ran.
 #[derive(Debug, Default)]
 struct Tally {
     simulated: u64,
     delivered: u64,
-    /// APs other than the source that heard a flow: the verdicts a
-    /// kernel without a memo computes.
-    first_receptions: u64,
-    /// Verdicts the kernel computed ([`DeliveryScratch::kernel_stats`]).
-    verdicts: u64,
 }
 
-/// Runs `flows` on `world` through `scratch` and through the reference;
-/// every report must be equal field for field and leave the RNG at the
-/// same position.
+/// Runs `flows` on `world` under `scope` through `scratch` — handing
+/// the kernel the plan's covered set, or under AP-position scope its
+/// conduits, as the engines do — and through the reference; every
+/// report must be equal field for field and leave the RNG at the same
+/// position.
 fn kernel_equals_reference_on(
     world: &CityExperiment,
     flows: &[FlowSpec],
+    scope: RebroadcastScope,
     params: DeliveryParams,
-    verdicts: Verdicts,
     scratch: &mut DeliveryScratch,
 ) -> Tally {
     let (map, apg, faults) = (world.map(), world.ap_graph(), world.fault_state());
-    let verdicts_before = scratch.kernel_stats().verdicts;
     let mut tally = Tally::default();
     let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     for flow in flows {
@@ -355,21 +344,20 @@ fn kernel_equals_reference_on(
             apg,
             &header,
             &plan.conduits,
+            scope,
             src_ap,
             params,
             faults,
             &mut rng_ref,
         );
-        let covered = match verdicts {
-            Verdicts::Lazy => None,
-            Verdicts::FromPlan => Some(plan.covered().expect("planned")),
+        let relays = match scope {
+            RebroadcastScope::Building => Relays::Covered(plan.covered().expect("planned")),
+            RebroadcastScope::ApPosition => Relays::Conduits(&plan.conduits),
         };
         let got = simulate_delivery_faulted(
-            map,
             apg,
             &header,
-            &plan.conduits,
-            covered,
+            relays,
             src_ap,
             params,
             faults,
@@ -389,24 +377,20 @@ fn kernel_equals_reference_on(
         );
         tally.simulated += 1;
         tally.delivered += u64::from(got.delivered);
-        let heard = got.roles.iter().enumerate();
-        let heard = heard.filter(|&(ap, r)| *r != ApRole::Silent && ap as u32 != src_ap);
-        tally.first_receptions += heard.count() as u64;
     }
-    tally.verdicts = scratch.kernel_stats().verdicts - verdicts_before;
     tally
 }
 
 /// Kernel ≡ naive reference at benchmark scale, through ONE dirty
-/// scratch carried across four worlds of the benchmark downtown: the
-/// `fleet-hot` flows (the healthy instantiation, building verdicts
-/// memoized), the `churn-ladder` blackout (failed APs, the general
-/// instantiation), a lossy medium over degraded APs, and AP-position
-/// scope (no memo). A verdict memo that leaked between flows, or that
-/// keyed anything but the receiver's building, diverges here: a leak or
-/// a wrong key changes a report, and a per-AP key decides once per
-/// reception, which the verdict counts rule out.
-/// Release only (CI's `figures` job runs it).
+/// scratch carried across four worlds of the benchmark downtown, every
+/// plan through one kept `PlanScratch` and `PlannedFlow`: the
+/// `fleet-hot` flows (the healthy instantiation), the `churn-ladder`
+/// blackout (failed APs, the general instantiation), a lossy medium
+/// over degraded APs, and AP-position scope. A verdict table that
+/// leaked between flows, a covered set that named the wrong buildings
+/// or a verdict keyed by anything but the receiver's building (or, by
+/// position, the receiver) changes a report here.
+/// Release only (CI runs it).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -415,19 +399,17 @@ fn kernel_equals_reference_on(
 fn kernel_equals_reference_at_benchmark_scale() {
     let mut scratch = DeliveryScratch::new();
     let healthy = benchmark_downtown(None);
-    let params = DeliveryParams::default();
-    assert_eq!(healthy.config().scope, RebroadcastScope::Building);
+    let (params, building) = (DeliveryParams::default(), RebroadcastScope::Building);
+    assert_eq!(healthy.config().scope, building);
     let flows = hotspot_flows(&healthy, 1_000);
-    let t = kernel_equals_reference_on(&healthy, &flows, params, Verdicts::Lazy, &mut scratch);
+    let t = kernel_equals_reference_on(&healthy, &flows, building, params, &mut scratch);
     assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
-    assert!(t.verdicts * 3 < t.first_receptions * 2, "{t:?}");
 
     let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
     let failed = blackout.fault_state().expect("faulted").failed_count();
     assert!(failed > 10, "the blackout darkens {failed} APs");
-    let t = kernel_equals_reference_on(&blackout, &flows, params, Verdicts::Lazy, &mut scratch);
+    let t = kernel_equals_reference_on(&blackout, &flows, building, params, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
-    assert!(t.verdicts < t.first_receptions, "{t:?}");
 
     let lossy = benchmark_downtown(Some(FaultScenario {
         degraded_p: 0.4,
@@ -439,55 +421,23 @@ fn kernel_equals_reference_at_benchmark_scale() {
         reception_loss: 0.15,
         ..params
     };
-    let t = kernel_equals_reference_on(&lossy, &flows, lossy_params, Verdicts::Lazy, &mut scratch);
+    let t = kernel_equals_reference_on(&lossy, &flows, building, lossy_params, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 5, "{t:?}");
-    assert!(t.verdicts < t.first_receptions, "{t:?}");
 
-    let by_position = DeliveryParams {
-        scope: RebroadcastScope::ApPosition,
-        ..params
-    };
-    let t = kernel_equals_reference_on(&healthy, &flows, by_position, Verdicts::Lazy, &mut scratch);
+    let by_position = RebroadcastScope::ApPosition;
+    let t = kernel_equals_reference_on(&healthy, &flows, by_position, params, &mut scratch);
     assert!(t.simulated > 950, "{t:?}");
-    assert_eq!(t.verdicts, t.first_receptions, "one verdict per AP");
-}
-
-/// The same reference at benchmark scale with every building verdict
-/// read from the plan's covered set, as the engines run it: the
-/// `fleet-hot` flows planned through one kept `PlanScratch` and
-/// `PlannedFlow` (the healthy instantiation), then the `churn-ladder`
-/// blackout (the general one), through one dirty scratch. Reports equal
-/// the reference field for field, and the kernel decides nothing.
-/// Release only (CI runs it).
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "2,000 downtown flows against the reference: run with --release"
-)]
-fn seeded_kernel_equals_reference_at_benchmark_scale() {
-    let mut scratch = DeliveryScratch::new();
-    let healthy = benchmark_downtown(None);
-    let params = DeliveryParams::default();
-    let flows = hotspot_flows(&healthy, 1_000);
-    let t = kernel_equals_reference_on(&healthy, &flows, params, Verdicts::FromPlan, &mut scratch);
-    assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
-    assert_eq!(t.verdicts, 0, "{t:?}");
-
-    let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
-    let t = kernel_equals_reference_on(&blackout, &flows, params, Verdicts::FromPlan, &mut scratch);
-    assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
-    assert_eq!(t.verdicts, 0, "{t:?}");
 }
 
 /// The two instantiations of the kernel's loop are one kernel: the same
 /// healthy flows through a scratch whose tracer records (the general
 /// loop, every branch and tracer call kept) and through a plain one
-/// (the healthy loop) give identical reports and RNG positions — and
-/// identical verdict counts, since the memo is the same in both.
+/// (the healthy loop) give identical reports, RNG positions and queue
+/// high water.
 #[test]
 fn healthy_and_general_instantiations_agree() {
     let world = benchmark_downtown(None);
-    let (map, apg) = (world.map(), world.ap_graph());
+    let apg = world.ap_graph();
     let params = DeliveryParams::default();
     let mut plain = DeliveryScratch::new();
     let mut traced = DeliveryScratch::with_tracing(TraceConfig::sampled(1));
@@ -500,14 +450,12 @@ fn healthy_and_general_instantiations_agree() {
         else {
             continue;
         };
-        let conduits = &plan.conduits;
+        let relays = Relays::Covered(plan.covered().expect("planned"));
         let mut rng_traced = rng_plain.clone();
         let expected = simulate_delivery_faulted(
-            map,
             apg,
             &header,
-            conduits,
-            None,
+            relays,
             src_ap,
             params,
             None,
@@ -515,12 +463,11 @@ fn healthy_and_general_instantiations_agree() {
             &mut plain,
         );
         traced.tracer_mut().begin_flow(flow.id);
+        assert!(traced.tracer().is_active());
         let got = simulate_delivery_faulted(
-            map,
             apg,
             &header,
-            conduits,
-            None,
+            relays,
             src_ap,
             params,
             None,
@@ -536,41 +483,33 @@ fn healthy_and_general_instantiations_agree() {
     assert_eq!(traced.kernel_stats(), plain.kernel_stats());
 }
 
-/// The count behind the kernel's per-building verdict, on the
-/// `fleet-hot` benchmark's 30,000 seed-1 flows: deciding on first
-/// reception, the kernel computes exactly one verdict per distinct
-/// building among a flow's first-time receivers (counted here from the
-/// roles, independently of the memo) — about 69 a flow where one per
-/// first reception would be about 120 — and never holds more than 24
-/// events pending. Reading the verdicts from each plan's covered set
-/// instead, as the engines do, it computes none and reports the same.
-/// Counts, so they hold on every machine. Release only (CI's `figures`
-/// job runs it).
+/// What the kernel does on the `fleet-hot` benchmark's 30,000 seed-1
+/// flows, each handed its plan's covered set as the engines hand it:
+/// the broadcasts and receptions a flow costs — one verdict per heard
+/// building, read from the table the set fills, where the flood itself
+/// is the work left — and never more than 24 events pending. Counts, so
+/// they hold on every machine. Release only (CI runs it).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "30,000 downtown flows: run with --release")]
 fn one_verdict_per_heard_building_on_the_benchmark_flows() {
     let world = benchmark_downtown(None);
-    let (map, apg) = (world.map(), world.ap_graph());
-    let (mut scratch, mut seeded) = (DeliveryScratch::new(), DeliveryScratch::new());
+    let apg = world.ap_graph();
+    let mut scratch = DeliveryScratch::new();
     let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     let flows = hotspot_flows(&world, 30_000);
-    let (mut heard_buildings, mut first_receptions) = (0u64, 0u64);
-    let (mut broadcasts, mut receptions) = (0u64, 0u64);
-    let mut buildings = HashSet::new();
+    let (mut broadcasts, mut receptions, mut first_receptions) = (0u64, 0u64, 0u64);
     for flow in &flows {
         let Some((header, src_ap, mut rng)) =
             kernel_input(&world, flow, &mut plan_scratch, &mut plan)
         else {
             continue;
         };
-        let mut rng_seeded = rng.clone();
+        let relays = Relays::Covered(plan.covered().expect("planned"));
         let params = DeliveryParams::default();
         let report = simulate_delivery_faulted(
-            map,
             apg,
             &header,
-            &plan.conduits,
-            None,
+            relays,
             src_ap,
             params,
             None,
@@ -579,42 +518,23 @@ fn one_verdict_per_heard_building_on_the_benchmark_flows() {
         );
         broadcasts += report.broadcasts;
         receptions += report.receptions;
-        buildings.clear();
-        for (ap, role) in report.roles.iter().enumerate() {
-            if *role != ApRole::Silent && ap as u32 != src_ap {
-                first_receptions += 1;
-                buildings.insert(apg.building_of(ap as u32));
-            }
-        }
-        heard_buildings += buildings.len() as u64;
-        let from_plan = simulate_delivery_faulted(
-            map,
-            apg,
-            &header,
-            &plan.conduits,
-            plan.covered(),
-            src_ap,
-            params,
-            None,
-            &mut rng_seeded,
-            &mut seeded,
-        );
-        assert_eq!(from_plan, scratch.report(), "flow {}", flow.id);
+        assert_eq!(report.receptions - report.duplicates, {
+            let heard = report.roles.iter().enumerate();
+            heard
+                .filter(|&(ap, r)| *r != ApRole::Silent && ap as u32 != src_ap)
+                .count() as u64
+        });
+        first_receptions += report.receptions - report.duplicates;
     }
     let stats = scratch.kernel_stats();
     let per_flow = |n: u64| n as f64 / flows.len() as f64;
     eprintln!(
-        "a flow: {:.1} broadcasts, {:.1} receptions, {:.1} first receptions, {:.1} verdicts \
-         ({:.1} from the plan); queue high water {}",
+        "a flow: {:.1} broadcasts, {:.1} receptions, {:.1} first receptions; queue high water {}",
         per_flow(broadcasts),
         per_flow(receptions),
         per_flow(first_receptions),
-        per_flow(stats.verdicts),
-        per_flow(seeded.kernel_stats().verdicts),
         stats.queue_high_water
     );
-    assert_eq!(stats.verdicts, heard_buildings);
-    assert!(stats.verdicts * 3 < first_receptions * 2, "{stats:?}");
+    assert_eq!((broadcasts, receptions), (1_505_187, 20_511_087));
     assert!(stats.queue_high_water <= 24, "{stats:?}");
-    assert_eq!(seeded.kernel_stats().verdicts, 0);
 }

@@ -35,9 +35,10 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use citymesh_core::{
     compress_route, plan_route_avoiding_into, plan_route_into, reconstruct_conduits,
-    simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CityExperiment, DeliveryParams,
-    DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, HierPlanScratch, HierPlanner,
-    OverheadOutcome, PairOutcome, PlannedFlow, RecoveryStage, RetryPolicy, RouteError, Survivors,
+    simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CityExperiment, CoveredSet,
+    DeliveryParams, DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, HierPlanScratch,
+    HierPlanner, OverheadOutcome, PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage,
+    Relays, RetryPolicy, RouteError, Survivors,
 };
 use citymesh_dynamics::{
     try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, EpochStat, InvalidationPolicy,
@@ -708,8 +709,8 @@ fn reference_ladder(
     };
     let faults = world.fault_state().expect("the churn world is faulted");
     let (policy, cfg) = (faults.retry(), world.config());
+    assert_eq!(cfg.scope, RebroadcastScope::Building);
     let params = DeliveryParams {
-        scope: cfg.scope,
         reception_loss: cfg.reception_loss,
         ..DeliveryParams::default()
     };
@@ -748,11 +749,9 @@ fn reference_ladder(
             reconstruct_conduits(world.map(), &header.waypoints, header.conduit_width_m());
         let mut scratch = DeliveryScratch::new();
         let report = simulate_delivery_faulted(
-            world.map(),
             world.ap_graph(),
             &header,
-            &conduits,
-            None,
+            Relays::Covered(&CoveredSet::of(world.map(), &conduits)),
             src_ap,
             params,
             Some(faults),

@@ -108,11 +108,6 @@ pub struct FlowExecutor<'a> {
     cfg: FleetConfig,
     plan_scratch: PlanScratch,
     scratch: DeliveryScratch,
-    /// The untraced twin of a tracing `scratch`, built the first time a
-    /// flow asks not to be traced (the stream engine's degradation
-    /// rung 1): same simulation, no capture work.
-    untraced: Option<DeliveryScratch>,
-    tracing: bool,
     metrics: Option<MetricSet>,
 }
 
@@ -125,13 +120,7 @@ impl<'a> FlowExecutor<'a> {
             cache,
             cfg: *cfg,
             plan_scratch: PlanScratch::new(),
-            scratch: if tel.trace.enabled {
-                DeliveryScratch::with_tracing(tel.trace)
-            } else {
-                DeliveryScratch::new()
-            },
-            untraced: None,
-            tracing: tel.trace.enabled,
+            scratch: DeliveryScratch::with_tracing(tel.trace),
             metrics: tel.metrics.then(MetricSet::new),
         }
     }
@@ -162,10 +151,11 @@ impl<'a> FlowExecutor<'a> {
     }
 
     /// Delivers `flow` with `deliver(msg_id, rng, scratch)` and records
-    /// the outcome in the worker's metrics. `trace: false` hands
-    /// `deliver` the untraced scratch. Traces are keyed by the flow's
-    /// workload identity (not the derived message id) so sampling and
-    /// captures are stable and schedule-independent.
+    /// the outcome in the worker's metrics. `trace: false` tells the
+    /// tracer to leave this one flow inactive: same simulation, no
+    /// capture work. Traces are keyed by the flow's workload identity
+    /// (not the derived message id) so sampling and captures are stable
+    /// and schedule-independent.
     pub fn deliver_with(
         &mut self,
         flow: &FlowSpec,
@@ -173,13 +163,13 @@ impl<'a> FlowExecutor<'a> {
         deliver: impl FnOnce(u64, &mut SimRng, &mut DeliveryScratch) -> PairOutcome,
     ) -> PairOutcome {
         let (msg_id, mut rng) = self.substreams(flow);
-        let scratch = if trace || !self.tracing {
-            self.scratch.tracer_mut().set_next_key(flow.id);
-            &mut self.scratch
+        let tracer = self.scratch.tracer_mut();
+        if trace {
+            tracer.set_next_key(flow.id);
         } else {
-            self.untraced.get_or_insert_with(DeliveryScratch::new)
-        };
-        let outcome = deliver(msg_id, &mut rng, scratch);
+            tracer.skip_next_flow();
+        }
+        let outcome = deliver(msg_id, &mut rng, &mut self.scratch);
         if let Some(m) = self.metrics.as_mut() {
             record_flow_metrics(m, &outcome);
         }
@@ -233,13 +223,11 @@ impl<'a> FlowExecutor<'a> {
     /// ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
         if let Some(m) = self.metrics.as_mut() {
-            for s in std::iter::once(&self.scratch).chain(&self.untraced) {
-                m.add(tm::KEYS_DERIVED, s.keys_derived());
-                let d = s.detour_stats();
-                m.add(tm::LADDERS_MATERIALIZED, d.materialized);
-                m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
-                m.add(tm::DETOUR_SEARCHES, d.searches);
-            }
+            m.add(tm::KEYS_DERIVED, self.scratch.keys_derived());
+            let d = self.scratch.detour_stats();
+            m.add(tm::LADDERS_MATERIALIZED, d.materialized);
+            m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
+            m.add(tm::DETOUR_SEARCHES, d.searches);
             let tracer = self.scratch.tracer();
             m.add(tm::POSTMORTEMS, tracer.captured());
             m.add(tm::TRACE_DROPPED, tracer.dropped_total());

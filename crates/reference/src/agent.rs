@@ -1,17 +1,60 @@
 //! The deployed AP agent as the paper describes it (§3 step 3): one
 //! program per AP, whose only memory is a bounded duplicate-suppression
-//! cache of recently seen message IDs. The delivery kernel keeps no
-//! such per-AP state — its role vector is every AP's memory for the one
-//! message a flow carries — so this stateful form is what the kernel
-//! oracle runs one of per AP.
+//! cache of recently seen message IDs, deciding each new message from
+//! its header and the cached map alone ([`decide`]). The delivery
+//! kernel keeps no such per-AP state — its role vector is every AP's
+//! memory for the one message a flow carries, and it reads each
+//! verdict from the route's covered buildings — so this stateful form
+//! is what the kernel oracle runs one of per AP.
 
 use std::collections::{HashSet, VecDeque};
 
-use citymesh_core::agent::{decide, Action, RebroadcastScope};
-use citymesh_core::reconstruct_conduits;
+use citymesh_core::{reconstruct_conduits, within_conduits, RebroadcastScope};
 use citymesh_geo::{OrientedRect, Point};
 use citymesh_map::CityMap;
 use citymesh_net::CityMeshHeader;
+
+/// The agent's verdict for one received packet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Action {
+    /// Hand the payload to the postbox service on this AP (we are in
+    /// the destination building).
+    pub deliver: bool,
+    /// Schedule a rebroadcast.
+    pub rebroadcast: bool,
+}
+
+impl Action {
+    /// Neither deliver nor rebroadcast.
+    pub const IGNORE: Action = Action {
+        deliver: false,
+        rebroadcast: false,
+    };
+}
+
+/// The stateless verdict for a packet an AP at `pos` in `building`
+/// has **not** seen before: deliver when in the destination building,
+/// rebroadcast when the TTL allows and the scope's probe point lies in
+/// one of `conduits` (the header's waypoints reconstructed at its
+/// width). A building `map` lacks fails closed: it never relays.
+pub fn decide(
+    pos: Point,
+    building: u32,
+    scope: RebroadcastScope,
+    header: &CityMeshHeader,
+    map: &CityMap,
+    conduits: &[OrientedRect],
+) -> Action {
+    let deliver = building == header.destination();
+    let probe = match scope {
+        RebroadcastScope::ApPosition => Some(pos),
+        RebroadcastScope::Building => map.building(building).map(|b| b.centroid),
+    };
+    Action {
+        deliver,
+        rebroadcast: header.ttl > 0 && probe.is_some_and(|p| within_conduits(conduits, p)),
+    }
+}
 
 /// A bounded recently-seen-message cache (FIFO eviction).
 ///
@@ -135,6 +178,80 @@ mod tests {
                 .collect(),
             vec![],
         )
+    }
+
+    /// [`decide`] against the header's own conduits.
+    fn verdict(
+        pos: Point,
+        building: u32,
+        scope: RebroadcastScope,
+        h: &CityMeshHeader,
+        map: &CityMap,
+    ) -> Action {
+        let conduits = reconstruct_conduits(map, &h.waypoints, h.conduit_width_m());
+        decide(pos, building, scope, h, map, &conduits)
+    }
+
+    #[test]
+    fn off_conduit_ap_stays_silent() {
+        let mut footprints: Vec<Polygon> = (0..5)
+            .map(|i| square_at(i as f64 * 30.0, 0.0, 10.0))
+            .collect();
+        footprints.push(square_at(60.0, 200.0, 10.0)); // far off the route
+        let map = CityMap::new("with-outlier", footprints, vec![]);
+        let outlier = map.nearest_building(Point::new(65.0, 205.0)).unwrap().id;
+        let route_src = map.nearest_building(Point::new(5.0, 5.0)).unwrap().id;
+        let route_dst = map.nearest_building(Point::new(125.0, 5.0)).unwrap().id;
+        let h = CityMeshHeader::new(1, 50.0, vec![route_src, route_dst]);
+        let pos = Point::new(65.0, 205.0);
+        let action = verdict(pos, outlier, RebroadcastScope::Building, &h, &map);
+        assert_eq!(action, Action::IGNORE);
+    }
+
+    #[test]
+    fn destination_building_delivers() {
+        let map = test_map();
+        let h = CityMeshHeader::new(2, 50.0, vec![0, 4]);
+        let pos = Point::new(125.0, 5.0);
+        let action = verdict(pos, 4, RebroadcastScope::Building, &h, &map);
+        assert!(action.deliver);
+        assert!(
+            action.rebroadcast,
+            "destination building is inside the last conduit"
+        );
+    }
+
+    #[test]
+    fn ttl_zero_delivers_but_never_relays() {
+        let map = test_map();
+        let mut h = CityMeshHeader::new(4, 50.0, vec![0, 4]);
+        h.ttl = 0;
+        let pos = Point::new(125.0, 5.0);
+        let action = verdict(pos, 4, RebroadcastScope::Building, &h, &map);
+        assert!(action.deliver);
+        assert!(!action.rebroadcast);
+    }
+
+    #[test]
+    fn scope_changes_the_predicate() {
+        let map = test_map();
+        let h = CityMeshHeader::new(5, 20.0, vec![0, 4]);
+        // The spine runs along y = 5 (building centroids). An AP at
+        // y = 20 sits 15 m off it, in an on-route building: building
+        // scope relays (centroid on spine), position scope does not
+        // (15 > W/2 = 10).
+        let pos = Point::new(65.0, 20.0);
+        assert!(verdict(pos, 2, RebroadcastScope::Building, &h, &map).rebroadcast);
+        assert!(!verdict(pos, 2, RebroadcastScope::ApPosition, &h, &map).rebroadcast);
+    }
+
+    #[test]
+    fn unknown_building_fails_closed() {
+        let map = test_map();
+        let h = CityMeshHeader::new(6, 50.0, vec![0, 4]);
+        let pos = Point::new(65.0, 5.0);
+        let action = verdict(pos, 77, RebroadcastScope::Building, &h, &map);
+        assert_eq!(action, Action::IGNORE);
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod conduit;
 mod route;
 mod search;
 
-pub use agent::{ApAgent, SeenCache};
+pub use agent::{decide, Action, ApAgent, SeenCache};
 pub use conduit::compress_route;
 pub use route::plan_route_avoiding;
 pub use search::{

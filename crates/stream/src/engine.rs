@@ -968,8 +968,9 @@ fn serve(
                     // Rung 2 stops the retry ladder after the first
                     // send (the cap never reaches the planner, so the
                     // shared cache serves capped and uncapped flows
-                    // alike); rung 1 runs on the executor's untraced
-                    // scratch — same simulation, no capture work.
+                    // alike); rung 1 tells the executor's tracer to
+                    // leave the flow inactive — same simulation, no
+                    // capture work.
                     let plan = exec.plan(world, flow);
                     let cap = cap_retries.then_some(1);
                     let outcome = exec.simulate(world, &plan, flow, !shed_tracing, cap);
@@ -1132,8 +1133,8 @@ mod tests {
     #[test]
     fn encrypted_stream_counts_every_key_derivation() {
         // One worker on a cold session cache derives exactly one key per
-        // distinct unordered pair it admits — whichever scratch (the
-        // traced one or rung 1's untraced twin) the flow ran on.
+        // distinct unordered pair it admits — whether the flow was
+        // traced or rung 1 left it untraced.
         let mut exp = world(33);
         exp.enable_encryption();
         let flows = poisson_flows(&exp, 300, 5000.0, 33);
@@ -1157,7 +1158,7 @@ mod tests {
         assert_eq!(report.admitted, flows.len() as u64, "nothing may shed");
         assert!(
             report.degraded_tracing > 0 && report.degraded_tracing < report.admitted,
-            "both scratches must have run flows: {} of {} untraced",
+            "traced and untraced flows must both have run: {} of {} untraced",
             report.degraded_tracing,
             report.admitted
         );

@@ -370,9 +370,10 @@ pub struct FlowTracer {
     sampled: bool,
     key: u64,
     next_key: Option<u64>,
+    /// The next `begin_flow` leaves its flow inactive.
+    skip_next: bool,
     postmortems: Vec<Postmortem>,
     captured: u64,
-    flows: u64,
 }
 
 impl Default for FlowTracer {
@@ -406,15 +407,21 @@ impl FlowTracer {
             sampled: false,
             key: 0,
             next_key: None,
+            skip_next: false,
             postmortems: Vec::new(),
             captured: 0,
-            flows: 0,
         }
     }
 
     /// Whether this tracer can ever record.
     pub fn is_enabled(&self) -> bool {
         self.cfg.enabled && self.cfg.ring_capacity > 0
+    }
+
+    /// Whether a flow is being traced: between a `begin_flow` that
+    /// activated it and its `finish_flow`.
+    pub fn is_active(&self) -> bool {
+        self.active
     }
 
     /// The configuration this tracer was built with.
@@ -431,19 +438,27 @@ impl FlowTracer {
         }
     }
 
+    /// Leaves the *next* `begin_flow` inactive, the way
+    /// [`FlowTracer::set_next_key`] names it: that flow records and
+    /// captures nothing (the stream engine's first degradation rung).
+    pub fn skip_next_flow(&mut self) {
+        self.skip_next = self.cfg.enabled;
+    }
+
     /// Starts tracing one flow under `fallback_key` (used when no
-    /// [`FlowTracer::set_next_key`] is pending). No-op when disabled.
+    /// [`FlowTracer::set_next_key`] is pending). No-op when disabled or
+    /// told to skip the flow.
     pub fn begin_flow(&mut self, fallback_key: u64) {
-        if !self.is_enabled() {
+        let key = self.next_key.take().unwrap_or(fallback_key);
+        if !self.is_enabled() || std::mem::take(&mut self.skip_next) {
             return;
         }
-        self.key = self.next_key.take().unwrap_or(fallback_key);
+        self.key = key;
         self.sampled = self.cfg.sample_every > 0 && self.key.is_multiple_of(self.cfg.sample_every);
         self.start = 0;
         self.len = 0;
         self.dropped_flow = 0;
         self.active = true;
-        self.flows += 1;
     }
 
     /// Appends one event to the active flow's ring; evicts the oldest
@@ -510,11 +525,6 @@ impl FlowTracer {
     /// Total captures over the tracer's lifetime.
     pub fn captured(&self) -> u64 {
         self.captured
-    }
-
-    /// Flows traced over the tracer's lifetime.
-    pub fn flows_traced(&self) -> u64 {
-        self.flows
     }
 
     /// Total events evicted from the ring over the tracer's lifetime.

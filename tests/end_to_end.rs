@@ -4,7 +4,7 @@
 
 use citymesh::core::{
     compress_route, plan_route, postbox_ap, reconstruct_conduits, simulate_delivery_faulted,
-    CityExperiment, DeliveryParams, DeliveryScratch, ExperimentConfig,
+    CityExperiment, CoveredSet, DeliveryParams, DeliveryScratch, ExperimentConfig, Relays,
 };
 use citymesh::crypto::Keypair;
 use citymesh::net::{BitReader, BitWriter, CityMeshHeader};
@@ -125,11 +125,9 @@ fn delivery_report_roles_are_consistent_with_counts() {
     let conduits = reconstruct_conduits(exp.map(), &header.waypoints, header.conduit_width_m());
     let mut scratch = DeliveryScratch::new();
     let report = simulate_delivery_faulted(
-        exp.map(),
         exp.ap_graph(),
         &header,
-        &conduits,
-        None,
+        Relays::Covered(&CoveredSet::of(exp.map(), &conduits)),
         src_ap,
         DeliveryParams::default(),
         None,

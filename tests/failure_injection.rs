@@ -9,8 +9,8 @@
 
 use citymesh::core::{
     compress_route, plan_route, plan_route_avoiding_into, postbox_ap, reconstruct_conduits,
-    simulate_delivery_faulted, Ap, ApGraph, BuildingGraph, BuildingGraphParams, DeliveryParams,
-    DeliveryReport, DeliveryScratch, Survivors,
+    simulate_delivery_faulted, Ap, ApGraph, BuildingGraph, BuildingGraphParams, CoveredSet,
+    DeliveryParams, DeliveryReport, DeliveryScratch, Relays, Survivors,
 };
 use citymesh::graph::PlannerScratch;
 use citymesh::net::CityMeshHeader;
@@ -28,11 +28,9 @@ fn simulate(
     let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
     let mut scratch = DeliveryScratch::new();
     simulate_delivery_faulted(
-        map,
         apg,
         header,
-        &conduits,
-        None,
+        Relays::Covered(&CoveredSet::of(map, &conduits)),
         src_ap,
         DeliveryParams::default(),
         None,
