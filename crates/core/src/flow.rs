@@ -240,13 +240,13 @@ impl CityExperiment {
     /// clone, sealing reuses the scratch's warmed buffers, and only
     /// the per-pair derivation (the amortized cost) allocates.
     ///
-    /// When the scratch was built with tracing
-    /// ([`DeliveryScratch::with_tracing`]) this is also the flow
-    /// tracer's driver: it opens the flow (keyed by `msg_id` unless
-    /// the caller pre-set a key), records the plan and every ladder
-    /// attempt, and closes the flow with its transport outcome — all
-    /// observation only, so results and RNG draws are bit-identical
-    /// with tracing on or off.
+    /// When the caller armed the scratch's tracer for this flow
+    /// ([`DeliveryScratch::with_tracing`], then
+    /// `FlowTracer::trace_next`) this is also the tracer's driver: it
+    /// opens the flow, records the plan and every ladder attempt, and
+    /// closes the flow with its transport outcome — all observation
+    /// only, so results and RNG draws are bit-identical with tracing on
+    /// or off. An unarmed flow records nothing.
     ///
     /// # Panics
     /// Panics when `opts.sealed` and
@@ -277,7 +277,7 @@ impl CityExperiment {
             (key, aad, header_tag)
         });
 
-        scratch.tracer.begin_flow(msg_id);
+        scratch.tracer.begin_flow();
         scratch.tracer.record(TraceEvent::Plan {
             src: plan.src,
             dst: plan.dst,
@@ -572,7 +572,7 @@ fn secure_header(src: u32, dst: u32, msg_id: u64, route_bits: usize) -> [u8; 24]
 }
 
 /// Closes the scratch's active flow trace with the outcome's summary
-/// (a branch-only no-op when tracing is off or inactive).
+/// (a branch-only no-op when no flow is being traced).
 fn finish_flow_trace(scratch: &mut DeliveryScratch, outcome: &PairOutcome) {
     scratch.tracer.finish_flow(FlowSummary {
         src: outcome.src,
@@ -681,14 +681,17 @@ mod tests {
             let mut rng_a = SimRng::new(40 + i as u64);
             let mut rng_b = SimRng::new(40 + i as u64);
             let a = exp.simulate_flow_with(&plan, msg_id, &mut rng_a, &mut plain);
+            traced.tracer_mut().trace_next(msg_id);
             let b = exp.simulate_flow_with(&plan, msg_id, &mut rng_b, &mut traced);
             assert_eq!(a, b, "tracing must not change outcomes");
         }
-        // sample_every=1 captures every flow; each trace opens with the
-        // plan and its summary mirrors the outcome structure.
+        // Every flow was armed, so every flow is captured under its key;
+        // each trace opens with the plan and its summary mirrors the
+        // outcome structure.
         let pms = traced.tracer_mut().take_postmortems();
         assert_eq!(pms.len(), pairs.len());
-        for pm in &pms {
+        for (i, pm) in pms.iter().enumerate() {
+            assert_eq!(pm.key, 1000 + i as u64);
             assert!(
                 matches!(pm.events.first(), Some(TraceEvent::Plan { .. })),
                 "trace must open with the plan"

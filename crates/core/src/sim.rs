@@ -294,10 +294,10 @@ pub struct DeliveryScratch {
     /// Where `CityExperiment::simulate_flow_with` rebuilds a ladder
     /// rung's conduits under AP-position scope, once per attempt.
     pub(crate) rung_conduits: Vec<OrientedRect>,
-    /// Flow tracer (disabled by default). When enabled, the kernel
-    /// records per-event telemetry into its pre-allocated ring; when
-    /// disabled every tracer call is a branch, preserving the
-    /// zero-allocation steady state.
+    /// Flow tracer (disabled by default). For a flow it was armed for,
+    /// the kernel records per-event telemetry into its pre-allocated
+    /// ring; for any other flow every tracer call is a branch,
+    /// preserving the zero-allocation steady state.
     pub(crate) tracer: FlowTracer,
     /// Secure-plane buffers, used only by
     /// `CityExperiment::simulate_flow_secure_with`: the deterministic
@@ -398,7 +398,7 @@ impl DeliveryScratch {
     }
 
     /// Mutable access to the embedded flow tracer (used by callers to
-    /// set the next flow key or drain captured postmortems).
+    /// arm the next flow or drain captured postmortems).
     pub fn tracer_mut(&mut self) -> &mut FlowTracer {
         &mut self.tracer
     }

@@ -24,7 +24,7 @@ use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
 use citymesh_reference::{Action, ApAgent};
 use citymesh_simcore::{substream_seed, SimRng, SimTime};
-use citymesh_telemetry::TraceConfig;
+use citymesh_telemetry::{FlowSummary, TraceConfig};
 use proptest::prelude::*;
 
 /// The naive reference kernel (see the module docs).
@@ -462,7 +462,8 @@ fn healthy_and_general_instantiations_agree() {
             &mut rng_plain,
             &mut plain,
         );
-        traced.tracer_mut().begin_flow(flow.id);
+        traced.tracer_mut().trace_next(flow.id);
+        traced.tracer_mut().begin_flow();
         assert!(traced.tracer().is_active());
         let got = simulate_delivery_faulted(
             apg,
@@ -479,7 +480,19 @@ fn healthy_and_general_instantiations_agree() {
         simulated += 1;
     }
     assert!(simulated > 280);
-    assert!(traced.tracer().high_water() > 0, "the general loop traced");
+    // The last flow's trace is still open: close it and read its ring.
+    let tracer = traced.tracer_mut();
+    tracer.finish_flow(FlowSummary {
+        src: 0,
+        dst: 0,
+        delivered: true,
+        attempts: 1,
+        recovered_by: None,
+        broadcasts: 0,
+        latency_ns: None,
+    });
+    let last = tracer.take_postmortems();
+    assert!(!last[0].events.is_empty(), "the general loop traced");
     assert_eq!(traced.kernel_stats(), plain.kernel_stats());
 }
 

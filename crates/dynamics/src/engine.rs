@@ -457,8 +457,9 @@ pub fn try_run_churn(
 /// delivered through [`deliver_with_local_repair`] instead of the
 /// pipeline's ladder. Repair bills are per-worker tallies summed after
 /// the join (order-free `u64` adds). Reactive delivery does not feed
-/// the flow tracer, so its executors run with tracing off; failure
-/// forensics under churn come from the fleet strategies.
+/// the flow tracer, so its executors run with tracing off — which also
+/// means no flow is replayed and each bill counts its flow once;
+/// failure forensics under churn come from the fleet strategies.
 fn run_reactive_epoch(
     world: &CityExperiment,
     slice: &[FlowSpec],

@@ -15,7 +15,9 @@ use citymesh_core::{
     CityExperiment, DeliveryScratch, FlowOpts, PairOutcome, PlanScratch, PlannedFlow,
 };
 use citymesh_simcore::{substream_seed, SimRng};
-use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig};
+use citymesh_telemetry::{
+    metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig, TraceConfig,
+};
 
 use crate::cache::RouteCache;
 use crate::engine::FleetConfig;
@@ -97,15 +99,19 @@ pub fn merge_by_id<R>(mut parts: Vec<Vec<(u64, R)>>, flows: &[FlowSpec]) -> Vec<
 }
 
 /// One worker's flow pipeline: the planner scratch, the delivery
-/// scratch (tracing per [`TelemetryConfig`]), the worker's metric set,
-/// and the choices every flow shares (cache, seed, planner, plane).
+/// scratch, the worker's metric set, the trace retention policy, and
+/// the choices every flow shares (cache, seed, planner, plane).
 ///
 /// Per-flow RNG sub-streams make outcomes independent of which worker
 /// runs which flow, so the scratch reuse is invisible in every digest;
 /// a warm executor runs a cache-hit flow with zero heap allocations.
+/// The same sub-streams make a flow replayable, which is how it is
+/// traced: every flow runs untraced, and only one the policy keeps is
+/// simulated a second time with the tracer armed.
 pub struct FlowExecutor<'a> {
     cache: &'a RouteCache,
     cfg: FleetConfig,
+    trace: TraceConfig,
     plan_scratch: PlanScratch,
     scratch: DeliveryScratch,
     metrics: Option<MetricSet>,
@@ -119,6 +125,7 @@ impl<'a> FlowExecutor<'a> {
         FlowExecutor {
             cache,
             cfg: *cfg,
+            trace: tel.trace,
             plan_scratch: PlanScratch::new(),
             scratch: DeliveryScratch::with_tracing(tel.trace),
             metrics: tel.metrics.then(MetricSet::new),
@@ -151,25 +158,33 @@ impl<'a> FlowExecutor<'a> {
     }
 
     /// Delivers `flow` with `deliver(msg_id, rng, scratch)` and records
-    /// the outcome in the worker's metrics. `trace: false` tells the
-    /// tracer to leave this one flow inactive: same simulation, no
-    /// capture work. Traces are keyed by the flow's workload identity
-    /// (not the derived message id) so sampling and captures are stable
-    /// and schedule-independent.
+    /// the outcome in the worker's metrics.
+    ///
+    /// Trace by replay: the flow runs untraced, and when `trace` is set
+    /// and the retention policy ([`TraceConfig::keeps`]) keeps its
+    /// outcome, `deliver` runs once more from fresh copies of the same
+    /// sub-streams with the tracer armed under the flow's workload id.
+    /// A flow's outcome is a pure function of its plan, the world and
+    /// those streams, so the replay records exactly the flow that ran,
+    /// and captures are keyed by flow identity, never by scheduling.
+    /// `trace: false` (the stream engine's first degradation rung)
+    /// never replays. A `deliver` with side effects of its own runs
+    /// twice for a kept flow.
     pub fn deliver_with(
         &mut self,
         flow: &FlowSpec,
         trace: bool,
-        deliver: impl FnOnce(u64, &mut SimRng, &mut DeliveryScratch) -> PairOutcome,
+        mut deliver: impl FnMut(u64, &mut SimRng, &mut DeliveryScratch) -> PairOutcome,
     ) -> PairOutcome {
         let (msg_id, mut rng) = self.substreams(flow);
-        let tracer = self.scratch.tracer_mut();
-        if trace {
-            tracer.set_next_key(flow.id);
-        } else {
-            tracer.skip_next_flow();
-        }
         let outcome = deliver(msg_id, &mut rng, &mut self.scratch);
+        let (delivered, attempts) = (outcome.delivered, outcome.attempts);
+        if trace && self.trace.keeps(flow.id, delivered, attempts) {
+            let (msg_id, mut rng) = self.substreams(flow);
+            self.scratch.tracer_mut().trace_next(flow.id);
+            let replayed = deliver(msg_id, &mut rng, &mut self.scratch);
+            debug_assert_eq!(replayed, outcome, "flow {} replayed differently", flow.id);
+        }
         if let Some(m) = self.metrics.as_mut() {
             record_flow_metrics(m, &outcome);
         }
@@ -198,7 +213,7 @@ impl<'a> FlowExecutor<'a> {
         })
     }
 
-    /// Plan + simulate, traced, uncapped: the common case.
+    /// Plan + simulate, traceable, uncapped: the common case.
     pub fn run(&mut self, world: &CityExperiment, flow: &FlowSpec) -> PairOutcome {
         let plan = self.plan(world, flow);
         self.simulate(world, &plan, flow, true, None)
@@ -211,10 +226,11 @@ impl<'a> FlowExecutor<'a> {
     }
 
     /// Folds the worker's bookkeeping into its metric set and hands back
-    /// the set plus the captured postmortems. Tracer totals are sums and
-    /// maxima over flows, so they stay schedule-independent after the
-    /// worker-order merge; the hier-planner, ideal-hops, route-source,
-    /// detour and key-derivation counters are schedule-dependent like
+    /// the set plus the captured postmortems. The trace totals are read
+    /// off those postmortems (sums and maxima over kept flows), so they
+    /// stay schedule-independent after the worker-order merge; the
+    /// hier-planner, ideal-hops, route-source, detour and
+    /// key-derivation counters are schedule-dependent like
     /// the route cache's hit/miss totals (racing workers may
     /// double-plan, double-materialize or double-derive a pair, and
     /// whose request builds a source's or a destination's row is a
@@ -222,16 +238,18 @@ impl<'a> FlowExecutor<'a> {
     /// informational only and in no digest
     /// ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
+        let postmortems = self.scratch.tracer_mut().take_postmortems();
         if let Some(m) = self.metrics.as_mut() {
             m.add(tm::KEYS_DERIVED, self.scratch.keys_derived());
             let d = self.scratch.detour_stats();
             m.add(tm::LADDERS_MATERIALIZED, d.materialized);
             m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
             m.add(tm::DETOUR_SEARCHES, d.searches);
-            let tracer = self.scratch.tracer();
-            m.add(tm::POSTMORTEMS, tracer.captured());
-            m.add(tm::TRACE_DROPPED, tracer.dropped_total());
-            m.gauge_max(tm::TRACE_HIGH_WATER, tracer.high_water() as u64);
+            m.add(tm::POSTMORTEMS, postmortems.len() as u64);
+            let dropped = postmortems.iter().map(|p| p.dropped_events).sum();
+            m.add(tm::TRACE_DROPPED, dropped);
+            let ring_high = postmortems.iter().map(|p| p.events.len()).max();
+            m.gauge_max(tm::TRACE_HIGH_WATER, ring_high.unwrap_or(0) as u64);
             let h = self.plan_scratch.hier_stats();
             m.add(tm::HIER_QUERIES, h.queries);
             m.add(tm::HIER_DIRECT_ROUTES, h.direct_routes);
@@ -247,7 +265,6 @@ impl<'a> FlowExecutor<'a> {
             m.add(tm::ROUTES_FROM_ROWS, routes.from_rows);
             m.add(tm::ROUTE_SEARCHES, routes.searches);
         }
-        let postmortems = self.scratch.tracer_mut().take_postmortems();
         (self.metrics, postmortems)
     }
 }

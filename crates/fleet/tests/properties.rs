@@ -8,12 +8,12 @@ use citymesh_core::{
 };
 use citymesh_fleet::{
     generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, RouteCache,
-    WorkloadConfig,
+    WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
 };
 use citymesh_geo::{OrientedRect, Point, Segment};
 use citymesh_map::CityArchetype;
 use citymesh_simcore::{substream_seed, SimRng};
-use citymesh_telemetry::{TelemetryConfig, TraceConfig};
+use citymesh_telemetry::{metrics as tm, TelemetryConfig, TraceConfig};
 use proptest::prelude::*;
 
 /// One prepared world shared by all digest-invariance cases: building
@@ -180,18 +180,15 @@ proptest! {
     /// A reused traced scratch must capture exactly the trace a fresh
     /// scratch captures: ring reuse, the reused role vector,
     /// and leftover postmortem buffers may not bleed one flow's events
-    /// into the next. This mirrors the engine's per-flow protocol
-    /// (same sub-stream domains) with sample_every=1 so every flow is
-    /// captured and compared.
+    /// into the next. This mirrors the executor's replay (same
+    /// sub-stream domains, the tracer armed under the flow id) for every
+    /// flow, so every flow is captured and compared.
     #[test]
     fn scratch_reuse_does_not_perturb_traces(
         seed in any::<u64>(),
         flows in 8usize..24,
         failure_p in 0.1f64..0.4,
     ) {
-        // The engine's sub-stream domains (crates/fleet/src/engine.rs).
-        const DOMAIN_SIM: u64 = 0x51D3;
-        const DOMAIN_MSG: u64 = 0x3564;
         let mut scenario = FaultScenario::iid(failure_p);
         scenario.retry = RetryPolicy::ladder();
         let map = CityArchetype::SurveyDowntown.generate(3);
@@ -218,27 +215,82 @@ proptest! {
             let msg_id = substream_seed(seed, DOMAIN_MSG, flow.id);
 
             let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
-            reused.tracer_mut().set_next_key(flow.id);
+            reused.tracer_mut().trace_next(flow.id);
             let a = exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut reused);
 
             let mut fresh = DeliveryScratch::with_tracing(trace);
             let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
-            fresh.tracer_mut().set_next_key(flow.id);
+            fresh.tracer_mut().trace_next(flow.id);
             let b = exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut fresh);
 
             prop_assert_eq!(a, b, "outcome diverged between reused and fresh scratch");
             let captured_fresh = fresh.tracer_mut().take_postmortems();
-            prop_assert_eq!(captured_fresh.len(), 1, "sample_every=1 captures every flow");
-            // The reused tracer accumulates; its newest capture must
-            // equal the fresh tracer's only capture, events included.
-            let pm_reused = reused.tracer().postmortems().last().expect("capture");
-            prop_assert_eq!(pm_reused, &captured_fresh[0]);
+            prop_assert_eq!(captured_fresh.len(), 1, "an armed flow is captured");
+            let captured_reused = reused.tracer_mut().take_postmortems();
+            prop_assert_eq!(captured_reused, captured_fresh, "events included");
         }
-        prop_assert_eq!(
-            reused.tracer().postmortems().len(),
-            workload.len(),
-            "one capture per flow"
+    }
+
+    /// Trace by replay against trace by capture: the engine runs every
+    /// flow untraced and re-simulates the flows the policy keeps; the
+    /// reference traces every flow as it runs and applies the same
+    /// policy to what it recorded. The postmortem sets must be equal,
+    /// events included, at 1 and 3 workers, and the engine's trace
+    /// totals must be the reference set's own.
+    #[test]
+    fn replayed_traces_equal_tracing_every_flow(
+        seed in any::<u64>(),
+        flows in 24usize..60,
+        failure_p in 0.1f64..0.4,
+        sample_every in 0u64..9,
+    ) {
+        let mut scenario = FaultScenario::iid(failure_p);
+        scenario.retry = RetryPolicy::ladder();
+        let map = CityArchetype::SurveyDowntown.generate(3);
+        let exp = CityExperiment::prepare(
+            map,
+            ExperimentConfig {
+                seed,
+                faults: Some(scenario),
+                ..ExperimentConfig::default()
+            },
         );
+        let workload = generate_flows(
+            exp.map().len(),
+            &WorkloadConfig {
+                flows,
+                model: FlowModel::UniformPairs { rate_hz: 100.0 },
+                seed,
+            },
+        );
+        let tel = TelemetryConfig::full(sample_every);
+        let mut scratch = DeliveryScratch::with_tracing(tel.trace);
+        let mut reference = Vec::new();
+        for flow in &workload {
+            let plan = exp.plan_flow(flow.src, flow.dst);
+            let msg_id = substream_seed(seed, DOMAIN_MSG, flow.id);
+            let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
+            scratch.tracer_mut().trace_next(flow.id);
+            exp.simulate_flow_with(&plan, msg_id, &mut rng, &mut scratch);
+            reference.extend(
+                scratch
+                    .tracer_mut()
+                    .take_postmortems()
+                    .into_iter()
+                    .filter(|p| tel.trace.keeps(p.key, p.summary.delivered, p.summary.attempts)),
+            );
+        }
+        prop_assert!(reference.iter().any(|p| !p.summary.delivered), "a faulted run fails some flow");
+        for workers in [1usize, 3] {
+            let cfg = FleetConfig { workers, seed, ..FleetConfig::default() };
+            let t = try_run_fleet_traced(&exp, &workload, &cfg, &tel).unwrap().1.expect("telemetry requested");
+            prop_assert_eq!(&t.postmortems, &reference, "postmortems at {} workers", workers);
+            let m = &t.metrics;
+            prop_assert_eq!(m.counter(tm::POSTMORTEMS), reference.len() as u64);
+            prop_assert_eq!(m.counter(tm::TRACE_DROPPED), reference.iter().map(|p| p.dropped_events).sum::<u64>());
+            let high = reference.iter().map(|p| p.events.len() as u64).max().unwrap_or(0);
+            prop_assert_eq!(m.gauge(tm::TRACE_HIGH_WATER), high);
+        }
     }
 }
 

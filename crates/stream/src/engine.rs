@@ -968,8 +968,8 @@ fn serve(
                     // Rung 2 stops the retry ladder after the first
                     // send (the cap never reaches the planner, so the
                     // shared cache serves capped and uncapped flows
-                    // alike); rung 1 tells the executor's tracer to
-                    // leave the flow inactive — same simulation, no
+                    // alike); rung 1 tells the executor not to replay
+                    // the flow for a trace — same simulation, no
                     // capture work.
                     let plan = exec.plan(world, flow);
                     let cap = cap_retries.then_some(1);
@@ -1134,7 +1134,8 @@ mod tests {
     fn encrypted_stream_counts_every_key_derivation() {
         // One worker on a cold session cache derives exactly one key per
         // distinct unordered pair it admits — whether the flow was
-        // traced or rung 1 left it untraced.
+        // replayed for its trace (the replay finds its key cached) or
+        // rung 1 left it untraced.
         let mut exp = world(33);
         exp.enable_encryption();
         let flows = poisson_flows(&exp, 300, 5000.0, 33);

@@ -2,7 +2,8 @@
 //!
 //! Deterministic, zero-overhead-when-disabled observability for the
 //! citymesh stack: a static metric registry, a per-worker flow tracer
-//! with postmortem capture, and JSON / Prometheus exporters.
+//! that captures the flows it is armed for as postmortems, and JSON /
+//! Prometheus exporters.
 //!
 //! Three invariants govern the whole crate:
 //!
@@ -15,8 +16,8 @@
 //!    flow outcome, and fleet digest is bit-identical with tracing on
 //!    or off.
 //! 3. **Schedule independence.** All metric values are integers merged
-//!    in worker-id order, and trace capture/sampling is keyed by flow
-//!    identity — aggregate metrics, fingerprints, and postmortem sets
+//!    in worker-id order, and which flows are traced is decided by flow
+//!    identity and outcome ([`TraceConfig::keeps`]) — aggregate metrics, fingerprints, and postmortem sets
 //!    are identical across 1, 4, or 8 workers. (The few counters of
 //!    work racing workers may repeat — [`metrics::SCHEDULE_DEPENDENT`]
 //!    — are informational and outside the fingerprint.)

@@ -89,7 +89,7 @@ pub const EXHAUSTED: CounterId = CounterId(11);
 pub const UNROUTABLE: CounterId = CounterId(12);
 /// Postmortem traces captured.
 pub const POSTMORTEMS: CounterId = CounterId(13);
-/// Trace events evicted from full rings.
+/// Trace events evicted from full rings, over the captured flows.
 pub const TRACE_DROPPED: CounterId = CounterId(14);
 /// World-churn events applied to the live fault state.
 pub const EVENTS_APPLIED: CounterId = CounterId(15);
@@ -268,7 +268,7 @@ pub const COUNTERS: &[CounterDef] = &[
     },
     CounterDef {
         name: "trace_dropped_total",
-        help: "Trace events evicted from full rings",
+        help: "Trace events evicted from full rings of captured flows",
     },
     CounterDef {
         name: "churn_events_total",
@@ -376,7 +376,7 @@ pub const COUNTERS: &[CounterDef] = &[
     },
 ];
 
-/// Highest ring occupancy any tracer reached.
+/// Highest ring occupancy any captured flow reached.
 pub const TRACE_HIGH_WATER: GaugeId = GaugeId(0);
 /// Most attempts any single flow consumed.
 pub const MAX_ATTEMPTS: GaugeId = GaugeId(1);
@@ -389,7 +389,7 @@ pub const QUEUE_DEPTH_HIGH_WATER: GaugeId = GaugeId(2);
 pub const GAUGES: &[GaugeDef] = &[
     GaugeDef {
         name: "trace_ring_high_water",
-        help: "Highest tracer ring occupancy reached",
+        help: "Most ring events any captured flow held",
     },
     GaugeDef {
         name: "max_attempts_per_flow",

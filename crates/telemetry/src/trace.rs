@@ -1,14 +1,20 @@
-//! The flow tracer: a fixed-capacity ring buffer of structured events
-//! plus the postmortem capture policy.
+//! The flow tracer: a fixed-capacity ring buffer of structured events,
+//! filled for the flows it is told to trace.
 //!
 //! One [`FlowTracer`] lives inside each delivery scratch (one per
-//! fleet worker). The simulation kernel and the retry ladder push
-//! [`TraceEvent`]s into it as a flow executes; when the flow finishes,
-//! the tracer decides whether to *capture* the trace as a
-//! [`Postmortem`] — always for failed or retried flows, plus an
-//! every-Nth-flow steady-state sample. Capture is keyed off the flow's
-//! deterministic identity (its workload flow id), never off worker
-//! scheduling, so the captured set is identical on 1 worker or 8.
+//! fleet worker). It traces a flow only when armed for it beforehand
+//! ([`FlowTracer::trace_next`]); the simulation kernel and the retry
+//! ladder then push [`TraceEvent`]s into it as that flow executes, and
+//! [`FlowTracer::finish_flow`] copies the ring out as a [`Postmortem`].
+//!
+//! Which flows are worth a postmortem is not the tracer's call. The
+//! fleet's flow executor runs every flow untraced, asks
+//! [`TraceConfig::keeps`] of the outcome (failed, retried, or on the
+//! every-Nth sample by flow id), and re-simulates only a kept flow from
+//! its own RNG sub-stream with the tracer armed. A flow's outcome is a
+//! pure function of its plan, the world and that sub-stream, so the
+//! replay records exactly the flow that ran, and the captured set is
+//! identical on 1 worker or 8.
 //!
 //! Cost model:
 //!
@@ -16,10 +22,10 @@
 //!   [`FlowTracer::record`] are a load + branch; no memory is ever
 //!   allocated. The steady-state zero-allocation guarantee of the
 //!   delivery kernel is preserved bit for bit.
-//! * **enabled**: the ring is allocated once at construction and
-//!   recording is an indexed write — steady-state tracing allocates
-//!   nothing. Only a *capture* (failed / retried / sampled flow)
-//!   copies the ring out, and those are the flows worth paying for.
+//! * **enabled**: the ring is allocated once at construction. A flow
+//!   nobody armed records nothing, so the kernel runs it on its healthy
+//!   loop; only a kept flow pays, once for its replay and once for the
+//!   copy out of the ring.
 //!
 //! Tracing is observation only: it draws no randomness and feeds
 //! nothing back into the simulation, so every RNG sub-stream and every
@@ -172,8 +178,8 @@ impl FlowSummary {
 /// for post-hoc analysis of *why* a flow failed or which rung saved it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Postmortem {
-    /// Deterministic flow identity (the workload flow id under the
-    /// fleet engine; the message id elsewhere).
+    /// Deterministic flow identity: the key the tracer was armed with
+    /// (the workload flow id under the fleet engine).
     pub key: u64,
     /// Why this trace was kept.
     pub summary: FlowSummary,
@@ -267,8 +273,8 @@ fn event_json(ev: &TraceEvent) -> String {
 pub struct TraceConfig {
     /// Master switch; `false` makes every tracer call a no-op branch.
     pub enabled: bool,
-    /// Steady-state sampling: capture every flow whose key is a
-    /// multiple of this (0 = capture failures/retries only).
+    /// Steady-state sampling: keep every flow whose key is a multiple
+    /// of this (0 = keep failures/retries only).
     pub sample_every: u64,
     /// Ring capacity in events; allocated once at tracer construction.
     pub ring_capacity: usize,
@@ -290,7 +296,7 @@ impl TraceConfig {
         }
     }
 
-    /// Capture failed and retried flows only.
+    /// Keep failed and retried flows only.
     pub fn failures_only() -> Self {
         TraceConfig {
             enabled: true,
@@ -299,7 +305,7 @@ impl TraceConfig {
         }
     }
 
-    /// Capture failures/retries plus every `n`-th flow by key
+    /// Keep failures/retries plus every `n`-th flow by key
     /// (`n == 0` degrades to [`TraceConfig::failures_only`]).
     pub fn sampled(n: u64) -> Self {
         TraceConfig {
@@ -307,6 +313,16 @@ impl TraceConfig {
             sample_every: n,
             ring_capacity: DEFAULT_RING_CAPACITY,
         }
+    }
+
+    /// The retention policy: whether the flow keyed `key` is worth a
+    /// postmortem, judged from its outcome — it failed, needed more
+    /// than one attempt, or fell on the every-Nth sample. Keyed by flow
+    /// identity, never by scheduling. Always `false` when the tracer
+    /// this config builds could not record.
+    pub fn keeps(&self, key: u64, delivered: bool, attempts: u32) -> bool {
+        let sampled = self.sample_every > 0 && key.is_multiple_of(self.sample_every);
+        self.enabled && self.ring_capacity > 0 && (sampled || !delivered || attempts > 1)
     }
 }
 
@@ -349,192 +365,128 @@ impl TelemetryConfig {
 }
 
 /// The per-scratch flow tracer. See the module docs for the cost
-/// model; see [`FlowTracer::begin_flow`] / [`FlowTracer::record`] /
-/// [`FlowTracer::finish_flow`] for the per-flow protocol.
+/// model; the per-flow protocol is [`FlowTracer::trace_next`], then
+/// [`FlowTracer::begin_flow`] / [`FlowTracer::record`] /
+/// [`FlowTracer::finish_flow`].
 #[derive(Debug)]
 pub struct FlowTracer {
-    cfg: TraceConfig,
-    /// Ring storage; grows by `push` up to `cfg.ring_capacity` on the
-    /// first flows, then is written in place forever after.
+    /// Ring capacity in events; 0 when disabled.
+    capacity: usize,
+    /// Ring storage; grows by `push` up to `capacity` on the first
+    /// traced flows, then is written in place forever after.
     ring: Vec<TraceEvent>,
     /// Index of the oldest live event.
     start: usize,
     /// Live event count (≤ capacity).
     len: usize,
     /// Events evicted from the ring during the current flow.
-    dropped_flow: u64,
-    dropped_total: u64,
-    high_water: usize,
-    /// A flow is being traced (between `begin_flow` and `finish_flow`).
-    active: bool,
-    sampled: bool,
-    key: u64,
-    next_key: Option<u64>,
-    /// The next `begin_flow` leaves its flow inactive.
-    skip_next: bool,
+    dropped: u64,
+    /// The key of the flow being traced, between `begin_flow` and
+    /// `finish_flow`.
+    active: Option<u64>,
+    /// The key the next `begin_flow` traces under, set by `trace_next`.
+    next: Option<u64>,
     postmortems: Vec<Postmortem>,
-    captured: u64,
 }
 
 impl Default for FlowTracer {
     fn default() -> Self {
-        FlowTracer::disabled()
+        FlowTracer::new(TraceConfig::off())
     }
 }
 
 impl FlowTracer {
-    /// A tracer that never records and never allocates.
-    pub fn disabled() -> Self {
-        FlowTracer::new(TraceConfig::off())
-    }
-
     /// Builds a tracer, pre-allocating the ring when enabled so that
     /// recording is allocation-free from the first event on.
     pub fn new(cfg: TraceConfig) -> Self {
         let capacity = if cfg.enabled { cfg.ring_capacity } else { 0 };
         FlowTracer {
-            cfg: TraceConfig {
-                ring_capacity: capacity,
-                ..cfg
-            },
+            capacity,
             ring: Vec::with_capacity(capacity),
             start: 0,
             len: 0,
-            dropped_flow: 0,
-            dropped_total: 0,
-            high_water: 0,
-            active: false,
-            sampled: false,
-            key: 0,
-            next_key: None,
-            skip_next: false,
+            dropped: 0,
+            active: None,
+            next: None,
             postmortems: Vec::new(),
-            captured: 0,
         }
     }
 
     /// Whether this tracer can ever record.
     pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled && self.cfg.ring_capacity > 0
+        self.capacity > 0
     }
 
     /// Whether a flow is being traced: between a `begin_flow` that
-    /// activated it and its `finish_flow`.
+    /// [`FlowTracer::trace_next`] armed and its `finish_flow`.
     pub fn is_active(&self) -> bool {
-        self.active
+        self.active.is_some()
     }
 
-    /// The configuration this tracer was built with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
-    }
-
-    /// Overrides the key of the *next* `begin_flow` (the fleet engine
-    /// sets the workload flow id here so captures and sampling are
-    /// keyed by flow identity, not by the message id).
-    pub fn set_next_key(&mut self, key: u64) {
-        if self.cfg.enabled {
-            self.next_key = Some(key);
+    /// Arms the *next* `begin_flow` to trace its flow under `key` (the
+    /// fleet executor passes the workload flow id, so postmortems are
+    /// keyed by flow identity, not by the message id). Every other flow
+    /// records nothing. No-op when disabled.
+    pub fn trace_next(&mut self, key: u64) {
+        if self.is_enabled() {
+            self.next = Some(key);
         }
     }
 
-    /// Leaves the *next* `begin_flow` inactive, the way
-    /// [`FlowTracer::set_next_key`] names it: that flow records and
-    /// captures nothing (the stream engine's first degradation rung).
-    pub fn skip_next_flow(&mut self) {
-        self.skip_next = self.cfg.enabled;
-    }
-
-    /// Starts tracing one flow under `fallback_key` (used when no
-    /// [`FlowTracer::set_next_key`] is pending). No-op when disabled or
-    /// told to skip the flow.
-    pub fn begin_flow(&mut self, fallback_key: u64) {
-        let key = self.next_key.take().unwrap_or(fallback_key);
-        if !self.is_enabled() || std::mem::take(&mut self.skip_next) {
-            return;
-        }
-        self.key = key;
-        self.sampled = self.cfg.sample_every > 0 && self.key.is_multiple_of(self.cfg.sample_every);
+    /// Starts tracing one flow when [`FlowTracer::trace_next`] armed
+    /// it; otherwise the flow stays inactive.
+    pub fn begin_flow(&mut self) {
+        self.active = self.next.take();
         self.start = 0;
         self.len = 0;
-        self.dropped_flow = 0;
-        self.active = true;
+        self.dropped = 0;
     }
 
     /// Appends one event to the active flow's ring; evicts the oldest
     /// event when full. No-op (a branch) when no flow is active.
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        if !self.active {
+        if self.active.is_none() {
             return;
         }
-        let cap = self.cfg.ring_capacity;
-        if self.len < cap {
-            let pos = (self.start + self.len) % cap;
-            if pos == self.ring.len() {
+        if self.len < self.capacity {
+            // Not wrapped yet this flow, so `start` is 0.
+            if self.len == self.ring.len() {
                 self.ring.push(ev); // first fill only; capacity reserved
             } else {
-                self.ring[pos] = ev;
+                self.ring[self.len] = ev;
             }
             self.len += 1;
-            self.high_water = self.high_water.max(self.len);
         } else {
             self.ring[self.start] = ev;
-            self.start = (self.start + 1) % cap;
-            self.dropped_flow += 1;
+            self.start += 1;
+            if self.start == self.capacity {
+                self.start = 0;
+            }
+            self.dropped += 1;
         }
     }
 
-    /// Ends the active flow and captures a [`Postmortem`] when the
-    /// retention policy says so: the flow failed, needed more than one
-    /// attempt, or fell on the every-Nth sample. Returns whether a
-    /// capture happened. No-op when no flow is active.
-    pub fn finish_flow(&mut self, summary: FlowSummary) -> bool {
-        if !self.active {
-            return false;
-        }
-        self.active = false;
-        self.dropped_total += self.dropped_flow;
-        let keep = self.sampled || !summary.delivered || summary.attempts > 1;
-        if !keep {
-            return false;
-        }
-        let events = (0..self.len)
-            .map(|i| self.ring[(self.start + i) % self.cfg.ring_capacity])
-            .collect();
+    /// Ends the active flow and captures its trace as a [`Postmortem`]
+    /// headed by `summary`. No-op when no flow is active.
+    pub fn finish_flow(&mut self, summary: FlowSummary) {
+        let Some(key) = self.active.take() else {
+            return;
+        };
+        let mut events = Vec::with_capacity(self.len);
+        events.extend_from_slice(&self.ring[self.start..self.len]);
+        events.extend_from_slice(&self.ring[..self.start]);
         self.postmortems.push(Postmortem {
-            key: self.key,
+            key,
             summary,
-            dropped_events: self.dropped_flow,
+            dropped_events: self.dropped,
             events,
         });
-        self.captured += 1;
-        true
     }
 
     /// Drains every postmortem captured so far.
     pub fn take_postmortems(&mut self) -> Vec<Postmortem> {
         std::mem::take(&mut self.postmortems)
-    }
-
-    /// Captured postmortems awaiting [`FlowTracer::take_postmortems`].
-    pub fn postmortems(&self) -> &[Postmortem] {
-        &self.postmortems
-    }
-
-    /// Total captures over the tracer's lifetime.
-    pub fn captured(&self) -> u64 {
-        self.captured
-    }
-
-    /// Total events evicted from the ring over the tracer's lifetime.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_total
-    }
-
-    /// Highest ring occupancy ever reached.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -556,46 +508,44 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_inert() {
-        let mut t = FlowTracer::disabled();
-        t.begin_flow(7);
+        let mut t = FlowTracer::default();
+        t.trace_next(7);
+        t.begin_flow();
+        assert!(!t.is_active());
         t.record(TraceEvent::Broadcast { ap: 1, at_ns: 0 });
-        assert!(!t.finish_flow(summary(false, 3)));
-        assert!(t.postmortems().is_empty());
-        assert_eq!(t.high_water(), 0);
+        t.finish_flow(summary(false, 3));
+        assert!(t.take_postmortems().is_empty());
         assert_eq!(t.ring.capacity(), 0, "disabled tracer must not allocate");
     }
 
     #[test]
-    fn failures_and_retries_are_always_captured() {
-        let mut t = FlowTracer::new(TraceConfig::failures_only());
-        // Clean first-try delivery: not captured.
-        t.begin_flow(1);
-        t.record(TraceEvent::Broadcast { ap: 0, at_ns: 0 });
-        assert!(!t.finish_flow(summary(true, 1)));
-        // Failure: captured.
-        t.begin_flow(2);
-        t.record(TraceEvent::AttemptFailed {
-            attempt: 1,
-            broadcasts: 4,
-        });
-        assert!(t.finish_flow(summary(false, 1)));
-        // Retried delivery: captured.
-        t.begin_flow(3);
-        assert!(t.finish_flow(summary(true, 2)));
-        assert_eq!(t.captured(), 2);
-        assert_eq!(t.postmortems()[0].key, 2);
-        assert_eq!(t.postmortems()[1].key, 3);
+    fn failures_and_retries_are_always_kept() {
+        let cfg = TraceConfig::failures_only();
+        assert!(!cfg.keeps(1, true, 1), "a clean first-try delivery is not");
+        assert!(cfg.keeps(2, false, 1), "a failure is");
+        assert!(cfg.keeps(3, true, 2), "a retried delivery is");
+        assert!(cfg.keeps(4, false, 0), "an unroutable flow is");
+        assert!(
+            !TraceConfig::off().keeps(5, false, 1),
+            "nothing is kept when off"
+        );
+        let no_ring = TraceConfig {
+            ring_capacity: 0,
+            ..cfg
+        };
+        assert!(
+            !no_ring.keeps(6, false, 1),
+            "nor without a ring to record in"
+        );
     }
 
     #[test]
     fn sampling_is_keyed_not_scheduled() {
-        let mut t = FlowTracer::new(TraceConfig::sampled(10));
-        for key in [5u64, 10, 15, 20, 25] {
-            t.begin_flow(key);
-            t.record(TraceEvent::Broadcast { ap: 0, at_ns: 0 });
-            t.finish_flow(summary(true, 1));
-        }
-        let keys: Vec<u64> = t.postmortems().iter().map(|p| p.key).collect();
+        let cfg = TraceConfig::sampled(10);
+        let keys: Vec<u64> = [5u64, 10, 15, 20, 25]
+            .into_iter()
+            .filter(|&key| cfg.keeps(key, true, 1))
+            .collect();
         assert_eq!(keys, vec![10, 20], "keys divisible by 10 are sampled");
     }
 
@@ -606,15 +556,17 @@ mod tests {
             sample_every: 1,
             ring_capacity: 4,
         });
-        t.begin_flow(0);
+        t.trace_next(0);
+        t.begin_flow();
         for i in 0..10u32 {
             t.record(TraceEvent::Broadcast {
                 ap: i,
                 at_ns: i as u64,
             });
         }
-        assert!(t.finish_flow(summary(true, 1)));
-        let p = &t.postmortems()[0];
+        t.finish_flow(summary(true, 1));
+        let pms = t.take_postmortems();
+        let p = &pms[0];
         assert_eq!(p.dropped_events, 6);
         assert_eq!(p.events.len(), 4);
         // The ring keeps the newest events, oldest first.
@@ -627,8 +579,6 @@ mod tests {
             })
             .collect();
         assert_eq!(aps, vec![6, 7, 8, 9]);
-        assert_eq!(t.dropped_total(), 6);
-        assert_eq!(t.high_water(), 4);
     }
 
     #[test]
@@ -639,7 +589,8 @@ mod tests {
             ring_capacity: 8,
         });
         for flow in 0..5u64 {
-            t.begin_flow(flow);
+            t.trace_next(flow);
+            t.begin_flow();
             for i in 0..20u32 {
                 t.record(TraceEvent::Duplicate {
                     ap: i,
@@ -653,15 +604,19 @@ mod tests {
     }
 
     #[test]
-    fn next_key_overrides_fallback_once() {
+    fn only_an_armed_flow_is_traced() {
         let mut t = FlowTracer::new(TraceConfig::sampled(1));
-        t.set_next_key(42);
-        t.begin_flow(999);
+        t.trace_next(42);
+        t.begin_flow();
+        assert!(t.is_active());
         t.finish_flow(summary(true, 1));
-        t.begin_flow(1000);
-        t.finish_flow(summary(true, 1));
-        let keys: Vec<u64> = t.postmortems().iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![42, 1000]);
+        // Nobody armed this one: it records and captures nothing.
+        t.begin_flow();
+        assert!(!t.is_active());
+        t.record(TraceEvent::Broadcast { ap: 0, at_ns: 0 });
+        t.finish_flow(summary(false, 4));
+        let keys: Vec<u64> = t.take_postmortems().iter().map(|p| p.key).collect();
+        assert_eq!(keys, vec![42]);
     }
 
     #[test]
