@@ -19,8 +19,6 @@
 //!   proactive and AODV-style reactive protocols, used in the N-sweep
 //!   scaling comparison (CityMesh's control traffic is identically
 //!   zero).
-//! * [`ideal`] — the BFS ideal-unicast path: the lower bound that
-//!   anchors the paper's overhead metric.
 //! * [`reactive`] — Babel/QSPN-style reactive local repair: on a
 //!   failure notification, splice a detour around the first dark
 //!   building instead of re-planning end-to-end — the churn
@@ -32,13 +30,11 @@
 pub mod face;
 pub mod flooding;
 pub mod greedy;
-pub mod ideal;
 pub mod manet;
 pub mod reactive;
 
 pub use face::{gabriel_adjacency, gpsr_route, gpsr_route_on, GpsrOutcome};
 pub use flooding::{flood, FloodOutcome};
 pub use greedy::{greedy_route, GreedyOutcome, GreedyPolicy};
-pub use ideal::{ideal_path, IdealPath};
 pub use manet::{aodv_discovery_cost, dsdv_update_cost, olsr_update_cost, ManetScale};
 pub use reactive::{deliver_with_local_repair, RepairOutcome};

@@ -59,11 +59,12 @@ pub fn olsr_update_cost(scale: ManetScale) -> u64 {
 }
 
 /// AODV-style reactive cost for **one** route discovery: the route
-/// request floods the network (every node rebroadcasts once — N
-/// transmissions) and the reply unicasts back along ≤ diameter hops.
+/// request is flooded through the network (every node rebroadcasts
+/// once — N transmissions) and the reply unicasts back along ≤ diameter
+/// hops.
 ///
 /// Per discovery the cost is **O(N)**; a city where everyone opens a
-/// conversation pays `O(N)` floods *per flow*, which is the "burst of
+/// conversation pays an `O(N)` flood *per flow*, which is the "burst of
 /// control packets … quickly wasting the bandwidth" the paper
 /// describes.
 pub fn aodv_discovery_cost(scale: ManetScale) -> u64 {

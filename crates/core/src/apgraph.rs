@@ -247,8 +247,8 @@ impl ApGraph {
     /// landmark-guided search over the audience rows toward the
     /// building's APs as one target set ([`HopLandmarks::hops_to_set`]):
     /// a few hundred settled APs instead of most of the city, no
-    /// allocation once warm. The sixteenth floods the city once from
-    /// those APs ([`hops_to_set_row`]) and keeps the result as the
+    /// allocation once warm. The sixteenth runs one flood of the city
+    /// from those APs ([`hops_to_set_row`]) and keeps the result as the
     /// destination's row — the one allocation — and every query after it
     /// is one load. Search and row both give exactly the count a BFS
     /// from `src` reports on first touching the building, so which of
@@ -440,8 +440,8 @@ mod tests {
         };
         assert!((0..15).all(|i| ask(&g, i) == (0, 0)));
         assert_eq!((g.hop_rows_built(), g.memory_bytes()), (0, empty));
-        // The sixteenth floods and reads; everything after reads, a
-        // clone included.
+        // The sixteenth builds the row and reads it; everything after
+        // reads, a clone included.
         assert_eq!(ask(&g, 15), (1, 1));
         assert_eq!((g.hop_rows_built(), g.memory_bytes()), (1, empty + 5 * 2));
         let twin = g.clone();

@@ -144,10 +144,10 @@ pub struct ExperimentConfig {
     pub delivery_pairs: usize,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
-    /// Optional fault scenario (AP outages, blackouts, degradation,
-    /// map staleness) plus the sender's recovery ladder. `None` — the
-    /// default — is the healthy world and leaves every RNG stream and
-    /// fleet digest untouched.
+    /// Optional fault scenario (AP outages, blackouts, degradation)
+    /// plus the sender's recovery ladder. `None` — the default — is the
+    /// healthy world and leaves every RNG stream and fleet digest
+    /// untouched.
     pub faults: Option<FaultScenario>,
 }
 

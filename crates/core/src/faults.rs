@@ -17,10 +17,11 @@
 //! * **degraded-AP mode** — APs that still run but drop an elevated
 //!   fraction of frames (brown-outs, battery backup, damaged
 //!   antennas);
-//! * **map staleness** — the sender plans routes on the cached map
-//!   while ground truth has failed APs (the paper's static-map
-//!   assumption under stress). With a *fresh* map the planner routes
-//!   around dead buildings up front.
+//!
+//! Whatever fails, the sender plans on the cached city map — the only
+//! shared knowledge the paper assumes — so a plan's route and conduits
+//! never depend on the fault state; only the replan rung below sees
+//! which buildings went dark.
 //!
 //! A [`FaultScenario`] is pure configuration. [`FaultState`] is its
 //! materialization against one concrete AP placement, drawn from
@@ -56,7 +57,8 @@ pub const DOMAIN_FAULT_DEGRADE: u64 = 0xDE64;
 /// 3. **widen** the conduit by [`RetryPolicy::widen_factor`], reusing
 ///    the cached waypoints (recruits off-spine APs around dead ones);
 /// 4. **replan** over the surviving building graph, detouring around
-///    buildings with zero live APs (recovers from a stale map).
+///    buildings with zero live APs (recovers from a cached map that no
+///    longer matches the world).
 ///
 /// `max_attempts` caps the total number of sends; rungs whose
 /// geometry is unavailable (nothing to widen to, no surviving detour)
@@ -159,11 +161,6 @@ pub struct FaultScenario {
     /// Extra per-frame reception loss at a degraded AP, combined with
     /// the medium's base loss as `1 − (1−base)(1−extra)`.
     pub degraded_loss: f64,
-    /// When true (the paper's assumption under stress), the sender
-    /// plans on the cached pre-disaster map and only the *replan*
-    /// rung sees the surviving graph. When false the sender has a
-    /// fresh map and routes around dark buildings from the start.
-    pub stale_map: bool,
     /// The sender's recovery ladder.
     pub retry: RetryPolicy,
 }
@@ -176,7 +173,6 @@ impl Default for FaultScenario {
             blackout_radius_m: 0.0,
             degraded_p: 0.0,
             degraded_loss: 0.0,
-            stale_map: true,
             retry: RetryPolicy::none(),
         }
     }
@@ -256,7 +252,6 @@ pub struct FaultState {
     failed: usize,
     degraded: usize,
     retry: RetryPolicy,
-    stale_map: bool,
     blackout_centers: Vec<Point>,
     /// Monotone world-mutation counter: 0 at materialization, bumped
     /// by [`FaultState::apply_health`] every time a churn event lands.
@@ -318,7 +313,7 @@ impl FaultState {
     /// counterpart of the stochastic [`materialize`]: kill exactly the
     /// APs in `failed_aps`, leave everything else up. Dark buildings
     /// are derived from the casualty list the same way materialization
-    /// does; the sender plans on a stale map (it does not know who
+    /// does; the sender plans on the cached map (it does not know who
     /// died). An empty list is the healthy baseline.
     ///
     /// # Errors
@@ -370,7 +365,6 @@ impl FaultState {
             census,
             degraded_loss: scenario.degraded_loss,
             retry: scenario.retry,
-            stale_map: scenario.stale_map,
             blackout_centers,
             epoch: 0,
         })
@@ -516,11 +510,6 @@ impl FaultState {
         touched.dedup();
         self.epoch += 1;
         applied
-    }
-
-    /// Whether senders plan on the stale (pre-disaster) map.
-    pub fn stale_map(&self) -> bool {
-        self.stale_map
     }
 
     /// Materialized blackout disc centers (for rendering).

@@ -17,24 +17,23 @@
 //! arc weights are true shortest-path costs, so the hierarchical route
 //! cost equals the flat-optimal cost (proptested in
 //! `tests/hier_props.rs` and, against an independent Dijkstra, in
-//! `tests/route_oracle.rs`). Fault handling mirrors
-//! [`crate::route::plan_route_avoiding_into`]: blocked buildings are
-//! excluded (endpoints exempt) by the same [`Survivors`] mask and
-//! labels, and districts containing blocked buildings are searched on
-//! the fly instead of trusting their tables.
+//! `tests/route_oracle.rs`). The hierarchy plans on the healthy map
+//! only — the sender always plans on the cached city map — so every
+//! district's table is trusted; a detour around dark buildings is a
+//! flat search over [`crate::route::Survivors`], whichever planner drew
+//! the primary route.
 
 use citymesh_graph::{HierParams, HierScratch, HierStats, Hierarchy, Partition};
 
 use crate::buildgraph::BuildingGraph;
-use crate::route::{check_endpoints, RouteError, Survivors};
+use crate::route::{check_endpoints, RouteError};
 
-/// Reusable state for hierarchical planning: the overlay/endpoint
-/// search scratch plus the per-query dirty-district list. One per
-/// worker; a warm caller plans with zero heap allocations.
+/// Reusable state for hierarchical planning: the overlay search and
+/// route-assembly scratch. One per worker; a warm caller plans with
+/// zero heap allocations.
 #[derive(Clone, Debug, Default)]
 pub struct HierPlanScratch {
     search: HierScratch,
-    dirty: Vec<u32>,
 }
 
 impl HierPlanScratch {
@@ -44,16 +43,9 @@ impl HierPlanScratch {
     }
 
     /// Cumulative query counters (never reset by the planner) — the
-    /// telemetry feed for overlay work and fault rescans.
+    /// telemetry feed for overlay work.
     pub fn stats(&self) -> HierStats {
         self.search.stats
-    }
-
-    /// Whole-district searches run at query time, cumulative
-    /// ([`HierScratch::floods`]): zero until a plan avoids a blocked
-    /// building.
-    pub fn floods(&self) -> u64 {
-        self.search.floods
     }
 }
 
@@ -61,9 +53,8 @@ impl HierPlanScratch {
 ///
 /// Built once per experiment (partitioning and overlay construction
 /// allocate; queries do not) and queried through
-/// [`plan_route_into`](HierPlanner::plan_route_into) /
-/// [`plan_route_avoiding_into`](HierPlanner::plan_route_avoiding_into),
-/// which mirror the flat planner's error contract exactly. Routes are
+/// [`plan_route_into`](HierPlanner::plan_route_into), which mirrors
+/// the flat planner's error contract exactly. Routes are
 /// cost-optimal: equal to flat Dijkstra cost, with the crate-wide
 /// canonical tie-break (ties resolve toward the direct same-district
 /// route, then toward smaller parent ids).
@@ -131,83 +122,16 @@ impl HierPlanner {
         scratch: &mut HierPlanScratch,
         out: &mut Vec<u32>,
     ) -> Result<(), RouteError> {
-        self.plan(bg, src, dst, None, scratch, out)
-    }
-
-    /// Hierarchical counterpart of
-    /// [`crate::route::plan_route_avoiding_into`]: every blocked
-    /// building of `survivors` is treated as unusable (endpoints
-    /// exempt), a pair its labels say no surviving route connects is
-    /// refused before any search, and every district containing a
-    /// blocked building is searched on the fly instead of read from its
-    /// precomputed table.
-    ///
-    /// # Errors
-    /// Same contract as [`crate::route::plan_route_avoiding_into`];
-    /// `out` is left cleared on error.
-    pub fn plan_route_avoiding_into(
-        &self,
-        bg: &BuildingGraph,
-        src: u32,
-        dst: u32,
-        survivors: &Survivors,
-        scratch: &mut HierPlanScratch,
-        out: &mut Vec<u32>,
-    ) -> Result<(), RouteError> {
-        let survivors = Some(survivors).filter(|s| !s.blocked().is_empty());
-        self.plan(bg, src, dst, survivors, scratch, out)
-    }
-
-    /// The query both entry points share; `survivors: None` is the
-    /// healthy world, where every district's table is trusted.
-    fn plan(
-        &self,
-        bg: &BuildingGraph,
-        src: u32,
-        dst: u32,
-        survivors: Option<&Survivors>,
-        scratch: &mut HierPlanScratch,
-        out: &mut Vec<u32>,
-    ) -> Result<(), RouteError> {
         out.clear();
         check_endpoints(bg, src, dst)?;
-        let no_path = Err(RouteError::NoPredictedPath { src, dst });
         let lb = |a: u32, b: u32| bg.cost_lower_bound(a, b);
-        let found = match survivors {
-            None => self.hierarchy.plan_path_into(
-                bg.graph(),
-                src,
-                dst,
-                lb,
-                |_| true,
-                &[],
-                &mut scratch.search,
-                out,
-            ),
-            Some(s) => {
-                if !s.connects(bg, src, dst) {
-                    return no_path;
-                }
-                let part = self.hierarchy.partition();
-                let districts = s.blocked().iter().map(|&b| part.district_of(b));
-                scratch.dirty.clear();
-                scratch.dirty.extend(districts);
-                self.hierarchy.plan_path_into(
-                    bg.graph(),
-                    src,
-                    dst,
-                    lb,
-                    |v| !s.is_blocked(v),
-                    &scratch.dirty,
-                    &mut scratch.search,
-                    out,
-                )
-            }
-        };
-        if found {
+        if self
+            .hierarchy
+            .plan_path_into(bg.graph(), src, dst, lb, &mut scratch.search, out)
+        {
             Ok(())
         } else {
-            no_path
+            Err(RouteError::NoPredictedPath { src, dst })
         }
     }
 }
@@ -271,37 +195,6 @@ mod tests {
             }
         }
         assert!(hs.stats().queries >= 4);
-    }
-
-    #[test]
-    fn hier_cost_matches_flat_with_blocked_buildings() {
-        let bg = downtown_bg();
-        let planner = HierPlanner::build(
-            &bg,
-            &HierParams {
-                target_district_size: 48,
-                ..HierParams::default()
-            },
-        );
-        let n = bg.len() as u32;
-        let (src, dst) = (1, n - 2);
-        let blocked = Survivors::new(
-            &bg,
-            (0..n).filter(|v| v % 13 == 5 && *v != src && *v != dst),
-        );
-        let mut hs = HierPlanScratch::new();
-        let mut fs = PlannerScratch::new();
-        let (mut hier_route, mut flat_route) = (Vec::new(), Vec::new());
-        let h = planner.plan_route_avoiding_into(&bg, src, dst, &blocked, &mut hs, &mut hier_route);
-        let f = route::plan_route_avoiding_into(&bg, src, dst, &blocked, &mut fs, &mut flat_route);
-        assert_eq!(h.is_ok(), f.is_ok());
-        if h.is_ok() {
-            assert!(hier_route[1..hier_route.len() - 1]
-                .iter()
-                .all(|&v| !blocked.is_blocked(v)));
-            assert_cost_eq(route_cost(&bg, &hier_route), route_cost(&bg, &flat_route));
-            assert!(hs.stats().dirty_rescans > 0, "faults must force rescans");
-        }
     }
 
     #[test]

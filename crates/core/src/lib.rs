@@ -34,8 +34,8 @@
 //! * [`sim`] — the event-driven broadcast simulation measuring
 //!   deliverability and transmission overhead.
 //! * [`faults`] — deterministic fault injection (AP outages, district
-//!   blackouts, degraded radios, stale maps) and the sender's
-//!   graceful-degradation retry ladder.
+//!   blackouts, degraded radios) and the sender's graceful-degradation
+//!   retry ladder.
 //! * [`secure`] — the secure message plane: deterministic per-building
 //!   keypairs (`NodeId = SHA-256(pubkey)`), the amortized per-pair
 //!   session-key cache, and key rotation with churn-style session

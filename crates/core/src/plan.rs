@@ -17,9 +17,7 @@ use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 use crate::conduit::{compress_route_into, reconstruct_conduits_into, CoveredSet};
 use crate::faults::FaultState;
 use crate::hier::{HierPlanScratch, HierPlanner};
-use crate::route::{
-    plan_route_avoiding_into, plan_route_counted, search_avoiding, RouteStats, Survivors,
-};
+use crate::route::{plan_route_counted, search_avoiding, RouteStats, Survivors};
 use crate::sim::{placeholder_header, DetourScratch};
 use crate::world::CityExperiment;
 
@@ -151,8 +149,8 @@ pub(crate) struct RecoveryVariants {
     /// rectangles, clamped to the header-encodable maximum.
     pub(crate) wide_covered: CoveredSet,
     /// Waypoints of the replanned detour around buildings with zero
-    /// live APs (empty when the ladder never replans, the map is
-    /// fresh, or no distinct detour exists).
+    /// live APs (empty when the ladder never replans, nothing is dark,
+    /// or no distinct detour exists).
     pub(crate) fallback_waypoints: Vec<u32>,
     /// The buildings the replanned detour's conduits cover.
     pub(crate) fallback_covered: CoveredSet,
@@ -282,10 +280,9 @@ impl PlanScratch {
     }
 
     /// Cumulative flat-planner counters accumulated by this scratch:
-    /// healthy, stale-map plans answered from a source's shortest-path
-    /// row, answered by search, and the rows those plans built.
-    /// All-zero for a scratch that only planned hierarchically or on a
-    /// fresh map.
+    /// plans answered from a source's shortest-path row, answered by
+    /// search, and the rows those plans built. All-zero for a scratch
+    /// that only planned hierarchically.
     pub fn route_stats(&self) -> RouteStats {
         self.routes
     }
@@ -382,27 +379,18 @@ impl CityExperiment {
         let target = self.delivery_target(dst);
         plan.redirect = (target != dst).then_some(target);
         plan.reachable = self.reachable(src, target);
-        let faults = self.fault_state();
-        // Plan over the map the sender believes in: the cached
-        // pre-disaster graph when the map is stale (the paper's
-        // static-map assumption under stress), the surviving graph —
-        // dark buildings avoided — when it is fresh.
-        let fresh = faults.is_some_and(|f| !f.stale_map());
-        let survivors = self.survivors().filter(|_| fresh);
+        // The sender plans on the cached city map, whatever has failed
+        // since, so the route and what is derived from it — waypoints,
+        // header, conduits, covered set — never depend on the fault
+        // state; only the source AP and ideal hops below read it.
         let (bg, route) = (self.building_graph(), &mut scratch.route);
-        let routed = match (hier, survivors) {
-            (None, None) => {
+        let routed = match hier {
+            None => {
                 let (search, stats) = (&mut scratch.search, &mut scratch.routes);
                 plan_route_counted(bg, src, target, search, route, stats).is_ok()
             }
-            (None, Some(s)) => {
-                plan_route_avoiding_into(bg, src, target, s, &mut scratch.search, route).is_ok()
-            }
-            (Some(h), None) => h
+            Some(h) => h
                 .plan_route_into(bg, src, target, &mut scratch.hier, route)
-                .is_ok(),
-            (Some(h), Some(s)) => h
-                .plan_route_avoiding_into(bg, src, target, s, &mut scratch.hier, route)
                 .is_ok(),
         };
         if !routed {
@@ -445,7 +433,7 @@ impl CityExperiment {
         // Keep the uncompressed route for the lazy replan rung's
         // detour comparison; the ladder geometry itself is deferred
         // until a simulation actually climbs that far.
-        if faults.is_some() {
+        if self.fault_state().is_some() {
             plan.replan_route.extend_from_slice(&scratch.route);
         }
     }
@@ -504,11 +492,10 @@ impl CityExperiment {
             rec.wide_covered.compute(map, &d.conduits, marks);
         }
         // Replan rung: detour around buildings with zero live APs.
-        // Only meaningful when the primary plan was drawn on a
-        // stale map and a genuinely different detour survives. The
-        // comparison runs against the *uncompressed* primary route
+        // Only meaningful when a genuinely different detour survives.
+        // The comparison runs against the *uncompressed* primary route
         // the plan kept for exactly this purpose.
-        if policy.max_attempts >= 4 && faults.stale_map() && !survivors.blocked().is_empty() {
+        if policy.max_attempts >= 4 && !survivors.blocked().is_empty() {
             let (src, dst) = (plan.src, plan.delivery_dst());
             // A destination walled in by dark buildings is the common
             // failure here, and a search only learns it by exhausting

@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn dirty_scratch_cannot_leak_seen_or_role_state() {
         let (map, apg, bg, aps) = street();
-        // Flow A floods the whole street and marks most APs as relays,
+        // Flow A reaches the whole street and marks most APs as relays,
         // leaving msg_id 777 "seen" at every AP it reached.
         let header_a = route_header(&bg, 0, 9);
         let src_a = postbox_ap(&aps, &map, 0).unwrap();

@@ -265,7 +265,7 @@ proptest! {
     /// Planning into one dirtied `PlanScratch` + reused `PlannedFlow`
     /// is field-for-field equivalent to a fresh `plan_flow`, and the
     /// resulting plans simulate identically draw-for-draw — including
-    /// under faults with a stale map, where the lazy recovery rungs
+    /// under faults, where the lazy recovery rungs
     /// (widen, replan-around-casualties) are exercised. This is the
     /// contract that lets the fleet engine plan through one scratch
     /// per worker without perturbing any digest.
@@ -277,8 +277,7 @@ proptest! {
         failure_p in 0.0..0.35f64,
     ) {
         let map = build_map(&g);
-        let mut scenario = FaultScenario::iid(failure_p);
-        scenario.stale_map = true;
+        let scenario = FaultScenario::iid(failure_p);
         let exp = CityExperiment::prepare(
             map,
             ExperimentConfig {

@@ -10,7 +10,9 @@
 //! by looking them up in the set. All three must agree on whether a
 //! route exists and on its **cost** (to 1e-9 relative: they sum the
 //! same weights in different orders); which of several equal-cost
-//! routes a planner returns is its own business.
+//! routes a planner returns is its own business. The hierarchy plans on
+//! the healthy map only (a sender always plans on the cached map), so
+//! around blocked buildings only the flat detour is held to the oracle.
 //!
 //! Detours are held to more. What production plans around dark
 //! buildings ([`plan_route_avoiding_into`]: dense mask, reused scratch,
@@ -261,9 +263,10 @@ impl Bench {
             .any(|d| d != self.district_of(b))
     }
 
-    /// Flat ≡ hier ≡ oracle for one query, and the flat detour ≡ the
-    /// reference detour, labels included; returns the hierarchical
-    /// route when there is one.
+    /// Flat ≡ oracle for one query, and the flat detour ≡ the reference
+    /// detour, labels included; on a healthy map hier ≡ oracle too.
+    /// Returns the route when there is one — the hierarchical one when
+    /// nothing is dark.
     fn check(&mut self, src: u32, dst: u32, dark: &Dark) -> Option<&[u32]> {
         let Dark { blocked, survivors } = dark;
         let want = oracle_cost(&self.bg, src, dst, blocked);
@@ -279,16 +282,17 @@ impl Bench {
             "{what}: labels against the exhaustive search"
         );
         let flat_cost = flat.map(|()| checked_cost(bg, &self.route, src, dst, blocked));
-        let hier = self.planner.plan_route_avoiding_into(
-            bg,
-            src,
-            dst,
-            survivors,
-            &mut self.hier,
-            &mut self.route,
-        );
-        let hier_cost = hier.map(|()| checked_cost(bg, &self.route, src, dst, blocked));
-        for (planner, got) in [("flat", flat_cost), ("hier", hier_cost)] {
+        let mut costs = vec![("flat", flat_cost)];
+        if blocked.is_empty() {
+            let hier = self
+                .planner
+                .plan_route_into(bg, src, dst, &mut self.hier, &mut self.route);
+            costs.push((
+                "hier",
+                hier.map(|()| checked_cost(bg, &self.route, src, dst, blocked)),
+            ));
+        }
+        for (planner, got) in costs {
             match (want, got) {
                 (Some(w), Ok(c)) => assert!(
                     (w - c).abs() <= 1e-9 * w.max(1.0),
@@ -439,7 +443,6 @@ proptest! {
         let map = grid_with_island(cols, rows, pitch, removal, stray, seed);
         let mut bench = Bench::new(&map, district_size);
         check_all_pairs(&mut bench, HashSet::new(), &mut Seen::default());
-        prop_assert_eq!(bench.hier.floods(), 0, "healthy queries flooded a district");
     }
 
     /// Detours: all pairs again, around a random dark set — dark
@@ -466,7 +469,7 @@ proptest! {
     /// Faulted: random blocked sets that may include the endpoints
     /// (exempt) and, every other case, one whole district.
     #[test]
-    fn planners_equal_the_oracle_around_blocked_buildings(
+    fn detours_equal_the_oracle_around_blocked_buildings(
         (cols, rows) in (3usize..10, 3usize..8),
         pitch in 25.0..50.0f64,
         removal in 0.0..0.25f64,
@@ -621,36 +624,24 @@ fn planners_equal_the_oracle_across_a_river() {
     }
 }
 
-/// The work guard: on a one-tile metro, healthy queries — cross- and
-/// same-district — run no whole-district search at all; their endpoint
-/// distances and legs are read from the tables the build kept. A count,
-/// so it holds on every machine. One blocked building then shows the
-/// counter is live.
+/// A one-tile metro: 200 random queries, cross- and same-district, equal
+/// the oracle, and most of them are answered over the overlay with
+/// their legs unpacked from the tables the build kept.
 #[test]
-fn healthy_queries_search_no_district() {
+fn metro_tile_queries_equal_the_oracle() {
     let map = generate_metro(&MetroParams::with_tiles(1, 1), 2024);
     let mut bench = Bench::new(&map, HierParams::default().target_district_size);
     let mut rng = SimRng::new(7);
     let n = map.len() as u64;
     let nothing = Dark::new(&bench.bg, HashSet::new());
-    let (mut routed, mut longest) = (0, Vec::new());
+    let mut routed = 0;
     for _ in 0..200 {
         let (src, dst) = (rng.below(n) as u32, rng.below(n) as u32);
-        if let Some(route) = bench.check(src, dst, &nothing) {
-            routed += 1;
-            if route.len() > longest.len() {
-                longest = route.to_vec();
-            }
-        }
+        routed += usize::from(bench.check(src, dst, &nothing).is_some());
     }
     let stats = bench.hier.stats();
     assert_eq!(stats.queries, 200);
     assert!(routed > 150 && stats.expansions > 0 && stats.direct_routes < 150);
-    assert_eq!((bench.hier.floods(), stats.dirty_rescans), (0, 0));
-
-    let blocked = Dark::new(&bench.bg, HashSet::from([longest[longest.len() / 2]]));
-    bench.check(longest[0], *longest.last().unwrap(), &blocked);
-    assert!(bench.hier.floods() > 0, "a dirty district must be searched");
 }
 
 /// The benchmark's own queries: on every `UniformPairs` seed-1 pair of
@@ -688,7 +679,6 @@ fn metro_benchmark_routes_equal_the_flat_planner() {
         routed += usize::from(a.is_ok());
     }
     assert!(routed > 2_900, "only {routed} flows found a route");
-    assert_eq!(hier_scratch.floods(), 0);
 }
 
 /// `simulate_flow_with`'s retry ladder with nothing kept and nothing
@@ -832,7 +822,7 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
     let tel = TelemetryConfig::metrics_only();
     let (engine, telemetry) =
         try_run_churn(&exp, &flows, &timeline, Churn::RetryLadder, &cfg, &tel)
-            .expect("a stale-map fault state");
+            .expect("a faulted world");
     let metrics = telemetry.expect("metrics were asked for").metrics;
 
     // The reference run, shaped into the engine's report type. A ladder

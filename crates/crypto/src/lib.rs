@@ -8,7 +8,7 @@
 //! during an outage. This crate supplies the minimal primitive suite
 //! for that design:
 //!
-//! * [`sha256()`] / [`sha512()`] — FIPS 180-4 hashes (NIST test vectors).
+//! * [`sha256()`] — the FIPS 180-4 hash (NIST test vectors).
 //! * [`hmac`] / [`hkdf`] — RFC 2104 / RFC 5869 keyed MAC and KDF.
 //! * [`chacha20`] + [`poly1305`] + [`aead`] — the RFC 8439 AEAD.
 //! * [`x25519`] — RFC 7748 Diffie–Hellman over Curve25519.
@@ -43,14 +43,12 @@ pub mod identity;
 pub mod poly1305;
 pub mod session;
 pub mod sha256;
-pub mod sha512;
 pub mod x25519;
 
 pub use aead::{open, open_into, seal, seal_into, AeadError};
 pub use identity::{Keypair, NodeId, PostboxAddress, SealedMessage};
 pub use session::{SessionKey, HEADER_TAG_LEN};
 pub use sha256::sha256;
-pub use sha512::sha512;
 
 /// Constant-time byte-slice equality (no early exit on mismatch).
 ///

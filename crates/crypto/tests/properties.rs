@@ -1,7 +1,7 @@
 //! Property-based tests for the crypto crate.
 
 use citymesh_crypto::{
-    aead, chacha20, ct_eq, hkdf, hmac::hmac_sha256, poly1305::poly1305, sha256, sha512, Keypair,
+    aead, chacha20, ct_eq, hkdf, hmac::hmac_sha256, poly1305::poly1305, sha256, Keypair,
     PostboxAddress, SealedMessage,
 };
 use proptest::prelude::*;
@@ -15,15 +15,6 @@ proptest! {
             h.update(c);
         }
         prop_assert_eq!(h.finalize(), sha256(&data));
-    }
-
-    #[test]
-    fn sha512_chunking_invariance(data in proptest::collection::vec(any::<u8>(), 0..2048), chunk in 1usize..97) {
-        let mut h = citymesh_crypto::sha512::Sha512::new();
-        for c in data.chunks(chunk) {
-            h.update(c);
-        }
-        prop_assert_eq!(h.finalize(), sha512(&data));
     }
 
     /// HMAC differs when either key or message differ (no trivial

@@ -227,10 +227,6 @@ pub enum ChurnError {
     /// The experiment carries no fault state, so there is nothing for
     /// world events to mutate.
     MissingFaultState,
-    /// The fault scenario plans on the live map; incremental
-    /// invalidation relies on routes being a pure function of the
-    /// pre-disaster (stale) map.
-    FreshMap,
 }
 
 impl std::fmt::Display for ChurnError {
@@ -240,11 +236,6 @@ impl std::fmt::Display for ChurnError {
                 f,
                 "world events require a fault state; prepare the experiment with a scenario"
             ),
-            ChurnError::FreshMap => write!(
-                f,
-                "world events require stale-map planning (incremental invalidation \
-                 relies on routes being a pure function of the pre-disaster map)"
-            ),
         }
     }
 }
@@ -252,14 +243,9 @@ impl std::fmt::Display for ChurnError {
 impl std::error::Error for ChurnError {}
 
 /// The prerequisite every engine that replays world events checks
-/// before its first epoch: a fault state to mutate, planned on the
-/// stale map.
-pub fn require_stale_fault_state(exp: &CityExperiment) -> Result<&FaultState, ChurnError> {
-    let state = exp.fault_state().ok_or(ChurnError::MissingFaultState)?;
-    if !state.stale_map() {
-        return Err(ChurnError::FreshMap);
-    }
-    Ok(state)
+/// before its first epoch: a fault state to mutate.
+pub fn require_fault_state(exp: &CityExperiment) -> Result<&FaultState, ChurnError> {
+    exp.fault_state().ok_or(ChurnError::MissingFaultState)
 }
 
 /// What one event barrier did to the world and the route cache.
@@ -343,11 +329,8 @@ pub fn run_epochs<T>(
 /// Runs `flows` through the mutating world described by `timeline`.
 ///
 /// `exp` must carry a fault state (prepare it with a scenario — the
-/// engine mutates a private clone, the caller's world is untouched)
-/// whose map is stale ([`FaultScenario::stale_map`]), because the
-/// incremental-invalidation equivalence argument relies on route
-/// geometry being a pure function of the pre-disaster map; anything
-/// else is a typed [`ChurnError`]. Epoch boundaries are
+/// engine mutates a private clone, the caller's world is untouched);
+/// without one the run is a typed [`ChurnError`]. Epoch boundaries are
 /// [`run_epochs`]'s.
 ///
 /// Returns the report plus merged telemetry when `tel` asks for any —
@@ -355,8 +338,6 @@ pub fn run_epochs<T>(
 /// own churn counters (`churn_events_total`, `routes_evicted_total`,
 /// `epoch_transitions_total`). The report digest is identical traced
 /// or untraced, exactly like the fleet engine's.
-///
-/// [`FaultScenario::stale_map`]: citymesh_core::FaultScenario
 ///
 /// # Panics
 /// Panics when a worker thread panics mid-run.
@@ -370,7 +351,7 @@ pub fn try_run_churn(
 ) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
     // The engine's private world; the sender population's reaction is
     // the fault state's retry policy (reactive does its own retrying).
-    require_stale_fault_state(exp)?;
+    require_fault_state(exp)?;
     let mut world = exp.clone();
     world.set_retry(match strategy {
         Strategy::StaticPlan | Strategy::ReactiveRepair => RetryPolicy::none(),
@@ -833,29 +814,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ChurnError::MissingFaultState);
         assert!(err.to_string().contains("fault state"));
-
-        // A fault state that plans on the live (fresh) map.
-        let mut scenario = FaultScenario::district_blackouts(1, 100.0);
-        scenario.stale_map = false;
-        let fresh = CityExperiment::prepare(
-            CityArchetype::SurveyDowntown.generate(40),
-            ExperimentConfig {
-                seed: 40,
-                faults: Some(scenario),
-                ..ExperimentConfig::default()
-            },
-        );
-        let err = try_run_churn(
-            &fresh,
-            &flows,
-            &tl,
-            Strategy::RetryLadder,
-            &ChurnEngineConfig::default(),
-            &TelemetryConfig::off(),
-        )
-        .unwrap_err();
-        assert_eq!(err, ChurnError::FreshMap);
-        assert!(err.to_string().contains("stale-map"));
     }
 
     #[test]

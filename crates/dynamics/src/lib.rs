@@ -70,7 +70,7 @@ pub mod events;
 pub mod timeline;
 
 pub use engine::{
-    require_stale_fault_state, run_epochs, try_run_churn, Barrier, ChurnEngineConfig, ChurnError,
+    require_fault_state, run_epochs, try_run_churn, Barrier, ChurnEngineConfig, ChurnError,
     ChurnReport, EpochStat, InvalidationPolicy, Strategy,
 };
 pub use events::{WorldEvent, WorldEventKind};

@@ -43,7 +43,7 @@
 //! ```
 //!
 //! and hierarchical cost **equals** flat-optimal cost (the proptests in
-//! `citymesh-core` assert this, healthy and faulted).
+//! `citymesh-core` assert this).
 //!
 //! # A query is lookups, one small search, and walks
 //!
@@ -60,9 +60,8 @@
 //! triangle-inequality bound. The landmark-to-target values are
 //! assembled per query from the target-side column
 //! (`L̂_k(t) = min over borders b of D(t) of L_k(b) + d(b, t)`), which
-//! is exact when healthy and a valid lower bound under faults (blocked
-//! vertices only lengthen true distances); the caller's own lower bound
-//! is the other half of the heuristic.
+//! is exact; the caller's own lower bound is the other half of the
+//! heuristic.
 //!
 //! **Intra arcs are relaxed only out of a node the search entered by a
 //! crossing arc.** Restricted distances inside one district obey the
@@ -88,8 +87,8 @@
 //!
 //! # Canonical tie-breaks
 //!
-//! All sub-searches (restricted Dijkstras, the overlay A*, dirty
-//! expansions) use the crate-wide canonical rule: pop by *(key, vertex
+//! All sub-searches (restricted Dijkstras, the overlay A*, the direct
+//! same-district A*) use the crate-wide canonical rule: pop by *(key, vertex
 //! id)* ascending, update on strict improvement or an exact tie with a
 //! smaller-id parent, never update settled vertices. Two further rules
 //! are specific to this module and documented on
@@ -98,19 +97,12 @@
 //! route, and ties between overlay terminal candidates resolve to the
 //! candidate settled first (smallest key, then smallest node id).
 //!
-//! # Faults
+//! # The graph the tables describe
 //!
-//! Blocked vertices are handled exactly, not approximately: the caller
-//! names the **dirty districts** (those containing a blocked vertex),
-//! and the table of a dirty district is not trusted. Its seeds and
-//! terminals come from a filtered restricted Dijkstra from the
-//! endpoint, its intra arcs from one run at the moment a border of
-//! that district is settled off a crossing arc, and its legs are
-//! unpacked by a filtered A* whose heuristic is the healthy row
-//! (blocking vertices only lengthens restricted distances, so the row
-//! stays admissible and consistent). Clean districts — the vast
-//! majority — are answered from the table as above, in the same
-//! overlay loop.
+//! A query trusts every district's table, so it answers on the graph
+//! the hierarchy was built over and nothing else: there is no vertex
+//! filter. A caller routing around failed vertices searches the flat
+//! graph instead ([`crate::astar_path_filtered_into`]).
 
 use crate::landmarks::FarthestPoint;
 use crate::scratch::HeapItem;
@@ -245,7 +237,7 @@ impl Partition {
 
 /// Cumulative counters a [`HierScratch`] keeps across queries — the
 /// telemetry feed for the hierarchical planner (overlay work, route
-/// unpacking, fault rescans).
+/// unpacking).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HierStats {
     /// Queries answered (including trivial `src == dst`).
@@ -257,67 +249,33 @@ pub struct HierStats {
     /// Intra-district arcs unpacked into vertex paths while
     /// reconstructing winning routes.
     pub expansions: u64,
-    /// On-the-fly filtered rescans of dirty (faulted) districts.
+    /// Always zero: a query trusts every district's table, so nothing
+    /// is rescanned. Kept only because `citymesh-perf` builds
+    /// `HierStats` field by field; it goes when that code does.
     pub dirty_rescans: u64,
 }
 
 /// Reusable buffers for [`Hierarchy::plan_path_into`]: two
-/// [`PlannerScratch`]es (the overlay search, and every search inside
-/// one district), the per-query terminal distances, a dirty-district
-/// stamp table, and path-assembly buffers. Warm queries allocate
-/// nothing.
+/// [`PlannerScratch`]es (the overlay search, and a same-district pair's
+/// direct A*), the per-query terminal distances, and path-assembly
+/// buffers. Warm queries allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct HierScratch {
     overlay: PlannerScratch,
-    /// One search inside one district at a time — a same-district
-    /// pair's direct candidate and, around dirty districts, endpoint
-    /// floods, rescans and leg expansions. Each is read out (into
-    /// `term`, the overlay's seeds and keys, or the route) before the
-    /// next begins.
     district: PlannerScratch,
     /// `d(b, dst)` for the borders `b` of the destination's district,
     /// in `borders` order.
     term: Vec<f64>,
-    dirty_stamp: Vec<u32>,
-    dirty_gen: u32,
     node_seq: Vec<u32>,
     leg: Vec<u32>,
     /// Cumulative query counters (never reset by the planner).
     pub stats: HierStats,
-    /// Whole-district Dijkstras run at query time, cumulative: the
-    /// endpoint floods of dirty districts plus
-    /// [`HierStats::dirty_rescans`]. Stays zero while no district is
-    /// dirty — a healthy query reads what the build computed.
-    pub floods: u64,
 }
 
 impl HierScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Invalidates all dirty marks and sizes the table for `nd`
-    /// districts (O(1) amortized via generation stamps).
-    fn begin_dirty(&mut self, nd: usize) {
-        if self.dirty_stamp.len() < nd {
-            self.dirty_stamp.resize(nd, 0);
-        }
-        self.dirty_gen = self.dirty_gen.wrapping_add(1);
-        if self.dirty_gen == 0 {
-            self.dirty_stamp.fill(0);
-            self.dirty_gen = 1;
-        }
-    }
-
-    #[inline]
-    fn mark_dirty(&mut self, d: u32) {
-        self.dirty_stamp[d as usize] = self.dirty_gen;
-    }
-
-    #[inline]
-    fn is_dirty(&self, d: u32) -> bool {
-        self.dirty_stamp[d as usize] == self.dirty_gen
     }
 }
 
@@ -358,18 +316,13 @@ pub struct Hierarchy {
 }
 
 /// Single-source Dijkstra restricted to district `d` (all members, no
-/// early exit), with the crate's canonical tie-break. `exempt_a` /
-/// `exempt_b` bypass `allowed`, mirroring the flat kernels' endpoint
-/// exemption. Results stay in `scratch` for the caller to read.
-#[allow(clippy::too_many_arguments)]
+/// early exit), with the crate's canonical tie-break. Results stay in
+/// `scratch` for the caller to read.
 fn district_dijkstra<G: Adjacency + ?Sized>(
     g: &G,
     district_of: &[u32],
     d: u32,
     source: u32,
-    exempt_a: u32,
-    exempt_b: u32,
-    allowed: &impl Fn(u32) -> bool,
     scratch: &mut PlannerScratch,
 ) {
     scratch.begin(g.num_vertices());
@@ -386,9 +339,6 @@ fn district_dijkstra<G: Adjacency + ?Sized>(
         let (du, _) = scratch.entry(u);
         for e in g.neighbors(u) {
             if district_of[e.to as usize] != d || scratch.is_settled(e.to) {
-                continue;
-            }
-            if e.to != exempt_a && e.to != exempt_b && !allowed(e.to) {
                 continue;
             }
             relax(scratch, u, e.to, du + e.weight, |_| 0.0);
@@ -518,16 +468,7 @@ impl Hierarchy {
                 }
             }
             arc_start[nb + 1] = arc_to.len() as u32;
-            district_dijkstra(
-                g,
-                &part.district_of,
-                d,
-                v,
-                u32::MAX,
-                u32::MAX,
-                &|_| true,
-                &mut scratch,
-            );
+            district_dijkstra(g, &part.district_of, d, v, &mut scratch);
             let row = &mut table[row_start[nb]..];
             for &m in part.members(d) {
                 let (dist, parent) = scratch.entry(m);
@@ -656,35 +597,15 @@ impl Hierarchy {
     }
 
     /// Writes the restricted shortest path from member `v` of border
-    /// node `nb`'s district to that border, `v` first, into `out`.
-    ///
-    /// A clean district is walked by row descent (module docs): from
-    /// each vertex to its parent in the Dijkstra tree `nb`'s row was
-    /// written along. In a `dirty` one the row only guides a filtered
-    /// A* (`ok` admits a vertex); the caller knows the path exists
-    /// because a filtered search measured it.
-    #[allow(clippy::too_many_arguments)]
-    fn path_to_border<G: Adjacency + ?Sized>(
-        &self,
-        g: &G,
-        nb: u32,
-        v: u32,
-        dirty: bool,
-        ok: &impl Fn(u32) -> bool,
-        scratch: &mut PlannerScratch,
-        out: &mut Vec<u32>,
-    ) {
+    /// node `nb`'s district to that border, `v` first, into `out`, by
+    /// row descent (module docs): from each vertex to its parent in the
+    /// Dijkstra tree `nb`'s row was written along.
+    fn path_to_border<G: Adjacency + ?Sized>(&self, g: &G, nb: u32, v: u32, out: &mut Vec<u32>) {
         let district_of = &self.part.district_of;
         let d = self.node_district[nb as usize];
         let root = self.node_vertex[nb as usize];
         let row = self.row(nb);
         let t = |u: u32| row[self.col[u as usize] as usize];
-        if dirty {
-            let in_district = |u: u32| district_of[u as usize] == d && ok(u);
-            let found = astar_path_filtered_into(g, v, root, t, in_district, scratch, out);
-            assert!(found, "overlay leg without an expandable path");
-            return;
-        }
         out.clear();
         out.push(v);
         let (mut cur, mut t_cur) = (v, t(v));
@@ -711,15 +632,9 @@ impl Hierarchy {
     /// vertex sequence may differ from the flat planner's on cost
     /// ties).
     ///
-    /// * `lb(a, b)` must be an admissible, consistent lower bound on
-    ///   the true cost between any two vertices (`|_, _| 0.0` is always
-    ///   valid; the building graph passes its ALT + Euclidean bound).
-    /// * `allowed` filters intermediate vertices; `src`/`dst` are
-    ///   exempt, mirroring the flat filtered kernels.
-    /// * `dirty_districts` must contain the district of **every**
-    ///   vertex `allowed` rejects (duplicates and extra districts are
-    ///   harmless; omissions are not — the tables of unlisted districts
-    ///   are trusted).
+    /// `lb(a, b)` must be an admissible, consistent lower bound on the
+    /// true cost between any two vertices (`|_, _| 0.0` is always
+    /// valid; the building graph passes its ALT + Euclidean bound).
     ///
     /// Tie-breaks: an exact cost tie between the direct same-district
     /// route and any overlay route resolves to the direct route; ties
@@ -729,15 +644,12 @@ impl Hierarchy {
     ///
     /// # Panics
     /// Panics when `src` or `dst` is out of range.
-    #[allow(clippy::too_many_arguments)]
     pub fn plan_path_into<G: Adjacency + ?Sized>(
         &self,
         g: &G,
         src: u32,
         dst: u32,
         lb: impl Fn(u32, u32) -> f64,
-        allowed: impl Fn(u32) -> bool,
-        dirty_districts: &[u32],
         scratch: &mut HierScratch,
         out: &mut Vec<u32>,
     ) -> bool {
@@ -756,34 +668,16 @@ impl Hierarchy {
         let district_of = &self.part.district_of;
         let ds = district_of[src as usize];
         let dt = district_of[dst as usize];
-        scratch.begin_dirty(self.part.num_districts());
-        for &d in dirty_districts {
-            scratch.mark_dirty(d);
-        }
-        let ok = |v: u32| v == src || v == dst || allowed(v);
-        // The whole of a dirty district, filtered, from one vertex.
-        let flood = |d: u32, source: u32, into: &mut PlannerScratch| {
-            district_dijkstra(g, district_of, d, source, src, dst, &allowed, into);
-        };
 
         // Terminals d(b, dst), and from them the per-query
         // landmark-to-target bounds
         // L̂_k(dst) = min over target-side borders of L_k(b) + d(b, dst).
-        let dt_dirty = scratch.is_dirty(dt);
-        if dt_dirty {
-            scratch.floods += 1;
-            flood(dt, dst, &mut scratch.district);
-        }
         let k = self.lm_count;
         let mut lm_t = [INFINITY; MAX_OVERLAY_LANDMARKS];
         let dst_col = self.col[dst as usize] as usize;
         scratch.term.clear();
         for &bt in self.borders(dt) {
-            let dtv = if dt_dirty {
-                scratch.district.entry(self.node_vertex[bt as usize]).0
-            } else {
-                self.row(bt)[dst_col]
-            };
+            let dtv = self.row(bt)[dst_col];
             scratch.term.push(dtv);
             if !dtv.is_finite() {
                 continue;
@@ -812,17 +706,9 @@ impl Hierarchy {
         };
 
         // The direct candidate of a same-district pair: restricted to
-        // the district, so an overlay route must beat it strictly. A
-        // dirty source district is flooded for its seeds anyway.
-        let ds_dirty = scratch.is_dirty(ds);
+        // the district, so an overlay route must beat it strictly.
         let mut best = INFINITY;
-        if ds_dirty {
-            scratch.floods += 1;
-            flood(ds, src, &mut scratch.district);
-            if ds == dt && scratch.district.entry(dst).0.is_finite() {
-                scratch.district.trace_into(dst, out);
-            }
-        } else if ds == dt {
+        if ds == dt {
             astar_path_filtered_into(
                 g,
                 src,
@@ -842,11 +728,7 @@ impl Hierarchy {
         let src_col = self.col[src as usize] as usize;
         scratch.overlay.begin(self.node_vertex.len());
         for &b in self.borders(ds) {
-            let d0 = if ds_dirty {
-                scratch.district.entry(self.node_vertex[b as usize]).0
-            } else {
-                self.row(b)[src_col]
-            };
+            let d0 = self.row(b)[src_col];
             if d0.is_finite() {
                 scratch.overlay.write(b, d0, u32::MAX);
                 scratch.overlay.heap.push(HeapItem {
@@ -882,7 +764,7 @@ impl Hierarchy {
                 }
             }
             for (to, w) in self.crossing_arcs(nb) {
-                if !scratch.overlay.is_settled(to) && ok(self.node_vertex[to as usize]) {
+                if !scratch.overlay.is_settled(to) {
                     relax(&mut scratch.overlay, nb, to, dnb + w, h);
                 }
             }
@@ -893,23 +775,8 @@ impl Hierarchy {
             if parent == u32::MAX || self.node_district[parent as usize] == d_here {
                 continue;
             }
-            let dirty = scratch.is_dirty(d_here);
-            if dirty {
-                scratch.stats.dirty_rescans += 1;
-                scratch.floods += 1;
-                flood(d_here, v, &mut scratch.district);
-            }
-            let row = self.row(nb);
-            for (rank, &to) in self.borders(d_here).iter().enumerate() {
-                if scratch.overlay.is_settled(to) {
-                    continue;
-                }
-                let w = if dirty {
-                    scratch.district.entry(self.node_vertex[to as usize]).0
-                } else {
-                    row[rank]
-                };
-                if w.is_finite() {
+            for (&to, &w) in self.borders(d_here).iter().zip(self.row(nb)) {
+                if w.is_finite() && !scratch.overlay.is_settled(to) {
                     relax(&mut scratch.overlay, nb, to, dnb + w, h);
                 }
             }
@@ -935,15 +802,7 @@ impl Hierarchy {
             cur = p;
         }
         scratch.node_seq.reverse();
-        self.path_to_border(
-            g,
-            scratch.node_seq[0],
-            src,
-            ds_dirty,
-            &ok,
-            &mut scratch.district,
-            out,
-        );
+        self.path_to_border(g, scratch.node_seq[0], src, out);
         for i in 1..scratch.node_seq.len() {
             let (a, b) = (scratch.node_seq[i - 1], scratch.node_seq[i]);
             let d = self.node_district[a as usize];
@@ -954,28 +813,11 @@ impl Hierarchy {
                 // Row `a`, walked back from `b`: the tree the arc's
                 // weight was measured along.
                 scratch.stats.expansions += 1;
-                let dirty = scratch.is_dirty(d);
-                self.path_to_border(
-                    g,
-                    a,
-                    vb,
-                    dirty,
-                    &ok,
-                    &mut scratch.district,
-                    &mut scratch.leg,
-                );
+                self.path_to_border(g, a, vb, &mut scratch.leg);
                 out.extend(scratch.leg.iter().rev().skip(1));
             }
         }
-        self.path_to_border(
-            g,
-            best_node,
-            dst,
-            dt_dirty,
-            &ok,
-            &mut scratch.district,
-            &mut scratch.leg,
-        );
+        self.path_to_border(g, best_node, dst, &mut scratch.leg);
         out.extend(scratch.leg.iter().rev().skip(1));
         true
     }
@@ -1068,52 +910,12 @@ mod tests {
             (37, 37),
             (191, 0),
         ] {
-            let hok =
-                hier.plan_path_into(&g, src, dst, |_, _| 0.0, |_| true, &[], &mut hs, &mut hp);
+            let hok = hier.plan_path_into(&g, src, dst, |_, _| 0.0, &mut hs, &mut hp);
             let fok = astar_path_filtered_into(&g, src, dst, |_| 0.0, |_| true, &mut ps, &mut fp);
             assert_eq!(hok, fok, "({src},{dst}) reachability");
             assert_eq!(hp.first(), Some(&src));
             assert_eq!(hp.last(), Some(&dst));
             assert_same_cost(&g, &hp, &fp, "healthy");
-        }
-    }
-
-    #[test]
-    fn hier_matches_flat_cost_with_blocked_vertices() {
-        let (g, pos) = lattice(16, 12);
-        let part = Partition::grid(&pos, 20);
-        let hier = Hierarchy::build(&g, part, &HierParams::default());
-        let mut hs = HierScratch::new();
-        let mut ps = PlannerScratch::new();
-        let (mut hp, mut fp) = (Vec::new(), Vec::new());
-        // Block a diagonal band of vertices.
-        let blocked = |v: u32| v % 17 == 3;
-        let mut dirty = Vec::new();
-        for v in 0..g.num_vertices() as u32 {
-            if blocked(v) {
-                dirty.push(hier.partition().district_of(v));
-            }
-        }
-        for (src, dst) in [(0u32, 191u32), (3, 188), (20, 160), (54, 54)] {
-            let hok = hier.plan_path_into(
-                &g,
-                src,
-                dst,
-                |_, _| 0.0,
-                |v| !blocked(v),
-                &dirty,
-                &mut hs,
-                &mut hp,
-            );
-            let fok =
-                astar_path_filtered_into(&g, src, dst, |_| 0.0, |v| !blocked(v), &mut ps, &mut fp);
-            assert_eq!(hok, fok, "({src},{dst}) reachability under faults");
-            if hok {
-                for &v in hp.iter().filter(|&&v| v != src && v != dst) {
-                    assert!(!blocked(v), "hier route crosses blocked vertex {v}");
-                }
-                assert_same_cost(&g, &hp, &fp, "faulted");
-            }
         }
     }
 
@@ -1127,9 +929,9 @@ mod tests {
         let hier = Hierarchy::build(&g, part, &HierParams::default());
         let mut hs = HierScratch::new();
         let mut out = vec![9];
-        assert!(!hier.plan_path_into(&g, 0, 3, |_, _| 0.0, |_| true, &[], &mut hs, &mut out));
+        assert!(!hier.plan_path_into(&g, 0, 3, |_, _| 0.0, &mut hs, &mut out));
         assert!(out.is_empty());
-        assert!(hier.plan_path_into(&g, 0, 1, |_, _| 0.0, |_| true, &[], &mut hs, &mut out));
+        assert!(hier.plan_path_into(&g, 0, 1, |_, _| 0.0, &mut hs, &mut out));
         assert_eq!(out, vec![0, 1]);
     }
 
@@ -1142,40 +944,13 @@ mod tests {
         let mut warm_path = Vec::new();
         // Warm the scratch on unrelated pairs.
         for (s, d) in [(0u32, 99u32), (42, 57), (7, 93)] {
-            hier.plan_path_into(
-                &g,
-                s,
-                d,
-                |_, _| 0.0,
-                |_| true,
-                &[],
-                &mut warm,
-                &mut warm_path,
-            );
+            hier.plan_path_into(&g, s, d, |_, _| 0.0, &mut warm, &mut warm_path);
         }
         for (s, d) in [(0u32, 99u32), (13, 88), (99, 0), (50, 55)] {
             let mut fresh = HierScratch::new();
             let mut fresh_path = Vec::new();
-            let a = hier.plan_path_into(
-                &g,
-                s,
-                d,
-                |_, _| 0.0,
-                |_| true,
-                &[],
-                &mut warm,
-                &mut warm_path,
-            );
-            let b = hier.plan_path_into(
-                &g,
-                s,
-                d,
-                |_, _| 0.0,
-                |_| true,
-                &[],
-                &mut fresh,
-                &mut fresh_path,
-            );
+            let a = hier.plan_path_into(&g, s, d, |_, _| 0.0, &mut warm, &mut warm_path);
+            let b = hier.plan_path_into(&g, s, d, |_, _| 0.0, &mut fresh, &mut fresh_path);
             assert_eq!(a, b);
             assert_eq!(warm_path, fresh_path, "({s},{d}) reuse changed the route");
         }
@@ -1188,8 +963,8 @@ mod tests {
         let hier = Hierarchy::build(&g, part, &HierParams::default());
         let mut hs = HierScratch::new();
         let mut out = Vec::new();
-        hier.plan_path_into(&g, 0, 143, |_, _| 0.0, |_| true, &[], &mut hs, &mut out);
-        hier.plan_path_into(&g, 5, 5, |_, _| 0.0, |_| true, &[], &mut hs, &mut out);
+        hier.plan_path_into(&g, 0, 143, |_, _| 0.0, &mut hs, &mut out);
+        hier.plan_path_into(&g, 5, 5, |_, _| 0.0, &mut hs, &mut out);
         assert_eq!(hs.stats.queries, 2);
         assert!(hs.stats.direct_routes >= 1);
         assert!(hs.stats.overlay_settled > 0);
@@ -1242,7 +1017,6 @@ mod tests {
             let hier = Hierarchy::build(&g, Partition::grid(&pos, 24), &HierParams::default());
             let part = hier.partition();
             let mut reference = PlannerScratch::new();
-            let mut unused = PlannerScratch::new();
             let (mut chain, mut walk) = (Vec::new(), Vec::new());
             let mut walked = 0;
             for nb in 0..hier.num_border_nodes() as u32 {
@@ -1250,17 +1024,7 @@ mod tests {
                     hier.node_vertex[nb as usize],
                     hier.node_district[nb as usize],
                 );
-                let everyone = |_| true;
-                district_dijkstra(
-                    &g,
-                    &part.district_of,
-                    d,
-                    root,
-                    u32::MAX,
-                    u32::MAX,
-                    &everyone,
-                    &mut reference,
-                );
+                district_dijkstra(&g, &part.district_of, d, root, &mut reference);
                 for &m in part.members(d) {
                     let (dist, _) = reference.entry(m);
                     assert_eq!(hier.row(nb)[hier.col[m as usize] as usize], dist);
@@ -1269,13 +1033,12 @@ mod tests {
                     }
                     reference.trace_into(m, &mut chain);
                     chain.reverse();
-                    hier.path_to_border(&g, nb, m, false, &everyone, &mut unused, &mut walk);
+                    hier.path_to_border(&g, nb, m, &mut walk);
                     assert_eq!(walk, chain, "row {root}, member {m}");
                     walked += 1;
                 }
             }
             assert!(walked > 1_000, "only {walked} descents compared");
-            assert_eq!(unused.capacity(), 0, "a clean descent searches nothing");
         }
     }
 
@@ -1289,16 +1052,7 @@ mod tests {
             for (rank, &nb) in borders.iter().enumerate() {
                 let v = hier.node_vertex[nb as usize];
                 assert_eq!(hier.col[v as usize] as usize, rank, "borders come first");
-                district_dijkstra(
-                    &g,
-                    &hier.partition().district_of,
-                    d,
-                    v,
-                    u32::MAX,
-                    u32::MAX,
-                    &|_| true,
-                    &mut reference,
-                );
+                district_dijkstra(&g, &hier.partition().district_of, d, v, &mut reference);
                 // An intra arc weighs the restricted distance between
                 // its two borders.
                 let arcs: Vec<f64> = borders
@@ -1320,7 +1074,7 @@ mod tests {
     }
 
     #[test]
-    fn healthy_queries_flood_no_district() {
+    fn queries_unpack_rows_and_rescan_nothing() {
         let (g, pos) = lattice(16, 12);
         let hier = Hierarchy::build(&g, Partition::grid(&pos, 20), &HierParams::default());
         let mut hs = HierScratch::new();
@@ -1328,33 +1082,10 @@ mod tests {
         let n = g.num_vertices() as u32;
         for src in (0..n).step_by(7) {
             for dst in (0..n).step_by(11) {
-                assert!(hier.plan_path_into(
-                    &g,
-                    src,
-                    dst,
-                    |_, _| 0.0,
-                    |_| true,
-                    &[],
-                    &mut hs,
-                    &mut out
-                ));
+                assert!(hier.plan_path_into(&g, src, dst, |_, _| 0.0, &mut hs, &mut out));
             }
         }
         assert!(hs.stats.expansions > 0 && hs.stats.direct_routes > 0);
-        assert_eq!((hs.floods, hs.stats.dirty_rescans), (0, 0));
-        // One blocked vertex: only its district is searched again.
-        let blocked = 100;
-        let dirty = [hier.partition().district_of(blocked)];
-        hier.plan_path_into(
-            &g,
-            0,
-            n - 1,
-            |_, _| 0.0,
-            |v| v != blocked,
-            &dirty,
-            &mut hs,
-            &mut out,
-        );
-        assert_eq!(hs.floods, hs.stats.dirty_rescans);
+        assert_eq!(hs.stats.dirty_rescans, 0);
     }
 }

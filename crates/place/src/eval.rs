@@ -100,15 +100,6 @@ impl Evaluator {
         if scenarios.is_empty() {
             return Err(PlaceError::NoScenarios);
         }
-        for s in scenarios {
-            if let Some(f) = &s.faults {
-                if !f.stale_map {
-                    return Err(PlaceError::FreshMap {
-                        scenario: s.label.clone(),
-                    });
-                }
-            }
-        }
         let flows = generate_flows(
             map.len(),
             &WorkloadConfig {

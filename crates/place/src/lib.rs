@@ -56,14 +56,6 @@ pub enum PlaceError {
     EmptyWorkload,
     /// No scenario worlds to evaluate against.
     NoScenarios,
-    /// A fault scenario plans on the *fresh* (post-disaster) map.
-    /// Incremental cache invalidation on site moves relies on routes
-    /// being a pure function of the pre-disaster map — the same
-    /// restriction the streaming engine enforces for mid-stream churn.
-    FreshMap {
-        /// Label of the offending scenario.
-        scenario: String,
-    },
     /// Fewer candidate site buildings (buildings owning at least one
     /// AP) than the requested deployment size.
     NotEnoughCandidates {
@@ -83,10 +75,6 @@ impl std::fmt::Display for PlaceError {
         match self {
             PlaceError::EmptyWorkload => write!(f, "objective workload has zero flows"),
             PlaceError::NoScenarios => write!(f, "objective has no scenario worlds"),
-            PlaceError::FreshMap { scenario } => write!(
-                f,
-                "scenario `{scenario}` plans on the fresh map; site moves need stale-map routing"
-            ),
             PlaceError::NotEnoughCandidates { candidates, k } => {
                 write!(
                     f,
@@ -170,20 +158,8 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, PlaceError::EmptyWorkload);
-        let err = Evaluator::new(map.clone(), base, &[], small_objective(1)).unwrap_err();
+        let err = Evaluator::new(map, base, &[], small_objective(1)).unwrap_err();
         assert_eq!(err, PlaceError::NoScenarios);
-        let fresh = FaultScenario {
-            stale_map: false,
-            ..FaultScenario::district_blackouts(1, 100.0)
-        };
-        let err = Evaluator::new(
-            map,
-            base,
-            &[ScenarioSpec::faulted("fresh", fresh)],
-            small_objective(1),
-        )
-        .unwrap_err();
-        assert!(matches!(err, PlaceError::FreshMap { .. }));
     }
 
     #[test]

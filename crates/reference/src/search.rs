@@ -205,8 +205,8 @@ pub fn bfs_path<G: Adjacency + ?Sized>(g: &G, source: u32, target: u32) -> Optio
     bfs(g, source).path_to(target)
 }
 
-/// The visited set and queue of [`bfs_distance_to`], kept between
-/// floods so an oracle running hundreds of thousands of them does not
+/// The visited set and queue of [`bfs_distance_to`], kept from one
+/// flood to the next so an oracle running hundreds of thousands of them does not
 /// time the allocator.
 #[derive(Clone, Debug, Default)]
 pub struct FloodScratch {

@@ -46,11 +46,6 @@ impl<E> EventQueue<E> {
         Some(next)
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.last().map(|&(t, _)| t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -85,7 +80,7 @@ impl<E> Default for EventQueue<E> {
 /// A minimal simulation driver: a clock plus an [`EventQueue`].
 ///
 /// Handlers receive `(&mut Simulation, event)` and may schedule more
-/// events relative to [`Simulation::now`]. The loop guards against
+/// events at or after [`Simulation::now`]. The loop guards against
 /// scheduling into the past, which would silently corrupt causality.
 ///
 /// ```
@@ -93,12 +88,12 @@ impl<E> Default for EventQueue<E> {
 ///
 /// struct Tick(u32);
 /// let mut sim: Simulation<Tick> = Simulation::new();
-/// sim.schedule_in(SimTime::from_millis(1), Tick(0));
+/// sim.schedule_at(SimTime::from_millis(1), Tick(0));
 /// let mut count = 0;
 /// sim.run(|sim, Tick(n)| {
 ///     count += 1;
 ///     if n < 2 {
-///         sim.schedule_in(SimTime::from_millis(1), Tick(n + 1));
+///         sim.schedule_at(sim.now() + SimTime::from_millis(1), Tick(n + 1));
 ///     }
 /// });
 /// assert_eq!(count, 3);
@@ -123,14 +118,8 @@ impl<E> Simulation<E> {
         }
     }
 
-    /// Sets a hard time horizon: events scheduled after it never run.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Replaces the horizon on an existing simulation (`None` removes
-    /// it). Companion to [`Simulation::reset`] for reuse across runs.
+    /// Sets (or, with `None`, removes) a hard time horizon: events
+    /// scheduled after it never run. Survives [`Simulation::reset`].
     pub fn set_horizon(&mut self, horizon: Option<SimTime>) {
         self.horizon = horizon;
     }
@@ -159,11 +148,6 @@ impl<E> Simulation<E> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Schedules `event` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.queue.push(self.now + delay, event);
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -195,29 +179,6 @@ impl<E> Simulation<E> {
             handler(self, ev);
         }
     }
-
-    /// Runs at most `max_events` events; returns how many ran.
-    pub fn run_bounded(
-        &mut self,
-        max_events: u64,
-        mut handler: impl FnMut(&mut Simulation<E>, E),
-    ) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            let Some((t, ev)) = self.queue.pop() else {
-                break;
-            };
-            if let Some(h) = self.horizon {
-                if t > h {
-                    break;
-                }
-            }
-            self.now = t;
-            handler(self, ev);
-            n += 1;
-        }
-        n
-    }
 }
 
 impl<E> Default for Simulation<E> {
@@ -231,13 +192,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn horizon_at<E>(ms: u64) -> Simulation<E> {
+        let mut sim = Simulation::new();
+        sim.set_horizon(Some(SimTime::from_millis(ms)));
+        sim
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_millis(30), "c");
         q.push(SimTime::from_millis(10), "a");
         q.push(SimTime::from_millis(20), "b");
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
         assert_eq!(q.processed(), 3);
@@ -261,12 +227,12 @@ mod tests {
             Ping(u32),
         }
         let mut sim = Simulation::new();
-        sim.schedule_in(SimTime::from_millis(1), Ev::Ping(0));
+        sim.schedule_at(SimTime::from_millis(1), Ev::Ping(0));
         let mut seen = Vec::new();
         sim.run(|sim, Ev::Ping(k)| {
             seen.push((sim.now(), k));
             if k < 4 {
-                sim.schedule_in(SimTime::from_millis(1), Ev::Ping(k + 1));
+                sim.schedule_at(sim.now() + SimTime::from_millis(1), Ev::Ping(k + 1));
             }
         });
         assert_eq!(seen.len(), 5);
@@ -277,24 +243,13 @@ mod tests {
 
     #[test]
     fn horizon_stops_processing() {
-        let mut sim = Simulation::new().with_horizon(SimTime::from_millis(10));
+        let mut sim = horizon_at(10);
         for i in 1..=20u64 {
             sim.schedule_at(SimTime::from_millis(i), i);
         }
         let mut count = 0;
         sim.run(|_, _| count += 1);
         assert_eq!(count, 10);
-    }
-
-    #[test]
-    fn run_bounded_limits_event_count() {
-        let mut sim = Simulation::new();
-        for i in 0..10u64 {
-            sim.schedule_at(SimTime::from_millis(i), i);
-        }
-        let ran = sim.run_bounded(3, |_, _| {});
-        assert_eq!(ran, 3);
-        assert_eq!(sim.pending(), 7);
     }
 
     #[test]
@@ -334,10 +289,10 @@ mod tests {
             sim.run(|sim, e| seen.push((sim.now(), e)));
             seen
         };
-        let mut fresh = Simulation::new().with_horizon(SimTime::from_millis(10));
+        let mut fresh = horizon_at(10);
         let expect = run(&mut fresh);
 
-        let mut reused = Simulation::new().with_horizon(SimTime::from_millis(10));
+        let mut reused = horizon_at(10);
         run(&mut reused); // dirty it
         reused.reset();
         assert_eq!(reused.now(), SimTime::ZERO);
@@ -347,7 +302,7 @@ mod tests {
 
     #[test]
     fn set_horizon_changes_cutoff_on_reuse() {
-        let mut sim: Simulation<u64> = Simulation::new().with_horizon(SimTime::from_millis(5));
+        let mut sim: Simulation<u64> = horizon_at(5);
         for i in 1..=20u64 {
             sim.schedule_at(SimTime::from_millis(i), i);
         }
@@ -393,7 +348,6 @@ mod tests {
             prop_assert!(q.len() >= 1_000);
             prop_assert_eq!(q.len(), reference.len());
             while !reference.is_empty() {
-                prop_assert_eq!(q.peek_time(), reference.iter().map(|e| e.0).min());
                 prop_assert_eq!(q.pop(), reference_pop(&mut reference));
             }
             prop_assert_eq!(q.pop(), None);

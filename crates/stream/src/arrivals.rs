@@ -2,29 +2,27 @@
 //!
 //! A batch workload materializes a fixed flow count and stops; an
 //! always-on engine is fed by an *arrival process* — flows keep
-//! coming at a time-varying rate λ(t), and the engine must keep up or
-//! shed. This module generates those streams deterministically by
-//! **thinning**: candidate arrivals are drawn as a homogeneous
-//! Poisson process at the process's peak rate λ_max (a running sum of
-//! exponential gaps), and candidate `k` — whose gap and accept/reject
-//! coin both come from its own SplitMix64 sub-stream
-//! `substream_seed(seed, DOMAIN, k)` — survives with probability
-//! λ(t_k)/λ_max. Accepted candidates become [`FlowSpec`]s with dense
-//! ids, so the stream is *prefix-stable*: asking for 1 000 flows or
-//! 1 000 000 yields the same first 1 000, bit for bit, and every
-//! downstream digest stays reproducible.
+//! coming at rate λ, and the engine must keep up or shed. This module
+//! generates those streams deterministically as a homogeneous Poisson
+//! process (a running sum of exponential gaps): arrival `k`'s gap and
+//! endpoints come from its own SplitMix64 sub-streams
+//! `substream_seed(seed, DOMAIN, k)`, so the stream is
+//! *prefix-stable*: asking for 1 000 flows or 1 000 000 yields the
+//! same first 1 000, bit for bit, and every downstream digest stays
+//! reproducible.
 
 use citymesh_fleet::{FlowKind, FlowSpec};
 use citymesh_simcore::{substream_seed, SimRng};
 
 use crate::engine::StreamError;
 
-/// Sub-stream domain for per-candidate arrival gaps and thinning.
+/// Sub-stream domain for per-arrival gaps.
 pub(crate) const DOMAIN_STREAM_ARRIVAL: u64 = 0xA77A;
 /// Sub-stream domain for per-flow endpoint sampling.
 pub(crate) const DOMAIN_STREAM_FLOW: u64 = 0xF70B;
 
-/// A time-varying arrival-rate profile λ(t).
+/// The arrival-rate profile: homogeneous Poisson arrivals at
+/// `rate_hz`.
 #[derive(Clone, Copy, Debug)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals: λ(t) = `rate_hz`.
@@ -32,133 +30,20 @@ pub enum ArrivalProcess {
         /// Mean arrival rate, flows per second.
         rate_hz: f64,
     },
-    /// A smooth day/night cycle: λ(t) swings sinusoidally from
-    /// `base_hz` (at t = 0) up to `peak_hz` half a period later and
-    /// back.
-    Diurnal {
-        /// Trough arrival rate, flows per second.
-        base_hz: f64,
-        /// Crest arrival rate, flows per second.
-        peak_hz: f64,
-        /// Full cycle length, seconds.
-        period_s: f64,
-    },
-    /// A flash crowd: steady `base_hz` background with a rectangular
-    /// burst at `burst_hz` over `[burst_start_s, burst_start_s +
-    /// burst_secs)` — the "everyone texts at once after the
-    /// aftershock" overload spike.
-    FlashCrowd {
-        /// Background arrival rate, flows per second.
-        base_hz: f64,
-        /// In-burst arrival rate, flows per second.
-        burst_hz: f64,
-        /// Burst onset, seconds from stream start.
-        burst_start_s: f64,
-        /// Burst duration, seconds.
-        burst_secs: f64,
-    },
 }
 
 impl ArrivalProcess {
-    /// A short stable label for reports and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ArrivalProcess::Poisson { .. } => "poisson",
-            ArrivalProcess::Diurnal { .. } => "diurnal",
-            ArrivalProcess::FlashCrowd { .. } => "flash-crowd",
-        }
-    }
-
-    /// The instantaneous arrival rate λ(t), flows per second.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_hz } => rate_hz,
-            ArrivalProcess::Diurnal {
-                base_hz,
-                peak_hz,
-                period_s,
-            } => {
-                let phase = (t_s / period_s) * std::f64::consts::TAU;
-                base_hz + (peak_hz - base_hz) * 0.5 * (1.0 - phase.cos())
-            }
-            ArrivalProcess::FlashCrowd {
-                base_hz,
-                burst_hz,
-                burst_start_s,
-                burst_secs,
-            } => {
-                if t_s >= burst_start_s && t_s < burst_start_s + burst_secs {
-                    burst_hz
-                } else {
-                    base_hz
-                }
-            }
-        }
-    }
-
-    /// The peak rate λ_max the thinning sampler proposes at.
-    pub fn peak_rate_hz(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_hz } => rate_hz,
-            ArrivalProcess::Diurnal { peak_hz, .. } => peak_hz,
-            ArrivalProcess::FlashCrowd { burst_hz, .. } => burst_hz,
-        }
-    }
-
-    /// Rejects degenerate profiles with a typed error. Every rate must
-    /// be finite and positive (a zero background rate would make the
-    /// thinning loop spin forever once the burst passes — a hang, not
-    /// a panic), peaks must not dip below their base, and durations
-    /// must be positive.
+    /// Rejects a degenerate profile with a typed error: the rate must
+    /// be finite and positive.
     pub fn validate(&self) -> Result<(), StreamError> {
-        let check = |field: &'static str, value: f64| -> Result<(), StreamError> {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(StreamError::InvalidArrivals { field, value });
-            }
-            Ok(())
-        };
-        match *self {
-            ArrivalProcess::Poisson { rate_hz } => check("rate_hz", rate_hz),
-            ArrivalProcess::Diurnal {
-                base_hz,
-                peak_hz,
-                period_s,
-            } => {
-                check("base_hz", base_hz)?;
-                check("peak_hz", peak_hz)?;
-                check("period_s", period_s)?;
-                if peak_hz < base_hz {
-                    return Err(StreamError::InvalidArrivals {
-                        field: "peak_hz (below base_hz)",
-                        value: peak_hz,
-                    });
-                }
-                Ok(())
-            }
-            ArrivalProcess::FlashCrowd {
-                base_hz,
-                burst_hz,
-                burst_start_s,
-                burst_secs,
-            } => {
-                check("base_hz", base_hz)?;
-                check("burst_hz", burst_hz)?;
-                check("burst_secs", burst_secs)?;
-                if !burst_start_s.is_finite() || burst_start_s < 0.0 {
-                    return Err(StreamError::InvalidArrivals {
-                        field: "burst_start_s",
-                        value: burst_start_s,
-                    });
-                }
-                if burst_hz < base_hz {
-                    return Err(StreamError::InvalidArrivals {
-                        field: "burst_hz (below base_hz)",
-                        value: burst_hz,
-                    });
-                }
-                Ok(())
-            }
+        let ArrivalProcess::Poisson { rate_hz } = *self;
+        if !rate_hz.is_finite() || rate_hz <= 0.0 {
+            return Err(StreamError::InvalidArrivals {
+                field: "rate_hz",
+                value: rate_hz,
+            });
         }
+        Ok(())
     }
 }
 
@@ -206,22 +91,15 @@ pub fn try_generate_stream_flows(
     }
     cfg.process.validate()?;
     let b = buildings as u64;
-    let lambda_max = cfg.process.peak_rate_hz();
+    let ArrivalProcess::Poisson { rate_hz } = cfg.process;
 
     let mut flows = Vec::with_capacity(cfg.flows);
     let mut t_s = 0.0_f64;
-    let mut candidate = 0u64;
-    while flows.len() < cfg.flows {
-        // Candidate k's gap and thinning coin both come from its own
-        // sub-stream, so the accepted prefix never moves when more
-        // flows are requested.
-        let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_STREAM_ARRIVAL, candidate));
-        candidate += 1;
-        t_s += -(1.0 - rng.uniform()).ln() / lambda_max;
-        if rng.uniform() >= cfg.process.rate_at(t_s) / lambda_max {
-            continue;
-        }
-        let id = flows.len() as u64;
+    for id in 0..cfg.flows as u64 {
+        // Each arrival's gap comes from its own sub-stream, so the prefix
+        // never moves when more flows are requested.
+        let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_STREAM_ARRIVAL, id));
+        t_s += -(1.0 - rng.uniform()).ln() / rate_hz;
         let mut frng = SimRng::new(substream_seed(cfg.seed, DOMAIN_STREAM_FLOW, id));
         let src = frng.below(b) as u32;
         let dst = distinct_dst(&mut frng, b, src);
@@ -264,44 +142,29 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_prefix_stable() {
-        for process in [
-            ArrivalProcess::Poisson { rate_hz: 120.0 },
-            ArrivalProcess::Diurnal {
-                base_hz: 40.0,
-                peak_hz: 200.0,
-                period_s: 10.0,
-            },
-            ArrivalProcess::FlashCrowd {
-                base_hz: 50.0,
-                burst_hz: 500.0,
-                burst_start_s: 2.0,
-                burst_secs: 1.0,
-            },
-        ] {
-            let mk = |flows| {
-                generate_stream_flows(
-                    64,
-                    &StreamWorkload {
-                        flows,
-                        process,
-                        seed: 11,
-                    },
-                )
-            };
-            let a = mk(300);
-            let b = mk(300);
-            assert_eq!(a, b, "{}", process.label());
-            // The first 300 flows of a 900-flow stream are the same 300.
-            let longer = mk(900);
-            assert_eq!(a[..], longer[..300], "{}", process.label());
-            for (i, f) in a.iter().enumerate() {
-                assert_eq!(f.id, i as u64);
-                assert_ne!(f.src, f.dst);
-                assert!(f.src < 64 && f.dst < 64);
-            }
-            for w in a.windows(2) {
-                assert!(w[0].arrival_ms <= w[1].arrival_ms);
-            }
+        let mk = |flows| {
+            generate_stream_flows(
+                64,
+                &StreamWorkload {
+                    flows,
+                    process: ArrivalProcess::Poisson { rate_hz: 120.0 },
+                    seed: 11,
+                },
+            )
+        };
+        let a = mk(300);
+        let b = mk(300);
+        assert_eq!(a, b);
+        // The first 300 flows of a 900-flow stream are the same 300.
+        let longer = mk(900);
+        assert_eq!(a[..], longer[..300]);
+        for (i, f) in a.iter().enumerate() {
+            assert_eq!(f.id, i as u64);
+            assert_ne!(f.src, f.dst);
+            assert!(f.src < 64 && f.dst < 64);
+        }
+        for w in a.windows(2) {
+            assert!(w[0].arrival_ms <= w[1].arrival_ms);
         }
     }
 
@@ -324,80 +187,6 @@ mod tests {
             "mean interarrival {mean} ms, want ~10 ms"
         );
         assert!((cv - 1.0).abs() < 0.05, "interarrival CV {cv}, want ~1");
-    }
-
-    #[test]
-    fn flash_crowd_burst_shape_is_respected() {
-        // 50 Hz background with a 10× burst over [5 s, 7 s): compare
-        // arrival counts in the burst window against the two seconds
-        // right before it.
-        let flows = generate_stream_flows(
-            100,
-            &StreamWorkload {
-                flows: 4000,
-                process: ArrivalProcess::FlashCrowd {
-                    base_hz: 50.0,
-                    burst_hz: 500.0,
-                    burst_start_s: 5.0,
-                    burst_secs: 2.0,
-                },
-                seed: 7,
-            },
-        );
-        let count_in = |lo_s: f64, hi_s: f64| {
-            flows
-                .iter()
-                .filter(|f| f.arrival_ms >= lo_s * 1e3 && f.arrival_ms < hi_s * 1e3)
-                .count() as f64
-        };
-        let before = count_in(3.0, 5.0);
-        let during = count_in(5.0, 7.0);
-        assert!(before > 0.0, "background must produce arrivals");
-        let ratio = during / before;
-        assert!(
-            (ratio - 10.0).abs() < 3.0,
-            "burst/background arrival ratio {ratio}, want ~10"
-        );
-        // Expected counts themselves: ~100 before, ~1000 during.
-        assert!(
-            (before - 100.0).abs() < 40.0,
-            "pre-burst count {before}, want ~100"
-        );
-        assert!(
-            (during - 1000.0).abs() < 120.0,
-            "burst count {during}, want ~1000"
-        );
-    }
-
-    #[test]
-    fn diurnal_crest_outdraws_the_trough() {
-        // One 20 s cycle from 20 Hz to 200 Hz: the middle half-period
-        // (around the crest) must collect far more arrivals than the
-        // first and last quarters (around the troughs).
-        let flows = generate_stream_flows(
-            100,
-            &StreamWorkload {
-                flows: 2200,
-                process: ArrivalProcess::Diurnal {
-                    base_hz: 20.0,
-                    peak_hz: 200.0,
-                    period_s: 20.0,
-                },
-                seed: 3,
-            },
-        );
-        let in_window = |lo_s: f64, hi_s: f64| {
-            flows
-                .iter()
-                .filter(|f| f.arrival_ms >= lo_s * 1e3 && f.arrival_ms < hi_s * 1e3)
-                .count() as f64
-        };
-        let trough = in_window(0.0, 5.0) + in_window(15.0, 20.0);
-        let crest = in_window(5.0, 15.0);
-        assert!(
-            crest > 2.5 * trough,
-            "crest ({crest}) must clearly outdraw the troughs ({trough})"
-        );
     }
 
     #[test]
@@ -426,47 +215,6 @@ mod tests {
                 })
             ));
         }
-        // A flash crowd whose background dies after the burst would
-        // hang the thinning loop; it must be rejected up front.
-        assert!(matches!(
-            gen(ArrivalProcess::FlashCrowd {
-                base_hz: 0.0,
-                burst_hz: 100.0,
-                burst_start_s: 1.0,
-                burst_secs: 1.0,
-            }),
-            Err(StreamError::InvalidArrivals {
-                field: "base_hz",
-                ..
-            })
-        ));
-        // Peaks below their base invert the thinning bound.
-        assert!(gen(ArrivalProcess::Diurnal {
-            base_hz: 100.0,
-            peak_hz: 50.0,
-            period_s: 10.0,
-        })
-        .is_err());
-        assert!(gen(ArrivalProcess::FlashCrowd {
-            base_hz: 100.0,
-            burst_hz: 50.0,
-            burst_start_s: 1.0,
-            burst_secs: 1.0,
-        })
-        .is_err());
-        // Negative burst onset.
-        assert!(matches!(
-            gen(ArrivalProcess::FlashCrowd {
-                base_hz: 10.0,
-                burst_hz: 100.0,
-                burst_start_s: -2.0,
-                burst_secs: 1.0,
-            }),
-            Err(StreamError::InvalidArrivals {
-                field: "burst_start_s",
-                ..
-            })
-        ));
         // And a valid profile generates.
         assert_eq!(
             gen(ArrivalProcess::Poisson { rate_hz: 10.0 })

@@ -48,7 +48,7 @@ use std::time::Instant;
 
 use citymesh_core::{CityExperiment, PairOutcome};
 use citymesh_dynamics::{
-    require_stale_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
+    require_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
 };
 use citymesh_fleet::{
     merge_by_id, resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry,
@@ -249,8 +249,7 @@ pub enum StreamError {
         capacity: usize,
     },
     /// The timeline carries events but the experiment has no fault
-    /// state for them to mutate, or plans on the live map
-    /// ([`require_stale_fault_state`]).
+    /// state for them to mutate ([`require_fault_state`]).
     Churn(ChurnError),
     /// An arrival-stream workload needs at least two buildings to draw
     /// distinct endpoints from.
@@ -258,10 +257,8 @@ pub enum StreamError {
         /// The offending building count.
         buildings: usize,
     },
-    /// An [`ArrivalProcess`](crate::ArrivalProcess) knob was
-    /// non-finite or out of range (rates must be positive — a zero
-    /// background rate would hang the thinning sampler — and peaks
-    /// must not dip below their base).
+    /// The [`ArrivalProcess`](crate::ArrivalProcess) rate was
+    /// non-finite or not positive.
     InvalidArrivals {
         /// Which knob.
         field: &'static str,
@@ -679,14 +676,6 @@ impl StreamReport {
         self.shed() as f64 / self.offered as f64
     }
 
-    /// Admitted fraction over all offered flows.
-    pub fn admit_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.admitted as f64 / self.offered as f64
-    }
-
     /// A sojourn-time quantile of the admitted flows, ms.
     pub fn sojourn_quantile(&self, q: f64) -> Option<f64> {
         self.sojourn_ms.quantile(q)
@@ -787,7 +776,7 @@ pub fn try_run_stream(
 ) -> Result<(StreamReport, Option<FleetTelemetry>), StreamError> {
     cfg.validate(exp)?;
     if !timeline.is_empty() {
-        require_stale_fault_state(exp)?;
+        require_fault_state(exp)?;
     }
     let started = Instant::now();
 
@@ -1803,18 +1792,13 @@ mod tests {
         assert!(!tl.is_empty());
         let err = try_run_stream(&exp, &flows, &tl, &ok, &TelemetryConfig::off()).unwrap_err();
         assert_eq!(err, StreamError::Churn(ChurnError::MissingFaultState));
-        let mut fresh_scenario = FaultScenario::district_blackouts(1, 100.0);
-        fresh_scenario.stale_map = false;
-        let fresh = faulted_world(28, fresh_scenario);
-        let err = try_run_stream(&fresh, &flows, &tl, &ok, &TelemetryConfig::off()).unwrap_err();
-        assert_eq!(err, StreamError::Churn(ChurnError::FreshMap));
         // Error messages surface the prerequisite by name.
         assert!(StreamError::Fleet(FleetError::HierPlannerNotEnabled)
             .to_string()
             .contains("enable_hier"));
-        assert!(StreamError::Churn(ChurnError::FreshMap)
+        assert!(StreamError::Churn(ChurnError::MissingFaultState)
             .to_string()
-            .contains("stale"));
+            .contains("fault state"));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! must stay up through sustained overload. This crate models exactly
 //! that regime, deterministically:
 //!
-//! * [`arrivals`] — open-loop arrival streams ([`ArrivalProcess`]:
-//!   Poisson, diurnal, flash-crowd) materialized by thinning from
-//!   per-candidate RNG sub-streams, so streams are reproducible and
-//!   prefix-stable at any length.
+//! * [`arrivals`] — open-loop Poisson arrival streams
+//!   ([`ArrivalProcess`]) materialized from per-arrival RNG
+//!   sub-streams, so streams are reproducible and prefix-stable at any
+//!   length.
 //! * [`try_run_stream`] — the engine: flows are dealt to a fixed set of
 //!   modeled servers, each a bounded virtual-time FIFO
 //!   ([`ServerQueue`]). Arrivals that would overflow the queue or

@@ -7,7 +7,7 @@
 //! own unit tests that do overload it compare the engine with itself.
 //! This file holds the capped path to an independent reference while
 //! the world is also changing: a ladder world (i.i.d. failures plus a
-//! blackout, stale map), a timeline of aftershocks, battery waves and
+//! blackout), a timeline of aftershocks, battery waves and
 //! repairs, and arrivals far above capacity.
 //!
 //! The reference is one thread over the public queue
@@ -163,7 +163,7 @@ fn capped_flows_under_churn_equal_a_single_attempt_world() {
         blackout_radius_m: 90.0,
         ..FaultScenario::iid(0.25)
     };
-    assert!(scenario.stale_map && scenario.retry == RetryPolicy::ladder());
+    assert_eq!(scenario.retry, RetryPolicy::ladder());
     let exp = CityExperiment::prepare(
         CityArchetype::SurveyDowntown.generate(SEED),
         ExperimentConfig {
@@ -210,7 +210,7 @@ fn capped_flows_under_churn_equal_a_single_attempt_world() {
     for workers in [1usize, 3] {
         let cfg = StreamConfig { workers, ..cfg };
         let (report, _) = try_run_stream(&exp, &flows, &timeline, &cfg, &TelemetryConfig::off())
-            .expect("a stale-map faulted world");
+            .expect("a faulted world");
         assert!(report.degraded_retry > 0, "rung 2 never fired");
         assert!(report.shed_backpressure > 0, "the queues never filled");
         assert_eq!(report.events_applied, timeline.len() as u64);

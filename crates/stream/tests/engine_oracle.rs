@@ -386,7 +386,7 @@ proptest! {
                     };
                     let (engine, _) =
                         try_run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::off())
-                            .expect("blackout world is faulted and stale-map");
+                            .expect("blackout world is faulted");
                     let what = format!("churn {strategy:?} {invalidation:?} x{workers}");
                     prop_assert_eq!(engine.flows, reference.flows, "{}: flows", &what);
                     prop_assert_eq!(engine.delivered, reference.delivered, "{}: delivered", &what);
@@ -447,7 +447,7 @@ proptest! {
                 ..StreamConfig::default()
             };
             let (report, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
-                .expect("blackout world is faulted and stale-map");
+                .expect("blackout world is faulted");
             prop_assert_eq!(report.shed(), 0);
             prop_assert_eq!(report.events_applied, tl.len() as u64);
             assert_fleet_eq(&report.fleet, &whole, &format!("stream+timeline {invalidation:?}"));

@@ -296,17 +296,8 @@ impl TraceConfig {
         }
     }
 
-    /// Keep failed and retried flows only.
-    pub fn failures_only() -> Self {
-        TraceConfig {
-            enabled: true,
-            sample_every: 0,
-            ring_capacity: DEFAULT_RING_CAPACITY,
-        }
-    }
-
-    /// Keep failures/retries plus every `n`-th flow by key
-    /// (`n == 0` degrades to [`TraceConfig::failures_only`]).
+    /// Keep failures/retries plus every `n`-th flow by key (`n == 0`
+    /// keeps failed and retried flows only).
     pub fn sampled(n: u64) -> Self {
         TraceConfig {
             enabled: true,
@@ -520,7 +511,7 @@ mod tests {
 
     #[test]
     fn failures_and_retries_are_always_kept() {
-        let cfg = TraceConfig::failures_only();
+        let cfg = TraceConfig::sampled(0);
         assert!(!cfg.keeps(1, true, 1), "a clean first-try delivery is not");
         assert!(cfg.keeps(2, false, 1), "a failure is");
         assert!(cfg.keeps(3, true, 2), "a retried delivery is");
