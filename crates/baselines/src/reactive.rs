@@ -28,9 +28,9 @@
 //! consumes, used surgically instead of wholesale.
 
 use citymesh_core::{
-    compress_route, plan_route, plan_route_avoiding_into, reconstruct_conduits,
-    simulate_delivery_faulted, CityExperiment, CoveredSet, DeliveryParams, DeliveryScratch,
-    OverheadOutcome, PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage, Relays,
+    compress_route, plan_route, plan_route_avoiding_into, reconstruct_conduits, sim::HORIZON,
+    simulate_delivery_faulted, CityExperiment, CoveredSet, DeliveryScratch, OverheadOutcome,
+    PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage, Relays,
 };
 use citymesh_graph::PlannerScratch;
 use citymesh_net::CityMeshHeader;
@@ -109,11 +109,7 @@ pub fn deliver_with_local_repair(
         plan.primary_route().to_vec()
     };
     let faults = exp.fault_state();
-    let width = exp.config().conduit_width_m;
-    let params = DeliveryParams {
-        reception_loss: exp.config().reception_loss,
-        ..DeliveryParams::default()
-    };
+    let (width, loss) = (exp.config().conduit_width_m, exp.config().reception_loss);
     let max_attempts = max_attempts.max(1);
     let mut attempts = 0u32;
     let mut total_broadcasts = 0u64;
@@ -141,7 +137,7 @@ pub fn deliver_with_local_repair(
                 &header,
                 relays,
                 src_ap,
-                params,
+                loss,
                 faults,
                 rng,
                 scratch,
@@ -166,7 +162,7 @@ pub fn deliver_with_local_repair(
         }
         // The sender learns of failure at its timeout, exactly like
         // the ladder: one full horizon of latency per failed attempt.
-        penalty += params.horizon;
+        penalty += HORIZON;
         if let Some(patched) = repair_locally(exp, &route, &mut search, &mut result) {
             route = patched;
             repaired = true;

@@ -49,10 +49,7 @@ pub fn sweep_weight_exponent(seed: u64, pairs: usize) -> Vec<SweepPoint> {
         .into_iter()
         .map(|exp| {
             let config = ExperimentConfig {
-                graph: BuildingGraphParams {
-                    weight_exponent: exp,
-                    ..Default::default()
-                },
+                weight_exponent: exp,
                 ..base_config(seed, pairs)
             };
             run_point(&map, config, exp)
@@ -99,7 +96,6 @@ pub fn sweep_range(seed: u64, pairs: usize) -> Vec<SweepPoint> {
             let config = ExperimentConfig {
                 range_m: range,
                 conduit_width_m: range,
-                graph: BuildingGraphParams::for_range(range),
                 ..base_config(seed, pairs)
             };
             run_point(&map, config, range)

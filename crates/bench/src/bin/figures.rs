@@ -51,7 +51,7 @@ use citymesh_bench::{ablation, eval_figs, render, scaling, survey_figs, text};
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, ApGraph, BuildingGraph, BuildingGraphParams, CoveredSet,
-    DeliveryParams, DeliveryScratch, Relays,
+    DeliveryScratch, Relays,
 };
 use citymesh_map::CityArchetype;
 use citymesh_net::CityMeshHeader;
@@ -433,7 +433,7 @@ fn fig7(_: &mut Ctx) {
         &header,
         Relays::Covered(&CoveredSet::of(&map, &conduits)),
         src_ap,
-        DeliveryParams::default(),
+        0.0,
         None,
         &mut rng,
         &mut scratch,

@@ -346,8 +346,8 @@ mod tests {
     use super::*;
     use citymesh_core::{
         compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
-        simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CoveredSet, DeliveryParams,
-        DeliveryScratch, Relays,
+        simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CoveredSet, DeliveryScratch,
+        Relays,
     };
     use citymesh_map::CityArchetype;
     use citymesh_simcore::SimRng;
@@ -386,7 +386,7 @@ mod tests {
             &header,
             Relays::Covered(&CoveredSet::of(&map, &conduits)),
             src,
-            DeliveryParams::default(),
+            0.0,
             None,
             &mut SimRng::new(3),
             &mut scratch,

@@ -44,12 +44,7 @@ pub fn run_surveys(seed: u64, scale: f64) -> SurveyFigures {
         .into_iter()
         .map(|(arch, scans, mode)| {
             let map = arch.generate(seed);
-            let cfg = SurveyConfig {
-                scans,
-                mode,
-                seed,
-                ..SurveyConfig::default()
-            };
+            let cfg = SurveyConfig { scans, mode, seed };
             Survey::run(&map, &cfg)
         })
         .collect();

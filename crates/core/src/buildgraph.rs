@@ -25,7 +25,7 @@ use crate::rows::LazyRows;
 const NUM_LANDMARKS: usize = 8;
 
 /// Parameters for building-graph construction.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BuildingGraphParams {
     /// Maximum footprint-to-footprint gap, meters, for a predicted
     /// link. The default is `0.8 ×` the transmission range: APs sit

@@ -54,8 +54,8 @@ pub const DOMAIN_FAULT_DEGRADE: u64 = 0xDE64;
 /// 1. first send (always);
 /// 2. **re-send** over the same conduit (a fresh jitter/loss draw —
 ///    recovers from unlucky frame loss);
-/// 3. **widen** the conduit by [`RetryPolicy::widen_factor`], reusing
-///    the cached waypoints (recruits off-spine APs around dead ones);
+/// 3. **widen** the conduit by [`WIDEN_FACTOR`], reusing the cached
+///    waypoints (recruits off-spine APs around dead ones);
 /// 4. **replan** over the surviving building graph, detouring around
 ///    buildings with zero live APs (recovers from a cached map that no
 ///    longer matches the world).
@@ -68,10 +68,12 @@ pub const DOMAIN_FAULT_DEGRADE: u64 = 0xDE64;
 pub struct RetryPolicy {
     /// Total delivery attempts, including the first send (≥ 1).
     pub max_attempts: u32,
-    /// Conduit width multiplier for the widen rung (≥ 1; the result
-    /// is clamped to the header-encodable maximum).
-    pub widen_factor: f64,
 }
+
+/// Conduit width multiplier of the widen rung, which every policy with
+/// at least three attempts climbs (the result is clamped to the
+/// header-encodable maximum).
+pub const WIDEN_FACTOR: f64 = 2.0;
 
 impl RetryPolicy {
     /// No recovery: exactly one send. This is the implicit policy of
@@ -79,25 +81,18 @@ impl RetryPolicy {
     /// `RetryPolicy::none()` leaves RNG streams and fleet digests of
     /// healthy worlds untouched.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            widen_factor: 1.0,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
     /// The full four-rung ladder: send, re-send, widen ×2, replan.
     pub fn ladder() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            widen_factor: 2.0,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 
     /// Validates the policy's invariants.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let attempts = f64::from(self.max_attempts);
-        require_within("retry.max_attempts", attempts, 1.0, f64::INFINITY)?;
-        require_within("retry.widen_factor", self.widen_factor, 1.0, f64::INFINITY)
+        require_within("retry.max_attempts", attempts, 1.0, f64::INFINITY)
     }
 }
 
@@ -759,21 +754,10 @@ mod tests {
         };
         assert!(bad_r.validate().is_err());
         let zero_attempts = FaultScenario {
-            retry: RetryPolicy {
-                max_attempts: 0,
-                widen_factor: 2.0,
-            },
+            retry: RetryPolicy { max_attempts: 0 },
             ..FaultScenario::default()
         };
         assert!(zero_attempts.validate().is_err());
-        let shrink = FaultScenario {
-            retry: RetryPolicy {
-                max_attempts: 2,
-                widen_factor: 0.5,
-            },
-            ..FaultScenario::default()
-        };
-        assert!(shrink.validate().is_err());
     }
 
     #[test]

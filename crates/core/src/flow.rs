@@ -27,9 +27,7 @@ use crate::config::RebroadcastScope;
 use crate::faults::{RecoveryStage, RetryPolicy};
 use crate::plan::{PlannedFlow, RecoveryVariants};
 use crate::secure::TamperMode;
-use crate::sim::{
-    placeholder_header, simulate_delivery_faulted, DeliveryParams, DeliveryScratch, Relays,
-};
+use crate::sim::{placeholder_header, simulate_delivery_faulted, DeliveryScratch, Relays, HORIZON};
 use crate::world::CityExperiment;
 
 /// One src→dst delivery attempt, fully annotated.
@@ -300,11 +298,8 @@ impl CityExperiment {
         let max_attempts = policy
             .max_attempts
             .min(opts.max_attempts.unwrap_or(u32::MAX));
-        let (width, scope) = (self.config().conduit_width_m, self.config().scope);
-        let params = DeliveryParams {
-            reception_loss: self.config().reception_loss,
-            ..DeliveryParams::default()
-        };
+        let config = self.config();
+        let (width, scope, loss) = (config.conduit_width_m, config.scope, config.reception_loss);
         // A plan assembled field by field carries no covered set; it is
         // computed here rather than read as "covers nothing".
         let computed;
@@ -383,7 +378,7 @@ impl CityExperiment {
                     &header,
                     relays,
                     src_ap,
-                    params,
+                    loss,
                     faults,
                     rng,
                     scratch,
@@ -406,7 +401,7 @@ impl CityExperiment {
             if attempts >= max_attempts {
                 break;
             }
-            penalty += params.horizon;
+            penalty += HORIZON;
         }
         outcome.attempts = attempts;
         outcome.broadcasts = total_broadcasts;

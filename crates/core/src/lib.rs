@@ -104,8 +104,8 @@ pub use route::{
 };
 pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
 pub use sim::{
-    simulate_delivery_faulted, ApRole, DeliveryParams, DeliveryReport, DeliveryScratch,
-    DetourStats, KernelStats, OverheadOutcome, Relays,
+    simulate_delivery_faulted, ApRole, DeliveryReport, DeliveryScratch, DetourStats, KernelStats,
+    OverheadOutcome, Relays,
 };
 pub use world::{CityExperiment, DeploymentTransition, EpochTransition};
 

@@ -15,7 +15,7 @@ use citymesh_graph::{HopScratch, PlannerScratch};
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 
 use crate::conduit::{compress_route_into, reconstruct_conduits_into, CoveredSet};
-use crate::faults::FaultState;
+use crate::faults::{FaultState, WIDEN_FACTOR};
 use crate::hier::{HierPlanScratch, HierPlanner};
 use crate::route::{plan_route_counted, search_avoiding, RouteStats, Survivors};
 use crate::sim::{placeholder_header, DetourScratch};
@@ -484,8 +484,8 @@ impl CityExperiment {
         let (map, marks) = (self.map(), &mut d.covered_marks);
         // Widen rung: same waypoints, fatter conduits, clamped to
         // the header-encodable width.
-        if policy.max_attempts >= 3 && policy.widen_factor > 1.0 {
-            let w = (width * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
+        if policy.max_attempts >= 3 {
+            let w = (width * WIDEN_FACTOR).min(MAX_CONDUIT_WIDTH_M);
             d.header.reuse_for(0, w, &plan.waypoints);
             rec.wide_width_m = d.header.conduit_width_m();
             reconstruct_conduits_into(map, &plan.waypoints, rec.wide_width_m, &mut d.conduits);

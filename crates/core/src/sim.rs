@@ -31,59 +31,19 @@ use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
 use crate::apgraph::ApGraph;
 use crate::conduit::{within_conduits, CoveredSet};
-use crate::config::{require_probability, ConfigError};
 use crate::faults::{combined_loss, FaultState};
 
-/// Simulation knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct DeliveryParams {
-    /// Maximum per-relay MAC jitter; each relay waits
-    /// `U(min_jitter, max_jitter)` before transmitting.
-    pub max_jitter: SimTime,
-    /// Minimum per-relay jitter (processing latency floor).
-    pub min_jitter: SimTime,
-    /// Hard stop: undelivered after this long counts as failure.
-    pub horizon: SimTime,
-    /// Probability that any individual frame reception is lost to
-    /// collisions/fading (0 = the paper's idealized medium). The
-    /// broadcast redundancy of conduit relaying is what absorbs this:
-    /// a receiver usually hears the same packet from several
-    /// neighbors.
-    pub reception_loss: f64,
-}
+/// Minimum per-relay MAC jitter (the processing-latency floor): each
+/// relay waits `U(MIN_JITTER, MAX_JITTER)` before transmitting.
+pub const MIN_JITTER: SimTime = SimTime::from_micros(500);
+/// Maximum per-relay MAC jitter.
+pub const MAX_JITTER: SimTime = SimTime::from_millis(5);
+/// Hard stop: a message undelivered after this long has failed, and
+/// every failed attempt of the retry ladder charges it as latency.
+pub const HORIZON: SimTime = SimTime::from_millis(60_000);
 
-impl Default for DeliveryParams {
-    fn default() -> Self {
-        DeliveryParams {
-            min_jitter: SimTime::from_micros(500),
-            max_jitter: SimTime::from_millis(5),
-            horizon: SimTime::from_secs_f64(60.0),
-            reception_loss: 0.0,
-        }
-    }
-}
-
-impl DeliveryParams {
-    /// Validates the simulation knobs: a positive horizon, an ordered
-    /// jitter window, and a reception loss that is a probability.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.horizon <= SimTime::ZERO {
-            return Err(ConfigError::NotPositive {
-                field: "horizon",
-                value: self.horizon.as_secs_f64(),
-            });
-        }
-        if self.min_jitter > self.max_jitter {
-            return Err(ConfigError::OutOfRange {
-                field: "min_jitter",
-                value: self.min_jitter.as_secs_f64(),
-                min: 0.0,
-                max: self.max_jitter.as_secs_f64(),
-            });
-        }
-        require_probability("reception_loss", self.reception_loss)
-    }
-}
+/// Width of the jitter window, nanoseconds.
+const JITTER_SPAN_NS: u64 = MAX_JITTER.as_nanos() - MIN_JITTER.as_nanos();
 
 /// Explicit transmission-overhead semantics, replacing the ambiguous
 /// bare `Option` (which conflated "the flow failed" with "there is no
@@ -409,9 +369,9 @@ impl DeliveryScratch {
     /// and under building scope rebroadcast in a covered building while
     /// the TTL allows. A building outside the set never relays; one
     /// past `apg`'s range hosts no AP and is never read.
-    fn begin(&mut self, apg: &ApGraph, header: &CityMeshHeader, relays: Relays, horizon: SimTime) {
+    fn begin(&mut self, apg: &ApGraph, header: &CityMeshHeader, relays: Relays) {
         self.sim.reset();
-        self.sim.set_horizon(Some(horizon));
+        self.sim.set_horizon(Some(HORIZON));
         self.verdicts.clear();
         self.verdicts.resize(apg.buildings(), 0);
         if let (Relays::Covered(covered), true) = (relays, header.ttl > 0) {
@@ -440,7 +400,10 @@ impl DeliveryScratch {
 /// fault scenario or none.
 ///
 /// `rng` drives MAC jitter and reception loss only; topology comes
-/// fixed from `apg`. `relays` are `header`'s conduits as the flow's
+/// fixed from `apg`. `reception_loss` is the probability that any one
+/// frame reception is lost to collisions or fading (0 is the paper's
+/// idealized medium); a receiver usually hears the packet from several
+/// relays, which is what absorbs it. `relays` are `header`'s conduits as the flow's
 /// scope reads them: the buildings they cover, which the kernel writes
 /// into its per-building table before the flood, or the conduits
 /// themselves, tested at each first-time receiver's position. Either is
@@ -479,13 +442,13 @@ pub fn simulate_delivery_faulted<'a>(
     header: &CityMeshHeader,
     relays: Relays,
     src_ap: u32,
-    params: DeliveryParams,
+    reception_loss: f64,
     faults: Option<&FaultState>,
     rng: &mut SimRng,
     scratch: &'a mut DeliveryScratch,
 ) -> &'a DeliveryReport {
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
-    scratch.begin(apg, header, relays, params.horizon);
+    scratch.begin(apg, header, relays);
     // A dead source cannot even make the first transmission: fail
     // cleanly with an empty schedule.
     if faults.is_some_and(|f| f.is_failed(src_ap)) {
@@ -512,14 +475,14 @@ pub fn simulate_delivery_faulted<'a>(
         apg,
         header,
         relays,
-        params,
+        reception_loss,
         faults,
     };
     // Chosen from what the call itself shows, never configured: with no
     // fault state, a lossless medium and no flow being traced, no
     // reception is ever dropped and nothing is ever recorded, so the
     // loop that omits those branches is the same kernel.
-    if faults.is_none() && params.reception_loss == 0.0 && !scratch.tracer.is_active() {
+    if faults.is_none() && reception_loss == 0.0 && !scratch.tracer.is_active() {
         flood.run::<true>(rng, scratch);
     } else {
         flood.run::<false>(rng, scratch);
@@ -532,7 +495,7 @@ struct Flood<'a> {
     apg: &'a ApGraph,
     header: &'a CityMeshHeader,
     relays: Relays<'a>,
-    params: DeliveryParams,
+    reception_loss: f64,
     faults: Option<&'a FaultState>,
 }
 
@@ -548,7 +511,7 @@ impl Flood<'_> {
             apg,
             header,
             relays,
-            params,
+            reception_loss,
             faults,
         } = *self;
         let DeliveryScratch {
@@ -559,11 +522,6 @@ impl Flood<'_> {
             stats,
             ..
         } = scratch;
-        let jitter_span = params
-            .max_jitter
-            .saturating_since(params.min_jitter)
-            .as_nanos()
-            .max(1);
         let (mut broadcasts, mut receptions, mut duplicates) = (0u64, 0u64, 0u64);
         let mut high_water = stats.queue_high_water.max(sim.pending());
 
@@ -586,8 +544,8 @@ impl Flood<'_> {
                         continue;
                     }
                     let loss = match faults {
-                        Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
-                        None => params.reception_loss,
+                        Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
+                        None => reception_loss,
                     };
                     if loss > 0.0 && rng.chance(loss) {
                         continue; // frame lost to collision/fading
@@ -626,7 +584,7 @@ impl Flood<'_> {
                 if rebroadcast {
                     report.roles[rx as usize] = ApRole::Relayed;
                     let delay =
-                        SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
+                        SimTime::from_nanos(MIN_JITTER.as_nanos() + rng.below(JITTER_SPAN_NS));
                     sim.schedule_at(now + delay, Tx(rx));
                     high_water = high_water.max(sim.pending());
                 }
@@ -657,7 +615,7 @@ mod tests {
         header: &CityMeshHeader,
         scope: RebroadcastScope,
         src_ap: u32,
-        params: DeliveryParams,
+        loss: f64,
         rng: &mut SimRng,
         scratch: &'a mut DeliveryScratch,
     ) -> &'a DeliveryReport {
@@ -667,7 +625,7 @@ mod tests {
             RebroadcastScope::Building => Relays::Covered(&covered),
             RebroadcastScope::ApPosition => Relays::Conduits(&conduits),
         };
-        simulate_delivery_faulted(apg, header, relays, src_ap, params, None, rng, scratch)
+        simulate_delivery_faulted(apg, header, relays, src_ap, loss, None, rng, scratch)
     }
 
     /// [`run`] under building scope through a fresh scratch.
@@ -676,12 +634,12 @@ mod tests {
         apg: &ApGraph,
         header: &CityMeshHeader,
         src_ap: u32,
-        params: DeliveryParams,
+        loss: f64,
         rng: &mut SimRng,
     ) -> DeliveryReport {
         let mut scratch = DeliveryScratch::new();
         let scope = RebroadcastScope::Building;
-        run(map, apg, header, scope, src_ap, params, rng, &mut scratch).clone()
+        run(map, apg, header, scope, src_ap, loss, rng, &mut scratch).clone()
     }
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
@@ -725,14 +683,7 @@ mod tests {
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let mut rng = SimRng::new(2);
-        let report = simulate(
-            &map,
-            &apg,
-            &header,
-            src,
-            DeliveryParams::default(),
-            &mut rng,
-        );
+        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
         assert!(report.delivered);
         assert!(report.first_delivery.is_some());
         assert!(report.broadcasts >= 5, "a 270 m street needs several hops");
@@ -748,14 +699,7 @@ mod tests {
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let run = |seed| {
             let mut rng = SimRng::new(seed);
-            simulate(
-                &map,
-                &apg,
-                &header,
-                src,
-                DeliveryParams::default(),
-                &mut rng,
-            )
+            simulate(&map, &apg, &header, src, 0.0, &mut rng)
         };
         let a = run(5);
         let b = run(5);
@@ -775,27 +719,10 @@ mod tests {
             let header = route_header(&bg, src_b, dst_b);
             let src = postbox_ap(&aps, &map, src_b).unwrap();
             let mut fresh_rng = SimRng::new(seed);
-            let fresh = simulate(
-                &map,
-                &apg,
-                &header,
-                src,
-                DeliveryParams::default(),
-                &mut fresh_rng,
-            );
+            let fresh = simulate(&map, &apg, &header, src, 0.0, &mut fresh_rng);
             let mut rng = SimRng::new(seed);
-            let params = DeliveryParams::default();
             let scope = RebroadcastScope::Building;
-            let reused = run(
-                &map,
-                &apg,
-                &header,
-                scope,
-                src,
-                params,
-                &mut rng,
-                &mut scratch,
-            );
+            let reused = run(&map, &apg, &header, scope, src, 0.0, &mut rng, &mut scratch);
             assert_eq!(
                 *reused, fresh,
                 "scratch reuse diverged for {src_b}->{dst_b}"
@@ -811,7 +738,7 @@ mod tests {
         let header_a = route_header(&bg, 0, 9);
         let src_a = postbox_ap(&aps, &map, 0).unwrap();
         let mut scratch = DeliveryScratch::new();
-        let (params, scope) = (DeliveryParams::default(), RebroadcastScope::Building);
+        let scope = RebroadcastScope::Building;
         let mut rng = SimRng::new(1);
         run(
             &map,
@@ -819,7 +746,7 @@ mod tests {
             &header_a,
             scope,
             src_a,
-            params,
+            0.0,
             &mut rng,
             &mut scratch,
         );
@@ -835,14 +762,7 @@ mod tests {
         assert_eq!(header_a.msg_id, header_b.msg_id, "test needs a reused id");
         let src_b = postbox_ap(&aps, &map, 5).unwrap();
         let mut fresh_rng = SimRng::new(2);
-        let fresh = simulate(
-            &map,
-            &apg,
-            &header_b,
-            src_b,
-            DeliveryParams::default(),
-            &mut fresh_rng,
-        );
+        let fresh = simulate(&map, &apg, &header_b, src_b, 0.0, &mut fresh_rng);
         let mut rng = SimRng::new(2);
         let reused = run(
             &map,
@@ -850,7 +770,7 @@ mod tests {
             &header_b,
             scope,
             src_b,
-            params,
+            0.0,
             &mut rng,
             &mut scratch,
         );
@@ -896,26 +816,10 @@ mod tests {
             let header = route_header(bg, 0, dst);
             let src = postbox_ap(aps, map, 0).unwrap();
             let mut fresh_rng = SimRng::new(3);
-            let fresh = simulate(
-                map,
-                apg,
-                &header,
-                src,
-                DeliveryParams::default(),
-                &mut fresh_rng,
-            );
+            let fresh = simulate(map, apg, &header, src, 0.0, &mut fresh_rng);
             let mut rng = SimRng::new(3);
-            let (params, scope) = (DeliveryParams::default(), RebroadcastScope::Building);
-            let reused = run(
-                map,
-                apg,
-                &header,
-                scope,
-                src,
-                params,
-                &mut rng,
-                &mut scratch,
-            );
+            let scope = RebroadcastScope::Building;
+            let reused = run(map, apg, &header, scope, src, 0.0, &mut rng, &mut scratch);
             assert_eq!(*reused, fresh, "world {} diverged", map.name());
             assert_eq!(reused.roles.len(), apg.len(), "roles sized to this world");
         }
@@ -938,14 +842,7 @@ mod tests {
         // would not even try; this exercises network behaviour).
         let header = CityMeshHeader::new(1, 50.0, vec![src_building, dst_building]);
         let src = postbox_ap(&aps, &map, src_building).unwrap();
-        let report = simulate(
-            &map,
-            &apg,
-            &header,
-            src,
-            DeliveryParams::default(),
-            &mut rng,
-        );
+        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
         assert!(!report.delivered);
         assert!(report.first_delivery.is_none());
         assert!(report.overhead(None).is_none());
@@ -978,14 +875,7 @@ mod tests {
         let dst = map.nearest_building(Point::new(216.0, 6.0)).unwrap().id;
         let header = route_header(&bg, src, dst);
         let src_ap = postbox_ap(&aps, &map, src).unwrap();
-        let report = simulate(
-            &map,
-            &apg,
-            &header,
-            src_ap,
-            DeliveryParams::default(),
-            &mut rng,
-        );
+        let report = simulate(&map, &apg, &header, src_ap, 0.0, &mut rng);
         assert!(report.delivered);
         // APs in the top rows (y > 120 m: > 2 building rows above the
         // conduit) never relay.
@@ -1011,18 +901,7 @@ mod tests {
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let by = |scope| {
             let (mut rng, mut scratch) = (SimRng::new(6), DeliveryScratch::new());
-            let params = DeliveryParams::default();
-            run(
-                &map,
-                &apg,
-                &header,
-                scope,
-                src,
-                params,
-                &mut rng,
-                &mut scratch,
-            )
-            .clone()
+            run(&map, &apg, &header, scope, src, 0.0, &mut rng, &mut scratch).clone()
         };
         let by_building = by(RebroadcastScope::Building);
         let by_pos = by(RebroadcastScope::ApPosition);
@@ -1036,14 +915,7 @@ mod tests {
         let header = CityMeshHeader::new(9, 50.0, vec![3]);
         let src = postbox_ap(&aps, &map, 3).unwrap();
         let mut rng = SimRng::new(7);
-        let report = simulate(
-            &map,
-            &apg,
-            &header,
-            src,
-            DeliveryParams::default(),
-            &mut rng,
-        );
+        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
         assert!(report.delivered);
         assert_eq!(report.first_delivery, Some(SimTime::ZERO));
     }
@@ -1059,18 +931,7 @@ mod tests {
             (0..10)
                 .filter(|seed| {
                     let mut rng = SimRng::new(100 + seed);
-                    simulate(
-                        &map,
-                        &apg,
-                        &header,
-                        src,
-                        DeliveryParams {
-                            reception_loss: loss,
-                            ..DeliveryParams::default()
-                        },
-                        &mut rng,
-                    )
-                    .delivered
+                    simulate(&map, &apg, &header, src, loss, &mut rng).delivered
                 })
                 .count()
         };

@@ -17,7 +17,7 @@ use citymesh_map::CityMap;
 use citymesh_simcore::{split_seed, SimRng};
 
 use crate::apgraph::ApGraph;
-use crate::buildgraph::BuildingGraph;
+use crate::buildgraph::{BuildingGraph, BuildingGraphParams};
 use crate::config::{ConfigError, ExperimentConfig};
 use crate::deploy::Deployment;
 use crate::faults::{ApHealth, FaultState, RetryPolicy};
@@ -231,7 +231,11 @@ impl CityExperiment {
             "AP references a building outside the map"
         );
         let apg = ApGraph::build(&aps, config.range_m);
-        let bg = BuildingGraph::build(&map, config.graph);
+        let graph = BuildingGraphParams {
+            weight_exponent: config.weight_exponent,
+            ..BuildingGraphParams::for_range(config.range_m)
+        };
+        let bg = BuildingGraph::build(&map, graph);
         let geo = Arc::new(Geometry { map, aps, apg, bg });
         let postbox = postbox_table(&geo, None);
         let faults = config.faults.map(|sc| {
@@ -604,6 +608,44 @@ mod tests {
         let a = CityExperiment::prepare(map.clone(), small_config(7));
         let b = CityExperiment::prepare(map, small_config(8));
         assert_ne!(a.aps()[0].pos, b.aps()[0].pos);
+    }
+
+    #[test]
+    fn a_non_positive_weight_exponent_is_a_config_error() {
+        let map = CityArchetype::SurveyResidential.generate(3);
+        for weight_exponent in [0.0, -1.0] {
+            let config = ExperimentConfig {
+                weight_exponent,
+                ..small_config(3)
+            };
+            let err = CityExperiment::try_prepare(map.clone(), config).err();
+            let field = "weight_exponent";
+            let value = weight_exponent;
+            assert_eq!(err, Some(ConfigError::NotPositive { field, value }));
+        }
+    }
+
+    #[test]
+    fn the_building_graph_follows_the_range_and_the_exponent() {
+        let map = CityArchetype::SurveyResidential.generate(3);
+        // The range ablation's ranges, and the exponent ablation's
+        // exponents.
+        for range_m in [30.0, 50.0, 80.0] {
+            for weight_exponent in [1.0, 2.0, 3.0, 4.0] {
+                let config = ExperimentConfig {
+                    range_m,
+                    conduit_width_m: range_m,
+                    weight_exponent,
+                    ..small_config(3)
+                };
+                let exp = CityExperiment::prepare(map.clone(), config);
+                let expected = BuildingGraphParams {
+                    weight_exponent,
+                    ..BuildingGraphParams::for_range(range_m)
+                };
+                assert_eq!(exp.building_graph().params(), expected);
+            }
+        }
     }
 
     #[test]

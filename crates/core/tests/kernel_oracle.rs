@@ -12,11 +12,12 @@
 //! the RNG at the same stream position.
 
 use citymesh_core::faults::combined_loss;
+use citymesh_core::sim::{HORIZON, MAX_JITTER, MIN_JITTER};
 use citymesh_core::{
     compress_route, place_aps, plan_route, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, Ap, ApGraph, ApRole, BuildingGraph, BuildingGraphParams,
-    CityExperiment, CoveredSet, DeliveryParams, DeliveryReport, DeliveryScratch, ExperimentConfig,
-    FaultScenario, FaultState, PlanScratch, PlannedFlow, RebroadcastScope, Relays,
+    CityExperiment, CoveredSet, DeliveryReport, DeliveryScratch, ExperimentConfig, FaultScenario,
+    FaultState, PlanScratch, PlannedFlow, RebroadcastScope, Relays,
 };
 use citymesh_fleet::{generate_flows, FlowModel, FlowSpec, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
 use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
@@ -36,7 +37,7 @@ fn reference_delivery(
     conduits: &[OrientedRect],
     scope: RebroadcastScope,
     src_ap: u32,
-    params: DeliveryParams,
+    reception_loss: f64,
     faults: Option<&FaultState>,
     rng: &mut SimRng,
 ) -> DeliveryReport {
@@ -60,18 +61,14 @@ fn reference_delivery(
         report.delivered = true;
         report.first_delivery = Some(SimTime::ZERO);
     }
-    let jitter_span = params
-        .max_jitter
-        .saturating_since(params.min_jitter)
-        .as_nanos()
-        .max(1);
+    let jitter_span = MAX_JITTER.saturating_since(MIN_JITTER).as_nanos().max(1);
 
     // (time, push sequence, transmitter): earliest first, FIFO on ties.
     let mut events = vec![(SimTime::ZERO, 0u64, src_ap)];
     let mut pushed = 1u64;
     while let Some(next) = (0..events.len()).min_by_key(|&i| (events[i].0, events[i].1)) {
         let (now, _, ap) = events.swap_remove(next);
-        if now > params.horizon {
+        if now > HORIZON {
             break;
         }
         report.broadcasts += 1;
@@ -82,8 +79,8 @@ fn reference_delivery(
                 continue;
             }
             let loss = match faults {
-                Some(f) => combined_loss(params.reception_loss, f.extra_loss(rx)),
-                None => params.reception_loss,
+                Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
+                None => reception_loss,
             };
             if loss > 0.0 && rng.chance(loss) {
                 continue;
@@ -104,8 +101,7 @@ fn reference_delivery(
             }
             if action.rebroadcast {
                 report.roles[rx as usize] = ApRole::Relayed;
-                let delay =
-                    SimTime::from_nanos(params.min_jitter.as_nanos() + rng.below(jitter_span));
+                let delay = SimTime::from_nanos(MIN_JITTER.as_nanos() + rng.below(jitter_span));
                 events.push((now + delay, pushed, rx));
                 pushed += 1;
             }
@@ -185,10 +181,7 @@ proptest! {
         };
         let faults = scenario.map(|s| FaultState::materialize(&s, &aps, &map, seed));
         let scope = if by_position { RebroadcastScope::ApPosition } else { RebroadcastScope::Building };
-        let params = DeliveryParams {
-            reception_loss: if matches!(world, World::DegradedLossy) { 0.15 } else { 0.0 },
-            ..DeliveryParams::default()
-        };
+        let loss = if matches!(world, World::DegradedLossy) { 0.15 } else { 0.0 };
 
         let mut scratch = DeliveryScratch::new();
         let n = map.len() as u64;
@@ -215,10 +208,10 @@ proptest! {
             let mut rng_ref = SimRng::new(seed ^ flow);
             let mut rng_kernel = rng_ref.clone();
             let expected = reference_delivery(
-                &map, &apg, &header, &conduits, scope, src_ap, params, faults.as_ref(), &mut rng_ref,
+                &map, &apg, &header, &conduits, scope, src_ap, loss, faults.as_ref(), &mut rng_ref,
             );
             let got = simulate_delivery_faulted(
-                &apg, &header, relays, src_ap, params, faults.as_ref(), &mut rng_kernel, &mut scratch,
+                &apg, &header, relays, src_ap, loss, faults.as_ref(), &mut rng_kernel, &mut scratch,
             );
             prop_assert_eq!(got, &expected, "flow {} ({}->{}) diverged", flow, src, dst);
             prop_assert_eq!(
@@ -326,7 +319,7 @@ fn kernel_equals_reference_on(
     world: &CityExperiment,
     flows: &[FlowSpec],
     scope: RebroadcastScope,
-    params: DeliveryParams,
+    loss: f64,
     scratch: &mut DeliveryScratch,
 ) -> Tally {
     let (map, apg, faults) = (world.map(), world.ap_graph(), world.fault_state());
@@ -346,7 +339,7 @@ fn kernel_equals_reference_on(
             &plan.conduits,
             scope,
             src_ap,
-            params,
+            loss,
             faults,
             &mut rng_ref,
         );
@@ -359,7 +352,7 @@ fn kernel_equals_reference_on(
             &header,
             relays,
             src_ap,
-            params,
+            loss,
             faults,
             &mut rng_kernel,
             scratch,
@@ -399,16 +392,16 @@ fn kernel_equals_reference_on(
 fn kernel_equals_reference_at_benchmark_scale() {
     let mut scratch = DeliveryScratch::new();
     let healthy = benchmark_downtown(None);
-    let (params, building) = (DeliveryParams::default(), RebroadcastScope::Building);
+    let (loss, building) = (0.0, RebroadcastScope::Building);
     assert_eq!(healthy.config().scope, building);
     let flows = hotspot_flows(&healthy, 1_000);
-    let t = kernel_equals_reference_on(&healthy, &flows, building, params, &mut scratch);
+    let t = kernel_equals_reference_on(&healthy, &flows, building, loss, &mut scratch);
     assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
 
     let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
     let failed = blackout.fault_state().expect("faulted").failed_count();
     assert!(failed > 10, "the blackout darkens {failed} APs");
-    let t = kernel_equals_reference_on(&blackout, &flows, building, params, &mut scratch);
+    let t = kernel_equals_reference_on(&blackout, &flows, building, loss, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
 
     let lossy = benchmark_downtown(Some(FaultScenario {
@@ -417,15 +410,12 @@ fn kernel_equals_reference_at_benchmark_scale() {
         ..FaultScenario::default()
     }));
     assert!(lossy.fault_state().expect("faulted").degraded_count() > 200);
-    let lossy_params = DeliveryParams {
-        reception_loss: 0.15,
-        ..params
-    };
-    let t = kernel_equals_reference_on(&lossy, &flows, building, lossy_params, &mut scratch);
+    let lossy_medium = 0.15;
+    let t = kernel_equals_reference_on(&lossy, &flows, building, lossy_medium, &mut scratch);
     assert!(t.delivered > 100 && t.simulated - t.delivered > 5, "{t:?}");
 
     let by_position = RebroadcastScope::ApPosition;
-    let t = kernel_equals_reference_on(&healthy, &flows, by_position, params, &mut scratch);
+    let t = kernel_equals_reference_on(&healthy, &flows, by_position, loss, &mut scratch);
     assert!(t.simulated > 950, "{t:?}");
 }
 
@@ -438,7 +428,7 @@ fn kernel_equals_reference_at_benchmark_scale() {
 fn healthy_and_general_instantiations_agree() {
     let world = benchmark_downtown(None);
     let apg = world.ap_graph();
-    let params = DeliveryParams::default();
+    let loss = 0.0;
     let mut plain = DeliveryScratch::new();
     let mut traced = DeliveryScratch::with_tracing(TraceConfig::sampled(1));
     assert!(traced.tracer().is_enabled() && !plain.tracer().is_enabled());
@@ -457,7 +447,7 @@ fn healthy_and_general_instantiations_agree() {
             &header,
             relays,
             src_ap,
-            params,
+            loss,
             None,
             &mut rng_plain,
             &mut plain,
@@ -470,7 +460,7 @@ fn healthy_and_general_instantiations_agree() {
             &header,
             relays,
             src_ap,
-            params,
+            loss,
             None,
             &mut rng_traced,
             &mut traced,
@@ -518,13 +508,13 @@ fn one_verdict_per_heard_building_on_the_benchmark_flows() {
             continue;
         };
         let relays = Relays::Covered(plan.covered().expect("planned"));
-        let params = DeliveryParams::default();
+        let loss = 0.0;
         let report = simulate_delivery_faulted(
             apg,
             &header,
             relays,
             src_ap,
-            params,
+            loss,
             None,
             &mut rng,
             &mut scratch,

@@ -35,12 +35,14 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
+use citymesh_core::faults::WIDEN_FACTOR;
+use citymesh_core::sim::HORIZON;
 use citymesh_core::{
     compress_route, plan_route_avoiding_into, plan_route_into, reconstruct_conduits,
     simulate_delivery_faulted, BuildingGraph, BuildingGraphParams, CityExperiment, CoveredSet,
-    DeliveryParams, DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, HierPlanScratch,
-    HierPlanner, OverheadOutcome, PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage,
-    Relays, RetryPolicy, RouteError, Survivors,
+    DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, HierPlanScratch, HierPlanner,
+    OverheadOutcome, PairOutcome, PlannedFlow, RebroadcastScope, RecoveryStage, Relays,
+    RetryPolicy, RouteError, Survivors,
 };
 use citymesh_dynamics::{
     try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, EpochStat, InvalidationPolicy,
@@ -700,10 +702,7 @@ fn reference_ladder(
     let faults = world.fault_state().expect("the churn world is faulted");
     let (policy, cfg) = (faults.retry(), world.config());
     assert_eq!(cfg.scope, RebroadcastScope::Building);
-    let params = DeliveryParams {
-        reception_loss: cfg.reception_loss,
-        ..DeliveryParams::default()
-    };
+    let loss = cfg.reception_loss;
     let width = cfg.conduit_width_m;
     // `Some(Err)` once a search has exhausted the source's island.
     let mut detour: Option<Result<Vec<u32>, RouteError>> = None;
@@ -723,8 +722,8 @@ fn reference_ladder(
         let resend = (RecoveryStage::Resend, width, plan.waypoints.clone());
         let (stage, width, waypoints) = match (outcome.attempts, &detour) {
             (1, _) => (RecoveryStage::First, width, plan.waypoints.clone()),
-            (3, _) if policy.widen_factor > 1.0 => {
-                let wide = (width * policy.widen_factor).min(MAX_CONDUIT_WIDTH_M);
+            (3, _) if WIDEN_FACTOR > 1.0 => {
+                let wide = (width * WIDEN_FACTOR).min(MAX_CONDUIT_WIDTH_M);
                 (RecoveryStage::Widen, wide, plan.waypoints.clone())
             }
             (4.., Some(Ok(route))) if route != plan.primary_route() => {
@@ -743,7 +742,7 @@ fn reference_ladder(
             &header,
             Relays::Covered(&CoveredSet::of(world.map(), &conduits)),
             src_ap,
-            params,
+            loss,
             Some(faults),
             rng,
             &mut scratch,
@@ -755,7 +754,7 @@ fn reference_ladder(
             outcome.recovered_by = (outcome.attempts > 1).then_some(stage);
             break;
         }
-        penalty += params.horizon;
+        penalty += HORIZON;
     }
     let measured = OverheadOutcome::measure(outcome.delivered, outcome.broadcasts, plan.ideal_hops);
     outcome.overhead = measured.value();

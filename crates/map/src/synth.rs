@@ -441,8 +441,26 @@ pub const METRO_TILE_M: f64 = 1500.0;
 /// RNG sub-stream domain for per-tile metro generation.
 const DOMAIN_METRO_TILE: u64 = 0x3E70;
 
+/// Width of the arterial corridor between adjacent tiles, meters.
+const ARTERIAL_GAP_M: f64 = 24.0;
+/// Tile pitch (tile side plus corridor width), meters.
+const PITCH_M: f64 = METRO_TILE_M + ARTERIAL_GAP_M;
+/// Center-to-center spacing of relay buildings along a corridor,
+/// meters: it leaves an edge-to-edge gap below the building-graph
+/// `max_gap_m` (40 m at the default range), so chains link.
+const RELAY_SPACING_M: f64 = 28.0;
+/// Side of the square relay buildings, meters.
+const RELAY_SIZE_M: f64 = 10.0;
+/// How deep on-ramp relay chains reach into a tile from its east and
+/// north corridors, meters. Tile street grids start flush against
+/// their west/south edges but can leave up to ~80 m of empty margin on
+/// the east/north (wherever the block pitch doesn't divide the tile
+/// side), so those sides need ramps to reach the built-up area.
+const RAMP_DEPTH_M: f64 = 150.0;
+
 /// Parameters for metro-scale generation: a `tiles_x × tiles_y` grid
-/// of full-city archetype tiles separated by arterial corridors.
+/// of full-city archetype tiles separated by arterial corridors. The
+/// map is named `metro-{tiles_x}x{tiles_y}`.
 ///
 /// Each corridor carries a chain of small *relay buildings* (street
 /// cabinets, kiosks, transit shelters — urban furniture that hosts
@@ -450,74 +468,27 @@ const DOMAIN_METRO_TILE: u64 = 0x3E70;
 /// them the >40 m gap between tiles would sever every district from
 /// its neighbors. Corridors double as the inter-district arterial
 /// conduits the hierarchical planner routes over.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct MetroParams {
-    /// Metro name (propagates to [`CityMap::name`]).
-    pub name: String,
     /// Tile columns (west–east).
     pub tiles_x: usize,
     /// Tile rows (south–north).
     pub tiles_y: usize,
-    /// Width of the arterial corridor between adjacent tiles, meters.
-    pub arterial_gap_m: f64,
-    /// Center-to-center spacing of relay buildings along a corridor,
-    /// meters. Must leave an edge-to-edge gap below the building-graph
-    /// `max_gap_m` (40 m at the default range) for chains to link.
-    pub relay_spacing_m: f64,
-    /// Side of the square relay buildings, meters.
-    pub relay_size_m: f64,
-    /// How deep on-ramp relay chains reach into a tile from its east
-    /// and north corridors, meters. Tile street grids start flush
-    /// against their west/south edges but can leave up to ~80 m of
-    /// empty margin on the east/north (wherever the block pitch
-    /// doesn't divide the tile side), so those sides need ramps to
-    /// reach the built-up area.
-    pub ramp_depth_m: f64,
 }
 
 impl MetroParams {
-    /// Parameters for a `tiles_x × tiles_y` metro with default
-    /// corridor geometry.
+    /// Parameters for a `tiles_x × tiles_y` metro.
     pub fn with_tiles(tiles_x: usize, tiles_y: usize) -> Self {
-        MetroParams {
-            name: format!("metro-{tiles_x}x{tiles_y}"),
-            tiles_x,
-            tiles_y,
-            arterial_gap_m: 24.0,
-            relay_spacing_m: 28.0,
-            relay_size_m: 10.0,
-            ramp_depth_m: 150.0,
-        }
+        MetroParams { tiles_x, tiles_y }
     }
 
-    /// Tile pitch (tile side plus corridor width), meters.
-    pub fn pitch_m(&self) -> f64 {
-        METRO_TILE_M + self.arterial_gap_m
-    }
-
-    /// Rejects degenerate metro parameters — zero tile counts, or
-    /// corridor geometry that is zero, negative, or non-finite — with
-    /// a typed error before any tile is generated.
+    /// Rejects a zero tile count with a typed error before any tile is
+    /// generated.
     pub fn validate(&self) -> Result<(), MetroParamsError> {
         if self.tiles_x == 0 || self.tiles_y == 0 {
             return Err(MetroParamsError::ZeroTiles {
                 tiles_x: self.tiles_x,
                 tiles_y: self.tiles_y,
-            });
-        }
-        for (field, value) in [
-            ("arterial_gap_m", self.arterial_gap_m),
-            ("relay_spacing_m", self.relay_spacing_m),
-            ("relay_size_m", self.relay_size_m),
-        ] {
-            if !value.is_finite() || value <= 0.0 {
-                return Err(MetroParamsError::NonPositiveGeometry { field, value });
-            }
-        }
-        if !self.ramp_depth_m.is_finite() || self.ramp_depth_m < 0.0 {
-            return Err(MetroParamsError::NonPositiveGeometry {
-                field: "ramp_depth_m",
-                value: self.ramp_depth_m,
             });
         }
         Ok(())
@@ -535,14 +506,6 @@ pub enum MetroParamsError {
         /// Requested rows.
         tiles_y: usize,
     },
-    /// Corridor geometry that is zero, negative, or non-finite —
-    /// relay chains could not bridge the inter-tile gaps.
-    NonPositiveGeometry {
-        /// Offending parameter.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
 }
 
 impl std::fmt::Display for MetroParamsError {
@@ -551,10 +514,6 @@ impl std::fmt::Display for MetroParamsError {
             MetroParamsError::ZeroTiles { tiles_x, tiles_y } => write!(
                 f,
                 "metro needs at least one tile in each dimension (got {tiles_x}x{tiles_y})"
-            ),
-            MetroParamsError::NonPositiveGeometry { field, value } => write!(
-                f,
-                "metro corridor geometry must be positive: `{field}` = {value}"
             ),
         }
     }
@@ -581,9 +540,8 @@ impl Default for MetroParams {
 /// dominate memory).
 ///
 /// # Panics
-/// Panics on zero tile counts or non-positive corridor geometry
-/// ([`MetroParams::validate`]). Use [`try_generate_metro`] for a
-/// `Result` instead.
+/// Panics on zero tile counts ([`MetroParams::validate`]). Use
+/// [`try_generate_metro`] for a `Result` instead.
 pub fn generate_metro(params: &MetroParams, seed: u64) -> CityMap {
     try_generate_metro(params, seed).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -598,7 +556,6 @@ pub fn try_generate_metro(params: &MetroParams, seed: u64) -> Result<CityMap, Me
 /// The metro generator proper; `params` has already passed
 /// [`MetroParams::validate`].
 fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
-    let pitch = params.pitch_m();
     let archetypes = CityArchetype::cities();
     let mut footprints = Vec::new();
 
@@ -611,8 +568,8 @@ fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
                 substream_seed(seed, DOMAIN_METRO_TILE, ordinal),
             );
             let offset = Vec2 {
-                x: tx as f64 * pitch,
-                y: ty as f64 * pitch,
+                x: tx as f64 * PITCH_M,
+                y: ty as f64 * PITCH_M,
             };
             for b in tile.buildings() {
                 footprints.push(translated(&b.footprint, offset));
@@ -622,17 +579,16 @@ fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
 
     // Full extent of the built-up area (last tile has no trailing
     // corridor).
-    let total_w = params.tiles_x as f64 * pitch - params.arterial_gap_m;
-    let total_h = params.tiles_y as f64 * pitch - params.arterial_gap_m;
+    let total_w = params.tiles_x as f64 * PITCH_M - ARTERIAL_GAP_M;
+    let total_h = params.tiles_y as f64 * PITCH_M - ARTERIAL_GAP_M;
 
     // Arterial corridors: one relay chain down the center of every
     // inter-tile gap, spanning the whole metro. Vertical and
     // horizontal chains cross within relay spacing of each other at
     // intersections, so the arterial grid is itself connected.
     for gx in 1..params.tiles_x {
-        let cx = gx as f64 * pitch - params.arterial_gap_m / 2.0;
+        let cx = gx as f64 * PITCH_M - ARTERIAL_GAP_M / 2.0;
         relay_chain(
-            params,
             Point::new(cx, 0.0),
             Vec2 { x: 0.0, y: 1.0 },
             total_h,
@@ -640,9 +596,8 @@ fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
         );
     }
     for gy in 1..params.tiles_y {
-        let cy = gy as f64 * pitch - params.arterial_gap_m / 2.0;
+        let cy = gy as f64 * PITCH_M - ARTERIAL_GAP_M / 2.0;
         relay_chain(
-            params,
             Point::new(0.0, cy),
             Vec2 { x: 1.0, y: 0.0 },
             total_w,
@@ -652,37 +607,35 @@ fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
 
     // On-ramps. A tile's street grid starts `street_w` from its west
     // and south edges — within predicted range of those corridors —
-    // but its east/north margins depend on how the block pitch divides
+    // but its east/north margins depend on how the block PITCH_M divides
     // the tile side and can exceed the connectivity gap. Three
     // perpendicular ramp chains per served side reach from the
     // corridor into the built-up interior.
     let ramp_fracs = [0.25, 0.5, 0.75];
     for ty in 0..params.tiles_y {
         for tx in 0..params.tiles_x {
-            let ox = tx as f64 * pitch;
-            let oy = ty as f64 * pitch;
+            let ox = tx as f64 * PITCH_M;
+            let oy = ty as f64 * PITCH_M;
             if tx + 1 < params.tiles_x {
                 // East corridor, ramps reaching west into this tile.
-                let cx = (tx + 1) as f64 * pitch - params.arterial_gap_m / 2.0;
+                let cx = (tx + 1) as f64 * PITCH_M - ARTERIAL_GAP_M / 2.0;
                 for f in ramp_fracs {
                     relay_chain(
-                        params,
                         Point::new(cx, oy + f * METRO_TILE_M),
                         Vec2 { x: -1.0, y: 0.0 },
-                        params.ramp_depth_m,
+                        RAMP_DEPTH_M,
                         &mut footprints,
                     );
                 }
             }
             if ty + 1 < params.tiles_y {
                 // North corridor, ramps reaching south into this tile.
-                let cy = (ty + 1) as f64 * pitch - params.arterial_gap_m / 2.0;
+                let cy = (ty + 1) as f64 * PITCH_M - ARTERIAL_GAP_M / 2.0;
                 for f in ramp_fracs {
                     relay_chain(
-                        params,
                         Point::new(ox + f * METRO_TILE_M, cy),
                         Vec2 { x: 0.0, y: -1.0 },
-                        params.ramp_depth_m,
+                        RAMP_DEPTH_M,
                         &mut footprints,
                     );
                 }
@@ -690,7 +643,8 @@ fn generate_metro_validated(params: &MetroParams, seed: u64) -> CityMap {
         }
     }
 
-    CityMap::new(params.name.clone(), footprints, Vec::new())
+    let name = format!("metro-{}x{}", params.tiles_x, params.tiles_y);
+    CityMap::new(name, footprints, Vec::new())
 }
 
 /// `poly` translated by `offset`.
@@ -701,8 +655,8 @@ fn translated(poly: &Polygon, offset: Vec2) -> Polygon {
 
 /// Appends a chain of square relay buildings starting at `start` and
 /// marching along unit direction `dir` for `span` meters.
-fn relay_chain(params: &MetroParams, start: Point, dir: Vec2, span: f64, out: &mut Vec<Polygon>) {
-    let half = params.relay_size_m / 2.0;
+fn relay_chain(start: Point, dir: Vec2, span: f64, out: &mut Vec<Polygon>) {
+    let half = RELAY_SIZE_M / 2.0;
     let mut s = half;
     while s + half <= span + 1e-9 {
         let c = start + dir * s;
@@ -710,7 +664,7 @@ fn relay_chain(params: &MetroParams, start: Point, dir: Vec2, span: f64, out: &m
             Point::new(c.x - half, c.y - half),
             Point::new(c.x + half, c.y + half),
         )));
-        s += params.relay_spacing_m;
+        s += RELAY_SPACING_M;
     }
 }
 
@@ -1057,11 +1011,7 @@ mod tests {
     fn metro_params_validation_types_every_rejection() {
         // Zero tiles in either dimension.
         for (tx, ty) in [(0usize, 3usize), (3, 0), (0, 0)] {
-            let p = MetroParams {
-                tiles_x: tx,
-                tiles_y: ty,
-                ..MetroParams::with_tiles(1, 1)
-            };
+            let p = MetroParams::with_tiles(tx, ty);
             assert_eq!(
                 p.validate(),
                 Err(MetroParamsError::ZeroTiles {
@@ -1070,32 +1020,6 @@ mod tests {
                 })
             );
             assert!(try_generate_metro(&p, 1).is_err());
-        }
-        // Zero, negative, and non-finite corridor geometry.
-        for (field, mutate) in [
-            ("arterial_gap_m", 0usize),
-            ("relay_spacing_m", 1),
-            ("relay_size_m", 2),
-            ("ramp_depth_m", 3),
-        ] {
-            for bad in [0.0, -3.0, f64::NAN] {
-                if field == "ramp_depth_m" && bad == 0.0 {
-                    continue; // a zero ramp depth is legal (no ramps)
-                }
-                let mut p = MetroParams::with_tiles(1, 1);
-                match mutate {
-                    0 => p.arterial_gap_m = bad,
-                    1 => p.relay_spacing_m = bad,
-                    2 => p.relay_size_m = bad,
-                    _ => p.ramp_depth_m = bad,
-                }
-                match p.validate() {
-                    Err(MetroParamsError::NonPositiveGeometry { field: f, .. }) => {
-                        assert_eq!(f, field)
-                    }
-                    other => panic!("{field} = {bad} must be rejected, got {other:?}"),
-                }
-            }
         }
         // The defaults validate, and the typed path generates the same
         // city as the panicking one.
@@ -1164,13 +1088,13 @@ mod tests {
             one.len()
         );
         // Buildings span all four tile regions.
-        let pitch = MetroParams::with_tiles(2, 2).pitch_m();
         for (qx, qy) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             let n = four
                 .buildings()
                 .iter()
                 .filter(|b| {
-                    (b.centroid.x / pitch) as usize == qx && (b.centroid.y / pitch) as usize == qy
+                    (b.centroid.x / PITCH_M) as usize == qx
+                        && (b.centroid.y / PITCH_M) as usize == qy
                 })
                 .count();
             assert!(n > 200, "quadrant ({qx},{qy}) has only {n} buildings");
@@ -1183,7 +1107,7 @@ mod tests {
         let m = generate_metro(&p, 3);
         // The vertical corridor centerline carries relays spaced below
         // the 40 m building-graph gap along the full height.
-        let cx = p.pitch_m() - p.arterial_gap_m / 2.0;
+        let cx = PITCH_M - ARTERIAL_GAP_M / 2.0;
         let mut ys: Vec<f64> = m
             .buildings()
             .iter()
@@ -1193,15 +1117,15 @@ mod tests {
         ys.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(ys.len() > 40, "corridor has only {} relays", ys.len());
         for w in ys.windows(2) {
-            let edge_gap = (w[1] - w[0]) - p.relay_size_m;
+            let edge_gap = (w[1] - w[0]) - RELAY_SIZE_M;
             assert!(
                 edge_gap < 40.0,
                 "relay chain gap {edge_gap} severs the corridor"
             );
         }
-        assert!(ys[0] < p.relay_spacing_m, "chain starts at the south edge");
+        assert!(ys[0] < RELAY_SPACING_M, "chain starts at the south edge");
         assert!(
-            METRO_TILE_M - ys[ys.len() - 1] < 2.0 * p.relay_spacing_m,
+            METRO_TILE_M - ys[ys.len() - 1] < 2.0 * RELAY_SPACING_M,
             "chain reaches the north edge"
         );
     }

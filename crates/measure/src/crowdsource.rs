@@ -11,14 +11,13 @@
 
 use citymesh_geo::Point;
 use citymesh_map::CityMap;
-use citymesh_simcore::radio::Propagation;
 use citymesh_simcore::{split_seed, SimRng};
 
-use crate::survey::{Scan, Survey, SurveyConfig};
+use crate::survey::{radio, Scan, Survey, SurveyConfig, MAX_HZ, MIN_HZ};
 
-/// Crowdsourcing parameters layered on a base [`SurveyConfig`] (radio
-/// and BSSID density are shared so differences come from *collection*,
-/// not physics).
+/// Crowdsourcing parameters layered on a base [`SurveyConfig`] (the
+/// radio, cadence and BSSID density are the survey's own, so
+/// differences come from *collection*, not physics).
 #[derive(Clone, Copy, Debug)]
 pub struct CrowdsourceConfig {
     /// Number of contributors; total scans are split among them.
@@ -43,7 +42,7 @@ impl Default for CrowdsourceConfig {
 
 /// Runs a crowdsourced collection over `map`: contributors random-walk
 /// inside personal clusters centered at random hotspots, scanning at
-/// the same cadence and radio as the systematic survey in `base`.
+/// the same cadence and radio as the systematic survey.
 pub fn run_crowdsourced(map: &CityMap, base: &SurveyConfig, crowd: &CrowdsourceConfig) -> Survey {
     assert!(crowd.contributors > 0, "need at least one contributor");
     assert!(
@@ -57,11 +56,12 @@ pub fn run_crowdsourced(map: &CityMap, base: &SurveyConfig, crowd: &CrowdsourceC
     // stream to keep the field identical across collection methods.
     let reference = Survey::run(map, &SurveyConfig { scans: 1, ..*base });
     let bssids = reference.bssids.clone();
-    let index = citymesh_geo::GridIndex::build(&bssids, base.radio.max_range().max(1.0));
+    let radio = radio();
+    let index = citymesh_geo::GridIndex::build(&bssids, radio.max_range().max(1.0));
 
     let mut rng = SimRng::new(split_seed(base.seed, 0xC20D));
     let bounds = map.bounds();
-    let max_range = base.radio.max_range();
+    let max_range = radio.max_range();
 
     let scans_each = (base.scans / crowd.contributors).max(1);
     let mut scans: Vec<Scan> = Vec::with_capacity(scans_each * crowd.contributors);
@@ -74,7 +74,7 @@ pub fn run_crowdsourced(map: &CityMap, base: &SurveyConfig, crowd: &CrowdsourceC
         );
         let mut pos = center;
         for _ in 0..scans_each {
-            let hz = rng.uniform_range(base.min_hz, base.max_hz);
+            let hz = rng.uniform_range(MIN_HZ, MAX_HZ);
             t += 1.0 / hz;
             // Random walk with a pull back toward the hotspot.
             let step = base.mode.speed() / hz;
@@ -93,7 +93,7 @@ pub fn run_crowdsourced(map: &CityMap, base: &SurveyConfig, crowd: &CrowdsourceC
 
             let mut heard = Vec::new();
             index.for_each_in_circle(pos, max_range, |id, bpos| {
-                if base.radio.link_exists(pos.dist(bpos), &mut rng) {
+                if radio.link_exists(pos.dist(bpos), &mut rng) {
                     heard.push(id);
                 }
             });

@@ -2,7 +2,7 @@
 
 use citymesh_geo::Point;
 use citymesh_map::CityMap;
-use citymesh_simcore::radio::{LogDistance, Propagation};
+use citymesh_simcore::radio::LogDistance;
 use citymesh_simcore::{split_seed, SimRng};
 
 use crate::stats::{bin_by_distance, Cdf, DistanceBin};
@@ -26,27 +26,35 @@ impl TravelMode {
     }
 }
 
-/// Survey parameters.
+/// Slowest scan cadence, Hz. Each scan interval is drawn uniformly
+/// from the paper's 0.2–0.4 Hz band.
+pub(crate) const MIN_HZ: f64 = 0.2;
+/// Fastest scan cadence, Hz.
+pub(crate) const MAX_HZ: f64 = 0.4;
+/// Square meters of footprint per advertised BSSID. Wardriving counts
+/// BSSIDs, and one physical AP advertises several, so this sits well
+/// below the routing density (≈ 10 BSSIDs per 200 m² physical AP).
+const M2_PER_BSSID: f64 = 20.0;
+/// GPS error (σ of a 2-D normal), meters.
+const GPS_SIGMA_M: f64 = 4.0;
+
+/// The radio model for beacon reception: median decode range 50 m with
+/// a steep urban exponent (3.5) and 5 dB of shadowing. The paper's
+/// observed per-BSSID spreads (54–168 m, i.e. transmission radii
+/// 27–84 m) pin the decode range well below free-space; the high
+/// per-scan MAC counts are then explained by density, not range.
+pub(crate) fn radio() -> LogDistance {
+    LogDistance::with_median_range(50.0, 3.5, 5.0)
+}
+
+/// Survey parameters. The scan cadence, BSSID density, GPS error and
+/// radio model are the paper's §2 setup, fixed for every survey.
 #[derive(Clone, Copy, Debug)]
 pub struct SurveyConfig {
     /// Movement mode.
     pub mode: TravelMode,
     /// Number of scans to record.
     pub scans: usize,
-    /// Scan frequency, Hz (paper: 0.2–0.4; each scan interval is drawn
-    /// uniformly from this band).
-    pub min_hz: f64,
-    /// Upper scan frequency, Hz.
-    pub max_hz: f64,
-    /// Square meters of footprint per advertised BSSID. Wardriving
-    /// counts BSSIDs, and one physical AP advertises several, so this
-    /// sits well below the routing density (default 40 ≈ 5 BSSIDs per
-    /// 200 m² physical AP).
-    pub m2_per_bssid: f64,
-    /// GPS error (σ of a 2-D normal), meters.
-    pub gps_sigma_m: f64,
-    /// Radio model for beacon reception.
-    pub radio: LogDistance,
     /// Random seed.
     pub seed: u64,
 }
@@ -56,16 +64,6 @@ impl Default for SurveyConfig {
         SurveyConfig {
             mode: TravelMode::Walk,
             scans: 500,
-            min_hz: 0.2,
-            max_hz: 0.4,
-            m2_per_bssid: 20.0,
-            gps_sigma_m: 4.0,
-            // Median decode range 50 m with a steep urban exponent:
-            // the paper's observed per-BSSID spreads (54–168 m, i.e.
-            // transmission radii 27–84 m) pin the decode range well
-            // below free-space; the high per-scan MAC counts are then
-            // explained by density, not range.
-            radio: LogDistance::with_median_range(50.0, 3.5, 5.0),
             seed: 0,
         }
     }
@@ -111,10 +109,7 @@ impl Survey {
     /// ```
     pub fn run(map: &CityMap, cfg: &SurveyConfig) -> Survey {
         assert!(cfg.scans > 0, "a survey needs at least one scan");
-        assert!(
-            cfg.min_hz > 0.0 && cfg.min_hz <= cfg.max_hz,
-            "scan frequency band invalid"
-        );
+        let radio = radio();
         let mut place_rng = SimRng::new(split_seed(cfg.seed, 0xB551D));
         let mut radio_rng = SimRng::new(split_seed(cfg.seed, 0x3AD10));
         let mut gps_rng = SimRng::new(split_seed(cfg.seed, 0x6E5));
@@ -122,7 +117,7 @@ impl Survey {
         // Plant BSSIDs uniformly inside footprints.
         let mut bssids = Vec::new();
         for b in map.buildings() {
-            let expected = b.area / cfg.m2_per_bssid;
+            let expected = b.area / M2_PER_BSSID;
             let mut n = expected.floor() as usize;
             if place_rng.chance(expected - expected.floor()) {
                 n += 1;
@@ -143,13 +138,13 @@ impl Survey {
                 bssids.push(pos);
             }
         }
-        let index = citymesh_geo::GridIndex::build(&bssids, cfg.radio.max_range().max(1.0));
+        let index = citymesh_geo::GridIndex::build(&bssids, radio.max_range().max(1.0));
 
         // Boustrophedon trajectory over the map bounds: rows spaced so
         // the requested number of scans roughly covers the area once.
         let bounds = map.bounds();
         let speed = cfg.mode.speed();
-        let mean_period = 2.0 / (cfg.min_hz + cfg.max_hz);
+        let mean_period = 2.0 / (MIN_HZ + MAX_HZ);
         let total_path = cfg.scans as f64 * speed * mean_period;
         let rows = ((total_path / bounds.width().max(1.0)).ceil() as usize).clamp(1, 200);
         let row_spacing = bounds.height() / rows as f64;
@@ -171,9 +166,9 @@ impl Survey {
         let mut scans = Vec::with_capacity(cfg.scans);
         let mut t = 0.0;
         let mut dist = 0.0;
-        let max_range = cfg.radio.max_range();
+        let max_range = radio.max_range();
         for _ in 0..cfg.scans {
-            let hz = radio_rng.uniform_range(cfg.min_hz, cfg.max_hz);
+            let hz = radio_rng.uniform_range(MIN_HZ, MAX_HZ);
             t += 1.0 / hz;
             dist += speed / hz;
             // Wrap around if the path is exhausted (re-walk the area).
@@ -181,14 +176,14 @@ impl Survey {
             let true_pos = pos_at(dist % path_len.max(1.0));
             let mut heard = Vec::new();
             index.for_each_in_circle(true_pos, max_range, |id, bpos| {
-                if cfg.radio.link_exists(true_pos.dist(bpos), &mut radio_rng) {
+                if radio.link_exists(true_pos.dist(bpos), &mut radio_rng) {
                     heard.push(id);
                 }
             });
             heard.sort_unstable();
             let gps = Point::new(
-                true_pos.x + cfg.gps_sigma_m * gps_rng.std_normal(),
-                true_pos.y + cfg.gps_sigma_m * gps_rng.std_normal(),
+                true_pos.x + GPS_SIGMA_M * gps_rng.std_normal(),
+                true_pos.y + GPS_SIGMA_M * gps_rng.std_normal(),
             );
             scans.push(Scan {
                 pos: gps,

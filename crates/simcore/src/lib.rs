@@ -14,10 +14,11 @@
 //!    `(time, seq)` (the few dozen events a conduit flood keeps pending
 //!    shift faster than a heap sifts) with no per-event allocation
 //!    beyond the event payload itself.
-//! 3. **Explicit radio modeling** — [`radio`] provides the unit-disk
-//!    cutoff the paper uses ("symmetric transmission range cutoff of
-//!    50 m") plus a log-distance/shadowing model used by the synthetic
-//!    measurement study and the fidelity ablations.
+//! 3. **Explicit radio modeling** — [`radio`] provides the
+//!    log-distance/shadowing model the synthetic measurement study
+//!    draws beacon receptions from. The delivery simulation uses the
+//!    paper's "symmetric transmission range cutoff of 50 m", which the
+//!    AP graph applies directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

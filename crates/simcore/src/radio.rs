@@ -1,82 +1,20 @@
-//! Radio propagation models.
+//! The radio propagation model of the synthetic measurement study.
 //!
-//! The paper's simulator connects APs "where the inter-AP distance is
-//! below a configurable transmission range" — the classic **unit
-//! disk** model ([`UnitDisk`], used for every headline figure). The
-//! synthetic measurement study and the fidelity ablations additionally
-//! use a **log-distance path loss** model with lognormal shadowing
-//! ([`LogDistance`]), the standard empirical model for 2.4 GHz urban
-//! propagation, so that per-scan AP counts and BSSID spreads exhibit
-//! the variance visible in the paper's Figures 1–2.
+//! The delivery simulation needs none: the paper connects APs "where
+//! the inter-AP distance is below a configurable transmission range",
+//! and the AP graph applies that cutoff itself. The wardriving survey
+//! draws beacon receptions from a **log-distance path loss** model with
+//! lognormal shadowing ([`LogDistance`]), the standard empirical model
+//! for 2.4 GHz urban propagation, so that per-scan AP counts and BSSID
+//! spreads exhibit the variance visible in the paper's Figures 1–2.
 
 use crate::SimRng;
-
-/// A propagation model decides whether a link exists at distance `d`.
-pub trait Propagation {
-    /// Probability that a frame transmitted at distance `d` meters is
-    /// received (deterministic models return 0 or 1).
-    fn receive_probability(&self, d: f64) -> f64;
-
-    /// Samples link existence at distance `d`.
-    fn link_exists(&self, d: f64, rng: &mut SimRng) -> bool {
-        let p = self.receive_probability(d);
-        if p >= 1.0 {
-            true
-        } else if p <= 0.0 {
-            false
-        } else {
-            rng.chance(p)
-        }
-    }
-
-    /// A conservative upper bound on the distance at which
-    /// `receive_probability` can be nonzero. Spatial queries cull
-    /// beyond this.
-    fn max_range(&self) -> f64;
-}
-
-/// Deterministic symmetric cutoff: received iff `d ≤ range`.
-///
-/// The paper evaluates with `range = 50 m` (§4).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UnitDisk {
-    /// Cutoff distance, meters.
-    pub range: f64,
-}
-
-impl UnitDisk {
-    /// Creates a unit-disk model with the given cutoff.
-    ///
-    /// # Panics
-    /// Panics on non-positive or non-finite range.
-    pub fn new(range: f64) -> Self {
-        assert!(
-            range.is_finite() && range > 0.0,
-            "range must be positive, got {range}"
-        );
-        UnitDisk { range }
-    }
-}
-
-impl Propagation for UnitDisk {
-    fn receive_probability(&self, d: f64) -> f64 {
-        if d <= self.range {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn max_range(&self) -> f64 {
-        self.range
-    }
-}
 
 /// Log-distance path loss with lognormal shadowing.
 ///
 /// `PL(d) = PL(d₀) + 10·n·log₁₀(d/d₀) + Xσ`, received when the link
-/// budget covers the loss. Defaults are typical for 2.4 GHz Wi-Fi in
-/// built-up areas (exponent ≈ 2.7–3.5, σ ≈ 4–8 dB).
+/// budget covers the loss. Typical 2.4 GHz Wi-Fi values in built-up
+/// areas are an exponent of 2.7–3.5 and σ of 4–8 dB.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogDistance {
     /// Path-loss exponent `n`.
@@ -91,20 +29,9 @@ pub struct LogDistance {
     pub budget_db: f64,
 }
 
-impl Default for LogDistance {
-    fn default() -> Self {
-        LogDistance {
-            exponent: 3.0,
-            sigma_db: 6.0,
-            ref_loss_db: 40.0,
-            budget_db: 100.0,
-        }
-    }
-}
-
 impl LogDistance {
-    /// A parameterization whose *median* range matches `range` meters:
-    /// useful for apples-to-apples comparisons with [`UnitDisk`].
+    /// A parameterization whose *median* range matches `range` meters,
+    /// the reach of a unit-disk cutoff at `range`.
     pub fn with_median_range(range: f64, exponent: f64, sigma_db: f64) -> Self {
         assert!(
             range > 1.0 && range.is_finite(),
@@ -131,10 +58,10 @@ impl LogDistance {
     pub fn median_range(&self) -> f64 {
         10f64.powf((self.budget_db - self.ref_loss_db) / (10.0 * self.exponent))
     }
-}
 
-impl Propagation for LogDistance {
-    fn receive_probability(&self, d: f64) -> f64 {
+    /// Probability that a frame transmitted at distance `d` meters is
+    /// received.
+    pub fn receive_probability(&self, d: f64) -> f64 {
         let margin = self.budget_db - self.mean_path_loss_db(d);
         if self.sigma_db <= 0.0 {
             return if margin >= 0.0 { 1.0 } else { 0.0 };
@@ -143,7 +70,22 @@ impl Propagation for LogDistance {
         phi(margin / self.sigma_db)
     }
 
-    fn max_range(&self) -> f64 {
+    /// Samples link existence at distance `d`.
+    pub fn link_exists(&self, d: f64, rng: &mut SimRng) -> bool {
+        let p = self.receive_probability(d);
+        if p >= 1.0 {
+            true
+        } else if p <= 0.0 {
+            false
+        } else {
+            rng.chance(p)
+        }
+    }
+
+    /// A conservative upper bound on the distance at which
+    /// `receive_probability` can be nonzero. Spatial queries cull
+    /// beyond this.
+    pub fn max_range(&self) -> f64 {
         if self.sigma_db <= 0.0 {
             self.median_range()
         } else {
@@ -178,24 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unit_disk_hard_cutoff() {
-        let m = UnitDisk::new(50.0);
-        assert_eq!(m.receive_probability(49.999), 1.0);
-        assert_eq!(m.receive_probability(50.0), 1.0);
-        assert_eq!(m.receive_probability(50.001), 0.0);
-        assert_eq!(m.max_range(), 50.0);
-        let mut rng = SimRng::new(1);
-        assert!(m.link_exists(10.0, &mut rng));
-        assert!(!m.link_exists(60.0, &mut rng));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn unit_disk_rejects_zero_range() {
-        UnitDisk::new(0.0);
-    }
-
-    #[test]
     fn log_distance_median_range_calibration() {
         let m = LogDistance::with_median_range(50.0, 3.0, 6.0);
         assert!((m.median_range() - 50.0).abs() < 1e-9);
@@ -208,7 +132,7 @@ mod tests {
 
     #[test]
     fn log_distance_monotone_decreasing() {
-        let m = LogDistance::default();
+        let m = LogDistance::with_median_range(100.0, 3.0, 6.0);
         let mut last = 1.0;
         for d in [1.0, 5.0, 20.0, 50.0, 100.0, 300.0, 1000.0] {
             let p = m.receive_probability(d);
@@ -230,7 +154,7 @@ mod tests {
 
     #[test]
     fn max_range_bounds_nonzero_probability() {
-        let m = LogDistance::default();
+        let m = LogDistance::with_median_range(100.0, 3.0, 6.0);
         let r = m.max_range();
         assert!(m.receive_probability(r * 1.05) < 1e-4);
     }

@@ -109,8 +109,6 @@ pub struct StreamConfig {
     pub deadline_ms: f64,
     /// The modeled service-time law.
     pub service: ServiceModel,
-    /// Route-cache invalidation policy at mid-stream event barriers.
-    pub invalidation: InvalidationPolicy,
     /// Fraction of offered flows classed [`FlowClass::Emergency`],
     /// drawn per flow from a dedicated seeded sub-stream
     /// ([`DOMAIN_CLASS`]) — a pure function of `(seed, flow.id)`, so
@@ -143,7 +141,6 @@ impl Default for StreamConfig {
             queue_capacity: 64,
             deadline_ms: 250.0,
             service: ServiceModel::default(),
-            invalidation: InvalidationPolicy::Incremental,
             emergency_fraction: 0.0,
             priority_reserve: 0,
             encrypted: false,
@@ -791,7 +788,7 @@ pub fn try_run_stream(
     let epochs = run_epochs(
         flows,
         timeline,
-        cfg.invalidation,
+        InvalidationPolicy::Incremental,
         &cache,
         Cow::Borrowed(exp),
         |world, slice| -> Vec<EpochYield> {
@@ -1402,21 +1399,6 @@ mod tests {
         .unwrap()
         .0;
         assert_eq!(r.digest(), serial.digest(), "1 vs 3 workers with churn");
-        // And invalidation policy changes work, not outcomes.
-        let flushed = try_run_stream(
-            &exp,
-            &flows,
-            &tl,
-            &StreamConfig {
-                invalidation: InvalidationPolicy::FullFlush,
-                ..cfg
-            },
-            &TelemetryConfig::off(),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(r.digest(), flushed.digest());
-        assert!(r.routes_evicted <= flushed.routes_evicted);
     }
 
     #[test]

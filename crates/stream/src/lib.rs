@@ -30,7 +30,7 @@
 //!   deterministically.
 //! * **mid-stream churn**: a [`Timeline`](citymesh_dynamics::Timeline)
 //!   of world events applies at epoch barriers exactly as in
-//!   `citymesh-dynamics`, with incremental route-cache invalidation;
+//!   `citymesh-dynamics`, with incremental route-cache eviction;
 //!   server queues survive the barrier.
 //!
 //! Reports embed a standard fleet report for the admitted flows plus

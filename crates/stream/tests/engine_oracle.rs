@@ -436,21 +436,18 @@ proptest! {
                 world.apply_world_event(&ev.changes);
             }
         }
-        for invalidation in [InvalidationPolicy::Incremental, InvalidationPolicy::FullFlush] {
-            let cfg = StreamConfig {
-                workers: 2,
-                servers: 3,
-                seed,
-                invalidation,
-                queue_capacity: 2 * flows.len() + 2,
-                deadline_ms: f64::INFINITY,
-                ..StreamConfig::default()
-            };
-            let (report, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
-                .expect("blackout world is faulted");
-            prop_assert_eq!(report.shed(), 0);
-            prop_assert_eq!(report.events_applied, tl.len() as u64);
-            assert_fleet_eq(&report.fleet, &whole, &format!("stream+timeline {invalidation:?}"));
-        }
+        let cfg = StreamConfig {
+            workers: 2,
+            servers: 3,
+            seed,
+            queue_capacity: 2 * flows.len() + 2,
+            deadline_ms: f64::INFINITY,
+            ..StreamConfig::default()
+        };
+        let (report, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off())
+            .expect("blackout world is faulted");
+        prop_assert_eq!(report.shed(), 0);
+        prop_assert_eq!(report.events_applied, tl.len() as u64);
+        assert_fleet_eq(&report.fleet, &whole, "stream+timeline");
     }
 }

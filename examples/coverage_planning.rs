@@ -11,7 +11,7 @@
 //! cargo run --release --example coverage_planning
 //! ```
 
-use citymesh::core::{BuildingGraphParams, CityExperiment, ExperimentConfig};
+use citymesh::core::{CityExperiment, ExperimentConfig};
 use citymesh::prelude::*;
 
 fn run(config: ExperimentConfig, map: &CityMap) -> (f64, f64, Option<f64>) {
@@ -66,7 +66,6 @@ fn main() {
         let cfg = ExperimentConfig {
             range_m,
             conduit_width_m: range_m,
-            graph: BuildingGraphParams::for_range(range_m),
             ..base
         };
         let (r, d, o) = run(cfg, &map);

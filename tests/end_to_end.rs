@@ -4,7 +4,7 @@
 
 use citymesh::core::{
     compress_route, plan_route, postbox_ap, reconstruct_conduits, simulate_delivery_faulted,
-    CityExperiment, CoveredSet, DeliveryParams, DeliveryScratch, ExperimentConfig, Relays,
+    CityExperiment, CoveredSet, DeliveryScratch, ExperimentConfig, Relays,
 };
 use citymesh::crypto::Keypair;
 use citymesh::net::{BitReader, BitWriter, CityMeshHeader};
@@ -129,7 +129,7 @@ fn delivery_report_roles_are_consistent_with_counts() {
         &header,
         Relays::Covered(&CoveredSet::of(exp.map(), &conduits)),
         src_ap,
-        DeliveryParams::default(),
+        0.0,
         None,
         &mut SimRng::new(1),
         &mut scratch,

@@ -10,7 +10,7 @@
 use citymesh::core::{
     compress_route, plan_route, plan_route_avoiding_into, postbox_ap, reconstruct_conduits,
     simulate_delivery_faulted, Ap, ApGraph, BuildingGraph, BuildingGraphParams, CoveredSet,
-    DeliveryParams, DeliveryReport, DeliveryScratch, Relays, Survivors,
+    DeliveryReport, DeliveryScratch, Relays, Survivors,
 };
 use citymesh::graph::PlannerScratch;
 use citymesh::net::CityMeshHeader;
@@ -32,7 +32,7 @@ fn simulate(
         header,
         Relays::Covered(&CoveredSet::of(map, &conduits)),
         src_ap,
-        DeliveryParams::default(),
+        0.0,
         None,
         rng,
         &mut scratch,
