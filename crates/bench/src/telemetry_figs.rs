@@ -23,7 +23,7 @@ use citymesh_fleet::{generate_flows, try_run_fleet_traced, WorkloadConfig};
 use citymesh_map::CityArchetype;
 use citymesh_telemetry::{
     metrics as tm, rung_delivery_counter, rung_latency_histogram, rung_overhead_histogram,
-    Postmortem, Rung, TelemetryConfig, TraceEvent,
+    Postmortem, RecoveryStage, TelemetryConfig, TraceEvent,
 };
 
 use crate::fleet_figs::HOTSPOT_WORKLOAD;
@@ -71,7 +71,8 @@ pub struct TelemetryFigures {
     /// Fingerprint of the merged metric registry (faulted run),
     /// identical across worker counts.
     pub metrics_fingerprint: u64,
-    /// Every counter of the faulted run, registry order.
+    /// The faulted run's counter table: its outcome counts from the
+    /// report, then the registry's attempt, failure and trace counters.
     pub counters: Vec<(&'static str, u64)>,
     /// Per-rung breakdown of the faulted run.
     pub rungs: Vec<RungStats>,
@@ -93,8 +94,9 @@ pub struct TelemetryFigures {
 /// healthy digest diverging from the plain one, traced faulted runs
 /// disagreeing with each other or with the untraced faulted run
 /// across `worker_counts`, or metric fingerprints / postmortem sets
-/// varying with worker count; or if the registry's books do not
-/// balance (rung deliveries partition `delivered_total`) or the run
+/// varying with worker count; or if the registry does not split the
+/// report's flows (rung deliveries are its deliveries, exhausted +
+/// unroutable its failures), at any worker count; or if the run
 /// captured no complete failure/recovery trace to export. A
 /// benchmark that measures a perturbed system must not report at all.
 pub fn run_telemetry(
@@ -154,6 +156,11 @@ pub fn run_telemetry(
             "tracing perturbed the faulted digest at {workers} workers"
         );
         assert_eq!(
+            telem.metrics.outcome_split(),
+            (report.delivered, report.flows - report.delivered),
+            "the registry must split the report's flows at {workers} workers"
+        );
+        assert_eq!(
             telem.metrics.fingerprint(),
             runs[0].2.metrics.fingerprint(),
             "metric fingerprint diverged at {workers} workers"
@@ -165,16 +172,7 @@ pub fn run_telemetry(
     }
     let (_, report, telem) = runs.swap_remove(0);
     let m = &telem.metrics;
-    assert_eq!(
-        m.counter(tm::FLOWS),
-        flows as u64,
-        "every flow is counted exactly once"
-    );
-    assert_eq!(
-        m.counter(tm::DELIVERED) + m.counter(tm::FAILED),
-        m.counter(tm::FLOWS),
-        "delivered + failed covers every flow"
-    );
+    assert_eq!(report.flows, flows as u64, "every flow is counted once");
     assert_eq!(
         m.counter(tm::POSTMORTEMS),
         telem.postmortems.len() as u64,
@@ -182,11 +180,11 @@ pub fn run_telemetry(
     );
 
     let counters = vec![
-        ("flows_total", m.counter(tm::FLOWS)),
-        ("delivered_total", m.counter(tm::DELIVERED)),
-        ("failed_total", m.counter(tm::FAILED)),
-        ("retried_total", m.counter(tm::RETRIED)),
-        ("recovered_total", m.counter(tm::RECOVERED)),
+        ("flows_total", report.flows),
+        ("delivered_total", report.delivered),
+        ("failed_total", report.flows - report.delivered),
+        ("retried_total", report.retried),
+        ("recovered_total", report.recovered),
         ("attempts_total", m.counter(tm::ATTEMPTS)),
         ("broadcasts_total", m.counter(tm::BROADCASTS)),
         ("exhausted_total", m.counter(tm::EXHAUSTED)),
@@ -194,7 +192,7 @@ pub fn run_telemetry(
         ("postmortems_total", m.counter(tm::POSTMORTEMS)),
         ("trace_dropped_total", m.counter(tm::TRACE_DROPPED)),
     ];
-    let rungs: Vec<RungStats> = Rung::ALL
+    let rungs: Vec<RungStats> = RecoveryStage::ALL
         .iter()
         .map(|&rung| RungStats {
             rung: rung.label(),
@@ -210,11 +208,6 @@ pub fn run_telemetry(
                 .map(|milli| milli / 1_000.0),
         })
         .collect();
-    assert_eq!(
-        rungs.iter().map(|r| r.deliveries).sum::<u64>(),
-        m.counter(tm::DELIVERED),
-        "per-rung deliveries must partition delivered_total"
-    );
 
     // The exported sample: the most interesting complete trace — an
     // exhausted flow if the scenario produced one, else a recovery.

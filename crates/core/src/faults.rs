@@ -102,42 +102,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Which rung of the [`RetryPolicy`] ladder a delivery succeeded on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RecoveryStage {
-    /// The first send (no recovery was needed).
-    First,
-    /// A plain re-send over the original conduit.
-    Resend,
-    /// The widened-conduit variant.
-    Widen,
-    /// The replanned detour around known-dark buildings.
-    Replan,
-}
-
-impl RecoveryStage {
-    /// Stable lowercase label for reports and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RecoveryStage::First => "first",
-            RecoveryStage::Resend => "resend",
-            RecoveryStage::Widen => "widen",
-            RecoveryStage::Replan => "replan",
-        }
-    }
-
-    /// The telemetry-layer rung this stage corresponds to (telemetry
-    /// sits below this crate in the dependency graph, so it carries
-    /// its own copy of the enum).
-    pub fn rung(&self) -> citymesh_telemetry::Rung {
-        match self {
-            RecoveryStage::First => citymesh_telemetry::Rung::First,
-            RecoveryStage::Resend => citymesh_telemetry::Rung::Resend,
-            RecoveryStage::Widen => citymesh_telemetry::Rung::Widen,
-            RecoveryStage::Replan => citymesh_telemetry::Rung::Replan,
-        }
-    }
-}
+/// Which rung of the [`RetryPolicy`] ladder a delivery succeeded on —
+/// the telemetry crate's enum, which the trace events and per-rung
+/// metrics name too.
+pub use citymesh_telemetry::RecoveryStage;
 
 /// A fault scenario: pure configuration, materialized per world by
 /// [`FaultState::materialize`]. The default is the null scenario

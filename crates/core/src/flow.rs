@@ -355,7 +355,7 @@ impl CityExperiment {
             header.reuse_for(msg_id, rung_width, waypoints);
             scratch.tracer.record(TraceEvent::Attempt {
                 attempt: attempts,
-                rung: stage.rung(),
+                rung: stage,
                 width_dm: u32::from(header.conduit_width_dm),
                 conduits: waypoints.len().saturating_sub(1).max(1) as u32,
             });
@@ -574,7 +574,7 @@ fn finish_flow_trace(scratch: &mut DeliveryScratch, outcome: &PairOutcome) {
         dst: outcome.dst,
         delivered: outcome.delivered,
         attempts: outcome.attempts,
-        recovered_by: outcome.recovered_by.map(|s| s.rung()),
+        recovered_by: outcome.recovered_by,
         broadcasts: outcome.broadcasts,
         latency_ns: outcome.latency.map(|t| t.as_nanos()),
     });

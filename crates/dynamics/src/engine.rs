@@ -49,7 +49,7 @@ use citymesh_fleet::{
     RouteCache,
 };
 use citymesh_simcore::Fnv64;
-use citymesh_telemetry::{metrics as tm, MetricSet, TelemetryConfig, TraceConfig};
+use citymesh_telemetry::{TelemetryConfig, TraceConfig};
 
 use crate::timeline::Timeline;
 
@@ -259,15 +259,6 @@ pub struct Barrier {
     pub evicted: u64,
 }
 
-impl Barrier {
-    /// Counts this barrier into an engine's metric set.
-    pub fn record(&self, m: &mut MetricSet) {
-        m.inc(tm::EVENTS_APPLIED);
-        m.inc(tm::EPOCH_TRANSITIONS);
-        m.add(tm::ROUTES_EVICTED, self.evicted);
-    }
-}
-
 /// The one epoch/barrier driver. Partitions `flows` at each `timeline`
 /// event by `arrival_ms < at_ms` (ties go to the event: the flow sees
 /// the post-event world), hands every slice to `epoch` together with
@@ -334,10 +325,10 @@ pub fn run_epochs<T>(
 /// [`run_epochs`]'s.
 ///
 /// Returns the report plus merged telemetry when `tel` asks for any —
-/// per-epoch metric sets merge commutatively, then the engine adds its
-/// own churn counters (`churn_events_total`, `routes_evicted_total`,
-/// `epoch_transitions_total`). The report digest is identical traced
-/// or untraced, exactly like the fleet engine's.
+/// the per-epoch metric sets, merged commutatively. What the barriers
+/// did (events applied, APs changed, routes evicted) is the report's
+/// alone. The report digest is identical traced or untraced, exactly
+/// like the fleet engine's.
 ///
 /// # Panics
 /// Panics when a worker thread panics mid-run.
@@ -418,9 +409,6 @@ pub fn try_run_churn(
             stat.aps_changed = b.aps_changed;
             stat.evicted = b.evicted;
             stat.fault_fingerprint = b.fault_fingerprint;
-            if let Some(t) = telemetry.as_mut() {
-                b.record(&mut t.metrics);
-            }
         }
         report.epoch_stats.push(stat);
     }
@@ -743,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_keep_the_digest_and_count_churn() {
+    fn traced_runs_keep_the_digest_and_split_outcomes() {
         let exp = world(37);
         let flows = workload(&exp, 200, 37);
         let tl = Timeline::materialize(
@@ -780,11 +768,12 @@ mod tests {
                 strategy.label()
             );
             let telemetry = telemetry.expect("metrics were requested");
-            let m = &telemetry.metrics;
-            assert_eq!(m.counter(tm::EVENTS_APPLIED), untraced.events_applied);
-            assert_eq!(m.counter(tm::EPOCH_TRANSITIONS), untraced.events_applied);
-            assert_eq!(m.counter(tm::ROUTES_EVICTED), untraced.routes_evicted);
-            assert_eq!(m.counter(tm::FLOWS), untraced.flows);
+            assert_eq!(
+                telemetry.metrics.outcome_split(),
+                (traced.delivered, traced.flows - traced.delivered),
+                "{}: the registry splits the report's flows",
+                strategy.label()
+            );
         }
     }
 

@@ -180,8 +180,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Telemetry must observe churn without perturbing it, and its
-    /// churn counters must agree with the report's own accounting.
+    /// Telemetry must observe churn without perturbing it, and the
+    /// registry's outcome counters must split the report's flows.
     #[test]
     fn telemetry_does_not_perturb_churn(
         seed in any::<u64>(),
@@ -203,16 +203,8 @@ proptest! {
         );
         let telemetry = telemetry.expect("metrics were requested");
         prop_assert_eq!(
-            telemetry.metrics.counter(citymesh_telemetry::metrics::EVENTS_APPLIED),
-            traced.events_applied
-        );
-        prop_assert_eq!(
-            telemetry.metrics.counter(citymesh_telemetry::metrics::ROUTES_EVICTED),
-            traced.routes_evicted
-        );
-        prop_assert_eq!(
-            telemetry.metrics.counter(citymesh_telemetry::metrics::FLOWS),
-            traced.flows
+            telemetry.metrics.outcome_split(),
+            (traced.delivered, traced.flows - traced.delivered)
         );
     }
 }

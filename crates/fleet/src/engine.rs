@@ -781,8 +781,6 @@ mod tests {
             try_run_fleet_traced(&exp, &flows, &cfg, &TelemetryConfig::full(5)).unwrap();
         assert_eq!(plain.digest(), traced.digest(), "healthy world");
         let telem = telem.expect("telemetry requested");
-        assert_eq!(telem.metrics.counter(tm::FLOWS), 120);
-        assert_eq!(telem.metrics.counter(tm::DELIVERED), traced.delivered);
         assert_eq!(telem.metrics.counter(tm::LADDERS_MATERIALIZED), 0);
 
         // Faulted world: same invariant under the full retry ladder.
@@ -800,8 +798,10 @@ mod tests {
             try_run_fleet_traced(&fexp, &fflows, &fcfg, &TelemetryConfig::full(7)).unwrap();
         assert_eq!(fplain.digest(), ftraced.digest(), "faulted world");
         let ftel = ftel.expect("telemetry requested");
-        assert_eq!(ftel.metrics.counter(tm::RETRIED), ftraced.retried);
-        assert_eq!(ftel.metrics.counter(tm::RECOVERED), ftraced.recovered);
+        assert_eq!(
+            ftel.metrics.outcome_split(),
+            (ftraced.delivered, ftraced.flows - ftraced.delivered)
+        );
         // Every flow that climbed to rung 3 materialized a ladder, and
         // each ladder's detour was either refused or searched for.
         let ladders = ftel.metrics.counter(tm::LADDERS_MATERIALIZED);
@@ -823,7 +823,7 @@ mod tests {
         let runs: Vec<FleetTelemetry> = [1usize, 4, 8]
             .iter()
             .map(|&w| {
-                try_run_fleet_traced(
+                let (report, telem) = try_run_fleet_traced(
                     &exp,
                     &flows,
                     &FleetConfig {
@@ -833,9 +833,17 @@ mod tests {
                     },
                     &TelemetryConfig::full(5),
                 )
-                .unwrap()
-                .1
-                .expect("telemetry requested")
+                .unwrap();
+                let telem = telem.expect("telemetry requested");
+                // The registry splits the report's flows, at every
+                // worker count: rung deliveries are its deliveries,
+                // exhausted + unroutable its failures.
+                assert_eq!(
+                    telem.metrics.outcome_split(),
+                    (report.delivered, report.flows - report.delivered),
+                    "outcome split at {w} workers"
+                );
+                telem
             })
             .collect();
         for (i, t) in runs.iter().enumerate().skip(1) {
@@ -852,19 +860,7 @@ mod tests {
                 [1, 4, 8][i]
             );
         }
-        // Registry coherence on the merged set.
         let m = &runs[0].metrics;
-        assert_eq!(
-            m.counter(tm::DELIVERED) + m.counter(tm::FAILED),
-            m.counter(tm::FLOWS)
-        );
-        assert_eq!(
-            m.counter(tm::RUNG_FIRST)
-                + m.counter(tm::RUNG_RESEND)
-                + m.counter(tm::RUNG_WIDEN)
-                + m.counter(tm::RUNG_REPLAN),
-            m.counter(tm::DELIVERED)
-        );
         assert_eq!(m.counter(tm::POSTMORTEMS), runs[0].postmortems.len() as u64);
     }
 
@@ -917,7 +913,7 @@ mod tests {
     fn metrics_only_config_skips_tracing() {
         let exp = world(3);
         let flows = workload(&exp, 60, 3);
-        let (_, telem) = try_run_fleet_traced(
+        let (report, telem) = try_run_fleet_traced(
             &exp,
             &flows,
             &FleetConfig {
@@ -929,7 +925,10 @@ mod tests {
         )
         .unwrap();
         let telem = telem.expect("metrics requested");
-        assert_eq!(telem.metrics.counter(tm::FLOWS), 60);
+        assert_eq!(
+            telem.metrics.outcome_split(),
+            (report.delivered, report.flows - report.delivered)
+        );
         assert!(telem.postmortems.is_empty());
         assert_eq!(telem.metrics.counter(tm::POSTMORTEMS), 0);
     }

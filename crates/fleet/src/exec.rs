@@ -16,7 +16,7 @@ use citymesh_core::{
 };
 use citymesh_simcore::{substream_seed, SimRng};
 use citymesh_telemetry::{
-    metrics as tm, MetricSet, Postmortem, Rung, TelemetryConfig, TraceConfig,
+    metrics as tm, MetricSet, Postmortem, RecoveryStage, TelemetryConfig, TraceConfig,
 };
 
 use crate::cache::RouteCache;
@@ -219,12 +219,6 @@ impl<'a> FlowExecutor<'a> {
         self.simulate(world, &plan, flow, true, None)
     }
 
-    /// The worker's metric set, for engines that count more than flow
-    /// outcomes (the stream engine's admission counters).
-    pub fn metrics_mut(&mut self) -> Option<&mut MetricSet> {
-        self.metrics.as_mut()
-    }
-
     /// Folds the worker's bookkeeping into its metric set and hands back
     /// the set plus the captured postmortems. The trace totals are read
     /// off those postmortems (sums and maxima over kept flows), so they
@@ -269,10 +263,12 @@ impl<'a> FlowExecutor<'a> {
     }
 }
 
-/// Folds one flow's outcome into a worker's metric set. Pure per-flow
+/// Folds one flow's outcome into a worker's metric set: which rung
+/// delivered it, or whether it exhausted the ladder or never reached
+/// the simulator, plus its attempts and broadcasts. The flow, delivery,
+/// retry and sealing counts are the report's (DESIGN §9). Pure per-flow
 /// arithmetic on integers, so per-worker sums merge deterministically.
 fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
-    m.inc(tm::FLOWS);
     m.add(tm::BROADCASTS, o.broadcasts);
     if o.attempts == 0 {
         // Never reached the simulator: no route, or the source
@@ -283,15 +279,8 @@ fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
         m.observe(tm::ATTEMPTS_PER_FLOW, u64::from(o.attempts));
         m.gauge_max(tm::MAX_ATTEMPTS, u64::from(o.attempts));
     }
-    if o.attempts > 1 {
-        m.inc(tm::RETRIED);
-        if o.delivered {
-            m.inc(tm::RECOVERED);
-        }
-    }
     if o.delivered {
-        m.inc(tm::DELIVERED);
-        let rung = o.recovered_by.map(|s| s.rung()).unwrap_or(Rung::First);
+        let rung = o.recovered_by.unwrap_or(RecoveryStage::First);
         m.inc(tm::rung_delivery_counter(rung));
         if let Some(t) = o.latency {
             m.observe(tm::rung_latency_histogram(rung), t.as_nanos() / 1_000);
@@ -302,20 +291,8 @@ fn record_flow_metrics(m: &mut MetricSet, o: &PairOutcome) {
                 (ov * 1000.0).round() as u64,
             );
         }
-    } else {
-        m.inc(tm::FAILED);
-        if o.attempts > 0 {
-            m.inc(tm::EXHAUSTED);
-        }
-    }
-    if o.sealed {
-        m.inc(tm::MSGS_SEALED);
-        if o.opened {
-            m.inc(tm::MSGS_OPENED);
-        }
-        if o.auth_failed {
-            m.inc(tm::AUTH_FAILURES);
-        }
+    } else if o.attempts > 0 {
+        m.inc(tm::EXHAUSTED);
     }
 }
 

@@ -56,7 +56,7 @@ use citymesh_fleet::{
 };
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
-use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, TelemetryConfig};
+use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig};
 
 /// The modeled per-flow service-time law: `base_ms +
 /// per_broadcast_ms × broadcasts`. Broadcast count comes from the
@@ -559,8 +559,8 @@ enum FlowRecord {
 
 /// Aggregated results of one streaming run.
 ///
-/// Everything except the wall-clock/work fields (`elapsed_secs`,
-/// `workers`, `routes_evicted`) is deterministic in
+/// Everything except the work field `routes_evicted` (and the
+/// embedded fleet report's wall-clock fields) is deterministic in
 /// `(world, workload, timeline, config)` and covered by
 /// [`digest`](StreamReport::digest).
 #[derive(Clone, Debug)]
@@ -622,10 +622,6 @@ pub struct StreamReport {
     /// Cached routes evicted at event barriers. **Not** covered by the
     /// digest.
     pub routes_evicted: u64,
-    /// Wall-clock run time, seconds. **Not** covered by the digest.
-    pub elapsed_secs: f64,
-    /// Worker threads used. **Not** covered by the digest.
-    pub workers: usize,
 }
 
 impl StreamReport {
@@ -655,8 +651,6 @@ impl StreamReport {
             epochs: 0,
             events_applied: 0,
             routes_evicted: 0,
-            elapsed_secs: 0.0,
-            workers: 0,
         }
     }
 
@@ -811,9 +805,6 @@ pub fn try_run_stream(
         if let Some(b) = barrier {
             report.events_applied += 1;
             report.routes_evicted += b.evicted;
-            if let Some(t) = telemetry.as_mut() {
-                b.record(&mut t.metrics);
-            }
         }
     }
 
@@ -887,14 +878,10 @@ pub fn try_run_stream(
     report.fleet.workers = workers;
     report.fleet.cache_hits = cache.hits();
     report.fleet.cache_misses = cache.misses();
-    report.workers = workers;
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report.fleet.elapsed_secs = report.elapsed_secs;
+    report.fleet.elapsed_secs = started.elapsed().as_secs_f64();
 
     if let Some(t) = telemetry.as_mut() {
         t.absorb(harvests);
-        t.metrics
-            .gauge_max(tm::QUEUE_DEPTH_HIGH_WATER, report.max_depth);
     }
     Ok((report, telemetry))
 }
@@ -929,13 +916,6 @@ fn serve(
             };
             match q.offer_class(flow.arrival_ms, class) {
                 Admission::Shed { reason, depth } => {
-                    if let Some(m) = exec.metrics_mut() {
-                        m.inc(match reason {
-                            ShedReason::Backpressure => tm::SHED_BACKPRESSURE,
-                            ShedReason::Deadline => tm::SHED_DEADLINE,
-                        });
-                        m.observe(tm::QUEUE_DEPTH, u64::from(depth));
-                    }
                     records.push((
                         flow.id,
                         FlowRecord::Shed {
@@ -964,21 +944,6 @@ fn serve(
                         + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
                     q.commit(start_ms, service_ms);
                     let wait_ms = start_ms - flow.arrival_ms;
-                    if let Some(m) = exec.metrics_mut() {
-                        m.inc(tm::ADMITTED);
-                        m.observe(tm::QUEUE_DEPTH, u64::from(depth));
-                        m.observe(tm::STREAM_WAIT, (wait_ms * 1000.0).round() as u64);
-                        m.observe(
-                            tm::STREAM_SOJOURN,
-                            ((wait_ms + service_ms) * 1000.0).round() as u64,
-                        );
-                        if shed_tracing {
-                            m.inc(tm::DEGRADED_TRACING);
-                        }
-                        if cap_retries {
-                            m.inc(tm::DEGRADED_RETRY);
-                        }
-                    }
                     records.push((
                         flow.id,
                         FlowRecord::Served {
@@ -1006,6 +971,7 @@ mod tests {
     use citymesh_dynamics::ChurnConfig;
     use citymesh_fleet::{try_run_fleet, FleetConfig};
     use citymesh_map::CityArchetype;
+    use citymesh_telemetry::metrics as tm;
 
     fn world(seed: u64) -> CityExperiment {
         CityExperiment::prepare(
@@ -1309,12 +1275,12 @@ mod tests {
         );
         let telemetry = telemetry.expect("telemetry requested");
         let m = &telemetry.metrics;
-        assert_eq!(m.counter(tm::ADMITTED), r.admitted);
-        assert_eq!(m.counter(tm::SHED_BACKPRESSURE), r.shed_backpressure);
-        assert_eq!(m.counter(tm::SHED_DEADLINE), r.shed_deadline);
-        assert_eq!(m.counter(tm::DEGRADED_TRACING), r.degraded_tracing);
-        assert_eq!(m.counter(tm::DEGRADED_RETRY), r.degraded_retry);
-        assert_eq!(m.gauge(tm::QUEUE_DEPTH_HIGH_WATER), r.max_depth);
+        // Only served flows reach the executor, so the registry splits
+        // the admitted flows' fleet report.
+        assert_eq!(
+            m.outcome_split(),
+            (r.fleet.delivered, r.fleet.flows - r.fleet.delivered)
+        );
         // Rung-1 flows produce no postmortems, so captures can only
         // come from the still-traced majority.
         assert_eq!(

@@ -93,12 +93,12 @@ impl MetricSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{ATTEMPTS_PER_FLOW, DELIVERED, FLOWS, LATENCY_FIRST, MAX_ATTEMPTS};
+    use crate::metrics::{ATTEMPTS, ATTEMPTS_PER_FLOW, LATENCY_FIRST, MAX_ATTEMPTS, RUNG_FIRST};
 
     fn sample_set() -> MetricSet {
         let mut m = MetricSet::new();
-        m.add(FLOWS, 10);
-        m.add(DELIVERED, 9);
+        m.add(ATTEMPTS, 10);
+        m.add(RUNG_FIRST, 9);
         m.gauge_max(MAX_ATTEMPTS, 3);
         for v in [1u64, 1, 2, 4, 9] {
             m.observe(ATTEMPTS_PER_FLOW, v);
@@ -113,7 +113,7 @@ mod tests {
         let a = m.to_json();
         let b = m.clone().to_json();
         assert_eq!(a, b);
-        assert!(a.contains("\"flows_total\":10"));
+        assert!(a.contains("\"attempts_total\":10"));
         assert!(a.contains("\"max_attempts_per_flow\":3"));
         assert!(a.contains(
             "\"attempts_per_flow\":{\"unit\":\"attempts\",\"count\":5,\"sum\":17,\"max\":9"
@@ -126,8 +126,8 @@ mod tests {
     fn prometheus_buckets_are_cumulative() {
         let m = sample_set();
         let text = m.to_prometheus();
-        assert!(text.contains("# TYPE citymesh_flows_total counter"));
-        assert!(text.contains("citymesh_flows_total 10"));
+        assert!(text.contains("# TYPE citymesh_attempts_total counter"));
+        assert!(text.contains("citymesh_attempts_total 10"));
         assert!(text.contains("# TYPE citymesh_attempts_per_flow histogram"));
         // Samples 1,1,2,4,9 → le=1:2, le=2:3, le=3:3, le=4:4, +Inf:5.
         assert!(text.contains("citymesh_attempts_per_flow_bucket{le=\"1\"} 2\n"));
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn empty_set_renders_cleanly() {
         let m = MetricSet::new();
-        assert!(m.to_json().contains("\"flows_total\":0"));
+        assert!(m.to_json().contains("\"attempts_total\":0"));
         assert!(m
             .to_prometheus()
             .contains("citymesh_latency_first_us_count 0\n"));

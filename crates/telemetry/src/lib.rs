@@ -37,6 +37,6 @@ pub use metrics::{
     GaugeDef, GaugeId, HistogramDef, HistogramId, MetricSet, COUNTERS, GAUGES, HISTOGRAMS,
 };
 pub use trace::{
-    FlowSummary, FlowTracer, Postmortem, Rung, TelemetryConfig, TraceConfig, TraceEvent,
+    FlowSummary, FlowTracer, Postmortem, RecoveryStage, TelemetryConfig, TraceConfig, TraceEvent,
     DEFAULT_RING_CAPACITY,
 };

@@ -12,8 +12,19 @@
 //! yields bit-identical aggregates no matter which worker claimed
 //! which flow chunk — the same schedule-independence argument the
 //! fleet digest relies on.
+//!
+//! The registry counts each outcome once, and not where a report
+//! already does: how many flows ran, delivered, retried, were shed or
+//! sealed is a field of the engine's report (`FleetReport`,
+//! `StreamReport`, `ChurnReport`), folded in flow-id order and
+//! digested. What the registry holds is what no report carries: the
+//! per-rung split of those deliveries with its latency and overhead
+//! histograms, the attempts and broadcasts behind them, the
+//! exhausted/unroutable split of the failures, the trace totals and
+//! the [`SCHEDULE_DEPENDENT`] work counters. [`MetricSet::outcome_split`]
+//! is the identity that ties the two together.
 
-use crate::trace::Rung;
+use crate::trace::RecoveryStage;
 
 /// Definition of one monotonically increasing counter.
 #[derive(Clone, Copy, Debug)]
@@ -61,130 +72,91 @@ pub struct GaugeId(pub(crate) usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramId(pub(crate) usize);
 
-/// Flows that entered the engine.
-pub const FLOWS: CounterId = CounterId(0);
-/// Flows that delivered (any rung).
-pub const DELIVERED: CounterId = CounterId(1);
-/// Flows that never delivered.
-pub const FAILED: CounterId = CounterId(2);
-/// Flows that needed more than one attempt.
-pub const RETRIED: CounterId = CounterId(3);
-/// Retried flows that ultimately delivered.
-pub const RECOVERED: CounterId = CounterId(4);
 /// Send attempts simulated, all flows.
-pub const ATTEMPTS: CounterId = CounterId(5);
+pub const ATTEMPTS: CounterId = CounterId(0);
 /// AP broadcasts, all flows and attempts.
-pub const BROADCASTS: CounterId = CounterId(6);
+pub const BROADCASTS: CounterId = CounterId(1);
 /// Deliveries won on the first rung.
-pub const RUNG_FIRST: CounterId = CounterId(7);
+pub const RUNG_FIRST: CounterId = CounterId(2);
 /// Deliveries won by a plain resend.
-pub const RUNG_RESEND: CounterId = CounterId(8);
+pub const RUNG_RESEND: CounterId = CounterId(3);
 /// Deliveries won by the widened conduit.
-pub const RUNG_WIDEN: CounterId = CounterId(9);
+pub const RUNG_WIDEN: CounterId = CounterId(4);
 /// Deliveries won by a replanned detour.
-pub const RUNG_REPLAN: CounterId = CounterId(10);
+pub const RUNG_REPLAN: CounterId = CounterId(5);
 /// Flows that exhausted every ladder rung.
-pub const EXHAUSTED: CounterId = CounterId(11);
+pub const EXHAUSTED: CounterId = CounterId(6);
 /// Flows that never reached the simulator (no route / dark source).
-pub const UNROUTABLE: CounterId = CounterId(12);
+pub const UNROUTABLE: CounterId = CounterId(7);
 /// Postmortem traces captured.
-pub const POSTMORTEMS: CounterId = CounterId(13);
+pub const POSTMORTEMS: CounterId = CounterId(8);
 /// Trace events evicted from full rings, over the captured flows.
-pub const TRACE_DROPPED: CounterId = CounterId(14);
-/// World-churn events applied to the live fault state.
-pub const EVENTS_APPLIED: CounterId = CounterId(15);
-/// Cached routes evicted by churn invalidation (targeted or flush).
-pub const ROUTES_EVICTED: CounterId = CounterId(16);
-/// Fault-state epoch transitions (one per applied event).
-pub const EPOCH_TRANSITIONS: CounterId = CounterId(17);
+pub const TRACE_DROPPED: CounterId = CounterId(9);
 /// Hierarchical planner queries answered (one per cache-miss plan when
 /// the hierarchical fast path is enabled).
 ///
 /// Like the route-cache hit/miss counts, hier planner counters are
 /// *schedule-dependent*: racing workers may double-plan a pair, so the
 /// totals vary with worker count. They are excluded from digests.
-pub const HIER_QUERIES: CounterId = CounterId(18);
+pub const HIER_QUERIES: CounterId = CounterId(10);
 /// Hier queries answered entirely inside one district (no overlay
 /// search). Schedule-dependent; excluded from digests.
-pub const HIER_DIRECT_ROUTES: CounterId = CounterId(19);
+pub const HIER_DIRECT_ROUTES: CounterId = CounterId(11);
 /// Border nodes settled by overlay Dijkstra across all hier queries.
 /// Schedule-dependent; excluded from digests.
-pub const HIER_OVERLAY_SETTLED: CounterId = CounterId(20);
+pub const HIER_OVERLAY_SETTLED: CounterId = CounterId(12);
 /// Vertex expansions performed by hier intra-district searches.
 /// Schedule-dependent; excluded from digests.
-pub const HIER_EXPANSIONS: CounterId = CounterId(21);
-/// Flows the streaming engine admitted past its bounded queues.
-pub const ADMITTED: CounterId = CounterId(22);
-/// Flows shed at admission because the server's queue was full.
-pub const SHED_BACKPRESSURE: CounterId = CounterId(23);
-/// Flows shed at admission because their queueing wait would have
-/// exceeded the configured deadline.
-pub const SHED_DEADLINE: CounterId = CounterId(24);
-/// Served flows whose trace capture was shed by the degradation
-/// ladder (queue depth past the first rung).
-pub const DEGRADED_TRACING: CounterId = CounterId(25);
-/// Served flows whose retry ladder was capped to a single attempt by
-/// the degradation ladder (queue depth past the second rung).
-pub const DEGRADED_RETRY: CounterId = CounterId(26);
-/// Payloads sealed under the secure message plane (one per encrypted
-/// flow). Deterministic per flow, so worker-count invariant — but like
-/// every metric it stays out of report digests, which carry their own
-/// conditional sealed counters.
-pub const MSGS_SEALED: CounterId = CounterId(27);
-/// Sealed payloads the receiver delivered, authenticated, and opened.
-pub const MSGS_OPENED: CounterId = CounterId(28);
+pub const HIER_EXPANSIONS: CounterId = CounterId(13);
 /// Per-pair session keys derived on cache misses (X25519 + HKDF — the
 /// amortized cost).
 ///
 /// Like the route-cache and hier counters this is *schedule-dependent*:
 /// racing workers may both miss and double-derive a pair, so the total
 /// varies with worker count. Excluded from digests.
-pub const KEYS_DERIVED: CounterId = CounterId(29);
-/// Receiver-side authentication failures (tampered header or
-/// ciphertext). Zero outside tamper-injection runs.
-pub const AUTH_FAILURES: CounterId = CounterId(30);
+pub const KEYS_DERIVED: CounterId = CounterId(14);
 /// Ideal-hops queries over the AP graph (one per planned flow with a
 /// route and a live source AP — the §4 overhead denominator), whether
 /// a search or a destination's hop row answered.
 /// Schedule-dependent like the hier counters: racing workers may
 /// double-plan a pair. Excluded from digests.
-pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(31);
+pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(15);
 /// APs settled by the queries that searched (a row read settles none).
 /// Schedule-dependent; excluded from digests.
-pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(32);
+pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(16);
 /// Retry-ladder geometries materialized (widened conduits plus the
 /// replan detour): once per plan per fault-state epoch, on the first
 /// flow that reaches rung 3. Schedule-dependent: racing workers may
 /// both materialize one cached plan. Excluded from digests.
-pub const LADDERS_MATERIALIZED: CounterId = CounterId(33);
+pub const LADDERS_MATERIALIZED: CounterId = CounterId(17);
 /// Replan detours refused before any search because the
 /// surviving-component labels show no route around the dark buildings.
 /// Schedule-dependent; excluded from digests.
-pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(34);
+pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(18);
 /// Replan detour searches run (each finds a route: the labels refuse
 /// the rest). Schedule-dependent; excluded from digests.
-pub const DETOUR_SEARCHES: CounterId = CounterId(35);
+pub const DETOUR_SEARCHES: CounterId = CounterId(19);
 /// Per-source shortest-path rows the flat planner built (one full
 /// Dijkstra tree each, on a source's sixteenth request).
 /// Schedule-dependent: which worker's request is the sixteenth, and
 /// whether an earlier run already built the row, vary. Excluded from
 /// digests.
-pub const ROUTE_ROWS_BUILT: CounterId = CounterId(36);
+pub const ROUTE_ROWS_BUILT: CounterId = CounterId(20);
 /// Flat plans whose route was walked out of the source's row.
 /// Schedule-dependent; excluded from digests.
-pub const ROUTES_FROM_ROWS: CounterId = CounterId(37);
+pub const ROUTES_FROM_ROWS: CounterId = CounterId(21);
 /// Flat plans whose route came from the A* search (no row yet, a
 /// tie-flagged source, or a map too large to table).
 /// Schedule-dependent; excluded from digests.
-pub const ROUTE_SEARCHES: CounterId = CounterId(38);
+pub const ROUTE_SEARCHES: CounterId = CounterId(22);
 /// Per-destination-building hop rows the AP graph built (one flood
 /// each, on a destination's sixteenth ideal-hops query).
 /// Schedule-dependent like [`ROUTE_ROWS_BUILT`]; excluded from digests.
-pub const HOP_ROWS_BUILT: CounterId = CounterId(39);
+pub const HOP_ROWS_BUILT: CounterId = CounterId(23);
 /// Ideal-hops queries read out of the destination's hop row; the rest
 /// of [`IDEAL_HOPS_QUERIES`] searched. Schedule-dependent; excluded
 /// from digests.
-pub const HOPS_FROM_ROWS: CounterId = CounterId(40);
+pub const HOPS_FROM_ROWS: CounterId = CounterId(24);
 
 /// The counters whose totals depend on which worker planned or derived
 /// what (racing workers may both miss a cache and repeat the work).
@@ -210,26 +182,6 @@ pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
 
 /// The counter registry; indexed by [`CounterId`].
 pub const COUNTERS: &[CounterDef] = &[
-    CounterDef {
-        name: "flows_total",
-        help: "Flows that entered the engine",
-    },
-    CounterDef {
-        name: "delivered_total",
-        help: "Flows that delivered on any rung",
-    },
-    CounterDef {
-        name: "failed_total",
-        help: "Flows that never delivered",
-    },
-    CounterDef {
-        name: "retried_total",
-        help: "Flows that needed more than one attempt",
-    },
-    CounterDef {
-        name: "recovered_total",
-        help: "Retried flows that ultimately delivered",
-    },
     CounterDef {
         name: "attempts_total",
         help: "Send attempts simulated",
@@ -271,18 +223,6 @@ pub const COUNTERS: &[CounterDef] = &[
         help: "Trace events evicted from full rings of captured flows",
     },
     CounterDef {
-        name: "churn_events_total",
-        help: "World-churn events applied to the live fault state",
-    },
-    CounterDef {
-        name: "routes_evicted_total",
-        help: "Cached routes evicted by churn invalidation",
-    },
-    CounterDef {
-        name: "epoch_transitions_total",
-        help: "Fault-state epoch transitions",
-    },
-    CounterDef {
         name: "hier_queries_total",
         help: "Hierarchical planner queries answered",
     },
@@ -299,40 +239,8 @@ pub const COUNTERS: &[CounterDef] = &[
         help: "Vertex expansions in hier intra-district searches",
     },
     CounterDef {
-        name: "stream_admitted_total",
-        help: "Flows admitted past the streaming engine's bounded queues",
-    },
-    CounterDef {
-        name: "stream_shed_backpressure_total",
-        help: "Flows shed at admission: server queue full",
-    },
-    CounterDef {
-        name: "stream_shed_deadline_total",
-        help: "Flows shed at admission: queueing wait past the deadline",
-    },
-    CounterDef {
-        name: "stream_degraded_tracing_total",
-        help: "Served flows whose trace capture the ladder shed",
-    },
-    CounterDef {
-        name: "stream_degraded_retry_total",
-        help: "Served flows whose retry ladder the ladder capped",
-    },
-    CounterDef {
-        name: "secure_msgs_sealed_total",
-        help: "Payloads sealed under the secure message plane",
-    },
-    CounterDef {
-        name: "secure_msgs_opened_total",
-        help: "Sealed payloads delivered, authenticated, and opened",
-    },
-    CounterDef {
         name: "secure_keys_derived_total",
         help: "Per-pair session keys derived on cache misses",
-    },
-    CounterDef {
-        name: "secure_auth_failures_total",
-        help: "Receiver-side authentication failures",
     },
     CounterDef {
         name: "ideal_hops_queries_total",
@@ -380,9 +288,6 @@ pub const COUNTERS: &[CounterDef] = &[
 pub const TRACE_HIGH_WATER: GaugeId = GaugeId(0);
 /// Most attempts any single flow consumed.
 pub const MAX_ATTEMPTS: GaugeId = GaugeId(1);
-/// Deepest any streaming admission queue got (flows in system at an
-/// arrival instant).
-pub const QUEUE_DEPTH_HIGH_WATER: GaugeId = GaugeId(2);
 
 /// The gauge registry; indexed by [`GaugeId`]. All fleet gauges are
 /// high-water marks (merged by `max`).
@@ -394,10 +299,6 @@ pub const GAUGES: &[GaugeDef] = &[
     GaugeDef {
         name: "max_attempts_per_flow",
         help: "Most attempts any single flow consumed",
-    },
-    GaugeDef {
-        name: "queue_depth_high_water",
-        help: "Deepest streaming admission queue reached",
     },
 ];
 
@@ -444,17 +345,6 @@ pub const OVERHEAD_WIDEN: HistogramId = HistogramId(6);
 pub const OVERHEAD_REPLAN: HistogramId = HistogramId(7);
 /// Attempts each flow consumed before resolution.
 pub const ATTEMPTS_PER_FLOW: HistogramId = HistogramId(8);
-/// Streaming sojourn time (arrival → virtual completion) of admitted
-/// flows, µs.
-pub const STREAM_SOJOURN: HistogramId = HistogramId(9);
-/// Streaming queueing wait (arrival → virtual service start) of
-/// admitted flows, µs.
-pub const STREAM_WAIT: HistogramId = HistogramId(10);
-/// Queue depth (flows in system) observed at each arrival instant.
-pub const QUEUE_DEPTH: HistogramId = HistogramId(11);
-
-/// Queue-depth buckets, flows in system at an arrival.
-const DEPTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// The histogram registry; indexed by [`HistogramId`].
 pub const HISTOGRAMS: &[HistogramDef] = &[
@@ -512,53 +402,35 @@ pub const HISTOGRAMS: &[HistogramDef] = &[
         unit: "attempts",
         bounds: &[1, 2, 3, 4],
     },
-    HistogramDef {
-        name: "stream_sojourn_us",
-        help: "Sojourn time of admitted streaming flows",
-        unit: "us",
-        bounds: LATENCY_BOUNDS_US,
-    },
-    HistogramDef {
-        name: "stream_queue_wait_us",
-        help: "Queueing wait of admitted streaming flows",
-        unit: "us",
-        bounds: LATENCY_BOUNDS_US,
-    },
-    HistogramDef {
-        name: "queue_depth_at_arrival",
-        help: "Flows in system at each streaming arrival",
-        unit: "flows",
-        bounds: DEPTH_BOUNDS,
-    },
 ];
 
 /// The delivery counter credited to a rung.
-pub fn rung_delivery_counter(rung: Rung) -> CounterId {
+pub fn rung_delivery_counter(rung: RecoveryStage) -> CounterId {
     match rung {
-        Rung::First => RUNG_FIRST,
-        Rung::Resend => RUNG_RESEND,
-        Rung::Widen => RUNG_WIDEN,
-        Rung::Replan => RUNG_REPLAN,
+        RecoveryStage::First => RUNG_FIRST,
+        RecoveryStage::Resend => RUNG_RESEND,
+        RecoveryStage::Widen => RUNG_WIDEN,
+        RecoveryStage::Replan => RUNG_REPLAN,
     }
 }
 
 /// The latency histogram credited to a rung.
-pub fn rung_latency_histogram(rung: Rung) -> HistogramId {
+pub fn rung_latency_histogram(rung: RecoveryStage) -> HistogramId {
     match rung {
-        Rung::First => LATENCY_FIRST,
-        Rung::Resend => LATENCY_RESEND,
-        Rung::Widen => LATENCY_WIDEN,
-        Rung::Replan => LATENCY_REPLAN,
+        RecoveryStage::First => LATENCY_FIRST,
+        RecoveryStage::Resend => LATENCY_RESEND,
+        RecoveryStage::Widen => LATENCY_WIDEN,
+        RecoveryStage::Replan => LATENCY_REPLAN,
     }
 }
 
 /// The overhead histogram credited to a rung.
-pub fn rung_overhead_histogram(rung: Rung) -> HistogramId {
+pub fn rung_overhead_histogram(rung: RecoveryStage) -> HistogramId {
     match rung {
-        Rung::First => OVERHEAD_FIRST,
-        Rung::Resend => OVERHEAD_RESEND,
-        Rung::Widen => OVERHEAD_WIDEN,
-        Rung::Replan => OVERHEAD_REPLAN,
+        RecoveryStage::First => OVERHEAD_FIRST,
+        RecoveryStage::Resend => OVERHEAD_RESEND,
+        RecoveryStage::Widen => OVERHEAD_WIDEN,
+        RecoveryStage::Replan => OVERHEAD_REPLAN,
     }
 }
 
@@ -719,6 +591,21 @@ impl MetricSet {
         }
     }
 
+    /// The registry's split of a run's flows: `(Σ rung deliveries,
+    /// exhausted + unroutable)`. Every flow lands in exactly one of
+    /// those counters, so this equals the report's `(delivered, flows −
+    /// delivered)` for the same run.
+    pub fn outcome_split(&self) -> (u64, u64) {
+        let delivered = RecoveryStage::ALL
+            .iter()
+            .map(|&stage| self.counter(rung_delivery_counter(stage)))
+            .sum();
+        (
+            delivered,
+            self.counter(EXHAUSTED) + self.counter(UNROUTABLE),
+        )
+    }
+
     /// FNV-1a digest over every schedule-independent counter (all but
     /// [`SCHEDULE_DEPENDENT`]), gauge, and histogram bucket — the
     /// telemetry analogue of the fleet report digest, pinned by
@@ -771,7 +658,7 @@ mod tests {
 
     #[test]
     fn registry_ids_line_up() {
-        assert_eq!(COUNTERS.len(), 41);
+        assert_eq!((COUNTERS.len(), GAUGES.len(), HISTOGRAMS.len()), (25, 2, 9));
         assert_eq!(COUNTERS[HOP_ROWS_BUILT.0].name, "hop_rows_built_total");
         assert_eq!(COUNTERS[HOPS_FROM_ROWS.0].name, "hops_from_rows_total");
         assert_eq!(COUNTERS[ROUTE_ROWS_BUILT.0].name, "route_rows_built_total");
@@ -795,60 +682,32 @@ mod tests {
             "detours_rejected_by_labels_total"
         );
         assert_eq!(COUNTERS[DETOUR_SEARCHES.0].name, "detour_searches_total");
-        assert_eq!(COUNTERS[MSGS_SEALED.0].name, "secure_msgs_sealed_total");
-        assert_eq!(COUNTERS[MSGS_OPENED.0].name, "secure_msgs_opened_total");
         assert_eq!(COUNTERS[KEYS_DERIVED.0].name, "secure_keys_derived_total");
-        assert_eq!(COUNTERS[AUTH_FAILURES.0].name, "secure_auth_failures_total");
-        assert_eq!(COUNTERS[ADMITTED.0].name, "stream_admitted_total");
-        assert_eq!(
-            COUNTERS[SHED_BACKPRESSURE.0].name,
-            "stream_shed_backpressure_total"
-        );
-        assert_eq!(COUNTERS[SHED_DEADLINE.0].name, "stream_shed_deadline_total");
-        assert_eq!(
-            COUNTERS[DEGRADED_TRACING.0].name,
-            "stream_degraded_tracing_total"
-        );
-        assert_eq!(
-            COUNTERS[DEGRADED_RETRY.0].name,
-            "stream_degraded_retry_total"
-        );
         assert_eq!(COUNTERS[HIER_EXPANSIONS.0].name, "hier_expansions_total");
+        assert_eq!(COUNTERS[EXHAUSTED.0].name, "exhausted_total");
+        assert_eq!(COUNTERS[UNROUTABLE.0].name, "unroutable_total");
         assert_eq!(COUNTERS[TRACE_DROPPED.0].name, "trace_dropped_total");
-        assert_eq!(COUNTERS[EVENTS_APPLIED.0].name, "churn_events_total");
-        assert_eq!(COUNTERS[ROUTES_EVICTED.0].name, "routes_evicted_total");
-        assert_eq!(
-            COUNTERS[EPOCH_TRANSITIONS.0].name,
-            "epoch_transitions_total"
-        );
         assert_eq!(GAUGES[MAX_ATTEMPTS.0].name, "max_attempts_per_flow");
-        assert_eq!(
-            GAUGES[QUEUE_DEPTH_HIGH_WATER.0].name,
-            "queue_depth_high_water"
-        );
         assert_eq!(HISTOGRAMS[ATTEMPTS_PER_FLOW.0].name, "attempts_per_flow");
-        assert_eq!(HISTOGRAMS[STREAM_SOJOURN.0].name, "stream_sojourn_us");
-        assert_eq!(HISTOGRAMS[STREAM_WAIT.0].name, "stream_queue_wait_us");
-        assert_eq!(HISTOGRAMS[QUEUE_DEPTH.0].name, "queue_depth_at_arrival");
-        for rung in Rung::ALL {
-            let c = rung_delivery_counter(rung);
-            assert!(COUNTERS[c.0].name.contains(rung.label()));
-            let l = rung_latency_histogram(rung);
-            assert!(HISTOGRAMS[l.0].name.contains(rung.label()));
-            let o = rung_overhead_histogram(rung);
-            assert!(HISTOGRAMS[o.0].name.contains(rung.label()));
+        for stage in RecoveryStage::ALL {
+            let c = rung_delivery_counter(stage);
+            assert!(COUNTERS[c.0].name.contains(stage.label()));
+            let l = rung_latency_histogram(stage);
+            assert!(HISTOGRAMS[l.0].name.contains(stage.label()));
+            let o = rung_overhead_histogram(stage);
+            assert!(HISTOGRAMS[o.0].name.contains(stage.label()));
         }
     }
 
     #[test]
     fn counters_and_gauges_record() {
         let mut m = MetricSet::new();
-        m.inc(FLOWS);
+        m.inc(UNROUTABLE);
         m.add(BROADCASTS, 41);
         m.inc(BROADCASTS);
         m.gauge_max(MAX_ATTEMPTS, 3);
         m.gauge_max(MAX_ATTEMPTS, 2);
-        assert_eq!(m.counter(FLOWS), 1);
+        assert_eq!(m.counter(UNROUTABLE), 1);
         assert_eq!(m.counter(BROADCASTS), 42);
         assert_eq!(m.gauge(MAX_ATTEMPTS), 3);
     }
@@ -871,11 +730,11 @@ mod tests {
     #[test]
     fn merge_is_commutative_on_disjoint_workers() {
         let mut a = MetricSet::new();
-        a.inc(FLOWS);
+        a.inc(ATTEMPTS);
         a.observe(LATENCY_FIRST, 250);
         a.gauge_max(TRACE_HIGH_WATER, 7);
         let mut b = MetricSet::new();
-        b.add(FLOWS, 2);
+        b.add(ATTEMPTS, 2);
         b.observe(LATENCY_FIRST, 5_000);
         b.gauge_max(TRACE_HIGH_WATER, 3);
 
@@ -885,9 +744,20 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.fingerprint(), ba.fingerprint());
-        assert_eq!(ab.counter(FLOWS), 3);
+        assert_eq!(ab.counter(ATTEMPTS), 3);
         assert_eq!(ab.gauge(TRACE_HIGH_WATER), 7);
         assert_eq!(ab.histo_count(LATENCY_FIRST), 2);
+    }
+
+    #[test]
+    fn outcome_split_sums_the_rungs_and_the_failures() {
+        let mut m = MetricSet::new();
+        m.inc(RUNG_FIRST);
+        m.add(RUNG_REPLAN, 2);
+        m.inc(EXHAUSTED);
+        m.add(UNROUTABLE, 3);
+        m.add(ATTEMPTS, 9);
+        assert_eq!(m.outcome_split(), (3, 4));
     }
 
     #[test]
@@ -906,7 +776,7 @@ mod tests {
     fn fingerprint_tracks_any_change() {
         let mut m = MetricSet::new();
         let empty = m.fingerprint();
-        m.inc(DELIVERED);
+        m.inc(RUNG_WIDEN);
         let one = m.fingerprint();
         assert_ne!(empty, one);
         m.observe(OVERHEAD_WIDEN, 12_345);

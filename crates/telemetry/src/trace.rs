@@ -18,10 +18,11 @@
 //!
 //! Cost model:
 //!
-//! * **disabled** (the default): [`FlowTracer::begin_flow`] and
-//!   [`FlowTracer::record`] are a load + branch; no memory is ever
-//!   allocated. The steady-state zero-allocation guarantee of the
-//!   delivery kernel is preserved bit for bit.
+//! * **disabled** (the default, a zero ring capacity):
+//!   [`FlowTracer::begin_flow`] and [`FlowTracer::record`] are a
+//!   load + branch; no memory is ever allocated. The steady-state
+//!   zero-allocation guarantee of the delivery kernel is preserved bit
+//!   for bit.
 //! * **enabled**: the ring is allocated once at construction. A flow
 //!   nobody armed records nothing, so the kernel runs it on its healthy
 //!   loop; only a kept flow pays, once for its replay and once for the
@@ -41,12 +42,14 @@
 /// [`Postmortem::dropped_events`].
 pub const DEFAULT_RING_CAPACITY: usize = 32 * 1024;
 
-/// Which rung of the sender's recovery ladder an attempt rode.
+/// Which rung of the sender's retry ladder an attempt rode, or a
+/// delivery succeeded on.
 ///
-/// Mirrors the core crate's `RecoveryStage` (telemetry sits below the
-/// routing crates in the dependency graph, so it spells its own copy).
+/// Defined here, the lowest crate that names it (trace events and the
+/// per-rung metrics both do); `citymesh-core` re-exports it beside its
+/// `RetryPolicy`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Rung {
+pub enum RecoveryStage {
     /// The first send (no recovery involved).
     First,
     /// A plain re-send over the original conduit.
@@ -57,17 +60,22 @@ pub enum Rung {
     Replan,
 }
 
-impl Rung {
-    /// All rungs, ladder order.
-    pub const ALL: [Rung; 4] = [Rung::First, Rung::Resend, Rung::Widen, Rung::Replan];
+impl RecoveryStage {
+    /// All stages, ladder order.
+    pub const ALL: [RecoveryStage; 4] = [
+        RecoveryStage::First,
+        RecoveryStage::Resend,
+        RecoveryStage::Widen,
+        RecoveryStage::Replan,
+    ];
 
     /// Stable lowercase label for reports and JSON.
     pub fn label(&self) -> &'static str {
         match self {
-            Rung::First => "first",
-            Rung::Resend => "resend",
-            Rung::Widen => "widen",
-            Rung::Replan => "replan",
+            RecoveryStage::First => "first",
+            RecoveryStage::Resend => "resend",
+            RecoveryStage::Widen => "widen",
+            RecoveryStage::Replan => "replan",
         }
     }
 }
@@ -100,7 +108,7 @@ pub enum TraceEvent {
         /// 1-based attempt number.
         attempt: u32,
         /// The ladder rung this attempt rides.
-        rung: Rung,
+        rung: RecoveryStage,
         /// Conduit width of this attempt, decimeters.
         width_dm: u32,
         /// Conduit rectangles of this attempt's geometry.
@@ -151,7 +159,7 @@ pub struct FlowSummary {
     pub attempts: u32,
     /// The rung that finally delivered, when delivery needed more than
     /// one attempt.
-    pub recovered_by: Option<Rung>,
+    pub recovered_by: Option<RecoveryStage>,
     /// Total broadcasts across all attempts.
     pub broadcasts: u64,
     /// End-to-end latency (timeout penalties included), ns.
@@ -164,10 +172,10 @@ impl FlowSummary {
     /// (never reached the simulator — no route or dark source).
     pub fn outcome_label(&self) -> &'static str {
         match (self.delivered, self.recovered_by, self.attempts) {
-            (true, Some(Rung::Resend), _) => "recovered-resend",
-            (true, Some(Rung::Widen), _) => "recovered-widen",
-            (true, Some(Rung::Replan), _) => "recovered-replan",
-            (true, Some(Rung::First), _) | (true, None, _) => "delivered",
+            (true, Some(RecoveryStage::Resend), _) => "recovered-resend",
+            (true, Some(RecoveryStage::Widen), _) => "recovered-widen",
+            (true, Some(RecoveryStage::Replan), _) => "recovered-replan",
+            (true, Some(RecoveryStage::First), _) | (true, None, _) => "delivered",
             (false, _, 0) => "unroutable",
             (false, _, _) => "exhausted",
         }
@@ -271,12 +279,11 @@ fn event_json(ev: &TraceEvent) -> String {
 /// Tracer configuration. The default is fully disabled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Master switch; `false` makes every tracer call a no-op branch.
-    pub enabled: bool,
     /// Steady-state sampling: keep every flow whose key is a multiple
     /// of this (0 = keep failures/retries only).
     pub sample_every: u64,
     /// Ring capacity in events; allocated once at tracer construction.
+    /// 0 disables tracing: every tracer call is then a no-op branch.
     pub ring_capacity: usize,
 }
 
@@ -290,7 +297,6 @@ impl TraceConfig {
     /// Tracing fully disabled (the zero-overhead default).
     pub fn off() -> Self {
         TraceConfig {
-            enabled: false,
             sample_every: 0,
             ring_capacity: 0,
         }
@@ -300,7 +306,6 @@ impl TraceConfig {
     /// keeps failed and retried flows only).
     pub fn sampled(n: u64) -> Self {
         TraceConfig {
-            enabled: true,
             sample_every: n,
             ring_capacity: DEFAULT_RING_CAPACITY,
         }
@@ -313,7 +318,7 @@ impl TraceConfig {
     /// this config builds could not record.
     pub fn keeps(&self, key: u64, delivered: bool, attempts: u32) -> bool {
         let sampled = self.sample_every > 0 && key.is_multiple_of(self.sample_every);
-        self.enabled && self.ring_capacity > 0 && (sampled || !delivered || attempts > 1)
+        self.ring_capacity > 0 && (sampled || !delivered || attempts > 1)
     }
 }
 
@@ -351,7 +356,7 @@ impl TelemetryConfig {
 
     /// Whether every subsystem is disabled.
     pub fn is_off(&self) -> bool {
-        !self.metrics && !self.trace.enabled
+        !self.metrics && self.trace.ring_capacity == 0
     }
 }
 
@@ -390,10 +395,9 @@ impl FlowTracer {
     /// Builds a tracer, pre-allocating the ring when enabled so that
     /// recording is allocation-free from the first event on.
     pub fn new(cfg: TraceConfig) -> Self {
-        let capacity = if cfg.enabled { cfg.ring_capacity } else { 0 };
         FlowTracer {
-            capacity,
-            ring: Vec::with_capacity(capacity),
+            capacity: cfg.ring_capacity,
+            ring: Vec::with_capacity(cfg.ring_capacity),
             start: 0,
             len: 0,
             dropped: 0,
@@ -522,11 +526,11 @@ mod tests {
         );
         let no_ring = TraceConfig {
             ring_capacity: 0,
-            ..cfg
+            ..TraceConfig::sampled(1)
         };
         assert!(
             !no_ring.keeps(6, false, 1),
-            "nor without a ring to record in"
+            "nor without a ring to record in, whatever the sample"
         );
     }
 
@@ -543,7 +547,6 @@ mod tests {
     #[test]
     fn ring_wraps_and_counts_drops() {
         let mut t = FlowTracer::new(TraceConfig {
-            enabled: true,
             sample_every: 1,
             ring_capacity: 4,
         });
@@ -575,7 +578,6 @@ mod tests {
     #[test]
     fn ring_storage_never_regrows_after_first_fill() {
         let mut t = FlowTracer::new(TraceConfig {
-            enabled: true,
             sample_every: 0,
             ring_capacity: 8,
         });
@@ -613,7 +615,7 @@ mod tests {
     #[test]
     fn postmortem_json_names_the_recovering_rung() {
         let mut s = summary(true, 3);
-        s.recovered_by = Some(Rung::Widen);
+        s.recovered_by = Some(RecoveryStage::Widen);
         let p = Postmortem {
             key: 17,
             summary: s,
@@ -629,7 +631,7 @@ mod tests {
                 },
                 TraceEvent::Attempt {
                     attempt: 3,
-                    rung: Rung::Widen,
+                    rung: RecoveryStage::Widen,
                     width_dm: 1000,
                     conduits: 2,
                 },

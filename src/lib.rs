@@ -122,5 +122,5 @@ pub mod prelude {
         generate_stream_flows, try_run_stream, ArrivalProcess, FlowClass, ShedReason, StreamConfig,
         StreamReport, StreamWorkload,
     };
-    pub use citymesh_telemetry::{MetricSet, Postmortem, Rung, TelemetryConfig, TraceConfig};
+    pub use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig, TraceConfig};
 }
