@@ -20,9 +20,9 @@ use std::sync::{Arc, OnceLock};
 /// key a stream round asks 29 times pays once and reads from then on.
 /// One constant serves both tables because both ratios sit inside that
 /// factor of two (downtown, 530 buildings / 962 APs): a shortest-path
-/// tree is 155–177 µs against a 10.1–10.6 µs A* (15–17 searches), a hop
-/// row 25.6 µs with its allocation against a 1.9–2.4 µs ALT search
-/// (11–13).
+/// tree is 109–135 µs against a 7.2–9.1 µs A* (14–16 searches; best of
+/// 7 passes over every source, busy 2-CPU x86-64 host), a hop row
+/// 25.6 µs with its allocation against a 1.9–2.4 µs ALT search (11–13).
 const ROW_AFTER_REQUESTS: u32 = 16;
 
 /// Ceiling on one table at full occupancy, bytes (`2 · keys · row_len`).

@@ -4,33 +4,33 @@
 //! shared secret through HKDF, binding the sender's ephemeral key and
 //! the recipient identity into the key schedule.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 
 /// `HKDF-Extract(salt, ikm)` → pseudorandom key.
 pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
     hmac_sha256(salt, ikm)
 }
 
-/// `HKDF-Expand(prk, info, out.len())`.
+/// `HKDF-Expand(prk, info, out.len())`, allocation-free: block `i`
+/// is `HMAC(prk, T(i−1) ‖ info ‖ i)`, streamed into a copy of the MAC
+/// keyed once, with the previous block kept on the stack.
 ///
 /// # Panics
 /// Panics when more than `255 × 32` bytes are requested (RFC limit).
 pub fn expand(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * 32, "HKDF output too long");
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    let mut filled = 0;
-    while filled < out.len() {
-        let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
-        msg.extend_from_slice(&t);
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        let take = (out.len() - filled).min(32);
-        out[filled..filled + take].copy_from_slice(&block[..take]);
-        filled += take;
-        t = block.to_vec();
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
+    let keyed = HmacSha256::new(prk);
+    let mut t = [0u8; 32];
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
+        let mut mac = keyed.clone();
+        if i > 0 {
+            mac.update(&t);
+        }
+        mac.update(info);
+        // At most 255 chunks (asserted above), so the counter fits.
+        mac.update(&[i as u8 + 1]);
+        t = mac.finalize();
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
 }
 
@@ -120,5 +120,28 @@ mod tests {
         expand(&prk, b"info", &mut long);
         expand(&prk, b"info", &mut short);
         assert_eq!(&long[..32], &short);
+    }
+
+    #[test]
+    fn expand_reaches_the_rfc_maximum_length() {
+        // The 255th block is the last the one-byte counter can number:
+        // every length from 254·32 + 1 to 255·32 ends in it.
+        let prk = extract(b"s", b"ikm");
+        let mut short = [0u8; 32];
+        expand(&prk, b"info", &mut short);
+        let mut max = vec![0u8; 255 * 32];
+        expand(&prk, b"info", &mut max);
+        assert_eq!(&max[..32], &short);
+        let mut just_over = vec![0u8; 254 * 32 + 1];
+        expand(&prk, b"info", &mut just_over);
+        assert_eq!(&just_over[..32], &short);
+        assert_eq!(just_over[..], max[..just_over.len()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "HKDF output too long")]
+    fn expand_refuses_past_the_rfc_maximum_length() {
+        let prk = extract(b"s", b"ikm");
+        expand(&prk, b"info", &mut vec![0u8; 255 * 32 + 1]);
     }
 }

@@ -105,7 +105,6 @@
 //! graph instead ([`crate::astar_path_filtered_into`]).
 
 use crate::landmarks::FarthestPoint;
-use crate::scratch::HeapItem;
 use crate::scratch::{astar_path_filtered_into, PlannerScratch};
 use crate::{Adjacency, INFINITY};
 
@@ -327,11 +326,8 @@ fn district_dijkstra<G: Adjacency + ?Sized>(
 ) {
     scratch.begin(g.num_vertices());
     scratch.write(source, 0.0, u32::MAX);
-    scratch.heap.push(HeapItem {
-        dist: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+    scratch.push(0.0, source);
+    while let Some((_, u)) = scratch.pop() {
         if scratch.is_settled(u) {
             continue;
         }
@@ -355,10 +351,7 @@ fn relax(scratch: &mut PlannerScratch, from: u32, to: u32, nd: f64, h: impl Fn(u
     let (cur, cur_parent) = scratch.entry(to);
     if nd < cur {
         scratch.write(to, nd, from);
-        scratch.heap.push(HeapItem {
-            dist: nd + h(to),
-            vertex: to,
-        });
+        scratch.push(nd + h(to), to);
     } else if nd == cur && from < cur_parent {
         scratch.write(to, nd, from);
     }
@@ -572,11 +565,8 @@ impl Hierarchy {
     fn overlay_sssp(&self, source: u32, scratch: &mut PlannerScratch) {
         scratch.begin(self.node_vertex.len());
         scratch.write(source, 0.0, u32::MAX);
-        scratch.heap.push(HeapItem {
-            dist: 0.0,
-            vertex: source,
-        });
-        while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+        scratch.push(0.0, source);
+        while let Some((_, u)) = scratch.pop() {
             if scratch.is_settled(u) {
                 continue;
             }
@@ -731,17 +721,10 @@ impl Hierarchy {
             let d0 = self.row(b)[src_col];
             if d0.is_finite() {
                 scratch.overlay.write(b, d0, u32::MAX);
-                scratch.overlay.heap.push(HeapItem {
-                    dist: d0 + h(b),
-                    vertex: b,
-                });
+                scratch.overlay.push(d0 + h(b), b);
             }
         }
-        while let Some(HeapItem {
-            dist: key,
-            vertex: nb,
-        }) = scratch.overlay.heap.pop()
-        {
+        while let Some((key, nb)) = scratch.overlay.pop() {
             if scratch.overlay.is_settled(nb) {
                 continue;
             }

@@ -40,8 +40,18 @@
 //! consistency for the Euclidean heuristic because every weight is
 //! `max(d, 1)^e ≥ max(d, 1) > h`-drop for exponents `e ≥ 1` (see
 //! `citymesh-core`'s route planner).
+//!
+//! # The queue: one integer key per entry
+//!
+//! Every key a search pushes is non-negative and never NaN — weights
+//! are non-negative, and every heuristic is a distance, an `abs` or a
+//! `max(0.0)`, possibly `+∞` — and for such floats the IEEE bit pattern
+//! orders exactly as the number does. So the queue holds one `u128` per entry, the key's bits
+//! above the vertex id, and an integer min-heap over it pops by
+//! *(key, vertex id)*: the same total order a float comparator with an
+//! id tie-break defines, hence the same settle sequence.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::Adjacency;
@@ -49,31 +59,14 @@ use crate::Adjacency;
 /// Distance value for unreachable vertices.
 pub const INFINITY: f64 = f64::INFINITY;
 
-/// A heap entry ordered by *smallest* distance first, then smallest id.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct HeapItem {
-    pub(crate) dist: f64,
-    pub(crate) vertex: u32,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap. Distances are finite,
-        // non-NaN by construction (weights validated by Graph).
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.vertex.cmp(&self.vertex))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// One vertex's search state. `stamp` is the generation that last
+/// touched the slot (the slot is untouched this run unless `stamp & !1
+/// == gen`), its low bit the settled flag.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    dist: f64,
+    parent: u32,
+    stamp: u32,
 }
 
 /// Reusable buffers for search over any [`Adjacency`] implementation
@@ -109,13 +102,11 @@ impl PartialOrd for HeapItem {
 /// argument.
 #[derive(Clone, Debug, Default)]
 pub struct PlannerScratch {
-    /// Slot `v` is valid for this run iff `stamp[v] == gen`.
-    stamp: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Even; advances by 2 per search.
     gen: u32,
-    dist: Vec<f64>,
-    parent: Vec<u32>,
-    settled: Vec<bool>,
-    pub(crate) heap: BinaryHeap<HeapItem>,
+    /// `Reverse((key bits << 32) | vertex)`: a min-queue by (key, id).
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl PlannerScratch {
@@ -126,25 +117,22 @@ impl PlannerScratch {
 
     /// Largest vertex count the buffers currently cover.
     pub fn capacity(&self) -> usize {
-        self.stamp.len()
+        self.slots.len()
     }
 
-    /// Prepares for a search over `n` vertices: grows buffers if this
-    /// is the largest graph seen, invalidates every slot by bumping
+    /// Prepares for a search over `n` vertices: grows the slots if this
+    /// is the largest graph seen, invalidates every slot by advancing
     /// the generation (O(1); a full re-stamp happens only when the
-    /// `u32` generation wraps, once per ~4 billion searches), and
+    /// `u32` generation wraps, once per ~2 billion searches), and
     /// clears the retained heap without releasing capacity.
     pub(crate) fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.dist.resize(n, INFINITY);
-            self.parent.resize(n, u32::MAX);
-            self.settled.resize(n, false);
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
         }
-        self.gen = self.gen.wrapping_add(1);
+        self.gen = self.gen.wrapping_add(2);
         if self.gen == 0 {
-            self.stamp.fill(0);
-            self.gen = 1;
+            self.slots.fill(Slot::default());
+            self.gen = 2;
         }
         self.heap.clear();
     }
@@ -153,38 +141,58 @@ impl PlannerScratch {
     /// this run.
     #[inline]
     pub(crate) fn entry(&self, v: u32) -> (f64, u32) {
-        let i = v as usize;
-        if self.stamp[i] == self.gen {
-            (self.dist[i], self.parent[i])
+        let s = self.slots[v as usize];
+        if s.stamp & !1 == self.gen {
+            (s.dist, s.parent)
         } else {
             (INFINITY, u32::MAX)
         }
     }
 
-    /// Writes `(dist, parent)` for `v`, stamping the slot.
+    /// Writes `(dist, parent)` for the unsettled `v`, stamping the slot.
     #[inline]
     pub(crate) fn write(&mut self, v: u32, dist: f64, parent: u32) {
-        let i = v as usize;
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.settled[i] = false;
-        }
-        self.dist[i] = dist;
-        self.parent[i] = parent;
+        debug_assert!(!self.is_settled(v), "a settled vertex is final");
+        self.slots[v as usize] = Slot {
+            dist,
+            parent,
+            stamp: self.gen,
+        };
     }
 
     #[inline]
     pub(crate) fn is_settled(&self, v: u32) -> bool {
-        let i = v as usize;
-        self.stamp[i] == self.gen && self.settled[i]
+        self.slots[v as usize].stamp == self.gen | 1
     }
 
     #[inline]
     pub(crate) fn settle(&mut self, v: u32) {
         // Popped vertices were always written first, so the slot is
         // already stamped.
-        debug_assert_eq!(self.stamp[v as usize], self.gen);
-        self.settled[v as usize] = true;
+        let stamp = &mut self.slots[v as usize].stamp;
+        debug_assert_eq!(*stamp, self.gen);
+        *stamp = self.gen | 1;
+    }
+
+    /// Queues `v` under `key`.
+    ///
+    /// `key` must be non-negative and not NaN: then its bits order as
+    /// its value (the sign bit is dropped, so `-0.0` queues as `0.0`,
+    /// which it equals).
+    #[inline]
+    pub(crate) fn push(&mut self, key: f64, v: u32) {
+        debug_assert!(key >= 0.0, "queue key {key} is negative or NaN");
+        let bits = key.abs().to_bits();
+        self.heap
+            .push(Reverse((u128::from(bits) << 32) | u128::from(v)));
+    }
+
+    /// Pops the entry with the smallest `(key, vertex id)`.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
+        self.heap
+            .pop()
+            .map(|Reverse(k)| (f64::from_bits((k >> 32) as u64), k as u32))
     }
 
     /// Traces the parent chain from `target` into `out` (reversed into
@@ -194,13 +202,13 @@ impl PlannerScratch {
         out.push(target);
         let mut cur = target;
         loop {
-            let p = self.parent[cur as usize];
+            let p = self.slots[cur as usize].parent;
             if p == u32::MAX {
                 break;
             }
             out.push(p);
             cur = p;
-            debug_assert!(out.len() <= self.stamp.len(), "parent cycle");
+            debug_assert!(out.len() <= self.slots.len(), "parent cycle");
         }
         out.reverse();
     }
@@ -241,11 +249,8 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
     }
     scratch.begin(n);
     scratch.write(source, 0.0, u32::MAX);
-    scratch.heap.push(HeapItem {
-        dist: h(source),
-        vertex: source,
-    });
-    while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+    scratch.push(h(source), source);
+    while let Some((_, u)) = scratch.pop() {
         if scratch.is_settled(u) {
             continue; // stale lazy-deleted entry
         }
@@ -266,10 +271,7 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
             let (cur, cur_parent) = scratch.entry(e.to);
             if nd < cur {
                 scratch.write(e.to, nd, u);
-                scratch.heap.push(HeapItem {
-                    dist: nd + h(e.to),
-                    vertex: e.to,
-                });
+                scratch.push(nd + h(e.to), e.to);
             } else if nd == cur && u < cur_parent {
                 // Canonical tie-break: equal-cost predecessors resolve
                 // to the smallest id. The key is unchanged, so no new
@@ -312,12 +314,9 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
     assert!((source as usize) < n, "vertex out of range");
     scratch.begin(n);
     scratch.write(source, 0.0, u32::MAX);
-    scratch.heap.push(HeapItem {
-        dist: 0.0,
-        vertex: source,
-    });
+    scratch.push(0.0, source);
     let mut tied = false;
-    while let Some(HeapItem { vertex: u, .. }) = scratch.heap.pop() {
+    while let Some((_, u)) = scratch.pop() {
         if scratch.is_settled(u) {
             continue; // stale lazy-deleted entry
         }
@@ -332,10 +331,7 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
             let (cur, cur_parent) = scratch.entry(e.to);
             if nd < cur {
                 scratch.write(e.to, nd, u);
-                scratch.heap.push(HeapItem {
-                    dist: nd,
-                    vertex: e.to,
-                });
+                scratch.push(nd, e.to);
             } else if nd == cur {
                 tied = true;
                 if u < cur_parent {
@@ -351,6 +347,53 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
 mod tests {
     use super::*;
     use crate::Graph;
+    use proptest::prelude::*;
+
+    /// Keys at the edges of the packing: both zeros, a subnormal, the
+    /// extremes of the finite range and `+∞`.
+    const EDGE_KEYS: [f64; 6] = [0.0, -0.0, 5e-324, 1e-300, f64::MAX, INFINITY];
+
+    /// Edge keys, a coarse grid (exact ties) and arbitrary values.
+    fn queue_key() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0..EDGE_KEYS.len()).prop_map(|i| EDGE_KEYS[i]),
+            (0u32..24).prop_map(|k| f64::from(k) * 0.25),
+            0.0..1e12f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Pushes interleaved with pops, then a full drain, pop exactly
+        /// what a sort of the pending entries by `(key, vertex id)`
+        /// says comes next: ties in key, repeated vertices, duplicate
+        /// entries and `+∞` included.
+        #[test]
+        fn queue_pops_by_key_then_vertex_id(
+            ops in proptest::collection::vec((0u32..10, queue_key(), 0u32..24), 0..400),
+        ) {
+            let mut s = PlannerScratch::new();
+            s.begin(24);
+            let mut model: Vec<(f64, u32)> = Vec::new();
+            let model_pop = |model: &mut Vec<(f64, u32)>| {
+                model.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("no NaN").then(b.1.cmp(&a.1)));
+                model.pop()
+            };
+            for &(op, key, v) in &ops {
+                if op < 3 {
+                    prop_assert_eq!(s.pop(), model_pop(&mut model));
+                } else {
+                    s.push(key, v);
+                    model.push((key, v));
+                }
+            }
+            while let Some(popped) = s.pop() {
+                prop_assert_eq!(Some(popped), model_pop(&mut model));
+            }
+            prop_assert!(model.is_empty());
+        }
+    }
 
     /// The kernel as plain Dijkstra: no heuristic, nothing filtered.
     fn dijkstra_into(
