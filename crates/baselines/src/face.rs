@@ -277,14 +277,11 @@ mod tests {
             }
         }
         // Gabriel planarization preserves connectivity of unit-disk
-        // graphs: same number of components via a quick union-find.
-        let mut uf = citymesh_graph::UnionFind::new(apg.len());
-        for (u, list) in planar.iter().enumerate() {
-            for &v in list {
-                uf.union(u as u32, v);
-            }
-        }
-        assert_eq!(uf.num_components(), apg.num_components());
+        // graphs: the planar rows split into the same components.
+        let mut labels = Vec::new();
+        let rows = |u: u32| planar[u as usize].iter().copied();
+        let islands = citymesh_graph::label_components(apg.len(), |_| true, rows, &mut labels);
+        assert_eq!(islands, apg.num_components());
     }
 
     #[test]

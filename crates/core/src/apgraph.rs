@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use citymesh_geo::{GridIndex, OrientedRect, Point};
-use citymesh_graph::{hops_to_set_row, label_components, HopLandmarks, HopScratch};
+use citymesh_graph::{bucket_by_key, hops_to_set_row, label_components, HopLandmarks, HopScratch};
 
 use crate::placement::Ap;
 use crate::rows::{LazyRows, NO_ENTRY};
@@ -93,26 +93,18 @@ impl ApGraph {
             &mut components,
         );
         let building_of: Vec<u32> = aps.iter().map(|a| a.building).collect();
-        // Counting sort into CSR buckets. Iterating APs in id order
-        // keeps each bucket's AP ids ascending.
+        // CSR buckets by building. The sort is stable, so each bucket's
+        // AP ids stay ascending.
         let n_buildings = building_of
             .iter()
             .map(|b| *b as usize + 1)
             .max()
             .unwrap_or(0);
-        let mut bucket_starts = vec![0u32; n_buildings + 1];
-        for &b in &building_of {
-            bucket_starts[b as usize + 1] += 1;
-        }
-        for i in 1..=n_buildings {
-            bucket_starts[i] += bucket_starts[i - 1];
-        }
-        let mut cursor = bucket_starts.clone();
-        let mut bucket_items = vec![0u32; building_of.len()];
-        for (id, &b) in building_of.iter().enumerate() {
-            bucket_items[cursor[b as usize] as usize] = id as u32;
-            cursor[b as usize] += 1;
-        }
+        let by_building = building_of
+            .iter()
+            .enumerate()
+            .map(|(id, &b)| (b, id as u32));
+        let (bucket_starts, bucket_items) = bucket_by_key(n_buildings, by_building);
         let hop_landmarks = HopLandmarks::build(
             |a| audience_row(&audience_starts, &audience_items, a),
             &components,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use citymesh_geo::{Point, Rect, EPS};
 use citymesh_graph::{
-    connected_components, dijkstra_tree_with, landmark_candidates, CsrGraph, FarthestPoint, Graph,
+    dijkstra_tree_with, label_components, landmark_candidates, CsrGraph, FarthestPoint,
     PlannerScratch, INFINITY,
 };
 use citymesh_map::CityMap;
@@ -55,12 +55,10 @@ impl Default for BuildingGraphParams {
 
 /// The predicted-connectivity graph over a city's buildings.
 ///
-/// Wraps a frozen [`CsrGraph`] with the map-derived context route
-/// planning needs (centroids for heuristics and conduit geometry).
-/// Construction goes through a growable [`Graph`] and freezes to CSR
-/// before landmark embedding: at metro scale (100k+ buildings) the
-/// per-vertex `Vec` fan-out would cost one allocation per building
-/// and shred cache locality on the planning hot path.
+/// Wraps a [`CsrGraph`] with the map-derived context route planning
+/// needs (centroids for heuristics and conduit geometry). Construction
+/// collects the links into one flat edge list and builds the CSR rows
+/// from it directly: no per-building `Vec` is ever allocated.
 #[derive(Clone, Debug)]
 pub struct BuildingGraph {
     graph: CsrGraph,
@@ -98,7 +96,7 @@ impl BuildingGraph {
             "weight_exponent must be positive"
         );
         let n = map.len();
-        let mut graph = Graph::new(n);
+        let mut links = Vec::new();
         let centroids: Vec<Point> = map.buildings().iter().map(|b| b.centroid).collect();
 
         // Conservative query radius: centroid distance can exceed the
@@ -130,12 +128,12 @@ impl BuildingGraph {
                 let gap = b.footprint.dist_to_polygon(&other.footprint);
                 if gap <= params.max_gap_m {
                     let d = b.centroid.dist(other.centroid).max(1.0);
-                    graph.add_edge(b.id, other_id, d.powf(params.weight_exponent));
+                    links.push((b.id, other_id, d.powf(params.weight_exponent)));
                 }
             }
         }
 
-        let graph = CsrGraph::from_graph(&graph);
+        let graph = CsrGraph::from_edges(n, &links);
         let (lm_dist, lm_count) = build_landmarks(&graph);
         BuildingGraph {
             graph,
@@ -195,7 +193,7 @@ impl BuildingGraph {
         &self.lm_dist[v as usize * k..(v as usize + 1) * k]
     }
 
-    /// The underlying weighted graph, in frozen CSR form.
+    /// The underlying weighted graph, in CSR form.
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
     }
@@ -251,8 +249,16 @@ impl BuildingGraph {
     /// `(component labels, component count)` over predicted links —
     /// how the *map* expects the city to fragment.
     pub fn components(&self) -> (Vec<u32>, usize) {
-        connected_components(&self.graph)
+        components(&self.graph)
     }
+}
+
+/// `(component labels, component count)` of `graph`.
+fn components(graph: &CsrGraph) -> (Vec<u32>, usize) {
+    let mut labels = Vec::new();
+    let rows = |u: u32| graph.neighbors(u).iter().map(|e| e.to);
+    let count = label_components(graph.num_vertices(), |_| true, rows, &mut labels);
+    (labels, count)
 }
 
 /// Distance between two axis-aligned boxes (zero when they overlap): a
@@ -278,7 +284,7 @@ fn bbox_gap(a: &Rect, b: &Rect) -> f64 {
 /// already treats as "this landmark says nothing".
 fn build_landmarks(graph: &CsrGraph) -> (Vec<f64>, usize) {
     let n = graph.num_vertices();
-    let (components, count) = connected_components(graph);
+    let (components, count) = components(graph);
     let candidates = landmark_candidates(&components, count, NUM_LANDMARKS);
     let k = NUM_LANDMARKS.min(candidates.len());
     let mut flat = vec![0.0; n * k];
@@ -287,7 +293,13 @@ fn build_landmarks(graph: &CsrGraph) -> (Vec<f64>, usize) {
     for ki in 0..k {
         dist.fill(INFINITY);
         let source = candidates[sampler.pick()];
-        dijkstra_tree_with(graph, source, &mut scratch, |v, _, d| dist[v as usize] = d);
+        dijkstra_tree_with(
+            graph,
+            source,
+            |_| true,
+            &mut scratch,
+            |v, _, d| dist[v as usize] = d,
+        );
         for (v, d) in dist.iter().enumerate() {
             flat[v * k + ki] = *d;
         }
@@ -433,7 +445,7 @@ mod tests {
         let bboxes: Vec<Rect> = map.buildings().iter().map(|b| b.footprint.bbox()).collect();
         let radius = |bb: &Rect| bb.width().hypot(bb.height()) / 2.0;
         let query_r = params.max_gap_m + 2.0 * bboxes.iter().map(radius).fold(0.0, f64::max);
-        let mut unfiltered = Graph::new(map.len());
+        let mut unfiltered = Vec::new();
         let (mut exact_tests, mut kept) = (0, 0);
         for b in map.buildings() {
             for other_id in map.buildings_within(b.centroid, query_r) {
@@ -448,10 +460,11 @@ mod tests {
                 assert!(box_gap <= gap + EPS, "a box gap bounds the footprint gap");
                 if gap <= params.max_gap_m {
                     let d = b.centroid.dist(other.centroid).max(1.0);
-                    unfiltered.add_edge(b.id, other_id, d.powf(params.weight_exponent));
+                    unfiltered.push((b.id, other_id, d.powf(params.weight_exponent)));
                 }
             }
         }
+        let unfiltered = CsrGraph::from_edges(map.len(), &unfiltered);
         let bg = BuildingGraph::build(&map, params);
         assert_eq!(bg.num_edges(), unfiltered.num_edges());
         for v in 0..map.len() as u32 {

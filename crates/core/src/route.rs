@@ -278,11 +278,17 @@ fn build_row<'a>(
     stats: &mut RouteStats,
 ) -> Option<&'a [u16]> {
     let mut row = rows.blank_row();
-    let tied = dijkstra_tree_with(bg.graph(), src, scratch, |v, parent, _| {
-        // The source's own `u32::MAX` is the only parent that does not
-        // fit: the table's ceiling keeps every id below `NO_ENTRY`.
-        row[v as usize] = u16::try_from(parent).unwrap_or(NO_ENTRY);
-    });
+    let tied = dijkstra_tree_with(
+        bg.graph(),
+        src,
+        |_| true,
+        scratch,
+        |v, parent, _| {
+            // The source's own `u32::MAX` is the only parent that does not
+            // fit: the table's ceiling keeps every id below `NO_ENTRY`.
+            row[v as usize] = u16::try_from(parent).unwrap_or(NO_ENTRY);
+        },
+    );
     if tied {
         return None;
     }

@@ -10,7 +10,7 @@ use citymesh_core::{
     HopScratch, RouteError, Survivors,
 };
 use citymesh_geo::{Point, Polygon, Rect};
-use citymesh_graph::{Graph, PlannerScratch};
+use citymesh_graph::{CsrGraph, PlannerScratch};
 use citymesh_map::{CityArchetype, CityMap};
 use citymesh_reference::{bfs, dijkstra, plan_route_avoiding};
 use citymesh_simcore::SimRng;
@@ -190,10 +190,7 @@ fn ideal_hops_match_full_bfs() {
         .collect();
     let g = ApGraph::build(&aps, 50.0);
     // The two clusters' links, written out by hand.
-    let mut links = Graph::new(5);
-    for (u, v) in [(0, 1), (1, 2), (3, 4)] {
-        links.add_edge(u, v, 1.0);
-    }
+    let links = CsrGraph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
     let mut scratch = HopScratch::new();
     for src in 0..5u32 {
         let result = bfs(&links, src);

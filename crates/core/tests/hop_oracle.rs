@@ -4,7 +4,7 @@
 //! this AP to any AP of that building" with a landmark-guided search
 //! over the audience rows (`citymesh_graph::HopLandmarks`). The
 //! reference is the flood it replaced: [`bfs_distance_to`] over a
-//! unit-disk [`Graph`] this file builds itself from the AP positions
+//! unit-disk [`CsrGraph`] this file builds itself from the AP positions
 //! and the range ([`unit_disk`]), which shares neither the grid index,
 //! the adjacency rows, the landmark table nor the queue with the
 //! kernel. The two must agree on every query — the answer is the
@@ -23,7 +23,7 @@ use citymesh_core::{place_aps, ApGraph, CityExperiment, ExperimentConfig, PlanSc
 use citymesh_core::{PlannedFlow, DEFAULT_RANGE_M};
 use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
 use citymesh_geo::{Point, Polygon, Rect};
-use citymesh_graph::{connected_components, Graph, HopLandmarks, HopScratch, HOP_LANDMARKS};
+use citymesh_graph::{label_components, CsrGraph, HopLandmarks, HopScratch, HOP_LANDMARKS};
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_reference::{bfs_distance_to, FloodScratch as PlannerScratch};
 use citymesh_simcore::SimRng;
@@ -32,11 +32,11 @@ use proptest::prelude::*;
 /// The AP graph's definition, taken literally: an edge between every
 /// two APs at most `range_m` apart, found by a sweep over the APs in
 /// `x` order.
-fn unit_disk(apg: &ApGraph) -> Graph {
+fn unit_disk(apg: &ApGraph) -> CsrGraph {
     let (n, r) = (apg.len() as u32, apg.range_m());
     let mut by_x: Vec<u32> = (0..n).collect();
     by_x.sort_by(|&a, &b| apg.position(a).x.total_cmp(&apg.position(b).x));
-    let mut links = Graph::new(n as usize);
+    let mut links = Vec::new();
     for (i, &a) in by_x.iter().enumerate() {
         let pa = apg.position(a);
         for &b in &by_x[i + 1..] {
@@ -45,11 +45,19 @@ fn unit_disk(apg: &ApGraph) -> Graph {
                 break;
             }
             if pa.dist2(pb) <= r * r {
-                links.add_edge(a, b, 1.0);
+                links.push((a, b, 1.0));
             }
         }
     }
-    links
+    CsrGraph::from_edges(n as usize, &links)
+}
+
+/// `(component labels, component count)` of `links`.
+fn components_of(links: &CsrGraph) -> (Vec<u32>, usize) {
+    let mut labels = Vec::new();
+    let rows = |u: u32| links.neighbors(u).iter().map(|e| e.to);
+    let count = label_components(links.num_vertices(), |_| true, rows, &mut labels);
+    (labels, count)
 }
 
 /// The flood: hops from `src` to the first AP of `building` a BFS over
@@ -57,7 +65,7 @@ fn unit_disk(apg: &ApGraph) -> Graph {
 /// probed exactly once per stamped vertex).
 fn reference(
     apg: &ApGraph,
-    links: &Graph,
+    links: &CsrGraph,
     src: u32,
     building: u32,
     scratch: &mut PlannerScratch,
@@ -79,7 +87,7 @@ fn reference(
 /// `scratch` and through a fresh one.
 fn assert_agrees(
     apg: &ApGraph,
-    links: &Graph,
+    links: &CsrGraph,
     src: u32,
     building: u32,
     scratch: &mut HopScratch,
@@ -188,7 +196,7 @@ fn kernel_equals_flood_across_a_river() {
         let mut rng = SimRng::new(seed ^ 0xA9);
         let aps = place_aps(&map, 200.0, &mut rng);
         let apg = ApGraph::build(&aps, DEFAULT_RANGE_M);
-        let (labels, islands) = connected_components(&unit_disk(&apg));
+        let (labels, islands) = components_of(&unit_disk(&apg));
         let mut sizes = vec![0; islands];
         labels.iter().for_each(|&l| sizes[l as usize] += 1);
         let earns = |&size: &usize| size * HOP_LANDMARKS >= apg.len();
@@ -313,7 +321,7 @@ fn sweep(apg: &ApGraph, queries: impl IntoIterator<Item = (u32, u32)>) -> Swept 
         "the sweep counts requests from zero"
     );
     let links = unit_disk(apg);
-    let (labels, islands) = connected_components(&links);
+    let (labels, islands) = components_of(&links);
     let search = HopLandmarks::build(|a| apg.audience(a), &labels, islands);
     let (mut scratch, mut direct) = (HopScratch::new(), HopScratch::new());
     let mut flood = PlannerScratch::new();

@@ -89,8 +89,9 @@
 //!
 //! All sub-searches (restricted Dijkstras, the overlay A*, the direct
 //! same-district A*) use the crate-wide canonical rule: pop by *(key, vertex
-//! id)* ascending, update on strict improvement or an exact tie with a
-//! smaller-id parent, never update settled vertices. Two further rules
+//! id)* ascending, and relax through [`PlannerScratch::relax`] — update
+//! on strict improvement or an exact tie with a smaller-id parent, never
+//! update settled vertices. Two further rules
 //! are specific to this module and documented on
 //! [`Hierarchy::plan_path_into`]: an exact cost tie between the direct
 //! same-district route and an overlay route resolves to the **direct**
@@ -105,8 +106,8 @@
 //! graph instead ([`crate::astar_path_filtered_into`]).
 
 use crate::landmarks::FarthestPoint;
-use crate::scratch::{astar_path_filtered_into, PlannerScratch};
-use crate::{Adjacency, INFINITY};
+use crate::scratch::{astar_path_filtered_into, dijkstra_tree_with, PlannerScratch};
+use crate::{bucket_by_key, CsrGraph, INFINITY};
 
 /// Upper bound on [`HierParams::overlay_landmarks`] (a per-query
 /// stack-array of landmark-to-target bounds is sized by it).
@@ -179,29 +180,11 @@ impl Partition {
             let iy = ((((y - min_y) / h) * cy as f64) as usize).min(cy - 1);
             district_of.push((iy * cx + ix) as u32);
         }
-        Partition::from_assignment(district_of, (cx * cy) as u32)
-    }
-
-    /// Builds the CSR member lists from an explicit assignment
-    /// (vertices keep ascending order within each district).
-    fn from_assignment(district_of: Vec<u32>, num_districts: u32) -> Partition {
-        let n = district_of.len();
-        let nd = num_districts as usize;
-        let mut member_start = vec![0u32; nd + 1];
-        for &d in &district_of {
-            member_start[d as usize + 1] += 1;
-        }
-        for i in 0..nd {
-            member_start[i + 1] += member_start[i];
-        }
-        let mut cursor = member_start.clone();
-        let mut members = vec![0u32; n];
-        for (v, &d) in district_of.iter().enumerate() {
-            members[cursor[d as usize] as usize] = v as u32;
-            cursor[d as usize] += 1;
-        }
+        // The sort is stable, so members stay ascending in each district.
+        let by_district = district_of.iter().enumerate().map(|(v, &d)| (d, v as u32));
+        let (member_start, members) = bucket_by_key(cx * cy, by_district);
         Partition {
-            num_districts,
+            num_districts: (cx * cy) as u32,
             district_of,
             member_start,
             members,
@@ -314,49 +297,6 @@ pub struct Hierarchy {
     lm_dist: Vec<f64>,
 }
 
-/// Single-source Dijkstra restricted to district `d` (all members, no
-/// early exit), with the crate's canonical tie-break. Results stay in
-/// `scratch` for the caller to read.
-fn district_dijkstra<G: Adjacency + ?Sized>(
-    g: &G,
-    district_of: &[u32],
-    d: u32,
-    source: u32,
-    scratch: &mut PlannerScratch,
-) {
-    scratch.begin(g.num_vertices());
-    scratch.write(source, 0.0, u32::MAX);
-    scratch.push(0.0, source);
-    while let Some((_, u)) = scratch.pop() {
-        if scratch.is_settled(u) {
-            continue;
-        }
-        scratch.settle(u);
-        let (du, _) = scratch.entry(u);
-        for e in g.neighbors(u) {
-            if district_of[e.to as usize] != d || scratch.is_settled(e.to) {
-                continue;
-            }
-            relax(scratch, u, e.to, du + e.weight, |_| 0.0);
-        }
-    }
-}
-
-/// The canonical relaxation of overlay arc or edge `from → to` at
-/// tentative distance `nd`: strict improvement re-queues `to` under
-/// `nd + h(to)`; an exact tie keeps the smaller-id parent (the key is
-/// unchanged, so no new heap entry is needed).
-#[inline]
-fn relax(scratch: &mut PlannerScratch, from: u32, to: u32, nd: f64, h: impl Fn(u32) -> f64) {
-    let (cur, cur_parent) = scratch.entry(to);
-    if nd < cur {
-        scratch.write(to, nd, from);
-        scratch.push(nd + h(to), to);
-    } else if nd == cur && from < cur_parent {
-        scratch.write(to, nd, from);
-    }
-}
-
 impl Hierarchy {
     /// Builds the overlay for `g` under `part`.
     ///
@@ -370,7 +310,7 @@ impl Hierarchy {
     /// not strictly grow along its shortest-path tree — an in-district
     /// edge of weight zero (or so small that a sum absorbs it), which
     /// row descent cannot walk.
-    pub fn build<G: Adjacency + ?Sized>(g: &G, part: Partition, params: &HierParams) -> Hierarchy {
+    pub fn build(g: &CsrGraph, part: Partition, params: &HierParams) -> Hierarchy {
         let n = g.num_vertices();
         assert_eq!(part.district_of.len(), n, "partition does not cover graph");
         assert!(
@@ -402,21 +342,13 @@ impl Hierarchy {
             .map(|&v| part.district_of[v as usize])
             .collect();
 
-        // Borders per district (stable counting sort keeps node ids
+        // Borders per district (the sort is stable, so node ids stay
         // ascending within each district).
-        let mut border_start = vec![0u32; nd + 1];
-        for &d in &node_district {
-            border_start[d as usize + 1] += 1;
-        }
-        for i in 0..nd {
-            border_start[i + 1] += border_start[i];
-        }
-        let mut cursor = border_start.clone();
-        let mut border_nodes = vec![0u32; nodes];
-        for (nb, &d) in node_district.iter().enumerate() {
-            border_nodes[cursor[d as usize] as usize] = nb as u32;
-            cursor[d as usize] += 1;
-        }
+        let by_district = node_district
+            .iter()
+            .enumerate()
+            .map(|(nb, &d)| (d, nb as u32));
+        let (border_start, border_nodes) = bucket_by_key(nd, by_district);
 
         // Table columns: a district's borders in `border_nodes` order
         // (ascending vertex id, so the order `members` lists them in),
@@ -445,7 +377,9 @@ impl Hierarchy {
 
         // Crossing arcs verbatim, and one restricted Dijkstra per
         // border — bounded by the district boundary itself — kept whole
-        // as that border's row.
+        // as that border's row. A parent settles before its child, so
+        // its entry in the row is already written when the child's is
+        // checked against it.
         let mut arc_start = vec![0u32; nodes + 1];
         let mut arc_to = Vec::with_capacity(crossings);
         let mut arc_weight = Vec::with_capacity(crossings);
@@ -461,17 +395,16 @@ impl Hierarchy {
                 }
             }
             arc_start[nb + 1] = arc_to.len() as u32;
-            district_dijkstra(g, &part.district_of, d, v, &mut scratch);
             let row = &mut table[row_start[nb]..];
-            for &m in part.members(d) {
-                let (dist, parent) = scratch.entry(m);
+            let in_district = |u: u32| part.district_of[u as usize] == d;
+            dijkstra_tree_with(g, v, in_district, &mut scratch, |m, parent, dist| {
                 assert!(
-                    parent == u32::MAX || scratch.entry(parent).0 < dist,
+                    parent == u32::MAX || row[col[parent as usize] as usize] < dist,
                     "restricted distance from {v} does not grow along edge {parent} -> {m}: \
                      in-district edge weights must be positive"
                 );
                 row[col[m as usize] as usize] = dist;
-            }
+            });
         }
 
         let mut hier = Hierarchy {
@@ -573,14 +506,12 @@ impl Hierarchy {
             scratch.settle(u);
             let (du, _) = scratch.entry(u);
             for (to, w) in self.crossing_arcs(u) {
-                if !scratch.is_settled(to) {
-                    relax(scratch, u, to, du + w, |_| 0.0);
-                }
+                scratch.relax(u, to, du + w, |_| 0.0);
             }
             let borders = self.borders(self.node_district[u as usize]);
             for (&to, &w) in borders.iter().zip(self.row(u)) {
-                if w.is_finite() && !scratch.is_settled(to) {
-                    relax(scratch, u, to, du + w, |_| 0.0);
+                if w.is_finite() {
+                    scratch.relax(u, to, du + w, |_| 0.0);
                 }
             }
         }
@@ -590,7 +521,7 @@ impl Hierarchy {
     /// node `nb`'s district to that border, `v` first, into `out`, by
     /// row descent (module docs): from each vertex to its parent in the
     /// Dijkstra tree `nb`'s row was written along.
-    fn path_to_border<G: Adjacency + ?Sized>(&self, g: &G, nb: u32, v: u32, out: &mut Vec<u32>) {
+    fn path_to_border(&self, g: &CsrGraph, nb: u32, v: u32, out: &mut Vec<u32>) {
         let district_of = &self.part.district_of;
         let d = self.node_district[nb as usize];
         let root = self.node_vertex[nb as usize];
@@ -634,9 +565,9 @@ impl Hierarchy {
     ///
     /// # Panics
     /// Panics when `src` or `dst` is out of range.
-    pub fn plan_path_into<G: Adjacency + ?Sized>(
+    pub fn plan_path_into(
         &self,
-        g: &G,
+        g: &CsrGraph,
         src: u32,
         dst: u32,
         lb: impl Fn(u32, u32) -> f64,
@@ -747,9 +678,7 @@ impl Hierarchy {
                 }
             }
             for (to, w) in self.crossing_arcs(nb) {
-                if !scratch.overlay.is_settled(to) {
-                    relax(&mut scratch.overlay, nb, to, dnb + w, h);
-                }
+                scratch.overlay.relax(nb, to, dnb + w, h);
             }
             // Intra arcs only out of a node entered by a crossing arc:
             // by the triangle inequality a node entered from inside its
@@ -759,8 +688,8 @@ impl Hierarchy {
                 continue;
             }
             for (&to, &w) in self.borders(d_here).iter().zip(self.row(nb)) {
-                if w.is_finite() && !scratch.overlay.is_settled(to) {
-                    relax(&mut scratch.overlay, nb, to, dnb + w, h);
+                if w.is_finite() {
+                    scratch.overlay.relax(nb, to, dnb + w, h);
                 }
             }
         }
@@ -809,10 +738,9 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{astar_path_filtered_into, Graph};
 
     /// Path cost under `g`'s weights.
-    fn path_cost(g: &Graph, path: &[u32]) -> f64 {
+    fn path_cost(g: &CsrGraph, path: &[u32]) -> f64 {
         path.windows(2)
             .map(|w| {
                 g.neighbors(w[0])
@@ -825,11 +753,18 @@ mod tests {
     }
 
     /// A deterministic pseudo-random lattice: `nx × ny` grid positions
-    /// with 4-neighbor edges whose weights vary by a hash, plus a few
-    /// long chords to make districts non-trivial.
-    fn lattice(nx: u32, ny: u32) -> (Graph, Vec<(f64, f64)>) {
+    /// with 4-neighbor edges whose weights vary by a hash.
+    fn lattice(nx: u32, ny: u32) -> (CsrGraph, Vec<(f64, f64)>) {
+        let (edges, pos) = lattice_edges(nx, ny);
+        (CsrGraph::from_edges(pos.len(), &edges), pos)
+    }
+
+    type Edges = Vec<(u32, u32, f64)>;
+
+    /// [`lattice`] as its edge list.
+    fn lattice_edges(nx: u32, ny: u32) -> (Edges, Vec<(f64, f64)>) {
         let n = (nx * ny) as usize;
-        let mut g = Graph::new(n);
+        let mut edges = Vec::new();
         let mut pos = Vec::with_capacity(n);
         let w = |a: u32, b: u32| {
             let mut z = ((a as u64) << 32 | b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -841,17 +776,17 @@ mod tests {
                 let v = y * nx + x;
                 pos.push((x as f64 * 10.0, y as f64 * 10.0));
                 if x + 1 < nx {
-                    g.add_edge(v, v + 1, w(v, v + 1));
+                    edges.push((v, v + 1, w(v, v + 1)));
                 }
                 if y + 1 < ny {
-                    g.add_edge(v, v + nx, w(v, v + nx));
+                    edges.push((v, v + nx, w(v, v + nx)));
                 }
             }
         }
-        (g, pos)
+        (edges, pos)
     }
 
-    fn assert_same_cost(g: &Graph, hier: &[u32], flat: &[u32], what: &str) {
+    fn assert_same_cost(g: &CsrGraph, hier: &[u32], flat: &[u32], what: &str) {
         let (hc, fc) = (path_cost(g, hier), path_cost(g, flat));
         assert!(
             (hc - fc).abs() <= 1e-9 * fc.max(1.0),
@@ -904,9 +839,7 @@ mod tests {
 
     #[test]
     fn disconnected_pairs_fail_honestly() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 3, 1.0);
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
         let pos = vec![(0.0, 0.0), (1.0, 0.0), (50.0, 50.0), (51.0, 50.0)];
         let part = Partition::grid(&pos, 2);
         let hier = Hierarchy::build(&g, part, &HierParams::default());
@@ -976,22 +909,34 @@ mod tests {
 
     /// A unit-weight lattice: every pair of vertices more than a step
     /// apart is joined by several equal-cost paths.
-    fn tied_lattice(nx: u32, ny: u32) -> (Graph, Vec<(f64, f64)>) {
-        let mut g = Graph::new((nx * ny) as usize);
-        let mut pos = Vec::new();
+    fn tied_lattice(nx: u32, ny: u32) -> (CsrGraph, Vec<(f64, f64)>) {
+        let (mut edges, mut pos) = (Vec::new(), Vec::new());
         for y in 0..ny {
             for x in 0..nx {
                 let v = y * nx + x;
                 pos.push((x as f64, y as f64));
                 if x + 1 < nx {
-                    g.add_edge(v, v + 1, 1.0);
+                    edges.push((v, v + 1, 1.0));
                 }
                 if y + 1 < ny {
-                    g.add_edge(v, v + nx, 1.0);
+                    edges.push((v, v + nx, 1.0));
                 }
             }
         }
-        (g, pos)
+        (CsrGraph::from_edges(pos.len(), &edges), pos)
+    }
+
+    /// The Dijkstra from `root` restricted to district `d`, left in
+    /// `scratch`.
+    fn district_tree(
+        hier: &Hierarchy,
+        g: &CsrGraph,
+        d: u32,
+        root: u32,
+        scratch: &mut PlannerScratch,
+    ) {
+        let in_district = |u: u32| hier.partition().district_of(u) == d;
+        dijkstra_tree_with(g, root, in_district, scratch, |_, _, _| {});
     }
 
     #[test]
@@ -1007,7 +952,7 @@ mod tests {
                     hier.node_vertex[nb as usize],
                     hier.node_district[nb as usize],
                 );
-                district_dijkstra(&g, &part.district_of, d, root, &mut reference);
+                district_tree(&hier, &g, d, root, &mut reference);
                 for &m in part.members(d) {
                     let (dist, _) = reference.entry(m);
                     assert_eq!(hier.row(nb)[hier.col[m as usize] as usize], dist);
@@ -1035,7 +980,7 @@ mod tests {
             for (rank, &nb) in borders.iter().enumerate() {
                 let v = hier.node_vertex[nb as usize];
                 assert_eq!(hier.col[v as usize] as usize, rank, "borders come first");
-                district_dijkstra(&g, &hier.partition().district_of, d, v, &mut reference);
+                district_tree(&hier, &g, d, v, &mut reference);
                 // An intra arc weighs the restricted distance between
                 // its two borders.
                 let arcs: Vec<f64> = borders
@@ -1051,8 +996,9 @@ mod tests {
     #[should_panic(expected = "edge weights must be positive")]
     fn a_zero_weight_edge_inside_a_district_is_rejected() {
         // Descent cannot tell parent from child across a free edge.
-        let (mut g, pos) = lattice(6, 6);
-        g.add_edge(14, 15, 0.0);
+        let (mut edges, pos) = lattice_edges(6, 6);
+        edges.push((14, 15, 0.0));
+        let g = CsrGraph::from_edges(pos.len(), &edges);
         Hierarchy::build(&g, Partition::grid(&pos, 18), &HierParams::default());
     }
 

@@ -355,30 +355,38 @@ impl HopScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{connected_components, Graph};
+    use crate::label_components;
 
-    /// Rows of `g` in the callback form the index reads.
-    fn rows(g: &Graph) -> Vec<Vec<u32>> {
-        (0..g.num_vertices() as u32)
-            .map(|v| g.neighbors(v).iter().map(|e| e.to).collect())
-            .collect()
+    /// Neighbour rows of the unit-weight graph on `0..n` with `links`.
+    fn rows(n: usize, links: &[(u32, u32)]) -> Vec<Vec<u32>> {
+        let mut adj = vec![Vec::new(); n];
+        for &(u, v) in links {
+            adj[u as usize].push(v);
+            adj[v as usize].push(u);
+        }
+        adj
     }
 
-    /// An `nx × ny` unit lattice followed by `extra` isolated vertices.
-    fn lattice(nx: u32, ny: u32, extra: usize) -> Graph {
-        let mut g = Graph::new((nx * ny) as usize + extra);
-        for y in 0..ny {
-            for x in 0..nx {
-                let v = y * nx + x;
-                if x + 1 < nx {
-                    g.add_edge(v, v + 1, 1.0);
-                }
-                if y + 1 < ny {
-                    g.add_edge(v, v + nx, 1.0);
-                }
+    /// `(labels, count)` of the components of `adj`.
+    fn islands(adj: &[Vec<u32>]) -> (Vec<u32>, usize) {
+        let mut labels = Vec::new();
+        let rows = |v: u32| adj[v as usize].iter().copied();
+        let count = label_components(adj.len(), |_| true, rows, &mut labels);
+        (labels, count)
+    }
+
+    /// The links of an `nx × ny` unit lattice.
+    fn lattice(nx: u32, ny: u32) -> Vec<(u32, u32)> {
+        let mut links = Vec::new();
+        for v in 0..nx * ny {
+            if v % nx + 1 < nx {
+                links.push((v, v + 1));
+            }
+            if v / nx + 1 < ny {
+                links.push((v, v + nx));
             }
         }
-        g
+        links
     }
 
     #[test]
@@ -386,13 +394,13 @@ mod tests {
         // A 300-vertex lattice plus a 6-vertex path: 6 × 16 < 306, so
         // the path is searched with a zero bound (its answers are held
         // to a BFS in `tests/against_reference.rs`).
-        let mut g = lattice(30, 10, 6);
+        let mut links = lattice(30, 10);
         let base = 300;
         for i in 0..5 {
-            g.add_edge(base + i, base + i + 1, 1.0);
+            links.push((base + i, base + i + 1));
         }
-        let adj = rows(&g);
-        let (components, count) = connected_components(&g);
+        let adj = rows(306, &links);
+        let (components, count) = islands(&adj);
         let index = HopLandmarks::build(|v| adj[v as usize].as_slice(), &components, count);
         for v in base..base + 6 {
             assert_eq!(index.rows[v as usize], [UNREACHED; HOP_LANDMARKS]);
@@ -401,10 +409,9 @@ mod tests {
 
     #[test]
     fn the_bound_prunes_and_the_counters_say_so() {
-        let g = lattice(60, 60, 0);
-        let adj = rows(&g);
+        let adj = rows(60 * 60, &lattice(60, 60));
         let neighbors = |v: u32| adj[v as usize].as_slice();
-        let (components, count) = connected_components(&g);
+        let (components, count) = islands(&adj);
         let index = HopLandmarks::build(neighbors, &components, count);
         let mut scratch = HopScratch::new();
         let far = 60 * 60 - 1;
@@ -426,11 +433,8 @@ mod tests {
         // A path longer than a row entry can count: rows clamp, the
         // answer does not.
         let n = usize::from(MAX_HOPS) + 40;
-        let mut g = Graph::new(n);
-        for v in 0..n as u32 - 1 {
-            g.add_edge(v, v + 1, 1.0);
-        }
-        let adj = rows(&g);
+        let path: Vec<_> = (0..n as u32 - 1).map(|v| (v, v + 1)).collect();
+        let adj = rows(n, &path);
         let neighbors = |v: u32| adj[v as usize].as_slice();
         let components = vec![0u32; n];
         let index = HopLandmarks::build(neighbors, &components, 1);

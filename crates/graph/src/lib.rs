@@ -15,26 +15,26 @@
 //!   [`HopLandmarks`] (the `citymesh-reference` crate holds the BFS it
 //!   is tested against).
 //!
-//! The [`Graph`] type is a compact adjacency-list structure with `u32`
-//! vertex ids, sized for the millions-of-nodes scale the paper targets.
+//! The building graph is a [`CsrGraph`]: built once from an edge list
+//! by [`CsrGraph::from_edges`] into compressed sparse rows with `u32`
+//! vertex ids, and read by every weighted search here. Those searches
+//! share one relaxation, and so one tie-break (see [`PlannerScratch`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adjacency;
 mod components;
+mod csr;
 mod hierarchy;
 mod hops;
 mod landmarks;
 mod scratch;
-mod union_find;
 
-pub use adjacency::{Adjacency, CsrGraph, Edge, Graph};
-pub use components::{connected_components, label_components, largest_component};
+pub use components::label_components;
+pub use csr::{bucket_by_key, CsrGraph, Edge};
 pub use hierarchy::{
     HierParams, HierScratch, HierStats, Hierarchy, Partition, MAX_OVERLAY_LANDMARKS,
 };
 pub use hops::{hops_to_set_row, HopLandmarks, HopScratch, HopStats, HOP_LANDMARKS};
 pub use landmarks::{landmark_candidates, FarthestPoint};
 pub use scratch::{astar_path_filtered_into, dijkstra_tree_with, PlannerScratch, INFINITY};
-pub use union_find::UnionFind;

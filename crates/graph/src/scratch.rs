@@ -12,12 +12,15 @@
 //!   caller-owned buffer. With `h ≡ 0` and a filter that admits
 //!   everything it is plain Dijkstra;
 //! * [`dijkstra_tree_with`] — the whole shortest-path tree from one
-//!   source, reported vertex by vertex: route rows and the building
-//!   graph's landmark table.
+//!   source, reported vertex by vertex, optionally fenced by a vertex
+//!   filter: route rows, the building graph's landmark table and, one
+//!   district at a time, the hierarchy's border rows.
 //!
 //! # Deterministic tie-breaking (the A* ≡ Dijkstra contract)
 //!
-//! Both kernels share one canonical tie-breaking rule:
+//! Both kernels — and the hierarchy's overlay searches — share one
+//! canonical tie-breaking rule, written once, in
+//! [`PlannerScratch::relax`]:
 //!
 //! 1. the heap pops by *(key ascending, vertex id ascending)* — key is
 //!    `dist` for Dijkstra and `dist + h` for A*;
@@ -54,7 +57,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::Adjacency;
+use crate::CsrGraph;
 
 /// Distance value for unreachable vertices.
 pub const INFINITY: f64 = f64::INFINITY;
@@ -69,8 +72,8 @@ struct Slot {
     stamp: u32,
 }
 
-/// Reusable buffers for search over any [`Adjacency`] implementation
-/// ([`Graph`](crate::Graph) or [`CsrGraph`](crate::CsrGraph)).
+/// Reusable buffers for search over a [`CsrGraph`] (or, inside the
+/// crate, the hierarchy's overlay).
 ///
 /// One scratch serves searches over graphs of *different* sizes (the
 /// route planner shares one between the building graph and the AP
@@ -79,12 +82,9 @@ struct Slot {
 /// warm scratch performs no allocation and no O(|V|) clearing.
 ///
 /// ```
-/// use citymesh_graph::{astar_path_filtered_into, Graph, PlannerScratch};
+/// use citymesh_graph::{astar_path_filtered_into, CsrGraph, PlannerScratch};
 ///
-/// let mut g = Graph::new(3);
-/// g.add_edge(0, 1, 1.0);
-/// g.add_edge(1, 2, 1.0);
-/// g.add_edge(0, 2, 10.0);
+/// let g = CsrGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]);
 /// let mut scratch = PlannerScratch::new();
 /// let mut path = Vec::new();
 /// let dijkstra = |s, t, scratch: &mut _, path: &mut _| {
@@ -187,6 +187,30 @@ impl PlannerScratch {
             .push(Reverse((u128::from(bits) << 32) | u128::from(v)));
     }
 
+    /// The canonical relaxation of edge or arc `from → to` at tentative
+    /// distance `nd`, and the one place its tie-break is written. A
+    /// settled `to` is final and left alone. A strict improvement
+    /// writes `to` and queues it under `nd + h(to)`. An exact tie keeps
+    /// the smaller-id parent — the key is unchanged, so nothing is
+    /// queued — and returns `true`, whichever parent won.
+    #[inline]
+    pub(crate) fn relax(&mut self, from: u32, to: u32, nd: f64, h: impl Fn(u32) -> f64) -> bool {
+        if self.is_settled(to) {
+            return false;
+        }
+        let (cur, cur_parent) = self.entry(to);
+        if nd < cur {
+            self.write(to, nd, from);
+            self.push(nd + h(to), to);
+        } else if nd == cur {
+            if from < cur_parent {
+                self.write(to, nd, from);
+            }
+            return true;
+        }
+        false
+    }
+
     /// Pops the entry with the smallest `(key, vertex id)`.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<(f64, u32)> {
@@ -228,8 +252,8 @@ impl PlannerScratch {
 ///
 /// # Panics
 /// Panics when `source` or `target` is out of range.
-pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
-    g: &G,
+pub fn astar_path_filtered_into(
+    g: &CsrGraph,
     source: u32,
     target: u32,
     h: impl Fn(u32) -> f64,
@@ -261,22 +285,8 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
         }
         let (d, _) = scratch.entry(u);
         for e in g.neighbors(u) {
-            if scratch.is_settled(e.to) {
-                continue;
-            }
-            if e.to != target && e.to != source && !allowed(e.to) {
-                continue;
-            }
-            let nd = d + e.weight;
-            let (cur, cur_parent) = scratch.entry(e.to);
-            if nd < cur {
-                scratch.write(e.to, nd, u);
-                scratch.push(nd + h(e.to), e.to);
-            } else if nd == cur && u < cur_parent {
-                // Canonical tie-break: equal-cost predecessors resolve
-                // to the smallest id. The key is unchanged, so no new
-                // heap entry is needed.
-                scratch.write(e.to, nd, u);
+            if e.to == target || e.to == source || allowed(e.to) {
+                scratch.relax(u, e.to, d + e.weight, &h);
             }
         }
     }
@@ -284,17 +294,19 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
     false
 }
 
-/// The whole canonical shortest-path tree from `source`: Dijkstra under
-/// the [`PlannerScratch`] tie-breaking rule, run until the heap is
-/// empty. `settle(v, parent, dist)` is called once per reachable
-/// vertex, in settle order, with the vertex's final parent (`u32::MAX`
-/// for `source`) and its shortest distance from `source`; a vertex never
+/// The whole canonical shortest-path tree from `source` over the
+/// vertices `allowed` admits (`source` always): Dijkstra under the
+/// [`PlannerScratch`] tie-breaking rule, run until the heap is empty.
+/// `settle(v, parent, dist)` is called once per reachable vertex, in
+/// settle order, with the vertex's final parent (`u32::MAX` for
+/// `source`) and its shortest distance from `source`; a vertex never
 /// reported is unreachable. The parent of `v` is the vertex before `v`
 /// on the path [`astar_path_filtered_into`] returns for `source → v`
-/// with `h ≡ 0` — an early-stopped search and the full tree agree on
-/// every vertex the search settled. Each distance is the minimum over
-/// the same relaxations, summed in the same order, as a textbook
-/// lazy-deletion Dijkstra's, so the two agree bit for bit.
+/// with `h ≡ 0` under the same filter — an early-stopped search and
+/// the full tree agree on every vertex the search settled. Each
+/// distance is the minimum over the same relaxations, summed in the
+/// same order, as a textbook lazy-deletion Dijkstra's, so the two agree
+/// bit for bit.
 ///
 /// Returns whether any relaxation met an **exact tie** (`nd ==
 /// dist[v]` on an unsettled `v`, whichever parent then won). A tree
@@ -304,9 +316,10 @@ pub fn astar_path_filtered_into<G: Adjacency + ?Sized>(
 ///
 /// # Panics
 /// Panics when `source` is out of range.
-pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
-    g: &G,
+pub fn dijkstra_tree_with(
+    g: &CsrGraph,
     source: u32,
+    allowed: impl Fn(u32) -> bool,
     scratch: &mut PlannerScratch,
     mut settle: impl FnMut(u32, u32, f64),
 ) -> bool {
@@ -324,19 +337,8 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
         let (d, parent) = scratch.entry(u);
         settle(u, parent, d);
         for e in g.neighbors(u) {
-            if scratch.is_settled(e.to) {
-                continue;
-            }
-            let nd = d + e.weight;
-            let (cur, cur_parent) = scratch.entry(e.to);
-            if nd < cur {
-                scratch.write(e.to, nd, u);
-                scratch.push(nd, e.to);
-            } else if nd == cur {
-                tied = true;
-                if u < cur_parent {
-                    scratch.write(e.to, nd, u);
-                }
+            if allowed(e.to) {
+                tied |= scratch.relax(u, e.to, d + e.weight, |_| 0.0);
             }
         }
     }
@@ -346,7 +348,6 @@ pub fn dijkstra_tree_with<G: Adjacency + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
     use proptest::prelude::*;
 
     /// Keys at the edges of the packing: both zeros, a subnormal, the
@@ -397,7 +398,7 @@ mod tests {
 
     /// The kernel as plain Dijkstra: no heuristic, nothing filtered.
     fn dijkstra_into(
-        g: &Graph,
+        g: &CsrGraph,
         source: u32,
         target: u32,
         s: &mut PlannerScratch,
@@ -406,21 +407,30 @@ mod tests {
         astar_path_filtered_into(g, source, target, |_| 0.0, |_| true, s, out)
     }
 
-    fn diamond() -> Graph {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(0, 2, 10.0);
-        g
+    fn diamond() -> CsrGraph {
+        CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
+    }
+
+    /// An `nx × nx` lattice, every edge of weight `w`: many exact
+    /// equal-cost Manhattan paths between far corners.
+    fn lattice(nx: u32, w: f64) -> CsrGraph {
+        let mut edges = Vec::new();
+        for v in 0..nx * nx {
+            if v % nx + 1 < nx {
+                edges.push((v, v + 1, w));
+            }
+            if v / nx + 1 < nx {
+                edges.push((v, v + nx, w));
+            }
+        }
+        CsrGraph::from_edges((nx * nx) as usize, &edges)
     }
 
     #[test]
     fn scratch_reuse_across_runs_and_graph_sizes() {
         let g = diamond();
-        let mut big = Graph::new(100);
-        for i in 0..99 {
-            big.add_edge(i, i + 1, 1.0);
-        }
+        let chain: Vec<_> = (0..99).map(|i| (i, i + 1, 1.0)).collect();
+        let big = CsrGraph::from_edges(100, &chain);
         let mut s = PlannerScratch::new();
         let mut path = Vec::new();
         for _ in 0..5 {
@@ -446,11 +456,7 @@ mod tests {
     #[test]
     fn filter_detours_and_exempts_the_endpoints() {
         // 0 — 1 — 2 with an expensive bypass 0 — 3 — 2.
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(0, 3, 5.0);
-        g.add_edge(3, 2, 5.0);
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 2, 5.0)]);
         let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
         let mut filtered = |allowed: fn(u32) -> bool, path: &mut Vec<u32>| {
             astar_path_filtered_into(&g, 0, 2, |_| 0.0, allowed, &mut s, path)
@@ -466,11 +472,7 @@ mod tests {
     fn equal_cost_ties_resolve_to_smallest_parent_id() {
         // Two equal-cost two-hop paths 0→{1,2}→3. The canonical rule
         // must pick the via-1 path regardless of relaxation order.
-        let mut g = Graph::new(4);
-        g.add_edge(0, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 3, 1.0);
+        let g = CsrGraph::from_edges(4, &[(0, 2, 1.0), (2, 3, 1.0), (0, 1, 1.0), (1, 3, 1.0)]);
         let mut s = PlannerScratch::new();
         let mut d_path = Vec::new();
         let mut a_path = Vec::new();
@@ -493,24 +495,12 @@ mod tests {
 
     #[test]
     fn astar_euclidean_matches_dijkstra_on_a_lattice_with_ties() {
-        // 8×8 unit lattice, cubed weights (w = 8 per edge): many exact
-        // equal-cost Manhattan paths between far corners. Strict
+        // 8×8 unit lattice, cubed weights (w = 8 per edge). Strict
         // consistency holds (8 > 1 ≥ h-drop per edge), so A* must be
         // bit-identical to Dijkstra, including on ties.
         let nx = 8u32;
         let pos = |v: u32| ((v % nx) as f64, (v / nx) as f64);
-        let mut g = Graph::new((nx * nx) as usize);
-        for y in 0..nx {
-            for x in 0..nx {
-                let v = y * nx + x;
-                if x + 1 < nx {
-                    g.add_edge(v, v + 1, 2.0f64.powi(3));
-                }
-                if y + 1 < nx {
-                    g.add_edge(v, v + nx, 2.0f64.powi(3));
-                }
-            }
-        }
+        let g = lattice(nx, 2.0f64.powi(3));
         let mut s = PlannerScratch::new();
         let mut d_path = Vec::new();
         let mut a_path = Vec::new();
@@ -533,17 +523,27 @@ mod tests {
         }
     }
 
-    /// Parents of the full tree from `source`, `u32::MAX` where
-    /// unreached, and whether the run met a tie.
-    fn tree(g: &Graph, source: u32, s: &mut PlannerScratch) -> (Vec<u32>, bool) {
+    /// Parents of the full tree from `source` over the vertices
+    /// `allowed` admits, `u32::MAX` where unreached, and whether the run
+    /// met a tie.
+    fn tree_within(
+        g: &CsrGraph,
+        source: u32,
+        allowed: impl Fn(u32) -> bool,
+        s: &mut PlannerScratch,
+    ) -> (Vec<u32>, bool) {
         let mut parent = vec![u32::MAX; g.num_vertices()];
         let mut order = Vec::new();
-        let tied = dijkstra_tree_with(g, source, s, |v, p, _| {
+        let tied = dijkstra_tree_with(g, source, allowed, s, |v, p, _| {
             parent[v as usize] = p;
             order.push(v);
         });
         assert_eq!(order[0], source, "the source settles first");
         (parent, tied)
+    }
+
+    fn tree(g: &CsrGraph, source: u32, s: &mut PlannerScratch) -> (Vec<u32>, bool) {
+        tree_within(g, source, |_| true, s)
     }
 
     #[test]
@@ -552,18 +552,7 @@ mod tests {
         // equal-cost predecessors, so the parents below are right only
         // if the tree breaks ties exactly as the early-stopped search.
         let nx = 8u32;
-        let mut g = Graph::new((nx * nx) as usize);
-        for y in 0..nx {
-            for x in 0..nx {
-                let v = y * nx + x;
-                if x + 1 < nx {
-                    g.add_edge(v, v + 1, 8.0);
-                }
-                if y + 1 < nx {
-                    g.add_edge(v, v + nx, 8.0);
-                }
-            }
-        }
+        let g = lattice(nx, 8.0);
         let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
         for source in [0, 7, 27, 63] {
             let (parent, tied) = tree(&g, source, &mut s);
@@ -577,6 +566,34 @@ mod tests {
     }
 
     #[test]
+    fn filtered_tree_parents_are_the_filtered_paths() {
+        // The lattice with its middle two columns' lower half removed:
+        // the tree from a corner walks round the hole, like the
+        // filtered point-to-point search.
+        let nx = 8u32;
+        let g = lattice(nx, 8.0);
+        let open = |v: u32| !(3..5).contains(&(v % nx)) || v / nx < 4;
+        let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
+        let (parent, _) = tree_within(&g, 56, open, &mut s);
+        for target in (0..nx * nx).filter(|&v| open(v)) {
+            assert!(astar_path_filtered_into(
+                &g,
+                56,
+                target,
+                |_| 0.0,
+                open,
+                &mut s,
+                &mut path
+            ));
+            let before = path.len().checked_sub(2).map_or(u32::MAX, |i| path[i]);
+            assert_eq!(parent[target as usize], before, "56 -> {target}");
+        }
+        for v in (0..nx * nx).filter(|&v| !open(v)) {
+            assert_eq!(parent[v as usize], u32::MAX, "{v} is filtered out");
+        }
+    }
+
+    #[test]
     fn tree_reports_ties_only_where_costs_tie() {
         // 0–1–2 with a dear chord, 3 apart: one path each, no tie, and
         // the unreachable vertex is never reported.
@@ -584,10 +601,7 @@ mod tests {
         assert_eq!(tree(&g, 0, &mut s), (vec![u32::MAX, 0, 1, u32::MAX], false));
         // Price the chord at the two-hop cost: a tie, won by the
         // smaller predecessor whichever is relaxed first.
-        let mut tie = Graph::new(3);
-        tie.add_edge(0, 1, 1.0);
-        tie.add_edge(1, 2, 1.0);
-        tie.add_edge(0, 2, 2.0);
+        let tie = CsrGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)]);
         assert_eq!(tree(&tie, 0, &mut s), (vec![u32::MAX, 0, 0], true));
         assert_eq!(tree(&tie, 2, &mut s), (vec![1, 2, u32::MAX], true));
     }
@@ -596,7 +610,7 @@ mod tests {
     fn tree_reports_each_settled_distance() {
         let (mut s, g) = (PlannerScratch::new(), diamond());
         let mut dist = vec![INFINITY; 4];
-        dijkstra_tree_with(&g, 0, &mut s, |v, _, d| dist[v as usize] = d);
+        dijkstra_tree_with(&g, 0, |_| true, &mut s, |v, _, d| dist[v as usize] = d);
         assert_eq!(dist, [0.0, 1.0, 2.0, INFINITY]);
     }
 }

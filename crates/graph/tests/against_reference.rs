@@ -3,17 +3,13 @@
 //! hop landmarks (search and rows) against a BFS flood.
 
 use citymesh_graph::{
-    astar_path_filtered_into, connected_components, hops_to_set_row, Graph, HopLandmarks,
+    astar_path_filtered_into, hops_to_set_row, label_components, CsrGraph, HopLandmarks,
     HopScratch, PlannerScratch,
 };
 use citymesh_reference::{bfs_distance_to, dijkstra_path, dijkstra_path_filtered, FloodScratch};
 
-fn diamond() -> Graph {
-    let mut g = Graph::new(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 1.0);
-    g.add_edge(0, 2, 10.0);
-    g
+fn diamond() -> CsrGraph {
+    CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
 }
 
 #[test]
@@ -32,11 +28,7 @@ fn scratch_search_matches_allocating_dijkstra() {
 
 #[test]
 fn filtered_matches_allocating_filtered() {
-    let mut g = Graph::new(4);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 1.0);
-    g.add_edge(0, 3, 5.0);
-    g.add_edge(3, 2, 5.0);
+    let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 2, 5.0)]);
     let (mut s, mut path) = (PlannerScratch::new(), Vec::new());
     let mut search = |allowed: fn(u32) -> bool, path: &mut Vec<u32>| {
         astar_path_filtered_into(&g, 0, 2, |_| 0.0, allowed, &mut s, path)
@@ -54,7 +46,7 @@ fn filtered_matches_allocating_filtered() {
 }
 
 /// Rows of `g` in the callback form the hop index reads.
-fn rows(g: &Graph) -> Vec<Vec<u32>> {
+fn rows(g: &CsrGraph) -> Vec<Vec<u32>> {
     (0..g.num_vertices() as u32)
         .map(|v| g.neighbors(v).iter().map(|e| e.to).collect())
         .collect()
@@ -62,10 +54,16 @@ fn rows(g: &Graph) -> Vec<Vec<u32>> {
 
 /// Every (source, target set) on `g` against the reference BFS,
 /// through one warm scratch — by search, and from the set's row.
-fn assert_matches_bfs(g: &Graph, sets: &[&[u32]]) {
+fn assert_matches_bfs(g: &CsrGraph, sets: &[&[u32]]) {
     let adj = rows(g);
     let neighbors = |v: u32| adj[v as usize].as_slice();
-    let (components, count) = connected_components(g);
+    let mut components = Vec::new();
+    let count = label_components(
+        adj.len(),
+        |_| true,
+        |v| neighbors(v).iter().copied(),
+        &mut components,
+    );
     let index = HopLandmarks::build(neighbors, &components, count);
     let mut scratch = HopScratch::new();
     let mut reference = FloodScratch::new();
@@ -89,21 +87,21 @@ fn assert_matches_bfs(g: &Graph, sets: &[&[u32]]) {
     }
 }
 
-/// An `nx × ny` unit lattice followed by `extra` isolated vertices.
-fn lattice(nx: u32, ny: u32, extra: usize) -> Graph {
-    let mut g = Graph::new((nx * ny) as usize + extra);
+/// The links of an `nx × ny` unit lattice.
+fn lattice(nx: u32, ny: u32) -> Vec<(u32, u32, f64)> {
+    let mut links = Vec::new();
     for y in 0..ny {
         for x in 0..nx {
             let v = y * nx + x;
             if x + 1 < nx {
-                g.add_edge(v, v + 1, 1.0);
+                links.push((v, v + 1, 1.0));
             }
             if y + 1 < ny {
-                g.add_edge(v, v + nx, 1.0);
+                links.push((v, v + nx, 1.0));
             }
         }
     }
-    g
+    links
 }
 
 #[test]
@@ -111,29 +109,27 @@ fn hops_lattice_matches_bfs_for_single_and_multi_vertex_targets() {
     // 40 × 12 = 480 vertices: more than HOP_LANDMARKS, long enough
     // for the bound to steer, and full of equal-length paths.
     assert_matches_bfs(
-        &lattice(40, 12, 0),
+        &CsrGraph::from_edges(480, &lattice(40, 12)),
         &[&[479], &[0], &[200, 201, 37], &[39, 440]],
     );
 }
 
 #[test]
 fn hops_with_fewer_vertices_than_landmarks() {
-    let mut g = Graph::new(5);
-    g.add_edge(0, 1, 1.0);
-    g.add_edge(1, 2, 1.0);
-    g.add_edge(3, 4, 1.0);
+    let g = CsrGraph::from_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
     assert_matches_bfs(&g, &[&[2], &[4], &[0, 3], &[]]);
-    assert_matches_bfs(&Graph::new(1), &[&[0], &[]]);
+    assert_matches_bfs(&CsrGraph::from_edges(1, &[]), &[&[0], &[]]);
 }
 
 #[test]
 fn hops_on_an_island_without_landmarks_answer_exactly() {
     // A 300-vertex lattice plus a 6-vertex path too small to earn a
     // landmark: the path is searched with a zero bound.
-    let mut g = lattice(30, 10, 6);
+    let mut links = lattice(30, 10);
     let base = 300;
     for i in 0..5 {
-        g.add_edge(base + i, base + i + 1, 1.0);
+        links.push((base + i, base + i + 1, 1.0));
     }
+    let g = CsrGraph::from_edges(306, &links);
     assert_matches_bfs(&g, &[&[base + 5], &[base, 299], &[150]]);
 }

@@ -1,9 +1,11 @@
 //! Property-based tests for the graph crate.
 
 use citymesh_graph::{
-    astar_path_filtered_into, connected_components, Graph, PlannerScratch, UnionFind,
+    astar_path_filtered_into, dijkstra_tree_with, label_components, CsrGraph, PlannerScratch,
 };
-use citymesh_reference::{astar, bfs, bfs_distance_to, dijkstra, FloodScratch};
+use citymesh_reference::{
+    astar, bfs, bfs_distance_to, dijkstra, dijkstra_path_filtered, FloodScratch,
+};
 use proptest::prelude::*;
 
 /// A random undirected graph as (n, edge list).
@@ -14,22 +16,16 @@ fn random_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(u32, u32, f64)]) -> Graph {
-    let mut g = Graph::new(n);
-    for &(u, v, w) in edges {
-        g.add_edge(u, v, w);
-    }
-    g
+fn build(n: usize, edges: &[(u32, u32, f64)]) -> CsrGraph {
+    CsrGraph::from_edges(n, edges)
 }
 
 proptest! {
     /// On unit weights, Dijkstra and BFS agree everywhere.
     #[test]
     fn dijkstra_equals_bfs_on_unit_weights((n, edges) in random_graph()) {
-        let mut g = Graph::new(n);
-        for &(u, v, _) in &edges {
-            g.add_edge(u, v, 1.0);
-        }
+        let unit: Vec<_> = edges.iter().map(|&(u, v, _)| (u, v, 1.0)).collect();
+        let g = build(n, &unit);
         let d = dijkstra(&g, 0);
         let b = bfs(&g, 0);
         for v in 0..n {
@@ -88,26 +84,69 @@ proptest! {
         prop_assert_eq!(a.is_some(), d.dist[target as usize].is_finite());
     }
 
-    /// Union-find component structure matches BFS components.
+    /// Component labels match BFS reachability: two vertices share a
+    /// label exactly when a BFS from one reaches the other, and labels
+    /// are numbered by smallest member.
     #[test]
-    fn union_find_matches_components((n, edges) in random_graph()) {
+    fn components_match_bfs_reachability((n, edges) in random_graph()) {
         let g = build(n, &edges);
-        let mut uf = UnionFind::new(n);
+        let mut labels = Vec::new();
+        let rows = |u: u32| g.neighbors(u).iter().map(|e| e.to);
+        let count = label_components(n, |_| true, rows, &mut labels);
+        let mut next = 0;
         for u in 0..n as u32 {
-            for e in g.neighbors(u) {
-                uf.union(u, e.to);
-            }
-        }
-        let (labels, count) = connected_components(&g);
-        prop_assert_eq!(uf.num_components(), count);
-        for u in 0..n as u32 {
+            let reach = bfs(&g, u);
             for v in 0..n as u32 {
                 prop_assert_eq!(
                     labels[u as usize] == labels[v as usize],
-                    uf.connected(u, v),
+                    reach.dist[v as usize].is_finite(),
                     "u={} v={}", u, v
                 );
             }
+            if labels[u as usize] == next {
+                next += 1;
+            }
+            prop_assert!(labels[u as usize] < next, "label {} before {}", labels[u as usize], next);
+        }
+        prop_assert_eq!(next as usize, count);
+    }
+
+    /// A filtered tree reports exactly the admitted vertices the
+    /// source reaches through admitted vertices, each at the distance a
+    /// textbook Dijkstra gives on the admitted subgraph, bit for bit —
+    /// and the filtered reference search finds a path to exactly those.
+    #[test]
+    fn filtered_tree_matches_reference_over_the_admitted_set(
+        (n, edges) in random_graph(),
+        source in 0u32..40,
+        blocked_mod in 2u32..6,
+    ) {
+        let source = source % n as u32;
+        let allowed = |v: u32| v == source || v % blocked_mod != 1;
+        let g = build(n, &edges);
+        let mut tree = vec![f64::INFINITY; n];
+        let mut scratch = PlannerScratch::new();
+        dijkstra_tree_with(&g, source, allowed, &mut scratch, |v, _, d| {
+            assert!(allowed(v), "{v} is filtered out");
+            tree[v as usize] = d;
+        });
+        let admitted: Vec<_> = edges
+            .iter()
+            .copied()
+            .filter(|&(u, v, _)| allowed(u) && allowed(v))
+            .collect();
+        let reference = dijkstra(&build(n, &admitted), source);
+        for v in (0..n as u32).filter(|&v| allowed(v)) {
+            prop_assert_eq!(
+                tree[v as usize].to_bits(),
+                reference.dist[v as usize].to_bits(),
+                "vertex {}", v
+            );
+            prop_assert_eq!(
+                tree[v as usize].is_finite(),
+                dijkstra_path_filtered(&g, source, v, allowed).is_some(),
+                "vertex {}", v
+            );
         }
     }
 
@@ -124,15 +163,16 @@ proptest! {
         pairs in proptest::collection::vec((0usize..40, 0usize..40), 1..12),
     ) {
         let n = pts.len();
-        let mut g = Graph::new(n);
+        let mut links = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
                 let d = ((pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2)).sqrt();
                 if d <= 120.0 {
-                    g.add_edge(i as u32, j as u32, d.max(1.0).powf(exponent));
+                    links.push((i as u32, j as u32, d.max(1.0).powf(exponent)));
                 }
             }
         }
+        let g = build(n, &links);
         let mut scratch = PlannerScratch::new();
         let mut d_path = Vec::new();
         let mut a_path = Vec::new();

@@ -9,7 +9,7 @@
 //! graph has integer weights, so exact ties are everywhere.
 
 use citymesh_graph::{
-    dijkstra_tree_with, Graph, HierParams, HierScratch, Hierarchy, Partition, PlannerScratch,
+    dijkstra_tree_with, CsrGraph, HierParams, HierScratch, Hierarchy, Partition, PlannerScratch,
 };
 
 /// FNV-1a, 64-bit.
@@ -47,7 +47,7 @@ impl Rng {
 /// A 30 × 24 jittered lattice with 4-neighbour edges and random
 /// chords. Every weight is an integer at least the Euclidean length of
 /// its edge, so the Euclidean bound is consistent and ties abound.
-fn fixed_graph() -> (Graph, Vec<(f64, f64)>) {
+fn fixed_graph() -> (CsrGraph, Vec<(f64, f64)>) {
     let (nx, ny) = (30u32, 24u32);
     let mut rng = Rng(0x5e77_1e0d);
     let pos: Vec<(f64, f64)> = (0..nx * ny)
@@ -57,29 +57,29 @@ fn fixed_graph() -> (Graph, Vec<(f64, f64)>) {
             (f64::from(v % nx) * 10.0 + jx, f64::from(v / nx) * 10.0 + jy)
         })
         .collect();
-    let mut g = Graph::new(pos.len());
-    let edge = |g: &mut Graph, rng: &mut Rng, u: u32, v: u32| {
+    let mut edges = Vec::new();
+    let edge = |edges: &mut Vec<_>, rng: &mut Rng, u: u32, v: u32| {
         let (a, b) = (pos[u as usize], pos[v as usize]);
         let len = ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt();
-        g.add_edge(u, v, len.ceil().max(1.0) + rng.below(3) as f64);
+        edges.push((u, v, len.ceil().max(1.0) + rng.below(3) as f64));
     };
     for y in 0..ny {
         for x in 0..nx {
             let v = y * nx + x;
             if x + 1 < nx {
-                edge(&mut g, &mut rng, v, v + 1);
+                edge(&mut edges, &mut rng, v, v + 1);
             }
             if y + 1 < ny {
-                edge(&mut g, &mut rng, v, v + nx);
+                edge(&mut edges, &mut rng, v, v + nx);
             }
         }
     }
     for _ in 0..120 {
         let u = rng.below(u64::from(nx * ny)) as u32;
         let v = rng.below(u64::from(nx * ny)) as u32;
-        edge(&mut g, &mut rng, u, v);
+        edge(&mut edges, &mut rng, u, v);
     }
-    (g, pos)
+    (CsrGraph::from_edges(pos.len(), &edges), pos)
 }
 
 #[test]
@@ -91,11 +91,17 @@ fn settle_order_and_routes_are_pinned() {
     let mut scratch = PlannerScratch::new();
     let mut settled = 0usize;
     for source in [0, 17, 359, 360, n - 1] {
-        let tied = dijkstra_tree_with(&g, source, &mut scratch, |v, parent, dist| {
-            h.word(u64::from(v) << 32 | u64::from(parent));
-            h.word(dist.to_bits());
-            settled += 1;
-        });
+        let tied = dijkstra_tree_with(
+            &g,
+            source,
+            |_| true,
+            &mut scratch,
+            |v, parent, dist| {
+                h.word(u64::from(v) << 32 | u64::from(parent));
+                h.word(dist.to_bits());
+                settled += 1;
+            },
+        );
         h.word(u64::from(tied));
     }
     assert_eq!(settled, 5 * n as usize, "the fixed graph is connected");

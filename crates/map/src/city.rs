@@ -57,6 +57,9 @@ pub struct Obstacle {
     pub region: Polygon,
 }
 
+/// Side, in meters, of a cell of every map's centroid index.
+const INDEX_CELL_M: f64 = 100.0;
+
 /// A city: named building and obstacle sets over a bounding box.
 #[derive(Clone, Debug)]
 pub struct CityMap {
@@ -93,26 +96,7 @@ impl CityMap {
             .enumerate()
             .map(|(i, (_, p))| Building::new(i as u32, p))
             .collect();
-
-        let centroids: Vec<Point> = buildings.iter().map(|b| b.centroid).collect();
-        let bounds = buildings
-            .iter()
-            .map(|b| b.footprint.bbox())
-            .chain(obstacles.iter().map(|o| o.region.bbox()))
-            .reduce(|a, b| a.union(&b))
-            .unwrap_or(Rect {
-                min: Point::ORIGIN,
-                max: Point::ORIGIN,
-            });
-        let index = GridIndex::build(&centroids, 100.0);
-
-        CityMap {
-            name: name.into(),
-            bounds,
-            buildings,
-            obstacles,
-            index,
-        }
+        Self::assemble(name.into(), buildings, obstacles)
     }
 
     /// Assembles a map from pre-built buildings **without re-sorting**
@@ -134,24 +118,7 @@ impl CityMap {
                 .all(|(i, b)| b.id as usize == i),
             "building IDs must equal their indices"
         );
-        let centroids: Vec<Point> = buildings.iter().map(|b| b.centroid).collect();
-        let bounds = buildings
-            .iter()
-            .map(|b| b.footprint.bbox())
-            .chain(obstacles.iter().map(|o| o.region.bbox()))
-            .reduce(|a, b| a.union(&b))
-            .unwrap_or(Rect {
-                min: Point::ORIGIN,
-                max: Point::ORIGIN,
-            });
-        let index = GridIndex::build(&centroids, 100.0);
-        CityMap {
-            name: name.into(),
-            bounds,
-            buildings,
-            obstacles,
-            index,
-        }
+        Self::assemble(name.into(), buildings, obstacles)
     }
 
     /// Returns a new map with `extra` footprints appended **after**
@@ -168,22 +135,31 @@ impl CityMap {
         for fp in extra {
             buildings.push(Building::new(buildings.len() as u32, fp));
         }
+        let name = format!("{}{}", self.name, suffix);
+        Self::assemble(name, buildings, self.obstacles.clone())
+    }
+
+    /// The one place a map is put together from its ID-ordered
+    /// buildings: the bounds over every footprint and obstacle (the
+    /// origin alone for an empty map) and the centroid index.
+    fn assemble(name: String, buildings: Vec<Building>, obstacles: Vec<Obstacle>) -> Self {
         let centroids: Vec<Point> = buildings.iter().map(|b| b.centroid).collect();
         let bounds = buildings
             .iter()
             .map(|b| b.footprint.bbox())
-            .chain(self.obstacles.iter().map(|o| o.region.bbox()))
+            .chain(obstacles.iter().map(|o| o.region.bbox()))
             .reduce(|a, b| a.union(&b))
             .unwrap_or(Rect {
                 min: Point::ORIGIN,
                 max: Point::ORIGIN,
             });
+        let index = GridIndex::build(&centroids, INDEX_CELL_M);
         CityMap {
-            name: format!("{}{}", self.name, suffix),
+            name,
             bounds,
             buildings,
-            obstacles: self.obstacles.clone(),
-            index: GridIndex::build(&centroids, 100.0),
+            obstacles,
+            index,
         }
     }
 

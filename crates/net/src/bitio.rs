@@ -53,12 +53,7 @@ impl BitWriter {
         self.write_bits(bit as u64, 1);
     }
 
-    /// Pads with zero bits to the next byte boundary.
-    pub fn align(&mut self) {
-        self.used = 0;
-    }
-
-    /// Total bits written so far (excluding alignment padding to come).
+    /// Total bits written so far (excluding the final byte's padding).
     pub fn bit_len(&self) -> usize {
         if self.used == 0 {
             self.bytes.len() * 8
@@ -112,27 +107,6 @@ impl<'a> BitReader<'a> {
     pub fn read_bit(&mut self) -> Result<bool, NetError> {
         Ok(self.read_bits(1)? == 1)
     }
-
-    /// Skips to the next byte boundary.
-    pub fn align(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
-    }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bits left in the input.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
-    }
-
-    /// The unread remainder as a byte slice (after aligning).
-    pub fn rest(mut self) -> &'a [u8] {
-        self.align();
-        &self.bytes[self.pos / 8..]
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +126,6 @@ mod tests {
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert_eq!(r.read_bits(2).unwrap(), 0b01);
         assert_eq!(r.read_bits(3).unwrap(), 0b110);
-        assert_eq!(r.remaining_bits(), 0);
     }
 
     #[test]
@@ -189,20 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn align_pads_with_zeros() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b1, 1);
-        w.align();
-        w.write_bits(0xAB, 8);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, vec![0b1000_0000, 0xAB]);
-        let mut r = BitReader::new(&bytes);
-        assert!(r.read_bit().unwrap());
-        r.align();
-        assert_eq!(r.read_bits(8).unwrap(), 0xAB);
-    }
-
-    #[test]
     fn truncated_read_errors() {
         let bytes = [0xFFu8];
         let mut r = BitReader::new(&bytes);
@@ -210,14 +169,6 @@ mod tests {
         assert_eq!(r.read_bits(3), Err(NetError::Truncated));
         // The failed read consumed nothing.
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
-    }
-
-    #[test]
-    fn rest_returns_unread_tail() {
-        let bytes = [0xAA, 0xBB, 0xCC];
-        let mut r = BitReader::new(&bytes);
-        r.read_bits(4).unwrap();
-        assert_eq!(r.rest(), &[0xBB, 0xCC]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use citymesh_graph::{Adjacency, INFINITY};
+use citymesh_graph::{CsrGraph, INFINITY};
 
 /// The result of a single-source search: per-vertex distance and the
 /// predecessor tree for path reconstruction.
@@ -52,7 +52,7 @@ impl Eq for HeapItem {}
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap. Distances are finite,
-        // non-NaN by construction (weights validated by Graph).
+        // non-NaN by construction (weights validated by CsrGraph).
         other
             .dist
             .partial_cmp(&self.dist)
@@ -76,24 +76,22 @@ impl PartialOrd for HeapItem {
 /// `O((V + E) log V)` with a binary heap and lazy deletion.
 ///
 /// ```
-/// use citymesh_graph::Graph;
+/// use citymesh_graph::CsrGraph;
 /// use citymesh_reference::dijkstra;
 ///
-/// let mut g = Graph::new(3);
-/// g.add_edge(0, 1, 1.0);
-/// g.add_edge(1, 2, 1.0);
-/// g.add_edge(0, 2, 10.0); // expensive direct hop
+/// // The direct hop 0 — 2 is expensive.
+/// let g = CsrGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]);
 /// let result = dijkstra(&g, 0);
 /// assert_eq!(result.dist[2], 2.0);
 /// assert_eq!(result.path_to(2), Some(vec![0, 1, 2]));
 /// ```
-pub fn dijkstra<G: Adjacency + ?Sized>(g: &G, source: u32) -> PathResult {
+pub fn dijkstra(g: &CsrGraph, source: u32) -> PathResult {
     search(g, source, None, |_| 0.0, |_| true)
 }
 
 /// Like [`dijkstra`] but may stop early once `target` is settled,
 /// which is the common case for point-to-point route planning.
-pub fn dijkstra_path<G: Adjacency + ?Sized>(g: &G, source: u32, target: u32) -> Option<Vec<u32>> {
+pub fn dijkstra_path(g: &CsrGraph, source: u32, target: u32) -> Option<Vec<u32>> {
     astar(g, source, target, |_| 0.0)
 }
 
@@ -101,8 +99,8 @@ pub fn dijkstra_path<G: Adjacency + ?Sized>(g: &G, source: u32, target: u32) -> 
 /// (the source and target are always allowed). Used for detour
 /// planning around failed or compromised regions: blocked vertices are
 /// simply invisible to the search.
-pub fn dijkstra_path_filtered<G: Adjacency + ?Sized>(
-    g: &G,
+pub fn dijkstra_path_filtered(
+    g: &CsrGraph,
     source: u32,
     target: u32,
     allowed: impl Fn(u32) -> bool,
@@ -114,12 +112,7 @@ pub fn dijkstra_path_filtered<G: Adjacency + ?Sized>(
 /// A* from `source` to `target` with an admissible heuristic
 /// `h(v) ≤ true remaining cost`. Returns the path, or `None` when
 /// disconnected.
-pub fn astar<G: Adjacency + ?Sized>(
-    g: &G,
-    source: u32,
-    target: u32,
-    h: impl Fn(u32) -> f64,
-) -> Option<Vec<u32>> {
+pub fn astar(g: &CsrGraph, source: u32, target: u32, h: impl Fn(u32) -> f64) -> Option<Vec<u32>> {
     assert!((target as usize) < g.num_vertices(), "vertex out of range");
     search(g, source, Some(target), h, |_| true).path_to(target)
 }
@@ -127,8 +120,8 @@ pub fn astar<G: Adjacency + ?Sized>(
 /// Lazy-deletion A* from `source` under `h` (`h ≡ 0` is Dijkstra) over
 /// the vertices `allowed` admits (`source` and `target` always),
 /// stopping once `target` is settled.
-fn search<G: Adjacency + ?Sized>(
-    g: &G,
+fn search(
+    g: &CsrGraph,
     source: u32,
     target: Option<u32>,
     h: impl Fn(u32) -> f64,
@@ -178,7 +171,7 @@ fn search<G: Adjacency + ?Sized>(
 /// The BFS hop count over the AP graph is the paper's "minimum number
 /// of transmissions necessary" — the denominator of the transmission-
 /// overhead metric (§4).
-pub fn bfs<G: Adjacency + ?Sized>(g: &G, source: u32) -> PathResult {
+pub fn bfs(g: &CsrGraph, source: u32) -> PathResult {
     let n = g.num_vertices();
     assert!((source as usize) < n, "source out of range");
     let mut dist = vec![INFINITY; n];
@@ -201,7 +194,7 @@ pub fn bfs<G: Adjacency + ?Sized>(g: &G, source: u32) -> PathResult {
 
 /// Hop-minimal path from `source` to `target`, or `None` when
 /// disconnected.
-pub fn bfs_path<G: Adjacency + ?Sized>(g: &G, source: u32, target: u32) -> Option<Vec<u32>> {
+pub fn bfs_path(g: &CsrGraph, source: u32, target: u32) -> Option<Vec<u32>> {
     bfs(g, source).path_to(target)
 }
 
@@ -232,8 +225,8 @@ impl FloodScratch {
 ///
 /// # Panics
 /// Panics when `source` is out of range.
-pub fn bfs_distance_to<G: Adjacency + ?Sized>(
-    g: &G,
+pub fn bfs_distance_to(
+    g: &CsrGraph,
     source: u32,
     mut found: impl FnMut(u32) -> bool,
     scratch: &mut FloodScratch,
@@ -267,7 +260,6 @@ pub fn bfs_distance_to<G: Adjacency + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use citymesh_graph::Graph;
 
     /// A small weighted graph with a known shortest-path structure:
     ///
@@ -277,12 +269,8 @@ mod tests {
     ///     ----10------
     ///   3 (isolated)
     /// ```
-    fn diamond() -> Graph {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(0, 2, 10.0);
-        g
+    fn diamond() -> CsrGraph {
+        CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
     }
 
     #[test]
@@ -311,11 +299,7 @@ mod tests {
     #[test]
     fn filtered_dijkstra_detours_and_fails_honestly() {
         // 0 — 1 — 2 with an expensive bypass 0 — 3 — 2.
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(0, 3, 5.0);
-        g.add_edge(3, 2, 5.0);
+        let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (0, 3, 5.0), (3, 2, 5.0)]);
         // Unfiltered: takes the cheap middle.
         assert_eq!(
             dijkstra_path_filtered(&g, 0, 2, |_| true),
@@ -355,10 +339,8 @@ mod tests {
         // Vertices 0..10 in a line, weight 1 each; heuristic = remaining
         // count, which is exactly admissible.
         let n = 10u32;
-        let mut g = Graph::new(n as usize);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1, 1.0);
-        }
+        let line: Vec<_> = (0..n - 1).map(|i| (i, i + 1, 1.0)).collect();
+        let g = CsrGraph::from_edges(n as usize, &line);
         let path = astar(&g, 0, n - 1, |v| (n - 1 - v) as f64).unwrap();
         assert_eq!(path.len(), n as usize);
         assert_eq!(path[0], 0);
@@ -367,30 +349,17 @@ mod tests {
 
     #[test]
     fn zero_weight_edges_are_legal() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1, 0.0);
-        g.add_edge(1, 2, 0.0);
+        let g = CsrGraph::from_edges(3, &[(0, 1, 0.0), (1, 2, 0.0)]);
         let r = dijkstra(&g, 0);
         assert_eq!(r.dist[2], 0.0);
         assert_eq!(r.path_to(2).unwrap().len(), 3);
     }
 
     #[test]
-    fn directed_arcs_respected_by_search() {
-        let mut g = Graph::new(3);
-        g.add_arc(0, 1, 1.0);
-        g.add_arc(1, 2, 1.0);
-        assert_eq!(dijkstra(&g, 0).dist[2], 2.0);
-        assert_eq!(dijkstra(&g, 2).dist[0], INFINITY);
-    }
-
-    #[test]
     fn bfs_distance_to_matches_full_bfs() {
-        let mut g = Graph::new(6);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        g.add_edge(4, 5, 1.0); // disconnected pair
+        // 0 — 1 — 2 — 3, and the disconnected pair 4 — 5.
+        let links = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0)];
+        let g = CsrGraph::from_edges(6, &links);
         let mut s = FloodScratch::new();
         let full = bfs(&g, 0);
         assert_eq!(

@@ -49,7 +49,7 @@
 //! |---|---|
 //! | [`geo`] | points, polygons, conduit rectangles, spatial index |
 //! | [`map`] | city model, synthetic city generator, OSM loader |
-//! | [`graph`] | Dijkstra / BFS / components / union-find, district-overlay hierarchy |
+//! | [`graph`] | the CSR graph, scratch A* / Dijkstra, components, hop ALT, district-overlay hierarchy |
 //! | [`simcore`] | deterministic discrete-event engine, radio models |
 //! | [`net`] | wire format: the bit-packed routing header |
 //! | [`crypto`] | self-certifying IDs, X25519 + ChaCha20-Poly1305 |
