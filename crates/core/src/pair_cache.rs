@@ -9,12 +9,19 @@
 //! wins, so every caller shares one allocation. A hit is a shard
 //! read-lock and an `Arc` clone — no allocation.
 //!
+//! Both the shard and the slot within it come from one SplitMix-style
+//! scramble of the packed pair (`PairHasher`) instead of SipHash:
+//! keys are building ids the program assigns, never input an attacker
+//! could pick to collide, and no result depends on a shard's iteration
+//! order ([`PairCache::retain`] only counts what it drops).
+//!
 //! A poisoned shard (a panic while its write lock was held, i.e. inside
 //! a [`PairCache::retain`] predicate) is used as is: every entry is a
 //! complete `Arc` inserted in one step, so whatever the shard holds is
 //! still a valid memo.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -24,7 +31,37 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 const SHARDS: usize = 16;
 
 /// One shard: a plain map behind its own lock.
-type Shard<V> = RwLock<HashMap<(u32, u32), Arc<V>>>;
+type Shard<V> = RwLock<HashMap<(u32, u32), Arc<V>, BuildHasherDefault<PairHasher>>>;
+
+/// Hashes a `(u32, u32)` key by packing it into one word and
+/// scrambling that, SplitMix style. The map picks slots from the low
+/// bits and the shard comes from bits 32 and up, so the keys one shard
+/// holds still spread over its slots.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl PairHasher {
+    fn scramble(packed: u64) -> u64 {
+        let z = packed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z ^ (z >> 29)
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | u64::from(n);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        Self::scramble(self.0)
+    }
+}
 
 /// A concurrent `(u32, u32) → Arc<V>` memo with hit and miss counters.
 ///
@@ -55,7 +92,7 @@ impl<V> PairCache<V> {
     /// An empty cache.
     pub fn new() -> Self {
         PairCache {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::default())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -63,10 +100,8 @@ impl<V> PairCache<V> {
 
     #[inline]
     fn shard(&self, key: (u32, u32)) -> &Shard<V> {
-        // SplitMix-style scramble of the pair; low bits pick the shard.
-        let mut z = (((key.0 as u64) << 32) | key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z ^= z >> 29;
-        &self.shards[(z as usize) % SHARDS]
+        let z = PairHasher::scramble((u64::from(key.0) << 32) | u64::from(key.1));
+        &self.shards[(z >> 32) as usize % SHARDS]
     }
 
     /// The value for `key`, computing it with `make` on a miss. The

@@ -422,7 +422,7 @@ pub fn try_run_churn(
 }
 
 /// One epoch of [`Strategy::ReactiveRepair`]: the fleet engine's pool
-/// and merge, but each flow is planned by the executor and then
+/// and fold, but each flow is planned by the executor and then
 /// delivered through [`deliver_with_local_repair`] instead of the
 /// pipeline's ladder. Repair bills are per-worker tallies summed after
 /// the join (order-free `u64` adds). Reactive delivery does not feed

@@ -14,11 +14,12 @@
 //! 2. route planning is RNG-free and memoized in a shared
 //!    [`RouteCache`]; racing planners compute identical values, so
 //!    insertion order cannot matter;
-//! 3. workers only *record* `(flow id, outcome)`; aggregation happens
-//!    after the pool joins, folding outcomes in ascending flow-id
-//!    order so floating-point sums see one canonical operand order.
+//! 3. workers hand each claimed chunk's outcomes to one
+//!    [`OrderedFold`], which absorbs chunks in ascending flow-id order
+//!    as soon as every earlier chunk is in, so floating-point sums see
+//!    one canonical operand order and no call keeps a record per flow.
 //!
-//! The per-flow pipeline, the pool and the merge live in
+//! The per-flow pipeline, the pool and the fold live in
 //! [`crate::exec`]; this module is "executor over a slice".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,12 +31,19 @@ use citymesh_simcore::Fnv64;
 use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig};
 
 use crate::cache::RouteCache;
-use crate::exec::{merge_by_id, resolve_workers, run_pool, FlowExecutor};
+use crate::exec::{resolve_workers, run_pool, FlowExecutor, OrderedFold};
 use crate::workload::{FlowKind, FlowSpec};
 
-/// How many flows a worker claims per counter increment. Large enough
-/// to amortize the atomic, small enough to balance tail stragglers.
+/// How many flows a worker claims per counter increment, and hands to
+/// the fold as one part. Large enough to amortize the atomic and the
+/// fold's lock, small enough to balance tail stragglers.
 const CLAIM_CHUNK: usize = 32;
+
+/// How many consecutive flows of an epoch the stream engine's workers
+/// walk before each hands the fold its part of them (the outcomes of
+/// its own servers' flows in the window). Bounds what a stream call
+/// holds to a few windows' records, whatever the stream's length.
+pub const FOLD_WINDOW: usize = 256;
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -234,8 +242,10 @@ impl FleetReport {
     }
 
     /// Folds one flow's outcome in. Must be called in ascending
-    /// flow-id order to keep floating-point accumulation canonical
-    /// ([`merge_by_id`] produces that order).
+    /// flow-id order to keep floating-point accumulation canonical:
+    /// every engine calls it from an [`OrderedFold`] sink, which
+    /// absorbs each part of a call's outcomes once all earlier parts
+    /// are in, while workers are still running later ones.
     pub fn absorb_outcome(&mut self, spec: &FlowSpec, outcome: &PairOutcome) {
         self.flows += 1;
         if spec.kind == FlowKind::PostboxCheckin {
@@ -446,11 +456,12 @@ pub fn try_run_fleet_on_cache(
 /// The engine proper, with the per-flow step left to the caller:
 /// workers claim chunks of `flows` from an atomic cursor, each runs
 /// `per_flow(executor, tally, flow)` on its own [`FlowExecutor`] and
-/// stashes `(id, outcome)` records; after the pool joins, records are
-/// merged and folded in flow-id order. `tally` is one `X::default()`
-/// per worker for whatever else `per_flow` counts (the churn engine's
-/// repair bills); the tallies come back in worker order.
-/// [`try_run_fleet_on_cache`] is this with `FlowExecutor::run`.
+/// hands the chunk's outcomes to an [`OrderedFold`], which folds them
+/// into the report in flow-id order as soon as every earlier chunk is
+/// in. `tally` is one `X::default()` per worker for whatever else
+/// `per_flow` counts (the churn engine's repair bills); the tallies
+/// come back in worker order. [`try_run_fleet_on_cache`] is this with
+/// `FlowExecutor::run`.
 ///
 /// # Panics
 /// Panics when a worker thread panics mid-run.
@@ -466,40 +477,39 @@ pub fn try_run_flows_with<X: Default + Send>(
     let workers = resolve_workers(cfg.workers, flows.len().div_ceil(CLAIM_CHUNK));
     let started = Instant::now();
 
+    let mut report = FleetReport::empty();
+    let fold = OrderedFold::new(1, |chunk, parts: &mut [Vec<PairOutcome>]| {
+        for (spec, outcome) in flows[chunk * CLAIM_CHUNK..].iter().zip(&parts[0]) {
+            report.absorb_outcome(spec, outcome);
+        }
+    });
     let cursor = AtomicUsize::new(0);
     let yields = run_pool(0..workers, |_| {
         let mut exec = FlowExecutor::new(cache, cfg, tel);
         let mut tally = X::default();
-        let mut records = Vec::with_capacity(flows.len().min(CLAIM_CHUNK * 4));
+        let mut part = Vec::with_capacity(CLAIM_CHUNK);
         loop {
             let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
             if start >= flows.len() {
                 break;
             }
             let end = (start + CLAIM_CHUNK).min(flows.len());
-            records.reserve(end - start);
             for flow in &flows[start..end] {
-                records.push((flow.id, per_flow(&mut exec, &mut tally, flow)));
+                part.push(per_flow(&mut exec, &mut tally, flow));
             }
+            fold.submit(start / CLAIM_CHUNK, 0, &mut part);
         }
-        (records, exec.finish(), tally)
+        (exec.finish(), tally)
     });
+    fold.finish();
+    debug_assert_eq!(report.flows, flows.len() as u64, "one outcome per flow");
 
-    let (mut parts, mut harvests, mut tallies) = (Vec::new(), Vec::new(), Vec::new());
-    for (records, harvest, tally) in yields {
-        parts.push(records);
-        harvests.push(harvest);
-        tallies.push(tally);
-    }
+    let (harvests, tallies): (Vec<_>, Vec<_>) = yields.into_iter().unzip();
     let telemetry = (!tel.is_off()).then(|| {
         let mut t = FleetTelemetry::default();
         t.absorb(harvests);
         t
     });
-    let mut report = FleetReport::empty();
-    for ((_, outcome), spec) in merge_by_id(parts, flows).iter().zip(flows) {
-        report.absorb_outcome(spec, outcome);
-    }
     report.elapsed_secs = started.elapsed().as_secs_f64();
     report.workers = workers;
     report.cache_hits = cache.hits();

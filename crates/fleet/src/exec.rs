@@ -1,15 +1,17 @@
-//! The one flow executor, the one worker pool, the one merge.
+//! The one flow executor, the one worker pool, the one fold.
 //!
 //! Every engine in the workspace runs flows the same way: cache
-//! hit-or-plan, derive the flow's private sub-streams, simulate, record
-//! `(flow id, outcome)`, and fold the records in ascending flow-id order
-//! after the pool joins. [`FlowExecutor`] is the per-worker half of that
-//! (it owns the scratch buffers and the worker's metric set),
-//! [`run_pool`] the threads, [`merge_by_id`] the canonical order. The
-//! fleet engine is "executor over a slice", the stream engine "executor
-//! behind admission", the churn engine "executor between barriers".
+//! hit-or-plan, derive the flow's private sub-streams, simulate, and
+//! hand the outcomes of a run of consecutive flows to a fold that
+//! absorbs them in ascending flow-id order as soon as every earlier
+//! flow's are in. [`FlowExecutor`] is the per-worker half of that (it
+//! owns the scratch buffers and the worker's metric set), [`run_pool`]
+//! the threads, [`OrderedFold`] the canonical order. The fleet engine
+//! is "executor over a slice", the stream engine "executor behind
+//! admission", the churn engine "executor between barriers".
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use citymesh_core::{
     CityExperiment, DeliveryScratch, FlowOpts, PairOutcome, PlanScratch, PlannedFlow,
@@ -76,26 +78,110 @@ pub fn run_pool<I: Send, T: Send>(
     })
 }
 
-/// The deterministic merge: flattens the workers' `(flow id, record)`
-/// lists and orders them by flow id. Every flow yields exactly one
-/// record, so the result zips 1:1 with the ascending-id `flows` slice —
-/// which keeps a fold correct for epoch sub-slices whose ids don't
-/// start at zero, and gives floating-point sums one operand order.
-pub fn merge_by_id<R>(mut parts: Vec<Vec<(u64, R)>>, flows: &[FlowSpec]) -> Vec<(u64, R)> {
-    // One worker, one epoch: its records are already the answer.
-    let mut merged = if parts.len() == 1 {
-        parts.pop().unwrap_or_default()
-    } else {
-        let mut all = Vec::with_capacity(flows.len());
-        all.extend(parts.into_iter().flatten());
-        all
-    };
-    merged.sort_unstable_by_key(|(id, _)| *id);
-    debug_assert!(
-        merged.len() == flows.len() && merged.iter().zip(flows).all(|((id, _), f)| *id == f.id),
-        "flows must be sorted by ascending id, one record each"
-    );
-    merged
+/// The one in-order fold: workers hand in parts of a call's outcome
+/// stream as they finish them, and the sink absorbs them in sequence
+/// order, whichever worker finished first.
+///
+/// A part is keyed by a sequence number and a slot `0..slots`. The sink
+/// is called once per sequence `k`, with that sequence's `slots` parts
+/// in slot order, as soon as every slot of `k` and of every sequence
+/// before it has been handed in — so a sink that walks its parts in
+/// flow-id order folds every flow in ascending id, and floating-point
+/// sums see one operand order at any worker count. The fleet engine
+/// hands in one part per claimed chunk (`slots == 1`); the stream
+/// engine one part per worker per window of flows.
+///
+/// Parts that arrive early wait in a queue of sequences until the gap
+/// before them closes, so a call holds the parts its workers finished
+/// ahead of the slowest one, not one record per flow. With one worker
+/// every part arrives in order and is absorbed at once. Submitting
+/// trades the worker's buffer for a cleared one with its capacity, so
+/// after the first few parts the fold allocates nothing.
+pub struct OrderedFold<R, S> {
+    slots: usize,
+    state: Mutex<FoldState<R, S>>,
+}
+
+struct FoldState<R, S> {
+    /// The sequence the sink sees next.
+    next: usize,
+    /// The parts of sequences `next..`, `slots` per sequence, slot
+    /// order within each.
+    parts: VecDeque<Vec<R>>,
+    /// How many slots of each sequence in `parts` have been handed in.
+    arrived: VecDeque<usize>,
+    /// Cleared buffers, capacity kept, handed back to submitters.
+    spare: Vec<Vec<R>>,
+    sink: S,
+}
+
+impl<R, S: FnMut(usize, &mut [Vec<R>])> OrderedFold<R, S> {
+    /// A fold expecting `slots` parts per sequence, starting at
+    /// sequence 0.
+    pub fn new(slots: usize, sink: S) -> Self {
+        assert!(slots > 0, "a sequence has at least one part");
+        OrderedFold {
+            slots,
+            state: Mutex::new(FoldState {
+                next: 0,
+                parts: VecDeque::new(),
+                arrived: VecDeque::new(),
+                spare: Vec::new(),
+                sink,
+            }),
+        }
+    }
+
+    /// Hands in the part for `(seq, slot)` and absorbs every sequence
+    /// that is now complete and next in line. `part` comes back empty.
+    /// Each `(seq, slot)` must be handed in exactly once.
+    ///
+    /// # Panics
+    /// Panics when `slot` is out of range, when `seq` was already
+    /// absorbed, or when a worker panicked inside the sink.
+    pub fn submit(&self, seq: usize, slot: usize, part: &mut Vec<R>) {
+        assert!(slot < self.slots, "slot {slot} of {}", self.slots);
+        let mut guard = self.state.lock().expect("no worker panics while absorbing");
+        let st = &mut *guard;
+        let ahead = seq
+            .checked_sub(st.next)
+            .expect("a sequence is not handed in after it was absorbed");
+        while st.arrived.len() <= ahead {
+            st.arrived.push_back(0);
+            for _ in 0..self.slots {
+                st.parts.push_back(st.spare.pop().unwrap_or_default());
+            }
+        }
+        std::mem::swap(&mut st.parts[ahead * self.slots + slot], part);
+        st.arrived[ahead] += 1;
+        while st.arrived.front() == Some(&self.slots) {
+            let done = &mut st.parts.make_contiguous()[..self.slots];
+            (st.sink)(st.next, done);
+            for mut buf in st.parts.drain(..self.slots) {
+                buf.clear();
+                st.spare.push(buf);
+            }
+            st.arrived.pop_front();
+            st.next += 1;
+        }
+    }
+
+    /// Ends the fold, releasing whatever the sink borrows.
+    ///
+    /// # Panics
+    /// Panics when a handed-in part still waits for an earlier one: a
+    /// sequence was skipped, so the fold would silently miss flows.
+    pub fn finish(self) {
+        let st = self
+            .state
+            .into_inner()
+            .expect("no worker panics while absorbing");
+        assert!(
+            st.arrived.is_empty(),
+            "sequence {} was never handed in",
+            st.next
+        );
+    }
 }
 
 /// One worker's flow pipeline: the planner scratch, the delivery

@@ -15,13 +15,16 @@
 //! or 8 (see [`FleetReport::digest`]). Workloads get it from per-flow
 //! RNG sub-streams ([`citymesh_simcore::substream_seed`]); execution
 //! gets it by keeping shared state RNG-free (the memoized route
-//! cache) and aggregating in canonical flow-id order after the pool
-//! joins.
+//! cache) and folding outcomes in canonical flow-id order.
 //!
 //! [`exec`] holds the pieces every engine in the workspace shares — the
 //! per-worker [`FlowExecutor`], the one worker pool ([`run_pool`]) and
-//! the one id-ordered merge ([`merge_by_id`]); the stream and churn
-//! engines are thin callers of them.
+//! the one in-order fold ([`OrderedFold`]); the stream and churn
+//! engines are thin callers of them. Workers hand the fold the
+//! outcomes of a run of consecutive flows (a claimed chunk, or their
+//! share of a stream window) as they finish it, and the fold absorbs
+//! each run once every earlier one is in, so a call holds the runs its
+//! fastest workers finished early, never a record per flow.
 //!
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig};
@@ -55,9 +58,9 @@ pub mod workload;
 pub use cache::RouteCache;
 pub use engine::{
     try_run_fleet, try_run_fleet_on_cache, try_run_fleet_traced, try_run_flows_with, FleetConfig,
-    FleetError, FleetReport, FleetTelemetry,
+    FleetError, FleetReport, FleetTelemetry, FOLD_WINDOW,
 };
-pub use exec::{merge_by_id, resolve_workers, run_pool, FlowExecutor, DOMAIN_MSG, DOMAIN_SIM};
+pub use exec::{resolve_workers, run_pool, FlowExecutor, OrderedFold, DOMAIN_MSG, DOMAIN_SIM};
 pub use workload::{
     generate_flows, try_generate_flows, FlowKind, FlowModel, FlowSpec, WorkloadConfig,
     WorkloadError,

@@ -7,8 +7,8 @@ use citymesh_core::{
     CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, PlannedFlow, RetryPolicy,
 };
 use citymesh_fleet::{
-    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, RouteCache,
-    WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, OrderedFold,
+    RouteCache, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
 };
 use citymesh_geo::{OrientedRect, Point, Segment};
 use citymesh_map::CityArchetype;
@@ -37,14 +37,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The engine's headline invariant, now with per-worker scratch
-    /// reuse in the mix: 1, 4, and 8 workers must produce the same
+    /// reuse in the mix: 1, 2, 4, and 8 workers must produce the same
     /// digest for any workload. Worker count changes which scratch
-    /// simulates which flow (and how dirty it is when it does), so
-    /// equality here proves scratch state cannot leak across flows.
+    /// simulates which flow (and how dirty it is when it does), and in
+    /// which order the fold receives the chunks, so equality here
+    /// proves neither can leak into the report.
     #[test]
     fn digest_is_invariant_under_worker_count(
         seed in any::<u64>(),
-        flows in 24usize..96,
+        flows in 24usize..320,
         rate_hz in 10.0..400.0f64,
     ) {
         let exp = shared_world();
@@ -56,14 +57,74 @@ proptest! {
                 seed,
             },
         );
-        let digests: Vec<u64> = [1usize, 4, 8]
-            .iter()
-            .map(|&workers| {
+        for workers in [2usize, 4, 8] {
+            let run = |workers| {
                 try_run_fleet(exp, &workload, &FleetConfig { workers, seed, ..FleetConfig::default() }).unwrap().digest()
-            })
-            .collect();
-        prop_assert_eq!(digests[0], digests[1], "1 vs 4 workers diverged");
-        prop_assert_eq!(digests[0], digests[2], "1 vs 8 workers diverged");
+            };
+            prop_assert_eq!(run(1), run(workers), "1 vs {} workers diverged", workers);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-order fold is order-free: whatever order workers hand in
+    /// their parts, the sink sees every sequence once, in ascending
+    /// order, with its parts in slot order — so an order-sensitive
+    /// float sum over the sink's calls equals the serial fold's bit for
+    /// bit — and it sees each sequence as soon as that sequence and all
+    /// earlier ones are in.
+    #[test]
+    fn parts_in_any_order_fold_like_the_serial_fold(
+        slots in 1usize..5,
+        lens in proptest::collection::vec(0usize..6, 0..60),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let seqs = lens.len() / slots;
+        let record = |seq: usize, slot: usize, i: usize| {
+            ((seq * 31 + slot * 7 + i) as f64).sqrt() * 1e-3 + 1.0
+        };
+        let part = |seq: usize, slot: usize| -> Vec<f64> {
+            (0..lens[seq * slots + slot]).map(|i| record(seq, slot, i)).collect()
+        };
+        let mut serial_sum = 0.0f64;
+        let mut serial_log = Vec::new();
+        for seq in 0..seqs {
+            for slot in 0..slots {
+                let p = part(seq, slot);
+                serial_sum += p.iter().sum::<f64>();
+                serial_log.push((seq, slot, p));
+            }
+        }
+
+        let mut order: Vec<(usize, usize)> =
+            (0..seqs).flat_map(|seq| (0..slots).map(move |slot| (seq, slot))).collect();
+        SimRng::new(shuffle_seed).shuffle(&mut order);
+        let mut fold_sum = 0.0f64;
+        let mut fold_log = Vec::new();
+        let absorbed = std::cell::Cell::new(0);
+        let fold = OrderedFold::new(slots, |seq, parts: &mut [Vec<f64>]| {
+            assert_eq!(parts.len(), slots);
+            for (slot, p) in parts.iter().enumerate() {
+                fold_sum += p.iter().sum::<f64>();
+                fold_log.push((seq, slot, p.clone()));
+            }
+            absorbed.set(absorbed.get() + 1);
+        });
+        let mut handed = vec![0usize; seqs];
+        let mut buf = Vec::new();
+        for &(seq, slot) in &order {
+            buf.extend(part(seq, slot));
+            fold.submit(seq, slot, &mut buf);
+            prop_assert!(buf.is_empty(), "the submitter gets an empty buffer back");
+            handed[seq] += 1;
+            let complete = handed.iter().take_while(|&&n| n == slots).count();
+            prop_assert_eq!(absorbed.get(), complete, "absorbed as soon as the prefix is complete");
+        }
+        fold.finish();
+        prop_assert_eq!(fold_log, serial_log);
+        prop_assert_eq!(fold_sum.to_bits(), serial_sum.to_bits());
     }
 }
 

@@ -51,12 +51,12 @@ use citymesh_dynamics::{
     require_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
 };
 use citymesh_fleet::{
-    merge_by_id, resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry,
-    FlowExecutor, FlowSpec, RouteCache,
+    resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry, FlowExecutor,
+    FlowSpec, OrderedFold, RouteCache, FOLD_WINDOW,
 };
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
-use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig};
+use citymesh_telemetry::TelemetryConfig;
 
 /// The modeled per-flow service-time law: `base_ms +
 /// per_broadcast_ms × broadcasts`. Broadcast count comes from the
@@ -654,6 +654,69 @@ impl StreamReport {
         }
     }
 
+    /// Folds one offered flow's record in; called in ascending flow-id
+    /// order, like [`FleetReport::absorb_outcome`] for the embedded
+    /// fleet report.
+    fn absorb(&mut self, spec: &FlowSpec, rec: &FlowRecord) {
+        self.offered += 1;
+        match rec {
+            FlowRecord::Shed {
+                reason,
+                depth,
+                class,
+            } => {
+                match reason {
+                    ShedReason::Backpressure => self.shed_backpressure += 1,
+                    ShedReason::Deadline => self.shed_deadline += 1,
+                }
+                match class {
+                    FlowClass::Emergency => {
+                        self.offered_emergency += 1;
+                        self.shed_emergency += 1;
+                    }
+                    FlowClass::Bulk => {
+                        self.offered_bulk += 1;
+                        self.shed_bulk += 1;
+                    }
+                }
+                self.queue_depth.record(f64::from(*depth));
+            }
+            FlowRecord::Served {
+                outcome,
+                wait_ms,
+                service_ms,
+                depth,
+                shed_tracing,
+                retry_capped,
+                class,
+            } => {
+                match class {
+                    FlowClass::Emergency => self.offered_emergency += 1,
+                    FlowClass::Bulk => self.offered_bulk += 1,
+                }
+                if outcome.sealed {
+                    match class {
+                        FlowClass::Emergency => self.sealed_emergency += 1,
+                        FlowClass::Bulk => self.sealed_bulk += 1,
+                    }
+                }
+                self.admitted += 1;
+                self.fleet.absorb_outcome(spec, outcome);
+                self.wait_ms.record(*wait_ms);
+                self.service_ms.record(*service_ms);
+                self.sojourn_ms.record(wait_ms + service_ms);
+                self.queue_depth.record(f64::from(*depth));
+                if *shed_tracing {
+                    self.degraded_tracing += 1;
+                }
+                if *retry_capped {
+                    self.degraded_retry += 1;
+                }
+                self.makespan_ms = self.makespan_ms.max(spec.arrival_ms + wait_ms + service_ms);
+            }
+        }
+    }
+
     /// Total flows shed (both reasons).
     pub fn shed(&self) -> u64 {
         self.shed_backpressure + self.shed_deadline
@@ -734,10 +797,6 @@ impl StreamReport {
     }
 }
 
-/// What one worker brings home from an epoch: its flow records and
-/// its executor's harvest (metric set, postmortems).
-type EpochYield = (Vec<(u64, FlowRecord)>, (Option<MetricSet>, Vec<Postmortem>));
-
 /// Runs an arrival stream through `exp`, shedding under overload.
 /// Configuration and prerequisite misuse is a typed [`StreamError`]
 /// caught before any worker spawns.
@@ -751,6 +810,13 @@ type EpochYield = (Vec<(u64, FlowRecord)>, (Option<MetricSet>, Vec<Postmortem>))
 /// [`Timeline::materialize`]) for a static world. Server queues
 /// persist across event barriers — an event does not flush in-flight
 /// work, only routes.
+///
+/// Workers walk each epoch's flows in windows of [`FOLD_WINDOW`]
+/// consecutive ids. In each window a worker serves its own servers'
+/// flows in id order — so every queue still sees its flows in arrival
+/// order — and hands its records to an [`OrderedFold`], which absorbs
+/// a window, in flow-id order, once every worker's part of it and of
+/// every earlier window is in.
 ///
 /// Returns the report plus merged telemetry when `tel` asks for any.
 /// The report digest is identical traced or untraced and across
@@ -779,97 +845,54 @@ pub fn try_run_stream(
     // un-queue flows already admitted.
     let workers = resolve_workers(cfg.workers, cfg.servers);
     let chunk = cfg.servers.div_ceil(workers);
+    let slots = cfg.servers.div_ceil(chunk);
+    let mut report = StreamReport::new(cfg.servers);
+    // A flow's server, whose worker's part of a window holds its
+    // record, and how far the fold has read each part.
+    let server = |flow: &FlowSpec| (flow.id % cfg.servers as u64) as usize;
+    let mut read = vec![0; slots];
     let epochs = run_epochs(
         flows,
         timeline,
         InvalidationPolicy::Incremental,
         &cache,
         Cow::Borrowed(exp),
-        |world, slice| -> Vec<EpochYield> {
-            run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
-                let exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
-                serve(exec, world, slice, cfg, i * chunk, qs)
-            })
+        |world, slice| {
+            let fold = OrderedFold::new(slots, |w, parts: &mut [Vec<FlowRecord>]| {
+                read.fill(0);
+                for spec in slice[w * FOLD_WINDOW..].iter().take(FOLD_WINDOW) {
+                    let i = server(spec) / chunk;
+                    report.absorb(spec, &parts[i][read[i]]);
+                    read[i] += 1;
+                }
+            });
+            let harvests = run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
+                let mut exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
+                let mut part = Vec::new();
+                for (w, window) in slice.chunks(FOLD_WINDOW).enumerate() {
+                    for flow in window.iter().filter(|f| server(f) / chunk == i) {
+                        let q = &mut qs[server(flow) - i * chunk];
+                        part.push(serve(&mut exec, world, flow, cfg, q));
+                    }
+                    fold.submit(w, i, &mut part);
+                }
+                exec.finish()
+            });
+            fold.finish();
+            harvests
         },
     );
 
-    let mut report = StreamReport::new(cfg.servers);
-    let mut telemetry = (!tel.is_off()).then(FleetTelemetry::default);
-    let (mut parts, mut harvests) = (Vec::new(), Vec::new());
-    for (yields, barrier) in epochs {
+    let mut harvests = Vec::new();
+    for (epoch_harvests, barrier) in epochs {
         report.epochs += 1;
-        for (records, harvest) in yields {
-            parts.push(records);
-            harvests.push(harvest);
-        }
+        harvests.extend(epoch_harvests);
         if let Some(b) = barrier {
             report.events_applied += 1;
             report.routes_evicted += b.evicted;
         }
     }
-
-    // Deterministic fold: order by flow id, absorb serially.
-    for ((_, rec), spec) in merge_by_id(parts, flows).iter().zip(flows) {
-        report.offered += 1;
-        match rec {
-            FlowRecord::Shed {
-                reason,
-                depth,
-                class,
-            } => {
-                match reason {
-                    ShedReason::Backpressure => report.shed_backpressure += 1,
-                    ShedReason::Deadline => report.shed_deadline += 1,
-                }
-                match class {
-                    FlowClass::Emergency => {
-                        report.offered_emergency += 1;
-                        report.shed_emergency += 1;
-                    }
-                    FlowClass::Bulk => {
-                        report.offered_bulk += 1;
-                        report.shed_bulk += 1;
-                    }
-                }
-                report.queue_depth.record(f64::from(*depth));
-            }
-            FlowRecord::Served {
-                outcome,
-                wait_ms,
-                service_ms,
-                depth,
-                shed_tracing,
-                retry_capped,
-                class,
-            } => {
-                match class {
-                    FlowClass::Emergency => report.offered_emergency += 1,
-                    FlowClass::Bulk => report.offered_bulk += 1,
-                }
-                if outcome.sealed {
-                    match class {
-                        FlowClass::Emergency => report.sealed_emergency += 1,
-                        FlowClass::Bulk => report.sealed_bulk += 1,
-                    }
-                }
-                report.admitted += 1;
-                report.fleet.absorb_outcome(spec, outcome);
-                report.wait_ms.record(*wait_ms);
-                report.service_ms.record(*service_ms);
-                report.sojourn_ms.record(wait_ms + service_ms);
-                report.queue_depth.record(f64::from(*depth));
-                if *shed_tracing {
-                    report.degraded_tracing += 1;
-                }
-                if *retry_capped {
-                    report.degraded_retry += 1;
-                }
-                report.makespan_ms = report
-                    .makespan_ms
-                    .max(spec.arrival_ms + wait_ms + service_ms);
-            }
-        }
-    }
+    debug_assert_eq!(report.offered, flows.len() as u64, "one record per flow");
     report.max_depth = queues
         .iter()
         .map(|q| q.high_water() as u64)
@@ -880,87 +903,69 @@ pub fn try_run_stream(
     report.fleet.cache_misses = cache.misses();
     report.fleet.elapsed_secs = started.elapsed().as_secs_f64();
 
-    if let Some(t) = telemetry.as_mut() {
+    let telemetry = (!tel.is_off()).then(|| {
+        let mut t = FleetTelemetry::default();
         t.absorb(harvests);
-    }
+        t
+    });
     Ok((report, telemetry))
 }
 
-/// One worker's share of an epoch: the slice's flows dealt to servers
-/// by `id % servers`, each of `qs` processed serially in arrival order
-/// (`base` is the server index of `qs[0]`). Admission comes first;
-/// only admitted flows reach the executor.
+/// One flow at its server's queue `q`: admission first, and only an
+/// admitted flow reaches the executor.
 fn serve(
-    mut exec: FlowExecutor<'_>,
+    exec: &mut FlowExecutor<'_>,
     world: &CityExperiment,
-    slice: &[FlowSpec],
+    flow: &FlowSpec,
     cfg: &StreamConfig,
-    base: usize,
-    qs: &mut [ServerQueue],
-) -> EpochYield {
-    let mut records = Vec::new();
-    for (j, q) in qs.iter_mut().enumerate() {
-        let s = (base + j) as u64;
-        for flow in slice.iter().filter(|f| f.id % cfg.servers as u64 == s) {
-            // Class is a pure function of (seed, flow.id) — never
-            // of queue state — so it survives any worker layout.
-            let class = if cfg.emergency_fraction > 0.0 {
-                let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_CLASS, flow.id));
-                if rng.chance(cfg.emergency_fraction) {
-                    FlowClass::Emergency
-                } else {
-                    FlowClass::Bulk
-                }
-            } else {
-                FlowClass::Bulk
-            };
-            match q.offer_class(flow.arrival_ms, class) {
-                Admission::Shed { reason, depth } => {
-                    records.push((
-                        flow.id,
-                        FlowRecord::Shed {
-                            reason,
-                            depth,
-                            class,
-                        },
-                    ));
-                }
-                Admission::Admit {
-                    start_ms,
-                    depth,
-                    shed_tracing,
-                    cap_retries,
-                } => {
-                    // Rung 2 stops the retry ladder after the first
-                    // send (the cap never reaches the planner, so the
-                    // shared cache serves capped and uncapped flows
-                    // alike); rung 1 tells the executor not to replay
-                    // the flow for a trace — same simulation, no
-                    // capture work.
-                    let plan = exec.plan(world, flow);
-                    let cap = cap_retries.then_some(1);
-                    let outcome = exec.simulate(world, &plan, flow, !shed_tracing, cap);
-                    let service_ms = cfg.service.base_ms
-                        + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
-                    q.commit(start_ms, service_ms);
-                    let wait_ms = start_ms - flow.arrival_ms;
-                    records.push((
-                        flow.id,
-                        FlowRecord::Served {
-                            outcome,
-                            wait_ms,
-                            service_ms,
-                            depth,
-                            shed_tracing,
-                            retry_capped: cap_retries,
-                            class,
-                        },
-                    ));
-                }
+    q: &mut ServerQueue,
+) -> FlowRecord {
+    // Class is a pure function of (seed, flow.id) — never of queue
+    // state — so it survives any worker layout.
+    let class = if cfg.emergency_fraction > 0.0 {
+        let mut rng = SimRng::new(substream_seed(cfg.seed, DOMAIN_CLASS, flow.id));
+        if rng.chance(cfg.emergency_fraction) {
+            FlowClass::Emergency
+        } else {
+            FlowClass::Bulk
+        }
+    } else {
+        FlowClass::Bulk
+    };
+    match q.offer_class(flow.arrival_ms, class) {
+        Admission::Shed { reason, depth } => FlowRecord::Shed {
+            reason,
+            depth,
+            class,
+        },
+        Admission::Admit {
+            start_ms,
+            depth,
+            shed_tracing,
+            cap_retries,
+        } => {
+            // Rung 2 stops the retry ladder after the first send (the
+            // cap never reaches the planner, so the shared cache serves
+            // capped and uncapped flows alike); rung 1 tells the
+            // executor not to replay the flow for a trace — same
+            // simulation, no capture work.
+            let plan = exec.plan(world, flow);
+            let cap = cap_retries.then_some(1);
+            let outcome = exec.simulate(world, &plan, flow, !shed_tracing, cap);
+            let service_ms =
+                cfg.service.base_ms + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
+            q.commit(start_ms, service_ms);
+            FlowRecord::Served {
+                outcome,
+                wait_ms: start_ms - flow.arrival_ms,
+                service_ms,
+                depth,
+                shed_tracing,
+                retry_capped: cap_retries,
+                class,
             }
         }
     }
-    (records, exec.finish())
 }
 
 #[cfg(test)]
@@ -1022,7 +1027,7 @@ mod tests {
         let exp = world(21);
         let flows = poisson_flows(&exp, 600, 900.0, 21);
         let tl = empty_timeline(&exp);
-        let digests: Vec<u64> = [1usize, 4, 8]
+        let digests: Vec<u64> = [1usize, 2, 4, 8]
             .iter()
             .map(|&w| {
                 let cfg = StreamConfig {
@@ -1039,8 +1044,10 @@ mod tests {
                     .digest()
             })
             .collect();
-        assert_eq!(digests[0], digests[1], "1 vs 4 workers");
-        assert_eq!(digests[0], digests[2], "1 vs 8 workers");
+        assert!(
+            digests.iter().all(|&d| d == digests[0]),
+            "1/2/4/8 workers diverged: {digests:x?}"
+        );
     }
 
     #[test]
@@ -1354,17 +1361,25 @@ mod tests {
         assert_eq!(r.epochs, tl.len() as u64 + 1);
         assert_eq!(r.events_applied, tl.len() as u64);
         assert_eq!(r.offered, 900);
-        // Worker-count invariance holds across event barriers too.
-        let serial = try_run_stream(
-            &exp,
-            &flows,
-            &tl,
-            &StreamConfig { workers: 1, ..cfg },
-            &TelemetryConfig::off(),
-        )
-        .unwrap()
-        .0;
-        assert_eq!(r.digest(), serial.digest(), "1 vs 3 workers with churn");
+        // Worker-count invariance holds across event barriers too,
+        // including layouts where the six servers split unevenly (4
+        // workers take 2 each, so only three of them have servers).
+        for workers in [1, 2, 4, 8] {
+            let other = try_run_stream(
+                &exp,
+                &flows,
+                &tl,
+                &StreamConfig { workers, ..cfg },
+                &TelemetryConfig::off(),
+            )
+            .unwrap()
+            .0;
+            assert_eq!(
+                r.digest(),
+                other.digest(),
+                "3 vs {workers} workers with churn"
+            );
+        }
     }
 
     #[test]

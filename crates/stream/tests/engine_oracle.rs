@@ -2,7 +2,7 @@
 //!
 //! `try_run_fleet`, `try_run_stream` and `try_run_churn` all plan
 //! through a shared route cache with per-worker scratch buffers, run on
-//! a worker pool and merge in flow-id order; the churn and stream
+//! a worker pool and fold in flow-id order as parts finish; the churn and stream
 //! engines additionally keep cached plans across world events and evict
 //! only the ones an event could touch. The reference below does none of
 //! that: one thread, flows in id order, every flow planned from scratch
@@ -285,7 +285,7 @@ fn random_timeline(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fleet ≡ reference at 1 and 4 workers, in every mode.
+    /// Fleet ≡ reference at 1, 2, 4 and 8 workers, in every mode.
     #[test]
     fn fleet_matches_the_naive_reference(
         city in small_city(),
@@ -298,7 +298,7 @@ proptest! {
             let flows = workload(&exp, flows, seed);
             let encrypted = matches!(mode, Mode::Encrypted);
             let reference = reference_report(&exp, &flows, seed, encrypted);
-            for workers in [1usize, 4] {
+            for workers in [1usize, 2, 4, 8] {
                 let cfg = FleetConfig {
                     workers,
                     seed,
@@ -313,12 +313,12 @@ proptest! {
 
     /// An underloaded stream — queues deep enough that nothing sheds
     /// and no degradation rung fires — serves exactly the reference's
-    /// outcomes.
+    /// outcomes, over more than one fold window.
     #[test]
     fn underloaded_stream_matches_the_naive_reference(
         city in small_city(),
         seed in any::<u64>(),
-        flows in 60usize..140,
+        flows in 60usize..600,
         p in 0.1..0.3f64,
         servers in 1usize..5,
     ) {
@@ -328,7 +328,7 @@ proptest! {
             let encrypted = matches!(mode, Mode::Encrypted);
             let reference = reference_report(&exp, &flows, seed, encrypted);
             let empty = random_timeline(&exp, &flows, seed, (0, 0, 0), 1.0);
-            for workers in [1usize, 4] {
+            for workers in [1usize, 2, 4, 8] {
                 let cfg = StreamConfig {
                     workers,
                     servers,
@@ -377,7 +377,7 @@ proptest! {
         ] {
             let reference = reference_churn(&exp, &flows, &tl, retry, seed);
             for invalidation in [InvalidationPolicy::Incremental, InvalidationPolicy::FullFlush] {
-                for workers in [1usize, 4] {
+                for workers in [1usize, 2, 4, 8] {
                     let cfg = ChurnEngineConfig {
                         workers,
                         seed,
