@@ -19,10 +19,10 @@
 //!   proactive and AODV-style reactive protocols, used in the N-sweep
 //!   scaling comparison (CityMesh's control traffic is identically
 //!   zero).
-//! * [`reactive`] — Babel/QSPN-style reactive local repair: on a
-//!   failure notification, splice a detour around the first dark
-//!   building instead of re-planning end-to-end — the churn
-//!   benchmarks' reactive strategy.
+//!
+//! The churn benchmarks' Babel/QSPN-style reactive local repair is not
+//! here: it is a retry policy of CityMesh's own flow body
+//! (`citymesh_core::RetryPolicy::local_repair`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +31,8 @@ pub mod face;
 pub mod flooding;
 pub mod greedy;
 pub mod manet;
-pub mod reactive;
 
 pub use face::{gabriel_adjacency, gpsr_route, gpsr_route_on, GpsrOutcome};
 pub use flooding::{flood, FloodOutcome};
 pub use greedy::{greedy_route, GreedyOutcome, GreedyPolicy};
 pub use manet::{aodv_discovery_cost, dsdv_update_cost, olsr_update_cost, ManetScale};
-pub use reactive::{deliver_with_local_repair, RepairOutcome};

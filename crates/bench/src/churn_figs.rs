@@ -362,19 +362,24 @@ impl Sweep for ChurnFigures {
 
     /// The downtown 8-event point: the timeline fingerprint pins the
     /// materialized event schedule (times, mechanisms, every per-AP
-    /// health flip); the ladder digest pins the epoch-barrier pipeline
-    /// over it — partitioning, serial event application, incremental
-    /// invalidation, aggregation.
+    /// health flip); the ladder and reactive digests pin the
+    /// epoch-barrier pipeline over it — partitioning, serial event
+    /// application, incremental invalidation, aggregation — under both
+    /// escalations of the retry policy.
     fn pins(&self) -> Vec<(&'static str, u64)> {
         let downtown = self.curves.iter().find(|c| c.archetype == "downtown");
-        let point = downtown.and_then(|c| c.points.iter().find(|p| p.events == 8));
-        let ladder = point.and_then(|p| p.strategies.iter().find(|s| s.strategy == "ladder"));
-        point.zip(ladder).map_or(vec![], |(p, s)| {
-            vec![
-                ("downtown 8-event timeline", p.timeline_fingerprint),
-                ("downtown 8-event ladder digest", s.digest),
-            ]
-        })
+        let Some(point) = downtown.and_then(|c| c.points.iter().find(|p| p.events == 8)) else {
+            return vec![];
+        };
+        let mut pins = vec![("downtown 8-event timeline", point.timeline_fingerprint)];
+        for s in &point.strategies {
+            match s.strategy {
+                "ladder" => pins.push(("downtown 8-event ladder digest", s.digest)),
+                "reactive" => pins.push(("downtown 8-event reactive digest", s.digest)),
+                _ => {}
+            }
+        }
+        pins
     }
 }
 

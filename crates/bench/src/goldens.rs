@@ -32,7 +32,7 @@ const fn pin(sweep: &'static str, name: &'static str, value: u64) -> Pin {
 }
 
 /// Every pin, in `figures -- check` order.
-pub const PINS: [Pin; 13] = [
+pub const PINS: [Pin; 14] = [
     pin("fleet", "500-flow digest", FLEET_500),
     pin("planner", "plan digest", 0x225e8143b580e73a),
     pin("resilience", "downtown p=0.2 digest", 0x4d938b610a4f839b),
@@ -46,6 +46,11 @@ pub const PINS: [Pin; 13] = [
         "churn",
         "downtown 8-event ladder digest",
         0xf3b6b828e8ef31ef,
+    ),
+    pin(
+        "churn",
+        "downtown 8-event reactive digest",
+        0x7b8f1adad83b24fa,
     ),
     pin("telemetry", "traced 500-flow digest", FLEET_500),
     pin("metro", "largest-size route digest", 0xc020ea31821080c9),

@@ -29,10 +29,10 @@
 //! scenario is bit-reproducible, independent of worker count, and
 //! cheap to fingerprint for golden digests.
 //!
-//! Recovery lives in [`RetryPolicy`]: the sender's bounded escalation
-//! ladder (re-send → widen the conduit → replan around known-dark
-//! buildings) executed by
-//! [`crate::CityExperiment::simulate_flow_with`].
+//! Recovery lives in [`RetryPolicy`]: the sender's bounded escalation —
+//! the ladder (re-send → widen the conduit → replan around known-dark
+//! buildings) or local repair (splice the route around its first dark
+//! building) — climbed by [`crate::CityExperiment::simulate_flow_opts`].
 
 use citymesh_geo::Point;
 use citymesh_map::CityMap;
@@ -48,29 +48,47 @@ pub const DOMAIN_FAULT_BLACKOUT: u64 = 0xB1AC;
 /// Sub-stream domain for degraded-AP draws.
 pub const DOMAIN_FAULT_DEGRADE: u64 = 0xDE64;
 
-/// The sender's bounded recovery ladder, attempted in order when a
-/// simulated delivery times out:
+/// What the sender does when a simulated delivery times out: a first
+/// send, then up to `max_attempts − 1` more, each on the next rung of
+/// one of two escalations.
+///
+/// The ladder ([`RetryPolicy::ladder`]):
 ///
 /// 1. first send (always);
-/// 2. **re-send** over the same conduit (a fresh jitter/loss draw —
-///    recovers from unlucky frame loss);
+/// 2. **re-send** over the same conduit (a fresh jitter/loss draw);
 /// 3. **widen** the conduit by [`WIDEN_FACTOR`], reusing the cached
 ///    waypoints (recruits off-spine APs around dead ones);
 /// 4. **replan** over the surviving building graph, detouring around
 ///    buildings with zero live APs (recovers from a cached map that no
 ///    longer matches the world).
 ///
-/// `max_attempts` caps the total number of sends; rungs whose
-/// geometry is unavailable (nothing to widen to, no surviving detour)
-/// fall back to a re-send, so the ladder is always bounded and never
-/// blocks on missing state.
+/// Local repair ([`RetryPolicy::local_repair`]), the Babel/QSPN
+/// discipline: after each failed send, splice the route the sender
+/// last used around its first dark building, falling back to a full
+/// avoid-replan when no splice exists, and send over the patched
+/// route; with no dark building on it, re-send.
+///
+/// Rungs whose geometry is unavailable (nothing to widen to, no
+/// surviving detour) fall back to a re-send, so every escalation is
+/// bounded by `max_attempts` and never blocks on missing state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Total delivery attempts, including the first send (≥ 1).
     pub max_attempts: u32,
+    /// Which rungs follow the first send.
+    pub(crate) escalation: Escalation,
 }
 
-/// Conduit width multiplier of the widen rung, which every policy with
+/// The rungs a [`RetryPolicy`] climbs after the first send.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Escalation {
+    /// Re-send, widen, replan end to end.
+    Ladder,
+    /// Splice the current route around its first dark building.
+    LocalRepair,
+}
+
+/// Conduit width multiplier of the widen rung, which every ladder with
 /// at least three attempts climbs (the result is clamped to the
 /// header-encodable maximum).
 pub const WIDEN_FACTOR: f64 = 2.0;
@@ -81,12 +99,26 @@ impl RetryPolicy {
     /// `RetryPolicy::none()` leaves RNG streams and fleet digests of
     /// healthy worlds untouched.
     pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1 }
+        RetryPolicy {
+            max_attempts: 1,
+            escalation: Escalation::Ladder,
+        }
     }
 
     /// The full four-rung ladder: send, re-send, widen ×2, replan.
     pub fn ladder() -> Self {
-        RetryPolicy { max_attempts: 4 }
+        RetryPolicy {
+            max_attempts: 4,
+            escalation: Escalation::Ladder,
+        }
+    }
+
+    /// Local repair with `max_attempts` sends in all.
+    pub fn local_repair(max_attempts: u32) -> Self {
+        RetryPolicy {
+            max_attempts,
+            escalation: Escalation::LocalRepair,
+        }
     }
 
     /// Validates the policy's invariants.
@@ -722,7 +754,10 @@ mod tests {
         };
         assert!(bad_r.validate().is_err());
         let zero_attempts = FaultScenario {
-            retry: RetryPolicy { max_attempts: 0 },
+            retry: RetryPolicy {
+                max_attempts: 0,
+                ..RetryPolicy::none()
+            },
             ..FaultScenario::default()
         };
         assert!(zero_attempts.validate().is_err());

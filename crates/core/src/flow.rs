@@ -1,10 +1,10 @@
 //! Execution: the stochastic half of a flow, and the §4 evaluation.
 //!
 //! [`CityExperiment::simulate_flow_opts`] is the one flow body — seal,
-//! climb the retry ladder over the delivery kernel ([`crate::sim`]),
-//! open — and every other `simulate_flow*` name is a one-line wrapper
-//! choosing its [`FlowOpts`]. [`CityExperiment::run`] produces the three
-//! Figure-6 metrics for a city:
+//! climb the retry policy's rungs over the delivery kernel
+//! ([`crate::sim`]), open — and every other `simulate_flow*` name is a
+//! one-line wrapper choosing its [`FlowOpts`]. [`CityExperiment::run`]
+//! produces the three Figure-6 metrics for a city:
 //!
 //! * **reachability** — fraction of random building pairs connected
 //!   through the AP graph (1000 pairs in the paper);
@@ -24,7 +24,7 @@ use citymesh_telemetry::{FlowSummary, TraceEvent};
 
 use crate::conduit::{reconstruct_conduits_into, CoveredSet};
 use crate::config::RebroadcastScope;
-use crate::faults::{RecoveryStage, RetryPolicy};
+use crate::faults::{Escalation, RecoveryStage, RetryPolicy};
 use crate::plan::{PlannedFlow, RecoveryVariants};
 use crate::secure::TamperMode;
 use crate::sim::{placeholder_header, simulate_delivery_faulted, DeliveryScratch, Relays, HORIZON};
@@ -215,12 +215,16 @@ impl CityExperiment {
     ///
     /// Under a fault scenario this is also where graceful degradation
     /// happens: a failed delivery escalates through the scenario's
-    /// [`RetryPolicy`] ladder — re-send, widened conduit, replanned
-    /// detour — each rung riding the covered set the plan memoized for
-    /// it, so retries stay on the zero-allocation path. Each failed attempt
-    /// charges one full delivery horizon of latency (the sender only
-    /// learns of failure at its timeout). [`FlowOpts::max_attempts`]
-    /// stops the climb early.
+    /// [`RetryPolicy`]. On the ladder — re-send, widened conduit,
+    /// replanned detour — each rung rides the covered set the plan
+    /// memoized for it, so retries stay on the zero-allocation path.
+    /// Under local repair each failure splices the route last sent over
+    /// around its first dark building, and the next send rides the
+    /// patched route's waypoints and covered set, computed in the
+    /// scratch's detour buffers. Each failed attempt charges one full
+    /// delivery horizon of latency (the sender only learns of failure
+    /// at its timeout). [`FlowOpts::max_attempts`] stops the climb
+    /// early.
     ///
     /// With [`FlowOpts::sealed`] the payload is sealed under the
     /// per-pair session key (ChaCha20-Poly1305, nonce from the message
@@ -295,6 +299,7 @@ impl CityExperiment {
         let world = self.fault_world();
         let faults = world.map(|(state, _)| state);
         let policy = faults.map(|f| f.retry()).unwrap_or_else(RetryPolicy::none);
+        let local_repair = policy.escalation == Escalation::LocalRepair;
         let max_attempts = policy
             .max_attempts
             .min(opts.max_attempts.unwrap_or(u32::MAX));
@@ -311,11 +316,12 @@ impl CityExperiment {
             }
         };
         // Borrow juggling: the kernel needs `&mut scratch` while
-        // reading the header and a rung's rebuilt conduits, so lift both
-        // out (what is left behind owns no heap memory) and restore them
-        // after.
+        // reading the header and a rung's rebuilt conduits and covered
+        // set, so lift them out (what is left behind owns no heap
+        // memory) and restore them after.
         let mut header = std::mem::replace(&mut scratch.header, placeholder_header());
         let mut rung_conduits = std::mem::take(&mut scratch.rung_conduits);
+        let mut patched_covered = std::mem::take(&mut scratch.detour.covered);
         let mut attempts = 0u32;
         let mut total_broadcasts = 0u64;
         let mut penalty = SimTime::ZERO;
@@ -323,21 +329,32 @@ impl CityExperiment {
         // ride it: `recovery_variants` hands back an `Arc`, and the
         // chosen conduit slice must outlive the rung selection.
         let mut ladder: Option<Arc<RecoveryVariants>> = None;
+        // Local repair: whether a splice has replaced the plan's route;
+        // the patched route's waypoints are `scratch.detour.waypoints`.
+        let mut patched = false;
         loop {
             attempts += 1;
-            // Rung selection: 1 → first send, 2 → re-send, 3 → widen,
-            // 4+ → replan; rungs without geometry degrade to a re-send
-            // so the ladder is always bounded by `max_attempts`.
-            // Reaching rung 3 is what materializes the lazy ladder
-            // geometry; attempts only exceed 1 under a fault scenario,
-            // so the fault world is always present there.
-            let rec = world.filter(|_| attempts >= 3).map(|w| {
+            // Rung selection. The ladder: 1 → first send, 2 → re-send,
+            // 3 → widen, 4+ → replan; rungs without geometry degrade to
+            // a re-send so the ladder is always bounded by
+            // `max_attempts`. Reaching rung 3 is what materializes the
+            // lazy ladder geometry; attempts only exceed 1 under a fault
+            // scenario, so the fault world is always present there.
+            // Local repair: every send after the first splice rides the
+            // patched route, and is a replan however many sends later.
+            let rec = world.filter(|_| attempts >= 3 && !local_repair).map(|w| {
                 &**ladder
                     .get_or_insert_with(|| self.recovery_variants(plan, w, &mut scratch.detour))
             });
             let (stage, waypoints, rung_width, covered): (_, &[u32], f64, &CoveredSet) =
                 match (attempts, rec) {
                     (1, _) => (RecoveryStage::First, &plan.waypoints, width, plan_covered),
+                    _ if patched => (
+                        RecoveryStage::Replan,
+                        &scratch.detour.waypoints,
+                        width,
+                        &patched_covered,
+                    ),
                     (3, Some(rec)) if rec.wide_width_m > 0.0 => (
                         RecoveryStage::Widen,
                         &plan.waypoints,
@@ -401,7 +418,12 @@ impl CityExperiment {
             if attempts >= max_attempts {
                 break;
             }
+            // The sender learns of the failure at its timeout.
             penalty += HORIZON;
+            if let Some((_, survivors)) = world.filter(|_| local_repair) {
+                let d = &mut scratch.detour;
+                patched |= self.repair_route(plan, survivors, d, patched, &mut patched_covered);
+            }
         }
         outcome.attempts = attempts;
         outcome.broadcasts = total_broadcasts;
@@ -413,6 +435,7 @@ impl CityExperiment {
         .value();
         scratch.header = header;
         scratch.rung_conduits = rung_conduits;
+        scratch.detour.covered = patched_covered;
         finish_flow_trace(scratch, &outcome);
 
         // Receiver side: verify the header tag, then open. Tamper

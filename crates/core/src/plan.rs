@@ -12,12 +12,16 @@ use std::sync::{Arc, RwLock};
 
 use citymesh_geo::OrientedRect;
 use citymesh_graph::{HopScratch, PlannerScratch};
+use citymesh_map::CityMap;
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 
+use crate::buildgraph::BuildingGraph;
 use crate::conduit::{compress_route_into, reconstruct_conduits_into, CoveredSet};
 use crate::faults::{FaultState, WIDEN_FACTOR};
 use crate::hier::{HierPlanScratch, HierPlanner};
-use crate::route::{plan_route_counted, search_avoiding, RouteStats, Survivors};
+use crate::route::{
+    plan_route_counted, search_avoiding, splice_around_dark, RouteStats, Survivors,
+};
 use crate::sim::{placeholder_header, DetourScratch};
 use crate::world::CityExperiment;
 
@@ -215,8 +219,8 @@ impl PlannedFlow {
 
     /// The uncompressed primary building route, kept only under a
     /// fault scenario (empty in the healthy world, where nothing needs
-    /// it). The reactive-repair baseline walks this to locate the
-    /// first blocked building after a failure notification.
+    /// it). Local repair walks it to find the first dark building after
+    /// a failed send.
     pub fn primary_route(&self) -> &[u32] {
         &self.replan_route
     }
@@ -481,7 +485,7 @@ impl CityExperiment {
         let mut rec = RecoveryVariants::default();
         let policy = faults.retry();
         let (bg, width) = (self.building_graph(), self.config().conduit_width_m);
-        let (map, marks) = (self.map(), &mut d.covered_marks);
+        let map = self.map();
         // Widen rung: same waypoints, fatter conduits, clamped to
         // the header-encodable width.
         if policy.max_attempts >= 3 {
@@ -489,7 +493,8 @@ impl CityExperiment {
             d.header.reuse_for(0, w, &plan.waypoints);
             rec.wide_width_m = d.header.conduit_width_m();
             reconstruct_conduits_into(map, &plan.waypoints, rec.wide_width_m, &mut d.conduits);
-            rec.wide_covered.compute(map, &d.conduits, marks);
+            rec.wide_covered
+                .compute(map, &d.conduits, &mut d.covered_marks);
         }
         // Replan rung: detour around buildings with zero live APs.
         // Only meaningful when a genuinely different detour survives.
@@ -509,16 +514,62 @@ impl CityExperiment {
             if found.is_err() || d.route == plan.replan_route {
                 return rec;
             }
-            if compress_route_into(bg, &d.route, width, &mut d.waypoints).is_err() {
-                return rec;
-            }
-            d.header.reuse_for(0, width, &d.waypoints);
-            let w = d.header.conduit_width_m();
-            reconstruct_conduits_into(map, &d.waypoints, w, &mut d.conduits);
-            rec.fallback_covered.compute(map, &d.conduits, marks);
+            d.cover_route(bg, map, width, &mut rec.fallback_covered);
             rec.fallback_waypoints = d.waypoints.clone();
         }
         rec
+    }
+
+    /// Local repair's rung: splices the route the flow last sent over —
+    /// `plan`'s primary route until the first splice (`patched` false),
+    /// `detour.route` after it — around its first dark building
+    /// ([`splice_around_dark`]). On a change, `detour.waypoints` and
+    /// `covered` describe the new route; once patched, `detour.waypoints`
+    /// keeps describing `detour.route` either way. Returns whether the
+    /// route changed. RNG-free, and a warm scratch allocates nothing.
+    pub(crate) fn repair_route(
+        &self,
+        plan: &PlannedFlow,
+        survivors: &Survivors,
+        d: &mut DetourScratch,
+        patched: bool,
+        covered: &mut CoveredSet,
+    ) -> bool {
+        let (bg, width) = (self.building_graph(), self.config().conduit_width_m);
+        if !patched {
+            d.route.clear();
+            d.route.extend_from_slice(plan.primary_route());
+        }
+        let (route, search, stats) = (&mut d.route, &mut d.search, &mut d.stats);
+        let changed = splice_around_dark(bg, survivors, route, search, &mut d.waypoints, stats);
+        if changed {
+            d.cover_route(bg, self.map(), width, covered);
+        } else if patched {
+            // The searches wrote into the waypoint buffer.
+            compress_route_into(bg, &d.route, width, &mut d.waypoints)
+                .expect("a repaired route is non-empty");
+        }
+        changed
+    }
+}
+
+impl DetourScratch {
+    /// Compresses `self.route` into `self.waypoints` and writes the
+    /// buildings their conduits cover — at `width_m` as a header rounds
+    /// it — into `covered`.
+    fn cover_route(
+        &mut self,
+        bg: &BuildingGraph,
+        map: &CityMap,
+        width_m: f64,
+        covered: &mut CoveredSet,
+    ) {
+        compress_route_into(bg, &self.route, width_m, &mut self.waypoints)
+            .expect("config width validated at prepare time; route is non-empty");
+        self.header.reuse_for(0, width_m, &self.waypoints);
+        let w = self.header.conduit_width_m();
+        reconstruct_conduits_into(map, &self.waypoints, w, &mut self.conduits);
+        covered.compute(map, &self.conduits, &mut self.covered_marks);
     }
 }
 

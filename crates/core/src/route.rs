@@ -31,6 +31,7 @@ use citymesh_graph::{
 
 use crate::buildgraph::BuildingGraph;
 use crate::rows::{LazyRows, NO_ENTRY};
+use crate::sim::DetourStats;
 
 /// Route-planning failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -363,6 +364,58 @@ pub(crate) fn search_avoiding(
     search(bg, src, dst, |v| !survivors.is_blocked(v), scratch, out)
 }
 
+/// One local-repair step, the Babel/QSPN discipline: the first dark
+/// building on `route` is spliced out by a detour from the building
+/// before it to the first live building after it, and the rest of the
+/// route is kept; when no such splice exists (the damage reaches the
+/// route's end, or the two are cut apart), the whole route is replaced
+/// by a detour from its source to its end around every dark building.
+///
+/// Returns whether `route` changed. It does not when no building on it
+/// is dark (the failure was loss, and a re-send is the answer), when
+/// its source is (nothing to repair from), or when no detour survives
+/// or the only one is the route itself. `detour` is the searches'
+/// output buffer, left unspecified. Each pair goes to
+/// [`Survivors::connects`] first: a refusal counts in
+/// `stats.rejected_by_labels`, a search in `stats.searches`.
+pub(crate) fn splice_around_dark(
+    bg: &BuildingGraph,
+    survivors: &Survivors,
+    route: &mut Vec<u32>,
+    search: &mut PlannerScratch,
+    detour: &mut Vec<u32>,
+    stats: &mut DetourStats,
+) -> bool {
+    let mut avoid = |src: u32, dst: u32, out: &mut Vec<u32>| {
+        if !survivors.connects(bg, src, dst) {
+            stats.rejected_by_labels += 1;
+            return false;
+        }
+        stats.searches += 1;
+        search_avoiding(bg, src, dst, survivors, search, out).is_ok()
+    };
+    let Some(first_dark) = route.iter().position(|&b| survivors.is_blocked(b)) else {
+        return false;
+    };
+    if first_dark == 0 {
+        return false;
+    }
+    let anchor = first_dark - 1;
+    let rejoin = (first_dark + 1..route.len()).find(|&k| !survivors.is_blocked(route[k]));
+    if let Some(rejoin) = rejoin {
+        if avoid(route[anchor], route[rejoin], detour) {
+            route.splice(anchor..=rejoin, detour.iter().copied());
+            return true;
+        }
+    }
+    let (src, dst) = (route[0], route[route.len() - 1]);
+    if !avoid(src, dst, detour) || detour == route {
+        return false;
+    }
+    std::mem::swap(route, detour);
+    true
+}
+
 /// Goal-directed A* under the landmark/Euclidean cost lower bound (see
 /// the module docs). Blocked buildings only remove options, so the
 /// same bound stays admissible for detours.
@@ -599,5 +652,117 @@ mod tests {
         );
         let route1 = plan_route(&bg1, 0, 3).unwrap();
         assert_eq!(route1, vec![0, 3], "linear weights should go direct");
+    }
+
+    /// The benchmark downtown with one mid-route building of a long
+    /// route gone dark, and that route.
+    fn downtown_with_a_dark_building() -> (crate::CityExperiment, Vec<u32>, u32) {
+        use crate::{ApHealth, CityExperiment, ExperimentConfig, FaultScenario};
+        let map = citymesh_map::CityArchetype::SurveyDowntown.generate(22);
+        let config = ExperimentConfig {
+            seed: 22,
+            faults: Some(FaultScenario::iid(0.0)),
+            ..ExperimentConfig::default()
+        };
+        let mut exp = CityExperiment::prepare(map, config);
+        let plan = (0..exp.map().len() as u32)
+            .map(|d| exp.plan_flow(3, d))
+            .find(|p| p.route_found() && p.primary_route().len() >= 6)
+            .expect("downtown has long routes");
+        let route = plan.primary_route().to_vec();
+        let victim = route[route.len() / 2];
+        let kill: Vec<(u32, ApHealth)> = exp
+            .aps()
+            .iter()
+            .filter(|a| a.building == victim)
+            .map(|a| (a.id, ApHealth::Failed))
+            .collect();
+        exp.apply_world_event(&kill);
+        (exp, route, victim)
+    }
+
+    #[test]
+    fn splice_avoids_the_dark_building_and_keeps_both_ends() {
+        let (exp, route, victim) = downtown_with_a_dark_building();
+        let (bg, survivors) = (exp.building_graph(), exp.survivors().unwrap());
+        assert!(survivors.is_blocked(victim));
+        let (mut search, mut detour) = (PlannerScratch::new(), Vec::new());
+        let mut stats = DetourStats::default();
+        let mut patched = route.clone();
+        assert!(splice_around_dark(
+            bg,
+            survivors,
+            &mut patched,
+            &mut search,
+            &mut detour,
+            &mut stats
+        ));
+        assert!(
+            !patched.contains(&victim),
+            "the splice avoids the dark building"
+        );
+        assert_eq!(patched[0], route[0], "the splice keeps the source");
+        assert_eq!(patched.last(), route.last(), "and the destination");
+        assert!(
+            patched.windows(2).all(|w| bg.graph().has_edge(w[0], w[1])),
+            "the patched route is a walk of the building graph"
+        );
+        assert_eq!(
+            stats.searches + stats.rejected_by_labels,
+            1,
+            "one repair action"
+        );
+        // Only a first dark building is repaired around: on a clean
+        // route the answer to a failure is a re-send.
+        let clean = patched.clone();
+        let before = stats;
+        assert!(!splice_around_dark(
+            bg,
+            survivors,
+            &mut patched,
+            &mut search,
+            &mut detour,
+            &mut stats
+        ));
+        assert_eq!(patched, clean);
+        assert_eq!(stats, before, "a clean route costs no search");
+    }
+
+    /// A flow under local repair is a pure function of its plan and
+    /// streams, and never sends more than its policy allows.
+    #[test]
+    fn local_repair_is_deterministic_and_bounded() {
+        use crate::{CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario};
+        use crate::{RecoveryStage, RetryPolicy};
+        use citymesh_simcore::SimRng;
+        let map = citymesh_map::CityArchetype::SurveyDowntown.generate(24);
+        let mut scenario = FaultScenario::district_blackouts(2, 120.0);
+        scenario.retry = RetryPolicy::local_repair(4);
+        let config = ExperimentConfig {
+            seed: 24,
+            faults: Some(scenario),
+            ..ExperimentConfig::default()
+        };
+        let exp = CityExperiment::prepare(map, config);
+        let mut scratch = DeliveryScratch::new();
+        let mut by_replan = 0;
+        for (src, dst) in [2u32, 30, 75]
+            .into_iter()
+            .flat_map(|s| (100..220).map(move |d| (s, d)))
+        {
+            let plan = exp.plan_flow(src, dst);
+            let run = |scratch: &mut DeliveryScratch| {
+                let mut rng = SimRng::new(u64::from(src) << 32 | u64::from(dst));
+                exp.simulate_flow_with(&plan, 7, &mut rng, scratch)
+            };
+            let (a, b) = (run(&mut scratch), run(&mut DeliveryScratch::new()));
+            assert_eq!(a, b, "{src}->{dst}: same streams, same outcome");
+            assert!(a.attempts <= 4);
+            assert_ne!(a.recovered_by, Some(RecoveryStage::Widen));
+            by_replan += usize::from(a.recovered_by == Some(RecoveryStage::Replan));
+        }
+        assert!(by_replan > 0, "some deliveries are won by a repaired route");
+        assert!(scratch.detour_stats().searches > 0);
+        assert_eq!(scratch.detour_stats().materialized, 0, "no ladder geometry");
     }
 }

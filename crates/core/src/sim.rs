@@ -3,8 +3,8 @@
 //! Replays one CityMesh message through a concrete AP placement: the
 //! source AP broadcasts, every AP in its precomputed audience
 //! ([`ApGraph::audience`]) receives, each first-time receiver delivers
-//! when it sits in the destination building and relays when the TTL
-//! allows and the flow's [`Relays`] name it — under building scope a
+//! when it sits in the destination building and relays when the
+//! flow's [`Relays`] name it — under building scope a
 //! plan's [`CoveredSet`], read into a per-building table before the
 //! flood, under AP-position scope the conduits tested at the receiver's
 //! own position — and relays fire after a small random MAC jitter. A
@@ -87,8 +87,8 @@ impl OverheadOutcome {
 pub enum ApRole {
     /// Never received the packet.
     Silent,
-    /// Received at least once but never transmitted (outside conduit,
-    /// or TTL exhausted).
+    /// Received at least once but never transmitted (outside every
+    /// conduit).
     HeardOnly,
     /// Transmitted the packet (source or relay).
     Relayed,
@@ -172,28 +172,31 @@ pub enum Relays<'a> {
     Conduits(&'a [OrientedRect]),
 }
 
-/// What the replan rung's detours cost a worker, cumulative over the
-/// [`DeliveryScratch`] that counted them. Racing workers may both
-/// materialize one cached plan's ladder, so totals over a fleet are
-/// schedule-dependent — telemetry only, in no digest.
+/// What the detours of the replan rung and of local repair cost a
+/// worker, cumulative over the [`DeliveryScratch`] that counted them.
+/// Racing workers may both materialize one cached plan's ladder, so
+/// totals over a fleet are schedule-dependent — telemetry only, in no
+/// digest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetourStats {
     /// Retry-ladder geometries computed: once per plan per fault-state
     /// epoch, the first time a flow over the plan reaches rung 3.
     pub materialized: u64,
     /// Detours refused by the surviving-component labels before any
-    /// search: every route to the destination crosses a dark building.
+    /// search: every route between the pair crosses a dark building.
     pub rejected_by_labels: u64,
     /// Detour searches run. The labels admit exactly the pairs a search
     /// connects, so each of these found a route.
     pub searches: u64,
 }
 
-/// Buffers of the retry ladder's rungs — detour search state, the
-/// uncompressed route, its waypoints, a header to probe the
-/// round-tripped width with, and the conduits and building bitset a
-/// rung's covered set is gathered through — so that materializing a
-/// plan's ladder geometry allocates only what the plan keeps.
+/// Buffers of the rungs after the first send — detour search state, the
+/// uncompressed route (local repair's patched route between attempts),
+/// its waypoints, a header to probe the round-tripped width with, the
+/// conduits and building bitset a rung's covered set is gathered
+/// through, and the patched route's covered set — so that materializing
+/// a plan's ladder geometry allocates only what the plan keeps, and a
+/// warm scratch repairs routes without allocating.
 #[derive(Debug)]
 pub(crate) struct DetourScratch {
     pub(crate) search: PlannerScratch,
@@ -202,6 +205,7 @@ pub(crate) struct DetourScratch {
     pub(crate) header: CityMeshHeader,
     pub(crate) conduits: Vec<OrientedRect>,
     pub(crate) covered_marks: Vec<u64>,
+    pub(crate) covered: CoveredSet,
     pub(crate) stats: DetourStats,
 }
 
@@ -210,7 +214,6 @@ pub(crate) struct DetourScratch {
 pub(crate) fn placeholder_header() -> CityMeshHeader {
     CityMeshHeader {
         kind: MessageKind::Data,
-        ttl: 64,
         msg_id: 0,
         conduit_width_dm: 0,
         waypoints: Vec::new(),
@@ -272,9 +275,9 @@ pub struct DeliveryScratch {
     /// the amortized cost. Schedule-dependent (racing workers may
     /// double-derive), so telemetry-only.
     pub(crate) keys_derived: u64,
-    /// Replan-rung buffers and counters, used only when
-    /// `CityExperiment::simulate_flow_with` materializes a plan's
-    /// ladder geometry.
+    /// Buffers and counters of the rungs after the first send, used only
+    /// when `CityExperiment::simulate_flow_opts` materializes a plan's
+    /// ladder geometry or repairs a route.
     pub(crate) detour: DetourScratch,
 }
 
@@ -322,13 +325,14 @@ impl DeliveryScratch {
                 header: placeholder_header(),
                 conduits: Vec::new(),
                 covered_marks: Vec::new(),
+                covered: CoveredSet::default(),
                 stats: DetourStats::default(),
             },
         }
     }
 
-    /// What the replan rung's detours cost through this scratch so far
-    /// (all zero in a healthy world).
+    /// What the replan rung's and local repair's detours cost through
+    /// this scratch so far (all zero in a healthy world).
     pub fn detour_stats(&self) -> DetourStats {
         self.detour.stats
     }
@@ -366,15 +370,15 @@ impl DeliveryScratch {
     /// Prepares the scratch for a fresh flow of `header` over `apg`:
     /// rewinds the simulation clock, resets the report in place and
     /// writes every building's verdict — deliver in the destination,
-    /// and under building scope rebroadcast in a covered building while
-    /// the TTL allows. A building outside the set never relays; one
+    /// and under building scope rebroadcast in a covered building. A
+    /// building outside the set never relays; one
     /// past `apg`'s range hosts no AP and is never read.
     fn begin(&mut self, apg: &ApGraph, header: &CityMeshHeader, relays: Relays) {
         self.sim.reset();
         self.sim.set_horizon(Some(HORIZON));
         self.verdicts.clear();
         self.verdicts.resize(apg.buildings(), 0);
-        if let (Relays::Covered(covered), true) = (relays, header.ttl > 0) {
+        if let Relays::Covered(covered) = relays {
             for b in covered.iter() {
                 if let Some(v) = self.verdicts.get_mut(b as usize) {
                     *v |= REBROADCAST;
@@ -473,7 +477,6 @@ pub fn simulate_delivery_faulted<'a>(
 
     let flood = Flood {
         apg,
-        header,
         relays,
         reception_loss,
         faults,
@@ -493,7 +496,6 @@ pub fn simulate_delivery_faulted<'a>(
 /// What one flow's flood reads and never writes.
 struct Flood<'a> {
     apg: &'a ApGraph,
-    header: &'a CityMeshHeader,
     relays: Relays<'a>,
     reception_loss: f64,
     faults: Option<&'a FaultState>,
@@ -509,7 +511,6 @@ impl Flood<'_> {
     fn run<const HEALTHY: bool>(&self, rng: &mut SimRng, scratch: &mut DeliveryScratch) {
         let Flood {
             apg,
-            header,
             relays,
             reception_loss,
             faults,
@@ -577,9 +578,7 @@ impl Flood<'_> {
                 }
                 let rebroadcast = match relays {
                     Relays::Covered(_) => verdict & REBROADCAST != 0,
-                    Relays::Conduits(conduits) => {
-                        header.ttl > 0 && within_conduits(conduits, apg.position(rx))
-                    }
+                    Relays::Conduits(conduits) => within_conduits(conduits, apg.position(rx)),
                 };
                 if rebroadcast {
                     report.roles[rx as usize] = ApRole::Relayed;

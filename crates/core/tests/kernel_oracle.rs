@@ -196,10 +196,7 @@ proptest! {
             };
             // One constant msg id: a scratch that leaked "seen" state
             // between flows would suppress the next flow's receptions.
-            let mut header = CityMeshHeader::new(7, 50.0, waypoints);
-            if flow == 3 {
-                header.ttl = 0;
-            }
+            let header = CityMeshHeader::new(7, 50.0, waypoints);
             let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
             let covered = CoveredSet::of(&map, &conduits);
             let relays = if by_position { Relays::Conduits(&conduits) } else { Relays::Covered(&covered) };

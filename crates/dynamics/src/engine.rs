@@ -42,14 +42,10 @@
 
 use std::borrow::Cow;
 
-use citymesh_baselines::deliver_with_local_repair;
 use citymesh_core::{CityExperiment, FaultState, RetryPolicy};
-use citymesh_fleet::{
-    try_run_fleet_on_cache, try_run_flows_with, FleetConfig, FleetReport, FleetTelemetry, FlowSpec,
-    RouteCache,
-};
+use citymesh_fleet::{try_run_fleet_on_cache, FleetConfig, FleetTelemetry, FlowSpec, RouteCache};
 use citymesh_simcore::Fnv64;
-use citymesh_telemetry::{TelemetryConfig, TraceConfig};
+use citymesh_telemetry::TelemetryConfig;
 
 use crate::timeline::Timeline;
 
@@ -64,9 +60,9 @@ pub enum Strategy {
     /// replan (the PR-5 graceful-degradation machinery, unchanged).
     RetryLadder,
     /// Babel/QSPN-style reactive local repair
-    /// ([`citymesh_baselines::deliver_with_local_repair`]): splice a
-    /// detour around the first dark building on each failure
-    /// notification instead of re-planning end to end.
+    /// ([`RetryPolicy::local_repair`]): splice a detour around the first
+    /// dark building on each failure notification instead of
+    /// re-planning end to end.
     ReactiveRepair,
 }
 
@@ -95,17 +91,15 @@ pub enum InvalidationPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct ChurnEngineConfig {
     /// Worker threads per epoch (the fleet pool size). `0` means one
-    /// per available CPU, for every [`Strategy`] alike — all three go
-    /// through [`citymesh_fleet::resolve_workers`].
+    /// per available CPU ([`citymesh_fleet::resolve_workers`]).
     pub workers: usize,
     /// Root seed for per-flow message-id and simulation sub-streams —
     /// use the same seed as the plain fleet runs you compare against.
     pub seed: u64,
     /// Cache invalidation policy at event barriers.
     pub invalidation: InvalidationPolicy,
-    /// Send attempts for [`Strategy::ReactiveRepair`] (the other
-    /// strategies take their attempt budget from the fault state's
-    /// retry policy).
+    /// Send attempts for [`Strategy::ReactiveRepair`] (the ladder's
+    /// budget is [`RetryPolicy::ladder`]'s).
     pub reactive_max_attempts: u32,
 }
 
@@ -146,8 +140,8 @@ pub struct EpochStat {
 /// The digest-bearing fields describe *outcomes* (what was delivered,
 /// under which world) and are identical across worker counts and
 /// invalidation policies; the cost fields (evictions, planner
-/// invocations, repair bills) describe *work* and are exactly what the
-/// policies trade off.
+/// invocations) describe *work* and are exactly what the policies
+/// trade off.
 #[derive(Clone, Debug, Default)]
 pub struct ChurnReport {
     /// Flows simulated across all epochs.
@@ -172,13 +166,6 @@ pub struct ChurnReport {
     pub routes_planned: u64,
     /// Cumulative route-cache hits. **Not** covered by the digest.
     pub cache_hits: u64,
-    /// Reactive strategy: local splices performed.
-    pub repairs: u64,
-    /// Reactive strategy: full re-discoveries performed.
-    pub full_replans: u64,
-    /// Reactive strategy: buildings recomputed across all repairs —
-    /// the locality dividend against the ladder's end-to-end replans.
-    pub repair_buildings: u64,
     /// Fingerprint of the timeline this run replayed.
     pub timeline_fingerprint: u64,
     /// Per-epoch summaries, in execution order.
@@ -341,12 +328,13 @@ pub fn try_run_churn(
     tel: &TelemetryConfig,
 ) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
     // The engine's private world; the sender population's reaction is
-    // the fault state's retry policy (reactive does its own retrying).
+    // the fault state's retry policy.
     require_fault_state(exp)?;
     let mut world = exp.clone();
     world.set_retry(match strategy {
-        Strategy::StaticPlan | Strategy::ReactiveRepair => RetryPolicy::none(),
+        Strategy::StaticPlan => RetryPolicy::none(),
         Strategy::RetryLadder => RetryPolicy::ladder(),
+        Strategy::ReactiveRepair => RetryPolicy::local_repair(cfg.reactive_max_attempts.max(1)),
     });
 
     let cache = RouteCache::new();
@@ -372,15 +360,8 @@ pub fn try_run_churn(
             let state = world
                 .fault_state()
                 .expect("world was prepared with a fault state");
-            let (fleet, epoch_tel) = match strategy {
-                Strategy::StaticPlan | Strategy::RetryLadder => {
-                    try_run_fleet_on_cache(world, slice, &fleet_cfg, &cache, tel)
-                }
-                Strategy::ReactiveRepair => {
-                    run_reactive_epoch(world, slice, &fleet_cfg, cfg, &cache, tel, &mut report)
-                }
-            }
-            .expect("the flat plaintext fleet config has no prerequisites");
+            let (fleet, epoch_tel) = try_run_fleet_on_cache(world, slice, &fleet_cfg, &cache, tel)
+                .expect("the flat plaintext fleet config has no prerequisites");
             (state.epoch(), state.fingerprint(), fleet, epoch_tel)
         },
     );
@@ -421,66 +402,14 @@ pub fn try_run_churn(
     Ok((report, telemetry))
 }
 
-/// One epoch of [`Strategy::ReactiveRepair`]: the fleet engine's pool
-/// and fold, but each flow is planned by the executor and then
-/// delivered through [`deliver_with_local_repair`] instead of the
-/// pipeline's ladder. Repair bills are per-worker tallies summed after
-/// the join (order-free `u64` adds). Reactive delivery does not feed
-/// the flow tracer, so its executors run with tracing off — which also
-/// means no flow is replayed and each bill counts its flow once;
-/// failure forensics under churn come from the fleet strategies.
-fn run_reactive_epoch(
-    world: &CityExperiment,
-    slice: &[FlowSpec],
-    fleet_cfg: &FleetConfig,
-    cfg: &ChurnEngineConfig,
-    cache: &RouteCache,
-    tel: &TelemetryConfig,
-    report: &mut ChurnReport,
-) -> Result<(FleetReport, Option<FleetTelemetry>), citymesh_fleet::FleetError> {
-    let untraced = TelemetryConfig {
-        metrics: tel.metrics,
-        trace: TraceConfig::off(),
-    };
-    let (fleet, telemetry, bills) = try_run_flows_with(
-        world,
-        slice,
-        fleet_cfg,
-        cache,
-        &untraced,
-        |exec, bill: &mut [u64; 3], flow| {
-            let plan = exec.plan(world, flow);
-            exec.deliver_with(flow, true, |msg_id, rng, scratch| {
-                let out = deliver_with_local_repair(
-                    world,
-                    &plan,
-                    msg_id,
-                    cfg.reactive_max_attempts,
-                    rng,
-                    scratch,
-                );
-                bill[0] += out.repairs;
-                bill[1] += out.full_replans;
-                bill[2] += out.replanned_buildings;
-                out.outcome
-            })
-        },
-    )?;
-    for [repairs, full_replans, repair_buildings] in bills {
-        report.repairs += repairs;
-        report.full_replans += full_replans;
-        report.repair_buildings += repair_buildings;
-    }
-    Ok((fleet, telemetry))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::timeline::ChurnConfig;
-    use citymesh_core::{ExperimentConfig, FaultScenario};
+    use citymesh_core::{ExperimentConfig, FaultScenario, RecoveryStage};
     use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig};
     use citymesh_map::CityArchetype;
+    use citymesh_telemetry::{metrics as tm, TraceEvent};
 
     fn world(seed: u64) -> CityExperiment {
         CityExperiment::prepare(
@@ -680,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn reactive_repairs_are_counted_and_ladder_free() {
+    fn reactive_repairs_recover_flows_on_the_replan_rung() {
         let exp = world(36);
         let flows = workload(&exp, 300, 36);
         let tl = Timeline::materialize(
@@ -692,41 +621,73 @@ mod tests {
                 ..ChurnConfig::default()
             },
         );
-        let reactive = run(
-            &exp,
-            &flows,
-            &tl,
-            Strategy::ReactiveRepair,
-            2,
-            InvalidationPolicy::Incremental,
-        );
+        let cfg = ChurnEngineConfig {
+            workers: 2,
+            seed: 36,
+            ..ChurnEngineConfig::default()
+        };
+        let tel = TelemetryConfig::metrics_only();
+        let run = |strategy| try_run_churn(&exp, &flows, &tl, strategy, &cfg, &tel).unwrap();
+        let (reactive, telemetry) = run(Strategy::ReactiveRepair);
+        let m = telemetry.expect("metrics were requested").metrics;
         assert!(
-            reactive.repairs + reactive.full_replans > 0,
+            m.counter(tm::DETOUR_SEARCHES) > 0,
             "aftershocks on a blacked-out downtown must trigger repairs"
         );
-        assert!(reactive.repair_buildings > 0);
-        let ladder = run(
-            &exp,
-            &flows,
-            &tl,
-            Strategy::RetryLadder,
-            2,
-            InvalidationPolicy::Incremental,
-        );
-        assert_eq!(ladder.repairs, 0, "only reactive fills the repair bill");
-        assert_eq!(ladder.repair_buildings, 0);
-        let r#static = run(
-            &exp,
-            &flows,
-            &tl,
-            Strategy::StaticPlan,
-            2,
-            InvalidationPolicy::Incremental,
-        );
+        assert!(m.counter(tm::RUNG_REPLAN) > 0, "a repaired route delivers");
+        assert_eq!(m.counter(tm::RUNG_WIDEN), 0, "local repair never widens");
+        assert_eq!(m.counter(tm::LADDERS_MATERIALIZED), 0);
+        assert!(reactive.recovered > 0);
+        let (ladder, _) = run(Strategy::RetryLadder);
+        let (r#static, _) = run(Strategy::StaticPlan);
         assert_eq!(r#static.retried, 0, "static never retries");
         assert!(
-            ladder.delivered >= r#static.delivered,
-            "the ladder can only help"
+            ladder.delivered >= r#static.delivered && reactive.delivered >= r#static.delivered,
+            "retrying can only help"
+        );
+    }
+
+    #[test]
+    fn reactive_runs_are_traced() {
+        let exp = world(39);
+        let flows = workload(&exp, 300, 39);
+        let tl = Timeline::materialize(
+            &exp,
+            &ChurnConfig {
+                aftershocks: 3,
+                seed: 39,
+                horizon_ms: flows.last().unwrap().arrival_ms,
+                ..ChurnConfig::default()
+            },
+        );
+        let cfg = ChurnEngineConfig {
+            workers: 2,
+            seed: 39,
+            ..ChurnEngineConfig::default()
+        };
+        let strategy = Strategy::ReactiveRepair;
+        let (untraced, _) =
+            try_run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::off()).unwrap();
+        let (traced, telemetry) =
+            try_run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::full(7)).unwrap();
+        assert_eq!(
+            untraced.digest(),
+            traced.digest(),
+            "tracing is observation only"
+        );
+        let postmortems = telemetry.expect("tracing was requested").postmortems;
+        let on_replan = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::Attempt {
+                    rung: RecoveryStage::Replan,
+                    ..
+                }
+            )
+        };
+        assert!(
+            postmortems.iter().any(|p| p.events.iter().any(on_replan)),
+            "a repaired flow's trace shows its patched send"
         );
     }
 
@@ -745,8 +706,7 @@ mod tests {
         let cfg = ChurnEngineConfig {
             workers: 2,
             seed: 37,
-            invalidation: InvalidationPolicy::Incremental,
-            reactive_max_attempts: 4,
+            ..ChurnEngineConfig::default()
         };
         for strategy in [Strategy::RetryLadder, Strategy::ReactiveRepair] {
             let (untraced, none) =

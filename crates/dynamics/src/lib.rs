@@ -20,8 +20,8 @@
 //!   index) proven digest-equal to a [`InvalidationPolicy::FullFlush`].
 //! * [`Strategy`] — the three sender populations the churn bench
 //!   compares: the paper's static plan, the retry ladder, and the
-//!   Babel/QSPN-style reactive local repair from
-//!   [`citymesh_baselines::reactive`].
+//!   Babel/QSPN-style reactive local repair — each a
+//!   [`citymesh_core::RetryPolicy`] of the one flow body.
 //!
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig, FaultScenario};

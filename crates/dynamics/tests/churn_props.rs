@@ -140,8 +140,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Worker-count invariance survives a mutating world: 1 and 4
-    /// workers (and the serial reference) agree on the churn digest
-    /// and on the deterministic work accounting for every strategy.
+    /// workers (and the serial reference) agree on the churn digest,
+    /// on the deterministic work accounting and on the metric
+    /// registry's schedule-independent fingerprint (the per-rung
+    /// delivery split, `RUNG_REPLAN` included) for every strategy.
     #[test]
     fn churn_digest_is_invariant_under_worker_count(
         seed in any::<u64>(),
@@ -160,20 +162,23 @@ proptest! {
         let runs: Vec<_> = [1usize, 4]
             .iter()
             .map(|&workers| {
-                try_run_churn(
+                let (report, telemetry) = try_run_churn(
                     exp, &workload, &tl, strategy,
                     &engine_cfg(workers, seed, InvalidationPolicy::Incremental),
-                    &TelemetryConfig::off(),
-                ).unwrap().0
+                    &TelemetryConfig::metrics_only(),
+                ).unwrap();
+                (report, telemetry.expect("metrics were requested").metrics)
             })
             .collect();
         prop_assert_eq!(
-            runs[0].digest(), runs[1].digest(),
+            runs[0].0.digest(), runs[1].0.digest(),
             "1 vs 4 workers diverged ({})", strategy.label()
         );
-        prop_assert_eq!(runs[0].routes_evicted, runs[1].routes_evicted);
-        prop_assert_eq!(runs[0].repairs, runs[1].repairs);
-        prop_assert_eq!(runs[0].repair_buildings, runs[1].repair_buildings);
+        prop_assert_eq!(runs[0].0.routes_evicted, runs[1].0.routes_evicted);
+        prop_assert_eq!(
+            runs[0].1.fingerprint(), runs[1].1.fingerprint(),
+            "1 vs 4 workers: registry ({})", strategy.label()
+        );
     }
 }
 

@@ -41,9 +41,14 @@ const CLAIM_CHUNK: usize = 32;
 
 /// How many consecutive flows of an epoch the stream engine's workers
 /// walk before each hands the fold its part of them (the outcomes of
-/// its own servers' flows in the window). Bounds what a stream call
-/// holds to a few windows' records, whatever the stream's length.
+/// its own servers' flows in the window).
 pub const FOLD_WINDOW: usize = 256;
+
+/// How far past the oldest unfinished flow an engine call's workers may
+/// run, in flows: the fold holds finished outcomes no further ahead, so
+/// a call keeps at most this many records, however slow one worker is
+/// ([`OrderedFold`]'s `ahead`: 64 claim chunks, 8 stream windows).
+pub const FOLD_AHEAD: usize = 8 * FOLD_WINDOW;
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -432,6 +437,11 @@ pub fn try_run_fleet_traced(
 /// world mutates between them, with invalidation handled by the caller
 /// ([`RouteCache::evict_stale`] / [`RouteCache::clear`]).
 ///
+/// The engine proper: workers claim chunks of `flows` from an atomic
+/// cursor, run each flow on their own [`FlowExecutor`] and hand the
+/// chunk's outcomes to an [`OrderedFold`], which folds them into the
+/// report in flow-id order as soon as every earlier chunk is in.
+///
 /// `flows` must be sorted by ascending flow id (every generated
 /// workload is, and any contiguous epoch slice of one stays so); the
 /// report's cache counters are the cache's *cumulative* totals, so
@@ -446,47 +456,21 @@ pub fn try_run_fleet_on_cache(
     cache: &RouteCache,
     tel: &TelemetryConfig,
 ) -> Result<(FleetReport, Option<FleetTelemetry>), FleetError> {
-    let (report, telemetry, _) =
-        try_run_flows_with(exp, flows, cfg, cache, tel, |exec, _: &mut (), flow| {
-            exec.run(exp, flow)
-        })?;
-    Ok((report, telemetry))
-}
-
-/// The engine proper, with the per-flow step left to the caller:
-/// workers claim chunks of `flows` from an atomic cursor, each runs
-/// `per_flow(executor, tally, flow)` on its own [`FlowExecutor`] and
-/// hands the chunk's outcomes to an [`OrderedFold`], which folds them
-/// into the report in flow-id order as soon as every earlier chunk is
-/// in. `tally` is one `X::default()` per worker for whatever else
-/// `per_flow` counts (the churn engine's repair bills); the tallies
-/// come back in worker order. [`try_run_fleet_on_cache`] is this with
-/// `FlowExecutor::run`.
-///
-/// # Panics
-/// Panics when a worker thread panics mid-run.
-pub fn try_run_flows_with<X: Default + Send>(
-    exp: &CityExperiment,
-    flows: &[FlowSpec],
-    cfg: &FleetConfig,
-    cache: &RouteCache,
-    tel: &TelemetryConfig,
-    per_flow: impl Fn(&mut FlowExecutor<'_>, &mut X, &FlowSpec) -> PairOutcome + Sync,
-) -> Result<(FleetReport, Option<FleetTelemetry>, Vec<X>), FleetError> {
     cfg.validate(exp)?;
     let workers = resolve_workers(cfg.workers, flows.len().div_ceil(CLAIM_CHUNK));
     let started = Instant::now();
 
     let mut report = FleetReport::empty();
-    let fold = OrderedFold::new(1, |chunk, parts: &mut [Vec<PairOutcome>]| {
+    let ahead = FOLD_AHEAD / CLAIM_CHUNK;
+    let fold = OrderedFold::new(1, ahead, |chunk, parts: &mut [Vec<PairOutcome>]| {
         for (spec, outcome) in flows[chunk * CLAIM_CHUNK..].iter().zip(&parts[0]) {
             report.absorb_outcome(spec, outcome);
         }
     });
     let cursor = AtomicUsize::new(0);
-    let yields = run_pool(0..workers, |_| {
+    let harvests = run_pool(0..workers, |_| {
+        let _worker = fold.worker();
         let mut exec = FlowExecutor::new(cache, cfg, tel);
-        let mut tally = X::default();
         let mut part = Vec::with_capacity(CLAIM_CHUNK);
         loop {
             let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
@@ -495,16 +479,15 @@ pub fn try_run_flows_with<X: Default + Send>(
             }
             let end = (start + CLAIM_CHUNK).min(flows.len());
             for flow in &flows[start..end] {
-                part.push(per_flow(&mut exec, &mut tally, flow));
+                part.push(exec.run(exp, flow));
             }
             fold.submit(start / CLAIM_CHUNK, 0, &mut part);
         }
-        (exec.finish(), tally)
+        exec.finish()
     });
     fold.finish();
     debug_assert_eq!(report.flows, flows.len() as u64, "one outcome per flow");
 
-    let (harvests, tallies): (Vec<_>, Vec<_>) = yields.into_iter().unzip();
     let telemetry = (!tel.is_off()).then(|| {
         let mut t = FleetTelemetry::default();
         t.absorb(harvests);
@@ -514,7 +497,7 @@ pub fn try_run_flows_with<X: Default + Send>(
     report.workers = workers;
     report.cache_hits = cache.hits();
     report.cache_misses = cache.misses();
-    Ok((report, telemetry, tallies))
+    Ok((report, telemetry))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! admission", the churn engine "executor between barriers".
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use citymesh_core::{
     CityExperiment, DeliveryScratch, FlowOpts, PairOutcome, PlanScratch, PlannedFlow,
@@ -27,7 +27,7 @@ use crate::workload::FlowSpec;
 
 /// Sub-stream domain for per-flow delivery simulation randomness.
 /// Public so guard tests and external replays derive the exact per-flow
-/// streams [`FlowExecutor::substreams`] uses.
+/// streams every engine's [`FlowExecutor`] simulates with.
 pub const DOMAIN_SIM: u64 = 0x51D3;
 /// Sub-stream domain for per-flow message ids (public for the same
 /// reason as [`DOMAIN_SIM`]).
@@ -92,14 +92,27 @@ pub fn run_pool<I: Send, T: Send>(
 /// engine one part per worker per window of flows.
 ///
 /// Parts that arrive early wait in a queue of sequences until the gap
-/// before them closes, so a call holds the parts its workers finished
-/// ahead of the slowest one, not one record per flow. With one worker
-/// every part arrives in order and is absorbed at once. Submitting
-/// trades the worker's buffer for a cleared one with its capacity, so
-/// after the first few parts the fold allocates nothing.
+/// before them closes, and no further ahead than `ahead` sequences: a
+/// worker handing in a part for sequence `next + ahead` or later, where
+/// `next` is the sequence the sink sees next, waits until the gap
+/// closes. So a call holds at most `ahead × slots` parts, however
+/// slow its slowest worker. The worker that owes sequence `next` has
+/// handed in everything it finished before it, so it never waits, and
+/// the fold always moves. With one worker every part arrives in order
+/// and is absorbed at once. Submitting trades the worker's buffer for a
+/// cleared one with its capacity, so after the first few parts the fold
+/// allocates nothing.
+///
+/// A worker that may panic holds a [`OrderedFold::worker`] guard: if
+/// it unwinds, the fold is abandoned, every waiting submitter returns,
+/// and the pool can join and re-raise the panic.
 pub struct OrderedFold<R, S> {
     slots: usize,
+    ahead: usize,
     state: Mutex<FoldState<R, S>>,
+    /// Signalled when the sink moves past a sequence, or the fold is
+    /// abandoned.
+    moved: Condvar,
 }
 
 struct FoldState<R, S> {
@@ -112,36 +125,55 @@ struct FoldState<R, S> {
     arrived: VecDeque<usize>,
     /// Cleared buffers, capacity kept, handed back to submitters.
     spare: Vec<Vec<R>>,
+    /// A worker panicked: nothing more is absorbed.
+    abandoned: bool,
     sink: S,
 }
 
 impl<R, S: FnMut(usize, &mut [Vec<R>])> OrderedFold<R, S> {
     /// A fold expecting `slots` parts per sequence, starting at
-    /// sequence 0.
-    pub fn new(slots: usize, sink: S) -> Self {
+    /// sequence 0, holding parts at most `ahead` sequences past the
+    /// next one the sink sees.
+    pub fn new(slots: usize, ahead: usize, sink: S) -> Self {
         assert!(slots > 0, "a sequence has at least one part");
+        assert!(ahead > 0, "the next sequence is always accepted");
         OrderedFold {
             slots,
+            ahead,
             state: Mutex::new(FoldState {
                 next: 0,
                 parts: VecDeque::new(),
                 arrived: VecDeque::new(),
                 spare: Vec::new(),
+                abandoned: false,
                 sink,
             }),
+            moved: Condvar::new(),
         }
     }
 
     /// Hands in the part for `(seq, slot)` and absorbs every sequence
-    /// that is now complete and next in line. `part` comes back empty.
-    /// Each `(seq, slot)` must be handed in exactly once.
+    /// that is now complete and next in line, first waiting while `seq`
+    /// is `ahead` or more sequences past the next one. `part` comes
+    /// back empty. Each `(seq, slot)` must be handed in exactly once.
+    /// On an abandoned fold it returns at once and absorbs nothing.
     ///
     /// # Panics
-    /// Panics when `slot` is out of range, when `seq` was already
-    /// absorbed, or when a worker panicked inside the sink.
+    /// Panics when `slot` is out of range or `seq` was already
+    /// absorbed.
     pub fn submit(&self, seq: usize, slot: usize, part: &mut Vec<R>) {
         assert!(slot < self.slots, "slot {slot} of {}", self.slots);
-        let mut guard = self.state.lock().expect("no worker panics while absorbing");
+        // A poisoned lock is a sink that panicked, an abandoned fold a
+        // worker that did: either way the call is over.
+        let waited = self.state.lock().and_then(|guard| {
+            self.moved.wait_while(guard, |st| {
+                !st.abandoned && seq >= st.next.saturating_add(self.ahead)
+            })
+        });
+        let mut guard = match waited {
+            Ok(guard) if !guard.abandoned => guard,
+            _ => return part.clear(),
+        };
         let st = &mut *guard;
         let ahead = seq
             .checked_sub(st.next)
@@ -154,6 +186,7 @@ impl<R, S: FnMut(usize, &mut [Vec<R>])> OrderedFold<R, S> {
         }
         std::mem::swap(&mut st.parts[ahead * self.slots + slot], part);
         st.arrived[ahead] += 1;
+        let was = st.next;
         while st.arrived.front() == Some(&self.slots) {
             let done = &mut st.parts.make_contiguous()[..self.slots];
             (st.sink)(st.next, done);
@@ -163,6 +196,9 @@ impl<R, S: FnMut(usize, &mut [Vec<R>])> OrderedFold<R, S> {
             }
             st.arrived.pop_front();
             st.next += 1;
+        }
+        if st.next != was {
+            self.moved.notify_all();
         }
     }
 
@@ -181,6 +217,32 @@ impl<R, S: FnMut(usize, &mut [Vec<R>])> OrderedFold<R, S> {
             "sequence {} was never handed in",
             st.next
         );
+    }
+}
+
+impl<R, S> OrderedFold<R, S> {
+    /// A guard for one worker feeding this fold: if the worker unwinds
+    /// while holding it, the fold is abandoned.
+    pub fn worker(&self) -> FoldWorker<'_, R, S> {
+        FoldWorker(self)
+    }
+}
+
+/// See [`OrderedFold::worker`]. Dropped while its thread panics, it
+/// marks the fold abandoned and wakes every waiting submitter, which
+/// would otherwise wait for a part that never comes.
+pub struct FoldWorker<'a, R, S>(&'a OrderedFold<R, S>);
+
+impl<R, S> Drop for FoldWorker<'_, R, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let fold = self.0;
+            fold.state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .abandoned = true;
+            fold.moved.notify_all();
+        }
     }
 }
 
@@ -235,7 +297,7 @@ impl<'a> FlowExecutor<'a> {
 
     /// The flow's message id and its private simulation stream — the
     /// one place [`DOMAIN_MSG`] and [`DOMAIN_SIM`] are applied.
-    pub fn substreams(&self, flow: &FlowSpec) -> (u64, SimRng) {
+    fn substreams(&self, flow: &FlowSpec) -> (u64, SimRng) {
         let seed = self.cfg.seed;
         (
             substream_seed(seed, DOMAIN_MSG, flow.id),
@@ -243,44 +305,21 @@ impl<'a> FlowExecutor<'a> {
         )
     }
 
-    /// Delivers `flow` with `deliver(msg_id, rng, scratch)` and records
-    /// the outcome in the worker's metrics.
+    /// Simulates `plan` on `world` — plain or sealed per the config —
+    /// with at most `max_attempts` sends (`None` leaves the fault
+    /// state's retry policy uncapped; the stream engine's second
+    /// degradation rung passes `Some(1)`), and records the outcome in
+    /// the worker's metrics.
     ///
     /// Trace by replay: the flow runs untraced, and when `trace` is set
     /// and the retention policy ([`TraceConfig::keeps`]) keeps its
-    /// outcome, `deliver` runs once more from fresh copies of the same
+    /// outcome, it runs once more from fresh copies of the same
     /// sub-streams with the tracer armed under the flow's workload id.
     /// A flow's outcome is a pure function of its plan, the world and
     /// those streams, so the replay records exactly the flow that ran,
     /// and captures are keyed by flow identity, never by scheduling.
     /// `trace: false` (the stream engine's first degradation rung)
-    /// never replays. A `deliver` with side effects of its own runs
-    /// twice for a kept flow.
-    pub fn deliver_with(
-        &mut self,
-        flow: &FlowSpec,
-        trace: bool,
-        mut deliver: impl FnMut(u64, &mut SimRng, &mut DeliveryScratch) -> PairOutcome,
-    ) -> PairOutcome {
-        let (msg_id, mut rng) = self.substreams(flow);
-        let outcome = deliver(msg_id, &mut rng, &mut self.scratch);
-        let (delivered, attempts) = (outcome.delivered, outcome.attempts);
-        if trace && self.trace.keeps(flow.id, delivered, attempts) {
-            let (msg_id, mut rng) = self.substreams(flow);
-            self.scratch.tracer_mut().trace_next(flow.id);
-            let replayed = deliver(msg_id, &mut rng, &mut self.scratch);
-            debug_assert_eq!(replayed, outcome, "flow {} replayed differently", flow.id);
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            record_flow_metrics(m, &outcome);
-        }
-        outcome
-    }
-
-    /// Simulates `plan` on `world` — plain or sealed per the config —
-    /// with at most `max_attempts` sends (`None` leaves the fault
-    /// state's retry ladder uncapped; the stream engine's second
-    /// degradation rung passes `Some(1)`).
+    /// never replays.
     pub fn simulate(
         &mut self,
         world: &CityExperiment,
@@ -294,9 +333,23 @@ impl<'a> FlowExecutor<'a> {
             tamper: None,
             max_attempts,
         };
-        self.deliver_with(flow, trace, |msg_id, rng, scratch| {
-            world.simulate_flow_opts(plan, msg_id, rng, scratch, opts)
-        })
+        let (msg_id, mut rng) = self.substreams(flow);
+        let outcome = world.simulate_flow_opts(plan, msg_id, &mut rng, &mut self.scratch, opts);
+        if trace
+            && self
+                .trace
+                .keeps(flow.id, outcome.delivered, outcome.attempts)
+        {
+            let (msg_id, mut rng) = self.substreams(flow);
+            self.scratch.tracer_mut().trace_next(flow.id);
+            let replayed =
+                world.simulate_flow_opts(plan, msg_id, &mut rng, &mut self.scratch, opts);
+            debug_assert_eq!(replayed, outcome, "flow {} replayed differently", flow.id);
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            record_flow_metrics(m, &outcome);
+        }
+        outcome
     }
 
     /// Plan + simulate, traceable, uncapped: the common case.
@@ -417,5 +470,74 @@ mod tests {
             .map(String::as_str)
             .unwrap_or_default();
         assert!(message.contains("worker one fails"), "{message}");
+    }
+
+    /// Parts handed in and not yet absorbed.
+    fn held<R, S>(fold: &OrderedFold<R, S>) -> usize {
+        fold.state.lock().unwrap().arrived.iter().sum()
+    }
+
+    /// Polls `done` for up to ten seconds.
+    fn eventually(done: impl Fn() -> bool) -> bool {
+        (0..1_000).any(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            done()
+        })
+    }
+
+    #[test]
+    fn a_stalled_part_holds_the_others_at_the_cap() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const AHEAD: usize = 4;
+        let seen = Mutex::new(Vec::new());
+        let fold = OrderedFold::new(1, AHEAD, |seq, parts: &mut [Vec<usize>]| {
+            seen.lock()
+                .unwrap()
+                .extend(parts[0].iter().map(|&x| (seq, x)));
+        });
+        let sent = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            // Sequence 0 stalls; another worker finishes 1, 2, 3, ….
+            s.spawn(|| {
+                for seq in 1..=3 * AHEAD {
+                    fold.submit(seq, 0, &mut vec![seq]);
+                    sent.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            assert!(eventually(|| held(&fold) == AHEAD - 1));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert_eq!(held(&fold), AHEAD - 1, "nothing past the cap is held");
+            assert_eq!(sent.load(Ordering::SeqCst), AHEAD - 1, "the worker waits");
+            fold.submit(0, 0, &mut vec![0]);
+        });
+        fold.finish();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, (0..=3 * AHEAD).map(|s| (s, s)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_wakes_the_workers_waiting_behind_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let fold = OrderedFold::new(1, 2, |_, _: &mut [Vec<u32>]| {});
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_pool(0..2u32, |w| {
+                    let _worker = fold.worker();
+                    if w == 0 {
+                        // Owes sequence 0; dies once the other waits.
+                        assert!(eventually(|| held(&fold) == 1));
+                        panic!("worker zero fails");
+                    }
+                    for seq in 1..6 {
+                        fold.submit(seq, 0, &mut vec![0]);
+                    }
+                })
+            }));
+            let _ = tx.send(caught.map_err(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+        });
+        let caught = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_pool returns instead of hanging");
+        assert_eq!(caught.unwrap_err().as_deref(), Some("worker zero fails"));
     }
 }

@@ -24,7 +24,8 @@
 //! outcomes of a run of consecutive flows (a claimed chunk, or their
 //! share of a stream window) as they finish it, and the fold absorbs
 //! each run once every earlier one is in, so a call holds the runs its
-//! fastest workers finished early, never a record per flow.
+//! fastest workers finished early — at most [`FOLD_AHEAD`] flows'
+//! worth — never a record per flow.
 //!
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig};
@@ -57,8 +58,8 @@ pub mod workload;
 
 pub use cache::RouteCache;
 pub use engine::{
-    try_run_fleet, try_run_fleet_on_cache, try_run_fleet_traced, try_run_flows_with, FleetConfig,
-    FleetError, FleetReport, FleetTelemetry, FOLD_WINDOW,
+    try_run_fleet, try_run_fleet_on_cache, try_run_fleet_traced, FleetConfig, FleetError,
+    FleetReport, FleetTelemetry, FOLD_AHEAD, FOLD_WINDOW,
 };
 pub use exec::{resolve_workers, run_pool, FlowExecutor, OrderedFold, DOMAIN_MSG, DOMAIN_SIM};
 pub use workload::{

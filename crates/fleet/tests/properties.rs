@@ -104,7 +104,8 @@ proptest! {
         let mut fold_sum = 0.0f64;
         let mut fold_log = Vec::new();
         let absorbed = std::cell::Cell::new(0);
-        let fold = OrderedFold::new(slots, |seq, parts: &mut [Vec<f64>]| {
+        // One thread hands in every part, so no look-ahead may wait.
+        let fold = OrderedFold::new(slots, seqs.max(1), |seq, parts: &mut [Vec<f64>]| {
             assert_eq!(parts.len(), slots);
             for (slot, p) in parts.iter().enumerate() {
                 fold_sum += p.iter().sum::<f64>();

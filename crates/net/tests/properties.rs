@@ -21,14 +21,12 @@ fn header() -> impl Strategy<Value = CityMeshHeader> {
         0u16..=1023,
         proptest::collection::vec(any::<u32>(), 1..=255),
         message_kind(),
-        any::<u8>(),
         any::<bool>(),
     )
-        .prop_map(|(msg_id, width_dm, waypoints, kind, ttl, delta)| {
+        .prop_map(|(msg_id, width_dm, waypoints, kind, delta)| {
             let mut h = CityMeshHeader::new(msg_id, 0.0, waypoints);
             h.conduit_width_dm = width_dm;
             h.kind = kind;
-            h.ttl = ttl;
             h.encoding = if delta {
                 RouteEncoding::Delta
             } else {

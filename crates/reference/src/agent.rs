@@ -34,9 +34,8 @@ impl Action {
 
 /// The stateless verdict for a packet an AP at `pos` in `building`
 /// has **not** seen before: deliver when in the destination building,
-/// rebroadcast when the TTL allows and the scope's probe point lies in
-/// one of `conduits` (the header's waypoints reconstructed at its
-/// width). A building `map` lacks fails closed: it never relays.
+/// rebroadcast when the scope's probe point lies in one of `conduits`
+/// (the header's waypoints reconstructed at its width). A building `map` lacks fails closed: it never relays.
 pub fn decide(
     pos: Point,
     building: u32,
@@ -52,14 +51,14 @@ pub fn decide(
     };
     Action {
         deliver,
-        rebroadcast: header.ttl > 0 && probe.is_some_and(|p| within_conduits(conduits, p)),
+        rebroadcast: probe.is_some_and(|p| within_conduits(conduits, p)),
     }
 }
 
 /// A bounded recently-seen-message cache (FIFO eviction).
 ///
 /// Real APs cannot keep unbounded state; bounding it also caps how
-/// long a stale duplicate can be recognized, which the TTL backstops.
+/// long a stale duplicate can be recognized.
 #[derive(Clone, Debug)]
 pub struct SeenCache {
     set: HashSet<u64>,
@@ -219,17 +218,6 @@ mod tests {
             action.rebroadcast,
             "destination building is inside the last conduit"
         );
-    }
-
-    #[test]
-    fn ttl_zero_delivers_but_never_relays() {
-        let map = test_map();
-        let mut h = CityMeshHeader::new(4, 50.0, vec![0, 4]);
-        h.ttl = 0;
-        let pos = Point::new(125.0, 5.0);
-        let action = verdict(pos, 4, RebroadcastScope::Building, &h, &map);
-        assert!(action.deliver);
-        assert!(!action.rebroadcast);
     }
 
     #[test]

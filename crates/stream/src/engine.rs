@@ -52,7 +52,7 @@ use citymesh_dynamics::{
 };
 use citymesh_fleet::{
     resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry, FlowExecutor,
-    FlowSpec, OrderedFold, RouteCache, FOLD_WINDOW,
+    FlowSpec, OrderedFold, RouteCache, FOLD_AHEAD, FOLD_WINDOW,
 };
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
@@ -858,7 +858,8 @@ pub fn try_run_stream(
         &cache,
         Cow::Borrowed(exp),
         |world, slice| {
-            let fold = OrderedFold::new(slots, |w, parts: &mut [Vec<FlowRecord>]| {
+            let ahead = FOLD_AHEAD / FOLD_WINDOW;
+            let fold = OrderedFold::new(slots, ahead, |w, parts: &mut [Vec<FlowRecord>]| {
                 read.fill(0);
                 for spec in slice[w * FOLD_WINDOW..].iter().take(FOLD_WINDOW) {
                     let i = server(spec) / chunk;
@@ -867,6 +868,7 @@ pub fn try_run_stream(
                 }
             });
             let harvests = run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
+                let _worker = fold.worker();
                 let mut exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
                 let mut part = Vec::new();
                 for (w, window) in slice.chunks(FOLD_WINDOW).enumerate() {

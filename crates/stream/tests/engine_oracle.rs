@@ -9,12 +9,20 @@
 //! with fresh buffers (`plan_flow`) and simulated on a fresh
 //! `DeliveryScratch`, every world event applied with
 //! `apply_world_event` at the same `arrival_ms < at_ms` boundary, and
-//! **no plan ever cached**. The engines must agree with it counter for
-//! counter and digest for digest on random small cities.
+//! **no plan ever cached**. Reactive local repair gets a reference of
+//! its own, [`reference_reactive`]: its retry loop written out with a
+//! fresh header, conduits and covered set per attempt and its own splice
+//! over the allocating reference detour. The engines must agree with
+//! them counter for counter and digest for digest on random small
+//! cities.
 
+use std::collections::HashSet;
+
+use citymesh_core::sim::HORIZON;
 use citymesh_core::{
-    CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, PairOutcome,
-    RetryPolicy,
+    reconstruct_conduits, simulate_delivery_faulted, BuildingGraph, CityExperiment, CoveredSet,
+    DeliveryScratch, ExperimentConfig, FaultScenario, HierParams, OverheadOutcome, PairOutcome,
+    RebroadcastScope, RecoveryStage, Relays, RetryPolicy,
 };
 use citymesh_dynamics::{
     try_run_churn, ChurnConfig, ChurnEngineConfig, ChurnReport, EpochStat, InvalidationPolicy,
@@ -26,9 +34,11 @@ use citymesh_fleet::{
 };
 use citymesh_map::synth::generate;
 use citymesh_map::{CityArchetype, CityMap};
-use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_net::CityMeshHeader;
+use citymesh_reference::{compress_route, plan_route_avoiding};
+use citymesh_simcore::{substream_seed, SimRng, SimTime};
 use citymesh_stream::{try_run_stream, StreamConfig};
-use citymesh_telemetry::TelemetryConfig;
+use citymesh_telemetry::{metrics as tm, TelemetryConfig};
 use proptest::prelude::*;
 
 /// A random small city: a 260–420 m square of downtown-style blocks.
@@ -107,17 +117,120 @@ fn reference_outcome(
     }
 }
 
+/// Reactive local repair, naively: the flow's route (planned afresh)
+/// is sent over; after each timeout the first dark building on the
+/// route last sent over is spliced out — a detour from the building
+/// before it to the first live one after it — or, with no splice, the
+/// whole route is replanned around the dark buildings, and the next
+/// attempt sends over the patched route. Every attempt builds its own
+/// header, conduits, covered set and kernel scratch. A delivery on a
+/// patched route is a replan however many sends after the splice.
+fn reference_reactive(
+    world: &CityExperiment,
+    flow: &FlowSpec,
+    seed: u64,
+    max_attempts: u32,
+) -> PairOutcome {
+    let plan = world.plan_flow(flow.src, flow.dst);
+    let msg_id = substream_seed(seed, DOMAIN_MSG, flow.id);
+    let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
+    let mut outcome = PairOutcome::from_plan(&plan);
+    let Some(src_ap) = plan.src_ap.filter(|_| plan.route_found()) else {
+        return outcome;
+    };
+    let faults = world.fault_state().expect("churn worlds are faulted");
+    let blocked: HashSet<u32> = faults.blocked_buildings().collect();
+    let (bg, map, config) = (world.building_graph(), world.map(), world.config());
+    let width = config.conduit_width_m;
+    let mut route = plan.primary_route().to_vec();
+    let (mut attempts, mut broadcasts, mut penalty) = (0u32, 0u64, SimTime::ZERO);
+    let mut repaired = false;
+    loop {
+        attempts += 1;
+        let header = CityMeshHeader::new(msg_id, width, compress_route(bg, &route, width));
+        let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
+        let covered = CoveredSet::of(map, &conduits);
+        let relays = match config.scope {
+            RebroadcastScope::Building => Relays::Covered(&covered),
+            RebroadcastScope::ApPosition => Relays::Conduits(&conduits),
+        };
+        let report = simulate_delivery_faulted(
+            world.ap_graph(),
+            &header,
+            relays,
+            src_ap,
+            config.reception_loss,
+            Some(faults),
+            &mut rng,
+            &mut DeliveryScratch::new(),
+        )
+        .clone();
+        broadcasts += report.broadcasts;
+        if report.delivered {
+            outcome.delivered = true;
+            outcome.latency = report.first_delivery.map(|t| penalty + t);
+            if attempts > 1 {
+                outcome.recovered_by = Some(if repaired {
+                    RecoveryStage::Replan
+                } else {
+                    RecoveryStage::Resend
+                });
+            }
+            break;
+        }
+        if attempts >= max_attempts {
+            break;
+        }
+        penalty += HORIZON;
+        if let Some(patched) = splice(bg, &route, &blocked) {
+            route = patched;
+            repaired = true;
+        }
+    }
+    outcome.attempts = attempts;
+    outcome.broadcasts = broadcasts;
+    outcome.overhead =
+        OverheadOutcome::measure(outcome.delivered, broadcasts, plan.ideal_hops).value();
+    outcome
+}
+
+/// The reference's repair step: `route` with its first dark building
+/// spliced out, else a full detour around every dark building; `None`
+/// when the route has no dark building, its source is dark, or nothing
+/// new survives.
+fn splice(bg: &BuildingGraph, route: &[u32], blocked: &HashSet<u32>) -> Option<Vec<u32>> {
+    let first_dark = route.iter().position(|b| blocked.contains(b))?;
+    if first_dark == 0 {
+        return None;
+    }
+    let anchor = first_dark - 1;
+    if let Some(rejoin) = (first_dark + 1..route.len()).find(|&k| !blocked.contains(&route[k])) {
+        if let Ok(detour) = plan_route_avoiding(bg, route[anchor], route[rejoin], blocked) {
+            return Some([&route[..anchor], &detour, &route[rejoin + 1..]].concat());
+        }
+    }
+    let detour = plan_route_avoiding(bg, route[0], route[route.len() - 1], blocked).ok()?;
+    (detour != route).then_some(detour)
+}
+
+/// Folds `outcome` of every flow, in order.
+fn fold(flows: &[FlowSpec], mut outcome: impl FnMut(&FlowSpec) -> PairOutcome) -> FleetReport {
+    let mut report = FleetReport::empty();
+    for flow in flows {
+        report.absorb_outcome(flow, &outcome(flow));
+    }
+    report
+}
+
 fn reference_report(
     world: &CityExperiment,
     flows: &[FlowSpec],
     seed: u64,
     encrypted: bool,
 ) -> FleetReport {
-    let mut report = FleetReport::empty();
-    for flow in flows {
-        report.absorb_outcome(flow, &reference_outcome(world, flow, seed, encrypted));
-    }
-    report
+    fold(flows, |flow| {
+        reference_outcome(world, flow, seed, encrypted)
+    })
 }
 
 /// Every digest-bearing field of two fleet reports, then the digest.
@@ -193,38 +306,28 @@ fn mode_world(city: &SmallCity, mode: Mode, p: f64) -> CityExperiment {
 
 /// The reference's churn run: per-epoch outcome folds with the world
 /// mutated between them, shaped into the engine's own report type so
-/// fields and digest compare directly. The cost fields no reference can
-/// know (evictions, planner invocations) stay zero; the digest excludes
-/// them.
+/// fields and digest compare directly, plus how many deliveries each
+/// rung made (in [`RecoveryStage::ALL`] order), which no digest holds.
+/// The cost fields no reference can know (evictions, planner
+/// invocations) stay zero; the digest excludes them.
 fn reference_churn(
     exp: &CityExperiment,
     flows: &[FlowSpec],
     timeline: &Timeline,
-    retry: RetryPolicy,
+    strategy: Churn,
     seed: u64,
-) -> ChurnReport {
-    let mut fs = exp.fault_state().expect("churn worlds are faulted").clone();
-    fs.set_retry(retry);
-    let mut world = exp.clone().with_fault_state(fs);
-    // Spelled out field by field so this file also compiles against
-    // the commit before the executor refactor, where it must pass too.
+) -> (ChurnReport, [u64; 4]) {
+    let mut world = exp.clone();
+    world.set_retry(match strategy {
+        Churn::RetryLadder => RetryPolicy::ladder(),
+        // Reactive repair climbs `reference_reactive`'s own rungs.
+        Churn::StaticPlan | Churn::ReactiveRepair => RetryPolicy::none(),
+    });
     let mut report = ChurnReport {
-        flows: 0,
-        delivered: 0,
-        retried: 0,
-        recovered: 0,
-        epochs: 0,
-        events_applied: 0,
-        aps_changed: 0,
-        routes_evicted: 0,
-        routes_planned: 0,
-        cache_hits: 0,
-        repairs: 0,
-        full_replans: 0,
-        repair_buildings: 0,
         timeline_fingerprint: timeline.fingerprint(),
-        epoch_stats: Vec::new(),
+        ..ChurnReport::default()
     };
+    let mut rungs = [0u64; 4];
     let mut rest = flows;
     for k in 0..=timeline.len() {
         let event = timeline.events().get(k);
@@ -233,7 +336,19 @@ fn reference_churn(
             None => (rest, &rest[rest.len()..]),
         };
         rest = later;
-        let fleet = reference_report(&world, slice, seed, false);
+        let fleet = fold(slice, |flow| {
+            let outcome = match strategy {
+                Churn::ReactiveRepair => reference_reactive(&world, flow, seed, 4),
+                Churn::StaticPlan | Churn::RetryLadder => {
+                    reference_outcome(&world, flow, seed, false)
+                }
+            };
+            if outcome.delivered {
+                let rung = outcome.recovered_by.unwrap_or(RecoveryStage::First);
+                rungs[RecoveryStage::ALL.iter().position(|&s| s == rung).unwrap()] += 1;
+            }
+            outcome
+        });
         let state = world.fault_state().expect("churn worlds are faulted");
         let mut stat = EpochStat {
             epoch: state.epoch(),
@@ -257,7 +372,76 @@ fn reference_churn(
         }
         report.epoch_stats.push(stat);
     }
-    report
+    (report, rungs)
+}
+
+/// The churn engine ≡ [`reference_churn`] for `strategy` at 1, 2, 4
+/// and 8 workers under both invalidation policies: every outcome
+/// counter, every epoch, the digest, and (from the metric registry) the
+/// deliveries of each rung. Returns the reference's rung counts.
+fn assert_churn_matches(
+    exp: &CityExperiment,
+    flows: &[FlowSpec],
+    tl: &Timeline,
+    strategy: Churn,
+    seed: u64,
+) -> [u64; 4] {
+    let (reference, rungs) = reference_churn(exp, flows, tl, strategy, seed);
+    for invalidation in [
+        InvalidationPolicy::Incremental,
+        InvalidationPolicy::FullFlush,
+    ] {
+        for workers in [1usize, 2, 4, 8] {
+            let cfg = ChurnEngineConfig {
+                workers,
+                seed,
+                invalidation,
+                reactive_max_attempts: 4,
+            };
+            let tel = TelemetryConfig::metrics_only();
+            let (engine, telemetry) =
+                try_run_churn(exp, flows, tl, strategy, &cfg, &tel).expect("the world is faulted");
+            let metrics = telemetry.expect("metrics were requested").metrics;
+            let what = format!("churn {strategy:?} {invalidation:?} x{workers}");
+            assert_eq!(engine.flows, reference.flows, "{what}: flows");
+            assert_eq!(engine.delivered, reference.delivered, "{what}: delivered");
+            assert_eq!(engine.retried, reference.retried, "{what}: retried");
+            assert_eq!(engine.recovered, reference.recovered, "{what}: recovered");
+            assert_eq!(engine.epochs, reference.epochs, "{what}: epochs");
+            assert_eq!(
+                engine.events_applied, reference.events_applied,
+                "{what}: events"
+            );
+            assert_eq!(
+                engine.aps_changed, reference.aps_changed,
+                "{what}: aps_changed"
+            );
+            for (e, r) in engine.epoch_stats.iter().zip(&reference.epoch_stats) {
+                assert_eq!(e.epoch, r.epoch, "{what}: epoch id");
+                assert_eq!(e.flows, r.flows, "{what}: epoch flows");
+                assert_eq!(
+                    e.fleet_digest, r.fleet_digest,
+                    "{what}: epoch {} digest",
+                    e.epoch
+                );
+                assert_eq!(
+                    e.fault_fingerprint, r.fault_fingerprint,
+                    "{what}: fingerprint"
+                );
+                assert_eq!(e.aps_changed, r.aps_changed, "{what}: epoch flips");
+            }
+            assert_eq!(engine.digest(), reference.digest(), "{what}: digest");
+            for (stage, &count) in RecoveryStage::ALL.iter().zip(&rungs) {
+                let counter = tm::rung_delivery_counter(*stage);
+                assert_eq!(
+                    metrics.counter(counter),
+                    count,
+                    "{what}: {stage:?} deliveries"
+                );
+            }
+        }
+    }
+    rungs
 }
 
 fn random_timeline(
@@ -351,11 +535,12 @@ proptest! {
         }
     }
 
-    /// Churn (static and ladder) under both invalidation policies ≡ a
-    /// reference that never caches a plan — incremental eviction
-    /// checked against "no cache at all" rather than against a flush.
-    /// The same reference also pins an underloaded stream replaying the
-    /// timeline mid-run.
+    /// Churn (static, ladder and reactive) under both invalidation
+    /// policies ≡ a reference that never caches a plan — incremental
+    /// eviction checked against "no cache at all" rather than against a
+    /// flush, and reactive repair against its naive loop. The same
+    /// reference also pins an underloaded stream replaying the timeline
+    /// mid-run.
     #[test]
     fn churn_matches_the_never_caching_reference(
         city in small_city(),
@@ -371,48 +556,8 @@ proptest! {
         let tl = random_timeline(
             &exp, &flows, seed, (aftershocks, battery_waves, crew_repairs), radius_m,
         );
-        for (strategy, retry) in [
-            (Churn::StaticPlan, RetryPolicy::none()),
-            (Churn::RetryLadder, RetryPolicy::ladder()),
-        ] {
-            let reference = reference_churn(&exp, &flows, &tl, retry, seed);
-            for invalidation in [InvalidationPolicy::Incremental, InvalidationPolicy::FullFlush] {
-                for workers in [1usize, 2, 4, 8] {
-                    let cfg = ChurnEngineConfig {
-                        workers,
-                        seed,
-                        invalidation,
-                        reactive_max_attempts: 4,
-                    };
-                    let (engine, _) =
-                        try_run_churn(&exp, &flows, &tl, strategy, &cfg, &TelemetryConfig::off())
-                            .expect("blackout world is faulted");
-                    let what = format!("churn {strategy:?} {invalidation:?} x{workers}");
-                    prop_assert_eq!(engine.flows, reference.flows, "{}: flows", &what);
-                    prop_assert_eq!(engine.delivered, reference.delivered, "{}: delivered", &what);
-                    prop_assert_eq!(engine.retried, reference.retried, "{}: retried", &what);
-                    prop_assert_eq!(engine.recovered, reference.recovered, "{}: recovered", &what);
-                    prop_assert_eq!(engine.epochs, reference.epochs, "{}: epochs", &what);
-                    prop_assert_eq!(
-                        engine.events_applied, reference.events_applied, "{}: events", &what
-                    );
-                    prop_assert_eq!(
-                        engine.aps_changed, reference.aps_changed, "{}: aps_changed", &what
-                    );
-                    for (e, r) in engine.epoch_stats.iter().zip(&reference.epoch_stats) {
-                        prop_assert_eq!(e.epoch, r.epoch, "{}: epoch id", &what);
-                        prop_assert_eq!(e.flows, r.flows, "{}: epoch flows", &what);
-                        prop_assert_eq!(
-                            e.fleet_digest, r.fleet_digest, "{}: epoch {} digest", &what, e.epoch
-                        );
-                        prop_assert_eq!(
-                            e.fault_fingerprint, r.fault_fingerprint, "{}: fingerprint", &what
-                        );
-                        prop_assert_eq!(e.aps_changed, r.aps_changed, "{}: epoch flips", &what);
-                    }
-                    prop_assert_eq!(engine.digest(), reference.digest(), "{}: digest", &what);
-                }
-            }
+        for strategy in [Churn::StaticPlan, Churn::RetryLadder, Churn::ReactiveRepair] {
+            assert_churn_matches(&exp, &flows, &tl, strategy, seed);
         }
 
         // The stream engine replays the same timeline at its own
@@ -450,4 +595,38 @@ proptest! {
         prop_assert_eq!(report.events_applied, tl.len() as u64);
         assert_fleet_eq(&report.fleet, &whole, "stream+timeline");
     }
+}
+
+/// Reactive repair on a world where it works: the benchmark downtown
+/// under a 100 m blackout and three aftershocks, where repaired routes
+/// deliver flows the first send lost. The random small cities above
+/// seldom give a splice anything to win, so without this case an engine
+/// that mislabelled or misplaced its splices could pass unseen.
+#[test]
+fn reactive_churn_matches_the_naive_loop_on_a_blacked_out_downtown() {
+    let exp = CityExperiment::prepare(
+        CityArchetype::SurveyDowntown.generate(36),
+        ExperimentConfig {
+            seed: 36,
+            faults: Some(FaultScenario::district_blackouts(1, 100.0)),
+            ..ExperimentConfig::default()
+        },
+    );
+    let flows = workload(&exp, 300, 36);
+    let tl = Timeline::materialize(
+        &exp,
+        &ChurnConfig {
+            aftershocks: 3,
+            seed: 36,
+            horizon_ms: flows.last().expect("non-empty workload").arrival_ms,
+            ..ChurnConfig::default()
+        },
+    );
+    let rungs = assert_churn_matches(&exp, &flows, &tl, Churn::ReactiveRepair, 36);
+    let [_, resend, widen, replan] = rungs;
+    assert!(replan > 0, "repaired routes deliver ({rungs:?})");
+    assert!(
+        resend + replan > 0 && widen == 0,
+        "local repair never widens"
+    );
 }

@@ -75,7 +75,7 @@ fn crypto() {
     pins_hold::<CryptoFigures>();
 }
 
-/// Nine sweeps, thirteen rows, none orphaned: a row for a sweep no
+/// Nine sweeps, fourteen rows, none orphaned: a row for a sweep no
 /// test above runs would never be checked.
 #[test]
 fn every_row_belongs_to_a_sweep_checked_here() {
