@@ -435,7 +435,7 @@ fn fig7(_: &mut Ctx) {
         src_ap,
         0.0,
         None,
-        &mut rng,
+        rng.next_u64(),
         &mut scratch,
     );
     write_figure(

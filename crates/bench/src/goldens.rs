@@ -25,7 +25,7 @@ pub struct Pin {
 
 /// The fleet sweep's 500-flow hotspot digest. The telemetry sweep runs
 /// the same workload fully traced and must land on it too.
-const FLEET_500: u64 = 0xa4e4c411eed2b648;
+const FLEET_500: u64 = 0x38e26be61a50ca69;
 
 const fn pin(sweep: &'static str, name: &'static str, value: u64) -> Pin {
     Pin { sweep, name, value }
@@ -35,7 +35,7 @@ const fn pin(sweep: &'static str, name: &'static str, value: u64) -> Pin {
 pub const PINS: [Pin; 14] = [
     pin("fleet", "500-flow digest", FLEET_500),
     pin("planner", "plan digest", 0x225e8143b580e73a),
-    pin("resilience", "downtown p=0.2 digest", 0x4d938b610a4f839b),
+    pin("resilience", "downtown p=0.2 digest", 0x97a79a162866494a),
     pin(
         "resilience",
         "downtown p=0.2 fault fingerprint",
@@ -45,32 +45,32 @@ pub const PINS: [Pin; 14] = [
     pin(
         "churn",
         "downtown 8-event ladder digest",
-        0xf3b6b828e8ef31ef,
+        0x4ff3b21cbdf310d0,
     ),
     pin(
         "churn",
         "downtown 8-event reactive digest",
-        0x7b8f1adad83b24fa,
+        0xa110c23a3048c5c7,
     ),
     pin("telemetry", "traced 500-flow digest", FLEET_500),
     pin("metro", "largest-size route digest", 0xc020ea31821080c9),
     pin(
         "streaming",
         "downtown-flat overload digest",
-        0xf5588e6e2a0fe2c7,
+        0x2a62f960dc554999,
     ),
     pin(
         "streaming",
         "metro-hier overload digest",
-        0x701723f577701b45,
+        0xce6df5851261e676,
     ),
     pin(
         "placement",
         "annealed-downtown score digest",
-        0x74098393e34a237c,
+        0x33a7ea1a74956937,
     ),
-    pin("crypto", "plaintext digest", 0x33cfd9604f67d5dd),
-    pin("crypto", "encrypted digest", 0xf04d371fd602e337),
+    pin("crypto", "plaintext digest", 0x1351fe25555bc1c0),
+    pin("crypto", "encrypted digest", 0xb02be26cd10b3138),
 ];
 
 /// The pinned value of `sweep`'s row `name`.
@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(bad[0].observed, Some(seen[1].1));
         let line = bad[0].to_string();
         assert!(line.starts_with("churn: pin `downtown 8-event ladder digest`"));
-        assert!(line.contains("expected f3b6b828e8ef31ef, observed f3b6b828e8ed31ef"));
+        assert!(line.contains("expected 4ff3b21cbdf310d0, observed 4ff3b21cbdf110d0"));
     }
 
     #[test]

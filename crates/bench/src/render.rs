@@ -388,7 +388,7 @@ mod tests {
             src,
             0.0,
             None,
-            &mut SimRng::new(3),
+            SimRng::new(3).next_u64(),
             &mut scratch,
         );
         let svg = fig7_svg(&map, &apg, &header, report);

@@ -188,8 +188,8 @@ impl ApGraph {
     /// precomputed at build time. Set and order are exactly what
     /// [`for_each_in_range`](Self::for_each_in_range) at the AP's
     /// position yields minus the AP itself, which keeps the delivery
-    /// kernel's RNG draw sequence independent of how the audience is
-    /// found.
+    /// kernel's event order (and so its traces) independent of how the
+    /// audience is found.
     pub fn audience(&self, id: u32) -> &[u32] {
         audience_row(&self.audience_starts, &self.audience_items, id)
     }

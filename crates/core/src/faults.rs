@@ -55,7 +55,8 @@ pub const DOMAIN_FAULT_DEGRADE: u64 = 0xDE64;
 /// The ladder ([`RetryPolicy::ladder`]):
 ///
 /// 1. first send (always);
-/// 2. **re-send** over the same conduit (a fresh jitter/loss draw);
+/// 2. **re-send** over the same conduit (the next attempt's jitter and
+///    loss draws);
 /// 3. **widen** the conduit by [`WIDEN_FACTOR`], reusing the cached
 ///    waypoints (recruits off-spine APs around dead ones);
 /// 4. **replan** over the surviving building graph, detouring around
@@ -394,6 +395,12 @@ impl FaultState {
         } else {
             0.0
         }
+    }
+
+    /// Whether some live AP receives through a lossier radio: a
+    /// degraded AP with a positive [`FaultScenario::degraded_loss`].
+    pub fn adds_loss(&self) -> bool {
+        self.degraded > 0 && self.degraded_loss > 0.0
     }
 
     /// Count of failed APs.

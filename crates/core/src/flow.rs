@@ -27,7 +27,10 @@ use crate::config::RebroadcastScope;
 use crate::faults::{Escalation, RecoveryStage, RetryPolicy};
 use crate::plan::{PlannedFlow, RecoveryVariants};
 use crate::secure::TamperMode;
-use crate::sim::{placeholder_header, simulate_delivery_faulted, DeliveryScratch, Relays, HORIZON};
+use crate::sim::{
+    frames_can_be_lost, placeholder_header, simulate_delivery_faulted, DeliveryScratch, Relays,
+    HORIZON,
+};
 use crate::world::CityExperiment;
 
 /// One src→dst delivery attempt, fully annotated.
@@ -226,6 +229,19 @@ impl CityExperiment {
     /// at its timeout). [`FlowOpts::max_attempts`] stops the climb
     /// early.
     ///
+    /// The flow draws one word from `rng`, its key, before the first
+    /// attempt and nothing after; attempt `k` runs the kernel on
+    /// `split_seed(flow key, k)`, so every attempt's jitter and loss are
+    /// a pure function of the flow and the attempt index. That makes a
+    /// futile resend skippable: a [`RecoveryStage::Resend`] rides the
+    /// first send's header and relays past the same dark radios, so in
+    /// a world where no frame can be lost (zero reception loss, no live
+    /// AP adding loss) it reaches exactly what the first send reached
+    /// and fails the same way. Such a rung is charged the first send's
+    /// broadcasts and a horizon without running the kernel — the same
+    /// outcome, and no draw is consumed either way. A traced flow runs
+    /// every rung, so its trace holds every attempt's events.
+    ///
     /// With [`FlowOpts::sealed`] the payload is sealed under the
     /// per-pair session key (ChaCha20-Poly1305, nonce from the message
     /// id) with an HMAC-authenticated header before the delivery
@@ -247,8 +263,8 @@ impl CityExperiment {
     /// `FlowTracer::trace_next`) this is also the tracer's driver: it
     /// opens the flow, records the plan and every ladder attempt, and
     /// closes the flow with its transport outcome — all observation
-    /// only, so results and RNG draws are bit-identical with tracing on
-    /// or off. An unarmed flow records nothing.
+    /// only, so results are bit-identical with tracing on or off. An
+    /// unarmed flow records nothing.
     ///
     /// # Panics
     /// Panics when `opts.sealed` and
@@ -305,6 +321,7 @@ impl CityExperiment {
             .min(opts.max_attempts.unwrap_or(u32::MAX));
         let config = self.config();
         let (width, scope, loss) = (config.conduit_width_m, config.scope, config.reception_loss);
+        let lossless = !frames_can_be_lost(loss, faults);
         // A plan assembled field by field carries no covered set; it is
         // computed here rather than read as "covers nothing".
         let computed;
@@ -322,8 +339,10 @@ impl CityExperiment {
         let mut header = std::mem::replace(&mut scratch.header, placeholder_header());
         let mut rung_conduits = std::mem::take(&mut scratch.rung_conduits);
         let mut patched_covered = std::mem::take(&mut scratch.detour.covered);
+        let flow_key = rng.next_u64();
         let mut attempts = 0u32;
         let mut total_broadcasts = 0u64;
+        let mut first_broadcasts = 0u64;
         let mut penalty = SimTime::ZERO;
         // The plan's ladder geometry, held across the attempts that
         // ride it: `recovery_variants` hands back an `Arc`, and the
@@ -389,7 +408,11 @@ impl CityExperiment {
                     Relays::Conduits(&rung_conduits)
                 }
             };
-            let (delivered, first_delivery, broadcasts) = {
+            // A futile resend (the method docs) repeats the first send.
+            let futile = stage == RecoveryStage::Resend && lossless && !scratch.tracer.is_active();
+            let (delivered, first_delivery, broadcasts) = if futile {
+                (false, None, first_broadcasts)
+            } else {
                 let report = simulate_delivery_faulted(
                     self.ap_graph(),
                     &header,
@@ -397,11 +420,14 @@ impl CityExperiment {
                     src_ap,
                     loss,
                     faults,
-                    rng,
+                    split_seed(flow_key, u64::from(attempts)),
                     scratch,
                 );
                 (report.delivered, report.first_delivery, report.broadcasts)
             };
+            if attempts == 1 {
+                first_broadcasts = broadcasts;
+            }
             total_broadcasts += broadcasts;
             if delivered {
                 outcome.delivered = true;
@@ -615,6 +641,7 @@ fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
 mod tests {
     use super::*;
     use crate::config::small_config;
+    use crate::{ExperimentConfig, FaultScenario};
     use citymesh_map::CityArchetype;
 
     #[test]
@@ -721,6 +748,121 @@ mod tests {
                     .any(|e| matches!(e, TraceEvent::Delivered { .. })));
             }
         }
+    }
+
+    /// The benchmark downtown (world seed 2024) under `faults`, and its
+    /// first `n` seed-1 hotspot flows with each flow's message id and
+    /// simulation sub-stream, as a fleet worker derives them.
+    fn downtown_flows(
+        faults: FaultScenario,
+        n: usize,
+    ) -> (CityExperiment, Vec<(PlannedFlow, u64, SimRng)>) {
+        use citymesh_fleet::{generate_flows, FlowModel, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM};
+        use citymesh_simcore::substream_seed;
+        let config = ExperimentConfig {
+            seed: 2024,
+            faults: Some(faults),
+            ..ExperimentConfig::default()
+        };
+        let map = CityArchetype::SurveyDowntown.generate(2024);
+        let exp = CityExperiment::try_prepare(map, config).expect("valid config");
+        let model = FlowModel::Hotspot {
+            hotspots: 256,
+            exponent: 0.8,
+            rate_hz: 1_000.0,
+        };
+        let workload = WorkloadConfig {
+            flows: n,
+            model,
+            seed: 1,
+        };
+        let flows = generate_flows(exp.map().len(), &workload)
+            .into_iter()
+            .map(|f| {
+                let msg_id = substream_seed(1, DOMAIN_MSG, f.id);
+                let rng = SimRng::new(substream_seed(1, DOMAIN_SIM, f.id));
+                (exp.plan_flow(f.src, f.dst), msg_id, rng)
+            })
+            .collect();
+        (exp, flows)
+    }
+
+    /// In a world where no frame can be lost — the `churn-ladder` 60 m
+    /// blackout, under the ladder and under local repair — every flow
+    /// that climbs gives the same outcome, field for field, untraced
+    /// (its futile resends skipped) and traced (every rung run through
+    /// the kernel, which the trace shows as broadcasts after each
+    /// resend's attempt event).
+    #[test]
+    fn skipping_futile_resends_changes_no_outcome() {
+        use citymesh_telemetry::TraceConfig;
+        for retry in [RetryPolicy::ladder(), RetryPolicy::local_repair(4)] {
+            let blackout = FaultScenario {
+                retry,
+                ..FaultScenario::district_blackouts(1, 60.0)
+            };
+            let (exp, flows) = downtown_flows(blackout, 1_000);
+            assert!(!exp.fault_state().expect("faulted").adds_loss());
+            let mut plain = DeliveryScratch::new();
+            let mut traced = DeliveryScratch::with_tracing(TraceConfig::sampled(1));
+            let (mut climbed, mut resends) = (0, 0);
+            for (plan, msg_id, rng) in &flows {
+                let untraced = exp.simulate_flow_with(plan, *msg_id, &mut rng.clone(), &mut plain);
+                if untraced.attempts < 2 {
+                    continue;
+                }
+                climbed += 1;
+                traced.tracer_mut().trace_next(*msg_id);
+                let outcome = exp.simulate_flow_with(plan, *msg_id, &mut rng.clone(), &mut traced);
+                assert_eq!(outcome, untraced, "{retry:?}: {} -> {}", plan.src, plan.dst);
+                let [trace] = &traced.tracer_mut().take_postmortems()[..] else {
+                    panic!("one armed flow, one trace");
+                };
+                assert_eq!(trace.dropped_events, 0);
+                let events = &trace.events;
+                for (at, event) in events.iter().enumerate() {
+                    if let TraceEvent::Attempt {
+                        rung: RecoveryStage::Resend,
+                        ..
+                    } = event
+                    {
+                        resends += 1;
+                        let ran = matches!(events[at + 1], TraceEvent::Broadcast { .. });
+                        assert!(ran, "a traced resend runs the kernel");
+                    }
+                }
+            }
+            eprintln!("{retry:?}: {climbed} flows climbed, {resends} resends run when traced");
+            assert!(
+                climbed > 50 && resends > 50,
+                "{retry:?}: {climbed} climbed, {resends} resends"
+            );
+        }
+    }
+
+    /// Where a live AP drops frames (ROADMAP 8(a)'s probe world: i.i.d.
+    /// failures at 0.2, 30 % of APs degraded at 30 % extra loss, a
+    /// lossless medium), a resend is a fresh draw, is run, and wins
+    /// flows back.
+    #[test]
+    fn resends_still_recover_where_frames_can_be_lost() {
+        let lossy = FaultScenario {
+            degraded_p: 0.3,
+            degraded_loss: 0.3,
+            ..FaultScenario::iid(0.2)
+        };
+        let (exp, flows) = downtown_flows(lossy, 1_000);
+        assert!(exp.fault_state().expect("faulted").adds_loss());
+        let mut scratch = DeliveryScratch::new();
+        let recovered_by_resend = flows
+            .iter()
+            .map(|(plan, msg_id, rng)| {
+                exp.simulate_flow_with(plan, *msg_id, &mut rng.clone(), &mut scratch)
+            })
+            .filter(|o| o.recovered_by == Some(RecoveryStage::Resend))
+            .count();
+        eprintln!("{recovered_by_resend} flows recovered by a resend");
+        assert!(recovered_by_resend > 0, "no resend recovered a flow");
     }
 
     #[test]

@@ -660,7 +660,7 @@ mod tests {
                 assert!(!rec.fallback_waypoints.is_empty());
             }
         }
-        assert_eq!((climbed, outcomes.value()), (214, 0x8d41_18bc_6f47_e852));
+        assert_eq!((climbed, outcomes.value()), (214, 0x7fda_ab4e_7fd3_352e));
         assert!(detours > 100, "{detours} detours");
     }
 }

@@ -16,6 +16,18 @@
 //! (*deliverability*), how many broadcasts happened (the overhead
 //! numerator), and the per-AP roles for Figure-7-style renders.
 //!
+//! Every random number of a run is a keyed draw on the attempt's key:
+//! a relay's jitter is `keyed_jitter(key, relay)` and a frame's loss
+//! trial `keyed_chance(key, transmitter, receiver, p)`
+//! ([`citymesh_simcore::keyed_jitter`]). Neither depends on when, or
+//! whether, any other draw was made, so which frames survive and when
+//! each AP transmits are fixed before the flood starts; the event queue
+//! only finds the order. A run is therefore a graph computation — a
+//! BFS over the surviving frames gives roles, broadcasts, receptions
+//! and duplicates, a shortest-path relaxation over the jitters gives
+//! the first delivery — and `crates/core/tests/kernel_oracle.rs` holds
+//! the kernel equal to exactly that.
+//!
 //! The kernel has one entry point, [`simulate_delivery_faulted`]. It
 //! runs against a caller-owned [`DeliveryScratch`] and an optional
 //! fault state (`None` is the healthy world), touching the heap **zero
@@ -26,7 +38,7 @@
 use citymesh_geo::OrientedRect;
 use citymesh_graph::PlannerScratch;
 use citymesh_net::{CityMeshHeader, MessageKind, RouteEncoding};
-use citymesh_simcore::{SimRng, SimTime, Simulation};
+use citymesh_simcore::{keyed_chance, keyed_jitter, SimTime, Simulation};
 use citymesh_telemetry::{FlowTracer, TraceConfig, TraceEvent};
 
 use crate::apgraph::ApGraph;
@@ -34,16 +46,14 @@ use crate::conduit::{within_conduits, CoveredSet};
 use crate::faults::{combined_loss, FaultState};
 
 /// Minimum per-relay MAC jitter (the processing-latency floor): each
-/// relay waits `U(MIN_JITTER, MAX_JITTER)` before transmitting.
+/// relay waits `U(MIN_JITTER, MAX_JITTER)` before transmitting, drawn
+/// by [`keyed_jitter`] on the attempt's key and the relay's id.
 pub const MIN_JITTER: SimTime = SimTime::from_micros(500);
 /// Maximum per-relay MAC jitter.
 pub const MAX_JITTER: SimTime = SimTime::from_millis(5);
 /// Hard stop: a message undelivered after this long has failed, and
 /// every failed attempt of the retry ladder charges it as latency.
 pub const HORIZON: SimTime = SimTime::from_millis(60_000);
-
-/// Width of the jitter window, nanoseconds.
-const JITTER_SPAN_NS: u64 = MAX_JITTER.as_nanos() - MIN_JITTER.as_nanos();
 
 /// Explicit transmission-overhead semantics, replacing the ambiguous
 /// bare `Option` (which conflated "the flow failed" with "there is no
@@ -403,11 +413,14 @@ impl DeliveryScratch {
 /// `src_ap` using caller-owned working state, under a materialized
 /// fault scenario or none.
 ///
-/// `rng` drives MAC jitter and reception loss only; topology comes
-/// fixed from `apg`. `reception_loss` is the probability that any one
-/// frame reception is lost to collisions or fading (0 is the paper's
-/// idealized medium); a receiver usually hears the packet from several
-/// relays, which is what absorbs it. `relays` are `header`'s conduits as the flow's
+/// `key` decides MAC jitter and reception loss only, by keyed draws
+/// (module docs); topology comes fixed from `apg`. A flow derives one
+/// key per attempt (`CityExperiment::simulate_flow_opts`); a one-off
+/// run may pass any word. `reception_loss` is the probability that any
+/// one frame reception is lost to collisions or fading (0 is the
+/// paper's idealized medium); a receiver usually hears the packet from
+/// several relays, which is what absorbs it. `relays` are `header`'s
+/// conduits as the flow's
 /// scope reads them: the buildings they cover, which the kernel writes
 /// into its per-building table before the flood, or the conduits
 /// themselves, tested at each first-time receiver's position. Either is
@@ -420,18 +433,22 @@ impl DeliveryScratch {
 /// `citymesh-fleet` enforces this with a counting global allocator.
 ///
 /// Fault semantics, chosen so `faults == None` (or an all-`Up` state)
-/// replays the healthy kernel **bit for bit**, RNG draws included:
+/// replays the healthy kernel **bit for bit**:
 ///
-/// * a **failed** AP neither transmits nor receives — it is skipped
-///   *before* any loss draw, so dead radios never consume randomness;
-///   a failed source produces an immediate clean failure (zero
-///   broadcasts, empty event queue — the run terminates, it does not
-///   hang);
+/// * a **failed** AP neither transmits nor receives — frames to it are
+///   never tried; a failed source produces an immediate clean failure
+///   (zero broadcasts, empty event queue — the run terminates, it does
+///   not hang);
 /// * a **degraded** AP receives through a lossier radio: its
 ///   per-frame loss is `1 − (1−base)(1−extra)`;
 /// * delivery still means "an AP in the destination building received
 ///   the packet" — but only *live* APs can receive, so a dark
 ///   destination building can never report delivery.
+///
+/// Where no frame can be lost — a lossless medium and no live
+/// degraded AP that adds loss — the flood makes no loss trial at all,
+/// and a frame whose loss is 0 draws nothing; with keyed draws both are
+/// only savings, since no draw moves another.
 ///
 /// Faults are read-only state shared by every worker; all scheduling
 /// stays inside `scratch`, so the zero-allocation steady state is
@@ -448,7 +465,7 @@ pub fn simulate_delivery_faulted<'a>(
     src_ap: u32,
     reception_loss: f64,
     faults: Option<&FaultState>,
-    rng: &mut SimRng,
+    key: u64,
     scratch: &'a mut DeliveryScratch,
 ) -> &'a DeliveryReport {
     assert!((src_ap as usize) < apg.len(), "source AP out of range");
@@ -480,17 +497,27 @@ pub fn simulate_delivery_faulted<'a>(
         relays,
         reception_loss,
         faults,
+        lossy: frames_can_be_lost(reception_loss, faults),
+        key,
     };
     // Chosen from what the call itself shows, never configured: with no
     // fault state, a lossless medium and no flow being traced, no
     // reception is ever dropped and nothing is ever recorded, so the
     // loop that omits those branches is the same kernel.
     if faults.is_none() && reception_loss == 0.0 && !scratch.tracer.is_active() {
-        flood.run::<true>(rng, scratch);
+        flood.run::<true>(scratch);
     } else {
-        flood.run::<false>(rng, scratch);
+        flood.run::<false>(scratch);
     }
     &scratch.report
+}
+
+/// Whether any frame of a flood can be lost: the medium is lossy, or a
+/// live AP's degraded radio adds loss. When none can, a flood's reach
+/// is the same on every key, so the flood makes no loss trial and the
+/// flow body skips a resend that could only repeat its first send.
+pub(crate) fn frames_can_be_lost(reception_loss: f64, faults: Option<&FaultState>) -> bool {
+    reception_loss > 0.0 || faults.is_some_and(FaultState::adds_loss)
 }
 
 /// What one flow's flood reads and never writes.
@@ -499,6 +526,10 @@ struct Flood<'a> {
     relays: Relays<'a>,
     reception_loss: f64,
     faults: Option<&'a FaultState>,
+    /// [`frames_can_be_lost`] for this flood.
+    lossy: bool,
+    /// The attempt's key: every jitter and loss draw is keyed on it.
+    key: u64,
 }
 
 impl Flood<'_> {
@@ -506,14 +537,17 @@ impl Flood<'_> {
     /// [`simulate_delivery_faulted`] checked before choosing it — no
     /// fault state, zero reception loss, no flow traced — so that
     /// instantiation drops the failed and loss branches (which would
-    /// never fire and never draw) and every tracer call (each a no-op);
-    /// the other keeps them all. Both are the same kernel bit for bit.
-    fn run<const HEALTHY: bool>(&self, rng: &mut SimRng, scratch: &mut DeliveryScratch) {
+    /// never fire) and every tracer call (each a no-op); the other
+    /// keeps them all, testing loss only when `lossy`. Both are the
+    /// same kernel bit for bit.
+    fn run<const HEALTHY: bool>(&self, scratch: &mut DeliveryScratch) {
         let Flood {
             apg,
             relays,
             reception_loss,
             faults,
+            lossy,
+            key,
         } = *self;
         let DeliveryScratch {
             sim,
@@ -538,18 +572,18 @@ impl Flood<'_> {
             for &rx in apg.audience(ap) {
                 if !HEALTHY {
                     // Failed radios are gone from the air, not merely
-                    // lossy: skip them before the loss draw so the
-                    // healthy APs' RNG stream is untouched by how many
-                    // neighbors died.
+                    // lossy: no frame reaches them.
                     if faults.is_some_and(|f| f.is_failed(rx)) {
                         continue;
                     }
-                    let loss = match faults {
-                        Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
-                        None => reception_loss,
-                    };
-                    if loss > 0.0 && rng.chance(loss) {
-                        continue; // frame lost to collision/fading
+                    if lossy {
+                        let loss = match faults {
+                            Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
+                            None => reception_loss,
+                        };
+                        if loss > 0.0 && keyed_chance(key, ap, rx, loss) {
+                            continue; // frame lost to collision/fading
+                        }
                     }
                 }
                 receptions += 1;
@@ -582,8 +616,7 @@ impl Flood<'_> {
                 };
                 if rebroadcast {
                     report.roles[rx as usize] = ApRole::Relayed;
-                    let delay =
-                        SimTime::from_nanos(MIN_JITTER.as_nanos() + rng.below(JITTER_SPAN_NS));
+                    let delay = keyed_jitter(key, rx, MIN_JITTER, MAX_JITTER);
                     sim.schedule_at(now + delay, Tx(rx));
                     high_water = high_water.max(sim.pending());
                 }
@@ -604,6 +637,7 @@ mod tests {
     use crate::{reconstruct_conduits, BuildingGraph, BuildingGraphParams, RebroadcastScope};
     use citymesh_geo::{Point, Polygon, Rect};
     use citymesh_map::CityMap;
+    use citymesh_simcore::SimRng;
 
     /// One healthy flow through `scratch`, the conduits reconstructed
     /// from the header and handed to the kernel as `scope` reads them.
@@ -615,7 +649,7 @@ mod tests {
         scope: RebroadcastScope,
         src_ap: u32,
         loss: f64,
-        rng: &mut SimRng,
+        key: u64,
         scratch: &'a mut DeliveryScratch,
     ) -> &'a DeliveryReport {
         let conduits = reconstruct_conduits(map, &header.waypoints, header.conduit_width_m());
@@ -624,7 +658,7 @@ mod tests {
             RebroadcastScope::Building => Relays::Covered(&covered),
             RebroadcastScope::ApPosition => Relays::Conduits(&conduits),
         };
-        simulate_delivery_faulted(apg, header, relays, src_ap, loss, None, rng, scratch)
+        simulate_delivery_faulted(apg, header, relays, src_ap, loss, None, key, scratch)
     }
 
     /// [`run`] under building scope through a fresh scratch.
@@ -634,11 +668,11 @@ mod tests {
         header: &CityMeshHeader,
         src_ap: u32,
         loss: f64,
-        rng: &mut SimRng,
+        key: u64,
     ) -> DeliveryReport {
         let mut scratch = DeliveryScratch::new();
         let scope = RebroadcastScope::Building;
-        run(map, apg, header, scope, src_ap, loss, rng, &mut scratch).clone()
+        run(map, apg, header, scope, src_ap, loss, key, &mut scratch).clone()
     }
 
     fn square_at(x: f64, y: f64, side: f64) -> Polygon {
@@ -681,8 +715,7 @@ mod tests {
         let (map, apg, bg, aps) = street();
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
-        let mut rng = SimRng::new(2);
-        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
+        let report = simulate(&map, &apg, &header, src, 0.0, 2);
         assert!(report.delivered);
         assert!(report.first_delivery.is_some());
         assert!(report.broadcasts >= 5, "a 270 m street needs several hops");
@@ -696,10 +729,7 @@ mod tests {
         let (map, apg, bg, aps) = street();
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
-        let run = |seed| {
-            let mut rng = SimRng::new(seed);
-            simulate(&map, &apg, &header, src, 0.0, &mut rng)
-        };
+        let run = |key| simulate(&map, &apg, &header, src, 0.0, key);
         let a = run(5);
         let b = run(5);
         assert_eq!(a.broadcasts, b.broadcasts);
@@ -713,15 +743,13 @@ mod tests {
         let (map, apg, bg, aps) = street();
         let mut scratch = DeliveryScratch::new();
         // Several distinct flows through ONE scratch, each compared to
-        // a run through a fresh scratch with an identically seeded RNG.
-        for (src_b, dst_b, seed) in [(0u32, 9u32, 5u64), (9, 0, 6), (2, 7, 7), (0, 9, 5)] {
+        // a run through a fresh scratch on the same key.
+        for (src_b, dst_b, key) in [(0u32, 9u32, 5u64), (9, 0, 6), (2, 7, 7), (0, 9, 5)] {
             let header = route_header(&bg, src_b, dst_b);
             let src = postbox_ap(&aps, &map, src_b).unwrap();
-            let mut fresh_rng = SimRng::new(seed);
-            let fresh = simulate(&map, &apg, &header, src, 0.0, &mut fresh_rng);
-            let mut rng = SimRng::new(seed);
+            let fresh = simulate(&map, &apg, &header, src, 0.0, key);
             let scope = RebroadcastScope::Building;
-            let reused = run(&map, &apg, &header, scope, src, 0.0, &mut rng, &mut scratch);
+            let reused = run(&map, &apg, &header, scope, src, 0.0, key, &mut scratch);
             assert_eq!(
                 *reused, fresh,
                 "scratch reuse diverged for {src_b}->{dst_b}"
@@ -738,17 +766,7 @@ mod tests {
         let src_a = postbox_ap(&aps, &map, 0).unwrap();
         let mut scratch = DeliveryScratch::new();
         let scope = RebroadcastScope::Building;
-        let mut rng = SimRng::new(1);
-        run(
-            &map,
-            &apg,
-            &header_a,
-            scope,
-            src_a,
-            0.0,
-            &mut rng,
-            &mut scratch,
-        );
+        run(&map, &apg, &header_a, scope, src_a, 0.0, 1, &mut scratch);
         assert!(
             scratch.report().relay_count() > 3,
             "flow A must dirty state"
@@ -760,19 +778,8 @@ mod tests {
         let header_b = route_header(&bg, 5, 2);
         assert_eq!(header_a.msg_id, header_b.msg_id, "test needs a reused id");
         let src_b = postbox_ap(&aps, &map, 5).unwrap();
-        let mut fresh_rng = SimRng::new(2);
-        let fresh = simulate(&map, &apg, &header_b, src_b, 0.0, &mut fresh_rng);
-        let mut rng = SimRng::new(2);
-        let reused = run(
-            &map,
-            &apg,
-            &header_b,
-            scope,
-            src_b,
-            0.0,
-            &mut rng,
-            &mut scratch,
-        );
+        let fresh = simulate(&map, &apg, &header_b, src_b, 0.0, 2);
+        let reused = run(&map, &apg, &header_b, scope, src_b, 0.0, 2, &mut scratch);
         assert!(reused.delivered, "leaked seen state would kill delivery");
         assert_eq!(*reused, fresh);
         // APs the narrow B-conduit never reaches must read Silent even
@@ -814,11 +821,9 @@ mod tests {
             let dst = (map.len() - 1) as u32;
             let header = route_header(bg, 0, dst);
             let src = postbox_ap(aps, map, 0).unwrap();
-            let mut fresh_rng = SimRng::new(3);
-            let fresh = simulate(map, apg, &header, src, 0.0, &mut fresh_rng);
-            let mut rng = SimRng::new(3);
+            let fresh = simulate(map, apg, &header, src, 0.0, 3);
             let scope = RebroadcastScope::Building;
-            let reused = run(map, apg, &header, scope, src, 0.0, &mut rng, &mut scratch);
+            let reused = run(map, apg, &header, scope, src, 0.0, 3, &mut scratch);
             assert_eq!(*reused, fresh, "world {} diverged", map.name());
             assert_eq!(reused.roles.len(), apg.len(), "roles sized to this world");
         }
@@ -841,7 +846,7 @@ mod tests {
         // would not even try; this exercises network behaviour).
         let header = CityMeshHeader::new(1, 50.0, vec![src_building, dst_building]);
         let src = postbox_ap(&aps, &map, src_building).unwrap();
-        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
+        let report = simulate(&map, &apg, &header, src, 0.0, 3);
         assert!(!report.delivered);
         assert!(report.first_delivery.is_none());
         assert!(report.overhead(None).is_none());
@@ -874,7 +879,7 @@ mod tests {
         let dst = map.nearest_building(Point::new(216.0, 6.0)).unwrap().id;
         let header = route_header(&bg, src, dst);
         let src_ap = postbox_ap(&aps, &map, src).unwrap();
-        let report = simulate(&map, &apg, &header, src_ap, 0.0, &mut rng);
+        let report = simulate(&map, &apg, &header, src_ap, 0.0, 4);
         assert!(report.delivered);
         // APs in the top rows (y > 120 m: > 2 building rows above the
         // conduit) never relay.
@@ -899,8 +904,8 @@ mod tests {
         let header = route_header(&bg, 0, 9);
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let by = |scope| {
-            let (mut rng, mut scratch) = (SimRng::new(6), DeliveryScratch::new());
-            run(&map, &apg, &header, scope, src, 0.0, &mut rng, &mut scratch).clone()
+            let mut scratch = DeliveryScratch::new();
+            run(&map, &apg, &header, scope, src, 0.0, 6, &mut scratch).clone()
         };
         let by_building = by(RebroadcastScope::Building);
         let by_pos = by(RebroadcastScope::ApPosition);
@@ -913,8 +918,7 @@ mod tests {
         let (map, apg, _, aps) = street();
         let header = CityMeshHeader::new(9, 50.0, vec![3]);
         let src = postbox_ap(&aps, &map, 3).unwrap();
-        let mut rng = SimRng::new(7);
-        let report = simulate(&map, &apg, &header, src, 0.0, &mut rng);
+        let report = simulate(&map, &apg, &header, src, 0.0, 7);
         assert!(report.delivered);
         assert_eq!(report.first_delivery, Some(SimTime::ZERO));
     }
@@ -928,10 +932,7 @@ mod tests {
         let src = postbox_ap(&aps, &map, 0).unwrap();
         let delivered_at = |loss: f64| -> usize {
             (0..10)
-                .filter(|seed| {
-                    let mut rng = SimRng::new(100 + seed);
-                    simulate(&map, &apg, &header, src, loss, &mut rng).delivered
-                })
+                .filter(|key| simulate(&map, &apg, &header, src, loss, 100 + key).delivered)
                 .count()
         };
         assert_eq!(delivered_at(0.0), 10);

@@ -1,15 +1,28 @@
-//! Differential oracle for the delivery kernel.
+//! Differential oracles for the delivery kernel.
 //!
 //! `simulate_delivery_faulted` finds each broadcast's receivers in a
 //! precomputed audience row, treats the report's role vector as every
-//! AP's duplicate-suppression memory and reads each building's verdict
-//! from the route's covered set. The reference below does none of it:
-//! it owns one real deployed [`ApAgent`] (4096-id
-//! [`citymesh_reference::SeenCache`]) per AP, which tests the conduits
-//! itself on every new message, asks the spatial index who is in range
-//! on every broadcast, keeps its events in a plain `Vec`, and allocates
-//! everything freshly. The two must agree field for field and leave
-//! the RNG at the same stream position.
+//! AP's duplicate-suppression memory, reads each building's verdict
+//! from the route's covered set and orders its transmissions through
+//! the simcore event queue. Two referees do none of it:
+//!
+//! * the **agent reference** owns one real deployed [`ApAgent`]
+//!   (4096-id [`citymesh_reference::SeenCache`]) per AP, which tests the
+//!   conduits itself on every new message, asks the spatial index who
+//!   is in range on every broadcast, keeps its events in a plain `Vec`,
+//!   and allocates everything freshly;
+//! * the **graph referee** has no event list at all. Every draw is
+//!   keyed by what it decides — a frame's loss by (transmitter,
+//!   receiver), a relay's jitter by the relay — so which frames survive
+//!   is known before the flood: a FIFO BFS over the surviving frames
+//!   gives roles, broadcasts, receptions and duplicates, and a
+//!   label-correcting relaxation over the keyed jitters gives the first
+//!   delivery.
+//!
+//! Both take the attempt's key, as the kernel does, and must agree with
+//! it field for field.
+
+use std::collections::{HashSet, VecDeque};
 
 use citymesh_core::faults::combined_loss;
 use citymesh_core::sim::{HORIZON, MAX_JITTER, MIN_JITTER};
@@ -24,11 +37,11 @@ use citymesh_geo::{OrientedRect, Point, Polygon, Rect};
 use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
 use citymesh_reference::{Action, ApAgent};
-use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_simcore::{keyed_chance, keyed_jitter, split_seed, substream_seed, SimRng, SimTime};
 use citymesh_telemetry::{FlowSummary, TraceConfig};
 use proptest::prelude::*;
 
-/// The naive reference kernel (see the module docs).
+/// The agent reference (see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn reference_delivery(
     map: &CityMap,
@@ -39,7 +52,7 @@ fn reference_delivery(
     src_ap: u32,
     reception_loss: f64,
     faults: Option<&FaultState>,
-    rng: &mut SimRng,
+    key: u64,
 ) -> DeliveryReport {
     let mut report = DeliveryReport {
         delivered: false,
@@ -61,7 +74,6 @@ fn reference_delivery(
         report.delivered = true;
         report.first_delivery = Some(SimTime::ZERO);
     }
-    let jitter_span = MAX_JITTER.saturating_since(MIN_JITTER).as_nanos().max(1);
 
     // (time, push sequence, transmitter): earliest first, FIFO on ties.
     let mut events = vec![(SimTime::ZERO, 0u64, src_ap)];
@@ -82,7 +94,7 @@ fn reference_delivery(
                 Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
                 None => reception_loss,
             };
-            if loss > 0.0 && rng.chance(loss) {
+            if loss > 0.0 && keyed_chance(key, ap, rx, loss) {
                 continue;
             }
             report.receptions += 1;
@@ -101,13 +113,164 @@ fn reference_delivery(
             }
             if action.rebroadcast {
                 report.roles[rx as usize] = ApRole::Relayed;
-                let delay = SimTime::from_nanos(MIN_JITTER.as_nanos() + rng.below(jitter_span));
+                let delay = keyed_jitter(key, rx, MIN_JITTER, MAX_JITTER);
                 events.push((now + delay, pushed, rx));
                 pushed += 1;
             }
         }
     }
     report
+}
+
+/// The graph referee (see the module docs): the flood with no event
+/// list and no RNG stream. `relays(ap)` says whether `ap` rebroadcasts
+/// on first hearing the packet; `destination` is the header's
+/// destination building.
+fn graph_referee(
+    apg: &ApGraph,
+    destination: u32,
+    relays: impl Fn(u32) -> bool,
+    src_ap: u32,
+    reception_loss: f64,
+    faults: Option<&FaultState>,
+    key: u64,
+) -> DeliveryReport {
+    let n = apg.len();
+    let mut report = DeliveryReport {
+        delivered: false,
+        first_delivery: None,
+        broadcasts: 0,
+        receptions: 0,
+        duplicates: 0,
+        roles: vec![ApRole::Silent; n],
+    };
+    let live = |ap: u32| !faults.is_some_and(|f| f.is_failed(ap));
+    if !live(src_ap) {
+        return report;
+    }
+    let lost = |tx: u32, rx: u32| {
+        let loss = match faults {
+            Some(f) => combined_loss(reception_loss, f.extra_loss(rx)),
+            None => reception_loss,
+        };
+        loss > 0.0 && keyed_chance(key, tx, rx, loss)
+    };
+
+    // Reach: a FIFO BFS from the source over the surviving frames,
+    // relaying only through the APs `relays` names. `heard_from[tx]`
+    // keeps the receivers of `tx`'s broadcast for the relaxation.
+    let mut heard_from: Vec<Vec<u32>> = vec![Vec::new(); n];
+    report.roles[src_ap as usize] = ApRole::Relayed;
+    let mut frontier = VecDeque::from([src_ap]);
+    while let Some(tx) = frontier.pop_front() {
+        report.broadcasts += 1;
+        let mut receivers = Vec::new();
+        apg.for_each_in_range(apg.position(tx), |rx, _| {
+            if rx != tx && live(rx) && !lost(tx, rx) {
+                receivers.push(rx);
+            }
+        });
+        for &rx in &receivers {
+            report.receptions += 1;
+            let role = &mut report.roles[rx as usize];
+            if *role != ApRole::Silent {
+                report.duplicates += 1;
+            } else if relays(rx) {
+                *role = ApRole::Relayed;
+                frontier.push_back(rx);
+            } else {
+                *role = ApRole::HeardOnly;
+            }
+        }
+        heard_from[tx as usize] = receivers;
+    }
+
+    // Timing: an AP first hears the packet when the earliest of its
+    // transmitters sends, and a relay sends its keyed jitter later —
+    // a shortest-path problem over the surviving frames, relaxed until
+    // no label improves (label-correcting, FIFO).
+    let mut first_heard: Vec<Option<SimTime>> = vec![None; n];
+    let mut sends_at = vec![SimTime::ZERO; n];
+    let mut queued = vec![false; n];
+    let mut pending = VecDeque::from([src_ap]);
+    queued[src_ap as usize] = true;
+    while let Some(tx) = pending.pop_front() {
+        queued[tx as usize] = false;
+        let at = sends_at[tx as usize];
+        for &rx in &heard_from[tx as usize] {
+            if first_heard[rx as usize].is_some_and(|t| t <= at) {
+                continue;
+            }
+            first_heard[rx as usize] = Some(at);
+            if rx != src_ap && report.roles[rx as usize] == ApRole::Relayed {
+                sends_at[rx as usize] = at + keyed_jitter(key, rx, MIN_JITTER, MAX_JITTER);
+                if !std::mem::replace(&mut queued[rx as usize], true) {
+                    pending.push_back(rx);
+                }
+            }
+        }
+    }
+    // The kernel stops at its horizon; a flood never comes near it.
+    assert!(
+        sends_at.iter().all(|&t| t <= HORIZON),
+        "a flood past the horizon"
+    );
+
+    report.first_delivery = if apg.building_of(src_ap) == destination {
+        Some(SimTime::ZERO)
+    } else {
+        let in_destination = (0..n as u32).filter(|&ap| apg.building_of(ap) == destination);
+        in_destination
+            .filter_map(|ap| first_heard[ap as usize])
+            .min()
+    };
+    report.delivered = report.first_delivery.is_some();
+    report
+}
+
+/// Which referee a check grades the kernel against.
+#[derive(Clone, Copy, Debug)]
+enum Referee {
+    Agents,
+    Graph,
+}
+
+/// `referee`'s report for one flow, handed what the kernel is handed
+/// plus the conduits the covered set came from.
+#[allow(clippy::too_many_arguments)]
+fn referee_report(
+    referee: Referee,
+    map: &CityMap,
+    apg: &ApGraph,
+    header: &CityMeshHeader,
+    conduits: &[OrientedRect],
+    relays: Relays,
+    src_ap: u32,
+    loss: f64,
+    faults: Option<&FaultState>,
+    key: u64,
+) -> DeliveryReport {
+    match (referee, relays) {
+        (Referee::Agents, Relays::Covered(_)) => {
+            let scope = RebroadcastScope::Building;
+            reference_delivery(map, apg, header, conduits, scope, src_ap, loss, faults, key)
+        }
+        (Referee::Agents, Relays::Conduits(_)) => {
+            let scope = RebroadcastScope::ApPosition;
+            reference_delivery(map, apg, header, conduits, scope, src_ap, loss, faults, key)
+        }
+        (Referee::Graph, Relays::Covered(covered)) => {
+            let covered: HashSet<u32> = covered.iter().collect();
+            let relays = |ap| covered.contains(&apg.building_of(ap));
+            let dst = header.destination();
+            graph_referee(apg, dst, relays, src_ap, loss, faults, key)
+        }
+        (Referee::Graph, Relays::Conduits(conduits)) => {
+            let relays = |ap| conduits.iter().any(|c| c.contains(apg.position(ap)));
+            let dst = header.destination();
+            graph_referee(apg, dst, relays, src_ap, loss, faults, key)
+        }
+    }
 }
 
 fn square_at(x: f64, y: f64, side: f64) -> Polygon {
@@ -138,84 +301,134 @@ enum World {
     Healthy,
     IidFailed,
     DegradedLossy,
+    IidLossy,
 }
 
 fn world() -> impl Strategy<Value = World> {
     prop_oneof![
         Just(World::Healthy),
         Just(World::IidFailed),
-        Just(World::DegradedLossy)
+        Just(World::DegradedLossy),
+        Just(World::IidLossy),
     ]
+}
+
+/// One random small city of the proptests below.
+#[derive(Clone, Debug)]
+struct City {
+    cols: usize,
+    rows: usize,
+    pitch: f64,
+    removal: f64,
+    seed: u64,
+    m2_per_ap: f64,
+    world: World,
+    by_position: bool,
+}
+
+fn city() -> impl Strategy<Value = City> {
+    (
+        (3usize..9, 2usize..7),
+        25.0..45.0f64,
+        0.0..0.3f64,
+        any::<u64>(),
+        60.0..250.0f64,
+        world(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |((cols, rows), pitch, removal, seed, m2_per_ap, world, by_position)| City {
+                cols,
+                rows,
+                pitch,
+                removal,
+                seed,
+                m2_per_ap,
+                world,
+                by_position,
+            },
+        )
+}
+
+/// Kernel ≡ `referee` on `city` × both scopes, several flows through
+/// one dirty scratch (so a leaked role or verdict would show as a lost
+/// reception or a stray relay).
+fn kernel_equals_referee_on_city(city: &City, referee: Referee) {
+    let map = grid_map(city.cols, city.rows, city.pitch, city.removal, city.seed);
+    let mut rng = SimRng::new(city.seed ^ 0xA9);
+    let aps = place_aps(&map, city.m2_per_ap, &mut rng);
+    let apg = ApGraph::build(&aps, 50.0);
+    let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
+    let (scenario, loss) = match city.world {
+        World::Healthy => (None, 0.0),
+        World::IidFailed => (Some(FaultScenario::iid(0.2)), 0.0),
+        World::DegradedLossy => {
+            let degraded = FaultScenario {
+                degraded_p: 0.4,
+                degraded_loss: 0.5,
+                ..FaultScenario::default()
+            };
+            (Some(degraded), 0.15)
+        }
+        World::IidLossy => (Some(FaultScenario::iid(0.3)), 0.3),
+    };
+    let faults = scenario.map(|s| FaultState::materialize(&s, &aps, &map, city.seed));
+
+    let mut scratch = DeliveryScratch::new();
+    let n = map.len() as u64;
+    for flow in 0..4u64 {
+        let src = rng.below(n) as u32;
+        let dst = rng.below(n) as u32;
+        // A planned route when one exists, else a header straight
+        // across the gap (the flood must then die out cleanly).
+        let waypoints = match plan_route(&bg, src, dst) {
+            Ok(route) => compress_route(&bg, &route, 50.0).unwrap().waypoints,
+            Err(_) => vec![src, dst],
+        };
+        // One constant msg id: a scratch that leaked "seen" state
+        // between flows would suppress the next flow's receptions.
+        let header = CityMeshHeader::new(7, 50.0, waypoints);
+        let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
+        let covered = CoveredSet::of(&map, &conduits);
+        let relays = if city.by_position {
+            Relays::Conduits(&conduits)
+        } else {
+            Relays::Covered(&covered)
+        };
+        let src_ap = postbox_ap(&aps, &map, src).unwrap();
+        let key = split_seed(city.seed, flow);
+        let faults = faults.as_ref();
+        let expected = referee_report(
+            referee, &map, &apg, &header, &conduits, relays, src_ap, loss, faults, key,
+        );
+        let got = simulate_delivery_faulted(
+            &apg,
+            &header,
+            relays,
+            src_ap,
+            loss,
+            faults,
+            key,
+            &mut scratch,
+        );
+        assert_eq!(got, &expected, "flow {flow} ({src}->{dst}) diverged");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Kernel ≡ naive reference on random small cities × {healthy,
-    /// iid-failed, degraded/lossy} × both scopes, several flows through
-    /// one dirty scratch (so a leaked role or verdict would show as a
-    /// lost reception or a stray relay), the last at TTL 0.
+    /// Kernel ≡ agent reference on random small cities × {healthy,
+    /// iid-failed, degraded/lossy, iid-failed/lossy} × both scopes.
     #[test]
-    fn kernel_equals_naive_reference(
-        (cols, rows) in (3usize..9, 2usize..7),
-        pitch in 25.0..45.0f64,
-        removal in 0.0..0.3f64,
-        seed in any::<u64>(),
-        m2_per_ap in 60.0..250.0f64,
-        world in world(),
-        by_position in any::<bool>(),
-    ) {
-        let map = grid_map(cols, rows, pitch, removal, seed);
-        let mut rng = SimRng::new(seed ^ 0xA9);
-        let aps = place_aps(&map, m2_per_ap, &mut rng);
-        let apg = ApGraph::build(&aps, 50.0);
-        let bg = BuildingGraph::build(&map, BuildingGraphParams::default());
-        let scenario = match world {
-            World::Healthy => None,
-            World::IidFailed => Some(FaultScenario::iid(0.2)),
-            World::DegradedLossy => Some(FaultScenario {
-                degraded_p: 0.4,
-                degraded_loss: 0.5,
-                ..FaultScenario::default()
-            }),
-        };
-        let faults = scenario.map(|s| FaultState::materialize(&s, &aps, &map, seed));
-        let scope = if by_position { RebroadcastScope::ApPosition } else { RebroadcastScope::Building };
-        let loss = if matches!(world, World::DegradedLossy) { 0.15 } else { 0.0 };
+    fn kernel_equals_naive_reference(city in city()) {
+        kernel_equals_referee_on_city(&city, Referee::Agents);
+    }
 
-        let mut scratch = DeliveryScratch::new();
-        let n = map.len() as u64;
-        for flow in 0..4u64 {
-            let src = rng.below(n) as u32;
-            let dst = rng.below(n) as u32;
-            // A planned route when one exists, else a header straight
-            // across the gap (the flood must then die out cleanly).
-            let waypoints = match plan_route(&bg, src, dst) {
-                Ok(route) => compress_route(&bg, &route, 50.0).unwrap().waypoints,
-                Err(_) => vec![src, dst],
-            };
-            // One constant msg id: a scratch that leaked "seen" state
-            // between flows would suppress the next flow's receptions.
-            let header = CityMeshHeader::new(7, 50.0, waypoints);
-            let conduits = reconstruct_conduits(&map, &header.waypoints, header.conduit_width_m());
-            let covered = CoveredSet::of(&map, &conduits);
-            let relays = if by_position { Relays::Conduits(&conduits) } else { Relays::Covered(&covered) };
-            let src_ap = postbox_ap(&aps, &map, src).unwrap();
-
-            let mut rng_ref = SimRng::new(seed ^ flow);
-            let mut rng_kernel = rng_ref.clone();
-            let expected = reference_delivery(
-                &map, &apg, &header, &conduits, scope, src_ap, loss, faults.as_ref(), &mut rng_ref,
-            );
-            let got = simulate_delivery_faulted(
-                &apg, &header, relays, src_ap, loss, faults.as_ref(), &mut rng_kernel, &mut scratch,
-            );
-            prop_assert_eq!(got, &expected, "flow {} ({}->{}) diverged", flow, src, dst);
-            prop_assert_eq!(
-                rng_kernel.below(u64::MAX), rng_ref.below(u64::MAX),
-                "RNG streams desynchronized on flow {}", flow
-            );
-        }
+    /// Kernel ≡ graph referee on the same random cities.
+    #[test]
+    fn kernel_equals_graph_referee(city in city()) {
+        kernel_equals_referee_on_city(&city, Referee::Graph);
     }
 
     /// `ApGraph::audience(ap)` is exactly what the spatial index yields
@@ -281,26 +494,27 @@ fn hotspot_flows(exp: &CityExperiment, n: usize) -> Vec<FlowSpec> {
     generate_flows(exp.map().len(), &cfg)
 }
 
-/// What a fleet worker hands the kernel for `flow` on `world`: the
-/// flow planned into `plan` (its conduits and covered set), the plan's
-/// header, the flow's message id and its jitter sub-stream (seed 1).
-/// `None` when nothing would be sent.
+/// What a fleet worker hands the kernel for `flow`'s first send on
+/// `world`: the flow planned into `plan` (its conduits and covered
+/// set), the plan's header, and the first attempt's key — the flow key
+/// its seed-1 sub-stream yields, split by attempt 1. `None` when
+/// nothing would be sent.
 fn kernel_input(
     world: &CityExperiment,
     flow: &FlowSpec,
     scratch: &mut PlanScratch,
     plan: &mut PlannedFlow,
-) -> Option<(CityMeshHeader, u32, SimRng)> {
+) -> Option<(CityMeshHeader, u32, u64)> {
     world.plan_flow_into(flow.src, flow.dst, scratch, plan);
     let src_ap = plan.src_ap.filter(|_| plan.route_found())?;
     let msg_id = substream_seed(1, DOMAIN_MSG, flow.id);
     let width = world.config().conduit_width_m;
     let header = CityMeshHeader::new(msg_id, width, plan.waypoints.clone());
-    let rng = SimRng::new(substream_seed(1, DOMAIN_SIM, flow.id));
-    Some((header, src_ap, rng))
+    let flow_key = SimRng::new(substream_seed(1, DOMAIN_SIM, flow.id)).next_u64();
+    Some((header, src_ap, split_seed(flow_key, 1)))
 }
 
-/// What [`kernel_equals_reference_on`] ran.
+/// What [`kernel_equals_referee_on`] ran.
 #[derive(Debug, Default)]
 struct Tally {
     simulated: u64,
@@ -309,61 +523,46 @@ struct Tally {
 
 /// Runs `flows` on `world` under `scope` through `scratch` — handing
 /// the kernel the plan's covered set, or under AP-position scope its
-/// conduits, as the engines do — and through the reference; every
-/// report must be equal field for field and leave the RNG at the same
-/// position.
-fn kernel_equals_reference_on(
+/// conduits, as the engines do — and through `referee`; every report
+/// must be equal field for field.
+fn kernel_equals_referee_on(
     world: &CityExperiment,
     flows: &[FlowSpec],
     scope: RebroadcastScope,
     loss: f64,
     scratch: &mut DeliveryScratch,
+    referee: Referee,
 ) -> Tally {
     let (map, apg, faults) = (world.map(), world.ap_graph(), world.fault_state());
     let mut tally = Tally::default();
     let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     for flow in flows {
-        let Some((header, src_ap, mut rng_ref)) =
-            kernel_input(world, flow, &mut plan_scratch, &mut plan)
+        let Some((header, src_ap, key)) = kernel_input(world, flow, &mut plan_scratch, &mut plan)
         else {
             continue;
         };
-        let mut rng_kernel = rng_ref.clone();
-        let expected = reference_delivery(
-            map,
-            apg,
-            &header,
-            &plan.conduits,
-            scope,
-            src_ap,
-            loss,
-            faults,
-            &mut rng_ref,
-        );
         let relays = match scope {
             RebroadcastScope::Building => Relays::Covered(plan.covered().expect("planned")),
             RebroadcastScope::ApPosition => Relays::Conduits(&plan.conduits),
         };
-        let got = simulate_delivery_faulted(
+        let expected = referee_report(
+            referee,
+            map,
             apg,
             &header,
+            &plan.conduits,
             relays,
             src_ap,
             loss,
             faults,
-            &mut rng_kernel,
-            scratch,
+            key,
         );
+        let got =
+            simulate_delivery_faulted(apg, &header, relays, src_ap, loss, faults, key, scratch);
         assert_eq!(
             got, &expected,
-            "flow {} ({} -> {})",
+            "flow {} ({} -> {}) against the {referee:?} referee",
             flow.id, flow.src, flow.dst
-        );
-        assert_eq!(
-            rng_kernel.below(u64::MAX),
-            rng_ref.below(u64::MAX),
-            "RNG streams desynchronized on flow {}",
-            flow.id
         );
         tally.simulated += 1;
         tally.delivered += u64::from(got.delivered);
@@ -371,56 +570,115 @@ fn kernel_equals_reference_on(
     tally
 }
 
-/// Kernel ≡ naive reference at benchmark scale, through ONE dirty
-/// scratch carried across four worlds of the benchmark downtown, every
-/// plan through one kept `PlanScratch` and `PlannedFlow`: the
-/// `fleet-hot` flows (the healthy instantiation), the `churn-ladder`
-/// blackout (failed APs, the general instantiation), a lossy medium
-/// over degraded APs, and AP-position scope. A verdict table that
-/// leaked between flows, a covered set that named the wrong buildings
-/// or a verdict keyed by anything but the receiver's building (or, by
-/// position, the receiver) changes a report here.
-/// Release only (CI runs it).
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "4,000 downtown flows against the reference: run with --release"
-)]
-fn kernel_equals_reference_at_benchmark_scale() {
-    let mut scratch = DeliveryScratch::new();
-    let healthy = benchmark_downtown(None);
-    let (loss, building) = (0.0, RebroadcastScope::Building);
-    assert_eq!(healthy.config().scope, building);
-    let flows = hotspot_flows(&healthy, 1_000);
-    let t = kernel_equals_reference_on(&healthy, &flows, building, loss, &mut scratch);
-    assert!(t.simulated > 950 && t.delivered > 900, "{t:?}");
+/// One world of the benchmark-scale checks: the benchmark downtown
+/// under a fault scenario, its medium loss, and a bound on what the
+/// flows must do there, so no world is vacuous.
+struct BenchWorld {
+    name: &'static str,
+    world: CityExperiment,
+    loss: f64,
+    enough: fn(&Tally) -> bool,
+}
 
-    let blackout = benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0)));
-    let failed = blackout.fault_state().expect("faulted").failed_count();
-    assert!(failed > 10, "the blackout darkens {failed} APs");
-    let t = kernel_equals_reference_on(&blackout, &flows, building, loss, &mut scratch);
-    assert!(t.delivered > 100 && t.simulated - t.delivered > 50, "{t:?}");
-
-    let lossy = benchmark_downtown(Some(FaultScenario {
+/// The four worlds both benchmark-scale checks run (the same 1,000
+/// `fleet-hot` flows on each): healthy; the `churn-ladder` 60 m
+/// blackout; degraded APs (40 % at 50 % extra loss) over a 15 % lossy
+/// medium; and i.i.d. failures (30 %) over a 30 % lossy medium.
+fn benchmark_worlds() -> [BenchWorld; 4] {
+    let degraded = FaultScenario {
         degraded_p: 0.4,
         degraded_loss: 0.5,
         ..FaultScenario::default()
-    }));
-    assert!(lossy.fault_state().expect("faulted").degraded_count() > 200);
-    let lossy_medium = 0.15;
-    let t = kernel_equals_reference_on(&lossy, &flows, building, lossy_medium, &mut scratch);
-    assert!(t.delivered > 100 && t.simulated - t.delivered > 5, "{t:?}");
+    };
+    [
+        BenchWorld {
+            name: "healthy",
+            world: benchmark_downtown(None),
+            loss: 0.0,
+            enough: |t| t.simulated > 950 && t.delivered > 900,
+        },
+        BenchWorld {
+            name: "60 m blackout",
+            world: benchmark_downtown(Some(FaultScenario::district_blackouts(1, 60.0))),
+            loss: 0.0,
+            enough: |t| t.delivered > 100 && t.simulated - t.delivered > 50,
+        },
+        BenchWorld {
+            name: "degraded, 15 % loss",
+            world: benchmark_downtown(Some(degraded)),
+            loss: 0.15,
+            enough: |t| t.delivered > 100 && t.simulated - t.delivered > 5,
+        },
+        BenchWorld {
+            name: "iid(0.3), 30 % loss",
+            world: benchmark_downtown(Some(FaultScenario::iid(0.3))),
+            loss: 0.3,
+            enough: |t| t.delivered > 50 && t.simulated - t.delivered > 100,
+        },
+    ]
+}
 
-    let by_position = RebroadcastScope::ApPosition;
-    let t = kernel_equals_reference_on(&healthy, &flows, by_position, loss, &mut scratch);
+/// Kernel ≡ `referee` at benchmark scale, through ONE dirty scratch
+/// carried across the four [`benchmark_worlds`] and then AP-position
+/// scope of the healthy one, every plan through one kept `PlanScratch`
+/// and `PlannedFlow`. A verdict table that leaked between flows, a
+/// covered set that named the wrong buildings, a verdict keyed by
+/// anything but the receiver's building (or, by position, the
+/// receiver), or a draw keyed by anything but what it decides changes
+/// a report here.
+fn kernel_equals_referee_at_benchmark_scale(referee: Referee) {
+    let mut scratch = DeliveryScratch::new();
+    let worlds = benchmark_worlds();
+    let building = RebroadcastScope::Building;
+    let flows = hotspot_flows(&worlds[0].world, 1_000);
+    for w in &worlds {
+        assert_eq!(w.world.config().scope, building);
+        let t = kernel_equals_referee_on(&w.world, &flows, building, w.loss, &mut scratch, referee);
+        eprintln!("{referee:?} referee, {}: {t:?}", w.name);
+        assert!((w.enough)(&t), "{}: {t:?}", w.name);
+    }
+    let blackout = worlds[1].world.fault_state().expect("faulted");
+    assert!(blackout.failed_count() > 10, "the blackout darkens APs");
+    assert!(
+        worlds[2]
+            .world
+            .fault_state()
+            .expect("faulted")
+            .degraded_count()
+            > 200
+    );
+
+    let (healthy, by_position) = (&worlds[0].world, RebroadcastScope::ApPosition);
+    let t = kernel_equals_referee_on(healthy, &flows, by_position, 0.0, &mut scratch, referee);
     assert!(t.simulated > 950, "{t:?}");
+}
+
+/// Kernel ≡ agent reference at benchmark scale. Release only (CI runs
+/// it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "5,000 downtown flows against the agent reference: run with --release"
+)]
+fn kernel_equals_reference_at_benchmark_scale() {
+    kernel_equals_referee_at_benchmark_scale(Referee::Agents);
+}
+
+/// Kernel ≡ graph referee at benchmark scale. Release only (CI runs
+/// it).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "5,000 downtown flows against the graph referee: run with --release"
+)]
+fn kernel_equals_graph_referee_at_benchmark_scale() {
+    kernel_equals_referee_at_benchmark_scale(Referee::Graph);
 }
 
 /// The two instantiations of the kernel's loop are one kernel: the same
 /// healthy flows through a scratch whose tracer records (the general
 /// loop, every branch and tracer call kept) and through a plain one
-/// (the healthy loop) give identical reports, RNG positions and queue
-/// high water.
+/// (the healthy loop) give identical reports and queue high water.
 #[test]
 fn healthy_and_general_instantiations_agree() {
     let world = benchmark_downtown(None);
@@ -432,38 +690,19 @@ fn healthy_and_general_instantiations_agree() {
     let mut simulated = 0;
     let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
     for flow in hotspot_flows(&world, 300) {
-        let Some((header, src_ap, mut rng_plain)) =
-            kernel_input(&world, &flow, &mut plan_scratch, &mut plan)
+        let Some((header, src_ap, key)) = kernel_input(&world, &flow, &mut plan_scratch, &mut plan)
         else {
             continue;
         };
         let relays = Relays::Covered(plan.covered().expect("planned"));
-        let mut rng_traced = rng_plain.clone();
-        let expected = simulate_delivery_faulted(
-            apg,
-            &header,
-            relays,
-            src_ap,
-            loss,
-            None,
-            &mut rng_plain,
-            &mut plain,
-        );
+        let expected =
+            simulate_delivery_faulted(apg, &header, relays, src_ap, loss, None, key, &mut plain);
         traced.tracer_mut().trace_next(flow.id);
         traced.tracer_mut().begin_flow();
         assert!(traced.tracer().is_active());
-        let got = simulate_delivery_faulted(
-            apg,
-            &header,
-            relays,
-            src_ap,
-            loss,
-            None,
-            &mut rng_traced,
-            &mut traced,
-        );
+        let got =
+            simulate_delivery_faulted(apg, &header, relays, src_ap, loss, None, key, &mut traced);
         assert_eq!(got, expected, "flow {}", flow.id);
-        assert_eq!(rng_traced.below(u64::MAX), rng_plain.below(u64::MAX));
         simulated += 1;
     }
     assert!(simulated > 280);
@@ -499,23 +738,14 @@ fn one_verdict_per_heard_building_on_the_benchmark_flows() {
     let flows = hotspot_flows(&world, 30_000);
     let (mut broadcasts, mut receptions, mut first_receptions) = (0u64, 0u64, 0u64);
     for flow in &flows {
-        let Some((header, src_ap, mut rng)) =
-            kernel_input(&world, flow, &mut plan_scratch, &mut plan)
+        let Some((header, src_ap, key)) = kernel_input(&world, flow, &mut plan_scratch, &mut plan)
         else {
             continue;
         };
         let relays = Relays::Covered(plan.covered().expect("planned"));
         let loss = 0.0;
-        let report = simulate_delivery_faulted(
-            apg,
-            &header,
-            relays,
-            src_ap,
-            loss,
-            None,
-            &mut rng,
-            &mut scratch,
-        );
+        let report =
+            simulate_delivery_faulted(apg, &header, relays, src_ap, loss, None, key, &mut scratch);
         broadcasts += report.broadcasts;
         receptions += report.receptions;
         assert_eq!(report.receptions - report.duplicates, {

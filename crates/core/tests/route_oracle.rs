@@ -56,7 +56,7 @@ use citymesh_graph::{astar_path_filtered_into, PlannerScratch};
 use citymesh_map::{generate_metro, CityArchetype, CityMap, MetroParams};
 use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 use citymesh_reference::plan_route_avoiding;
-use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_simcore::{split_seed, substream_seed, SimRng, SimTime};
 use citymesh_telemetry::{metrics as tm, TelemetryConfig};
 use proptest::prelude::*;
 
@@ -685,7 +685,8 @@ fn metro_benchmark_routes_equal_the_flat_planner() {
 
 /// `simulate_flow_with`'s retry ladder with nothing kept and nothing
 /// reused: every attempt builds its header and conduits afresh and runs
-/// on a fresh scratch, and the replan rung's detour is the reference
+/// on a fresh scratch, on the key the flow body derives for it (every
+/// resend is run, none skipped), and the replan rung's detour is the reference
 /// [`plan_route_avoiding`] over the fault state's own blocked set.
 /// Returns the outcome and, when the flow climbed to the rung that
 /// materializes the ladder, whether a detour survives.
@@ -699,6 +700,7 @@ fn reference_ladder(
     let (true, Some(src_ap)) = (plan.route_found(), plan.src_ap) else {
         return (outcome, None);
     };
+    let flow_key = rng.next_u64();
     let faults = world.fault_state().expect("the churn world is faulted");
     let (policy, cfg) = (faults.retry(), world.config());
     assert_eq!(cfg.scope, RebroadcastScope::Building);
@@ -744,7 +746,7 @@ fn reference_ladder(
             src_ap,
             loss,
             Some(faults),
-            rng,
+            split_seed(flow_key, u64::from(outcome.attempts)),
             &mut scratch,
         );
         outcome.broadcasts += report.broadcasts;

@@ -165,7 +165,10 @@ impl<E> Simulation<E> {
     }
 
     /// Runs until the queue drains (or the horizon passes), calling
-    /// `handler` for each event in timestamp order.
+    /// `handler` for each event in timestamp order. Inlined, so a
+    /// handler's captured counters can live in registers across the
+    /// loop.
+    #[inline]
     pub fn run(&mut self, mut handler: impl FnMut(&mut Simulation<E>, E)) {
         while let Some((t, ev)) = self.queue.pop() {
             if let Some(h) = self.horizon {

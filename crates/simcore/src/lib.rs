@@ -7,7 +7,8 @@
 //! 1. **Determinism** — a run is a pure function of its seed. The event
 //!    queue breaks timestamp ties by insertion sequence number, and all
 //!    randomness flows through explicitly-seeded generators
-//!    ([`SimRng`], [`split_seed`]). Every figure in EXPERIMENTS.md can
+//!    ([`SimRng`], [`split_seed`]) or keyed draws ([`keyed_jitter`],
+//!    [`keyed_chance`]). Every figure in EXPERIMENTS.md can
 //!    be regenerated bit-for-bit.
 //! 2. **Scale** — city simulations schedule millions of packet
 //!    broadcast events; the scheduler is one `Vec` kept sorted by
@@ -32,6 +33,6 @@ mod time;
 
 pub use digest::Fnv64;
 pub use event_queue::{EventQueue, Simulation};
-pub use rng::{split_seed, substream_seed, SimRng};
+pub use rng::{keyed_chance, keyed_jitter, split_seed, substream_seed, SimRng};
 pub use stats::Histogram;
 pub use time::SimTime;

@@ -1,10 +1,19 @@
 //! Deterministic random number generation.
 //!
 //! Every stochastic component of a CityMesh experiment (AP placement,
-//! source/destination sampling, MAC jitter, shadowing) draws from a
-//! [`SimRng`] seeded from the experiment seed via [`split_seed`], so
-//! adding randomness consumers to one component never perturbs another
-//! (no accidental stream sharing).
+//! source/destination sampling, shadowing) draws from a [`SimRng`]
+//! seeded from the experiment seed via [`split_seed`], so adding
+//! randomness consumers to one component never perturbs another (no
+//! accidental stream sharing).
+//!
+//! The delivery kernel's per-frame draws take no stream at all: each
+//! MAC jitter and each reception-loss trial is a *keyed draw*
+//! ([`keyed_jitter`], [`keyed_chance`]), a pure function of one
+//! attempt's key and of the AP or frame it decides. A flood's outcome
+//! then never depends on the order its events pop in — the rule
+//! [`substream_seed`] applies to flows, applied to frames.
+
+use crate::time::SimTime;
 
 /// Derives an independent child seed from `(seed, stream)`.
 ///
@@ -32,6 +41,42 @@ pub fn split_seed(seed: u64, stream: u64) -> u64 {
 /// way single-round `domain ^ index` mixing could.
 pub fn substream_seed(root: u64, domain: u64, index: u64) -> u64 {
     split_seed(split_seed(root, domain), index)
+}
+
+/// The top 53 bits of `word` as a uniform `f64` in `[0, 1)`.
+#[inline]
+fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// A keyed draw uniform in `[lo, hi)`:
+/// `lo + ⌊SplitMix(key, item) · (hi − lo) / 2⁶⁴⌋`, nanosecond-exact.
+/// A pure function of `(key, item)`, so a relay's jitter is the same
+/// whenever, and however often, it is asked for. The multiply-high
+/// mapping is biased by at most `(hi − lo) / 2⁶⁴` per value, far below
+/// anything a finite run can see.
+///
+/// # Panics
+/// Panics when `hi < lo`.
+#[inline]
+pub fn keyed_jitter(key: u64, item: u32, lo: SimTime, hi: SimTime) -> SimTime {
+    let span = hi.as_nanos() - lo.as_nanos();
+    let word = split_seed(key, u64::from(item));
+    let offset = ((u128::from(word) * u128::from(span)) >> 64) as u64;
+    SimTime::from_nanos(lo.as_nanos() + offset)
+}
+
+/// A keyed Bernoulli trial for the frame `transmitter → receiver`:
+/// `SplitMix(key, transmitter, receiver)`'s top 53 bits, read as a
+/// uniform in `[0, 1)`, fall below `p`. The frame's stream
+/// `(transmitter + 1) · 2³² + receiver` lies above every
+/// [`keyed_jitter`] item (AP ids are below `u32::MAX`), so under one
+/// key every jitter and every frame reads its own SplitMix64 word, and
+/// `a → b` is a different frame from `b → a`.
+#[inline]
+pub fn keyed_chance(key: u64, transmitter: u32, receiver: u32, p: f64) -> bool {
+    let stream = (u64::from(transmitter) + 1) << 32 | u64::from(receiver);
+    unit_f64(split_seed(key, stream)) < p
 }
 
 /// A fast, deterministic generator: **xoshiro256++**.
@@ -65,6 +110,12 @@ impl SimRng {
         SimRng::new(split_seed(self.s[0] ^ self.s[3], stream))
     }
 
+    /// The stream's next 64-bit word.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.next()
+    }
+
     #[inline]
     fn next(&mut self) -> u64 {
         let result = (self.s[0].wrapping_add(self.s[3]))
@@ -83,7 +134,7 @@ impl SimRng {
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next())
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -316,6 +367,79 @@ mod tests {
         // Rc or RefCell creeping into SimRng) fails to compile.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SimRng>();
+    }
+
+    /// The kernel's jitter window (`citymesh_core::sim::{MIN_JITTER,
+    /// MAX_JITTER}`: U(0.5, 5) ms, paper §4).
+    const WINDOW: (SimTime, SimTime) = (SimTime::from_micros(500), SimTime::from_millis(5));
+    const KEYS: u64 = 100_000;
+
+    #[test]
+    fn keyed_jitter_fills_its_window_uniformly() {
+        let (lo, hi) = WINDOW;
+        let span = (hi.as_nanos() - lo.as_nanos()) as f64;
+        let mut bins = [0u64; 10];
+        for key in 0..KEYS {
+            // Sequential keys and items: the avalanche must hide both.
+            let t = keyed_jitter(key, (key % 1_000) as u32, lo, hi);
+            assert!(lo <= t && t < hi, "{t:?} outside [{lo:?}, {hi:?})");
+            let bin = ((t.as_nanos() - lo.as_nanos()) as f64 / span * 10.0) as usize;
+            bins[bin] += 1;
+        }
+        let expected = KEYS as f64 / 10.0;
+        let chi2: f64 = bins
+            .iter()
+            .map(|&n| (n as f64 - expected).powi(2) / expected)
+            .sum();
+        // χ²(9 d.f.) exceeds 27.88 with probability 0.001.
+        assert!(chi2 < 27.88, "χ² = {chi2:.2} over bins {bins:?}");
+        assert_eq!(keyed_jitter(9, 3, lo, hi), keyed_jitter(9, 3, lo, hi));
+        assert_eq!(
+            keyed_jitter(9, 3, lo, lo),
+            lo,
+            "an empty window is its floor"
+        );
+    }
+
+    /// `(hits − n·p) / √(n·p·(1−p))`: how many binomial σ a count is off.
+    fn sigmas(hits: u64, n: u64, p: f64) -> f64 {
+        let n = n as f64;
+        (hits as f64 - n * p) / (n * p * (1.0 - p)).sqrt()
+    }
+
+    #[test]
+    fn keyed_chance_hits_its_probability() {
+        let p = 0.3;
+        let hits = (0..KEYS).filter(|&k| keyed_chance(k, 17, 18, p)).count() as u64;
+        let z = sigmas(hits, KEYS, p);
+        assert!(z.abs() < 4.0, "{hits} of {KEYS} lost at p = {p}: {z:.2} σ");
+        assert!(!(0..1_000).any(|k| keyed_chance(k, 1, 2, 0.0)));
+        assert!((0..1_000).all(|k| keyed_chance(k, 1, 2, 1.0)));
+    }
+
+    #[test]
+    fn opposite_frames_draw_independently() {
+        let p = 0.3;
+        let (mut a_to_b, mut b_to_a, mut both) = (0u64, 0u64, 0u64);
+        for key in 0..KEYS {
+            let (x, y) = (keyed_chance(key, 5, 6, p), keyed_chance(key, 6, 5, p));
+            a_to_b += u64::from(x);
+            b_to_a += u64::from(y);
+            both += u64::from(x && y);
+        }
+        for hits in [a_to_b, b_to_a] {
+            assert!(sigmas(hits, KEYS, p).abs() < 4.0, "{hits} of {KEYS}");
+        }
+        // Independent trials lose both frames with probability p².
+        let z = sigmas(both, KEYS, p * p);
+        assert!(z.abs() < 4.0, "both frames lost {both} of {KEYS}: {z:.2} σ");
+    }
+
+    #[test]
+    fn next_u64_is_the_stream() {
+        let (mut a, mut b) = (SimRng::new(4), SimRng::new(4));
+        assert_eq!(a.next_u64(), b.next());
+        assert_eq!(a.uniform(), b.uniform());
     }
 
     #[test]

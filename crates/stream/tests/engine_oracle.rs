@@ -36,7 +36,7 @@ use citymesh_map::synth::generate;
 use citymesh_map::{CityArchetype, CityMap};
 use citymesh_net::CityMeshHeader;
 use citymesh_reference::{compress_route, plan_route_avoiding};
-use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_simcore::{split_seed, substream_seed, SimRng, SimTime};
 use citymesh_stream::{try_run_stream, StreamConfig};
 use citymesh_telemetry::{metrics as tm, TelemetryConfig};
 use proptest::prelude::*;
@@ -123,8 +123,10 @@ fn reference_outcome(
 /// before it to the first live one after it — or, with no splice, the
 /// whole route is replanned around the dark buildings, and the next
 /// attempt sends over the patched route. Every attempt builds its own
-/// header, conduits, covered set and kernel scratch. A delivery on a
-/// patched route is a replan however many sends after the splice.
+/// header, conduits, covered set and kernel scratch, and runs the
+/// kernel on the key the flow body derives for it — resends included,
+/// which the flow body skips when no frame can be lost. A delivery on
+/// a patched route is a replan however many sends after the splice.
 fn reference_reactive(
     world: &CityExperiment,
     flow: &FlowSpec,
@@ -133,7 +135,7 @@ fn reference_reactive(
 ) -> PairOutcome {
     let plan = world.plan_flow(flow.src, flow.dst);
     let msg_id = substream_seed(seed, DOMAIN_MSG, flow.id);
-    let mut rng = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id));
+    let flow_key = SimRng::new(substream_seed(seed, DOMAIN_SIM, flow.id)).next_u64();
     let mut outcome = PairOutcome::from_plan(&plan);
     let Some(src_ap) = plan.src_ap.filter(|_| plan.route_found()) else {
         return outcome;
@@ -161,7 +163,7 @@ fn reference_reactive(
             src_ap,
             config.reception_loss,
             Some(faults),
-            &mut rng,
+            split_seed(flow_key, u64::from(attempts)),
             &mut DeliveryScratch::new(),
         )
         .clone();

@@ -131,7 +131,7 @@ fn delivery_report_roles_are_consistent_with_counts() {
         src_ap,
         0.0,
         None,
-        &mut SimRng::new(1),
+        SimRng::new(1).next_u64(),
         &mut scratch,
     );
     assert!(report.delivered);

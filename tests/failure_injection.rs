@@ -34,7 +34,7 @@ fn simulate(
         src_ap,
         0.0,
         None,
-        rng,
+        rng.next_u64(),
         &mut scratch,
     )
     .clone()
