@@ -25,7 +25,7 @@ pub struct Pin {
 
 /// The fleet sweep's 500-flow hotspot digest. The telemetry sweep runs
 /// the same workload fully traced and must land on it too.
-const FLEET_500: u64 = 0x38e26be61a50ca69;
+const FLEET_500: u64 = 0x19ea3ddd799598cf;
 
 const fn pin(sweep: &'static str, name: &'static str, value: u64) -> Pin {
     Pin { sweep, name, value }
@@ -35,7 +35,7 @@ const fn pin(sweep: &'static str, name: &'static str, value: u64) -> Pin {
 pub const PINS: [Pin; 14] = [
     pin("fleet", "500-flow digest", FLEET_500),
     pin("planner", "plan digest", 0x225e8143b580e73a),
-    pin("resilience", "downtown p=0.2 digest", 0x97a79a162866494a),
+    pin("resilience", "downtown p=0.2 digest", 0xcfa2c98a461d5e08),
     pin(
         "resilience",
         "downtown p=0.2 fault fingerprint",
@@ -45,32 +45,32 @@ pub const PINS: [Pin; 14] = [
     pin(
         "churn",
         "downtown 8-event ladder digest",
-        0x4ff3b21cbdf310d0,
+        0x3822384776311b7b,
     ),
     pin(
         "churn",
         "downtown 8-event reactive digest",
-        0xa110c23a3048c5c7,
+        0xba29f37cc2604796,
     ),
     pin("telemetry", "traced 500-flow digest", FLEET_500),
     pin("metro", "largest-size route digest", 0xc020ea31821080c9),
     pin(
         "streaming",
         "downtown-flat overload digest",
-        0x2a62f960dc554999,
+        0xcf51862631d45783,
     ),
     pin(
         "streaming",
         "metro-hier overload digest",
-        0xce6df5851261e676,
+        0xdee35c386253b5dd,
     ),
     pin(
         "placement",
         "annealed-downtown score digest",
-        0x33a7ea1a74956937,
+        0x13961c0799ca51a0,
     ),
-    pin("crypto", "plaintext digest", 0x1351fe25555bc1c0),
-    pin("crypto", "encrypted digest", 0xb02be26cd10b3138),
+    pin("crypto", "plaintext digest", 0xb5c11dd0ade98a29),
+    pin("crypto", "encrypted digest", 0x670d3dddda0834cb),
 ];
 
 /// The pinned value of `sweep`'s row `name`.
@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(bad[0].observed, Some(seen[1].1));
         let line = bad[0].to_string();
         assert!(line.starts_with("churn: pin `downtown 8-event ladder digest`"));
-        assert!(line.contains("expected 4ff3b21cbdf310d0, observed 4ff3b21cbdf110d0"));
+        assert!(line.contains("expected 3822384776311b7b, observed 3822384776331b7b"));
     }
 
     #[test]

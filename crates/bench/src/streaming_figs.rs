@@ -251,8 +251,8 @@ pub fn run_streaming_figs(
                     "{} x{multiplier}: accounting must balance",
                     scenario.label
                 );
-                // Exact maxima (quantiles are bucket-resolution and
-                // can overshoot the true max by the bucket growth).
+                // Exact maxima (quantiles are bucket-resolution), each
+                // rounded to the ns the histograms record.
                 let sojourn_max = r.sojourn_ms.max().unwrap_or(0.0);
                 let service_max = r.service_ms.max().unwrap_or(0.0);
                 assert!(

@@ -21,10 +21,7 @@
 use citymesh_core::{FaultScenario, RetryPolicy};
 use citymesh_fleet::{generate_flows, try_run_fleet_traced, WorkloadConfig};
 use citymesh_map::CityArchetype;
-use citymesh_telemetry::{
-    metrics as tm, rung_delivery_counter, rung_latency_histogram, rung_overhead_histogram,
-    Postmortem, RecoveryStage, TelemetryConfig, TraceEvent,
-};
+use citymesh_telemetry::{metrics as tm, Postmortem, RecoveryStage, TelemetryConfig, TraceEvent};
 
 use crate::fleet_figs::HOTSPOT_WORKLOAD;
 use crate::sweep::{fleet_config, prepare, run_fleet, write_figure, Scale, Sweep, SweepOpts, SEED};
@@ -36,7 +33,7 @@ use crate::text;
 /// dominating a 500-flow run.
 pub const SAMPLE_EVERY: u64 = 16;
 
-/// Per-rung delivery statistics from the faulted run's metric registry.
+/// Per-rung delivery statistics from the faulted run's report.
 pub struct RungStats {
     /// Rung label (`first`, `resend`, `widen`, `replan`).
     pub rung: &'static str,
@@ -72,7 +69,7 @@ pub struct TelemetryFigures {
     /// identical across worker counts.
     pub metrics_fingerprint: u64,
     /// The faulted run's counter table: its outcome counts from the
-    /// report, then the registry's attempt, failure and trace counters.
+    /// report, then the registry's attempt and trace counters.
     pub counters: Vec<(&'static str, u64)>,
     /// Per-rung breakdown of the faulted run.
     pub rungs: Vec<RungStats>,
@@ -94,9 +91,8 @@ pub struct TelemetryFigures {
 /// healthy digest diverging from the plain one, traced faulted runs
 /// disagreeing with each other or with the untraced faulted run
 /// across `worker_counts`, or metric fingerprints / postmortem sets
-/// varying with worker count; or if the registry does not split the
-/// report's flows (rung deliveries are its deliveries, exhausted +
-/// unroutable its failures), at any worker count; or if the run
+/// varying with worker count; or if the report's rungs do not
+/// partition its deliveries, at any worker count; or if the run
 /// captured no complete failure/recovery trace to export. A
 /// benchmark that measures a perturbed system must not report at all.
 pub fn run_telemetry(
@@ -156,9 +152,9 @@ pub fn run_telemetry(
             "tracing perturbed the faulted digest at {workers} workers"
         );
         assert_eq!(
-            telem.metrics.outcome_split(),
-            (report.delivered, report.flows - report.delivered),
-            "the registry must split the report's flows at {workers} workers"
+            report.rungs.iter().map(|r| r.delivered).sum::<u64>(),
+            report.delivered,
+            "the rungs must partition the deliveries at {workers} workers"
         );
         assert_eq!(
             telem.metrics.fingerprint(),
@@ -187,25 +183,22 @@ pub fn run_telemetry(
         ("recovered_total", report.recovered),
         ("attempts_total", m.counter(tm::ATTEMPTS)),
         ("broadcasts_total", m.counter(tm::BROADCASTS)),
-        ("exhausted_total", m.counter(tm::EXHAUSTED)),
-        ("unroutable_total", m.counter(tm::UNROUTABLE)),
+        ("exhausted_total", report.exhausted()),
+        ("unroutable_total", report.unroutable()),
         ("postmortems_total", m.counter(tm::POSTMORTEMS)),
         ("trace_dropped_total", m.counter(tm::TRACE_DROPPED)),
     ];
     let rungs: Vec<RungStats> = RecoveryStage::ALL
         .iter()
-        .map(|&rung| RungStats {
-            rung: rung.label(),
-            deliveries: m.counter(rung_delivery_counter(rung)),
-            latency_ms_p50: m
-                .histo_quantile(rung_latency_histogram(rung), 0.5)
-                .map(|us| us as f64 / 1_000.0),
-            latency_ms_p90: m
-                .histo_quantile(rung_latency_histogram(rung), 0.9)
-                .map(|us| us as f64 / 1_000.0),
-            mean_overhead: m
-                .histo_mean(rung_overhead_histogram(rung))
-                .map(|milli| milli / 1_000.0),
+        .map(|&stage| {
+            let rung = report.rung_report(stage);
+            RungStats {
+                rung: stage.label(),
+                deliveries: rung.delivered,
+                latency_ms_p50: rung.latency_ms.quantile(0.5),
+                latency_ms_p90: rung.latency_ms.quantile(0.9),
+                mean_overhead: rung.overhead.mean(),
+            }
         })
         .collect();
 

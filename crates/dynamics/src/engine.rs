@@ -152,6 +152,11 @@ pub struct ChurnReport {
     pub retried: u64,
     /// Retried flows ultimately delivered.
     pub recovered: u64,
+    /// Deliveries by the rung that made them, in
+    /// [`RecoveryStage::ALL`](citymesh_core::RecoveryStage::ALL) order.
+    /// Covered by the digest through the epochs' fleet digests, which
+    /// carry the rung split whenever a flow retried.
+    pub rung_deliveries: [u64; 4],
     /// Epochs executed (`timeline.len() + 1`).
     pub epochs: u64,
     /// World events applied.
@@ -372,6 +377,9 @@ pub fn try_run_churn(
         report.delivered += fleet.delivered;
         report.retried += fleet.retried;
         report.recovered += fleet.recovered;
+        for (total, rung) in report.rung_deliveries.iter_mut().zip(&fleet.rungs) {
+            *total += rung.delivered;
+        }
         report.epochs += 1;
         // The final epoch, which no event closes, keeps its pre-event
         // fingerprint and zero barrier costs.
@@ -634,8 +642,9 @@ mod tests {
             m.counter(tm::DETOUR_SEARCHES) > 0,
             "aftershocks on a blacked-out downtown must trigger repairs"
         );
-        assert!(m.counter(tm::RUNG_REPLAN) > 0, "a repaired route delivers");
-        assert_eq!(m.counter(tm::RUNG_WIDEN), 0, "local repair never widens");
+        let [_, _, widen, replan] = reactive.rung_deliveries;
+        assert!(replan > 0, "a repaired route delivers");
+        assert_eq!(widen, 0, "local repair never widens");
         assert_eq!(m.counter(tm::LADDERS_MATERIALIZED), 0);
         assert!(reactive.recovered > 0);
         let (ladder, _) = run(Strategy::RetryLadder);
@@ -692,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_keep_the_digest_and_split_outcomes() {
+    fn traced_runs_keep_the_digest_and_split_deliveries() {
         let exp = world(37);
         let flows = workload(&exp, 200, 37);
         let tl = Timeline::materialize(
@@ -727,11 +736,11 @@ mod tests {
                 "{}: telemetry must not perturb churn outcomes",
                 strategy.label()
             );
-            let telemetry = telemetry.expect("metrics were requested");
+            assert!(telemetry.is_some(), "metrics were requested");
             assert_eq!(
-                telemetry.metrics.outcome_split(),
-                (traced.delivered, traced.flows - traced.delivered),
-                "{}: the registry splits the report's flows",
+                traced.rung_deliveries.iter().sum::<u64>(),
+                traced.delivered,
+                "{}: the rungs split the report's deliveries",
                 strategy.label()
             );
         }

@@ -14,13 +14,12 @@
 //! 2. route planning is RNG-free and memoized in a shared
 //!    [`RouteCache`]; racing planners compute identical values, so
 //!    insertion order cannot matter;
-//! 3. workers hand each claimed chunk's outcomes to one
-//!    [`OrderedFold`], which absorbs chunks in ascending flow-id order
-//!    as soon as every earlier chunk is in, so floating-point sums see
-//!    one canonical operand order and no call keeps a record per flow.
+//! 3. every report field is an integer count, an integer histogram or
+//!    a maximum, so each worker folds the flows it ran into its own
+//!    report and [`FleetReport::merge`] adds the parts in any order.
 //!
-//! The per-flow pipeline, the pool and the fold live in
-//! [`crate::exec`]; this module is "executor over a slice".
+//! The per-flow pipeline and the pool live in [`crate::exec`]; this
+//! module is "executor over a slice".
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -28,27 +27,22 @@ use std::time::Instant;
 use citymesh_core::{CityExperiment, PairOutcome};
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::Fnv64;
-use citymesh_telemetry::{MetricSet, Postmortem, TelemetryConfig};
+use citymesh_telemetry::{MetricSet, Postmortem, RecoveryStage, TelemetryConfig};
 
 use crate::cache::RouteCache;
-use crate::exec::{resolve_workers, run_pool, FlowExecutor, OrderedFold};
+use crate::exec::{resolve_workers, run_pool, FlowExecutor};
 use crate::workload::{FlowKind, FlowSpec};
 
-/// How many flows a worker claims per counter increment, and hands to
-/// the fold as one part. Large enough to amortize the atomic and the
-/// fold's lock, small enough to balance tail stragglers.
+/// How many flows a worker claims per counter increment. Large enough
+/// to amortize the atomic, small enough to balance tail stragglers.
 const CLAIM_CHUNK: usize = 32;
 
-/// How many consecutive flows of an epoch the stream engine's workers
-/// walk before each hands the fold its part of them (the outcomes of
-/// its own servers' flows in the window).
-pub const FOLD_WINDOW: usize = 256;
+/// Nanoseconds per millisecond: latency histograms record integer ns
+/// and read in ms.
+const NS_PER_MS: u64 = 1_000_000;
 
-/// How far past the oldest unfinished flow an engine call's workers may
-/// run, in flows: the fold holds finished outcomes no further ahead, so
-/// a call keeps at most this many records, however slow one worker is
-/// ([`OrderedFold`]'s `ahead`: 64 claim chunks, 8 stream windows).
-pub const FOLD_AHEAD: usize = 8 * FOLD_WINDOW;
+/// Overhead histograms record broadcasts per ideal hop in thousandths.
+const OVERHEAD_PER_UNIT: u64 = 1_000;
 
 /// Engine parameters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -128,28 +122,56 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
+/// What one rung of the recovery ladder delivered.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RungReport {
+    /// Flows this rung delivered.
+    pub delivered: u64,
+    /// First-delivery latency of those flows, ms (recorded in ns).
+    pub latency_ms: Histogram,
+    /// Transmission overhead (broadcasts / ideal hops) of those flows,
+    /// recorded in thousandths.
+    pub overhead: Histogram,
+}
+
+impl RungReport {
+    fn empty() -> Self {
+        RungReport {
+            delivered: 0,
+            latency_ms: Histogram::with_unit(NS_PER_MS),
+            overhead: Histogram::with_unit(OVERHEAD_PER_UNIT),
+        }
+    }
+
+    fn merge(&mut self, other: &RungReport) {
+        self.delivered += other.delivered;
+        self.latency_ms.merge(&other.latency_ms);
+        self.overhead.merge(&other.overhead);
+    }
+}
+
 /// Aggregated results of one fleet run.
 ///
 /// Everything except the wall-clock fields ([`elapsed_secs`] and the
 /// cache counters, which depend on scheduling) is deterministic in
 /// `(world, workload, seed)` and covered by [`digest`].
 ///
-/// **Conditional digest mixing for retry statistics.** The three
-/// retry fields ([`retried`], [`recovered`], [`retry_attempts`]) join
-/// the digest **only when `retried > 0`** — i.e. only on runs where
-/// the recovery ladder actually fired. Fault-free runs never retry,
-/// so their digests are computed exactly as before the retry fields
-/// existed, which keeps golden digests pinned prior to fault
-/// injection (the CI 500-flow pin among them) valid forever. The
-/// corollary: on a fault-free run, mutating the retry fields does not
-/// perturb the digest (see `fault_free_digest_ignores_retry_fields`).
+/// **Conditional digest mixing for retry statistics.** The retry
+/// fields ([`retried`], [`recovered`], [`retry_attempts`]) and the
+/// per-rung split ([`rungs`]) join the digest **only when `retried >
+/// 0`** — i.e. only on runs where the recovery ladder actually fired.
+/// Fault-free runs never retry, so their digests keep the shape they
+/// had before the retry fields existed. The corollary: on a fault-free
+/// run, mutating the retry fields does not perturb the digest (see
+/// `fault_free_digest_ignores_retry_fields`).
 ///
 /// [`elapsed_secs`]: FleetReport::elapsed_secs
 /// [`digest`]: FleetReport::digest
 /// [`retried`]: FleetReport::retried
 /// [`recovered`]: FleetReport::recovered
 /// [`retry_attempts`]: FleetReport::retry_attempts
-#[derive(Clone, Debug)]
+/// [`rungs`]: FleetReport::rungs
+#[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
     /// Flows executed.
     pub flows: u64,
@@ -161,8 +183,11 @@ pub struct FleetReport {
     pub delivered: u64,
     /// Flows that were postbox check-ins.
     pub checkins: u64,
-    /// First-delivery latency, milliseconds (delivered flows).
-    pub latency_ms: Histogram,
+    /// The delivered flows split by the rung that delivered them,
+    /// indexed by [`RecoveryStage`] in ladder order
+    /// ([`FleetReport::rung_report`]). Fault-free runs deliver on
+    /// [`RecoveryStage::First`] alone.
+    pub rungs: [RungReport; 4],
     /// Broadcast count per flow (delivered flows).
     pub broadcasts: Histogram,
     /// Ideal-unicast hop count (reachable flows with a source AP).
@@ -217,7 +242,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// An all-zero report with empty histograms: the accumulator every
-    /// engine folds its id-ordered outcome stream into via
+    /// engine worker folds its flows into via
     /// [`FleetReport::absorb_outcome`], so all digests stand on the same
     /// footing.
     pub fn empty() -> Self {
@@ -227,14 +252,13 @@ impl FleetReport {
             route_found: 0,
             delivered: 0,
             checkins: 0,
-            // Latencies in ms: 10 µs floor, ~10 % resolution.
-            latency_ms: Histogram::new(1e-2, 1.1),
-            broadcasts: Histogram::new(1.0, 1.2),
-            hops: Histogram::new(1.0, 1.2),
-            header_bits: Histogram::new(8.0, 1.1),
+            rungs: std::array::from_fn(|_| RungReport::empty()),
+            broadcasts: Histogram::new(),
+            hops: Histogram::new(),
+            header_bits: Histogram::new(),
             retried: 0,
             recovered: 0,
-            retry_attempts: Histogram::new(1.0, 1.2),
+            retry_attempts: Histogram::new(),
             sealed: 0,
             opened: 0,
             auth_failures: 0,
@@ -246,11 +270,8 @@ impl FleetReport {
         }
     }
 
-    /// Folds one flow's outcome in. Must be called in ascending
-    /// flow-id order to keep floating-point accumulation canonical:
-    /// every engine calls it from an [`OrderedFold`] sink, which
-    /// absorbs each part of a call's outcomes once all earlier parts
-    /// are in, while workers are still running later ones.
+    /// Folds one flow's outcome in. Every field is a count, an integer
+    /// histogram or a maximum, so flows may be absorbed in any order.
     pub fn absorb_outcome(&mut self, spec: &FlowSpec, outcome: &PairOutcome) {
         self.flows += 1;
         if spec.kind == FlowKind::PostboxCheckin {
@@ -261,20 +282,27 @@ impl FleetReport {
         }
         if outcome.route_found {
             self.route_found += 1;
-            self.header_bits.record(outcome.route_bits as f64);
+            self.header_bits.record(outcome.route_bits as u64);
         }
         if let Some(h) = outcome.ideal_hops {
-            self.hops.record(h as f64);
+            self.hops.record(h);
         }
         if outcome.delivered {
             self.delivered += 1;
-            self.broadcasts.record(outcome.broadcasts as f64);
+            self.broadcasts.record(outcome.broadcasts);
+            let stage = outcome.recovered_by.unwrap_or(RecoveryStage::First);
+            let rung = &mut self.rungs[stage as usize];
+            rung.delivered += 1;
             if let Some(t) = outcome.latency {
-                self.latency_ms.record(t.as_millis_f64());
+                rung.latency_ms.record(t.as_nanos());
+            }
+            if let Some(ov) = outcome.overhead {
+                let thousandths = ov * OVERHEAD_PER_UNIT as f64;
+                rung.overhead.record(thousandths.round() as u64);
             }
         }
         if outcome.attempts > 0 {
-            self.retry_attempts.record(outcome.attempts as f64);
+            self.retry_attempts.record(u64::from(outcome.attempts));
         }
         if outcome.attempts > 1 {
             self.retried += 1;
@@ -294,6 +322,82 @@ impl FleetReport {
         self.span_ms = self.span_ms.max(spec.arrival_ms);
     }
 
+    /// Folds another report in: counters and histogram buckets add,
+    /// and `span_ms` takes the maximum, so merging per-worker parts in
+    /// any order equals absorbing all their flows into one report.
+    /// `elapsed_secs` and `workers` describe the engine call, not its
+    /// flows; the call sets them after the merge.
+    pub fn merge(&mut self, other: &FleetReport) {
+        let FleetReport {
+            flows,
+            reachable,
+            route_found,
+            delivered,
+            checkins,
+            rungs,
+            broadcasts,
+            hops,
+            header_bits,
+            retried,
+            recovered,
+            retry_attempts,
+            sealed,
+            opened,
+            auth_failures,
+            span_ms,
+            elapsed_secs: _,
+            workers: _,
+            cache_hits,
+            cache_misses,
+        } = other;
+        self.flows += flows;
+        self.reachable += reachable;
+        self.route_found += route_found;
+        self.delivered += delivered;
+        self.checkins += checkins;
+        for (mine, theirs) in self.rungs.iter_mut().zip(rungs) {
+            mine.merge(theirs);
+        }
+        self.broadcasts.merge(broadcasts);
+        self.hops.merge(hops);
+        self.header_bits.merge(header_bits);
+        self.retried += retried;
+        self.recovered += recovered;
+        self.retry_attempts.merge(retry_attempts);
+        self.sealed += sealed;
+        self.opened += opened;
+        self.auth_failures += auth_failures;
+        self.span_ms = self.span_ms.max(*span_ms);
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+    }
+
+    /// What `stage` delivered.
+    pub fn rung_report(&self, stage: RecoveryStage) -> &RungReport {
+        &self.rungs[stage as usize]
+    }
+
+    /// First-delivery latency of every delivered flow, ms: the merge of
+    /// the per-rung histograms.
+    pub fn latency_ms(&self) -> Histogram {
+        let mut all = Histogram::with_unit(NS_PER_MS);
+        for rung in &self.rungs {
+            all.merge(&rung.latency_ms);
+        }
+        all
+    }
+
+    /// Simulated flows that exhausted every rung they were allowed.
+    pub fn exhausted(&self) -> u64 {
+        self.retry_attempts.len() - self.delivered
+    }
+
+    /// Flows that never reached the simulator: no route, or the source
+    /// building went dark.
+    pub fn unroutable(&self) -> u64 {
+        self.flows - self.retry_attempts.len()
+    }
+
     /// Delivered fraction over all flows.
     pub fn delivery_rate(&self) -> f64 {
         if self.flows == 0 {
@@ -311,9 +415,9 @@ impl FleetReport {
     }
 
     /// A 64-bit digest over every deterministic field: the counters,
-    /// the span, and the full state of all four histograms. Equal
-    /// digests ⇒ byte-identical aggregate results; the engine's
-    /// "N workers == serial" invariant is checked by comparing these.
+    /// the span, and the full state of every histogram. Equal digests
+    /// ⇒ byte-identical aggregate results; the engine's "N workers ==
+    /// serial" invariant is checked by comparing these.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::new();
         h.mix(self.flows);
@@ -322,20 +426,27 @@ impl FleetReport {
         h.mix(self.delivered);
         h.mix(self.checkins);
         h.mix(self.span_ms.to_bits());
-        h.mix(self.latency_ms.fingerprint());
+        h.mix(self.latency_ms().fingerprint());
         h.mix(self.broadcasts.fingerprint());
         h.mix(self.hops.fingerprint());
         h.mix(self.header_bits.fingerprint());
-        // Retry statistics join the digest only once a retry actually
-        // happened: fault-free runs (where the ladder never fires and
-        // `retry_attempts` is degenerate) keep their historical digests,
-        // so golden values pinned before fault injection stay valid.
+        // Retry statistics and the rung split join the digest only once
+        // a retry actually happened: fault-free runs (where the ladder
+        // never fires, `retry_attempts` is degenerate and every
+        // delivery is a first-rung one) keep their digest's shape.
+        let mut rungs = Fnv64::new();
+        for rung in &self.rungs {
+            rungs.mix(rung.delivered);
+            rungs.mix(rung.latency_ms.fingerprint());
+            rungs.mix(rung.overhead.fingerprint());
+        }
         h.mix_when(
             self.retried > 0,
             &[
                 self.retried,
                 self.recovered,
                 self.retry_attempts.fingerprint(),
+                rungs.value(),
             ],
         );
         // Sealed-message statistics join only when encryption actually
@@ -360,7 +471,7 @@ impl FleetReport {
 /// Telemetry harvested from one traced fleet run: the merged metric
 /// set plus every captured postmortem, both schedule-independent.
 ///
-/// Per-worker metric sets are merged in worker-id order, and all
+/// Per-worker metric sets are merged after the pool joins, and all
 /// metric values are integers (addition commutes), so the merged set —
 /// and its [`MetricSet::fingerprint`] — is identical across worker
 /// counts. Postmortems are sorted by flow id, and each flow's capture
@@ -412,7 +523,7 @@ pub fn try_run_fleet(
 }
 
 /// [`try_run_fleet`] with observability: per-worker metric sets merged
-/// in worker-id order plus flow-trace postmortems, per `tel`.
+/// plus flow-trace postmortems, per `tel`.
 ///
 /// The [`FleetReport`] (and its digest) is **bit-identical** to the
 /// untraced run — telemetry draws no randomness and feeds nothing
@@ -438,13 +549,10 @@ pub fn try_run_fleet_traced(
 /// ([`RouteCache::evict_stale`] / [`RouteCache::clear`]).
 ///
 /// The engine proper: workers claim chunks of `flows` from an atomic
-/// cursor, run each flow on their own [`FlowExecutor`] and hand the
-/// chunk's outcomes to an [`OrderedFold`], which folds them into the
-/// report in flow-id order as soon as every earlier chunk is in.
+/// cursor, run each flow on their own [`FlowExecutor`] and fold its
+/// outcome into their own [`FleetReport`]; the call merges the parts.
 ///
-/// `flows` must be sorted by ascending flow id (every generated
-/// workload is, and any contiguous epoch slice of one stays so); the
-/// report's cache counters are the cache's *cumulative* totals, so
+/// The report's cache counters are the cache's *cumulative* totals, so
 /// per-epoch deltas are the caller's bookkeeping.
 ///
 /// # Panics
@@ -460,18 +568,10 @@ pub fn try_run_fleet_on_cache(
     let workers = resolve_workers(cfg.workers, flows.len().div_ceil(CLAIM_CHUNK));
     let started = Instant::now();
 
-    let mut report = FleetReport::empty();
-    let ahead = FOLD_AHEAD / CLAIM_CHUNK;
-    let fold = OrderedFold::new(1, ahead, |chunk, parts: &mut [Vec<PairOutcome>]| {
-        for (spec, outcome) in flows[chunk * CLAIM_CHUNK..].iter().zip(&parts[0]) {
-            report.absorb_outcome(spec, outcome);
-        }
-    });
     let cursor = AtomicUsize::new(0);
-    let harvests = run_pool(0..workers, |_| {
-        let _worker = fold.worker();
+    let (parts, harvests): (Vec<FleetReport>, Vec<_>) = run_pool(0..workers, |_| {
         let mut exec = FlowExecutor::new(cache, cfg, tel);
-        let mut part = Vec::with_capacity(CLAIM_CHUNK);
+        let mut part = FleetReport::empty();
         loop {
             let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
             if start >= flows.len() {
@@ -479,13 +579,20 @@ pub fn try_run_fleet_on_cache(
             }
             let end = (start + CLAIM_CHUNK).min(flows.len());
             for flow in &flows[start..end] {
-                part.push(exec.run(exp, flow));
+                part.absorb_outcome(flow, &exec.run(exp, flow));
             }
-            fold.submit(start / CLAIM_CHUNK, 0, &mut part);
         }
-        exec.finish()
-    });
-    fold.finish();
+        (part, exec.finish())
+    })
+    .into_iter()
+    .unzip();
+    let mut report = parts
+        .into_iter()
+        .reduce(|mut all, part| {
+            all.merge(&part);
+            all
+        })
+        .expect("the pool runs at least one worker");
     debug_assert_eq!(report.flows, flows.len() as u64, "one outcome per flow");
 
     let telemetry = (!tel.is_off()).then(|| {
@@ -531,6 +638,18 @@ mod tests {
         )
     }
 
+    /// The report's rungs partition its deliveries, with one latency
+    /// sample each: first-rung deliveries are the unretried ones, and
+    /// every recovered flow sits on a later rung.
+    fn assert_rungs_split_deliveries(r: &FleetReport) {
+        let on = |stage| r.rung_report(stage).delivered;
+        let total: u64 = RecoveryStage::ALL.into_iter().map(on).sum();
+        assert_eq!(total, r.delivered, "rungs partition the deliveries");
+        assert_eq!(on(RecoveryStage::First), r.delivered - r.recovered);
+        assert_eq!(r.latency_ms().len(), r.delivered);
+        assert_eq!(r.exhausted() + r.unroutable(), r.flows - r.delivered);
+    }
+
     fn workload(exp: &CityExperiment, flows: usize, seed: u64) -> Vec<FlowSpec> {
         generate_flows(
             exp.map().len(),
@@ -573,10 +692,7 @@ mod tests {
         assert_eq!(serial.digest(), parallel.digest());
         assert_eq!(serial.flows, 120);
         assert_eq!(serial.delivered, parallel.delivered);
-        assert_eq!(
-            serial.latency_ms.fingerprint(),
-            parallel.latency_ms.fingerprint()
-        );
+        assert_eq!(serial.rungs, parallel.rungs);
     }
 
     #[test]
@@ -791,10 +907,7 @@ mod tests {
             try_run_fleet_traced(&fexp, &fflows, &fcfg, &TelemetryConfig::full(7)).unwrap();
         assert_eq!(fplain.digest(), ftraced.digest(), "faulted world");
         let ftel = ftel.expect("telemetry requested");
-        assert_eq!(
-            ftel.metrics.outcome_split(),
-            (ftraced.delivered, ftraced.flows - ftraced.delivered)
-        );
+        assert_rungs_split_deliveries(&ftraced);
         // Every flow that climbed to rung 3 materialized a ladder, and
         // each ladder's detour was either refused or searched for.
         let ladders = ftel.metrics.counter(tm::LADDERS_MATERIALIZED);
@@ -827,16 +940,8 @@ mod tests {
                     &TelemetryConfig::full(5),
                 )
                 .unwrap();
-                let telem = telem.expect("telemetry requested");
-                // The registry splits the report's flows, at every
-                // worker count: rung deliveries are its deliveries,
-                // exhausted + unroutable its failures.
-                assert_eq!(
-                    telem.metrics.outcome_split(),
-                    (report.delivered, report.flows - report.delivered),
-                    "outcome split at {w} workers"
-                );
-                telem
+                assert_rungs_split_deliveries(&report);
+                telem.expect("telemetry requested")
             })
             .collect();
         for (i, t) in runs.iter().enumerate().skip(1) {
@@ -918,10 +1023,7 @@ mod tests {
         )
         .unwrap();
         let telem = telem.expect("metrics requested");
-        assert_eq!(
-            telem.metrics.outcome_split(),
-            (report.delivered, report.flows - report.delivered)
-        );
+        assert_rungs_split_deliveries(&report);
         assert!(telem.postmortems.is_empty());
         assert_eq!(telem.metrics.counter(tm::POSTMORTEMS), 0);
     }
@@ -1025,6 +1127,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.flows, 0);
         assert_eq!(r.delivery_rate(), 0.0);
-        assert!(r.latency_ms.is_empty());
+        assert!(r.latency_ms().is_empty());
     }
 }

@@ -15,17 +15,15 @@
 //! or 8 (see [`FleetReport::digest`]). Workloads get it from per-flow
 //! RNG sub-streams ([`citymesh_simcore::substream_seed`]); execution
 //! gets it by keeping shared state RNG-free (the memoized route
-//! cache) and folding outcomes in canonical flow-id order.
+//! cache) and every report field an integer count, an integer
+//! histogram or a maximum, so per-worker reports merge in any order.
 //!
 //! [`exec`] holds the pieces every engine in the workspace shares — the
-//! per-worker [`FlowExecutor`], the one worker pool ([`run_pool`]) and
-//! the one in-order fold ([`OrderedFold`]); the stream and churn
-//! engines are thin callers of them. Workers hand the fold the
-//! outcomes of a run of consecutive flows (a claimed chunk, or their
-//! share of a stream window) as they finish it, and the fold absorbs
-//! each run once every earlier one is in, so a call holds the runs its
-//! fastest workers finished early — at most [`FOLD_AHEAD`] flows'
-//! worth — never a record per flow.
+//! per-worker [`FlowExecutor`] and the one worker pool ([`run_pool`]);
+//! the stream and churn engines are thin callers of them. Each worker
+//! folds the flows it ran into its own report as it finishes them, and
+//! the call merges the workers' reports ([`FleetReport::merge`]), so no
+//! call keeps a record per flow.
 //!
 //! ```
 //! use citymesh_core::{CityExperiment, ExperimentConfig};
@@ -59,9 +57,9 @@ pub mod workload;
 pub use cache::RouteCache;
 pub use engine::{
     try_run_fleet, try_run_fleet_on_cache, try_run_fleet_traced, FleetConfig, FleetError,
-    FleetReport, FleetTelemetry, FOLD_AHEAD, FOLD_WINDOW,
+    FleetReport, FleetTelemetry, RungReport,
 };
-pub use exec::{resolve_workers, run_pool, FlowExecutor, OrderedFold, DOMAIN_MSG, DOMAIN_SIM};
+pub use exec::{resolve_workers, run_pool, FlowExecutor, DOMAIN_MSG, DOMAIN_SIM};
 pub use workload::{
     generate_flows, try_generate_flows, FlowKind, FlowModel, FlowSpec, WorkloadConfig,
     WorkloadError,

@@ -13,12 +13,9 @@ use citymesh_core::{
     CityExperiment, DeliveryScratch, ExperimentConfig, FlowOpts, PlanScratch, PlannedFlow,
     TamperMode,
 };
-use citymesh_fleet::{
-    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, WorkloadConfig,
-};
+use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
 use citymesh_simcore::{substream_seed, SimRng};
-use citymesh_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 
 const DOMAIN_SIM: u64 = 0x51D3;
@@ -92,8 +89,8 @@ proptest! {
     /// Sealing must not perturb the simulation: an encrypted run and a
     /// plaintext run over the same flows agree on every delivery
     /// statistic. Only the sealed counters (and therefore the digest)
-    /// may differ, and the metric registry still splits the sealed
-    /// run's flows into its deliveries and failures.
+    /// may differ, and the sealed run's rungs deliver what the plain
+    /// run's do, as fast and at the same overhead.
     #[test]
     fn encryption_never_perturbs_delivery(
         seed in any::<u64>(),
@@ -103,14 +100,9 @@ proptest! {
         let wl = workload(exp, flows, seed);
         let cfg = FleetConfig { workers: 4, seed, ..FleetConfig::default() };
         let plain = try_run_fleet(exp, &wl, &cfg).unwrap();
-        let (sealed, telem) = try_run_fleet_traced(
-            exp, &wl, &FleetConfig { encrypted: true, ..cfg }, &TelemetryConfig::metrics_only(),
-        ).unwrap();
-        prop_assert_eq!(
-            telem.expect("metrics requested").metrics.outcome_split(),
-            (sealed.delivered, sealed.flows - sealed.delivered)
-        );
+        let sealed = try_run_fleet(exp, &wl, &FleetConfig { encrypted: true, ..cfg }).unwrap();
         prop_assert_eq!(plain.delivered, sealed.delivered);
+        prop_assert_eq!(&plain.rungs, &sealed.rungs);
         prop_assert_eq!(plain.broadcasts.fingerprint(), sealed.broadcasts.fingerprint());
         prop_assert_eq!(sealed.sealed, wl.len() as u64);
         prop_assert_eq!(sealed.opened, sealed.delivered);

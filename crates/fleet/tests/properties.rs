@@ -4,15 +4,21 @@ use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use citymesh_core::{
-    CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, PlannedFlow, RetryPolicy,
+    CityExperiment, DeliveryScratch, ExperimentConfig, FaultScenario, PairOutcome, PlannedFlow,
+    RecoveryStage, RetryPolicy,
 };
+use citymesh_dynamics::{ChurnConfig, Timeline};
 use citymesh_fleet::{
-    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FlowModel, OrderedFold,
-    RouteCache, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
+    generate_flows, try_run_fleet, try_run_fleet_traced, FleetConfig, FleetReport, FlowKind,
+    FlowModel, FlowSpec, RouteCache, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
 };
 use citymesh_geo::{OrientedRect, Point, Segment};
 use citymesh_map::CityArchetype;
-use citymesh_simcore::{substream_seed, SimRng};
+use citymesh_simcore::{substream_seed, SimRng, SimTime};
+use citymesh_stream::{
+    generate_stream_flows, try_run_stream, ArrivalProcess, StreamConfig, StreamReport,
+    StreamWorkload,
+};
 use citymesh_telemetry::{metrics as tm, TelemetryConfig, TraceConfig};
 use proptest::prelude::*;
 
@@ -66,66 +72,171 @@ proptest! {
     }
 }
 
+/// A synthetic flow and outcome drawn from `seed`: every field a
+/// report folds — check-ins, routes, hops, every rung, exhausted and
+/// unroutable flows, sealing — takes varied values.
+fn synthetic_flow(id: u64, seed: u64) -> (FlowSpec, PairOutcome) {
+    let mut rng = SimRng::new(seed);
+    let attempts = rng.below(5) as u32;
+    let delivered = attempts > 0 && rng.chance(0.7);
+    let recovered_by =
+        (delivered && attempts > 1).then(|| RecoveryStage::ALL[attempts as usize - 1]);
+    let sealed = attempts > 0 && rng.chance(0.3);
+    let spec = FlowSpec {
+        id,
+        src: rng.below(40) as u32,
+        dst: rng.below(40) as u32,
+        kind: if rng.chance(0.2) {
+            FlowKind::PostboxCheckin
+        } else {
+            FlowKind::Data
+        },
+        arrival_ms: rng.uniform_range(0.0, 1e4),
+    };
+    let outcome = PairOutcome {
+        src: spec.src,
+        dst: spec.dst,
+        reachable: rng.chance(0.9),
+        route_found: attempts > 0 || rng.chance(0.5),
+        route_len: rng.below(30) as usize,
+        waypoints: rng.below(8) as usize,
+        route_bits: rng.below(400) as usize,
+        delivered,
+        broadcasts: rng.below(5_000),
+        latency: delivered.then(|| SimTime::from_nanos(rng.below(180_000_000_000))),
+        ideal_hops: rng.chance(0.9).then(|| rng.below(60)),
+        overhead: delivered.then(|| rng.uniform_range(1.0, 40.0)),
+        attempts,
+        recovered_by,
+        sealed,
+        opened: sealed && delivered,
+        auth_failed: sealed && !delivered && rng.chance(0.5),
+    };
+    (spec, outcome)
+}
+
+/// `items` cut at `cuts` (taken modulo `len + 1`) into contiguous parts,
+/// empty ones included.
+fn split_at_cuts<'a, T>(items: &'a [T], cuts: &[usize]) -> Vec<&'a [T]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (items.len() + 1)).collect();
+    at.sort_unstable();
+    let mut parts = Vec::new();
+    let mut start = 0;
+    for end in at.into_iter().chain([items.len()]) {
+        parts.push(&items[start..end]);
+        start = end;
+    }
+    parts
+}
+
+/// One prepared world with the secure message plane on, so the stream
+/// engine's sealed counters take values.
+fn encrypted_world() -> &'static CityExperiment {
+    static WORLD: OnceLock<CityExperiment> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let mut exp = shared_world().clone();
+        exp.enable_encryption();
+        exp
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The in-order fold is order-free: whatever order workers hand in
-    /// their parts, the sink sees every sequence once, in ascending
-    /// order, with its parts in slot order — so an order-sensitive
-    /// float sum over the sink's calls equals the serial fold's bit for
-    /// bit — and it sees each sequence as soon as that sequence and all
-    /// earlier ones are in.
+    /// Reports merge in any order: cut a flow list into parts anywhere,
+    /// fold each part into its own report and merge the parts in a
+    /// shuffled order — the digest and every field equal folding the
+    /// whole list into one report, bit for bit.
     #[test]
-    fn parts_in_any_order_fold_like_the_serial_fold(
-        slots in 1usize..5,
-        lens in proptest::collection::vec(0usize..6, 0..60),
+    fn fleet_reports_merge_like_the_whole_fold(
+        seeds in proptest::collection::vec(any::<u64>(), 0..80),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
         shuffle_seed in any::<u64>(),
     ) {
-        let seqs = lens.len() / slots;
-        let record = |seq: usize, slot: usize, i: usize| {
-            ((seq * 31 + slot * 7 + i) as f64).sqrt() * 1e-3 + 1.0
-        };
-        let part = |seq: usize, slot: usize| -> Vec<f64> {
-            (0..lens[seq * slots + slot]).map(|i| record(seq, slot, i)).collect()
-        };
-        let mut serial_sum = 0.0f64;
-        let mut serial_log = Vec::new();
-        for seq in 0..seqs {
-            for slot in 0..slots {
-                let p = part(seq, slot);
-                serial_sum += p.iter().sum::<f64>();
-                serial_log.push((seq, slot, p));
+        let flows: Vec<_> = (0u64..).zip(&seeds).map(|(id, &s)| synthetic_flow(id, s)).collect();
+        let fold = |part: &[(FlowSpec, PairOutcome)]| {
+            let mut report = FleetReport::empty();
+            for (spec, outcome) in part {
+                report.absorb_outcome(spec, outcome);
             }
+            report
+        };
+        let whole = fold(&flows);
+        let mut parts: Vec<FleetReport> = split_at_cuts(&flows, &cuts).into_iter().map(fold).collect();
+        SimRng::new(shuffle_seed).shuffle(&mut parts);
+        let mut merged = FleetReport::empty();
+        for part in &parts {
+            merged.merge(part);
         }
+        prop_assert_eq!(merged.digest(), whole.digest());
+        prop_assert_eq!(merged.span_ms.to_bits(), whole.span_ms.to_bits());
+        prop_assert_eq!(merged, whole);
+    }
+}
 
-        let mut order: Vec<(usize, usize)> =
-            (0..seqs).flat_map(|seq| (0..slots).map(move |slot| (seq, slot))).collect();
-        SimRng::new(shuffle_seed).shuffle(&mut order);
-        let mut fold_sum = 0.0f64;
-        let mut fold_log = Vec::new();
-        let absorbed = std::cell::Cell::new(0);
-        // One thread hands in every part, so no look-ahead may wait.
-        let fold = OrderedFold::new(slots, seqs.max(1), |seq, parts: &mut [Vec<f64>]| {
-            assert_eq!(parts.len(), slots);
-            for (slot, p) in parts.iter().enumerate() {
-                fold_sum += p.iter().sum::<f64>();
-                fold_log.push((seq, slot, p.clone()));
-            }
-            absorbed.set(absorbed.get() + 1);
-        });
-        let mut handed = vec![0usize; seqs];
-        let mut buf = Vec::new();
-        for &(seq, slot) in &order {
-            buf.extend(part(seq, slot));
-            fold.submit(seq, slot, &mut buf);
-            prop_assert!(buf.is_empty(), "the submitter gets an empty buffer back");
-            handed[seq] += 1;
-            let complete = handed.iter().take_while(|&&n| n == slots).count();
-            prop_assert_eq!(absorbed.get(), complete, "absorbed as soon as the prefix is complete");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The stream engine's half. A server's queue sees the same
+    /// arrivals whichever other servers' flows share the run, so
+    /// serving the flows of any grouping of servers in separate runs
+    /// and merging the reports in a shuffled order equals serving them
+    /// all in one run: the digest and every field but the wall-clock
+    /// and route-cache ones, bit for bit. One worker and one epoch, so
+    /// each run returns its one part unmerged and only the test merges.
+    #[test]
+    fn stream_reports_merge_like_the_whole_run(
+        seed in any::<u64>(),
+        flows in 40usize..200,
+        groups in proptest::collection::vec(0usize..3, 6),
+        shuffle_seed in any::<u64>(),
+    ) {
+        let exp = encrypted_world();
+        let workload = generate_stream_flows(
+            exp.map().len(),
+            &StreamWorkload { flows, process: ArrivalProcess::Poisson { rate_hz: 3000.0 }, seed },
+        );
+        let timeline = Timeline::materialize(
+            exp,
+            &ChurnConfig { aftershocks: 0, battery_waves: 0, crew_repairs: 0, ..ChurnConfig::default() },
+        );
+        let cfg = StreamConfig {
+            workers: 1,
+            servers: groups.len(),
+            seed,
+            queue_capacity: 8,
+            deadline_ms: 20.0,
+            emergency_fraction: 0.3,
+            priority_reserve: 2,
+            encrypted: true,
+            ..StreamConfig::default()
+        };
+        let run = |flows: &[FlowSpec]| {
+            try_run_stream(exp, flows, &timeline, &cfg, &TelemetryConfig::off()).unwrap().0
+        };
+        let whole = run(&workload);
+        let mut parts: Vec<StreamReport> = (0..3)
+            .map(|g| {
+                let mine: Vec<FlowSpec> = workload
+                    .iter()
+                    .filter(|f| groups[(f.id % groups.len() as u64) as usize] == g)
+                    .cloned()
+                    .collect();
+                run(&mine)
+            })
+            .collect();
+        SimRng::new(shuffle_seed).shuffle(&mut parts);
+        let mut merged = parts[0].clone();
+        for part in &parts[1..] {
+            merged.merge(part);
         }
-        fold.finish();
-        prop_assert_eq!(fold_log, serial_log);
-        prop_assert_eq!(fold_sum.to_bits(), serial_sum.to_bits());
+        merged.fleet.elapsed_secs = whole.fleet.elapsed_secs;
+        merged.fleet.workers = whole.fleet.workers;
+        merged.fleet.cache_hits = whole.fleet.cache_hits;
+        merged.fleet.cache_misses = whole.fleet.cache_misses;
+        prop_assert!(whole.shed() > 0 && whole.offered_emergency > 0 && whole.fleet.sealed > 0);
+        prop_assert_eq!(merged.digest(), whole.digest());
+        prop_assert_eq!(merged, whole);
     }
 }
 

@@ -60,7 +60,7 @@ struct WorldSlot {
 /// src/dst was touched or retargeted or whose conduits contain a
 /// changed AP, the invalidation rule `citymesh-dynamics` proves
 /// digest-equal to a full flush. Candidate scoring itself runs on the
-/// fleet worker pool with id-ordered merging, so scores (and their
+/// fleet worker pool with order-free report merging, so scores (and their
 /// digests) are identical at 1, 4, or 8 workers.
 pub struct Evaluator {
     worlds: Vec<WorldSlot>,

@@ -136,7 +136,7 @@ pub(crate) fn world_score(label: &str, report: &FleetReport) -> WorldScore {
     WorldScore {
         label: label.to_string(),
         delivery_rate: report.delivery_rate(),
-        p99_latency_ms: report.latency_ms.quantile(0.99).unwrap_or(0.0),
+        p99_latency_ms: report.latency_ms().quantile(0.99).unwrap_or(0.0),
         delivered: report.delivered,
         flows: report.flows,
         fleet_digest: report.digest(),

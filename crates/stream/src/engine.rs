@@ -46,13 +46,13 @@
 use std::borrow::Cow;
 use std::time::Instant;
 
-use citymesh_core::{CityExperiment, PairOutcome};
+use citymesh_core::CityExperiment;
 use citymesh_dynamics::{
     require_fault_state, run_epochs, ChurnError, InvalidationPolicy, Timeline,
 };
 use citymesh_fleet::{
     resolve_workers, run_pool, FleetConfig, FleetError, FleetReport, FleetTelemetry, FlowExecutor,
-    FlowSpec, OrderedFold, RouteCache, FOLD_AHEAD, FOLD_WINDOW,
+    FlowSpec, RouteCache,
 };
 use citymesh_simcore::stats::Histogram;
 use citymesh_simcore::{substream_seed, Fnv64, SimRng};
@@ -538,23 +538,13 @@ impl ServerQueue {
     }
 }
 
-/// What one flow became. Workers record these; the fold after the pool
-/// joins turns them into the report in ascending-id order.
-enum FlowRecord {
-    Shed {
-        reason: ShedReason,
-        depth: u32,
-        class: FlowClass,
-    },
-    Served {
-        outcome: PairOutcome,
-        wait_ms: f64,
-        service_ms: f64,
-        depth: u32,
-        shed_tracing: bool,
-        retry_capped: bool,
-        class: FlowClass,
-    },
+/// Nanoseconds per millisecond: the wait, service and sojourn
+/// histograms record each time rounded to integer ns and read in ms.
+const NS_PER_MS: u64 = 1_000_000;
+
+/// `ms` rounded to integer nanoseconds, once, as it is recorded.
+fn ns(ms: f64) -> u64 {
+    (ms * NS_PER_MS as f64).round() as u64
 }
 
 /// Aggregated results of one streaming run.
@@ -563,7 +553,7 @@ enum FlowRecord {
 /// embedded fleet report's wall-clock fields) is deterministic in
 /// `(world, workload, timeline, config)` and covered by
 /// [`digest`](StreamReport::digest).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamReport {
     /// Flows the arrival stream offered.
     pub offered: u64,
@@ -640,11 +630,10 @@ impl StreamReport {
             sealed_emergency: 0,
             sealed_bulk: 0,
             fleet: FleetReport::empty(),
-            // Millisecond scales: 10 µs floor, ~10 % resolution.
-            sojourn_ms: Histogram::new(1e-2, 1.1),
-            wait_ms: Histogram::new(1e-2, 1.1),
-            service_ms: Histogram::new(1e-2, 1.1),
-            queue_depth: Histogram::new(1.0, 1.5),
+            sojourn_ms: Histogram::with_unit(NS_PER_MS),
+            wait_ms: Histogram::with_unit(NS_PER_MS),
+            service_ms: Histogram::with_unit(NS_PER_MS),
+            queue_depth: Histogram::new(),
             max_depth: 0,
             makespan_ms: 0.0,
             servers,
@@ -654,67 +643,57 @@ impl StreamReport {
         }
     }
 
-    /// Folds one offered flow's record in; called in ascending flow-id
-    /// order, like [`FleetReport::absorb_outcome`] for the embedded
-    /// fleet report.
-    fn absorb(&mut self, spec: &FlowSpec, rec: &FlowRecord) {
-        self.offered += 1;
-        match rec {
-            FlowRecord::Shed {
-                reason,
-                depth,
-                class,
-            } => {
-                match reason {
-                    ShedReason::Backpressure => self.shed_backpressure += 1,
-                    ShedReason::Deadline => self.shed_deadline += 1,
-                }
-                match class {
-                    FlowClass::Emergency => {
-                        self.offered_emergency += 1;
-                        self.shed_emergency += 1;
-                    }
-                    FlowClass::Bulk => {
-                        self.offered_bulk += 1;
-                        self.shed_bulk += 1;
-                    }
-                }
-                self.queue_depth.record(f64::from(*depth));
-            }
-            FlowRecord::Served {
-                outcome,
-                wait_ms,
-                service_ms,
-                depth,
-                shed_tracing,
-                retry_capped,
-                class,
-            } => {
-                match class {
-                    FlowClass::Emergency => self.offered_emergency += 1,
-                    FlowClass::Bulk => self.offered_bulk += 1,
-                }
-                if outcome.sealed {
-                    match class {
-                        FlowClass::Emergency => self.sealed_emergency += 1,
-                        FlowClass::Bulk => self.sealed_bulk += 1,
-                    }
-                }
-                self.admitted += 1;
-                self.fleet.absorb_outcome(spec, outcome);
-                self.wait_ms.record(*wait_ms);
-                self.service_ms.record(*service_ms);
-                self.sojourn_ms.record(wait_ms + service_ms);
-                self.queue_depth.record(f64::from(*depth));
-                if *shed_tracing {
-                    self.degraded_tracing += 1;
-                }
-                if *retry_capped {
-                    self.degraded_retry += 1;
-                }
-                self.makespan_ms = self.makespan_ms.max(spec.arrival_ms + wait_ms + service_ms);
-            }
-        }
+    /// Folds another report in: counters and histogram buckets add,
+    /// and `max_depth` and `makespan_ms` take the maximum, so merging
+    /// per-worker parts in any order equals serving all their flows
+    /// into one report. `servers`, `epochs`, `events_applied` and
+    /// `routes_evicted` describe the run's servers and barriers, not
+    /// its flows; the call sets them.
+    pub fn merge(&mut self, other: &StreamReport) {
+        let StreamReport {
+            offered,
+            admitted,
+            shed_backpressure,
+            shed_deadline,
+            degraded_tracing,
+            degraded_retry,
+            offered_emergency,
+            offered_bulk,
+            shed_emergency,
+            shed_bulk,
+            sealed_emergency,
+            sealed_bulk,
+            fleet,
+            sojourn_ms,
+            wait_ms,
+            service_ms,
+            queue_depth,
+            max_depth,
+            makespan_ms,
+            servers: _,
+            epochs: _,
+            events_applied: _,
+            routes_evicted: _,
+        } = other;
+        self.offered += offered;
+        self.admitted += admitted;
+        self.shed_backpressure += shed_backpressure;
+        self.shed_deadline += shed_deadline;
+        self.degraded_tracing += degraded_tracing;
+        self.degraded_retry += degraded_retry;
+        self.offered_emergency += offered_emergency;
+        self.offered_bulk += offered_bulk;
+        self.shed_emergency += shed_emergency;
+        self.shed_bulk += shed_bulk;
+        self.sealed_emergency += sealed_emergency;
+        self.sealed_bulk += sealed_bulk;
+        self.fleet.merge(fleet);
+        self.sojourn_ms.merge(sojourn_ms);
+        self.wait_ms.merge(wait_ms);
+        self.service_ms.merge(service_ms);
+        self.queue_depth.merge(queue_depth);
+        self.max_depth = self.max_depth.max(*max_depth);
+        self.makespan_ms = self.makespan_ms.max(*makespan_ms);
     }
 
     /// Total flows shed (both reasons).
@@ -811,12 +790,10 @@ impl StreamReport {
 /// persist across event barriers — an event does not flush in-flight
 /// work, only routes.
 ///
-/// Workers walk each epoch's flows in windows of [`FOLD_WINDOW`]
-/// consecutive ids. In each window a worker serves its own servers'
-/// flows in id order — so every queue still sees its flows in arrival
-/// order — and hands its records to an [`OrderedFold`], which absorbs
-/// a window, in flow-id order, once every worker's part of it and of
-/// every earlier window is in.
+/// Each worker walks each epoch's flows and serves its own servers'
+/// ones in id order — so every queue still sees its flows in arrival
+/// order — folding them into its own report; the call merges the
+/// workers' reports ([`StreamReport::merge`]).
 ///
 /// Returns the report plus merged telemetry when `tel` asks for any.
 /// The report digest is identical traced or untraced and across
@@ -845,12 +822,7 @@ pub fn try_run_stream(
     // un-queue flows already admitted.
     let workers = resolve_workers(cfg.workers, cfg.servers);
     let chunk = cfg.servers.div_ceil(workers);
-    let slots = cfg.servers.div_ceil(chunk);
-    let mut report = StreamReport::new(cfg.servers);
-    // A flow's server, whose worker's part of a window holds its
-    // record, and how far the fold has read each part.
     let server = |flow: &FlowSpec| (flow.id % cfg.servers as u64) as usize;
-    let mut read = vec![0; slots];
     let epochs = run_epochs(
         flows,
         timeline,
@@ -858,43 +830,40 @@ pub fn try_run_stream(
         &cache,
         Cow::Borrowed(exp),
         |world, slice| {
-            let ahead = FOLD_AHEAD / FOLD_WINDOW;
-            let fold = OrderedFold::new(slots, ahead, |w, parts: &mut [Vec<FlowRecord>]| {
-                read.fill(0);
-                for spec in slice[w * FOLD_WINDOW..].iter().take(FOLD_WINDOW) {
-                    let i = server(spec) / chunk;
-                    report.absorb(spec, &parts[i][read[i]]);
-                    read[i] += 1;
-                }
-            });
-            let harvests = run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
-                let _worker = fold.worker();
+            run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
                 let mut exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
-                let mut part = Vec::new();
-                for (w, window) in slice.chunks(FOLD_WINDOW).enumerate() {
-                    for flow in window.iter().filter(|f| server(f) / chunk == i) {
-                        let q = &mut qs[server(flow) - i * chunk];
-                        part.push(serve(&mut exec, world, flow, cfg, q));
-                    }
-                    fold.submit(w, i, &mut part);
+                let mut part = StreamReport::new(cfg.servers);
+                for flow in slice.iter().filter(|f| server(f) / chunk == i) {
+                    let q = &mut qs[server(flow) - i * chunk];
+                    serve(&mut exec, world, flow, cfg, q, &mut part);
                 }
-                exec.finish()
-            });
-            fold.finish();
-            harvests
+                (part, exec.finish())
+            })
         },
     );
 
+    let epochs_run = epochs.len() as u64;
+    let (mut events_applied, mut routes_evicted) = (0, 0);
+    let mut merged: Option<StreamReport> = None;
     let mut harvests = Vec::new();
-    for (epoch_harvests, barrier) in epochs {
-        report.epochs += 1;
-        harvests.extend(epoch_harvests);
+    for (parts, barrier) in epochs {
+        for (part, harvest) in parts {
+            match merged.as_mut() {
+                Some(all) => all.merge(&part),
+                None => merged = Some(part),
+            }
+            harvests.push(harvest);
+        }
         if let Some(b) = barrier {
-            report.events_applied += 1;
-            report.routes_evicted += b.evicted;
+            events_applied += 1;
+            routes_evicted += b.evicted;
         }
     }
-    debug_assert_eq!(report.offered, flows.len() as u64, "one record per flow");
+    let mut report = merged.expect("every epoch runs at least one worker");
+    report.epochs = epochs_run;
+    report.events_applied = events_applied;
+    report.routes_evicted = routes_evicted;
+    debug_assert_eq!(report.offered, flows.len() as u64, "one offer per flow");
     report.max_depth = queues
         .iter()
         .map(|q| q.high_water() as u64)
@@ -913,15 +882,16 @@ pub fn try_run_stream(
     Ok((report, telemetry))
 }
 
-/// One flow at its server's queue `q`: admission first, and only an
-/// admitted flow reaches the executor.
+/// One flow at its server's queue `q`, folded into `report`: admission
+/// first, and only an admitted flow reaches the executor.
 fn serve(
     exec: &mut FlowExecutor<'_>,
     world: &CityExperiment,
     flow: &FlowSpec,
     cfg: &StreamConfig,
     q: &mut ServerQueue,
-) -> FlowRecord {
+    report: &mut StreamReport,
+) {
     // Class is a pure function of (seed, flow.id) — never of queue
     // state — so it survives any worker layout.
     let class = if cfg.emergency_fraction > 0.0 {
@@ -934,12 +904,20 @@ fn serve(
     } else {
         FlowClass::Bulk
     };
+    let emergency = class == FlowClass::Emergency;
+    report.offered += 1;
+    report.offered_emergency += u64::from(emergency);
+    report.offered_bulk += u64::from(!emergency);
     match q.offer_class(flow.arrival_ms, class) {
-        Admission::Shed { reason, depth } => FlowRecord::Shed {
-            reason,
-            depth,
-            class,
-        },
+        Admission::Shed { reason, depth } => {
+            match reason {
+                ShedReason::Backpressure => report.shed_backpressure += 1,
+                ShedReason::Deadline => report.shed_deadline += 1,
+            }
+            report.shed_emergency += u64::from(emergency);
+            report.shed_bulk += u64::from(!emergency);
+            report.queue_depth.record(u64::from(depth));
+        }
         Admission::Admit {
             start_ms,
             depth,
@@ -957,15 +935,20 @@ fn serve(
             let service_ms =
                 cfg.service.base_ms + cfg.service.per_broadcast_ms * outcome.broadcasts as f64;
             q.commit(start_ms, service_ms);
-            FlowRecord::Served {
-                outcome,
-                wait_ms: start_ms - flow.arrival_ms,
-                service_ms,
-                depth,
-                shed_tracing,
-                retry_capped: cap_retries,
-                class,
-            }
+            let wait_ms = start_ms - flow.arrival_ms;
+            report.admitted += 1;
+            report.sealed_emergency += u64::from(outcome.sealed && emergency);
+            report.sealed_bulk += u64::from(outcome.sealed && !emergency);
+            report.fleet.absorb_outcome(flow, &outcome);
+            report.wait_ms.record(ns(wait_ms));
+            report.service_ms.record(ns(service_ms));
+            report.sojourn_ms.record(ns(wait_ms + service_ms));
+            report.queue_depth.record(u64::from(depth));
+            report.degraded_tracing += u64::from(shed_tracing);
+            report.degraded_retry += u64::from(cap_retries);
+            report.makespan_ms = report
+                .makespan_ms
+                .max(flow.arrival_ms + wait_ms + service_ms);
         }
     }
 }
@@ -1284,12 +1267,10 @@ mod tests {
         );
         let telemetry = telemetry.expect("telemetry requested");
         let m = &telemetry.metrics;
-        // Only served flows reach the executor, so the registry splits
-        // the admitted flows' fleet report.
-        assert_eq!(
-            m.outcome_split(),
-            (r.fleet.delivered, r.fleet.flows - r.fleet.delivered)
-        );
+        // The admitted flows' fleet report splits their deliveries by
+        // the rung that made them.
+        let on_rungs: u64 = traced.fleet.rungs.iter().map(|r| r.delivered).sum();
+        assert_eq!(on_rungs, traced.fleet.delivered);
         // Rung-1 flows produce no postmortems, so captures can only
         // come from the still-traced majority.
         assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! `try_run_fleet`, `try_run_stream` and `try_run_churn` all plan
 //! through a shared route cache with per-worker scratch buffers, run on
-//! a worker pool and fold in flow-id order as parts finish; the churn and stream
+//! a worker pool and merge per-worker reports; the churn and stream
 //! engines additionally keep cached plans across world events and evict
 //! only the ones an event could touch. The reference below does none of
 //! that: one thread, flows in id order, every flow planned from scratch
@@ -38,7 +38,7 @@ use citymesh_net::CityMeshHeader;
 use citymesh_reference::{compress_route, plan_route_avoiding};
 use citymesh_simcore::{split_seed, substream_seed, SimRng, SimTime};
 use citymesh_stream::{try_run_stream, StreamConfig};
-use citymesh_telemetry::{metrics as tm, TelemetryConfig};
+use citymesh_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 
 /// A random small city: a 260–420 m square of downtown-style blocks.
@@ -259,7 +259,7 @@ fn assert_fleet_eq(engine: &FleetReport, reference: &FleetReport, what: &str) {
         "{what}: span_ms"
     );
     for (name, e, r) in [
-        ("latency_ms", &engine.latency_ms, &reference.latency_ms),
+        ("latency_ms", &engine.latency_ms(), &reference.latency_ms()),
         ("broadcasts", &engine.broadcasts, &reference.broadcasts),
         ("hops", &engine.hops, &reference.hops),
         ("header_bits", &engine.header_bits, &reference.header_bits),
@@ -271,6 +271,7 @@ fn assert_fleet_eq(engine: &FleetReport, reference: &FleetReport, what: &str) {
     ] {
         assert_eq!(e.fingerprint(), r.fingerprint(), "{what}: {name}");
     }
+    assert_eq!(engine.rungs, reference.rungs, "{what}: rungs");
     assert_eq!(engine.digest(), reference.digest(), "{what}: digest");
 }
 
@@ -379,8 +380,7 @@ fn reference_churn(
 
 /// The churn engine ≡ [`reference_churn`] for `strategy` at 1, 2, 4
 /// and 8 workers under both invalidation policies: every outcome
-/// counter, every epoch, the digest, and (from the metric registry) the
-/// deliveries of each rung. Returns the reference's rung counts.
+/// counter, every epoch, the digest, and the deliveries of each rung. Returns the reference's rung counts.
 fn assert_churn_matches(
     exp: &CityExperiment,
     flows: &[FlowSpec],
@@ -400,10 +400,9 @@ fn assert_churn_matches(
                 invalidation,
                 reactive_max_attempts: 4,
             };
-            let tel = TelemetryConfig::metrics_only();
-            let (engine, telemetry) =
-                try_run_churn(exp, flows, tl, strategy, &cfg, &tel).expect("the world is faulted");
-            let metrics = telemetry.expect("metrics were requested").metrics;
+            let (engine, _) =
+                try_run_churn(exp, flows, tl, strategy, &cfg, &TelemetryConfig::off())
+                    .expect("the world is faulted");
             let what = format!("churn {strategy:?} {invalidation:?} x{workers}");
             assert_eq!(engine.flows, reference.flows, "{what}: flows");
             assert_eq!(engine.delivered, reference.delivered, "{what}: delivered");
@@ -433,14 +432,7 @@ fn assert_churn_matches(
                 assert_eq!(e.aps_changed, r.aps_changed, "{what}: epoch flips");
             }
             assert_eq!(engine.digest(), reference.digest(), "{what}: digest");
-            for (stage, &count) in RecoveryStage::ALL.iter().zip(&rungs) {
-                let counter = tm::rung_delivery_counter(*stage);
-                assert_eq!(
-                    metrics.counter(counter),
-                    count,
-                    "{what}: {stage:?} deliveries"
-                );
-            }
+            assert_eq!(engine.rung_deliveries, rungs, "{what}: rung deliveries");
         }
     }
     rungs

@@ -2,8 +2,8 @@
 //!
 //! Deterministic, zero-overhead-when-disabled observability for the
 //! citymesh stack: a static metric registry, a per-worker flow tracer
-//! that captures the flows it is armed for as postmortems, and JSON /
-//! Prometheus exporters.
+//! that captures the flows it is armed for as postmortems, and a JSON
+//! exporter.
 //!
 //! Three invariants govern the whole crate:
 //!
@@ -15,10 +15,10 @@
 //!    feeds back into routing or simulation, so every RNG sub-stream,
 //!    flow outcome, and fleet digest is bit-identical with tracing on
 //!    or off.
-//! 3. **Schedule independence.** All metric values are integers merged
-//!    in worker-id order, and which flows are traced is decided by flow
-//!    identity and outcome ([`TraceConfig::keeps`]) — aggregate metrics, fingerprints, and postmortem sets
-//!    are identical across 1, 4, or 8 workers. (The few counters of
+//! 3. **Schedule independence.** All metric values are integers whose
+//!    merge commutes, and which flows are traced is decided by flow
+//!    identity and outcome ([`TraceConfig::keeps`]) — aggregate
+//!    metrics, fingerprints, and postmortem sets are identical across 1, 4, or 8 workers. (The few counters of
 //!    work racing workers may repeat — [`metrics::SCHEDULE_DEPENDENT`]
 //!    — are informational and outside the fingerprint.)
 //!
@@ -32,10 +32,7 @@ pub mod export;
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{
-    rung_delivery_counter, rung_latency_histogram, rung_overhead_histogram, CounterDef, CounterId,
-    GaugeDef, GaugeId, HistogramDef, HistogramId, MetricSet, COUNTERS, GAUGES, HISTOGRAMS,
-};
+pub use metrics::{CounterDef, CounterId, GaugeDef, GaugeId, MetricSet, COUNTERS, GAUGES};
 pub use trace::{
     FlowSummary, FlowTracer, Postmortem, RecoveryStage, TelemetryConfig, TraceConfig, TraceEvent,
     DEFAULT_RING_CAPACITY,

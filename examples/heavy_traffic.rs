@@ -73,11 +73,12 @@ fn main() {
         parallel.cache_misses
     );
     let fmt = |v: Option<f64>| v.map(|x| format!("{x:.2}")).unwrap_or_else(|| "—".into());
+    let latency_ms = parallel.latency_ms();
     println!(
         "  latency ms: p50 {}  p90 {}  p99 {}",
-        fmt(parallel.latency_ms.quantile(0.5)),
-        fmt(parallel.latency_ms.quantile(0.9)),
-        fmt(parallel.latency_ms.quantile(0.99))
+        fmt(latency_ms.quantile(0.5)),
+        fmt(latency_ms.quantile(0.9)),
+        fmt(latency_ms.quantile(0.99))
     );
     println!(
         "  broadcasts: p50 {}  p99 {}   header bits: p50 {}  p90 {}",

@@ -58,7 +58,7 @@ fn one_worker_equals_eight_workers() {
     .unwrap();
 
     // The digest covers every deterministic field; equality means the
-    // complete aggregate state (all four histograms bucket-for-bucket,
+    // complete aggregate state (every histogram bucket-for-bucket,
     // all counters, the span) is identical.
     assert_eq!(serial.digest(), parallel.digest());
 
@@ -71,8 +71,8 @@ fn one_worker_equals_eight_workers() {
     assert_eq!(serial.checkins, parallel.checkins);
     assert_eq!(serial.span_ms, parallel.span_ms);
     assert_eq!(
-        serial.latency_ms.fingerprint(),
-        parallel.latency_ms.fingerprint()
+        serial.latency_ms().fingerprint(),
+        parallel.latency_ms().fingerprint()
     );
     assert_eq!(
         serial.broadcasts.fingerprint(),
@@ -83,8 +83,8 @@ fn one_worker_equals_eight_workers() {
         serial.header_bits.fingerprint(),
         parallel.header_bits.fingerprint()
     );
-    assert_eq!(serial.latency_ms.mean(), parallel.latency_ms.mean());
-    assert_eq!(serial.latency_ms.max(), parallel.latency_ms.max());
+    assert_eq!(serial.latency_ms().mean(), parallel.latency_ms().mean());
+    assert_eq!(serial.latency_ms().max(), parallel.latency_ms().max());
 }
 
 #[test]

@@ -26,8 +26,9 @@ fn soak_many_users_many_messages() {
         .collect();
     let home = |i: usize| (i as u32 * (n_buildings / 20)).min(n_buildings - 1);
 
-    // 60 messages around the user ring; latencies feed a histogram.
-    let mut latencies = citymesh::simcore::Histogram::for_latency();
+    // 60 messages around the user ring; latencies feed a histogram
+    // recorded in ns and read in seconds.
+    let mut latencies = citymesh::simcore::Histogram::with_unit(1_000_000_000);
     let mut sent = 0usize;
     let mut delivered = 0usize;
     for round in 0..3usize {
@@ -38,7 +39,7 @@ fn soak_many_users_many_messages() {
             sent += 1;
             if r.delivered {
                 delivered += 1;
-                latencies.record(r.latency.expect("delivered has latency").as_secs_f64());
+                latencies.record(r.latency.expect("delivered has latency").as_nanos());
             }
         }
     }
