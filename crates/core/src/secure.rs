@@ -25,9 +25,9 @@
 //! [`PairCache`] keyed by the unordered pair, mirroring the session
 //! derivation's canonical ordering.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-use citymesh_crypto::{Keypair, NodeId, SessionKey};
+use citymesh_crypto::{Keypair, NodeId, PeerTable, SessionKey};
 use citymesh_simcore::{split_seed, substream_seed};
 
 use crate::pair_cache::PairCache;
@@ -84,6 +84,10 @@ pub struct SecureState {
 
 struct Registry {
     keys: Vec<Keypair>,
+    /// Each building's comb table ([`PeerTable`]), built by the first
+    /// derivation against it — on the flow path, never at set-up — and
+    /// dropped with its keypair on rotation.
+    tables: Vec<OnceLock<PeerTable>>,
     rotations: Vec<u32>,
 }
 
@@ -109,6 +113,7 @@ impl SecureState {
             seed,
             registry: RwLock::new(Registry {
                 keys,
+                tables: (0..buildings).map(|_| OnceLock::new()).collect(),
                 rotations: vec![0; buildings],
             }),
             cache: PairCache::new(),
@@ -144,16 +149,20 @@ impl SecureState {
     }
 
     /// The pair's session key from the cache, deriving (X25519 + HKDF)
-    /// on first use. The boolean reports whether this call derived —
-    /// schedule-dependent (racing workers may double-derive), so it
-    /// feeds digest-excluded telemetry only.
+    /// on first use. The X25519 runs on `b`'s comb table, built here if
+    /// this is the first derivation against `b`; the key equals
+    /// [`SessionKey::derive`]'s. The boolean reports whether this call
+    /// derived — schedule-dependent (racing workers may double-derive),
+    /// so it feeds digest-excluded telemetry only.
     pub fn session(&self, a: u32, b: u32) -> (Arc<SessionKey>, bool) {
         let key = if a <= b { (a, b) } else { (b, a) };
         self.cache.get_or_insert_with(key, || {
             let reg = self.registry.read().expect("registry poisoned");
-            let ours = &reg.keys[a as usize];
-            let theirs = reg.keys[b as usize].public;
-            SessionKey::derive(ours, &theirs)
+            let theirs = reg.tables[b as usize].get_or_init(|| {
+                PeerTable::new(&reg.keys[b as usize].public)
+                    .expect("a registry public key is a curve point")
+            });
+            SessionKey::derive_with(&reg.keys[a as usize], theirs)
                 .expect("registry keypairs are clamped; DH cannot hit a low-order point")
         })
     }
@@ -169,13 +178,15 @@ impl SecureState {
             let rot = reg.rotations[building as usize] + 1;
             reg.rotations[building as usize] = rot;
             reg.keys[building as usize] = keypair_for(self.seed, building, rot);
+            reg.tables[building as usize] = OnceLock::new();
         }
         self.cache
             .retain(|&(a, b), _| a != building && b != building) as usize
     }
 
     /// Drops every cached session (the bench's cold-start reset).
-    /// Keypairs are untouched.
+    /// Keypairs and their comb tables — keypair state, not session
+    /// state — are untouched.
     pub fn clear_sessions(&self) {
         self.cache.clear();
     }
@@ -268,6 +279,26 @@ mod tests {
         let mut opened = Vec::new();
         new_k.seal_into(1, b"", b"post-rotation", &mut sealed);
         assert!(old_k.open_into(1, b"", &sealed, &mut opened).is_err());
+    }
+
+    #[test]
+    fn rotation_rebuilds_the_rotated_building_s_table_only() {
+        // Derivations against 2 build its table; after 2 rotates, the
+        // pair re-derives on the new key's table, not the old one's,
+        // and equals the ladder's key on the new keypair.
+        let s = SecureState::new(29, 6);
+        let (before, _) = s.session(0, 2);
+        let (kept, _) = s.session(1, 3);
+        s.rotate_keys(2);
+        let (after, derived) = s.session(0, 2);
+        assert!(derived);
+        assert!(*after == SessionKey::derive(&s.keypair(0), &s.public_key(2)).unwrap());
+        assert!(*after != *before);
+        let (still, derived) = s.session(1, 3);
+        assert!(!derived && Arc::ptr_eq(&kept, &still), "1↔3 untouched");
+        s.clear_sessions();
+        let (again, _) = s.session(1, 3);
+        assert!(*again == *kept, "a kept table derives the same key");
     }
 
     #[test]

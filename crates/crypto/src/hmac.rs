@@ -11,17 +11,20 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     mac.finalize()
 }
 
-/// Incremental HMAC-SHA256.
-#[derive(Clone)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+/// A key's two HMAC midstates: SHA-256's chaining values after the
+/// one block `key ⊕ ipad` and after the one block `key ⊕ opad`. 64
+/// bytes whatever the key; a MAC started from them compresses only the
+/// message's blocks and the outer block, never the key's two again.
+#[derive(Clone, Copy)]
+pub(crate) struct HmacMidstates {
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Creates a MAC with `key` (any length; long keys are hashed
+impl HmacMidstates {
+    /// Keys the midstates (any key length; long keys are hashed
     /// first, per the RFC).
-    pub fn new(key: &[u8]) -> Self {
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut block_key = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             let digest = crate::sha256(key);
@@ -29,18 +32,49 @@ impl HmacSha256 {
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = block_key[i] ^ 0x36;
-            opad[i] = block_key[i] ^ 0x5c;
+        let midstate = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&block_key.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacMidstates {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+    }
+
+    /// A MAC under this key, ready for message bytes.
+    pub(crate) fn start(&self) -> HmacSha256 {
         HmacSha256 {
-            inner,
-            opad_key: opad,
+            inner: Sha256::from_midstate(self.inner, 1),
+            outer: self.outer,
         }
+    }
+}
+
+impl PartialEq for HmacMidstates {
+    /// Constant-time: every word is compared, with no early exit.
+    fn eq(&self, other: &Self) -> bool {
+        let words = |m: &HmacMidstates| m.inner.into_iter().chain(m.outer);
+        words(self)
+            .zip(words(other))
+            .fold(0, |acc, (a, b)| acc | (a ^ b))
+            == 0
+    }
+}
+
+/// Incremental HMAC-SHA256.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: [u32; 8],
+}
+
+impl HmacSha256 {
+    /// Creates a MAC with `key` (any length; long keys are hashed
+    /// first, per the RFC).
+    pub fn new(key: &[u8]) -> Self {
+        HmacMidstates::new(key).start()
     }
 
     /// Absorbs message bytes.
@@ -50,10 +84,8 @@ impl HmacSha256 {
 
     /// Finishes and returns the tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
+        let mut outer = Sha256::from_midstate(self.outer, 1);
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 

@@ -11,6 +11,7 @@
 //! in as associated data so a message cannot be silently replayed
 //! toward a different postbox.
 
+use crate::edwards::PeerTable;
 use crate::hkdf;
 use crate::sha256::sha256;
 use crate::x25519;
@@ -81,6 +82,13 @@ impl Keypair {
     /// `None` for degenerate (small-order) peer keys.
     pub fn diffie_hellman(&self, their_public: &[u8; 32]) -> Option<[u8; 32]> {
         x25519::shared_secret(&self.secret, their_public)
+    }
+
+    /// [`Keypair::diffie_hellman`] against the point `theirs` was built
+    /// from, by its comb instead of the ladder: the same bytes, and
+    /// `None` on the same all-zero output.
+    pub fn diffie_hellman_with(&self, theirs: &PeerTable) -> Option<[u8; 32]> {
+        x25519::nonzero(theirs.mul(&self.secret))
     }
 }
 

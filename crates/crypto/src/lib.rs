@@ -12,6 +12,9 @@
 //! * [`hmac`] / [`hkdf`] — RFC 2104 / RFC 5869 keyed MAC and KDF.
 //! * [`chacha20`] + [`poly1305`] + [`aead`] — the RFC 8439 AEAD.
 //! * [`x25519`] — RFC 7748 Diffie–Hellman over Curve25519.
+//! * [`edwards`] — [`PeerTable`]: X25519 against a point met by many
+//!   scalars (the base point, a registry key) as a fixed-base comb on
+//!   its Edwards25519 image, with the ladder's output bytes.
 //! * [`identity`] — [`identity::NodeId`] (`SHA-256(public key)`),
 //!   keypairs, and [`identity::SealedMessage`]: sender-ephemeral
 //!   ECDH → HKDF → AEAD, the construction postboxes use to cache
@@ -27,8 +30,9 @@
 //! crates are in this workspace's approved offline dependency set
 //! (DESIGN.md §1). The implementations pass the relevant RFC/NIST
 //! vectors and are constant-time where the algorithm is naturally so
-//! (X25519 Montgomery ladder with conditional swaps, no secret-indexed
-//! table lookups anywhere), but they have not been audited; the point
+//! (X25519 Montgomery ladder with conditional swaps, a comb that scans
+//! its whole table under a mask, no secret-indexed table lookups
+//! anywhere), but they have not been audited; the point
 //! of this crate is to exercise the *protocol* code paths of the
 //! paper faithfully, not to ship a production TLS stack.
 
@@ -37,6 +41,7 @@
 
 pub mod aead;
 pub mod chacha20;
+pub mod edwards;
 pub mod hkdf;
 pub mod hmac;
 pub mod identity;
@@ -46,6 +51,7 @@ pub mod sha256;
 pub mod x25519;
 
 pub use aead::{open, open_into, seal, seal_into, AeadError};
+pub use edwards::PeerTable;
 pub use identity::{Keypair, NodeId, PostboxAddress, SealedMessage};
 pub use session::{SessionKey, HEADER_TAG_LEN};
 pub use sha256::sha256;

@@ -20,8 +20,9 @@
 
 use crate::aead::{self, AeadError};
 use crate::chacha20::{KEY_LEN, NONCE_LEN};
+use crate::edwards::PeerTable;
 use crate::hkdf;
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacMidstates;
 use crate::identity::Keypair;
 
 /// Length of the truncated HMAC-SHA256 header tag, bytes.
@@ -34,7 +35,9 @@ pub const HEADER_TAG_LEN: usize = 16;
 const SESSION_INFO: &[u8] = b"citymesh-v1 session";
 
 /// The symmetric material shared by one unordered pair of nodes: an
-/// AEAD key for payloads and an independent MAC key for headers.
+/// AEAD key for payloads and an independent MAC key for headers, kept
+/// as its two HMAC midstates so a header tag compresses two SHA-256
+/// blocks, not four.
 ///
 /// Derive once per pair (expensive: one X25519 scalar multiplication
 /// plus an HKDF), cache, and reuse — every per-message operation on
@@ -42,7 +45,7 @@ const SESSION_INFO: &[u8] = b"citymesh-v1 session";
 #[derive(Clone)]
 pub struct SessionKey {
     aead_key: [u8; KEY_LEN],
-    header_key: [u8; 32],
+    header_mac: HmacMidstates,
 }
 
 impl std::fmt::Debug for SessionKey {
@@ -51,6 +54,15 @@ impl std::fmt::Debug for SessionKey {
         write!(f, "SessionKey(..)")
     }
 }
+
+impl PartialEq for SessionKey {
+    /// Constant-time: both keys are read in full.
+    fn eq(&self, other: &Self) -> bool {
+        crate::ct_eq(&self.aead_key, &other.aead_key) & (self.header_mac == other.header_mac)
+    }
+}
+
+impl Eq for SessionKey {}
 
 impl SessionKey {
     /// Derives the pair key from our keypair and their public key.
@@ -62,6 +74,19 @@ impl SessionKey {
     /// peer's public key was a low-order point).
     pub fn derive(ours: &Keypair, their_public: &[u8; 32]) -> Option<SessionKey> {
         let shared = ours.diffie_hellman(their_public)?;
+        Some(Self::from_shared(ours, their_public, &shared))
+    }
+
+    /// [`SessionKey::derive`] against the public key `theirs` was
+    /// built from, with the Diffie–Hellman on its comb: the same key.
+    pub fn derive_with(ours: &Keypair, theirs: &PeerTable) -> Option<SessionKey> {
+        let shared = ours.diffie_hellman_with(theirs)?;
+        Some(Self::from_shared(ours, theirs.point(), &shared))
+    }
+
+    /// The HKDF both derivations share: sorted-pubkey salt, the shared
+    /// secret as key material, 64 bytes split into the two keys.
+    fn from_shared(ours: &Keypair, their_public: &[u8; 32], shared: &[u8; 32]) -> SessionKey {
         let mut salt = [0u8; 64];
         let (lo, hi) = if ours.public <= *their_public {
             (&ours.public, their_public)
@@ -71,15 +96,13 @@ impl SessionKey {
         salt[..32].copy_from_slice(lo);
         salt[32..].copy_from_slice(hi);
         let mut okm = [0u8; 64];
-        hkdf::derive(&salt, &shared, SESSION_INFO, &mut okm);
+        hkdf::derive(&salt, shared, SESSION_INFO, &mut okm);
         let mut aead_key = [0u8; KEY_LEN];
         aead_key.copy_from_slice(&okm[..KEY_LEN]);
-        let mut header_key = [0u8; 32];
-        header_key.copy_from_slice(&okm[KEY_LEN..]);
-        Some(SessionKey {
+        SessionKey {
             aead_key,
-            header_key,
-        })
+            header_mac: HmacMidstates::new(&okm[KEY_LEN..]),
+        }
     }
 
     /// Seals `plaintext` under this session key into `out`
@@ -107,7 +130,7 @@ impl SessionKey {
     /// mutated hop-by-hop metadata the AEAD cannot cover, so they get
     /// their own MAC instead of riding in the AAD.
     pub fn header_tag(&self, header: &[u8]) -> [u8; HEADER_TAG_LEN] {
-        let full = hmac_sha256(&self.header_key, header);
+        let full = self.header_hmac(header);
         let mut tag = [0u8; HEADER_TAG_LEN];
         tag.copy_from_slice(&full[..HEADER_TAG_LEN]);
         tag
@@ -115,8 +138,15 @@ impl SessionKey {
 
     /// Verifies a header tag in constant time.
     pub fn verify_header(&self, header: &[u8], tag: &[u8; HEADER_TAG_LEN]) -> bool {
-        let full = hmac_sha256(&self.header_key, header);
-        crate::ct_eq(&full[..HEADER_TAG_LEN], tag)
+        crate::ct_eq(&self.header_hmac(header)[..HEADER_TAG_LEN], tag)
+    }
+
+    /// The full HMAC-SHA256 of `header` under the header key, resumed
+    /// from its midstates.
+    fn header_hmac(&self, header: &[u8]) -> [u8; 32] {
+        let mut mac = self.header_mac.start();
+        mac.update(header);
+        mac.finalize()
     }
 }
 
@@ -202,6 +232,35 @@ mod tests {
         let mut flipped = tag;
         flipped[0] ^= 1;
         assert!(!k.verify_header(b"src=1 dst=2 route=abc", &flipped));
+    }
+
+    #[test]
+    fn header_tag_is_the_truncated_hmac_of_the_header_key() {
+        // The key schedule written out: the midstates must tag exactly
+        // as `hmac_sha256` under the HKDF's second 32 bytes does.
+        let (a, b) = (pair(12), pair(13));
+        let k = SessionKey::derive(&a, &b.public).unwrap();
+        let mut salt = [0u8; 64];
+        let (lo, hi) = if a.public <= b.public {
+            (a.public, b.public)
+        } else {
+            (b.public, a.public)
+        };
+        salt[..32].copy_from_slice(&lo);
+        salt[32..].copy_from_slice(&hi);
+        let mut okm = [0u8; 64];
+        hkdf::derive(
+            &salt,
+            &a.diffie_hellman(&b.public).unwrap(),
+            SESSION_INFO,
+            &mut okm,
+        );
+        for header in [&b""[..], b"src=1 dst=2", &[0xA5; 24], &[7; 200]] {
+            let full = crate::hmac::hmac_sha256(&okm[KEY_LEN..], header);
+            assert_eq!(k.header_tag(header)[..], full[..HEADER_TAG_LEN]);
+        }
+        // The midstates grow a session by 32 bytes over a raw key.
+        assert_eq!(std::mem::size_of::<SessionKey>(), KEY_LEN + 64);
     }
 
     #[test]

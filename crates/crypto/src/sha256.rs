@@ -44,6 +44,27 @@ impl Sha256 {
         }
     }
 
+    /// Resumes a hash whose first `blocks` 64-byte blocks left the
+    /// chaining value `h` ([`Sha256::midstate`]): a keyed construction
+    /// caches the state after its key block and skips recompressing it.
+    pub(crate) fn from_midstate(h: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            h,
+            buf: [0; 64],
+            buf_len: 0,
+            total_len: blocks * 64,
+        }
+    }
+
+    /// The chaining value after the whole blocks absorbed so far.
+    ///
+    /// # Panics
+    /// Panics when a partial block is still buffered.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "a midstate is taken at a block boundary");
+        self.h
+    }
+
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self
@@ -211,6 +232,16 @@ mod tests {
             h.update(&data);
             assert_eq!(h.finalize(), sha256(&data), "len={len}");
         }
+    }
+
+    #[test]
+    fn resuming_a_midstate_equals_hashing_straight_through() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i % 253) as u8).collect();
+        let mut head = Sha256::new();
+        head.update(&data[..128]);
+        let mut resumed = Sha256::from_midstate(head.midstate(), 2);
+        resumed.update(&data[128..]);
+        assert_eq!(resumed.finalize(), sha256(&data));
     }
 
     #[test]

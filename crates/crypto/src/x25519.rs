@@ -3,7 +3,14 @@
 //! Field arithmetic over GF(2²⁵⁵ − 19) with five 51-bit limbs and
 //! `u128` intermediate products; scalar multiplication by the
 //! Montgomery ladder with constant-time conditional swaps (no
-//! secret-dependent branches or indexing).
+//! secret-dependent branches or indexing). The ladder serves any
+//! point; a point met by many scalars — the base point here, a
+//! registry key in `citymesh-core` — takes the comb of
+//! [`PeerTable`] instead, which returns the same bytes.
+
+use std::sync::OnceLock;
+
+use crate::edwards::PeerTable;
 
 /// Length of scalars, coordinates, and shared secrets, bytes.
 pub const KEY_LEN: usize = 32;
@@ -25,15 +32,15 @@ fn m(a: u64, b: u64) -> u128 {
 
 /// A field element in GF(2²⁵⁵ − 19), five radix-2⁵¹ limbs.
 #[derive(Clone, Copy, Debug)]
-struct Fe([u64; 5]);
+pub(crate) struct Fe(pub(crate) [u64; 5]);
 
 impl Fe {
-    const ZERO: Fe = Fe([0; 5]);
-    const ONE: Fe = Fe([1, 0, 0, 0, 0]);
+    pub(crate) const ZERO: Fe = Fe([0; 5]);
+    pub(crate) const ONE: Fe = Fe([1, 0, 0, 0, 0]);
 
     /// Parses 32 little-endian bytes, masking the top bit (RFC 7748
     /// §5: the u-coordinate's bit 255 is ignored).
-    fn from_bytes(bytes: &[u8; 32]) -> Fe {
+    pub(crate) fn from_bytes(bytes: &[u8; 32]) -> Fe {
         let load = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
         Fe([
             load(0) & MASK51,
@@ -46,7 +53,7 @@ impl Fe {
 
     /// Serializes to 32 little-endian bytes in canonical (fully
     /// reduced) form.
-    fn to_bytes(self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         let mut h = self.weak_reduced().0;
         // Compute the quotient of (h + 19) / 2^255 to decide whether
         // h ≥ p, then add 19·q and mask — the standard branch-free
@@ -94,8 +101,28 @@ impl Fe {
         out
     }
 
+    /// The canonical value as four little-endian 64-bit words: 32
+    /// bytes where the limbs take 40, for tables kept in memory.
+    pub(crate) fn to_words(self) -> [u64; 4] {
+        let bytes = self.to_bytes();
+        std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        })
+    }
+
+    /// The inverse of [`Fe::to_words`]: limbs < 2^51.
+    pub(crate) fn from_words(w: [u64; 4]) -> Fe {
+        Fe([
+            w[0] & MASK51,
+            (w[0] >> 51 | w[1] << 13) & MASK51,
+            (w[1] >> 38 | w[2] << 26) & MASK51,
+            (w[2] >> 25 | w[3] << 39) & MASK51,
+            (w[3] >> 12) & MASK51,
+        ])
+    }
+
     /// Carry-propagates so every limb is below 2⁵¹ + ε.
-    fn weak_reduced(self) -> Fe {
+    pub(crate) fn weak_reduced(self) -> Fe {
         let mut h = self.0;
         let mut carry;
         carry = h[0] >> 51;
@@ -133,7 +160,7 @@ impl Fe {
     //   < 2^113 — its carry `c0 >> 51` fits a `u64`.
 
     /// `self + rhs`, limb by limb (< 2^53 under the bounds above).
-    fn add(self, rhs: Fe) -> Fe {
+    pub(crate) fn add(self, rhs: Fe) -> Fe {
         let mut h = self.0;
         for (limb, r) in h.iter_mut().zip(rhs.0) {
             *limb += r;
@@ -144,7 +171,7 @@ impl Fe {
     /// `self − rhs + 2p`, limb by limb: `rhs` limbs (< 2^51 + 2^12)
     /// stay below 2p's (≥ 2^52 − 38), so none underflows, and the
     /// result is < 2^53.
-    fn sub(self, rhs: Fe) -> Fe {
+    pub(crate) fn sub(self, rhs: Fe) -> Fe {
         const TWO_P: [u64; 5] = [
             0xF_FFFF_FFFF_FFDA,
             0xF_FFFF_FFFF_FFFE,
@@ -159,7 +186,7 @@ impl Fe {
         Fe(h)
     }
 
-    fn mul(self, rhs: Fe) -> Fe {
+    pub(crate) fn mul(self, rhs: Fe) -> Fe {
         let [a0, a1, a2, a3, a4] = self.0;
         let [b0, b1, b2, b3, b4] = rhs.0;
         let (b1_19, b2_19, b3_19, b4_19) = (b1 * 19, b2 * 19, b3 * 19, b4 * 19);
@@ -175,7 +202,7 @@ impl Fe {
 
     /// `self²` with the symmetric cross terms folded: 15 limb products
     /// where `mul(self)` spends 25.
-    fn square(self) -> Fe {
+    pub(crate) fn square(self) -> Fe {
         let [a0, a1, a2, a3, a4] = self.0;
         let (a0_2, a1_2, a2_2, a3_2) = (a0 * 2, a1 * 2, a2 * 2, a3 * 2);
         let (a3_19, a4_19) = (a3 * 19, a4 * 19);
@@ -228,11 +255,11 @@ impl Fe {
         Fe([r0 & MASK51, r1 + (r0 >> 51), r2, r3, r4])
     }
 
-    /// Inversion via Fermat: self^(p − 2) = self^(2²⁵⁵ − 21), by the
-    /// standard fixed addition chain (254 squarings, 11 multiplies).
-    /// `z_a_b` below is self^(2^a − 2^b); the exponent is public, so
-    /// the chain has no secret-dependent branch or index.
-    fn invert(self) -> Fe {
+    /// `(self^(2²⁵⁰ − 1), self^11)`, the shared prefix of the two
+    /// fixed addition chains below. `z_a_b` is self^(2^a − 2^b); the
+    /// exponents are public, so the chains have no secret-dependent
+    /// branch or index.
+    fn pow_2_250_1(self) -> (Fe, Fe) {
         let z2 = self.square();
         let z9 = self.mul(z2.pow2k(2));
         let z11 = z2.mul(z9);
@@ -243,8 +270,20 @@ impl Fe {
         let z_50_0 = z_40_0.pow2k(10).mul(z_10_0);
         let z_100_0 = z_50_0.pow2k(50).mul(z_50_0);
         let z_200_0 = z_100_0.pow2k(100).mul(z_100_0);
-        let z_250_0 = z_200_0.pow2k(50).mul(z_50_0);
+        (z_200_0.pow2k(50).mul(z_50_0), z11)
+    }
+
+    /// Inversion via Fermat: self^(p − 2) = self^(2²⁵⁵ − 21) (254
+    /// squarings, 11 multiplies). Zero maps to zero.
+    pub(crate) fn invert(self) -> Fe {
+        let (z_250_0, z11) = self.pow_2_250_1();
         z_250_0.pow2k(5).mul(z11)
+    }
+
+    /// self^((p − 5) / 8) = self^(2²⁵² − 3), the exponent of RFC 8032's
+    /// square root (§5.1.3).
+    pub(crate) fn pow_p58(self) -> Fe {
+        self.pow_2_250_1().0.pow2k(2).mul(self)
     }
 
     /// Constant-time conditional swap of `a` and `b` when `bit == 1`.
@@ -306,9 +345,21 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(z2.invert()).to_bytes()
 }
 
-/// Derives the public key for `scalar`: `scalar · basepoint`.
+/// The base point's comb table, built by the first key generation.
+static BASE: OnceLock<PeerTable> = OnceLock::new();
+
+/// Derives the public key for `scalar`: `scalar · basepoint`, by the
+/// comb on the base point's table (built on first use, once per
+/// process). Equal to `x25519(scalar, &BASEPOINT)`.
 pub fn public_key(scalar: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-    x25519(scalar, &BASEPOINT)
+    BASE.get_or_init(|| PeerTable::new(&BASEPOINT).expect("the base point is on the curve"))
+        .mul(scalar)
+}
+
+/// Whether this process has built the base point's table — that is,
+/// generated a key. A plaintext run never does.
+pub fn base_table_built() -> bool {
+    BASE.get().is_some()
 }
 
 /// Computes the shared secret between `our_scalar` and `their_public`.
@@ -319,12 +370,12 @@ pub fn shared_secret(
     our_scalar: &[u8; KEY_LEN],
     their_public: &[u8; KEY_LEN],
 ) -> Option<[u8; KEY_LEN]> {
-    let out = x25519(our_scalar, their_public);
-    if crate::ct_eq(&out, &[0u8; KEY_LEN]) {
-        None
-    } else {
-        Some(out)
-    }
+    nonzero(x25519(our_scalar, their_public))
+}
+
+/// `None` for the all-zero output, compared in constant time.
+pub(crate) fn nonzero(out: [u8; KEY_LEN]) -> Option<[u8; KEY_LEN]> {
+    (!crate::ct_eq(&out, &[0u8; KEY_LEN])).then_some(out)
 }
 
 #[cfg(test)]
@@ -350,6 +401,10 @@ mod tests {
         // p itself reduces to zero.
         let p = unhex("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
         assert_eq!(Fe::from_bytes(&p).to_bytes(), [0u8; 32]);
+        for bytes in [x, near_p, p, [0xA5; 32]] {
+            let f = Fe::from_bytes(&bytes);
+            assert_eq!(Fe::from_words(f.to_words()).to_bytes(), f.to_bytes());
+        }
     }
 
     #[test]

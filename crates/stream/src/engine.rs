@@ -817,11 +817,15 @@ pub fn try_run_stream(
     let cache = RouteCache::new();
     let fleet_cfg = cfg.fleet();
     let mut queues: Vec<ServerQueue> = (0..cfg.servers).map(|_| ServerQueue::new(cfg)).collect();
-    // Threads claim whole servers, `chunk` of them each. The queues
-    // deliberately survive the barriers: an aftershock does not
-    // un-queue flows already admitted.
-    let workers = resolve_workers(cfg.workers, cfg.servers);
-    let chunk = cfg.servers.div_ceil(workers);
+    // Threads claim whole servers, `chunk` of them each, so
+    // `servers.div_ceil(chunk)` threads run — fewer than the workers
+    // resolved when the servers split unevenly (6 servers at 4
+    // workers: 2 each, 3 threads). The queues deliberately survive the
+    // barriers: an aftershock does not un-queue flows already admitted.
+    let chunk = cfg
+        .servers
+        .div_ceil(resolve_workers(cfg.workers, cfg.servers));
+    let threads = cfg.servers.div_ceil(chunk);
     let server = |flow: &FlowSpec| (flow.id % cfg.servers as u64) as usize;
     let epochs = run_epochs(
         flows,
@@ -869,7 +873,7 @@ pub fn try_run_stream(
         .map(|q| q.high_water() as u64)
         .max()
         .unwrap_or(0);
-    report.fleet.workers = workers;
+    report.fleet.workers = threads;
     report.fleet.cache_hits = cache.hits();
     report.fleet.cache_misses = cache.misses();
     report.fleet.elapsed_secs = started.elapsed().as_secs_f64();
@@ -1033,6 +1037,25 @@ mod tests {
             digests.iter().all(|&d| d == digests[0]),
             "1/2/4/8 workers diverged: {digests:x?}"
         );
+    }
+
+    #[test]
+    fn report_counts_the_threads_that_ran() {
+        // Six servers split into chunks of ceil(6 / workers): at 4
+        // workers each thread takes 2, so 3 threads run, not 4.
+        let exp = world(23);
+        let flows = poisson_flows(&exp, 60, 900.0, 23);
+        let tl = empty_timeline(&exp);
+        for (workers, threads) in [(1, 1), (2, 2), (4, 3), (5, 3), (6, 6), (8, 6)] {
+            let cfg = StreamConfig {
+                workers,
+                servers: 6,
+                seed: 23,
+                ..StreamConfig::default()
+            };
+            let (r, _) = try_run_stream(&exp, &flows, &tl, &cfg, &TelemetryConfig::off()).unwrap();
+            assert_eq!(r.fleet.workers, threads, "{workers} workers");
+        }
     }
 
     #[test]
