@@ -17,15 +17,13 @@
 //! plus the §4 header statistics (median / 90th-percentile compressed
 //! route bits).
 
-use std::sync::Arc;
-
 use citymesh_simcore::{split_seed, SimRng, SimTime};
 use citymesh_telemetry::{FlowSummary, TraceEvent};
 
 use crate::conduit::{reconstruct_conduits_into, CoveredSet};
 use crate::config::RebroadcastScope;
 use crate::faults::{Escalation, RecoveryStage, RetryPolicy};
-use crate::plan::{PlannedFlow, RecoveryVariants};
+use crate::plan::PlannedFlow;
 use crate::secure::TamperMode;
 use crate::sim::{
     frames_can_be_lost, placeholder_header, simulate_delivery_faulted, DeliveryScratch, Relays,
@@ -338,54 +336,37 @@ impl CityExperiment {
         // memory) and restore them after.
         let mut header = std::mem::replace(&mut scratch.header, placeholder_header());
         let mut rung_conduits = std::mem::take(&mut scratch.rung_conduits);
-        let mut patched_covered = std::mem::take(&mut scratch.detour.covered);
+        let mut rung_covered = std::mem::take(&mut scratch.detour.covered);
         let flow_key = rng.next_u64();
         let mut attempts = 0u32;
         let mut total_broadcasts = 0u64;
         let mut first_broadcasts = 0u64;
         let mut penalty = SimTime::ZERO;
-        // The plan's ladder geometry, held across the attempts that
-        // ride it: `recovery_variants` hands back an `Arc`, and the
-        // chosen conduit slice must outlive the rung selection.
-        let mut ladder: Option<Arc<RecoveryVariants>> = None;
-        // Local repair: whether a splice has replaced the plan's route;
-        // the patched route's waypoints are `scratch.detour.waypoints`.
+        // The widen rung's width, once the flow has reached it.
+        let mut wide_width = None;
+        // Whether a detour — the ladder's replan, or a local-repair
+        // splice — has replaced the plan's route; its waypoints are
+        // `scratch.detour.waypoints`, its covered set `rung_covered`.
         let mut patched = false;
         loop {
             attempts += 1;
             // Rung selection. The ladder: 1 → first send, 2 → re-send,
-            // 3 → widen, 4+ → replan; rungs without geometry degrade to
-            // a re-send so the ladder is always bounded by
-            // `max_attempts`. Reaching rung 3 is what materializes the
-            // lazy ladder geometry; attempts only exceed 1 under a fault
-            // scenario, so the fault world is always present there.
-            // Local repair: every send after the first splice rides the
-            // patched route, and is a replan however many sends later.
-            let rec = world.filter(|_| attempts >= 3 && !local_repair).map(|w| {
-                &**ladder
-                    .get_or_insert_with(|| self.recovery_variants(plan, w, &mut scratch.detour))
-            });
+            // 3 → widen, 4+ → replan, each rung's geometry built when
+            // the flow reaches it (below); a replan with no distinct
+            // detour degrades to a re-send, so the ladder is always
+            // bounded by `max_attempts`. Local repair: every send after
+            // the first splice rides the patched route, and is a replan
+            // however many sends later.
             let (stage, waypoints, rung_width, covered): (_, &[u32], f64, &CoveredSet) =
-                match (attempts, rec) {
+                match (attempts, wide_width) {
                     (1, _) => (RecoveryStage::First, &plan.waypoints, width, plan_covered),
                     _ if patched => (
                         RecoveryStage::Replan,
                         &scratch.detour.waypoints,
                         width,
-                        &patched_covered,
+                        &rung_covered,
                     ),
-                    (3, Some(rec)) if rec.wide_width_m > 0.0 => (
-                        RecoveryStage::Widen,
-                        &plan.waypoints,
-                        rec.wide_width_m,
-                        &rec.wide_covered,
-                    ),
-                    (4.., Some(rec)) if !rec.fallback_waypoints.is_empty() => (
-                        RecoveryStage::Replan,
-                        &rec.fallback_waypoints,
-                        width,
-                        &rec.fallback_covered,
-                    ),
+                    (3, Some(wide)) => (RecoveryStage::Widen, &plan.waypoints, wide, &rung_covered),
                     _ => (RecoveryStage::Resend, &plan.waypoints, width, plan_covered),
                 };
             header.reuse_for(msg_id, rung_width, waypoints);
@@ -444,11 +425,21 @@ impl CityExperiment {
             if attempts >= max_attempts {
                 break;
             }
-            // The sender learns of the failure at its timeout.
+            // The sender learns of the failure at its timeout. Attempts
+            // only exceed 1 under a fault scenario, so the fault world
+            // is present here; the next rung's geometry is built now,
+            // once per flow.
             penalty += HORIZON;
-            if let Some((_, survivors)) = world.filter(|_| local_repair) {
-                let d = &mut scratch.detour;
-                patched |= self.repair_route(plan, survivors, d, patched, &mut patched_covered);
+            if let Some((_, survivors)) = world {
+                let (d, covered) = (&mut scratch.detour, &mut rung_covered);
+                match attempts + 1 {
+                    _ if local_repair => {
+                        patched |= self.repair_route(plan, survivors, d, patched, covered);
+                    }
+                    3 => wide_width = Some(self.widen_rung(plan, d, covered)),
+                    4 => patched = self.detour_rung(plan, survivors, d, covered),
+                    _ => {}
+                }
             }
         }
         outcome.attempts = attempts;
@@ -461,7 +452,7 @@ impl CityExperiment {
         .value();
         scratch.header = header;
         scratch.rung_conduits = rung_conduits;
-        scratch.detour.covered = patched_covered;
+        scratch.detour.covered = rung_covered;
         finish_flow_trace(scratch, &outcome);
 
         // Receiver side: verify the header tag, then open. Tamper

@@ -5,10 +5,8 @@
 //! conduits and the buildings they cover, header size, source AP, ideal
 //! hops — so engines cache it by `(src, dst)`. The retry ladder's extra
 //! geometry (the buildings widened conduits and a replanned detour
-//! cover) is memoized inside the plan per fault-state epoch, the first
-//! time a simulation ([`crate::flow`]) climbs that far.
-
-use std::sync::{Arc, RwLock};
+//! cover) belongs to the flow: each rung builds it in the worker's
+//! scratch when a simulation ([`crate::flow`]) first climbs that far.
 
 use citymesh_geo::OrientedRect;
 use citymesh_graph::{HopScratch, PlannerScratch};
@@ -17,10 +15,10 @@ use citymesh_net::{CityMeshHeader, MAX_CONDUIT_WIDTH_M};
 
 use crate::buildgraph::BuildingGraph;
 use crate::conduit::{compress_route_into, reconstruct_conduits_into, CoveredSet};
-use crate::faults::{FaultState, WIDEN_FACTOR};
+use crate::faults::WIDEN_FACTOR;
 use crate::hier::{HierPlanScratch, HierPlanner};
 use crate::route::{
-    plan_route_counted, search_avoiding, splice_around_dark, RouteStats, Survivors,
+    avoid_dark_counted, plan_route_counted, splice_around_dark, RouteStats, Survivors,
 };
 use crate::sim::{placeholder_header, DetourScratch};
 use crate::world::CityExperiment;
@@ -66,7 +64,7 @@ pub struct PlannedFlow {
     /// reachable.
     pub ideal_hops: Option<u64>,
     /// The uncompressed primary route, kept only under a fault
-    /// scenario: the lazy replan rung must compare its detour against
+    /// scenario: the replan rung must compare its detour against
     /// the *route* (distinct routes can compress to identical
     /// waypoints, and the Replan-vs-Resend rung label feeds the fleet
     /// digest). Empty in the healthy world.
@@ -79,85 +77,6 @@ pub struct PlannedFlow {
     /// endpoints: they are the route-cache key, and cache invalidation
     /// reasons about them.
     redirect: Option<u32>,
-    /// Retry-ladder geometry (the widened rung's and the replanned
-    /// detour's covered buildings), materialized lazily the first time a simulation climbs to rung
-    /// 3 — the healthy path, and every flow that delivers within two
-    /// attempts, never pays for the ladder. The cell is interior
-    /// mutability over a pure value *keyed by the fault-state epoch*:
-    /// the replan detour depends on the current blocked set, so under
-    /// world churn a plan kept across an epoch boundary transparently
-    /// recomputes its ladder geometry on first escalation in the new
-    /// epoch — making a cache-retained plan behaviorally identical to
-    /// a freshly planned one. Concurrent workers may race to install a
-    /// given epoch's variants, but every initializer computes the same
-    /// value, so whichever wins is indistinguishable.
-    recovery: RecoveryCell,
-}
-
-/// The epoch-keyed memo slot behind [`PlannedFlow::recovery`]: at most
-/// one `(epoch, variants)` pair, replaced whenever a simulation
-/// escalates under a newer fault-state epoch. Reads on the steady
-/// state path are a lock-free-enough `RwLock` read + `Arc` clone —
-/// both allocation-free, preserving the zero-alloc per-flow loop.
-#[derive(Debug, Default)]
-struct RecoveryCell(RwLock<Option<(u64, Arc<RecoveryVariants>)>>);
-
-impl RecoveryCell {
-    /// The memoized variants, if they were computed for `epoch`.
-    fn get(&self, epoch: u64) -> Option<Arc<RecoveryVariants>> {
-        match &*self.0.read().expect("recovery cell poisoned") {
-            Some((e, rec)) if *e == epoch => Some(Arc::clone(rec)),
-            _ => None,
-        }
-    }
-
-    /// Installs `rec` for `epoch` unless a racing worker already did;
-    /// returns whichever value ends up memoized (the values are equal
-    /// by construction — recovery geometry is a pure function of the
-    /// plan and the epoch's fault state).
-    fn set(&self, epoch: u64, rec: Arc<RecoveryVariants>) -> Arc<RecoveryVariants> {
-        let mut slot = self.0.write().expect("recovery cell poisoned");
-        match &*slot {
-            Some((e, cur)) if *e == epoch => Arc::clone(cur),
-            _ => {
-                *slot = Some((epoch, Arc::clone(&rec)));
-                rec
-            }
-        }
-    }
-
-    /// Drops the memo (plan reuse across `(src, dst)` reassignment).
-    fn clear(&self) {
-        *self.0.write().expect("recovery cell poisoned") = None;
-    }
-}
-
-impl Clone for RecoveryCell {
-    fn clone(&self) -> Self {
-        RecoveryCell(RwLock::new(
-            self.0.read().expect("recovery cell poisoned").clone(),
-        ))
-    }
-}
-
-/// The retry ladder's precomputable geometry; see
-/// [`PlannedFlow::recovery`]. Each rung keeps the buildings its
-/// conduits cover, the relay set its flows hand the kernel; its
-/// conduits are rebuilt from waypoints and width where they are needed.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RecoveryVariants {
-    /// Width of the widened-conduit retry variant, meters (0 when the
-    /// scenario's ladder never widens).
-    pub(crate) wide_width_m: f64,
-    /// The buildings the widened variant covers: same waypoints, fatter
-    /// rectangles, clamped to the header-encodable maximum.
-    pub(crate) wide_covered: CoveredSet,
-    /// Waypoints of the replanned detour around buildings with zero
-    /// live APs (empty when the ladder never replans, nothing is dark,
-    /// or no distinct detour exists).
-    pub(crate) fallback_waypoints: Vec<u32>,
-    /// The buildings the replanned detour's conduits cover.
-    pub(crate) fallback_covered: CoveredSet,
 }
 
 impl PlannedFlow {
@@ -179,7 +98,6 @@ impl PlannedFlow {
             ideal_hops: None,
             replan_route: Vec::new(),
             redirect: None,
-            recovery: RecoveryCell::default(),
         }
     }
 
@@ -198,7 +116,6 @@ impl PlannedFlow {
         self.ideal_hops = None;
         self.replan_route.clear();
         self.redirect = None;
-        self.recovery.clear();
     }
 
     /// Whether planning produced a usable route.
@@ -434,90 +351,60 @@ impl CityExperiment {
         plan.covered
             .compute(self.map(), &plan.conduits, &mut scratch.covered_marks);
         plan.covered_computed = true;
-        // Keep the uncompressed route for the lazy replan rung's
-        // detour comparison; the ladder geometry itself is deferred
-        // until a simulation actually climbs that far.
+        // Keep the uncompressed route for the replan rung's detour
+        // comparison; the ladder geometry itself is the flow's.
         if self.fault_state().is_some() {
             plan.replan_route.extend_from_slice(&scratch.route);
         }
     }
 
-    /// Materializes the retry ladder's geometry for `plan`, computing
-    /// it at most once per plan *per fault-state epoch* (the result is
-    /// memoized in the plan's [`RecoveryCell`], keyed by
-    /// [`FaultState::epoch`]). Called lazily from the simulation loop
-    /// the first time a flow escalates to rung 3, so plans that
-    /// deliver within two attempts — and the entire healthy world —
-    /// never pay for widened conduits or a replanned detour. Under
-    /// churn, a plan kept in the route cache across an epoch boundary
-    /// recomputes here on its first post-event escalation, because the
-    /// replan detour depends on the *current* blocked set — this is
-    /// what makes incremental cache invalidation digest-equal to a
-    /// full flush.
-    pub(crate) fn recovery_variants(
+    /// The widen rung (attempt 3): the plan's waypoints at
+    /// [`WIDEN_FACTOR`] times the configured width, clamped to the
+    /// header-encodable maximum. Rebuilds their conduits in `d` and
+    /// writes the buildings they cover into `covered`; returns the
+    /// width as a header rounds it. Allocation-free on a warm scratch.
+    pub(crate) fn widen_rung(
         &self,
         plan: &PlannedFlow,
-        (faults, survivors): (&FaultState, &Survivors),
-        detour: &mut DetourScratch,
-    ) -> Arc<RecoveryVariants> {
-        let epoch = faults.epoch();
-        if let Some(rec) = plan.recovery.get(epoch) {
-            return rec;
-        }
-        let rec = Arc::new(self.compute_recovery(plan, faults, survivors, detour));
-        plan.recovery.set(epoch, rec)
+        d: &mut DetourScratch,
+        covered: &mut CoveredSet,
+    ) -> f64 {
+        let map = self.map();
+        let w = (self.config().conduit_width_m * WIDEN_FACTOR).min(MAX_CONDUIT_WIDTH_M);
+        d.header.reuse_for(0, w, &plan.waypoints);
+        let wide = d.header.conduit_width_m();
+        reconstruct_conduits_into(map, &plan.waypoints, wide, &mut d.conduits);
+        covered.compute(map, &d.conduits, &mut d.covered_marks);
+        wide
     }
 
-    /// The pure computation behind [`CityExperiment::recovery_variants`]:
-    /// the widen rung's covered set and the replan rung's detour for
-    /// `plan` under the current fault state. Everything transient —
-    /// the rungs' conduits included — lives in `d`; the only
-    /// allocations are the buffers the memo keeps, each made at its
-    /// final size.
-    fn compute_recovery(
+    /// The replan rung (the first attempt ≥ 4): a detour from the
+    /// plan's source to its delivery building around every building
+    /// with zero live APs under the current fault state. On a detour
+    /// whose *uncompressed* route differs from the plan's (distinct
+    /// routes can compress to the same waypoints), `d.waypoints` and
+    /// `covered` describe it and this returns true; otherwise the rung
+    /// re-sends. Allocation-free on a warm scratch.
+    pub(crate) fn detour_rung(
         &self,
         plan: &PlannedFlow,
-        faults: &FaultState,
         survivors: &Survivors,
         d: &mut DetourScratch,
-    ) -> RecoveryVariants {
-        d.stats.materialized += 1;
-        let mut rec = RecoveryVariants::default();
-        let policy = faults.retry();
-        let (bg, width) = (self.building_graph(), self.config().conduit_width_m);
-        let map = self.map();
-        // Widen rung: same waypoints, fatter conduits, clamped to
-        // the header-encodable width.
-        if policy.max_attempts >= 3 {
-            let w = (width * WIDEN_FACTOR).min(MAX_CONDUIT_WIDTH_M);
-            d.header.reuse_for(0, w, &plan.waypoints);
-            rec.wide_width_m = d.header.conduit_width_m();
-            reconstruct_conduits_into(map, &plan.waypoints, rec.wide_width_m, &mut d.conduits);
-            rec.wide_covered
-                .compute(map, &d.conduits, &mut d.covered_marks);
+        covered: &mut CoveredSet,
+    ) -> bool {
+        if survivors.blocked().is_empty() {
+            return false;
         }
-        // Replan rung: detour around buildings with zero live APs.
-        // Only meaningful when a genuinely different detour survives.
-        // The comparison runs against the *uncompressed* primary route
-        // the plan kept for exactly this purpose.
-        if policy.max_attempts >= 4 && !survivors.blocked().is_empty() {
-            let (src, dst) = (plan.src, plan.delivery_dst());
-            // A destination walled in by dark buildings is the common
-            // failure here, and a search only learns it by exhausting
-            // the source's whole surviving island.
-            if !survivors.connects(bg, src, dst) {
-                d.stats.rejected_by_labels += 1;
-                return rec;
-            }
-            d.stats.searches += 1;
-            let found = search_avoiding(bg, src, dst, survivors, &mut d.search, &mut d.route);
-            if found.is_err() || d.route == plan.replan_route {
-                return rec;
-            }
-            d.cover_route(bg, map, width, &mut rec.fallback_covered);
-            rec.fallback_waypoints = d.waypoints.clone();
+        let bg = self.building_graph();
+        let (src, dst) = (plan.src, plan.delivery_dst());
+        let (search, stats) = (&mut d.search, &mut d.stats);
+        if !avoid_dark_counted(bg, survivors, src, dst, search, &mut d.route, stats)
+            || d.route == plan.primary_route()
+        {
+            return false;
         }
-        rec
+        d.cover_route(bg, self.map(), self.config().conduit_width_m, covered);
+        true
     }
 
     /// Local repair's rung: splices the route the flow last sent over —
@@ -592,12 +479,11 @@ mod tests {
 
     /// The `churn-ladder` blackout (the benchmark downtown, world seed
     /// 2024, one 60 m disc) under its first 2,000 seed-1 hotspot flows,
-    /// each planned into one reused plan so every escalation builds its
-    /// memo afresh. For every flow that climbs to rung 3, each rung's
-    /// memoized covered set equals `within_conduits` at every centroid
-    /// for that rung's rebuilt conduits, and the outcomes of those flows
-    /// hash to what the kernel produced when it decided those rungs'
-    /// verdicts on first reception.
+    /// each planned into one reused plan. For every flow that climbs to
+    /// rung 3, each rung's covered set equals `within_conduits` at
+    /// every centroid for that rung's rebuilt conduits, and the outcomes
+    /// of those flows hash to what the kernel produced when it decided
+    /// those rungs' verdicts on first reception.
     #[test]
     fn ladder_rungs_carry_the_buildings_their_conduits_cover() {
         let config = ExperimentConfig {
@@ -607,7 +493,7 @@ mod tests {
         };
         let map = CityArchetype::SurveyDowntown.generate(2024);
         let exp = CityExperiment::try_prepare(map, config).expect("valid config");
-        let world = exp.fault_world().expect("faulted");
+        let (_, survivors) = exp.fault_world().expect("faulted");
         let model = FlowModel::Hotspot {
             hotspots: 256,
             exponent: 0.8,
@@ -619,7 +505,7 @@ mod tests {
             seed: 1,
         };
         let (mut plan_scratch, mut plan) = (PlanScratch::new(), PlannedFlow::empty(0, 0));
-        let mut scratch = DeliveryScratch::new();
+        let (mut scratch, mut covered) = (DeliveryScratch::new(), CoveredSet::default());
         let (mut outcomes, mut climbed, mut detours) = (Fnv64::new(), 0, 0);
         for f in generate_flows(exp.map().len(), &workload) {
             exp.plan_flow_into(f.src, f.dst, &mut plan_scratch, &mut plan);
@@ -638,26 +524,30 @@ mod tests {
             for v in [o.broadcasts, latency, rung] {
                 outcomes.mix(v);
             }
-            let rec = exp.recovery_variants(&plan, world, &mut scratch.detour);
-            assert!(rec.wide_width_m > 0.0, "the ladder widens");
-            let wide = brute_covered(exp.map(), &plan.waypoints, rec.wide_width_m);
-            assert_eq!(
-                rec.wide_covered.iter().collect::<Vec<_>>(),
-                wide,
-                "flow {}",
-                f.id
+            let d = &mut scratch.detour;
+            let wide_width = exp.widen_rung(&plan, d, &mut covered);
+            assert!(
+                wide_width > exp.config().conduit_width_m,
+                "the ladder widens"
             );
-            if !rec.fallback_waypoints.is_empty() {
+            let wide = brute_covered(exp.map(), &plan.waypoints, wide_width);
+            assert_eq!(covered.iter().collect::<Vec<_>>(), wide, "flow {}", f.id);
+            let detoured = exp.detour_rung(&plan, survivors, d, &mut covered);
+            if detoured {
                 detours += 1;
-                let waypoints = rec.fallback_waypoints.clone();
+                let waypoints = d.waypoints.clone();
                 let header = CityMeshHeader::new(msg_id, exp.config().conduit_width_m, waypoints);
                 let fallback =
                     brute_covered(exp.map(), &header.waypoints, header.conduit_width_m());
-                let got: Vec<u32> = rec.fallback_covered.iter().collect();
-                assert_eq!(got, fallback, "flow {}", f.id);
+                assert_eq!(
+                    covered.iter().collect::<Vec<_>>(),
+                    fallback,
+                    "flow {}",
+                    f.id
+                );
             }
             if o.recovered_by == Some(RecoveryStage::Replan) {
-                assert!(!rec.fallback_waypoints.is_empty());
+                assert!(detoured);
             }
         }
         assert_eq!((climbed, outcomes.value()), (214, 0x7fda_ab4e_7fd3_352e));

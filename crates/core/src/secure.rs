@@ -196,11 +196,6 @@ impl SecureState {
         self.cache.len()
     }
 
-    /// Cache hits so far. Schedule-dependent; never digest material.
-    pub fn session_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
     /// Cache misses (= derivations attempted) so far.
     /// Schedule-dependent; never digest material.
     pub fn session_misses(&self) -> u64 {
@@ -241,7 +236,6 @@ mod tests {
         assert!(!derived2, "reverse direction hits the same entry");
         assert!(Arc::ptr_eq(&k1, &k2));
         assert_eq!(s.sessions(), 1);
-        assert_eq!(s.session_hits(), 1);
         assert_eq!(s.session_misses(), 1);
     }
 

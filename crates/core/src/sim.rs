@@ -184,14 +184,10 @@ pub enum Relays<'a> {
 
 /// What the detours of the replan rung and of local repair cost a
 /// worker, cumulative over the [`DeliveryScratch`] that counted them.
-/// Racing workers may both materialize one cached plan's ladder, so
-/// totals over a fleet are schedule-dependent — telemetry only, in no
-/// digest.
+/// Every flow computes its own detours, so totals over a fleet are
+/// per flow and do not depend on which worker ran what.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DetourStats {
-    /// Retry-ladder geometries computed: once per plan per fault-state
-    /// epoch, the first time a flow over the plan reaches rung 3.
-    pub materialized: u64,
     /// Detours refused by the surviving-component labels before any
     /// search: every route between the pair crosses a dark building.
     pub rejected_by_labels: u64,
@@ -201,12 +197,11 @@ pub struct DetourStats {
 }
 
 /// Buffers of the rungs after the first send — detour search state, the
-/// uncompressed route (local repair's patched route between attempts),
-/// its waypoints, a header to probe the round-tripped width with, the
-/// conduits and building bitset a rung's covered set is gathered
-/// through, and the patched route's covered set — so that materializing
-/// a plan's ladder geometry allocates only what the plan keeps, and a
-/// warm scratch repairs routes without allocating.
+/// uncompressed detour (the replan rung's, or local repair's patched
+/// route between attempts), its waypoints, a header to probe the
+/// round-tripped width with, the conduits and building bitset a rung's
+/// covered set is gathered through, and that covered set — so that a
+/// warm scratch climbs every rung without allocating.
 #[derive(Debug)]
 pub(crate) struct DetourScratch {
     pub(crate) search: PlannerScratch,
@@ -286,8 +281,7 @@ pub struct DeliveryScratch {
     /// double-derive), so telemetry-only.
     pub(crate) keys_derived: u64,
     /// Buffers and counters of the rungs after the first send, used only
-    /// when `CityExperiment::simulate_flow_opts` materializes a plan's
-    /// ladder geometry or repairs a route.
+    /// when `CityExperiment::simulate_flow_opts` climbs past a re-send.
     pub(crate) detour: DetourScratch,
 }
 

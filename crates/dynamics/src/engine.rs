@@ -645,7 +645,6 @@ mod tests {
         let [_, _, widen, replan] = reactive.rung_deliveries;
         assert!(replan > 0, "a repaired route delivers");
         assert_eq!(widen, 0, "local repair never widens");
-        assert_eq!(m.counter(tm::LADDERS_MATERIALIZED), 0);
         assert!(reactive.recovered > 0);
         let (ladder, _) = run(Strategy::RetryLadder);
         let (r#static, _) = run(Strategy::StaticPlan);

@@ -458,14 +458,6 @@ impl FleetReport {
         );
         h.value()
     }
-
-    /// Fraction of retried flows that a later ladder rung recovered.
-    pub fn recovery_rate(&self) -> f64 {
-        if self.retried == 0 {
-            return 0.0;
-        }
-        self.recovered as f64 / self.retried as f64
-    }
 }
 
 /// Telemetry harvested from one traced fleet run: the merged metric
@@ -611,8 +603,10 @@ pub fn try_run_fleet_on_cache(
 mod tests {
     use super::*;
     use crate::workload::{generate_flows, FlowModel, WorkloadConfig};
+    use crate::{DOMAIN_MSG, DOMAIN_SIM};
     use citymesh_core::{ExperimentConfig, FaultScenario, RetryPolicy};
     use citymesh_map::CityArchetype;
+    use citymesh_simcore::{substream_seed, SimRng};
     use citymesh_telemetry::metrics as tm;
 
     fn world(seed: u64) -> CityExperiment {
@@ -832,7 +826,6 @@ mod tests {
             "a quarter of APs dark must force some retries"
         );
         assert!(r.recovered <= r.retried);
-        assert!(r.recovery_rate() >= 0.0 && r.recovery_rate() <= 1.0);
         assert!(
             r.retry_attempts.len() <= flows.len() as u64 && r.retry_attempts.len() >= r.retried,
             "attempt histogram covers simulated flows: {} entries",
@@ -890,7 +883,8 @@ mod tests {
             try_run_fleet_traced(&exp, &flows, &cfg, &TelemetryConfig::full(5)).unwrap();
         assert_eq!(plain.digest(), traced.digest(), "healthy world");
         let telem = telem.expect("telemetry requested");
-        assert_eq!(telem.metrics.counter(tm::LADDERS_MATERIALIZED), 0);
+        let detours = [tm::DETOUR_SEARCHES, tm::DETOURS_REJECTED_BY_LABELS];
+        assert_eq!(detours.map(|id| telem.metrics.counter(id)), [0, 0]);
 
         // Faulted world: same invariant under the full retry ladder.
         let mut scenario = FaultScenario::iid(0.25);
@@ -908,12 +902,30 @@ mod tests {
         assert_eq!(fplain.digest(), ftraced.digest(), "faulted world");
         let ftel = ftel.expect("telemetry requested");
         assert_rungs_split_deliveries(&ftraced);
-        // Every flow that climbed to rung 3 materialized a ladder, and
-        // each ladder's detour was either refused or searched for.
-        let ladders = ftel.metrics.counter(tm::LADDERS_MATERIALIZED);
-        let searches = ftel.metrics.counter(tm::DETOUR_SEARCHES);
-        let refused = ftel.metrics.counter(tm::DETOURS_REJECTED_BY_LABELS);
-        assert!(searches > 0 && searches + refused == ladders);
+        // Every flow that reached rung 4 put its pair to the labels once:
+        // refused when they show no route around the dark buildings,
+        // searched otherwise. Such a flow was retried, so the trace kept
+        // it, and its replay counted its detour a second time.
+        let (bg, survivors) = (fexp.building_graph(), fexp.survivors().expect("faulted"));
+        let (mut searched, mut refused) = (0, 0);
+        for f in &fflows {
+            let plan = fexp.plan_flow(f.src, f.dst);
+            let msg_id = substream_seed(6, DOMAIN_MSG, f.id);
+            let mut rng = SimRng::new(substream_seed(6, DOMAIN_SIM, f.id));
+            if fexp.simulate_flow(&plan, msg_id, &mut rng).attempts >= 4 {
+                match survivors.connects(bg, plan.src, plan.delivery_dst()) {
+                    true => searched += 1,
+                    false => refused += 1,
+                }
+            }
+        }
+        assert!(!survivors.blocked().is_empty() && searched > 0);
+        let counted = detours.map(|id| ftel.metrics.counter(id));
+        assert_eq!(
+            counted,
+            [2 * searched, 2 * refused],
+            "a replay counts again"
+        );
         assert!(
             !ftel.postmortems.is_empty(),
             "a faulted run must capture failed/retried flows"
@@ -944,7 +956,20 @@ mod tests {
                 telem.expect("telemetry requested")
             })
             .collect();
+        let detours = |t: &FleetTelemetry| {
+            [tm::DETOUR_SEARCHES, tm::DETOURS_REJECTED_BY_LABELS].map(|id| t.metrics.counter(id))
+        };
+        assert!(
+            detours(&runs[0])[0] > 0,
+            "the ladder world searches for detours"
+        );
         for (i, t) in runs.iter().enumerate().skip(1) {
+            assert_eq!(
+                detours(&runs[0]),
+                detours(t),
+                "detours, 1 vs {} workers",
+                [1, 4, 8][i]
+            );
             assert_eq!(
                 runs[0].metrics.fingerprint(),
                 t.metrics.fingerprint(),

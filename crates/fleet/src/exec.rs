@@ -189,21 +189,19 @@ impl<'a> FlowExecutor<'a> {
     /// Folds the worker's bookkeeping into its metric set and hands back
     /// the set plus the captured postmortems. The trace totals are read
     /// off those postmortems (sums and maxima over kept flows), so they
-    /// stay schedule-independent after the merge; the
-    /// hier-planner, ideal-hops, route-source, detour and
-    /// key-derivation counters are schedule-dependent like
-    /// the route cache's hit/miss totals (racing workers may
-    /// double-plan, double-materialize or double-derive a pair, and
-    /// whose request builds a source's or a destination's row is a
-    /// race), so they are
-    /// informational only and in no digest
-    /// ([`tm::SCHEDULE_DEPENDENT`]).
+    /// stay schedule-independent after the merge, and so do the detour
+    /// counters, which every flow (a replay included) counts for
+    /// itself; the hier-planner, ideal-hops, route-source and
+    /// key-derivation counters are schedule-dependent like the route
+    /// cache's hit/miss totals (racing workers may double-plan or
+    /// double-derive a pair, and whose request builds a source's or a
+    /// destination's row is a race), so they are informational only
+    /// and in no digest ([`tm::SCHEDULE_DEPENDENT`]).
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
         let postmortems = self.scratch.tracer_mut().take_postmortems();
         if let Some(m) = self.metrics.as_mut() {
             m.add(tm::KEYS_DERIVED, self.scratch.keys_derived());
             let d = self.scratch.detour_stats();
-            m.add(tm::LADDERS_MATERIALIZED, d.materialized);
             m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
             m.add(tm::DETOUR_SEARCHES, d.searches);
             m.add(tm::POSTMORTEMS, postmortems.len() as u64);

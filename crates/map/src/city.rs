@@ -216,24 +216,6 @@ impl CityMap {
         self.index.query_circle(p, radius)
     }
 
-    /// The building containing point `p` (checks footprint polygons of
-    /// candidates near `p`), or `None`.
-    pub fn building_containing(&self, p: Point) -> Option<&Building> {
-        // Footprints are small; centroids within 200 m cover any
-        // realistic building extent in the generated cities.
-        let mut best: Option<&Building> = None;
-        for id in self.index.query_circle(p, 200.0) {
-            let b = &self.buildings[id as usize];
-            if b.footprint.contains(p) {
-                match best {
-                    Some(prev) if prev.id < b.id => {}
-                    _ => best = Some(b),
-                }
-            }
-        }
-        best
-    }
-
     /// Whether `p` lies inside any obstacle region.
     pub fn in_obstacle(&self, p: Point) -> bool {
         self.obstacles.iter().any(|o| o.region.contains(p))
@@ -329,13 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn nearest_and_containing() {
+    fn nearest_building_by_centroid() {
         let m = small_map();
         let near = m.nearest_building(Point::new(198.0, 4.0)).unwrap();
         assert_eq!(near.centroid, Point::new(205.0, 5.0));
-        let inside = m.building_containing(Point::new(5.0, 5.0)).unwrap();
-        assert_eq!(inside.centroid, Point::new(5.0, 5.0));
-        assert!(m.building_containing(Point::new(100.0, 100.0)).is_none());
     }
 
     #[test]

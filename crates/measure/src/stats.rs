@@ -47,15 +47,6 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// `P(X ≤ x)`.
-    pub fn fraction_at_most(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.partition_point(|v| *v <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// Evenly spaced `(value, cumulative fraction)` points for
     /// plotting, at most `n` of them.
     pub fn plot_points(&self, n: usize) -> Vec<(f64, f64)> {
@@ -164,19 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_fraction_at_most() {
-        let cdf = Cdf::new(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.fraction_at_most(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_most(2.0), 0.75);
-        assert_eq!(cdf.fraction_at_most(10.0), 1.0);
-    }
-
-    #[test]
     fn cdf_empty() {
         let cdf = Cdf::new(vec![]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.median(), None);
-        assert_eq!(cdf.fraction_at_most(1.0), 0.0);
         assert!(cdf.plot_points(10).is_empty());
     }
 

@@ -16,8 +16,8 @@
 //! them how fast and at what overhead, is the engine's report
 //! (`FleetReport`, `StreamReport`, `ChurnReport`), merged and digested.
 //! What the registry holds is what no report carries: the attempts and
-//! broadcasts the flows cost, the trace totals and the
-//! [`SCHEDULE_DEPENDENT`] work counters.
+//! broadcasts the flows cost, the trace totals, the detour counters
+//! and the [`SCHEDULE_DEPENDENT`] work counters.
 
 /// Definition of one monotonically increasing counter.
 #[derive(Clone, Copy, Debug)]
@@ -86,39 +86,35 @@ pub const IDEAL_HOPS_QUERIES: CounterId = CounterId(9);
 /// APs settled by the queries that searched (a row read settles none).
 /// Schedule-dependent; excluded from digests.
 pub const IDEAL_HOPS_SETTLED: CounterId = CounterId(10);
-/// Retry-ladder geometries materialized (widened conduits plus the
-/// replan detour): once per plan per fault-state epoch, on the first
-/// flow that reaches rung 3. Schedule-dependent: racing workers may
-/// both materialize one cached plan. Excluded from digests.
-pub const LADDERS_MATERIALIZED: CounterId = CounterId(11);
-/// Replan detours refused before any search because the
-/// surviving-component labels show no route around the dark buildings.
-/// Schedule-dependent; excluded from digests.
-pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(12);
-/// Replan detour searches run (each finds a route: the labels refuse
-/// the rest). Schedule-dependent; excluded from digests.
-pub const DETOUR_SEARCHES: CounterId = CounterId(13);
+/// Detours (the replan rung's and local repair's splices) refused
+/// before any search because the surviving-component labels show no
+/// route around the dark buildings. Every flow computes its own, so
+/// the total is per flow and schedule-independent.
+pub const DETOURS_REJECTED_BY_LABELS: CounterId = CounterId(11);
+/// Detour searches run (each finds a route: the labels refuse the
+/// rest). Per flow, like [`DETOURS_REJECTED_BY_LABELS`].
+pub const DETOUR_SEARCHES: CounterId = CounterId(12);
 /// Per-source shortest-path rows the flat planner built (one full
 /// Dijkstra tree each, on a source's sixteenth request).
 /// Schedule-dependent: which worker's request is the sixteenth, and
 /// whether an earlier run already built the row, vary. Excluded from
 /// digests.
-pub const ROUTE_ROWS_BUILT: CounterId = CounterId(14);
+pub const ROUTE_ROWS_BUILT: CounterId = CounterId(13);
 /// Flat plans whose route was walked out of the source's row.
 /// Schedule-dependent; excluded from digests.
-pub const ROUTES_FROM_ROWS: CounterId = CounterId(15);
+pub const ROUTES_FROM_ROWS: CounterId = CounterId(14);
 /// Flat plans whose route came from the A* search (no row yet, a
 /// tie-flagged source, or a map too large to table).
 /// Schedule-dependent; excluded from digests.
-pub const ROUTE_SEARCHES: CounterId = CounterId(16);
+pub const ROUTE_SEARCHES: CounterId = CounterId(15);
 /// Per-destination-building hop rows the AP graph built (one flood
 /// each, on a destination's sixteenth ideal-hops query).
 /// Schedule-dependent like [`ROUTE_ROWS_BUILT`]; excluded from digests.
-pub const HOP_ROWS_BUILT: CounterId = CounterId(17);
+pub const HOP_ROWS_BUILT: CounterId = CounterId(16);
 /// Ideal-hops queries read out of the destination's hop row; the rest
 /// of [`IDEAL_HOPS_QUERIES`] searched. Schedule-dependent; excluded
 /// from digests.
-pub const HOPS_FROM_ROWS: CounterId = CounterId(18);
+pub const HOPS_FROM_ROWS: CounterId = CounterId(17);
 
 /// The counters whose totals depend on which worker planned or derived
 /// what (racing workers may both miss a cache and repeat the work).
@@ -132,9 +128,6 @@ pub const SCHEDULE_DEPENDENT: &[CounterId] = &[
     KEYS_DERIVED,
     IDEAL_HOPS_QUERIES,
     IDEAL_HOPS_SETTLED,
-    LADDERS_MATERIALIZED,
-    DETOURS_REJECTED_BY_LABELS,
-    DETOUR_SEARCHES,
     ROUTE_ROWS_BUILT,
     ROUTES_FROM_ROWS,
     ROUTE_SEARCHES,
@@ -189,16 +182,12 @@ pub const COUNTERS: &[CounterDef] = &[
         help: "APs settled by the ideal-hops queries that searched (row reads settle none)",
     },
     CounterDef {
-        name: "ladders_materialized_total",
-        help: "Retry-ladder geometries materialized on first escalation",
-    },
-    CounterDef {
         name: "detours_rejected_by_labels_total",
-        help: "Replan detours refused by the surviving-component labels",
+        help: "Detours refused by the surviving-component labels",
     },
     CounterDef {
         name: "detour_searches_total",
-        help: "Replan detour searches run",
+        help: "Detour searches run",
     },
     CounterDef {
         name: "route_rows_built_total",
@@ -356,7 +345,6 @@ mod tests {
             (KEYS_DERIVED, "secure_keys_derived_total"),
             (IDEAL_HOPS_QUERIES, "ideal_hops_queries_total"),
             (IDEAL_HOPS_SETTLED, "ideal_hops_settled_total"),
-            (LADDERS_MATERIALIZED, "ladders_materialized_total"),
             (
                 DETOURS_REJECTED_BY_LABELS,
                 "detours_rejected_by_labels_total",
