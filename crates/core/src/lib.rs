@@ -95,7 +95,7 @@ pub use hier::{HierPlanScratch, HierPlanner};
 pub use citymesh_graph::{HierParams, HierStats, HopScratch, HopStats};
 pub use config::{ConfigError, ExperimentConfig, RebroadcastScope};
 pub use flow::{CityResult, FlowOpts, PairOutcome};
-pub use pair_cache::PairCache;
+pub use pair_cache::{Admission, PairCache};
 pub use placement::{place_aps, postbox_ap, Ap};
 pub use plan::{PlanScratch, PlannedFlow};
 pub use postbox::{Postbox, PostboxError, StoredMessage};

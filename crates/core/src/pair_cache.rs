@@ -9,6 +9,12 @@
 //! wins, so every caller shares one allocation. A hit is a shard
 //! read-lock and an `Arc` clone — no allocation.
 //!
+//! The two differ in what they admit. The session cache stores every
+//! key it derives ([`PairCache::get_or_insert_with`]). The route cache
+//! stores a plan on the pair's second request ([`PairCache::admit`]):
+//! the first leaves a marker, an empty slot, so a pair asked once
+//! costs the map a key and a null pointer instead of a plan.
+//!
 //! Both the shard and the slot within it come from one SplitMix-style
 //! scramble of the packed pair (`PairHasher`) instead of SipHash:
 //! keys are building ids the program assigns, never input an attacker
@@ -16,10 +22,11 @@
 //! order ([`PairCache::retain`] only counts what it drops).
 //!
 //! A poisoned shard (a panic while its write lock was held, i.e. inside
-//! a [`PairCache::retain`] predicate) is used as is: every entry is a
-//! complete `Arc` inserted in one step, so whatever the shard holds is
-//! still a valid memo.
+//! a [`PairCache::retain`] predicate) is used as is: every slot is a
+//! marker or a complete `Arc` written in one step, so whatever the
+//! shard holds is still a valid memo.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,8 +37,23 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// a full eviction sweep stays cheap.
 const SHARDS: usize = 16;
 
-/// One shard: a plain map behind its own lock.
-type Shard<V> = RwLock<HashMap<(u32, u32), Arc<V>, BuildHasherDefault<PairHasher>>>;
+/// One shard: a plain map behind its own lock. `None` is a marker: the
+/// pair was asked once and holds no value (the same 8 bytes as an
+/// `Arc`).
+type Shard<V> = RwLock<HashMap<(u32, u32), Option<Arc<V>>, BuildHasherDefault<PairHasher>>>;
+
+/// What [`PairCache::admit`] found for a pair.
+#[derive(Debug)]
+pub enum Admission<V> {
+    /// The pair's value.
+    Hit(Arc<V>),
+    /// The pair's first request: it now holds a marker, and the caller
+    /// computes a value it does not [`PairCache::insert`].
+    First,
+    /// A later request of a pair holding no value: the caller computes
+    /// it and [`PairCache::insert`]s it.
+    Second,
+}
 
 /// Hashes a `(u32, u32)` key by packing it into one word and
 /// scrambling that, SplitMix style. The map picks slots from the low
@@ -66,15 +88,21 @@ impl Hasher for PairHasher {
 /// A concurrent `(u32, u32) → Arc<V>` memo with hit and miss counters.
 ///
 /// ```
-/// use citymesh_core::PairCache;
+/// use citymesh_core::{Admission, PairCache};
 ///
 /// let cache = PairCache::new();
-/// let (first, computed) = cache.get_or_insert_with((1, 2), || "planned");
+/// let (first, computed) = cache.get_or_insert_with((1, 2), || "derived");
 /// assert!(computed);
 /// let (again, computed) = cache.get_or_insert_with((1, 2), || unreachable!());
 /// assert!(!computed);
 /// assert!(std::sync::Arc::ptr_eq(&first, &again));
-/// assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+///
+/// // Admission stores a pair's value on its second request only.
+/// assert!(matches!(cache.admit((3, 4)), Admission::First));
+/// assert!(matches!(cache.admit((3, 4)), Admission::Second));
+/// cache.insert((3, 4), "planned");
+/// assert!(matches!(cache.admit((3, 4)), Admission::Hit(_)));
+/// assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 3, 2));
 /// ```
 pub struct PairCache<V> {
     shards: [Shard<V>; SHARDS],
@@ -104,23 +132,68 @@ impl<V> PairCache<V> {
         &self.shards[(z >> 32) as usize % SHARDS]
     }
 
-    /// The value for `key`, computing it with `make` on a miss. The
-    /// boolean is `true` when this call missed and computed —
-    /// schedule-dependent, since racing workers may both miss.
+    /// The value for `key`, computing and storing it with `make` on a
+    /// miss (a marker counts as a miss). The boolean is `true` when this
+    /// call missed and computed — schedule-dependent, since racing
+    /// workers may both miss.
     #[inline]
     pub fn get_or_insert_with(&self, key: (u32, u32), make: impl FnOnce() -> V) -> (Arc<V>, bool) {
-        let shard = self.shard(key);
-        if let Some(found) = read(shard).get(&key) {
+        if let Some(found) = self.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(found), false);
+            return (found, false);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let made = Arc::new(make());
-        let mut guard = write(shard);
-        // A racing worker may have inserted meanwhile; keep whichever
-        // is present so all callers share one allocation.
-        let kept = guard.entry(key).or_insert_with(|| Arc::clone(&made));
-        (Arc::clone(kept), true)
+        (self.insert(key, make()), true)
+    }
+
+    /// Decides whether `key` is stored, under its shard's write lock:
+    /// the pair's value if it holds one, [`Admission::First`] for the
+    /// pair's first request (which leaves a marker), and
+    /// [`Admission::Second`] for every later one until a value is
+    /// inserted. Deciding under the lock makes admission a function of
+    /// how often each pair was asked, whatever the schedule: after any
+    /// set of requests, exactly the pairs asked twice or more are
+    /// stored once their callers have inserted. Any request that does
+    /// not hit counts as a miss.
+    #[inline]
+    pub fn admit(&self, key: (u32, u32)) -> Admission<V> {
+        if let Some(found) = self.get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Admission::Hit(found);
+        }
+        let admission = match write(self.shard(key)).entry(key) {
+            Entry::Occupied(slot) => match slot.get() {
+                // Inserted by a racing caller since the read.
+                Some(found) => Admission::Hit(Arc::clone(found)),
+                None => Admission::Second,
+            },
+            Entry::Vacant(slot) => {
+                slot.insert(None);
+                Admission::First
+            }
+        };
+        let counter = match admission {
+            Admission::Hit(_) => &self.hits,
+            _ => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        admission
+    }
+
+    /// Stores `value` for `key` unless a racing caller stored one
+    /// first, and returns the stored one, so all callers share one
+    /// allocation.
+    pub fn insert(&self, key: (u32, u32), value: V) -> Arc<V> {
+        let made = Arc::new(value);
+        let mut guard = write(self.shard(key));
+        let kept = guard.entry(key).or_insert(None).get_or_insert(made);
+        Arc::clone(kept)
+    }
+
+    /// The value `key` holds, under a read lock.
+    #[inline]
+    fn get(&self, key: (u32, u32)) -> Option<Arc<V>> {
+        read(self.shard(key)).get(&key)?.clone()
     }
 
     /// Hits so far.
@@ -133,31 +206,39 @@ impl<V> PairCache<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries across all shards.
+    /// Values stored across all shards (markers are not counted).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read(s).len()).sum()
+        self.shards
+            .iter()
+            .map(|s| read(s).values().filter(|v| v.is_some()).count())
+            .sum()
     }
 
-    /// Whether the cache holds nothing.
+    /// Whether the cache holds no value.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Keeps the entries `keep` accepts and returns how many it
-    /// dropped. Shards are swept one at a time under their own write
-    /// locks, so readers of other shards are unaffected.
+    /// Keeps the values `keep` accepts and returns how many it dropped;
+    /// `keep` sees values only. A dropped value leaves a marker, so the
+    /// pair's next [`PairCache::admit`] is [`Admission::Second`]: a pair
+    /// that has repeated is admitted again on its next request. Shards
+    /// are swept one at a time under their own write locks, so readers
+    /// of other shards are unaffected.
     pub fn retain(&self, mut keep: impl FnMut(&(u32, u32), &V) -> bool) -> u64 {
         let mut dropped = 0;
         for shard in &self.shards {
-            let mut guard = write(shard);
-            let before = guard.len();
-            guard.retain(|key, value| keep(key, value));
-            dropped += (before - guard.len()) as u64;
+            for (key, slot) in write(shard).iter_mut() {
+                if slot.as_ref().is_some_and(|value| !keep(key, value)) {
+                    *slot = None;
+                    dropped += 1;
+                }
+            }
         }
         dropped
     }
 
-    /// Drops every entry and returns how many there were.
+    /// Drops every value and returns how many there were.
     pub fn clear(&self) -> u64 {
         self.retain(|_, _| false)
     }
@@ -227,6 +308,64 @@ mod tests {
         assert_eq!(cache.retain(|_, &v| v % 2 == 0), 36, "the odd survivors");
         assert_eq!(cache.clear(), 45);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn admission_stores_a_pair_on_its_second_request() {
+        let cache = PairCache::new();
+        assert!(matches!(cache.admit((1, 2)), Admission::First));
+        assert!(cache.is_empty(), "a marker is not a value");
+        for _ in 0..2 {
+            assert!(matches!(cache.admit((1, 2)), Admission::Second));
+        }
+        let stored = cache.insert((1, 2), 12);
+        let again = cache.insert((1, 2), 99);
+        assert!(Arc::ptr_eq(&stored, &again), "the first insert wins");
+        match cache.admit((1, 2)) {
+            Admission::Hit(v) => assert!(Arc::ptr_eq(&v, &stored)),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 1));
+        // A marker is a miss to the storing path too.
+        assert!(matches!(cache.admit((5, 6)), Admission::First));
+        assert!(cache.get_or_insert_with((5, 6), || 56).1);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_dropped_value_leaves_a_marker() {
+        let cache = PairCache::new();
+        cache.admit((1, 2));
+        cache.admit((3, 4));
+        cache.admit((3, 4));
+        cache.insert((3, 4), 34);
+        let mut seen = Vec::new();
+        let dropped = cache.retain(|&key, &v| {
+            seen.push((key, v));
+            false
+        });
+        assert_eq!(seen, vec![((3, 4), 34)], "the predicate sees values only");
+        assert_eq!((dropped, cache.len()), (1, 0));
+        // Both pairs have been asked before: each is admitted next time.
+        assert!(matches!(cache.admit((3, 4)), Admission::Second));
+        assert!(matches!(cache.admit((1, 2)), Admission::Second));
+    }
+
+    #[test]
+    fn racing_admissions_decide_first_once() {
+        let cache = PairCache::<u32>::new();
+        let firsts = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| matches!(cache.admit((7, 9)), Admission::First)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .filter(|&first| first)
+                .count()
+        });
+        assert_eq!(firsts, 1, "exactly one request is the pair's first");
+        assert_eq!(cache.misses(), 4);
     }
 
     #[test]

@@ -49,7 +49,7 @@ use citymesh_dynamics::{
     Strategy as Churn, Timeline,
 };
 use citymesh_fleet::{
-    generate_flows, FleetReport, FlowModel, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
+    generate_flows, FleetReport, FlowModel, FlowSpec, WorkloadConfig, DOMAIN_MSG, DOMAIN_SIM,
 };
 use citymesh_geo::{Point, Polygon, Rect};
 use citymesh_graph::{astar_path_filtered_into, PlannerScratch};
@@ -763,24 +763,11 @@ fn reference_ladder(
     (outcome, detour.map(|d| d.is_ok()))
 }
 
-/// The work guard, on the `churn-ladder` benchmark's own world (the
-/// 60 m blackout downtown, its 8-event timeline, its 10,000 seed-1
-/// hotspot flows; `crates/perf/src/workload.rs`). Counts, so they hold
-/// on every machine: the engine's detour counters equal, flow for flow,
-/// what a never-caching run that plans every detour with the exhaustive
-/// reference search sees — every flow at rung 4 whose detour the
-/// reference finds no path for was refused by the labels, and every
-/// other one searched, so no search ended without one — and the two
-/// runs' digests are equal. Release only (CI's `figures` job runs
-/// it).
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "10,000 ladder flows twice: run with --release"
-)]
-fn churn_benchmark_detours_search_only_where_a_route_survives() {
+/// The `churn-ladder` benchmark's world (`crates/perf/src/workload.rs`):
+/// the 60 m blackout downtown and its 8-event timeline over two
+/// seconds, carrying `flows` seed-1 hotspot flows.
+fn churn_benchmark_world(flows: usize) -> (CityExperiment, Vec<FlowSpec>, Timeline) {
     const WORLD_SEED: u64 = 2024;
-    const SEED: u64 = 1;
     const HORIZON_MS: f64 = 2_000.0;
     let map = CityArchetype::SurveyDowntown.generate(WORLD_SEED);
     let config = ExperimentConfig {
@@ -792,13 +779,13 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
     let flows = generate_flows(
         exp.map().len(),
         &WorkloadConfig {
-            flows: 10_000,
+            flows,
             model: FlowModel::Hotspot {
                 hotspots: 256,
                 exponent: 0.8,
-                rate_hz: 10_000.0 / (HORIZON_MS / 1e3),
+                rate_hz: flows as f64 / (HORIZON_MS / 1e3),
             },
-            seed: SEED,
+            seed: CHURN_SEED,
         },
     );
     let timeline = Timeline::materialize(
@@ -814,22 +801,39 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
         },
     );
     assert_eq!(timeline.len(), 8);
+    (exp, flows, timeline)
+}
 
+/// The churn runs' traffic seed.
+const CHURN_SEED: u64 = 1;
+
+/// Runs `flows` through the churn engine (retry ladder, one worker,
+/// incremental invalidation) and through a never-caching run that
+/// plans every detour with the exhaustive reference search, and holds
+/// the engine to it: the two digests are equal, and the engine's
+/// detour counters equal, flow for flow, what the reference sees —
+/// every flow at rung 4 whose detour the reference finds no path for
+/// was refused by the labels, and every other one searched, so no
+/// search ended without one. Every flow that reaches rung 4 puts its
+/// own pair to the labels, so the counters are per flow. Returns
+/// `(refused, searched)`.
+fn assert_detours_match_the_reference(
+    exp: &CityExperiment,
+    flows: &[FlowSpec],
+    timeline: &Timeline,
+) -> (u64, u64) {
     let cfg = ChurnEngineConfig {
         workers: 1,
-        seed: SEED,
+        seed: CHURN_SEED,
         invalidation: InvalidationPolicy::Incremental,
         ..ChurnEngineConfig::default()
     };
     let tel = TelemetryConfig::metrics_only();
-    let (engine, telemetry) =
-        try_run_churn(&exp, &flows, &timeline, Churn::RetryLadder, &cfg, &tel)
-            .expect("a faulted world");
+    let (engine, telemetry) = try_run_churn(exp, flows, timeline, Churn::RetryLadder, &cfg, &tel)
+        .expect("a faulted world");
     let metrics = telemetry.expect("metrics were asked for").metrics;
 
-    // The reference run, shaped into the engine's report type. Every
-    // flow that reaches rung 4 puts its own pair to the labels, so the
-    // engine's counters are per flow.
+    // The reference run, shaped into the engine's report type.
     let mut fs = exp.fault_state().expect("faulted").clone();
     fs.set_retry(RetryPolicy::ladder());
     let mut world = exp.clone().with_fault_state(fs);
@@ -838,7 +842,7 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
         ..ChurnReport::default()
     };
     let (mut pathless, mut with_path) = (0u64, 0u64);
-    let mut rest = flows.as_slice();
+    let mut rest = flows;
     for k in 0..=timeline.len() {
         let event = timeline.events().get(k);
         let (slice, later) = match event {
@@ -850,8 +854,8 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
         let mut fleet = FleetReport::empty();
         for flow in slice {
             let plan = world.plan_flow(flow.src, flow.dst);
-            let msg_id = substream_seed(SEED, DOMAIN_MSG, flow.id);
-            let mut rng = SimRng::new(substream_seed(SEED, DOMAIN_SIM, flow.id));
+            let msg_id = substream_seed(CHURN_SEED, DOMAIN_MSG, flow.id);
+            let mut rng = SimRng::new(substream_seed(CHURN_SEED, DOMAIN_SIM, flow.id));
             let (outcome, detour) = reference_ladder(&world, &plan, msg_id, &mut rng);
             fleet.absorb_outcome(flow, &outcome);
             if outcome.attempts >= 4 {
@@ -889,8 +893,37 @@ fn churn_benchmark_detours_search_only_where_a_route_survives() {
     let searches = metrics.counter(tm::DETOUR_SEARCHES);
     assert_eq!(rejected, pathless, "every pathless detour is refused");
     assert_eq!(searches, with_path, "every search finds one");
+    (rejected, searches)
+}
+
+/// The work guard, on the `churn-ladder` benchmark's own world and its
+/// 10,000 flows. Counts, so they hold on every machine. Release only
+/// (CI's `figures` job runs it); the debug-sized run below holds the
+/// same checks on 400 of the flows.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "10,000 ladder flows twice: run with --release"
+)]
+fn churn_benchmark_detours_search_only_where_a_route_survives() {
+    let (exp, flows, timeline) = churn_benchmark_world(10_000);
+    let (rejected, searches) = assert_detours_match_the_reference(&exp, &flows, &timeline);
     assert!(
         rejected > 100 && searches > 2_000,
+        "{rejected} refused, {searches} searched: the world must exercise both"
+    );
+}
+
+/// The same checks on 400 flows over the same world and timeline, so a
+/// debug `cargo test` holds every detour to the reference across the
+/// events: a detour rung that read the darkness of an earlier epoch
+/// plans routes the reference does not.
+#[test]
+fn churn_detours_search_only_where_a_route_survives() {
+    let (exp, flows, timeline) = churn_benchmark_world(400);
+    let (rejected, searches) = assert_detours_match_the_reference(&exp, &flows, &timeline);
+    assert!(
+        rejected > 0 && searches > 50,
         "{rejected} refused, {searches} searched: the world must exercise both"
     );
 }

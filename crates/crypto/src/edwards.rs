@@ -200,7 +200,7 @@ fn sqrt_ratio(num: Fe, den: Fe) -> Option<Fe> {
 /// The comb table of one point: the 16 sums of its four teeth
 /// `P, 2⁶⁴P, 2¹²⁸P, 2¹⁹²P`, affine. Entry `i` holds
 /// `Σ_j bit_j(i) · 2^(64j) · P`; entry 0 is the identity. Each entry is
-/// `(x, y)`, canonical, in four words apiece ([`Fe::to_words`]): 1 KB
+/// `(x, y)`, canonical, in four words apiece (`Fe::to_words`): 1 KB
 /// a table, where niels entries would take 1.5 KB — a comb forms the
 /// selected entry's niels form itself, two products a column. A pure
 /// function of the point, so one table serves every scalar that meets

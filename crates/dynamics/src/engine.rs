@@ -166,10 +166,10 @@ pub struct ChurnReport {
     /// Cached routes evicted across all barriers. **Not** covered by
     /// the digest (it is the policy cost being measured).
     pub routes_evicted: u64,
-    /// Planner invocations (cumulative route-cache misses). **Not**
+    /// Planner invocations (the run's route-cache misses). **Not**
     /// covered by the digest.
     pub routes_planned: u64,
-    /// Cumulative route-cache hits. **Not** covered by the digest.
+    /// The run's route-cache hits. **Not** covered by the digest.
     pub cache_hits: u64,
     /// Fingerprint of the timeline this run replayed.
     pub timeline_fingerprint: u64,
@@ -332,6 +332,24 @@ pub fn try_run_churn(
     cfg: &ChurnEngineConfig,
     tel: &TelemetryConfig,
 ) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
+    try_run_churn_on_cache(exp, flows, timeline, strategy, cfg, &RouteCache::new(), tel)
+}
+
+/// [`try_run_churn`] against a caller-owned [`RouteCache`], which must
+/// hold nothing but plans of `exp`'s pre-event world (or markers). A
+/// cache that has seen the run's pairs once stores each on its first
+/// request in the run, where a fresh one stores only pairs the run
+/// repeats. Outcomes and digest are the same either way; the report's
+/// `routes_planned` and `cache_hits` count this run's requests only.
+pub fn try_run_churn_on_cache(
+    exp: &CityExperiment,
+    flows: &[FlowSpec],
+    timeline: &Timeline,
+    strategy: Strategy,
+    cfg: &ChurnEngineConfig,
+    cache: &RouteCache,
+    tel: &TelemetryConfig,
+) -> Result<(ChurnReport, Option<FleetTelemetry>), ChurnError> {
     // The engine's private world; the sender population's reaction is
     // the fault state's retry policy.
     require_fault_state(exp)?;
@@ -342,7 +360,7 @@ pub fn try_run_churn(
         Strategy::ReactiveRepair => RetryPolicy::local_repair(cfg.reactive_max_attempts.max(1)),
     });
 
-    let cache = RouteCache::new();
+    let (misses0, hits0) = (cache.misses(), cache.hits());
     let fleet_cfg = FleetConfig {
         workers: cfg.workers,
         seed: cfg.seed,
@@ -359,13 +377,13 @@ pub fn try_run_churn(
         flows,
         timeline,
         cfg.invalidation,
-        &cache,
+        cache,
         Cow::Owned(world),
         |world, slice| {
             let state = world
                 .fault_state()
                 .expect("world was prepared with a fault state");
-            let (fleet, epoch_tel) = try_run_fleet_on_cache(world, slice, &fleet_cfg, &cache, tel)
+            let (fleet, epoch_tel) = try_run_fleet_on_cache(world, slice, &fleet_cfg, cache, tel)
                 .expect("the flat plaintext fleet config has no prerequisites");
             (state.epoch(), state.fingerprint(), fleet, epoch_tel)
         },
@@ -405,8 +423,8 @@ pub fn try_run_churn(
     if let Some(t) = telemetry.as_mut() {
         t.absorb(harvests);
     }
-    report.routes_planned = cache.misses();
-    report.cache_hits = cache.hits();
+    report.routes_planned = cache.misses() - misses0;
+    report.cache_hits = cache.hits() - hits0;
     Ok((report, telemetry))
 }
 
@@ -566,7 +584,11 @@ mod tests {
     #[test]
     fn incremental_eviction_is_digest_equal_and_cheaper() {
         let exp = world(35);
-        let flows = workload(&exp, 300, 35);
+        // The cache stores a pair on its second request, so the traffic
+        // must repeat pairs for there to be plans the events could spare:
+        // at 300 of these flows a dozen plans are stored and every event
+        // stales all of them.
+        let flows = workload(&exp, 1_200, 35);
         let tl = Timeline::materialize(
             &exp,
             &ChurnConfig {
@@ -614,6 +636,48 @@ mod tests {
                 strategy.label()
             );
         }
+    }
+
+    #[test]
+    fn a_cache_that_has_seen_the_pairs_stores_them_at_once() {
+        let exp = world(37);
+        let flows = workload(&exp, 200, 37);
+        let tl = Timeline::materialize(
+            &exp,
+            &ChurnConfig {
+                seed: 37,
+                horizon_ms: flows.last().unwrap().arrival_ms,
+                ..ChurnConfig::default()
+            },
+        );
+        let cfg = ChurnEngineConfig {
+            workers: 2,
+            seed: 37,
+            ..ChurnEngineConfig::default()
+        };
+        let tel = TelemetryConfig::off();
+        let cold = try_run_churn(&exp, &flows, &tl, Strategy::RetryLadder, &cfg, &tel)
+            .unwrap()
+            .0;
+        let seen = RouteCache::new();
+        for f in &flows {
+            seen.get_or_plan(f.src, f.dst, || exp.plan_flow(f.src, f.dst));
+        }
+        let (misses, hits) = (seen.misses(), seen.hits());
+        let warm =
+            try_run_churn_on_cache(&exp, &flows, &tl, Strategy::RetryLadder, &cfg, &seen, &tel)
+                .unwrap()
+                .0;
+        assert_eq!(warm.digest(), cold.digest(), "the cache changes no outcome");
+        assert_eq!(warm.routes_planned, seen.misses() - misses);
+        assert_eq!(warm.cache_hits, seen.hits() - hits);
+        assert!(
+            warm.routes_planned < cold.routes_planned,
+            "a pair seen before is planned once, not twice ({} vs {})",
+            warm.routes_planned,
+            cold.routes_planned
+        );
+        assert!(warm.routes_evicted > cold.routes_evicted);
     }
 
     #[test]

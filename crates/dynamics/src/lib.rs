@@ -70,8 +70,8 @@ pub mod events;
 pub mod timeline;
 
 pub use engine::{
-    require_fault_state, run_epochs, try_run_churn, Barrier, ChurnEngineConfig, ChurnError,
-    ChurnReport, EpochStat, InvalidationPolicy, Strategy,
+    require_fault_state, run_epochs, try_run_churn, try_run_churn_on_cache, Barrier,
+    ChurnEngineConfig, ChurnError, ChurnReport, EpochStat, InvalidationPolicy, Strategy,
 };
 pub use events::{WorldEvent, WorldEventKind};
 pub use timeline::{

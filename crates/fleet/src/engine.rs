@@ -750,7 +750,8 @@ mod tests {
     fn repeated_pairs_hit_the_route_cache() {
         let exp = world(4);
         // 200 flows cycling through 10 distinct pairs: the cache must
-        // plan each pair once and serve the rest as hits.
+        // plan each pair twice — its first request is not stored, its
+        // second is — and serve the rest as hits.
         let flows: Vec<FlowSpec> = (0..200u64)
             .map(|id| FlowSpec {
                 id,
@@ -771,12 +772,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.cache_hits + r.cache_misses, 200);
+        // A racing second request on each of the two workers is the
+        // most a pair can add.
         assert!(
-            r.cache_misses <= 10 * 2,
-            "at most one plan per pair (plus benign races): {} misses",
+            (10 * 2..=10 * 3).contains(&r.cache_misses),
+            "two plans per pair (plus benign races): {} misses",
             r.cache_misses
         );
-        assert!(r.cache_hits >= 180, "{} hits", r.cache_hits);
+        assert!(r.cache_hits >= 170, "{} hits", r.cache_hits);
     }
 
     #[test]

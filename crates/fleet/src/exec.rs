@@ -74,13 +74,15 @@ pub fn run_pool<I: Send, T: Send>(
     })
 }
 
-/// One worker's flow pipeline: the planner scratch, the delivery
-/// scratch, the worker's metric set, the trace retention policy, and
-/// the choices every flow shares (cache, seed, planner, plane).
+/// One worker's flow pipeline: the planner scratch, the plan buffer a
+/// pair's first request plans into, the delivery scratch, the worker's
+/// metric set, the trace retention policy, and the choices every flow
+/// shares (cache, seed, planner, plane).
 ///
 /// Per-flow RNG sub-streams make outcomes independent of which worker
 /// runs which flow, so the scratch reuse is invisible in every digest;
-/// a warm executor runs a cache-hit flow with zero heap allocations.
+/// a warm executor runs a cache-hit flow with zero heap allocations,
+/// and a first-request flow with none beyond the cache's marker.
 /// The same sub-streams make a flow replayable, which is how it is
 /// traced: every flow runs untraced, and only one the policy keeps is
 /// simulated a second time with the tracer armed.
@@ -89,6 +91,7 @@ pub struct FlowExecutor<'a> {
     cfg: FleetConfig,
     trace: TraceConfig,
     plan_scratch: PlanScratch,
+    plan_buffer: Arc<PlannedFlow>,
     scratch: DeliveryScratch,
     metrics: Option<MetricSet>,
 }
@@ -103,24 +106,28 @@ impl<'a> FlowExecutor<'a> {
             cfg: *cfg,
             trace: tel.trace,
             plan_scratch: PlanScratch::new(),
+            plan_buffer: Arc::new(PlannedFlow::empty(0, 0)),
             scratch: DeliveryScratch::with_tracing(tel.trace),
             metrics: tel.metrics.then(MetricSet::new),
         }
     }
 
-    /// Cache hit-or-plan. Planning is RNG-free and a pure function of
-    /// `(world, src, dst)`, so racing planners compute identical values.
+    /// Cache hit-or-plan; a pair's first request plans into the
+    /// executor's own buffer ([`RouteCache::get_or_plan_into`]), so the
+    /// returned plan should be dropped before the next call. Planning is
+    /// RNG-free and a pure function of `(world, src, dst)`, so racing
+    /// planners compute identical values.
     pub fn plan(&mut self, world: &CityExperiment, flow: &FlowSpec) -> Arc<PlannedFlow> {
         let (hier, scratch) = (self.cfg.use_hier_planner, &mut self.plan_scratch);
-        self.cache.get_or_plan(flow.src, flow.dst, || {
-            let mut plan = PlannedFlow::empty(flow.src, flow.dst);
-            if hier {
-                world.plan_flow_hier_into(flow.src, flow.dst, scratch, &mut plan);
-            } else {
-                world.plan_flow_into(flow.src, flow.dst, scratch, &mut plan);
-            }
-            plan
-        })
+        let buffer = &mut self.plan_buffer;
+        self.cache
+            .get_or_plan_into(flow.src, flow.dst, buffer, |plan| {
+                if hier {
+                    world.plan_flow_hier_into(flow.src, flow.dst, scratch, plan);
+                } else {
+                    world.plan_flow_into(flow.src, flow.dst, scratch, plan);
+                }
+            })
     }
 
     /// The flow's message id and its private simulation stream — the

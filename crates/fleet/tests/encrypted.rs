@@ -159,6 +159,56 @@ fn warm_cache_replays_cold_run_outcome_for_outcome() {
     assert_eq!(cold, warm, "warm cache must not change any outcome");
 }
 
+/// The session cache stores every key it derives; only the route cache
+/// waits for a pair's second request. So a cold encrypted round derives
+/// exactly one key per distinct unordered pair, whether a pair comes
+/// once, again, or reversed.
+#[test]
+fn a_cold_round_derives_one_key_per_distinct_pair() {
+    // Its own world: the shared one's session cache is in use by the
+    // cases running beside this one.
+    let mut exp = CityExperiment::prepare(
+        CityArchetype::SurveyDowntown.generate(41),
+        ExperimentConfig {
+            seed: 41,
+            ..ExperimentConfig::default()
+        },
+    );
+    exp.enable_encryption();
+    let flows = generate_flows(
+        exp.map().len(),
+        &WorkloadConfig {
+            flows: 400,
+            model: FlowModel::Hotspot {
+                hotspots: 8,
+                exponent: 1.2,
+                rate_hz: 200.0,
+            },
+            seed: 5,
+        },
+    );
+    let pairs: std::collections::HashSet<(u32, u32)> = flows
+        .iter()
+        .map(|f| (f.src.min(f.dst), f.src.max(f.dst)))
+        .collect();
+    assert!(pairs.len() < flows.len(), "the traffic must repeat pairs");
+    let cfg = FleetConfig {
+        workers: 1,
+        seed: 5,
+        encrypted: true,
+        ..FleetConfig::default()
+    };
+    let secure = exp.secure_state().expect("encryption enabled");
+    for _ in 0..2 {
+        secure.clear_sessions();
+        let before = secure.session_misses();
+        let report = try_run_fleet(&exp, &flows, &cfg).unwrap();
+        assert_eq!(report.flows, 400);
+        assert_eq!(secure.session_misses() - before, pairs.len() as u64);
+        assert_eq!(secure.sessions(), pairs.len());
+    }
+}
+
 /// Tampering — with the header or the ciphertext — turns a delivered
 /// flow into an authentication failure, never into a delivery. Flows
 /// the transport loses stay plain losses (nothing reached the receiver

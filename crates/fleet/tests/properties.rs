@@ -598,11 +598,13 @@ proptest! {
         let changed_p = [0.0, 0.02, 0.3, 1.0][changed];
         let changed: Vec<u32> = (0..apg.len() as u32).filter(|_| rng.chance(changed_p)).collect();
 
+        // Each pair is asked twice, so both caches store every plan.
         let (new, old) = (RouteCache::new(), RouteCache::new());
-        for plan in &planned {
+        for plan in planned.iter().chain(&planned) {
             new.get_or_plan(plan.src, plan.dst, || plan.clone());
             old.get_or_plan(plan.src, plan.dst, || plan.clone());
         }
+        prop_assert_eq!(new.len(), plans);
         let evicted = new.evict_stale(apg, touched.iter().copied(), changed.iter().copied());
         let (touched_set, changed_set): (HashSet<u32>, HashSet<u32>) =
             (touched.into_iter().collect(), changed.into_iter().collect());

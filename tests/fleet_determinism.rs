@@ -180,7 +180,8 @@ fn crossing_the_row_threshold_shows_in_no_digest() {
         },
     );
     // Fifty requests a source, nearly all for distinct destinations
-    // (a repeated pair is a route-cache hit and plans nothing).
+    // (a repeated pair plans on its first two requests, then hits the
+    // route cache).
     for f in &mut flows {
         f.src = f.id as u32 % SOURCES;
         f.dst = f.dst.max(SOURCES);
@@ -247,16 +248,16 @@ fn crossing_the_hop_row_threshold_shows_in_no_digest() {
             seed,
         },
     );
-    // Fifty requests a destination, nearly all from distinct sources (a
-    // repeated pair is a route-cache hit and plans nothing; a source
-    // asked once or twice never leaves the route search).
+    // Fifty requests a destination, nearly all from distinct sources: a
+    // source asked a few times never leaves the route search, even over
+    // the three runs on one world below and counting a repeated pair's
+    // two plans (the route cache stores a pair on its second request).
+    // Only a flow that would send to itself moves its source.
     for f in &mut flows {
         f.dst = f.id as u32 % DESTINATIONS;
-        f.src += if f.src < DESTINATIONS {
-            DESTINATIONS
-        } else {
-            0
-        };
+        if f.src == f.dst {
+            f.src += DESTINATIONS;
+        }
     }
     let tel = TelemetryConfig::metrics_only();
     let run = |exp: &CityExperiment, workers: usize| {
