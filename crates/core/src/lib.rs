@@ -102,7 +102,7 @@ pub use postbox::{Postbox, PostboxError, StoredMessage};
 pub use route::{
     plan_route, plan_route_avoiding_into, plan_route_into, RouteError, RouteStats, Survivors,
 };
-pub use secure::{SecureState, TamperMode, DOMAIN_KEYS};
+pub use secure::{SecureState, SessionScratch, TamperMode, DOMAIN_KEYS};
 pub use sim::{
     simulate_delivery_faulted, ApRole, DeliveryReport, DeliveryScratch, DetourStats, KernelStats,
     OverheadOutcome, Relays,

@@ -10,7 +10,8 @@
 //! read-lock and an `Arc` clone — no allocation.
 //!
 //! The two differ in what they admit. The session cache stores every
-//! key it derives ([`PairCache::get_or_insert_with`]). The route cache
+//! key it derives ([`PairCache::get_or_insert_with`] for one, or
+//! [`PairCache::insert_miss`] for each of a batch). The route cache
 //! stores a plan on the pair's second request ([`PairCache::admit`]):
 //! the first leaves a marker, an empty slot, so a pair asked once
 //! costs the map a key and a null pointer instead of a plan.
@@ -188,6 +189,22 @@ impl<V> PairCache<V> {
         let mut guard = write(self.shard(key));
         let kept = guard.entry(key).or_insert(None).get_or_insert(made);
         Arc::clone(kept)
+    }
+
+    /// Stores a value the caller computed for a `key` it found empty
+    /// ([`PairCache::contains`]): counts one miss and inserts as
+    /// [`PairCache::insert`] does.
+    pub fn insert_miss(&self, key: (u32, u32), value: V) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.insert(key, value);
+    }
+
+    /// Whether `key` holds a value, under a read lock. Counts nothing.
+    #[inline]
+    pub fn contains(&self, key: (u32, u32)) -> bool {
+        read(self.shard(key))
+            .get(&key)
+            .is_some_and(|slot| slot.is_some())
     }
 
     /// The value `key` holds, under a read lock.

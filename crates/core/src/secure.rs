@@ -23,11 +23,14 @@
 //! exchange plus HKDF runs **once per src/dst pair**, after which every
 //! message between the pair does only symmetric work. It is a
 //! [`PairCache`] keyed by the unordered pair, mirroring the session
-//! derivation's canonical ordering.
+//! derivation's canonical ordering. Derivations run in batches
+//! ([`SecureState::derive_sessions`]): the fleet engine derives a
+//! claimed chunk's pairs together, one field inversion for the chunk,
+//! and a lone miss ([`SecureState::session`]) is a batch of one.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
-use citymesh_crypto::{Keypair, NodeId, PeerTable, SessionKey};
+use citymesh_crypto::{Keypair, NodeId, PeerTable, SessionBatch, SessionKey};
 use citymesh_simcore::{split_seed, substream_seed};
 
 use crate::pair_cache::PairCache;
@@ -49,21 +52,42 @@ pub enum TamperMode {
     Ciphertext,
 }
 
-/// Derives building `b`'s keypair at rotation epoch `rotation`.
+/// The entropy of building `b`'s keypair at rotation epoch `rotation`.
 ///
-/// Entropy is four words chained off
+/// Four words chained off
 /// `substream_seed(seed, DOMAIN_KEYS, rotation ‖ b)` — a pure function
 /// of `(seed, building, rotation)`, so the registry is identical
 /// across workers, reruns, and rebuilds, and rotating a key is
 /// deterministic too.
-fn keypair_for(seed: u64, building: u32, rotation: u32) -> Keypair {
+fn entropy_for(seed: u64, building: u32, rotation: u32) -> [u8; 32] {
     let idx = (u64::from(rotation) << 32) | u64::from(building);
     let base = substream_seed(seed, DOMAIN_KEYS, idx);
     let mut entropy = [0u8; 32];
     for (i, chunk) in entropy.chunks_exact_mut(8).enumerate() {
         chunk.copy_from_slice(&split_seed(base, i as u64).to_le_bytes());
     }
-    Keypair::from_entropy(entropy)
+    entropy
+}
+
+/// The session cache's key for a pair: unordered, smaller id first.
+fn canonical(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
+}
+
+/// The buffers one caller of [`SecureState::derive_sessions`] reuses:
+/// the batch's pairs and its [`SessionBatch`]. A warm scratch derives
+/// nothing without allocating.
+#[derive(Debug, Default)]
+pub struct SessionScratch {
+    pairs: Vec<(u32, u32)>,
+    batch: SessionBatch,
+}
+
+impl SessionScratch {
+    /// An empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        SessionScratch::default()
+    }
 }
 
 /// Everything the encrypted flow mode needs, installed once per
@@ -104,11 +128,11 @@ impl std::fmt::Debug for SecureState {
 impl SecureState {
     /// Builds the deterministic key registry for `buildings` buildings
     /// from a dedicated sub-stream of `seed`, with an empty session
-    /// cache.
+    /// cache. The public keys are generated in one batch
+    /// ([`Keypair::from_entropies`]): one field inversion for the
+    /// registry.
     pub fn new(seed: u64, buildings: usize) -> Self {
-        let keys = (0..buildings as u32)
-            .map(|b| keypair_for(seed, b, 0))
-            .collect();
+        let keys = Keypair::from_entropies((0..buildings as u32).map(|b| entropy_for(seed, b, 0)));
         SecureState {
             seed,
             registry: RwLock::new(Registry {
@@ -149,22 +173,73 @@ impl SecureState {
     }
 
     /// The pair's session key from the cache, deriving (X25519 + HKDF)
-    /// on first use. The X25519 runs on `b`'s comb table, built here if
-    /// this is the first derivation against `b`; the key equals
-    /// [`SessionKey::derive`]'s. The boolean reports whether this call
+    /// on a miss as a batch of one ([`SecureState::derive_sessions`]'s
+    /// derivation, one pair). The boolean reports whether this call
     /// derived — schedule-dependent (racing workers may double-derive),
     /// so it feeds digest-excluded telemetry only.
     pub fn session(&self, a: u32, b: u32) -> (Arc<SessionKey>, bool) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.cache.get_or_insert_with(key, || {
-            let reg = self.registry.read().expect("registry poisoned");
-            let theirs = reg.tables[b as usize].get_or_init(|| {
-                PeerTable::new(&reg.keys[b as usize].public)
-                    .expect("a registry public key is a curve point")
+        let pair = canonical(a, b);
+        self.cache.get_or_insert_with(pair, || {
+            let mut derived = None;
+            self.derive(&[pair], &mut SessionBatch::new(), |_, key| {
+                derived = Some(key)
             });
-            SessionKey::derive_with(&reg.keys[a as usize], theirs)
-                .expect("registry keypairs are clamped; DH cannot hit a low-order point")
+            derived.expect("one pair derives one key")
         })
+    }
+
+    /// Derives, in one batch, the session key of every pair in `pairs`
+    /// that holds none, and returns how many it derived. Pairs are
+    /// unordered and taken once however often the list names them; each
+    /// derivation counts as one cache miss and is stored, so the pairs'
+    /// next [`SecureState::session`] calls hit. The batch pays one field
+    /// inversion for all its X25519s, where a miss at a time pays one
+    /// each; the keys are the same ([`SessionKey::derive`]'s). Racing
+    /// callers may both derive a pair, as with `session`.
+    pub fn derive_sessions(
+        &self,
+        pairs: impl IntoIterator<Item = (u32, u32)>,
+        scratch: &mut SessionScratch,
+    ) -> u64 {
+        let todo = &mut scratch.pairs;
+        todo.clear();
+        todo.extend(pairs.into_iter().map(|(a, b)| canonical(a, b)));
+        todo.sort_unstable();
+        todo.dedup();
+        todo.retain(|&pair| !self.cache.contains(pair));
+        self.derive(todo, &mut scratch.batch, |pair, key| {
+            self.cache.insert_miss(pair, key)
+        });
+        todo.len() as u64
+    }
+
+    /// The one derivation: X25519 of `a`'s keypair on `b`'s comb table
+    /// (built here by the first derivation against `b`) for every
+    /// canonical pair `(a, b)`, finished as one batch, each key handed
+    /// to `store` with its pair.
+    fn derive(
+        &self,
+        pairs: &[(u32, u32)],
+        batch: &mut SessionBatch,
+        mut store: impl FnMut((u32, u32), SessionKey),
+    ) {
+        if pairs.is_empty() {
+            return;
+        }
+        {
+            let reg = self.registry.read().expect("registry poisoned");
+            for &(a, b) in pairs {
+                let theirs = reg.tables[b as usize].get_or_init(|| {
+                    PeerTable::new(&reg.keys[b as usize].public)
+                        .expect("a registry public key is a curve point")
+                });
+                batch.push(&reg.keys[a as usize], theirs);
+            }
+        }
+        for (&pair, key) in pairs.iter().zip(batch.finish()) {
+            let key = key.expect("registry keypairs are clamped; DH cannot hit a low-order point");
+            store(pair, key);
+        }
     }
 
     /// Rotates `building`'s keypair — the key-material analogue of a
@@ -177,7 +252,8 @@ impl SecureState {
             let mut reg = self.registry.write().expect("registry poisoned");
             let rot = reg.rotations[building as usize] + 1;
             reg.rotations[building as usize] = rot;
-            reg.keys[building as usize] = keypair_for(self.seed, building, rot);
+            reg.keys[building as usize] =
+                Keypair::from_entropy(entropy_for(self.seed, building, rot));
             reg.tables[building as usize] = OnceLock::new();
         }
         self.cache
@@ -237,6 +313,34 @@ mod tests {
         assert!(Arc::ptr_eq(&k1, &k2));
         assert_eq!(s.sessions(), 1);
         assert_eq!(s.session_misses(), 1);
+    }
+
+    #[test]
+    fn a_batch_derives_each_missing_pair_once() {
+        let s = SecureState::new(19, 12);
+        let mut scratch = SessionScratch::new();
+        let (kept, _) = s.session(4, 5);
+        let misses = s.session_misses();
+        // (1, 2) three times in two directions, (5, 4) already held.
+        let pairs = [(1, 2), (2, 1), (3, 7), (5, 4), (1, 2), (9, 9)];
+        assert_eq!(s.derive_sessions(pairs, &mut scratch), 3);
+        assert_eq!(s.session_misses() - misses, 3, "one miss per derivation");
+        assert_eq!(s.sessions(), 4);
+        for (a, b) in pairs {
+            let (key, derived) = s.session(a, b);
+            assert!(!derived, "({a}, {b}) was derived by the batch");
+            assert!(*key == SessionKey::derive(&s.keypair(a), &s.public_key(b)).unwrap());
+        }
+        assert!(
+            Arc::ptr_eq(&kept, &s.session(5, 4).0),
+            "a held pair is untouched"
+        );
+        assert_eq!(
+            s.derive_sessions(pairs, &mut scratch),
+            0,
+            "nothing left to derive"
+        );
+        assert_eq!(s.derive_sessions([], &mut scratch), 0);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! the benchmark downtown (the `SurveyDowntown` archetype at world seed
 //! 2024, 530 buildings) every unordered registry pair's session key
 //! must equal `SessionKey::derive`'s, which runs the ladder: 140,185
-//! pairs in release (≈ 10 s on 2 threads), every 97th in debug.
+//! pairs in release (≈ 12 s on 2 threads), every 97th in debug. Each
+//! pair is derived twice: alone (`SecureState::session`, a batch of
+//! one) and in a batch of 32 (`SecureState::derive_sessions`, the
+//! fleet engine's claim chunk) on a second registry from the same seed.
 //!
 //! The same world shows where key generation happens: a plaintext run
 //! never builds the base point's table, and `enable_encryption` does.
@@ -14,7 +17,7 @@
 //! cargo test --release -p citymesh-core --test comb_oracle
 //! ```
 
-use citymesh_core::{CityExperiment, ExperimentConfig};
+use citymesh_core::{CityExperiment, ExperimentConfig, SecureState, SessionScratch};
 use citymesh_crypto::{x25519::base_table_built, SessionKey};
 use citymesh_fleet::{generate_flows, try_run_fleet, FleetConfig, FlowModel, WorkloadConfig};
 use citymesh_map::CityArchetype;
@@ -62,6 +65,11 @@ fn plaintext_generates_no_key_and_every_registry_pair_takes_the_comb() {
         assert_eq!(pairs.len(), 140_185);
     }
     let keys: Vec<_> = (0..n).map(|b| state.keypair(b)).collect();
+    let batched = SecureState::new(2024, n as usize);
+    assert!(
+        (0..n).all(|b| batched.public_key(b) == keys[b as usize].public),
+        "a second registry from the same seed holds the same keys"
+    );
     let threads = std::thread::available_parallelism()
         .map_or(1, |t| t.get())
         .min(4);
@@ -69,17 +77,29 @@ fn plaintext_generates_no_key_and_every_registry_pair_takes_the_comb() {
         let workers: Vec<_> = pairs
             .chunks(pairs.len().div_ceil(threads))
             .map(|part| {
-                let keys = &keys;
+                let (keys, batched) = (&keys, &batched);
                 scope.spawn(move || {
-                    part.iter()
-                        .filter(|&&(a, b)| {
-                            let (comb, derived) = state.session(a, b);
-                            let ladder =
-                                SessionKey::derive(&keys[a as usize], &keys[b as usize].public)
+                    let mut scratch = SessionScratch::new();
+                    part.chunks(32)
+                        .map(|chunk| {
+                            let fresh =
+                                batched.derive_sessions(chunk.iter().copied(), &mut scratch);
+                            let wrong = chunk
+                                .iter()
+                                .filter(|&&(a, b)| {
+                                    let ladder = SessionKey::derive(
+                                        &keys[a as usize],
+                                        &keys[b as usize].public,
+                                    )
                                     .expect("registry keys are never degenerate");
-                            !derived || *comb != ladder
+                                    let (alone, derived) = state.session(a, b);
+                                    let (in_batch, again) = batched.session(a, b);
+                                    !derived || again || *alone != ladder || *in_batch != ladder
+                                })
+                                .count();
+                            wrong + chunk.len() - fresh as usize
                         })
-                        .count()
+                        .sum::<usize>()
                 })
             })
             .collect();
@@ -93,4 +113,6 @@ fn plaintext_generates_no_key_and_every_registry_pair_takes_the_comb() {
         "pairs whose comb key differs from the ladder's"
     );
     assert_eq!(state.sessions(), pairs.len());
+    assert_eq!(batched.sessions(), pairs.len());
+    assert_eq!(batched.session_misses(), pairs.len() as u64);
 }

@@ -1,15 +1,19 @@
 //! X25519 against a known point by a fixed-base comb on its
-//! Edwards25519 image.
+//! Edwards25519 image, finished in batches.
 //!
 //! The Montgomery ladder ([`x25519`](crate::x25519::x25519)) pays 255
 //! steps for every product. When one point meets many scalars — a
 //! registry public key every sender derives against, or the base point
 //! every key generation multiplies — a table of that point's multiples
-//! pays once and each product becomes 64 doublings and 64 table
-//! additions. The curve is birationally equivalent to Edwards25519
-//! (RFC 7748 §4.1): `y = (u − 1) / (u + 1)` and back `u = (1 + y) /
-//! (1 − y)`, so [`PeerTable::mul`] returns the ladder's output bytes,
-//! bit for bit.
+//! pays once and each product becomes 32 doublings and 64 table
+//! additions (Lim–Lee: two tables, the second 2¹²⁸ times the first).
+//! The curve is birationally equivalent to Edwards25519 (RFC 7748
+//! §4.1): `y = (u − 1) / (u + 1)` and back `u = (1 + y) / (1 − y)`. A
+//! comb stops at that fraction, and [`CombBatch`] divides a whole batch
+//! of them with one field inversion (Montgomery's trick), so every
+//! product returns the ladder's output bytes, bit for bit, and the
+//! inversion is paid once per batch. [`PeerTable::mul`] is a batch of
+//! one.
 //!
 //! Point arithmetic is RFC 8032 §5.1.4 in extended coordinates
 //! `(X : Y : Z : T)`, `x = X/Z`, `y = Y/Z`, `xy = T/Z`. Its formulas
@@ -18,7 +22,7 @@
 //! the full clamped scalar with no reduction mod ℓ, so an 8-torsion
 //! component cancels exactly as it does in the ladder.
 
-use crate::x25519::{clamp_scalar, Fe, KEY_LEN};
+use crate::x25519::{clamp_scalar, words, Fe, KEY_LEN};
 
 /// The curve constant `d = −121665 / 121666`.
 const D: Fe = Fe([
@@ -47,13 +51,17 @@ const SQRT_M1: Fe = Fe([
     0x2b8324804fc1d,
 ]);
 
-/// Teeth of the comb: bit `64·j + c` of the scalar selects the
-/// `j`-th tooth in column `c`.
+/// Teeth of one table: bit `32·j + c` of the scalar selects the
+/// `j`-th tooth of the low table in column `c`, bit `128 + 32·j + c`
+/// the `j`-th tooth of the high table.
 const TEETH: usize = 4;
-/// Columns of the comb, one doubling each: `TEETH · COLUMNS` = 256
+/// Columns of the comb, one doubling each: `2 · TEETH · COLUMNS` = 256
 /// covers the 255-bit clamped scalar.
-const COLUMNS: usize = 64;
-/// Table entries: every subset of the teeth.
+const COLUMNS: usize = 32;
+/// Bits between the two tables: the high table is the low one times
+/// `2^SPAN`.
+const SPAN: usize = TEETH * COLUMNS;
+/// Entries of one table: every subset of its teeth.
 const ENTRIES: usize = 1 << TEETH;
 
 // Limb bounds of the call pattern below, in the terms of the field
@@ -70,6 +78,8 @@ const ENTRIES: usize = 1 << TEETH;
 // * `sums` (after `add` / `madd`): `a`, `b`, `c` are products and `d`
 //   (`2·Z1·Z2` or `2·Z1`) is carried, so `e`, `f`, `g`, `h` are each
 //   one `add` / `sub` of two reduced values;
+// * a fraction's numerator and denominator are one `add` / `sub` of
+//   two reduced values, and `finish` only multiplies them;
 // * `sub` takes a reduced right-hand side everywhere, which stays
 //   below 2p's limbs, so no limb underflows.
 
@@ -161,16 +171,19 @@ impl Point {
     }
 
     /// `self + n`: the addition with `Z2 = 1` and the entry's sums and
-    /// product precomputed. It leaves `T` out: a doubling comes next.
-    fn madd(self, n: &Niels) -> Projective {
+    /// product precomputed. A caller that goes on to double drops `T`
+    /// ([`Point::projective`]), and inlining drops its product.
+    #[inline(always)]
+    fn madd(self, n: &Niels) -> Point {
         let a = self.y.sub(self.x).mul(n.y_minus_x);
         let b = self.y.add(self.x).mul(n.y_plus_x);
         let c = self.t.mul(n.xy2d);
         let (e, f, g, h) = sums(a, b, c, self.z.add(self.z).weak_reduced());
-        Projective {
+        Point {
             x: e.mul(f),
             y: g.mul(h),
             z: f.mul(g),
+            t: e.mul(h),
         }
     }
 }
@@ -197,17 +210,69 @@ fn sqrt_ratio(num: Fe, den: Fe) -> Option<Fe> {
     }
 }
 
-/// The comb table of one point: the 16 sums of its four teeth
-/// `P, 2⁶⁴P, 2¹²⁸P, 2¹⁹²P`, affine. Entry `i` holds
-/// `Σ_j bit_j(i) · 2^(64j) · P`; entry 0 is the identity. Each entry is
-/// `(x, y)`, canonical, in four words apiece (`Fe::to_words`): 1 KB
-/// a table, where niels entries would take 1.5 KB — a comb forms the
-/// selected entry's niels form itself, two products a column. A pure
-/// function of the point, so one table serves every scalar that meets
-/// it.
+/// A field element before its division: `num / den`. A comb returns
+/// its u-coordinate this way; [`finish`] divides.
+#[derive(Clone, Copy)]
+struct Fraction {
+    num: Fe,
+    den: Fe,
+}
+
+/// All ones when `x` is zero mod p, else zero, with no branch.
+fn zero_mask(x: Fe) -> u64 {
+    let folded = x.to_bytes().iter().fold(0u64, |acc, &b| acc | u64::from(b));
+    ((folded | folded.wrapping_neg()) >> 63).wrapping_sub(1)
+}
+
+/// `if_set` where `mask` is all ones, `otherwise` where it is zero.
+fn choose(mask: u64, if_set: Fe, otherwise: Fe) -> Fe {
+    let mut out = otherwise.0;
+    for (o, s) in out.iter_mut().zip(if_set.0) {
+        *o ^= mask & (*o ^ s);
+    }
+    Fe(out)
+}
+
+/// The one finisher: writes `num / den` of every fraction, canonical,
+/// into `out`, with one field inversion for the whole batch
+/// (Montgomery's trick: a forward pass of prefix products, then one
+/// inverse peeled back entry by entry).
+///
+/// A zero denominator is the comb's identity, whose u the ladder gives
+/// as 0. It is masked to `0 / 1` in constant time before it joins the
+/// product, so it comes out as zero bytes and leaves every other entry
+/// of the batch as it would be alone.
+fn finish(batch: &mut [Fraction], out: &mut [[u8; KEY_LEN]]) {
+    debug_assert_eq!(batch.len(), out.len());
+    let mut acc = Fe::ONE;
+    for f in batch.iter_mut() {
+        let identity = zero_mask(f.den);
+        f.den = choose(identity, Fe::ONE, f.den);
+        // The numerator takes the product of the denominators before it.
+        f.num = choose(identity, Fe::ZERO, f.num).mul(acc);
+        acc = acc.mul(f.den);
+    }
+    // `inv` is always the inverse of the denominators up to entry `i`.
+    let mut inv = acc.invert();
+    for (f, u) in batch.iter().zip(out.iter_mut()).rev() {
+        *u = f.num.mul(inv).to_bytes();
+        inv = inv.mul(f.den);
+    }
+}
+
+/// The comb tables of one point: the 16 sums of the low teeth
+/// `P, 2³²P, 2⁶⁴P, 2⁹⁶P`, and the same sums times 2¹²⁸ (the high teeth
+/// `2¹²⁸P … 2²²⁴P`), affine. Entry `i` of the low table holds
+/// `Σ_j bit_j(i) · 2^(32j) · P`; entry 0 of each is the identity. Each
+/// entry is `(x, y)`, canonical, in four words apiece: 1 KB a table,
+/// 2 KB the pair, where niels entries would take 3 KB — a comb forms
+/// the two selected entries' niels forms itself, two products each a
+/// column. A pure function of the point, so one table serves every
+/// scalar that meets it.
 #[derive(Clone)]
 pub struct PeerTable {
-    entries: [[u64; 8]; ENTRIES],
+    /// The low table, then the high one.
+    entries: [[[u64; 8]; ENTRIES]; 2],
     point: [u8; KEY_LEN],
 }
 
@@ -239,30 +304,34 @@ impl PeerTable {
             z,
             t: x.mul(y),
         };
-        let mut teeth = [base; TEETH];
-        for j in 1..TEETH {
+        // Tooth `j` is 2^(32j)·P: the low table's four, then the high's.
+        let mut teeth = [base; 2 * TEETH];
+        for j in 1..2 * TEETH {
             teeth[j] = (0..COLUMNS).fold(teeth[j - 1], |p, _| p.projective().double());
         }
-        let mut sums = [Point::IDENTITY; ENTRIES];
-        for i in 1..ENTRIES {
-            sums[i] = sums[i & (i - 1)].add(&teeth[i.trailing_zeros() as usize]);
+        let mut sums = [[Point::IDENTITY; ENTRIES]; 2];
+        for (table, teeth) in sums.iter_mut().zip(teeth.chunks_exact(TEETH)) {
+            for i in 1..ENTRIES {
+                table[i] = table[i & (i - 1)].add(&teeth[i.trailing_zeros() as usize]);
+            }
         }
 
-        // One inversion for all sixteen Z (Montgomery's trick): prefix
-        // products forward, then peel one inverse off per entry.
-        let mut prefix = [Fe::ONE; ENTRIES];
-        let mut acc = Fe::ONE;
-        for (slot, p) in prefix.iter_mut().zip(&sums) {
-            *slot = acc;
-            acc = acc.mul(p.z);
+        // Affine through the finisher: X/Z and Y/Z of all 32 entries,
+        // one inversion. No Z is zero, so no entry is masked.
+        let mut fractions = [Fraction {
+            num: Fe::ZERO,
+            den: Fe::ONE,
+        }; 4 * ENTRIES];
+        for (pair, p) in fractions.chunks_exact_mut(2).zip(sums.iter().flatten()) {
+            pair[0] = Fraction { num: p.x, den: p.z };
+            pair[1] = Fraction { num: p.y, den: p.z };
         }
-        let mut inv = acc.invert();
-        let mut entries = [[0; 8]; ENTRIES];
-        for i in (0..ENTRIES).rev() {
-            let z_inv = inv.mul(prefix[i]);
-            inv = inv.mul(sums[i].z);
-            entries[i][..4].copy_from_slice(&sums[i].x.mul(z_inv).to_words());
-            entries[i][4..].copy_from_slice(&sums[i].y.mul(z_inv).to_words());
+        let mut affine = [[0; KEY_LEN]; 4 * ENTRIES];
+        finish(&mut fractions, &mut affine);
+        let mut entries = [[[0; 8]; ENTRIES]; 2];
+        for (entry, xy) in entries.iter_mut().flatten().zip(affine.chunks_exact(2)) {
+            entry[..4].copy_from_slice(&words(&xy[0]));
+            entry[4..].copy_from_slice(&words(&xy[1]));
         }
         Some(PeerTable {
             entries,
@@ -277,38 +346,112 @@ impl PeerTable {
 
     /// X25519 of `scalar` (clamped here, as the ladder clamps it) and
     /// this table's point: equal to `x25519(scalar, self.point())` for
-    /// every scalar.
-    ///
-    /// Constant-time in the scalar: every column doubles once, reads
-    /// all sixteen entries under a mask and adds the selected one, so
-    /// no branch and no memory index depends on a secret bit.
+    /// every scalar. A batch of one; [`CombBatch`] finishes many with
+    /// one inversion.
     pub fn mul(&self, scalar: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-        let k = clamp_scalar(*scalar);
-        let bit = |i: usize| u64::from((k[i / 8] >> (i % 8)) & 1);
-        let mut q = Point::IDENTITY.projective();
-        for c in (0..COLUMNS).rev() {
-            let index = (0..TEETH).fold(0, |acc, j| acc | bit(COLUMNS * j + c) << j);
-            q = q.double().madd(&self.select(index));
-        }
-        // u = (1 + y) / (1 − y) = (Z + Y) / (Z − Y); the identity
-        // (Z = Y) gives 0, as the ladder's point at infinity does.
-        q.z.add(q.y).mul(q.z.sub(q.y).invert()).to_bytes()
+        let mut u = [[0; KEY_LEN]];
+        finish(&mut [self.comb(scalar)], &mut u);
+        u[0]
     }
 
-    /// Entry `index` in niels form, read by a masked scan of all
-    /// sixteen.
-    fn select(&self, index: u64) -> Niels {
-        let mut out = [0u64; 8];
-        for (i, entry) in self.entries.iter().enumerate() {
-            let diff = i as u64 ^ index;
-            // All ones when `diff == 0`, else zero, with no branch.
-            let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
-            for (o, w) in out.iter_mut().zip(entry) {
-                *o |= mask & w;
-            }
+    /// The comb: `u` of `scalar · P` as a fraction.
+    ///
+    /// Constant-time in the scalar: every column doubles once, reads
+    /// both tables in full under a mask and adds the two selected
+    /// entries, so no branch and no memory index depends on a secret
+    /// bit.
+    fn comb(&self, scalar: &[u8; KEY_LEN]) -> Fraction {
+        let k = clamp_scalar(*scalar);
+        let bit = |i: usize| u64::from((k[i / 8] >> (i % 8)) & 1);
+        let index = |first: usize| (0..TEETH).fold(0, |acc, j| acc | bit(first + COLUMNS * j) << j);
+        let [low, high] = &self.entries;
+        let mut q = Point::IDENTITY.projective();
+        for c in (0..COLUMNS).rev() {
+            let p = q.double().madd(&select(low, index(c)));
+            q = p.madd(&select(high, index(SPAN + c))).projective();
         }
-        let fe = |i: usize| Fe::from_words(out[i..i + 4].try_into().expect("4 words"));
-        Niels::from_affine(fe(0), fe(4))
+        // u = (1 + y) / (1 − y) = (Z + Y) / (Z − Y); the identity
+        // (Z = Y) has a zero denominator, which `finish` turns into
+        // the ladder's 0.
+        Fraction {
+            num: q.z.add(q.y),
+            den: q.z.sub(q.y),
+        }
+    }
+}
+
+/// Entry `index` of `table` in niels form, read by a masked scan of
+/// all sixteen.
+fn select(table: &[[u64; 8]; ENTRIES], index: u64) -> Niels {
+    let mut out = [0u64; 8];
+    for (i, entry) in table.iter().enumerate() {
+        let diff = i as u64 ^ index;
+        // All ones when `diff == 0`, else zero, with no branch.
+        let mask = ((diff | diff.wrapping_neg()) >> 63).wrapping_sub(1);
+        for (o, w) in out.iter_mut().zip(entry) {
+            *o |= mask & w;
+        }
+    }
+    let fe = |i: usize| Fe::from_words(out[i..i + 4].try_into().expect("4 words"));
+    Niels::from_affine(fe(0), fe(4))
+}
+
+/// Products against comb tables, finished together: each
+/// [`CombBatch::push`] runs one comb, and [`CombBatch::finish`]
+/// divides them all with one field inversion. The buffers keep their
+/// capacity from batch to batch, so a reused batch allocates nothing
+/// once warm.
+///
+/// ```
+/// use citymesh_crypto::x25519::{x25519, BASEPOINT};
+/// use citymesh_crypto::{CombBatch, PeerTable};
+///
+/// let table = PeerTable::new(&BASEPOINT).unwrap();
+/// let mut batch = CombBatch::new();
+/// batch.push(&table, &[1; 32]);
+/// batch.push(&table, &[2; 32]);
+/// let out: Vec<[u8; 32]> = batch.finish().collect();
+/// assert_eq!(out, [x25519(&[1; 32], &BASEPOINT), x25519(&[2; 32], &BASEPOINT)]);
+/// assert!(batch.is_empty());
+/// ```
+#[derive(Default)]
+pub struct CombBatch {
+    fractions: Vec<Fraction>,
+    out: Vec<[u8; KEY_LEN]>,
+}
+
+impl CombBatch {
+    /// An empty batch.
+    pub fn new() -> CombBatch {
+        CombBatch::default()
+    }
+
+    /// Queues `x25519(scalar, table.point())`: runs the comb now and
+    /// leaves its one division to [`CombBatch::finish`].
+    pub fn push(&mut self, table: &PeerTable, scalar: &[u8; KEY_LEN]) {
+        self.fractions.push(table.comb(scalar));
+    }
+
+    /// Products queued since the last finish.
+    pub fn len(&self) -> usize {
+        self.fractions.len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.fractions.is_empty()
+    }
+
+    /// Finishes every queued product with one field inversion and
+    /// yields them in push order, each equal to the ladder's bytes —
+    /// all zeros where the product is the identity. The batch is empty
+    /// afterwards.
+    pub fn finish(&mut self) -> std::vec::Drain<'_, [u8; KEY_LEN]> {
+        self.out.clear();
+        self.out.resize(self.fractions.len(), [0; KEY_LEN]);
+        finish(&mut self.fractions, &mut self.out);
+        self.fractions.clear();
+        self.out.drain(..)
     }
 }
 

@@ -11,7 +11,7 @@
 //! in as associated data so a message cannot be silently replayed
 //! toward a different postbox.
 
-use crate::edwards::PeerTable;
+use crate::edwards::CombBatch;
 use crate::hkdf;
 use crate::sha256::sha256;
 use crate::x25519;
@@ -73,6 +73,27 @@ impl Keypair {
         Keypair { secret, public }
     }
 
+    /// [`Keypair::from_entropy`] of each entropy, in order, with the
+    /// public keys finished together on the base point's comb: one
+    /// field inversion for the lot instead of one a key.
+    pub fn from_entropies(entropies: impl IntoIterator<Item = [u8; 32]>) -> Vec<Keypair> {
+        let secrets: Vec<[u8; 32]> = entropies.into_iter().map(x25519::clamp_scalar).collect();
+        let mut batch = CombBatch::new();
+        for secret in &secrets {
+            batch.push(x25519::base_table(), secret);
+        }
+        secrets
+            .into_iter()
+            .zip(batch.finish())
+            .map(|(secret, public)| Keypair { secret, public })
+            .collect()
+    }
+
+    /// The clamped secret scalar, for the crate's batched derivations.
+    pub(crate) fn secret(&self) -> &[u8; 32] {
+        &self.secret
+    }
+
     /// The self-certifying ID of this keypair.
     pub fn node_id(&self) -> NodeId {
         NodeId::from_public_key(&self.public)
@@ -82,13 +103,6 @@ impl Keypair {
     /// `None` for degenerate (small-order) peer keys.
     pub fn diffie_hellman(&self, their_public: &[u8; 32]) -> Option<[u8; 32]> {
         x25519::shared_secret(&self.secret, their_public)
-    }
-
-    /// [`Keypair::diffie_hellman`] against the point `theirs` was built
-    /// from, by its comb instead of the ladder: the same bytes, and
-    /// `None` on the same all-zero output.
-    pub fn diffie_hellman_with(&self, theirs: &PeerTable) -> Option<[u8; 32]> {
-        x25519::nonzero(theirs.mul(&self.secret))
     }
 }
 
@@ -203,14 +217,16 @@ impl SealedMessage {
     }
 
     /// Parses the serialization from [`SealedMessage::to_bytes`].
-    /// `None` when too short to contain key + tag.
+    /// `None` when too short to contain key + tag. Never panics: any
+    /// longer byte string parses, and [`SealedMessage::open`] decides.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 32 + 16 {
             return None;
         }
+        let (key, ciphertext) = bytes.split_at(32);
         Some(SealedMessage {
-            ephemeral_public: bytes[..32].try_into().expect("32 bytes"),
-            ciphertext: bytes[32..].to_vec(),
+            ephemeral_public: key.try_into().ok()?,
+            ciphertext: ciphertext.to_vec(),
         })
     }
 

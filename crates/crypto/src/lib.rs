@@ -14,7 +14,8 @@
 //! * [`x25519`] — RFC 7748 Diffie–Hellman over Curve25519.
 //! * [`edwards`] — [`PeerTable`]: X25519 against a point met by many
 //!   scalars (the base point, a registry key) as a fixed-base comb on
-//!   its Edwards25519 image, with the ladder's output bytes.
+//!   its Edwards25519 image, with the ladder's output bytes, and
+//!   [`CombBatch`], which finishes many combs with one field inversion.
 //! * [`identity`] — [`identity::NodeId`] (`SHA-256(public key)`),
 //!   keypairs, and [`identity::SealedMessage`]: sender-ephemeral
 //!   ECDH → HKDF → AEAD, the construction postboxes use to cache
@@ -51,9 +52,9 @@ pub mod sha256;
 pub mod x25519;
 
 pub use aead::{open, open_into, seal, seal_into, AeadError};
-pub use edwards::PeerTable;
+pub use edwards::{CombBatch, PeerTable};
 pub use identity::{Keypair, NodeId, PostboxAddress, SealedMessage};
-pub use session::{SessionKey, HEADER_TAG_LEN};
+pub use session::{SessionBatch, SessionKey, HEADER_TAG_LEN};
 pub use sha256::sha256;
 
 /// Constant-time byte-slice equality (no early exit on mismatch).

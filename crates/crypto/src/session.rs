@@ -10,7 +10,9 @@
 //! HMAC-SHA256 header tags) per message. The derivation is
 //! **canonical** — both endpoints sort the two public keys into the
 //! HKDF salt, so `(a, b)` and `(b, a)` produce the same key and a
-//! shared cache needs only one entry per unordered pair.
+//! shared cache needs only one entry per unordered pair. Against a
+//! peer with a comb table, [`SessionBatch`] derives many keys with one
+//! field inversion between them.
 //!
 //! Nonces are the caller's responsibility: [`SessionKey::seal_into`]
 //! builds the 96-bit nonce from the message id, so ids must be unique
@@ -20,10 +22,11 @@
 
 use crate::aead::{self, AeadError};
 use crate::chacha20::{KEY_LEN, NONCE_LEN};
-use crate::edwards::PeerTable;
+use crate::edwards::{CombBatch, PeerTable};
 use crate::hkdf;
 use crate::hmac::HmacMidstates;
 use crate::identity::Keypair;
+use crate::x25519;
 
 /// Length of the truncated HMAC-SHA256 header tag, bytes.
 pub const HEADER_TAG_LEN: usize = 16;
@@ -74,24 +77,22 @@ impl SessionKey {
     /// peer's public key was a low-order point).
     pub fn derive(ours: &Keypair, their_public: &[u8; 32]) -> Option<SessionKey> {
         let shared = ours.diffie_hellman(their_public)?;
-        Some(Self::from_shared(ours, their_public, &shared))
+        Some(Self::from_shared(&ours.public, their_public, &shared))
     }
 
-    /// [`SessionKey::derive`] against the public key `theirs` was
-    /// built from, with the Diffie–Hellman on its comb: the same key.
-    pub fn derive_with(ours: &Keypair, theirs: &PeerTable) -> Option<SessionKey> {
-        let shared = ours.diffie_hellman_with(theirs)?;
-        Some(Self::from_shared(ours, theirs.point(), &shared))
-    }
-
-    /// The HKDF both derivations share: sorted-pubkey salt, the shared
-    /// secret as key material, 64 bytes split into the two keys.
-    fn from_shared(ours: &Keypair, their_public: &[u8; 32], shared: &[u8; 32]) -> SessionKey {
+    /// The HKDF both derivations ([`SessionKey::derive`] and
+    /// [`SessionBatch`]) share: sorted-pubkey salt, the shared secret as
+    /// key material, 64 bytes split into the two keys.
+    fn from_shared(
+        our_public: &[u8; 32],
+        their_public: &[u8; 32],
+        shared: &[u8; 32],
+    ) -> SessionKey {
         let mut salt = [0u8; 64];
-        let (lo, hi) = if ours.public <= *their_public {
-            (&ours.public, their_public)
+        let (lo, hi) = if our_public <= their_public {
+            (our_public, their_public)
         } else {
-            (their_public, &ours.public)
+            (their_public, our_public)
         };
         salt[..32].copy_from_slice(lo);
         salt[32..].copy_from_slice(hi);
@@ -147,6 +148,80 @@ impl SessionKey {
         let mut mac = self.header_mac.start();
         mac.update(header);
         mac.finalize()
+    }
+}
+
+/// Session keys derived together: each [`SessionBatch::push`] runs the
+/// Diffie–Hellman as a comb on the peer's [`PeerTable`], and
+/// [`SessionBatch::finish`] divides every comb of the batch with one
+/// field inversion before the HKDFs. Each key equals
+/// [`SessionKey::derive`]'s on the same keypair and the public key the
+/// table was built from. The buffers keep their capacity, so a reused
+/// batch allocates nothing for itself once warm.
+///
+/// ```
+/// use citymesh_crypto::{Keypair, PeerTable, SessionBatch, SessionKey};
+///
+/// let [a, b, c] = [[1; 32], [2; 32], [3; 32]].map(Keypair::from_entropy);
+/// let table = PeerTable::new(&c.public).unwrap();
+/// let mut batch = SessionBatch::new();
+/// batch.push(&a, &table);
+/// batch.push(&b, &table);
+/// let keys: Vec<_> = batch.finish().collect();
+/// assert!(keys[0] == SessionKey::derive(&a, &c.public));
+/// assert!(keys[1] == SessionKey::derive(&b, &c.public));
+/// ```
+#[derive(Default)]
+pub struct SessionBatch {
+    combs: CombBatch,
+    /// Each entry's two public keys, ours then theirs: the HKDF salt.
+    publics: Vec<([u8; 32], [u8; 32])>,
+}
+
+impl std::fmt::Debug for SessionBatch {
+    /// Redacted: queued combs are secret material.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SessionBatch({} queued)", self.len())
+    }
+}
+
+impl SessionBatch {
+    /// An empty batch.
+    pub fn new() -> SessionBatch {
+        SessionBatch::default()
+    }
+
+    /// Queues the session key of `ours` and the public key `theirs`
+    /// was built from: the comb runs now, its division and the HKDF in
+    /// [`SessionBatch::finish`].
+    pub fn push(&mut self, ours: &Keypair, theirs: &PeerTable) {
+        self.combs.push(theirs, ours.secret());
+        self.publics.push((ours.public, *theirs.point()));
+    }
+
+    /// Derivations queued since the last finish.
+    pub fn len(&self) -> usize {
+        self.publics.len()
+    }
+
+    /// Whether nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.publics.is_empty()
+    }
+
+    /// Finishes every queued derivation — one field inversion for the
+    /// batch — and yields the keys in push order: `None` where the
+    /// shared secret is all-zero (the peer's point has low order), as
+    /// [`SessionKey::derive`] gives. Such an entry changes no other.
+    /// The batch is empty afterwards.
+    pub fn finish(&mut self) -> impl Iterator<Item = Option<SessionKey>> + '_ {
+        self.combs
+            .finish()
+            .zip(self.publics.drain(..))
+            .map(|(shared, (ours, theirs))| {
+                let shared = x25519::nonzero(shared)?;
+                Some(SessionKey::from_shared(&ours, &theirs, &shared))
+            })
     }
 }
 

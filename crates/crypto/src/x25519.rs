@@ -101,16 +101,7 @@ impl Fe {
         out
     }
 
-    /// The canonical value as four little-endian 64-bit words: 32
-    /// bytes where the limbs take 40, for tables kept in memory.
-    pub(crate) fn to_words(self) -> [u64; 4] {
-        let bytes = self.to_bytes();
-        std::array::from_fn(|i| {
-            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
-        })
-    }
-
-    /// The inverse of [`Fe::to_words`]: limbs < 2^51.
+    /// The inverse of [`words`] on canonical bytes: limbs < 2^51.
     pub(crate) fn from_words(w: [u64; 4]) -> Fe {
         Fe([
             w[0] & MASK51,
@@ -298,6 +289,15 @@ impl Fe {
     }
 }
 
+/// Canonical field bytes (a [`Fe::to_bytes`] output) as four
+/// little-endian 64-bit words: 32 bytes where the limbs take 40, for
+/// tables kept in memory.
+pub(crate) fn words(bytes: &[u8; KEY_LEN]) -> [u64; 4] {
+    std::array::from_fn(|i| {
+        u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    })
+}
+
 /// Clamps a 32-byte scalar per RFC 7748 §5.
 pub fn clamp_scalar(mut scalar: [u8; KEY_LEN]) -> [u8; KEY_LEN] {
     scalar[0] &= 248;
@@ -348,12 +348,17 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
 /// The base point's comb table, built by the first key generation.
 static BASE: OnceLock<PeerTable> = OnceLock::new();
 
-/// Derives the public key for `scalar`: `scalar · basepoint`, by the
-/// comb on the base point's table (built on first use, once per
-/// process). Equal to `x25519(scalar, &BASEPOINT)`.
-pub fn public_key(scalar: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+/// The base point's comb table, built on first use, once per process.
+pub(crate) fn base_table() -> &'static PeerTable {
     BASE.get_or_init(|| PeerTable::new(&BASEPOINT).expect("the base point is on the curve"))
-        .mul(scalar)
+}
+
+/// Derives the public key for `scalar`: `scalar · basepoint`, by the
+/// comb on the base point's table — a batch of one (many keys at once:
+/// [`Keypair::from_entropies`](crate::Keypair::from_entropies)). Equal
+/// to `x25519(scalar, &BASEPOINT)`.
+pub fn public_key(scalar: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+    base_table().mul(scalar)
 }
 
 /// Whether this process has built the base point's table — that is,
@@ -403,7 +408,10 @@ mod tests {
         assert_eq!(Fe::from_bytes(&p).to_bytes(), [0u8; 32]);
         for bytes in [x, near_p, p, [0xA5; 32]] {
             let f = Fe::from_bytes(&bytes);
-            assert_eq!(Fe::from_words(f.to_words()).to_bytes(), f.to_bytes());
+            assert_eq!(
+                Fe::from_words(words(&f.to_bytes())).to_bytes(),
+                f.to_bytes()
+            );
         }
     }
 

@@ -2,8 +2,8 @@
 
 use citymesh_crypto::x25519::{clamp_scalar, shared_secret, x25519, BASEPOINT};
 use citymesh_crypto::{
-    aead, chacha20, ct_eq, hkdf, hmac::hmac_sha256, poly1305::poly1305, sha256, Keypair, PeerTable,
-    PostboxAddress, SealedMessage, SessionKey,
+    aead, chacha20, ct_eq, hkdf, hmac::hmac_sha256, poly1305::poly1305, sha256, CombBatch, Keypair,
+    PeerTable, PostboxAddress, SealedMessage, SessionBatch, SessionKey,
 };
 use proptest::prelude::*;
 
@@ -142,8 +142,10 @@ proptest! {
             prop_assert_eq!(table.mul(&scalar), x25519(&scalar, &peer.public));
         }
         let ours = Keypair::from_entropy(scalars[0]);
-        prop_assert_eq!(ours.diffie_hellman_with(&table), ours.diffie_hellman(&peer.public));
-        prop_assert!(SessionKey::derive_with(&ours, &table) == SessionKey::derive(&ours, &peer.public));
+        let mut batch = SessionBatch::new();
+        batch.push(&ours, &table);
+        let batched: Vec<_> = batch.finish().collect();
+        prop_assert!(batched == [SessionKey::derive(&ours, &peer.public)]);
     }
 
     /// Any 32 bytes: either no table (a twist point, or u = -1) or a
@@ -207,11 +209,13 @@ fn rfc_vectors_and_small_order_points_agree_with_the_ladder() {
     ];
     let ours = Keypair::from_entropy([0x77; 32]);
     let mut tables = 0;
+    let mut batch = SessionBatch::new();
     for u in small_order.map(unhex) {
         assert_eq!(ours.diffie_hellman(&u), None, "{u:02x?}");
         if let Some(table) = PeerTable::new(&u) {
             tables += 1;
-            assert_eq!(ours.diffie_hellman_with(&table), None, "{u:02x?}");
+            batch.push(&ours, &table);
+            assert!(batch.finish().all(|key| key.is_none()), "{u:02x?}");
             for seed in 0u8..8 {
                 let scalar = [seed.wrapping_mul(91).wrapping_add(1); 32];
                 assert_eq!(table.mul(&scalar), x25519(&scalar, &u), "{u:02x?}");
@@ -222,4 +226,158 @@ fn rfc_vectors_and_small_order_points_agree_with_the_ladder() {
     // 0, 1, both order-8 points, p (≡ 0) and p + 1 (≡ 1) lie on the
     // curve; only p − 1 (≡ −1) has no Edwards image.
     assert_eq!(tables, 6);
+}
+
+/// The low-order u-coordinates with an Edwards image: 0 (order 2),
+/// 1 (order 4) and the two of order 8. Every clamped scalar sends them
+/// to the identity, whose X25519 output is all zeros.
+const LOW_ORDER: [&str; 4] = [
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+];
+
+/// Flips bit `bit` of `bytes`.
+fn flipped(bytes: &[u8], bit: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[bit / 8] ^= 1 << (bit % 8);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batch finishes every entry as the ladder would alone: batches
+    /// of 0, 1, 2, 31, 32 and 33 entries drawn from four random peers
+    /// and the four low-order points, so peers repeat and identities
+    /// sit among ordinary products. Raw combs equal `x25519` entry by
+    /// entry; session keys equal `SessionKey::derive`, `None` exactly
+    /// where the shared secret is all zeros, and such an entry leaves
+    /// its neighbours as they are alone. Batched key generation equals
+    /// one key at a time.
+    #[test]
+    fn a_batch_equals_the_ladder_entry_by_entry(
+        len in prop_oneof![Just(0usize), Just(1), Just(2), Just(31), Just(32), Just(33)],
+        peer_entropy in proptest::collection::vec(any::<[u8; 32]>(), 4),
+        entries in proptest::collection::vec((0usize..8, any::<[u8; 32]>()), 33),
+    ) {
+        let peers: Vec<[u8; 32]> = peer_entropy
+            .iter()
+            .map(|e| Keypair::from_entropy(*e).public)
+            .chain(LOW_ORDER.map(unhex))
+            .collect();
+        let tables: Vec<PeerTable> = peers
+            .iter()
+            .map(|u| PeerTable::new(u).expect("public keys and low-order points have tables"))
+            .collect();
+        let entries = &entries[..len];
+
+        let mut combs = CombBatch::new();
+        for (peer, scalar) in entries {
+            combs.push(&tables[*peer], scalar);
+        }
+        prop_assert_eq!(combs.len(), len);
+        let raw: Vec<[u8; 32]> = combs.finish().collect();
+        prop_assert!(combs.is_empty());
+        prop_assert_eq!(raw.len(), len);
+        for ((peer, scalar), u) in entries.iter().zip(&raw) {
+            prop_assert_eq!(*u, x25519(scalar, &peers[*peer]));
+            prop_assert_eq!(*peer >= 4, *u == [0; 32]);
+        }
+
+        let ours = Keypair::from_entropies(entries.iter().map(|&(_, scalar)| scalar));
+        prop_assert_eq!(ours.len(), len);
+        let mut sessions = SessionBatch::new();
+        for (kp, (peer, scalar)) in ours.iter().zip(entries) {
+            prop_assert_eq!(kp.public, Keypair::from_entropy(*scalar).public);
+            sessions.push(kp, &tables[*peer]);
+        }
+        let keys: Vec<Option<SessionKey>> = sessions.finish().collect();
+        prop_assert_eq!(keys.len(), len);
+        for ((key, kp), (peer, _)) in keys.iter().zip(&ours).zip(entries) {
+            prop_assert_eq!(key.is_none(), *peer >= 4);
+            prop_assert!(*key == SessionKey::derive(kp, &peers[*peer]));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Hostile bytes against every decoder of the secure plane: random
+    /// bytes, each truncation and each single-bit flip of a valid
+    /// sealed message, session ciphertext and header tag. Nothing
+    /// panics; nothing but the untouched original opens or verifies.
+    #[test]
+    fn hostile_bytes_are_errors_never_panics(
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+        plaintext in proptest::collection::vec(any::<u8>(), 0..12),
+        aad in proptest::collection::vec(any::<u8>(), 0..8),
+        (ephemeral, msg_id) in (any::<[u8; 32]>(), any::<u64>()),
+    ) {
+        let bob = Keypair::from_entropy([0xB0; 32]);
+        let alice = Keypair::from_entropy([0xA1; 32]);
+        let session = SessionKey::derive(&alice, &bob.public).expect("ordinary keys");
+        let mut out = Vec::new();
+
+        // Random bytes.
+        match SealedMessage::from_bytes(&noise) {
+            Some(m) => prop_assert!(m.open(&bob, &aad).is_err()),
+            None => prop_assert!(noise.len() < 48),
+        }
+        prop_assert!(session.open_into(msg_id, &aad, &noise, &mut out).is_err());
+        prop_assert!(out.is_empty());
+        let random_tag: [u8; 16] = noise.get(..16).map_or([0; 16], |t| t.try_into().unwrap());
+        prop_assert!(!session.verify_header(&noise, &random_tag));
+
+        // A valid postbox message, truncated and flipped.
+        let address = PostboxAddress { public_key: bob.public, building_id: 7 };
+        let wire = SealedMessage::seal(&address, ephemeral, &aad, &plaintext)
+            .expect("bob's key is ordinary")
+            .to_bytes();
+        prop_assert_eq!(
+            SealedMessage::from_bytes(&wire).expect("valid").open(&bob, &aad).unwrap(),
+            plaintext.clone()
+        );
+        for len in 0..wire.len() {
+            if let Some(m) = SealedMessage::from_bytes(&wire[..len]) {
+                prop_assert!(m.open(&bob, &aad).is_err(), "truncated to {}", len);
+            }
+        }
+        for bit in 0..wire.len() * 8 {
+            let m = SealedMessage::from_bytes(&flipped(&wire, bit)).expect("length kept");
+            prop_assert!(m.open(&bob, &aad).is_err(), "bit {} flipped", bit);
+        }
+
+        // A valid session ciphertext, truncated and flipped.
+        let mut sealed = Vec::new();
+        session.seal_into(msg_id, &aad, &plaintext, &mut sealed);
+        session.open_into(msg_id, &aad, &sealed, &mut out).unwrap();
+        prop_assert_eq!(&out, &plaintext);
+        for len in 0..sealed.len() {
+            prop_assert!(session.open_into(msg_id, &aad, &sealed[..len], &mut out).is_err());
+            prop_assert!(out.is_empty());
+        }
+        for bit in 0..sealed.len() * 8 {
+            let bad = flipped(&sealed, bit);
+            prop_assert!(session.open_into(msg_id, &aad, &bad, &mut out).is_err(), "bit {}", bit);
+        }
+
+        // A valid header tag: every truncated header, every flip of the
+        // header or of the tag.
+        let header = [aad.as_slice(), &msg_id.to_le_bytes()].concat();
+        let tag = session.header_tag(&header);
+        prop_assert!(session.verify_header(&header, &tag));
+        for len in 0..header.len() {
+            prop_assert!(!session.verify_header(&header[..len], &tag));
+        }
+        for bit in 0..header.len() * 8 {
+            prop_assert!(!session.verify_header(&flipped(&header, bit), &tag));
+        }
+        for bit in 0..tag.len() * 8 {
+            let bad: [u8; 16] = flipped(&tag, bit).try_into().unwrap();
+            prop_assert!(!session.verify_header(&header, &bad));
+        }
+    }
 }

@@ -34,7 +34,9 @@ use crate::exec::{resolve_workers, run_pool, FlowExecutor};
 use crate::workload::{FlowKind, FlowSpec};
 
 /// How many flows a worker claims per counter increment. Large enough
-/// to amortize the atomic, small enough to balance tail stragglers.
+/// to amortize the atomic, small enough to balance tail stragglers. On
+/// the secure plane it is also the session batch: a claimed chunk's
+/// keys are derived together ([`FlowExecutor::derive_sessions`]).
 const CLAIM_CHUNK: usize = 32;
 
 /// Nanoseconds per millisecond: latency histograms record integer ns
@@ -541,8 +543,9 @@ pub fn try_run_fleet_traced(
 /// ([`RouteCache::evict_stale`] / [`RouteCache::clear`]).
 ///
 /// The engine proper: workers claim chunks of `flows` from an atomic
-/// cursor, run each flow on their own [`FlowExecutor`] and fold its
-/// outcome into their own [`FleetReport`]; the call merges the parts.
+/// cursor, derive an encrypted chunk's session keys in one batch, run
+/// each flow on their own [`FlowExecutor`] and fold its outcome into
+/// their own [`FleetReport`]; the call merges the parts.
 ///
 /// The report's cache counters are the cache's *cumulative* totals, so
 /// per-epoch deltas are the caller's bookkeeping.
@@ -569,8 +572,9 @@ pub fn try_run_fleet_on_cache(
             if start >= flows.len() {
                 break;
             }
-            let end = (start + CLAIM_CHUNK).min(flows.len());
-            for flow in &flows[start..end] {
+            let chunk = &flows[start..(start + CLAIM_CHUNK).min(flows.len())];
+            exec.derive_sessions(exp, chunk);
+            for flow in chunk {
                 part.absorb_outcome(flow, &exec.run(exp, flow));
             }
         }

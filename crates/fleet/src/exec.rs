@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use citymesh_core::{
     CityExperiment, DeliveryScratch, FlowOpts, PairOutcome, PlanScratch, PlannedFlow,
+    SessionScratch,
 };
 use citymesh_simcore::{substream_seed, SimRng};
 use citymesh_telemetry::{metrics as tm, MetricSet, Postmortem, TelemetryConfig, TraceConfig};
@@ -75,9 +76,10 @@ pub fn run_pool<I: Send, T: Send>(
 }
 
 /// One worker's flow pipeline: the planner scratch, the plan buffer a
-/// pair's first request plans into, the delivery scratch, the worker's
-/// metric set, the trace retention policy, and the choices every flow
-/// shares (cache, seed, planner, plane).
+/// pair's first request plans into, the delivery scratch, the session
+/// batch's buffers, the worker's metric set, the trace retention
+/// policy, and the choices every flow shares (cache, seed, planner,
+/// plane).
 ///
 /// Per-flow RNG sub-streams make outcomes independent of which worker
 /// runs which flow, so the scratch reuse is invisible in every digest;
@@ -93,6 +95,10 @@ pub struct FlowExecutor<'a> {
     plan_scratch: PlanScratch,
     plan_buffer: Arc<PlannedFlow>,
     scratch: DeliveryScratch,
+    sessions: SessionScratch,
+    /// Session keys [`FlowExecutor::derive_sessions`] derived; the
+    /// delivery scratch counts the flows' own.
+    keys_derived: u64,
     metrics: Option<MetricSet>,
 }
 
@@ -108,8 +114,31 @@ impl<'a> FlowExecutor<'a> {
             plan_scratch: PlanScratch::new(),
             plan_buffer: Arc::new(PlannedFlow::empty(0, 0)),
             scratch: DeliveryScratch::with_tracing(tel.trace),
+            sessions: SessionScratch::new(),
+            keys_derived: 0,
             metrics: tel.metrics.then(MetricSet::new),
         }
+    }
+
+    /// On the secure plane, derives the session keys `flows` will seal
+    /// with in one batch ([`SecureState::derive_sessions`]: one field
+    /// inversion for the lot), so each flow's own lookup hits. The
+    /// fleet engine calls it on every chunk it claims. Keys are pure
+    /// functions of their pairs, so no outcome changes; only the
+    /// schedule-dependent derivation counters see who derived. A warm
+    /// executor derives nothing here without allocating. A no-op on the
+    /// plaintext plane.
+    ///
+    /// [`SecureState::derive_sessions`]: citymesh_core::SecureState::derive_sessions
+    pub fn derive_sessions(&mut self, world: &CityExperiment, flows: &[FlowSpec]) {
+        if !self.cfg.encrypted {
+            return;
+        }
+        let secure = world
+            .secure_state()
+            .expect("a validated encrypted config has a secure plane");
+        let pairs = flows.iter().map(|f| (f.src, f.dst));
+        self.keys_derived += secure.derive_sessions(pairs, &mut self.sessions);
     }
 
     /// Cache hit-or-plan; a pair's first request plans into the
@@ -207,7 +236,10 @@ impl<'a> FlowExecutor<'a> {
     pub fn finish(mut self) -> (Option<MetricSet>, Vec<Postmortem>) {
         let postmortems = self.scratch.tracer_mut().take_postmortems();
         if let Some(m) = self.metrics.as_mut() {
-            m.add(tm::KEYS_DERIVED, self.scratch.keys_derived());
+            m.add(
+                tm::KEYS_DERIVED,
+                self.scratch.keys_derived() + self.keys_derived,
+            );
             let d = self.scratch.detour_stats();
             m.add(tm::DETOURS_REJECTED_BY_LABELS, d.rejected_by_labels);
             m.add(tm::DETOUR_SEARCHES, d.searches);

@@ -837,6 +837,9 @@ pub fn try_run_stream(
             run_pool(queues.chunks_mut(chunk).enumerate(), |(i, qs)| {
                 let mut exec = FlowExecutor::new(&cache, &fleet_cfg, tel);
                 let mut part = StreamReport::new(cfg.servers);
+                // No `derive_sessions` ahead of the flows: admission
+                // sheds flows before they seal, so each sealed flow
+                // derives its own key on a miss, a batch of one.
                 for flow in slice.iter().filter(|f| server(f) / chunk == i) {
                     let q = &mut qs[server(flow) - i * chunk];
                     serve(&mut exec, world, flow, cfg, q, &mut part);
